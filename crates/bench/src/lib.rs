@@ -157,9 +157,95 @@ pub fn lossless_partition_bytes(dict: &fedsz_nn::StateDict, threshold: usize) ->
     bytes
 }
 
+/// Rewrites `update` with `applied` run over the *delta* against
+/// `global` of every tensor Algorithm 1 marks lossy — how the
+/// composition ablation stacks `fedsz_lossy`'s sparsifier or quantizer
+/// (their `compress_with_applied` reconstructions) under FedSZ.
+/// `applied` gets the tensor's index and its delta and returns what
+/// the receiver would reconstruct; metadata and small tensors pass
+/// through bit-exactly, mirroring how these methods treat non-gradient
+/// state.
+///
+/// # Panics
+///
+/// Panics when `global` disagrees with `update` on names or shapes.
+pub fn transform_lossy_deltas(
+    update: &fedsz_nn::StateDict,
+    global: &fedsz_nn::StateDict,
+    threshold: usize,
+    mut applied: impl FnMut(usize, &[f32]) -> Vec<f32>,
+) -> fedsz_nn::StateDict {
+    let mut out = update.clone();
+    for (index, (name, tensor)) in out.iter_mut().enumerate() {
+        if !fedsz::partition::is_lossy(name, tensor.len(), threshold) {
+            continue;
+        }
+        let base = global.get(name).unwrap_or_else(|| panic!("global dict missing `{name}`"));
+        assert_eq!(base.shape(), tensor.shape(), "shape mismatch for `{name}`");
+        let delta: Vec<f32> = tensor.data().iter().zip(base.data()).map(|(&u, &g)| u - g).collect();
+        let kept = applied(index, &delta);
+        for ((v, &g), &d) in tensor.data_mut().iter_mut().zip(base.data()).zip(&kept) {
+            *v = g + d;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn composed_baselines_preserve_metadata_and_shrink_wire_size() {
+        use fedsz::FedSz;
+        use fedsz_fl::{Experiment, FlConfig};
+        use fedsz_lossy::{quant::Quantizer, sparse::Sparsifier};
+        use fedsz_nn::models::tiny::TinyArch;
+
+        let mut config =
+            FlConfig::paper_default(TinyArch::AlexNet, fedsz_data::DatasetKind::Cifar10Like);
+        config.rounds = 1;
+        config.clients = 1;
+        let mut exp = Experiment::new(config);
+        let global = exp.global_state().clone();
+        let _ = exp.run_round(0);
+        let update = exp.global_state().clone();
+        let threshold = FlConfig::tiny_model_compression().threshold;
+        let fedsz = FedSz::new(FlConfig::tiny_model_compression());
+        let delta_size =
+            |dict: &fedsz_nn::StateDict| fedsz.compress_delta(dict, &global).unwrap().bytes().len();
+
+        let plain = fedsz.compress(&update).unwrap().bytes().len();
+        let top_k = Sparsifier::top_k(0.05).unwrap();
+        let sparse = transform_lossy_deltas(&update, &global, threshold, |_, delta| {
+            top_k.compress_with_applied(delta).unwrap().1
+        });
+        assert!(
+            delta_size(&sparse) * 2 < plain,
+            "top-k + delta ({}) should easily halve plain FedSZ ({plain})",
+            delta_size(&sparse)
+        );
+        let q4s = Quantizer::new(4, true).unwrap();
+        let quant = transform_lossy_deltas(&update, &global, threshold, |i, delta| {
+            q4s.compress_with_applied(delta, 5 + i as u64).unwrap().1
+        });
+        assert!(
+            delta_size(&quant) < plain,
+            "q4s + FedSZ delta ({}) should beat plain ({plain})",
+            delta_size(&quant)
+        );
+
+        // Both transforms leave non-lossy tensors bit-exact, and do
+        // change the lossy ones.
+        for (name, tensor) in update.iter() {
+            if fedsz::partition::is_lossy(name, tensor.len(), threshold) {
+                assert_ne!(sparse.get(name).unwrap(), tensor, "{name}");
+            } else {
+                assert_eq!(sparse.get(name).unwrap(), tensor, "{name}");
+                assert_eq!(quant.get(name).unwrap(), tensor, "{name}");
+            }
+        }
+    }
 
     #[test]
     fn args_parse_values_and_flags() {

@@ -175,9 +175,10 @@ workers; each relay runs `fedsz serve --shard I --connect ROOT` and
 forwards one PartialSum[Compressed] frame per round. Config flags that
 shape the bits (seed, data, arch, codec) must match across every
 process; both `fl` and `serve` print a `global checksum` line so
-parity is a diff away. A worker with --adaptive applies Eqn 1 to its
-own MEASURED send bandwidth and codec times instead of a simulated
-link profile.
+parity is a diff away. A worker under a priced uplink policy
+(--uplink adaptive|auto; --adaptive is shorthand for the former)
+applies Eqn 1 to its own MEASURED send bandwidth and codec times
+instead of a simulated link profile, and reports that bandwidth.
 
 Membership is elastic: `serve` runs a single-threaded poll(2) reactor
 (one event loop handles every session; --max-sessions caps them), so
@@ -621,11 +622,20 @@ fn shared_fl_config(args: &[String]) -> Result<FlConfig, String> {
             return Err("--downlink fedsz/auto requires compression (drop --no-compress)".into());
         }
     }
-    // The uplink codec family, overriding the legacy
-    // compression/adaptive pair entirely (FlConfig.uplink wins in
-    // plan()); parsed here so `fl`, `serve` and `worker` agree.
-    if let Some(spec) = flag_value(args, "--uplink") {
-        config.uplink = Some(parse_uplink(spec, config.compression)?);
+    // The uplink codec policy, parsed here so `fl`, `serve` and
+    // `worker` agree. `--adaptive` is shorthand for `--uplink
+    // adaptive`; naming a second policy next to it is contradictory.
+    let adaptive = args.iter().any(|a| a == "--adaptive");
+    match flag_value(args, "--uplink") {
+        Some(spec) if adaptive => {
+            return Err(format!(
+                "contradictory uplink flags: --adaptive is shorthand for --uplink adaptive, \
+                 but --uplink {spec} is also set; pick one"
+            ))
+        }
+        Some(spec) => config.uplink = Some(parse_uplink(spec, config.compression)?),
+        None if adaptive => config.uplink = Some(parse_uplink("adaptive", config.compression)?),
+        None => {}
     }
     // The DP stage: --dp-clip is the switch (a clip bound is the one
     // part a DP deployment cannot omit); the other dp flags refine it
@@ -703,7 +713,6 @@ fn simulator_config(args: &[String]) -> Result<FlConfig, String> {
     config.participation = participation;
     config.bandwidth_bps = Some(bandwidth_mbps * 1e6);
     config.weighted_aggregation = args.iter().any(|a| a == "--weighted");
-    config.adaptive_compression = args.iter().any(|a| a == "--adaptive");
 
     // Per-client links: a bandwidth list plus straggler/drop injection.
     let stragglers = parse_client_pairs(&flag_values(args, "--straggler"), "--straggler")?;
@@ -883,7 +892,7 @@ fn fl(args: &[String]) -> Outcome {
 /// `serve`/`worker` deployment print a checksum that can never match
 /// the `fl` run it claims to mirror; the rest price a simulated
 /// network that does not exist here.
-fn reject_simulator_flags(args: &[String], subcommand: &str, extra: &[&str]) -> Result<(), String> {
+fn reject_simulator_flags(args: &[String], subcommand: &str) -> Result<(), String> {
     let simulator_only = [
         "--weighted",
         "--participation",
@@ -894,7 +903,7 @@ fn reject_simulator_flags(args: &[String], subcommand: &str, extra: &[&str]) -> 
         "--bandwidth",
         "--latency",
     ];
-    for flag in simulator_only.iter().chain(extra) {
+    for flag in simulator_only {
         if args.iter().any(|a| a == flag) {
             return Err(format!(
                 "{flag} is simulator-only: `fedsz {subcommand}` cannot honor it (use `fedsz fl`)"
@@ -935,9 +944,7 @@ fn serve(args: &[String]) -> Outcome {
         Ok(config) => config,
         Err(e) => return Outcome::fail(e),
     };
-    // `--adaptive` is a per-worker measured decision; on the server it
-    // would be a silent no-op.
-    if let Err(e) = reject_simulator_flags(args, "serve", &["--adaptive"]) {
+    if let Err(e) = reject_simulator_flags(args, "serve") {
         return Outcome::fail(e);
     }
     // Validate once; the socket runtime consumes the canonical plan,
@@ -1124,25 +1131,20 @@ fn serve(args: &[String]) -> Outcome {
 }
 
 fn worker(args: &[String]) -> Outcome {
-    let mut config = match shared_fl_config(args) {
+    let config = match shared_fl_config(args) {
         Ok(config) => config,
         Err(e) => return Outcome::fail(e),
     };
-    if let Err(e) = reject_simulator_flags(args, "worker", &[]) {
+    if let Err(e) = reject_simulator_flags(args, "worker") {
         return Outcome::fail(e);
     }
-    config.adaptive_compression = args.iter().any(|a| a == "--adaptive");
-    match config.plan() {
-        // A worker process cannot carry error-feedback residuals
-        // across reconnects, so stateful uplinks fail here — before
-        // any socket work — with the typed plan error.
-        Ok(plan) => {
-            if let Err(e) = plan.validate_for_workers() {
-                return Outcome::fail(format!("invalid configuration: {e}"));
-            }
-        }
+    // A worker process cannot carry error-feedback residuals across
+    // reconnects, so stateful uplinks fail here — before any socket
+    // work — with the typed plan error.
+    let plan = match config.plan().and_then(|plan| plan.validate_for_workers().map(|()| plan)) {
+        Ok(plan) => plan,
         Err(e) => return Outcome::fail(format!("invalid configuration: {e}")),
-    }
+    };
     let Some(id_spec) = flag_value(args, "--id") else {
         return Outcome::fail("worker requires --id K (the client id to embody)".into());
     };
@@ -1198,7 +1200,8 @@ fn worker(args: &[String]) -> Outcome {
         report.compressed_rounds,
         report.rounds,
         report.reconnects,
-        if config.adaptive_compression {
+        // The bandwidth Eqn 1 was priced with, whenever it priced.
+        if plan.uplink.is_adaptive() {
             format!(", measured uplink {:.0} Mbps", report.measured_bps / 1e6)
         } else {
             String::new()
@@ -1410,7 +1413,16 @@ mod tests {
             assert_ne!(out.code, 0, "worker accepted {flag}");
         }
         assert_ne!(runv(&["serve", "--participation", "0.5", "--clients", "2"]).code, 0);
-        assert_ne!(runv(&["serve", "--adaptive", "--clients", "2"]).code, 0);
+        // --adaptive is shorthand for --uplink adaptive on every
+        // subcommand; a second uplink policy next to it used to be
+        // dropped silently and is now a contradiction.
+        for sub in [&["fl"][..], &["serve"], &["worker", "--id", "0"]] {
+            let mut args = sub.to_vec();
+            args.extend(["--clients", "2", "--adaptive", "--uplink", "topk:0.1"]);
+            let out = runv(&args);
+            assert_ne!(out.code, 0, "{sub:?} accepted --adaptive with --uplink");
+            assert!(out.report.contains("contradictory uplink flags"), "{}", out.report);
+        }
         // And a bad bind fails cleanly instead of hanging.
         assert_ne!(runv(&["serve", "--bind", "256.0.0.1:1", "--clients", "1"]).code, 0);
     }

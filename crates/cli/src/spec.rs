@@ -291,9 +291,15 @@ pub fn expand_config(args: &[String]) -> Result<Vec<String>, String> {
     // topology flag overrides the file's topology under either name —
     // otherwise `--shards 4` against a spec with `tree = "2x4"` would
     // hard-fail as a conflict the user cannot resolve from the CLI.
+    // `adaptive` (shorthand for `uplink = "adaptive"`) and `uplink`
+    // are likewise one setting the CLI rejects when doubled.
     let cli_sets_topology = args.iter().any(|a| a == "--shards" || a == "--tree");
+    let cli_sets_uplink = args.iter().any(|a| a == "--uplink" || a == "--adaptive");
     entries.retain(|(key, _)| {
         if cli_sets_topology && (key == "shards" || key == "tree") {
+            return false;
+        }
+        if cli_sets_uplink && (key == "uplink" || key == "adaptive") {
             return false;
         }
         !args.iter().any(|a| *a == format!("--{key}"))
@@ -509,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn cli_topology_flags_override_either_file_spelling() {
+    fn cli_flags_override_either_file_spelling_of_one_setting() {
         // `shards` and `tree` are one logical setting: an explicit
         // --shards must displace a file's `tree` (and vice versa)
         // instead of colliding into a contradictory-topology error.
@@ -529,6 +535,15 @@ mod tests {
             .collect();
         let expanded = expand_config(&args).unwrap();
         assert_eq!(expanded, vec!["--tree", "2x2"]);
+        // Same for `adaptive` (shorthand for `uplink = "adaptive"`)
+        // against an explicit --uplink.
+        std::fs::write(&path, "adaptive = true\nrounds = 2\n").unwrap();
+        let args: Vec<String> = ["--uplink", "q8", "--config", path.to_str().unwrap()]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let expanded = expand_config(&args).unwrap();
+        assert_eq!(expanded, vec!["--uplink", "q8", "--rounds", "2"]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -7,7 +7,7 @@
 //! the very skewed alphabets produced by SZ quantization.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::varint::{read_uvarint, write_uvarint};
+use crate::varint::{read_bytes, read_uvarint, write_uvarint};
 use crate::{CodecError, Result};
 use std::collections::BinaryHeap;
 
@@ -206,7 +206,7 @@ impl HuffmanTable {
         for _ in 0..n {
             let delta = read_uvarint(buf, pos)?;
             let len = read_uvarint(buf, pos)?;
-            sym = if first { delta } else { sym + delta };
+            sym = if first { delta } else { sym.saturating_add(delta) };
             first = false;
             if sym > u64::from(u16::MAX) {
                 return Err(CodecError::Corrupt("Huffman symbol out of range"));
@@ -252,10 +252,14 @@ pub fn encode_block(data: &[u16]) -> Vec<u8> {
 /// Returns a [`CodecError`] for truncated or malformed blocks.
 pub fn decode_block(buf: &[u8], pos: &mut usize) -> Result<Vec<u16>> {
     let table = HuffmanTable::read_header(buf, pos)?;
-    let count = read_uvarint(buf, pos)? as usize;
-    let nbytes = read_uvarint(buf, pos)? as usize;
-    let bits = buf.get(*pos..*pos + nbytes).ok_or(CodecError::UnexpectedEof)?;
-    *pos += nbytes;
+    let count = read_uvarint(buf, pos)?;
+    let bits = read_bytes(buf, pos)?;
+    // Every symbol costs at least one bit, so the bitstream bounds the
+    // count before it sizes the output.
+    if count > bits.len() as u64 * 8 {
+        return Err(CodecError::UnexpectedEof);
+    }
+    let count = count as usize;
     if count == 0 {
         return Ok(Vec::new());
     }

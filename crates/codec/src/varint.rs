@@ -164,9 +164,12 @@ pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 /// Returns [`CodecError::UnexpectedEof`] when the buffer is shorter than
 /// the stored length claims.
 pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-    let len = read_uvarint(buf, pos)? as usize;
-    let bytes = buf.get(*pos..*pos + len).ok_or(CodecError::UnexpectedEof)?;
-    *pos += len;
+    let len = read_uvarint(buf, pos)?;
+    // The length is untrusted: an end offset that overflows is as
+    // out-of-range as one past the buffer.
+    let end = usize::try_from(len).ok().and_then(|len| pos.checked_add(len));
+    let bytes = end.and_then(|end| buf.get(*pos..end)).ok_or(CodecError::UnexpectedEof)?;
+    *pos += bytes.len();
     Ok(bytes)
 }
 

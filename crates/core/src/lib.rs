@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod partition;
 pub mod timing;
 
@@ -45,7 +44,8 @@ pub use fedsz_lossless::LosslessKind;
 pub use fedsz_lossy::{ErrorBound, LossyError, LossyKind};
 
 use fedsz_codec::varint::{
-    read_f32, read_f64, read_str, read_uvarint, write_f32, write_f64, write_str, write_uvarint,
+    read_bytes, read_f32, read_f64, read_str, read_uvarint, write_f32, write_f64, write_str,
+    write_uvarint,
 };
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
@@ -383,6 +383,25 @@ impl FedSz {
     ///
     /// Returns a [`CodecError`] for truncated or corrupt bitstreams.
     pub fn decompress_with_config(bytes: &[u8]) -> Result<(StateDict, FedSzConfig)> {
+        Self::decode(bytes, None)
+    }
+
+    /// Decompresses a bitstream from an untrusted peer that must
+    /// reproduce `template`'s entry names, order and shapes. The
+    /// stream's entry table is checked against the template before any
+    /// payload is decoded, and every inner stream's declared length
+    /// against the size the template implies — so no length field in
+    /// the stream sizes a buffer the architecture does not back.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] for truncated or corrupt bitstreams and
+    /// for streams that disagree with `template`.
+    pub fn decompress_matching(bytes: &[u8], template: &StateDict) -> Result<StateDict> {
+        Ok(Self::decode(bytes, Some(template))?.0)
+    }
+
+    fn decode(bytes: &[u8], template: Option<&StateDict>) -> Result<(StateDict, FedSzConfig)> {
         if bytes.len() < 4 {
             return Err(CodecError::UnexpectedEof);
         }
@@ -412,6 +431,15 @@ impl FedSz {
         let error_bound = read_error_bound(bytes, &mut pos)?;
         let threshold = read_uvarint(bytes, &mut pos)? as usize;
         let n_entries = read_uvarint(bytes, &mut pos)? as usize;
+        // An entry costs at least three bytes (name length, partition
+        // flag, rank), so the bytes present bound the count before it
+        // sizes the table.
+        if n_entries > (bytes.len() - pos) / 3 {
+            return Err(CodecError::UnexpectedEof);
+        }
+        if template.is_some_and(|t| t.len() != n_entries) {
+            return Err(CodecError::Corrupt("entry count disagrees with the template"));
+        }
 
         struct EntryMeta {
             name: String,
@@ -437,25 +465,41 @@ impl FedSz {
             }
             entries.push(EntryMeta { name, lossy: flag == 1, shape, elems });
         }
+        if let Some(template) = template {
+            let agrees = template
+                .iter()
+                .zip(&entries)
+                .all(|((name, tensor), entry)| name == entry.name && tensor.shape() == entry.shape);
+            if !agrees {
+                return Err(CodecError::Corrupt("entry table disagrees with the template"));
+            }
+        }
 
         let lossy_codec = lossy.codec();
         let lossless_codec = lossless.codec();
         let mut lossy_values: Vec<Vec<f32>> = Vec::new();
         for entry in entries.iter().filter(|e| e.lossy) {
-            let len = read_uvarint(bytes, &mut pos)? as usize;
-            let stream = bytes.get(pos..pos + len).ok_or(CodecError::UnexpectedEof)?;
-            pos += len;
+            let stream = read_bytes(bytes, &mut pos)?;
+            if template.is_some() && fedsz_lossy::declared_len(stream)? != entry.elems {
+                return Err(CodecError::Corrupt("lossy tensor length mismatch"));
+            }
             let values = lossy_codec.decompress(stream)?;
             if values.len() != entry.elems {
                 return Err(CodecError::Corrupt("lossy tensor length mismatch"));
             }
             lossy_values.push(values);
         }
-        let blob_len = read_uvarint(bytes, &mut pos)? as usize;
-        let blob = bytes.get(pos..pos + blob_len).ok_or(CodecError::UnexpectedEof)?;
+        let blob = read_bytes(bytes, &mut pos)?;
+        let expected = entries
+            .iter()
+            .filter(|e| !e.lossy)
+            .try_fold(0usize, |sum, e| sum.checked_add(e.elems.checked_mul(4)?))
+            .ok_or(CodecError::Corrupt("shape overflow"))?;
+        if template.is_some() && fedsz_lossless::declared_len(blob)? != expected {
+            return Err(CodecError::Corrupt("lossless blob length mismatch"));
+        }
         let lossless_blob = lossless_codec.decompress(blob)?;
-        let expected: usize = entries.iter().filter(|e| !e.lossy).map(|e| e.elems).sum();
-        if lossless_blob.len() != expected * 4 {
+        if lossless_blob.len() != expected {
             return Err(CodecError::Corrupt("lossless blob length mismatch"));
         }
 

@@ -195,41 +195,6 @@ impl Eqn1Decision {
             measured_codec_secs,
         }
     }
-
-    /// Overrides the inferred codec family (the constructors default to
-    /// `"lossy"`/`"raw"`, the only two families the legacy
-    /// compress-or-not decision could pick).
-    #[must_use]
-    pub fn with_family(mut self, family: &'static str) -> Self {
-        self.family = family;
-        self
-    }
-
-    /// A decision priced through a [`TransferPlan`] at
-    /// `bandwidth_bps`: both predicted path times are recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bandwidth_bps` is not positive (same contract as
-    /// [`TransferPlan::compressed_time`]).
-    pub fn priced(
-        leg: Eqn1Leg,
-        node: u64,
-        plan: &TransferPlan,
-        bandwidth_bps: f64,
-        compressed: bool,
-        measured_codec_secs: f64,
-    ) -> Self {
-        Eqn1Decision {
-            leg,
-            node,
-            compressed,
-            family: if compressed { "lossy" } else { "raw" },
-            predicted_compressed_secs: Some(plan.compressed_time(bandwidth_bps)),
-            predicted_raw_secs: Some(plan.uncompressed_time(bandwidth_bps)),
-            measured_codec_secs,
-        }
-    }
 }
 
 /// One codec family as a candidate in a family-selection decision:
@@ -271,8 +236,8 @@ pub struct FamilySelection {
 /// `probe_hint % candidates.len()` (or the next unprofiled one after
 /// it), letting callers rotate the hint per client/round so every
 /// family gets measured instead of only the first. With no bandwidth
-/// estimate the first candidate is probed — matching the legacy
-/// adaptive path, which compresses until it can price.
+/// estimate the candidate at the hint keeps being used: an adaptive
+/// stage compresses until it can price.
 ///
 /// Ties go to raw: a family must be *strictly* faster than sending
 /// uncompressed to win, same as [`TransferPlan::worthwhile`].
@@ -411,22 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn eqn1_decision_records_both_paths() {
-        let p = plan();
-        let bw = mbps(10.0);
-        let d = Eqn1Decision::priced(Eqn1Leg::Uplink, 7, &p, bw, true, 1.2);
-        assert_eq!(d.leg.name(), "uplink");
-        assert_eq!(d.node, 7);
-        assert!(d.compressed);
-        assert_eq!(d.predicted_compressed_secs, Some(p.compressed_time(bw)));
-        assert_eq!(d.predicted_raw_secs, Some(p.uncompressed_time(bw)));
-        // A worthwhile plan must predict the compressed path cheaper.
-        assert!(d.predicted_compressed_secs < d.predicted_raw_secs);
+    fn unpriced_decisions_carry_no_predictions() {
         let u = Eqn1Decision::unpriced(Eqn1Leg::Psum, 3, false, 0.0);
-        assert_eq!(u.predicted_compressed_secs, None);
-        assert_eq!(u.predicted_raw_secs, None);
-        assert_eq!(u.leg.name(), "psum");
-        assert_eq!(Eqn1Leg::Downlink.name(), "downlink");
+        assert_eq!((u.predicted_compressed_secs, u.predicted_raw_secs), (None, None));
+        assert_eq!((u.family, u.leg.name()), ("raw", "psum"));
+        assert_eq!(Eqn1Decision::unpriced(Eqn1Leg::Uplink, 0, true, 0.0).family, "lossy");
+        assert_eq!((Eqn1Leg::Uplink.name(), Eqn1Leg::Downlink.name()), ("uplink", "downlink"));
     }
 
     #[test]
@@ -512,15 +467,5 @@ mod tests {
         let s = select_family(1_000, None, &candidates, 5);
         assert!(s.probe, "no bandwidth sample means an unpriced probe");
         assert_eq!(s.choice, Some(0));
-    }
-
-    #[test]
-    fn decision_family_defaults_track_compression_and_can_be_overridden() {
-        let d = Eqn1Decision::unpriced(Eqn1Leg::Uplink, 0, true, 0.0);
-        assert_eq!(d.family, "lossy");
-        let d = Eqn1Decision::unpriced(Eqn1Leg::Uplink, 0, false, 0.0);
-        assert_eq!(d.family, "raw");
-        let d = d.with_family("topk+ef");
-        assert_eq!(d.family, "topk+ef");
     }
 }

@@ -106,10 +106,7 @@ impl Downlink {
             StagePolicy::Raw => (DownlinkMode::Raw, None),
             StagePolicy::Lossy(config) => (DownlinkMode::Compressed, Some(*config)),
             StagePolicy::Adaptive { .. } => (DownlinkMode::Adaptive, policy.fedsz()),
-            StagePolicy::Lossless
-            | StagePolicy::TopK { .. }
-            | StagePolicy::Quant { .. }
-            | StagePolicy::AutoFamily { .. } => unreachable!("rejected by validate_for"),
+            _ => unreachable!("rejected by validate_for"),
         };
         Ok(Self::new(mode, codec))
     }

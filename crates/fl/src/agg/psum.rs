@@ -19,9 +19,9 @@
 
 use crate::agg::shard::PartialSum;
 use crate::plan::{PlanError, StageLeg, StagePolicy};
-use crate::protocol::Message;
 use fedsz::timing::CostProfile;
 use fedsz_lossless::PsumCodec;
+use fedsz_net::Message;
 use std::time::Instant;
 
 /// How partial-sum frames travel between aggregator levels.
@@ -146,10 +146,7 @@ impl PsumForwarder {
             StagePolicy::Raw => PsumMode::Raw,
             StagePolicy::Lossless => PsumMode::Lossless,
             StagePolicy::Adaptive { .. } => PsumMode::Adaptive,
-            StagePolicy::Lossy(_)
-            | StagePolicy::TopK { .. }
-            | StagePolicy::Quant { .. }
-            | StagePolicy::AutoFamily { .. } => unreachable!("rejected by validate_for"),
+            _ => unreachable!("rejected by validate_for"),
         };
         Ok(Self::new(mode))
     }

@@ -21,7 +21,7 @@
 //! encoding, preserving `sum(applied) + residual == sum(raw deltas)`
 //! exactly (up to f32 addition order).
 
-use fedsz_codec::varint::{read_str, read_uvarint, write_str, write_uvarint};
+use fedsz_codec::varint::{read_bytes, read_str, read_uvarint, write_str, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 use fedsz_lossy::quant::Quantizer;
 use fedsz_lossy::sparse::Sparsifier;
@@ -229,21 +229,22 @@ impl FamilyCodec {
                 elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
                 shape.push(d);
             }
-            let stream_len = read_uvarint(body, &mut pos)? as usize;
-            let stream = body.get(pos..pos + stream_len).ok_or(CodecError::UnexpectedEof)?;
-            pos += stream_len;
-            let delta = match family {
-                FAMILY_SPARSE => Sparsifier::decompress(stream)?,
-                _ => Quantizer::decompress(stream)?,
-            };
-            if delta.len() != elems {
-                return Err(CodecError::Corrupt("delta length disagrees with shape"));
-            }
+            // Look the entry up before touching its stream: the
+            // reference's shape, not the peer's header, is what sizes
+            // every buffer below.
             let base = reference
                 .get(&name)
                 .ok_or(CodecError::Corrupt("delta entry missing from reference"))?;
             if base.shape() != shape.as_slice() {
                 return Err(CodecError::Corrupt("delta shape mismatch with reference"));
+            }
+            let stream = read_bytes(body, &mut pos)?;
+            let delta = match family {
+                FAMILY_SPARSE => Sparsifier::decompress_expecting(stream, elems)?,
+                _ => Quantizer::decompress(stream)?,
+            };
+            if delta.len() != elems {
+                return Err(CodecError::Corrupt("delta length disagrees with shape"));
             }
             let data: Vec<f32> = base.data().iter().zip(&delta).map(|(&b, &d)| b + d).collect();
             out.insert(name, Tensor::from_vec(shape, data));
@@ -255,111 +256,10 @@ impl FamilyCodec {
     }
 }
 
-/// Derives the per-(round, client) dither seed for stochastic
-/// quantization from the run seed. Distinct inputs land in distinct
-/// seeds, and the same run replays the same dither — rounding noise is
-/// reproducible, not fresh entropy. Shared by the in-memory engine and
-/// the socket worker so both produce bit-identical streams.
-pub(crate) fn derive_dither_seed(seed: u64, round: usize, client: usize) -> u64 {
-    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((round as u64) << 20)
-        .wrapping_add(client as u64)
-}
-
-/// One concrete uplink codec a node can route an upload through: the
-/// legacy FedSZ pipeline or one of the `FUC1` delta-stream families.
-/// Shared by the in-memory engine and the socket worker/server so
-/// both resolve a [`StagePolicy`] to identical codec lists.
-///
-/// [`StagePolicy`]: crate::plan::StagePolicy
-pub(crate) enum UplinkCodecKind {
-    /// FedSZ error-bounded compression of the absolute state dict.
-    Fedsz(fedsz::FedSz),
-    /// A `FUC1` delta-stream family (Top-K or quantization).
-    Family(FamilyCodec),
-}
-
-/// Resolves a *validated* upload-leg [`StagePolicy`] to its concrete
-/// codec list with reporting names: one entry for `TopK`/`Quant`, one
-/// per candidate for `AutoFamily`, empty for the legacy policies
-/// (which route through the plain FedSZ path instead).
-///
-/// [`StagePolicy`]: crate::plan::StagePolicy
-pub(crate) fn uplink_codecs_for(
-    uplink: &crate::plan::StagePolicy,
-) -> Vec<(&'static str, UplinkCodecKind)> {
-    use crate::plan::StagePolicy;
-    match uplink {
-        StagePolicy::TopK { ratio, .. } => vec![(
-            uplink.name(),
-            UplinkCodecKind::Family(FamilyCodec::top_k(*ratio).expect("plan validated the ratio")),
-        )],
-        StagePolicy::Quant { bits, stochastic, .. } => vec![(
-            uplink.name(),
-            UplinkCodecKind::Family(
-                FamilyCodec::quant(*bits, *stochastic).expect("plan validated the width"),
-            ),
-        )],
-        StagePolicy::AutoFamily { candidates } => candidates
-            .iter()
-            .map(|candidate| {
-                let kind = match candidate {
-                    StagePolicy::Lossy(cfg) => UplinkCodecKind::Fedsz(fedsz::FedSz::new(*cfg)),
-                    StagePolicy::TopK { ratio, .. } => UplinkCodecKind::Family(
-                        FamilyCodec::top_k(*ratio).expect("plan validated the ratio"),
-                    ),
-                    StagePolicy::Quant { bits, stochastic, .. } => UplinkCodecKind::Family(
-                        FamilyCodec::quant(*bits, *stochastic).expect("plan validated the width"),
-                    ),
-                    _ => unreachable!("validate_for rejects non-codec candidates"),
-                };
-                (candidate.name(), kind)
-            })
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
 /// A structurally-compatible all-zeros clone of `like` — the round-0
 /// error-feedback residual.
 pub fn zero_residual(like: &StateDict) -> StateDict {
     like.iter().map(|(name, t)| (name.to_owned(), Tensor::zeros(t.shape().to_vec()))).collect()
-}
-
-/// Applies the plan's DP stage to `update` in place, against the exact
-/// `reference` dict the client loaded this round (the same base the
-/// delta codecs use): the delta `update - reference` is clipped to the
-/// policy's L2 norm, noised with the `(seed, round, client)`-derived
-/// stream, and re-based onto `reference`. Shared by the in-memory
-/// engine and the socket worker so both noise bit-identical updates.
-///
-/// # Panics
-///
-/// Panics when `reference` is missing a tensor `update` carries (the
-/// executors always pass the broadcast dict the client trained from).
-pub(crate) fn apply_dp(
-    update: &mut StateDict,
-    reference: &StateDict,
-    policy: &fedsz_dp::DpPolicy,
-    round: usize,
-    client: usize,
-) -> fedsz_dp::DpOutcome {
-    for (name, t) in update.iter_mut() {
-        let base = reference.get(name).expect("reference dict matches the update");
-        for (v, &b) in t.data_mut().iter_mut().zip(base.data()) {
-            *v -= b;
-        }
-    }
-    let mut chunks: Vec<&mut [f32]> = update.iter_mut().map(|(_, t)| t.data_mut()).collect();
-    let outcome = policy.apply(&mut chunks, round as u64, client as u64);
-    drop(chunks);
-    for (name, t) in update.iter_mut() {
-        let base = reference.get(name).expect("reference dict matches the update");
-        for (v, &b) in t.data_mut().iter_mut().zip(base.data()) {
-            *v += b;
-        }
-    }
-    outcome
 }
 
 #[cfg(test)]

@@ -1,28 +1,29 @@
 //! The transport-abstracted federated round engine.
 //!
-//! Historically this repo implemented the paper's Fig. 1 round loop
-//! twice: `Experiment::run_round` with analytic communication accounting
-//! and `protocol::run_session` re-deriving the same loop at the wire
-//! level — and the two drifted (no partial participation, no weighted
-//! aggregation, different seed mixing on the wire path). [`RoundEngine`]
-//! is the single shared implementation: it owns cohort selection, local
-//! training, the per-client compress-or-not decision, payload movement
-//! through a pluggable [`Transport`], the virtual-time event queue over
+//! [`RoundEngine`] is the in-process runtime of the paper's Fig. 1
+//! round loop: it owns cohort selection, payload movement through a
+//! pluggable [`Transport`], the virtual-time event queue over
 //! per-client [`LinkProfile`](crate::link::LinkProfile)s, aggregation
-//! under an
-//! [`AggregationPolicy`], and evaluation. `Experiment` and `run_session`
-//! are now thin adapters over this type with different transports.
+//! under an [`AggregationPolicy`], and evaluation. The pipeline itself
+//! — what a client does with the broadcast and what the server does
+//! with an upload — is not written here: every client thread runs the
+//! shared [`crate::step`] client step and every upload is
+//! decoded by the shared [`FoldStep`], exactly as the socket runtime's
+//! worker and server do. [`Experiment`](crate::Experiment), the CLI
+//! and the bench bins are thin adapters over this type.
 //!
 //! # Layering
 //!
 //! ```text
-//! Experiment / run_session / CLI        (adapters)
-//!        └── RoundEngine                (cohort, train, codec, policy)
-//!              ├── Transport            (in-memory | framed-wire + CRC)
-//!              ├── link::schedule       (virtual clock, per-client links)
-//!              ├── agg::Aggregator      (flat | sharded tree, exact merge)
-//!              ├── agg::Downlink        (broadcast codec, Eqn 1 fallback)
-//!              └── fedsz::timing        (Eqn 1 compress-or-not advisor)
+//! Experiment / fedsz fl CLI / bench bins   (adapters)
+//!        └── RoundEngine                   (cohort, schedule, policy)
+//!              ├── step::UplinkStage       (choose, client step, cost profiles)
+//!              ├── step::FoldStep          (decode + validate an upload)
+//!              ├── Transport               (in-memory | framed-wire + CRC)
+//!              ├── link::schedule          (virtual clock, per-client links)
+//!              ├── agg::Aggregator         (flat | sharded tree, exact merge)
+//!              ├── agg::Downlink           (broadcast codec, Eqn 1 fallback)
+//!              └── fedsz::timing           (Eqn 1 compress-or-not advisor)
 //! ```
 //!
 //! # Aggregation policies
@@ -35,13 +36,14 @@
 //!   average with a staleness-discounted weight.
 
 use crate::agg::{AggOutcome, Aggregator, Contribution, Downlink, FlatAggregator, ShardedTree};
-use crate::codec::{self, derive_dither_seed, uplink_codecs_for, FamilyCodec, UplinkCodecKind};
 use crate::link::{self, Departure, Topology};
-use crate::plan::{RoundPlan, StagePolicy};
+use crate::plan::RoundPlan;
+use crate::step::{
+    emit_dp_noise, emit_eqn1, uplink_decision, ClientStep, FoldStep, UplinkChoice, UplinkStage,
+};
 use crate::transport::Transport;
 use crate::{Client, FlConfig, RoundMetrics};
-use fedsz::timing::{select_family, CostProfile, Eqn1Decision, Eqn1Leg, FamilyCandidate};
-use fedsz::FedSz;
+use fedsz::timing::{Eqn1Decision, Eqn1Leg};
 use fedsz_nn::loss::top1_accuracy;
 use fedsz_nn::{Model, StateDict};
 use fedsz_telemetry::{Telemetry, Value};
@@ -73,20 +75,25 @@ struct StaleUpdate {
     round: usize,
 }
 
-/// Result of one client's local work for a round.
+/// One cohort client's round: the upload-leg decision made for it and
+/// what its client step produced.
 struct ClientOutcome {
     id: usize,
-    /// Taken (emptied) when the payload moves into the transport.
-    payload: Vec<u8>,
+    choice: UplinkChoice,
+    /// `step.payload` is taken (emptied) when it moves into the
+    /// transport; `payload_len` keeps its size.
+    step: ClientStep,
     payload_len: usize,
-    compressed: bool,
-    train_secs: f64,
-    compress_secs: f64,
+}
+
+/// One codec's measured cost over a round's surviving uploads — what
+/// the round folds into that codec's Eqn 1 profile.
+#[derive(Clone, Copy, Default)]
+struct CodecCosts {
     raw_bytes: usize,
-    samples: usize,
-    /// What the DP stage did to this client's delta (`None` when the
-    /// plan carries no DP policy).
-    dp: Option<fedsz_dp::DpOutcome>,
+    payload_bytes: usize,
+    compress_secs: f64,
+    decompress_secs: f64,
 }
 
 /// One decompressed upload as the server holds it.
@@ -97,28 +104,10 @@ struct ServerUpdate {
     dropped: bool,
 }
 
-/// One client's resolved upload-leg decision for a round.
-#[derive(Clone, Copy)]
-struct UplinkSel {
-    /// Compress with the legacy FedSZ codec (the `Lossy`/`Adaptive`
-    /// paths — byte-identical to the pre-family engine).
-    fedsz: bool,
-    /// Compress with `uplink_codecs[i]` instead (the family paths).
-    family: Option<usize>,
-    /// The codec-family name the decision record reports.
-    name: &'static str,
-    /// `(chosen, raw)` predicted end-to-end seconds when a pricing
-    /// pass actually ran.
-    predicted: Option<(f64, f64)>,
-}
-
 /// The shared federated round loop: one global model, sharded clients,
 /// a transport and a link topology.
 pub struct RoundEngine {
     config: FlConfig,
-    /// Canonical upload-leg policy from the plan (the engine never
-    /// consults `config.compression`/`config.adaptive_compression`).
-    uplink: StagePolicy,
     clients: Vec<Client>,
     global: StateDict,
     eval_model: Box<dyn Model>,
@@ -133,20 +122,18 @@ pub struct RoundEngine {
     /// steady-state broadcast path allocates nothing.
     broadcast_buf: Vec<u8>,
     pending: Vec<StaleUpdate>,
-    codec_profile: Option<CostProfile>,
-    /// The family codecs the uplink policy can route through, with
-    /// their reporting names: one entry for a `TopK`/`Quant` policy,
-    /// one per candidate for `AutoFamily`, empty on the legacy paths.
-    uplink_codecs: Vec<(&'static str, UplinkCodecKind)>,
-    /// Per-family measured cost profiles, aligned with
-    /// `uplink_codecs` — what `AutoFamily`'s pricing pass consults.
-    family_profiles: Vec<Option<CostProfile>>,
+    /// The client half of the upload pipeline (codec list, Eqn-1
+    /// selection, per-codec cost profiles, DP stage) — the same stage
+    /// a socket worker runs.
+    uplink: UplinkStage,
+    /// The server half: decodes and validates every upload — the same
+    /// step the socket server folds with.
+    fold: FoldStep,
+    /// Whether the uplink policy carries error feedback.
+    error_feedback: bool,
     /// Per-client error-feedback residuals (all empty dicts until an
     /// EF policy lazily initializes them from the first update).
     residuals: Vec<StateDict>,
-    /// The plan's DP stage: clip + seeded noise on every client delta
-    /// before the uplink codec (`None` disables it).
-    dp: Option<fedsz_dp::DpPolicy>,
     /// Stage spans and Eqn-1 decision events land here; disabled by
     /// default (one branch per call, no allocation).
     telemetry: Telemetry,
@@ -173,6 +160,11 @@ impl RoundEngine {
     /// non-IID), initializes the global model and instantiates the
     /// plan's canonical topology, aggregator and stage policies.
     pub fn from_plan(plan: RoundPlan, transport: Box<dyn Transport>) -> Self {
+        // Every leg re-validates at executor construction (downlink
+        // and psum below via their from_policy constructors), so even
+        // a hand-built plan cannot smuggle an illegal policy in.
+        plan.uplink.validate_for(crate::plan::StageLeg::Uplink).unwrap_or_else(|e| panic!("{e}"));
+        let uplink_stage = UplinkStage::new(&plan);
         let RoundPlan {
             config,
             tree,
@@ -182,12 +174,8 @@ impl RoundEngine {
             downlink,
             psum,
             worker_threads,
-            dp,
+            dp: _,
         } = plan;
-        // Every leg re-validates at executor construction (downlink
-        // and psum below via their from_policy constructors), so even
-        // a hand-built plan cannot smuggle an illegal policy in.
-        uplink.validate_for(crate::plan::StageLeg::Uplink).unwrap_or_else(|e| panic!("{e}"));
         let (train, test) = config.dataset.generate(&config.data);
         // Client construction is shared with the multi-process worker
         // path (`FlConfig::build_client`): both must produce the same
@@ -199,8 +187,8 @@ impl RoundEngine {
             .map(|(id, shard)| config.make_client(id, shard))
             .collect();
         // One model-construction rule everywhere (clients, this eval/
-        // global model, the socket server's template) or checksums
-        // diverge.
+        // global model, the fold step's template here and on the
+        // socket server) or checksums diverge.
         let eval_model = Box::new(config.build_model());
         let global = eval_model.state_dict();
         let (test_inputs, test_targets) = test.full_batch();
@@ -213,13 +201,11 @@ impl RoundEngine {
             None => Box::new(FlatAggregator),
         };
         let downlink = Downlink::from_policy(&downlink).expect("plan validated the downlink");
-        let uplink_codecs = uplink_codecs_for(&uplink);
-        let family_profiles = vec![None; uplink_codecs.len()];
         let residuals = vec![StateDict::new(); clients.len()];
         Self {
             config,
-            uplink,
             clients,
+            fold: FoldStep::new(&uplink, global.clone()),
             global,
             eval_model,
             test_inputs,
@@ -230,11 +216,9 @@ impl RoundEngine {
             downlink,
             broadcast_buf: Vec::new(),
             pending: Vec::new(),
-            codec_profile: None,
-            uplink_codecs,
-            family_profiles,
+            uplink: uplink_stage,
+            error_feedback: uplink.error_feedback(),
             residuals,
-            dp,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -298,101 +282,6 @@ impl RoundEngine {
         (0..total).filter(|&id| mask[id]).collect()
     }
 
-    /// The plan's upload-leg decision for one client: `Raw` never
-    /// compresses, `Lossy` always does, and `Adaptive` runs Eqn 1 —
-    /// compress iff the estimated codec time plus compressed transfer
-    /// beats sending raw over this client's link, falling back to
-    /// "always compress" until a cost profile exists (the first
-    /// compressed round measures one).
-    /// Returns the decision plus, when Eqn 1 actually priced the two
-    /// paths, the `(compressed, raw)` predicted end-to-end seconds —
-    /// `None` for the unconditional modes and the profile-less probe
-    /// round.
-    fn should_compress(&self, client: usize) -> (bool, Option<(f64, f64)>) {
-        match &self.uplink {
-            StagePolicy::Raw | StagePolicy::Lossless => return (false, None),
-            StagePolicy::Lossy(_) => return (true, None),
-            StagePolicy::Adaptive { .. } => {}
-            // The family policies never take the legacy FedSZ path —
-            // `uplink_select` routes them through `uplink_codecs`.
-            StagePolicy::TopK { .. }
-            | StagePolicy::Quant { .. }
-            | StagePolicy::AutoFamily { .. } => return (false, None),
-        }
-        let (Some(topology), Some(profile)) = (&self.topology, &self.codec_profile) else {
-            return (true, None);
-        };
-        let raw = self.global.byte_size();
-        let link = topology.link(client);
-        // Compression runs on the client's hardware — a straggler pays
-        // its slowdown on codec time too. Decompression is server-side.
-        let mut plan = profile.plan(raw);
-        plan.compress_secs *= link.compute_slowdown;
-        let bps = link.bandwidth_bps;
-        (plan.worthwhile(bps), Some((plan.compressed_time(bps), plan.uncompressed_time(bps))))
-    }
-
-    /// Resolves the upload-leg decision for one client and round: the
-    /// legacy policies map onto [`RoundEngine::should_compress`]
-    /// (byte-identical behavior), `TopK`/`Quant` always ship their one
-    /// family, and `AutoFamily` prices every candidate family against
-    /// raw with [`select_family`] — probing unmeasured families in
-    /// rotation until each has a cost profile.
-    fn uplink_select(&self, round: usize, client: usize) -> UplinkSel {
-        match &self.uplink {
-            StagePolicy::TopK { .. } | StagePolicy::Quant { .. } => UplinkSel {
-                fedsz: false,
-                family: Some(0),
-                name: self.uplink_codecs[0].0,
-                predicted: None,
-            },
-            StagePolicy::AutoFamily { .. } => {
-                let link = self.topology.as_ref().map(|t| t.link(client));
-                // Compression runs on the client's hardware, so a
-                // straggler's codec-time estimate scales with its
-                // slowdown (the same rule as the legacy path).
-                let slowdown = link.map_or(1.0, |l| l.compute_slowdown);
-                let candidates: Vec<FamilyCandidate> = self
-                    .uplink_codecs
-                    .iter()
-                    .zip(&self.family_profiles)
-                    .map(|(&(name, _), profile)| FamilyCandidate {
-                        family: name,
-                        profile: profile.map(|p| CostProfile {
-                            compress_secs_per_byte: p.compress_secs_per_byte * slowdown,
-                            ..p
-                        }),
-                    })
-                    .collect();
-                let hint = round.wrapping_mul(self.uplink_codecs.len().max(1)).wrapping_add(client);
-                let sel = select_family(
-                    self.global.byte_size(),
-                    link.map(|l| l.bandwidth_bps),
-                    &candidates,
-                    hint,
-                );
-                UplinkSel {
-                    fedsz: false,
-                    family: sel.choice,
-                    name: sel.choice.map_or("raw", |i| self.uplink_codecs[i].0),
-                    predicted: match (sel.predicted_choice_secs, sel.predicted_raw_secs) {
-                        (Some(chosen), Some(raw)) => Some((chosen, raw)),
-                        _ => None,
-                    },
-                }
-            }
-            _ => {
-                let (fedsz, predicted) = self.should_compress(client);
-                UplinkSel {
-                    fedsz,
-                    family: None,
-                    name: if fedsz { "lossy" } else { "raw" },
-                    predicted,
-                }
-            }
-        }
-    }
-
     /// Deterministic uniform coin in `[0, 1)` for transit-loss decisions
     /// (a pure function of seed, round and client, so both transports
     /// and repeated runs agree).
@@ -417,8 +306,6 @@ impl RoundEngine {
     /// hardened server).
     pub fn run_round(&mut self, round: usize) -> RoundMetrics {
         let selected = self.select_cohort(round);
-        let fedsz = self.uplink.fedsz().map(FedSz::new);
-        let epochs = self.config.local_epochs;
         // Declared first so it drops last: the round span must close
         // after every stage span nested inside it.
         let round_span = self.telemetry.span_with(
@@ -495,108 +382,47 @@ impl RoundEngine {
             predicted_raw_secs: payload.predicted_raw_secs,
             measured_codec_secs: downlink_secs,
         };
-        self.emit_eqn1(&downlink_decision);
+        emit_eqn1(&self.telemetry, &downlink_decision);
         eqn1.push(downlink_decision);
         self.downlink.observe(&payload, decode_secs);
         // Hand the buffer back so next round's encode reuses it.
         self.broadcast_buf = payload.bytes;
         let shared_downlink_global = decoded_global.as_ref();
         drop(broadcast_span);
-        let uplink_choices: Vec<UplinkSel> =
-            selected.iter().map(|&id| self.uplink_select(round, id)).collect();
-
         // Local work runs in parallel threads (clients own disjoint
         // state); wall time is measured per client and later scaled by
-        // the link's straggler factor on the virtual clock.
-        let mask = {
-            let mut mask = vec![false; self.clients.len()];
-            for &id in &selected {
-                mask[id] = true;
-            }
-            mask
-        };
+        // the link's straggler factor on the virtual clock. Each client
+        // first gets its upload-leg decision, priced (when the policy
+        // prices at all) on its simulated link: the link's bandwidth,
+        // and its straggler slowdown on the codec time.
         let shared_global: &StateDict = shared_downlink_global.unwrap_or(&self.global);
         let train_span = self.telemetry.span_with(
             "engine.train",
             &[("round", Value::U64(round as u64)), ("cohort", Value::U64(selected.len() as u64))],
         );
-        let ef = self.uplink.error_feedback();
-        let seed = self.config.seed;
-        let codecs = &self.uplink_codecs;
-        let dp = self.dp;
+        let raw_bytes = self.global.byte_size();
+        let (ef, stage, topology) = (self.error_feedback, &self.uplink, &self.topology);
         let mut outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .clients
                 .iter_mut()
                 .zip(self.residuals.iter_mut())
                 .enumerate()
-                .filter(|(id, _)| mask[*id])
-                .zip(delivered_globals.into_iter().zip(&uplink_choices))
-                .map(|((id, (client, residual)), (delivered, &sel))| {
-                    let fedsz = fedsz.clone();
+                // `selected` is ascending, like this enumeration.
+                .filter(|(id, _)| selected.binary_search(id).is_ok())
+                .zip(delivered_globals)
+                .map(|((id, (client, residual)), delivered)| {
                     scope.spawn(move || {
+                        let link = topology.as_ref().map(|t| t.link(id));
+                        let bandwidth = link.map(|l| l.bandwidth_bps);
+                        let slowdown = link.map_or(1.0, |l| l.compute_slowdown);
+                        let choice = stage.choose(round, id, raw_bytes, bandwidth, slowdown);
                         let global = delivered.as_ref().unwrap_or(shared_global);
-                        client.load_global(global).expect("global dict matches client model");
-                        let t0 = Instant::now();
-                        for _ in 0..epochs {
-                            client.train_epoch();
-                        }
-                        let train_secs = t0.elapsed().as_secs_f64();
-                        let mut update = client.update();
-                        // DP runs before any codec: the uplink must
-                        // compress the *noised* delta, or the
-                        // privacy/bytes trade-off is unmeasurable. The
-                        // clip/noise reference is the exact dict this
-                        // client loaded, the same base the delta
-                        // codecs encode against.
-                        let dp_outcome = dp
-                            .map(|policy| codec::apply_dp(&mut update, global, &policy, round, id));
-                        let raw_bytes = update.byte_size();
-                        let t1 = Instant::now();
-                        let (payload, compressed) = if let Some(ci) = sel.family {
-                            let bytes = match &codecs[ci].1 {
-                                UplinkCodecKind::Fedsz(f) => {
-                                    f.compress(&update).expect("finite weights").into_bytes()
-                                }
-                                UplinkCodecKind::Family(codec) => {
-                                    // The delta reference is the exact
-                                    // dict this client loaded — the
-                                    // server decodes against the same
-                                    // broadcast, so the bases agree.
-                                    if ef && residual.is_empty() {
-                                        *residual = codec::zero_residual(&update);
-                                    }
-                                    let residual = ef.then_some(&mut *residual);
-                                    let dither = derive_dither_seed(seed, round, id);
-                                    codec
-                                        .encode_delta(&update, global, residual, dither)
-                                        .expect("finite weights")
-                                }
-                            };
-                            (bytes, true)
-                        } else {
-                            match (&fedsz, sel.fedsz) {
-                                (Some(f), true) => (
-                                    f.compress(&update).expect("finite weights").into_bytes(),
-                                    true,
-                                ),
-                                _ => (update.to_bytes(), false),
-                            }
-                        };
-                        let compress_secs = t1.elapsed().as_secs_f64();
-                        let samples = client.samples();
-                        let payload_len = payload.len();
-                        ClientOutcome {
-                            id,
-                            payload,
-                            payload_len,
-                            compressed,
-                            train_secs,
-                            compress_secs,
-                            raw_bytes,
-                            samples,
-                            dp: dp_outcome,
-                        }
+                        let step = stage
+                            .client_step(client, global, round, choice, ef.then_some(residual))
+                            .expect("global dict matches client model");
+                        let payload_len = step.payload.len();
+                        ClientOutcome { id, choice, step, payload_len }
                     })
                 })
                 .collect();
@@ -605,41 +431,19 @@ impl RoundEngine {
         outcomes.sort_by_key(|o| o.id);
         drop(train_span);
 
-        // One `dp.noise` event per noised client (telemetry lives on
-        // `self`, so these are emitted after the scoped threads join —
-        // the same shape as the uplink `eqn1.decision` loop below).
-        if self.dp.is_some() {
-            for outcome in &outcomes {
-                if let Some(dp) = &outcome.dp {
-                    self.telemetry.event(
-                        "dp.noise",
-                        &[
-                            ("round", Value::U64(round as u64)),
-                            ("client", Value::U64(outcome.id as u64)),
-                            ("pre_norm", Value::F64(dp.pre_norm)),
-                            ("sigma", Value::F64(dp.sigma)),
-                            ("clipped", Value::Bool(dp.clipped)),
-                        ],
-                    );
-                }
+        // One `dp.noise` event per noised client and one uplink Eqn-1
+        // record per cohort client, with the client's measured codec
+        // seconds next to the prediction that picked the path
+        // (telemetry lives on `self`, so these are emitted after the
+        // scoped threads join).
+        for outcome in &outcomes {
+            if let Some(dp) = &outcome.step.dp {
+                emit_dp_noise(&self.telemetry, round, outcome.id, dp);
             }
         }
-
-        // One uplink Eqn-1 record per cohort client, with the client's
-        // measured codec seconds next to the prediction that picked the
-        // path (`outcomes` and `uplink_choices` are both in ascending
-        // `selected` order).
-        for (outcome, sel) in outcomes.iter().zip(&uplink_choices) {
-            let decision = Eqn1Decision {
-                leg: Eqn1Leg::Uplink,
-                node: outcome.id as u64,
-                compressed: outcome.compressed,
-                family: sel.name,
-                predicted_compressed_secs: sel.predicted.map(|p| p.0),
-                predicted_raw_secs: sel.predicted.map(|p| p.1),
-                measured_codec_secs: outcome.compress_secs,
-            };
-            self.emit_eqn1(&decision);
+        for outcome in &outcomes {
+            let decision = uplink_decision(outcome.id, outcome.choice, &outcome.step);
+            emit_eqn1(&self.telemetry, &decision);
             eqn1.push(decision);
         }
 
@@ -650,10 +454,10 @@ impl RoundEngine {
         let mut wire_sizes: Vec<usize> = Vec::with_capacity(outcomes.len());
         let mut server_payloads: Vec<(Vec<u8>, bool)> = Vec::with_capacity(outcomes.len());
         for outcome in &mut outcomes {
-            let payload = std::mem::take(&mut outcome.payload);
+            let payload = std::mem::take(&mut outcome.step.payload);
             let delivered = self
                 .transport
-                .upload(round as u32, outcome.id as u64, payload, outcome.compressed)
+                .upload(round as u32, outcome.id as u64, payload, outcome.step.compressed)
                 .expect("transport delivers upload");
             upstream_bytes += delivered.wire_bytes;
             wire_sizes.push(delivered.wire_bytes);
@@ -676,7 +480,7 @@ impl RoundEngine {
                 };
                 Departure {
                     client: o.id,
-                    ready_secs: (decode_secs + o.train_secs + o.compress_secs) * slowdown,
+                    ready_secs: (decode_secs + o.step.train_secs + o.step.compress_secs) * slowdown,
                     bytes,
                     dropped: drop_prob > 0.0 && self.transit_coin(round, o.id) < drop_prob,
                 }
@@ -707,9 +511,13 @@ impl RoundEngine {
         drop(comm_span);
 
         let decode_span = self.telemetry.span("engine.decode");
-        // Server-side decode of everything that survived transit. The
-        // FedSZ share of the time is tracked separately so the Eqn 1
-        // cost profile is not polluted by raw-payload parse time.
+        // Server-side decode of everything that survived transit.
+        // Each codec's share of the time and bytes is tracked
+        // separately so its Eqn 1 cost profile is not polluted by
+        // raw-payload parse time; dropped uploads are excluded
+        // throughout — they were never decompressed, so keeping their
+        // bytes in the denominator would bias the per-byte decompress
+        // cost downward.
         let dropped_mask = {
             let mut m = vec![false; self.clients.len()];
             for a in arrivals.iter().filter(|a| a.dropped) {
@@ -719,8 +527,7 @@ impl RoundEngine {
         };
         let dropped_count = dropped_mask.iter().filter(|&&d| d).count();
         let mut decompress_secs = 0.0f64;
-        let mut fedsz_decompress_secs = 0.0f64;
-        let mut family_decompress_secs = vec![0.0f64; self.uplink_codecs.len()];
+        let mut codec_costs = vec![CodecCosts::default(); self.uplink.codec_count()];
         // Family streams decode against the same broadcast dict every
         // client loaded this round (aggregation has not run yet, so
         // `self.global` is still the round's reference).
@@ -728,35 +535,28 @@ impl RoundEngine {
         let server_updates: Vec<ServerUpdate> = outcomes
             .iter()
             .zip(server_payloads)
-            .zip(&uplink_choices)
-            .map(|((o, (payload, compressed)), sel)| {
+            .map(|(o, (payload, compressed))| {
                 let dropped = dropped_mask[o.id];
-                let t_dec = Instant::now();
                 let dict = if dropped {
                     StateDict::new()
-                } else if compressed {
-                    if FamilyCodec::is_family_stream(&payload) {
-                        FamilyCodec::decode_delta(&payload, uplink_reference)
-                            .expect("self-produced family stream")
-                    } else {
-                        fedsz
-                            .as_ref()
-                            .expect("compressed payload without codec config")
-                            .decompress(&payload)
-                            .expect("self-produced stream")
-                    }
                 } else {
-                    StateDict::from_bytes(&payload).expect("self-produced bytes")
-                };
-                let elapsed = t_dec.elapsed().as_secs_f64();
-                decompress_secs += elapsed;
-                if compressed && !dropped {
-                    match sel.family {
-                        Some(i) => family_decompress_secs[i] += elapsed,
-                        None => fedsz_decompress_secs += elapsed,
+                    let t_dec = Instant::now();
+                    let dict = self
+                        .fold
+                        .decode(&payload, compressed, Some(uplink_reference))
+                        .expect("self-produced upload");
+                    let elapsed = t_dec.elapsed().as_secs_f64();
+                    decompress_secs += elapsed;
+                    if let Some(codec) = o.choice.codec {
+                        let costs = &mut codec_costs[codec];
+                        costs.raw_bytes += o.step.raw_bytes;
+                        costs.payload_bytes += o.payload_len;
+                        costs.compress_secs += o.step.compress_secs;
+                        costs.decompress_secs += elapsed;
                     }
-                }
-                ServerUpdate { id: o.id, dict, samples: o.samples, dropped }
+                    dict
+                };
+                ServerUpdate { id: o.id, dict, samples: o.step.samples, dropped }
             })
             .collect();
         drop(decode_span);
@@ -783,25 +583,30 @@ impl RoundEngine {
         let validation_secs = t_val.elapsed().as_secs_f64();
         drop(validate_span);
 
-        // Refresh the Eqn 1 cost profile from this round's measurements.
-        self.observe_codec_costs(&outcomes, &uplink_choices, &dropped_mask, fedsz_decompress_secs);
-        self.observe_family_costs(
-            &outcomes,
-            &uplink_choices,
-            &dropped_mask,
-            &family_decompress_secs,
-        );
+        // Refresh the Eqn 1 cost profiles from this round's
+        // measurements, one fold per codec that carried an upload.
+        for (codec, costs) in codec_costs.iter().enumerate() {
+            self.uplink.observe(
+                codec,
+                costs.raw_bytes,
+                costs.payload_bytes,
+                costs.compress_secs,
+                Some(costs.decompress_secs),
+            );
+        }
 
         let n = outcomes.len().max(1) as f64;
-        let train_secs = outcomes.iter().map(|o| o.train_secs).sum::<f64>() / n;
-        let compress_secs = outcomes.iter().map(|o| o.compress_secs).sum::<f64>() / n;
+        let train_secs = outcomes.iter().map(|o| o.step.train_secs).sum::<f64>() / n;
+        let compress_secs = outcomes.iter().map(|o| o.step.compress_secs).sum::<f64>() / n;
         let update_bytes = outcomes.iter().map(|o| o.payload_len as f64).sum::<f64>() / n;
-        let ratio =
-            outcomes.iter().map(|o| o.raw_bytes as f64 / o.payload_len.max(1) as f64).sum::<f64>()
-                / n;
-        let dp_sigma = self.dp.map(|p| p.sigma());
-        let clipped_fraction = self.dp.map(|_| {
-            outcomes.iter().filter(|o| o.dp.is_some_and(|d| d.clipped)).count() as f64 / n
+        let ratio = outcomes
+            .iter()
+            .map(|o| o.step.raw_bytes as f64 / o.payload_len.max(1) as f64)
+            .sum::<f64>()
+            / n;
+        let dp_sigma = outcomes.iter().find_map(|o| o.step.dp).map(|d| d.sigma);
+        let clipped_fraction = dp_sigma.map(|_| {
+            outcomes.iter().filter(|o| o.step.dp.is_some_and(|d| d.clipped)).count() as f64 / n
         });
         let metrics = RoundMetrics {
             round,
@@ -831,27 +636,6 @@ impl RoundEngine {
         };
         drop(round_span);
         metrics
-    }
-
-    /// Writes one `eqn1.decision` instant event for a priced (or
-    /// unconditional) compression choice; absent predictions render as
-    /// `null` in the trace (the NaN encoding of the trace writer).
-    fn emit_eqn1(&self, d: &Eqn1Decision) {
-        self.telemetry.event(
-            "eqn1.decision",
-            &[
-                ("leg", Value::Str(d.leg.name())),
-                ("node", Value::U64(d.node)),
-                ("compressed", Value::Bool(d.compressed)),
-                ("family", Value::Str(d.family)),
-                (
-                    "predicted_compressed_secs",
-                    Value::F64(d.predicted_compressed_secs.unwrap_or(f64::NAN)),
-                ),
-                ("predicted_raw_secs", Value::F64(d.predicted_raw_secs.unwrap_or(f64::NAN))),
-                ("measured_codec_secs", Value::F64(d.measured_codec_secs)),
-            ],
-        );
     }
 
     /// Applies the aggregation policy and backend, returning the
@@ -941,90 +725,6 @@ impl RoundEngine {
                 (Some(outcome), stale_applied)
             }
             None => (None, stale_applied),
-        }
-    }
-
-    /// Folds measured codec costs into the EWMA profile the Eqn 1
-    /// decision uses. `fedsz_decompress_secs` must cover FedSZ streams
-    /// only (raw-payload parse time would bias the estimate upward),
-    /// and dropped uploads are excluded throughout: they were never
-    /// decompressed, so keeping their bytes in the denominator would
-    /// bias the per-byte decompress cost downward.
-    fn observe_codec_costs(
-        &mut self,
-        outcomes: &[ClientOutcome],
-        choices: &[UplinkSel],
-        dropped_mask: &[bool],
-        fedsz_decompress_secs: f64,
-    ) {
-        let compressed: Vec<&ClientOutcome> = outcomes
-            .iter()
-            .zip(choices)
-            .filter(|(o, sel)| o.compressed && sel.family.is_none() && !dropped_mask[o.id])
-            .map(|(o, _)| o)
-            .collect();
-        if compressed.is_empty() {
-            return;
-        }
-        let bytes: f64 = compressed.iter().map(|o| o.raw_bytes as f64).sum();
-        if bytes <= 0.0 {
-            return;
-        }
-        let c_per_byte = compressed.iter().map(|o| o.compress_secs).sum::<f64>() / bytes;
-        let d_per_byte = fedsz_decompress_secs / bytes;
-        let ratio = compressed
-            .iter()
-            .map(|o| o.raw_bytes as f64 / o.payload_len.max(1) as f64)
-            .sum::<f64>()
-            / compressed.len() as f64;
-        self.codec_profile = Some(CostProfile::blend(
-            self.codec_profile,
-            CostProfile {
-                compress_secs_per_byte: c_per_byte,
-                decompress_secs_per_byte: d_per_byte,
-                ratio,
-            },
-        ));
-    }
-
-    /// Same EWMA fold as [`Self::observe_codec_costs`], but per codec
-    /// family: each family accumulates its own [`CostProfile`] so the
-    /// auto-family selector prices candidates from what they actually
-    /// cost on this hardware, not a shared average.
-    fn observe_family_costs(
-        &mut self,
-        outcomes: &[ClientOutcome],
-        choices: &[UplinkSel],
-        dropped_mask: &[bool],
-        family_decompress_secs: &[f64],
-    ) {
-        for (idx, decompress_secs) in family_decompress_secs.iter().enumerate() {
-            let used: Vec<&ClientOutcome> = outcomes
-                .iter()
-                .zip(choices)
-                .filter(|(o, sel)| sel.family == Some(idx) && !dropped_mask[o.id])
-                .map(|(o, _)| o)
-                .collect();
-            if used.is_empty() {
-                continue;
-            }
-            let bytes: f64 = used.iter().map(|o| o.raw_bytes as f64).sum();
-            if bytes <= 0.0 {
-                continue;
-            }
-            let c_per_byte = used.iter().map(|o| o.compress_secs).sum::<f64>() / bytes;
-            let d_per_byte = decompress_secs / bytes;
-            let ratio =
-                used.iter().map(|o| o.raw_bytes as f64 / o.payload_len.max(1) as f64).sum::<f64>()
-                    / used.len() as f64;
-            self.family_profiles[idx] = Some(CostProfile::blend(
-                self.family_profiles[idx],
-                CostProfile {
-                    compress_secs_per_byte: c_per_byte,
-                    decompress_secs_per_byte: d_per_byte,
-                    ratio,
-                },
-            ));
         }
     }
 

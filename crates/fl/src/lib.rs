@@ -10,8 +10,15 @@
 //! virtual-time event queue ([`link`]) while measuring compute and codec
 //! times for real — same methodology, no wasted wall-clock.
 //!
-//! Every entry point — [`Experiment`], [`protocol::run_session`], the
-//! scaling harness and the CLI — drives the same
+//! The round's pipeline is written once, in [`step`]: the client step
+//! (load the broadcast → local epochs → DP clip+noise → Eqn-1 codec
+//! choice → encode) and the fold step (decode → validate against the
+//! architecture → fold). Three runtimes call it and differ only in
+//! transport and scheduling: the in-process [`engine::RoundEngine`]
+//! and the socket [`net`] worker and server.
+//!
+//! Every in-process entry point — [`Experiment`], the scaling harness
+//! and the CLI — drives the same
 //! [`engine::RoundEngine`], parameterized by a [`transport::Transport`]
 //! (analytic in-memory, or framed-wire with CRC accounting), a link
 //! [`link::Topology`] (one shared pipe, per-client heterogeneous
@@ -43,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod baselines;
 pub mod client;
 pub mod codec;
 pub mod engine;
@@ -51,8 +57,8 @@ pub mod fedavg;
 pub mod link;
 pub mod net;
 pub mod plan;
-pub mod protocol;
 pub mod scaling;
+pub mod step;
 pub mod sweep;
 pub mod transport;
 
@@ -118,16 +124,13 @@ pub struct FlConfig {
     /// When the server aggregates: classic synchronous FedAvg or
     /// FedBuff-style buffered-asynchronous aggregation.
     pub aggregation: AggregationPolicy,
-    /// Decide compress-or-not per client per round with the paper's
-    /// Eqn 1 (slow links compress, fast links send raw) instead of
-    /// compressing unconditionally.
-    pub adaptive_compression: bool,
-    /// Explicit upload-leg policy. `Some` overrides the legacy
-    /// [`FlConfig::compression`] + [`FlConfig::adaptive_compression`]
-    /// pair outright and is how the codec families (Top-K,
-    /// quantization, error feedback, auto family selection) are
-    /// selected; `None` preserves the legacy derivation. Prefer the
-    /// [`FlConfig::builder`] methods ([`FlConfigBuilder::uplink`],
+    /// Explicit upload-leg policy. `Some` is how every codec choice
+    /// beyond "FedSZ always" is made — Eqn-1 adaptive compress-or-not
+    /// ([`StagePolicy::Adaptive`]), the codec families (Top-K,
+    /// quantization, error feedback) and auto family selection; `None`
+    /// derives the policy from [`FlConfig::compression`] alone (`Lossy`
+    /// when set, `Raw` otherwise). Prefer the [`FlConfig::builder`]
+    /// methods ([`FlConfigBuilder::uplink`],
     /// [`FlConfigBuilder::uplink_topk`], [`FlConfigBuilder::uplink_quant`])
     /// over poking this field directly — validation still happens in
     /// [`FlConfig::plan`].
@@ -207,7 +210,6 @@ impl FlConfig {
             participation: 1.0,
             links: None,
             aggregation: AggregationPolicy::Synchronous,
-            adaptive_compression: false,
             uplink: None,
             shards: None,
             tree: None,
@@ -244,7 +246,6 @@ impl FlConfig {
             participation: 1.0,
             links: None,
             aggregation: AggregationPolicy::Synchronous,
-            adaptive_compression: false,
             uplink: None,
             shards: None,
             tree: None,
@@ -485,14 +486,8 @@ impl FlConfigBuilder {
         self
     }
 
-    /// Eqn-1 per-client compress-or-not on the upload leg.
-    pub fn adaptive_compression(mut self, adaptive: bool) -> Self {
-        self.config.adaptive_compression = adaptive;
-        self
-    }
-
-    /// Explicit upload-leg [`StagePolicy`], overriding the legacy
-    /// `compression`/`adaptive_compression` pair. Validation (ratio
+    /// Explicit upload-leg [`StagePolicy`], overriding the default
+    /// derived from `compression`. Validation (ratio
     /// and bit-width ranges, leg legality, error-feedback
     /// combinations) happens in [`FlConfig::plan`].
     pub fn uplink(mut self, policy: StagePolicy) -> Self {
@@ -663,9 +658,9 @@ pub struct RoundMetrics {
 /// A FedAvg experiment over the analytic in-memory transport: a global
 /// model, sharded clients and a test set.
 ///
-/// This is a thin adapter over [`engine::RoundEngine`]; the wire-level
-/// twin is [`protocol::run_session`], which drives the *same* engine
-/// over the framed-wire transport.
+/// This is a thin adapter over [`engine::RoundEngine`]; handing the
+/// engine a [`transport::WireTransport`] instead drives the *same*
+/// rounds through encoded, CRC-verified frames.
 pub struct Experiment {
     engine: RoundEngine,
 }

@@ -30,11 +30,20 @@
 //! [`Client`](crate::client::Client) through the same
 //! [`FlConfig::make_client`](crate::FlConfig::make_client) path the
 //! in-memory engine uses, trains for real, and uploads raw or
-//! FedSZ-compressed updates.
+//! codec-compressed updates.
+//!
+//! **One pipeline.** Neither side re-implements the round. The worker
+//! runs the shared client step and the server the shared fold step of
+//! [`crate::step`] — the same code the in-memory engine runs on both
+//! ends — so a codec, a DP stage or a validation rule exists once and
+//! every runtime gets it. This module adds only what sockets need:
+//! framing, the reactor, membership and retry.
 //!
 //! **Bit parity.** A loopback multi-process run is bit-identical to
-//! the in-memory engine on the same config: client construction is
-//! shared, FedSZ encoding is deterministic, the root merges with the
+//! the in-memory engine on the same config: client construction and
+//! the client step are shared, every codec is deterministic (the
+//! stochastic quantizer's dither is derived from the run seed, round
+//! and client id), the root merges with the
 //! exact fixed-point accumulator, and relays ship the *exact*
 //! accumulator image ([`PartialSum::encode_exact`]) rather than
 //! `f64`-rounded sums — so hierarchy depth and process boundaries
@@ -74,21 +83,17 @@
 //! **Eqn 1 on measured links.** The simulator feeds the paper's
 //! compress-or-not decision from configured
 //! [`LinkProfile`](crate::link::LinkProfile)s; a worker has a real
-//! link instead, so [`run_worker`]'s adaptive mode measures the wall
-//! clock of its own frame sends, folds the observed bandwidth and
-//! codec costs into the shared
-//! [`fedsz::timing::CostProfile`], and prices each round's upload with
-//! the same `plan(bytes).worthwhile(bandwidth)` rule every simulated
-//! stage uses.
+//! link instead, so under a priced uplink policy (`adaptive`, `auto`)
+//! [`run_worker`] measures the wall clock of its own frame sends and
+//! hands the observed bandwidth and codec costs to the same
+//! selection the engine runs — the inputs differ, the rule does not.
 //!
 //! [`PartialSum::encode_exact`]: crate::agg::PartialSum::encode_exact
 
 pub mod server;
-pub mod socket;
 pub mod worker;
 
 pub use server::{NetRound, NetServer, Role, ServeConfig, ServeReport};
-pub use socket::SocketTransport;
 pub use worker::{run_worker, WorkerConfig, WorkerReport};
 
 use fedsz_codec::checksum::crc32;

@@ -20,16 +20,18 @@
 //! workers re-parent directly to the root and the round completes
 //! degraded instead of hanging.
 //!
-//! Aggregation reuses the simulator's exact machinery: updates are
-//! folded into a [`PartialSum`] in ascending child order, relay
+//! Aggregation reuses the simulator's exact machinery: every worker
+//! update goes through the shared [`FoldStep`] (decode → validate
+//! against the architecture), then into a [`PartialSum`] in ascending
+//! child order; relay
 //! frames are [`PartialSum::decode_exact`]-ed and merged, and the
 //! fixed-point accumulator makes the result independent of process
 //! placement — the bit-parity the integration tests pin down.
 
-use crate::agg::{template_matches, Downlink, PartialSum, ShardPlan};
-use crate::codec::FamilyCodec;
+use crate::agg::{Downlink, PartialSum, ShardPlan};
 use crate::net::global_checksum;
 use crate::plan::{RoundPlan, StagePolicy};
+use crate::step::FoldStep;
 use crate::FlConfig;
 use fedsz::FedSz;
 use fedsz_lossless::PsumCodec;
@@ -134,9 +136,10 @@ impl ServeConfig {
             .fl
             .plan()
             .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-        // Error-feedback residuals cannot survive a worker reconnect,
-        // so the whole socket runtime rejects EF plans up front (the
-        // worker enforces the same rule on its side).
+        // What the socket runtime cannot honour — error-feedback
+        // residuals across a reconnect, weighted / partial / buffered
+        // aggregation — is rejected up front (the worker enforces the
+        // same rule on its side).
         plan.validate_for_workers()
             .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
         if let Some(shards) = plan.shard_count() {
@@ -926,28 +929,21 @@ impl NetServer {
 
         // Root state. A relay never materializes the global — it
         // forwards the broadcast bytes verbatim.
-        let fedsz = plan.uplink.fedsz().map(FedSz::new);
         let downlink = Downlink::from_policy(&plan.downlink)
             .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
         let psum_codec = PsumCodec::new();
-        // The architecture-derived shape template every child's
-        // contribution is validated against before it may touch the
-        // merge (whose asserts would otherwise panic the server on a
-        // misconfigured child). For the root it doubles as the initial
-        // global model, exactly as the engine builds it.
-        let template: StateDict = config.fl.build_model().state_dict();
+        // The shared fold step, over the architecture-derived shape
+        // template every child's contribution is validated against
+        // before it may touch the merge (whose asserts would otherwise
+        // panic the server on a misconfigured child). For the root the
+        // template doubles as the initial global model, exactly as the
+        // engine builds it.
+        let fold = FoldStep::new(&plan.uplink, config.fl.build_model().state_dict());
         let mut global = match config.role {
-            Role::Root => Some(template.clone()),
+            Role::Root => Some(fold.template().clone()),
             Role::Relay { .. } => None,
         };
 
-        // Whether the uplink policy can produce `FUC1` delta streams —
-        // those decode against the round's broadcast, which the server
-        // must then re-decode from its own frame bytes each round.
-        let family_uplink = matches!(
-            plan.uplink,
-            StagePolicy::TopK { .. } | StagePolicy::Quant { .. } | StagePolicy::AutoFamily { .. }
-        );
         let mut rounds = Vec::new();
         let mut psum_raw_frames = 0usize;
         let mut psum_compressed_frames = 0usize;
@@ -1002,7 +998,7 @@ impl NetServer {
             // the workers received, so the server re-decodes its own
             // frame bytes once per round — even under a lossy downlink
             // both sides then hold bit-identical reference dicts.
-            let uplink_reference: Option<StateDict> = if family_uplink {
+            let uplink_reference: Option<StateDict> = if fold.needs_reference() {
                 Some(if compressed {
                     FedSz::decompress_with_config(&bytes)?.0
                 } else {
@@ -1061,8 +1057,7 @@ impl NetServer {
                 match fold_upload(
                     upload,
                     matches!(key, ChildKey::Relay(_)),
-                    &template,
-                    fedsz.as_ref(),
+                    &fold,
                     uplink_reference.as_ref(),
                     &psum_codec,
                     &mut partial,
@@ -1120,12 +1115,7 @@ impl NetServer {
                                 payload: std::mem::take(&mut packed),
                             }
                         }
-                        StagePolicy::Lossy(_)
-                        | StagePolicy::TopK { .. }
-                        | StagePolicy::Quant { .. }
-                        | StagePolicy::AutoFamily { .. } => {
-                            unreachable!("plan() rejects lossy and family psum policies")
-                        }
+                        _ => unreachable!("plan() rejects lossy and family psum policies"),
                     };
                     upstream.send(&message)?;
                     match message {
@@ -1189,37 +1179,18 @@ fn record_eviction(telemetry: &Telemetry, id: u64, round: u32, reason: &str) {
     telemetry.add("fedsz_net_evictions_total", 1.0);
 }
 
-/// Largest weight magnitude a remote update may carry: safely inside
-/// the exact accumulator's `2^47` per-term range with generous
-/// headroom for cohort-sized sums, and far beyond any real model
-/// weight. Anything outside (or non-finite — diverged local training
-/// is the classic producer of NaN weights) evicts the sender; letting
-/// it reach the accumulator would trip `quantize`'s panic instead.
-const MAX_UPDATE_MAGNITUDE: f32 = 1e9;
-
-/// Order-sensitive shape agreement between a decoded update and the
-/// architecture template (the same [`template_matches`] rule the
-/// partial-sum validator uses). Order matters: the partial sum fixes
-/// its entry order from the first contribution, and the merge asserts
-/// on it — so an out-of-order (even if same-named) dict must be
-/// rejected here, not discovered by a panic mid-merge.
-fn dict_compatible(template: &StateDict, dict: &StateDict) -> bool {
-    template_matches(template, dict.len(), dict.iter().map(|(name, t)| (name, t.shape())))
-}
-
-/// Decodes and validates one child's upload against the architecture
-/// template, folding it into the round's partial sum. Returns the
-/// client contributions folded in, or the reason the sender must be
-/// evicted — wrong frame kinds for this server's role, undecodable
-/// payloads, shape mismatches and non-finite/extreme values all evict
-/// exactly one child instead of panicking the whole server inside the
-/// merge machinery.
+/// Folds one child's upload into the round's partial sum: a worker
+/// update through the shared [`FoldStep`], a relay's partial-sum frame
+/// through the checked merge. Returns the client contributions folded
+/// in, or the reason the sender must be evicted — wrong frame kinds
+/// for this server's role, undecodable payloads, shape mismatches and
+/// non-finite/extreme values all evict exactly one child instead of
+/// panicking the whole server inside the merge machinery.
 #[allow(clippy::too_many_arguments)]
 fn fold_upload(
     upload: Upload,
     expect_partial: bool,
-    template: &StateDict,
-    fedsz: Option<&FedSz>,
+    fold: &FoldStep,
     reference: Option<&StateDict>,
     psum_codec: &PsumCodec,
     partial: &mut PartialSum,
@@ -1238,29 +1209,7 @@ fn fold_upload(
             Err("expected a worker update, got a partial-sum frame".into())
         }
         Upload::Update { payload, compressed } => {
-            let dict = if compressed && FamilyCodec::is_family_stream(&payload) {
-                let reference = reference.ok_or_else(|| {
-                    "family-coded update but the uplink policy has no family codec".to_string()
-                })?;
-                FamilyCodec::decode_delta(&payload, reference)
-                    .map_err(|e| format!("undecodable update: {e}"))?
-            } else if compressed {
-                fedsz
-                    .ok_or_else(|| "compressed update but compression is off".to_string())?
-                    .decompress(&payload)
-                    .map_err(|e| format!("undecodable update: {e}"))?
-            } else {
-                StateDict::from_bytes(&payload).map_err(|e| format!("malformed update: {e}"))?
-            };
-            if !dict_compatible(template, &dict) {
-                return Err("update disagrees with the configured architecture".into());
-            }
-            // NaNs fail `is_finite`, infinities and huge magnitudes
-            // fail the bound — both would panic inside `quantize`.
-            let poisoned = |v: f32| !v.is_finite() || v.abs() > MAX_UPDATE_MAGNITUDE;
-            if dict.iter().any(|(_, t)| t.data().iter().any(|&v| poisoned(v))) {
-                return Err("update carries non-finite or extreme weights".into());
-            }
+            let dict = fold.decode(&payload, compressed, reference)?;
             partial.accumulate(&dict, 1.0);
             Ok(1)
         }
@@ -1273,7 +1222,7 @@ fn fold_upload(
             let remote = PartialSum::decode_exact(&image)
                 .map_err(|e| format!("malformed psum image: {e}"))?;
             if !remote.is_empty() {
-                if !remote.shape_matches(template) {
+                if !remote.shape_matches(fold.template()) {
                     return Err("partial sum disagrees with the configured architecture".into());
                 }
                 if remote.weight_total() <= 0.0 {
@@ -1297,6 +1246,7 @@ fn fold_upload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::FamilyCodec;
     use fedsz_tensor::Tensor;
 
     fn dict(entries: &[(&str, usize)]) -> StateDict {
@@ -1328,19 +1278,24 @@ mod tests {
         assert!(fl.plan().is_ok(), "the simulator accepts surplus-leaf trees");
         let err = ServeConfig::root(fl).plan().unwrap_err();
         assert!(err.to_string().contains("shards <= clients"), "{err}");
+        // Likewise what the fold cannot honour: a config built in code
+        // (no CLI flag check in the way) is refused, not run wrong.
+        let mut fl = FlConfig::smoke_test();
+        fl.weighted_aggregation = true;
+        let err = ServeConfig::root(fl).plan().unwrap_err();
+        assert!(err.to_string().contains("weighted aggregation is simulator-only"), "{err}");
     }
 
     #[test]
     fn incompatible_uploads_are_rejected_not_panicked() {
-        let template = dict(&[("a.weight", 4), ("b.weight", 2)]);
+        let step = FoldStep::new(&StagePolicy::Raw, dict(&[("a.weight", 4), ("b.weight", 2)]));
         let mut partial = PartialSum::new();
         let (mut raw, mut packed) = (0usize, 0usize);
         let mut fold = |upload| {
             fold_upload(
                 upload,
                 false,
-                &template,
-                None,
+                &step,
                 None,
                 &PsumCodec::new(),
                 &mut partial,
@@ -1383,6 +1338,8 @@ mod tests {
         update.get_mut("a.weight").unwrap().data_mut().copy_from_slice(&[2.0, 0.5, 1.0, 1.5]);
         let codec = FamilyCodec::top_k(1.0).unwrap();
         let payload = codec.encode_delta(&update, &template, None, 0).unwrap();
+        let topk = StagePolicy::TopK { ratio: 1.0, error_feedback: false };
+        let step = FoldStep::new(&topk, template.clone());
         let mut partial = PartialSum::new();
         let (mut raw, mut packed) = (0usize, 0usize);
         // Without a broadcast reference the frame must evict its
@@ -1390,8 +1347,7 @@ mod tests {
         let out = fold_upload(
             Upload::Update { payload: payload.clone(), compressed: true },
             false,
-            &template,
-            None,
+            &step,
             None,
             &PsumCodec::new(),
             &mut partial,
@@ -1404,8 +1360,7 @@ mod tests {
         let out = fold_upload(
             Upload::Update { payload, compressed: true },
             false,
-            &template,
-            None,
+            &step,
             Some(&template),
             &PsumCodec::new(),
             &mut partial,
@@ -1419,7 +1374,7 @@ mod tests {
 
     #[test]
     fn mismatched_psum_frames_are_rejected_not_panicked() {
-        let template = dict(&[("a.weight", 4)]);
+        let step = FoldStep::new(&StagePolicy::Raw, dict(&[("a.weight", 4)]));
         let mut other = PartialSum::new();
         other.accumulate(&dict(&[("a.weight", 5)]), 2.0);
         let mut partial = PartialSum::new();
@@ -1428,8 +1383,7 @@ mod tests {
             fold_upload(
                 upload,
                 true,
-                &template,
-                None,
+                &step,
                 None,
                 &PsumCodec::new(),
                 partial,
@@ -1460,7 +1414,7 @@ mod tests {
         // Two frames whose accumulator bits are near i128::MAX merge to
         // an overflow; try_merge must refuse the second frame and leave
         // the first intact.
-        let template = dict(&[("a.weight", 1)]);
+        let step = FoldStep::new(&StagePolicy::Raw, dict(&[("a.weight", 1)]));
         let extreme = {
             let mut sum = PartialSum::new();
             sum.accumulate(&dict(&[("a.weight", 1)]), 1.0);
@@ -1477,8 +1431,7 @@ mod tests {
             fold_upload(
                 Upload::Partial { payload, compressed: false },
                 true,
-                &template,
-                None,
+                &step,
                 None,
                 &PsumCodec::new(),
                 partial,

@@ -22,22 +22,20 @@
 //! verbatim instead of training twice — which would silently advance
 //! the client's RNG and momentum and break bit-parity.
 //!
-//! The compress-or-not decision is the paper's Eqn 1, but fed by
-//! **measurements** instead of simulated
-//! [`LinkProfile`](crate::link::LinkProfile)s: the worker times its
-//! own frame sends to estimate the link bandwidth, times its own codec
-//! to maintain a [`CostProfile`], and prices each upload with the same
-//! `plan(bytes).worthwhile(bandwidth)` rule every simulated stage
-//! uses. Until measurements exist it compresses (which is how the
-//! first measurements are taken), exactly like the engine's adaptive
-//! path.
+//! The round itself is not written here: the worker runs the shared
+//! client step ([`crate::step`]) — the same load → train → DP → encode
+//! the in-memory engine runs for this client — and differs only in
+//! what it feeds the Eqn 1 codec choice: **measurements** instead of
+//! simulated [`LinkProfile`](crate::link::LinkProfile)s. It times its
+//! own frame sends to estimate the link bandwidth and its own codec to
+//! maintain the stage's [`CostProfile`](fedsz::timing::CostProfile)s;
+//! until both exist a priced policy compresses (which is how the first
+//! measurements are taken), exactly like the engine's.
 //!
 //! [`FlConfig::make_client`]: crate::FlConfig::make_client
 
-use crate::codec::{derive_dither_seed, uplink_codecs_for, FamilyCodec, UplinkCodecKind};
-use crate::plan::StagePolicy;
+use crate::step::{emit_dp_noise, emit_eqn1, uplink_decision, FoldStep, UplinkStage};
 use crate::{Client, FlConfig};
-use fedsz::timing::{select_family, CostProfile, FamilyCandidate};
 use fedsz::FedSz;
 use fedsz_net::{Backoff, Message, NetError, Session};
 use fedsz_telemetry::{Telemetry, Value};
@@ -175,29 +173,36 @@ impl MeasuredLink {
 ///
 /// Panics when `config.id` is outside the configured cohort.
 pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
-    // The worker consumes the validated plan's upload-leg policy, not
-    // the raw `compression`/`adaptive_compression` knobs.
-    let plan =
-        config.fl.plan().map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-    // Error-feedback residuals live on the client across rounds; a
-    // worker process cannot guarantee that continuity (crash/resume
-    // would silently drop carried mass), so EF plans are rejected here
+    // The worker consumes the validated plan, never the raw knobs, and
+    // refuses what the socket runtime cannot honour (error-feedback
+    // residuals that would die with a reconnecting process, weighted /
+    // partial / buffered aggregation the server has no mechanism for)
     // with the typed error rather than run wrong.
-    plan.validate_for_workers()
-        .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-    let uplink = plan.uplink.clone();
+    let invalid = |e| NetError::Protocol(format!("invalid configuration: {e}"));
+    let plan = config.fl.plan().map_err(invalid)?;
+    plan.validate_for_workers().map_err(invalid)?;
+    let mut stage = UplinkStage::new(&plan);
     let mut client: Client = config.fl.build_client(config.id);
-    let fedsz = uplink.fedsz().map(FedSz::new);
-    let codecs = uplink_codecs_for(&uplink);
-    let mut family_profiles: Vec<Option<CostProfile>> = vec![None; codecs.len()];
     // The id seeds the jitter: a whole shard orphaned at once retries
     // on decorrelated clocks instead of stampeding the fallback.
     let backoff = Backoff::new(config.backoff_base, config.backoff_cap, config.id as u64);
+    // One step of the bounded retry schedule: gives up with `err` once
+    // the budget is spent, else sleeps out the jittered window.
+    let back_off = |attempt: &mut u32, err: NetError| -> Result<(), NetError> {
+        if *attempt >= config.retries {
+            return Err(err);
+        }
+        std::thread::sleep(backoff.delay(*attempt));
+        *attempt += 1;
+        Ok(())
+    };
     let mut primary = config.connect.clone();
     let mut fallback = config.fallback.clone();
 
     let mut link = MeasuredLink::default();
-    let mut profile: Option<CostProfile> = None;
+    // Built on the first priced probe only: the decoder the server
+    // will run, for timing what this upload costs it.
+    let mut fold: Option<FoldStep> = None;
     let mut cached: Option<CachedUpload> = None;
     let mut rounds = 0usize;
     let mut compressed_rounds = 0usize;
@@ -209,7 +214,7 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
     let mut last_round = 0u32;
     let mut dropped_once = false;
 
-    'outer: loop {
+    loop {
         // ---- (re)connect with the bounded, jittered schedule ----
         let (mut session, mut on_fallback) = loop {
             let use_fallback = retry_uses_fallback(attempt, fallback.is_some());
@@ -217,117 +222,87 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
                 if use_fallback { fallback.as_deref().unwrap_or(&primary) } else { &primary };
             match Session::connect(target, config.timeout) {
                 Ok(session) => break (session, use_fallback),
-                Err(e) => {
-                    if attempt >= config.retries {
-                        return Err(NetError::Io(e));
-                    }
-                    std::thread::sleep(backoff.delay(attempt));
-                    attempt += 1;
-                }
+                Err(e) => back_off(&mut attempt, NetError::Io(e))?,
             }
         };
-        if session
-            .send(&Message::Join { client_id: config.id as u64, round: last_round, relay: false })
-            .is_err()
-        {
-            if attempt >= config.retries {
-                return Err(NetError::Closed);
-            }
-            std::thread::sleep(backoff.delay(attempt));
-            attempt += 1;
-            continue 'outer;
-        }
-        if sessions == 0 {
-            config.telemetry.event("worker.join", &[("client", Value::U64(config.id as u64))]);
-        } else {
-            reconnects += 1;
-            config.telemetry.event(
-                "worker.reconnect",
-                &[
-                    ("client", Value::U64(config.id as u64)),
-                    ("attempt", Value::U64(u64::from(attempt))),
-                    ("fallback", Value::Bool(on_fallback)),
-                ],
-            );
-        }
-        sessions += 1;
 
-        // ---- the round loop on this session ----
-        loop {
-            let message = match session.recv(Some(config.timeout)) {
-                Ok(message) => message,
-                // Corrupt frames and protocol violations are fatal —
-                // reconnecting cannot cure bad bytes.
-                Err(e @ (NetError::Codec(_) | NetError::Protocol(_))) => return Err(e),
-                Err(e) => {
-                    uploaded += session.bytes_sent() as usize;
-                    downloaded += session.bytes_received() as usize;
-                    if attempt >= config.retries {
-                        return Err(e);
+        // ---- this session, until Shutdown (`None`) or an outage ----
+        let outage: Option<NetError> = 'session: {
+            let join =
+                Message::Join { client_id: config.id as u64, round: last_round, relay: false };
+            if session.send(&join).is_err() {
+                break 'session Some(NetError::Closed);
+            }
+            if sessions == 0 {
+                config.telemetry.event("worker.join", &[("client", Value::U64(config.id as u64))]);
+            } else {
+                reconnects += 1;
+                config.telemetry.event(
+                    "worker.reconnect",
+                    &[
+                        ("client", Value::U64(config.id as u64)),
+                        ("attempt", Value::U64(u64::from(attempt))),
+                        ("fallback", Value::Bool(on_fallback)),
+                    ],
+                );
+            }
+            sessions += 1;
+
+            loop {
+                let message = match session.recv(Some(config.timeout)) {
+                    Ok(message) => message,
+                    // Corrupt frames and protocol violations are fatal —
+                    // reconnecting cannot cure bad bytes.
+                    Err(e @ (NetError::Codec(_) | NetError::Protocol(_))) => return Err(e),
+                    Err(e) => break 'session Some(e),
+                };
+                // The server answered: the outage (if any) is over, and
+                // a session that proved the fallback works makes it the
+                // new primary for whatever comes next.
+                attempt = 0;
+                if on_fallback {
+                    if let Some(fb) = fallback.take() {
+                        fallback = Some(std::mem::replace(&mut primary, fb));
                     }
-                    std::thread::sleep(backoff.delay(attempt));
-                    attempt += 1;
-                    continue 'outer;
+                    on_fallback = false;
                 }
-            };
-            // The server answered: the outage (if any) is over, and a
-            // session that proved the fallback works makes it the new
-            // primary for whatever comes next.
-            attempt = 0;
-            if on_fallback {
-                if let Some(fb) = fallback.take() {
-                    fallback = Some(std::mem::replace(&mut primary, fb));
-                }
-                on_fallback = false;
-            }
 
-            let (round, dict) = match message {
-                Message::GlobalModel { round, dict_bytes } => {
-                    (round, fedsz_nn::StateDict::from_bytes(&dict_bytes)?)
-                }
-                // The FedSZ stream embeds its codec config, so decoding
-                // needs no local configuration (and cannot drift from
-                // the server's).
-                Message::EncodedGlobal { round, payload } => {
-                    (round, FedSz::decompress_with_config(&payload)?.0)
-                }
-                Message::Shutdown => {
-                    uploaded += session.bytes_sent() as usize;
-                    downloaded += session.bytes_received() as usize;
-                    break 'outer;
-                }
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "worker expected a broadcast, got {other:?}"
-                    )))
-                }
-            };
-            last_round = round;
+                let (round, dict) = match message {
+                    Message::GlobalModel { round, dict_bytes } => {
+                        (round, fedsz_nn::StateDict::from_bytes(&dict_bytes)?)
+                    }
+                    // The FedSZ stream embeds its codec config, so
+                    // decoding needs no local configuration (and cannot
+                    // drift from the server's).
+                    Message::EncodedGlobal { round, payload } => {
+                        (round, FedSz::decompress_with_config(&payload)?.0)
+                    }
+                    Message::Shutdown => break 'session None,
+                    other => {
+                        return Err(NetError::Protocol(format!(
+                            "worker expected a broadcast, got {other:?}"
+                        )))
+                    }
+                };
+                last_round = round;
 
-            if config.drop_session_at_round == Some(round) && !dropped_once {
-                // The churn-test chaos knob: one abrupt mid-run
-                // disconnect, then the regular reconnect/resume path.
-                dropped_once = true;
-                uploaded += session.bytes_sent() as usize;
-                downloaded += session.bytes_received() as usize;
-                session.close();
-                // The drop consumes retry budget like any real outage
-                // (`--retries 0` turns it into a permanent death).
-                if attempt >= config.retries {
-                    return Err(NetError::Closed);
+                if config.drop_session_at_round == Some(round) && !dropped_once {
+                    // The churn-test chaos knob: one abrupt mid-run
+                    // disconnect, then the regular reconnect/resume
+                    // path. The drop consumes retry budget like any
+                    // real outage (`--retries 0` turns it into a
+                    // permanent death).
+                    dropped_once = true;
+                    session.close();
+                    break 'session Some(NetError::Closed);
                 }
-                std::thread::sleep(backoff.delay(attempt));
-                attempt += 1;
-                continue 'outer;
-            }
 
-            // The resume path: a re-broadcast of a round this client
-            // already trained means the server never saw (or lost) the
-            // upload — resend the cached frame byte-identically.
-            // Training again instead would advance the client's RNG
-            // and momentum a second time and diverge from `fedsz fl`.
-            if let Some(c) = &cached {
-                if c.round == round {
+                // The resume path: a re-broadcast of a round this client
+                // already trained means the server never saw (or lost)
+                // the upload — resend the cached frame byte-identically.
+                // Training again instead would advance the client's RNG
+                // and momentum a second time and diverge from `fedsz fl`.
+                if let Some(c) = cached.as_ref().filter(|c| c.round == round) {
                     config.telemetry.event(
                         "worker.resume",
                         &[
@@ -336,233 +311,89 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
                         ],
                     );
                     if session.send_frame(&c.frame).is_err() {
-                        uploaded += session.bytes_sent() as usize;
-                        downloaded += session.bytes_received() as usize;
-                        if attempt >= config.retries {
-                            return Err(NetError::Closed);
-                        }
-                        std::thread::sleep(backoff.delay(attempt));
-                        attempt += 1;
-                        continue 'outer;
+                        break 'session Some(NetError::Closed);
                     }
                     continue;
                 }
-            }
 
-            let round_span = config.telemetry.span_with(
-                "worker.round",
-                &[
-                    ("round", Value::U64(u64::from(round))),
-                    ("client", Value::U64(config.id as u64)),
-                ],
-            );
-            client
-                .load_global(&dict)
-                .map_err(|e| NetError::Protocol(format!("global dict rejected: {e}")))?;
-            for _ in 0..config.fl.local_epochs {
-                client.train_epoch();
-            }
-            let mut update = client.update();
-            // The plan's DP stage, against the exact broadcast dict
-            // this worker decoded — the same clip/noise the in-memory
-            // engine applies to this client, so the noised update is
-            // bit-identical across runtimes (the noise seed is derived
-            // from (dp.seed, round, id), never process state).
-            if let Some(policy) = &plan.dp {
-                let outcome =
-                    crate::codec::apply_dp(&mut update, &dict, policy, round as usize, config.id);
-                config.telemetry.event(
-                    "dp.noise",
+                let _round_span = config.telemetry.span_with(
+                    "worker.round",
                     &[
                         ("round", Value::U64(u64::from(round))),
                         ("client", Value::U64(config.id as u64)),
-                        ("pre_norm", Value::F64(outcome.pre_norm)),
-                        ("sigma", Value::F64(outcome.sigma)),
-                        ("clipped", Value::Bool(outcome.clipped)),
                     ],
                 );
-            }
-            let update = update;
-            let raw_bytes = update.byte_size();
-
-            // The plan's upload policy on the measured link: `Lossy`
-            // always compresses; `Adaptive` runs Eqn 1 — compress iff
-            // measured codec time plus compressed transfer beats
-            // sending raw at the measured bandwidth, probing
-            // (compressing) until both measurements exist.
-            // `TopK`/`Quant` always ship their one family;
-            // `AutoFamily` prices every candidate against raw with the
-            // same measured bandwidth, probing unmeasured families in
-            // rotation (the engine's rule, measured inputs).
-            let (compress, family_choice, predicted) = match &uplink {
-                StagePolicy::Raw | StagePolicy::Lossless => (false, None, None),
-                StagePolicy::Lossy(_) => (true, None, None),
-                StagePolicy::Adaptive { .. } => match (profile, link.bps) {
-                    (Some(profile), Some(bps)) => {
-                        let plan = profile.plan(raw_bytes);
-                        (
-                            plan.worthwhile(bps),
-                            None,
-                            Some((plan.compressed_time(bps), plan.uncompressed_time(bps))),
-                        )
-                    }
-                    _ => (true, None, None),
-                },
-                StagePolicy::TopK { .. } | StagePolicy::Quant { .. } => (false, Some(0), None),
-                StagePolicy::AutoFamily { .. } => {
-                    let candidates: Vec<FamilyCandidate> = codecs
-                        .iter()
-                        .zip(&family_profiles)
-                        .map(|(&(name, _), profile)| FamilyCandidate {
-                            family: name,
-                            profile: *profile,
-                        })
-                        .collect();
-                    let hint =
-                        (round as usize).wrapping_mul(codecs.len().max(1)).wrapping_add(config.id);
-                    let sel = select_family(raw_bytes, link.bps, &candidates, hint);
-                    let predicted = match (sel.predicted_choice_secs, sel.predicted_raw_secs) {
-                        (Some(chosen), Some(raw)) => Some((chosen, raw)),
-                        _ => None,
-                    };
-                    (false, sel.choice, predicted)
+                // The shared client step, against the exact broadcast
+                // this worker decoded (the server decodes delta streams
+                // against the same bytes, so the bases agree), priced on
+                // the measured link. Error-feedback plans were rejected
+                // above, so no residual is carried.
+                let choice =
+                    stage.choose(round as usize, config.id, dict.byte_size(), link.bps, 1.0);
+                let step = stage
+                    .client_step(&mut client, &dict, round as usize, choice, None)
+                    .map_err(|e| NetError::Protocol(format!("global dict rejected: {e}")))?;
+                if let Some(dp) = &step.dp {
+                    emit_dp_noise(&config.telemetry, round as usize, config.id, dp);
                 }
-            };
-            let mut measured_codec_secs = 0.0f64;
-            let (payload, compressed) = if let Some(ci) = family_choice {
-                let t0 = Instant::now();
-                let packed = match &codecs[ci].1 {
-                    UplinkCodecKind::Fedsz(f) => {
-                        f.compress(&update).expect("finite weights").into_bytes()
-                    }
-                    UplinkCodecKind::Family(c) => {
-                        // The delta reference is the broadcast this
-                        // worker just decoded — the server decodes
-                        // against the same bytes, so the bases agree.
-                        // EF is rejected above, so no residual is
-                        // carried.
-                        let dither = derive_dither_seed(config.fl.seed, round as usize, config.id);
-                        c.encode_delta(&update, &dict, None, dither).expect("finite weights")
-                    }
-                };
-                let compress_secs = t0.elapsed().as_secs_f64();
-                measured_codec_secs = compress_secs;
-                let raw = raw_bytes.max(1) as f64;
-                // Like the adaptive path below: the server-side
-                // decompress cost is measured once per family and
-                // carried by the EWMA.
-                let decompress_secs_per_byte = match family_profiles[ci] {
-                    Some(prev) => prev.decompress_secs_per_byte,
-                    None => {
-                        let t1 = Instant::now();
-                        match &codecs[ci].1 {
-                            UplinkCodecKind::Fedsz(f) => {
-                                let _ = f.decompress(&packed)?;
-                            }
-                            UplinkCodecKind::Family(_) => {
-                                let _ = FamilyCodec::decode_delta(&packed, &dict)?;
-                            }
-                        }
-                        t1.elapsed().as_secs_f64() / raw
-                    }
-                };
-                family_profiles[ci] = Some(CostProfile::blend(
-                    family_profiles[ci],
-                    CostProfile {
-                        compress_secs_per_byte: compress_secs / raw,
-                        decompress_secs_per_byte,
-                        ratio: raw / packed.len().max(1) as f64,
-                    },
-                ));
-                (packed, true)
-            } else if compress {
-                let codec = fedsz.as_ref().expect("compress implies a codec");
-                let t0 = Instant::now();
-                let packed = codec.compress(&update).expect("finite weights").into_bytes();
-                let compress_secs = t0.elapsed().as_secs_f64();
-                measured_codec_secs = compress_secs;
-                if uplink.is_adaptive() {
-                    let raw = raw_bytes.max(1) as f64;
+                // The measured twin of the engine's per-client uplink
+                // record: predictions exist only once both the codec
+                // profile and a bandwidth sample do (the probe rounds
+                // before that show `null` predictions in the trace,
+                // like the simulator's).
+                emit_eqn1(&config.telemetry, &uplink_decision(config.id, choice, &step));
+                if let Some(codec) = choice.codec {
                     // The decompression the server will pay is measured
-                    // on the first compressed round only — it is a
+                    // on a priced codec's first upload only — it is a
                     // stable per-byte cost, and re-measuring it would
-                    // mean one redundant full decompress of every later
+                    // mean one redundant full decode of every later
                     // upload. The EWMA carries the sample forward.
-                    let decompress_secs_per_byte = match profile {
-                        Some(prev) => prev.decompress_secs_per_byte,
-                        None => {
-                            let t1 = Instant::now();
-                            let _ = codec.decompress(&packed)?;
-                            t1.elapsed().as_secs_f64() / raw
-                        }
+                    let decompress_secs = if stage.wants_decompress_sample(codec) {
+                        let fold =
+                            fold.get_or_insert_with(|| FoldStep::new(&plan.uplink, dict.clone()));
+                        let t0 = Instant::now();
+                        fold.decode(&step.payload, true, Some(&dict)).map_err(|e| {
+                            NetError::Protocol(format!("own upload does not decode: {e}"))
+                        })?;
+                        Some(t0.elapsed().as_secs_f64())
+                    } else {
+                        None
                     };
-                    profile = Some(CostProfile::blend(
-                        profile,
-                        CostProfile {
-                            compress_secs_per_byte: compress_secs / raw,
-                            decompress_secs_per_byte,
-                            ratio: raw / packed.len().max(1) as f64,
-                        },
-                    ));
+                    stage.observe(
+                        codec,
+                        step.raw_bytes,
+                        step.payload.len(),
+                        step.compress_secs,
+                        decompress_secs,
+                    );
                 }
-                (packed, true)
-            } else {
-                (update.to_bytes(), false)
-            };
-            let family_name = match family_choice {
-                Some(ci) => codecs[ci].0,
-                None if compressed => "lossy",
-                None => "raw",
-            };
 
-            // The measured twin of the engine's per-client uplink
-            // record: predictions exist only once both the codec
-            // profile and a bandwidth sample do (the probe rounds
-            // before that show `null` predictions in the trace, like
-            // the simulator's).
-            config.telemetry.event(
-                "eqn1.decision",
-                &[
-                    ("leg", Value::Str("uplink")),
-                    ("node", Value::U64(config.id as u64)),
-                    ("compressed", Value::Bool(compressed)),
-                    ("family", Value::Str(family_name)),
-                    (
-                        "predicted_compressed_secs",
-                        Value::F64(predicted.map_or(f64::NAN, |p: (f64, f64)| p.0)),
-                    ),
-                    ("predicted_raw_secs", Value::F64(predicted.map_or(f64::NAN, |p| p.1))),
-                    ("measured_codec_secs", Value::F64(measured_codec_secs)),
-                ],
-            );
-
-            // Cache the encoded frame *before* the send: a send that
-            // dies mid-frame must leave the worker able to resend this
-            // exact round on the resumed session, never retrain it.
-            let frame = Message::Update { round, client_id: config.id as u64, payload, compressed }
+                // Cache the encoded frame *before* the send: a send that
+                // dies mid-frame must leave the worker able to resend
+                // this exact round on the resumed session, never retrain
+                // it.
+                let frame = Message::Update {
+                    round,
+                    client_id: config.id as u64,
+                    payload: step.payload,
+                    compressed: step.compressed,
+                }
                 .encode();
-            cached = Some(CachedUpload { round, frame });
-            rounds += 1;
-            if compressed {
-                compressed_rounds += 1;
-            }
-            let frame = &cached.as_ref().expect("just cached").frame;
-            let t_send = Instant::now();
-            match session.send_frame(frame) {
-                Ok(wire_bytes) => link.observe(wire_bytes, t_send.elapsed().as_secs_f64()),
-                Err(_) => {
-                    drop(round_span);
-                    uploaded += session.bytes_sent() as usize;
-                    downloaded += session.bytes_received() as usize;
-                    if attempt >= config.retries {
-                        return Err(NetError::Closed);
-                    }
-                    std::thread::sleep(backoff.delay(attempt));
-                    attempt += 1;
-                    continue 'outer;
+                let frame = &cached.insert(CachedUpload { round, frame }).frame;
+                rounds += 1;
+                compressed_rounds += usize::from(step.compressed);
+                let t_send = Instant::now();
+                match session.send_frame(frame) {
+                    Ok(wire_bytes) => link.observe(wire_bytes, t_send.elapsed().as_secs_f64()),
+                    Err(_) => break 'session Some(NetError::Closed),
                 }
             }
-            drop(round_span);
+        };
+        uploaded += session.bytes_sent() as usize;
+        downloaded += session.bytes_received() as usize;
+        match outage {
+            None => break,
+            Some(err) => back_off(&mut attempt, err)?,
         }
     }
     Ok(WorkerReport {

@@ -2,8 +2,8 @@
 //!
 //! [`FlConfig`] is the *ergonomic* input surface: a flat struct of
 //! knobs that grew one field per feature (`shards` next to `tree`,
-//! `links` next to `bandwidth_bps`, a `compression` option plus an
-//! `adaptive_compression` bool, separate `DownlinkMode`/`PsumMode`
+//! `links` next to `bandwidth_bps`, a `compression` option next to an
+//! explicit `uplink` policy, separate `DownlinkMode`/`PsumMode`
 //! enums). Historically each consumer re-derived what those knobs
 //! *meant* — with silent precedence (`tree` over `shards`), silent
 //! clamping (`ShardPlan` used to clamp out-of-range shard counts) and
@@ -17,7 +17,7 @@
 //!                            │
 //!                            ├── tree:      Option<TreePlan>      (shards/tree unified)
 //!                            ├── topology:  Option<Topology>      (links/bandwidth unified)
-//!                            ├── uplink:    StagePolicy           (compression + adaptive)
+//!                            ├── uplink:    StagePolicy           (compression | uplink)
 //!                            ├── downlink:  StagePolicy           (DownlinkMode)
 //!                            └── psum:      StagePolicy           (PsumMode)
 //! ```
@@ -74,6 +74,12 @@
 //!   [`PlanError::StatefulUplinkWorker`].
 //!
 //! Both are typed rejections, the same pattern as lossy psum.
+//! [`RoundPlan::validate_for_workers`] rejects three more simulator
+//! features the socket runtime has no mechanism for — weighted
+//! aggregation, partial participation and buffered aggregation
+//! ([`PlanError::SimulatorOnly`]) — so a `ServeConfig` built in code
+//! cannot complete with a checksum that silently differs from the
+//! in-process run of the same configuration.
 //!
 //! # The DP stage is stateless, so it composes everywhere
 //!
@@ -437,6 +443,14 @@ pub enum PlanError {
     /// reconnects resumes with a fresh process and silently drops its
     /// residual, breaking mass conservation.
     StatefulUplinkWorker,
+    /// A simulator-only feature on the socket runtime, which has no
+    /// mechanism for it: `fedsz serve`/`worker` fold every live
+    /// worker's update with weight 1 at a synchronous barrier.
+    SimulatorOnly {
+        /// The offending feature (`"weighted aggregation"`,
+        /// `"partial participation"` or `"buffered aggregation"`).
+        feature: &'static str,
+    },
     /// A DP clip norm that is not a positive finite number.
     BadDpClipNorm(f64),
     /// A DP noise multiplier that is negative or non-finite (`0` is
@@ -534,6 +548,11 @@ impl fmt::Display for PlanError {
                  (a reconnecting worker silently drops its residual); use the in-process \
                  simulator or drop `+ef`"
             ),
+            PlanError::SimulatorOnly { feature } => write!(
+                f,
+                "{feature} is simulator-only: the socket runtime folds every live worker's \
+                 update with weight 1 at a synchronous barrier (run it under `fedsz fl`)"
+            ),
             PlanError::BadDpClipNorm(c) => {
                 write!(f, "DP clip norm must be finite and positive, got {c}")
             }
@@ -608,20 +627,37 @@ impl RoundPlan {
         self.tree.as_ref().map(TreePlan::fanouts)
     }
 
-    /// Checks the extra constraint the socket runtime adds on top of
-    /// [`FlConfig::plan`]: an error-feedback uplink cannot survive a
-    /// worker reconnect (the residual dies with the process), so
-    /// `fedsz serve`/`worker` reject it here before any round runs.
+    /// Checks the extra constraints the socket runtime adds on top of
+    /// [`FlConfig::plan`]. An error-feedback uplink cannot survive a
+    /// worker reconnect (the residual dies with the process); and the
+    /// server folds every live worker's update with weight 1 at a
+    /// synchronous barrier, so weighted aggregation, partial
+    /// participation and buffered aggregation would complete with a
+    /// checksum that silently differs from the in-process run.
+    /// `fedsz serve`/`worker` reject all four here before any round
+    /// runs.
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError::StatefulUplinkWorker`] when the uplink
-    /// policy carries error feedback.
+    /// Returns [`PlanError::StatefulUplinkWorker`] for an
+    /// error-feedback uplink and [`PlanError::SimulatorOnly`] for the
+    /// aggregation features the socket runtime cannot honour.
     pub fn validate_for_workers(&self) -> Result<(), PlanError> {
         if self.uplink.error_feedback() {
             return Err(PlanError::StatefulUplinkWorker);
         }
-        Ok(())
+        let simulator_only = [
+            (self.config.weighted_aggregation, "weighted aggregation"),
+            (self.config.participation < 1.0, "partial participation"),
+            (
+                matches!(self.config.aggregation, AggregationPolicy::Buffered { .. }),
+                "buffered aggregation",
+            ),
+        ];
+        match simulator_only.iter().find(|(set, _)| *set) {
+            Some(&(_, feature)) => Err(PlanError::SimulatorOnly { feature }),
+            None => Ok(()),
+        }
     }
 
     /// The client-id range a sharded root adopts when relay `shard`
@@ -774,19 +810,12 @@ fn plan_stages(
     config: &FlConfig,
     tree: Option<&TreePlan>,
 ) -> Result<(StagePolicy, StagePolicy, StagePolicy), PlanError> {
-    // Uplink: an explicit `uplink` policy wins outright; otherwise the
-    // legacy `compression` + `adaptive_compression` pair. An adaptive
-    // flag with no codec canonicalizes to Raw (there is nothing Eqn 1
-    // could choose over raw).
-    let uplink = match &config.uplink {
-        Some(policy) => policy.clone(),
-        None => match (&config.compression, config.adaptive_compression) {
-            (None, _) => StagePolicy::Raw,
-            (Some(codec), false) => StagePolicy::Lossy(*codec),
-            (Some(codec), true) => {
-                StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossy(*codec)) }
-            }
-        },
+    // Uplink: an explicit `uplink` policy wins outright; otherwise
+    // FedSZ on every upload when a codec is configured, raw when not.
+    let uplink = match (&config.uplink, &config.compression) {
+        (Some(policy), _) => policy.clone(),
+        (None, Some(codec)) => StagePolicy::Lossy(*codec),
+        (None, None) => StagePolicy::Raw,
     };
     // Error feedback is round-loop state; buffered aggregation crosses
     // round boundaries. See the module docs.
@@ -1065,15 +1094,14 @@ mod tests {
 
     #[test]
     fn stage_policy_canonicalization_matches_the_legacy_knobs() {
-        // adaptive_compression with no codec canonicalizes to Raw (the
-        // engine's legacy should_compress returned false there).
         let mut config = base();
         config.compression = None;
-        config.adaptive_compression = true;
         assert_eq!(config.plan().unwrap().uplink, StagePolicy::Raw);
 
         let mut config = base();
-        config.adaptive_compression = true;
+        let codec = config.compression.expect("smoke config compresses");
+        config.uplink =
+            Some(StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossy(codec)) });
         let plan = config.plan().unwrap();
         assert!(plan.uplink.is_adaptive());
         assert_eq!(plan.uplink.fedsz(), config.compression);
@@ -1228,8 +1256,8 @@ mod tests {
 
     #[test]
     fn uplink_override_wins_and_stateful_combinations_are_typed_errors() {
-        // The explicit `uplink` field overrides the legacy
-        // compression/adaptive_compression pair entirely.
+        // The explicit `uplink` field overrides the default derived
+        // from `compression` entirely.
         let mut config = base();
         config.uplink = Some(StagePolicy::TopK { ratio: 0.05, error_feedback: false });
         let plan = config.plan().unwrap();
@@ -1262,6 +1290,40 @@ mod tests {
         assert!(PlanError::StatefulUplinkWorker.to_string().contains("error-feedback"));
         assert!(PlanError::BadTopKRatio { ratio: 0.0 }.to_string().contains("(0, 1]"));
         assert!(PlanError::BadQuantBits { bits: 3 }.to_string().contains("4 or 8"));
+    }
+
+    #[test]
+    fn socket_runtime_rejects_what_it_cannot_honour() {
+        // The paper's default — what the benchmark's server_ingest
+        // workload serves — must keep passing.
+        let paper = FlConfig::paper_default(
+            fedsz_nn::models::tiny::TinyArch::AlexNet,
+            fedsz_data::DatasetKind::Cifar10Like,
+        );
+        assert!(paper.plan().unwrap().validate_for_workers().is_ok());
+        assert!(base().plan().unwrap().validate_for_workers().is_ok());
+
+        // `fold_upload` folds every update with weight 1.
+        let mut config = base();
+        config.weighted_aggregation = true;
+        assert_eq!(
+            config.plan().unwrap().validate_for_workers().unwrap_err(),
+            PlanError::SimulatorOnly { feature: "weighted aggregation" }
+        );
+        // The barrier waits for every live worker, not a cohort.
+        let mut config = base();
+        config.clients = 4;
+        config.participation = 0.5;
+        assert_eq!(
+            config.plan().unwrap().validate_for_workers().unwrap_err(),
+            PlanError::SimulatorOnly { feature: "partial participation" }
+        );
+        // And it is synchronous: nothing buffers a straggler's update.
+        let mut config = base();
+        config.aggregation = AggregationPolicy::Buffered { target: 1 };
+        let err = config.plan().unwrap().validate_for_workers().unwrap_err();
+        assert_eq!(err, PlanError::SimulatorOnly { feature: "buffered aggregation" });
+        assert!(err.to_string().contains("simulator-only"), "{err}");
     }
 
     #[test]

@@ -1,0 +1,623 @@
+//! The round's two halves, written once: the **client step** and the
+//! **fold step**.
+//!
+//! FedSZ is one pipeline — train → partition → lossy/lossless →
+//! serialize → send; receive → decode → fold — and every runtime in
+//! this crate runs it through this module: the in-process
+//! [`RoundEngine`](crate::engine::RoundEngine), the socket worker
+//! ([`run_worker`](crate::net::run_worker)) and the socket server
+//! ([`NetServer`](crate::net::NetServer)). The runtimes differ only in
+//! transport and scheduling; what they feed the pipeline enters as
+//! *arguments* (where the bandwidth estimate comes from, the compute
+//! slowdown, whether an error-feedback residual exists, who measures
+//! the decompression cost), never as a "which runtime am I" branch.
+//!
+//! ```text
+//!   client half (UplinkStage)                    server half (FoldStep)
+//!   choose ── Eqn 1 over the plan's codec list   decode ── FUC1 | FSZ1 | raw
+//!   client_step ── load global → local epochs       │      against the template
+//!        → DP clip+noise → encode                   └► finite, bounded values
+//!   observe ── the one EWMA cost-profile fold
+//! ```
+//!
+//! A new uplink codec therefore lands in one place: a variant of
+//! `UplinkCodecKind` with its arm in `uplink_codecs_for`, the encode
+//! arm in `UplinkStage::client_step` and the decode arm in
+//! [`FoldStep::decode`] — no per-runtime edits.
+
+use crate::agg::template_matches;
+use crate::codec::{zero_residual, FamilyCodec};
+use crate::plan::{RoundPlan, StagePolicy};
+use crate::Client;
+use fedsz::timing::{select_family, CostProfile, Eqn1Decision, Eqn1Leg, FamilyCandidate};
+use fedsz::FedSz;
+use fedsz_dp::{DpOutcome, DpPolicy};
+use fedsz_nn::{NnError, StateDict};
+use fedsz_telemetry::{Telemetry, Value};
+use std::time::Instant;
+
+/// One concrete codec an upload can be routed through.
+pub(crate) enum UplinkCodecKind {
+    /// FedSZ error-bounded compression of the absolute state dict
+    /// (an `FSZ1` stream).
+    Fedsz(FedSz),
+    /// A `FUC1` delta-stream family (Top-K or quantization).
+    Family(FamilyCodec),
+}
+
+/// Resolves a *validated* upload-leg [`StagePolicy`] to its codec
+/// list with reporting names: empty for `Raw`, one entry for
+/// `Lossy`/`Adaptive`/`TopK`/`Quant` (a forced or priced selection
+/// over a single candidate), one per candidate for `AutoFamily`.
+fn uplink_codecs_for(uplink: &StagePolicy) -> Vec<(&'static str, UplinkCodecKind)> {
+    let kind = |policy: &StagePolicy| match policy {
+        StagePolicy::Lossy(cfg) => UplinkCodecKind::Fedsz(FedSz::new(*cfg)),
+        StagePolicy::TopK { ratio, .. } => {
+            UplinkCodecKind::Family(FamilyCodec::top_k(*ratio).expect("plan validated the ratio"))
+        }
+        StagePolicy::Quant { bits, stochastic, .. } => UplinkCodecKind::Family(
+            FamilyCodec::quant(*bits, *stochastic).expect("plan validated the width"),
+        ),
+        _ => unreachable!("validate_for admits only concrete codec families here"),
+    };
+    match uplink {
+        StagePolicy::Raw | StagePolicy::Lossless => Vec::new(),
+        StagePolicy::Adaptive { compressed } => vec![(compressed.name(), kind(compressed))],
+        StagePolicy::AutoFamily { candidates } => {
+            candidates.iter().map(|c| (c.name(), kind(c))).collect()
+        }
+        single => vec![(single.name(), kind(single))],
+    }
+}
+
+/// Derives the per-(round, client) dither seed for stochastic
+/// quantization from the run seed. Distinct inputs land in distinct
+/// seeds, and the same run replays the same dither — rounding noise is
+/// reproducible, not fresh entropy, and identical on every runtime.
+fn derive_dither_seed(seed: u64, round: usize, client: usize) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((round as u64) << 20)
+        .wrapping_add(client as u64)
+}
+
+/// Applies the plan's DP stage to `update` in place, against the exact
+/// `reference` dict the client loaded this round (the same base the
+/// delta codecs use): the delta `update - reference` is clipped to the
+/// policy's L2 norm, noised with the `(seed, round, client)`-derived
+/// stream, and re-based onto `reference`.
+fn apply_dp(
+    update: &mut StateDict,
+    reference: &StateDict,
+    policy: &DpPolicy,
+    round: usize,
+    client: usize,
+) -> DpOutcome {
+    for (name, t) in update.iter_mut() {
+        let base = reference.get(name).expect("reference dict matches the update");
+        for (v, &b) in t.data_mut().iter_mut().zip(base.data()) {
+            *v -= b;
+        }
+    }
+    let mut chunks: Vec<&mut [f32]> = update.iter_mut().map(|(_, t)| t.data_mut()).collect();
+    let outcome = policy.apply(&mut chunks, round as u64, client as u64);
+    drop(chunks);
+    for (name, t) in update.iter_mut() {
+        let base = reference.get(name).expect("reference dict matches the update");
+        for (v, &b) in t.data_mut().iter_mut().zip(base.data()) {
+            *v += b;
+        }
+    }
+    outcome
+}
+
+/// One client's resolved upload-leg decision for a round.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct UplinkChoice {
+    /// Index into the stage's codec list, or `None` to ship raw.
+    pub codec: Option<usize>,
+    /// The codec-family name the decision record reports.
+    pub family: &'static str,
+    /// `(chosen, raw)` predicted end-to-end seconds when a pricing
+    /// pass actually ran.
+    pub predicted: Option<(f64, f64)>,
+}
+
+/// What one client produced for a round.
+pub(crate) struct ClientStep {
+    /// The bytes to upload.
+    pub payload: Vec<u8>,
+    /// Whether `payload` is a codec stream rather than raw dict bytes.
+    pub compressed: bool,
+    /// In-memory size of the update the payload encodes.
+    pub raw_bytes: usize,
+    /// Measured local-training wall time.
+    pub train_secs: f64,
+    /// Measured encode (or raw serialization) wall time.
+    pub compress_secs: f64,
+    /// The client's local sample count (the FedAvg weight).
+    pub samples: usize,
+    /// What the DP stage did to the delta (`None` without a DP policy).
+    pub dp: Option<DpOutcome>,
+}
+
+/// The client half of the upload pipeline, built once from the plan.
+pub(crate) struct UplinkStage {
+    codecs: Vec<(&'static str, UplinkCodecKind)>,
+    /// Per-codec measured cost profiles, aligned with `codecs`.
+    profiles: Vec<Option<CostProfile>>,
+    /// Whether the codec is chosen per link and round by Eqn 1
+    /// (`Adaptive`, `AutoFamily`) rather than forced by the plan.
+    priced: bool,
+    dp: Option<DpPolicy>,
+    seed: u64,
+    local_epochs: usize,
+}
+
+impl UplinkStage {
+    pub(crate) fn new(plan: &RoundPlan) -> Self {
+        let codecs = uplink_codecs_for(&plan.uplink);
+        Self {
+            profiles: vec![None; codecs.len()],
+            codecs,
+            priced: plan.uplink.is_adaptive(),
+            dp: plan.dp,
+            seed: plan.config.seed,
+            local_epochs: plan.config.local_epochs,
+        }
+    }
+
+    /// How many codecs the plan can route an upload through.
+    pub(crate) fn codec_count(&self) -> usize {
+        self.codecs.len()
+    }
+
+    /// The upload-leg decision for one client and round. A forced
+    /// policy ships its one codec (or raw); a priced policy runs the
+    /// paper's Eqn 1 over every candidate with [`select_family`] —
+    /// probing unmeasured codecs in rotation, compressing while no
+    /// bandwidth estimate exists, and going raw only when raw is
+    /// predicted strictly faster than every codec.
+    ///
+    /// `bandwidth_bps` is whatever the runtime knows about this
+    /// client's uplink (a simulated `LinkProfile`, a measured send
+    /// rate, or nothing yet). Compression runs on the client's
+    /// hardware, so its cost estimate scales with `compute_slowdown`;
+    /// decompression is server-side and does not.
+    pub(crate) fn choose(
+        &self,
+        round: usize,
+        client: usize,
+        raw_bytes: usize,
+        bandwidth_bps: Option<f64>,
+        compute_slowdown: f64,
+    ) -> UplinkChoice {
+        if !self.priced {
+            let codec = (!self.codecs.is_empty()).then_some(0);
+            return UplinkChoice { codec, family: self.family(codec), predicted: None };
+        }
+        let candidates: Vec<FamilyCandidate> = self
+            .codecs
+            .iter()
+            .zip(&self.profiles)
+            .map(|(&(family, _), profile)| FamilyCandidate {
+                family,
+                profile: profile.map(|p| CostProfile {
+                    compress_secs_per_byte: p.compress_secs_per_byte * compute_slowdown,
+                    ..p
+                }),
+            })
+            .collect();
+        let hint = round.wrapping_mul(self.codecs.len().max(1)).wrapping_add(client);
+        let sel = select_family(raw_bytes, bandwidth_bps, &candidates, hint);
+        UplinkChoice {
+            codec: sel.choice,
+            family: self.family(sel.choice),
+            predicted: sel.predicted_choice_secs.zip(sel.predicted_raw_secs),
+        }
+    }
+
+    fn family(&self, codec: Option<usize>) -> &'static str {
+        codec.map_or("raw", |i| self.codecs[i].0)
+    }
+
+    /// One client's whole round: load the broadcast, train the plan's
+    /// local epochs, snapshot the update, clip+noise it when the plan
+    /// carries a DP stage, and encode it the way `choice` says.
+    ///
+    /// `reference` is the exact dict this client received — DP clips
+    /// against it and the delta codecs encode against it, and the
+    /// server decodes against the same broadcast, so the bases agree.
+    /// `residual` is the client's error-feedback carry (`None` where
+    /// no such state can live); an empty dict is initialized to zeros
+    /// on first use.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`NnError`] when `reference` does not fit the
+    /// client's architecture.
+    ///
+    /// # Panics
+    ///
+    /// Panics if local training produced non-finite weights (the
+    /// codecs refuse them).
+    pub(crate) fn client_step(
+        &self,
+        client: &mut Client,
+        reference: &StateDict,
+        round: usize,
+        choice: UplinkChoice,
+        residual: Option<&mut StateDict>,
+    ) -> Result<ClientStep, NnError> {
+        client.load_global(reference)?;
+        let t0 = Instant::now();
+        for _ in 0..self.local_epochs {
+            client.train_epoch();
+        }
+        let train_secs = t0.elapsed().as_secs_f64();
+        let mut update = client.update();
+        // DP runs before any codec: the uplink must compress the
+        // *noised* delta, or the privacy/bytes trade-off is
+        // unmeasurable.
+        let dp =
+            self.dp.map(|policy| apply_dp(&mut update, reference, &policy, round, client.id()));
+        let raw_bytes = update.byte_size();
+        let t1 = Instant::now();
+        let payload = match choice.codec.map(|i| &self.codecs[i].1) {
+            None => update.to_bytes(),
+            Some(UplinkCodecKind::Fedsz(f)) => {
+                f.compress(&update).expect("finite weights").into_bytes()
+            }
+            Some(UplinkCodecKind::Family(codec)) => {
+                let residual = residual.map(|r| {
+                    if r.is_empty() {
+                        *r = zero_residual(&update);
+                    }
+                    r
+                });
+                let dither = derive_dither_seed(self.seed, round, client.id());
+                codec.encode_delta(&update, reference, residual, dither).expect("finite weights")
+            }
+        };
+        Ok(ClientStep {
+            payload,
+            compressed: choice.codec.is_some(),
+            raw_bytes,
+            train_secs,
+            compress_secs: t1.elapsed().as_secs_f64(),
+            samples: client.samples(),
+            dp,
+        })
+    }
+
+    /// Whether the next [`UplinkStage::observe`] for `codec` needs a
+    /// measured decompression time: only a priced policy ever reads the
+    /// profile, and once a codec has one its per-byte decompress cost
+    /// is carried forward.
+    pub(crate) fn wants_decompress_sample(&self, codec: usize) -> bool {
+        self.priced && self.profiles[codec].is_none()
+    }
+
+    /// Folds measured costs of `codec` into its EWMA profile — what
+    /// the next [`UplinkStage::choose`] prices with. The byte and
+    /// second counts may cover one upload or a round's worth of them.
+    /// `decompress_secs` must cover this codec's streams only;
+    /// `None` keeps the previous per-byte estimate (a sender that
+    /// measured the receiver's cost once does not re-measure it).
+    pub(crate) fn observe(
+        &mut self,
+        codec: usize,
+        raw_bytes: usize,
+        payload_bytes: usize,
+        compress_secs: f64,
+        decompress_secs: Option<f64>,
+    ) {
+        if !self.priced || raw_bytes == 0 {
+            return;
+        }
+        let raw = raw_bytes as f64;
+        let prev = self.profiles[codec];
+        self.profiles[codec] = Some(CostProfile::blend(
+            prev,
+            CostProfile {
+                compress_secs_per_byte: compress_secs / raw,
+                decompress_secs_per_byte: match decompress_secs {
+                    Some(secs) => secs / raw,
+                    None => prev.map_or(0.0, |p| p.decompress_secs_per_byte),
+                },
+                ratio: raw / payload_bytes.max(1) as f64,
+            },
+        ));
+    }
+}
+
+/// The uplink Eqn-1 record of one client step: the measured codec
+/// seconds next to the prediction that picked the path.
+pub(crate) fn uplink_decision(
+    client: usize,
+    choice: UplinkChoice,
+    step: &ClientStep,
+) -> Eqn1Decision {
+    Eqn1Decision {
+        leg: Eqn1Leg::Uplink,
+        node: client as u64,
+        compressed: step.compressed,
+        family: choice.family,
+        predicted_compressed_secs: choice.predicted.map(|p| p.0),
+        predicted_raw_secs: choice.predicted.map(|p| p.1),
+        measured_codec_secs: if step.compressed { step.compress_secs } else { 0.0 },
+    }
+}
+
+/// Writes one `eqn1.decision` instant event for a priced (or
+/// unconditional) compression choice; absent predictions render as
+/// `null` in the trace (the NaN encoding of the trace writer).
+pub(crate) fn emit_eqn1(telemetry: &Telemetry, d: &Eqn1Decision) {
+    telemetry.event(
+        "eqn1.decision",
+        &[
+            ("leg", Value::Str(d.leg.name())),
+            ("node", Value::U64(d.node)),
+            ("compressed", Value::Bool(d.compressed)),
+            ("family", Value::Str(d.family)),
+            (
+                "predicted_compressed_secs",
+                Value::F64(d.predicted_compressed_secs.unwrap_or(f64::NAN)),
+            ),
+            ("predicted_raw_secs", Value::F64(d.predicted_raw_secs.unwrap_or(f64::NAN))),
+            ("measured_codec_secs", Value::F64(d.measured_codec_secs)),
+        ],
+    );
+}
+
+/// Writes one `dp.noise` instant event for a noised client delta.
+pub(crate) fn emit_dp_noise(telemetry: &Telemetry, round: usize, client: usize, dp: &DpOutcome) {
+    telemetry.event(
+        "dp.noise",
+        &[
+            ("round", Value::U64(round as u64)),
+            ("client", Value::U64(client as u64)),
+            ("pre_norm", Value::F64(dp.pre_norm)),
+            ("sigma", Value::F64(dp.sigma)),
+            ("clipped", Value::Bool(dp.clipped)),
+        ],
+    );
+}
+
+/// Largest weight magnitude an update may carry: safely inside the
+/// exact accumulator's `2^47` per-term range with generous headroom
+/// for cohort-sized sums, and far beyond any real model weight.
+/// Anything outside (or non-finite — diverged local training is the
+/// classic producer of NaN weights) is refused; letting it reach the
+/// accumulator would trip `quantize`'s panic instead.
+const MAX_UPDATE_MAGNITUDE: f32 = 1e9;
+
+/// The server half of the upload pipeline: turns one upload's bytes
+/// back into a state dict that is safe to fold.
+///
+/// Every byte here may come from a peer, so [`FoldStep::decode`] is
+/// total: malformed, truncated, forged or mismatched input is an
+/// `Err` naming the reason — never a panic, and never an allocation
+/// sized by a length field the architecture template does not back.
+/// The in-process engine `expect`s on it (its uploads are
+/// self-produced); the socket server evicts the sender.
+pub struct FoldStep {
+    template: StateDict,
+    accepts_fedsz: bool,
+    accepts_family: bool,
+}
+
+impl FoldStep {
+    /// A fold step for uploads encoded under `uplink`, validated
+    /// against `template` — the architecture's state dict, whose entry
+    /// order and shapes every upload must reproduce.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `uplink` is not legal on the upload leg
+    /// ([`StagePolicy::validate_for`]).
+    pub fn new(uplink: &StagePolicy, template: StateDict) -> Self {
+        let codecs = uplink_codecs_for(uplink);
+        let is_fedsz = |(_, kind): &(_, UplinkCodecKind)| matches!(kind, UplinkCodecKind::Fedsz(_));
+        Self {
+            template,
+            accepts_fedsz: codecs.iter().any(is_fedsz),
+            accepts_family: codecs.iter().any(|c| !is_fedsz(c)),
+        }
+    }
+
+    /// The architecture template uploads are validated against.
+    pub fn template(&self) -> &StateDict {
+        &self.template
+    }
+
+    /// Whether the uplink policy can produce `FUC1` delta streams —
+    /// those decode against the round's broadcast, so the receiver
+    /// must hold that dict as the `reference` of [`FoldStep::decode`].
+    pub fn needs_reference(&self) -> bool {
+        self.accepts_family
+    }
+
+    /// Decodes one upload — a `FUC1` delta stream (against
+    /// `reference`), an `FSZ1` FedSZ stream, or raw dict bytes — and
+    /// validates it: entry order and shapes must match the template
+    /// (the partial sum fixes its layout from the first contribution
+    /// and the merge asserts on it), and every value must be finite
+    /// and within `MAX_UPDATE_MAGNITUDE` (1e9).
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason the upload must not be folded: a codec the
+    /// plan's uplink policy never produces, an undecodable stream, an
+    /// architecture mismatch, or poisoned values.
+    pub fn decode(
+        &self,
+        payload: &[u8],
+        compressed: bool,
+        reference: Option<&StateDict>,
+    ) -> Result<StateDict, String> {
+        let dict = if compressed && FamilyCodec::is_family_stream(payload) {
+            let reference = reference.filter(|_| self.accepts_family).ok_or_else(|| {
+                "family-coded update but the uplink policy has no family codec".to_string()
+            })?;
+            FamilyCodec::decode_delta(payload, reference)
+                .map_err(|e| format!("undecodable update: {e}"))?
+        } else if compressed {
+            if !self.accepts_fedsz {
+                return Err("compressed update but compression is off".into());
+            }
+            FedSz::decompress_matching(payload, &self.template)
+                .map_err(|e| format!("undecodable update: {e}"))?
+        } else {
+            StateDict::from_bytes(payload).map_err(|e| format!("malformed update: {e}"))?
+        };
+        let shapes = dict.iter().map(|(name, t)| (name, t.shape()));
+        if !template_matches(&self.template, dict.len(), shapes) {
+            return Err("update disagrees with the configured architecture".into());
+        }
+        // NaNs fail `is_finite`, infinities and huge magnitudes fail
+        // the bound — both would panic inside `quantize`.
+        let poisoned = |v: f32| !v.is_finite() || v.abs() > MAX_UPDATE_MAGNITUDE;
+        if dict.iter().any(|(_, t)| t.data().iter().any(|&v| poisoned(v))) {
+            return Err("update carries non-finite or extreme weights".into());
+        }
+        Ok(dict)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::global_checksum;
+    use crate::{Experiment, FlConfig};
+    use fedsz::timing::TransferPlan;
+    use fedsz_nn::Model;
+
+    /// `(name, policy)` for every upload route the CLI can name.
+    fn policies() -> Vec<(&'static str, StagePolicy)> {
+        let lossy = StagePolicy::Lossy(FlConfig::tiny_model_compression());
+        let topk = StagePolicy::TopK { ratio: 0.1, error_feedback: false };
+        let quant =
+            |bits, stochastic| StagePolicy::Quant { bits, stochastic, error_feedback: false };
+        vec![
+            ("raw", StagePolicy::Raw),
+            ("lossy", lossy.clone()),
+            ("adaptive", StagePolicy::Adaptive { compressed: Box::new(lossy.clone()) }),
+            ("topk", topk.clone()),
+            ("q8", quant(8, false)),
+            ("q4s", quant(4, true)),
+            ("auto", StagePolicy::AutoFamily { candidates: vec![lossy, topk, quant(8, false)] }),
+        ]
+    }
+
+    #[test]
+    fn engine_and_worker_calls_yield_identical_payloads() {
+        for (name, policy) in policies() {
+            let mut config = FlConfig::smoke_test();
+            config.uplink = Some(policy.clone());
+            let plan = config.plan().expect("valid policy");
+            let mut stage = UplinkStage::new(&plan);
+            let reference = config.build_model().state_dict();
+            let raw_bytes = reference.byte_size();
+            let (mut sim, mut proc) = (config.build_client(1), config.build_client(1));
+            let fold = FoldStep::new(&policy, reference.clone());
+            for round in 0..2 {
+                // The engine's way: a simulated straggler on a slow
+                // link, the (absent) error-feedback residual threaded
+                // through. The worker's way: whatever it measured
+                // (nothing before its first send), no residual.
+                let mut residual = StateDict::new();
+                let ef = policy.error_feedback();
+                let engine_choice = stage.choose(round, 1, raw_bytes, Some(1e5), 3.0);
+                let a = stage
+                    .client_step(
+                        &mut sim,
+                        &reference,
+                        round,
+                        engine_choice,
+                        ef.then_some(&mut residual),
+                    )
+                    .unwrap();
+                let measured = (round > 0).then_some(1e5);
+                let worker_choice = stage.choose(round, 1, raw_bytes, measured, 1.0);
+                let b =
+                    stage.client_step(&mut proc, &reference, round, worker_choice, None).unwrap();
+                assert_eq!(engine_choice.family, worker_choice.family, "{name} round {round}");
+                assert_eq!(a.payload, b.payload, "{name} round {round}: payloads diverged");
+                assert_eq!(a.compressed, name != "raw", "{name}");
+                // And the fold step takes back what the client step
+                // produced, whichever route it took.
+                let dict = fold.decode(&a.payload, a.compressed, Some(&reference)).expect(name);
+                assert_eq!(dict.len(), reference.len());
+                // Profile every codec so round 1 is priced, not probed.
+                for codec in 0..stage.codec_count() {
+                    stage.observe(codec, raw_bytes, raw_bytes / 4, 1e-3, Some(1e-3));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unified_route_reproduces_the_pinned_lossy_checksums() {
+        // `tests/plan.rs` pins the smoke config (FedSZ on every
+        // upload) at 0x82c3c3f4. `Lossy` is "forced codec 0" and
+        // `Adaptive{Lossy}` "priced selection over one candidate" of
+        // the same route; with no network model to price against, the
+        // latter compresses every round too — so all three spellings
+        // must land on the golden.
+        let codec = FlConfig::tiny_model_compression();
+        let lossy = StagePolicy::Lossy(codec);
+        let adaptive = StagePolicy::Adaptive { compressed: Box::new(lossy.clone()) };
+        for (uplink, priced) in [(None, false), (Some(lossy), false), (Some(adaptive), true)] {
+            let mut config = FlConfig::smoke_test();
+            config.uplink = uplink.clone();
+            if priced {
+                config.bandwidth_bps = None;
+            }
+            let mut exp = Experiment::new(config);
+            let metrics = exp.run();
+            assert_eq!(global_checksum(exp.global_state()), 0x82c3_c3f4, "{uplink:?}");
+            assert!(metrics.iter().all(|m| m.eqn1.iter().all(|d| d.family != "adaptive")));
+        }
+    }
+
+    #[test]
+    fn pricing_one_candidate_is_eqn1_worthwhile() {
+        let mut config = FlConfig::smoke_test();
+        let lossy = StagePolicy::Lossy(FlConfig::tiny_model_compression());
+        config.uplink = Some(StagePolicy::Adaptive { compressed: Box::new(lossy) });
+        let mut stage = UplinkStage::new(&config.plan().unwrap());
+        // Unprofiled, or no bandwidth estimate: compress (the probe).
+        assert_eq!(stage.choose(0, 0, 1_000_000, Some(1e6), 1.0).codec, Some(0));
+        assert!(stage.wants_decompress_sample(0));
+        stage.observe(0, 1_000_000, 100_000, 0.2, Some(0.1));
+        assert!(!stage.wants_decompress_sample(0));
+        assert_eq!(stage.choose(1, 0, 1_000_000, None, 1.0).codec, Some(0));
+        // Profiled and priced: the verdict and both predictions are
+        // `TransferPlan`'s, straggler slowdown on the compress side.
+        let plan = TransferPlan {
+            compress_secs: 0.2 * 4.0,
+            decompress_secs: 0.1,
+            original_bytes: 1_000_000,
+            compressed_bytes: 100_000,
+        };
+        for bps in [1e5, 1e6, 1e7, 1e8, 1e9] {
+            let choice = stage.choose(1, 0, 1_000_000, Some(bps), 4.0);
+            assert_eq!(choice.codec.is_some(), plan.worthwhile(bps), "{bps} bps");
+            assert_eq!(choice.family, if plan.worthwhile(bps) { "lossy" } else { "raw" });
+            let (chosen, raw) = choice.predicted.expect("priced");
+            assert!((chosen - plan.compressed_time(bps)).abs() < 1e-9 * chosen);
+            assert_eq!(raw, plan.uncompressed_time(bps));
+        }
+        // A `None` decompress sample carries the estimate forward.
+        stage.observe(0, 1_000_000, 100_000, 0.2, None);
+        let again = stage.choose(2, 0, 1_000_000, Some(1e6), 4.0);
+        let (chosen, _) = again.predicted.unwrap();
+        assert!((chosen - plan.compressed_time(1e6)).abs() < 1e-9 * chosen);
+        // Forced policies never price and never fold a profile.
+        let mut forced = UplinkStage::new(&FlConfig::smoke_test().plan().unwrap());
+        forced.observe(0, 1_000_000, 100_000, 0.2, Some(0.1));
+        assert!(!forced.wants_decompress_sample(0));
+        let choice = forced.choose(5, 1, 1_000_000, Some(1e12), 1.0);
+        assert_eq!((choice.codec, choice.family, choice.predicted), (Some(0), "lossy", None));
+    }
+}

@@ -2,26 +2,25 @@
 //!
 //! The round engine is transport-agnostic: it hands payloads to a
 //! [`Transport`] and gets back the bytes "the other side" observes, plus
-//! the wire cost of moving them. Two implementations cover the repo's
-//! historic split:
+//! the wire cost of moving them. Two implementations:
 //!
 //! * [`InMemoryTransport`] — the analytic path: payloads pass through
 //!   untouched and the wire cost is the payload size. This is what
-//!   `Experiment` always modelled.
+//!   `Experiment` models.
 //! * [`WireTransport`] — the protocol path: every payload is framed as a
-//!   [`Message`] (magic + tag + CRC-32
-//!   trailer), pushed through a loopback byte pipe, decoded and
-//!   checksum-verified on the far side. The wire cost is the full frame,
-//!   so framing overhead is part of the accounting — exactly what the
-//!   old `run_session` measured with crossbeam channels and threads.
+//!   [`Message`] (magic + tag + CRC-32 trailer), pushed through a
+//!   loopback byte pipe, decoded and checksum-verified on the far side.
+//!   The wire cost is the full frame, so framing overhead is part of
+//!   the accounting.
 //!
 //! Both transports are lossless byte movers, which is what makes the
 //! wire-vs-analytic parity test meaningful: the same engine over either
-//! transport must produce bit-identical global models.
+//! transport must produce bit-identical global models. Real sockets are
+//! the [`crate::net`] runtime's job, not a third transport: `fedsz
+//! serve`/`worker` run the same client and fold steps across processes.
 
-use crate::protocol::Message;
 use fedsz_codec::{CodecError, Result};
-use fedsz_net::{FrameReader, FrameWriter, NetError};
+use fedsz_net::{FrameReader, FrameWriter, Message, NetError};
 
 /// Bytes delivered to the far side of a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,7 +9,7 @@ use crate::frame;
 use crate::lz::{copy_match, tokenize, MatchParams, Token};
 use crate::{Lossless, LosslessKind};
 use fedsz_codec::shuffle::{shuffle, unshuffle};
-use fedsz_codec::varint::{read_uvarint, write_uvarint};
+use fedsz_codec::varint::{read_bytes, read_uvarint, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 
 /// Byte-shuffled fast LZ compressor (blosc-lz class).
@@ -107,21 +107,22 @@ impl Lossless for BloscLz {
         let mut pos = 1usize;
         let mut out: Vec<u8> = Vec::with_capacity(raw_len);
         while out.len() < raw_len {
-            let lit_len = read_uvarint(payload, &mut pos)? as usize;
-            if out.len() + lit_len > raw_len {
+            // Run lengths are untrusted: compare against the room left
+            // (`out.len() < raw_len` here) rather than adding first.
+            let lits = read_bytes(payload, &mut pos)?;
+            if lits.len() > raw_len - out.len() {
                 return Err(CodecError::Corrupt("literal run exceeds declared length"));
             }
-            let lits = payload.get(pos..pos + lit_len).ok_or(CodecError::UnexpectedEof)?;
             out.extend_from_slice(lits);
-            pos += lit_len;
             if out.len() == raw_len {
                 break;
             }
-            let match_len = read_uvarint(payload, &mut pos)? as usize;
+            let match_len = read_uvarint(payload, &mut pos)?;
             let dist = read_uvarint(payload, &mut pos)? as usize;
-            if out.len() + match_len > raw_len {
+            if match_len > (raw_len - out.len()) as u64 {
                 return Err(CodecError::Corrupt("match exceeds declared length"));
             }
+            let match_len = match_len as usize;
             if !copy_match(&mut out, match_len, dist) {
                 return Err(CodecError::Corrupt("match distance out of range"));
             }

@@ -149,6 +149,19 @@ pub trait Lossless: Send + Sync {
     }
 }
 
+/// The decompressed length a frame claims, read from the header every
+/// back-end shares (`flag || uvarint(len) || payload`) without
+/// decompressing. LZ-family streams can legitimately expand without
+/// bound, so the only defence against a forged length is a receiver
+/// that knows the size it expects and compares this first.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] when the header is truncated or malformed.
+pub fn declared_len(frame: &[u8]) -> Result<usize> {
+    frame::open(frame).map(|(_, raw_len, _)| raw_len)
+}
+
 /// Frame-level helpers shared by the concrete codecs.
 pub(crate) mod frame {
     use fedsz_codec::varint::{read_uvarint, write_uvarint};
@@ -181,7 +194,8 @@ pub(crate) mod frame {
         let mut pos = 0usize;
         let flag = *data.first().ok_or(CodecError::UnexpectedEof)?;
         pos += 1;
-        let raw_len = read_uvarint(data, &mut pos)? as usize;
+        let raw_len = usize::try_from(read_uvarint(data, &mut pos)?)
+            .map_err(|_| CodecError::Corrupt("frame length overflows usize"))?;
         let payload = &data[pos..];
         match flag {
             STORED => {
@@ -223,6 +237,7 @@ mod tests {
         for kind in LosslessKind::all() {
             let codec = kind.codec();
             let packed = codec.compress(&data);
+            assert_eq!(declared_len(&packed).unwrap(), data.len(), "codec {kind}");
             assert_eq!(codec.decompress(&packed).unwrap(), data, "codec {kind}");
         }
     }

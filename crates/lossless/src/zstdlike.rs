@@ -13,7 +13,7 @@ use crate::{Lossless, LosslessKind};
 use fedsz_codec::bitio::{BitReader, BitWriter};
 use fedsz_codec::checksum::crc32;
 use fedsz_codec::huffman::HuffmanTable;
-use fedsz_codec::varint::{read_u32, read_uvarint, write_u32, write_uvarint};
+use fedsz_codec::varint::{read_bytes, read_u32, read_uvarint, write_u32, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 
 /// Slot-codes a value: values < 16 are their own slot; larger values use
@@ -182,9 +182,7 @@ impl Lossless for ZstdLike {
         let of_table = HuffmanTable::read_header(payload, &mut pos)?;
         let n_seq = read_uvarint(payload, &mut pos)? as usize;
         let tail_len = read_uvarint(payload, &mut pos)? as usize;
-        let nbits = read_uvarint(payload, &mut pos)? as usize;
-        let bits_end = pos + nbits;
-        let bits = payload.get(pos..bits_end).ok_or(CodecError::UnexpectedEof)?;
+        let bits = read_bytes(payload, &mut pos)?;
         let mut r = BitReader::new(bits);
         let mut out = Vec::with_capacity(raw_len);
 
@@ -212,15 +210,14 @@ impl Lossless for ZstdLike {
                 return Err(CodecError::Corrupt("offset out of range"));
             }
         }
-        if out.len() + tail_len != raw_len {
+        if Some(tail_len) != raw_len.checked_sub(out.len()) {
             return Err(CodecError::Corrupt("tail length mismatch"));
         }
         for _ in 0..tail_len {
             out.push(lit_table.read_symbol(&mut r)? as u8);
         }
 
-        let mut tpos = bits_end;
-        let stored_sum = read_u32(payload, &mut tpos)?;
+        let stored_sum = read_u32(payload, &mut pos)?;
         let computed = crc32(&out);
         if stored_sum != computed {
             return Err(CodecError::ChecksumMismatch { stored: stored_sum, computed });

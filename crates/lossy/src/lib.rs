@@ -235,6 +235,21 @@ impl fmt::Display for LossyKind {
     }
 }
 
+/// The element count an EBLC stream claims to decode to, read from
+/// the header all four families share (`id`, `version`, `uvarint n`)
+/// without decoding anything. A receiver that already knows how many
+/// values it expects compares this first, so a forged count is an
+/// error before any codec sizes a buffer from it.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] when the header is truncated.
+pub fn declared_len(stream: &[u8]) -> Result<usize> {
+    let mut pos = 2usize;
+    let n = fedsz_codec::varint::read_uvarint(stream, &mut pos)?;
+    usize::try_from(n).map_err(|_| CodecError::Corrupt("element count overflows usize"))
+}
+
 /// Validates input for the SZ-family compressors and resolves the bound.
 pub(crate) fn resolve_bound(
     data: &[f32],
@@ -279,6 +294,21 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn declared_len_reads_every_family_header() {
+        let data = spiky_weights(1234);
+        for kind in LossyKind::all() {
+            let bound = match kind {
+                LossyKind::Zfp => ErrorBound::FixedPrecision(12),
+                _ => ErrorBound::Relative(1e-2),
+            };
+            let packed = kind.codec().compress(&data, bound).unwrap();
+            assert_eq!(declared_len(&packed).unwrap(), data.len(), "{kind}");
+        }
+        assert!(declared_len(&[16, 1]).is_err());
+        assert!(declared_len(&[]).is_err());
     }
 
     #[test]

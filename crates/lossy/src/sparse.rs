@@ -155,7 +155,12 @@ impl Sparsifier {
         Ok((out, applied))
     }
 
-    /// Reconstructs the dense vector from a sparsified stream.
+    /// Reconstructs the dense vector from a *trusted* sparsified stream
+    /// (one this process produced): the output length is whatever the
+    /// stream's header claims. Bytes from a peer must go through
+    /// [`Sparsifier::decompress_expecting`] instead, which refuses a
+    /// header that disagrees with the length the receiver already
+    /// knows before anything is allocated for it.
     ///
     /// # Errors
     ///
@@ -163,11 +168,35 @@ impl Sparsifier {
     pub fn decompress(bytes: &[u8]) -> Result<Vec<f32>> {
         let mut pos = 0usize;
         let total = read_uvarint(bytes, &mut pos)? as usize;
-        let kept = read_uvarint(bytes, &mut pos)? as usize;
-        if kept > total {
+        Self::decompress_expecting(bytes, total)
+    }
+
+    /// Reconstructs the dense vector from a sparsified stream that
+    /// must hold exactly `expected` entries. The header's length is
+    /// checked against `expected` and the kept count against the bytes
+    /// actually present *before* any allocation, so a forged header
+    /// cannot size a buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] for truncated or inconsistent streams,
+    /// or when the stream's length is not `expected`.
+    pub fn decompress_expecting(bytes: &[u8], expected: usize) -> Result<Vec<f32>> {
+        let mut pos = 0usize;
+        if read_uvarint(bytes, &mut pos)? != expected as u64 {
+            return Err(CodecError::Corrupt("sparse stream length disagrees with the receiver"));
+        }
+        let total = expected;
+        let kept = read_uvarint(bytes, &mut pos)?;
+        if kept > total as u64 {
             return Err(CodecError::Corrupt("sparse stream keeps more than it holds"));
         }
-        let mut indices = Vec::with_capacity(kept);
+        // Every kept entry costs at least one index byte and four value
+        // bytes, so the bytes still unread bound the count.
+        if kept > ((bytes.len() - pos) / 5) as u64 {
+            return Err(CodecError::UnexpectedEof);
+        }
+        let mut indices = Vec::with_capacity(kept as usize);
         let mut at = 0u64;
         for rank in 0..kept {
             let delta = read_uvarint(bytes, &mut pos)?;
@@ -177,7 +206,7 @@ impl Sparsifier {
                 return Err(CodecError::Corrupt("sparse stream repeats an index"));
             }
             at = at.checked_add(delta).ok_or(CodecError::Corrupt("sparse index overflow"))?;
-            if at as usize >= total {
+            if at >= total as u64 {
                 return Err(CodecError::Corrupt("sparse index past the end"));
             }
             indices.push(at as usize);
@@ -273,6 +302,29 @@ mod tests {
         let mut padded = stream.clone();
         padded.push(0);
         assert!(Sparsifier::decompress(&padded).is_err());
+    }
+
+    #[test]
+    fn forged_lengths_are_refused_before_any_allocation() {
+        // A header claiming 2^44 entries, all kept: with the receiver's
+        // own length in hand this is an error, not a 128 TiB request.
+        let mut forged = Vec::new();
+        write_uvarint(&mut forged, 1 << 44);
+        write_uvarint(&mut forged, 1 << 44);
+        assert!(Sparsifier::decompress_expecting(&forged, 4).is_err());
+        // The right length but a kept count the bytes cannot back.
+        let mut forged = Vec::new();
+        write_uvarint(&mut forged, 1 << 20);
+        write_uvarint(&mut forged, 1 << 20);
+        assert!(Sparsifier::decompress_expecting(&forged, 1 << 20).is_err());
+        // And an honest stream still decodes against its own length.
+        let s = Sparsifier::top_k(0.5).unwrap();
+        let stream = s.compress(&[1.0, -2.0, 3.0, -4.0]).unwrap();
+        assert_eq!(
+            Sparsifier::decompress_expecting(&stream, 4).unwrap(),
+            vec![0.0, 0.0, 3.0, -4.0]
+        );
+        assert!(Sparsifier::decompress_expecting(&stream, 5).is_err());
     }
 
     #[test]

@@ -13,7 +13,9 @@ use crate::{resolve_bound, ErrorBound, ErrorBounded, LossyError, LossyKind};
 use fedsz_codec::bitio::{BitReader, BitWriter};
 use fedsz_codec::huffman;
 use fedsz_codec::quantizer::{Quantized, Quantizer};
-use fedsz_codec::varint::{read_f32, read_f64, read_uvarint, write_f32, write_f64, write_uvarint};
+use fedsz_codec::varint::{
+    read_bytes, read_f32, read_f64, read_uvarint, write_f32, write_f64, write_uvarint,
+};
 use fedsz_codec::{CodecError, Result};
 use fedsz_lossless::{Lossless, ZstdLike};
 
@@ -221,22 +223,29 @@ impl ErrorBounded for Sz2 {
         if block < 4 {
             return Err(CodecError::Corrupt("invalid block size in header"));
         }
-        let packed_len = read_uvarint(bytes, &mut pos)? as usize;
-        let packed = bytes.get(pos..pos + packed_len).ok_or(CodecError::UnexpectedEof)?;
+        let packed = read_bytes(bytes, &mut pos)?;
+        // The inner container holds at most ~8 bytes per element
+        // (block flags and coefficients, 16-bit codes, raw
+        // unpredictables) plus a Huffman table; a frame claiming more
+        // is forged, and LZ expansion is otherwise unbounded.
+        if fedsz_lossless::declared_len(packed)? > n.saturating_mul(16).saturating_add(1 << 20) {
+            return Err(CodecError::Corrupt("inner stream larger than its element count allows"));
+        }
         let inner = ZstdLike::new().decompress(packed)?;
 
         let mut ipos = 0usize;
-        let flag_len = read_uvarint(&inner, &mut ipos)? as usize;
-        let flag_bytes = inner.get(ipos..ipos + flag_len).ok_or(CodecError::UnexpectedEof)?;
-        ipos += flag_len;
-        let coeff_len = read_uvarint(&inner, &mut ipos)? as usize;
-        let coeff_bytes = inner.get(ipos..ipos + coeff_len).ok_or(CodecError::UnexpectedEof)?;
-        ipos += coeff_len;
+        let flag_bytes = read_bytes(&inner, &mut ipos)?;
+        let coeff_bytes = read_bytes(&inner, &mut ipos)?;
         let codes = huffman::decode_block(&inner, &mut ipos)?;
         if codes.len() != n {
             return Err(CodecError::Corrupt("code count mismatch"));
         }
         let n_unpred = read_uvarint(&inner, &mut ipos)? as usize;
+        // At most one raw value per element: the count sizes a buffer,
+        // so it must be bounded before it is trusted.
+        if n_unpred > n {
+            return Err(CodecError::Corrupt("more unpredictable values than elements"));
+        }
         let mut unpredictable = Vec::with_capacity(n_unpred);
         for _ in 0..n_unpred {
             unpredictable.push(read_f32(&inner, &mut ipos)?);

@@ -6,10 +6,9 @@
 //! mover in the workspace:
 //!
 //! * [`Message`] — the framed FMSG message format (magic + type tag +
-//!   fields + CRC-32 trailer). It started life inside
-//!   `fedsz-fl::protocol` as a loopback test format; it now lives here
-//!   so the in-memory wire transport and the real socket runtime
-//!   encode/decode through literally the same code. The per-tag field
+//!   fields + CRC-32 trailer). It lives here so the in-memory wire
+//!   transport and the real socket runtime encode/decode through
+//!   literally the same code. The per-tag field
 //!   table ([`frame_len`]) lives next to the encoder — one source of
 //!   truth for the framing rules documented in `ARCHITECTURE.md`.
 //! * [`FrameReader`] / [`FrameWriter`] — framed message I/O over any
@@ -17,8 +16,8 @@
 //!   partial reads (a TCP segment boundary can land anywhere, even
 //!   mid-varint) and CRC-verifies every frame before handing it up.
 //! * [`Session`] — a connected TCP peer speaking FMSG: handshake-ready
-//!   `send`/`recv` with per-call timeouts, used by `fedsz serve`,
-//!   `fedsz worker` and the engine's `SocketTransport`.
+//!   `send`/`recv` with per-call timeouts, used by `fedsz serve` and
+//!   `fedsz worker`.
 //! * [`MetricsServer`] — a detached Prometheus text-exposition
 //!   endpoint (`fedsz serve --metrics-addr`) answering every HTTP
 //!   request with a live counter/gauge snapshot.

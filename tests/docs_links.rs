@@ -91,7 +91,8 @@ fn architecture_names_real_modules() {
         ("link::schedule", "crates/fl/src/link.rs"),
         ("agg::TreePlan", "crates/fl/src/agg/plan.rs"),
         ("PsumForwarder", "crates/fl/src/agg/psum.rs"),
-        ("protocol::Message", "crates/fl/src/protocol.rs"),
+        ("step::UplinkStage", "crates/fl/src/step.rs"),
+        ("step::FoldStep", "crates/fl/src/step.rs"),
         ("RoundPlan", "crates/fl/src/plan.rs"),
         ("StagePolicy", "crates/fl/src/plan.rs"),
         ("PlanError", "crates/fl/src/plan.rs"),

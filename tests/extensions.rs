@@ -1,13 +1,11 @@
 //! Integration tests for the reproduction's extension features:
-//! non-IID federated training, the Eqn 2 advisor, delta encoding, the
-//! Laplace mechanism, and baseline composition.
+//! non-IID federated training, the Eqn 1 crossover, delta encoding and
+//! the Laplace mechanism.
 
-use fedsz::advisor::Advisor;
-use fedsz::timing::mbps;
-use fedsz::{ErrorBound, FedSz, FedSzConfig, LossyKind};
+use fedsz::timing::{mbps, TransferPlan};
+use fedsz::{FedSz, FedSzConfig};
 use fedsz_data::DatasetKind;
 use fedsz_dp::{analyze_noise, equivalent_epsilon, error_vector, laplace_mechanism};
-use fedsz_fl::baselines::{qsgd_quantize, top_k_sparsify};
 use fedsz_fl::{Experiment, FlConfig};
 use fedsz_nn::models::specs::ModelSpec;
 use fedsz_nn::models::tiny::TinyArch;
@@ -42,12 +40,26 @@ fn non_iid_shards_are_skewed_but_cover_all_data() {
 
 #[test]
 fn advisor_agrees_with_figure8_crossover() {
+    // Eqn 1 over costs measured on a prefix sample and rescaled to the
+    // full model, exactly as `examples/bandwidth_planner.rs` does.
     let spec = ModelSpec::alexnet();
     let sample = spec.instantiate_scaled(3, 0.02);
-    let advisor = Advisor::new(vec![LossyKind::Sz2], vec![ErrorBound::Relative(1e-2)]);
+    let inflate = spec.byte_size() as f64 / sample.byte_size() as f64;
+    let fedsz = FedSz::default(); // SZ2 at REL 1e-2
+    let t0 = std::time::Instant::now();
+    let packed = fedsz.compress(&sample).unwrap();
+    let compress_secs = t0.elapsed().as_secs_f64() * inflate;
+    let t1 = std::time::Instant::now();
+    fedsz.decompress(packed.bytes()).unwrap();
+    let plan = TransferPlan {
+        compress_secs,
+        decompress_secs: t1.elapsed().as_secs_f64() * inflate,
+        original_bytes: spec.byte_size(),
+        compressed_bytes: (packed.bytes().len() as f64 * inflate) as usize,
+    };
     // Well below break-even: compress. Far above: send raw.
-    assert!(advisor.recommend(&sample, spec.byte_size(), mbps(10.0)).best.is_some());
-    assert!(advisor.recommend(&sample, spec.byte_size(), mbps(1e6)).best.is_none());
+    assert!(plan.worthwhile(mbps(10.0)));
+    assert!(!plan.worthwhile(mbps(1e6)));
 }
 
 #[test]
@@ -98,37 +110,4 @@ fn compression_noise_vs_laplace_mechanism_comparison() {
     let explicit = analyze_noise(&synthetic);
     let ratio = implicit.laplace.scale / explicit.laplace.scale;
     assert!((0.5..2.0).contains(&ratio), "matched-epsilon noise scales should agree: {ratio:.2}");
-}
-
-#[test]
-fn composed_baselines_preserve_metadata_and_shrink_wire_size() {
-    let mut config = FlConfig::paper_default(TinyArch::AlexNet, DatasetKind::Cifar10Like);
-    config.rounds = 1;
-    config.clients = 1;
-    let mut exp = Experiment::new(config);
-    let global = exp.global_state().clone();
-    let _ = exp.run_round(0);
-    let update = exp.global_state().clone();
-    let threshold = FlConfig::tiny_model_compression().threshold;
-    let fedsz = FedSz::new(FlConfig::tiny_model_compression());
-
-    let plain = fedsz.compress(&update).unwrap().bytes().len();
-    let sparse = top_k_sparsify(&update, &global, 0.05, threshold);
-    let sparse_delta = fedsz.compress_delta(&sparse, &global).unwrap().bytes().len();
-    assert!(
-        sparse_delta * 2 < plain,
-        "top-k + delta ({sparse_delta}) should easily halve plain FedSZ ({plain})"
-    );
-
-    let quant = qsgd_quantize(&update, &global, 8, threshold, 5);
-    let quant_size = fedsz.compress(&quant).unwrap().bytes().len();
-    assert!(quant_size < plain, "QSGD + FedSZ ({quant_size}) should beat plain ({plain})");
-
-    // Both transforms leave non-lossy tensors bit-exact.
-    for (name, tensor) in update.iter() {
-        if !fedsz::partition::is_lossy(name, tensor.len(), threshold) {
-            assert_eq!(sparse.get(name).unwrap(), tensor, "{name}");
-            assert_eq!(quant.get(name).unwrap(), tensor, "{name}");
-        }
-    }
 }

@@ -1,0 +1,295 @@
+//! Hostile-input tests of the one upload decoder: `FoldStep::decode`.
+//!
+//! Every byte of an upload may come from a peer, so for each payload
+//! kind the fold step accepts — an `FSZ1` FedSZ stream, `FUC1` sparse
+//! and quantized delta streams, raw dict bytes — bit flips,
+//! truncations and forged length fields (with the CRC trailer
+//! recomputed, as an attacker would) must come back as `Err`, or as a
+//! dict that still passed validation: never a panic, and never an
+//! allocation sized by a length field the template does not back.
+//!
+//! The allocation bound is observed, not assumed: this test binary
+//! installs a global allocator that records the largest single request
+//! each thread makes.
+
+use fedsz::{FedSz, FedSzConfig};
+use fedsz_codec::checksum::crc32;
+use fedsz_codec::varint::write_uvarint;
+use fedsz_fl::codec::FamilyCodec;
+use fedsz_fl::step::FoldStep;
+use fedsz_fl::{FlConfig, StagePolicy};
+use fedsz_nn::StateDict;
+use fedsz_tensor::Tensor;
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Largest allocation this thread requested since the last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, plus a per-thread high-water mark of request
+/// sizes (per thread, so tests running in parallel do not see each
+/// other's allocations).
+struct Watching;
+
+fn note(size: usize) {
+    // `try_with`: the slot is gone while a thread tears down.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; `note` only touches a
+// const-initialized, destructor-free thread-local `Cell` and never
+// allocates.
+unsafe impl GlobalAlloc for Watching {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watching = Watching;
+
+/// A four-entry architecture: one tensor the FedSZ partition rule
+/// sends down the lossy path (a `weight` above the tiny-model
+/// threshold of 128 elements — a ramp, so SZ2 predicts it perfectly and
+/// its inner Huffman block is redundant enough that the zstd-class
+/// backend really compresses it instead of storing it), and a small
+/// weight, a bias and batch-norm statistics that stay lossless.
+fn template() -> StateDict {
+    let mut dict = StateDict::new();
+    let wave = |n: usize, k: f32| (0..n).map(|i| (i as f32 * k).sin() * 0.1).collect();
+    let ramp = (0..2048).map(|i| i as f32 * 1e-4).collect();
+    dict.insert("conv.weight", Tensor::from_vec(vec![16, 128], ramp));
+    dict.insert("fc.weight", Tensor::from_vec(vec![4, 16], wave(64, 0.91)));
+    dict.insert("fc.bias", Tensor::from_vec(vec![4], wave(4, 1.7)));
+    // Constant statistics make the lossless blob compressible too, so
+    // its LZ frame is a real token stream rather than stored bytes.
+    dict.insert("bn.running_var", Tensor::filled(vec![96], 1.0));
+    dict
+}
+
+/// The template nudged the way a round of training would.
+fn update_of(reference: &StateDict) -> StateDict {
+    let mut update = reference.clone();
+    for (_, tensor) in update.iter_mut() {
+        if tensor.len() == 96 {
+            continue; // running statistics barely move in one round
+        }
+        for (i, v) in tensor.data_mut().iter_mut().enumerate() {
+            *v += ((i * 7 % 13) as f32 - 6.0) * 1e-3;
+        }
+    }
+    update
+}
+
+/// One payload kind: the policy whose fold step accepts it and an
+/// honest payload. The compressed containers (and only they) carry a
+/// CRC-32 trailer.
+struct Kind {
+    name: &'static str,
+    fold: FoldStep,
+    payload: Vec<u8>,
+    compressed: bool,
+}
+
+fn kinds(reference: &StateDict) -> Vec<Kind> {
+    let update = update_of(reference);
+    let codec: FedSzConfig = FlConfig::tiny_model_compression();
+    let topk = StagePolicy::TopK { ratio: 0.25, error_feedback: false };
+    let q8 = StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false };
+    let sparse = FamilyCodec::top_k(0.25).unwrap().encode_delta(&update, reference, None, 0);
+    let quant = FamilyCodec::quant(8, false).unwrap().encode_delta(&update, reference, None, 0);
+    let kind = |name, policy: &StagePolicy, payload, compressed| Kind {
+        name,
+        fold: FoldStep::new(policy, reference.clone()),
+        payload,
+        compressed,
+    };
+    vec![
+        kind(
+            "FSZ1",
+            &StagePolicy::Lossy(codec),
+            FedSz::new(codec).compress(&update).unwrap().into_bytes(),
+            true,
+        ),
+        kind("FUC1-sparse", &topk, sparse.unwrap(), true),
+        kind("FUC1-quant", &q8, quant.unwrap(), true),
+        kind("raw", &StagePolicy::Raw, update.to_bytes(), false),
+    ]
+}
+
+/// Overwrites `payload` at `at` with the LEB128 encoding of `value`
+/// (growing the payload if the varint runs past its end).
+fn forge_varint(payload: &mut Vec<u8>, at: usize, value: u64) {
+    let mut varint = Vec::new();
+    write_uvarint(&mut varint, value);
+    let end = (at + varint.len()).min(payload.len());
+    payload.splice(at..end, varint);
+}
+
+/// Recomputes the CRC-32 trailer over everything before it.
+fn fix_crc(payload: &mut [u8]) {
+    if let Some(body_len) = payload.len().checked_sub(4) {
+        let crc = crc32(&payload[..body_len]);
+        payload[body_len..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Decodes one (possibly hostile) payload, asserting the contract that
+/// holds for *any* input: no panic, no allocation beyond the bound,
+/// and an `Ok` only for a dict the template still vouches for.
+/// Returns whether the payload was accepted.
+fn decode_is_total(kind: &Kind, payload: &[u8], reference: &StateDict, what: &str) -> bool {
+    // Decode tables (Huffman lookups, LZ windows) are alphabet-sized,
+    // not input-sized, hence the constant; everything else must scale
+    // with the architecture, not with what the payload claims.
+    let limit = 16 * reference.byte_size() + (4 << 20);
+    LARGEST.with(|largest| largest.set(0));
+    let outcome =
+        std::panic::catch_unwind(|| kind.fold.decode(payload, kind.compressed, Some(reference)));
+    let largest = LARGEST.with(Cell::get);
+    let outcome = outcome.unwrap_or_else(|_| panic!("{}: decode panicked on {what}", kind.name));
+    assert!(
+        largest <= limit,
+        "{}: {what} made decode request {largest} bytes at once (limit {limit})",
+        kind.name
+    );
+    match outcome {
+        Ok(dict) => {
+            assert_eq!(dict.len(), reference.len(), "{}: {what}", kind.name);
+            for ((name, tensor), (want, like)) in dict.iter().zip(reference.iter()) {
+                assert_eq!((name, tensor.shape()), (want, like.shape()), "{}: {what}", kind.name);
+                assert!(tensor.data().iter().all(|v| v.is_finite()), "{}: {what}", kind.name);
+            }
+            true
+        }
+        Err(reason) => {
+            assert!(!reason.is_empty());
+            false
+        }
+    }
+}
+
+#[test]
+fn honest_payloads_decode() {
+    let reference = template();
+    for kind in kinds(&reference) {
+        assert!(decode_is_total(&kind, &kind.payload, &reference, "the honest payload"));
+    }
+}
+
+/// The frame from the bug report: a 30-byte `FUC1` sparse upload with
+/// a valid CRC whose one stream claims `total = kept = 2^44`. Before
+/// the fix it reached `Vec::with_capacity(2^44)` — a 128 TiB request
+/// and a SIGABRT, not a catchable panic — on any server whose uplink
+/// policy is a family.
+#[test]
+fn thirty_byte_sparse_frame_is_an_error_not_an_abort() {
+    let mut reference = StateDict::new();
+    reference.insert("w", Tensor::zeros(vec![4]));
+    let mut frame = b"FUC1".to_vec();
+    frame.extend([1, 0]); // version, sparse family
+    frame.extend([1, 1, b'w', 1, 4]); // one entry: "w", rank 1, shape [4]
+    let mut stream = Vec::new();
+    write_uvarint(&mut stream, 1 << 44);
+    write_uvarint(&mut stream, 1 << 44);
+    frame.push(stream.len() as u8);
+    frame.extend(&stream);
+    frame.extend(crc32(&frame).to_le_bytes());
+    assert_eq!(frame.len(), 30);
+
+    let topk = StagePolicy::TopK { ratio: 0.5, error_feedback: false };
+    let kind = Kind {
+        name: "FUC1-sparse",
+        fold: FoldStep::new(&topk, reference.clone()),
+        payload: frame,
+        compressed: true,
+    };
+    assert!(!decode_is_total(&kind, &kind.payload, &reference, "the 30-byte hostile frame"));
+}
+
+/// Every byte offset of every payload kind, overwritten with a huge
+/// varint and re-checksummed: whichever length field lives there —
+/// entry counts, ranks, dimensions, stream and blob lengths, the
+/// codecs' own element counts and inner frame sizes — must be refused
+/// or harmless.
+#[test]
+fn a_forged_length_at_any_offset_is_refused_or_harmless() {
+    let reference = template();
+    for kind in kinds(&reference) {
+        for forged in [1u64 << 24, 1 << 44, u64::MAX] {
+            for at in 0..kind.payload.len() {
+                let mut payload = kind.payload.clone();
+                forge_varint(&mut payload, at, forged);
+                if kind.compressed {
+                    fix_crc(&mut payload);
+                }
+                let what = format!("{forged:#x} forged at byte {at}");
+                decode_is_total(&kind, &payload, &reference, &what);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    /// Random single-bit flips, truncations and forged varints, with
+    /// and without the CRC recomputed.
+    #[test]
+    fn mutated_uploads_are_errors_not_crashes(
+        which in 0usize..4,
+        mutation in 0usize..3,
+        at in any::<u32>(),
+        bit in 0u32..8,
+        forged in prop_oneof![
+            Just(1u64 << 24), Just(1u64 << 31), Just(1u64 << 44), Just(u64::MAX >> 1),
+            Just(u64::MAX),
+        ],
+        recompute_crc in any::<bool>(),
+    ) {
+        let reference = template();
+        let kind = kinds(&reference).swap_remove(which);
+        let mut payload = kind.payload.clone();
+        let at = at as usize % payload.len();
+        let what = match mutation {
+            0 => {
+                payload[at] ^= 1 << bit;
+                format!("bit {bit} of byte {at} flipped")
+            }
+            1 => {
+                payload.truncate(at);
+                format!("truncation to {at} bytes")
+            }
+            _ => {
+                forge_varint(&mut payload, at, forged);
+                format!("{forged:#x} forged at byte {at}")
+            }
+        };
+        let recompute_crc = recompute_crc && kind.compressed;
+        if recompute_crc {
+            fix_crc(&mut payload);
+        }
+        let accepted = decode_is_total(&kind, &payload, &reference, &what);
+        // A truncated payload can never be whole, and a CRC-carrying
+        // container whose trailer no longer matches is always refused.
+        if mutation == 1 || (kind.compressed && !recompute_crc) {
+            prop_assert!(!accepted, "{}: {what} was accepted", kind.name);
+        }
+    }
+}

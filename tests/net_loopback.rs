@@ -7,13 +7,10 @@
 //! the CI smoke job runs the same topology with actual `fedsz serve` /
 //! `fedsz worker` child processes.
 
-use fedsz_fl::engine::RoundEngine;
 use fedsz_fl::net::{
-    global_checksum, run_worker, NetServer, ServeConfig, SocketTransport, WorkerConfig,
-    WorkerReport,
+    global_checksum, run_worker, NetServer, ServeConfig, WorkerConfig, WorkerReport,
 };
-use fedsz_fl::transport::InMemoryTransport;
-use fedsz_fl::{Experiment, FlConfig};
+use fedsz_fl::{Experiment, FlConfig, StagePolicy};
 use fedsz_net::{Message, NetError, Session};
 use std::thread;
 use std::time::Duration;
@@ -47,34 +44,46 @@ fn spawn_workers(
 
 #[test]
 fn flat_socket_run_is_bit_identical_to_in_memory() {
-    let config = quick_config();
+    // One pass per uplink codec route: FedSZ (`None` = the config's
+    // default `lossy`), a `FUC1` sparse stream, and the stochastic
+    // quantizer — whose dither seed must agree across processes or
+    // the checksums part ways.
+    let policies = [
+        None,
+        Some(StagePolicy::TopK { ratio: 0.1, error_feedback: false }),
+        Some(StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false }),
+    ];
+    for uplink in policies {
+        let mut config = quick_config();
+        config.uplink = uplink.clone();
 
-    // Reference: the in-memory engine.
-    let mut reference = Experiment::new(config.clone());
-    reference.run();
-    let want = reference.global_state().to_bytes();
+        // Reference: the in-memory engine.
+        let mut reference = Experiment::new(config.clone());
+        reference.run();
+        let want = reference.global_state().to_bytes();
 
-    // Real sockets: one root, one worker thread per client.
-    let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().to_string();
-    let mut serve_config = ServeConfig::root(config.clone());
-    test_timeouts(&mut serve_config);
-    let root = thread::spawn(move || server.run(serve_config));
-    let workers = spawn_workers(&config, 0..config.clients, addr);
+        // Real sockets: one root, one worker thread per client.
+        let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = server.local_addr().to_string();
+        let mut serve_config = ServeConfig::root(config.clone());
+        test_timeouts(&mut serve_config);
+        let root = thread::spawn(move || server.run(serve_config));
+        let workers = spawn_workers(&config, 0..config.clients, addr);
 
-    let report = root.join().expect("root thread").expect("serve succeeds");
-    for w in workers {
-        let r = w.join().expect("worker thread").expect("worker succeeds");
-        assert_eq!(r.rounds, config.rounds, "worker must train every round");
-        assert!(r.compressed_rounds == config.rounds, "default config compresses every round");
+        let report = root.join().expect("root thread").expect("serve succeeds");
+        for w in workers {
+            let r = w.join().expect("worker thread").expect("worker succeeds");
+            assert_eq!(r.rounds, config.rounds, "worker must train every round");
+            assert!(r.compressed_rounds == config.rounds, "{uplink:?} compresses every round");
+        }
+        let got = report.global.as_ref().expect("root holds the global").to_bytes();
+        assert_eq!(got, want, "{uplink:?}: socket run diverged from the in-memory engine");
+        assert_eq!(report.checksum, global_checksum(reference.global_state()));
+        assert_eq!(report.rounds.len(), config.rounds);
+        assert_eq!(report.evicted, 0);
+        assert!(report.rounds.iter().all(|r| r.merged == config.clients));
+        assert!(report.rounds.iter().all(|r| r.upstream_bytes > 0 && r.downstream_bytes > 0));
     }
-    let got = report.global.as_ref().expect("root holds the global").to_bytes();
-    assert_eq!(got, want, "socket run diverged from the in-memory engine");
-    assert_eq!(report.checksum, global_checksum(reference.global_state()));
-    assert_eq!(report.rounds.len(), config.rounds);
-    assert_eq!(report.evicted, 0);
-    assert!(report.rounds.iter().all(|r| r.merged == config.clients));
-    assert!(report.rounds.iter().all(|r| r.upstream_bytes > 0 && r.downstream_bytes > 0));
 }
 
 #[test]
@@ -260,32 +269,4 @@ fn idle_connection_cannot_starve_the_handshake() {
         "the lurker stalled the session for {:?}",
         t0.elapsed()
     );
-}
-
-#[test]
-fn engine_over_socket_transport_matches_in_memory() {
-    // The Transport-level half of the story: the unchanged round
-    // engine, with its frames crossing a real kernel socket.
-    let config = quick_config();
-    let mut analytic = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
-    let mut socket = RoundEngine::new(
-        config.clone(),
-        Box::new(SocketTransport::loopback().expect("loopback echo peer")),
-    );
-    assert_eq!(socket.transport_name(), "socket");
-    for round in 0..config.rounds {
-        let a = analytic.run_round(round);
-        let s = socket.run_round(round);
-        assert_eq!(
-            analytic.global_state().to_bytes(),
-            socket.global_state().to_bytes(),
-            "global models diverged at round {round}"
-        );
-        assert!(
-            s.upstream_bytes > a.upstream_bytes,
-            "socket frames must carry framing overhead: {} vs {}",
-            s.upstream_bytes,
-            a.upstream_bytes
-        );
-    }
 }

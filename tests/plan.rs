@@ -384,7 +384,11 @@ proptest! {
         if !compressed {
             config.compression = None;
         }
-        config.adaptive_compression = adaptive;
+        if adaptive {
+            config.uplink = config
+                .compression
+                .map(|c| StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossy(c)) });
+        }
         config.psum = psum;
         config.downlink = downlink;
         config.links = link_count.map(|n| vec![LinkProfile::symmetric(5e6); n]);

@@ -4,7 +4,7 @@
 
 use fedsz_fl::engine::RoundEngine;
 use fedsz_fl::transport::{InMemoryTransport, WireTransport};
-use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile};
+use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile, StagePolicy};
 
 fn quick_config() -> FlConfig {
     let mut config = FlConfig::smoke_test();
@@ -16,10 +16,9 @@ fn quick_config() -> FlConfig {
 
 #[test]
 fn wire_and_analytic_transports_agree_bit_for_bit() {
-    // The core promise of the refactor: `Experiment` (in-memory) and
-    // `run_session` (framed wire) are the same engine, so for one seed
-    // they must produce *identical* global models, not merely similar
-    // accuracies.
+    // The core promise of the transport split: the in-memory and the
+    // framed-wire paths are the same engine, so for one seed they must
+    // produce *identical* global models, not merely similar accuracies.
     let config = quick_config();
     let mut analytic = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
     let mut wire = RoundEngine::new(config.clone(), Box::new(WireTransport::new()));
@@ -40,6 +39,42 @@ fn wire_and_analytic_transports_agree_bit_for_bit() {
             a.upstream_bytes
         );
     }
+}
+
+/// Total upstream wire bytes of a run over the framed-wire transport.
+fn wire_upstream_bytes(config: &FlConfig) -> usize {
+    let mut wire = RoundEngine::new(config.clone(), Box::new(WireTransport::new()));
+    wire.run().iter().map(|m| m.upstream_bytes).sum()
+}
+
+#[test]
+fn wire_accounting_sees_compression_and_partial_participation() {
+    // FedSZ must shrink upstream traffic measured at the wire, framing
+    // included.
+    let mut config = quick_config();
+    let compressed = wire_upstream_bytes(&config);
+    config.compression = None;
+    let plain = wire_upstream_bytes(&config);
+    assert!(
+        compressed * 2 < plain,
+        "wire-level upstream should at least halve: {compressed} vs {plain}"
+    );
+
+    // Half the cohort uploads per round: upstream must be well below a
+    // full-participation run's.
+    let mut config = quick_config();
+    config.clients = 4;
+    config.rounds = 2;
+    config.participation = 0.5;
+    config.non_iid_alpha = Some(0.5);
+    config.weighted_aggregation = true;
+    let half = wire_upstream_bytes(&config);
+    config.participation = 1.0;
+    let full = wire_upstream_bytes(&config);
+    assert!(
+        half * 3 < full * 2,
+        "half cohort should upload well under 2/3 of full: {half} vs {full}"
+    );
 }
 
 #[test]
@@ -151,14 +186,15 @@ fn buffered_rounds_complete_faster_than_synchronous_with_stragglers() {
 }
 
 #[test]
-fn adaptive_compression_sends_raw_on_fast_links() {
+fn adaptive_uplink_sends_raw_on_fast_links() {
     // Eqn 1: at terabit speeds codec time can never pay for itself, so
     // after the probe round every client should ship raw bytes.
     let mut config = quick_config();
     config.clients = 2;
     config.rounds = 3;
     config.links = Some(vec![LinkProfile::symmetric(1e12); 2]);
-    config.adaptive_compression = true;
+    let codec = config.compression.expect("smoke config compresses");
+    config.uplink = Some(StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossy(codec)) });
     let metrics = Experiment::new(config.clone()).run();
     assert!(metrics[0].ratio > 1.2, "probe round should compress");
     let last = metrics.last().unwrap();
