@@ -4,6 +4,11 @@
 //! planes, SZx truncated mantissas) is built on these two types. Bits are
 //! packed most-significant-bit first within each byte, which keeps the
 //! streams easy to inspect in hex dumps.
+//!
+//! Both types move whole 64-bit words: the writer buffers up to 63 bits
+//! and flushes eight bytes at a time, the reader serves every request
+//! from one big-endian word load. The byte layout is fixed by the bit
+//! order alone, so how many bits move per step never shows in a stream.
 
 use crate::{CodecError, Result};
 
@@ -22,9 +27,10 @@ use crate::{CodecError, Result};
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits currently buffered in `acc`, 0..=7.
+    /// Bits currently buffered in `acc`, 0..=63.
     nbits: u32,
-    acc: u8,
+    /// The buffered bits, right-aligned; every bit above `nbits` is 0.
+    acc: u64,
 }
 
 impl BitWriter {
@@ -41,10 +47,10 @@ impl BitWriter {
     /// Appends a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        self.acc = (self.acc << 1) | bit as u8;
+        self.acc = (self.acc << 1) | u64::from(bit);
         self.nbits += 1;
-        if self.nbits == 8 {
-            self.bytes.push(self.acc);
+        if self.nbits == 64 {
+            self.bytes.extend_from_slice(&self.acc.to_be_bytes());
             self.acc = 0;
             self.nbits = 0;
         }
@@ -58,22 +64,20 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
-        let mut remaining = count;
-        while remaining > 0 {
-            let free = 8 - self.nbits;
-            let take = free.min(remaining);
-            let shift = remaining - take;
-            let chunk = ((value >> shift) & ((1u64 << take) - 1)) as u8;
-            // `take` can be 8 when the accumulator is empty; shift in u32
-            // to avoid the u8 shift overflow.
-            self.acc = ((u32::from(self.acc) << take) | u32::from(chunk)) as u8;
-            self.nbits += take;
-            remaining -= take;
-            if self.nbits == 8 {
-                self.bytes.push(self.acc);
-                self.acc = 0;
-                self.nbits = 0;
-            }
+        let value = if count < 64 { value & ((1u64 << count) - 1) } else { value };
+        let free = 64 - self.nbits;
+        if count < free {
+            self.acc = (self.acc << count) | value;
+            self.nbits += count;
+        } else {
+            // The word fills: its low `free` bits are the top of `value`,
+            // and the `count - free` bits left over start the next word.
+            // `free` is 1..=64, so the shift is split to stay below 64.
+            let rest = count - free;
+            let word = ((self.acc << (free - 1)) << 1) | (value >> rest);
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+            self.acc = value & ((1u64 << rest) - 1);
+            self.nbits = rest;
         }
     }
 
@@ -85,8 +89,9 @@ impl BitWriter {
     /// Pads the final partial byte with zeros and returns the buffer.
     pub fn into_bytes(mut self) -> Vec<u8> {
         if self.nbits > 0 {
-            self.acc <<= 8 - self.nbits;
-            self.bytes.push(self.acc);
+            let word = self.acc << (64 - self.nbits);
+            let used = self.nbits.div_ceil(8) as usize;
+            self.bytes.extend_from_slice(&word.to_be_bytes()[..used]);
         }
         self.bytes
     }
@@ -112,6 +117,11 @@ pub struct BitReader<'a> {
 }
 
 impl<'a> BitReader<'a> {
+    /// The most bits one [`BitReader::peek_bits`] call can return: a
+    /// 64-bit load starting at the cursor's byte, less the up-to-seven
+    /// bits of that byte already consumed.
+    pub const MAX_PEEK: u32 = 57;
+
     /// Creates a reader over `bytes` starting at bit 0.
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
@@ -120,6 +130,69 @@ impl<'a> BitReader<'a> {
     /// Number of bits still available.
     pub fn remaining(&self) -> usize {
         self.bytes.len() * 8 - self.pos
+    }
+
+    /// The bits at the cursor, left-aligned in a word: the top
+    /// [`BitReader::MAX_PEEK`] bits (at least) are stream bits, with 0
+    /// standing in for every bit past the end of the input.
+    #[inline]
+    pub(crate) fn window(&self) -> u64 {
+        let byte = self.pos / 8;
+        let word = match self.bytes.get(byte..byte + 8) {
+            Some(chunk) => u64::from_be_bytes(chunk.try_into().expect("slice of length 8")),
+            None => {
+                let tail = self.bytes.get(byte..).unwrap_or_default();
+                let mut padded = [0u8; 8];
+                padded[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(padded)
+            }
+        };
+        word << (self.pos % 8)
+    }
+
+    /// How many of [`BitReader::window`]'s bits are stream bits rather
+    /// than padding.
+    #[inline]
+    pub(crate) fn window_len(&self) -> u32 {
+        (64 - self.pos % 8).min(self.remaining()) as u32
+    }
+
+    /// Advances past `count` bits a caller took from the window; it
+    /// must not exceed [`BitReader::window_len`].
+    #[inline]
+    pub(crate) fn skip(&mut self, count: u32) {
+        debug_assert!(count <= self.window_len());
+        self.pos += count as usize;
+    }
+
+    /// Returns the next `count` bits as the low bits of a `u64` without
+    /// consuming them. Bits past the end of the input read as 0, so a
+    /// caller decides how much to [`BitReader::consume`] from what it
+    /// sees and learns of truncation there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > BitReader::MAX_PEEK`.
+    #[inline]
+    pub fn peek_bits(&self, count: u32) -> u64 {
+        assert!(count <= Self::MAX_PEEK, "cannot peek more than 57 bits at once");
+        // Split shift: `count` may be 0.
+        (self.window() >> 1) >> (63 - count)
+    }
+
+    /// Advances the cursor by `count` bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::UnexpectedEof`], leaving the cursor where it
+    /// was, if fewer than `count` bits remain.
+    #[inline]
+    pub fn consume(&mut self, count: u32) -> Result<()> {
+        if self.remaining() < count as usize {
+            return Err(CodecError::UnexpectedEof);
+        }
+        self.pos += count as usize;
+        Ok(())
     }
 
     /// Reads one bit.
@@ -150,18 +223,16 @@ impl<'a> BitReader<'a> {
         if self.remaining() < count as usize {
             return Err(CodecError::UnexpectedEof);
         }
-        let mut value = 0u64;
-        let mut remaining = count;
-        while remaining > 0 {
-            let byte = self.bytes[self.pos / 8];
-            let offset = (self.pos % 8) as u32;
-            let avail = 8 - offset;
-            let take = avail.min(remaining);
-            let chunk = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
-            value = (value << take) | chunk as u64;
-            self.pos += take as usize;
-            remaining -= take;
-        }
+        // A request wider than one window is two that are not.
+        let (high, low_count) = if count <= Self::MAX_PEEK {
+            (0, count)
+        } else {
+            let high = self.peek_bits(count - 32);
+            self.pos += (count - 32) as usize;
+            (high << 32, 32)
+        };
+        let value = high | self.peek_bits(low_count);
+        self.pos += low_count as usize;
         Ok(value)
     }
 
@@ -171,9 +242,87 @@ impl<'a> BitReader<'a> {
     }
 }
 
+/// The bit-at-a-time reader and writer these types replaced, kept as
+/// the oracle the word-at-a-time ones are tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::{CodecError, Result};
+
+    /// One-byte accumulator, one `push` per byte.
+    #[derive(Default)]
+    pub struct BitWriter {
+        bytes: Vec<u8>,
+        nbits: u32,
+        acc: u8,
+    }
+
+    impl BitWriter {
+        pub fn write_bits(&mut self, value: u64, count: u32) {
+            for shift in (0..count).rev() {
+                self.acc = (self.acc << 1) | ((value >> shift) & 1) as u8;
+                self.nbits += 1;
+                if self.nbits == 8 {
+                    self.bytes.push(self.acc);
+                    self.acc = 0;
+                    self.nbits = 0;
+                }
+            }
+        }
+
+        pub fn bit_len(&self) -> usize {
+            self.bytes.len() * 8 + self.nbits as usize
+        }
+
+        pub fn into_bytes(mut self) -> Vec<u8> {
+            if self.nbits > 0 {
+                self.acc <<= 8 - self.nbits;
+                self.bytes.push(self.acc);
+            }
+            self.bytes
+        }
+    }
+
+    /// One byte fetch per bit.
+    pub struct BitReader<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> BitReader<'a> {
+        pub fn new(bytes: &'a [u8]) -> Self {
+            Self { bytes, pos: 0 }
+        }
+
+        pub fn remaining(&self) -> usize {
+            self.bytes.len() * 8 - self.pos
+        }
+
+        pub fn read_bit(&mut self) -> Result<bool> {
+            let byte = *self.bytes.get(self.pos / 8).ok_or(CodecError::UnexpectedEof)?;
+            let bit = (byte >> (7 - (self.pos % 8))) & 1;
+            self.pos += 1;
+            Ok(bit == 1)
+        }
+
+        /// All-or-nothing, like the real reader: a short read consumes
+        /// nothing.
+        pub fn read_bits(&mut self, count: u32) -> Result<u64> {
+            if self.remaining() < count as usize {
+                return Err(CodecError::UnexpectedEof);
+            }
+            let mut value = 0u64;
+            for _ in 0..count {
+                value = (value << 1) | u64::from(self.read_bit()?);
+            }
+            Ok(value)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn single_bits_round_trip() {
@@ -186,6 +335,23 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
             assert_eq!(r.read_bit().unwrap(), b);
+        }
+    }
+
+    #[test]
+    fn single_bits_across_word_boundaries_match_the_reference() {
+        for lead in 0..=64 {
+            let mut fast = BitWriter::new();
+            let mut slow = reference::BitWriter::default();
+            fast.write_bits(u64::MAX, lead);
+            slow.write_bits(u64::MAX, lead);
+            for i in 0..150u32 {
+                let bit = i % 3 == 0 || i % 7 == 2;
+                fast.write_bit(bit);
+                slow.write_bits(u64::from(bit), 1);
+            }
+            assert_eq!(fast.bit_len(), slow.bit_len());
+            assert_eq!(fast.into_bytes(), slow.into_bytes(), "lead {lead}");
         }
     }
 
@@ -237,5 +403,67 @@ mod tests {
         w.write_bits(0, 13);
         assert_eq!(w.bit_len(), 13);
         assert_eq!(w.into_bytes().len(), 2);
+    }
+
+    #[test]
+    fn peek_pads_with_zeros_and_consume_reports_eof() {
+        let mut r = BitReader::new(&[0b1011_0000, 0xff]);
+        assert_eq!(r.peek_bits(0), 0);
+        assert_eq!(r.peek_bits(4), 0b1011);
+        r.consume(4).unwrap();
+        assert_eq!(r.peek_bits(12), 0x0ff);
+        // Four bits past the end read as zero...
+        assert_eq!(r.peek_bits(16), 0x0ff0);
+        // ...but cannot be consumed, and a refused consume moves nothing.
+        assert_eq!(r.consume(13), Err(CodecError::UnexpectedEof));
+        assert_eq!(r.remaining(), 12);
+        r.consume(12).unwrap();
+        assert_eq!(r.peek_bits(BitReader::MAX_PEEK), 0);
+    }
+
+    /// `(value, count)` writes biased toward the edges: empty, single
+    /// bits, byte- and word-sized, and values with bits above `count`
+    /// set (which must be masked off).
+    fn writes() -> impl Strategy<Value = Vec<(u64, u32)>> {
+        let count = prop_oneof![0u32..=64, Just(0u32), Just(1u32), Just(63u32), Just(64u32)];
+        proptest::collection::vec((any::<u64>(), count), 0..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn writer_matches_the_bit_serial_reference(writes in writes()) {
+            let mut fast = BitWriter::new();
+            let mut slow = reference::BitWriter::default();
+            for &(value, count) in &writes {
+                // Single bits go through `write_bit` half of the time.
+                if count == 1 && value & 2 == 0 {
+                    fast.write_bit(value & 1 == 1);
+                } else {
+                    fast.write_bits(value, count);
+                }
+                slow.write_bits(value, count);
+                prop_assert_eq!(fast.bit_len(), slow.bit_len());
+            }
+            prop_assert_eq!(fast.into_bytes(), slow.into_bytes());
+        }
+
+        #[test]
+        fn reader_matches_the_bit_serial_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..48),
+            counts in proptest::collection::vec(0u32..=64, 0..24),
+        ) {
+            let mut fast = BitReader::new(&bytes);
+            let mut slow = reference::BitReader::new(&bytes);
+            for &count in &counts {
+                if count == 1 {
+                    prop_assert_eq!(fast.read_bit(), slow.read_bit());
+                } else {
+                    prop_assert_eq!(fast.read_bits(count), slow.read_bits(count));
+                }
+                prop_assert_eq!(fast.remaining(), slow.remaining());
+            }
+        }
     }
 }

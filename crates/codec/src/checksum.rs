@@ -23,21 +23,42 @@ pub struct Crc32 {
     state: u32,
 }
 
-/// Table of CRC remainders for every byte value, built at first use.
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            }
-            *entry = crc;
+/// Slicing-by-8 tables: `TABLES[0]` is the classic byte-at-a-time table
+/// of CRC remainders, and `TABLES[k][b]` is the remainder of byte `b`
+/// followed by `k` zero bytes — so eight table reads, one per byte of a
+/// 64-bit chunk, advance the state by the whole chunk at once.
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// Advances `state` over `data` one byte per step.
+fn update_bytewise(mut state: u32, data: &[u8]) -> u32 {
+    for &byte in data {
+        state = TABLES[0][((state ^ u32::from(byte)) & 0xff) as usize] ^ (state >> 8);
+    }
+    state
 }
 
 impl Crc32 {
@@ -48,11 +69,22 @@ impl Crc32 {
 
     /// Feeds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
-        let table = crc_table();
-        for &byte in data {
-            self.state =
-                table[((self.state ^ u32::from(byte)) & 0xff) as usize] ^ (self.state >> 8);
+        let mut state = self.state;
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            let chunk: &[u8; 8] = chunk.try_into().expect("chunk of length 8");
+            let [b0, b1, b2, b3, b4, b5, b6, b7] = *chunk;
+            let low = state ^ u32::from_le_bytes([b0, b1, b2, b3]);
+            state = TABLES[7][(low & 0xff) as usize]
+                ^ TABLES[6][((low >> 8) & 0xff) as usize]
+                ^ TABLES[5][((low >> 16) & 0xff) as usize]
+                ^ TABLES[4][(low >> 24) as usize]
+                ^ TABLES[3][usize::from(b4)]
+                ^ TABLES[2][usize::from(b5)]
+                ^ TABLES[1][usize::from(b6)]
+                ^ TABLES[0][usize::from(b7)];
         }
+        self.state = update_bytewise(state, chunks.remainder());
     }
 
     /// Returns the final checksum value.
@@ -110,6 +142,39 @@ mod tests {
         inc.update(&data[..5]);
         inc.update(&data[5..]);
         assert_eq!(inc.finish(), crc32(data));
+    }
+
+    /// The table-free definition: one polynomial step per bit.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// Every length 0..=64 at every offset 0..8 into a buffer, in one
+    /// call and split at every point: the word loop, its remainder and
+    /// the seams between calls, all against the bit-at-a-time walk.
+    #[test]
+    fn crc32_sliced_matches_bytewise_at_every_length_and_alignment() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[offset..offset + len];
+                let want = crc32_bitwise(data);
+                assert_eq!(crc32(data), want, "offset {offset}, len {len}");
+                for split in 0..=len {
+                    let mut inc = Crc32::new();
+                    inc.update(&data[..split]);
+                    inc.update(&data[split..]);
+                    assert_eq!(inc.finish(), want, "offset {offset}, len {len}, split {split}");
+                }
+            }
+        }
     }
 
     #[test]

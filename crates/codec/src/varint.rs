@@ -135,6 +135,34 @@ pub fn read_f32(buf: &[u8], pos: &mut usize) -> Result<f32> {
     Ok(f32::from_le_bytes(bytes.try_into().expect("slice of length 4")))
 }
 
+/// Appends every value of `values` little-endian: the bulk form of
+/// [`write_f32`], one resize and a copy loop the compiler vectorizes.
+pub fn write_f32_slice(out: &mut Vec<u8>, values: &[f32]) {
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (dst, value) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&value.to_le_bytes());
+    }
+}
+
+/// Reads `count` little-endian `f32`s, advancing `pos`: the bulk form of
+/// [`read_f32`]. The bytes present bound `count` before it sizes the
+/// result.
+///
+/// # Errors
+///
+/// Returns [`CodecError::UnexpectedEof`] when fewer than `4 * count`
+/// bytes remain.
+pub fn read_f32_vec(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<f32>> {
+    let end = count.checked_mul(4).and_then(|len| pos.checked_add(len));
+    let bytes = end.and_then(|end| buf.get(*pos..end)).ok_or(CodecError::UnexpectedEof)?;
+    *pos += bytes.len();
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("chunk of length 4")))
+        .collect())
+}
+
 /// Appends an `f64` little-endian.
 pub fn write_f64(out: &mut Vec<u8>, value: f64) {
     out.extend_from_slice(&value.to_le_bytes());
@@ -231,6 +259,27 @@ mod tests {
         let buf = [0xffu8; 11];
         let mut pos = 0;
         assert!(matches!(read_uvarint(&buf, &mut pos), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn f32_slices_match_the_one_by_one_form() {
+        let values = [0.0f32, -0.0, 1.5, f32::MIN_POSITIVE, f32::NAN, f32::INFINITY, -3.25e-7];
+        let (mut bulk, mut single) = (vec![0xAA], vec![0xAA]);
+        write_f32_slice(&mut bulk, &values);
+        for &v in &values {
+            write_f32(&mut single, v);
+        }
+        assert_eq!(bulk, single);
+        let mut pos = 1;
+        let back = read_f32_vec(&bulk, &mut pos, values.len()).unwrap();
+        assert_eq!(pos, bulk.len());
+        let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&values));
+        // One value too many, and a count whose byte length overflows.
+        let mut pos = 1;
+        assert_eq!(read_f32_vec(&bulk, &mut pos, values.len() + 1), Err(CodecError::UnexpectedEof));
+        assert_eq!(read_f32_vec(&bulk, &mut pos, usize::MAX / 2), Err(CodecError::UnexpectedEof));
+        assert_eq!(pos, 1);
     }
 
     #[test]

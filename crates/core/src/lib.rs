@@ -44,8 +44,8 @@ pub use fedsz_lossless::LosslessKind;
 pub use fedsz_lossy::{ErrorBound, LossyError, LossyKind};
 
 use fedsz_codec::varint::{
-    read_bytes, read_f32, read_f64, read_str, read_uvarint, write_f32, write_f64, write_str,
-    write_uvarint,
+    read_bytes, read_f32_vec, read_f64, read_str, read_uvarint, write_f32_slice, write_f64,
+    write_str, write_uvarint,
 };
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
@@ -283,9 +283,7 @@ impl FedSz {
                 stats.lossless_tensors += 1;
                 // Figure 1: remaining tensors are serialized ("pickled")
                 // together and lossless-compressed as one block.
-                for &v in tensor.data() {
-                    write_f32(&mut lossless_blob, v);
-                }
+                write_f32_slice(&mut lossless_blob, tensor.data());
             }
         }
 
@@ -510,11 +508,7 @@ impl FedSz {
             let data = if entry.lossy {
                 lossy_iter.next().expect("counted above")
             } else {
-                let mut values = Vec::with_capacity(entry.elems);
-                for _ in 0..entry.elems {
-                    values.push(read_f32(&lossless_blob, &mut blob_pos)?);
-                }
-                values
+                read_f32_vec(&lossless_blob, &mut blob_pos, entry.elems)?
             };
             dict.insert(entry.name, Tensor::from_vec(entry.shape, data));
         }

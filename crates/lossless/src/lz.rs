@@ -101,31 +101,60 @@ impl MatchParams {
     }
 }
 
+/// Width of the position hash. Which earlier positions a search visits
+/// (and so the token stream) depends on it; the size of the table the
+/// chains hang from does not (see [`Chains`]).
 const HASH_LOG: u32 = 16;
 
+/// "No position": ends a chain, marks an empty bucket.
+const NONE: u32 = u32::MAX;
+
+/// Longest input one [`Chains`] indexes: its positions must stay below
+/// [`NONE`]. Longer inputs are parsed in independent segments.
+const MAX_SEGMENT: usize = NONE as usize;
+
 #[inline]
-fn hash4(data: &[u8], pos: usize) -> usize {
+fn hash4(data: &[u8], pos: usize) -> u32 {
     let v = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
-    ((v.wrapping_mul(2654435761)) >> (32 - HASH_LOG)) as usize
+    v.wrapping_mul(2654435761) >> (32 - HASH_LOG)
 }
 
-/// Hash-chain search state.
+/// Hash-chain search state over one segment of at most [`MAX_SEGMENT`]
+/// bytes, with positions held as `u32`.
+///
+/// A search walks the earlier positions that share the current
+/// position's `HASH_LOG`-bit hash, newest first. `head` has one bucket
+/// per hash value only when the input is long enough to fill that many;
+/// a shorter input gets a table about its own size, whose buckets chain
+/// several hash values together. The walk then steps over positions of
+/// another hash value, at no cost to its candidate budget, so it visits
+/// exactly the candidates the full-size table would have, in the same
+/// order: the table's size is invisible in the tokens.
 struct Chains {
-    head: Vec<i64>,
-    prev: Vec<i64>,
+    head: Vec<u32>,
+    prev: Vec<u32>,
+    /// Low hash bits dropped to index `head`; 0 for a full-size table.
+    shift: u32,
 }
 
 impl Chains {
-    fn new(len: usize) -> Self {
-        Self { head: vec![-1i64; 1 << HASH_LOG], prev: vec![-1i64; len] }
+    /// The table size (log2) for an input of `len` bytes: about one
+    /// bucket per position, at most one per hash value.
+    fn head_log(len: usize) -> u32 {
+        len.next_power_of_two().trailing_zeros().clamp(6, HASH_LOG)
+    }
+
+    fn new(len: usize, head_log: u32) -> Self {
+        assert!(len <= MAX_SEGMENT && head_log <= HASH_LOG);
+        Self { head: vec![NONE; 1 << head_log], prev: vec![NONE; len], shift: HASH_LOG - head_log }
     }
 
     #[inline]
     fn insert(&mut self, data: &[u8], pos: usize) {
         if pos + 4 <= data.len() {
-            let h = hash4(data, pos);
-            self.prev[pos] = self.head[h];
-            self.head[h] = pos as i64;
+            let bucket = (hash4(data, pos) >> self.shift) as usize;
+            self.prev[pos] = self.head[bucket];
+            self.head[bucket] = pos as u32;
         }
     }
 
@@ -137,14 +166,19 @@ impl Chains {
         }
         let mut best_len = params.min_match - 1;
         let mut best_dist = 0usize;
-        let mut cand = self.head[hash4(data, pos)];
+        let hash = hash4(data, pos);
+        let mut cand = self.head[(hash >> self.shift) as usize];
         let limit = pos.saturating_sub(params.window);
         let max_len = params.max_match.min(data.len() - pos);
         let mut chain = params.max_chain;
-        while cand >= 0 && chain > 0 {
+        while cand != NONE && chain > 0 {
             let c = cand as usize;
             if c < limit {
                 break;
+            }
+            cand = self.prev[c];
+            if self.shift != 0 && hash4(data, c) != hash {
+                continue;
             }
             // Cheap reject: compare the byte just past the current best.
             if best_len < max_len && data[c + best_len] == data[pos + best_len] {
@@ -160,10 +194,19 @@ impl Chains {
                     }
                 }
             }
-            cand = self.prev[c];
             chain -= 1;
         }
         (best_dist > 0).then_some((best_len, best_dist))
+    }
+}
+
+/// Appends a literal run, extending the previous token when that is the
+/// literal run right before it (decoders expect at most one literal
+/// token between matches).
+fn push_literals(tokens: &mut Vec<Token>, start: usize, len: usize) {
+    match tokens.last_mut() {
+        Some(Token::Literals { start: s, len: l }) if *s + *l == start => *l += len,
+        _ => tokens.push(Token::Literals { start, len }),
     }
 }
 
@@ -173,10 +216,25 @@ impl Chains {
 /// [`reconstruct`], which decoders mirror).
 pub fn tokenize(data: &[u8], params: &MatchParams) -> Vec<Token> {
     let mut tokens = Vec::new();
-    if data.is_empty() {
-        return tokens;
+    // Chain positions are `u32`: an input they cannot index is parsed
+    // as independent segments (no match reaches across a seam) rather
+    // than with truncated positions.
+    for (i, segment) in data.chunks(MAX_SEGMENT).enumerate() {
+        let head_log = Chains::head_log(segment.len());
+        tokenize_segment(segment, i * MAX_SEGMENT, params, head_log, &mut tokens);
     }
-    let mut chains = Chains::new(data.len());
+    tokens
+}
+
+/// Parses one segment, whose first byte is byte `base` of the input.
+fn tokenize_segment(
+    data: &[u8],
+    base: usize,
+    params: &MatchParams,
+    head_log: u32,
+    tokens: &mut Vec<Token>,
+) {
+    let mut chains = Chains::new(data.len(), head_log);
     let mut lit_start = 0usize;
     let mut pos = 0usize;
     while pos < data.len() {
@@ -196,7 +254,7 @@ pub fn tokenize(data: &[u8], params: &MatchParams) -> Vec<Token> {
                     }
                     if let Some((len, dist)) = emit {
                         if lit_start < pos {
-                            tokens.push(Token::Literals { start: lit_start, len: pos - lit_start });
+                            push_literals(tokens, base + lit_start, pos - lit_start);
                         }
                         tokens.push(Token::Match { len, dist });
                         for p in pos + 1..(pos + len).min(data.len()) {
@@ -213,7 +271,7 @@ pub fn tokenize(data: &[u8], params: &MatchParams) -> Vec<Token> {
         }
         if let Some((len, dist)) = emit {
             if lit_start < pos {
-                tokens.push(Token::Literals { start: lit_start, len: pos - lit_start });
+                push_literals(tokens, base + lit_start, pos - lit_start);
             }
             tokens.push(Token::Match { len, dist });
             for p in pos..(pos + len).min(data.len()) {
@@ -235,9 +293,8 @@ pub fn tokenize(data: &[u8], params: &MatchParams) -> Vec<Token> {
         }
     }
     if lit_start < data.len() {
-        tokens.push(Token::Literals { start: lit_start, len: data.len() - lit_start });
+        push_literals(tokens, base + lit_start, data.len() - lit_start);
     }
-    tokens
 }
 
 /// Reapplies a token stream to rebuild the original bytes (test helper
@@ -341,6 +398,81 @@ mod tests {
             .collect();
         let tokens = tokenize(&data, &MatchParams::balanced());
         assert_eq!(reconstruct(&data, &tokens), data);
+    }
+
+    /// Inputs of mixed texture: literal soup, short repeats, long runs.
+    fn textured(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        let mut data = Vec::with_capacity(len);
+        while data.len() < len {
+            match next() % 4 {
+                0 => data.extend((0..next() % 40).map(|_| next() as u8)),
+                1 => {
+                    let byte = next() as u8;
+                    data.extend(std::iter::repeat_n(byte, next() as usize % 300));
+                }
+                2 => data.extend_from_slice(b"a-phrase-that-recurs"),
+                _ if data.len() > 8 => {
+                    let from = next() as usize % (data.len() - 8);
+                    let run =
+                        data[from..(from + 8 + next() as usize % 64).min(data.len())].to_vec();
+                    data.extend(run);
+                }
+                _ => data.push(next() as u8),
+            }
+        }
+        data.truncate(len);
+        data
+    }
+
+    /// The table a short input gets is much smaller than one bucket per
+    /// hash value; the tokens must not show it.
+    #[test]
+    fn narrowed_head_table_yields_the_full_table_tokens() {
+        for (len, seed) in [(5, 1), (63, 2), (64, 3), (300, 4), (2_048, 5), (9_000, 6), (30_000, 7)]
+        {
+            let data = textured(len, seed);
+            assert!(Chains::head_log(len) < HASH_LOG);
+            for params in [
+                MatchParams::fast(),
+                MatchParams::balanced(),
+                MatchParams::large_window(),
+                MatchParams::thorough(),
+            ] {
+                let mut full = Vec::new();
+                tokenize_segment(&data, 0, &params, HASH_LOG, &mut full);
+                assert_eq!(tokenize(&data, &params), full, "len {len}");
+                assert_eq!(reconstruct(&data, &full), data);
+            }
+        }
+    }
+
+    /// What `tokenize` does to an input longer than `u32` positions can
+    /// index, at a segment size a test can afford.
+    #[test]
+    fn segments_parse_independently_and_join_their_literals() {
+        let data = textured(10_000, 9);
+        let params = MatchParams::large_window();
+        let mut tokens = Vec::new();
+        for (i, segment) in data.chunks(3_000).enumerate() {
+            tokenize_segment(segment, i * 3_000, &params, HASH_LOG, &mut tokens);
+        }
+        assert_eq!(reconstruct(&data, &tokens), data);
+        for pair in tokens.windows(2) {
+            let both_literals = matches!(pair, [Token::Literals { .. }, Token::Literals { .. }]);
+            assert!(!both_literals, "adjacent literal tokens {pair:?}");
+        }
+        // A seam that falls inside a literal run: the run stays one token.
+        let soup: Vec<u8> = (0..200u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        let mut tokens = Vec::new();
+        for (i, segment) in soup.chunks(64).enumerate() {
+            tokenize_segment(segment, i * 64, &MatchParams::balanced(), HASH_LOG, &mut tokens);
+        }
+        assert_eq!(tokens, vec![Token::Literals { start: 0, len: 200 }]);
     }
 
     #[test]

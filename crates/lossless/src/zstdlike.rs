@@ -198,9 +198,7 @@ impl Lossless for ZstdLike {
             if out.len() + lit_len > raw_len {
                 return Err(CodecError::Corrupt("literal run exceeds declared length"));
             }
-            for _ in 0..lit_len {
-                out.push(lit_table.read_symbol(&mut r)? as u8);
-            }
+            lit_table.decode_each(&mut r, lit_len, |sym| out.push(sym as u8))?;
             let match_len = read_value(&mut r, &ml_table)? as usize;
             let offset = read_value(&mut r, &of_table)? as usize;
             if out.len() + match_len > raw_len {
@@ -213,9 +211,7 @@ impl Lossless for ZstdLike {
         if Some(tail_len) != raw_len.checked_sub(out.len()) {
             return Err(CodecError::Corrupt("tail length mismatch"));
         }
-        for _ in 0..tail_len {
-            out.push(lit_table.read_symbol(&mut r)? as u8);
-        }
+        lit_table.decode_each(&mut r, tail_len, |sym| out.push(sym as u8))?;
 
         let stored_sum = read_u32(payload, &mut pos)?;
         let computed = crc32(&out);

@@ -82,15 +82,24 @@ impl ErrorBound {
     /// input, or when the bound value is not positive/finite.
     pub fn absolute_for(&self, data: &[f32]) -> Option<f64> {
         match *self {
+            // Only a relative bound needs the scan.
+            ErrorBound::Relative(_) => self.absolute_over(stats::value_range(data)),
+            _ => self.absolute_over(None),
+        }
+    }
+
+    /// [`ErrorBound::absolute_for`] given the data's value range
+    /// (`None` when the data is empty) instead of the data.
+    fn absolute_over(&self, range: Option<stats::ValueRange>) -> Option<f64> {
+        match *self {
             ErrorBound::Absolute(eb) => (eb.is_finite() && eb > 0.0).then_some(eb),
             ErrorBound::Relative(rel) => {
                 if !(rel.is_finite() && rel > 0.0) {
                     return None;
                 }
-                let range = stats::value_range(data)?;
                 // A constant array has zero range; any positive epsilon
                 // preserves it exactly, so fall back to a tiny bound.
-                let span = f64::from(range.span());
+                let span = f64::from(range?.span());
                 Some(if span > 0.0 { rel * span } else { rel * 1e-30 })
             }
             ErrorBound::FixedPrecision(_) => None,
@@ -255,25 +264,51 @@ pub(crate) fn resolve_bound(
     data: &[f32],
     bound: ErrorBound,
 ) -> std::result::Result<f64, LossyError> {
-    if data.iter().any(|v| !v.is_finite()) {
+    // One pass answers both questions asked of every element: is it
+    // finite, and does it widen the value range a relative bound
+    // scales by. No early exit and eight independent lanes of plain
+    // `f32` arithmetic, so the loop vectorizes instead of being one
+    // long chain of dependent compares. `v * 0.0` is zero for a finite `v`
+    // and NaN otherwise, and a NaN sticks to its lane's sum. (Which of
+    // two equal extremes a lane keeps, +0.0 or -0.0 included, cannot
+    // change `max - min`.)
+    const LANES: usize = 8;
+    let mut min = [f32::INFINITY; LANES];
+    let mut max = [f32::NEG_INFINITY; LANES];
+    let mut poison = [0.0f32; LANES];
+    let mut chunks = data.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        let lanes = min.iter_mut().zip(max.iter_mut()).zip(poison.iter_mut());
+        for (((min, max), poison), &v) in lanes.zip(chunk) {
+            *min = min.min(v);
+            *max = max.max(v);
+            *poison += v * 0.0;
+        }
+    }
+    for &v in chunks.remainder() {
+        min[0] = min[0].min(v);
+        max[0] = max[0].max(v);
+        poison[0] += v * 0.0;
+    }
+    let finite = poison.iter().all(|&p| p == 0.0);
+    let min = min.into_iter().fold(f32::INFINITY, f32::min);
+    let max = max.into_iter().fold(f32::NEG_INFINITY, f32::max);
+    if !finite {
         return Err(LossyError::NonFiniteInput);
     }
     match bound {
         ErrorBound::FixedPrecision(_) => Err(LossyError::InvalidBound(bound)),
-        _ => {
-            if data.is_empty() {
-                // Empty inputs have no range; any positive epsilon works.
-                return match bound {
-                    ErrorBound::Absolute(eb) | ErrorBound::Relative(eb)
-                        if eb.is_finite() && eb > 0.0 =>
-                    {
-                        Ok(eb.max(1e-30))
-                    }
-                    _ => Err(LossyError::InvalidBound(bound)),
-                };
+        // Empty inputs have no range; any positive epsilon works.
+        ErrorBound::Absolute(eb) | ErrorBound::Relative(eb) if data.is_empty() => {
+            if eb.is_finite() && eb > 0.0 {
+                Ok(eb.max(1e-30))
+            } else {
+                Err(LossyError::InvalidBound(bound))
             }
-            bound.absolute_for(data).ok_or(LossyError::InvalidBound(bound))
         }
+        _ => bound
+            .absolute_over(Some(stats::ValueRange { min, max }))
+            .ok_or(LossyError::InvalidBound(bound)),
     }
 }
 
@@ -309,6 +344,56 @@ mod tests {
         }
         assert!(declared_len(&[16, 1]).is_err());
         assert!(declared_len(&[]).is_err());
+    }
+
+    /// The fused scan against the two passes it replaced: a finiteness
+    /// check, then `absolute_for`'s own range scan.
+    #[test]
+    fn resolve_bound_matches_the_two_pass_form() {
+        let two_pass = |data: &[f32], bound: ErrorBound| {
+            if data.iter().any(|v| !v.is_finite()) {
+                return Err(LossyError::NonFiniteInput);
+            }
+            bound.absolute_for(data).ok_or(LossyError::InvalidBound(bound))
+        };
+        let mut inputs: Vec<Vec<f32>> = vec![
+            vec![0.0],
+            vec![-0.0, 0.0, -0.0],
+            vec![0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0],
+            vec![2.5; 19],
+            vec![f32::MAX, f32::MIN],
+            vec![f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 0.0],
+            spiky_weights(1000),
+        ];
+        // Every length around the lane width, with the extremes (and a
+        // poisoned element) at every position.
+        for len in 1..=20 {
+            for at in 0..len {
+                let mut data = spiky_weights(len);
+                data[at] = 7.0;
+                data[(at + 1) % len] = -9.0;
+                inputs.push(data.clone());
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    data[at] = bad;
+                    inputs.push(data.clone());
+                }
+            }
+        }
+        for data in &inputs {
+            for bound in [
+                ErrorBound::Relative(1e-2),
+                ErrorBound::Absolute(1e-3),
+                ErrorBound::Relative(0.0),
+                ErrorBound::Absolute(f64::INFINITY),
+            ] {
+                assert_eq!(resolve_bound(data, bound), two_pass(data, bound), "{data:?} {bound}");
+            }
+            assert!(resolve_bound(data, ErrorBound::FixedPrecision(8)).is_err());
+        }
+        // Empty input: any positive epsilon, floored.
+        assert_eq!(resolve_bound(&[], ErrorBound::Relative(1e-2)), Ok(1e-2));
+        assert_eq!(resolve_bound(&[], ErrorBound::Absolute(1e-40)), Ok(1e-30));
+        assert!(resolve_bound(&[], ErrorBound::Absolute(-1.0)).is_err());
     }
 
     #[test]

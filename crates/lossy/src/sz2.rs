@@ -11,10 +11,11 @@
 
 use crate::{resolve_bound, ErrorBound, ErrorBounded, LossyError, LossyKind};
 use fedsz_codec::bitio::{BitReader, BitWriter};
-use fedsz_codec::huffman;
+use fedsz_codec::huffman::{self, Histogram};
 use fedsz_codec::quantizer::{Quantized, Quantizer};
 use fedsz_codec::varint::{
-    read_bytes, read_f32, read_f64, read_uvarint, write_f32, write_f64, write_uvarint,
+    read_bytes, read_f32, read_f32_vec, read_f64, read_uvarint, write_f32, write_f32_slice,
+    write_f64, write_uvarint,
 };
 use fedsz_codec::{CodecError, Result};
 use fedsz_lossless::{Lossless, ZstdLike};
@@ -23,6 +24,9 @@ use fedsz_lossless::{Lossless, ZstdLike};
 const VERSION: u8 = 1;
 /// Elements per prediction block.
 const BLOCK: usize = 128;
+/// Elements quantized per [`Quantizer::quantize_batch`] call: a whole
+/// default block. A larger custom block goes through in several runs.
+const BATCH: usize = BLOCK;
 
 /// Per-block predictor choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,6 +107,88 @@ fn fit_line(values: &[f32]) -> (f32, f32) {
     (a as f32, b as f32)
 }
 
+/// The quantizer's output as the encoder accumulates it.
+struct Quantization {
+    quantizer: Quantizer,
+    codes: Vec<u16>,
+    /// Counted as the codes are produced, so the Huffman stage does not
+    /// walk them again.
+    histogram: Histogram,
+    unpredictable: Vec<f32>,
+    /// What the decoder will hold for the most recent element: the
+    /// Lorenzo prediction of the next one.
+    last_recon: f32,
+}
+
+impl Quantization {
+    /// Quantizes one element against `pred`.
+    #[inline]
+    fn push(&mut self, pred: f32, value: f32) {
+        let (code, recon) = match self.quantizer.quantize(pred, value) {
+            Quantized::Code { code, reconstructed } => (code, reconstructed),
+            Quantized::Unpredictable(raw) => {
+                self.unpredictable.push(raw);
+                (Quantizer::UNPREDICTABLE, raw)
+            }
+        };
+        self.codes.push(code);
+        self.histogram.add(code);
+        self.last_recon = recon;
+    }
+
+    /// Quantizes a run whose predictions are all known up front — a
+    /// regression block's, which come from the fitted line and not from
+    /// earlier reconstructions. Lorenzo blocks cannot take this path:
+    /// each prediction *is* the previous reconstruction.
+    fn push_run(&mut self, preds: &[f32], values: &[f32]) {
+        let start = self.codes.len();
+        self.codes.resize(start + values.len(), 0);
+        match self.quantizer.quantize_batch(preds, values, &mut self.codes[start..]) {
+            Some(last) => {
+                self.last_recon = last;
+                for &code in &self.codes[start..] {
+                    self.histogram.add(code);
+                }
+            }
+            // Some element is unpredictable, out of bound after
+            // rounding, or on a rounding tie: redo the run one element
+            // at a time.
+            None => {
+                self.codes.truncate(start);
+                for (&pred, &value) in preds.iter().zip(values) {
+                    self.push(pred, value);
+                }
+            }
+        }
+    }
+}
+
+impl Sz2 {
+    /// Picks the block's predictor on original values: the Lorenzo cost
+    /// uses the previous original as a stand-in for the reconstruction.
+    fn choose_predictor(&self, chunk: &[f32], last_recon: f32) -> Predictor {
+        if !self.use_regression {
+            return Predictor::Lorenzo;
+        }
+        let mut lorenzo_cost = (f64::from(chunk[0]) - f64::from(last_recon)).abs();
+        for w in chunk.windows(2) {
+            lorenzo_cost += (f64::from(w[1]) - f64::from(w[0])).abs();
+        }
+        let (a, b) = fit_line(chunk);
+        let mut reg_cost = 0.0f64;
+        for (i, &v) in chunk.iter().enumerate() {
+            reg_cost += (f64::from(v) - (f64::from(a) * i as f64 + f64::from(b))).abs();
+        }
+        // The regression stores two f32 coefficients; require a clear
+        // win before paying for them (mirrors SZ2's sampling choice).
+        if reg_cost < 0.9 * lorenzo_cost {
+            Predictor::Regression { a, b }
+        } else {
+            Predictor::Lorenzo
+        }
+    }
+}
+
 impl ErrorBounded for Sz2 {
     fn kind(&self) -> LossyKind {
         LossyKind::Sz2
@@ -126,71 +212,56 @@ impl ErrorBounded for Sz2 {
             return Ok(out);
         }
 
-        let quantizer = Quantizer::new(eb);
-        let mut codes: Vec<u16> = Vec::with_capacity(data.len());
-        let mut unpredictable: Vec<f32> = Vec::new();
-        let mut flags = BitWriter::new();
+        let mut quantized = Quantization {
+            quantizer: Quantizer::new(eb),
+            codes: Vec::with_capacity(data.len()),
+            histogram: Histogram::new(),
+            unpredictable: Vec::new(),
+            last_recon: 0.0,
+        };
+        let mut flags = BitWriter::with_capacity(data.len().div_ceil(self.block).div_ceil(8));
         let mut coeffs: Vec<u8> = Vec::new();
-        let mut last_recon = 0.0f32;
 
         for chunk in data.chunks(self.block) {
-            // Predictor selection on original values: Lorenzo cost uses
-            // the previous original as a stand-in for the reconstruction.
-            let mut lorenzo_cost = (f64::from(chunk[0]) - f64::from(last_recon)).abs();
-            for w in chunk.windows(2) {
-                lorenzo_cost += (f64::from(w[1]) - f64::from(w[0])).abs();
-            }
-            let (a, b) = fit_line(chunk);
-            let mut reg_cost = 0.0f64;
-            for (i, &v) in chunk.iter().enumerate() {
-                reg_cost += (f64::from(v) - (f64::from(a) * i as f64 + f64::from(b))).abs();
-            }
-            // The regression stores two f32 coefficients; require a clear
-            // win before paying for them (mirrors SZ2's sampling choice).
-            let predictor = if self.use_regression && reg_cost < 0.9 * lorenzo_cost {
-                Predictor::Regression { a, b }
-            } else {
-                Predictor::Lorenzo
-            };
-            match predictor {
-                Predictor::Lorenzo => flags.write_bit(false),
+            match self.choose_predictor(chunk, quantized.last_recon) {
+                Predictor::Lorenzo => {
+                    flags.write_bit(false);
+                    for &v in chunk {
+                        quantized.push(quantized.last_recon, v);
+                    }
+                }
                 Predictor::Regression { a, b } => {
                     flags.write_bit(true);
                     write_f32(&mut coeffs, a);
                     write_f32(&mut coeffs, b);
-                }
-            }
-            for (i, &v) in chunk.iter().enumerate() {
-                let pred = match predictor {
-                    Predictor::Lorenzo => last_recon,
-                    Predictor::Regression { a, b } => a * i as f32 + b,
-                };
-                match quantizer.quantize(pred, v) {
-                    Quantized::Code { code, reconstructed } => {
-                        codes.push(code);
-                        last_recon = reconstructed;
-                    }
-                    Quantized::Unpredictable(raw) => {
-                        codes.push(Quantizer::UNPREDICTABLE);
-                        unpredictable.push(raw);
-                        last_recon = raw;
+                    let mut preds = [0.0f32; BATCH];
+                    for (k, run) in chunk.chunks(BATCH).enumerate() {
+                        let preds = &mut preds[..run.len()];
+                        for (i, pred) in preds.iter_mut().enumerate() {
+                            *pred = a * (k * BATCH + i) as f32 + b;
+                        }
+                        quantized.push_run(preds, run);
                     }
                 }
             }
         }
+        let Quantization { codes, histogram, unpredictable, .. } = quantized;
 
         // Inner container: flags, coefficients, Huffman codes, raw values.
-        let mut inner = Vec::new();
         let flag_bytes = flags.into_bytes();
+        let code_block = huffman::encode_block_counted(&codes, &histogram);
+        drop(codes);
+        let mut inner = Vec::with_capacity(
+            flag_bytes.len() + coeffs.len() + code_block.len() + 4 * unpredictable.len() + 30,
+        );
         write_uvarint(&mut inner, flag_bytes.len() as u64);
         inner.extend_from_slice(&flag_bytes);
         write_uvarint(&mut inner, coeffs.len() as u64);
         inner.extend_from_slice(&coeffs);
-        inner.extend_from_slice(&huffman::encode_block(&codes));
+        inner.extend_from_slice(&code_block);
+        drop(code_block);
         write_uvarint(&mut inner, unpredictable.len() as u64);
-        for &v in &unpredictable {
-            write_f32(&mut inner, v);
-        }
+        write_f32_slice(&mut inner, &unpredictable);
 
         // SZ2 passes its Huffman output through zstd; so do we.
         let packed = ZstdLike::new().compress(&inner);
@@ -246,46 +317,35 @@ impl ErrorBounded for Sz2 {
         if n_unpred > n {
             return Err(CodecError::Corrupt("more unpredictable values than elements"));
         }
-        let mut unpredictable = Vec::with_capacity(n_unpred);
-        for _ in 0..n_unpred {
-            unpredictable.push(read_f32(&inner, &mut ipos)?);
+        let unpredictable = read_f32_vec(&inner, &mut ipos, n_unpred)?;
+        // Settled once, so the per-element loops below cannot fail.
+        if codes.iter().filter(|&&code| code == Quantizer::UNPREDICTABLE).count() > n_unpred {
+            return Err(CodecError::Corrupt("missing unpredictable value"));
         }
 
         let quantizer = Quantizer::new(eb);
         let mut flags = BitReader::new(flag_bytes);
         let mut cpos = 0usize;
+        let mut raw = unpredictable.iter().copied();
+        let mut value_of = |pred: f32, code: u16| match code {
+            Quantizer::UNPREDICTABLE => raw.next().expect("raw values were counted above"),
+            _ => quantizer.dequantize(pred, code),
+        };
         let mut out = Vec::with_capacity(n);
-        let mut upos = 0usize;
-        let mut last_recon = 0.0f32;
-        let mut idx = 0usize;
-        while idx < n {
-            let chunk_len = block.min(n - idx);
-            let predictor = if flags.read_bit()? {
+        for codes in codes.chunks(block) {
+            if flags.read_bit()? {
                 let a = read_f32(coeff_bytes, &mut cpos)?;
                 let b = read_f32(coeff_bytes, &mut cpos)?;
-                Predictor::Regression { a, b }
+                out.extend(
+                    codes.iter().enumerate().map(|(i, &code)| value_of(a * i as f32 + b, code)),
+                );
             } else {
-                Predictor::Lorenzo
-            };
-            for i in 0..chunk_len {
-                let pred = match predictor {
-                    Predictor::Lorenzo => last_recon,
-                    Predictor::Regression { a, b } => a * i as f32 + b,
-                };
-                let code = codes[idx + i];
-                let value = if code == Quantizer::UNPREDICTABLE {
-                    let v = *unpredictable
-                        .get(upos)
-                        .ok_or(CodecError::Corrupt("missing unpredictable value"))?;
-                    upos += 1;
-                    v
-                } else {
-                    quantizer.dequantize(pred, code)
-                };
-                out.push(value);
-                last_recon = value;
+                let mut last_recon = out.last().copied().unwrap_or(0.0);
+                out.extend(codes.iter().map(|&code| {
+                    last_recon = value_of(last_recon, code);
+                    last_recon
+                }));
             }
-            idx += chunk_len;
         }
         Ok(out)
     }
@@ -385,5 +445,145 @@ mod tests {
         let (a, b) = fit_line(&values);
         assert!((a - 0.5).abs() < 1e-4);
         assert!((b - 2.0).abs() < 1e-3);
+    }
+
+    /// SZ2's encoder as it was before batching: one predictor choice,
+    /// one `Quantizer::quantize` per element and a Huffman stage that
+    /// counts its own symbols. The oracle for the tests below.
+    fn compress_reference(codec: &Sz2, data: &[f32], bound: ErrorBound) -> Vec<u8> {
+        let eb = bound.absolute_for(data).unwrap() as f32;
+        let mut out = vec![LossyKind::Sz2.id(), VERSION];
+        write_uvarint(&mut out, data.len() as u64);
+        write_f64(&mut out, f64::from(eb));
+        write_uvarint(&mut out, codec.block as u64);
+        let quantizer = Quantizer::new(eb);
+        let (mut codes, mut unpredictable) = (Vec::new(), Vec::new());
+        let (mut flags, mut coeffs) = (BitWriter::new(), Vec::new());
+        let mut last_recon = 0.0f32;
+        for chunk in data.chunks(codec.block) {
+            let mut lorenzo_cost = (f64::from(chunk[0]) - f64::from(last_recon)).abs();
+            for w in chunk.windows(2) {
+                lorenzo_cost += (f64::from(w[1]) - f64::from(w[0])).abs();
+            }
+            let (a, b) = fit_line(chunk);
+            let mut reg_cost = 0.0f64;
+            for (i, &v) in chunk.iter().enumerate() {
+                reg_cost += (f64::from(v) - (f64::from(a) * i as f64 + f64::from(b))).abs();
+            }
+            let regression = codec.use_regression && reg_cost < 0.9 * lorenzo_cost;
+            flags.write_bit(regression);
+            if regression {
+                write_f32(&mut coeffs, a);
+                write_f32(&mut coeffs, b);
+            }
+            for (i, &v) in chunk.iter().enumerate() {
+                let pred = if regression { a * i as f32 + b } else { last_recon };
+                last_recon = match quantizer.quantize(pred, v) {
+                    Quantized::Code { code, reconstructed } => {
+                        codes.push(code);
+                        reconstructed
+                    }
+                    Quantized::Unpredictable(raw) => {
+                        codes.push(Quantizer::UNPREDICTABLE);
+                        unpredictable.push(raw);
+                        raw
+                    }
+                };
+            }
+        }
+        let mut inner = Vec::new();
+        let flag_bytes = flags.into_bytes();
+        write_uvarint(&mut inner, flag_bytes.len() as u64);
+        inner.extend_from_slice(&flag_bytes);
+        write_uvarint(&mut inner, coeffs.len() as u64);
+        inner.extend_from_slice(&coeffs);
+        inner.extend_from_slice(&huffman::encode_block(&codes));
+        write_uvarint(&mut inner, unpredictable.len() as u64);
+        for &v in &unpredictable {
+            write_f32(&mut inner, v);
+        }
+        let packed = ZstdLike::new().compress(&inner);
+        write_uvarint(&mut out, packed.len() as u64);
+        out.extend_from_slice(&packed);
+        out
+    }
+
+    /// How many of a stream's blocks chose the regression predictor.
+    fn regression_blocks(stream: &[u8]) -> u32 {
+        let mut pos = 2;
+        read_uvarint(stream, &mut pos).unwrap();
+        pos += 8;
+        read_uvarint(stream, &mut pos).unwrap();
+        let inner = ZstdLike::new().decompress(read_bytes(stream, &mut pos).unwrap()).unwrap();
+        read_bytes(&inner, &mut 0).unwrap().iter().map(|b| b.count_ones()).sum()
+    }
+
+    /// Noise around a slow drift: the texture of flattened weights, on
+    /// which the line fit beats the previous-value predictor.
+    fn weight_like(n: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let noise = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                0.05 * noise + 1e-5 * i as f32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_blocks_match_the_scalar_reference() {
+        let mut spiked = weight_like(5000, 7);
+        for i in (0..spiked.len()).step_by(211) {
+            spiked[i] = if i % 2 == 0 { 40.0 } else { -40.0 };
+        }
+        let mut zeros = weight_like(3000, 9);
+        for (i, v) in zeros.iter_mut().enumerate().filter(|(i, _)| i % 5 < 2) {
+            *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let cases: [(&str, &[f32], ErrorBound); 6] = [
+            ("weights, REL 1e-2", &weight_like(20_000, 1), ErrorBound::Relative(1e-2)),
+            ("weights, REL 1e-4", &weight_like(20_000, 2), ErrorBound::Relative(1e-4)),
+            // The spikes fall out of the quantizer's range inside
+            // regression blocks: those batches fall back, the rest do not.
+            ("spikes, ABS 1e-5", &spiked, ErrorBound::Absolute(1e-5)),
+            ("spikes, REL 1e-3", &spiked, ErrorBound::Relative(1e-3)),
+            ("signed zeros", &zeros, ErrorBound::Absolute(1e-3)),
+            ("short tail block", &weight_like(128 * 3 + 5, 3), ErrorBound::Relative(1e-2)),
+        ];
+        // 1000 > BATCH: one block spans several batches, and a fallback
+        // in one of them must leave its neighbours' codes alone.
+        for codec in [Sz2::new(), Sz2::with_block_size(1000), Sz2::with_block_size(4)] {
+            for (name, data, bound) in cases {
+                let packed = codec.compress(data, bound).unwrap();
+                let want = compress_reference(&codec, data, bound);
+                assert_eq!(packed, want, "{name}, block {}", codec.block);
+                if codec.block >= BLOCK && !name.contains("zeros") {
+                    assert!(regression_blocks(&packed) > 0, "{name}: no regression block");
+                }
+            }
+        }
+    }
+
+    /// Every residual of a regression block exactly half a bin from its
+    /// prediction: where round-half-away and round-half-even part ways,
+    /// so the batch must stand down and the scalar path decide.
+    #[test]
+    fn exact_half_bin_residuals_match_the_scalar_reference() {
+        // Period 8, zero mean, zero first moment: the least-squares fit
+        // is exactly a = 0, b = 1, and the pattern wiggles enough that
+        // the fit still beats the previous-value predictor.
+        let pattern = [1.25f32, 0.75, 1.25, 0.75, 0.75, 1.25, 0.75, 1.25];
+        let data: Vec<f32> = pattern.iter().copied().cycle().take(BLOCK * 4).collect();
+        assert_eq!(fit_line(&data[..BLOCK]), (0.0, 1.0));
+        // eb = 0.25: bins are 0.5 wide, residuals are +-0.25.
+        let bound = ErrorBound::Absolute(0.25);
+        let codec = Sz2::new();
+        let packed = codec.compress(&data, bound).unwrap();
+        assert_eq!(regression_blocks(&packed), 4);
+        assert_eq!(packed, compress_reference(&codec, &data, bound));
+        // Half away from zero: every value lands a whole bin from 1.0.
+        let restored = codec.decompress(&packed).unwrap();
+        assert!(restored.iter().all(|&v| v == 1.5 || v == 0.5), "{:?}", &restored[..8]);
     }
 }

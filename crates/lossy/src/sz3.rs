@@ -13,7 +13,9 @@
 use crate::{resolve_bound, ErrorBound, ErrorBounded, LossyError, LossyKind};
 use fedsz_codec::huffman;
 use fedsz_codec::quantizer::{Quantized, Quantizer};
-use fedsz_codec::varint::{read_f32, read_f64, read_uvarint, write_f32, write_f64, write_uvarint};
+use fedsz_codec::varint::{
+    read_bytes, read_f32_vec, read_f64, read_uvarint, write_f32_slice, write_f64, write_uvarint,
+};
 use fedsz_codec::{CodecError, Result};
 use fedsz_lossless::{Lossless, ZstdLike};
 
@@ -146,9 +148,7 @@ impl ErrorBounded for Sz3 {
         let mut inner = Vec::new();
         inner.extend_from_slice(&huffman::encode_block(&codes));
         write_uvarint(&mut inner, unpredictable.len() as u64);
-        for &v in &unpredictable {
-            write_f32(&mut inner, v);
-        }
+        write_f32_slice(&mut inner, &unpredictable);
         let packed = ZstdLike::new().compress(&inner);
         write_uvarint(&mut out, packed.len() as u64);
         out.extend_from_slice(&packed);
@@ -175,8 +175,19 @@ impl ErrorBounded for Sz3 {
         if !(eb.is_finite() && eb > 0.0) {
             return Err(CodecError::Corrupt("invalid error bound in header"));
         }
-        let packed_len = read_uvarint(bytes, &mut pos)? as usize;
-        let packed = bytes.get(pos..pos + packed_len).ok_or(CodecError::UnexpectedEof)?;
+        // The same three bounds as SZ2: this decoder runs on a peer's
+        // say-so (the FSZ1 header's lossy id picks it, not the plan), so
+        // no length field may size a buffer before something the
+        // receiver already knows bounds it. First, the frame length
+        // against the bytes present, with no overflow on the way.
+        let packed = read_bytes(bytes, &mut pos)?;
+        // Second, the inner container: at most ~6 bytes per element
+        // (16-bit codes, raw unpredictables) plus a Huffman table; a
+        // frame claiming more is forged, and LZ expansion is otherwise
+        // unbounded.
+        if fedsz_lossless::declared_len(packed)? > n.saturating_mul(16).saturating_add(1 << 20) {
+            return Err(CodecError::Corrupt("inner stream larger than its element count allows"));
+        }
         let inner = ZstdLike::new().decompress(packed)?;
 
         let mut ipos = 0usize;
@@ -185,10 +196,11 @@ impl ErrorBounded for Sz3 {
             return Err(CodecError::Corrupt("code count mismatch"));
         }
         let n_unpred = read_uvarint(&inner, &mut ipos)? as usize;
-        let mut unpredictable = Vec::with_capacity(n_unpred);
-        for _ in 0..n_unpred {
-            unpredictable.push(read_f32(&inner, &mut ipos)?);
+        // Third, at most one raw value per element.
+        if n_unpred > n {
+            return Err(CodecError::Corrupt("more unpredictable values than elements"));
         }
+        let unpredictable = read_f32_vec(&inner, &mut ipos, n_unpred)?;
 
         let quantizer = Quantizer::new(eb);
         let mut recon = vec![0.0f32; n];
@@ -303,5 +315,75 @@ mod tests {
         let mut packed = codec.compress(&data, ErrorBound::Absolute(1e-2)).unwrap();
         packed.truncate(packed.len() / 3);
         assert!(codec.decompress(&packed).is_err());
+    }
+
+    /// An honest stream with its inner container rewritten by `forge`
+    /// and re-packed, the way an attacker who knows the format would.
+    fn with_forged_inner(n: usize, forge: impl FnOnce(&mut Vec<u8>, usize)) -> Vec<u8> {
+        let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.05).sin()).collect();
+        let honest = Sz3::new().compress(&data, ErrorBound::Absolute(1e-3)).unwrap();
+        let mut pos = 2;
+        read_uvarint(&honest, &mut pos).unwrap();
+        pos += 8;
+        let header = honest[..pos].to_vec();
+        let packed = read_bytes(&honest, &mut pos).unwrap();
+        let mut inner = ZstdLike::new().decompress(packed).unwrap();
+        // The unpredictable count follows the Huffman block.
+        let mut count_at = 0;
+        huffman::decode_block(&inner, &mut count_at).unwrap();
+        forge(&mut inner, count_at);
+        let mut stream = header;
+        let repacked = ZstdLike::new().compress(&inner);
+        write_uvarint(&mut stream, repacked.len() as u64);
+        stream.extend_from_slice(&repacked);
+        stream
+    }
+
+    /// The count that used to reach `Vec::with_capacity` unchecked:
+    /// 2^60 values is a 4 EiB request and an abort, not an error.
+    #[test]
+    fn forged_unpredictable_count_is_an_error() {
+        let stream = with_forged_inner(256, |inner, at| {
+            inner.truncate(at);
+            write_uvarint(inner, 1 << 60);
+        });
+        assert!(Sz3::new().decompress(&stream).is_err());
+        // One more raw value than elements, with the bytes to back it:
+        // nothing overflows, but no encoder writes that.
+        let stream = with_forged_inner(64, |inner, at| {
+            inner.truncate(at);
+            write_uvarint(inner, 65);
+            inner.extend_from_slice(&[0u8; 4 * 65]);
+        });
+        assert_eq!(
+            Sz3::new().decompress(&stream),
+            Err(CodecError::Corrupt("more unpredictable values than elements"))
+        );
+    }
+
+    #[test]
+    fn forged_frame_lengths_are_errors() {
+        let data: Vec<f32> = (0..200).map(|i| i as f32 * 0.01).collect();
+        let honest = Sz3::new().compress(&data, ErrorBound::Absolute(1e-3)).unwrap();
+        let mut pos = 2;
+        read_uvarint(&honest, &mut pos).unwrap();
+        pos += 8;
+        // A packed length that overflows `pos + len`.
+        let mut stream = honest[..pos].to_vec();
+        write_uvarint(&mut stream, u64::MAX - 3);
+        stream.extend_from_slice(&honest[pos + 1..]);
+        assert_eq!(Sz3::new().decompress(&stream), Err(CodecError::UnexpectedEof));
+        // An inner frame that declares far more bytes than 200 elements
+        // can need (flag byte, then the declared length).
+        let mut frame = vec![1u8];
+        write_uvarint(&mut frame, 1 << 40);
+        frame.extend_from_slice(&[0u8; 16]);
+        let mut stream = honest[..pos].to_vec();
+        write_uvarint(&mut stream, frame.len() as u64);
+        stream.extend_from_slice(&frame);
+        assert_eq!(
+            Sz3::new().decompress(&stream),
+            Err(CodecError::Corrupt("inner stream larger than its element count allows"))
+        );
     }
 }

@@ -178,17 +178,29 @@ fn encode_ints(w: &mut BitWriter, data: &[u32; BSIZE], maxprec: u32) {
 
 /// Embedded bit-plane decoder (ZFP's `decode_ints`).
 fn decode_ints(r: &mut BitReader<'_>, maxprec: u32) -> Result<[u32; BSIZE]> {
+    /// The most bits one plane can take: up to `BSIZE` verbatim, and a
+    /// group test, zero run and terminating one for each remaining
+    /// value. One peek per plane serves them all.
+    const PLANE_BITS: u32 = 3 * BSIZE as u32 + 1;
     let kmin = INTPREC.saturating_sub(maxprec);
     let mut data = [0u32; BSIZE];
     let mut n = 0usize;
     for k in (kmin..INTPREC).rev() {
-        let mut x = r.read_bits(n as u32)?;
+        // Bits past the end of the stream peek as zeros, which end the
+        // plane early; `consume` below then reports the truncation.
+        let window = r.peek_bits(PLANE_BITS);
+        let mut left = PLANE_BITS;
+        let mut take = |count: u32| {
+            left -= count;
+            (window >> left) & ((1u64 << count) - 1)
+        };
+        let mut x = take(n as u32);
         while n < BSIZE {
-            if !r.read_bit()? {
+            if take(1) == 0 {
                 break;
             }
             while n < BSIZE - 1 {
-                if r.read_bit()? {
+                if take(1) != 0 {
                     break;
                 }
                 n += 1;
@@ -196,6 +208,7 @@ fn decode_ints(r: &mut BitReader<'_>, maxprec: u32) -> Result<[u32; BSIZE]> {
             x |= 1u64 << n;
             n += 1;
         }
+        r.consume(PLANE_BITS - left)?;
         for (i, v) in data.iter_mut().enumerate() {
             *v |= (((x >> i) & 1) as u32) << k;
         }

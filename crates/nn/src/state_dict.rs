@@ -5,7 +5,9 @@
 //! running statistics, step counters). The binary wire format here plays
 //! the role of the paper's pickle serialization.
 
-use fedsz_codec::varint::{read_f32, read_str, read_uvarint, write_f32, write_str, write_uvarint};
+use fedsz_codec::varint::{
+    read_f32_vec, read_str, read_uvarint, write_f32_slice, write_str, write_uvarint,
+};
 use fedsz_codec::{CodecError, Result};
 use fedsz_tensor::Tensor;
 use std::collections::HashMap;
@@ -119,9 +121,7 @@ impl StateDict {
             for &d in tensor.shape() {
                 write_uvarint(out, d as u64);
             }
-            for &v in tensor.data() {
-                write_f32(out, v);
-            }
+            write_f32_slice(out, tensor.data());
         }
     }
 
@@ -155,10 +155,7 @@ impl StateDict {
             if elems > bytes.len().saturating_sub(pos) / 4 + 1 {
                 return Err(CodecError::Corrupt("tensor larger than remaining input"));
             }
-            let mut data = Vec::with_capacity(elems);
-            for _ in 0..elems {
-                data.push(read_f32(bytes, &mut pos)?);
-            }
+            let data = read_f32_vec(bytes, &mut pos, elems)?;
             dict.insert(name, Tensor::from_vec(shape, data));
         }
         Ok(dict)

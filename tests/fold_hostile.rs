@@ -12,12 +12,15 @@
 //! installs a global allocator that records the largest single request
 //! each thread makes.
 
-use fedsz::{FedSz, FedSzConfig};
+use fedsz::{FedSz, FedSzConfig, LossyKind};
 use fedsz_codec::checksum::crc32;
-use fedsz_codec::varint::write_uvarint;
+use fedsz_codec::huffman;
+use fedsz_codec::varint::{read_bytes, read_uvarint, write_uvarint};
 use fedsz_fl::codec::FamilyCodec;
 use fedsz_fl::step::FoldStep;
 use fedsz_fl::{FlConfig, StagePolicy};
+use fedsz_lossless::{Lossless, ZstdLike};
+use fedsz_lossy::{ErrorBounded, Sz3};
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
 use proptest::prelude::*;
@@ -127,6 +130,15 @@ fn kinds(reference: &StateDict) -> Vec<Kind> {
             FedSz::new(codec).compress(&update).unwrap().into_bytes(),
             true,
         ),
+        // The FSZ1 header's lossy id, not the server's plan, picks the
+        // decoder: a server whose plan says SZ2 still runs SZ3 on a
+        // frame that says SZ3.
+        kind(
+            "FSZ1-sz3",
+            &StagePolicy::Lossy(codec),
+            FedSz::new(codec.with_lossy(LossyKind::Sz3)).compress(&update).unwrap().into_bytes(),
+            true,
+        ),
         kind("FUC1-sparse", &topk, sparse.unwrap(), true),
         kind("FUC1-quant", &q8, quant.unwrap(), true),
         kind("raw", &StagePolicy::Raw, update.to_bytes(), false),
@@ -223,6 +235,60 @@ fn thirty_byte_sparse_frame_is_an_error_not_an_abort() {
     assert!(!decode_is_total(&kind, &kind.payload, &reference, "the 30-byte hostile frame"));
 }
 
+/// The stream from the SZ3 bug report: an honest SZ3 frame whose
+/// inner container has its unpredictable-value count rewritten to
+/// 2^60 and is re-packed, so every outer length and checksum is
+/// consistent. Before the fix `Sz3::decompress` passed that count to
+/// `Vec::with_capacity` — a 4 EiB request and a SIGABRT. It must be
+/// an `Err` both bare and wrapped in an FSZ1 frame whose header says
+/// SZ3, which is how it reaches a server from the network.
+#[test]
+fn forged_sz3_unpredictable_count_is_an_error_not_an_abort() {
+    let reference = template();
+    let kind = kinds(&reference).into_iter().find(|k| k.name == "FSZ1-sz3").unwrap();
+    let tensor = update_of(&reference).get("conv.weight").unwrap().clone();
+    let bound = FlConfig::tiny_model_compression().error_bound;
+    let honest = Sz3::new().compress(tensor.data(), bound).unwrap();
+
+    // Header (id, version, n, eb), then the length-prefixed zstd frame.
+    let mut pos = 2;
+    read_uvarint(&honest, &mut pos).unwrap();
+    pos += 8;
+    let mut forged = honest[..pos].to_vec();
+    let mut inner = ZstdLike::new().decompress(read_bytes(&honest, &mut pos).unwrap()).unwrap();
+    let mut count_at = 0;
+    huffman::decode_block(&inner, &mut count_at).unwrap();
+    forge_varint(&mut inner, count_at, 1 << 60);
+    let repacked = ZstdLike::new().compress(&inner);
+    write_uvarint(&mut forged, repacked.len() as u64);
+    forged.extend_from_slice(&repacked);
+
+    // Bare, under the allocation watch.
+    let limit = 16 * reference.byte_size() + (4 << 20);
+    LARGEST.with(|largest| largest.set(0));
+    let outcome = std::panic::catch_unwind(|| Sz3::new().decompress(&forged));
+    let largest = LARGEST.with(Cell::get);
+    assert!(outcome.expect("bare decode panicked").is_err());
+    assert!(largest <= limit, "bare decode requested {largest} bytes at once");
+
+    // Framed: swap the honest lossy stream inside the FSZ1 payload for
+    // the forgery, fix its length prefix and the CRC trailer.
+    let mut prefixed = Vec::new();
+    write_uvarint(&mut prefixed, honest.len() as u64);
+    prefixed.extend_from_slice(&honest);
+    let at = kind
+        .payload
+        .windows(prefixed.len())
+        .position(|w| w == prefixed)
+        .expect("the FSZ1 frame carries the honest SZ3 stream");
+    let mut payload = kind.payload[..at].to_vec();
+    write_uvarint(&mut payload, forged.len() as u64);
+    payload.extend_from_slice(&forged);
+    payload.extend_from_slice(&kind.payload[at + prefixed.len()..]);
+    fix_crc(&mut payload);
+    assert!(!decode_is_total(&kind, &payload, &reference, "the forged SZ3 frame"));
+}
+
 /// Every byte offset of every payload kind, overwritten with a huge
 /// varint and re-checksummed: whichever length field lives there —
 /// entry counts, ranks, dimensions, stream and blob lengths, the
@@ -253,7 +319,7 @@ proptest! {
     /// and without the CRC recomputed.
     #[test]
     fn mutated_uploads_are_errors_not_crashes(
-        which in 0usize..4,
+        which in 0usize..5,
         mutation in 0usize..3,
         at in any::<u32>(),
         bit in 0u32..8,
