@@ -9,7 +9,7 @@
 use fedsz::{ErrorBound, FedSzConfig, LossyKind};
 use fedsz_bench::{print_table, Args};
 use fedsz_data::DatasetKind;
-use fedsz_fl::{Experiment, FlConfig};
+use fedsz_fl::{Experiment, FlConfig, StagePolicy};
 use fedsz_nn::models::tiny::TinyArch;
 
 fn main() {
@@ -24,20 +24,20 @@ fn main() {
     for dataset in datasets {
         for arch in TinyArch::all() {
             let mut rows = Vec::new();
-            let mut run = |label: String, compression: Option<FedSzConfig>| {
+            let mut run = |label: String, uplink: StagePolicy| {
                 let mut config = FlConfig::paper_default(arch, dataset);
                 config.rounds = rounds;
-                config.compression = compression;
+                config.uplink = uplink;
                 let metrics = Experiment::new(config).run();
                 let mut cells = vec![label];
                 cells.extend(metrics.iter().map(|m| format!("{:.1}", m.test_accuracy * 100.0)));
                 rows.push(cells);
             };
-            run("Uncompressed".to_string(), None);
+            run("Uncompressed".to_string(), StagePolicy::Raw);
             for kind in [LossyKind::Sz2, LossyKind::Sz3, LossyKind::Zfp, LossyKind::Szx] {
                 run(
                     format!("FedSZ-{}", kind.name()),
-                    Some(
+                    StagePolicy::Lossy(
                         FedSzConfig { lossy: kind, ..FlConfig::tiny_model_compression() }
                             .with_error_bound(ErrorBound::Relative(1e-2)),
                     ),

@@ -8,7 +8,7 @@
 use fedsz::ErrorBound;
 use fedsz_bench::{print_table, Args};
 use fedsz_data::DatasetKind;
-use fedsz_fl::{Experiment, FlConfig};
+use fedsz_fl::{Experiment, FlConfig, StagePolicy};
 use fedsz_nn::models::tiny::TinyArch;
 
 fn main() {
@@ -26,14 +26,14 @@ fn main() {
         for arch in TinyArch::all() {
             let mut config = FlConfig::paper_default(arch, dataset);
             config.rounds = rounds;
-            config.compression = None;
+            config.uplink = StagePolicy::Raw;
             let baseline =
                 Experiment::new(config).run().last().map(|m| m.test_accuracy).unwrap_or(0.0);
             let mut cells = vec![arch.name().to_string(), format!("{:.1}", baseline * 100.0)];
             for &eb in &bounds {
                 let mut config = FlConfig::paper_default(arch, dataset);
                 config.rounds = rounds;
-                config.compression = Some(
+                config.uplink = StagePolicy::Lossy(
                     FlConfig::tiny_model_compression().with_error_bound(ErrorBound::Relative(eb)),
                 );
                 let acc =

@@ -11,18 +11,16 @@
 
 use fedsz_bench::{print_table, Args};
 use fedsz_data::DatasetKind;
-use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile, RoundMetrics};
+use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile, RoundMetrics, Topology};
 use fedsz_nn::models::tiny::TinyArch;
 
 fn base_config(clients: usize, rounds: usize) -> FlConfig {
-    FlConfig::builder()
-        .arch(TinyArch::AlexNet)
-        .dataset(DatasetKind::Cifar10Like)
-        .clients(clients)
-        .rounds(rounds)
-        .train_per_class(8)
-        .test_per_class(4)
-        .build()
+    let mut config = FlConfig::paper_default(TinyArch::AlexNet, DatasetKind::Cifar10Like);
+    config.clients = clients;
+    config.rounds = rounds;
+    config.data.train_per_class = 8;
+    config.data.test_per_class = 4;
+    config
 }
 
 fn hetero_links(clients: usize, slowdown: f64) -> Vec<LinkProfile> {
@@ -60,7 +58,7 @@ fn main() {
 
     let shared = base_config(clients, rounds);
     let mut dedicated = shared.clone();
-    dedicated.links = Some(hetero_links(clients, slowdown));
+    dedicated.links = Some(Topology::Dedicated(hetero_links(clients, slowdown)));
     let mut buffered = dedicated.clone();
     buffered.aggregation = AggregationPolicy::Buffered { target: clients.saturating_sub(1).max(1) };
 

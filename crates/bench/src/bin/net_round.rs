@@ -28,22 +28,20 @@
 
 use fedsz_bench::Args;
 use fedsz_fl::net::{global_checksum, run_worker, NetServer, ServeConfig, WorkerConfig};
-use fedsz_fl::{Experiment, FlConfig, PsumMode};
+use fedsz_fl::{Experiment, FlConfig, StagePolicy};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// The bench's base configuration: the CLI smoke shape, parameterized.
 fn base_config(clients: usize, rounds: usize, train_per_class: usize, seed: u64) -> FlConfig {
-    FlConfig::builder()
-        .data(FlConfig::smoke_test().data)
-        .batch_size(8) // the smoke shape, not paper_default's 16
-        .clients(clients)
-        .rounds(rounds)
-        .seed(seed)
-        .train_per_class(train_per_class)
-        .test_per_class((train_per_class / 2).max(2))
-        .compression(Some(FlConfig::tiny_model_compression()))
-        .build()
+    let mut config = FlConfig::smoke_test();
+    config.clients = clients;
+    config.rounds = rounds;
+    config.seed = seed;
+    config.data.seed = seed;
+    config.data.train_per_class = train_per_class;
+    config.data.test_per_class = (train_per_class / 2).max(2);
+    config
 }
 
 /// One loopback deployment: root (+ optional relay tier) + workers,
@@ -52,9 +50,9 @@ fn base_config(clients: usize, rounds: usize, train_per_class: usize, seed: u64)
 fn run_deployment(config: &FlConfig, shards: Option<usize>) -> (u32, f64, usize, usize) {
     let timeout = Duration::from_secs(120);
     let mut fl = config.clone();
-    fl.shards = shards;
+    fl.tree = shards.map(|s| vec![s]);
     if shards.is_some() {
-        fl.psum = PsumMode::Lossless;
+        fl.psum = StagePolicy::Lossless;
     }
     let t0 = Instant::now();
     let root = NetServer::bind("127.0.0.1:0").expect("bind loopback root");
@@ -74,8 +72,8 @@ fn run_deployment(config: &FlConfig, shards: Option<usize>) -> (u32, f64, usize,
             }
         }
         Some(shards) => {
-            let plan = fedsz_fl::ShardPlan::new(fl.clients, shards);
-            for shard in 0..plan.shards() {
+            let plan = fl.plan().expect("valid bench config");
+            for shard in 0..shards {
                 let relay = NetServer::bind("127.0.0.1:0").expect("bind loopback relay");
                 let relay_addr = relay.local_addr().to_string();
                 let mut relay_config =
@@ -83,7 +81,7 @@ fn run_deployment(config: &FlConfig, shards: Option<usize>) -> (u32, f64, usize,
                 relay_config.accept_timeout = timeout;
                 relay_config.round_timeout = timeout;
                 relays.push(thread::spawn(move || relay.run(relay_config)));
-                for id in plan.range(shard) {
+                for id in plan.reparent_range(shard).expect("shard in range") {
                     let worker_config = WorkerConfig::new(fl.clone(), id, relay_addr.clone());
                     workers.push(thread::spawn(move || run_worker(worker_config)));
                 }

@@ -48,7 +48,7 @@ use fedsz::{ErrorBound, FedSzConfig, LossyKind};
 use fedsz_bench::Args;
 use fedsz_data::DatasetKind;
 use fedsz_fl::plan::StagePolicy;
-use fedsz_fl::{DpMechanism, DpPolicy, Experiment, FlConfig, RoundMetrics};
+use fedsz_fl::{DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, RoundMetrics, Topology};
 use fedsz_nn::models::tiny::TinyArch;
 use std::collections::BTreeMap;
 
@@ -65,13 +65,7 @@ struct Row {
     on_frontier: bool,
 }
 
-fn run_family(
-    name: &'static str,
-    spec: &str,
-    uplink: Option<StagePolicy>,
-    compression: Option<FedSzConfig>,
-    args: &SweepArgs,
-) -> Row {
+fn run_family(name: &'static str, spec: &str, uplink: StagePolicy, args: &SweepArgs) -> Row {
     let mut config = FlConfig::paper_default(TinyArch::AlexNet, DatasetKind::Cifar10Like);
     config.rounds = args.rounds;
     config.clients = args.clients;
@@ -79,8 +73,7 @@ fn run_family(
     config.data.seed = args.seed;
     config.data.train_per_class = args.train_per_class;
     config.data.test_per_class = (args.train_per_class / 2).max(2);
-    config.bandwidth_bps = Some(args.bandwidth);
-    config.compression = compression;
+    config.links = Some(Topology::Shared(LinkProfile::symmetric(args.bandwidth)));
     config.uplink = uplink;
     if args.dp_clip > 0.0 {
         config.dp = Some(DpPolicy {
@@ -145,50 +138,45 @@ fn main() {
         error_bound: ErrorBound::Relative(1e-2),
         ..FedSzConfig::default()
     };
-    let sweeps: Vec<(&'static str, String, Option<StagePolicy>, Option<FedSzConfig>)> = vec![
-        ("raw", "raw".into(), Some(StagePolicy::Raw), None),
-        ("sz3", "lossy (SZ3, REL 1e-2)".into(), Some(StagePolicy::Lossy(sz3)), Some(sz3)),
+    let sweeps: Vec<(&'static str, String, StagePolicy)> = vec![
+        ("raw", "raw".into(), StagePolicy::Raw),
+        ("sz3", "lossy (SZ3, REL 1e-2)".into(), StagePolicy::Lossy(sz3)),
         (
             "topk",
             format!("topk:{topk_ratio}"),
-            Some(StagePolicy::TopK { ratio: topk_ratio, error_feedback: false }),
-            None,
+            StagePolicy::TopK { ratio: topk_ratio, error_feedback: false },
         ),
         (
             "topk+ef",
             format!("topk:{topk_ratio}+ef"),
-            Some(StagePolicy::TopK { ratio: topk_ratio, error_feedback: true }),
-            None,
+            StagePolicy::TopK { ratio: topk_ratio, error_feedback: true },
         ),
         (
             "q8",
             "q8".into(),
-            Some(StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false }),
-            None,
+            StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false },
         ),
         (
             "q4s+ef",
             "q4s+ef".into(),
-            Some(StagePolicy::Quant { bits: 4, stochastic: true, error_feedback: true }),
-            None,
+            StagePolicy::Quant { bits: 4, stochastic: true, error_feedback: true },
         ),
         (
             "auto",
             "auto {sz3, topk, q8}".into(),
-            Some(StagePolicy::AutoFamily {
+            StagePolicy::AutoFamily {
                 candidates: vec![
                     StagePolicy::Lossy(sz3),
                     StagePolicy::TopK { ratio: topk_ratio, error_feedback: false },
                     StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false },
                 ],
-            }),
-            Some(sz3),
+            },
         ),
     ];
 
     let mut rows: Vec<Row> = Vec::new();
-    for (name, spec, uplink, compression) in sweeps {
-        let row = run_family(name, &spec, uplink, compression, &sweep);
+    for (name, spec, uplink) in sweeps {
+        let row = run_family(name, &spec, uplink, &sweep);
         eprintln!(
             "{name:>8}: best acc {:.3}, final acc {:.3}, {:.0} B/round uplink, \
              round {:.3}s",

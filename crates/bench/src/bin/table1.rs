@@ -13,7 +13,7 @@
 use fedsz::{ErrorBound, FedSzConfig, LossyKind};
 use fedsz_bench::{lossy_partition_values, print_table, timed, Args};
 use fedsz_data::DatasetKind;
-use fedsz_fl::{Experiment, FlConfig};
+use fedsz_fl::{Experiment, FlConfig, StagePolicy};
 use fedsz_nn::models::specs::ModelSpec;
 use fedsz_nn::models::tiny::TinyArch;
 
@@ -61,7 +61,7 @@ fn main() {
                 for &eb in &bounds {
                     let mut config = FlConfig::paper_default(arch, DatasetKind::Cifar10Like);
                     config.rounds = rounds;
-                    config.compression = Some(
+                    config.uplink = StagePolicy::Lossy(
                         FedSzConfig { lossy: kind, ..FlConfig::tiny_model_compression() }
                             .with_error_bound(ErrorBound::Relative(eb)),
                     );

@@ -43,8 +43,8 @@ use fedsz::{ErrorBound, FedSz, FedSzConfig, LosslessKind, LossyKind};
 use fedsz_data::DatasetKind;
 use fedsz_fl::net::{global_checksum, run_worker, NetServer, Role, ServeConfig, WorkerConfig};
 use fedsz_fl::{
-    AggregationPolicy, DownlinkMode, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile,
-    PsumMode, StagePolicy, TreePlan,
+    AggregationPolicy, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, StagePolicy,
+    Topology, TreePlan,
 };
 use fedsz_net::MetricsServer;
 use fedsz_nn::models::specs::ModelSpec;
@@ -572,55 +572,68 @@ fn shared_fl_config(args: &[String]) -> Result<FlConfig, String> {
     config.data.train_per_class = train_per_class;
     config.data.test_per_class = (train_per_class / 2).max(2);
     config.data.resolution = 16;
-    if args.iter().any(|a| a == "--no-compress") {
-        config.compression = None;
-    }
+    // The FedSZ codec every compressing flag below wraps; `None` under
+    // --no-compress, which also makes raw the default upload policy.
+    let codec = if args.iter().any(|a| a == "--no-compress") {
+        config.uplink = StagePolicy::Raw;
+        None
+    } else {
+        Some(FlConfig::tiny_model_compression())
+    };
     if let Some(alpha) = flag_value(args, "--non-iid") {
         match alpha.parse::<f64>() {
             Ok(a) if a > 0.0 => config.non_iid_alpha = Some(a),
             _ => return Err("--non-iid expects a positive Dirichlet alpha".into()),
         }
     }
-    let has_shards = flag_value(args, "--shards").is_some();
-    let has_tree = flag_value(args, "--tree").is_some();
-    if has_shards && has_tree {
-        return Err("contradictory topology flags: --shards and --tree both set; \
-                    pick one (--tree S is the two-level equivalent of --shards S)"
-            .into());
-    }
-    if let Some(shards) = flag_value(args, "--shards") {
-        match shards.parse::<usize>() {
-            Ok(s) if s > 0 => config.shards = Some(s),
+    // --shards S is the two-level spelling of --tree S, range-checked
+    // against the cohort (an explicit --tree may out-leaf it).
+    config.tree = match (flag_value(args, "--shards"), flag_value(args, "--tree")) {
+        (Some(_), Some(_)) => {
+            return Err("contradictory topology flags: --shards and --tree both set; \
+                        pick one (--tree S is the two-level equivalent of --shards S)"
+                .into())
+        }
+        (Some(shards), None) => match shards.parse::<usize>() {
+            Ok(s) if (1..=clients).contains(&s) => Some(vec![s]),
+            Ok(s) if s > 0 => {
+                return Err(format!(
+                    "invalid configuration: shards must be in [1, clients], \
+                     got {s} shards for {clients} clients"
+                ))
+            }
             _ => return Err("--shards expects a positive shard count".into()),
+        },
+        (None, Some(spec)) => {
+            Some(TreePlan::parse_fanouts(spec).map_err(|e| format!("--tree: {e}"))?)
         }
-    }
-    if let Some(spec) = flag_value(args, "--tree") {
-        match TreePlan::parse_fanouts(spec) {
-            Ok(fanouts) => config.tree = Some(fanouts),
-            Err(e) => return Err(format!("--tree: {e}")),
-        }
-    }
+        (None, None) => None,
+    };
     if let Some(mode) = flag_value(args, "--psum") {
         config.psum = match mode.to_ascii_lowercase().as_str() {
-            "raw" => PsumMode::Raw,
-            "lossless" => PsumMode::Lossless,
-            "auto" | "adaptive" => PsumMode::Adaptive,
+            "raw" => StagePolicy::Raw,
+            "lossless" => StagePolicy::Lossless,
+            "auto" | "adaptive" => {
+                StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossless) }
+            }
             other => return Err(format!("unknown psum mode `{other}`; try raw, lossless, auto")),
         };
-        if config.psum != PsumMode::Raw && config.tree_fanouts().is_none() {
+        if config.psum.compresses() && config.tree.is_none() {
             return Err("--psum needs an aggregation tree (--shards or --tree)".into());
         }
     }
     if let Some(mode) = flag_value(args, "--downlink") {
+        let need_codec = || {
+            codec.map(StagePolicy::Lossy).ok_or_else(|| {
+                "--downlink fedsz/auto requires compression (drop --no-compress)".to_string()
+            })
+        };
         config.downlink = match mode.to_ascii_lowercase().as_str() {
-            "raw" => DownlinkMode::Raw,
-            "fedsz" => DownlinkMode::Compressed,
-            "auto" | "adaptive" => DownlinkMode::Adaptive,
+            "raw" => StagePolicy::Raw,
+            "fedsz" => need_codec()?,
+            "auto" | "adaptive" => StagePolicy::Adaptive { compressed: Box::new(need_codec()?) },
             other => return Err(format!("unknown downlink mode `{other}`; try raw, fedsz, auto")),
         };
-        if config.downlink != DownlinkMode::Raw && config.compression.is_none() {
-            return Err("--downlink fedsz/auto requires compression (drop --no-compress)".into());
-        }
     }
     // The uplink codec policy, parsed here so `fl`, `serve` and
     // `worker` agree. `--adaptive` is shorthand for `--uplink
@@ -633,8 +646,8 @@ fn shared_fl_config(args: &[String]) -> Result<FlConfig, String> {
                  but --uplink {spec} is also set; pick one"
             ))
         }
-        Some(spec) => config.uplink = Some(parse_uplink(spec, config.compression)?),
-        None if adaptive => config.uplink = Some(parse_uplink("adaptive", config.compression)?),
+        Some(spec) => config.uplink = parse_uplink(spec, codec)?,
+        None if adaptive => config.uplink = parse_uplink("adaptive", codec)?,
         None => {}
     }
     // The DP stage: --dp-clip is the switch (a clip bound is the one
@@ -711,7 +724,6 @@ fn simulator_config(args: &[String]) -> Result<FlConfig, String> {
         return Err("--latency must be non-negative".into());
     }
     config.participation = participation;
-    config.bandwidth_bps = Some(bandwidth_mbps * 1e6);
     config.weighted_aggregation = args.iter().any(|a| a == "--weighted");
 
     // Per-client links: a bandwidth list plus straggler/drop injection.
@@ -719,7 +731,8 @@ fn simulator_config(args: &[String]) -> Result<FlConfig, String> {
     let drops = parse_client_pairs(&flag_values(args, "--drop"), "--drop")?;
     // --latency alone keeps the paper's shared pipe (with per-message
     // latency); only per-client knobs switch to dedicated links.
-    config.latency_secs = latency_ms / 1e3;
+    let pipe = LinkProfile::symmetric(bandwidth_mbps * 1e6).with_latency(latency_ms / 1e3);
+    config.links = Some(Topology::Shared(pipe));
     let heterogeneous =
         flag_value(args, "--links").is_some() || !stragglers.is_empty() || !drops.is_empty();
     if heterogeneous {
@@ -765,7 +778,7 @@ fn simulator_config(args: &[String]) -> Result<FlConfig, String> {
             }
             *link = link.with_drop_prob(prob);
         }
-        config.links = Some(links);
+        config.links = Some(Topology::Dedicated(links));
     }
 
     if let Some(policy) = flag_value(args, "--policy") {
@@ -779,8 +792,8 @@ fn simulator_config(args: &[String]) -> Result<FlConfig, String> {
     }
 
     // One validation pass over the assembled configuration: anything
-    // the targeted flag checks above missed (out-of-range shard
-    // counts, contradictory topology, link-list mismatches) fails
+    // the targeted flag checks above missed (illegal stage policies,
+    // stateful uplinks under buffering, link-list mismatches) fails
     // here with the plan's actionable message instead of a panic.
     if let Err(e) = config.plan() {
         return Err(format!("invalid configuration: {e}"));
@@ -798,15 +811,14 @@ fn fl(args: &[String]) -> Outcome {
 
     // A tree implies per-client last miles into the leaves (the tree
     // topology), even when no explicit link list was given.
-    let fanouts = config.tree_fanouts();
-    let topology = if config.links.is_some() {
+    let topology = if matches!(config.links, Some(Topology::Dedicated(_))) {
         "per-client links"
-    } else if fanouts.is_some() {
+    } else if config.tree.is_some() {
         "per-client last miles"
     } else {
         "shared pipe"
     };
-    let server = match &fanouts {
+    let server = match &config.tree {
         Some(f) if f.len() == 1 => format!("{}-shard tree", f[0]),
         Some(f) => format!(
             "depth-{} tree ({})",
@@ -818,8 +830,8 @@ fn fl(args: &[String]) -> Outcome {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "fl: {clients} clients, {} rounds, {:?} on {topology}, {server}, policy {:?}, downlink {:?}, psum {}",
-        config.rounds, arch, config.aggregation, config.downlink, config.psum.name()
+        "fl: {clients} clients, {} rounds, {:?} on {topology}, {server}, policy {:?}, downlink {}, psum {}",
+        config.rounds, arch, config.aggregation, config.downlink.name(), config.psum.name()
     );
     let _ = writeln!(
         report,
@@ -947,20 +959,14 @@ fn serve(args: &[String]) -> Outcome {
     if let Err(e) = reject_simulator_flags(args, "serve") {
         return Outcome::fail(e);
     }
-    // Validate once; the socket runtime consumes the canonical plan,
-    // never the raw precedence-ridden knobs.
-    let plan = match config.plan() {
-        Ok(plan) => plan,
-        Err(e) => return Outcome::fail(format!("invalid configuration: {e}")),
-    };
-    if plan.tree_fanouts().is_some_and(|f| f.len() > 1) {
+    if config.tree.as_ref().is_some_and(|f| f.len() > 1) {
         return Outcome::fail(
             "the socket runtime runs two-level trees: use --shards S \
              (deeper --tree hierarchies are simulator-only for now)"
                 .into(),
         );
     }
-    if config.downlink == DownlinkMode::Adaptive {
+    if config.downlink.is_adaptive() {
         return Outcome::fail(
             "serve supports --downlink raw|fedsz (auto needs the simulator's link model)".into(),
         );
@@ -996,16 +1002,6 @@ fn serve(args: &[String]) -> Outcome {
             let Some(upstream) = flag_value(args, "--connect") else {
                 return Outcome::fail("--shard requires --connect UPSTREAM".into());
             };
-            let Some(shards) = plan.shard_count() else {
-                return Outcome::fail("--shard requires --shards S (the full tree shape)".into());
-            };
-            // Checked here so a typo'd index fails as a CLI error
-            // instead of a panic later.
-            if shard as usize >= shards {
-                return Outcome::fail(format!(
-                    "--shard {shard} outside the {shards}-shard plan (valid: 0..{shards})"
-                ));
-            }
             Role::Relay { shard, upstream: upstream.to_string() }
         }
     };
@@ -1031,15 +1027,15 @@ fn serve(args: &[String]) -> Outcome {
         fail_at_round,
         telemetry: telemetry.clone(),
     };
-    // The socket runtime's own constraints (e.g. a `--tree S` spec
-    // that out-leafs the cohort — every shard here is a real relay
-    // process) live in one place: ServeConfig::plan. Reuse its plan
-    // for the child expectation instead of re-validating.
-    let serve_plan = match serve_config.plan() {
+    // Validate once. The plan's checks and the socket runtime's own
+    // (a `--tree S` spec that out-leafs the cohort, a `--shard` the
+    // tree does not have — every shard here is a real relay process)
+    // live in one place: ServeConfig::plan.
+    let plan = match serve_config.plan() {
         Ok(plan) => plan,
         Err(e) => return Outcome::fail(e.to_string()),
     };
-    let expected = ServeConfig::expected_children_of(&serve_plan, &serve_config.role).len();
+    let expected = ServeConfig::expected_children_of(&plan, &serve_config.role).len();
     let bind = flag_value(args, "--bind").unwrap_or("127.0.0.1:7070");
     let server = match NetServer::bind(bind) {
         Ok(server) => server,
@@ -1075,7 +1071,7 @@ fn serve(args: &[String]) -> Outcome {
         // dp_sigma comes from the shared plan (the noise itself is
         // applied worker-side, but the policy is part of the plan
         // every process agrees on).
-        let dp_sigma = plan.dp.map(|p| p.sigma());
+        let dp_sigma = plan.config.dp.map(|p| p.sigma());
         let rounds = report.rounds.iter().map(|r| RoundRow::socket(r, relay, dp_sigma)).collect();
         let run_report = RunReport {
             command: "serve",
@@ -1201,7 +1197,7 @@ fn worker(args: &[String]) -> Outcome {
         report.rounds,
         report.reconnects,
         // The bandwidth Eqn 1 was priced with, whenever it priced.
-        if plan.uplink.is_adaptive() {
+        if plan.config.uplink.is_adaptive() {
             format!(", measured uplink {:.0} Mbps", report.measured_bps / 1e6)
         } else {
             String::new()
@@ -1357,8 +1353,7 @@ mod tests {
 
     #[test]
     fn contradictory_topology_flags_rejected() {
-        // --shards and --tree silently disagreeing was a footgun: the
-        // config preferred --tree and ignored --shards. Now it's an
+        // --shards is sugar for a one-level --tree: naming both is an
         // error, on every subcommand sharing the parser.
         for cmd in ["fl", "serve", "worker"] {
             let out = runv(&[cmd, "--shards", "2", "--tree", "2x2", "--clients", "4"]);
@@ -1465,7 +1460,7 @@ mod tests {
         ]);
         assert_eq!(out.code, 0, "{}", out.report);
         assert!(out.report.contains("2-shard tree"), "{}", out.report);
-        assert!(out.report.contains("Compressed"), "{}", out.report);
+        assert!(out.report.contains("downlink lossy"), "{}", out.report);
         assert!(out.report.contains("downKB"), "{}", out.report);
         assert!(out.report.contains("root ingress"), "{}", out.report);
     }
@@ -1487,6 +1482,22 @@ mod tests {
         assert_ne!(out.code, 0);
         assert!(out.report.contains("unknown key"), "{}", out.report);
         assert_ne!(runv(&["fl", "--config", "/nonexistent.toml"]).code, 0);
+        // Each sugar flag parses into the same field as its long form:
+        // same config, same run, same bits.
+        std::fs::write(&path, "clients = 2\nrounds = 1\ntrain-per-class = 2\nseed = 5\n").unwrap();
+        let checksum = |extra: &[&str]| {
+            let out = runv(&[&["fl", "--config", &path], extra].concat());
+            assert_eq!(out.code, 0, "{extra:?}: {}", out.report);
+            let line = out.report.lines().find(|l| l.starts_with("global checksum"));
+            line.unwrap_or_else(|| panic!("{extra:?} printed no checksum")).to_owned()
+        };
+        for (sugar, long_form) in [
+            (&["--shards", "2"][..], &["--tree", "2"][..]),
+            (&["--no-compress"], &["--uplink", "raw"]),
+            (&["--adaptive"], &["--uplink", "adaptive"]),
+        ] {
+            assert_eq!(checksum(sugar), checksum(long_form), "{sugar:?} vs {long_form:?}");
+        }
         cleanup(&[&path]);
     }
 
@@ -1514,8 +1525,8 @@ mod tests {
 
     #[test]
     fn invalid_plans_fail_with_actionable_messages() {
-        // Out-of-range shard counts used to be clamped by the library;
-        // they now fail the plan with the range in the message.
+        // An out-of-range --shards count fails with the range in the
+        // message, on every subcommand sharing the parser.
         let out = runv(&["fl", "--clients", "2", "--shards", "9"]);
         assert_ne!(out.code, 0);
         assert!(out.report.contains("9 shards for 2 clients"), "{}", out.report);

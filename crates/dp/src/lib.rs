@@ -547,6 +547,21 @@ mod policy_tests {
     }
 
     #[test]
+    fn laplace_noise_is_finite_across_seeds() {
+        // One uniform draw in 2^24 lands on the Laplace quantile's log
+        // singularity; seed 6308 does so at element 633 of its round-0
+        // client-0 stream, which used to noise that element to -inf
+        // (and the fold step then dropped the whole client).
+        for seed in 6300..6316 {
+            let policy = DpPolicy { seed, ..policy(DpMechanism::Laplace) };
+            let mut data = vec![vec![0.0f32; 1024]];
+            apply_to(&policy, &mut data, 0, 0);
+            let bad = data[0].iter().position(|v| !v.is_finite());
+            assert_eq!(bad, None, "seed {seed}: non-finite noise {:?}", bad.map(|i| data[0][i]));
+        }
+    }
+
+    #[test]
     fn zero_multiplier_is_clip_only() {
         let policy = DpPolicy { noise_multiplier: 0.0, ..policy(DpMechanism::Gaussian) };
         assert_eq!(policy.sigma(), 0.0);

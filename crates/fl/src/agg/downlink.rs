@@ -25,7 +25,9 @@ use fedsz::{FedSz, FedSzConfig, Result};
 use fedsz_nn::StateDict;
 use std::time::Instant;
 
-/// How the global model travels server→client.
+/// How the global model travels server→client: [`Downlink::new`]'s
+/// argument. Configurations say the same with a [`StagePolicy`]
+/// ([`Downlink::from_policy`] maps it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DownlinkMode {
     /// Raw state-dict bytes every round (the paper's setting).

@@ -31,7 +31,7 @@
 //!
 //! **Shape.** [`TreePlan`] describes an arbitrary-depth hierarchy as a
 //! list of per-level fan-outs (`--tree 4x8x32`); the two-level
-//! `--shards S` tree is the one-entry special case. Clients partition
+//! `--shards S` tree is the one-entry case `[S]`. Clients partition
 //! contiguously and balanced across the *leaf* aggregators, and every
 //! internal node owns the union of its children's ranges.
 //!
@@ -57,6 +57,14 @@
 //! out through its levels instead of the server re-sending `N` raw
 //! copies; Eqn 1 (via an EWMA of measured codec costs) falls back to
 //! raw bytes whenever the bottleneck link would get them there faster.
+//!
+//! **Vocabulary.** A configuration names each leg's behaviour with a
+//! [`StagePolicy`](crate::plan::StagePolicy); the plan-driven runtimes
+//! build these executors through their `from_policy` constructors.
+//! [`PsumMode`] and [`DownlinkMode`] are the executors' own
+//! constructor arguments ([`PsumForwarder::new`], [`ShardedTree::new`],
+//! [`Downlink::new`]) for callers that drive one directly — they
+//! appear in no configuration.
 
 pub mod downlink;
 pub mod plan;
@@ -69,5 +77,5 @@ pub use downlink::{Downlink, DownlinkMode, DownlinkPayload};
 pub use plan::TreePlan;
 pub use pool::WorkerPool;
 pub use psum::{PsumForwarder, PsumFrame, PsumMode, PsumScratch};
-pub use shard::{template_matches, ExactAcc, PartialSum, ShardPlan};
+pub use shard::{template_matches, ExactAcc, PartialSum};
 pub use tree::{AggOutcome, Aggregator, Contribution, FlatAggregator, ShardedTree};

@@ -1,13 +1,12 @@
 //! Arbitrary-depth aggregation-tree planning.
 //!
-//! [`ShardPlan`](crate::agg::ShardPlan) partitions a cohort across one
-//! tier of edge aggregators. [`TreePlan`] generalizes that to a full
-//! hierarchy: a list of per-level fan-outs (root downward) whose
-//! product is the leaf-aggregator count. Clients are partitioned
-//! *contiguously and balanced* across the leaves, and every internal
-//! node owns exactly the union of its children's ranges — so membership
-//! at every level is a pure function of `(clients, fanouts)` and no
-//! routing table ever crosses the wire.
+//! [`TreePlan`] describes the whole hierarchy — one tier of edge
+//! aggregators or many — as a list of per-level fan-outs (root
+//! downward) whose product is the leaf-aggregator count. Clients are
+//! partitioned *contiguously and balanced* across the leaves, and
+//! every internal node owns exactly the union of its children's ranges
+//! — so membership at every level is a pure function of
+//! `(clients, fanouts)` and no routing table ever crosses the wire.
 //!
 //! ```text
 //! TreePlan::new(12, vec![2, 3])        depth 3, fan-outs 2x3
@@ -198,6 +197,11 @@ mod tests {
             (7, vec![2, 2, 2]), // more leaves than clients
             (1000, vec![4, 4, 4]),
             (5, vec![9]),
+            // One tier of edge aggregators (`--shards S`).
+            (10, vec![3]),
+            (16, vec![16]),
+            (100, vec![7]),
+            (5, vec![1]),
         ] {
             let plan = TreePlan::new(clients, fanouts.clone());
             let mut covered = 0usize;

@@ -24,10 +24,12 @@ use fedsz_lossless::PsumCodec;
 use fedsz_net::Message;
 use std::time::Instant;
 
-/// How partial-sum frames travel between aggregator levels.
+/// How partial-sum frames travel between aggregator levels:
+/// [`PsumForwarder::new`]'s argument. Configurations say the same with
+/// a [`StagePolicy`] ([`PsumForwarder::from_policy`] maps it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PsumMode {
-    /// Raw `f64` payloads every hop (PR 2's behavior).
+    /// Raw `f64` payloads every hop.
     #[default]
     Raw,
     /// Losslessly compress every frame with [`PsumCodec`].

@@ -1,4 +1,4 @@
-//! Shard planning and exact, merge-order-invariant partial sums.
+//! Exact, merge-order-invariant partial sums.
 //!
 //! The sharded tree only works as a drop-in replacement for flat FedAvg
 //! if splitting the cohort across edge aggregators cannot change the
@@ -16,9 +16,10 @@
 //! shard order at the root, so the bytes a debugger sees are stable
 //! too, not merely the final model.
 //!
-//! [`ShardPlan`] assigns each edge aggregator a contiguous client-id
-//! range (balanced to within one client), which keeps shard membership
-//! a pure function of the client id — no routing table to ship.
+//! [`TreePlan`](crate::agg::TreePlan) assigns each leaf aggregator a
+//! contiguous client-id range (balanced to within one client), which
+//! keeps shard membership a pure function of the client id — no
+//! routing table to ship.
 //!
 //! # Pricing: when does a partial-sum frame beat forwarding uploads?
 //!
@@ -44,7 +45,6 @@ use fedsz_codec::varint::{read_str, read_uvarint, write_str, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
-use std::ops::Range;
 
 /// Fractional bits of the fixed-point accumulation grid: terms are
 /// summed exactly as multiples of `2^-80`.
@@ -226,85 +226,6 @@ impl ExactAcc {
         for (d, &s) in dst.iter_mut().zip(src) {
             d.0 = d.0.wrapping_sub(s.0);
         }
-    }
-}
-
-/// Contiguous, balanced assignment of client ids to edge shards.
-///
-/// Shard `s` owns [`ShardPlan::range`]`(s)`; the first `clients %
-/// shards` shards hold one extra client. Membership is a pure function
-/// of the client id, so every tier of the tree derives the same plan
-/// from `(clients, shards)` alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    clients: usize,
-    shards: usize,
-}
-
-impl ShardPlan {
-    /// Builds a plan over `shards` edge aggregators.
-    ///
-    /// Historically `shards` was silently clamped to `[1, clients]`,
-    /// which let a typo'd deployment "work" with a different topology
-    /// than asked for. Out-of-range counts are now rejected:
-    /// validated configurations go through
-    /// [`FlConfig::plan`](crate::FlConfig::plan), which surfaces the
-    /// same condition as a recoverable
-    /// [`PlanError::ShardsOutOfRange`](crate::plan::PlanError) before
-    /// this constructor ever runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `clients == 0` or `shards` is outside
-    /// `[1, clients]`.
-    pub fn new(clients: usize, shards: usize) -> Self {
-        assert!(clients > 0, "need at least one client to shard");
-        assert!(
-            (1..=clients).contains(&shards),
-            "shards must be in [1, clients], got {shards} shards for {clients} clients"
-        );
-        Self { clients, shards }
-    }
-
-    /// Total clients covered by the plan.
-    pub fn clients(&self) -> usize {
-        self.clients
-    }
-
-    /// Number of edge shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard that owns `client`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `client` is outside the plan.
-    pub fn shard_of(&self, client: usize) -> usize {
-        assert!(client < self.clients, "client {client} outside plan of {}", self.clients);
-        let base = self.clients / self.shards;
-        let extra = self.clients % self.shards;
-        let wide = extra * (base + 1);
-        if client < wide {
-            client / (base + 1)
-        } else {
-            extra + (client - wide) / base
-        }
-    }
-
-    /// The contiguous client-id range shard `shard` owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard >= self.shards()`.
-    pub fn range(&self, shard: usize) -> Range<usize> {
-        assert!(shard < self.shards, "shard {shard} outside plan of {}", self.shards);
-        let base = self.clients / self.shards;
-        let extra = self.clients % self.shards;
-        let start = shard * base + shard.min(extra);
-        let len = base + usize::from(shard < extra);
-        start..start + len
     }
 }
 
@@ -737,6 +658,7 @@ impl PartialSum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::TreePlan;
 
     fn dict(values: &[f32]) -> StateDict {
         let mut sd = StateDict::new();
@@ -805,43 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_partitions_contiguously() {
-        for (clients, shards) in [(10, 3), (16, 16), (7, 2), (100, 7), (5, 1)] {
-            let plan = ShardPlan::new(clients, shards);
-            let mut covered = 0usize;
-            for s in 0..plan.shards() {
-                let range = plan.range(s);
-                assert_eq!(range.start, covered, "ranges must be contiguous");
-                for c in range.clone() {
-                    assert_eq!(plan.shard_of(c), s, "shard_of must invert range");
-                }
-                covered = range.end;
-            }
-            assert_eq!(covered, clients, "ranges must cover every client");
-        }
-    }
-
-    #[test]
-    fn shard_plan_balances_within_one() {
-        let plan = ShardPlan::new(10, 3);
-        let sizes: Vec<usize> = (0..3).map(|s| plan.range(s).len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "shards must be in [1, clients]")]
-    fn zero_shards_are_rejected_not_clamped() {
-        let _ = ShardPlan::new(4, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shards must be in [1, clients]")]
-    fn oversized_shard_counts_are_rejected_not_clamped() {
-        let _ = ShardPlan::new(4, 5);
-    }
-
-    #[test]
     fn partial_sum_matches_manual_average() {
         let mut sum = PartialSum::new();
         sum.accumulate(&dict(&[1.0, 2.0]), 1.0);
@@ -861,11 +746,11 @@ mod tests {
         }
         let flat_bytes = flat.finish().unwrap().to_bytes();
         for shards in [1usize, 2, 5, 13] {
-            let plan = ShardPlan::new(dicts.len(), shards);
+            let plan = TreePlan::new(dicts.len(), vec![shards]);
             let mut root = PartialSum::new();
-            for s in 0..plan.shards() {
+            for s in 0..shards {
                 let mut partial = PartialSum::new();
-                for c in plan.range(s) {
+                for c in plan.leaf_range(s) {
                     partial.accumulate(&dicts[c], 1.0 + c as f64);
                 }
                 root.merge(partial);

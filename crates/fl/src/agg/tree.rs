@@ -25,7 +25,7 @@
 use crate::agg::plan::TreePlan;
 use crate::agg::pool::WorkerPool;
 use crate::agg::psum::{PsumForwarder, PsumFrame, PsumMode, PsumScratch};
-use crate::agg::shard::{PartialSum, ShardPlan};
+use crate::agg::shard::PartialSum;
 use crate::link::LinkProfile;
 use crate::plan::{PlanError, StagePolicy};
 use fedsz::timing::{Eqn1Decision, Eqn1Leg};
@@ -312,20 +312,7 @@ impl ShardedTree {
         levels: Option<Vec<Vec<LinkProfile>>>,
         psum: &StagePolicy,
     ) -> Result<Self, PlanError> {
-        let forwarder = PsumForwarder::from_policy(psum)?;
-        let mut tree = Self::new(plan, levels, forwarder.mode());
-        tree.forwarder = forwarder;
-        Ok(tree)
-    }
-
-    /// PR 2's two-level shape: one tier of edge aggregators over a
-    /// [`ShardPlan`], raw partial-sum frames.
-    pub fn two_level(plan: ShardPlan, edges: Option<Vec<LinkProfile>>) -> Self {
-        Self::new(
-            TreePlan::new(plan.clients(), vec![plan.shards()]),
-            edges.map(|e| vec![e]),
-            PsumMode::Raw,
-        )
+        Ok(Self::new(plan, levels, PsumForwarder::from_policy(psum)?.mode()))
     }
 
     /// The tree plan in force.
@@ -588,6 +575,15 @@ mod tests {
     use super::*;
     use fedsz_tensor::Tensor;
 
+    /// One tier of `shards` edge aggregators, raw partial-sum frames.
+    fn two_level(clients: usize, shards: usize, edges: Option<Vec<LinkProfile>>) -> ShardedTree {
+        ShardedTree::new(
+            TreePlan::new(clients, vec![shards]),
+            edges.map(|e| vec![e]),
+            PsumMode::Raw,
+        )
+    }
+
     fn contribution(client: usize, value: f32, done_secs: f64) -> Contribution {
         let mut dict = StateDict::new();
         dict.insert("w.weight", Tensor::filled(vec![4], value));
@@ -600,7 +596,7 @@ mod tests {
             (0..11).map(|c| contribution(c, (c as f32).sin(), c as f64)).collect();
         let flat = FlatAggregator.aggregate(0, contribs.clone()).unwrap().global.to_bytes();
         for shards in [1usize, 2, 3, 7, 11] {
-            let mut tree = ShardedTree::two_level(ShardPlan::new(11, shards), None);
+            let mut tree = two_level(11, shards, None);
             let out = tree.aggregate(0, contribs.clone()).unwrap();
             assert_eq!(out.global.to_bytes(), flat, "{shards} shards diverged");
             assert_eq!(out.merged, 11);
@@ -634,7 +630,7 @@ mod tests {
         let flat = FlatAggregator.aggregate(0, contribs.clone()).unwrap();
         assert_eq!(flat.root_ingress_bytes, 800, "flat ingress sums upload wire bytes");
         assert!(flat.level_ingress_bytes.is_empty(), "flat has no inter-aggregator hops");
-        let mut tree = ShardedTree::two_level(ShardPlan::new(8, 4), None);
+        let mut tree = two_level(8, 4, None);
         let out = tree.aggregate(0, contribs).unwrap();
         // 4 frames of a 4-element partial sum each: well under 800 per
         // frame-count scaling, and exactly 4 frames' worth.
@@ -691,7 +687,7 @@ mod tests {
     fn edge_links_price_the_forward_hop() {
         let contribs: Vec<Contribution> = (0..4).map(|c| contribution(c, 1.0, 2.0)).collect();
         let slow = vec![LinkProfile::symmetric(8.0); 2]; // 1 byte/s
-        let mut tree = ShardedTree::two_level(ShardPlan::new(4, 2), Some(slow));
+        let mut tree = two_level(4, 2, Some(slow));
         let out = tree.aggregate(0, contribs.clone()).unwrap();
         // Edges become ready at 2.0 virtual seconds, then a frame of F
         // bytes takes F seconds at 8 bps.
@@ -701,7 +697,7 @@ mod tests {
             "root_done {:.1}s must include the {frame}-byte forward",
             out.root_done_secs
         );
-        let mut free = ShardedTree::two_level(ShardPlan::new(4, 2), None);
+        let mut free = two_level(4, 2, None);
         let out_free = free.aggregate(0, contribs).unwrap();
         assert!(out_free.root_done_secs < 3.0, "no timing model: forwards are free");
     }
@@ -726,7 +722,7 @@ mod tests {
 
     #[test]
     fn fanout_counts_active_root_children() {
-        let tree = ShardedTree::two_level(ShardPlan::new(8, 4), None);
+        let tree = two_level(8, 4, None);
         assert_eq!(tree.fanout(&[0, 1]), 1, "same shard");
         assert_eq!(tree.fanout(&[0, 7]), 2);
         assert_eq!(tree.fanout(&[0, 2, 4, 6]), 4);
@@ -814,14 +810,14 @@ mod tests {
     #[test]
     fn empty_contributions_yield_none() {
         assert!(FlatAggregator.aggregate(0, Vec::new()).is_none());
-        let mut tree = ShardedTree::two_level(ShardPlan::new(4, 2), None);
+        let mut tree = two_level(4, 2, None);
         assert!(tree.aggregate(0, Vec::new()).is_none());
     }
 
     #[test]
     #[should_panic(expected = "one edge link per shard")]
     fn mismatched_edge_links_rejected() {
-        let _ = ShardedTree::two_level(ShardPlan::new(4, 2), Some(vec![LinkProfile::default()]));
+        let _ = two_level(4, 2, Some(vec![LinkProfile::default()]));
     }
 
     #[test]

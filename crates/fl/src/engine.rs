@@ -147,7 +147,7 @@ impl RoundEngine {
     ///
     /// Panics with the [`PlanError`](crate::plan::PlanError) message
     /// when the configuration is invalid (mismatched link lists,
-    /// out-of-range shard counts, …). Fallible callers should run
+    /// zero fan-outs, …). Fallible callers should run
     /// [`FlConfig::plan`] themselves and use
     /// [`RoundEngine::from_plan`].
     pub fn new(config: FlConfig, transport: Box<dyn Transport>) -> Self {
@@ -158,24 +158,17 @@ impl RoundEngine {
     /// Builds the engine from a validated [`RoundPlan`]: generates
     /// data, shards it across clients (IID round-robin or Dirichlet
     /// non-IID), initializes the global model and instantiates the
-    /// plan's canonical topology, aggregator and stage policies.
+    /// plan's topology, aggregator and stage executors.
     pub fn from_plan(plan: RoundPlan, transport: Box<dyn Transport>) -> Self {
         // Every leg re-validates at executor construction (downlink
         // and psum below via their from_policy constructors), so even
         // a hand-built plan cannot smuggle an illegal policy in.
-        plan.uplink.validate_for(crate::plan::StageLeg::Uplink).unwrap_or_else(|e| panic!("{e}"));
+        plan.config
+            .uplink
+            .validate_for(crate::plan::StageLeg::Uplink)
+            .unwrap_or_else(|e| panic!("{e}"));
         let uplink_stage = UplinkStage::new(&plan);
-        let RoundPlan {
-            config,
-            tree,
-            topology,
-            level_links,
-            uplink,
-            downlink,
-            psum,
-            worker_threads,
-            dp: _,
-        } = plan;
+        let RoundPlan { config, tree, topology, level_links, worker_threads } = plan;
         let (train, test) = config.dataset.generate(&config.data);
         // Client construction is shared with the multi-process worker
         // path (`FlConfig::build_client`): both must produce the same
@@ -194,18 +187,20 @@ impl RoundEngine {
         let (test_inputs, test_targets) = test.full_batch();
         let aggregator: Box<dyn Aggregator> = match tree {
             Some(tree) => Box::new(
-                ShardedTree::from_policy(tree, level_links, &psum)
+                ShardedTree::from_policy(tree, level_links, &config.psum)
                     .expect("plan validated the psum policy")
                     .with_threads(worker_threads),
             ),
             None => Box::new(FlatAggregator),
         };
-        let downlink = Downlink::from_policy(&downlink).expect("plan validated the downlink");
+        let downlink =
+            Downlink::from_policy(&config.downlink).expect("plan validated the downlink");
         let residuals = vec![StateDict::new(); clients.len()];
         Self {
+            fold: FoldStep::new(&config.uplink, global.clone()),
+            error_feedback: config.uplink.error_feedback(),
             config,
             clients,
-            fold: FoldStep::new(&uplink, global.clone()),
             global,
             eval_model,
             test_inputs,
@@ -217,7 +212,6 @@ impl RoundEngine {
             broadcast_buf: Vec::new(),
             pending: Vec::new(),
             uplink: uplink_stage,
-            error_feedback: uplink.error_feedback(),
             residuals,
             telemetry: Telemetry::disabled(),
         }
@@ -760,8 +754,8 @@ impl RoundEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::DownlinkMode;
     use crate::link::LinkProfile;
+    use crate::plan::{PlanError, StagePolicy};
     use crate::transport::{InMemoryTransport, WireTransport};
 
     fn engine(config: FlConfig) -> RoundEngine {
@@ -795,11 +789,11 @@ mod tests {
         config.clients = 3;
         config.rounds = 2;
         // Client 2 is a heavy straggler on a slow link.
-        config.links = Some(vec![
+        config.links = Some(Topology::Dedicated(vec![
             LinkProfile::symmetric(100e6),
             LinkProfile::symmetric(100e6),
             LinkProfile::symmetric(1e6).with_slowdown(50.0),
-        ]);
+        ]));
         config.aggregation = AggregationPolicy::Buffered { target: 2 };
         let mut e = engine(config);
         let m0 = e.run_round(0);
@@ -815,12 +809,12 @@ mod tests {
         let mut config = FlConfig::smoke_test();
         config.clients = 4;
         config.rounds = 1;
-        config.links = Some(vec![
+        config.links = Some(Topology::Dedicated(vec![
             LinkProfile::symmetric(10e6),
             LinkProfile::symmetric(10e6).with_drop_prob(1.0),
             LinkProfile::symmetric(10e6),
             LinkProfile::symmetric(10e6).with_drop_prob(1.0),
-        ]);
+        ]));
         let mut e = engine(config);
         let m = e.run_round(0);
         assert_eq!(m.dropped_updates, 2);
@@ -838,7 +832,7 @@ mod tests {
     fn mismatched_link_count_rejected() {
         let mut config = FlConfig::smoke_test();
         config.clients = 3;
-        config.links = Some(vec![LinkProfile::default()]);
+        config.links = Some(Topology::Dedicated(vec![LinkProfile::default()]));
         let _ = engine(config);
     }
 
@@ -853,7 +847,7 @@ mod tests {
         assert_eq!(flat_m.root_ingress_bytes, flat_m.upstream_bytes);
         assert_eq!(flat_m.root_egress_bytes, flat_m.downstream_bytes);
 
-        config.shards = Some(4);
+        config.tree = Some(vec![4]);
         let mut sharded = engine(config);
         let m = sharded.run_round(0);
         assert_eq!(sharded.aggregator_name(), "sharded-tree");
@@ -868,37 +862,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_oversized_shard_counts_are_plan_errors() {
-        // The legacy ShardPlan clamped `shards` to [1, clients]; the
-        // plan now rejects out-of-range counts at build time instead.
-        let mut config = FlConfig::smoke_test();
-        config.clients = 2;
-        config.rounds = 1;
-        config.shards = Some(0);
-        assert!(matches!(
-            config.plan(),
-            Err(crate::plan::PlanError::ShardsOutOfRange { shards: 0, clients: 2 })
-        ));
-        config.shards = Some(99);
-        assert!(matches!(
-            config.plan(),
-            Err(crate::plan::PlanError::ShardsOutOfRange { shards: 99, clients: 2 })
-        ));
-        // The full-width count stays legal and aggregates everyone.
-        config.shards = Some(2);
-        let mut e = engine(config);
-        let m = e.run_round(0);
-        assert_eq!(m.aggregated_updates, 2);
-    }
-
-    #[test]
     fn deep_tree_engine_prices_levels_and_compresses_frames() {
         let mut config = FlConfig::smoke_test();
         config.clients = 8;
         config.rounds = 1;
         config.tree = Some(vec![2, 4]); // depth 3: 2 mid nodes, 8 leaves
-        config.psum = crate::agg::PsumMode::Lossless;
-        let mut deep = engine(config.clone());
+        config.psum = StagePolicy::Lossless;
+        let mut deep = engine(config);
         let m = deep.run_round(0);
         assert_eq!(deep.aggregator_name(), "sharded-tree");
         // The root has 2 children, so it sends 2 broadcast copies for
@@ -907,10 +877,10 @@ mod tests {
         assert!(m.root_ingress_bytes > 0);
         assert!(m.psum_ratio > 1.0, "lossless frames should compress, got {}", m.psum_ratio);
 
-        // `tree` no longer silently outranks `shards`: setting both is
-        // a plan error (mirroring the CLI's --shards+--tree error).
-        config.shards = Some(4);
-        assert!(matches!(config.plan(), Err(crate::plan::PlanError::TopologyConflict)));
+        // A fan-out no node can have fails the plan, not the round.
+        let mut config = FlConfig::smoke_test();
+        config.tree = Some(vec![2, 0]);
+        assert_eq!(config.plan().unwrap_err(), PlanError::ZeroFanout { level: 1 });
     }
 
     #[test]
@@ -921,7 +891,7 @@ mod tests {
         assert!(raw.downlink_ratio <= 1.0, "raw broadcasts carry a small header");
         assert_eq!(raw.downlink_secs, 0.0);
 
-        config.downlink = DownlinkMode::Compressed;
+        config.downlink = StagePolicy::Lossy(FlConfig::tiny_model_compression());
         let packed = engine(config).run_round(0);
         assert!(
             packed.downstream_bytes * 2 < raw.downstream_bytes,
@@ -937,8 +907,10 @@ mod tests {
     fn adaptive_downlink_goes_raw_on_fast_links() {
         let mut config = FlConfig::smoke_test();
         config.rounds = 3;
-        config.links = Some(vec![LinkProfile::symmetric(1e12); 2]);
-        config.downlink = DownlinkMode::Adaptive;
+        config.links = Some(Topology::Dedicated(vec![LinkProfile::symmetric(1e12); 2]));
+        config.downlink = StagePolicy::Adaptive {
+            compressed: Box::new(StagePolicy::Lossy(FlConfig::tiny_model_compression())),
+        };
         let metrics = engine(config).run();
         assert!(metrics[0].downlink_ratio > 1.2, "first round must probe the codec");
         let last = metrics.last().unwrap();
@@ -953,7 +925,7 @@ mod tests {
     #[should_panic(expected = "illegal on the uplink leg")]
     fn hand_built_plans_cannot_smuggle_an_illegal_uplink_policy() {
         let mut plan = FlConfig::smoke_test().plan().expect("valid config");
-        plan.uplink = crate::plan::StagePolicy::Lossless;
+        plan.config.uplink = StagePolicy::Lossless;
         let _ = RoundEngine::from_plan(plan, Box::<InMemoryTransport>::default());
     }
 
@@ -962,7 +934,7 @@ mod tests {
     fn mismatched_edge_link_count_rejected() {
         let mut config = FlConfig::smoke_test();
         config.clients = 4;
-        config.shards = Some(2);
+        config.tree = Some(vec![2]);
         config.edge_links = Some(vec![LinkProfile::default()]);
         let _ = engine(config);
     }

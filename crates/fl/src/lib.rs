@@ -62,12 +62,12 @@ pub mod step;
 pub mod sweep;
 pub mod transport;
 
-pub use agg::{DownlinkMode, PsumMode, ShardPlan, TreePlan};
+pub use agg::TreePlan;
 pub use client::Client;
 pub use engine::{AggregationPolicy, RoundEngine};
 pub use fedavg::fedavg;
 pub use fedsz_dp::{DpMechanism, DpPolicy};
-pub use link::LinkProfile;
+pub use link::{LinkProfile, Topology};
 pub use plan::{PlanError, RoundPlan, StageLeg, StagePolicy};
 
 use fedsz::FedSzConfig;
@@ -95,16 +95,6 @@ pub struct FlConfig {
     pub lr: f32,
     /// Base seed controlling data generation and model init.
     pub seed: u64,
-    /// FedSZ configuration; `None` disables compression.
-    pub compression: Option<FedSzConfig>,
-    /// Simulated shared uplink bandwidth in bits/s; ignored when
-    /// [`FlConfig::links`] provides per-client profiles, and `None`
-    /// (with no links) skips the network model entirely.
-    pub bandwidth_bps: Option<f64>,
-    /// Per-message latency of the shared pipe in seconds (the paper's
-    /// pipe is latency-free). Ignored when [`FlConfig::links`] is set —
-    /// each profile carries its own latency.
-    pub latency_secs: f64,
     /// Synthetic dataset geometry.
     pub data: SyntheticConfig,
     /// Dirichlet label-skew parameter for non-IID sharding; `None` uses
@@ -116,37 +106,39 @@ pub struct FlConfig {
     /// Fraction of clients participating each round (cross-device FL
     /// samples a subset). 1.0 = everyone, the paper's setting.
     pub participation: f64,
-    /// Per-client heterogeneous links (bandwidth, latency, drop
-    /// probability, straggler slowdown), one profile per client. `None`
-    /// falls back to one [`FlConfig::bandwidth_bps`] pipe shared by the
-    /// whole cohort.
-    pub links: Option<Vec<LinkProfile>>,
+    /// The client link model: [`Topology::Shared`] is one pipe the
+    /// whole cohort's uploads serialize on (the paper's constrained
+    /// server link), [`Topology::Dedicated`] one profile per client
+    /// (bandwidth, latency, drop probability, straggler slowdown).
+    /// `None` skips the network model entirely. With a
+    /// [`FlConfig::tree`], [`FlConfig::plan`] lifts either form to
+    /// [`Topology::Tree`] (every client keeps its own last mile); a
+    /// pre-lifted `Tree` here is rejected.
+    pub links: Option<Topology>,
     /// When the server aggregates: classic synchronous FedAvg or
     /// FedBuff-style buffered-asynchronous aggregation.
     pub aggregation: AggregationPolicy,
-    /// Explicit upload-leg policy. `Some` is how every codec choice
-    /// beyond "FedSZ always" is made — Eqn-1 adaptive compress-or-not
-    /// ([`StagePolicy::Adaptive`]), the codec families (Top-K,
-    /// quantization, error feedback) and auto family selection; `None`
-    /// derives the policy from [`FlConfig::compression`] alone (`Lossy`
-    /// when set, `Raw` otherwise). Prefer the [`FlConfig::builder`]
-    /// methods ([`FlConfigBuilder::uplink`],
-    /// [`FlConfigBuilder::uplink_topk`], [`FlConfigBuilder::uplink_quant`])
-    /// over poking this field directly — validation still happens in
-    /// [`FlConfig::plan`].
-    pub uplink: Option<StagePolicy>,
-    /// Edge-aggregator shard count for a two-level
-    /// [`agg::ShardedTree`]; `None` keeps the paper's flat server. The
-    /// sharded global model is bit-identical to the flat synchronous
-    /// result for any value here (clamped to `[1, clients]`).
-    /// Shorthand for `tree: Some(vec![s])`; ignored when
-    /// [`FlConfig::tree`] is set.
-    pub shards: Option<usize>,
-    /// Per-level fan-outs of an arbitrary-depth aggregation hierarchy,
-    /// root downward (`--tree 4x8` is `Some(vec![4, 8])`: the root
-    /// merges 4 mid-tier nodes, each merging 8 leaf aggregators).
-    /// Takes precedence over [`FlConfig::shards`]. Bit-parity with the
-    /// flat server holds at any depth.
+    /// Policy of the client → server upload leg: raw, FedSZ on every
+    /// upload ([`StagePolicy::Lossy`], the paper's setting), Eqn-1
+    /// adaptive compress-or-not, a codec family (Top-K, quantization,
+    /// optionally with error feedback) or auto family selection.
+    pub uplink: StagePolicy,
+    /// Policy of the server → client broadcast leg: raw every round
+    /// (the paper's setting), FedSZ-encoded once per round
+    /// ([`StagePolicy::Lossy`]), or Eqn-1 adaptive with a raw fallback.
+    pub downlink: StagePolicy,
+    /// Policy of the aggregator → aggregator partial-sum leg: raw
+    /// `f64` frames, [`StagePolicy::Lossless`]
+    /// ([`fedsz_lossless::PsumCodec`]), or per-edge Eqn-1 adaptive over
+    /// it. Lossless by construction, so bit-parity is unaffected;
+    /// non-raw policies need a [`FlConfig::tree`].
+    pub psum: StagePolicy,
+    /// Per-level fan-outs of the aggregation hierarchy, root downward
+    /// (`--tree 4x8` is `Some(vec![4, 8])`: the root merges 4 mid-tier
+    /// nodes, each merging 8 leaf aggregators; a two-level tree of `S`
+    /// edge aggregators is `Some(vec![S])`). `None` keeps the paper's
+    /// flat server. Bit-parity with the flat server holds at any depth
+    /// and fan-out; surplus leaves own empty client ranges.
     pub tree: Option<Vec<usize>>,
     /// Per-leaf uplink profiles for the aggregation tree, one per leaf
     /// aggregator. `None` gives every non-root aggregator a 1 Gbps
@@ -154,15 +146,6 @@ pub struct FlConfig {
     /// unlike clients); when set, the *inner* levels still default to
     /// the backbone.
     pub edge_links: Option<Vec<LinkProfile>>,
-    /// How partial-sum frames travel between aggregator levels: raw
-    /// `f64` payloads, losslessly compressed
-    /// ([`fedsz_lossless::PsumCodec`]), or per-edge Eqn-1 adaptive.
-    /// Lossless by construction, so bit-parity is unaffected.
-    pub psum: PsumMode,
-    /// How the global model travels server→client: raw every round
-    /// (the paper's setting), FedSZ-encoded once per round, or Eqn-1
-    /// adaptive with a raw fallback.
-    pub downlink: DownlinkMode,
     /// Worker width for the aggregation hot path (leaf merges and
     /// partial-sum frame pricing run on a pool this wide). `None`
     /// resolves to the host's available parallelism at plan time.
@@ -175,8 +158,7 @@ pub struct FlConfig {
     /// the uplink codec (the order DP-SGD requires — the codec must see
     /// the noised delta, which is what makes the privacy/bytes
     /// trade-off measurable). `None` disables the stage. Validated by
-    /// [`FlConfig::plan`] and carried as
-    /// [`RoundPlan::dp`](plan::RoundPlan::dp).
+    /// [`FlConfig::plan`].
     pub dp: Option<DpPolicy>,
 }
 
@@ -201,21 +183,17 @@ impl FlConfig {
             batch_size: 16,
             lr: 0.05,
             seed: 42,
-            compression: Some(Self::tiny_model_compression()),
-            bandwidth_bps: Some(10e6),
-            latency_secs: 0.0,
             data: SyntheticConfig::default(),
             non_iid_alpha: None,
             weighted_aggregation: false,
             participation: 1.0,
-            links: None,
+            links: Some(Topology::Shared(LinkProfile::symmetric(10e6))),
             aggregation: AggregationPolicy::Synchronous,
-            uplink: None,
-            shards: None,
+            uplink: StagePolicy::Lossy(Self::tiny_model_compression()),
+            downlink: StagePolicy::Raw,
+            psum: StagePolicy::Raw,
             tree: None,
             edge_links: None,
-            psum: PsumMode::Raw,
-            downlink: DownlinkMode::Raw,
             worker_threads: None,
             dp: None,
         }
@@ -224,54 +202,18 @@ impl FlConfig {
     /// A minimal configuration for fast tests.
     pub fn smoke_test() -> Self {
         Self {
-            arch: TinyArch::AlexNet,
-            dataset: DatasetKind::Cifar10Like,
             clients: 2,
             rounds: 2,
-            local_epochs: 1,
             batch_size: 8,
-            lr: 0.05,
             seed: 7,
-            compression: Some(Self::tiny_model_compression()),
-            bandwidth_bps: Some(10e6),
-            latency_secs: 0.0,
             data: SyntheticConfig {
                 seed: 7,
                 train_per_class: 4,
                 test_per_class: 2,
                 resolution: 16,
             },
-            non_iid_alpha: None,
-            weighted_aggregation: false,
-            participation: 1.0,
-            links: None,
-            aggregation: AggregationPolicy::Synchronous,
-            uplink: None,
-            shards: None,
-            tree: None,
-            edge_links: None,
-            psum: PsumMode::Raw,
-            downlink: DownlinkMode::Raw,
-            worker_threads: None,
-            dp: None,
+            ..Self::paper_default(TinyArch::AlexNet, DatasetKind::Cifar10Like)
         }
-    }
-
-    /// A builder over [`FlConfig::paper_default`] so call sites name
-    /// only the fields they change instead of listing all twenty.
-    pub fn builder() -> FlConfigBuilder {
-        FlConfigBuilder::new()
-    }
-
-    /// Per-level fan-outs of the configured aggregation hierarchy as
-    /// *written*: [`FlConfig::tree`] when set, else [`FlConfig::shards`]
-    /// as a one-level tree, else `None` (flat server). This is the raw
-    /// knob surface — validation (out-of-range shard counts, `shards`
-    /// conflicting with `tree`) happens in [`FlConfig::plan`], whose
-    /// [`RoundPlan::tree`](plan::RoundPlan::tree) is the canonical
-    /// answer consumers should use.
-    pub fn tree_fanouts(&self) -> Option<Vec<usize>> {
-        self.tree.clone().or_else(|| self.shards.map(|s| vec![s]))
     }
 
     /// The seed for client `id`'s local RNG stream.
@@ -335,241 +277,6 @@ impl FlConfig {
             .nth(id)
             .expect("sharding covers every client id");
         self.make_client(id, shard)
-    }
-}
-
-/// Builder for [`FlConfig`]: start from the paper's defaults, name
-/// only what differs, finish with [`FlConfigBuilder::build`] (the raw
-/// config) or [`FlConfigBuilder::plan`] (validated, canonical).
-///
-/// ```
-/// use fedsz_fl::FlConfig;
-///
-/// let config = FlConfig::builder().clients(8).rounds(2).shards(4).build();
-/// assert_eq!(config.clients, 8);
-/// let plan = config.plan().expect("valid");
-/// assert_eq!(plan.shard_count(), Some(4));
-/// ```
-#[derive(Debug, Clone)]
-pub struct FlConfigBuilder {
-    config: FlConfig,
-}
-
-impl Default for FlConfigBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FlConfigBuilder {
-    /// Starts from [`FlConfig::paper_default`] on the tiny AlexNet /
-    /// CIFAR-10-like task.
-    pub fn new() -> Self {
-        Self { config: FlConfig::paper_default(TinyArch::AlexNet, DatasetKind::Cifar10Like) }
-    }
-
-    /// Model architecture.
-    pub fn arch(mut self, arch: TinyArch) -> Self {
-        self.config.arch = arch;
-        self
-    }
-
-    /// Task to train on.
-    pub fn dataset(mut self, dataset: DatasetKind) -> Self {
-        self.config.dataset = dataset;
-        self
-    }
-
-    /// Cohort size.
-    pub fn clients(mut self, clients: usize) -> Self {
-        self.config.clients = clients;
-        self
-    }
-
-    /// Communication rounds.
-    pub fn rounds(mut self, rounds: usize) -> Self {
-        self.config.rounds = rounds;
-        self
-    }
-
-    /// Local epochs per round.
-    pub fn local_epochs(mut self, epochs: usize) -> Self {
-        self.config.local_epochs = epochs;
-        self
-    }
-
-    /// Mini-batch size for local SGD.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.config.batch_size = batch_size;
-        self
-    }
-
-    /// Local learning rate.
-    pub fn lr(mut self, lr: f32) -> Self {
-        self.config.lr = lr;
-        self
-    }
-
-    /// Base seed for data generation and model init (also seeds the
-    /// synthetic dataset, as the CLI does).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self.config.data.seed = seed;
-        self
-    }
-
-    /// FedSZ codec for the upload leg (`None` disables compression).
-    pub fn compression(mut self, compression: Option<FedSzConfig>) -> Self {
-        self.config.compression = compression;
-        self
-    }
-
-    /// Shared uplink bandwidth in bits/s (`None` with no links skips
-    /// the network model).
-    pub fn bandwidth_bps(mut self, bandwidth_bps: Option<f64>) -> Self {
-        self.config.bandwidth_bps = bandwidth_bps;
-        self
-    }
-
-    /// Per-message latency of the shared pipe in seconds.
-    pub fn latency_secs(mut self, latency_secs: f64) -> Self {
-        self.config.latency_secs = latency_secs;
-        self
-    }
-
-    /// Synthetic dataset geometry.
-    pub fn data(mut self, data: SyntheticConfig) -> Self {
-        self.config.data = data;
-        self
-    }
-
-    /// Training samples per class (the knob tests/benches actually
-    /// sweep; the rest of the data geometry keeps its defaults).
-    pub fn train_per_class(mut self, n: usize) -> Self {
-        self.config.data.train_per_class = n;
-        self
-    }
-
-    /// Held-out test samples per class.
-    pub fn test_per_class(mut self, n: usize) -> Self {
-        self.config.data.test_per_class = n;
-        self
-    }
-
-    /// Dirichlet label-skew parameter for non-IID shards.
-    pub fn non_iid_alpha(mut self, alpha: Option<f64>) -> Self {
-        self.config.non_iid_alpha = alpha;
-        self
-    }
-
-    /// Weight client updates by their sample counts.
-    pub fn weighted_aggregation(mut self, weighted: bool) -> Self {
-        self.config.weighted_aggregation = weighted;
-        self
-    }
-
-    /// Fraction of clients participating each round.
-    pub fn participation(mut self, participation: f64) -> Self {
-        self.config.participation = participation;
-        self
-    }
-
-    /// Per-client heterogeneous link profiles.
-    pub fn links(mut self, links: Vec<LinkProfile>) -> Self {
-        self.config.links = Some(links);
-        self
-    }
-
-    /// Aggregation policy (synchronous or buffered).
-    pub fn aggregation(mut self, policy: AggregationPolicy) -> Self {
-        self.config.aggregation = policy;
-        self
-    }
-
-    /// Explicit upload-leg [`StagePolicy`], overriding the default
-    /// derived from `compression`. Validation (ratio
-    /// and bit-width ranges, leg legality, error-feedback
-    /// combinations) happens in [`FlConfig::plan`].
-    pub fn uplink(mut self, policy: StagePolicy) -> Self {
-        self.config.uplink = Some(policy);
-        self
-    }
-
-    /// Top-K sparsified uplink keeping a `ratio` fraction of delta
-    /// entries, optionally with an error-feedback residual. Shorthand
-    /// for [`FlConfigBuilder::uplink`] with [`StagePolicy::TopK`].
-    pub fn uplink_topk(self, ratio: f64, error_feedback: bool) -> Self {
-        self.uplink(StagePolicy::TopK { ratio, error_feedback })
-    }
-
-    /// Quantized uplink at 4 or 8 bits, linear or stochastic,
-    /// optionally with an error-feedback residual. Shorthand for
-    /// [`FlConfigBuilder::uplink`] with [`StagePolicy::Quant`].
-    pub fn uplink_quant(self, bits: u8, stochastic: bool, error_feedback: bool) -> Self {
-        self.uplink(StagePolicy::Quant { bits, stochastic, error_feedback })
-    }
-
-    /// Two-level tree of `shards` edge aggregators.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = Some(shards);
-        self
-    }
-
-    /// Arbitrary-depth aggregation tree (per-level fan-outs, root
-    /// downward).
-    pub fn tree(mut self, fanouts: Vec<usize>) -> Self {
-        self.config.tree = Some(fanouts);
-        self
-    }
-
-    /// Per-leaf uplink profiles for the aggregation tree.
-    pub fn edge_links(mut self, links: Vec<LinkProfile>) -> Self {
-        self.config.edge_links = Some(links);
-        self
-    }
-
-    /// Partial-sum frame mode between aggregator levels.
-    pub fn psum(mut self, psum: PsumMode) -> Self {
-        self.config.psum = psum;
-        self
-    }
-
-    /// Broadcast-leg mode.
-    pub fn downlink(mut self, downlink: DownlinkMode) -> Self {
-        self.config.downlink = downlink;
-        self
-    }
-
-    /// Worker width for the aggregation hot path (0 is rejected at
-    /// plan time; the unset default resolves to the host's available
-    /// parallelism).
-    pub fn worker_threads(mut self, threads: usize) -> Self {
-        self.config.worker_threads = Some(threads);
-        self
-    }
-
-    /// Differential-privacy stage: clip + seeded noise applied to each
-    /// client's update delta before the uplink codec. Validation
-    /// (positive finite clip norm, non-negative multiplier) happens in
-    /// [`FlConfig::plan`].
-    pub fn dp(mut self, policy: DpPolicy) -> Self {
-        self.config.dp = Some(policy);
-        self
-    }
-
-    /// The configured [`FlConfig`], unvalidated (validation happens in
-    /// [`FlConfig::plan`], which every execution path runs through).
-    pub fn build(self) -> FlConfig {
-        self.config
-    }
-
-    /// Validates and canonicalizes in one step.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`plan::PlanError`] the configuration trips.
-    pub fn plan(self) -> Result<plan::RoundPlan, plan::PlanError> {
-        self.config.plan()
     }
 }
 
@@ -712,6 +419,12 @@ mod tests {
     use super::*;
     use fedsz::ErrorBound;
 
+    fn lossy_at(rel: f64) -> StagePolicy {
+        StagePolicy::Lossy(
+            FlConfig::tiny_model_compression().with_error_bound(ErrorBound::Relative(rel)),
+        )
+    }
+
     #[test]
     fn smoke_experiment_runs_and_learns_something() {
         let mut config = FlConfig::smoke_test();
@@ -737,7 +450,7 @@ mod tests {
     #[test]
     fn uncompressed_baseline_runs() {
         let mut config = FlConfig::smoke_test();
-        config.compression = None;
+        config.uplink = StagePolicy::Raw;
         let mut exp = Experiment::new(config);
         let metrics = exp.run();
         // Uncompressed payloads carry a small serialization header, so
@@ -756,10 +469,9 @@ mod tests {
         // A 20-sample test split quantizes accuracy in 0.05 steps;
         // widen it so the comparison measures convergence, not noise.
         base.data.test_per_class = 8;
-        base.compression = None;
+        base.uplink = StagePolicy::Raw;
         let acc_plain = Experiment::new(base.clone()).run().last().unwrap().test_accuracy;
-        base.compression =
-            Some(FlConfig::tiny_model_compression().with_error_bound(ErrorBound::Relative(1e-2)));
+        base.uplink = lossy_at(1e-2);
         let acc_fedsz = Experiment::new(base).run().last().unwrap().test_accuracy;
         assert!(
             (acc_plain - acc_fedsz).abs() < 0.25,
@@ -773,11 +485,9 @@ mod tests {
         // should be at or near random while 1e-3 stays healthy.
         let mut config = FlConfig::smoke_test();
         config.rounds = 3;
-        config.compression =
-            Some(FlConfig::tiny_model_compression().with_error_bound(ErrorBound::Relative(0.5)));
+        config.uplink = lossy_at(0.5);
         let noisy = Experiment::new(config.clone()).run().last().unwrap().test_accuracy;
-        config.compression =
-            Some(FlConfig::tiny_model_compression().with_error_bound(ErrorBound::Relative(1e-3)));
+        config.uplink = lossy_at(1e-3);
         let clean = Experiment::new(config).run().last().unwrap().test_accuracy;
         assert!(
             clean + 0.02 >= noisy,

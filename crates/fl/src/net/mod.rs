@@ -69,7 +69,8 @@
 //! by retraining (which would advance RNG/momentum state and break
 //! parity). If a relay dies, its workers fail over to the root
 //! (`WorkerConfig::fallback`), which adopts them onto the dead relay's
-//! [`ShardPlan`](crate::ShardPlan) range and folds their raw updates
+//! [`RoundPlan::reparent_range`](crate::RoundPlan::reparent_range) and
+//! folds their raw updates
 //! where the relay's partial sum would have gone — the exact
 //! accumulator keeps the checksum bit-identical to the never-failed
 //! run.

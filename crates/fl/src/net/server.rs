@@ -28,7 +28,7 @@
 //! fixed-point accumulator makes the result independent of process
 //! placement — the bit-parity the integration tests pin down.
 
-use crate::agg::{Downlink, PartialSum, ShardPlan};
+use crate::agg::{Downlink, PartialSum};
 use crate::net::global_checksum;
 use crate::plan::{RoundPlan, StagePolicy};
 use crate::step::FoldStep;
@@ -41,6 +41,7 @@ use fedsz_telemetry::{Telemetry, Value};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,8 +58,9 @@ pub enum Role {
     /// An edge aggregator: serves a contiguous worker shard, relays
     /// one exact partial-sum frame per round to its parent.
     Relay {
-        /// This relay's shard index within the
-        /// [`ShardPlan`] over the full cohort.
+        /// This relay's index among the tree's first-tier aggregators
+        /// ([`RoundPlan::reparent_range`] is the worker range it
+        /// serves).
         shard: u32,
         /// The parent server's `host:port`.
         upstream: String,
@@ -117,39 +119,40 @@ impl ServeConfig {
         Self { role: Role::Relay { shard, upstream }, ..Self::root(fl) }
     }
 
-    /// Validates the configuration into its canonical [`RoundPlan`]
-    /// (the socket runtime consumes the plan, not the raw knobs).
+    /// Validates the configuration into its [`RoundPlan`] (the socket
+    /// runtime consumes the plan, not the raw fields).
     ///
     /// On top of [`FlConfig::plan`], this enforces the socket
-    /// runtime's own constraint: an explicit `tree` spec that
-    /// out-leafs the cohort is legal in the simulator (empty leaves
-    /// never forward) but would make a root wait for relay ids that
-    /// cannot exist — here every shard is a real process.
+    /// runtime's own constraints: what the fold cannot honour
+    /// ([`RoundPlan::validate_for_workers`]); a `tree` that out-leafs
+    /// the cohort, which is legal in the simulator (empty leaves never
+    /// forward) but would make a root wait for relay ids that cannot
+    /// exist — here every shard is a real process; and a relay role
+    /// whose shard the plan's tree does not have.
     ///
     /// # Errors
     ///
-    /// Returns the [`PlanError`](crate::plan::PlanError) (or the
-    /// shards-vs-clients constraint above) as a [`NetError::Protocol`]
-    /// so `run` surfaces it before any socket work.
+    /// Returns the [`PlanError`](crate::plan::PlanError) (or one of the
+    /// constraints above) as a [`NetError::Protocol`] so `run` surfaces
+    /// it before any socket work.
     pub fn plan(&self) -> Result<RoundPlan, NetError> {
-        let plan = self
-            .fl
-            .plan()
-            .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-        // What the socket runtime cannot honour — error-feedback
-        // residuals across a reconnect, weighted / partial / buffered
-        // aggregation — is rejected up front (the worker enforces the
-        // same rule on its side).
-        plan.validate_for_workers()
-            .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-        if let Some(shards) = plan.shard_count() {
-            if shards > plan.config.clients {
-                return Err(NetError::Protocol(format!(
-                    "invalid configuration: the socket runtime needs shards <= clients \
-                     ({shards} shards for {} clients); empty relay shards would stall \
-                     the round barrier",
-                    plan.config.clients
-                )));
+        let invalid = |e: String| NetError::Protocol(format!("invalid configuration: {e}"));
+        let plan = self.fl.plan().map_err(|e| invalid(e.to_string()))?;
+        plan.validate_for_workers().map_err(|e| invalid(e.to_string()))?;
+        let shards = plan.shard_count();
+        if let Some(shards) = shards.filter(|&s| s > plan.config.clients) {
+            return Err(invalid(format!(
+                "the socket runtime needs shards <= clients ({shards} shards for {} clients); \
+                 empty relay shards would stall the round barrier",
+                plan.config.clients
+            )));
+        }
+        if let Role::Relay { shard, .. } = &self.role {
+            if plan.reparent_range(*shard as usize).is_none() {
+                return Err(invalid(match shards {
+                    Some(shards) => format!("relay shard {shard} outside the {shards}-shard plan"),
+                    None => format!("relay shard {shard} needs a tree on the config (flat plan)"),
+                }));
             }
         }
         Ok(plan)
@@ -161,40 +164,29 @@ impl ServeConfig {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration fails [`FlConfig::plan`]
-    /// validation, or when a relay role is combined with a flat
-    /// (unsharded) config or an out-of-range shard index. Fallible
-    /// callers should validate via [`ServeConfig::plan`] first (the
-    /// CLI does).
+    /// Panics when the configuration fails [`ServeConfig::plan`]
+    /// validation. Fallible callers should validate via
+    /// [`ServeConfig::plan`] first (the CLI does).
     pub fn expected_children(&self) -> Vec<u64> {
         let plan = self.plan().unwrap_or_else(|e| panic!("{e}"));
         Self::expected_children_of(&plan, &self.role)
     }
 
-    /// [`ServeConfig::expected_children`] over an already-validated
-    /// plan.
+    /// [`ServeConfig::expected_children`] over a plan
+    /// [`ServeConfig::plan`] already validated for `role`.
     ///
     /// # Panics
     ///
-    /// Panics when a relay role is combined with a flat (unsharded)
-    /// plan or an out-of-range shard index.
+    /// Panics when a relay role names a shard the plan does not have
+    /// (which [`ServeConfig::plan`] rejects).
     pub fn expected_children_of(plan: &RoundPlan, role: &Role) -> Vec<u64> {
-        match role {
-            Role::Root => match plan.shard_count() {
-                Some(shards) => (0..shards as u64).collect(),
-                None => (0..plan.config.clients as u64).collect(),
-            },
-            Role::Relay { shard, .. } => {
-                let shards = plan.shard_count().expect("a relay requires --shards on the config");
-                let shard_plan = ShardPlan::new(plan.config.clients, shards);
-                assert!(
-                    (*shard as usize) < shard_plan.shards(),
-                    "shard {shard} outside the {}-shard plan",
-                    shard_plan.shards()
-                );
-                shard_plan.range(*shard as usize).map(|c| c as u64).collect()
-            }
-        }
+        let ids = match role {
+            Role::Root => 0..plan.shard_count().unwrap_or(plan.config.clients),
+            Role::Relay { shard, .. } => plan
+                .reparent_range(*shard as usize)
+                .expect("ServeConfig::plan validated the relay's shard"),
+        };
+        ids.map(|id| id as u64).collect()
     }
 }
 
@@ -308,11 +300,10 @@ struct Slot {
 struct Runtime<'a> {
     reactor: Reactor,
     config: &'a ServeConfig,
-    /// `Some` exactly at a sharded root (whose children are relays and
-    /// whose adoption windows map shards to client ranges).
-    shard_plan: Option<ShardPlan>,
-    /// Cohort size, bounding adoptable worker ids.
-    clients: usize,
+    /// The worker range of each relay shard; non-empty exactly at a
+    /// sharded root (whose children are relays and whose adoption
+    /// windows map shards to client ranges).
+    shard_ranges: Vec<Range<usize>>,
     slots: BTreeMap<ChildKey, Slot>,
     by_token: BTreeMap<Token, ChildKey>,
     /// Accepted connections that have not sent their Join yet, with
@@ -342,16 +333,14 @@ impl<'a> Runtime<'a> {
     fn new(
         reactor: Reactor,
         config: &'a ServeConfig,
-        shard_plan: Option<ShardPlan>,
-        clients: usize,
+        shard_ranges: Vec<Range<usize>>,
         expected: &[ChildKey],
     ) -> Self {
         let slots = expected.iter().map(|&key| (key, Slot::default())).collect();
         Self {
             reactor,
             config,
-            shard_plan,
-            clients,
+            shard_ranges,
             slots,
             by_token: BTreeMap::new(),
             pending: Vec::new(),
@@ -381,12 +370,22 @@ impl<'a> Runtime<'a> {
     /// coming back); only the *barrier hold* for prospective adoptees
     /// is grace-bounded.
     fn adoptable(&self, id: u64) -> bool {
-        let Some(shard_plan) = &self.shard_plan else { return false };
-        let Ok(id) = usize::try_from(id) else { return false };
-        if id >= self.clients {
-            return false;
-        }
-        self.failed_shards.contains_key(&(shard_plan.shard_of(id) as u32))
+        self.shard_of(id).is_some_and(|shard| self.failed_shards.contains_key(&shard))
+    }
+
+    /// The relay shard whose range holds worker `id` (`None` off a
+    /// sharded root, or for an id outside the cohort).
+    fn shard_of(&self, id: u64) -> Option<u32> {
+        let id = usize::try_from(id).ok()?;
+        self.shard_ranges.iter().position(|range| range.contains(&id)).map(|shard| shard as u32)
+    }
+
+    /// Whether a failed relay's shard still has a worker that has not
+    /// re-parented here.
+    fn orphan_missing(&self, shard: u32) -> bool {
+        self.shard_ranges[shard as usize]
+            .clone()
+            .any(|id| !self.slots.contains_key(&ChildKey::Worker(id as u64)))
     }
 
     /// One poll-and-dispatch tick, bounded by `timeout`.
@@ -613,9 +612,7 @@ impl<'a> Runtime<'a> {
             self.evicted_now += 1;
         }
         if let ChildKey::Relay(shard) = key {
-            if self.shard_plan.is_some() {
-                self.failed_shards.entry(shard).or_insert_with(Instant::now);
-            }
+            self.failed_shards.entry(shard).or_insert_with(Instant::now);
         }
         self.got.remove(&key);
     }
@@ -652,20 +649,11 @@ impl<'a> Runtime<'a> {
                 }
             }
         }
-        if let Some(shard_plan) = &self.shard_plan {
-            for (&shard, &died) in &self.failed_shards {
-                if now >= died + grace || self.got.contains_key(&ChildKey::Relay(shard)) {
-                    continue;
-                }
-                let orphan_missing = shard_plan
-                    .range(shard as usize)
-                    .any(|id| !self.slots.contains_key(&ChildKey::Worker(id as u64)));
-                if orphan_missing {
-                    return true;
-                }
-            }
-        }
-        false
+        self.failed_shards.iter().any(|(&shard, &died)| {
+            now < died + grace
+                && !self.got.contains_key(&ChildKey::Relay(shard))
+                && self.orphan_missing(shard)
+        })
     }
 
     /// The earliest instant after `now` at which waiting state can
@@ -790,18 +778,9 @@ impl<'a> Runtime<'a> {
         }) {
             return true;
         }
-        if let Some(shard_plan) = &self.shard_plan {
-            for (&shard, &died) in &self.failed_shards {
-                if now < died + grace
-                    && shard_plan
-                        .range(shard as usize)
-                        .any(|id| !self.slots.contains_key(&ChildKey::Worker(id as u64)))
-                {
-                    return true;
-                }
-            }
-        }
-        false
+        self.failed_shards
+            .iter()
+            .any(|(&shard, &died)| now < died + grace && self.orphan_missing(shard))
     }
 
     /// Broadcasts Shutdown to every live session and pumps until the
@@ -877,8 +856,7 @@ impl NetServer {
     /// merged aggregate with non-positive weight).
     pub fn run(self, config: ServeConfig) -> Result<ServeReport, NetError> {
         // One validation pass up front: the rest of the session works
-        // off the canonical plan, never the raw precedence-ridden
-        // knobs.
+        // off the plan.
         let plan = config.plan()?;
         // Pre-declare the lifecycle counters so a `/metrics` scrape
         // during the accept barrier already sees them at zero.
@@ -906,20 +884,18 @@ impl NetServer {
         // A sharded root's children are relays speaking partial-sum
         // frames; everyone else's children are workers speaking
         // updates (the per-seat ChildKey encodes which).
-        let root_sharded = matches!(config.role, Role::Root) && plan.shard_count().is_some();
-        let shard_plan = if root_sharded {
-            Some(ShardPlan::new(plan.config.clients, plan.shard_count().expect("sharded")))
-        } else {
-            None
+        let shard_ranges: Vec<Range<usize>> = match config.role {
+            Role::Root => (0..).map_while(|shard| plan.reparent_range(shard)).collect(),
+            Role::Relay { .. } => Vec::new(),
         };
+        let root_sharded = !shard_ranges.is_empty();
         let expected_keys: Vec<ChildKey> = expected
             .iter()
             .map(|&id| if root_sharded { ChildKey::Relay(id as u32) } else { ChildKey::Worker(id) })
             .collect();
 
         let reactor = Reactor::new(self.listener, config.max_sessions).map_err(NetError::Io)?;
-        let mut rt =
-            Runtime::new(reactor, &config, shard_plan, plan.config.clients, &expected_keys);
+        let mut rt = Runtime::new(reactor, &config, shard_ranges, &expected_keys);
         rt.accept_phase()?;
         if !rt.slots.values().any(|s| s.ever_bound) {
             return Err(NetError::Protocol(
@@ -929,7 +905,7 @@ impl NetServer {
 
         // Root state. A relay never materializes the global — it
         // forwards the broadcast bytes verbatim.
-        let downlink = Downlink::from_policy(&plan.downlink)
+        let downlink = Downlink::from_policy(&plan.config.downlink)
             .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
         let psum_codec = PsumCodec::new();
         // The shared fold step, over the architecture-derived shape
@@ -938,7 +914,7 @@ impl NetServer {
         // panic the server on a misconfigured child). For the root the
         // template doubles as the initial global model, exactly as the
         // engine builds it.
-        let fold = FoldStep::new(&plan.uplink, config.fl.build_model().state_dict());
+        let fold = FoldStep::new(&plan.config.uplink, config.fl.build_model().state_dict());
         let mut global = match config.role {
             Role::Root => Some(fold.template().clone()),
             Role::Relay { .. } => None,
@@ -1048,9 +1024,8 @@ impl NetServer {
                 // before the relay died, the worker's resent update is
                 // already inside that sum — drop it here rather than
                 // count it twice.
-                if let (ChildKey::Worker(id), Some(shard_plan)) = (&key, &rt.shard_plan) {
-                    let shard = shard_plan.shard_of(*id as usize) as u32;
-                    if relay_contributed.contains(&shard) {
+                if let ChildKey::Worker(id) = key {
+                    if rt.shard_of(id).is_some_and(|shard| relay_contributed.contains(&shard)) {
                         continue;
                     }
                 }
@@ -1092,7 +1067,7 @@ impl NetServer {
                         Role::Relay { shard, .. } => *shard,
                         Role::Root => unreachable!("only relays have an upstream"),
                     };
-                    let message = match &plan.psum {
+                    let message = match &plan.config.psum {
                         StagePolicy::Raw => Message::PartialSum {
                             round,
                             shard,
@@ -1259,25 +1234,30 @@ mod tests {
 
     #[test]
     fn oversized_shard_expectation_is_a_plan_error_not_a_clamp() {
-        // ShardPlan used to clamp 8 shards over 4 clients down to 4;
-        // the plan now rejects the config outright, so a root can
-        // never wait for relay ids that cannot legally exist.
+        // Every shard of the socket runtime is a real relay process: a
+        // tree that out-leafs the cohort passes the simulator's plan
+        // (empty leaves are legal there) but not this one, so a root
+        // can never wait for relay ids that cannot legally exist.
         let mut fl = FlConfig::smoke_test();
         fl.clients = 4;
-        fl.shards = Some(8);
-        assert!(ServeConfig::root(fl.clone()).plan().is_err());
-        // The full-width count remains legal.
-        fl.shards = Some(4);
-        assert_eq!(ServeConfig::root(fl.clone()).expected_children(), vec![0, 1, 2, 3]);
-        // An explicit tree spec that out-leafs the cohort passes the
-        // simulator's plan (empty leaves are legal there) but not the
-        // socket runtime's: every shard here is a real relay process,
-        // and a root must never wait for relays that cannot exist.
-        fl.shards = None;
-        fl.tree = Some(vec![9]);
+        fl.tree = Some(vec![8]);
         assert!(fl.plan().is_ok(), "the simulator accepts surplus-leaf trees");
-        let err = ServeConfig::root(fl).plan().unwrap_err();
+        let err = ServeConfig::root(fl.clone()).plan().unwrap_err();
         assert!(err.to_string().contains("shards <= clients"), "{err}");
+        // The full-width count remains legal.
+        fl.tree = Some(vec![4]);
+        assert_eq!(ServeConfig::root(fl.clone()).expected_children(), vec![0, 1, 2, 3]);
+        // A relay role the plan's tree cannot place is refused the same
+        // way (`NetServer::run` starts with this call), not panicked
+        // on: an out-of-range shard, or any shard of a flat plan.
+        let relay = |fl: &FlConfig, shard| ServeConfig::relay(fl.clone(), shard, "h:1".into());
+        assert_eq!(relay(&fl, 3).expected_children(), vec![3]);
+        let err = relay(&fl, 4).plan().unwrap_err();
+        assert!(matches!(err, NetError::Protocol(_)), "{err}");
+        assert!(err.to_string().contains("outside the 4-shard plan"), "{err}");
+        let err = relay(&FlConfig::smoke_test(), 3).plan().unwrap_err();
+        assert!(matches!(err, NetError::Protocol(_)), "{err}");
+        assert!(err.to_string().contains("flat plan"), "{err}");
         // Likewise what the fold cannot honour: a config built in code
         // (no CLI flag check in the way) is refused, not run wrong.
         let mut fl = FlConfig::smoke_test();

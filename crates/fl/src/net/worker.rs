@@ -349,8 +349,9 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
                     // mean one redundant full decode of every later
                     // upload. The EWMA carries the sample forward.
                     let decompress_secs = if stage.wants_decompress_sample(codec) {
-                        let fold =
-                            fold.get_or_insert_with(|| FoldStep::new(&plan.uplink, dict.clone()));
+                        let fold = fold.get_or_insert_with(|| {
+                            FoldStep::new(&plan.config.uplink, dict.clone())
+                        });
                         let t0 = Instant::now();
                         fold.decode(&step.payload, true, Some(&dict)).map_err(|e| {
                             NetError::Protocol(format!("own upload does not decode: {e}"))

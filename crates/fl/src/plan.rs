@@ -1,37 +1,30 @@
 //! The validated execution plan: [`FlConfig`] in, [`RoundPlan`] out.
 //!
-//! [`FlConfig`] is the *ergonomic* input surface: a flat struct of
-//! knobs that grew one field per feature (`shards` next to `tree`,
-//! `links` next to `bandwidth_bps`, a `compression` option next to an
-//! explicit `uplink` policy, separate `DownlinkMode`/`PsumMode`
-//! enums). Historically each consumer re-derived what those knobs
-//! *meant* — with silent precedence (`tree` over `shards`), silent
-//! clamping (`ShardPlan` used to clamp out-of-range shard counts) and
-//! scattered `assert!`s that fired mid-round instead of at build time.
-//!
-//! [`FlConfig::plan`] replaces all of that with one fallible
-//! canonicalization step:
+//! [`FlConfig`] speaks the plan's vocabulary: one [`StagePolicy`] per
+//! wire leg (`uplink`, `downlink`, `psum`), one shape field (`tree`,
+//! per-level fan-outs) and one client link model (`links`, a shared
+//! pipe or per-client profiles). Each concept has one spelling, so
+//! [`FlConfig::plan`] has no precedence to arbitrate — it *validates*
+//! the fields and *derives* what executors need from them:
 //!
 //! ```text
 //! FlConfig ──plan()──► Result<RoundPlan, PlanError>
 //!                            │
-//!                            ├── tree:      Option<TreePlan>      (shards/tree unified)
-//!                            ├── topology:  Option<Topology>      (links/bandwidth unified)
-//!                            ├── uplink:    StagePolicy           (compression | uplink)
-//!                            ├── downlink:  StagePolicy           (DownlinkMode)
-//!                            └── psum:      StagePolicy           (PsumMode)
+//!                            ├── config:         the validated FlConfig, verbatim
+//!                            ├── tree:           Option<TreePlan>   (config.tree over the cohort)
+//!                            ├── topology:       Option<Topology>   (config.links, lifted to Tree)
+//!                            ├── level_links:    per-level aggregator uplinks (edge_links + backbone)
+//!                            └── worker_threads: resolved pool width
 //! ```
 //!
-//! Everything that used to be clamped or silently ignored is now a
-//! [`PlanError`]: zero/oversized shard counts, `--shards` with
-//! `--tree`, participation outside `(0, 1]`, non-positive learning
-//! rates, zero batch sizes or round counts, link lists that do not
-//! match the cohort, edge-link lists that do not match the leaf
-//! count, and compressing stages configured without a codec. The
-//! engine ([`RoundEngine`](crate::engine::RoundEngine)), the socket
-//! runtime ([`crate::net`]) and the scaling harness
-//! ([`crate::scaling`]) all consume the plan — none of them looks at
-//! the raw precedence-ridden fields anymore.
+//! Every malformed value is a [`PlanError`] at build time, never a
+//! clamp or a mid-round panic: participation outside `(0, 1]`,
+//! non-positive learning rates, zero batch sizes or round counts,
+//! empty or zero fan-outs, link lists that do not match the cohort,
+//! edge-link lists that do not match the leaf count, and stage
+//! policies on legs they are illegal on. The engine
+//! ([`RoundEngine`](crate::engine::RoundEngine)) and the socket runtime
+//! ([`crate::net`]) consume the plan.
 //!
 //! # One policy type for every compression leg
 //!
@@ -54,8 +47,8 @@
 //! FedAvg, so it cannot be expressed past `plan()`. The executors
 //! ([`Downlink`](crate::agg::Downlink),
 //! [`PsumForwarder`](crate::agg::PsumForwarder)) validate again at
-//! construction, so even hand-built plans cannot smuggle an illegal
-//! policy into a round.
+//! construction, so a plan whose `config` was edited after `plan()`
+//! cannot smuggle an illegal policy into a round either.
 //!
 //! # Error feedback makes the uplink stateful
 //!
@@ -83,8 +76,8 @@
 //!
 //! # The DP stage is stateless, so it composes everywhere
 //!
-//! [`RoundPlan::dp`] (a validated [`fedsz_dp::DpPolicy`]) clips each
-//! client's update delta and adds seeded Gaussian/Laplace noise
+//! [`FlConfig::dp`] (a [`fedsz_dp::DpPolicy`], validated here) clips
+//! each client's update delta and adds seeded Gaussian/Laplace noise
 //! *before* the uplink codec runs. Unlike error feedback, the stage
 //! keeps no per-client state between rounds — the noise stream is
 //! derived from `(dp.seed, round, client)` alone — so it is legal with
@@ -94,12 +87,13 @@
 //! DP combined with `+ef` still trips the error-feedback rejections
 //! above, because the residual — not the noise — is the stateful part.
 
-use crate::agg::{DownlinkMode, PsumMode, ShardPlan, TreePlan};
+use crate::agg::TreePlan;
 use crate::engine::AggregationPolicy;
 use crate::link::{LinkProfile, Topology};
 use crate::FlConfig;
 use fedsz::FedSzConfig;
 use std::fmt;
+use std::ops::Range;
 
 /// Default edge-aggregator uplink: edges sit in well-provisioned tiers
 /// (1 Gbps), unlike last-mile clients.
@@ -345,31 +339,16 @@ pub enum PlanError {
     BadLearningRate(f32),
     /// Participation outside `(0, 1]`.
     BadParticipation(f64),
-    /// Shared-pipe bandwidth not finite and positive.
-    BadBandwidth(f64),
-    /// Shared-pipe latency negative or non-finite.
-    BadLatency(f64),
     /// Dirichlet alpha not finite and positive.
     BadNonIidAlpha(f64),
     /// `Buffered { target: 0 }` can never aggregate.
     ZeroBufferTarget,
-    /// A per-client [`LinkProfile`] with out-of-range fields.
+    /// A [`LinkProfile`] with out-of-range fields.
     BadLinkProfile {
-        /// The offending client id.
+        /// The offending client id (leaf id for an edge link; 0 for
+        /// the shared pipe).
         client: usize,
     },
-    /// `shards` outside `[1, clients]` (the legacy `ShardPlan` used to
-    /// clamp this silently).
-    ShardsOutOfRange {
-        /// The configured shard count.
-        shards: usize,
-        /// The cohort size bounding it.
-        clients: usize,
-    },
-    /// `shards` and `tree` both set — the library analogue of the
-    /// CLI's `--shards`+`--tree` error (the config used to prefer
-    /// `tree` silently).
-    TopologyConflict,
     /// `tree` set to an empty fan-out list.
     EmptyTree,
     /// A tree fan-out of zero at the given level.
@@ -394,18 +373,14 @@ pub enum PlanError {
         /// Leaf aggregators in the tree.
         leaves: usize,
     },
-    /// `edge_links` set without any aggregation tree to attach it to
-    /// (this used to be silently ignored).
+    /// Aggregator-tier links with no tree to attach them to:
+    /// `edge_links` without a `tree`, or a pre-lifted
+    /// [`Topology::Tree`] in `links` (tiers are configured through
+    /// `tree` + `edge_links`; the plan does the lifting).
     EdgeLinksWithoutTree,
-    /// A non-raw `psum` mode without an aggregation tree — there are
-    /// no partial-sum frames to compress (this used to be silently
-    /// ignored by the library; only the CLI rejected it).
+    /// A non-raw `psum` policy without an aggregation tree — there are
+    /// no partial-sum frames to compress.
     PsumWithoutTree,
-    /// A compressing stage configured while `compression` is `None`.
-    MissingCodec {
-        /// The leg that needs the codec.
-        leg: StageLeg,
-    },
     /// A [`StagePolicy`] attached to a leg it is illegal on (e.g. a
     /// lossy partial-sum policy, which would break bit-parity).
     IllegalStagePolicy {
@@ -470,12 +445,6 @@ impl fmt::Display for PlanError {
             PlanError::BadParticipation(p) => {
                 write!(f, "participation must be in (0, 1], got {p}")
             }
-            PlanError::BadBandwidth(bw) => {
-                write!(f, "bandwidth must be finite and positive, got {bw} bps")
-            }
-            PlanError::BadLatency(l) => {
-                write!(f, "latency must be finite and non-negative, got {l} s")
-            }
             PlanError::BadNonIidAlpha(a) => {
                 write!(f, "non-IID Dirichlet alpha must be finite and positive, got {a}")
             }
@@ -486,15 +455,6 @@ impl fmt::Display for PlanError {
                 f,
                 "link profile for client {client} is out of range (want positive finite \
                  bandwidth, non-negative latency, drop probability in [0, 1], slowdown >= 1)"
-            ),
-            PlanError::ShardsOutOfRange { shards, clients } => write!(
-                f,
-                "shards must be in [1, clients], got {shards} shards for {clients} clients"
-            ),
-            PlanError::TopologyConflict => write!(
-                f,
-                "contradictory topology: `shards` and `tree` both set; pick one \
-                 (tree [S] is the two-level equivalent of shards S)"
             ),
             PlanError::EmptyTree => write!(f, "a tree needs at least one aggregator level"),
             PlanError::ZeroFanout { level } => {
@@ -508,17 +468,14 @@ impl fmt::Display for PlanError {
                 f,
                 "need one edge link per shard ({links} links for {leaves} leaf aggregators)"
             ),
-            PlanError::EdgeLinksWithoutTree => {
-                write!(f, "edge_links set without an aggregation tree (set shards or tree)")
-            }
-            PlanError::PsumWithoutTree => {
-                write!(f, "a non-raw psum mode needs an aggregation tree (set shards or tree)")
-            }
-            PlanError::MissingCodec { leg } => write!(
+            PlanError::EdgeLinksWithoutTree => write!(
                 f,
-                "{} compression requires a FedSZ configuration (compression is None)",
-                leg.name()
+                "aggregator links need an aggregation tree: set `tree` and pass the leaf \
+                 tier as `edge_links` (not a pre-lifted tree topology in `links`)"
             ),
+            PlanError::PsumWithoutTree => {
+                write!(f, "a non-raw psum policy needs an aggregation tree (set tree)")
+            }
             PlanError::IllegalStagePolicy { leg, policy } => write!(
                 f,
                 "a {policy} policy is illegal on the {} leg (see the StagePolicy table)",
@@ -566,51 +523,39 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The canonical, validated execution plan of one federated run.
+/// The validated execution plan of one federated run.
 ///
 /// Produced by [`FlConfig::plan`]; consumed by
-/// [`RoundEngine::from_plan`](crate::engine::RoundEngine::from_plan),
-/// the socket runtime and the scaling harness. Holding a `RoundPlan`
-/// is proof the configuration passed every build-time check — the
-/// executors can `expect` on it instead of re-validating.
+/// [`RoundEngine::from_plan`](crate::engine::RoundEngine::from_plan)
+/// and the socket runtime. Holding a `RoundPlan` is proof the
+/// configuration passed every build-time check — the executors can
+/// `expect` on it instead of re-validating. Beside the configuration
+/// it stores only what is *derived* from it; the stage policies, the
+/// DP stage and the training geometry are read from
+/// [`RoundPlan::config`].
 #[derive(Debug, Clone)]
 pub struct RoundPlan {
-    /// The validated source configuration (training geometry, seeds,
-    /// data). Canonical topology and stage decisions live in the
-    /// sibling fields — consumers must not re-derive them from the
-    /// raw `shards`/`tree`/`links`/`downlink`/`psum` knobs here.
+    /// The validated source configuration.
     pub config: FlConfig,
-    /// The canonical aggregation hierarchy: `shards`/`tree` unified
-    /// into one [`TreePlan`] (`None` = the paper's flat server).
+    /// [`FlConfig::tree`] laid over the cohort (`None` = the paper's
+    /// flat server).
     pub tree: Option<TreePlan>,
-    /// The canonical link topology: `links`/`bandwidth_bps`/
-    /// `latency_secs` unified into concrete per-client
-    /// [`LinkProfile`]s (`None` = no network model).
+    /// [`FlConfig::links`], lifted to [`Topology::Tree`] when the plan
+    /// has a tree: every client then keeps its own last mile to its
+    /// leaf aggregator (`None` = no network model).
     pub topology: Option<Topology>,
     /// Per-level aggregator uplinks for pricing partial-sum forwards,
     /// present exactly when the plan has both a tree and a network
     /// model: `level_links[l - 1]` holds one profile per node at tree
-    /// level `l`.
+    /// level `l` ([`FlConfig::edge_links`] on the leaf tier, the
+    /// [`DEFAULT_EDGE_BPS`] backbone everywhere else).
     pub level_links: Option<Vec<Vec<LinkProfile>>>,
-    /// Policy for the client → server upload leg.
-    pub uplink: StagePolicy,
-    /// Policy for the server → client broadcast leg.
-    pub downlink: StagePolicy,
-    /// Policy for the aggregator → aggregator partial-sum leg.
-    pub psum: StagePolicy,
     /// Resolved worker width for the aggregation hot path:
     /// [`FlConfig::worker_threads`] when set, otherwise the host's
     /// available parallelism at plan time. Always at least 1. Width is
     /// execution speed, not semantics — the global model's bits are
     /// identical at every value.
     pub worker_threads: usize,
-    /// Differential-privacy stage, validated (positive finite clip
-    /// norm, non-negative finite multiplier): every executor clips and
-    /// noises each client's update delta *before* the uplink codec.
-    /// The stage is stateless per `(round, client)` — its noise seed is
-    /// derived, not carried — so unlike error feedback it is legal on
-    /// socket workers and under buffered aggregation.
-    pub dp: Option<fedsz_dp::DpPolicy>,
 }
 
 impl RoundPlan {
@@ -619,12 +564,6 @@ impl RoundPlan {
     /// a flat server.
     pub fn shard_count(&self) -> Option<usize> {
         self.tree.as_ref().map(|tree| tree.nodes_at(1))
-    }
-
-    /// The per-level fan-outs of the canonical tree (root downward),
-    /// or `None` for a flat server.
-    pub fn tree_fanouts(&self) -> Option<&[usize]> {
-        self.tree.as_ref().map(TreePlan::fanouts)
     }
 
     /// Checks the extra constraints the socket runtime adds on top of
@@ -643,7 +582,7 @@ impl RoundPlan {
     /// error-feedback uplink and [`PlanError::SimulatorOnly`] for the
     /// aggregation features the socket runtime cannot honour.
     pub fn validate_for_workers(&self) -> Result<(), PlanError> {
-        if self.uplink.error_feedback() {
+        if self.config.uplink.error_feedback() {
             return Err(PlanError::StatefulUplinkWorker);
         }
         let simulator_only = [
@@ -660,38 +599,17 @@ impl RoundPlan {
         }
     }
 
-    /// The client-id range a sharded root adopts when relay `shard`
-    /// dies mid-run: the same contiguous [`ShardPlan`] split every
-    /// executor derives from the cohort size, so the re-parented
-    /// workers' uploads fold at the root in the identical positions
-    /// their relay would have used — which is what keeps the global
-    /// checksum bit-identical across the failover. `None` for a flat
-    /// server (nothing to re-parent) or an out-of-range shard.
-    pub fn reparent_range(&self, shard: usize) -> Option<std::ops::Range<usize>> {
-        let shards = self.shard_count()?;
-        if shard >= shards {
-            return None;
-        }
-        Some(ShardPlan::new(self.config.clients, shards).range(shard))
+    /// The contiguous client-id range first-tier aggregator `shard`
+    /// owns: the workers relay `shard` serves, and the range a sharded
+    /// root adopts when that relay dies mid-run — the re-parented
+    /// workers' uploads then fold at the root in the identical
+    /// positions their relay would have used, which is what keeps the
+    /// global checksum bit-identical across the failover. `None` for a
+    /// flat server (nothing to re-parent) or an out-of-range shard.
+    pub fn reparent_range(&self, shard: usize) -> Option<Range<usize>> {
+        let tree = self.tree.as_ref()?;
+        (shard < tree.nodes_at(1)).then(|| tree.node_range(1, shard))
     }
-}
-
-/// Validates an explicit tree spec's per-level fan-outs: at least one
-/// level, every fan-out positive, leaf count representable. Shared by
-/// [`FlConfig::plan`] and
-/// [`ScalingConfig::plan`](crate::scaling::ScalingConfig::plan) so a
-/// new tree-shape rule applies to both.
-pub(crate) fn validate_tree_fanouts(fanouts: &[usize]) -> Result<(), PlanError> {
-    if fanouts.is_empty() {
-        return Err(PlanError::EmptyTree);
-    }
-    if let Some(level) = fanouts.iter().position(|&f| f == 0) {
-        return Err(PlanError::ZeroFanout { level });
-    }
-    if fanouts.iter().try_fold(1usize, |acc, &f| acc.checked_mul(f)).is_none() {
-        return Err(PlanError::LeafOverflow);
-    }
-    Ok(())
 }
 
 fn validate_link(profile: &LinkProfile) -> bool {
@@ -704,160 +622,112 @@ fn validate_link(profile: &LinkProfile) -> bool {
         && profile.compute_slowdown >= 1.0
 }
 
-/// Validates the tree-shaping fields and canonicalizes them into one
-/// [`TreePlan`], or `None` for the flat server.
+/// Validates [`FlConfig::tree`] (at least one level, every fan-out
+/// positive, leaf count representable) and lays it over the cohort.
 fn plan_tree(config: &FlConfig) -> Result<Option<TreePlan>, PlanError> {
-    let fanouts = match (&config.tree, config.shards) {
-        (Some(_), Some(_)) => return Err(PlanError::TopologyConflict),
-        (Some(fanouts), None) => {
-            validate_tree_fanouts(fanouts)?;
-            fanouts.clone()
-        }
-        (None, Some(shards)) => {
-            // The legacy ShardPlan clamped this to [1, clients]; a
-            // shard count the cohort cannot fill is now an error
-            // (surplus leaves remain legal for explicit `tree` specs,
-            // where empty leaves are a documented, deliberate shape).
-            if shards == 0 || shards > config.clients {
-                return Err(PlanError::ShardsOutOfRange { shards, clients: config.clients });
-            }
-            vec![shards]
-        }
-        (None, None) => return Ok(None),
-    };
-    Ok(Some(TreePlan::new(config.clients, fanouts)))
+    let Some(fanouts) = &config.tree else { return Ok(None) };
+    if fanouts.is_empty() {
+        return Err(PlanError::EmptyTree);
+    }
+    if let Some(level) = fanouts.iter().position(|&f| f == 0) {
+        return Err(PlanError::ZeroFanout { level });
+    }
+    if fanouts.iter().try_fold(1usize, |acc, &f| acc.checked_mul(f)).is_none() {
+        return Err(PlanError::LeafOverflow);
+    }
+    Ok(Some(TreePlan::new(config.clients, fanouts.clone())))
 }
 
-/// Canonicalizes `links`/`bandwidth_bps`/`edge_links` into the link
-/// topology and the per-level aggregator uplinks.
+/// Validates `links`/`edge_links` and derives the engine's topology
+/// (lifted to [`Topology::Tree`] under a tree) and the per-level
+/// aggregator uplinks.
 #[allow(clippy::type_complexity)]
 fn plan_topology(
     config: &FlConfig,
     tree: Option<&TreePlan>,
 ) -> Result<(Option<Topology>, Option<Vec<Vec<LinkProfile>>>), PlanError> {
-    if let Some(links) = &config.links {
-        if links.len() != config.clients {
-            return Err(PlanError::LinkCountMismatch {
-                links: links.len(),
-                clients: config.clients,
+    // Tree mode gives every client its own last mile to its leaf
+    // aggregator; a shared pipe becomes one identical last mile each.
+    let last_miles = match &config.links {
+        None => None,
+        Some(Topology::Shared(pipe)) => {
+            if !validate_link(pipe) {
+                return Err(PlanError::BadLinkProfile { client: 0 });
+            }
+            Some(vec![*pipe; config.clients])
+        }
+        Some(Topology::Dedicated(links)) => {
+            if links.len() != config.clients {
+                return Err(PlanError::LinkCountMismatch {
+                    links: links.len(),
+                    clients: config.clients,
+                });
+            }
+            if let Some(client) = links.iter().position(|l| !validate_link(l)) {
+                return Err(PlanError::BadLinkProfile { client });
+            }
+            Some(links.clone())
+        }
+        Some(Topology::Tree { .. }) => return Err(PlanError::EdgeLinksWithoutTree),
+    };
+    let Some(plan) = tree else {
+        if config.edge_links.is_some() {
+            return Err(PlanError::EdgeLinksWithoutTree);
+        }
+        return Ok((config.links.clone(), None));
+    };
+    // Per-level aggregator uplinks: explicit `edge_links` profiles
+    // apply to the leaf tier; inner tiers always sit on the
+    // well-provisioned backbone.
+    let mut levels: Vec<Vec<LinkProfile>> = (1..plan.depth())
+        .map(|l| vec![LinkProfile::symmetric(DEFAULT_EDGE_BPS); plan.nodes_at(l)])
+        .collect();
+    if let Some(edges) = &config.edge_links {
+        if edges.len() != plan.leaves() {
+            return Err(PlanError::EdgeLinkCountMismatch {
+                links: edges.len(),
+                leaves: plan.leaves(),
             });
         }
-        if let Some(client) = links.iter().position(|l| !validate_link(l)) {
+        if let Some(client) = edges.iter().position(|l| !validate_link(l)) {
             return Err(PlanError::BadLinkProfile { client });
         }
+        *levels.last_mut().expect("depth >= 2") = edges.clone();
     }
-    if let Some(bw) = config.bandwidth_bps {
-        if !(bw.is_finite() && bw > 0.0) {
-            return Err(PlanError::BadBandwidth(bw));
-        }
-    }
-    if !(config.latency_secs.is_finite() && config.latency_secs >= 0.0) {
-        return Err(PlanError::BadLatency(config.latency_secs));
-    }
-    if config.edge_links.is_some() && tree.is_none() {
-        return Err(PlanError::EdgeLinksWithoutTree);
-    }
-    // Per-level aggregator uplinks (tree mode only): explicit
-    // `edge_links` profiles apply to the leaf tier; inner tiers always
-    // sit on the well-provisioned backbone.
-    let level_links: Option<Vec<Vec<LinkProfile>>> = match tree {
-        None => None,
-        Some(plan) => {
-            let mut levels: Vec<Vec<LinkProfile>> = (1..plan.depth())
-                .map(|l| vec![LinkProfile::symmetric(DEFAULT_EDGE_BPS); plan.nodes_at(l)])
-                .collect();
-            if let Some(edges) = &config.edge_links {
-                if edges.len() != plan.leaves() {
-                    return Err(PlanError::EdgeLinkCountMismatch {
-                        links: edges.len(),
-                        leaves: plan.leaves(),
-                    });
-                }
-                if let Some(client) = edges.iter().position(|l| !validate_link(l)) {
-                    return Err(PlanError::BadLinkProfile { client });
-                }
-                *levels.last_mut().expect("depth >= 2") = edges.clone();
-            }
-            Some(levels)
-        }
-    };
-    let topology = match (&config.links, config.bandwidth_bps, &level_links) {
-        // Tree mode: every client keeps its own last mile to its leaf
-        // aggregator; the tree variant carries every tier's profiles.
-        (Some(links), _, Some(levels)) => {
-            Some(Topology::Tree { clients: links.clone(), levels: levels.clone() })
-        }
-        (None, Some(bw), Some(levels)) => Some(Topology::Tree {
-            clients: vec![
-                LinkProfile::symmetric(bw).with_latency(config.latency_secs);
-                config.clients
-            ],
-            levels: levels.clone(),
-        }),
-        (Some(links), _, None) => Some(Topology::Dedicated(links.clone())),
-        (None, Some(bw), None) => {
-            Some(Topology::Shared(LinkProfile::symmetric(bw).with_latency(config.latency_secs)))
-        }
-        (None, None, _) => None,
-    };
     // Aggregator forwards are only priced when a network model exists.
-    let gated_levels = if topology.is_some() { level_links } else { None };
-    Ok((topology, gated_levels))
+    Ok(match last_miles {
+        None => (None, None),
+        Some(clients) => (Some(Topology::Tree { clients, levels: levels.clone() }), Some(levels)),
+    })
 }
 
-/// Canonicalizes the three per-leg knobs into [`StagePolicy`]s.
-fn plan_stages(
-    config: &FlConfig,
-    tree: Option<&TreePlan>,
-) -> Result<(StagePolicy, StagePolicy, StagePolicy), PlanError> {
-    // Uplink: an explicit `uplink` policy wins outright; otherwise
-    // FedSZ on every upload when a codec is configured, raw when not.
-    let uplink = match (&config.uplink, &config.compression) {
-        (Some(policy), _) => policy.clone(),
-        (None, Some(codec)) => StagePolicy::Lossy(*codec),
-        (None, None) => StagePolicy::Raw,
-    };
+/// Validates the three per-leg [`StagePolicy`]s against the legality
+/// table and the combinations that make them stateful.
+fn validate_stages(config: &FlConfig) -> Result<(), PlanError> {
+    config.uplink.validate_for(StageLeg::Uplink)?;
+    config.downlink.validate_for(StageLeg::Downlink)?;
+    config.psum.validate_for(StageLeg::Psum)?;
     // Error feedback is round-loop state; buffered aggregation crosses
     // round boundaries. See the module docs.
-    if uplink.error_feedback() && matches!(config.aggregation, AggregationPolicy::Buffered { .. }) {
+    if config.uplink.error_feedback()
+        && matches!(config.aggregation, AggregationPolicy::Buffered { .. })
+    {
         return Err(PlanError::StatefulUplinkBuffered);
     }
-    let downlink = match config.downlink {
-        DownlinkMode::Raw => StagePolicy::Raw,
-        DownlinkMode::Compressed => StagePolicy::Lossy(
-            config.compression.ok_or(PlanError::MissingCodec { leg: StageLeg::Downlink })?,
-        ),
-        DownlinkMode::Adaptive => StagePolicy::Adaptive {
-            compressed: Box::new(StagePolicy::Lossy(
-                config.compression.ok_or(PlanError::MissingCodec { leg: StageLeg::Downlink })?,
-            )),
-        },
-    };
-    let psum = match config.psum {
-        PsumMode::Raw => StagePolicy::Raw,
-        PsumMode::Lossless | PsumMode::Adaptive if tree.is_none() => {
-            return Err(PlanError::PsumWithoutTree)
-        }
-        PsumMode::Lossless => StagePolicy::Lossless,
-        PsumMode::Adaptive => StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossless) },
-    };
-    uplink.validate_for(StageLeg::Uplink)?;
-    downlink.validate_for(StageLeg::Downlink)?;
-    psum.validate_for(StageLeg::Psum)?;
-    Ok((uplink, downlink, psum))
+    if config.psum.compresses() && config.tree.is_none() {
+        return Err(PlanError::PsumWithoutTree);
+    }
+    Ok(())
 }
 
 impl FlConfig {
-    /// Validates this configuration and canonicalizes it into a
-    /// [`RoundPlan`]: `shards`/`tree` become one [`TreePlan`],
-    /// `links`/`bandwidth_bps` become a concrete [`Topology`], and the
-    /// three per-leg compression knobs become [`StagePolicy`]s.
+    /// Validates this configuration and derives its [`RoundPlan`]: the
+    /// [`TreePlan`] over the cohort, the lifted [`Topology`], the
+    /// per-level aggregator uplinks and the resolved worker width.
     ///
     /// # Errors
     ///
-    /// Returns the first [`PlanError`] found — every condition that
-    /// was historically clamped, silently preferred, or discovered by
-    /// a mid-round panic.
+    /// Returns the first [`PlanError`] found.
     pub fn plan(&self) -> Result<RoundPlan, PlanError> {
         if self.clients == 0 {
             return Err(PlanError::NoClients);
@@ -900,25 +770,14 @@ impl FlConfig {
         }
         let tree = plan_tree(self)?;
         let (topology, level_links) = plan_topology(self, tree.as_ref())?;
-        let (uplink, downlink, psum) = plan_stages(self, tree.as_ref())?;
-        Ok(RoundPlan {
-            config: self.clone(),
-            tree,
-            topology,
-            level_links,
-            uplink,
-            downlink,
-            psum,
-            worker_threads,
-            dp: self.dp,
-        })
+        validate_stages(self)?;
+        Ok(RoundPlan { config: self.clone(), tree, topology, level_links, worker_threads })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedsz::ErrorBound;
 
     fn base() -> FlConfig {
         FlConfig::smoke_test()
@@ -929,31 +788,8 @@ mod tests {
         let plan = base().plan().expect("smoke config is valid");
         assert!(plan.tree.is_none());
         assert!(matches!(plan.topology, Some(Topology::Shared(_))));
-        assert!(matches!(plan.uplink, StagePolicy::Lossy(_)));
-        assert_eq!(plan.downlink, StagePolicy::Raw);
-        assert_eq!(plan.psum, StagePolicy::Raw);
         assert!(plan.level_links.is_none());
         assert_eq!(plan.shard_count(), None);
-    }
-
-    #[test]
-    fn shard_counts_outside_the_cohort_are_errors_not_clamps() {
-        // The satellite fix: the legacy ShardPlan clamped these.
-        let mut config = base();
-        config.clients = 4;
-        config.shards = Some(0);
-        assert_eq!(
-            config.plan().unwrap_err(),
-            PlanError::ShardsOutOfRange { shards: 0, clients: 4 }
-        );
-        config.shards = Some(5);
-        assert_eq!(
-            config.plan().unwrap_err(),
-            PlanError::ShardsOutOfRange { shards: 5, clients: 4 }
-        );
-        config.shards = Some(4);
-        let plan = config.plan().expect("full-width shard count is legal");
-        assert_eq!(plan.shard_count(), Some(4));
     }
 
     #[test]
@@ -965,15 +801,6 @@ mod tests {
         assert_eq!(config.plan().unwrap().worker_threads, 3);
         config.worker_threads = None;
         assert!(config.plan().unwrap().worker_threads >= 1);
-    }
-
-    #[test]
-    fn shards_with_tree_is_a_conflict() {
-        let mut config = base();
-        config.clients = 4;
-        config.shards = Some(2);
-        config.tree = Some(vec![2, 2]);
-        assert_eq!(config.plan().unwrap_err(), PlanError::TopologyConflict);
     }
 
     #[test]
@@ -1017,18 +844,25 @@ mod tests {
     fn link_lists_must_match_the_cohort() {
         let mut config = base();
         config.clients = 3;
-        config.links = Some(vec![LinkProfile::default()]);
+        config.links = Some(Topology::Dedicated(vec![LinkProfile::default()]));
         assert_eq!(
             config.plan().unwrap_err(),
             PlanError::LinkCountMismatch { links: 1, clients: 3 }
         );
-        // A hand-built profile with out-of-range fields is caught too.
-        config.links = Some(vec![
+        // A hand-built profile with out-of-range fields is caught too,
+        // on a dedicated link or on the shared pipe.
+        config.links = Some(Topology::Dedicated(vec![
             LinkProfile::default(),
             LinkProfile { drop_prob: 2.0, ..LinkProfile::default() },
             LinkProfile::default(),
-        ]);
+        ]));
         assert_eq!(config.plan().unwrap_err(), PlanError::BadLinkProfile { client: 1 });
+        config.links =
+            Some(Topology::Shared(LinkProfile { bandwidth_bps: -1.0, ..LinkProfile::default() }));
+        assert_eq!(config.plan().unwrap_err(), PlanError::BadLinkProfile { client: 0 });
+        // No network model at all is legal.
+        config.links = None;
+        assert!(config.plan().unwrap().topology.is_none());
     }
 
     #[test]
@@ -1037,7 +871,7 @@ mod tests {
         config.clients = 4;
         config.edge_links = Some(vec![LinkProfile::default(); 2]);
         assert_eq!(config.plan().unwrap_err(), PlanError::EdgeLinksWithoutTree);
-        config.shards = Some(3);
+        config.tree = Some(vec![3]);
         assert_eq!(
             config.plan().unwrap_err(),
             PlanError::EdgeLinkCountMismatch { links: 2, leaves: 3 }
@@ -1045,26 +879,33 @@ mod tests {
         config.edge_links = Some(vec![LinkProfile::default(); 3]);
         let plan = config.plan().expect("matching edge links are valid");
         assert_eq!(plan.level_links.as_ref().map(|l| l[0].len()), Some(3));
-    }
-
-    #[test]
-    fn compressing_stages_need_a_codec() {
-        let mut config = base();
-        config.compression = None;
-        config.downlink = DownlinkMode::Compressed;
-        assert_eq!(config.plan().unwrap_err(), PlanError::MissingCodec { leg: StageLeg::Downlink });
-        config.downlink = DownlinkMode::Adaptive;
-        assert!(matches!(config.plan().unwrap_err(), PlanError::MissingCodec { .. }));
+        // The shared pipe is lifted to one last mile per client, with
+        // the edge links as the tree's only tier.
+        match &plan.topology {
+            Some(Topology::Tree { clients, levels }) => {
+                assert_eq!(clients.len(), 4);
+                assert_eq!(Some(levels), plan.level_links.as_ref());
+            }
+            other => panic!("expected a lifted tree topology, got {other:?}"),
+        }
+        // Lifting is the plan's job: a pre-lifted topology is refused.
+        config.links = plan.topology;
+        assert_eq!(config.plan().unwrap_err(), PlanError::EdgeLinksWithoutTree);
     }
 
     #[test]
     fn psum_without_a_tree_is_rejected() {
         let mut config = base();
-        config.psum = PsumMode::Lossless;
+        config.psum = StagePolicy::Lossless;
         assert_eq!(config.plan().unwrap_err(), PlanError::PsumWithoutTree);
-        config.shards = Some(2);
-        let plan = config.plan().expect("psum over a tree is valid");
-        assert_eq!(plan.psum, StagePolicy::Lossless);
+        config.tree = Some(vec![2]);
+        assert!(config.plan().is_ok(), "psum over a tree is valid");
+        // The legality table applies to the config's fields directly.
+        config.psum = StagePolicy::Lossy(FedSzConfig::default());
+        assert_eq!(
+            config.plan().unwrap_err(),
+            PlanError::IllegalStagePolicy { leg: StageLeg::Psum, policy: "lossy" }
+        );
     }
 
     #[test]
@@ -1093,70 +934,23 @@ mod tests {
     }
 
     #[test]
-    fn stage_policy_canonicalization_matches_the_legacy_knobs() {
-        let mut config = base();
-        config.compression = None;
-        assert_eq!(config.plan().unwrap().uplink, StagePolicy::Raw);
-
-        let mut config = base();
-        let codec = config.compression.expect("smoke config compresses");
-        config.uplink =
-            Some(StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossy(codec)) });
-        let plan = config.plan().unwrap();
-        assert!(plan.uplink.is_adaptive());
-        assert_eq!(plan.uplink.fedsz(), config.compression);
-
-        let mut config = base();
-        config.compression =
-            Some(FlConfig::tiny_model_compression().with_error_bound(ErrorBound::Relative(1e-3)));
-        config.downlink = DownlinkMode::Compressed;
-        let plan = config.plan().unwrap();
-        assert_eq!(plan.downlink, StagePolicy::Lossy(config.compression.unwrap()));
-        assert_eq!(plan.downlink.fedsz(), config.compression);
-    }
-
-    #[test]
-    fn tree_canonicalization_unifies_shards_and_tree() {
-        let mut config = base();
-        config.clients = 8;
-        config.shards = Some(4);
-        let plan = config.plan().unwrap();
-        assert_eq!(plan.tree_fanouts(), Some(&[4][..]));
-        assert_eq!(plan.shard_count(), Some(4));
-
+    fn tree_shapes_are_validated_and_laid_over_the_cohort() {
         let mut config = base();
         config.clients = 8;
         config.tree = Some(vec![2, 4]);
         let plan = config.plan().unwrap();
-        assert_eq!(plan.tree_fanouts(), Some(&[2, 4][..]));
+        assert_eq!(plan.tree.as_ref().map(TreePlan::fanouts), Some(&[2, 4][..]));
         assert_eq!(plan.shard_count(), Some(2));
-        // Explicit tree specs may legally out-leaf the cohort (surplus
-        // leaves own empty ranges); only the `shards` shorthand is
-        // strict.
+        // A tree may legally out-leaf the cohort (surplus leaves own
+        // empty ranges).
         config.tree = Some(vec![2, 8]);
         assert!(config.plan().is_ok());
         config.tree = Some(vec![2, 0]);
         assert_eq!(config.plan().unwrap_err(), PlanError::ZeroFanout { level: 1 });
         config.tree = Some(Vec::new());
         assert_eq!(config.plan().unwrap_err(), PlanError::EmptyTree);
-    }
-
-    #[test]
-    fn topology_canonicalization_prefers_links_over_the_shared_pipe() {
-        let mut config = base();
-        config.clients = 2;
-        config.links = Some(vec![LinkProfile::symmetric(1e6); 2]);
-        config.bandwidth_bps = Some(10e6);
-        let plan = config.plan().unwrap();
-        match plan.topology {
-            Some(Topology::Dedicated(links)) => assert_eq!(links[0].bandwidth_bps, 1e6),
-            other => panic!("expected dedicated links, got {other:?}"),
-        }
-        // No network model at all.
-        config.links = None;
-        config.bandwidth_bps = None;
-        let plan = config.plan().unwrap();
-        assert!(plan.topology.is_none());
+        config.tree = Some(vec![usize::MAX, 2]);
+        assert_eq!(config.plan().unwrap_err(), PlanError::LeafOverflow);
     }
 
     #[test]
@@ -1255,37 +1049,32 @@ mod tests {
     }
 
     #[test]
-    fn uplink_override_wins_and_stateful_combinations_are_typed_errors() {
-        // The explicit `uplink` field overrides the default derived
-        // from `compression` entirely.
+    fn stateful_uplink_combinations_are_typed_errors() {
+        // A stateless family uplink is legal on every runtime.
         let mut config = base();
-        config.uplink = Some(StagePolicy::TopK { ratio: 0.05, error_feedback: false });
-        let plan = config.plan().unwrap();
-        assert_eq!(plan.uplink, StagePolicy::TopK { ratio: 0.05, error_feedback: false });
-        assert!(plan.validate_for_workers().is_ok());
+        config.uplink = StagePolicy::TopK { ratio: 0.05, error_feedback: false };
+        assert!(config.plan().unwrap().validate_for_workers().is_ok());
 
         // EF + buffered aggregation: the residual would fold against a
         // reference the client never trained on.
         let mut config = base();
-        config.uplink = Some(StagePolicy::TopK { ratio: 0.05, error_feedback: true });
+        config.uplink = StagePolicy::TopK { ratio: 0.05, error_feedback: true };
         config.aggregation = AggregationPolicy::Buffered { target: 2 };
         assert_eq!(config.plan().unwrap_err(), PlanError::StatefulUplinkBuffered);
 
         // EF + socket workers: the residual dies with the process.
         let mut config = base();
-        config.uplink =
-            Some(StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: true });
+        config.uplink = StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: true };
         let plan = config.plan().expect("EF is legal in the simulator");
         assert_eq!(plan.validate_for_workers().unwrap_err(), PlanError::StatefulUplinkWorker);
 
-        // An invalid override surfaces through plan(), same as every
-        // other knob.
+        // An invalid policy surfaces through plan(), same as every
+        // other field.
         let mut config = base();
-        config.uplink =
-            Some(StagePolicy::Quant { bits: 3, stochastic: false, error_feedback: false });
+        config.uplink = StagePolicy::Quant { bits: 3, stochastic: false, error_feedback: false };
         assert_eq!(config.plan().unwrap_err(), PlanError::BadQuantBits { bits: 3 });
 
-        // And the new errors render actionable text.
+        // And the errors render actionable text.
         assert!(PlanError::StatefulUplinkBuffered.to_string().contains("error-feedback"));
         assert!(PlanError::StatefulUplinkWorker.to_string().contains("error-feedback"));
         assert!(PlanError::BadTopKRatio { ratio: 0.0 }.to_string().contains("(0, 1]"));
@@ -1331,12 +1120,13 @@ mod tests {
         // A flat plan has no relays, hence nothing to re-parent.
         assert_eq!(base().plan().unwrap().reparent_range(0), None);
 
-        // A sharded plan hands back exactly the ShardPlan split: the
-        // root adopting relay 1's orphans must fold clients 4..7 — the
-        // same contiguous block the relay owned — or parity breaks.
+        // A sharded plan hands back exactly the tree's first-tier
+        // split: the root adopting relay 1's orphans must fold clients
+        // 4..7 — the same contiguous block the relay owned — or parity
+        // breaks.
         let mut config = base();
         config.clients = 10;
-        config.shards = Some(3);
+        config.tree = Some(vec![3]);
         let plan = config.plan().unwrap();
         assert_eq!(plan.reparent_range(0), Some(0..4));
         assert_eq!(plan.reparent_range(1), Some(4..7));
@@ -1381,10 +1171,10 @@ mod tests {
     fn errors_render_actionable_messages() {
         let mut config = base();
         config.clients = 4;
-        config.shards = Some(9);
+        config.links = Some(Topology::Dedicated(vec![LinkProfile::default(); 9]));
         let message = config.plan().unwrap_err().to_string();
-        assert!(message.contains("9 shards for 4 clients"), "{message}");
-        config.shards = None;
+        assert!(message.contains("9 links for 4 clients"), "{message}");
+        config.links = None;
         config.participation = 2.0;
         let message = config.plan().unwrap_err().to_string();
         assert!(message.contains("(0, 1]"), "{message}");

@@ -7,29 +7,18 @@
 //! simulated — transfers serialize at the server, which is what makes
 //! the uncompressed curves blow up and the FedSZ curves stay flat.
 //!
-//! [`ScalingConfig::shards`] extends the study past the paper: with `S`
-//! edge aggregators the cohort splits into contiguous shards, each
-//! edge's ingress pipe serializes only its own cohort, and the root
-//! receives `S` partial-sum frames over a fast backbone instead of `N`
-//! updates over the one constrained link — the sharded curves stay
-//! flat where the flat server's serialize-everything curve blows up.
-//! [`ScalingConfig::tree`] deepens the hierarchy (fan-outs root
-//! downward): frames then hop level by level over the backbone, and
-//! [`ScalingConfig::psum_lossless`] prices them through the lossless
-//! partial-sum codec instead of as raw `f64` streams.
+//! The study past the paper's flat server — edge aggregators, deeper
+//! hierarchies, lossless partial-sum frames — runs on the real
+//! [`ShardedTree`](crate::agg::ShardedTree) in the `agg_scale` bench
+//! (`BENCH_agg_scale.json`).
 
-use crate::agg::{PartialSum, PsumForwarder, TreePlan};
 use crate::client::Client;
 use crate::link::{self, Departure, LinkProfile, Topology};
-use crate::plan::{PlanError, StagePolicy};
 use fedsz::{FedSz, FedSzConfig};
 use fedsz_data::{DatasetKind, SyntheticConfig};
 use fedsz_nn::models::tiny::TinyArch;
-use fedsz_nn::{Model, StateDict};
+use fedsz_nn::Model;
 use std::time::Instant;
-
-/// Backbone bandwidth of an edge aggregator's uplink to the root.
-const EDGE_BACKBONE_BPS: f64 = 1e9;
 
 /// One point of a scaling curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,13 +29,8 @@ pub struct ScalingPoint {
     pub clients: usize,
     /// Measured parallel compute time (train + compress) in seconds.
     pub compute_secs: f64,
-    /// Simulated serialized transfer time at the server in seconds
-    /// (under a tree: the slowest leaf pipe plus one backbone forward
-    /// per level).
+    /// Simulated serialized transfer time at the server in seconds.
     pub comm_secs: f64,
-    /// Bytes arriving at the root: every payload (flat) or one
-    /// partial-sum frame per root child (tree).
-    pub root_ingress_bytes: usize,
 }
 
 impl ScalingPoint {
@@ -72,22 +56,6 @@ pub struct ScalingConfig {
     pub data: SyntheticConfig,
     /// Base seed.
     pub seed: u64,
-    /// Edge-aggregator count; `None` is the paper's flat server with
-    /// one shared pipe, `Some(s)` splits the cohort over `s` edge
-    /// ingress pipes (each at [`ScalingConfig::bandwidth_bps`]) that
-    /// forward partial sums over a 1 Gbps backbone. Shorthand for
-    /// `tree: Some(vec![s])`; ignored when [`ScalingConfig::tree`] is
-    /// set.
-    pub shards: Option<usize>,
-    /// Per-level fan-outs of a deeper aggregation hierarchy, root
-    /// downward (`Some(vec![4, 8])` puts 32 leaf pipes under 4
-    /// mid-tier nodes). Takes precedence over
-    /// [`ScalingConfig::shards`].
-    pub tree: Option<Vec<usize>>,
-    /// Price partial-sum frames through the lossless
-    /// [`PsumCodec`](fedsz_lossless::PsumCodec) instead of as raw
-    /// `f64` streams.
-    pub psum_lossless: bool,
 }
 
 impl Default for ScalingConfig {
@@ -104,50 +72,7 @@ impl Default for ScalingConfig {
                 resolution: 16,
             },
             seed: 3,
-            shards: None,
-            tree: None,
-            psum_lossless: false,
         }
-    }
-}
-
-impl ScalingConfig {
-    /// Validates and canonicalizes the harness's topology and
-    /// partial-sum knobs for a `clients`-wide round: the
-    /// `shards`/`tree` pair becomes one [`TreePlan`] (`None` = flat
-    /// server) and `psum_lossless` becomes the partial-sum-leg
-    /// [`StagePolicy`] — the same plan-level vocabulary the round
-    /// engine consumes. Surplus leaves (more edges than clients) stay
-    /// legal here, as they are for explicit `tree` specs: empty edges
-    /// simply never forward a frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PlanError`] when `shards`/`tree` conflict, a shard
-    /// or fan-out count is zero, the bandwidth is not positive, or
-    /// `clients == 0` — conditions the harness used to clamp or
-    /// assert on mid-run.
-    pub fn plan(&self, clients: usize) -> Result<(Option<TreePlan>, StagePolicy), PlanError> {
-        if clients == 0 {
-            return Err(PlanError::NoClients);
-        }
-        if !(self.bandwidth_bps.is_finite() && self.bandwidth_bps > 0.0) {
-            return Err(PlanError::BadBandwidth(self.bandwidth_bps));
-        }
-        let fanouts = match (&self.tree, self.shards) {
-            (Some(_), Some(_)) => return Err(PlanError::TopologyConflict),
-            (Some(fanouts), None) => {
-                crate::plan::validate_tree_fanouts(fanouts)?;
-                Some(fanouts.clone())
-            }
-            (None, Some(0)) => return Err(PlanError::ShardsOutOfRange { shards: 0, clients }),
-            (None, Some(shards)) => Some(vec![shards]),
-            (None, None) => None,
-        };
-        let tree = fanouts.map(|f| TreePlan::new(clients, f));
-        let psum = if self.psum_lossless { StagePolicy::Lossless } else { StagePolicy::Raw };
-        psum.validate_for(crate::plan::StageLeg::Psum)?;
-        Ok((tree, psum))
     }
 }
 
@@ -155,7 +80,6 @@ impl ScalingConfig {
 /// measuring compute and simulating communication.
 pub fn run_round(config: &ScalingConfig, clients: usize, workers: usize) -> ScalingPoint {
     assert!(workers > 0, "workers must be positive");
-    let (tree, psum) = config.plan(clients).unwrap_or_else(|e| panic!("{e}"));
     let (train, _) = config.dataset.generate(&config.data);
     let shards = train.shard(clients);
     let channels = config.dataset.channels();
@@ -206,77 +130,22 @@ pub fn run_round(config: &ScalingConfig, clients: usize, workers: usize) -> Scal
     });
     let compute_secs = t0.elapsed().as_secs_f64();
 
-    let (comm_secs, root_ingress_bytes) = match tree {
-        None => {
-            // Serialized shared-pipe accounting via the virtual-time
-            // event queue (equivalent to summing per-payload transfer
-            // times, but the same machinery the round engine uses).
-            let topology = Topology::Shared(LinkProfile::symmetric(config.bandwidth_bps));
-            let departures: Vec<Departure> = payload_sizes
-                .iter()
-                .enumerate()
-                .map(|(client, &bytes)| Departure {
-                    client,
-                    ready_secs: 0.0,
-                    bytes,
-                    dropped: false,
-                })
-                .collect();
-            let arrivals = link::schedule(&departures, &topology);
-            (link::comm_secs(&arrivals, &topology), payload_sizes.iter().sum())
-        }
-        Some(plan) => tree_comm(config, &global, &payload_sizes, plan, &psum),
-    };
-    ScalingPoint { workers, clients, compute_secs, comm_secs, root_ingress_bytes }
-}
-
-/// Hierarchical accounting: each leaf's ingress pipe serializes only
-/// its own cohort's payloads, then one partial-sum frame hops up every
-/// level of the tree over the backbone; the round's comm time is the
-/// slowest leaf chain, and root ingress is the root's children's
-/// frames, not the payloads.
-fn tree_comm(
-    config: &ScalingConfig,
-    global: &StateDict,
-    payload_sizes: &[usize],
-    plan: TreePlan,
-    psum: &StagePolicy,
-) -> (f64, usize) {
-    // The frame a node ships is a function of the model geometry, not
-    // of the cohort, so one exemplar partial — framed by the same
-    // `PsumForwarder` the tree aggregator uses, so the byte accounting
-    // cannot drift from what the tree actually ships — prices every
-    // hop.
-    let mut exemplar = PartialSum::new();
-    exemplar.accumulate(global, 1.0);
-    let frame = PsumForwarder::from_policy(psum)
-        .expect("scaling plan validated the psum policy")
-        .frame(0, 0, &exemplar, None);
-    let edge_pipe = LinkProfile::symmetric(config.bandwidth_bps);
-    let backbone = LinkProfile::symmetric(EDGE_BACKBONE_BPS);
-    let mut slowest_leaf = 0.0f64;
-    for leaf in 0..plan.leaves() {
-        let ingress: f64 = plan
-            .leaf_range(leaf)
-            .map(|client| edge_pipe.transfer_secs(payload_sizes[client]))
-            .sum();
-        slowest_leaf = slowest_leaf.max(ingress);
+    // Serialized shared-pipe accounting via the virtual-time event
+    // queue (equivalent to summing per-payload transfer times, but the
+    // same machinery the round engine uses).
+    let topology = Topology::Shared(LinkProfile::symmetric(config.bandwidth_bps));
+    let departures: Vec<Departure> = payload_sizes
+        .iter()
+        .enumerate()
+        .map(|(client, &bytes)| Departure { client, ready_secs: 0.0, bytes, dropped: false })
+        .collect();
+    let arrivals = link::schedule(&departures, &topology);
+    ScalingPoint {
+        workers,
+        clients,
+        compute_secs,
+        comm_secs: link::comm_secs(&arrivals, &topology),
     }
-    // Every level's forward rides the same backbone with an
-    // identically-sized frame, so the chain adds one hop per level —
-    // and when the frames are compressed, each hop also pays the
-    // *measured* codec time (compress at the child, decompress at the
-    // parent), exactly as the engine's tree prices it; a fast backbone
-    // can therefore make the lossless frames a net loss here, which is
-    // the trade-off the flag exists to study. Empty nodes never
-    // forward (the aggregator skips them), so only the root's
-    // *non-empty* children contribute ingress frames.
-    let frame_bytes = frame.wire_bytes;
-    let hops = (plan.depth() - 1) as f64;
-    let comm = slowest_leaf + hops * (backbone.transfer_secs(frame_bytes) + frame.codec_secs);
-    let active_children =
-        (0..plan.nodes_at(1)).filter(|&node| !plan.node_range(1, node).is_empty()).count();
-    (comm, active_children * frame_bytes)
 }
 
 /// Weak scaling: one client per worker, workers in `worker_counts`.
@@ -330,106 +199,6 @@ mod tests {
             packed.comm_secs,
             plain.comm_secs
         );
-    }
-
-    #[test]
-    fn sharded_edges_cut_comm_and_root_ingress() {
-        // 16 uncompressed clients over 4 edge pipes: each edge
-        // serializes 4 payloads instead of 16, and the root sees 4
-        // partial-sum frames (8 B/element) instead of 16 payloads
-        // (4 B/element) — a 2x ingress cut at this fan-in.
-        let flat = run_round(&tiny_config(false), 16, 2);
-        let mut config = tiny_config(false);
-        config.shards = Some(4);
-        let sharded = run_round(&config, 16, 2);
-        assert!(
-            sharded.comm_secs < flat.comm_secs / 2.0,
-            "edge pipes must overlap: sharded {:.3}s vs flat {:.3}s",
-            sharded.comm_secs,
-            flat.comm_secs
-        );
-        assert!(
-            sharded.root_ingress_bytes * 3 < flat.root_ingress_bytes * 2,
-            "root ingress should drop: {} vs {}",
-            sharded.root_ingress_bytes,
-            flat.root_ingress_bytes
-        );
-    }
-
-    #[test]
-    fn deep_tree_accounting_chains_hops_and_shrinks_frames() {
-        // Depth 3 with the same 4 leaves: leaf serialization matches
-        // the two-level case, the chain just adds one backbone hop and
-        // the root sees 2 frames instead of 4.
-        let mut two = tiny_config(false);
-        two.shards = Some(4);
-        let flat2 = run_round(&two, 16, 2);
-        let mut three = tiny_config(false);
-        three.tree = Some(vec![2, 2]);
-        let deep = run_round(&three, 16, 2);
-        assert!(
-            deep.root_ingress_bytes < flat2.root_ingress_bytes,
-            "2 root frames ({}) must undercut 4 ({})",
-            deep.root_ingress_bytes,
-            flat2.root_ingress_bytes
-        );
-        // The lossless psum codec shrinks every frame on the books.
-        let mut packed = three.clone();
-        packed.psum_lossless = true;
-        let packed_point = run_round(&packed, 16, 2);
-        assert!(
-            packed_point.root_ingress_bytes < deep.root_ingress_bytes,
-            "lossless frames ({}) must undercut raw ({})",
-            packed_point.root_ingress_bytes,
-            deep.root_ingress_bytes
-        );
-    }
-
-    #[test]
-    fn oversized_shard_count_counts_only_active_edges() {
-        // 64 shards over 4 clients leaves 60 empty edges; the real
-        // aggregator skips them, so the accounting must too — root
-        // ingress matches a 4-shard run's, frame for frame.
-        let mut few = tiny_config(false);
-        few.shards = Some(4);
-        let four = run_round(&few, 4, 2);
-        let mut many = tiny_config(false);
-        many.shards = Some(64);
-        let sixty_four = run_round(&many, 4, 2);
-        assert_eq!(
-            four.root_ingress_bytes, sixty_four.root_ingress_bytes,
-            "empty edges must not forward frames"
-        );
-    }
-
-    #[test]
-    fn scaling_plan_rejects_the_old_silent_degradations() {
-        let mut config = tiny_config(false);
-        config.shards = Some(0);
-        assert_eq!(
-            config.plan(4).unwrap_err(),
-            PlanError::ShardsOutOfRange { shards: 0, clients: 4 }
-        );
-        config.shards = Some(2);
-        config.tree = Some(vec![2, 2]);
-        assert_eq!(config.plan(4).unwrap_err(), PlanError::TopologyConflict);
-        config.shards = None;
-        config.tree = Some(vec![2, 0]);
-        assert_eq!(config.plan(4).unwrap_err(), PlanError::ZeroFanout { level: 1 });
-        config.tree = None;
-        config.bandwidth_bps = -1.0;
-        assert!(matches!(config.plan(4).unwrap_err(), PlanError::BadBandwidth(_)));
-        assert_eq!(tiny_config(false).plan(0).unwrap_err(), PlanError::NoClients);
-        // Surplus edges stay legal (empty leaves never forward).
-        let mut surplus = tiny_config(false);
-        surplus.shards = Some(64);
-        let (tree, psum) = surplus.plan(4).unwrap();
-        assert_eq!(tree.unwrap().leaves(), 64);
-        assert_eq!(psum, StagePolicy::Raw);
-        let mut lossless = tiny_config(false);
-        lossless.psum_lossless = true;
-        let (_, psum) = lossless.plan(4).unwrap();
-        assert_eq!(psum, StagePolicy::Lossless);
     }
 
     #[test]

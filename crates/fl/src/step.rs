@@ -155,12 +155,12 @@ pub(crate) struct UplinkStage {
 
 impl UplinkStage {
     pub(crate) fn new(plan: &RoundPlan) -> Self {
-        let codecs = uplink_codecs_for(&plan.uplink);
+        let codecs = uplink_codecs_for(&plan.config.uplink);
         Self {
             profiles: vec![None; codecs.len()],
             codecs,
-            priced: plan.uplink.is_adaptive(),
-            dp: plan.dp,
+            priced: plan.config.uplink.is_adaptive(),
+            dp: plan.config.dp,
             seed: plan.config.seed,
             local_epochs: plan.config.local_epochs,
         }
@@ -513,7 +513,7 @@ mod tests {
     fn engine_and_worker_calls_yield_identical_payloads() {
         for (name, policy) in policies() {
             let mut config = FlConfig::smoke_test();
-            config.uplink = Some(policy.clone());
+            config.uplink = policy.clone();
             let plan = config.plan().expect("valid policy");
             let mut stage = UplinkStage::new(&plan);
             let reference = config.build_model().state_dict();
@@ -562,16 +562,16 @@ mod tests {
         // upload) at 0x82c3c3f4. `Lossy` is "forced codec 0" and
         // `Adaptive{Lossy}` "priced selection over one candidate" of
         // the same route; with no network model to price against, the
-        // latter compresses every round too — so all three spellings
-        // must land on the golden.
+        // latter compresses every round too — so both spellings must
+        // land on the golden.
         let codec = FlConfig::tiny_model_compression();
         let lossy = StagePolicy::Lossy(codec);
         let adaptive = StagePolicy::Adaptive { compressed: Box::new(lossy.clone()) };
-        for (uplink, priced) in [(None, false), (Some(lossy), false), (Some(adaptive), true)] {
+        for (uplink, priced) in [(lossy, false), (adaptive, true)] {
             let mut config = FlConfig::smoke_test();
             config.uplink = uplink.clone();
             if priced {
-                config.bandwidth_bps = None;
+                config.links = None;
             }
             let mut exp = Experiment::new(config);
             let metrics = exp.run();
@@ -584,7 +584,7 @@ mod tests {
     fn pricing_one_candidate_is_eqn1_worthwhile() {
         let mut config = FlConfig::smoke_test();
         let lossy = StagePolicy::Lossy(FlConfig::tiny_model_compression());
-        config.uplink = Some(StagePolicy::Adaptive { compressed: Box::new(lossy) });
+        config.uplink = StagePolicy::Adaptive { compressed: Box::new(lossy) };
         let mut stage = UplinkStage::new(&config.plan().unwrap());
         // Unprofiled, or no bandwidth estimate: compress (the probe).
         assert_eq!(stage.choose(0, 0, 1_000_000, Some(1e6), 1.0).codec, Some(0));

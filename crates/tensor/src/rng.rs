@@ -26,8 +26,20 @@ pub fn normal(rng: &mut StdRng) -> f32 {
 
 /// Laplace(0, b) sample by inverse CDF.
 pub fn laplace(rng: &mut StdRng, b: f32) -> f32 {
-    let u: f32 = rng.gen::<f32>() - 0.5;
-    -b * u.signum() * (1.0 - 2.0 * u.abs()).ln()
+    laplace_inverse_cdf(rng.gen::<f32>() - 0.5, b)
+}
+
+/// The Laplace(0, b) quantile at `u + 0.5`, for `u` in `[-0.5, 0.5)`.
+fn laplace_inverse_cdf(u: f32, b: f32) -> f32 {
+    // The generator draws multiples of 2^-24, so the log argument is a
+    // multiple of 2^-23 — and exactly 0 for the draw u = -0.5, where a
+    // bare `ln` returns -inf. That draw stands for the interval
+    // [0, 2^-23); clamping to its midpoint gives it a ~16.6·b tail in
+    // line with its neighbours (a smaller floor such as
+    // `f32::MIN_POSITIVE` would stretch a tensor's value range) and
+    // leaves every other draw bit-identical.
+    const MIN_ARG: f32 = 1.0 / (1u32 << 24) as f32;
+    -b * u.signum() * (1.0 - 2.0 * u.abs()).max(MIN_ARG).ln()
 }
 
 /// Tensor of N(0, std^2) samples.
@@ -101,6 +113,24 @@ mod tests {
         // Laplace(0,1) variance is 2.
         let var: f64 = lap.iter().map(|&v| f64::from(v).powi(2)).sum::<f64>() / n as f64;
         assert!((var - 2.0).abs() < 0.15, "var {var}");
+    }
+
+    #[test]
+    fn laplace_zero_draw_is_finite_and_other_draws_are_untouched() {
+        // The one draw whose log argument is 0: finite, on the negative
+        // tail, just past its nearest neighbour.
+        let tail = laplace_inverse_cdf(-0.5, 1.0);
+        assert!(tail.is_finite(), "zero draw gave {tail}");
+        assert!((tail + 24.0 * std::f32::consts::LN_2).abs() < 1e-4, "tail {tail}");
+        let step = 1.0 / (1u32 << 24) as f32;
+        let neighbour = laplace_inverse_cdf(-0.5 + step, 1.0);
+        assert!(tail < neighbour && neighbour < -15.0, "{tail} vs {neighbour}");
+        // Every other draw keeps the unclamped formula's bits.
+        for k in [1u32, 2, 1 << 12, (1 << 23) - 1, 1 << 23, (1 << 23) + 1, (1 << 24) - 1] {
+            let u = k as f32 * step - 0.5;
+            let bare = -2.5 * u.signum() * (1.0 - 2.0 * u.abs()).ln();
+            assert_eq!(laplace_inverse_cdf(u, 2.5).to_bits(), bare.to_bits(), "draw {k}");
+        }
     }
 
     #[test]

@@ -15,20 +15,17 @@
 //!    loop could not express.
 
 use fedsz_data::DatasetKind;
-use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile};
+use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile, StagePolicy, Topology};
 use fedsz_nn::models::tiny::TinyArch;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let rounds = 5;
 
-    let base = FlConfig::builder()
-        .arch(TinyArch::ResNet)
-        .dataset(DatasetKind::Cifar10Like)
-        .rounds(rounds)
-        .build();
+    let base =
+        FlConfig { rounds, ..FlConfig::paper_default(TinyArch::ResNet, DatasetKind::Cifar10Like) };
 
-    let plain_cfg = FlConfig { compression: None, ..base.clone() };
+    let plain_cfg = FlConfig { uplink: StagePolicy::Raw, ..base.clone() };
     let plain = Experiment::new(plain_cfg).run();
     let fedsz = Experiment::new(base.clone()).run();
 
@@ -59,12 +56,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // buffered policy aggregates after 3 arrivals; the straggler's
     // update lands one round late with a staleness-discounted weight.
     let mut hetero = base;
-    hetero.links = Some(vec![
+    hetero.links = Some(Topology::Dedicated(vec![
         LinkProfile::symmetric(50e6),
         LinkProfile::symmetric(50e6),
         LinkProfile::symmetric(50e6),
         LinkProfile::symmetric(1e6).with_slowdown(20.0),
-    ]);
+    ]));
     hetero.aggregation = AggregationPolicy::Buffered { target: 3 };
     let buffered = Experiment::new(hetero).run();
 

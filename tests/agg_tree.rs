@@ -6,7 +6,7 @@ use fedsz::{ErrorBound, FedSzConfig};
 use fedsz_fl::agg::PartialSum;
 use fedsz_fl::engine::RoundEngine;
 use fedsz_fl::transport::{InMemoryTransport, WireTransport};
-use fedsz_fl::{DownlinkMode, FlConfig, PsumMode};
+use fedsz_fl::{FlConfig, StagePolicy};
 use fedsz_lossless::PsumCodec;
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
@@ -37,7 +37,7 @@ fn sharded_tree_is_bit_identical_to_flat_fedavg() {
     }
     for shards in [1usize, 2, 7, 16] {
         let mut sharded_config = config.clone();
-        sharded_config.shards = Some(shards);
+        sharded_config.tree = Some(vec![shards]);
         let mut tree = RoundEngine::new(sharded_config, Box::<InMemoryTransport>::default());
         for (round, flat_bytes) in flat_rounds.iter().enumerate() {
             tree.run_round(round);
@@ -67,7 +67,7 @@ fn deep_trees_are_bit_identical_to_flat_fedavg() {
     for fanouts in [vec![2, 3], vec![3, 4], vec![2, 2, 3], vec![3, 2, 4]] {
         let mut deep_config = config.clone();
         deep_config.tree = Some(fanouts.clone());
-        deep_config.psum = PsumMode::Lossless;
+        deep_config.psum = StagePolicy::Lossless;
         let mut tree = RoundEngine::new(deep_config, Box::<InMemoryTransport>::default());
         for (round, flat_bytes) in flat_rounds.iter().enumerate() {
             tree.run_round(round);
@@ -91,11 +91,11 @@ fn sharded_parity_holds_with_weighting_downlink_and_wire() {
     config.participation = 0.75;
     config.non_iid_alpha = Some(0.5);
     config.weighted_aggregation = true;
-    config.downlink = DownlinkMode::Compressed;
+    config.downlink = StagePolicy::Lossy(FlConfig::tiny_model_compression());
     let mut flat = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
     let mut sharded_config = config.clone();
-    sharded_config.shards = Some(3);
-    sharded_config.psum = PsumMode::Adaptive;
+    sharded_config.tree = Some(vec![3]);
+    sharded_config.psum = StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossless) };
     let mut tree = RoundEngine::new(sharded_config.clone(), Box::<InMemoryTransport>::default());
     let mut wire_tree = RoundEngine::new(sharded_config, Box::new(WireTransport::new()));
     for round in 0..config.rounds {
@@ -128,10 +128,10 @@ fn sharded_parity_holds_with_weighting_downlink_and_wire() {
 fn sharded_tree_cuts_root_ingress() {
     let mut config = parity_config();
     config.rounds = 1;
-    config.compression = None;
+    config.uplink = StagePolicy::Raw;
     let mut flat = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
     let flat_metrics = flat.run_round(0);
-    config.shards = Some(4);
+    config.tree = Some(vec![4]);
     let mut tree = RoundEngine::new(config, Box::<InMemoryTransport>::default());
     let tree_metrics = tree.run_round(0);
     assert_eq!(flat_metrics.root_ingress_bytes, flat_metrics.upstream_bytes);
@@ -149,10 +149,8 @@ fn weights() -> impl Strategy<Value = Vec<f32>> {
 }
 
 fn downlink_for(bound: ErrorBound) -> fedsz_fl::agg::Downlink {
-    fedsz_fl::agg::Downlink::new(
-        DownlinkMode::Compressed,
-        Some(FedSzConfig { threshold: 128, error_bound: bound, ..FedSzConfig::default() }),
-    )
+    let codec = FedSzConfig { threshold: 128, error_bound: bound, ..FedSzConfig::default() };
+    fedsz_fl::agg::Downlink::from_policy(&StagePolicy::Lossy(codec)).expect("legal on the downlink")
 }
 
 proptest! {

@@ -4,7 +4,7 @@
 use fedsz::timing::{mbps, TransferPlan};
 use fedsz::{ErrorBound, FedSz};
 use fedsz_data::DatasetKind;
-use fedsz_fl::{Experiment, FlConfig};
+use fedsz_fl::{Experiment, FlConfig, StagePolicy, Topology};
 use fedsz_nn::models::specs::ModelSpec;
 use fedsz_nn::models::tiny::TinyArch;
 use std::time::Instant;
@@ -40,13 +40,14 @@ fn all_archs_learn_above_chance_with_fedsz() {
 fn recommended_bound_tracks_uncompressed_accuracy() {
     // Fig 5's central claim at the paper's recommended REL 1e-2.
     let mut plain_cfg = quick_config(TinyArch::AlexNet);
-    plain_cfg.compression = None;
+    plain_cfg.uplink = StagePolicy::Raw;
     let plain: Vec<f64> =
         Experiment::new(plain_cfg).run().iter().map(|m| m.test_accuracy).collect();
 
     let mut fedsz_cfg = quick_config(TinyArch::AlexNet);
-    fedsz_cfg.compression =
-        Some(FlConfig::tiny_model_compression().with_error_bound(ErrorBound::Relative(1e-2)));
+    fedsz_cfg.uplink = StagePolicy::Lossy(
+        FlConfig::tiny_model_compression().with_error_bound(ErrorBound::Relative(1e-2)),
+    );
     let compressed: Vec<f64> =
         Experiment::new(fedsz_cfg).run().iter().map(|m| m.test_accuracy).collect();
 
@@ -64,7 +65,8 @@ fn communication_savings_match_eqn1_model() {
     let mut config = quick_config(TinyArch::MobileNetV2);
     config.rounds = 1;
     let clients = config.clients;
-    let bandwidth = config.bandwidth_bps.unwrap();
+    let Some(Topology::Shared(pipe)) = &config.links else { panic!("shared-pipe config") };
+    let bandwidth = pipe.bandwidth_bps;
     let metrics = Experiment::new(config).run();
     let m = metrics.last().unwrap();
     let expected = m.update_bytes * 8.0 / bandwidth * clients as f64;

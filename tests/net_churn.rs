@@ -102,7 +102,7 @@ fn dead_relay_reparents_its_cohort_to_the_root_with_parity() {
     // updates fold where the relay's partial sum would have.
     let mut config = quick_config();
     config.clients = 4;
-    config.shards = Some(2);
+    config.tree = Some(vec![2]);
 
     let mut reference = Experiment::new(config.clone());
     reference.run();

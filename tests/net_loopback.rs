@@ -44,14 +44,14 @@ fn spawn_workers(
 
 #[test]
 fn flat_socket_run_is_bit_identical_to_in_memory() {
-    // One pass per uplink codec route: FedSZ (`None` = the config's
-    // default `lossy`), a `FUC1` sparse stream, and the stochastic
-    // quantizer — whose dither seed must agree across processes or
-    // the checksums part ways.
+    // One pass per uplink codec route: FedSZ (the config's default
+    // `lossy`), a `FUC1` sparse stream, and the stochastic quantizer —
+    // whose dither seed must agree across processes or the checksums
+    // part ways.
     let policies = [
-        None,
-        Some(StagePolicy::TopK { ratio: 0.1, error_feedback: false }),
-        Some(StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false }),
+        quick_config().uplink,
+        StagePolicy::TopK { ratio: 0.1, error_feedback: false },
+        StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false },
     ];
     for uplink in policies {
         let mut config = quick_config();
@@ -93,8 +93,8 @@ fn sharded_relay_run_ships_compressed_psums_and_keeps_parity() {
     // sockets, still bit-identical to the flat in-memory run.
     let mut config = quick_config();
     config.clients = 4;
-    config.shards = Some(2);
-    config.psum = fedsz_fl::PsumMode::Lossless;
+    config.tree = Some(vec![2]);
+    config.psum = StagePolicy::Lossless;
 
     let mut reference = Experiment::new(config.clone());
     reference.run();

@@ -1,34 +1,33 @@
 //! The config/plan split's contract tests.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! 1. **Golden bit-parity.** The checksums below were captured by
 //!    running the *pre-redesign* engine (the field-by-field
-//!    `RoundEngine::new` that read `shards`/`tree`/`links`/
-//!    `downlink`/`psum` directly) on a spread of representative
-//!    configurations. The plan-based engine must reproduce every one
-//!    bit for bit — the redesign is an API change, not a numerics
-//!    change.
-//! 2. **Canonicalization parity.** For arbitrary configurations, the
-//!    plan either fails with a typed [`PlanError`] or its canonical
-//!    tree/topology agree with the legacy field-by-field derivation
-//!    rules (reimplemented here as the reference), and the
-//!    `RoundEngine::new` (config) and `RoundEngine::from_plan` (plan)
-//!    construction paths produce bit-identical rounds.
-//! 3. **Builder equivalence.** `FlConfig::builder()` chains produce
-//!    the same configs (and therefore the same bits) as field-by-field
-//!    struct mutation.
+//!    `RoundEngine::new` that read its topology and stage knobs
+//!    directly) on a spread of representative configurations. The
+//!    plan-based engine must reproduce every one bit for bit — each
+//!    redesign since has been an API change, not a numerics change.
+//! 2. **Total validation.** For arbitrary configurations, `plan()`
+//!    either fails with a typed [`PlanError`] (and the panicking
+//!    constructor reports the same condition) or the engine completes
+//!    a round; and the `RoundEngine::new` (config) and
+//!    `RoundEngine::from_plan` (plan) construction paths produce
+//!    bit-identical rounds.
 
 use fedsz_fl::engine::RoundEngine;
-use fedsz_fl::link::Topology;
 use fedsz_fl::net::global_checksum;
 use fedsz_fl::plan::{PlanError, StagePolicy};
 use fedsz_fl::transport::InMemoryTransport;
 use fedsz_fl::{
-    AggregationPolicy, DownlinkMode, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile,
-    PsumMode,
+    AggregationPolicy, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, Topology,
 };
 use proptest::prelude::*;
+
+/// The smoke config's codec, as the policy of a compressing leg.
+fn lossy() -> StagePolicy {
+    StagePolicy::Lossy(FlConfig::tiny_model_compression())
+}
 
 fn checksum_of(config: FlConfig) -> u32 {
     let mut exp = Experiment::new(config);
@@ -48,19 +47,19 @@ fn plan_based_engine_reproduces_pre_redesign_checksums() {
     {
         let mut c = base();
         c.clients = 8;
-        c.shards = Some(4);
+        c.tree = Some(vec![4]);
         configs.push(("shards4", c, 0xf4b41e60));
     }
     {
         let mut c = base();
         c.clients = 8;
         c.tree = Some(vec![2, 4]);
-        c.psum = PsumMode::Lossless;
+        c.psum = StagePolicy::Lossless;
         configs.push(("tree2x4-lossless", c, 0xf4b41e60));
     }
     {
         let mut c = base();
-        c.downlink = DownlinkMode::Compressed;
+        c.downlink = lossy();
         configs.push(("downlink", c, 0xe49849c8));
     }
     {
@@ -79,30 +78,30 @@ fn plan_based_engine_reproduces_pre_redesign_checksums() {
     {
         let mut c = base();
         c.clients = 3;
-        c.links = Some(vec![
+        c.links = Some(Topology::Dedicated(vec![
             LinkProfile::symmetric(100e6),
             LinkProfile::symmetric(1e6).with_drop_prob(1.0),
             LinkProfile::symmetric(10e6),
-        ]);
+        ]));
         configs.push(("links-drop", c, 0x8185b97a));
     }
     {
         let mut c = base();
-        c.compression = None;
+        c.uplink = StagePolicy::Raw;
         configs.push(("plain", c, 0x7ab2a739));
     }
     {
         let mut c = base();
-        c.latency_secs = 0.02;
+        c.links = Some(Topology::Shared(LinkProfile::symmetric(10e6).with_latency(0.02)));
         configs.push(("latency", c, 0x82c3c3f4));
     }
     {
         let mut c = base();
         c.clients = 6;
-        c.shards = Some(3);
+        c.tree = Some(vec![3]);
         c.edge_links = Some(vec![LinkProfile::symmetric(1e9); 3]);
-        c.psum = PsumMode::Lossless;
-        c.downlink = DownlinkMode::Compressed;
+        c.psum = StagePolicy::Lossless;
+        c.downlink = lossy();
         configs.push(("edges-all-stages", c, 0x6bb28c83));
     }
     for (name, config, want) in configs {
@@ -117,9 +116,8 @@ fn plan_based_engine_reproduces_pre_redesign_checksums() {
 
 /// The new uplink codec families perturb only the uplink leg.
 ///
-/// Three pins. (1) An explicit `uplink = Raw` override reproduces the
-/// legacy no-compression golden bit for bit — the override machinery
-/// adds no bits of its own. (2) Each family's smoke-config checksum is
+/// Three pins. (1) `uplink = Raw` reproduces the no-compression golden
+/// bit for bit. (2) Each family's smoke-config checksum is
 /// pinned as its own golden (every family, stochastic dither included,
 /// is fully deterministic under a fixed seed), plus one downlink
 /// composition golden; a change to *any* other leg would shift these.
@@ -131,12 +129,12 @@ fn plan_based_engine_reproduces_pre_redesign_checksums() {
 /// and `(a − b) + b` is not an f32 identity.)
 #[test]
 fn family_uplinks_leave_the_other_legs_bit_identical() {
-    let mut raw_override = FlConfig::smoke_test();
-    raw_override.uplink = Some(StagePolicy::Raw);
+    let mut raw = FlConfig::smoke_test();
+    raw.uplink = StagePolicy::Raw;
     assert_eq!(
-        checksum_of(raw_override),
+        checksum_of(raw),
         0x7ab2a739,
-        "uplink = Raw must reproduce the legacy no-compression golden"
+        "uplink = Raw must reproduce the no-compression golden"
     );
 
     let families: Vec<(&str, StagePolicy, u32)> = vec![
@@ -160,7 +158,7 @@ fn family_uplinks_leave_the_other_legs_bit_identical() {
     ];
     for (codec, uplink, want) in &families {
         let mut c = FlConfig::smoke_test();
-        c.uplink = Some(uplink.clone());
+        c.uplink = uplink.clone();
         let got = checksum_of(c);
         assert_eq!(
             got, *want,
@@ -170,8 +168,8 @@ fn family_uplinks_leave_the_other_legs_bit_identical() {
     }
 
     let mut composed = FlConfig::smoke_test();
-    composed.downlink = DownlinkMode::Compressed;
-    composed.uplink = Some(StagePolicy::TopK { ratio: 0.5, error_feedback: false });
+    composed.downlink = lossy();
+    composed.uplink = StagePolicy::TopK { ratio: 0.5, error_feedback: false };
     let got = checksum_of(composed);
     assert_eq!(
         got, 0x7a2be90c,
@@ -181,149 +179,16 @@ fn family_uplinks_leave_the_other_legs_bit_identical() {
     for (codec, uplink, _) in &families {
         let mut flat = FlConfig::smoke_test();
         flat.clients = 6;
-        flat.uplink = Some(uplink.clone());
+        flat.uplink = uplink.clone();
         let mut tree = flat.clone();
-        tree.shards = Some(3);
-        tree.psum = PsumMode::Lossless;
+        tree.tree = Some(vec![3]);
+        tree.psum = StagePolicy::Lossless;
         let (flat_sum, tree_sum) = (checksum_of(flat), checksum_of(tree));
         assert_eq!(
             flat_sum, tree_sum,
             "`{codec}`: lossless tree psum broke bit-parity with the flat run \
              (0x{flat_sum:08x} vs 0x{tree_sum:08x}) — the family codec leaked into the psum leg"
         );
-    }
-}
-
-/// The construction paths are one path: `RoundEngine::new(config)` is
-/// `from_plan(config.plan()?)`, bit for bit.
-#[test]
-fn config_and_plan_construction_paths_are_bit_identical() {
-    let mut config = FlConfig::smoke_test();
-    config.clients = 4;
-    config.shards = Some(2);
-    config.psum = PsumMode::Lossless;
-    config.downlink = DownlinkMode::Compressed;
-    let mut via_config = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
-    let plan = config.plan().expect("valid config");
-    let mut via_plan = RoundEngine::from_plan(plan, Box::<InMemoryTransport>::default());
-    for round in 0..config.rounds {
-        via_config.run_round(round);
-        via_plan.run_round(round);
-        assert_eq!(
-            via_config.global_state().to_bytes(),
-            via_plan.global_state().to_bytes(),
-            "construction paths diverged at round {round}"
-        );
-    }
-}
-
-/// The builder names only what differs and produces the exact same
-/// config (hence the exact same bits) as struct mutation.
-#[test]
-fn builder_matches_field_by_field_configuration() {
-    let built = FlConfig::builder()
-        .clients(8)
-        .rounds(2)
-        .seed(7)
-        .train_per_class(4)
-        .tree(vec![2, 4])
-        .psum(PsumMode::Lossless)
-        .downlink(DownlinkMode::Compressed)
-        .build();
-    let mut manual = FlConfig::paper_default(built.arch, built.dataset);
-    manual.clients = 8;
-    manual.rounds = 2;
-    manual.seed = 7;
-    manual.data.seed = 7;
-    manual.data.train_per_class = 4;
-    manual.tree = Some(vec![2, 4]);
-    manual.psum = PsumMode::Lossless;
-    manual.downlink = DownlinkMode::Compressed;
-    assert_eq!(format!("{built:?}"), format!("{manual:?}"));
-    let plan = built.plan().expect("builder output is valid");
-    assert_eq!(plan.shard_count(), Some(2));
-    assert_eq!(plan.psum, StagePolicy::Lossless);
-}
-
-/// The builder's codec shorthands carry their parameters into the
-/// plan verbatim, and `plan()` — not the builder — is where bad
-/// parameters become typed errors, so a builder chain cannot smuggle
-/// an illegal codec past validation.
-#[test]
-fn builder_codec_shorthands_validate_at_plan_time() {
-    let plan = FlConfig::builder()
-        .clients(2)
-        .rounds(1)
-        .uplink_topk(0.25, true)
-        .build()
-        .plan()
-        .expect("topk:0.25+ef is a legal simulation uplink");
-    assert_eq!(plan.uplink, StagePolicy::TopK { ratio: 0.25, error_feedback: true });
-
-    let plan = FlConfig::builder()
-        .clients(2)
-        .rounds(1)
-        .uplink_quant(8, true, false)
-        .build()
-        .plan()
-        .expect("q8s is a legal uplink");
-    assert_eq!(
-        plan.uplink,
-        StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false }
-    );
-
-    assert_eq!(
-        FlConfig::builder().uplink_topk(0.0, false).build().plan().unwrap_err(),
-        PlanError::BadTopKRatio { ratio: 0.0 },
-        "a zero keep-ratio must fail at plan time"
-    );
-    assert!(
-        matches!(
-            FlConfig::builder().uplink_topk(f64::NAN, false).build().plan().unwrap_err(),
-            PlanError::BadTopKRatio { ratio } if ratio.is_nan()
-        ),
-        "a NaN keep-ratio must fail at plan time"
-    );
-    assert_eq!(
-        FlConfig::builder().uplink_quant(6, false, false).build().plan().unwrap_err(),
-        PlanError::BadQuantBits { bits: 6 },
-        "a 6-bit width must fail at plan time"
-    );
-    assert_eq!(
-        FlConfig::builder()
-            .uplink_quant(8, false, true)
-            .aggregation(AggregationPolicy::Buffered { target: 2 })
-            .build()
-            .plan()
-            .unwrap_err(),
-        PlanError::StatefulUplinkBuffered,
-        "the builder must not bypass the EF/buffered legality check"
-    );
-}
-
-/// The legacy (pre-redesign) field-by-field canonicalization rules,
-/// reimplemented as the proptest reference: `tree` silently outranked
-/// `shards`, `shards` was clamped into `[1, clients]`, and `links`
-/// outranked `bandwidth_bps`.
-fn legacy_fanouts(config: &FlConfig) -> Option<Vec<usize>> {
-    config.tree.clone().or_else(|| config.shards.map(|s| vec![s.clamp(1, config.clients.max(1))]))
-}
-
-#[derive(Debug, PartialEq)]
-enum LegacyTopology {
-    None,
-    Shared,
-    Dedicated,
-    Tree,
-}
-
-fn legacy_topology(config: &FlConfig) -> LegacyTopology {
-    let tree = legacy_fanouts(config).is_some();
-    match (&config.links, config.bandwidth_bps, tree) {
-        (Some(_), _, true) | (None, Some(_), true) => LegacyTopology::Tree,
-        (Some(_), _, false) => LegacyTopology::Dedicated,
-        (None, Some(_), false) => LegacyTopology::Shared,
-        (None, None, _) => LegacyTopology::None,
     }
 }
 
@@ -340,18 +205,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary configurations either fail `plan()` with a typed
-    /// `PlanError`, or the plan's canonical topology agrees with the
-    /// legacy field-by-field rules and the engine completes a round.
+    /// `PlanError` (which the panicking constructor reports too), or
+    /// the engine completes a round.
     #[test]
     fn arbitrary_configs_plan_or_fail_cleanly(
         clients in 1usize..5,
-        shards in prop_oneof![
-            Just(None),
-            (0usize..7).prop_map(Some),
-        ],
         tree in prop_oneof![
             Just(None),
-            Just(Some(vec![2usize])),
+            (0usize..7).prop_map(|s| Some(vec![s])),
             Just(Some(vec![2usize, 2])),
             Just(Some(vec![0usize, 2])),
             Just(Some(Vec::new())),
@@ -361,38 +222,44 @@ proptest! {
         ],
         lr in prop_oneof![Just(0.05f32), Just(0.0), Just(-1.0)],
         batch in prop_oneof![Just(8usize), Just(0)],
-        compressed in any::<bool>(),
-        adaptive in any::<bool>(),
+        uplink in prop_oneof![
+            Just(StagePolicy::Raw),
+            Just(lossy()),
+            Just(StagePolicy::Adaptive { compressed: Box::new(lossy()) }),
+            Just(StagePolicy::Lossless),
+        ],
         psum in prop_oneof![
-            Just(PsumMode::Raw), Just(PsumMode::Lossless), Just(PsumMode::Adaptive)
+            Just(StagePolicy::Raw),
+            Just(StagePolicy::Lossless),
+            Just(StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossless) }),
+            Just(lossy()),
         ],
         downlink in prop_oneof![
-            Just(DownlinkMode::Raw),
-            Just(DownlinkMode::Compressed),
-            Just(DownlinkMode::Adaptive),
+            Just(StagePolicy::Raw),
+            Just(lossy()),
+            Just(StagePolicy::Adaptive { compressed: Box::new(lossy()) }),
+            Just(StagePolicy::TopK { ratio: 0.5, error_feedback: false }),
         ],
-        link_count in prop_oneof![Just(None), (0usize..6).prop_map(Some)],
-        bandwidth in prop_oneof![Just(None), Just(Some(10e6)), Just(Some(-1.0))],
+        links in prop_oneof![
+            Just(None),
+            Just(Some(Topology::Shared(LinkProfile::symmetric(10e6)))),
+            Just(Some(Topology::Shared(LinkProfile {
+                bandwidth_bps: -1.0,
+                ..LinkProfile::default()
+            }))),
+            (0usize..6).prop_map(|n| Some(Topology::Dedicated(vec![LinkProfile::symmetric(5e6); n]))),
+        ],
     ) {
         let mut config = tiny_base();
         config.clients = clients;
-        config.shards = shards;
         config.tree = tree;
         config.participation = participation;
         config.lr = lr;
         config.batch_size = batch;
-        if !compressed {
-            config.compression = None;
-        }
-        if adaptive {
-            config.uplink = config
-                .compression
-                .map(|c| StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossy(c)) });
-        }
+        config.uplink = uplink;
         config.psum = psum;
         config.downlink = downlink;
-        config.links = link_count.map(|n| vec![LinkProfile::symmetric(5e6); n]);
-        config.bandwidth_bps = bandwidth;
+        config.links = links;
 
         match config.plan() {
             Err(e) => {
@@ -414,25 +281,15 @@ proptest! {
                 );
             }
             Ok(plan) => {
-                // Canonical tree agrees with the legacy rules wherever
-                // the legacy rules did not clamp or prefer (any such
-                // config fails plan() and cannot reach this branch).
+                // The plan derives, it does not rewrite: the tree is
+                // the configured one, and the topology is lifted
+                // exactly when both a tree and a link model exist.
                 prop_assert_eq!(
-                    plan.tree_fanouts().map(<[usize]>::to_vec),
-                    legacy_fanouts(&config),
-                    "canonical tree diverged from the legacy derivation"
+                    plan.tree.as_ref().map(|t| t.fanouts().to_vec()),
+                    config.tree.clone()
                 );
-                let got = match &plan.topology {
-                    None => LegacyTopology::None,
-                    Some(Topology::Shared(_)) => LegacyTopology::Shared,
-                    Some(Topology::Dedicated(_)) => LegacyTopology::Dedicated,
-                    Some(Topology::Tree { .. }) => LegacyTopology::Tree,
-                };
-                prop_assert_eq!(
-                    got,
-                    legacy_topology(&config),
-                    "canonical topology diverged from the legacy derivation"
-                );
+                let lifted = matches!(plan.topology, Some(Topology::Tree { .. }));
+                prop_assert_eq!(lifted, config.tree.is_some() && config.links.is_some());
                 // And the plan actually runs: one full round, no panic.
                 let mut engine =
                     RoundEngine::from_plan(plan, Box::<InMemoryTransport>::default());
@@ -456,14 +313,13 @@ proptest! {
         config.clients = clients;
         config.seed = seed;
         config.data.seed = seed;
-        config.shards = shards.filter(|&s| s <= clients);
+        config.tree = shards.map(|s| vec![s]);
         if !compressed {
-            config.compression = None;
+            config.uplink = StagePolicy::Raw;
         }
         config.weighted_aggregation = weighted;
         let plan = match config.plan() {
             Ok(plan) => plan,
-            Err(PlanError::ShardsOutOfRange { .. }) => return Ok(()),
             Err(e) => return Err(TestCaseError::Fail(format!("unexpected plan error: {e}"))),
         };
         let mut via_config =
@@ -522,7 +378,7 @@ fn dp_is_stateless_and_composes_everywhere() {
     // DP + error feedback still trips the EF rejections: the residual
     // is the stateful part, not the noise.
     config.aggregation = AggregationPolicy::Synchronous;
-    config.uplink = Some(StagePolicy::TopK { ratio: 0.1, error_feedback: true });
+    config.uplink = StagePolicy::TopK { ratio: 0.1, error_feedback: true };
     let err = config.plan().unwrap().validate_for_workers().unwrap_err();
     assert_eq!(err, PlanError::StatefulUplinkWorker);
     config.aggregation = AggregationPolicy::Buffered { target: 1 };

@@ -4,7 +4,7 @@
 
 use fedsz_fl::engine::RoundEngine;
 use fedsz_fl::transport::{InMemoryTransport, WireTransport};
-use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile, StagePolicy};
+use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile, StagePolicy, Topology};
 
 fn quick_config() -> FlConfig {
     let mut config = FlConfig::smoke_test();
@@ -53,7 +53,7 @@ fn wire_accounting_sees_compression_and_partial_participation() {
     // included.
     let mut config = quick_config();
     let compressed = wire_upstream_bytes(&config);
-    config.compression = None;
+    config.uplink = StagePolicy::Raw;
     let plain = wire_upstream_bytes(&config);
     assert!(
         compressed * 2 < plain,
@@ -100,11 +100,11 @@ fn heterogeneous_links_do_not_serialize_on_one_pipe() {
     let mut shared = quick_config();
     shared.clients = 4;
     shared.rounds = 1;
-    shared.bandwidth_bps = Some(10e6);
+    shared.links = Some(Topology::Shared(LinkProfile::symmetric(10e6)));
     let shared_metrics = Experiment::new(shared.clone()).run_round(0);
 
     let mut dedicated = shared.clone();
-    dedicated.links = Some(vec![LinkProfile::symmetric(10e6); 4]);
+    dedicated.links = Some(Topology::Dedicated(vec![LinkProfile::symmetric(10e6); 4]));
     let dedicated_metrics = Experiment::new(dedicated).run_round(0);
 
     assert!(
@@ -122,10 +122,10 @@ fn slow_links_dominate_round_time_in_heterogeneous_cohorts() {
     let mut config = quick_config();
     config.clients = 2;
     config.rounds = 1;
-    config.links = Some(vec![
+    config.links = Some(Topology::Dedicated(vec![
         LinkProfile::symmetric(100e6),
         LinkProfile::symmetric(0.5e6), // ~200x slower uplink
-    ]);
+    ]));
     let metrics = Experiment::new(config).run_round(0);
     // comm time on dedicated links == the slowest single transfer.
     let payload_bits = metrics.update_bytes * 8.0;
@@ -144,12 +144,12 @@ fn buffered_async_policy_converges_on_the_smoke_config() {
     config.clients = 4;
     config.rounds = 6;
     // One straggler on a slow link; aggregate after 3 of 4 arrivals.
-    config.links = Some(vec![
+    config.links = Some(Topology::Dedicated(vec![
         LinkProfile::symmetric(50e6),
         LinkProfile::symmetric(50e6),
         LinkProfile::symmetric(50e6),
         LinkProfile::symmetric(1e6).with_slowdown(20.0),
-    ]);
+    ]));
     config.aggregation = AggregationPolicy::Buffered { target: 3 };
     let metrics = Experiment::new(config).run();
     let best = metrics.iter().map(|m| m.test_accuracy).fold(0.0f64, f64::max);
@@ -172,7 +172,7 @@ fn buffered_rounds_complete_faster_than_synchronous_with_stragglers() {
         LinkProfile::symmetric(50e6),
         LinkProfile::symmetric(50e6).with_slowdown(100.0),
     ];
-    config.links = Some(links.clone());
+    config.links = Some(Topology::Dedicated(links));
     config.aggregation = AggregationPolicy::Synchronous;
     let sync = Experiment::new(config.clone()).run_round(0);
     config.aggregation = AggregationPolicy::Buffered { target: 2 };
@@ -192,9 +192,8 @@ fn adaptive_uplink_sends_raw_on_fast_links() {
     let mut config = quick_config();
     config.clients = 2;
     config.rounds = 3;
-    config.links = Some(vec![LinkProfile::symmetric(1e12); 2]);
-    let codec = config.compression.expect("smoke config compresses");
-    config.uplink = Some(StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossy(codec)) });
+    config.links = Some(Topology::Dedicated(vec![LinkProfile::symmetric(1e12); 2]));
+    config.uplink = StagePolicy::Adaptive { compressed: Box::new(config.uplink) };
     let metrics = Experiment::new(config.clone()).run();
     assert!(metrics[0].ratio > 1.2, "probe round should compress");
     let last = metrics.last().unwrap();
@@ -205,7 +204,7 @@ fn adaptive_uplink_sends_raw_on_fast_links() {
     );
 
     // And on a crawling 1 Mbps link compression must stay on.
-    config.links = Some(vec![LinkProfile::symmetric(1e6); 2]);
+    config.links = Some(Topology::Dedicated(vec![LinkProfile::symmetric(1e6); 2]));
     let metrics = Experiment::new(config).run();
     assert!(metrics.iter().all(|m| m.ratio > 1.2), "slow links must keep compressing");
 }
@@ -215,12 +214,12 @@ fn dropped_uploads_are_excluded_but_learning_continues() {
     let mut config = quick_config();
     config.clients = 4;
     config.rounds = 4;
-    config.links = Some(vec![
+    config.links = Some(Topology::Dedicated(vec![
         LinkProfile::symmetric(10e6),
         LinkProfile::symmetric(10e6).with_drop_prob(0.5),
         LinkProfile::symmetric(10e6),
         LinkProfile::symmetric(10e6).with_drop_prob(0.5),
-    ]);
+    ]));
     let metrics = Experiment::new(config).run();
     let drops: usize = metrics.iter().map(|m| m.dropped_updates).sum();
     assert!(drops > 0, "a 50% drop link should lose something over 4 rounds");
