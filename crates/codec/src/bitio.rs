@@ -44,6 +44,16 @@ impl BitWriter {
         Self { bytes: Vec::with_capacity(bytes), nbits: 0, acc: 0 }
     }
 
+    /// Creates a writer that appends to `bytes`: the first bit written
+    /// lands in a new byte after the existing ones, and
+    /// [`BitWriter::into_bytes`] hands the whole buffer back. Lets a
+    /// frame builder entropy-code straight into its output buffer
+    /// instead of into a per-stream `Vec` it then copies.
+    /// [`BitWriter::bit_len`] counts the existing bytes too.
+    pub fn append_to(bytes: Vec<u8>) -> Self {
+        Self { bytes, nbits: 0, acc: 0 }
+    }
+
     /// Appends a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
@@ -403,6 +413,20 @@ mod tests {
         w.write_bits(0, 13);
         assert_eq!(w.bit_len(), 13);
         assert_eq!(w.into_bytes().len(), 2);
+    }
+
+    #[test]
+    fn append_to_continues_after_the_existing_bytes() {
+        let mut alone = BitWriter::new();
+        let mut appended = BitWriter::append_to(vec![0xAA, 0xBB, 0xCC]);
+        for w in [&mut alone, &mut appended] {
+            w.write_bits(0b101, 3);
+            w.write_bits(0x1234_5678_9ABC_DEF0, 64);
+            w.write_bits(0x3F, 7);
+        }
+        assert_eq!(appended.bit_len(), alone.bit_len() + 24);
+        let alone = alone.into_bytes();
+        assert_eq!(appended.into_bytes(), [&[0xAA, 0xBB, 0xCC][..], &alone].concat());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `f32` uploads it summarizes — and, unlike the uploads, it must
 //! survive the hop *bit-exactly* or the tree loses its parity guarantee
 //! with flat FedAvg. That rules out FedSZ's lossy stage but not
-//! compression altogether: [`PsumCodec`] (byte shuffle over the `f64`
-//! planes + an LZ/entropy stage) shrinks the frames losslessly.
+//! compression altogether: [`PsumCodec`] (one Huffman code per byte
+//! plane of the `f64` elements) shrinks the frames losslessly.
 //!
 //! [`PsumForwarder`] is the per-edge policy. [`PsumMode::Adaptive`]
 //! replays the paper's Eqn 1 on the aggregator backbone: an EWMA
@@ -111,9 +111,10 @@ fn psum_wire_len(
 }
 
 /// Reusable per-worker buffers for frame pricing: the encoded payload
-/// image and the compressed frame. One scratch per pricing worker
-/// (not per frame) keeps steady-state rounds free of per-frame `Vec`
-/// growth.
+/// image and the compressed frame, which the codec fills in place
+/// ([`PsumCodec::compress_into`]). One scratch per pricing worker (not
+/// per frame) keeps steady-state rounds free of image-sized
+/// allocations.
 #[derive(Debug, Clone, Default)]
 pub struct PsumScratch {
     payload: Vec<u8>,
@@ -131,7 +132,7 @@ pub struct PsumForwarder {
 impl PsumForwarder {
     /// Builds the forwarder in the given mode.
     pub fn new(mode: PsumMode) -> Self {
-        Self { mode, codec: PsumCodec::new(), profile: None }
+        Self { mode, codec: PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE), profile: None }
     }
 
     /// Builds the forwarder from a validated plan-level
@@ -210,7 +211,8 @@ impl PsumForwarder {
     /// steady-state form: the payload image and compressed frame are
     /// built in `scratch` instead of freshly-allocated vectors, and the
     /// wire size comes from [`Message::encoded_len`] so no frame is
-    /// materialized just to be measured.
+    /// materialized just to be measured. A verified round trip lets the
+    /// frame declare no more than the image it was built from.
     ///
     /// The codec round trip is *verified* on every frame in debug
     /// builds (the bit-parity guarantee the test suite pins) but only
@@ -247,8 +249,10 @@ impl PsumForwarder {
             let shipped_payload_bytes = scratch.packed.len();
             let decompress_secs = if cfg!(debug_assertions) || self.profile.is_none() {
                 let t1 = Instant::now();
-                let back =
-                    self.codec.decompress(&scratch.packed).expect("self-produced psum frame");
+                let back = self
+                    .codec
+                    .decompress_within(&scratch.packed, payload_bytes)
+                    .expect("self-produced psum frame");
                 let secs = t1.elapsed().as_secs_f64();
                 assert_eq!(
                     back, scratch.payload,
@@ -316,7 +320,10 @@ impl PsumForwarder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedsz_nn::StateDict;
+    use crate::FlConfig;
+    use fedsz_codec::shuffle::shuffle;
+    use fedsz_lossless::{Lossless, ZstdLike};
+    use fedsz_nn::{Model, StateDict};
     use fedsz_tensor::Tensor;
 
     fn partial(n: usize) -> PartialSum {
@@ -326,6 +333,77 @@ mod tests {
         let mut sum = PartialSum::new();
         sum.accumulate(&dict, 2.0);
         sum
+    }
+
+    /// The sum of `clients` perturbed copies of the tiny AlexNet: what
+    /// a leaf aggregator of the `agg_tree` workload forwards.
+    fn tiny_alexnet_sum(clients: usize) -> PartialSum {
+        let base = FlConfig::smoke_test().build_model().state_dict();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut sum = PartialSum::new();
+        for client in 0..clients {
+            let mut update = base.clone();
+            for (_, tensor) in update.iter_mut() {
+                for v in tensor.data_mut() {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    *v += ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.01;
+                }
+            }
+            sum.accumulate(&update, 1.0 + (client % 7) as f64);
+        }
+        sum
+    }
+
+    /// The pipeline the plane coder replaced, rebuilt from its public
+    /// pieces: byte shuffle at width 8, the zstd-class stage, one magic
+    /// byte.
+    fn shuffle_lz_len(image: &[u8]) -> usize {
+        1 + ZstdLike::new().compress(&shuffle(image, 8)).len()
+    }
+
+    #[test]
+    fn plane_frames_are_no_larger_than_shuffle_plus_lz() {
+        let sum = tiny_alexnet_sum(128);
+        for (image, stride) in [
+            (sum.encode_payload(), PartialSum::PAYLOAD_STRIDE),
+            (sum.encode_exact(), PartialSum::EXACT_STRIDE),
+        ] {
+            let codec = PsumCodec::with_stride(stride);
+            let frame = codec.compress(&image);
+            let old = shuffle_lz_len(&image);
+            assert!(frame.len() <= old, "stride {stride}: {} B against {old} B", frame.len());
+            assert_eq!(codec.decompress_within(&frame, image.len()).unwrap(), image);
+        }
+    }
+
+    /// CI's `codec-smoke` job runs this in release mode; debug timings
+    /// mean nothing. Measured ~14x.
+    #[test]
+    #[ignore = "a timing ratio: run with --release -- --ignored"]
+    fn plane_coder_is_3x_the_shuffle_lz_pipeline() {
+        let image = tiny_alexnet_sum(128).encode_exact();
+        let codec = PsumCodec::with_stride(PartialSum::EXACT_STRIDE);
+        let mut frame = Vec::new();
+        fn best_of(mut run: impl FnMut()) -> f64 {
+            let time = |_| {
+                let t0 = Instant::now();
+                run();
+                t0.elapsed().as_secs_f64()
+            };
+            (0..5).map(time).fold(f64::INFINITY, f64::min)
+        }
+        let new = best_of(|| codec.compress_into(&image, &mut frame));
+        let old = best_of(|| {
+            std::hint::black_box(shuffle_lz_len(std::hint::black_box(&image)));
+        });
+        println!(
+            "plane coder {:.2} ms, shuffle + LZ {:.2} ms: {:.1}x",
+            new * 1e3,
+            old * 1e3,
+            old / new
+        );
+        assert!(old >= 3.0 * new, "plane coder only {:.1}x the replaced pipeline", old / new);
     }
 
     #[test]

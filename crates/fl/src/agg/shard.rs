@@ -38,10 +38,17 @@
 //! documentation: the `agg_scale` bench measures the reduction with
 //! the lossless codec on and asserts it tracks the `F · r_ps / 2`
 //! closed form at every sweep point (at 10^3 clients / 16 shards the
-//! two-level reduction is ~49x with `r_ps ≈ 1.56`, and deeper trees
-//! multiply it by their extra fan-in).
+//! two-level reduction is ~54x with `r_ps ≈ 1.72`, and deeper trees
+//! multiply it by their extra fan-in). `r_ps` is bounded by the sums'
+//! noise, not by the codec: the low three mantissa bytes of a sum are
+//! incompressible and the byte planes' order-0 entropies add up to
+//! about 4.6 of its 8 bytes, so `8 / 4.6 ≈ 1.75` is what per-plane
+//! coding can reach (the byte-plane coder sits within two percent of
+//! it; the shuffle + LZ pipeline it replaced reached 1.56). The break-evens
+//! therefore stand at `F > 2 / 1.72 ≈ 1.2` clients per frame against
+//! raw uploads and `F > 1.2 · r_up` against FedSZ-compressed ones.
 
-use fedsz_codec::varint::{read_str, read_uvarint, write_str, write_uvarint};
+use fedsz_codec::varint::{read_str, read_uvarint, uvarint_len, write_str, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
@@ -175,8 +182,10 @@ impl ExactAcc {
             if (FAST_LO..=FAST_HI).contains(&biased) {
                 let m = (bits & ((1u64 << 52) - 1)) | (1 << 52);
                 let mag = i128::from(m) << (biased - FAST_LO);
-                let q = if bits >> 63 == 1 { -mag } else { mag };
-                acc.0 = acc.0.checked_add(q).expect("partial-sum overflow");
+                // Two's-complement negate under an all-ones mask: the
+                // sign of a weight is a coin flip no predictor learns.
+                let sign = i128::from(bits as i64 >> 63);
+                acc.0 = acc.0.checked_add((mag ^ sign) - sign).expect("partial-sum overflow");
             } else {
                 acc.add(term);
             }
@@ -232,6 +241,9 @@ impl ExactAcc {
 /// One decoded partial-sum frame entry: `(name, shape, f64 sums)`.
 pub type DecodedPartialEntry = (String, Vec<usize>, Vec<f64>);
 
+/// One image entry's header: `(name, shape, element count)`.
+type EntryHeader = (String, Vec<usize>, usize);
+
 /// Order-sensitive `(name, shape)` agreement between an architecture
 /// template and any entry sequence — the one definition every remote
 /// ingress validator uses (decoded update dicts and partial-sum frames
@@ -263,6 +275,14 @@ pub struct PartialSum {
 }
 
 impl PartialSum {
+    /// Bytes per element of the [`PartialSum::encode_payload`] image
+    /// (an `f64` sum): the byte-plane stride its frames are coded at.
+    pub const PAYLOAD_STRIDE: usize = 8;
+
+    /// Bytes per element of the [`PartialSum::encode_exact`] image (an
+    /// `i128` accumulator).
+    pub const EXACT_STRIDE: usize = 16;
+
     /// An empty partial sum.
     pub fn new() -> Self {
         Self::default()
@@ -471,11 +491,18 @@ impl PartialSum {
     }
 
     /// Serializes the sums as the payload an edge would ship to the
-    /// root: entry names, shapes and the `f64`-rounded accumulator
-    /// values. (The in-process tree merges the exact accumulators
-    /// instead — shipping rounded sums would re-introduce
-    /// shard-dependent rounding — but this is the byte image the wire
-    /// accounting charges for.)
+    /// root: every entry's name and shape, then every entry's
+    /// `f64`-rounded accumulator values back to back. (The in-process
+    /// tree merges the exact accumulators instead — shipping rounded
+    /// sums would re-introduce shard-dependent rounding — but this is
+    /// the byte image the wire accounting charges for.)
+    ///
+    /// Headers first, sums after: the sums then form one packed array
+    /// in which byte `k` of every sum sits at one offset modulo
+    /// [`PartialSum::PAYLOAD_STRIDE`] — the byte planes
+    /// [`PsumCodec`](fedsz_lossless::PsumCodec) codes. A header between
+    /// two tensors would shift that phase, and every plane would mix
+    /// noise bytes with exponent bytes.
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_payload_into(&mut out);
@@ -494,18 +521,66 @@ impl PartialSum {
             write_uvarint(out, 0);
             return;
         }
-        out.reserve(self.total_elements() * 8 + 64);
+        out.reserve(self.total_elements() * Self::PAYLOAD_STRIDE + 64);
+        self.write_headers(out);
+        for (_, _, accs) in &self.entries {
+            for acc in accs {
+                out.extend_from_slice(&acc.value().to_bits().to_le_bytes());
+            }
+        }
+    }
+
+    /// The entry count, then every entry's name, rank and dimensions:
+    /// the head of both images.
+    fn write_headers(&self, out: &mut Vec<u8>) {
         write_uvarint(out, self.entries.len() as u64);
-        for (name, shape, accs) in &self.entries {
+        for (name, shape, _) in &self.entries {
             write_str(out, name);
             write_uvarint(out, shape.len() as u64);
             for &d in shape {
                 write_uvarint(out, d as u64);
             }
-            for acc in accs {
-                out.extend_from_slice(&acc.value().to_bits().to_le_bytes());
-            }
         }
+    }
+
+    /// Reads what [`PartialSum::write_headers`] wrote, as `(name,
+    /// shape, element count)` per entry plus the element count of them
+    /// all. Header-claimed sizes bound allocations *before* anything
+    /// reserves for them: the entries must fit the remaining input at
+    /// `stride` bytes per element, so a corrupt image fails with a
+    /// `CodecError`, not with a terabyte `with_capacity` aborting in
+    /// the allocator.
+    fn read_headers(
+        bytes: &[u8],
+        pos: &mut usize,
+        stride: usize,
+    ) -> Result<(Vec<EntryHeader>, usize)> {
+        let count = read_uvarint(bytes, pos)? as usize;
+        if count > bytes.len().saturating_sub(*pos) {
+            return Err(CodecError::Corrupt("entry count larger than remaining input"));
+        }
+        let mut headers = Vec::with_capacity(count);
+        let mut total = 0usize;
+        for _ in 0..count {
+            let name = read_str(bytes, pos)?.to_owned();
+            let rank = read_uvarint(bytes, pos)? as usize;
+            if rank > 8 {
+                return Err(CodecError::Corrupt("tensor rank too large"));
+            }
+            let mut shape = Vec::with_capacity(rank);
+            let mut elems = 1usize;
+            for _ in 0..rank {
+                let d = read_uvarint(bytes, pos)? as usize;
+                elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
+                shape.push(d);
+            }
+            total = total.checked_add(elems).ok_or(CodecError::Corrupt("shape overflow"))?;
+            headers.push((name, shape, elems));
+        }
+        if total > bytes.len().saturating_sub(*pos) / stride {
+            return Err(CodecError::Corrupt("tensors larger than remaining input"));
+        }
+        Ok((headers, total))
     }
 
     /// Parses an [`PartialSum::encode_payload`] image back into `(name,
@@ -516,48 +591,27 @@ impl PartialSum {
     /// Returns a [`CodecError`] on truncated or malformed input.
     pub fn decode_payload(bytes: &[u8]) -> Result<Vec<DecodedPartialEntry>> {
         let mut pos = 0usize;
-        let count = read_uvarint(bytes, &mut pos)? as usize;
-        // Header-claimed sizes bound allocations *before* reserving:
-        // a corrupt frame must fail with a CodecError, not abort in
-        // the allocator on a terabyte `with_capacity`.
-        if count > bytes.len().saturating_sub(pos) {
-            return Err(CodecError::Corrupt("entry count larger than remaining input"));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = read_str(bytes, &mut pos)?.to_owned();
-            let rank = read_uvarint(bytes, &mut pos)? as usize;
-            if rank > 8 {
-                return Err(CodecError::Corrupt("tensor rank too large"));
-            }
-            let mut shape = Vec::with_capacity(rank);
-            let mut elems = 1usize;
-            for _ in 0..rank {
-                let d = read_uvarint(bytes, &mut pos)? as usize;
-                elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
-                shape.push(d);
-            }
-            if elems > bytes.len().saturating_sub(pos) / 8 {
-                return Err(CodecError::Corrupt("tensor larger than remaining input"));
-            }
-            let mut sums = Vec::with_capacity(elems);
-            for _ in 0..elems {
-                let raw = bytes.get(pos..pos + 8).ok_or(CodecError::UnexpectedEof)?;
-                sums.push(f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes"))));
-                pos += 8;
-            }
-            entries.push((name, shape, sums));
-        }
-        if pos != bytes.len() {
+        let (headers, total) = Self::read_headers(bytes, &mut pos, Self::PAYLOAD_STRIDE)?;
+        let arrays = &bytes[pos..];
+        if arrays.len() != total * Self::PAYLOAD_STRIDE {
             return Err(CodecError::Corrupt("trailing bytes in partial-sum payload"));
         }
-        Ok(entries)
+        let mut sums = arrays.chunks_exact(Self::PAYLOAD_STRIDE).map(|raw| {
+            f64::from_bits(u64::from_le_bytes(raw.try_into().expect("a whole element")))
+        });
+        Ok(headers
+            .into_iter()
+            .map(|(name, shape, elems)| (name, shape, sums.by_ref().take(elems).collect()))
+            .collect())
     }
 
     /// Serializes the *exact* accumulator state — the 128-bit
     /// fixed-point integers themselves, not their `f64` roundings — so
     /// a partial sum can cross a process boundary and be merged on the
-    /// far side with the same bits an in-process merge produces.
+    /// far side with the same bits an in-process merge produces: the
+    /// entry headers, every entry's accumulators back to back (one
+    /// packed array, as in [`PartialSum::encode_payload`]), the weight
+    /// accumulator and the contribution count.
     ///
     /// This is what a real relay aggregator ships upstream (see
     /// [`crate::net`]): [`PartialSum::encode_payload`] rounds each
@@ -585,20 +639,36 @@ impl PartialSum {
             write_uvarint(out, 0);
             return;
         }
-        out.reserve(self.total_elements() * 16 + 64);
-        write_uvarint(out, self.entries.len() as u64);
-        for (name, shape, accs) in &self.entries {
-            write_str(out, name);
-            write_uvarint(out, shape.len() as u64);
-            for &d in shape {
-                write_uvarint(out, d as u64);
-            }
+        out.reserve(self.total_elements() * Self::EXACT_STRIDE + 64);
+        self.write_headers(out);
+        for (_, _, accs) in &self.entries {
             for acc in accs {
                 out.extend_from_slice(&acc.to_bits().to_le_bytes());
             }
         }
         out.extend_from_slice(&self.weight.to_bits().to_le_bytes());
         write_uvarint(out, self.contributions as u64);
+    }
+
+    /// The longest [`PartialSum::encode_exact`] image a sum over
+    /// `template`'s architecture can have, whatever it accumulated: what
+    /// a receiver lets a compressed frame declare before it allocates
+    /// for it.
+    pub fn max_exact_image_len(template: &StateDict) -> usize {
+        let entries: usize = template
+            .iter()
+            .map(|(name, tensor)| {
+                let dims: usize = tensor.shape().iter().map(|&d| uvarint_len(d as u64)).sum();
+                uvarint_len(name.len() as u64)
+                    + name.len()
+                    + uvarint_len(tensor.shape().len() as u64)
+                    + dims
+                    + tensor.len() * Self::EXACT_STRIDE
+            })
+            .sum();
+        // Entry count, entries, the weight accumulator, and a
+        // contribution count of any size.
+        uvarint_len(template.len() as u64) + entries + Self::EXACT_STRIDE + uvarint_len(u64::MAX)
     }
 
     /// Parses an [`PartialSum::encode_exact`] image back into a
@@ -610,42 +680,20 @@ impl PartialSum {
     /// (size claims are validated before any allocation).
     pub fn decode_exact(bytes: &[u8]) -> Result<PartialSum> {
         let mut pos = 0usize;
-        let count = read_uvarint(bytes, &mut pos)? as usize;
-        if count > bytes.len().saturating_sub(pos) {
-            return Err(CodecError::Corrupt("entry count larger than remaining input"));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = read_str(bytes, &mut pos)?.to_owned();
-            let rank = read_uvarint(bytes, &mut pos)? as usize;
-            if rank > 8 {
-                return Err(CodecError::Corrupt("tensor rank too large"));
-            }
-            let mut shape = Vec::with_capacity(rank);
-            let mut elems = 1usize;
-            for _ in 0..rank {
-                let d = read_uvarint(bytes, &mut pos)? as usize;
-                elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
-                shape.push(d);
-            }
-            if elems > bytes.len().saturating_sub(pos) / 16 {
-                return Err(CodecError::Corrupt("tensor larger than remaining input"));
-            }
-            let mut accs = Vec::with_capacity(elems);
-            for _ in 0..elems {
-                let raw = bytes.get(pos..pos + 16).ok_or(CodecError::UnexpectedEof)?;
-                accs.push(ExactAcc::from_bits(i128::from_le_bytes(
-                    raw.try_into().expect("16 bytes"),
-                )));
-                pos += 16;
-            }
-            entries.push((name, shape, accs));
-        }
-        let raw = bytes.get(pos..pos + 16).ok_or(CodecError::UnexpectedEof)?;
-        let weight = ExactAcc::from_bits(i128::from_le_bytes(raw.try_into().expect("16 bytes")));
-        pos += 16;
-        let contributions = read_uvarint(bytes, &mut pos)? as usize;
-        if pos != bytes.len() {
+        let (headers, total) = Self::read_headers(bytes, &mut pos, Self::EXACT_STRIDE)?;
+        let (arrays, trailer) = bytes[pos..].split_at(total * Self::EXACT_STRIDE);
+        let acc_of = |raw: &[u8]| {
+            ExactAcc::from_bits(i128::from_le_bytes(raw.try_into().expect("a whole element")))
+        };
+        let mut accs = arrays.chunks_exact(Self::EXACT_STRIDE).map(acc_of);
+        let entries: Vec<_> = headers
+            .into_iter()
+            .map(|(name, shape, elems)| (name, shape, accs.by_ref().take(elems).collect()))
+            .collect();
+        let weight = acc_of(trailer.get(..Self::EXACT_STRIDE).ok_or(CodecError::UnexpectedEof)?);
+        let mut pos = Self::EXACT_STRIDE;
+        let contributions = read_uvarint(trailer, &mut pos)? as usize;
+        if pos != trailer.len() {
             return Err(CodecError::Corrupt("trailing bytes in partial-sum payload"));
         }
         if contributions == 0 && !entries.is_empty() {
@@ -829,6 +877,11 @@ mod tests {
         let mut long = image.clone();
         long.push(0);
         assert!(PartialSum::decode_exact(&long).is_err());
+        // The template-derived bound covers the image, the empty one
+        // too, with only the contribution count's varint to spare.
+        let bound = PartialSum::max_exact_image_len(&dicts[0]);
+        assert!((image.len()..image.len() + 10).contains(&bound), "{bound} vs {}", image.len());
+        assert!(PartialSum::new().encode_exact().len() <= bound);
     }
 
     #[test]

@@ -907,7 +907,7 @@ impl NetServer {
         // forwards the broadcast bytes verbatim.
         let downlink = Downlink::from_policy(&plan.config.downlink)
             .map_err(|e| NetError::Protocol(format!("invalid configuration: {e}")))?;
-        let psum_codec = PsumCodec::new();
+        let psum_codec = PsumCodec::with_stride(PartialSum::EXACT_STRIDE);
         // The shared fold step, over the architecture-derived shape
         // template every child's contribution is validated against
         // before it may touch the merge (whose asserts would otherwise
@@ -1034,7 +1034,6 @@ impl NetServer {
                     matches!(key, ChildKey::Relay(_)),
                     &fold,
                     uplink_reference.as_ref(),
-                    &psum_codec,
                     &mut partial,
                     &mut psum_raw_frames,
                     &mut psum_compressed_frames,
@@ -1161,13 +1160,11 @@ fn record_eviction(telemetry: &Telemetry, id: u64, round: u32, reason: &str) {
 /// for this server's role, undecodable payloads, shape mismatches and
 /// non-finite/extreme values all evict exactly one child instead of
 /// panicking the whole server inside the merge machinery.
-#[allow(clippy::too_many_arguments)]
 fn fold_upload(
     upload: Upload,
     expect_partial: bool,
     fold: &FoldStep,
     reference: Option<&StateDict>,
-    psum_codec: &PsumCodec,
     partial: &mut PartialSum,
     psum_raw_frames: &mut usize,
     psum_compressed_frames: &mut usize,
@@ -1189,21 +1186,7 @@ fn fold_upload(
             Ok(1)
         }
         Upload::Partial { payload, compressed } => {
-            let image = if compressed {
-                psum_codec.decompress(&payload).map_err(|e| format!("undecodable psum: {e}"))?
-            } else {
-                payload
-            };
-            let remote = PartialSum::decode_exact(&image)
-                .map_err(|e| format!("malformed psum image: {e}"))?;
-            if !remote.is_empty() {
-                if !remote.shape_matches(fold.template()) {
-                    return Err("partial sum disagrees with the configured architecture".into());
-                }
-                if remote.weight_total() <= 0.0 {
-                    return Err("partial sum with non-positive weight".into());
-                }
-            }
+            let remote = fold.decode_partial(payload, compressed)?;
             let contributions = remote.contributions();
             // Checked merge: extreme accumulator bits in a frame must
             // evict the relay, not overflow-panic the server.
@@ -1222,6 +1205,7 @@ fn fold_upload(
 mod tests {
     use super::*;
     use crate::codec::FamilyCodec;
+    use fedsz_codec::varint::{uvarint_len, write_uvarint};
     use fedsz_tensor::Tensor;
 
     fn dict(entries: &[(&str, usize)]) -> StateDict {
@@ -1271,18 +1255,8 @@ mod tests {
         let step = FoldStep::new(&StagePolicy::Raw, dict(&[("a.weight", 4), ("b.weight", 2)]));
         let mut partial = PartialSum::new();
         let (mut raw, mut packed) = (0usize, 0usize);
-        let mut fold = |upload| {
-            fold_upload(
-                upload,
-                false,
-                &step,
-                None,
-                &PsumCodec::new(),
-                &mut partial,
-                &mut raw,
-                &mut packed,
-            )
-        };
+        let mut fold =
+            |upload| fold_upload(upload, false, &step, None, &mut partial, &mut raw, &mut packed);
         // Wrong shape, wrong entry count, garbage bytes: all evictions.
         let wrong_shape = dict(&[("a.weight", 3), ("b.weight", 2)]);
         let upload = Upload::Update { payload: wrong_shape.to_bytes(), compressed: false };
@@ -1329,7 +1303,6 @@ mod tests {
             false,
             &step,
             None,
-            &PsumCodec::new(),
             &mut partial,
             &mut raw,
             &mut packed,
@@ -1342,7 +1315,6 @@ mod tests {
             false,
             &step,
             Some(&template),
-            &PsumCodec::new(),
             &mut partial,
             &mut raw,
             &mut packed,
@@ -1360,16 +1332,7 @@ mod tests {
         let mut partial = PartialSum::new();
         let (mut raw, mut packed) = (0usize, 0usize);
         let mut fold = |upload, partial: &mut PartialSum| {
-            fold_upload(
-                upload,
-                true,
-                &step,
-                None,
-                &PsumCodec::new(),
-                partial,
-                &mut raw,
-                &mut packed,
-            )
+            fold_upload(upload, true, &step, None, partial, &mut raw, &mut packed)
         };
         let out = fold(
             Upload::Partial { payload: other.encode_exact(), compressed: false },
@@ -1382,8 +1345,25 @@ mod tests {
         let out =
             fold(Upload::Update { payload: stray.to_bytes(), compressed: false }, &mut partial);
         assert!(out.is_err(), "stray worker update must evict, got {out:?}");
+        // A compressed frame whose declared length is forged to 2^60
+        // (once an allocator abort, not an eviction), and an honest one
+        // of an image no sum over this template can have: both refused
+        // before anything is sized by them.
+        let codec = PsumCodec::with_stride(PartialSum::EXACT_STRIDE);
+        let mut honest = PartialSum::new();
+        honest.accumulate(&dict(&[("a.weight", 4)]), 2.0);
+        let image = honest.encode_exact();
+        let frame = codec.compress(&image);
+        let mut forged = frame[..2].to_vec();
+        write_uvarint(&mut forged, 1 << 60);
+        forged.extend_from_slice(&frame[2 + uvarint_len(image.len() as u64)..]);
+        for payload in [forged, codec.compress(&other.encode_exact())] {
+            let out = fold(Upload::Partial { payload, compressed: true }, &mut partial);
+            assert!(out.unwrap_err().contains("larger than the receiver accepts"));
+        }
+        assert!(partial.is_empty());
         // An empty frame (a relay whose workers all died) is fine.
-        let empty = PsumCodec::new().compress(&PartialSum::new().encode_exact());
+        let empty = codec.compress(&PartialSum::new().encode_exact());
         let out = fold(Upload::Partial { payload: empty, compressed: true }, &mut partial);
         assert_eq!(out, Ok(0));
         assert_eq!(packed, 1, "empty frames still count as received frames");
@@ -1413,7 +1393,6 @@ mod tests {
                 true,
                 &step,
                 None,
-                &PsumCodec::new(),
                 partial,
                 &mut raw,
                 &mut packed,

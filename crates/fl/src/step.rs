@@ -25,13 +25,14 @@
 //! arm in `UplinkStage::client_step` and the decode arm in
 //! [`FoldStep::decode`] — no per-runtime edits.
 
-use crate::agg::template_matches;
+use crate::agg::{template_matches, PartialSum};
 use crate::codec::{zero_residual, FamilyCodec};
 use crate::plan::{RoundPlan, StagePolicy};
 use crate::Client;
 use fedsz::timing::{select_family, CostProfile, Eqn1Decision, Eqn1Leg, FamilyCandidate};
 use fedsz::FedSz;
 use fedsz_dp::{DpOutcome, DpPolicy};
+use fedsz_lossless::PsumCodec;
 use fedsz_nn::{NnError, StateDict};
 use fedsz_telemetry::{Telemetry, Value};
 use std::time::Instant;
@@ -481,6 +482,39 @@ impl FoldStep {
             return Err("update carries non-finite or extreme weights".into());
         }
         Ok(dict)
+    }
+
+    /// Decodes one relay's partial-sum frame — an exact accumulator
+    /// image ([`PartialSum::encode_exact`]), [`PsumCodec`]-compressed
+    /// or not — and validates it against the template. A compressed
+    /// frame may declare an image no longer than the template's own
+    /// ([`PartialSum::max_exact_image_len`]); the merge stays with the
+    /// caller, checked ([`PartialSum::try_merge`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason the frame must not be merged: an undecodable
+    /// or oversized frame, a malformed image, an architecture mismatch,
+    /// or a non-positive weight.
+    pub fn decode_partial(&self, payload: Vec<u8>, compressed: bool) -> Result<PartialSum, String> {
+        let image = if compressed {
+            PsumCodec::with_stride(PartialSum::EXACT_STRIDE)
+                .decompress_within(&payload, PartialSum::max_exact_image_len(&self.template))
+                .map_err(|e| format!("undecodable psum: {e}"))?
+        } else {
+            payload
+        };
+        let remote =
+            PartialSum::decode_exact(&image).map_err(|e| format!("malformed psum image: {e}"))?;
+        if !remote.is_empty() {
+            if !remote.shape_matches(&self.template) {
+                return Err("partial sum disagrees with the configured architecture".into());
+            }
+            if remote.weight_total() <= 0.0 {
+                return Err("partial sum with non-positive weight".into());
+            }
+        }
+        Ok(remote)
     }
 }
 

@@ -14,9 +14,10 @@
 //! | [`XzLike`] | 4 MiB | lazy, deepest | adaptive binary range coder | slowest, best ratio |
 //!
 //! Beyond the paper's five, [`PsumCodec`] is a special-purpose lossless
-//! codec for the `f64` partial-sum streams an aggregation tree forwards
-//! between aggregators (byte-shuffle at element width 8 + the zstd-class
-//! entropy stage); see [`psum`].
+//! codec for the partial-sum images an aggregation tree forwards between
+//! aggregators (one Huffman code per byte plane of the `f64` or `i128`
+//! elements, the zstd-class stage only on run-dominated planes); see
+//! [`psum`].
 //!
 //! # Examples
 //!

@@ -107,9 +107,11 @@ pub enum Message {
         payload: Vec<u8>,
     },
     /// [`Message::PartialSum`]'s losslessly-compressed twin: the same
-    /// metadata, but the payload is a `PsumCodec` frame (byte-shuffled
-    /// planes + entropy stage) that decompresses bit-exactly to the
-    /// uncompressed partial-sum image.
+    /// metadata, but the payload is a `PsumCodec` frame (one entropy
+    /// code per byte plane of the image's elements, CRC-32 of the
+    /// image) that decompresses bit-exactly to the uncompressed
+    /// partial-sum image. The frame declares the image's length; a
+    /// receiver bounds it by its own template before allocating.
     PartialSumCompressed {
         /// Round index.
         round: u32,

@@ -7,7 +7,9 @@
 //! commit *before* the word-at-a-time rewrite (PR 13, `485bbf3`), so
 //! "the streams are byte-identical" is a test rather than a claim. A
 //! change that moves any of them is a wire-format change and needs a
-//! version bump, not a new golden.
+//! version bump, not a new golden. One entry has had exactly that:
+//! `psum` was `(256566, 0x5906717a)` until the byte-plane coder replaced
+//! the shuffle + LZ frame (PR 17; the frame magic went `0xF5` → `0xF6`).
 //!
 //! The CRC here is a bit-at-a-time reference private to this file, so
 //! the goldens do not lean on the `checksum` module they help guard.
@@ -126,7 +128,7 @@ const GOLDEN: &[(&str, usize, u32)] = &[
     ("zlib", 240842, 0xc1a3f35e),
     ("zstd", 240834, 0xf8e78b70),
     ("xz", 233241, 0x95c29da9),
-    ("psum", 256566, 0x5906717a),
+    ("psum", 244614, 0xe44f13c6),
     ("fedsz.default.mobilenet_v2@0.02", 70411, 0x2144df1c),
 ];
 
@@ -163,4 +165,6 @@ fn pinned_streams_still_round_trip() {
         let codec = kind.codec();
         assert_eq!(codec.decompress(&codec.compress(&raw)).unwrap(), raw, "{kind}");
     }
+    let (_, psum) = streams().into_iter().find(|(name, _)| *name == "psum").expect("pinned");
+    assert_eq!(PsumCodec::new().decompress(&psum).unwrap().len(), 8 * data.len());
 }

@@ -1,12 +1,17 @@
-//! Hostile-input tests of the one upload decoder: `FoldStep::decode`.
+//! Hostile-input tests of the fold step's two decoders:
+//! `FoldStep::decode` (worker uploads) and `FoldStep::decode_partial`
+//! (relay partial-sum frames).
 //!
 //! Every byte of an upload may come from a peer, so for each payload
 //! kind the fold step accepts — an `FSZ1` FedSZ stream, `FUC1` sparse
-//! and quantized delta streams, raw dict bytes — bit flips,
-//! truncations and forged length fields (with the CRC trailer
-//! recomputed, as an attacker would) must come back as `Err`, or as a
-//! dict that still passed validation: never a panic, and never an
-//! allocation sized by a length field the template does not back.
+//! and quantized delta streams, raw dict bytes, `PsumCodec` frames of
+//! the exact (stride 16) and the `f64` (stride 8) partial-sum image, a
+//! bare exact image —
+//! bit flips, truncations and forged length fields (with the CRC
+//! trailer recomputed, as an attacker would) must come back as `Err`,
+//! or as a dict or sum that still passed validation: never a panic, and
+//! never an allocation sized by a length field the template does not
+//! back.
 //!
 //! The allocation bound is observed, not assumed: this test binary
 //! installs a global allocator that records the largest single request
@@ -14,13 +19,15 @@
 
 use fedsz::{FedSz, FedSzConfig, LossyKind};
 use fedsz_codec::checksum::crc32;
-use fedsz_codec::huffman;
-use fedsz_codec::varint::{read_bytes, read_uvarint, write_uvarint};
+use fedsz_codec::huffman::{self, HuffmanTable};
+use fedsz_codec::varint::{read_bytes, read_uvarint, uvarint_len, write_uvarint};
+use fedsz_fl::agg::PartialSum;
 use fedsz_fl::codec::FamilyCodec;
 use fedsz_fl::step::FoldStep;
 use fedsz_fl::{FlConfig, StagePolicy};
-use fedsz_lossless::{Lossless, ZstdLike};
+use fedsz_lossless::{Lossless, PsumCodec, ZstdLike};
 use fedsz_lossy::{ErrorBounded, Sz3};
+use fedsz_net::Message;
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
 use proptest::prelude::*;
@@ -100,14 +107,61 @@ fn update_of(reference: &StateDict) -> StateDict {
     update
 }
 
-/// One payload kind: the policy whose fold step accepts it and an
-/// honest payload. The compressed containers (and only they) carry a
-/// CRC-32 trailer.
+/// How a payload reaches the fold.
+#[derive(Clone, Copy, PartialEq)]
+enum Route {
+    /// A worker upload, through `FoldStep::decode`. The compressed
+    /// containers (and only they) end in a CRC-32 of all before it.
+    Upload { compressed: bool },
+    /// A relay's exact image, `PsumCodec`-compressed or not, through
+    /// `FoldStep::decode_partial` — what the socket root runs.
+    PsumExact { compressed: bool },
+    /// A compressed `f64` image of this many bytes, through the codec
+    /// and `PartialSum::decode_payload` — the simulator's self-check.
+    PsumF64 { image_len: usize },
+}
+
+/// One payload kind: the policy whose fold step accepts it, an honest
+/// payload, and its route. (A psum frame's CRC is of the decoded image,
+/// not of the frame before it, so there is no trailer to re-forge.)
 struct Kind {
     name: &'static str,
     fold: FoldStep,
     payload: Vec<u8>,
-    compressed: bool,
+    route: Route,
+}
+
+impl Kind {
+    fn crc_trailer(&self) -> bool {
+        self.route == Route::Upload { compressed: true }
+    }
+}
+
+/// The architecture of the psum kinds: one tensor under a one-letter
+/// name, so an image's header is shorter than either stride and most
+/// byte planes hold nothing but one byte position of the sums.
+fn psum_template() -> StateDict {
+    let mut dict = StateDict::new();
+    dict.insert("w", Tensor::zeros(vec![2560]));
+    dict
+}
+
+/// A partial sum whose images put all four plane modes in a frame:
+/// magnitudes within one binade and one element in sixteen negative,
+/// so the low bytes are constant zeros, the mantissa bytes noise, the
+/// exponent byte skewed and the sign bytes dominated by one value.
+fn partial_of(template: &StateDict) -> PartialSum {
+    let mut sum = PartialSum::new();
+    for (client, weight) in [(1u32, 1.0), (2, 2.0)] {
+        let mut dict = template.clone();
+        for (i, v) in dict.get_mut("w").unwrap().data_mut().iter_mut().enumerate() {
+            let hash = (i as u32 ^ client << 16).wrapping_mul(0x9E37_79B9) >> 9;
+            let magnitude = 0.25 + hash as f32 / (1u32 << 23) as f32 * 0.125;
+            *v = if i % 16 == 5 { -magnitude } else { magnitude };
+        }
+        sum.accumulate(&dict, weight);
+    }
+    sum
 }
 
 fn kinds(reference: &StateDict) -> Vec<Kind> {
@@ -117,18 +171,23 @@ fn kinds(reference: &StateDict) -> Vec<Kind> {
     let q8 = StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false };
     let sparse = FamilyCodec::top_k(0.25).unwrap().encode_delta(&update, reference, None, 0);
     let quant = FamilyCodec::quant(8, false).unwrap().encode_delta(&update, reference, None, 0);
-    let kind = |name, policy: &StagePolicy, payload, compressed| Kind {
+    let kind_over = |template: &StateDict, name, policy: &StagePolicy, payload, route| Kind {
         name,
-        fold: FoldStep::new(policy, reference.clone()),
+        fold: FoldStep::new(policy, template.clone()),
         payload,
-        compressed,
+        route,
     };
+    let kind = |name, policy, payload, route| kind_over(reference, name, policy, payload, route);
+    let upload = |compressed| Route::Upload { compressed };
+    let psum_template = psum_template();
+    let sum = partial_of(&psum_template);
+    let f64_image = sum.encode_payload();
     vec![
         kind(
             "FSZ1",
             &StagePolicy::Lossy(codec),
             FedSz::new(codec).compress(&update).unwrap().into_bytes(),
-            true,
+            upload(true),
         ),
         // The FSZ1 header's lossy id, not the server's plan, picks the
         // decoder: a server whose plan says SZ2 still runs SZ3 on a
@@ -137,11 +196,32 @@ fn kinds(reference: &StateDict) -> Vec<Kind> {
             "FSZ1-sz3",
             &StagePolicy::Lossy(codec),
             FedSz::new(codec.with_lossy(LossyKind::Sz3)).compress(&update).unwrap().into_bytes(),
-            true,
+            upload(true),
         ),
-        kind("FUC1-sparse", &topk, sparse.unwrap(), true),
-        kind("FUC1-quant", &q8, quant.unwrap(), true),
-        kind("raw", &StagePolicy::Raw, update.to_bytes(), false),
+        kind("FUC1-sparse", &topk, sparse.unwrap(), upload(true)),
+        kind("FUC1-quant", &q8, quant.unwrap(), upload(true)),
+        kind("raw", &StagePolicy::Raw, update.to_bytes(), upload(false)),
+        kind_over(
+            &psum_template,
+            "psum-exact",
+            &StagePolicy::Raw,
+            PsumCodec::with_stride(PartialSum::EXACT_STRIDE).compress(&sum.encode_exact()),
+            Route::PsumExact { compressed: true },
+        ),
+        kind_over(
+            &psum_template,
+            "psum-raw",
+            &StagePolicy::Raw,
+            sum.encode_exact(),
+            Route::PsumExact { compressed: false },
+        ),
+        kind_over(
+            &psum_template,
+            "psum-f64",
+            &StagePolicy::Raw,
+            PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE).compress(&f64_image),
+            Route::PsumF64 { image_len: f64_image.len() },
+        ),
     ]
 }
 
@@ -162,9 +242,36 @@ fn fix_crc(payload: &mut [u8]) {
     }
 }
 
+/// Runs the kind's decoder, asserting on an `Ok` that the result is
+/// one the template still vouches for.
+fn decode(kind: &Kind, payload: &[u8], reference: &StateDict, what: &str) -> Result<(), String> {
+    match kind.route {
+        Route::Upload { compressed } => {
+            let dict = kind.fold.decode(payload, compressed, Some(reference))?;
+            assert_eq!(dict.len(), reference.len(), "{}: {what}", kind.name);
+            for ((name, tensor), (want, like)) in dict.iter().zip(reference.iter()) {
+                assert_eq!((name, tensor.shape()), (want, like.shape()), "{}: {what}", kind.name);
+                assert!(tensor.data().iter().all(|v| v.is_finite()), "{}: {what}", kind.name);
+            }
+        }
+        Route::PsumExact { compressed } => {
+            let sum = kind.fold.decode_partial(payload.to_vec(), compressed)?;
+            let template = kind.fold.template();
+            assert!(sum.is_empty() || sum.shape_matches(template), "{}: {what}", kind.name);
+        }
+        Route::PsumF64 { image_len } => {
+            let image = PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE)
+                .decompress_within(payload, image_len)
+                .map_err(|e| e.to_string())?;
+            PartialSum::decode_payload(&image).map_err(|e| e.to_string())?;
+        }
+    }
+    Ok(())
+}
+
 /// Decodes one (possibly hostile) payload, asserting the contract that
 /// holds for *any* input: no panic, no allocation beyond the bound,
-/// and an `Ok` only for a dict the template still vouches for.
+/// and an `Ok` only for a result the template still vouches for.
 /// Returns whether the payload was accepted.
 fn decode_is_total(kind: &Kind, payload: &[u8], reference: &StateDict, what: &str) -> bool {
     // Decode tables (Huffman lookups, LZ windows) are alphabet-sized,
@@ -172,8 +279,7 @@ fn decode_is_total(kind: &Kind, payload: &[u8], reference: &StateDict, what: &st
     // with the architecture, not with what the payload claims.
     let limit = 16 * reference.byte_size() + (4 << 20);
     LARGEST.with(|largest| largest.set(0));
-    let outcome =
-        std::panic::catch_unwind(|| kind.fold.decode(payload, kind.compressed, Some(reference)));
+    let outcome = std::panic::catch_unwind(|| decode(kind, payload, reference, what));
     let largest = LARGEST.with(Cell::get);
     let outcome = outcome.unwrap_or_else(|_| panic!("{}: decode panicked on {what}", kind.name));
     assert!(
@@ -182,14 +288,7 @@ fn decode_is_total(kind: &Kind, payload: &[u8], reference: &StateDict, what: &st
         kind.name
     );
     match outcome {
-        Ok(dict) => {
-            assert_eq!(dict.len(), reference.len(), "{}: {what}", kind.name);
-            for ((name, tensor), (want, like)) in dict.iter().zip(reference.iter()) {
-                assert_eq!((name, tensor.shape()), (want, like.shape()), "{}: {what}", kind.name);
-                assert!(tensor.data().iter().all(|v| v.is_finite()), "{}: {what}", kind.name);
-            }
-            true
-        }
+        Ok(()) => true,
         Err(reason) => {
             assert!(!reason.is_empty());
             false
@@ -197,11 +296,40 @@ fn decode_is_total(kind: &Kind, payload: &[u8], reference: &StateDict, what: &st
     }
 }
 
+/// The mode byte of every plane of an honest `PsumCodec` frame.
+fn plane_modes(frame: &[u8]) -> Vec<u8> {
+    let stride = usize::from(frame[1]);
+    let mut pos = 2;
+    let n = read_uvarint(frame, &mut pos).unwrap() as usize / stride;
+    let mut modes = Vec::new();
+    for _ in 0..stride {
+        modes.push(frame[pos]);
+        pos += 1;
+        match modes[modes.len() - 1] {
+            0 => pos += 1,
+            1 => pos += n,
+            2 => {
+                HuffmanTable::read_header(frame, &mut pos).unwrap();
+                read_bytes(frame, &mut pos).unwrap();
+            }
+            _ => {
+                read_bytes(frame, &mut pos).unwrap();
+            }
+        }
+    }
+    modes
+}
+
 #[test]
 fn honest_payloads_decode() {
     let reference = template();
     for kind in kinds(&reference) {
         assert!(decode_is_total(&kind, &kind.payload, &reference, "the honest payload"));
+        // The sweeps below must reach every plane decoder.
+        if matches!(kind.name, "psum-exact" | "psum-f64") {
+            let modes = plane_modes(&kind.payload);
+            assert!((0..4).all(|mode| modes.contains(&mode)), "{}: modes {modes:?}", kind.name);
+        }
     }
 }
 
@@ -230,7 +358,7 @@ fn thirty_byte_sparse_frame_is_an_error_not_an_abort() {
         name: "FUC1-sparse",
         fold: FoldStep::new(&topk, reference.clone()),
         payload: frame,
-        compressed: true,
+        route: Route::Upload { compressed: true },
     };
     assert!(!decode_is_total(&kind, &kind.payload, &reference, "the 30-byte hostile frame"));
 }
@@ -289,6 +417,48 @@ fn forged_sz3_unpredictable_count_is_an_error_not_an_abort() {
     assert!(!decode_is_total(&kind, &payload, &reference, "the forged SZ3 frame"));
 }
 
+/// The frame from the psum bug report: an honest relay frame with its
+/// declared image length rewritten to 2^60. The shuffle + LZ codec
+/// passed that length to `Vec::with_capacity` — a SIGABRT at the root
+/// of a sharded run. It must be an `Err` on the codec alone and inside
+/// a `PartialSumCompressed` message with a valid frame CRC, which is
+/// how it reaches `fold_upload` from the network.
+#[test]
+fn forged_psum_length_is_an_error_not_an_abort() {
+    let reference = template();
+    let kind = kinds(&reference).into_iter().find(|k| k.name == "psum-exact").unwrap();
+    let image_len = partial_of(kind.fold.template()).encode_exact().len() as u64;
+    let mut forged = kind.payload[..2].to_vec();
+    write_uvarint(&mut forged, 1 << 60);
+    forged.extend_from_slice(&kind.payload[2 + uvarint_len(image_len)..]);
+
+    // Bare, under the allocation watch, at the bound a root derives and
+    // through the entry point that takes none.
+    let codec = PsumCodec::with_stride(PartialSum::EXACT_STRIDE);
+    let bound = PartialSum::max_exact_image_len(kind.fold.template());
+    let limit = 16 * reference.byte_size() + (4 << 20);
+    LARGEST.with(|largest| largest.set(0));
+    assert!(codec.decompress_within(&forged, bound).is_err());
+    assert!(codec.decompress(&forged).is_err());
+    let largest = LARGEST.with(Cell::get);
+    assert!(largest <= limit, "bare decode requested {largest} bytes at once");
+
+    // Framed: the message survives the wire's own CRC check, and the
+    // fold step refuses its payload.
+    let wire = Message::PartialSumCompressed {
+        round: 0,
+        shard: 1,
+        clients: 2,
+        weight: 3.0,
+        payload: forged,
+    }
+    .encode();
+    let Ok(Message::PartialSumCompressed { payload, .. }) = Message::decode(&wire) else {
+        panic!("a well-framed message must decode");
+    };
+    assert!(!decode_is_total(&kind, &payload, &reference, "the forged psum frame"));
+}
+
 /// Every byte offset of every payload kind, overwritten with a huge
 /// varint and re-checksummed: whichever length field lives there —
 /// entry counts, ranks, dimensions, stream and blob lengths, the
@@ -302,7 +472,7 @@ fn a_forged_length_at_any_offset_is_refused_or_harmless() {
             for at in 0..kind.payload.len() {
                 let mut payload = kind.payload.clone();
                 forge_varint(&mut payload, at, forged);
-                if kind.compressed {
+                if kind.crc_trailer() {
                     fix_crc(&mut payload);
                 }
                 let what = format!("{forged:#x} forged at byte {at}");
@@ -319,7 +489,7 @@ proptest! {
     /// and without the CRC recomputed.
     #[test]
     fn mutated_uploads_are_errors_not_crashes(
-        which in 0usize..5,
+        which in 0usize..8,
         mutation in 0usize..3,
         at in any::<u32>(),
         bit in 0u32..8,
@@ -347,14 +517,14 @@ proptest! {
                 format!("{forged:#x} forged at byte {at}")
             }
         };
-        let recompute_crc = recompute_crc && kind.compressed;
+        let recompute_crc = recompute_crc && kind.crc_trailer();
         if recompute_crc {
             fix_crc(&mut payload);
         }
         let accepted = decode_is_total(&kind, &payload, &reference, &what);
         // A truncated payload can never be whole, and a CRC-carrying
         // container whose trailer no longer matches is always refused.
-        if mutation == 1 || (kind.compressed && !recompute_crc) {
+        if mutation == 1 || (kind.crc_trailer() && !recompute_crc) {
             prop_assert!(!accepted, "{}: {what} was accepted", kind.name);
         }
     }
