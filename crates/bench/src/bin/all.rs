@@ -27,7 +27,6 @@ const BINARIES: &[&str] = &[
     "ablation_shuffle",
     "ablation_threshold",
     "ablation_composition",
-    "extension_pwrel",
     "hetero_links",
 ];
 

@@ -125,7 +125,7 @@ aggregates after the first K arrivals and applies stragglers stale.
 partial-sum frames); --tree 4x8 builds an arbitrary-depth hierarchy
 (4 mid-tier nodes over 32 leaves, still bit-identical); --psum
 lossless compresses the inter-aggregator partial-sum frames with the
-byte-shuffle codec, --psum auto decides per edge with Eqn 1.
+byte-plane coder, --psum auto decides per edge with Eqn 1.
 --downlink fedsz FedSZ-encodes the broadcast once per round,
 --downlink auto applies Eqn 1 with a raw fallback. --uplink picks the
 upload codec family: raw, lossy, adaptive, topk:RATIO (Top-K delta
@@ -1509,6 +1509,8 @@ mod tests {
         assert!(out.report.contains("\"schema\": \"fedsz.run_report.v2\""), "{}", out.report);
         assert!(out.report.contains("\"command\": \"fl\""), "{}", out.report);
         assert!(out.report.contains("\"checksum\": \"0x"), "{}", out.report);
+        // fl fingerprints every round, not just the final model.
+        assert!(!out.report.contains("\"checksum\": null"), "{}", out.report);
         // The v2 observability columns carry values on the fl side.
         assert!(out.report.contains("\"level_merge_nanos\": ["), "{}", out.report);
         assert!(out.report.contains("\"eqn1\": [{\"leg\": "), "{}", out.report);

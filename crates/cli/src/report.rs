@@ -17,7 +17,7 @@
 //!   "rounds": [
 //!     {"round": 0, "accuracy": 0.25, "merged": 4, "lost": 0,
 //!      "upstream_bytes": 1234, "downstream_bytes": 5678,
-//!      "secs": 0.125, "checksum": null,
+//!      "secs": 0.125, "checksum": "0x5a1c09e7",
 //!      "level_merge_nanos": [810, 5230],
 //!      "eqn1": [{"leg": "uplink", "node": 0, "compressed": true,
 //!                "family": "lossy",
@@ -33,11 +33,14 @@
 //! ```
 //!
 //! Fields a side cannot produce are `null`, never omitted: `fl` has
-//! accuracies but no per-round checksums, `serve` the reverse — the
-//! column set itself is identical, which is what makes the schema
-//! *one* schema. The top-level `checksum` is the same bit-parity
-//! fingerprint both subcommands print as `global checksum: 0x…` in
-//! table mode.
+//! accuracies, `serve` does not (it never evaluates) — the column set
+//! itself is identical, which is what makes the schema *one* schema.
+//! Both sides fill the per-round `checksum` (the post-round global's
+//! fingerprint; only a relay, which never holds the global, nulls it),
+//! so a socket run that diverges from its simulator twin names the
+//! round. The top-level `checksum` is the same bit-parity fingerprint
+//! of the final model, printed as `global checksum: 0x…` in table
+//! mode.
 //!
 //! v2 added the observability columns: `level_merge_nanos` (wall
 //! nanoseconds merging into each tree level, root first; the
@@ -84,15 +87,16 @@ pub struct RoundRow {
     /// Updates that never made it: simulator transit drops, or socket
     /// evictions.
     pub lost: usize,
-    /// Client/child → server bytes on the wire.
+    /// Client/child → server bytes: payload bytes for the simulator,
+    /// framed wire bytes for the socket runtime.
     pub upstream_bytes: usize,
-    /// Server → client/child bytes on the wire.
+    /// Server → client/child bytes, counted the same way.
     pub downstream_bytes: usize,
     /// Round duration: virtual seconds for the simulator, wall-clock
     /// for the socket runtime.
     pub secs: f64,
-    /// Post-round global checksum (`None` for `fl`, which fingerprints
-    /// only the final model).
+    /// Post-round global checksum, filled by `fl` and `serve` alike
+    /// (`None` only on a relay, which never holds the global).
     pub checksum: Option<u32>,
     /// Wall nanoseconds merging into each aggregation-tree level, root
     /// first (`None` for `serve`, whose relays own their own merges).
@@ -120,10 +124,10 @@ pub struct RoundRow {
 impl RoundRow {
     /// Builds a simulator (`fl`/`sweep`) row from the round engine's
     /// metrics. This constructor owns the simulator half of the
-    /// fills-vs-nulls contract: accuracies, merge timings, Eqn-1
-    /// decisions and DP observations are filled; per-round checksums
-    /// and the elastic-membership counters are `null` (the simulator
-    /// has no sockets to lose).
+    /// fills-vs-nulls contract: accuracies, per-round checksums, merge
+    /// timings, Eqn-1 decisions and DP observations are filled; the
+    /// elastic-membership counters are `null` (the simulator has no
+    /// sockets to lose).
     pub fn simulator(m: &RoundMetrics) -> Self {
         Self {
             round: m.round,
@@ -133,7 +137,7 @@ impl RoundRow {
             upstream_bytes: m.upstream_bytes,
             downstream_bytes: m.downstream_bytes,
             secs: m.round_secs,
-            checksum: None,
+            checksum: Some(m.checksum),
             level_merge_nanos: Some(m.level_merge_nanos.clone()),
             eqn1: Some(m.eqn1.clone()),
             reconnects: None,

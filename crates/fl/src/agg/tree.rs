@@ -703,7 +703,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_level_links_compound_the_chain() {
+    fn multi_tier_links_compound_the_chain() {
         let contribs: Vec<Contribution> = (0..4).map(|c| contribution(c, 1.0, 0.0)).collect();
         // Leaves forward at 1 byte/s, the mid tier at 1 byte/s again:
         // the root's ready time must cover both hops in sequence.

@@ -1,25 +1,27 @@
-//! The transport-abstracted federated round engine.
+//! The in-process federated round engine.
 //!
-//! [`RoundEngine`] is the in-process runtime of the paper's Fig. 1
-//! round loop: it owns cohort selection, payload movement through a
-//! pluggable [`Transport`], the virtual-time event queue over
-//! per-client [`LinkProfile`](crate::link::LinkProfile)s, aggregation
-//! under an [`AggregationPolicy`], and evaluation. The pipeline itself
-//! — what a client does with the broadcast and what the server does
-//! with an upload — is not written here: every client thread runs the
-//! shared [`crate::step`] client step and every upload is
-//! decoded by the shared [`FoldStep`], exactly as the socket runtime's
-//! worker and server do. [`Experiment`](crate::Experiment), the CLI
-//! and the bench bins are thin adapters over this type.
+//! [`RoundEngine`] — also named [`Experiment`](crate::Experiment) — is
+//! the in-process runtime of the paper's Fig. 1 round loop: it owns
+//! cohort selection, the virtual-time event queue over per-client
+//! [`LinkProfile`](crate::link::LinkProfile)s, aggregation under an
+//! [`AggregationPolicy`], and evaluation. Payloads never leave the
+//! process: a client's encoded upload is the very buffer the server
+//! decodes, and every byte count the round reports is a payload length
+//! (frames exist only where sockets do, in [`crate::net`]). The
+//! pipeline itself — what a client does with the broadcast and what the
+//! server does with an upload — is not written here: every client
+//! thread runs the shared [`crate::step`] client step and every upload
+//! is decoded by the shared [`FoldStep`], exactly as the socket
+//! runtime's worker and server do. The CLI and the bench bins build
+//! this type directly from an [`FlConfig`].
 //!
 //! # Layering
 //!
 //! ```text
-//! Experiment / fedsz fl CLI / bench bins   (adapters)
-//!        └── RoundEngine                   (cohort, schedule, policy)
+//! fedsz fl CLI / benchmark / bench bins    (callers)
+//!        └── RoundEngine = Experiment      (cohort, schedule, policy)
 //!              ├── step::UplinkStage       (choose, client step, cost profiles)
 //!              ├── step::FoldStep          (decode + validate an upload)
-//!              ├── Transport               (in-memory | framed-wire + CRC)
 //!              ├── link::schedule          (virtual clock, per-client links)
 //!              ├── agg::Aggregator         (flat | sharded tree, exact merge)
 //!              ├── agg::Downlink           (broadcast codec, Eqn 1 fallback)
@@ -41,7 +43,6 @@ use crate::plan::RoundPlan;
 use crate::step::{
     emit_dp_noise, emit_eqn1, uplink_decision, ClientStep, FoldStep, UplinkChoice, UplinkStage,
 };
-use crate::transport::Transport;
 use crate::{Client, FlConfig, RoundMetrics};
 use fedsz::timing::{Eqn1Decision, Eqn1Leg};
 use fedsz_nn::loss::top1_accuracy;
@@ -80,10 +81,7 @@ struct StaleUpdate {
 struct ClientOutcome {
     id: usize,
     choice: UplinkChoice,
-    /// `step.payload` is taken (emptied) when it moves into the
-    /// transport; `payload_len` keeps its size.
     step: ClientStep,
-    payload_len: usize,
 }
 
 /// One codec's measured cost over a round's surviving uploads — what
@@ -101,11 +99,13 @@ struct ServerUpdate {
     id: usize,
     dict: StateDict,
     samples: usize,
+    /// Payload bytes the upload put on its link.
+    wire_bytes: usize,
     dropped: bool,
 }
 
-/// The shared federated round loop: one global model, sharded clients,
-/// a transport and a link topology.
+/// The in-process federated round loop: one global model, sharded
+/// clients, a test split and a link topology.
 pub struct RoundEngine {
     config: FlConfig,
     clients: Vec<Client>,
@@ -113,7 +113,6 @@ pub struct RoundEngine {
     eval_model: Box<dyn Model>,
     test_inputs: fedsz_tensor::Tensor,
     test_targets: Vec<usize>,
-    transport: Box<dyn Transport>,
     topology: Option<Topology>,
     aggregator: Box<dyn Aggregator>,
     downlink: Downlink,
@@ -150,16 +149,15 @@ impl RoundEngine {
     /// zero fan-outs, …). Fallible callers should run
     /// [`FlConfig::plan`] themselves and use
     /// [`RoundEngine::from_plan`].
-    pub fn new(config: FlConfig, transport: Box<dyn Transport>) -> Self {
-        let plan = config.plan().unwrap_or_else(|e| panic!("{e}"));
-        Self::from_plan(plan, transport)
+    pub fn new(config: FlConfig) -> Self {
+        Self::from_plan(config.plan().unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Builds the engine from a validated [`RoundPlan`]: generates
     /// data, shards it across clients (IID round-robin or Dirichlet
     /// non-IID), initializes the global model and instantiates the
     /// plan's topology, aggregator and stage executors.
-    pub fn from_plan(plan: RoundPlan, transport: Box<dyn Transport>) -> Self {
+    pub fn from_plan(plan: RoundPlan) -> Self {
         // Every leg re-validates at executor construction (downlink
         // and psum below via their from_policy constructors), so even
         // a hand-built plan cannot smuggle an illegal policy in.
@@ -168,7 +166,7 @@ impl RoundEngine {
             .validate_for(crate::plan::StageLeg::Uplink)
             .unwrap_or_else(|e| panic!("{e}"));
         let uplink_stage = UplinkStage::new(&plan);
-        let RoundPlan { config, tree, topology, level_links, worker_threads } = plan;
+        let RoundPlan { config, tree, topology, worker_threads } = plan;
         let (train, test) = config.dataset.generate(&config.data);
         // Client construction is shared with the multi-process worker
         // path (`FlConfig::build_client`): both must produce the same
@@ -186,11 +184,19 @@ impl RoundEngine {
         let global = eval_model.state_dict();
         let (test_inputs, test_targets) = test.full_batch();
         let aggregator: Box<dyn Aggregator> = match tree {
-            Some(tree) => Box::new(
-                ShardedTree::from_policy(tree, level_links, &config.psum)
-                    .expect("plan validated the psum policy")
-                    .with_threads(worker_threads),
-            ),
+            Some(tree) => {
+                // The lifted topology carries the aggregator tiers the
+                // tree prices its partial-sum forwards on.
+                let tiers = match &topology {
+                    Some(Topology::Tree { levels, .. }) => Some(levels.clone()),
+                    _ => None,
+                };
+                Box::new(
+                    ShardedTree::from_policy(tree, tiers, &config.psum)
+                        .expect("plan validated the psum policy")
+                        .with_threads(worker_threads),
+                )
+            }
             None => Box::new(FlatAggregator),
         };
         let downlink =
@@ -205,7 +211,6 @@ impl RoundEngine {
             eval_model,
             test_inputs,
             test_targets,
-            transport,
             topology,
             aggregator,
             downlink,
@@ -240,11 +245,6 @@ impl RoundEngine {
         &self.global
     }
 
-    /// The transport in use.
-    pub fn transport_name(&self) -> &'static str {
-        self.transport.name()
-    }
-
     /// The aggregation backend in use (`"flat"` or `"sharded-tree"`).
     pub fn aggregator_name(&self) -> &'static str {
         self.aggregator.name()
@@ -277,8 +277,8 @@ impl RoundEngine {
     }
 
     /// Deterministic uniform coin in `[0, 1)` for transit-loss decisions
-    /// (a pure function of seed, round and client, so both transports
-    /// and repeated runs agree).
+    /// (a pure function of seed, round and client, so repeated runs
+    /// agree).
     fn transit_coin(&self, round: usize, client: usize) -> f64 {
         let mut x = self
             .config
@@ -295,9 +295,8 @@ impl RoundEngine {
     ///
     /// # Panics
     ///
-    /// Panics on transport protocol violations or malformed
-    /// self-produced payloads (this is a research harness, not a
-    /// hardened server).
+    /// Panics on malformed self-produced payloads (this is a research
+    /// harness, not a hardened server).
     pub fn run_round(&mut self, round: usize) -> RoundMetrics {
         let selected = self.select_cohort(round);
         // Declared first so it drops last: the round span must close
@@ -323,37 +322,14 @@ impl RoundEngine {
             std::mem::take(&mut self.broadcast_buf),
         );
 
-        // Broadcast: the encoded model crosses the transport once per
-        // cohort client, exactly as it would on a real network. A
-        // verbatim delivery lets every client share one decoded dict
-        // instead of re-decoding `O(clients)` identical copies; only a
-        // transport that altered the bytes forces a per-client decode.
-        let mut downstream_bytes = 0usize;
-        let mut copy_wire_bytes = 0usize;
-        let mut delivered_globals: Vec<Option<StateDict>> = Vec::with_capacity(selected.len());
-        for &id in &selected {
-            let delivered = self
-                .transport
-                .broadcast(round as u32, id as u64, &payload.bytes, payload.compressed)
-                .expect("transport delivers broadcast");
-            downstream_bytes += delivered.wire_bytes;
-            copy_wire_bytes = delivered.wire_bytes;
-            delivered_globals.push(if delivered.verbatim {
-                None // byte-identical delivery: share one decode
-            } else {
-                Some(
-                    self.downlink
-                        .decode(&delivered.payload, delivered.compressed)
-                        .expect("broadcast bytes decode to a dict"),
-                )
-            });
-        }
+        // Every cohort client receives one copy of the same bytes.
         // Under a sharded tree the root sends one copy per active
         // shard and the edges fan out; flat servers send one per
         // client.
-        let root_egress_bytes = self.aggregator.fanout(&selected) * copy_wire_bytes;
-        // One decode stands in for every verbatim client's (they all
-        // see identical bytes); the virtual clock still charges each
+        let downstream_bytes = selected.len() * payload.bytes.len();
+        let root_egress_bytes = self.aggregator.fanout(&selected) * payload.bytes.len();
+        // One decode stands in for every client's (they all see
+        // identical bytes); the virtual clock still charges each
         // client its own straggler-scaled share below.
         let (decoded_global, decode_secs) = if payload.compressed {
             let t0 = Instant::now();
@@ -381,15 +357,17 @@ impl RoundEngine {
         self.downlink.observe(&payload, decode_secs);
         // Hand the buffer back so next round's encode reuses it.
         self.broadcast_buf = payload.bytes;
-        let shared_downlink_global = decoded_global.as_ref();
         drop(broadcast_span);
+        // What every client loads, and what family streams decode
+        // against below (aggregation has not run yet, so `self.global`
+        // is still the round's reference).
+        let shared_global: &StateDict = decoded_global.as_ref().unwrap_or(&self.global);
         // Local work runs in parallel threads (clients own disjoint
         // state); wall time is measured per client and later scaled by
         // the link's straggler factor on the virtual clock. Each client
         // first gets its upload-leg decision, priced (when the policy
         // prices at all) on its simulated link: the link's bandwidth,
         // and its straggler slowdown on the codec time.
-        let shared_global: &StateDict = shared_downlink_global.unwrap_or(&self.global);
         let train_span = self.telemetry.span_with(
             "engine.train",
             &[("round", Value::U64(round as u64)), ("cohort", Value::U64(selected.len() as u64))],
@@ -404,19 +382,22 @@ impl RoundEngine {
                 .enumerate()
                 // `selected` is ascending, like this enumeration.
                 .filter(|(id, _)| selected.binary_search(id).is_ok())
-                .zip(delivered_globals)
-                .map(|((id, (client, residual)), delivered)| {
+                .map(|(id, (client, residual))| {
                     scope.spawn(move || {
                         let link = topology.as_ref().map(|t| t.link(id));
                         let bandwidth = link.map(|l| l.bandwidth_bps);
                         let slowdown = link.map_or(1.0, |l| l.compute_slowdown);
                         let choice = stage.choose(round, id, raw_bytes, bandwidth, slowdown);
-                        let global = delivered.as_ref().unwrap_or(shared_global);
                         let step = stage
-                            .client_step(client, global, round, choice, ef.then_some(residual))
+                            .client_step(
+                                client,
+                                shared_global,
+                                round,
+                                choice,
+                                ef.then_some(residual),
+                            )
                             .expect("global dict matches client model");
-                        let payload_len = step.payload.len();
-                        ClientOutcome { id, choice, step, payload_len }
+                        ClientOutcome { id, choice, step }
                     })
                 })
                 .collect();
@@ -442,29 +423,14 @@ impl RoundEngine {
         }
 
         let comm_span = self.telemetry.span("engine.comm");
-        // Uploads cross the transport; the wire size (frames included)
-        // is what the virtual clock charges to the link.
-        let mut upstream_bytes = 0usize;
-        let mut wire_sizes: Vec<usize> = Vec::with_capacity(outcomes.len());
-        let mut server_payloads: Vec<(Vec<u8>, bool)> = Vec::with_capacity(outcomes.len());
-        for outcome in &mut outcomes {
-            let payload = std::mem::take(&mut outcome.step.payload);
-            let delivered = self
-                .transport
-                .upload(round as u32, outcome.id as u64, payload, outcome.step.compressed)
-                .expect("transport delivers upload");
-            upstream_bytes += delivered.wire_bytes;
-            wire_sizes.push(delivered.wire_bytes);
-            server_payloads.push((delivered.payload, delivered.compressed));
-        }
+        let upstream_bytes: usize = outcomes.iter().map(|o| o.step.payload.len()).sum();
 
         // Virtual-time event queue: departures -> arrivals per link.
         // A compressed broadcast charges every client its own
         // straggler-scaled decode before training can start.
         let departures: Vec<Departure> = outcomes
             .iter()
-            .zip(&wire_sizes)
-            .map(|(o, &bytes)| {
+            .map(|o| {
                 let (slowdown, drop_prob) = match &self.topology {
                     Some(t) => {
                         let l = t.link(o.id);
@@ -475,7 +441,8 @@ impl RoundEngine {
                 Departure {
                     client: o.id,
                     ready_secs: (decode_secs + o.step.train_secs + o.step.compress_secs) * slowdown,
-                    bytes,
+                    // The payload size is what the link is charged.
+                    bytes: o.step.payload.len(),
                     dropped: drop_prob > 0.0 && self.transit_coin(round, o.id) < drop_prob,
                 }
             })
@@ -522,14 +489,9 @@ impl RoundEngine {
         let dropped_count = dropped_mask.iter().filter(|&&d| d).count();
         let mut decompress_secs = 0.0f64;
         let mut codec_costs = vec![CodecCosts::default(); self.uplink.codec_count()];
-        // Family streams decode against the same broadcast dict every
-        // client loaded this round (aggregation has not run yet, so
-        // `self.global` is still the round's reference).
-        let uplink_reference = decoded_global.as_ref().unwrap_or(&self.global);
         let server_updates: Vec<ServerUpdate> = outcomes
             .iter()
-            .zip(server_payloads)
-            .map(|(o, (payload, compressed))| {
+            .map(|o| {
                 let dropped = dropped_mask[o.id];
                 let dict = if dropped {
                     StateDict::new()
@@ -537,20 +499,26 @@ impl RoundEngine {
                     let t_dec = Instant::now();
                     let dict = self
                         .fold
-                        .decode(&payload, compressed, Some(uplink_reference))
+                        .decode(&o.step.payload, o.step.compressed, Some(shared_global))
                         .expect("self-produced upload");
                     let elapsed = t_dec.elapsed().as_secs_f64();
                     decompress_secs += elapsed;
                     if let Some(codec) = o.choice.codec {
                         let costs = &mut codec_costs[codec];
                         costs.raw_bytes += o.step.raw_bytes;
-                        costs.payload_bytes += o.payload_len;
+                        costs.payload_bytes += o.step.payload.len();
                         costs.compress_secs += o.step.compress_secs;
                         costs.decompress_secs += elapsed;
                     }
                     dict
                 };
-                ServerUpdate { id: o.id, dict, samples: o.step.samples, dropped }
+                ServerUpdate {
+                    id: o.id,
+                    dict,
+                    samples: o.step.samples,
+                    wire_bytes: o.step.payload.len(),
+                    dropped,
+                }
             })
             .collect();
         drop(decode_span);
@@ -558,8 +526,7 @@ impl RoundEngine {
         // Aggregation under the configured policy and backend.
         let merge_span =
             self.telemetry.span_with("engine.merge", &[("round", Value::U64(round as u64))]);
-        let (outcome, stale_updates) =
-            self.aggregate(round, server_updates, &arrivals, &wire_sizes);
+        let (outcome, stale_updates) = self.aggregate(round, server_updates, &arrivals);
         drop(merge_span);
         let (aggregated_updates, round_secs, root_ingress_bytes, psum_ratio) = match &outcome {
             Some(o) => (o.merged, o.root_done_secs, o.root_ingress_bytes, o.psum_ratio()),
@@ -575,6 +542,9 @@ impl RoundEngine {
         let t_val = Instant::now();
         let test_accuracy = self.evaluate();
         let validation_secs = t_val.elapsed().as_secs_f64();
+        // Fingerprinted inside the stage span, so the stages still sum
+        // to the round.
+        let checksum = crate::net::global_checksum(&self.global);
         drop(validate_span);
 
         // Refresh the Eqn 1 cost profiles from this round's
@@ -592,10 +562,10 @@ impl RoundEngine {
         let n = outcomes.len().max(1) as f64;
         let train_secs = outcomes.iter().map(|o| o.step.train_secs).sum::<f64>() / n;
         let compress_secs = outcomes.iter().map(|o| o.step.compress_secs).sum::<f64>() / n;
-        let update_bytes = outcomes.iter().map(|o| o.payload_len as f64).sum::<f64>() / n;
+        let update_bytes = upstream_bytes as f64 / n;
         let ratio = outcomes
             .iter()
-            .map(|o| o.step.raw_bytes as f64 / o.payload_len.max(1) as f64)
+            .map(|o| o.step.raw_bytes as f64 / o.step.payload.len().max(1) as f64)
             .sum::<f64>()
             / n;
         let dp_sigma = outcomes.iter().find_map(|o| o.step.dp).map(|d| d.sigma);
@@ -627,6 +597,7 @@ impl RoundEngine {
             eqn1,
             dp_sigma,
             clipped_fraction,
+            checksum,
         };
         drop(round_span);
         metrics
@@ -634,14 +605,12 @@ impl RoundEngine {
 
     /// Applies the aggregation policy and backend, returning the
     /// backend's outcome (`None` when nothing aggregated) and the
-    /// number of stale straggler updates applied. `wire_sizes` is
-    /// aligned with `server_updates`.
+    /// number of stale straggler updates applied.
     fn aggregate(
         &mut self,
         round: usize,
         server_updates: Vec<ServerUpdate>,
         arrivals: &[link::Arrival],
-        wire_sizes: &[usize],
     ) -> (Option<AggOutcome>, usize) {
         // Which delivered uploads the policy waits for.
         let delivered: Vec<&link::Arrival> = arrivals.iter().filter(|a| !a.dropped).collect();
@@ -664,7 +633,7 @@ impl RoundEngine {
 
         let mut contributions: Vec<Contribution> = Vec::new();
         let mut stragglers: Vec<StaleUpdate> = Vec::new();
-        for (update, &wire_bytes) in server_updates.into_iter().zip(wire_sizes) {
+        for update in server_updates {
             if update.dropped {
                 continue;
             }
@@ -678,7 +647,7 @@ impl RoundEngine {
                     client: update.id,
                     dict: update.dict,
                     weight: w,
-                    wire_bytes,
+                    wire_bytes: update.wire_bytes,
                     done_secs: done_secs[update.id],
                 });
             } else {
@@ -756,18 +725,13 @@ mod tests {
     use super::*;
     use crate::link::LinkProfile;
     use crate::plan::{PlanError, StagePolicy};
-    use crate::transport::{InMemoryTransport, WireTransport};
-
-    fn engine(config: FlConfig) -> RoundEngine {
-        RoundEngine::new(config, Box::<InMemoryTransport>::default())
-    }
 
     #[test]
     fn cohort_mask_matches_rotating_selection() {
         let mut config = FlConfig::smoke_test();
         config.clients = 5;
         config.participation = 0.4; // cohort of 2
-        let e = engine(config);
+        let e = RoundEngine::new(config);
         assert_eq!(e.select_cohort(0), vec![0, 1]);
         assert_eq!(e.select_cohort(1), vec![2, 3]);
         assert_eq!(e.select_cohort(2), vec![0, 4]);
@@ -775,7 +739,7 @@ mod tests {
 
     #[test]
     fn transit_coin_is_deterministic_and_uniformish() {
-        let e = engine(FlConfig::smoke_test());
+        let e = RoundEngine::new(FlConfig::smoke_test());
         let a = e.transit_coin(3, 1);
         assert_eq!(a, e.transit_coin(3, 1));
         assert_ne!(a, e.transit_coin(3, 0));
@@ -795,7 +759,7 @@ mod tests {
             LinkProfile::symmetric(1e6).with_slowdown(50.0),
         ]));
         config.aggregation = AggregationPolicy::Buffered { target: 2 };
-        let mut e = engine(config);
+        let mut e = RoundEngine::new(config);
         let m0 = e.run_round(0);
         assert_eq!(m0.aggregated_updates, 2, "buffered round must take exactly K uploads");
         assert_eq!(e.pending_updates(), 1, "the straggler should be buffered");
@@ -815,16 +779,10 @@ mod tests {
             LinkProfile::symmetric(10e6),
             LinkProfile::symmetric(10e6).with_drop_prob(1.0),
         ]));
-        let mut e = engine(config);
+        let mut e = RoundEngine::new(config);
         let m = e.run_round(0);
         assert_eq!(m.dropped_updates, 2);
         assert_eq!(m.aggregated_updates, 2);
-    }
-
-    #[test]
-    fn wire_transport_reports_its_name() {
-        let e = RoundEngine::new(FlConfig::smoke_test(), Box::new(WireTransport::new()));
-        assert_eq!(e.transport_name(), "framed-wire");
     }
 
     #[test]
@@ -833,7 +791,7 @@ mod tests {
         let mut config = FlConfig::smoke_test();
         config.clients = 3;
         config.links = Some(Topology::Dedicated(vec![LinkProfile::default()]));
-        let _ = engine(config);
+        let _ = RoundEngine::new(config);
     }
 
     #[test]
@@ -841,14 +799,14 @@ mod tests {
         let mut config = FlConfig::smoke_test();
         config.clients = 8;
         config.rounds = 1;
-        let mut flat = engine(config.clone());
+        let mut flat = RoundEngine::new(config.clone());
         let flat_m = flat.run_round(0);
         assert_eq!(flat.aggregator_name(), "flat");
         assert_eq!(flat_m.root_ingress_bytes, flat_m.upstream_bytes);
         assert_eq!(flat_m.root_egress_bytes, flat_m.downstream_bytes);
 
         config.tree = Some(vec![4]);
-        let mut sharded = engine(config);
+        let mut sharded = RoundEngine::new(config);
         let m = sharded.run_round(0);
         assert_eq!(sharded.aggregator_name(), "sharded-tree");
         // The root receives 4 partial-sum frames instead of 8 uploads,
@@ -868,7 +826,7 @@ mod tests {
         config.rounds = 1;
         config.tree = Some(vec![2, 4]); // depth 3: 2 mid nodes, 8 leaves
         config.psum = StagePolicy::Lossless;
-        let mut deep = engine(config);
+        let mut deep = RoundEngine::new(config);
         let m = deep.run_round(0);
         assert_eq!(deep.aggregator_name(), "sharded-tree");
         // The root has 2 children, so it sends 2 broadcast copies for
@@ -887,12 +845,12 @@ mod tests {
     fn downlink_compression_shrinks_broadcasts() {
         let mut config = FlConfig::smoke_test();
         config.rounds = 1;
-        let raw = engine(config.clone()).run_round(0);
+        let raw = RoundEngine::new(config.clone()).run_round(0);
         assert!(raw.downlink_ratio <= 1.0, "raw broadcasts carry a small header");
         assert_eq!(raw.downlink_secs, 0.0);
 
         config.downlink = StagePolicy::Lossy(FlConfig::tiny_model_compression());
-        let packed = engine(config).run_round(0);
+        let packed = RoundEngine::new(config).run_round(0);
         assert!(
             packed.downstream_bytes * 2 < raw.downstream_bytes,
             "encoded broadcasts should at least halve downstream: {} vs {}",
@@ -911,7 +869,7 @@ mod tests {
         config.downlink = StagePolicy::Adaptive {
             compressed: Box::new(StagePolicy::Lossy(FlConfig::tiny_model_compression())),
         };
-        let metrics = engine(config).run();
+        let metrics = RoundEngine::new(config).run();
         assert!(metrics[0].downlink_ratio > 1.2, "first round must probe the codec");
         let last = metrics.last().unwrap();
         assert!(
@@ -926,7 +884,7 @@ mod tests {
     fn hand_built_plans_cannot_smuggle_an_illegal_uplink_policy() {
         let mut plan = FlConfig::smoke_test().plan().expect("valid config");
         plan.config.uplink = StagePolicy::Lossless;
-        let _ = RoundEngine::from_plan(plan, Box::<InMemoryTransport>::default());
+        let _ = RoundEngine::from_plan(plan);
     }
 
     #[test]
@@ -936,6 +894,6 @@ mod tests {
         config.clients = 4;
         config.tree = Some(vec![2]);
         config.edge_links = Some(vec![LinkProfile::default()]);
-        let _ = engine(config);
+        let _ = RoundEngine::new(config);
     }
 }

@@ -13,14 +13,15 @@
 //! The round's pipeline is written once, in [`step`]: the client step
 //! (load the broadcast → local epochs → DP clip+noise → Eqn-1 codec
 //! choice → encode) and the fold step (decode → validate against the
-//! architecture → fold). Three runtimes call it and differ only in
-//! transport and scheduling: the in-process [`engine::RoundEngine`]
-//! and the socket [`net`] worker and server.
+//! architecture → fold). Three runtimes call it and differ only in how
+//! bytes move and how rounds are scheduled: the in-process
+//! [`engine::RoundEngine`], where a payload never leaves the process
+//! and transfer time is priced from its length, and the socket [`net`]
+//! worker and server, where it crosses TCP as a CRC-framed message.
 //!
-//! Every in-process entry point — [`Experiment`], the scaling harness
-//! and the CLI — drives the same
-//! [`engine::RoundEngine`], parameterized by a [`transport::Transport`]
-//! (analytic in-memory, or framed-wire with CRC accounting), a link
+//! There is one in-process runtime, named both [`Experiment`] and
+//! [`engine::RoundEngine`]; the scaling harness, the CLI and the
+//! benchmark all build it from an [`FlConfig`], which selects a link
 //! [`link::Topology`] (one shared pipe, per-client heterogeneous
 //! links, or an aggregation tree of any depth), an
 //! [`engine::AggregationPolicy`] (synchronous FedAvg or FedBuff-style
@@ -53,19 +54,16 @@ pub mod agg;
 pub mod client;
 pub mod codec;
 pub mod engine;
-pub mod fedavg;
 pub mod link;
 pub mod net;
 pub mod plan;
 pub mod scaling;
 pub mod step;
 pub mod sweep;
-pub mod transport;
 
 pub use agg::TreePlan;
 pub use client::Client;
 pub use engine::{AggregationPolicy, RoundEngine};
-pub use fedavg::fedavg;
 pub use fedsz_dp::{DpMechanism, DpPolicy};
 pub use link::{LinkProfile, Topology};
 pub use plan::{PlanError, RoundPlan, StageLeg, StagePolicy};
@@ -73,8 +71,6 @@ pub use plan::{PlanError, RoundPlan, StageLeg, StagePolicy};
 use fedsz::FedSzConfig;
 use fedsz_data::{DatasetKind, SyntheticConfig};
 use fedsz_nn::models::tiny::TinyArch;
-use fedsz_nn::StateDict;
-use transport::InMemoryTransport;
 
 /// Configuration of one federated-learning experiment.
 #[derive(Debug, Clone)]
@@ -313,13 +309,13 @@ pub struct RoundMetrics {
     pub update_bytes: f64,
     /// Mean compression ratio across clients (1.0 when disabled).
     pub ratio: f64,
-    /// Server→client bytes on the wire this round — one (possibly
-    /// downlink-encoded) copy per cohort client, framing included on
-    /// the wire transport.
+    /// Server→client payload bytes this round: one (possibly
+    /// downlink-encoded) copy of the global per cohort client.
     pub downstream_bytes: usize,
-    /// Client→server bytes on the wire this round.
+    /// Client→server payload bytes this round: the sum of the cohort's
+    /// encoded uploads, dropped ones included (they were sent).
     pub upstream_bytes: usize,
-    /// Bytes arriving at the root aggregator: every update's wire
+    /// Bytes arriving at the root aggregator: every update's payload
     /// bytes on a flat server, or one partial-sum frame per active
     /// shard under the sharded tree (where it drops by the fan-in).
     pub root_ingress_bytes: usize,
@@ -360,59 +356,15 @@ pub struct RoundMetrics {
     /// Fraction of this round's cohort whose update delta exceeded the
     /// DP clip norm and was scaled down; `None` without a DP stage.
     pub clipped_fraction: Option<f64>,
+    /// [`net::global_checksum`] of the global model after this round's
+    /// aggregation — the per-round fingerprint `fedsz serve` reports
+    /// too, so a run that diverges from its twin names the round.
+    pub checksum: u32,
 }
 
-/// A FedAvg experiment over the analytic in-memory transport: a global
-/// model, sharded clients and a test set.
-///
-/// This is a thin adapter over [`engine::RoundEngine`]; handing the
-/// engine a [`transport::WireTransport`] instead drives the *same*
-/// rounds through encoded, CRC-verified frames.
-pub struct Experiment {
-    engine: RoundEngine,
-}
-
-impl Experiment {
-    /// Builds the experiment: generates data, shards it across clients,
-    /// and initializes the global model.
-    pub fn new(config: FlConfig) -> Self {
-        Self { engine: RoundEngine::new(config, Box::<InMemoryTransport>::default()) }
-    }
-
-    /// Attaches a telemetry handle to the underlying engine: stage
-    /// spans, per-level merge spans and `eqn1.decision` events for
-    /// every round this experiment runs.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: fedsz_telemetry::Telemetry) -> Self {
-        self.engine = self.engine.with_telemetry(telemetry);
-        self
-    }
-
-    /// The experiment's configuration.
-    pub fn config(&self) -> &FlConfig {
-        self.engine.config()
-    }
-
-    /// Current global state dictionary.
-    pub fn global_state(&self) -> &StateDict {
-        self.engine.global_state()
-    }
-
-    /// Runs all configured rounds, returning per-round metrics.
-    pub fn run(&mut self) -> Vec<RoundMetrics> {
-        self.engine.run()
-    }
-
-    /// Runs a single communication round.
-    pub fn run_round(&mut self, round: usize) -> RoundMetrics {
-        self.engine.run_round(round)
-    }
-
-    /// Evaluates the current global model on the test split.
-    pub fn evaluate(&mut self) -> f64 {
-        self.engine.evaluate()
-    }
-}
+/// The paper's experiment driver: [`engine::RoundEngine`] under the
+/// name the examples, the CLI and the benchmark build it by.
+pub type Experiment = RoundEngine;
 
 #[cfg(test)]
 mod tests {

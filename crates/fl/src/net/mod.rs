@@ -1,13 +1,14 @@
 //! The multi-process runtime: real federated rounds over TCP sockets.
 //!
-//! Everything else in this crate *simulates* communication — payloads
-//! cross an in-memory [`Transport`](crate::transport::Transport) and
-//! transfer time is priced analytically. This module is the execution
-//! mode the ROADMAP's production north-star asks for: the same round,
-//! run across OS processes with every byte crossing a real kernel
-//! socket as a CRC-framed FMSG message
-//! ([`fedsz_net`]'s `FrameReader`/`FrameWriter` — the exact encode and
-//! decode paths the in-memory wire transport uses).
+//! Everything else in this crate *simulates* communication — a
+//! payload never leaves the process
+//! ([`RoundEngine`](crate::engine::RoundEngine) decodes the very
+//! buffer the client step encoded) and transfer time is priced
+//! analytically from its length. This module is the execution mode the
+//! ROADMAP's production north-star asks for: the same round, run
+//! across OS processes with every byte crossing a real kernel socket
+//! as a CRC-framed FMSG message ([`fedsz_net`]'s
+//! `FrameReader`/`FrameWriter`, the workspace's one framing path).
 //!
 //! ```text
 //!   fedsz worker --id 0 ─┐ Join/Update            ┌─ GlobalModel/EncodedGlobal

@@ -12,8 +12,8 @@
 //!                            │
 //!                            ├── config:         the validated FlConfig, verbatim
 //!                            ├── tree:           Option<TreePlan>   (config.tree over the cohort)
-//!                            ├── topology:       Option<Topology>   (config.links, lifted to Tree)
-//!                            ├── level_links:    per-level aggregator uplinks (edge_links + backbone)
+//!                            ├── topology:       Option<Topology>   (config.links, lifted to Tree
+//!                            │                   with per-level aggregator uplinks: edge_links + backbone)
 //!                            └── worker_threads: resolved pool width
 //! ```
 //!
@@ -108,7 +108,7 @@ pub enum StagePolicy {
     /// FedSZ error-bounded lossy compression with the given codec
     /// configuration.
     Lossy(FedSzConfig),
-    /// Lossless byte-shuffle + entropy compression
+    /// Lossless byte-plane entropy coding
     /// ([`fedsz_lossless::PsumCodec`]) — safe on the partial-sum leg,
     /// where bit-parity must survive the hop.
     Lossless,
@@ -542,14 +542,12 @@ pub struct RoundPlan {
     pub tree: Option<TreePlan>,
     /// [`FlConfig::links`], lifted to [`Topology::Tree`] when the plan
     /// has a tree: every client then keeps its own last mile to its
-    /// leaf aggregator (`None` = no network model).
+    /// leaf aggregator, and `levels[l - 1]` holds one uplink profile
+    /// per node at tree level `l` for pricing partial-sum forwards
+    /// ([`FlConfig::edge_links`] on the leaf tier, the
+    /// [`DEFAULT_EDGE_BPS`] backbone everywhere else). `None` = no
+    /// network model.
     pub topology: Option<Topology>,
-    /// Per-level aggregator uplinks for pricing partial-sum forwards,
-    /// present exactly when the plan has both a tree and a network
-    /// model: `level_links[l - 1]` holds one profile per node at tree
-    /// level `l` ([`FlConfig::edge_links`] on the leaf tier, the
-    /// [`DEFAULT_EDGE_BPS`] backbone everywhere else).
-    pub level_links: Option<Vec<Vec<LinkProfile>>>,
     /// Resolved worker width for the aggregation hot path:
     /// [`FlConfig::worker_threads`] when set, otherwise the host's
     /// available parallelism at plan time. Always at least 1. Width is
@@ -639,13 +637,12 @@ fn plan_tree(config: &FlConfig) -> Result<Option<TreePlan>, PlanError> {
 }
 
 /// Validates `links`/`edge_links` and derives the engine's topology
-/// (lifted to [`Topology::Tree`] under a tree) and the per-level
-/// aggregator uplinks.
-#[allow(clippy::type_complexity)]
+/// (lifted to [`Topology::Tree`], per-level aggregator uplinks
+/// included, under a tree).
 fn plan_topology(
     config: &FlConfig,
     tree: Option<&TreePlan>,
-) -> Result<(Option<Topology>, Option<Vec<Vec<LinkProfile>>>), PlanError> {
+) -> Result<Option<Topology>, PlanError> {
     // Tree mode gives every client its own last mile to its leaf
     // aggregator; a shared pipe becomes one identical last mile each.
     let last_miles = match &config.links {
@@ -674,7 +671,7 @@ fn plan_topology(
         if config.edge_links.is_some() {
             return Err(PlanError::EdgeLinksWithoutTree);
         }
-        return Ok((config.links.clone(), None));
+        return Ok(config.links.clone());
     };
     // Per-level aggregator uplinks: explicit `edge_links` profiles
     // apply to the leaf tier; inner tiers always sit on the
@@ -695,10 +692,7 @@ fn plan_topology(
         *levels.last_mut().expect("depth >= 2") = edges.clone();
     }
     // Aggregator forwards are only priced when a network model exists.
-    Ok(match last_miles {
-        None => (None, None),
-        Some(clients) => (Some(Topology::Tree { clients, levels: levels.clone() }), Some(levels)),
-    })
+    Ok(last_miles.map(|clients| Topology::Tree { clients, levels }))
 }
 
 /// Validates the three per-leg [`StagePolicy`]s against the legality
@@ -722,8 +716,8 @@ fn validate_stages(config: &FlConfig) -> Result<(), PlanError> {
 
 impl FlConfig {
     /// Validates this configuration and derives its [`RoundPlan`]: the
-    /// [`TreePlan`] over the cohort, the lifted [`Topology`], the
-    /// per-level aggregator uplinks and the resolved worker width.
+    /// [`TreePlan`] over the cohort, the lifted [`Topology`] and the
+    /// resolved worker width.
     ///
     /// # Errors
     ///
@@ -769,9 +763,9 @@ impl FlConfig {
             }
         }
         let tree = plan_tree(self)?;
-        let (topology, level_links) = plan_topology(self, tree.as_ref())?;
+        let topology = plan_topology(self, tree.as_ref())?;
         validate_stages(self)?;
-        Ok(RoundPlan { config: self.clone(), tree, topology, level_links, worker_threads })
+        Ok(RoundPlan { config: self.clone(), tree, topology, worker_threads })
     }
 }
 
@@ -788,7 +782,6 @@ mod tests {
         let plan = base().plan().expect("smoke config is valid");
         assert!(plan.tree.is_none());
         assert!(matches!(plan.topology, Some(Topology::Shared(_))));
-        assert!(plan.level_links.is_none());
         assert_eq!(plan.shard_count(), None);
     }
 
@@ -878,13 +871,12 @@ mod tests {
         );
         config.edge_links = Some(vec![LinkProfile::default(); 3]);
         let plan = config.plan().expect("matching edge links are valid");
-        assert_eq!(plan.level_links.as_ref().map(|l| l[0].len()), Some(3));
         // The shared pipe is lifted to one last mile per client, with
         // the edge links as the tree's only tier.
         match &plan.topology {
             Some(Topology::Tree { clients, levels }) => {
                 assert_eq!(clients.len(), 4);
-                assert_eq!(Some(levels), plan.level_links.as_ref());
+                assert_eq!(levels, &[vec![LinkProfile::default(); 3]]);
             }
             other => panic!("expected a lifted tree topology, got {other:?}"),
         }

@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod pwrel;
 pub mod quant;
 pub mod sparse;
 pub mod sz2;

@@ -10,12 +10,12 @@
 //! [`Message`] into its frame and pushes the bytes whole into any
 //! [`Write`].
 //!
-//! Both the in-memory [`WireTransport`] pipe (where the "stream" is a
-//! `Vec<u8>`) and the real TCP [`Session`](crate::Session) use these
-//! two types, so there is exactly one encode path and one decode path
-//! for FMSG frames in the workspace.
-//!
-//! [`WireTransport`]: https://docs.rs/fedsz-fl (crate `fedsz-fl`, `transport` module)
+//! Both socket front-ends — the blocking TCP [`Session`](crate::Session)
+//! a worker holds and the [`Reactor`](crate::Reactor)'s nonblocking
+//! connections — use these two types, so there is exactly one encode
+//! path and one decode path for FMSG frames in the workspace. Frames
+//! exist only where sockets do: the in-process simulator hands payloads
+//! over unframed and prices them by length.
 
 use crate::wire::{frame_len, Message};
 use crate::NetError;

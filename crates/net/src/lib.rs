@@ -6,8 +6,8 @@
 //! mover in the workspace:
 //!
 //! * [`Message`] — the framed FMSG message format (magic + type tag +
-//!   fields + CRC-32 trailer). It lives here so the in-memory wire
-//!   transport and the real socket runtime encode/decode through
+//!   fields + CRC-32 trailer). It lives here so the server, relay
+//!   and worker processes of the socket runtime encode/decode through
 //!   literally the same code. The per-tag field
 //!   table ([`frame_len`]) lives next to the encoder — one source of
 //!   truth for the framing rules documented in `ARCHITECTURE.md`.

@@ -19,8 +19,8 @@
 //!
 //! The per-tag field table lives in `layout`; `encode`, `decode` and
 //! [`frame_len`] all follow it. This module is the single home of the
-//! framing rules tabulated in `ARCHITECTURE.md` — the in-memory wire
-//! transport and the multi-process socket runtime both link here.
+//! framing rules tabulated in `ARCHITECTURE.md` — every process of the
+//! multi-process socket runtime links here.
 
 use fedsz_codec::checksum::crc32;
 use fedsz_codec::varint::{

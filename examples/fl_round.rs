@@ -1,5 +1,5 @@
 //! A complete federated-learning session with FedSZ compression, on the
-//! transport-abstracted round engine.
+//! in-process round engine.
 //!
 //! ```text
 //! cargo run --release --example fl_round

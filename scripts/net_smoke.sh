@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Multi-process loopback smoke: one `fedsz serve` root plus four
 # `fedsz worker` child processes on 127.0.0.1, two rounds, asserting
-# the server's printed global-model checksum is bit-identical to the
-# in-memory `fedsz fl` run of the same configuration. The serve
+# that every round's global-model checksum and the final one are
+# bit-identical to the in-memory `fedsz fl` run of the same
+# configuration (both sides report through --json, so a divergence
+# names its round). The serve
 # process also exposes `--metrics-addr`; while the accept barrier holds
 # (three of four workers joined), the script scrapes `/metrics` and
 # asserts the session/eviction counters. CI runs this under a 120 s
@@ -18,11 +20,10 @@ FLAGS=(--config examples/configs/socket.toml)
 WORKDIR=$(mktemp -d)
 trap 'rm -rf "$WORKDIR"' EXIT
 
-want=$("$BIN" fl "${FLAGS[@]}" | grep '^global checksum' | awk '{print $3}')
-echo "in-memory checksum:     $want"
+"$BIN" fl --json "${FLAGS[@]}" > "$WORKDIR/fl.json"
 
-"$BIN" serve --bind "127.0.0.1:$PORT" --metrics-addr "127.0.0.1:$MPORT" "${FLAGS[@]}" \
-    > "$WORKDIR/serve.out" 2> "$WORKDIR/serve.err" &
+"$BIN" serve --bind "127.0.0.1:$PORT" --metrics-addr "127.0.0.1:$MPORT" --json "${FLAGS[@]}" \
+    > "$WORKDIR/serve.json" 2> "$WORKDIR/serve.err" &
 serve_pid=$!
 
 # Wait for the listener to come up (the probe connection is rejected
@@ -70,16 +71,21 @@ echo "metrics ok: 3 sessions joined, 0 evictions at the barrier"
 wait
 
 echo "--- serve report ---"
-cat "$WORKDIR/serve.out"
-got=$(grep '^global checksum' "$WORKDIR/serve.out" | awk '{print $3}')
-echo "multi-process checksum: $got"
-
-if [ "$want" != "$got" ]; then
-  echo "FAIL: multi-process run diverged from the in-memory engine"
-  exit 1
-fi
-if grep -q "evicted child" "$WORKDIR/serve.out"; then
-  echo "FAIL: a worker was evicted during the smoke"
-  exit 1
-fi
-echo "parity ok: serve + 4 workers reproduced $want bit for bit"
+cat "$WORKDIR/serve.json"
+python3 - "$WORKDIR/fl.json" "$WORKDIR/serve.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    fl = json.load(f)
+with open(sys.argv[2]) as f:
+    serve = json.load(f)
+assert len(fl["rounds"]) == len(serve["rounds"]) > 0, (len(fl["rounds"]), len(serve["rounds"]))
+for want, got in zip(fl["rounds"], serve["rounds"]):
+    assert want["checksum"] is not None, want
+    assert got["checksum"] == want["checksum"], (
+        f"FAIL: multi-process run diverged from the in-memory engine at round "
+        f"{want['round']}: {got['checksum']} vs {want['checksum']}")
+    assert got["lost"] == 0, f"FAIL: a worker was evicted at round {got['round']}"
+assert serve["checksum"] == fl["checksum"], (serve["checksum"], fl["checksum"])
+print(f"parity ok: serve + 4 workers reproduced {fl['checksum']} bit for bit, "
+      f"round by round ({[r['checksum'] for r in fl['rounds']]})")
+EOF

@@ -5,7 +5,6 @@
 use fedsz::{ErrorBound, FedSzConfig};
 use fedsz_fl::agg::PartialSum;
 use fedsz_fl::engine::RoundEngine;
-use fedsz_fl::transport::{InMemoryTransport, WireTransport};
 use fedsz_fl::{FlConfig, StagePolicy};
 use fedsz_lossless::PsumCodec;
 use fedsz_nn::StateDict;
@@ -29,7 +28,7 @@ fn parity_config() -> FlConfig {
 #[test]
 fn sharded_tree_is_bit_identical_to_flat_fedavg() {
     let config = parity_config();
-    let mut flat = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
+    let mut flat = RoundEngine::new(config.clone());
     let mut flat_rounds: Vec<Vec<u8>> = Vec::new();
     for round in 0..config.rounds {
         flat.run_round(round);
@@ -38,7 +37,7 @@ fn sharded_tree_is_bit_identical_to_flat_fedavg() {
     for shards in [1usize, 2, 7, 16] {
         let mut sharded_config = config.clone();
         sharded_config.tree = Some(vec![shards]);
-        let mut tree = RoundEngine::new(sharded_config, Box::<InMemoryTransport>::default());
+        let mut tree = RoundEngine::new(sharded_config);
         for (round, flat_bytes) in flat_rounds.iter().enumerate() {
             tree.run_round(round);
             assert_eq!(
@@ -58,7 +57,7 @@ fn sharded_tree_is_bit_identical_to_flat_fedavg() {
 #[test]
 fn deep_trees_are_bit_identical_to_flat_fedavg() {
     let config = parity_config();
-    let mut flat = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
+    let mut flat = RoundEngine::new(config.clone());
     let mut flat_rounds: Vec<Vec<u8>> = Vec::new();
     for round in 0..config.rounds {
         flat.run_round(round);
@@ -68,7 +67,7 @@ fn deep_trees_are_bit_identical_to_flat_fedavg() {
         let mut deep_config = config.clone();
         deep_config.tree = Some(fanouts.clone());
         deep_config.psum = StagePolicy::Lossless;
-        let mut tree = RoundEngine::new(deep_config, Box::<InMemoryTransport>::default());
+        let mut tree = RoundEngine::new(deep_config);
         for (round, flat_bytes) in flat_rounds.iter().enumerate() {
             tree.run_round(round);
             assert_eq!(
@@ -83,7 +82,8 @@ fn deep_trees_are_bit_identical_to_flat_fedavg() {
 
 /// Parity must also survive the harder configurations: weighted
 /// non-IID aggregation with partial participation, downlink-encoded
-/// broadcasts, and the framed-wire transport.
+/// broadcasts, and Eqn-1 adaptive compression of the partial-sum
+/// frames on the inter-aggregator wire.
 #[test]
 fn sharded_parity_holds_with_weighting_downlink_and_wire() {
     let mut config = parity_config();
@@ -92,25 +92,18 @@ fn sharded_parity_holds_with_weighting_downlink_and_wire() {
     config.non_iid_alpha = Some(0.5);
     config.weighted_aggregation = true;
     config.downlink = StagePolicy::Lossy(FlConfig::tiny_model_compression());
-    let mut flat = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
+    let mut flat = RoundEngine::new(config.clone());
     let mut sharded_config = config.clone();
     sharded_config.tree = Some(vec![3]);
     sharded_config.psum = StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossless) };
-    let mut tree = RoundEngine::new(sharded_config.clone(), Box::<InMemoryTransport>::default());
-    let mut wire_tree = RoundEngine::new(sharded_config, Box::new(WireTransport::new()));
+    let mut tree = RoundEngine::new(sharded_config);
     for round in 0..config.rounds {
         flat.run_round(round);
         tree.run_round(round);
-        wire_tree.run_round(round);
         assert_eq!(
             tree.global_state().to_bytes(),
             flat.global_state().to_bytes(),
             "sharded tree diverged at round {round}"
-        );
-        assert_eq!(
-            wire_tree.global_state().to_bytes(),
-            flat.global_state().to_bytes(),
-            "wire transport diverged at round {round}"
         );
     }
 }
@@ -129,10 +122,10 @@ fn sharded_tree_cuts_root_ingress() {
     let mut config = parity_config();
     config.rounds = 1;
     config.uplink = StagePolicy::Raw;
-    let mut flat = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
+    let mut flat = RoundEngine::new(config.clone());
     let flat_metrics = flat.run_round(0);
     config.tree = Some(vec![4]);
-    let mut tree = RoundEngine::new(config, Box::<InMemoryTransport>::default());
+    let mut tree = RoundEngine::new(config);
     let tree_metrics = tree.run_round(0);
     assert_eq!(flat_metrics.root_ingress_bytes, flat_metrics.upstream_bytes);
     assert!(

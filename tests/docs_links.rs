@@ -82,12 +82,11 @@ fn every_documented_path_exists() {
 
 #[test]
 fn architecture_names_real_modules() {
-    // The layer diagram cites engine/transport/link/agg modules; if a
+    // The layer diagram cites engine/link/agg modules; if a
     // refactor moves them, the diagram must move too.
     let doc = read("ARCHITECTURE.md");
     for (token, path) in [
         ("engine::RoundEngine", "crates/fl/src/engine.rs"),
-        ("transport::Transport", "crates/fl/src/transport.rs"),
         ("link::schedule", "crates/fl/src/link.rs"),
         ("agg::TreePlan", "crates/fl/src/agg/plan.rs"),
         ("PsumForwarder", "crates/fl/src/agg/psum.rs"),

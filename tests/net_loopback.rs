@@ -59,7 +59,7 @@ fn flat_socket_run_is_bit_identical_to_in_memory() {
 
         // Reference: the in-memory engine.
         let mut reference = Experiment::new(config.clone());
-        reference.run();
+        let simulated = reference.run();
         let want = reference.global_state().to_bytes();
 
         // Real sockets: one root, one worker thread per client.
@@ -76,10 +76,14 @@ fn flat_socket_run_is_bit_identical_to_in_memory() {
             assert_eq!(r.rounds, config.rounds, "worker must train every round");
             assert!(r.compressed_rounds == config.rounds, "{uplink:?} compresses every round");
         }
+        // Round by round first, so a divergence names its round.
+        assert_eq!(report.rounds.len(), config.rounds);
+        for (net, sim) in report.rounds.iter().zip(&simulated) {
+            assert_eq!(net.checksum, sim.checksum, "{uplink:?}: diverged at round {}", sim.round);
+        }
         let got = report.global.as_ref().expect("root holds the global").to_bytes();
         assert_eq!(got, want, "{uplink:?}: socket run diverged from the in-memory engine");
         assert_eq!(report.checksum, global_checksum(reference.global_state()));
-        assert_eq!(report.rounds.len(), config.rounds);
         assert_eq!(report.evicted, 0);
         assert!(report.rounds.iter().all(|r| r.merged == config.clients));
         assert!(report.rounds.iter().all(|r| r.upstream_bytes > 0 && r.downstream_bytes > 0));

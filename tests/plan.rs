@@ -18,7 +18,6 @@
 use fedsz_fl::engine::RoundEngine;
 use fedsz_fl::net::global_checksum;
 use fedsz_fl::plan::{PlanError, StagePolicy};
-use fedsz_fl::transport::InMemoryTransport;
 use fedsz_fl::{
     AggregationPolicy, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, Topology,
 };
@@ -38,7 +37,7 @@ fn checksum_of(config: FlConfig) -> u32 {
 /// Checksums captured from the pre-redesign engine (same seed, same
 /// shim RNG, synchronous deterministic configurations only — adaptive
 /// and buffered modes key on measured wall time and are exempt from
-/// bit-parity by design, as they were across transports).
+/// bit-parity by design).
 #[test]
 fn plan_based_engine_reproduces_pre_redesign_checksums() {
     let base = FlConfig::smoke_test;
@@ -270,10 +269,7 @@ proptest! {
                 // And the panicking construction path reports the same
                 // condition rather than clamping it away.
                 let result = std::panic::catch_unwind(|| {
-                    let _ = RoundEngine::new(
-                        config.clone(),
-                        Box::<InMemoryTransport>::default(),
-                    );
+                    let _ = RoundEngine::new(config.clone());
                 });
                 prop_assert!(
                     result.is_err(),
@@ -291,8 +287,7 @@ proptest! {
                 let lifted = matches!(plan.topology, Some(Topology::Tree { .. }));
                 prop_assert_eq!(lifted, config.tree.is_some() && config.links.is_some());
                 // And the plan actually runs: one full round, no panic.
-                let mut engine =
-                    RoundEngine::from_plan(plan, Box::<InMemoryTransport>::default());
+                let mut engine = RoundEngine::from_plan(plan);
                 let metrics = engine.run_round(0);
                 prop_assert!(metrics.aggregated_updates + metrics.dropped_updates <= clients);
             }
@@ -322,9 +317,8 @@ proptest! {
             Ok(plan) => plan,
             Err(e) => return Err(TestCaseError::Fail(format!("unexpected plan error: {e}"))),
         };
-        let mut via_config =
-            RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
-        let mut via_plan = RoundEngine::from_plan(plan, Box::<InMemoryTransport>::default());
+        let mut via_config = RoundEngine::new(config.clone());
+        let mut via_plan = RoundEngine::from_plan(plan);
         via_config.run_round(0);
         via_plan.run_round(0);
         prop_assert_eq!(

@@ -123,8 +123,11 @@ proptest! {
         let mut dict = StateDict::new();
         let n = values.len();
         dict.insert("w.weight", Tensor::from_vec(vec![n], values));
-        let updates: Vec<StateDict> = (0..copies).map(|_| dict.clone()).collect();
-        let avg = fedsz_fl::fedavg(&updates);
+        let mut sum = fedsz_fl::agg::PartialSum::new();
+        for _ in 0..copies {
+            sum.accumulate(&dict, 1.0);
+        }
+        let avg = sum.finish().unwrap();
         let got = avg.get("w.weight").unwrap().data();
         let want = dict.get("w.weight").unwrap().data();
         for (a, b) in got.iter().zip(want) {

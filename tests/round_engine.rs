@@ -1,9 +1,7 @@
-//! Integration tests for the transport-abstracted round engine: wire vs
-//! analytic parity, heterogeneous-link virtual-time accounting, and
+//! Integration tests for the in-process round engine: upstream byte
+//! accounting, heterogeneous-link virtual-time accounting, and
 //! buffered-asynchronous aggregation.
 
-use fedsz_fl::engine::RoundEngine;
-use fedsz_fl::transport::{InMemoryTransport, WireTransport};
 use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile, StagePolicy, Topology};
 
 fn quick_config() -> FlConfig {
@@ -14,51 +12,19 @@ fn quick_config() -> FlConfig {
     config
 }
 
-#[test]
-fn wire_and_analytic_transports_agree_bit_for_bit() {
-    // The core promise of the transport split: the in-memory and the
-    // framed-wire paths are the same engine, so for one seed they must
-    // produce *identical* global models, not merely similar accuracies.
-    let config = quick_config();
-    let mut analytic = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
-    let mut wire = RoundEngine::new(config.clone(), Box::new(WireTransport::new()));
-    for round in 0..config.rounds {
-        let a = analytic.run_round(round);
-        let w = wire.run_round(round);
-        assert_eq!(
-            analytic.global_state().to_bytes(),
-            wire.global_state().to_bytes(),
-            "global models diverged at round {round}"
-        );
-        assert_eq!(a.test_accuracy, w.test_accuracy, "accuracy diverged at round {round}");
-        // The wire path pays framing overhead on every message.
-        assert!(
-            w.upstream_bytes > a.upstream_bytes,
-            "round {round}: wire upstream {} should exceed analytic {}",
-            w.upstream_bytes,
-            a.upstream_bytes
-        );
-    }
-}
-
-/// Total upstream wire bytes of a run over the framed-wire transport.
-fn wire_upstream_bytes(config: &FlConfig) -> usize {
-    let mut wire = RoundEngine::new(config.clone(), Box::new(WireTransport::new()));
-    wire.run().iter().map(|m| m.upstream_bytes).sum()
+/// Total upstream payload bytes of a run.
+fn upstream_bytes_of(config: &FlConfig) -> usize {
+    Experiment::new(config.clone()).run().iter().map(|m| m.upstream_bytes).sum()
 }
 
 #[test]
 fn wire_accounting_sees_compression_and_partial_participation() {
-    // FedSZ must shrink upstream traffic measured at the wire, framing
-    // included.
+    // FedSZ must shrink the upstream traffic the links are charged.
     let mut config = quick_config();
-    let compressed = wire_upstream_bytes(&config);
+    let compressed = upstream_bytes_of(&config);
     config.uplink = StagePolicy::Raw;
-    let plain = wire_upstream_bytes(&config);
-    assert!(
-        compressed * 2 < plain,
-        "wire-level upstream should at least halve: {compressed} vs {plain}"
-    );
+    let plain = upstream_bytes_of(&config);
+    assert!(compressed * 2 < plain, "upstream should at least halve: {compressed} vs {plain}");
 
     // Half the cohort uploads per round: upstream must be well below a
     // full-participation run's.
@@ -68,29 +34,13 @@ fn wire_accounting_sees_compression_and_partial_participation() {
     config.participation = 0.5;
     config.non_iid_alpha = Some(0.5);
     config.weighted_aggregation = true;
-    let half = wire_upstream_bytes(&config);
+    let half = upstream_bytes_of(&config);
     config.participation = 1.0;
-    let full = wire_upstream_bytes(&config);
+    let full = upstream_bytes_of(&config);
     assert!(
         half * 3 < full * 2,
         "half cohort should upload well under 2/3 of full: {half} vs {full}"
     );
-}
-
-#[test]
-fn parity_holds_with_partial_participation_and_non_iid() {
-    let mut config = quick_config();
-    config.clients = 4;
-    config.participation = 0.5;
-    config.non_iid_alpha = Some(0.5);
-    config.weighted_aggregation = true;
-    let mut analytic = RoundEngine::new(config.clone(), Box::<InMemoryTransport>::default());
-    let mut wire = RoundEngine::new(config.clone(), Box::new(WireTransport::new()));
-    for round in 0..config.rounds {
-        analytic.run_round(round);
-        wire.run_round(round);
-    }
-    assert_eq!(analytic.global_state().to_bytes(), wire.global_state().to_bytes());
 }
 
 #[test]
