@@ -1,0 +1,679 @@
+//! Slice kernels behind [`Conv2d`](crate::layers::Conv2d) and
+//! [`MaxPool2d`](crate::layers::MaxPool2d).
+//!
+//! # The invariant: lanes run across channels, never across a reduction
+//!
+//! Every golden in `tests/plan.rs` is a checksum of trained weights, so
+//! these kernels must hand every output element, every `dW`/`db`
+//! element and every `dx` element exactly the `f32` operations, in
+//! exactly the order, that the loop nests in `mod reference` do. `f32`
+//! addition is not associative: a kernel that splits one sum over SIMD
+//! lanes (a dot-product reduction, a tree sum, a split-K GEMM) moves
+//! every golden. What *is* free is which independent sums advance
+//! together, so each kernel picks a layout in which independent
+//! accumulators sit side by side and walks each one's terms in the
+//! reference order:
+//!
+//! * **forward** carries [`LANES`] output channels of one pixel in
+//!   registers (weights re-laid tap-major, channel-minor) and adds
+//!   their taps `(icg, ky, kx)` ascending, starting from the bias;
+//! * **backward** re-lays the input, the weights and both gradients
+//!   channel-last, so that for one output gradient the `(kx, icg)`
+//!   elements of a kernel row are contiguous in all four: `dW` and `dx`
+//!   each take one `+= g * row` per kernel row, output positions
+//!   `(ni, oc, oy, ox)` ascending. For a given `dx` element that is
+//!   `ky`, `kx` *descending* — the order the reference produces;
+//! * a **depthwise** shape has one channel per group on both sides,
+//!   so its lanes run across the groups, everything channel-last.
+//!
+//! A tap that falls outside the image is *skipped* — the tap ranges
+//! are clipped per output row and column — and a zero output gradient
+//! is skipped too (a depthwise lane keeps its old value), exactly as
+//! the reference skips them. Nothing is multiplied by a padding zero,
+//! so the kernels agree with the reference bit for bit on every input,
+//! `-0.0` and infinities included: `x + 0.0 * w` is not `x` when `x`
+//! is `-0.0` or `w` is infinite.
+
+use std::ops::Range;
+
+/// Output channels one forward accumulator tile carries: four SSE
+/// registers, enough independent add chains to cover the add latency.
+const LANES: usize = 16;
+
+/// The geometry of one convolution call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvShape {
+    /// Batch size.
+    pub n: usize,
+    /// Input channels.
+    pub c: usize,
+    /// Input height and width.
+    pub h: usize,
+    pub w: usize,
+    /// Output channels.
+    pub oc: usize,
+    /// Output height and width.
+    pub oh: usize,
+    pub ow: usize,
+    pub kernel: usize,
+    pub stride: usize,
+    pub padding: usize,
+    pub groups: usize,
+}
+
+impl ConvShape {
+    /// The kernel taps along one axis that land inside an image of
+    /// `size` for output coordinate `o`, and the input coordinate of the
+    /// first of them.
+    fn taps(&self, o: usize, size: usize) -> (Range<usize>, usize) {
+        let origin = o * self.stride;
+        let lo = self.padding.saturating_sub(origin);
+        let hi = self.kernel.min((size + self.padding).saturating_sub(origin));
+        if lo < hi {
+            (lo..hi, origin + lo - self.padding)
+        } else {
+            (0..0, 0)
+        }
+    }
+
+    /// [`ConvShape::taps`] of every output column.
+    fn column_taps(&self) -> Vec<(Range<usize>, usize)> {
+        (0..self.ow).map(|ox| self.taps(ox, self.w)).collect()
+    }
+
+    /// One filter per channel: with a single input and output channel
+    /// per group there is nothing for the grouped kernels' lanes to run
+    /// across, so lanes run across the groups instead.
+    fn is_depthwise(&self) -> bool {
+        self.groups == self.c && self.oc == self.c
+    }
+}
+
+/// `out = bias + conv(x, wt)`: `x` is `[n, c, h, w]`, `wt` is
+/// `[oc, c/groups, k, k]`, `out` is `[n, oc, oh, ow]`.
+pub(crate) fn conv_forward(s: &ConvShape, x: &[f32], wt: &[f32], bias: &[f32], out: &mut [f32]) {
+    if s.is_depthwise() {
+        return depthwise_forward(s, x, wt, bias, out);
+    }
+    let (icg, ocg) = (s.c / s.groups, s.oc / s.groups);
+    let k = s.kernel;
+    let taps = icg * k * k;
+    let tiles = ocg.div_ceil(LANES);
+    // packed[group][tile][tap][lane]: the LANES weights one input value
+    // meets are one contiguous row; lanes past `ocg` stay zero and are
+    // never stored.
+    let mut packed = vec![0.0f32; s.groups * tiles * taps * LANES];
+    for (oc, filter) in wt.chunks_exact(taps).enumerate() {
+        let (grp, in_grp) = (oc / ocg, oc % ocg);
+        let base = ((grp * tiles + in_grp / LANES) * taps) * LANES + in_grp % LANES;
+        for (t, &v) in filter.iter().enumerate() {
+            packed[base + t * LANES] = v;
+        }
+    }
+    let cols = s.column_taps();
+    let (in_plane, out_plane) = (s.h * s.w, s.oh * s.ow);
+    for ni in 0..s.n {
+        for grp in 0..s.groups {
+            let xg = &x[(ni * s.c + grp * icg) * in_plane..][..icg * in_plane];
+            for tile in 0..tiles {
+                let wtile = &packed[(grp * tiles + tile) * taps * LANES..][..taps * LANES];
+                let oc0 = grp * ocg + tile * LANES;
+                let live = LANES.min(ocg - tile * LANES);
+                let mut start = [0.0f32; LANES];
+                start[..live].copy_from_slice(&bias[oc0..oc0 + live]);
+                let og = &mut out[(ni * s.oc + oc0) * out_plane..][..live * out_plane];
+                for oy in 0..s.oh {
+                    let (kys, iy0) = s.taps(oy, s.h);
+                    for (ox, (kxs, ix0)) in cols.iter().enumerate() {
+                        let mut acc = start;
+                        for ic in 0..icg {
+                            for (ky, iy) in kys.clone().zip(iy0..) {
+                                let xrow = &xg[ic * in_plane + iy * s.w + ix0..][..kxs.len()];
+                                let wrow = &wtile[((ic * k + ky) * k + kxs.start) * LANES..];
+                                for (&xv, wl) in xrow.iter().zip(wrow.as_chunks::<LANES>().0) {
+                                    for (a, &wv) in acc.iter_mut().zip(wl) {
+                                        *a += xv * wv;
+                                    }
+                                }
+                            }
+                        }
+                        for (l, &a) in acc[..live].iter().enumerate() {
+                            og[l * out_plane + oy * s.ow + ox] = a;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `dst[i] += g * src[i]`.
+#[inline]
+fn axpy(dst: &mut [f32], g: f32, src: &[f32]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d += g * v;
+    }
+}
+
+/// `dst = src^T` for a row-major `src` of `rows` rows: channel-first
+/// `[channels, pixels]` to channel-last with `rows = channels`, and
+/// back with `rows = pixels`.
+fn transpose(src: &[f32], rows: usize, dst: &mut [f32]) {
+    for (r, row) in src.chunks_exact(src.len() / rows).enumerate() {
+        for (&v, d) in row.iter().zip(dst[r..].iter_mut().step_by(rows)) {
+            *d = v;
+        }
+    }
+}
+
+/// Accumulates `dwt += dW` and `db += db`, and writes `dx`, for the
+/// output gradient `dy` of a [`conv_forward`] call on `x`.
+pub(crate) fn conv_backward(
+    s: &ConvShape,
+    x: &[f32],
+    wt: &[f32],
+    dy: &[f32],
+    dwt: &mut [f32],
+    db: &mut [f32],
+    dx: &mut [f32],
+) {
+    if s.is_depthwise() {
+        return depthwise_backward(s, x, wt, dy, dwt, db, dx);
+    }
+    let (icg, ocg) = (s.c / s.groups, s.oc / s.groups);
+    let k = s.kernel;
+    let (taps, in_plane, out_plane) = (icg * k * k, s.h * s.w, s.oh * s.ow);
+    // Filters as [oc][ky][kx][icg]; a group's pixels as [iy][ix][icg].
+    let mut wt_cl = vec![0.0f32; wt.len()];
+    let mut dw_cl = vec![0.0f32; wt.len()];
+    for oc in 0..s.oc {
+        let span = oc * taps..(oc + 1) * taps;
+        transpose(&wt[span.clone()], icg, &mut wt_cl[span.clone()]);
+        transpose(&dwt[span.clone()], icg, &mut dw_cl[span]);
+    }
+    let cols = s.column_taps();
+    let mut x_cl = vec![0.0f32; icg * in_plane];
+    let mut dx_cl = vec![0.0f32; icg * in_plane];
+    for ni in 0..s.n {
+        for grp in 0..s.groups {
+            let sample = (ni * s.c + grp * icg) * in_plane..(ni * s.c + (grp + 1) * icg) * in_plane;
+            transpose(&x[sample.clone()], icg, &mut x_cl);
+            dx_cl.fill(0.0);
+            for oc in grp * ocg..(grp + 1) * ocg {
+                let g_plane = &dy[(ni * s.oc + oc) * out_plane..][..out_plane];
+                for (oy, g_row) in g_plane.chunks_exact(s.ow).enumerate() {
+                    let (kys, iy0) = s.taps(oy, s.h);
+                    for (&g, (kxs, ix0)) in g_row.iter().zip(&cols) {
+                        if g == 0.0 {
+                            continue;
+                        }
+                        db[oc] += g;
+                        let len = kxs.len() * icg;
+                        for (ky, iy) in kys.clone().zip(iy0..) {
+                            let at_x = (iy * s.w + ix0) * icg..(iy * s.w + ix0) * icg + len;
+                            let at_w = oc * taps + (ky * k + kxs.start) * icg;
+                            let at_w = at_w..at_w + len;
+                            axpy(&mut dw_cl[at_w.clone()], g, &x_cl[at_x.clone()]);
+                            axpy(&mut dx_cl[at_x], g, &wt_cl[at_w]);
+                        }
+                    }
+                }
+            }
+            transpose(&dx_cl, in_plane, &mut dx[sample]);
+        }
+    }
+    for oc in 0..s.oc {
+        let span = oc * taps..(oc + 1) * taps;
+        transpose(&dw_cl[span.clone()], k * k, &mut dwt[span]);
+    }
+}
+
+/// [`conv_forward`] for a depthwise shape: everything channel-last, one
+/// `out[pixel][..] += x[pixel + tap][..] * w[tap][..]` per tap, taps
+/// `(ky, kx)` ascending.
+fn depthwise_forward(s: &ConvShape, x: &[f32], wt: &[f32], bias: &[f32], out: &mut [f32]) {
+    let (c, k) = (s.c, s.kernel);
+    let (in_plane, out_plane) = (s.h * s.w, s.oh * s.ow);
+    let mut w_cl = vec![0.0f32; wt.len()];
+    transpose(wt, c, &mut w_cl);
+    let cols = s.column_taps();
+    let mut x_cl = vec![0.0f32; c * in_plane];
+    let mut out_cl = vec![0.0f32; c * out_plane];
+    for (x, out) in x.chunks_exact(c * in_plane).zip(out.chunks_exact_mut(c * out_plane)) {
+        transpose(x, c, &mut x_cl);
+        for (oy, out_row) in out_cl.chunks_exact_mut(s.ow * c).enumerate() {
+            let (kys, iy0) = s.taps(oy, s.h);
+            for (acc, (kxs, ix0)) in out_row.chunks_exact_mut(c).zip(&cols) {
+                acc.copy_from_slice(bias);
+                for (ky, iy) in kys.clone().zip(iy0..) {
+                    for (kx, ix) in kxs.clone().zip(*ix0..) {
+                        let xs = &x_cl[(iy * s.w + ix) * c..][..c];
+                        let ws = &w_cl[(ky * k + kx) * c..][..c];
+                        for ((a, &xv), &wv) in acc.iter_mut().zip(xs).zip(ws) {
+                            *a += xv * wv;
+                        }
+                    }
+                }
+            }
+        }
+        transpose(&out_cl, out_plane, out);
+    }
+}
+
+/// [`conv_backward`] for a depthwise shape. The reference skips a zero
+/// output gradient; a lane cannot skip, so it keeps its old value.
+fn depthwise_backward(
+    s: &ConvShape,
+    x: &[f32],
+    wt: &[f32],
+    dy: &[f32],
+    dwt: &mut [f32],
+    db: &mut [f32],
+    dx: &mut [f32],
+) {
+    let (c, k) = (s.c, s.kernel);
+    let (in_plane, out_plane) = (s.h * s.w, s.oh * s.ow);
+    let mut w_cl = vec![0.0f32; wt.len()];
+    let mut dw_cl = vec![0.0f32; wt.len()];
+    transpose(wt, c, &mut w_cl);
+    transpose(dwt, c, &mut dw_cl);
+    let cols = s.column_taps();
+    let mut x_cl = vec![0.0f32; c * in_plane];
+    let mut dx_cl = vec![0.0f32; c * in_plane];
+    let mut dy_cl = vec![0.0f32; c * out_plane];
+    let samples = x.chunks_exact(c * in_plane).zip(dy.chunks_exact(c * out_plane));
+    for ((x, dy), dx) in samples.zip(dx.chunks_exact_mut(c * in_plane)) {
+        transpose(x, c, &mut x_cl);
+        transpose(dy, c, &mut dy_cl);
+        dx_cl.fill(0.0);
+        for (oy, g_row) in dy_cl.chunks_exact(s.ow * c).enumerate() {
+            let (kys, iy0) = s.taps(oy, s.h);
+            for (gs, (kxs, ix0)) in g_row.chunks_exact(c).zip(&cols) {
+                for (b, &g) in db.iter_mut().zip(gs) {
+                    *b = if g == 0.0 { *b } else { *b + g };
+                }
+                for (ky, iy) in kys.clone().zip(iy0..) {
+                    for (kx, ix) in kxs.clone().zip(*ix0..) {
+                        let at_x = (iy * s.w + ix) * c..(iy * s.w + ix + 1) * c;
+                        let at_w = (ky * k + kx) * c..(ky * k + kx + 1) * c;
+                        let pairs = dw_cl[at_w.clone()].iter_mut().zip(&x_cl[at_x.clone()]);
+                        for ((d, &xv), &g) in pairs.zip(gs) {
+                            *d = if g == 0.0 { *d } else { *d + g * xv };
+                        }
+                        let pairs = dx_cl[at_x].iter_mut().zip(&w_cl[at_w]);
+                        for ((d, &wv), &g) in pairs.zip(gs) {
+                            *d = if g == 0.0 { *d } else { *d + g * wv };
+                        }
+                    }
+                }
+            }
+        }
+        transpose(&dx_cl, in_plane, dx);
+    }
+    transpose(&dw_cl, k * k, dwt);
+}
+
+/// 2x2 / stride-2 max pooling over `planes` images of `h x w`; `arg`
+/// receives each maximum's flat index into `x`. A window with no
+/// element above `-inf` yields `-inf` from index 0, as the reference
+/// does.
+pub(crate) fn maxpool_forward(
+    planes: usize,
+    h: usize,
+    w: usize,
+    x: &[f32],
+    out: &mut [f32],
+    mut arg: Option<&mut [usize]>,
+) {
+    let (oh, ow) = (h / 2, w / 2);
+    for p in 0..planes {
+        for oy in 0..oh {
+            let top = (p * h + 2 * oy) * w;
+            let (upper, lower) = (&x[top..top + w], &x[top + w..top + 2 * w]);
+            let at = (p * oh + oy) * ow;
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_i = 0usize;
+                let window = [
+                    (upper[2 * ox], top + 2 * ox),
+                    (upper[2 * ox + 1], top + 2 * ox + 1),
+                    (lower[2 * ox], top + w + 2 * ox),
+                    (lower[2 * ox + 1], top + w + 2 * ox + 1),
+                ];
+                for (v, i) in window {
+                    if v > best {
+                        best = v;
+                        best_i = i;
+                    }
+                }
+                out[at + ox] = best;
+                if let Some(arg) = arg.as_deref_mut() {
+                    arg[at + ox] = best_i;
+                }
+            }
+        }
+    }
+}
+
+/// The loop nests these kernels replaced, kept as the oracle: the
+/// kernels above must match them to the bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::ConvShape;
+    use crate::layers::idx4;
+
+    pub(crate) fn conv_forward(s: &ConvShape, x: &[f32], wt: &[f32], b: &[f32], o: &mut [f32]) {
+        let (n, c, h, w, oh, ow) = (s.n, s.c, s.h, s.w, s.oh, s.ow);
+        let in_per_g = s.c / s.groups;
+        let out_per_g = s.oc / s.groups;
+        let k = s.kernel;
+        for ni in 0..n {
+            for g in 0..s.groups {
+                for ocg in 0..out_per_g {
+                    let oc = g * out_per_g + ocg;
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let mut acc = b[oc];
+                            for icg in 0..in_per_g {
+                                let ic = g * in_per_g + icg;
+                                for ky in 0..k {
+                                    let iy = oy * s.stride + ky;
+                                    if iy < s.padding || iy - s.padding >= h {
+                                        continue;
+                                    }
+                                    let iy = iy - s.padding;
+                                    for kx in 0..k {
+                                        let ix = ox * s.stride + kx;
+                                        if ix < s.padding || ix - s.padding >= w {
+                                            continue;
+                                        }
+                                        let ix = ix - s.padding;
+                                        acc += x[idx4(ni, ic, iy, ix, c, h, w)]
+                                            * wt[idx4(oc, icg, ky, kx, in_per_g, k, k)];
+                                    }
+                                }
+                            }
+                            o[idx4(ni, oc, oy, ox, s.oc, oh, ow)] = acc;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    pub(crate) fn conv_backward(
+        s: &ConvShape,
+        x: &[f32],
+        wt: &[f32],
+        dy: &[f32],
+        dwt: &mut [f32],
+        dbias: &mut [f32],
+        dxd: &mut [f32],
+    ) {
+        let (n, c, h, w, oh, ow) = (s.n, s.c, s.h, s.w, s.oh, s.ow);
+        let in_per_g = s.c / s.groups;
+        let out_per_g = s.oc / s.groups;
+        let k = s.kernel;
+        dxd.fill(0.0);
+        for ni in 0..n {
+            for g in 0..s.groups {
+                for ocg in 0..out_per_g {
+                    let oc = g * out_per_g + ocg;
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let gval = dy[idx4(ni, oc, oy, ox, s.oc, oh, ow)];
+                            if gval == 0.0 {
+                                continue;
+                            }
+                            dbias[oc] += gval;
+                            for icg in 0..in_per_g {
+                                let ic = g * in_per_g + icg;
+                                for ky in 0..k {
+                                    let iy = oy * s.stride + ky;
+                                    if iy < s.padding || iy - s.padding >= h {
+                                        continue;
+                                    }
+                                    let iy = iy - s.padding;
+                                    for kx in 0..k {
+                                        let ix = ox * s.stride + kx;
+                                        if ix < s.padding || ix - s.padding >= w {
+                                            continue;
+                                        }
+                                        let ix = ix - s.padding;
+                                        let xi = idx4(ni, ic, iy, ix, c, h, w);
+                                        let wi = idx4(oc, icg, ky, kx, in_per_g, k, k);
+                                        dwt[wi] += gval * x[xi];
+                                        dxd[xi] += gval * wt[wi];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    pub(crate) fn maxpool_forward(
+        n: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        x: &[f32],
+        o: &mut [f32],
+        arg: &mut [usize],
+    ) {
+        let (oh, ow) = (h / 2, w / 2);
+        for ni in 0..n {
+            for ci in 0..c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_i = 0usize;
+                        for dy in 0..2 {
+                            for dxp in 0..2 {
+                                let i = idx4(ni, ci, oy * 2 + dy, ox * 2 + dxp, c, h, w);
+                                if x[i] > best {
+                                    best = x[i];
+                                    best_i = i;
+                                }
+                            }
+                        }
+                        let oi = idx4(ni, ci, oy, ox, c, oh, ow);
+                        o[oi] = best;
+                        arg[oi] = best_i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedsz_tensor::rng::{normal, seeded};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use std::time::Instant;
+
+    fn shape(
+        [n, c, h, w]: [usize; 4],
+        oc: usize,
+        [kernel, stride, padding, groups]: [usize; 4],
+    ) -> ConvShape {
+        let out = |size: usize| (size + 2 * padding - kernel) / stride + 1;
+        ConvShape { n, c, h, w, oc, oh: out(h), ow: out(w), kernel, stride, padding, groups }
+    }
+
+    /// Normal samples, of which a share `zeros` are exact `0.0` or `-0.0`
+    /// and a share `infs` infinite.
+    fn samples(rng: &mut StdRng, len: usize, zeros: f64, infs: f64) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen::<f64>() {
+                p if p < zeros / 2.0 => 0.0,
+                p if p < zeros => -0.0,
+                p if p < zeros + infs => f32::INFINITY,
+                _ => normal(rng),
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs a forward and two backward passes through both
+    /// implementations and compares every output bit. `dW`/`db` start
+    /// from arbitrary values, signed zeros among them, as a step without
+    /// `zero_grad` would leave them; with `infs > 0` some inputs and
+    /// weights are infinite, which tells a skipped tap or gradient from
+    /// one multiplied by zero.
+    fn assert_matches_reference(s: &ConvShape, seed: u64, infs: f64) -> Result<(), TestCaseError> {
+        let rng = &mut seeded(seed);
+        let taps = s.c / s.groups * s.kernel * s.kernel;
+        let x = samples(rng, s.n * s.c * s.h * s.w, 0.3, infs);
+        let wt = samples(rng, s.oc * taps, 0.1, infs);
+        let bias = samples(rng, s.oc, 0.3, 0.0);
+        let out_len = s.n * s.oc * s.oh * s.ow;
+        let (mut out, mut want) = (vec![0.0; out_len], vec![0.0; out_len]);
+        conv_forward(s, &x, &wt, &bias, &mut out);
+        reference::conv_forward(s, &x, &wt, &bias, &mut want);
+        prop_assert_eq!(bits(&out), bits(&want), "forward, {:?}", s);
+
+        let (mut dw, mut db) = (samples(rng, wt.len(), 0.5, 0.0), samples(rng, s.oc, 0.5, 0.0));
+        let (mut dw_want, mut db_want) = (dw.clone(), db.clone());
+        for pass in 0..2 {
+            let dy = samples(rng, out_len, 0.5, 0.0);
+            let (mut dx, mut dx_want) = (vec![f32::NAN; x.len()], vec![f32::NAN; x.len()]);
+            conv_backward(s, &x, &wt, &dy, &mut dw, &mut db, &mut dx);
+            reference::conv_backward(s, &x, &wt, &dy, &mut dw_want, &mut db_want, &mut dx_want);
+            prop_assert_eq!(bits(&dx), bits(&dx_want), "dx, pass {}, {:?}", pass, s);
+            prop_assert_eq!(bits(&dw), bits(&dw_want), "dW, pass {}, {:?}", pass, s);
+            prop_assert_eq!(bits(&db), bits(&db_want), "db, pass {}, {:?}", pass, s);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Kernel, stride, padding (past `kernel / 2` too), the three
+        /// group structures, channel counts on both sides of a
+        /// `LANES` tile, `H != W` down to `h + 2p == k`.
+        #[test]
+        fn conv_kernels_match_the_loop_nest_bit_for_bit(
+            kernel in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+            stride in 1usize..4,
+            padding in 0usize..4,
+            grouping in 0usize..3,
+            (icg, ocg) in (1usize..4, prop_oneof![1usize..4, Just(17usize), Just(33usize)]),
+            (n, dh, dw) in (1usize..4, 0usize..6, 0usize..6),
+            infs in prop_oneof![Just(0.0), Just(0.0), Just(0.0), Just(0.05)],
+            seed in any::<u64>(),
+        ) {
+            let (c, groups) = match grouping {
+                0 => (icg, 1),
+                1 => (2 * icg, 2),
+                _ => (icg, icg), // depthwise, with a channel multiplier
+            };
+            let smallest = kernel.saturating_sub(2 * padding).max(1);
+            let s = shape(
+                [n, c, smallest + dh, smallest + dw],
+                groups * ocg,
+                [kernel, stride, padding, groups],
+            );
+            assert_matches_reference(&s, seed, infs)?;
+        }
+
+        /// Ties, signed zeros, `-inf`-only and NaN windows, odd sides.
+        #[test]
+        fn maxpool_kernel_matches_the_loop_nest(
+            (n, c, h, w) in (1usize..3, 1usize..4, 1usize..8, 1usize..8),
+            seed in any::<u64>(),
+        ) {
+            let rng = &mut seeded(seed);
+            let palette = [-1.0, 0.0, -0.0, 1.0, 1.0, 2.0, f32::NEG_INFINITY, f32::NAN];
+            let x: Vec<f32> =
+                (0..n * c * h * w).map(|_| palette[rng.gen_range(0..palette.len())]).collect();
+            let len = n * c * (h / 2) * (w / 2);
+            let (mut out, mut arg) = (vec![0.0; len], vec![usize::MAX; len]);
+            let (mut want, mut want_arg) = (out.clone(), arg.clone());
+            maxpool_forward(n * c, h, w, &x, &mut out, Some(&mut arg));
+            reference::maxpool_forward(n, c, h, w, &x, &mut want, &mut want_arg);
+            prop_assert_eq!(bits(&out), bits(&want));
+            prop_assert_eq!(arg, want_arg);
+            let mut eval = vec![0.0; len];
+            maxpool_forward(n * c, h, w, &x, &mut eval, None);
+            prop_assert_eq!(bits(&eval), bits(&want));
+        }
+    }
+
+    /// The shapes the tracked models run, at full size.
+    #[test]
+    fn model_shapes_match_the_loop_nest() {
+        let shapes = [
+            shape([2, 3, 16, 16], 16, [3, 1, 1, 1]),   // AlexNet conv1
+            shape([2, 16, 8, 8], 32, [3, 1, 1, 1]),    // AlexNet conv2
+            shape([2, 16, 16, 16], 16, [3, 2, 1, 16]), // MobileNetV2 depthwise
+            shape([2, 24, 4, 4], 64, [1, 1, 0, 1]),    // MobileNetV2 head
+            shape([2, 16, 16, 16], 32, [1, 2, 0, 1]),  // ResNet shortcut
+        ];
+        for (i, s) in shapes.iter().enumerate() {
+            assert_matches_reference(s, i as u64, 0.0).unwrap_or_else(|e| panic!("{e:?}"));
+        }
+    }
+
+    /// CI's `codec-smoke` job runs this in release mode; debug timings
+    /// mean nothing. A ratio of two kernels run back to back on one
+    /// input, not a wall-clock floor a shared runner cannot keep.
+    #[test]
+    #[ignore = "a timing ratio: run with --release -- --ignored"]
+    fn row_conv_is_2x_the_loop_reference() {
+        fn best_of(mut run: impl FnMut()) -> f64 {
+            let time = |_| {
+                let t0 = Instant::now();
+                run();
+                t0.elapsed().as_secs_f64()
+            };
+            (0..7).map(time).fold(f64::INFINITY, f64::min)
+        }
+        // (shape, share of zero output gradients, floor): the AlexNet
+        // convolutions sit under ReLU + max-pool, which zero most of
+        // `dy`; the other two sit under batch norm, which zeroes none.
+        let cases = [
+            ("alexnet conv2 16->32 @ 8x8", shape([16, 16, 8, 8], 32, [3, 1, 1, 1]), 0.5, 2.0),
+            ("depthwise 16 @ 16x16", shape([16, 16, 16, 16], 16, [3, 1, 1, 16]), 0.0, 1.0),
+            ("stride-2 16->32 @ 16x16", shape([16, 16, 16, 16], 32, [3, 2, 1, 1]), 0.0, 1.0),
+        ];
+        for (name, s, zeros, floor) in cases {
+            let rng = &mut seeded(19);
+            let taps = s.c / s.groups * s.kernel * s.kernel;
+            let x = samples(rng, s.n * s.c * s.h * s.w, 0.5, 0.0);
+            let wt = samples(rng, s.oc * taps, 0.0, 0.0);
+            let bias = samples(rng, s.oc, 0.0, 0.0);
+            let dy = samples(rng, s.n * s.oc * s.oh * s.ow, zeros, 0.0);
+            let mut out = vec![0.0; dy.len()];
+            let (mut dw, mut db, mut dx) =
+                (vec![0.0; wt.len()], vec![0.0; s.oc], vec![0.0; x.len()]);
+            let new = best_of(|| {
+                conv_forward(&s, &x, &wt, &bias, &mut out);
+                conv_backward(&s, &x, &wt, &dy, &mut dw, &mut db, &mut dx);
+                std::hint::black_box((&out, &dw, &db, &dx));
+            });
+            let old = best_of(|| {
+                reference::conv_forward(&s, &x, &wt, &bias, &mut out);
+                reference::conv_backward(&s, &x, &wt, &dy, &mut dw, &mut db, &mut dx);
+                std::hint::black_box((&out, &dw, &db, &dx));
+            });
+            println!(
+                "{name}: kernels {:.2} ms, loop nest {:.2} ms: {:.1}x",
+                new * 1e3,
+                old * 1e3,
+                old / new
+            );
+            assert!(old >= floor * new, "{name}: only {:.2}x the loop nest", old / new);
+        }
+    }
+}

@@ -6,7 +6,18 @@
 //! names also follow PyTorch (`weight`, `bias`, `running_mean`,
 //! `running_var`, `num_batches_tracked`), because FedSZ's partition rule
 //! keys off the substring `"weight"` in those names (Algorithm 1).
+//!
+//! The arithmetic of a layer is part of its contract: the checksums in
+//! `tests/plan.rs` pin trained weights bit for bit. `Conv2d` and
+//! `MaxPool2d` run on the slice kernels of the private `kernels`
+//! module, whose lanes run across channels and never across a
+//! reduction — every sum keeps the order of the loop nest it replaced,
+//! and an out-of-image tap is skipped, not multiplied by zero. An
+//! optimisation that reorders one `f32` sum (a dot-product SIMD
+//! reduction, a blocked GEMM that splits `K`) moves every golden; see
+//! that module's comment before reaching for one.
 
+use crate::kernels::{self, ConvShape};
 use crate::state_dict::StateDict;
 use crate::NnError;
 use fedsz_tensor::rng;
@@ -87,7 +98,15 @@ fn fetch(
 }
 
 #[inline]
-fn idx4(n: usize, c: usize, h: usize, w: usize, ch: usize, hh: usize, ww: usize) -> usize {
+pub(crate) fn idx4(
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    ch: usize,
+    hh: usize,
+    ww: usize,
+) -> usize {
     ((n * ch + c) * hh + h) * ww + w
 }
 
@@ -102,7 +121,7 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     groups: usize,
-    cache: Option<(Tensor, [usize; 4])>,
+    cache: Option<(Tensor, ConvShape)>,
 }
 
 impl Conv2d {
@@ -110,7 +129,8 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics if channel counts are not divisible by `groups`.
+    /// Panics if `kernel`, `stride` or a channel count is zero, or if
+    /// the channel counts are not divisible by `groups`.
     pub fn new(
         rng: &mut StdRng,
         in_channels: usize,
@@ -120,6 +140,11 @@ impl Conv2d {
         padding: usize,
         groups: usize,
     ) -> Self {
+        assert!(
+            kernel >= 1 && stride >= 1 && in_channels >= 1 && out_channels >= 1,
+            "conv {in_channels}->{out_channels} needs kernel >= 1 and stride >= 1, got kernel \
+             {kernel}, stride {stride}"
+        );
         assert!(
             groups >= 1
                 && in_channels.is_multiple_of(groups)
@@ -141,117 +166,70 @@ impl Conv2d {
         }
     }
 
-    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        let oh = (h + 2 * self.padding - self.kernel) / self.stride + 1;
-        let ow = (w + 2 * self.padding - self.kernel) / self.stride + 1;
-        (oh, ow)
+    /// The geometry of a call on an `[n, c, h, w]` input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel count is wrong or the padded input is
+    /// smaller than the kernel.
+    fn shape_for(&self, [n, c, h, w]: [usize; 4]) -> ConvShape {
+        assert_eq!(c, self.in_channels, "channel mismatch");
+        let (kernel, stride, padding) = (self.kernel, self.stride, self.padding);
+        let out = |size: usize| match (size + 2 * padding).checked_sub(kernel) {
+            Some(span) => span / stride + 1,
+            None => panic!(
+                "conv input {h}x{w} with padding {padding} is smaller than the \
+                 {kernel}x{kernel} kernel"
+            ),
+        };
+        let (oh, ow) = (out(h), out(w));
+        ConvShape {
+            n,
+            c,
+            h,
+            w,
+            oc: self.out_channels,
+            oh,
+            ow,
+            kernel,
+            stride,
+            padding,
+            groups: self.groups,
+        }
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "conv input must be [N, C, H, W]");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        assert_eq!(c, self.in_channels, "channel mismatch");
-        let (oh, ow) = self.out_hw(h, w);
-        let mut out = Tensor::zeros(vec![n, self.out_channels, oh, ow]);
-        let in_per_g = self.in_channels / self.groups;
-        let out_per_g = self.out_channels / self.groups;
-        let k = self.kernel;
-        let x = input.data();
-        let wt = self.weight.value.data();
-        let b = self.bias.value.data();
-        let o = out.data_mut();
-        for ni in 0..n {
-            for g in 0..self.groups {
-                for ocg in 0..out_per_g {
-                    let oc = g * out_per_g + ocg;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = b[oc];
-                            for icg in 0..in_per_g {
-                                let ic = g * in_per_g + icg;
-                                for ky in 0..k {
-                                    let iy = oy * self.stride + ky;
-                                    if iy < self.padding || iy - self.padding >= h {
-                                        continue;
-                                    }
-                                    let iy = iy - self.padding;
-                                    for kx in 0..k {
-                                        let ix = ox * self.stride + kx;
-                                        if ix < self.padding || ix - self.padding >= w {
-                                            continue;
-                                        }
-                                        let ix = ix - self.padding;
-                                        acc += x[idx4(ni, ic, iy, ix, c, h, w)]
-                                            * wt[idx4(oc, icg, ky, kx, in_per_g, k, k)];
-                                    }
-                                }
-                            }
-                            o[idx4(ni, oc, oy, ox, self.out_channels, oh, ow)] = acc;
-                        }
-                    }
-                }
-            }
-        }
+        let dims = input.shape().try_into().expect("conv input must be [N, C, H, W]");
+        let s = self.shape_for(dims);
+        let mut out = Tensor::zeros(vec![s.n, s.oc, s.oh, s.ow]);
+        kernels::conv_forward(
+            &s,
+            input.data(),
+            self.weight.value.data(),
+            self.bias.value.data(),
+            out.data_mut(),
+        );
         if train {
-            self.cache = Some((input, [n, c, h, w]));
+            self.cache = Some((input, s));
         }
         out
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let (input, [n, c, h, w]) = self.cache.take().expect("backward before forward");
-        let gs = grad.shape();
-        let (oh, ow) = (gs[2], gs[3]);
-        let mut dx = Tensor::zeros(vec![n, c, h, w]);
-        let in_per_g = self.in_channels / self.groups;
-        let out_per_g = self.out_channels / self.groups;
-        let k = self.kernel;
-        let x = input.data();
-        let wt = self.weight.value.data();
-        let dwt = self.weight.grad.data_mut();
-        let dbias = self.bias.grad.data_mut();
-        let dxd = dx.data_mut();
-        let dy = grad.data();
-        for ni in 0..n {
-            for g in 0..self.groups {
-                for ocg in 0..out_per_g {
-                    let oc = g * out_per_g + ocg;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let gval = dy[idx4(ni, oc, oy, ox, self.out_channels, oh, ow)];
-                            if gval == 0.0 {
-                                continue;
-                            }
-                            dbias[oc] += gval;
-                            for icg in 0..in_per_g {
-                                let ic = g * in_per_g + icg;
-                                for ky in 0..k {
-                                    let iy = oy * self.stride + ky;
-                                    if iy < self.padding || iy - self.padding >= h {
-                                        continue;
-                                    }
-                                    let iy = iy - self.padding;
-                                    for kx in 0..k {
-                                        let ix = ox * self.stride + kx;
-                                        if ix < self.padding || ix - self.padding >= w {
-                                            continue;
-                                        }
-                                        let ix = ix - self.padding;
-                                        let xi = idx4(ni, ic, iy, ix, c, h, w);
-                                        let wi = idx4(oc, icg, ky, kx, in_per_g, k, k);
-                                        dwt[wi] += gval * x[xi];
-                                        dxd[xi] += gval * wt[wi];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let (input, s) = self.cache.take().expect("backward before forward");
+        assert_eq!(grad.shape(), [s.n, s.oc, s.oh, s.ow], "gradient is not shaped like the output");
+        let mut dx = Tensor::zeros(vec![s.n, s.c, s.h, s.w]);
+        kernels::conv_backward(
+            &s,
+            input.data(),
+            self.weight.value.data(),
+            grad.data(),
+            self.weight.grad.data_mut(),
+            self.bias.grad.data_mut(),
+            dx.data_mut(),
+        );
         dx
     }
 
@@ -537,36 +515,11 @@ impl Layer for MaxPool2d {
     fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
         let s = input.shape();
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let (oh, ow) = (h / 2, w / 2);
-        let x = input.data();
-        let mut out = Tensor::zeros(vec![n, c, oh, ow]);
-        let mut arg = vec![0usize; n * c * oh * ow];
-        {
-            let o = out.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_i = 0usize;
-                            for dy in 0..2 {
-                                for dxp in 0..2 {
-                                    let i = idx4(ni, ci, oy * 2 + dy, ox * 2 + dxp, c, h, w);
-                                    if x[i] > best {
-                                        best = x[i];
-                                        best_i = i;
-                                    }
-                                }
-                            }
-                            let oi = idx4(ni, ci, oy, ox, c, oh, ow);
-                            o[oi] = best;
-                            arg[oi] = best_i;
-                        }
-                    }
-                }
-            }
-        }
-        if train {
+        let mut out = Tensor::zeros(vec![n, c, h / 2, w / 2]);
+        // Only `backward` reads the argmax indices.
+        let mut arg = train.then(|| vec![0usize; out.len()]);
+        kernels::maxpool_forward(n * c, h, w, input.data(), out.data_mut(), arg.as_deref_mut());
+        if let Some(arg) = arg {
             self.cache = Some((arg, [n, c, h, w]));
         }
         out
@@ -755,11 +708,11 @@ impl Layer for Linear {
     fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
         let wt = self.weight.value.transposed();
         let mut out = input.matmul(&wt);
-        let of = self.bias.value.len();
-        let o = out.data_mut();
         let b = self.bias.value.data();
-        for (i, v) in o.iter_mut().enumerate() {
-            *v += b[i % of];
+        for row in out.data_mut().chunks_exact_mut(b.len().max(1)) {
+            for (v, &bv) in row.iter_mut().zip(b) {
+                *v += bv;
+            }
         }
         if train {
             self.cache = Some(input);
@@ -1031,6 +984,33 @@ mod tests {
         let mut strided = Conv2d::new(&mut rng, 3, 4, 3, 2, 1, 1);
         let x = fedsz_tensor::rng::randn(&mut rng, vec![1, 3, 8, 8], 1.0);
         assert_eq!(strided.forward(x, false).shape(), &[1, 4, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv input 2x5 with padding 1 is smaller than the 5x5 kernel")]
+    fn conv_rejects_an_input_smaller_than_its_kernel() {
+        let mut rng = seeded(1);
+        let mut conv = Conv2d::new(&mut rng, 1, 1, 5, 1, 1, 1);
+        conv.forward(Tensor::zeros(vec![1, 1, 2, 5]), false);
+    }
+
+    #[test]
+    fn conv_accepts_an_input_the_padding_stretches_to_its_kernel() {
+        let mut rng = seeded(1);
+        let mut conv = Conv2d::new(&mut rng, 1, 1, 5, 2, 2, 1);
+        assert_eq!(conv.forward(Tensor::zeros(vec![1, 1, 1, 3]), false).shape(), &[1, 1, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs kernel >= 1 and stride >= 1, got kernel 3, stride 0")]
+    fn conv_rejects_a_zero_stride() {
+        Conv2d::new(&mut seeded(1), 1, 1, 3, 0, 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs kernel >= 1 and stride >= 1, got kernel 0, stride 1")]
+    fn conv_rejects_a_zero_kernel() {
+        Conv2d::new(&mut seeded(1), 1, 1, 0, 1, 0, 1);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod kernels;
 pub mod layers;
 pub mod loss;
 pub mod models;

@@ -113,6 +113,36 @@ fn plan_based_engine_reproduces_pre_redesign_checksums() {
     }
 }
 
+/// Every checksum above trains tiny AlexNet on 3-channel input, which
+/// runs `Conv2d` at stride 1, `groups == 1`, 3x3 only. These pin the
+/// rest of `crates/nn`'s layer arithmetic — depthwise, stride-2, 1x1
+/// and single-channel convolutions, `BatchNorm2d`, `GlobalAvgPool`,
+/// the residual adds — on a raw uplink and through the smoke codec.
+/// Captured at c71840e, the last commit whose `Conv2d` was the scalar
+/// seven-deep loop nest; a kernel that reorders one `f32` sum moves
+/// them.
+#[test]
+fn layer_arithmetic_off_the_alexnet_path_is_pinned() {
+    use fedsz_data::DatasetKind::{Cifar10Like, FashionMnistLike};
+    use fedsz_nn::models::tiny::TinyArch::{AlexNet, MobileNetV2, ResNet};
+    let goldens = [
+        ("mobilenetv2", MobileNetV2, Cifar10Like, 0x437dd8e0u32, 0x5d069e21u32),
+        ("resnet", ResNet, Cifar10Like, 0xd1928f6f, 0xb9d29262),
+        ("alexnet-1ch", AlexNet, FashionMnistLike, 0x9be45a84, 0x55f57286),
+    ];
+    for (name, arch, dataset, want_raw, want_lossy) in goldens {
+        let lossy = FlConfig { arch, dataset, ..FlConfig::smoke_test() };
+        let raw = FlConfig { uplink: StagePolicy::Raw, ..lossy.clone() };
+        let (got_raw, got_lossy) = (checksum_of(raw), checksum_of(lossy));
+        assert_eq!(
+            (got_raw, got_lossy),
+            (want_raw, want_lossy),
+            "`{name}`: raw 0x{got_raw:08x} / smoke codec 0x{got_lossy:08x}, captured \
+             0x{want_raw:08x} / 0x{want_lossy:08x}"
+        );
+    }
+}
+
 /// The new uplink codec families perturb only the uplink leg.
 ///
 /// Three pins. (1) `uplink = Raw` reproduces the no-compression golden
