@@ -1,15 +1,17 @@
-//! Shared infrastructure for the table/figure regeneration binaries.
+//! Shared infrastructure for the bench binaries.
 //!
-//! Every table and figure of the FedSZ paper has a binary under
-//! `src/bin/` (`table1` … `table5`, `fig2` … `fig10`) that prints the
-//! corresponding rows/series. This module provides the tiny CLI parser,
-//! ASCII table/plot rendering and timing helpers they share.
+//! `src/bin/` holds four binaries and CI runs each of them: `paper`
+//! (every table and figure of the FedSZ paper plus four ablations, as
+//! sections of one run that writes `BENCH_paper.json`), `agg_scale`,
+//! `net_round` and `pareto`. This module provides the tiny CLI parser,
+//! ASCII table/plot rendering, timing and JSON-rendering helpers they
+//! share.
 //!
-//! Most binaries accept `--scale <f>` (fraction of each full-size model
+//! `paper` accepts `--scale <f>` (fraction of each full-size model
 //! tensor used, default 0.05 — compression ratios are per-byte
-//! quantities, so a prefix sample is representative) and `--full`
-//! (equivalent to `--scale 1.0`). Training-based binaries accept
-//! `--rounds <n>`.
+//! quantities, so a prefix sample is representative), `--full`
+//! (equivalent to `--scale 1.0`) and `--rounds <n>` for its training
+//! runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,6 +63,30 @@ impl Args {
             self.get("--scale", default)
         }
     }
+}
+
+/// Renders a JSON string literal.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    fedsz_telemetry::push_json_string(&mut out, s);
+    out
+}
+
+/// Renders a JSON array of already-rendered values.
+pub fn json_arr(items: impl IntoIterator<Item = String>) -> String {
+    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(", "))
+}
+
+/// Renders a JSON array of string literals.
+pub fn json_strs<S: AsRef<str>>(items: &[S]) -> String {
+    json_arr(items.iter().map(|s| json_str(s.as_ref())))
+}
+
+/// Renders a JSON object of already-rendered values.
+pub fn json_obj(members: &[(&str, String)]) -> String {
+    let members: Vec<String> =
+        members.iter().map(|(k, v)| format!("{}: {v}", json_str(k))).collect();
+    format!("{{{}}}", members.join(", "))
 }
 
 /// Times a closure, returning its value and elapsed seconds.

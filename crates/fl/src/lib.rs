@@ -3,7 +3,7 @@
 //! Plays the role APPFL + gRPC/MPI play in the paper: a FedAvg server,
 //! local-SGD clients, per-client simulated links, an experiment driver
 //! that produces per-round metrics (accuracy, train time, compression
-//! time, communication time), and weak/strong scaling harnesses.
+//! time, communication time).
 //!
 //! The paper emulates constrained networks by sleeping inside MPI sends;
 //! this crate instead *accounts* transfer time analytically on a
@@ -20,7 +20,7 @@
 //! worker and server, where it crosses TCP as a CRC-framed message.
 //!
 //! There is one in-process runtime, named both [`Experiment`] and
-//! [`engine::RoundEngine`]; the scaling harness, the CLI and the
+//! [`engine::RoundEngine`]; the CLI, the bench bins and the
 //! benchmark all build it from an [`FlConfig`], which selects a link
 //! [`link::Topology`] (one shared pipe, per-client heterogeneous
 //! links, or an aggregation tree of any depth), an
@@ -57,7 +57,6 @@ pub mod engine;
 pub mod link;
 pub mod net;
 pub mod plan;
-pub mod scaling;
 pub mod step;
 pub mod sweep;
 

@@ -91,7 +91,7 @@ impl Value<'_> {
 }
 
 /// Escapes `s` as a JSON string (with quotes) onto `out`.
-fn push_json_string(out: &mut String, s: &str) {
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
