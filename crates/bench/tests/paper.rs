@@ -103,10 +103,14 @@ fn smoke_run_writes_every_section_and_evaluates_every_gate() {
     let failed = gates.iter().filter(|g| g.get("passed") == Some(&Json::Bool(false))).count();
     assert_eq!(doc.get("gates_failed").and_then(Json::as_f64), Some(failed as f64));
     assert_eq!(code, Some(i32::from(failed > 0)));
-    // What must hold at any scale: the error bound, lossless round
-    // trips, and the shared-pipe and composition claims (those two
-    // sections train at a fixed size, whatever `--scale` says).
+    // What must hold at any scale: the error bound, SZ2's lead over
+    // SZ3 and its block choice never losing to Lorenzo alone, lossless
+    // round trips, and the shared-pipe and composition claims (those
+    // two sections train at a fixed size, whatever `--scale` says).
     for name in [
+        "table1.sz2_leads_at_1e-2",
+        "ablation_sz2.hybrid_never_loses",
+        "ablation_sz2.block_size_barely_matters",
         "table1.bound_held.SZ2",
         "table1.bound_held.SZ3",
         "table1.bound_held.SZx",

@@ -593,7 +593,7 @@ mod tests {
     #[test]
     fn unified_route_reproduces_the_pinned_lossy_checksums() {
         // `tests/plan.rs` pins the smoke config (FedSZ on every
-        // upload) at 0x82c3c3f4. `Lossy` is "forced codec 0" and
+        // upload) at 0x31c90905. `Lossy` is "forced codec 0" and
         // `Adaptive{Lossy}` "priced selection over one candidate" of
         // the same route; with no network model to price against, the
         // latter compresses every round too — so both spellings must
@@ -609,7 +609,7 @@ mod tests {
             }
             let mut exp = Experiment::new(config);
             let metrics = exp.run();
-            assert_eq!(global_checksum(exp.global_state()), 0x82c3_c3f4, "{uplink:?}");
+            assert_eq!(global_checksum(exp.global_state()), 0x31c9_0905, "{uplink:?}");
             assert!(metrics.iter().all(|m| m.eqn1.iter().all(|d| d.family != "adaptive")));
         }
     }

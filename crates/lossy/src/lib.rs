@@ -4,9 +4,10 @@
 //! and selects SZ2. This crate reimplements all four families from
 //! scratch for 1D `f32` data:
 //!
-//! * [`Sz2`] — block-based hybrid Lorenzo/linear-regression prediction,
-//!   linear-scale quantization, Huffman coding, zstd-class backend
-//!   (prediction-based model),
+//! * [`Sz2`] — block-based hybrid prediction (the tensor's mean, Lorenzo
+//!   or a linear regression, whichever codes a block in the fewest
+//!   bits), linear-scale quantization, Huffman coding, zstd-class
+//!   backend (prediction-based model),
 //! * [`Sz3`] — multi-level spline-interpolation prediction with the same
 //!   quantization/entropy pipeline but no per-block coefficients
 //!   (interpolation-based model),

@@ -2,12 +2,49 @@
 //!
 //! Mirrors the published SZ2 design (Liang et al., IEEE Big Data 2018)
 //! restricted to 1D data, which is how FedSZ uses it on flattened weight
-//! tensors: data is cut into small blocks, each block chooses between a
-//! Lorenzo predictor (previous reconstructed value) and a least-squares
-//! linear fit, prediction residuals are quantized into `2*eb` bins,
-//! quantization codes are Huffman-coded and the whole stream is passed
-//! through a zstd-class lossless backend. Residuals outside the
-//! quantizer's range are stored verbatim ("unpredictable" values).
+//! tensors: data is cut into small blocks, each block chooses the
+//! cheapest of three predictors, prediction residuals are quantized into
+//! `2*eb` bins, quantization codes are Huffman-coded and the whole
+//! stream is passed through a zstd-class lossless backend. Residuals
+//! outside the quantizer's range are stored verbatim ("unpredictable"
+//! values).
+//!
+//! The predictors, by what a block pays for them:
+//!
+//! * **constant** — the tensor's mean, written once in the header: no
+//!   bytes per block. Flattened weights and updates carry no neighbour
+//!   correlation, so this is what almost every block of one picks.
+//! * **Lorenzo** — the previous reconstructed value: no bytes per block
+//!   either, and the winner on smooth data.
+//! * **regression** — a least-squares line over the block-local index:
+//!   two `f32` coefficients per block, so it has to save their 64 bits
+//!   in residual codes before it is chosen.
+//!
+//! The choice is made on estimated coded bits, `n·log2(1 + Σ|r|/(n·eb))`
+//! for a block of `n` residuals `r`, plus 64 for regression. The
+//! quantizer alone enforces the bound: a predictor only moves bytes.
+//!
+//! # Stream layout (version 2)
+//!
+//! ```text
+//! u8 id (16) | u8 version (2) | uvarint n | f64 eb | uvarint block
+//! | f32 mean | uvarint packed_len | packed
+//! ```
+//!
+//! and nothing after `mean` when `n` is zero. `packed` is the LZ stage's
+//! frame of the inner container:
+//!
+//! ```text
+//! uvarint len | block flags   one prefix code per block, MSB first:
+//!                             0 constant, 10 Lorenzo, 11 regression
+//! uvarint len | coefficients  f32 a, f32 b per regression block
+//! Huffman block               one code per element
+//! uvarint count | f32 values  the unpredictable values, in order
+//! ```
+//!
+//! Version 1 (one flag bit per block, no mean, no constant predictor) is
+//! refused with [`CodecError::UnsupportedVersion`]: SZ2 streams live for
+//! one upload and nothing stores them.
 
 use crate::{resolve_bound, ErrorBound, ErrorBounded, LossyError, LossyKind};
 use fedsz_codec::bitio::{BitReader, BitWriter};
@@ -21,20 +58,40 @@ use fedsz_codec::{CodecError, Result};
 use fedsz_lossless::{Lossless, ZstdLike};
 
 /// Stream format version.
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 /// Elements per prediction block.
 const BLOCK: usize = 128;
 /// Elements quantized per [`Quantizer::quantize_batch`] call: a whole
 /// default block. A larger custom block goes through in several runs.
 const BATCH: usize = BLOCK;
+/// Independent accumulators of every selection sum. Fixed, so the sums —
+/// and with them the stream — are the same bits on any host, whatever
+/// its vector width.
+const LANES: usize = 8;
+/// What a regression block pays for its two `f32` coefficients.
+const COEFF_BITS: f64 = 64.0;
 
 /// Per-block predictor choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Predictor {
+    /// The tensor's mean, from the stream header.
+    Constant,
     /// Previous reconstructed value.
     Lorenzo,
     /// `a * i + b` over the block-local index.
     Regression { a: f32, b: f32 },
+}
+
+impl Predictor {
+    /// The block's flag: a prefix code, most significant bit first, the
+    /// shortest for the predictor FL tensors pick.
+    fn flag(self) -> (u64, u32) {
+        match self {
+            Self::Constant => (0b0, 1),
+            Self::Lorenzo => (0b10, 2),
+            Self::Regression { .. } => (0b11, 2),
+        }
+    }
 }
 
 /// SZ2-class error-bounded compressor.
@@ -53,14 +110,17 @@ enum Predictor {
 #[derive(Debug, Clone)]
 pub struct Sz2 {
     block: usize,
-    use_regression: bool,
+    hybrid: bool,
+    /// [`regression_margin`] of a whole block, worked out once: every
+    /// block but a short last one compares against it.
+    margin: f64,
 }
 
 impl Sz2 {
     /// Creates the codec with the default block size (128) and the
-    /// hybrid Lorenzo/regression predictor.
+    /// hybrid constant/Lorenzo/regression predictor.
     pub fn new() -> Self {
-        Self { block: BLOCK, use_regression: true }
+        Self::with_block_size(BLOCK)
     }
 
     /// Creates the codec with a custom block size.
@@ -70,13 +130,13 @@ impl Sz2 {
     /// Panics if `block` is smaller than 4.
     pub fn with_block_size(block: usize) -> Self {
         assert!(block >= 4, "block size must be at least 4");
-        Self { block, use_regression: true }
+        Self { block, hybrid: true, margin: regression_margin(block) }
     }
 
-    /// Disables the linear-regression predictor, leaving pure Lorenzo —
-    /// the ablation knob for SZ2's hybrid-prediction design choice.
+    /// Disables the per-block choice, leaving pure Lorenzo — the
+    /// ablation knob for SZ2's hybrid-prediction design choice.
     pub fn lorenzo_only(mut self) -> Self {
-        self.use_regression = false;
+        self.hybrid = false;
         self
     }
 }
@@ -87,24 +147,64 @@ impl Default for Sz2 {
     }
 }
 
+/// `Σ term(i, values[i], values[i - 1])`, with `before` standing in for
+/// the element ahead of the first. Element `i` goes to accumulator
+/// `(i - 1) % LANES` and the accumulators are added in order: no chain
+/// of dependent additions longer than `len / LANES`, and one fixed
+/// summation order whatever the host vectorizes.
+#[inline]
+fn lane_sum(values: &[f32], before: f32, term: impl Fn(f64, f64, f64) -> f64) -> f64 {
+    let Some((&first, rest)) = values.split_first() else {
+        return 0.0;
+    };
+    let prev = &values[..rest.len()];
+    let mut acc = [0.0f64; LANES];
+    acc[0] = term(0.0, first.into(), before.into());
+    let mut index: [f64; LANES] = std::array::from_fn(|lane| (lane + 1) as f64);
+    let whole = rest.len() - rest.len() % LANES;
+    for (values, prev) in rest[..whole].chunks_exact(LANES).zip(prev[..whole].chunks_exact(LANES)) {
+        for (((acc, index), &v), &p) in acc.iter_mut().zip(&mut index).zip(values).zip(prev) {
+            *acc += term(*index, v.into(), p.into());
+            *index += LANES as f64;
+        }
+    }
+    for (((acc, &index), &v), &p) in
+        acc.iter_mut().zip(&index).zip(&rest[whole..]).zip(&prev[whole..])
+    {
+        *acc += term(index, v.into(), p.into());
+    }
+    acc.iter().sum()
+}
+
 /// Least-squares line fit over `(0..len, values)`.
 fn fit_line(values: &[f32]) -> (f32, f32) {
     let n = values.len() as f64;
     if values.len() < 2 {
         return (0.0, values.first().copied().unwrap_or(0.0));
     }
+    let sum = lane_sum(values, 0.0, |_, v, _| v);
+    let weighted = lane_sum(values, 0.0, |i, v, _| i * v);
     let mean_x = (n - 1.0) / 2.0;
-    let mean_y: f64 = values.iter().map(|&v| f64::from(v)).sum::<f64>() / n;
-    let mut sxy = 0.0f64;
-    let mut sxx = 0.0f64;
-    for (i, &v) in values.iter().enumerate() {
-        let dx = i as f64 - mean_x;
-        sxy += dx * (f64::from(v) - mean_y);
-        sxx += dx * dx;
-    }
-    let a = if sxx > 0.0 { sxy / sxx } else { 0.0 };
-    let b = mean_y - a * mean_x;
+    // Σ(i − mean_x)² over 0..n, in closed form.
+    let sxx = n * (n * n - 1.0) / 12.0;
+    let a = (weighted - mean_x * sum) / sxx;
+    let b = sum / n - a * mean_x;
     (a as f32, b as f32)
+}
+
+/// `2^(COEFF_BITS / n)`: how many times smaller regression must make an
+/// `n`-element block's `n·eb + Σ|r|` to save its coefficients' bits —
+/// the comparison of two `n·log2(1 + Σ|r|/(n·eb))` estimates, solved for
+/// the sums so that no block takes a logarithm. Plain arithmetic and no
+/// libm call, so every host computes the same bits.
+fn regression_margin(n: usize) -> f64 {
+    let exponent = COEFF_BITS / n as f64;
+    let whole = exponent.floor();
+    // `e^x` by its series, innermost term first: `x < ln 2`, so the
+    // terms past the twentieth are below an `f64`'s last bit.
+    let x = (exponent - whole) * std::f64::consts::LN_2;
+    let series = (1..=20).rev().fold(1.0, |tail, k| 1.0 + tail * x / f64::from(k));
+    series * 2f64.powi(whole as i32)
 }
 
 /// The quantizer's output as the encoder accumulates it.
@@ -137,9 +237,10 @@ impl Quantization {
     }
 
     /// Quantizes a run whose predictions are all known up front — a
-    /// regression block's, which come from the fitted line and not from
-    /// earlier reconstructions. Lorenzo blocks cannot take this path:
-    /// each prediction *is* the previous reconstruction.
+    /// constant block's (the header mean) or a regression block's (the
+    /// fitted line), neither of which reads an earlier reconstruction.
+    /// Lorenzo blocks cannot take this path: each prediction *is* the
+    /// previous reconstruction.
     fn push_run(&mut self, preds: &[f32], values: &[f32]) {
         let start = self.codes.len();
         self.codes.resize(start + values.len(), 0);
@@ -164,29 +265,54 @@ impl Quantization {
 }
 
 impl Sz2 {
-    /// Picks the block's predictor on original values: the Lorenzo cost
-    /// uses the previous original as a stand-in for the reconstruction.
-    fn choose_predictor(&self, chunk: &[f32], last_recon: f32) -> Predictor {
-        if !self.use_regression {
+    /// Picks the block's predictor by estimated coded bits, on original
+    /// values: the Lorenzo sum uses the previous original as a stand-in
+    /// for the reconstruction. The two free predictors compare by
+    /// `Σ|r|` alone; regression must beat the better of them by its
+    /// [`regression_margin`].
+    fn choose_predictor(&self, chunk: &[f32], mean: f32, eb: f32, last_recon: f32) -> Predictor {
+        if !self.hybrid {
             return Predictor::Lorenzo;
         }
-        let mut lorenzo_cost = (f64::from(chunk[0]) - f64::from(last_recon)).abs();
-        for w in chunk.windows(2) {
-            lorenzo_cost += (f64::from(w[1]) - f64::from(w[0])).abs();
-        }
+        let mu = f64::from(mean);
+        let constant = lane_sum(chunk, 0.0, |_, v, _| (v - mu).abs());
+        let lorenzo = lane_sum(chunk, last_recon, |_, v, prev| (v - prev).abs());
         let (a, b) = fit_line(chunk);
-        let mut reg_cost = 0.0f64;
-        for (i, &v) in chunk.iter().enumerate() {
-            reg_cost += (f64::from(v) - (f64::from(a) * i as f64 + f64::from(b))).abs();
-        }
-        // The regression stores two f32 coefficients; require a clear
-        // win before paying for them (mirrors SZ2's sampling choice).
-        if reg_cost < 0.9 * lorenzo_cost {
+        let (slope, offset) = (f64::from(a), f64::from(b));
+        let regression = lane_sum(chunk, 0.0, |i, v, _| (v - (slope * i + offset)).abs());
+
+        let floor = chunk.len() as f64 * f64::from(eb);
+        let margin =
+            if chunk.len() == self.block { self.margin } else { regression_margin(chunk.len()) };
+        if floor + constant.min(lorenzo) > margin * (floor + regression) {
             Predictor::Regression { a, b }
+        } else if constant <= lorenzo {
+            Predictor::Constant
         } else {
             Predictor::Lorenzo
         }
     }
+}
+
+/// The bound the quantizer enforces: the largest `f32` not above the one
+/// asked for. The quantizer fills its bound to the last bit, and the
+/// nearest `f32` can sit above `bound`.
+fn bound_as_f32(bound: f64) -> f32 {
+    let nearest = bound as f32;
+    let below = if f64::from(nearest) > bound { nearest.next_down() } else { nearest };
+    if below > 0.0 {
+        below
+    } else {
+        f32::MIN_POSITIVE
+    }
+}
+
+/// The tensor's mean: the constant predictor.
+fn mean_of(data: &[f32]) -> f32 {
+    if data.is_empty() {
+        return 0.0;
+    }
+    (lane_sum(data, 0.0, |_, v, _| v) / data.len() as f64) as f32
 }
 
 impl ErrorBounded for Sz2 {
@@ -199,8 +325,8 @@ impl ErrorBounded for Sz2 {
         data: &[f32],
         bound: ErrorBound,
     ) -> std::result::Result<Vec<u8>, LossyError> {
-        let eb = resolve_bound(data, bound)? as f32;
-        let eb = if eb > 0.0 { eb } else { f32::MIN_POSITIVE };
+        let eb = bound_as_f32(resolve_bound(data, bound)?);
+        let mean = mean_of(data);
 
         let mut out = Vec::with_capacity(data.len() + 32);
         out.push(self.kind().id());
@@ -208,6 +334,7 @@ impl ErrorBounded for Sz2 {
         write_uvarint(&mut out, data.len() as u64);
         write_f64(&mut out, f64::from(eb));
         write_uvarint(&mut out, self.block as u64);
+        write_f32(&mut out, mean);
         if data.is_empty() {
             return Ok(out);
         }
@@ -219,28 +346,35 @@ impl ErrorBounded for Sz2 {
             unpredictable: Vec::new(),
             last_recon: 0.0,
         };
-        let mut flags = BitWriter::with_capacity(data.len().div_ceil(self.block).div_ceil(8));
+        let mut flags = BitWriter::with_capacity(data.len().div_ceil(self.block).div_ceil(4));
         let mut coeffs: Vec<u8> = Vec::new();
 
+        let constant = [mean; BATCH];
+        let mut line = [0.0f32; BATCH];
         for chunk in data.chunks(self.block) {
-            match self.choose_predictor(chunk, quantized.last_recon) {
+            let predictor = self.choose_predictor(chunk, mean, eb, quantized.last_recon);
+            let (flag, bits) = predictor.flag();
+            flags.write_bits(flag, bits);
+            match predictor {
+                Predictor::Constant => {
+                    for run in chunk.chunks(BATCH) {
+                        quantized.push_run(&constant[..run.len()], run);
+                    }
+                }
                 Predictor::Lorenzo => {
-                    flags.write_bit(false);
                     for &v in chunk {
                         quantized.push(quantized.last_recon, v);
                     }
                 }
                 Predictor::Regression { a, b } => {
-                    flags.write_bit(true);
                     write_f32(&mut coeffs, a);
                     write_f32(&mut coeffs, b);
-                    let mut preds = [0.0f32; BATCH];
                     for (k, run) in chunk.chunks(BATCH).enumerate() {
-                        let preds = &mut preds[..run.len()];
-                        for (i, pred) in preds.iter_mut().enumerate() {
+                        let line = &mut line[..run.len()];
+                        for (i, pred) in line.iter_mut().enumerate() {
                             *pred = a * (k * BATCH + i) as f32 + b;
                         }
-                        quantized.push_run(preds, run);
+                        quantized.push_run(line, run);
                     }
                 }
             }
@@ -285,11 +419,15 @@ impl ErrorBounded for Sz2 {
         let n = read_uvarint(bytes, &mut pos)? as usize;
         let eb = read_f64(bytes, &mut pos)? as f32;
         let block = read_uvarint(bytes, &mut pos)? as usize;
+        let mean = read_f32(bytes, &mut pos)?;
         if n == 0 {
             return Ok(Vec::new());
         }
         if !(eb.is_finite() && eb > 0.0) {
             return Err(CodecError::Corrupt("invalid error bound in header"));
+        }
+        if !mean.is_finite() {
+            return Err(CodecError::Corrupt("non-finite mean in header"));
         }
         if block < 4 {
             return Err(CodecError::Corrupt("invalid block size in header"));
@@ -306,6 +444,10 @@ impl ErrorBounded for Sz2 {
 
         let mut ipos = 0usize;
         let flag_bytes = read_bytes(&inner, &mut ipos)?;
+        // Two bits per block at most.
+        if flag_bytes.len() > n.div_ceil(block).div_ceil(4) {
+            return Err(CodecError::Corrupt("more block flags than blocks"));
+        }
         let coeff_bytes = read_bytes(&inner, &mut ipos)?;
         let codes = huffman::decode_block(&inner, &mut ipos)?;
         if codes.len() != n {
@@ -333,18 +475,21 @@ impl ErrorBounded for Sz2 {
         };
         let mut out = Vec::with_capacity(n);
         for codes in codes.chunks(block) {
-            if flags.read_bit()? {
-                let a = read_f32(coeff_bytes, &mut cpos)?;
-                let b = read_f32(coeff_bytes, &mut cpos)?;
-                out.extend(
-                    codes.iter().enumerate().map(|(i, &code)| value_of(a * i as f32 + b, code)),
-                );
-            } else {
+            // The prefix code of `Predictor::flag`.
+            if !flags.read_bit()? {
+                out.extend(codes.iter().map(|&code| value_of(mean, code)));
+            } else if !flags.read_bit()? {
                 let mut last_recon = out.last().copied().unwrap_or(0.0);
                 out.extend(codes.iter().map(|&code| {
                     last_recon = value_of(last_recon, code);
                     last_recon
                 }));
+            } else {
+                let a = read_f32(coeff_bytes, &mut cpos)?;
+                let b = read_f32(coeff_bytes, &mut cpos)?;
+                out.extend(
+                    codes.iter().enumerate().map(|(i, &code)| value_of(a * i as f32 + b, code)),
+                );
             }
         }
         Ok(out)
@@ -377,16 +522,115 @@ mod tests {
         }
     }
 
+    /// Noise around a slow drift: the texture of flattened weights. With
+    /// no drift the tensor's mean is every block's best predictor; with
+    /// it, blocks away from the mean go to Lorenzo or the line fit.
+    fn weight_like(n: usize, seed: u64, drift: f32) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let noise = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                0.05 * noise + drift * i as f32
+            })
+            .collect()
+    }
+
+    /// A stream's element count and block size, and the byte offset of
+    /// its header mean.
+    fn header(stream: &[u8]) -> (usize, usize, usize) {
+        let mut pos = 2;
+        let n = read_uvarint(stream, &mut pos).unwrap() as usize;
+        pos += 8;
+        let block = read_uvarint(stream, &mut pos).unwrap() as usize;
+        (n, block, pos)
+    }
+
+    /// How many of a stream's blocks chose the constant, the Lorenzo
+    /// and the regression predictor.
+    fn predictor_blocks(stream: &[u8]) -> [usize; 3] {
+        let (n, block, mean_at) = header(stream);
+        let packed = read_bytes(stream, &mut (mean_at + 4)).unwrap();
+        let inner = ZstdLike::new().decompress(packed).unwrap();
+        let mut flags = BitReader::new(read_bytes(&inner, &mut 0).unwrap());
+        let mut counts = [0; 3];
+        for _ in 0..n.div_ceil(block) {
+            let long = flags.read_bit().unwrap();
+            counts[usize::from(long) + usize::from(long && flags.read_bit().unwrap())] += 1;
+        }
+        counts
+    }
+
+    /// The selection bug this format fixed: pricing regression by its
+    /// residuals alone made hybrid ship a line per block of a ramp
+    /// (121x) where Lorenzo alone reached 57,000x.
     #[test]
-    fn linear_data_prefers_regression() {
-        // A perfect ramp: the regression predictor should make nearly all
-        // residuals zero, giving an excellent ratio.
-        let data: Vec<f32> = (0..8192).map(|i| 0.5 + i as f32 * 1e-4).collect();
+    fn hybrid_never_loses_to_lorenzo_only() {
+        let packed_len = |codec: Sz2, data: &[f32]| {
+            let packed = codec.compress(data, ErrorBound::Relative(1e-2)).unwrap();
+            let restored = codec.decompress(&packed).unwrap();
+            let eb = ErrorBound::Relative(1e-2).absolute_for(data).unwrap() as f32;
+            assert!(max_abs_error(data, &restored) <= eb);
+            packed.len() as f64
+        };
+        let ramp: Vec<f32> = (0..1 << 16).map(|i| 0.1 + i as f32 * 1e-5).collect();
+        let (hybrid, lorenzo) =
+            (packed_len(Sz2::new(), &ramp), packed_len(Sz2::new().lorenzo_only(), &ramp));
+        assert!(hybrid <= 1.1 * lorenzo, "ramp: hybrid {hybrid} B, lorenzo-only {lorenzo} B");
+        for drift in [0.0, 1e-5] {
+            let weights = weight_like(1 << 16, 5, drift);
+            let (hybrid, lorenzo) =
+                (packed_len(Sz2::new(), &weights), packed_len(Sz2::new().lorenzo_only(), &weights));
+            assert!(
+                hybrid <= lorenzo,
+                "drift {drift}: hybrid {hybrid} B, lorenzo-only {lorenzo} B"
+            );
+        }
+    }
+
+    /// A steep trend per block under noise of a few bins: the tensor's
+    /// mean cannot follow it and every Lorenzo residual carries the
+    /// slope, so the line is worth its 64 bits.
+    #[test]
+    fn block_local_trends_pick_regression() {
+        let noise = weight_like(BLOCK * 64, 11, 0.0);
+        let data: Vec<f32> = noise
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| {
+                let (block, at) = (i / BLOCK, (i % BLOCK) as f32);
+                let slope = if block % 2 == 0 { 0.02 } else { -0.013 };
+                0.1 * e + slope * at
+            })
+            .collect();
+        let bound = ErrorBound::Absolute(1e-3);
+        let hybrid = Sz2::new().compress(&data, bound).unwrap();
+        let lorenzo = Sz2::new().lorenzo_only().compress(&data, bound).unwrap();
+        assert_eq!(predictor_blocks(&hybrid), [0, 0, 64]);
+        assert!(hybrid.len() < lorenzo.len(), "{} vs {} B", hybrid.len(), lorenzo.len());
+        check_bound(&data, 1e-3);
+    }
+
+    /// The bound is the `f64` that was asked for, not the nearest `f32`
+    /// to it: uniform residuals over a million elements fill the
+    /// quantizer's bound to the last bit.
+    #[test]
+    fn the_f32_bound_never_exceeds_the_one_asked_for() {
+        let data = weight_like(1 << 20, 21, 0.0);
         let codec = Sz2::new();
-        let packed = codec.compress(&data, ErrorBound::Absolute(1e-5)).unwrap();
-        let ratio = (data.len() * 4) as f64 / packed.len() as f64;
-        assert!(ratio > 10.0, "ramp should compress >10x, got {ratio:.1}");
-        check_bound(&data, 1e-5);
+        // REL bounds whose nearest `f32` is above them, and below.
+        for rel in [1e-2, 3e-3, 1e-3] {
+            let bound = ErrorBound::Relative(rel);
+            let asked = bound.absolute_for(&data).unwrap();
+            assert!(f64::from(bound_as_f32(asked)) <= asked);
+            let restored = codec.decompress(&codec.compress(&data, bound).unwrap()).unwrap();
+            let errors = data.iter().zip(&restored).map(|(&x, &y)| f64::from(x) - f64::from(y));
+            let worst = errors.fold(0.0, |worst, e| e.abs().max(worst));
+            assert!(worst <= asked, "REL {rel}: {worst} > {asked}");
+        }
+        assert_eq!(bound_as_f32(1e300), f32::MAX);
+        assert_eq!(bound_as_f32(1e-300), f32::MIN_POSITIVE);
+        assert_eq!(bound_as_f32(0.25), 0.25);
     }
 
     #[test]
@@ -440,6 +684,59 @@ mod tests {
     }
 
     #[test]
+    fn version_1_streams_are_refused() {
+        let data = weight_like(300, 4, 0.0);
+        let codec = Sz2::new();
+        let mut stream = codec.compress(&data, ErrorBound::Relative(1e-2)).unwrap();
+        assert_eq!(crate::declared_len(&stream).unwrap(), data.len());
+        stream[1] = 1;
+        assert_eq!(codec.decompress(&stream), Err(CodecError::UnsupportedVersion(1)));
+    }
+
+    #[test]
+    fn non_finite_header_mean_is_corrupt() {
+        let codec = Sz2::new();
+        let stream = codec.compress(&weight_like(300, 4, 0.0), ErrorBound::Relative(1e-2)).unwrap();
+        let (_, _, at) = header(&stream);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut forged = stream.clone();
+            forged[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            assert!(matches!(codec.decompress(&forged), Err(CodecError::Corrupt(_))), "{bad}");
+        }
+    }
+
+    #[test]
+    fn flag_bytes_are_bounded_by_the_block_count() {
+        let codec = Sz2::new();
+        // Three blocks: one flag byte.
+        let stream = codec.compress(&weight_like(300, 4, 0.0), ErrorBound::Relative(1e-2)).unwrap();
+        let mut pos = header(&stream).2 + 4;
+        let header = stream[..pos].to_vec();
+        let inner = ZstdLike::new().decompress(read_bytes(&stream, &mut pos).unwrap()).unwrap();
+        let mut ipos = 0;
+        let flags = read_bytes(&inner, &mut ipos).unwrap();
+        assert_eq!(flags.len(), 1);
+        let rebuilt = |flags: &[u8]| {
+            let mut forged_inner = Vec::new();
+            write_uvarint(&mut forged_inner, flags.len() as u64);
+            forged_inner.extend_from_slice(flags);
+            forged_inner.extend_from_slice(&inner[ipos..]);
+            let packed = ZstdLike::new().compress(&forged_inner);
+            let mut forged = header.clone();
+            write_uvarint(&mut forged, packed.len() as u64);
+            forged.extend_from_slice(&packed);
+            forged
+        };
+        assert_eq!(rebuilt(flags), stream);
+        let padded = [flags, &[0u8; 1]].concat();
+        assert_eq!(
+            codec.decompress(&rebuilt(&padded)),
+            Err(CodecError::Corrupt("more block flags than blocks"))
+        );
+        assert_eq!(codec.decompress(&rebuilt(&[])), Err(CodecError::UnexpectedEof));
+    }
+
+    #[test]
     fn fit_line_recovers_slope() {
         let values: Vec<f32> = (0..100).map(|i| 2.0 + 0.5 * i as f32).collect();
         let (a, b) = fit_line(&values);
@@ -447,37 +744,43 @@ mod tests {
         assert!((b - 2.0).abs() < 1e-3);
     }
 
-    /// SZ2's encoder as it was before batching: one predictor choice,
+    #[test]
+    fn regression_margin_is_two_to_the_coefficient_bits_per_element() {
+        assert_eq!(regression_margin(64), 2.0);
+        assert_eq!(regression_margin(1), 2f64.powi(64));
+        assert!((regression_margin(128) - std::f64::consts::SQRT_2).abs() < 1e-15);
+        assert!((regression_margin(1000).powi(1000) / 2f64.powi(64) - 1.0).abs() < 1e-12);
+    }
+
+    /// SZ2's encoder without batching: the same predictor choice, then
     /// one `Quantizer::quantize` per element and a Huffman stage that
     /// counts its own symbols. The oracle for the tests below.
     fn compress_reference(codec: &Sz2, data: &[f32], bound: ErrorBound) -> Vec<u8> {
-        let eb = bound.absolute_for(data).unwrap() as f32;
+        let eb = bound_as_f32(bound.absolute_for(data).unwrap());
+        let mean = mean_of(data);
         let mut out = vec![LossyKind::Sz2.id(), VERSION];
         write_uvarint(&mut out, data.len() as u64);
         write_f64(&mut out, f64::from(eb));
         write_uvarint(&mut out, codec.block as u64);
+        write_f32(&mut out, mean);
         let quantizer = Quantizer::new(eb);
         let (mut codes, mut unpredictable) = (Vec::new(), Vec::new());
         let (mut flags, mut coeffs) = (BitWriter::new(), Vec::new());
         let mut last_recon = 0.0f32;
         for chunk in data.chunks(codec.block) {
-            let mut lorenzo_cost = (f64::from(chunk[0]) - f64::from(last_recon)).abs();
-            for w in chunk.windows(2) {
-                lorenzo_cost += (f64::from(w[1]) - f64::from(w[0])).abs();
-            }
-            let (a, b) = fit_line(chunk);
-            let mut reg_cost = 0.0f64;
-            for (i, &v) in chunk.iter().enumerate() {
-                reg_cost += (f64::from(v) - (f64::from(a) * i as f64 + f64::from(b))).abs();
-            }
-            let regression = codec.use_regression && reg_cost < 0.9 * lorenzo_cost;
-            flags.write_bit(regression);
-            if regression {
+            let predictor = codec.choose_predictor(chunk, mean, eb, last_recon);
+            let (flag, bits) = predictor.flag();
+            flags.write_bits(flag, bits);
+            if let Predictor::Regression { a, b } = predictor {
                 write_f32(&mut coeffs, a);
                 write_f32(&mut coeffs, b);
             }
             for (i, &v) in chunk.iter().enumerate() {
-                let pred = if regression { a * i as f32 + b } else { last_recon };
+                let pred = match predictor {
+                    Predictor::Constant => mean,
+                    Predictor::Lorenzo => last_recon,
+                    Predictor::Regression { a, b } => a * i as f32 + b,
+                };
                 last_recon = match quantizer.quantize(pred, v) {
                     Quantized::Code { code, reconstructed } => {
                         codes.push(code);
@@ -508,82 +811,93 @@ mod tests {
         out
     }
 
-    /// How many of a stream's blocks chose the regression predictor.
-    fn regression_blocks(stream: &[u8]) -> u32 {
-        let mut pos = 2;
-        read_uvarint(stream, &mut pos).unwrap();
-        pos += 8;
-        read_uvarint(stream, &mut pos).unwrap();
-        let inner = ZstdLike::new().decompress(read_bytes(stream, &mut pos).unwrap()).unwrap();
-        read_bytes(&inner, &mut 0).unwrap().iter().map(|b| b.count_ones()).sum()
-    }
-
-    /// Noise around a slow drift: the texture of flattened weights, on
-    /// which the line fit beats the previous-value predictor.
-    fn weight_like(n: usize, seed: u64) -> Vec<f32> {
-        let mut state = seed;
-        (0..n)
-            .map(|i| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let noise = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
-                0.05 * noise + 1e-5 * i as f32
-            })
-            .collect()
-    }
-
     #[test]
     fn batched_blocks_match_the_scalar_reference() {
-        let mut spiked = weight_like(5000, 7);
-        for i in (0..spiked.len()).step_by(211) {
-            spiked[i] = if i % 2 == 0 { 40.0 } else { -40.0 };
-        }
-        let mut zeros = weight_like(3000, 9);
+        // Every 211th value far outside the quantizer's range.
+        let with_spikes = |mut data: Vec<f32>| {
+            for i in (0..data.len()).step_by(211) {
+                data[i] = if i % 2 == 0 { 40.0 } else { -40.0 };
+            }
+            data
+        };
+        let spiked = with_spikes(weight_like(5000, 7, 1e-5));
+        let centred_spiked = with_spikes(weight_like(5000, 8, 0.0));
+        let mut zeros = weight_like(3000, 9, 1e-5);
         for (i, v) in zeros.iter_mut().enumerate().filter(|(i, _)| i % 5 < 2) {
             *v = if i % 2 == 0 { 0.0 } else { -0.0 };
         }
-        let cases: [(&str, &[f32], ErrorBound); 6] = [
-            ("weights, REL 1e-2", &weight_like(20_000, 1), ErrorBound::Relative(1e-2)),
-            ("weights, REL 1e-4", &weight_like(20_000, 2), ErrorBound::Relative(1e-4)),
+        let cases: [(&str, &[f32], ErrorBound); 8] = [
+            ("weights, REL 1e-2", &weight_like(20_000, 1, 1e-5), ErrorBound::Relative(1e-2)),
+            ("weights, REL 1e-4", &weight_like(20_000, 2, 1e-5), ErrorBound::Relative(1e-4)),
+            ("centred weights, REL 1e-2", &weight_like(20_000, 4, 0.0), ErrorBound::Relative(1e-2)),
             // The spikes fall out of the quantizer's range inside
-            // regression blocks: those batches fall back, the rest do not.
+            // constant and regression blocks: those batches fall back,
+            // the rest do not.
             ("spikes, ABS 1e-5", &spiked, ErrorBound::Absolute(1e-5)),
             ("spikes, REL 1e-3", &spiked, ErrorBound::Relative(1e-3)),
+            ("centred spikes, ABS 1e-5", &centred_spiked, ErrorBound::Absolute(1e-5)),
             ("signed zeros", &zeros, ErrorBound::Absolute(1e-3)),
-            ("short tail block", &weight_like(128 * 3 + 5, 3), ErrorBound::Relative(1e-2)),
+            ("short tail block", &weight_like(128 * 3 + 5, 3, 1e-5), ErrorBound::Relative(1e-2)),
         ];
         // 1000 > BATCH: one block spans several batches, and a fallback
         // in one of them must leave its neighbours' codes alone.
         for codec in [Sz2::new(), Sz2::with_block_size(1000), Sz2::with_block_size(4)] {
+            let mut chosen = [0; 3];
             for (name, data, bound) in cases {
                 let packed = codec.compress(data, bound).unwrap();
                 let want = compress_reference(&codec, data, bound);
                 assert_eq!(packed, want, "{name}, block {}", codec.block);
-                if codec.block >= BLOCK && !name.contains("zeros") {
-                    assert!(regression_blocks(&packed) > 0, "{name}: no regression block");
+                let blocks = predictor_blocks(&packed);
+                if name.contains("centred") {
+                    assert!(blocks[0] > 0, "{name}, block {}: no constant block", codec.block);
                 }
+                chosen = [0, 1, 2].map(|k| chosen[k] + blocks[k]);
             }
+            // All three predictors occur at the default block size; a
+            // 4-element block never earns two coefficients back, and a
+            // 1000-element block's fit always beats Lorenzo here.
+            let [constant, lorenzo, regression] = chosen.map(|blocks| blocks > 0);
+            assert!(constant, "block {}: {chosen:?}", codec.block);
+            assert_eq!(lorenzo, codec.block <= BLOCK, "block {}: {chosen:?}", codec.block);
+            assert_eq!(regression, codec.block >= BLOCK, "block {}: {chosen:?}", codec.block);
         }
     }
 
-    /// Every residual of a regression block exactly half a bin from its
+    /// Every residual of a batched block exactly half a bin from its
     /// prediction: where round-half-away and round-half-even part ways,
     /// so the batch must stand down and the scalar path decide.
     #[test]
     fn exact_half_bin_residuals_match_the_scalar_reference() {
-        // Period 8, zero mean, zero first moment: the least-squares fit
-        // is exactly a = 0, b = 1, and the pattern wiggles enough that
-        // the fit still beats the previous-value predictor.
+        // Period 8, zero mean, zero first moment: the tensor's mean is
+        // exactly 1 and a block's least-squares fit exactly a = 0, b = 1.
         let pattern = [1.25f32, 0.75, 1.25, 0.75, 0.75, 1.25, 0.75, 1.25];
-        let data: Vec<f32> = pattern.iter().copied().cycle().take(BLOCK * 4).collect();
-        assert_eq!(fit_line(&data[..BLOCK]), (0.0, 1.0));
+        let low: Vec<f32> = pattern.iter().copied().cycle().take(BLOCK * 4).collect();
+        assert_eq!(fit_line(&low[..BLOCK]), (0.0, 1.0));
+        assert_eq!(mean_of(&low), 1.0);
         // eb = 0.25: bins are 0.5 wide, residuals are +-0.25.
         let bound = ErrorBound::Absolute(0.25);
+
+        // Constant blocks: the mean costs nothing and predicts as well
+        // as the line.
         let codec = Sz2::new();
-        let packed = codec.compress(&data, bound).unwrap();
-        assert_eq!(regression_blocks(&packed), 4);
-        assert_eq!(packed, compress_reference(&codec, &data, bound));
+        let packed = codec.compress(&low, bound).unwrap();
+        assert_eq!(predictor_blocks(&packed), [4, 0, 0]);
+        assert_eq!(packed, compress_reference(&codec, &low, bound));
         // Half away from zero: every value lands a whole bin from 1.0.
         let restored = codec.decompress(&packed).unwrap();
         assert!(restored.iter().all(|&v| v == 1.5 || v == 0.5), "{:?}", &restored[..8]);
+
+        // Regression blocks: a second stretch 8 higher pulls the mean
+        // to 5, away from both, and a 512-element block spreads the
+        // coefficients thin enough to beat Lorenzo.
+        let both: Vec<f32> = low.iter().copied().chain(low.iter().map(|v| v + 8.0)).collect();
+        let codec = Sz2::with_block_size(BLOCK * 4);
+        let packed = codec.compress(&both, bound).unwrap();
+        assert_eq!(predictor_blocks(&packed), [0, 0, 2]);
+        assert_eq!(packed, compress_reference(&codec, &both, bound));
+        let restored = codec.decompress(&packed).unwrap();
+        let (low, high) = restored.split_at(BLOCK * 4);
+        assert!(low.iter().all(|&v| v == 1.5 || v == 0.5), "{:?}", &low[..8]);
+        assert!(high.iter().all(|&v| v == 9.5 || v == 8.5), "{:?}", &high[..8]);
     }
 }
