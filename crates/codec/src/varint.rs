@@ -216,6 +216,39 @@ pub fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str> {
     std::str::from_utf8(bytes).map_err(|_| CodecError::Corrupt("invalid UTF-8 string"))
 }
 
+/// The most dimensions a tensor shape on the wire may have.
+const MAX_RANK: usize = 8;
+
+/// Appends a tensor shape: its rank, then each dimension.
+pub fn write_shape(out: &mut Vec<u8>, shape: &[usize]) {
+    write_uvarint(out, shape.len() as u64);
+    for &d in shape {
+        write_uvarint(out, d as u64);
+    }
+}
+
+/// Reads a tensor shape, advancing `pos`; returns it with the element
+/// count it multiplies out to.
+///
+/// # Errors
+///
+/// Returns [`CodecError::Corrupt`] for a rank above 8 or an element
+/// count that overflows `usize`.
+pub fn read_shape(buf: &[u8], pos: &mut usize) -> Result<(Vec<usize>, usize)> {
+    let rank = read_uvarint(buf, pos)? as usize;
+    if rank > MAX_RANK {
+        return Err(CodecError::Corrupt("tensor rank too large"));
+    }
+    let mut shape = Vec::with_capacity(rank);
+    let mut elems = 1usize;
+    for _ in 0..rank {
+        let d = read_uvarint(buf, pos)? as usize;
+        elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
+        shape.push(d);
+    }
+    Ok((shape, elems))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +337,22 @@ mod tests {
         let mut pos = 0;
         assert_eq!(read_str(&buf, &mut pos).unwrap(), "features.0.weight");
         assert_eq!(read_bytes(&buf, &mut pos).unwrap(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn shapes_round_trip_and_forged_ones_are_corrupt() {
+        let mut buf = Vec::new();
+        write_shape(&mut buf, &[16, 3, 3, 3]);
+        write_shape(&mut buf, &[]);
+        let mut pos = 0;
+        assert_eq!(read_shape(&buf, &mut pos).unwrap(), (vec![16, 3, 3, 3], 432));
+        assert_eq!(read_shape(&buf, &mut pos).unwrap(), (vec![], 1));
+        assert_eq!(pos, buf.len());
+        assert_eq!(read_shape(&[9], &mut 0), Err(CodecError::Corrupt("tensor rank too large")));
+        let mut huge = Vec::new();
+        write_shape(&mut huge, &[usize::MAX, 2]);
+        assert_eq!(read_shape(&huge, &mut 0), Err(CodecError::Corrupt("shape overflow")));
+        assert_eq!(read_shape(&[2, 5], &mut 0), Err(CodecError::UnexpectedEof));
     }
 
     #[test]

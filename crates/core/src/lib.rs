@@ -44,8 +44,8 @@ pub use fedsz_lossless::LosslessKind;
 pub use fedsz_lossy::{ErrorBound, LossyError, LossyKind};
 
 use fedsz_codec::varint::{
-    read_bytes, read_f32_vec, read_f64, read_str, read_uvarint, write_f32_slice, write_f64,
-    write_str, write_uvarint,
+    read_bytes, read_f32_vec, read_f64, read_shape, read_str, read_uvarint, write_f32_slice,
+    write_f64, write_shape, write_str, write_uvarint,
 };
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
@@ -269,10 +269,7 @@ impl FedSz {
             let lossy = partition::is_lossy(name, tensor.len(), self.config.threshold);
             write_str(out, name);
             out.push(u8::from(lossy));
-            write_uvarint(out, tensor.shape().len() as u64);
-            for &d in tensor.shape() {
-                write_uvarint(out, d as u64);
-            }
+            write_shape(out, tensor.shape());
             if lossy {
                 stats.lossy_elements += tensor.len();
                 stats.lossy_tensors += 1;
@@ -450,17 +447,7 @@ impl FedSz {
             let name = read_str(bytes, &mut pos)?.to_owned();
             let flag = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
             pos += 1;
-            let ndim = read_uvarint(bytes, &mut pos)? as usize;
-            if ndim > 8 {
-                return Err(CodecError::Corrupt("tensor rank too large"));
-            }
-            let mut shape = Vec::with_capacity(ndim);
-            let mut elems = 1usize;
-            for _ in 0..ndim {
-                let d = read_uvarint(bytes, &mut pos)? as usize;
-                elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
-                shape.push(d);
-            }
+            let (shape, elems) = read_shape(bytes, &mut pos)?;
             entries.push(EntryMeta { name, lossy: flag == 1, shape, elems });
         }
         if let Some(template) = template {
@@ -478,7 +465,11 @@ impl FedSz {
         let mut lossy_values: Vec<Vec<f32>> = Vec::new();
         for entry in entries.iter().filter(|e| e.lossy) {
             let stream = read_bytes(bytes, &mut pos)?;
-            if template.is_some() && fedsz_lossy::declared_len(stream)? != entry.elems {
+            // An honest stream declares what its entry's shape multiplies
+            // out to: with a template that is the architecture's count,
+            // without one it still stops a single forged length from
+            // sizing a buffer.
+            if fedsz_lossy::declared_len(stream)? != entry.elems {
                 return Err(CodecError::Corrupt("lossy tensor length mismatch"));
             }
             let values = lossy_codec.decompress(stream)?;
@@ -493,7 +484,7 @@ impl FedSz {
             .filter(|e| !e.lossy)
             .try_fold(0usize, |sum, e| sum.checked_add(e.elems.checked_mul(4)?))
             .ok_or(CodecError::Corrupt("shape overflow"))?;
-        if template.is_some() && fedsz_lossless::declared_len(blob)? != expected {
+        if fedsz_lossless::declared_len(blob)? != expected {
             return Err(CodecError::Corrupt("lossless blob length mismatch"));
         }
         let lossless_blob = lossless_codec.decompress(blob)?;

@@ -48,7 +48,9 @@
 //! therefore stand at `F > 2 / 1.72 ≈ 1.2` clients per frame against
 //! raw uploads and `F > 1.2 · r_up` against FedSZ-compressed ones.
 
-use fedsz_codec::varint::{read_str, read_uvarint, uvarint_len, write_str, write_uvarint};
+use fedsz_codec::varint::{
+    read_shape, read_str, read_uvarint, uvarint_len, write_shape, write_str, write_uvarint,
+};
 use fedsz_codec::{CodecError, Result};
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
@@ -536,10 +538,7 @@ impl PartialSum {
         write_uvarint(out, self.entries.len() as u64);
         for (name, shape, _) in &self.entries {
             write_str(out, name);
-            write_uvarint(out, shape.len() as u64);
-            for &d in shape {
-                write_uvarint(out, d as u64);
-            }
+            write_shape(out, shape);
         }
     }
 
@@ -563,17 +562,7 @@ impl PartialSum {
         let mut total = 0usize;
         for _ in 0..count {
             let name = read_str(bytes, pos)?.to_owned();
-            let rank = read_uvarint(bytes, pos)? as usize;
-            if rank > 8 {
-                return Err(CodecError::Corrupt("tensor rank too large"));
-            }
-            let mut shape = Vec::with_capacity(rank);
-            let mut elems = 1usize;
-            for _ in 0..rank {
-                let d = read_uvarint(bytes, pos)? as usize;
-                elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
-                shape.push(d);
-            }
+            let (shape, elems) = read_shape(bytes, pos)?;
             total = total.checked_add(elems).ok_or(CodecError::Corrupt("shape overflow"))?;
             headers.push((name, shape, elems));
         }

@@ -28,6 +28,7 @@ use crate::agg::psum::{PsumForwarder, PsumFrame, PsumMode, PsumScratch};
 use crate::agg::shard::PartialSum;
 use crate::link::LinkProfile;
 use crate::plan::{PlanError, StagePolicy};
+use crate::step::emit_eqn1;
 use fedsz::timing::{Eqn1Decision, Eqn1Leg};
 use fedsz_nn::StateDict;
 use fedsz_telemetry::{Telemetry, Value};
@@ -450,24 +451,7 @@ impl ShardedTree {
                     predicted_raw_secs: frame.predicted_raw_secs,
                     measured_codec_secs: frame.codec_secs,
                 };
-                self.telemetry.event(
-                    "eqn1.decision",
-                    &[
-                        ("leg", Value::Str(decision.leg.name())),
-                        ("node", Value::U64(decision.node)),
-                        ("compressed", Value::Bool(decision.compressed)),
-                        ("family", Value::Str(decision.family)),
-                        (
-                            "predicted_compressed_secs",
-                            Value::F64(decision.predicted_compressed_secs.unwrap_or(f64::NAN)),
-                        ),
-                        (
-                            "predicted_raw_secs",
-                            Value::F64(decision.predicted_raw_secs.unwrap_or(f64::NAN)),
-                        ),
-                        ("measured_codec_secs", Value::F64(decision.measured_codec_secs)),
-                    ],
-                );
+                emit_eqn1(&self.telemetry, &decision);
                 eqn1.push(decision);
                 level_ingress_bytes[level - 1] += frame.wire_bytes;
                 psum_payload_bytes += frame.payload_bytes;

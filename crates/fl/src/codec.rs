@@ -21,7 +21,9 @@
 //! encoding, preserving `sum(applied) + residual == sum(raw deltas)`
 //! exactly (up to f32 addition order).
 
-use fedsz_codec::varint::{read_bytes, read_str, read_uvarint, write_str, write_uvarint};
+use fedsz_codec::varint::{
+    read_bytes, read_shape, read_str, read_uvarint, write_shape, write_str, write_uvarint,
+};
 use fedsz_codec::{CodecError, Result};
 use fedsz_lossy::quant::Quantizer;
 use fedsz_lossy::sparse::Sparsifier;
@@ -166,10 +168,7 @@ impl FamilyCodec {
                 }
             }
             write_str(&mut out, name);
-            write_uvarint(&mut out, tensor.shape().len() as u64);
-            for &d in tensor.shape() {
-                write_uvarint(&mut out, d as u64);
-            }
+            write_shape(&mut out, tensor.shape());
             write_uvarint(&mut out, stream.len() as u64);
             out.extend_from_slice(&stream);
         }
@@ -218,17 +217,7 @@ impl FamilyCodec {
         let mut out = StateDict::new();
         for _ in 0..count {
             let name = read_str(body, &mut pos)?.to_owned();
-            let ndim = read_uvarint(body, &mut pos)? as usize;
-            if ndim > 8 {
-                return Err(CodecError::Corrupt("tensor rank too large"));
-            }
-            let mut shape = Vec::with_capacity(ndim);
-            let mut elems = 1usize;
-            for _ in 0..ndim {
-                let d = read_uvarint(body, &mut pos)? as usize;
-                elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
-                shape.push(d);
-            }
+            let (shape, elems) = read_shape(body, &mut pos)?;
             // Look the entry up before touching its stream: the
             // reference's shape, not the peer's header, is what sizes
             // every buffer below.

@@ -17,6 +17,10 @@
 //!   negabinary + embedded bit-plane coding (transform-based model), with
 //!   fixed-precision and fixed-accuracy modes.
 //!
+//! What their streams share — the header, the `f32` bound rule and, for
+//! SZ2 and SZ3, the container of quantized residuals — is one private
+//! module (`src/frame.rs`); a codec's module doc lists its own fields.
+//!
 //! # Error-bound semantics
 //!
 //! [`ErrorBound::Relative`] follows SZ's *value-range relative* mode: the
@@ -44,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod frame;
 pub mod quant;
 pub mod sparse;
 pub mod sz2;
@@ -228,13 +233,8 @@ impl LossyKind {
     ///
     /// Returns [`CodecError::Corrupt`] for unknown identifiers.
     pub fn from_id(id: u8) -> Result<Self> {
-        match id {
-            16 => Ok(Self::Sz2),
-            17 => Ok(Self::Sz3),
-            18 => Ok(Self::Szx),
-            19 => Ok(Self::Zfp),
-            _ => Err(CodecError::Corrupt("unknown lossy codec id")),
-        }
+        let known = Self::all().into_iter().find(|kind| kind.id() == id);
+        known.ok_or(CodecError::Corrupt("unknown lossy codec id"))
     }
 }
 
@@ -245,76 +245,24 @@ impl fmt::Display for LossyKind {
 }
 
 /// The element count an EBLC stream claims to decode to, read from
-/// the header all four families share (`id`, `version`, `uvarint n`)
-/// without decoding anything. A receiver that already knows how many
-/// values it expects compares this first, so a forged count is an
-/// error before any codec sizes a buffer from it.
+/// the header all four families share (see the `frame` module) without
+/// decoding anything. A receiver that already knows how many values it
+/// expects compares this first, so a forged count is an error before
+/// any codec sizes a buffer from it.
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] when the header is truncated.
+/// Returns a [`CodecError`] when the header is truncated, or is not the
+/// current version of one of the four families.
 pub fn declared_len(stream: &[u8]) -> Result<usize> {
-    let mut pos = 2usize;
-    let n = fedsz_codec::varint::read_uvarint(stream, &mut pos)?;
-    usize::try_from(n).map_err(|_| CodecError::Corrupt("element count overflows usize"))
-}
-
-/// Validates input for the SZ-family compressors and resolves the bound.
-pub(crate) fn resolve_bound(
-    data: &[f32],
-    bound: ErrorBound,
-) -> std::result::Result<f64, LossyError> {
-    // One pass answers both questions asked of every element: is it
-    // finite, and does it widen the value range a relative bound
-    // scales by. No early exit and eight independent lanes of plain
-    // `f32` arithmetic, so the loop vectorizes instead of being one
-    // long chain of dependent compares. `v * 0.0` is zero for a finite `v`
-    // and NaN otherwise, and a NaN sticks to its lane's sum. (Which of
-    // two equal extremes a lane keeps, +0.0 or -0.0 included, cannot
-    // change `max - min`.)
-    const LANES: usize = 8;
-    let mut min = [f32::INFINITY; LANES];
-    let mut max = [f32::NEG_INFINITY; LANES];
-    let mut poison = [0.0f32; LANES];
-    let mut chunks = data.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        let lanes = min.iter_mut().zip(max.iter_mut()).zip(poison.iter_mut());
-        for (((min, max), poison), &v) in lanes.zip(chunk) {
-            *min = min.min(v);
-            *max = max.max(v);
-            *poison += v * 0.0;
-        }
-    }
-    for &v in chunks.remainder() {
-        min[0] = min[0].min(v);
-        max[0] = max[0].max(v);
-        poison[0] += v * 0.0;
-    }
-    let finite = poison.iter().all(|&p| p == 0.0);
-    let min = min.into_iter().fold(f32::INFINITY, f32::min);
-    let max = max.into_iter().fold(f32::NEG_INFINITY, f32::max);
-    if !finite {
-        return Err(LossyError::NonFiniteInput);
-    }
-    match bound {
-        ErrorBound::FixedPrecision(_) => Err(LossyError::InvalidBound(bound)),
-        // Empty inputs have no range; any positive epsilon works.
-        ErrorBound::Absolute(eb) | ErrorBound::Relative(eb) if data.is_empty() => {
-            if eb.is_finite() && eb > 0.0 {
-                Ok(eb.max(1e-30))
-            } else {
-                Err(LossyError::InvalidBound(bound))
-            }
-        }
-        _ => bound
-            .absolute_over(Some(stats::ValueRange { min, max }))
-            .ok_or(LossyError::InvalidBound(bound)),
-    }
+    let id = *stream.first().ok_or(CodecError::UnexpectedEof)?;
+    frame::read_header(stream, LossyKind::from_id(id)?).map(|(n, _)| n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::resolve_bound;
 
     fn spiky_weights(n: usize) -> Vec<f32> {
         // Deterministic weight-like data: near-zero bulk with spikes,

@@ -3,11 +3,9 @@
 //! Mirrors the published SZ2 design (Liang et al., IEEE Big Data 2018)
 //! restricted to 1D data, which is how FedSZ uses it on flattened weight
 //! tensors: data is cut into small blocks, each block chooses the
-//! cheapest of three predictors, prediction residuals are quantized into
-//! `2*eb` bins, quantization codes are Huffman-coded and the whole
-//! stream is passed through a zstd-class lossless backend. Residuals
-//! outside the quantizer's range are stored verbatim ("unpredictable"
-//! values).
+//! cheapest of three predictors, and the prediction residuals go into
+//! the frame's residual container (`frame.rs`: `2*eb` bins, Huffman, a
+//! zstd-class backend, out-of-range values verbatim).
 //!
 //! The predictors, by what a block pays for them:
 //!
@@ -26,39 +24,26 @@
 //!
 //! # Stream layout (version 2)
 //!
-//! ```text
-//! u8 id (16) | u8 version (2) | uvarint n | f64 eb | uvarint block
-//! | f32 mean | uvarint packed_len | packed
-//! ```
-//!
-//! and nothing after `mean` when `n` is zero. `packed` is the LZ stage's
-//! frame of the inner container:
+//! The frame's header (`frame.rs`), `f64 eb | uvarint block | f32 mean`
+//! and, unless `n` is zero, the residual container with two sections:
 //!
 //! ```text
-//! uvarint len | block flags   one prefix code per block, MSB first:
-//!                             0 constant, 10 Lorenzo, 11 regression
-//! uvarint len | coefficients  f32 a, f32 b per regression block
-//! Huffman block               one code per element
-//! uvarint count | f32 values  the unpredictable values, in order
+//! block flags    one prefix code per block, MSB first:
+//!                0 constant, 10 Lorenzo, 11 regression
+//! coefficients   f32 a, f32 b per regression block
 //! ```
 //!
 //! Version 1 (one flag bit per block, no mean, no constant predictor) is
-//! refused with [`CodecError::UnsupportedVersion`]: SZ2 streams live for
-//! one upload and nothing stores them.
+//! refused with [`CodecError::UnsupportedVersion`].
 
-use crate::{resolve_bound, ErrorBound, ErrorBounded, LossyError, LossyKind};
-use fedsz_codec::bitio::{BitReader, BitWriter};
-use fedsz_codec::huffman::{self, Histogram};
-use fedsz_codec::quantizer::{Quantized, Quantizer};
-use fedsz_codec::varint::{
-    read_bytes, read_f32, read_f32_vec, read_f64, read_uvarint, write_f32, write_f32_slice,
-    write_f64, write_uvarint,
+use crate::frame::{
+    bound_as_f32, read_bound, read_header, resolve_bound, write_header, Container, Quantization,
 };
+use crate::{ErrorBound, ErrorBounded, LossyError, LossyKind};
+use fedsz_codec::bitio::{BitReader, BitWriter};
+use fedsz_codec::varint::{read_f32, read_uvarint, write_f32, write_f64, write_uvarint};
 use fedsz_codec::{CodecError, Result};
-use fedsz_lossless::{Lossless, ZstdLike};
 
-/// Stream format version.
-const VERSION: u8 = 2;
 /// Elements per prediction block.
 const BLOCK: usize = 128;
 /// Elements quantized per [`Quantizer::quantize_batch`] call: a whole
@@ -207,63 +192,6 @@ fn regression_margin(n: usize) -> f64 {
     series * 2f64.powi(whole as i32)
 }
 
-/// The quantizer's output as the encoder accumulates it.
-struct Quantization {
-    quantizer: Quantizer,
-    codes: Vec<u16>,
-    /// Counted as the codes are produced, so the Huffman stage does not
-    /// walk them again.
-    histogram: Histogram,
-    unpredictable: Vec<f32>,
-    /// What the decoder will hold for the most recent element: the
-    /// Lorenzo prediction of the next one.
-    last_recon: f32,
-}
-
-impl Quantization {
-    /// Quantizes one element against `pred`.
-    #[inline]
-    fn push(&mut self, pred: f32, value: f32) {
-        let (code, recon) = match self.quantizer.quantize(pred, value) {
-            Quantized::Code { code, reconstructed } => (code, reconstructed),
-            Quantized::Unpredictable(raw) => {
-                self.unpredictable.push(raw);
-                (Quantizer::UNPREDICTABLE, raw)
-            }
-        };
-        self.codes.push(code);
-        self.histogram.add(code);
-        self.last_recon = recon;
-    }
-
-    /// Quantizes a run whose predictions are all known up front — a
-    /// constant block's (the header mean) or a regression block's (the
-    /// fitted line), neither of which reads an earlier reconstruction.
-    /// Lorenzo blocks cannot take this path: each prediction *is* the
-    /// previous reconstruction.
-    fn push_run(&mut self, preds: &[f32], values: &[f32]) {
-        let start = self.codes.len();
-        self.codes.resize(start + values.len(), 0);
-        match self.quantizer.quantize_batch(preds, values, &mut self.codes[start..]) {
-            Some(last) => {
-                self.last_recon = last;
-                for &code in &self.codes[start..] {
-                    self.histogram.add(code);
-                }
-            }
-            // Some element is unpredictable, out of bound after
-            // rounding, or on a rounding tie: redo the run one element
-            // at a time.
-            None => {
-                self.codes.truncate(start);
-                for (&pred, &value) in preds.iter().zip(values) {
-                    self.push(pred, value);
-                }
-            }
-        }
-    }
-}
-
 impl Sz2 {
     /// Picks the block's predictor by estimated coded bits, on original
     /// values: the Lorenzo sum uses the previous original as a stand-in
@@ -294,19 +222,6 @@ impl Sz2 {
     }
 }
 
-/// The bound the quantizer enforces: the largest `f32` not above the one
-/// asked for. The quantizer fills its bound to the last bit, and the
-/// nearest `f32` can sit above `bound`.
-fn bound_as_f32(bound: f64) -> f32 {
-    let nearest = bound as f32;
-    let below = if f64::from(nearest) > bound { nearest.next_down() } else { nearest };
-    if below > 0.0 {
-        below
-    } else {
-        f32::MIN_POSITIVE
-    }
-}
-
 /// The tensor's mean: the constant predictor.
 fn mean_of(data: &[f32]) -> f32 {
     if data.is_empty() {
@@ -328,10 +243,7 @@ impl ErrorBounded for Sz2 {
         let eb = bound_as_f32(resolve_bound(data, bound)?);
         let mean = mean_of(data);
 
-        let mut out = Vec::with_capacity(data.len() + 32);
-        out.push(self.kind().id());
-        out.push(VERSION);
-        write_uvarint(&mut out, data.len() as u64);
+        let mut out = write_header(self.kind(), data.len());
         write_f64(&mut out, f64::from(eb));
         write_uvarint(&mut out, self.block as u64);
         write_f32(&mut out, mean);
@@ -339,13 +251,7 @@ impl ErrorBounded for Sz2 {
             return Ok(out);
         }
 
-        let mut quantized = Quantization {
-            quantizer: Quantizer::new(eb),
-            codes: Vec::with_capacity(data.len()),
-            histogram: Histogram::new(),
-            unpredictable: Vec::new(),
-            last_recon: 0.0,
-        };
+        let mut quantized = Quantization::new(eb, data.len());
         let mut flags = BitWriter::with_capacity(data.len().div_ceil(self.block).div_ceil(4));
         let mut coeffs: Vec<u8> = Vec::new();
 
@@ -379,52 +285,17 @@ impl ErrorBounded for Sz2 {
                 }
             }
         }
-        let Quantization { codes, histogram, unpredictable, .. } = quantized;
-
-        // Inner container: flags, coefficients, Huffman codes, raw values.
-        let flag_bytes = flags.into_bytes();
-        let code_block = huffman::encode_block_counted(&codes, &histogram);
-        drop(codes);
-        let mut inner = Vec::with_capacity(
-            flag_bytes.len() + coeffs.len() + code_block.len() + 4 * unpredictable.len() + 30,
-        );
-        write_uvarint(&mut inner, flag_bytes.len() as u64);
-        inner.extend_from_slice(&flag_bytes);
-        write_uvarint(&mut inner, coeffs.len() as u64);
-        inner.extend_from_slice(&coeffs);
-        inner.extend_from_slice(&code_block);
-        drop(code_block);
-        write_uvarint(&mut inner, unpredictable.len() as u64);
-        write_f32_slice(&mut inner, &unpredictable);
-
-        // SZ2 passes its Huffman output through zstd; so do we.
-        let packed = ZstdLike::new().compress(&inner);
-        write_uvarint(&mut out, packed.len() as u64);
-        out.extend_from_slice(&packed);
+        quantized.finish(&[&flags.into_bytes(), &coeffs], &mut out);
         Ok(out)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>> {
-        let mut pos = 0usize;
-        let id = *bytes.first().ok_or(CodecError::UnexpectedEof)?;
-        if id != self.kind().id() {
-            return Err(CodecError::Corrupt("not an SZ2 stream"));
-        }
-        pos += 1;
-        let version = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        pos += 1;
-        let n = read_uvarint(bytes, &mut pos)? as usize;
-        let eb = read_f64(bytes, &mut pos)? as f32;
+        let (n, mut pos) = read_header(bytes, self.kind())?;
+        let eb = read_bound(bytes, &mut pos)?;
         let block = read_uvarint(bytes, &mut pos)? as usize;
         let mean = read_f32(bytes, &mut pos)?;
         if n == 0 {
             return Ok(Vec::new());
-        }
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CodecError::Corrupt("invalid error bound in header"));
         }
         if !mean.is_finite() {
             return Err(CodecError::Corrupt("non-finite mean in header"));
@@ -432,49 +303,18 @@ impl ErrorBounded for Sz2 {
         if block < 4 {
             return Err(CodecError::Corrupt("invalid block size in header"));
         }
-        let packed = read_bytes(bytes, &mut pos)?;
-        // The inner container holds at most ~8 bytes per element
-        // (block flags and coefficients, 16-bit codes, raw
-        // unpredictables) plus a Huffman table; a frame claiming more
-        // is forged, and LZ expansion is otherwise unbounded.
-        if fedsz_lossless::declared_len(packed)? > n.saturating_mul(16).saturating_add(1 << 20) {
-            return Err(CodecError::Corrupt("inner stream larger than its element count allows"));
-        }
-        let inner = ZstdLike::new().decompress(packed)?;
-
-        let mut ipos = 0usize;
-        let flag_bytes = read_bytes(&inner, &mut ipos)?;
+        let container = Container::read(bytes, &mut pos, n, 2)?;
+        let (flag_bytes, coeff_bytes) = (container.section(0), container.section(1));
         // Two bits per block at most.
         if flag_bytes.len() > n.div_ceil(block).div_ceil(4) {
             return Err(CodecError::Corrupt("more block flags than blocks"));
         }
-        let coeff_bytes = read_bytes(&inner, &mut ipos)?;
-        let codes = huffman::decode_block(&inner, &mut ipos)?;
-        if codes.len() != n {
-            return Err(CodecError::Corrupt("code count mismatch"));
-        }
-        let n_unpred = read_uvarint(&inner, &mut ipos)? as usize;
-        // At most one raw value per element: the count sizes a buffer,
-        // so it must be bounded before it is trusted.
-        if n_unpred > n {
-            return Err(CodecError::Corrupt("more unpredictable values than elements"));
-        }
-        let unpredictable = read_f32_vec(&inner, &mut ipos, n_unpred)?;
-        // Settled once, so the per-element loops below cannot fail.
-        if codes.iter().filter(|&&code| code == Quantizer::UNPREDICTABLE).count() > n_unpred {
-            return Err(CodecError::Corrupt("missing unpredictable value"));
-        }
 
-        let quantizer = Quantizer::new(eb);
         let mut flags = BitReader::new(flag_bytes);
         let mut cpos = 0usize;
-        let mut raw = unpredictable.iter().copied();
-        let mut value_of = |pred: f32, code: u16| match code {
-            Quantizer::UNPREDICTABLE => raw.next().expect("raw values were counted above"),
-            _ => quantizer.dequantize(pred, code),
-        };
+        let mut value_of = container.values(eb);
         let mut out = Vec::with_capacity(n);
-        for codes in codes.chunks(block) {
+        for codes in container.codes.chunks(block) {
             // The prefix code of `Predictor::flag`.
             if !flags.read_bit()? {
                 out.extend(codes.iter().map(|&code| value_of(mean, code)));
@@ -499,7 +339,11 @@ impl ErrorBounded for Sz2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::with_forged_inner;
+    use fedsz_codec::huffman;
+    use fedsz_codec::quantizer::{Quantized, Quantizer};
     use fedsz_codec::stats::max_abs_error;
+    use fedsz_lossless::{Lossless, ZstdLike};
 
     fn check_bound(data: &[f32], eb: f32) {
         let codec = Sz2::new();
@@ -539,8 +383,7 @@ mod tests {
     /// A stream's element count and block size, and the byte offset of
     /// its header mean.
     fn header(stream: &[u8]) -> (usize, usize, usize) {
-        let mut pos = 2;
-        let n = read_uvarint(stream, &mut pos).unwrap() as usize;
+        let (n, mut pos) = read_header(stream, LossyKind::Sz2).unwrap();
         pos += 8;
         let block = read_uvarint(stream, &mut pos).unwrap() as usize;
         (n, block, pos)
@@ -550,9 +393,8 @@ mod tests {
     /// and the regression predictor.
     fn predictor_blocks(stream: &[u8]) -> [usize; 3] {
         let (n, block, mean_at) = header(stream);
-        let packed = read_bytes(stream, &mut (mean_at + 4)).unwrap();
-        let inner = ZstdLike::new().decompress(packed).unwrap();
-        let mut flags = BitReader::new(read_bytes(&inner, &mut 0).unwrap());
+        let container = Container::read(stream, &mut (mean_at + 4), n, 2).unwrap();
+        let mut flags = BitReader::new(container.section(0));
         let mut counts = [0; 3];
         for _ in 0..n.div_ceil(block) {
             let long = flags.read_bit().unwrap();
@@ -710,27 +552,18 @@ mod tests {
         let codec = Sz2::new();
         // Three blocks: one flag byte.
         let stream = codec.compress(&weight_like(300, 4, 0.0), ErrorBound::Relative(1e-2)).unwrap();
-        let mut pos = header(&stream).2 + 4;
-        let header = stream[..pos].to_vec();
-        let inner = ZstdLike::new().decompress(read_bytes(&stream, &mut pos).unwrap()).unwrap();
-        let mut ipos = 0;
-        let flags = read_bytes(&inner, &mut ipos).unwrap();
+        let at = header(&stream).2 + 4;
+        let flags = Container::read(&stream, &mut at.clone(), 300, 2).unwrap().section(0).to_vec();
         assert_eq!(flags.len(), 1);
         let rebuilt = |flags: &[u8]| {
-            let mut forged_inner = Vec::new();
-            write_uvarint(&mut forged_inner, flags.len() as u64);
-            forged_inner.extend_from_slice(flags);
-            forged_inner.extend_from_slice(&inner[ipos..]);
-            let packed = ZstdLike::new().compress(&forged_inner);
-            let mut forged = header.clone();
-            write_uvarint(&mut forged, packed.len() as u64);
-            forged.extend_from_slice(&packed);
-            forged
+            with_forged_inner(&stream, at, 2, |inner, _| {
+                // The honest section: a length byte and the flag byte.
+                inner.splice(..2, [&[flags.len() as u8], flags].concat());
+            })
         };
-        assert_eq!(rebuilt(flags), stream);
-        let padded = [flags, &[0u8; 1]].concat();
+        assert_eq!(rebuilt(&flags), stream);
         assert_eq!(
-            codec.decompress(&rebuilt(&padded)),
+            codec.decompress(&rebuilt(&[flags[0], 0])),
             Err(CodecError::Corrupt("more block flags than blocks"))
         );
         assert_eq!(codec.decompress(&rebuilt(&[])), Err(CodecError::UnexpectedEof));
@@ -758,8 +591,7 @@ mod tests {
     fn compress_reference(codec: &Sz2, data: &[f32], bound: ErrorBound) -> Vec<u8> {
         let eb = bound_as_f32(bound.absolute_for(data).unwrap());
         let mean = mean_of(data);
-        let mut out = vec![LossyKind::Sz2.id(), VERSION];
-        write_uvarint(&mut out, data.len() as u64);
+        let mut out = write_header(LossyKind::Sz2, data.len());
         write_f64(&mut out, f64::from(eb));
         write_uvarint(&mut out, codec.block as u64);
         write_f32(&mut out, mean);

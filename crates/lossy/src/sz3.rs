@@ -9,18 +9,16 @@
 //! per-block coefficients are stored, which is exactly why the paper
 //! observes SZ3 edging out SZ2's ratio at high error bounds while running
 //! slower (the predictor is costlier).
+//!
+//! The stream is the frame's header, `f64 eb` and a residual container
+//! with no sections, its codes in traversal order (see `frame.rs`).
 
-use crate::{resolve_bound, ErrorBound, ErrorBounded, LossyError, LossyKind};
-use fedsz_codec::huffman;
-use fedsz_codec::quantizer::{Quantized, Quantizer};
-use fedsz_codec::varint::{
-    read_bytes, read_f32_vec, read_f64, read_uvarint, write_f32_slice, write_f64, write_uvarint,
+use crate::frame::{
+    bound_as_f32, read_bound, read_header, resolve_bound, write_header, Container, Quantization,
 };
-use fedsz_codec::{CodecError, Result};
-use fedsz_lossless::{Lossless, ZstdLike};
-
-/// Stream format version.
-const VERSION: u8 = 1;
+use crate::{ErrorBound, ErrorBounded, LossyError, LossyKind};
+use fedsz_codec::varint::write_f64;
+use fedsz_codec::Result;
 
 /// SZ3-class error-bounded compressor.
 ///
@@ -47,29 +45,18 @@ impl Sz3 {
     }
 }
 
-/// The level-order traversal shared by encoder and decoder: position 0,
-/// then odd multiples of each power-of-two stride, coarse to fine.
+/// The level-order traversal shared by encoder and decoder, as
+/// `(position, stride)`: position 0 (stride 0 marks the seed point), then
+/// the odd multiples of each power-of-two stride, coarse to fine.
 fn traversal(n: usize) -> Vec<(usize, usize)> {
-    // Returns (position, stride) pairs; stride 0 marks the seed point.
     let mut order = Vec::with_capacity(n);
-    if n == 0 {
-        return order;
+    if n > 0 {
+        order.push((0, 0));
     }
-    order.push((0, 0));
-    if n == 1 {
-        return order;
-    }
-    let max_level = usize::BITS - 1 - (n - 1).leading_zeros();
-    let mut stride = 1usize << max_level;
+    // From the largest power of two below `n` (none when `n < 2`).
+    let mut stride = n.saturating_sub(1).checked_ilog2().map_or(0, |level| 1usize << level);
     while stride >= 1 {
-        let mut p = stride;
-        while p < n {
-            order.push((p, stride));
-            p += 2 * stride;
-        }
-        if stride == 1 {
-            break;
-        }
+        order.extend((stride..n).step_by(2 * stride).map(|p| (p, stride)));
         stride /= 2;
     }
     order
@@ -111,112 +98,36 @@ impl ErrorBounded for Sz3 {
         data: &[f32],
         bound: ErrorBound,
     ) -> std::result::Result<Vec<u8>, LossyError> {
-        let eb = resolve_bound(data, bound)? as f32;
-        let eb = if eb > 0.0 { eb } else { f32::MIN_POSITIVE };
-
-        let mut out = Vec::with_capacity(data.len() + 32);
-        out.push(self.kind().id());
-        out.push(VERSION);
-        write_uvarint(&mut out, data.len() as u64);
+        let eb = bound_as_f32(resolve_bound(data, bound)?);
+        let mut out = write_header(self.kind(), data.len());
         write_f64(&mut out, f64::from(eb));
         if data.is_empty() {
             return Ok(out);
         }
 
         let n = data.len();
-        let quantizer = Quantizer::new(eb);
         // Codes are emitted in traversal order; recon is indexed by
         // position so later levels can interpolate earlier ones.
-        let mut codes: Vec<u16> = Vec::with_capacity(n);
-        let mut unpredictable: Vec<f32> = Vec::new();
+        let mut quantized = Quantization::new(eb, n);
         let mut recon = vec![0.0f32; n];
         for (p, stride) in traversal(n) {
-            let pred = predict(&recon, p, stride, n);
-            match quantizer.quantize(pred, data[p]) {
-                Quantized::Code { code, reconstructed } => {
-                    codes.push(code);
-                    recon[p] = reconstructed;
-                }
-                Quantized::Unpredictable(raw) => {
-                    codes.push(Quantizer::UNPREDICTABLE);
-                    unpredictable.push(raw);
-                    recon[p] = raw;
-                }
-            }
+            recon[p] = quantized.push(predict(&recon, p, stride, n), data[p]);
         }
-
-        let mut inner = Vec::new();
-        inner.extend_from_slice(&huffman::encode_block(&codes));
-        write_uvarint(&mut inner, unpredictable.len() as u64);
-        write_f32_slice(&mut inner, &unpredictable);
-        let packed = ZstdLike::new().compress(&inner);
-        write_uvarint(&mut out, packed.len() as u64);
-        out.extend_from_slice(&packed);
+        quantized.finish(&[], &mut out);
         Ok(out)
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>> {
-        let mut pos = 0usize;
-        let id = *bytes.first().ok_or(CodecError::UnexpectedEof)?;
-        if id != self.kind().id() {
-            return Err(CodecError::Corrupt("not an SZ3 stream"));
-        }
-        pos += 1;
-        let version = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        pos += 1;
-        let n = read_uvarint(bytes, &mut pos)? as usize;
-        let eb = read_f64(bytes, &mut pos)? as f32;
+        let (n, mut pos) = read_header(bytes, self.kind())?;
+        let eb = read_bound(bytes, &mut pos)?;
         if n == 0 {
             return Ok(Vec::new());
         }
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(CodecError::Corrupt("invalid error bound in header"));
-        }
-        // The same three bounds as SZ2: this decoder runs on a peer's
-        // say-so (the FSZ1 header's lossy id picks it, not the plan), so
-        // no length field may size a buffer before something the
-        // receiver already knows bounds it. First, the frame length
-        // against the bytes present, with no overflow on the way.
-        let packed = read_bytes(bytes, &mut pos)?;
-        // Second, the inner container: at most ~6 bytes per element
-        // (16-bit codes, raw unpredictables) plus a Huffman table; a
-        // frame claiming more is forged, and LZ expansion is otherwise
-        // unbounded.
-        if fedsz_lossless::declared_len(packed)? > n.saturating_mul(16).saturating_add(1 << 20) {
-            return Err(CodecError::Corrupt("inner stream larger than its element count allows"));
-        }
-        let inner = ZstdLike::new().decompress(packed)?;
-
-        let mut ipos = 0usize;
-        let codes = huffman::decode_block(&inner, &mut ipos)?;
-        if codes.len() != n {
-            return Err(CodecError::Corrupt("code count mismatch"));
-        }
-        let n_unpred = read_uvarint(&inner, &mut ipos)? as usize;
-        // Third, at most one raw value per element.
-        if n_unpred > n {
-            return Err(CodecError::Corrupt("more unpredictable values than elements"));
-        }
-        let unpredictable = read_f32_vec(&inner, &mut ipos, n_unpred)?;
-
-        let quantizer = Quantizer::new(eb);
+        let container = Container::read(bytes, &mut pos, n, 0)?;
+        let mut value_of = container.values(eb);
         let mut recon = vec![0.0f32; n];
-        let mut upos = 0usize;
-        for (k, (p, stride)) in traversal(n).into_iter().enumerate() {
-            let pred = predict(&recon, p, stride, n);
-            let code = codes[k];
-            recon[p] = if code == Quantizer::UNPREDICTABLE {
-                let v = *unpredictable
-                    .get(upos)
-                    .ok_or(CodecError::Corrupt("missing unpredictable value"))?;
-                upos += 1;
-                v
-            } else {
-                quantizer.dequantize(pred, code)
-            };
+        for (&code, (p, stride)) in container.codes.iter().zip(traversal(n)) {
+            recon[p] = value_of(predict(&recon, p, stride, n), code);
         }
         Ok(recon)
     }
@@ -225,7 +136,10 @@ impl ErrorBounded for Sz3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::with_forged_inner;
     use fedsz_codec::stats::max_abs_error;
+    use fedsz_codec::varint::write_uvarint;
+    use fedsz_codec::CodecError;
 
     fn check_bound(data: &[f32], eb: f32) {
         let codec = Sz3::new();
@@ -292,6 +206,28 @@ mod tests {
         }
     }
 
+    /// SZ3 takes the frame's rounding: the bound in its header, which
+    /// its quantizer fills to the last bit, is never above the `f64`
+    /// that was asked for — where the nearest `f32` is, half the time.
+    #[test]
+    fn the_f32_bound_never_exceeds_the_one_asked_for() {
+        let data: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.37).sin() * 0.05).collect();
+        let mut nearest_was_above = false;
+        for rel in [1e-2, 3e-3, 1e-3, 7e-4] {
+            let bound = ErrorBound::Relative(rel);
+            let asked = bound.absolute_for(&data).unwrap();
+            nearest_was_above |= f64::from(asked as f32) > asked;
+            let stream = Sz3::new().compress(&data, bound).unwrap();
+            let mut pos = read_header(&stream, LossyKind::Sz3).unwrap().1;
+            assert!(f64::from(read_bound(&stream, &mut pos).unwrap()) <= asked, "REL {rel}");
+            let restored = Sz3::new().decompress(&stream).unwrap();
+            let errors = data.iter().zip(&restored).map(|(&x, &y)| f64::from(x) - f64::from(y));
+            let worst = errors.fold(0.0, |worst, e| e.abs().max(worst));
+            assert!(worst <= asked, "REL {rel}: {worst} > {asked}");
+        }
+        assert!(nearest_was_above, "no bound here rounds up to its nearest f32");
+    }
+
     #[test]
     fn spiky_weights_bounded() {
         let data: Vec<f32> = (0..10_000)
@@ -317,40 +253,27 @@ mod tests {
         assert!(codec.decompress(&packed).is_err());
     }
 
-    /// An honest stream with its inner container rewritten by `forge`
-    /// and re-packed, the way an attacker who knows the format would.
-    fn with_forged_inner(n: usize, forge: impl FnOnce(&mut Vec<u8>, usize)) -> Vec<u8> {
+    /// An honest `n`-element stream with its container re-packed around
+    /// what `forge` made of it (see [`with_forged_inner`]).
+    fn forged(n: usize, forge: impl FnOnce(&mut Vec<u8>, usize)) -> Vec<u8> {
         let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.05).sin()).collect();
         let honest = Sz3::new().compress(&data, ErrorBound::Absolute(1e-3)).unwrap();
-        let mut pos = 2;
-        read_uvarint(&honest, &mut pos).unwrap();
-        pos += 8;
-        let header = honest[..pos].to_vec();
-        let packed = read_bytes(&honest, &mut pos).unwrap();
-        let mut inner = ZstdLike::new().decompress(packed).unwrap();
-        // The unpredictable count follows the Huffman block.
-        let mut count_at = 0;
-        huffman::decode_block(&inner, &mut count_at).unwrap();
-        forge(&mut inner, count_at);
-        let mut stream = header;
-        let repacked = ZstdLike::new().compress(&inner);
-        write_uvarint(&mut stream, repacked.len() as u64);
-        stream.extend_from_slice(&repacked);
-        stream
+        let container_at = read_header(&honest, LossyKind::Sz3).unwrap().1 + 8;
+        with_forged_inner(&honest, container_at, 0, forge)
     }
 
     /// The count that used to reach `Vec::with_capacity` unchecked:
     /// 2^60 values is a 4 EiB request and an abort, not an error.
     #[test]
     fn forged_unpredictable_count_is_an_error() {
-        let stream = with_forged_inner(256, |inner, at| {
+        let stream = forged(256, |inner, at| {
             inner.truncate(at);
             write_uvarint(inner, 1 << 60);
         });
         assert!(Sz3::new().decompress(&stream).is_err());
         // One more raw value than elements, with the bytes to back it:
         // nothing overflows, but no encoder writes that.
-        let stream = with_forged_inner(64, |inner, at| {
+        let stream = forged(64, |inner, at| {
             inner.truncate(at);
             write_uvarint(inner, 65);
             inner.extend_from_slice(&[0u8; 4 * 65]);
@@ -365,9 +288,7 @@ mod tests {
     fn forged_frame_lengths_are_errors() {
         let data: Vec<f32> = (0..200).map(|i| i as f32 * 0.01).collect();
         let honest = Sz3::new().compress(&data, ErrorBound::Absolute(1e-3)).unwrap();
-        let mut pos = 2;
-        read_uvarint(&honest, &mut pos).unwrap();
-        pos += 8;
+        let pos = read_header(&honest, LossyKind::Sz3).unwrap().1 + 8;
         // A packed length that overflows `pos + len`.
         let mut stream = honest[..pos].to_vec();
         write_uvarint(&mut stream, u64::MAX - 3);

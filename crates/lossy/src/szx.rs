@@ -7,16 +7,24 @@
 //! requires. There is no prediction and no entropy stage — just bitwise
 //! operations — which makes this by far the fastest EBLC here and the
 //! weakest at ratio/fidelity, matching its corner of the paper's Table I.
+//!
+//! The stream is the frame's header (see `frame.rs`), `f64 eb`,
+//! `uvarint block` and the blocks' bits.
 
-use crate::{resolve_bound, ErrorBound, ErrorBounded, LossyError, LossyKind};
+use crate::frame::{check_count, read_header, resolve_bound, write_header};
+use crate::{ErrorBound, ErrorBounded, LossyError, LossyKind};
 use fedsz_codec::bitio::{BitReader, BitWriter};
 use fedsz_codec::varint::{read_f64, read_uvarint, write_f64, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 
-/// Stream format version.
-const VERSION: u8 = 1;
 /// Elements per block.
 const BLOCK: usize = 128;
+/// The largest block a stream may declare: a constant block stands for
+/// that many values in 33 bits, so this caps what a byte can expand to.
+const MAX_BLOCK: usize = 1 << 16;
+/// The fewest bits a block takes: a flag, a width and one truncated
+/// value's sign and exponent.
+const MIN_BLOCK_BITS: usize = 15;
 
 /// SZx-class error-bounded compressor.
 ///
@@ -47,9 +55,9 @@ impl Szx {
     ///
     /// # Panics
     ///
-    /// Panics if `block` is zero.
+    /// Panics if `block` is zero or above 65,536.
     pub fn with_block_size(block: usize) -> Self {
-        assert!(block > 0, "block size must be positive");
+        assert!((1..=MAX_BLOCK).contains(&block), "block size must be in 1..=65536");
         Self { block }
     }
 }
@@ -86,10 +94,7 @@ impl ErrorBounded for Szx {
         let eb = resolve_bound(data, bound)?;
         let eb = eb.max(f64::from(f32::MIN_POSITIVE));
 
-        let mut out = Vec::with_capacity(data.len() * 2 + 32);
-        out.push(self.kind().id());
-        out.push(VERSION);
-        write_uvarint(&mut out, data.len() as u64);
+        let mut out = write_header(self.kind(), data.len());
         write_f64(&mut out, eb);
         write_uvarint(&mut out, self.block as u64);
         if data.is_empty() {
@@ -98,7 +103,7 @@ impl ErrorBounded for Szx {
 
         // Exponent of the bound: 2^eb_exp <= eb.
         let eb_exp = eb.log2().floor() as i32;
-        let mut w = BitWriter::with_capacity(data.len() * 2);
+        let mut w = BitWriter::append_to(out);
         for chunk in data.chunks(self.block) {
             let mut min = f32::INFINITY;
             let mut max = f32::NEG_INFINITY;
@@ -131,32 +136,21 @@ impl ErrorBounded for Szx {
                 }
             }
         }
-        let payload = w.into_bytes();
-        out.extend_from_slice(&payload);
-        Ok(out)
+        Ok(w.into_bytes())
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>> {
-        let mut pos = 0usize;
-        let id = *bytes.first().ok_or(CodecError::UnexpectedEof)?;
-        if id != self.kind().id() {
-            return Err(CodecError::Corrupt("not an SZx stream"));
-        }
-        pos += 1;
-        let version = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        pos += 1;
-        let n = read_uvarint(bytes, &mut pos)? as usize;
+        let (n, mut pos) = read_header(bytes, self.kind())?;
         let _eb = read_f64(bytes, &mut pos)?;
-        let block = read_uvarint(bytes, &mut pos)? as usize;
+        let block = read_uvarint(bytes, &mut pos)?;
         if n == 0 {
             return Ok(Vec::new());
         }
-        if block == 0 {
+        if !(1..=MAX_BLOCK as u64).contains(&block) {
             return Err(CodecError::Corrupt("invalid block size in header"));
         }
+        let block = block as usize;
+        check_count(n, block, MIN_BLOCK_BITS, &bytes[pos..])?;
         let mut r = BitReader::new(&bytes[pos..]);
         let mut out = Vec::with_capacity(n);
         while out.len() < n {

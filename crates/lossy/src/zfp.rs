@@ -13,14 +13,16 @@
 //!   the rate, not the error;
 //! * **fixed accuracy**: derive the per-block plane budget from an
 //!   absolute error tolerance, which does bound the error.
+//!
+//! The stream is the frame's header (see `frame.rs`), a mode byte with
+//! its precision (`uvarint`) or tolerance (`f64`), and the blocks' bits.
 
+use crate::frame::{check_count, read_header, scan, write_header};
 use crate::{ErrorBound, ErrorBounded, LossyError, LossyKind};
 use fedsz_codec::bitio::{BitReader, BitWriter};
 use fedsz_codec::varint::{read_f64, read_uvarint, write_f64, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 
-/// Stream format version.
-const VERSION: u8 = 1;
 /// Values per ZFP block (1D).
 const BSIZE: usize = 4;
 /// Bits in the fixed-point representation.
@@ -216,11 +218,20 @@ fn decode_ints(r: &mut BitReader<'_>, maxprec: u32) -> Result<[u32; BSIZE]> {
     Ok(data)
 }
 
-/// Per-block plane budget in fixed-accuracy mode (ZFP's `precision()`
-/// helper for 1D: `maxexp - minexp + 2 * (dims + 1)`).
-#[inline]
-fn accuracy_precision(emax: i32, minexp: i32) -> u32 {
-    (emax - minexp + 4).clamp(0, INTPREC as i32) as u32
+impl Mode {
+    /// The plane budget of a block by its exponent, the same function on
+    /// both ends: the mode's own count, or in fixed-accuracy mode ZFP's
+    /// `precision()` for 1D, `emax - minexp + 2 * (dims + 1)`.
+    fn planes(self) -> impl Fn(i32) -> u32 {
+        let minexp = match self {
+            Mode::FixedAccuracy(eb) => eb.log2().floor() as i32,
+            Mode::FixedPrecision(_) => 0,
+        };
+        move |emax| match self {
+            Mode::FixedPrecision(p) => p,
+            Mode::FixedAccuracy(_) => (emax - minexp + 4).clamp(0, INTPREC as i32) as u32,
+        }
+    }
 }
 
 impl ErrorBounded for Zfp {
@@ -233,36 +244,20 @@ impl ErrorBounded for Zfp {
         data: &[f32],
         bound: ErrorBound,
     ) -> std::result::Result<Vec<u8>, LossyError> {
-        if data.iter().any(|v| !v.is_finite()) {
-            return Err(LossyError::NonFiniteInput);
-        }
+        scan(data)?;
+        let usable = |v: f64| v.is_finite() && v > 0.0;
         let mode = match bound {
-            ErrorBound::FixedPrecision(p) => {
-                if p == 0 || p > INTPREC {
-                    return Err(LossyError::InvalidBound(bound));
-                }
-                Mode::FixedPrecision(p)
-            }
-            ErrorBound::Absolute(eb) => {
-                if !(eb.is_finite() && eb > 0.0) {
-                    return Err(LossyError::InvalidBound(bound));
-                }
-                Mode::FixedAccuracy(eb)
-            }
-            ErrorBound::Relative(rel) => {
-                if !(rel.is_finite() && rel > 0.0) {
-                    return Err(LossyError::InvalidBound(bound));
-                }
-                // ZFP has no REL mode; FedSZ uses fixed precision as the
-                // closest analogue.
+            ErrorBound::FixedPrecision(p) if (1..=INTPREC).contains(&p) => Mode::FixedPrecision(p),
+            ErrorBound::Absolute(eb) if usable(eb) => Mode::FixedAccuracy(eb),
+            // ZFP has no REL mode; FedSZ uses fixed precision as the
+            // closest analogue.
+            ErrorBound::Relative(rel) if usable(rel) => {
                 Mode::FixedPrecision(Self::precision_for_relative(rel))
             }
+            _ => return Err(LossyError::InvalidBound(bound)),
         };
 
-        let mut out = Vec::with_capacity(data.len() * 2 + 32);
-        out.push(self.kind().id());
-        out.push(VERSION);
-        write_uvarint(&mut out, data.len() as u64);
+        let mut out = write_header(self.kind(), data.len());
         match mode {
             Mode::FixedPrecision(p) => {
                 out.push(0);
@@ -277,11 +272,8 @@ impl ErrorBounded for Zfp {
             return Ok(out);
         }
 
-        let minexp = match mode {
-            Mode::FixedAccuracy(eb) => eb.log2().floor() as i32,
-            Mode::FixedPrecision(_) => 0,
-        };
-        let mut w = BitWriter::with_capacity(data.len() * 2);
+        let planes = mode.planes();
+        let mut w = BitWriter::append_to(out);
         for chunk in data.chunks(BSIZE) {
             // Pad the final partial block by repeating its last value.
             let mut block = [0.0f32; BSIZE];
@@ -297,10 +289,7 @@ impl ErrorBounded for Zfp {
             let emax = exponent_of(amax);
             // Biased exponent: e + 127 fits 9 bits for all f32 inputs.
             w.write_bits((emax + 127) as u64, 9);
-            let maxprec = match mode {
-                Mode::FixedPrecision(p) => p,
-                Mode::FixedAccuracy(_) => accuracy_precision(emax, minexp),
-            };
+            let maxprec = planes(emax);
             if maxprec == 0 {
                 continue;
             }
@@ -314,24 +303,11 @@ impl ErrorBounded for Zfp {
             let u = [int2uint(q[0]), int2uint(q[1]), int2uint(q[2]), int2uint(q[3])];
             encode_ints(&mut w, &u, maxprec);
         }
-        let payload = w.into_bytes();
-        out.extend_from_slice(&payload);
-        Ok(out)
+        Ok(w.into_bytes())
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>> {
-        let mut pos = 0usize;
-        let id = *bytes.first().ok_or(CodecError::UnexpectedEof)?;
-        if id != self.kind().id() {
-            return Err(CodecError::Corrupt("not a ZFP stream"));
-        }
-        pos += 1;
-        let version = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        pos += 1;
-        let n = read_uvarint(bytes, &mut pos)? as usize;
+        let (n, mut pos) = read_header(bytes, self.kind())?;
         let mode_tag = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
         pos += 1;
         let mode = match mode_tag {
@@ -354,10 +330,9 @@ impl ErrorBounded for Zfp {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let minexp = match mode {
-            Mode::FixedAccuracy(eb) => eb.log2().floor() as i32,
-            Mode::FixedPrecision(_) => 0,
-        };
+        let planes = mode.planes();
+        // A block costs at least its one flag bit.
+        check_count(n, BSIZE, 1, &bytes[pos..])?;
         let mut r = BitReader::new(&bytes[pos..]);
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
@@ -370,10 +345,7 @@ impl ErrorBounded for Zfp {
             if !(-127..=128).contains(&emax) {
                 return Err(CodecError::Corrupt("exponent out of range"));
             }
-            let maxprec = match mode {
-                Mode::FixedPrecision(p) => p,
-                Mode::FixedAccuracy(_) => accuracy_precision(emax, minexp),
-            };
+            let maxprec = planes(emax);
             if maxprec == 0 {
                 out.extend(std::iter::repeat_n(0.0f32, take));
                 continue;

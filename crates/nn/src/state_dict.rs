@@ -6,7 +6,8 @@
 //! the role of the paper's pickle serialization.
 
 use fedsz_codec::varint::{
-    read_f32_vec, read_str, read_uvarint, write_f32_slice, write_str, write_uvarint,
+    read_f32_vec, read_shape, read_str, read_uvarint, write_f32_slice, write_shape, write_str,
+    write_uvarint,
 };
 use fedsz_codec::{CodecError, Result};
 use fedsz_tensor::Tensor;
@@ -117,10 +118,7 @@ impl StateDict {
         write_uvarint(out, self.entries.len() as u64);
         for (name, tensor) in &self.entries {
             write_str(out, name);
-            write_uvarint(out, tensor.shape().len() as u64);
-            for &d in tensor.shape() {
-                write_uvarint(out, d as u64);
-            }
+            write_shape(out, tensor.shape());
             write_f32_slice(out, tensor.data());
         }
     }
@@ -141,17 +139,7 @@ impl StateDict {
         let mut dict = StateDict::new();
         for _ in 0..count {
             let name = read_str(bytes, &mut pos)?.to_owned();
-            let ndim = read_uvarint(bytes, &mut pos)? as usize;
-            if ndim > 8 {
-                return Err(CodecError::Corrupt("tensor rank too large"));
-            }
-            let mut shape = Vec::with_capacity(ndim);
-            let mut elems = 1usize;
-            for _ in 0..ndim {
-                let d = read_uvarint(bytes, &mut pos)? as usize;
-                elems = elems.checked_mul(d).ok_or(CodecError::Corrupt("shape overflow"))?;
-                shape.push(d);
-            }
+            let (shape, elems) = read_shape(bytes, &mut pos)?;
             if elems > bytes.len().saturating_sub(pos) / 4 + 1 {
                 return Err(CodecError::Corrupt("tensor larger than remaining input"));
             }

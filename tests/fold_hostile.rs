@@ -1,17 +1,20 @@
-//! Hostile-input tests of the fold step's two decoders:
-//! `FoldStep::decode` (worker uploads) and `FoldStep::decode_partial`
-//! (relay partial-sum frames).
+//! Hostile-input tests of every decoder a peer's bytes can reach: the
+//! fold step's two (`FoldStep::decode` for worker uploads,
+//! `FoldStep::decode_partial` for relay partial-sum frames), the four
+//! EBLC families on their own, and `FedSz::decompress_with_config` —
+//! FSZ1 with no template, which is what a worker runs on its downlink
+//! and `fedsz decompress` on a file.
 //!
 //! Every byte of an upload may come from a peer, so for each payload
-//! kind the fold step accepts — an `FSZ1` FedSZ stream, `FUC1` sparse
-//! and quantized delta streams, raw dict bytes, `PsumCodec` frames of
-//! the exact (stride 16) and the `f64` (stride 8) partial-sum image, a
-//! bare exact image —
+//! kind — an `FSZ1` FedSZ stream, `FUC1` sparse and quantized delta
+//! streams, raw dict bytes, `PsumCodec` frames of the exact (stride 16)
+//! and the `f64` (stride 8) partial-sum image, a bare exact image, bare
+//! SZ3, SZx and ZFP streams, an `FSZ1` stream read without a template —
 //! bit flips, truncations and forged length fields (with the CRC
 //! trailer recomputed, as an attacker would) must come back as `Err`,
 //! or as a dict or sum that still passed validation: never a panic, and
-//! never an allocation sized by a length field the template does not
-//! back.
+//! never an allocation sized by a length field that neither the
+//! template nor the bytes present back.
 //!
 //! The allocation bound is observed, not assumed: this test binary
 //! installs a global allocator that records the largest single request
@@ -20,13 +23,12 @@
 use fedsz::{FedSz, FedSzConfig, LossyKind};
 use fedsz_codec::checksum::crc32;
 use fedsz_codec::huffman::{self, HuffmanTable};
-use fedsz_codec::varint::{read_bytes, read_uvarint, uvarint_len, write_uvarint};
+use fedsz_codec::varint::{read_bytes, read_uvarint, uvarint_len, write_bytes, write_uvarint};
 use fedsz_fl::agg::PartialSum;
 use fedsz_fl::codec::FamilyCodec;
 use fedsz_fl::step::FoldStep;
 use fedsz_fl::{FlConfig, StagePolicy};
 use fedsz_lossless::{Lossless, PsumCodec, ZstdLike};
-use fedsz_lossy::{ErrorBounded, Sz3};
 use fedsz_net::Message;
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
@@ -119,6 +121,13 @@ enum Route {
     /// A compressed `f64` image of this many bytes, through the codec
     /// and `PartialSum::decode_payload` — the simulator's self-check.
     PsumF64 { image_len: usize },
+    /// A bare EBLC stream, through that family's `decompress`: what an
+    /// FSZ1 header's lossy id selects, with no template to check the
+    /// element count first.
+    Lossy(LossyKind),
+    /// An FSZ1 stream through `FedSz::decompress_with_config`, which
+    /// has no template: the worker's downlink, `fedsz decompress`.
+    Templateless,
 }
 
 /// One payload kind: the policy whose fold step accepts it, an honest
@@ -133,7 +142,7 @@ struct Kind {
 
 impl Kind {
     fn crc_trailer(&self) -> bool {
-        self.route == Route::Upload { compressed: true }
+        matches!(self.route, Route::Upload { compressed: true } | Route::Templateless)
     }
 }
 
@@ -182,13 +191,14 @@ fn kinds(reference: &StateDict) -> Vec<Kind> {
     let psum_template = psum_template();
     let sum = partial_of(&psum_template);
     let f64_image = sum.encode_payload();
+    let fsz1 = FedSz::new(codec).compress(&update).unwrap().into_bytes();
+    let bare = |name, family: LossyKind| {
+        let tensor = update.get("conv.weight").unwrap();
+        let stream = family.codec().compress(tensor.data(), codec.error_bound).unwrap();
+        kind(name, &StagePolicy::Raw, stream, Route::Lossy(family))
+    };
     vec![
-        kind(
-            "FSZ1",
-            &StagePolicy::Lossy(codec),
-            FedSz::new(codec).compress(&update).unwrap().into_bytes(),
-            upload(true),
-        ),
+        kind("FSZ1", &StagePolicy::Lossy(codec), fsz1.clone(), upload(true)),
         // The FSZ1 header's lossy id, not the server's plan, picks the
         // decoder: a server whose plan says SZ2 still runs SZ3 on a
         // frame that says SZ3.
@@ -222,7 +232,16 @@ fn kinds(reference: &StateDict) -> Vec<Kind> {
             PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE).compress(&f64_image),
             Route::PsumF64 { image_len: f64_image.len() },
         ),
+        bare("sz3", LossyKind::Sz3),
+        bare("szx", LossyKind::Szx),
+        bare("zfp", LossyKind::Zfp),
+        kind("FSZ1-no-template", &StagePolicy::Raw, fsz1, Route::Templateless),
     ]
+}
+
+/// One of [`kinds`], by name.
+fn kind_named(reference: &StateDict, name: &str) -> Kind {
+    kinds(reference).into_iter().find(|k| k.name == name).expect("a kind of that name")
 }
 
 /// Overwrites `payload` at `at` with the LEB128 encoding of `value`
@@ -264,6 +283,12 @@ fn decode(kind: &Kind, payload: &[u8], reference: &StateDict, what: &str) -> Res
                 .decompress_within(payload, image_len)
                 .map_err(|e| e.to_string())?;
             PartialSum::decode_payload(&image).map_err(|e| e.to_string())?;
+        }
+        Route::Lossy(family) => {
+            family.codec().decompress(payload).map_err(|e| e.to_string())?;
+        }
+        Route::Templateless => {
+            FedSz::decompress_with_config(payload).map_err(|e| e.to_string())?;
         }
     }
     Ok(())
@@ -363,58 +388,80 @@ fn thirty_byte_sparse_frame_is_an_error_not_an_abort() {
     assert!(!decode_is_total(&kind, &kind.payload, &reference, "the 30-byte hostile frame"));
 }
 
-/// The stream from the SZ3 bug report: an honest SZ3 frame whose
-/// inner container has its unpredictable-value count rewritten to
-/// 2^60 and is re-packed, so every outer length and checksum is
-/// consistent. Before the fix `Sz3::decompress` passed that count to
-/// `Vec::with_capacity` — a 4 EiB request and a SIGABRT. It must be
-/// an `Err` both bare and wrapped in an FSZ1 frame whose header says
-/// SZ3, which is how it reaches a server from the network.
+/// Swaps the `honest` lossy stream inside an FSZ1 payload for `forged`
+/// and fixes its length prefix and the CRC trailer: how a forged EBLC
+/// stream reaches a decoder from the network.
+fn swap_lossy_stream(fsz1: &[u8], honest: &[u8], forged: &[u8]) -> Vec<u8> {
+    let mut prefixed = Vec::new();
+    write_bytes(&mut prefixed, honest);
+    let at = fsz1
+        .windows(prefixed.len())
+        .position(|w| w == prefixed)
+        .expect("the FSZ1 frame carries the honest stream");
+    let mut payload = fsz1[..at].to_vec();
+    write_bytes(&mut payload, forged);
+    payload.extend_from_slice(&fsz1[at + prefixed.len()..]);
+    fix_crc(&mut payload);
+    payload
+}
+
+/// The stream from the SZ3 bug report: a well-formed SZ3 stream whose
+/// residual container claims 2^60 unpredictable values, so every outer
+/// length and checksum is consistent. Before the fix `Sz3::decompress`
+/// passed that count to `Vec::with_capacity` — a 4 EiB request and a
+/// SIGABRT. It must be an `Err` both bare and wrapped in an FSZ1 frame
+/// whose header says SZ3, which is how it reaches a server from the
+/// network.
 #[test]
 fn forged_sz3_unpredictable_count_is_an_error_not_an_abort() {
     let reference = template();
-    let kind = kinds(&reference).into_iter().find(|k| k.name == "FSZ1-sz3").unwrap();
-    let tensor = update_of(&reference).get("conv.weight").unwrap().clone();
-    let bound = FlConfig::tiny_model_compression().error_bound;
-    let honest = Sz3::new().compress(tensor.data(), bound).unwrap();
+    let (bare, framed) = (&kind_named(&reference, "sz3"), &kind_named(&reference, "FSZ1-sz3"));
 
-    // Header (id, version, n, eb), then the length-prefixed zstd frame.
-    let mut pos = 2;
-    read_uvarint(&honest, &mut pos).unwrap();
-    pos += 8;
-    let mut forged = honest[..pos].to_vec();
-    let mut inner = ZstdLike::new().decompress(read_bytes(&honest, &mut pos).unwrap()).unwrap();
-    let mut count_at = 0;
-    huffman::decode_block(&inner, &mut count_at).unwrap();
-    forge_varint(&mut inner, count_at, 1 << 60);
-    let repacked = ZstdLike::new().compress(&inner);
-    write_uvarint(&mut forged, repacked.len() as u64);
-    forged.extend_from_slice(&repacked);
+    // Built by hand: header, bound, and a container of one
+    // zero-residual code per element of the lossy tensor, closed by the
+    // raw-value count.
+    let n = reference.get("conv.weight").unwrap().len();
+    let stream = |count: u64| {
+        let mut inner = huffman::encode_block(&vec![1u16 << 15; n]);
+        write_uvarint(&mut inner, count);
+        let mut stream = vec![LossyKind::Sz3.id(), 1];
+        write_uvarint(&mut stream, n as u64);
+        stream.extend(1e-3f64.to_le_bytes());
+        write_bytes(&mut stream, &ZstdLike::new().compress(&inner));
+        stream
+    };
+    assert!(decode_is_total(bare, &stream(0), &reference, "the hand-built stream"));
+    let forged = stream(1 << 60);
+    assert!(!decode_is_total(bare, &forged, &reference, "the forged SZ3 stream"));
+    let payload = swap_lossy_stream(&framed.payload, &bare.payload, &forged);
+    assert!(!decode_is_total(framed, &payload, &reference, "the forged SZ3 frame"));
+}
 
-    // Bare, under the allocation watch.
-    let limit = 16 * reference.byte_size() + (4 << 20);
-    LARGEST.with(|largest| largest.set(0));
-    let outcome = std::panic::catch_unwind(|| Sz3::new().decompress(&forged));
-    let largest = LARGEST.with(Cell::get);
-    assert!(outcome.expect("bare decode panicked").is_err());
-    assert!(largest <= limit, "bare decode requested {largest} bytes at once");
-
-    // Framed: swap the honest lossy stream inside the FSZ1 payload for
-    // the forgery, fix its length prefix and the CRC trailer.
-    let mut prefixed = Vec::new();
-    write_uvarint(&mut prefixed, honest.len() as u64);
-    prefixed.extend_from_slice(&honest);
-    let at = kind
-        .payload
-        .windows(prefixed.len())
-        .position(|w| w == prefixed)
-        .expect("the FSZ1 frame carries the honest SZ3 stream");
-    let mut payload = kind.payload[..at].to_vec();
-    write_uvarint(&mut payload, forged.len() as u64);
-    payload.extend_from_slice(&forged);
-    payload.extend_from_slice(&kind.payload[at + prefixed.len()..]);
-    fix_crc(&mut payload);
-    assert!(!decode_is_total(&kind, &payload, &reference, "the forged SZ3 frame"));
+/// The two streams from the SZx/ZFP bug report: a header whose element
+/// count is 2^40 and nothing behind it. Both decoders passed the count
+/// to `Vec::with_capacity` as read — a 4 TiB request: a SIGABRT in
+/// release, a capacity panic in debug. They must be an `Err` bare and
+/// inside an FSZ1 frame read with no template, where the frame's
+/// header, not a plan, picks the decoder.
+#[test]
+fn forged_element_counts_are_errors_not_aborts() {
+    let reference = template();
+    let no_template = kind_named(&reference, "FSZ1-no-template");
+    let codec: FedSzConfig = FlConfig::tiny_model_compression();
+    let mut count = Vec::new();
+    write_uvarint(&mut count, 1 << 40);
+    // id, version, n, then SZx's bound and block size / ZFP's mode and
+    // precision.
+    let szx = [&[18, 1][..], &count, &1e-3f64.to_le_bytes(), &[128, 1]].concat();
+    let zfp = [&[19, 1][..], &count, &[0, 12]].concat();
+    assert_eq!((szx.len(), zfp.len()), (18, 10));
+    for (family, name, forged) in [(LossyKind::Szx, "szx", szx), (LossyKind::Zfp, "zfp", zfp)] {
+        let bare = kind_named(&reference, name);
+        assert!(!decode_is_total(&bare, &forged, &reference, "the forged count, bare"));
+        let fsz1 = FedSz::new(codec.with_lossy(family)).compress(&update_of(&reference)).unwrap();
+        let framed = swap_lossy_stream(fsz1.bytes(), &bare.payload, &forged);
+        assert!(!decode_is_total(&no_template, &framed, &reference, "the forged count, framed"));
+    }
 }
 
 /// The frame from the psum bug report: an honest relay frame with its
@@ -426,7 +473,7 @@ fn forged_sz3_unpredictable_count_is_an_error_not_an_abort() {
 #[test]
 fn forged_psum_length_is_an_error_not_an_abort() {
     let reference = template();
-    let kind = kinds(&reference).into_iter().find(|k| k.name == "psum-exact").unwrap();
+    let kind = kind_named(&reference, "psum-exact");
     let image_len = partial_of(kind.fold.template()).encode_exact().len() as u64;
     let mut forged = kind.payload[..2].to_vec();
     write_uvarint(&mut forged, 1 << 60);
@@ -489,7 +536,7 @@ proptest! {
     /// and without the CRC recomputed.
     #[test]
     fn mutated_uploads_are_errors_not_crashes(
-        which in 0usize..8,
+        which in 0usize..12,
         mutation in 0usize..3,
         at in any::<u32>(),
         bit in 0u32..8,
