@@ -44,7 +44,9 @@
 //!
 //! v2 added the observability columns: `level_merge_nanos` (wall
 //! nanoseconds merging into each tree level, root first; the
-//! simulator fills it, `serve` reports `null`) and `eqn1` (every
+//! simulator fills one element per level, `serve` one element — its
+//! own fold, accumulate / try_merge plus the root's finish, decode
+//! excluded as in the simulator's flat merge) and `eqn1` (every
 //! Eqn-1 compression decision the round made — leg, node, chosen
 //! path, the predicted costs of both paths when the decision was
 //! priced, and the measured codec seconds), and later the elastic
@@ -99,7 +101,8 @@ pub struct RoundRow {
     /// (`None` only on a relay, which never holds the global).
     pub checksum: Option<u32>,
     /// Wall nanoseconds merging into each aggregation-tree level, root
-    /// first (`None` for `serve`, whose relays own their own merges).
+    /// first. `serve` reports one element, this server's own fold (its
+    /// relays report theirs).
     pub level_merge_nanos: Option<Vec<u64>>,
     /// Every Eqn-1 compression decision the round made (`None` for
     /// `serve`; workers price their own uplinks).
@@ -148,12 +151,12 @@ impl RoundRow {
     }
 
     /// Builds a socket (`serve`) row — the other half of the
-    /// contract: per-round checksums and membership counters are
-    /// filled, while accuracies, merge timings, Eqn-1 records and the
-    /// clipped fraction stay `null` (they happen inside worker and
-    /// relay processes this server cannot see). A relay never holds
-    /// the global, so `relay` nulls the checksum rather than emitting
-    /// a bogus `0x00000000`. `dp_sigma` comes from the shared plan —
+    /// contract: per-round checksums, membership counters and this
+    /// server's own fold time (one `level_merge_nanos` element) are
+    /// filled, while accuracies, Eqn-1 records and the clipped fraction
+    /// stay `null` (they happen inside worker processes this server
+    /// cannot see). A relay never holds the global, so `relay` nulls
+    /// the checksum rather than emitting a bogus `0x00000000`. `dp_sigma` comes from the shared plan —
     /// the server knows the policy even though the noise is applied
     /// worker-side.
     pub fn socket(r: &NetRound, relay: bool, dp_sigma: Option<f64>) -> Self {
@@ -166,7 +169,7 @@ impl RoundRow {
             downstream_bytes: r.downstream_bytes,
             secs: r.wall_secs,
             checksum: (!relay).then_some(r.checksum),
-            level_merge_nanos: None,
+            level_merge_nanos: Some(vec![r.merge_nanos]),
             eqn1: None,
             reconnects: Some(r.reconnects),
             reparented: Some(r.reparented),
@@ -404,7 +407,7 @@ mod tests {
         // Every decision names its codec family.
         assert!(json.contains("\"family\": \"lossy\""), "{json}");
         assert!(json.contains("\"family\": \"raw\""), "{json}");
-        // ...and round 1 (a serve-style row) nulls whole columns.
+        // ...and round 1 nulls whole columns.
         assert!(json.contains("\"level_merge_nanos\": null"), "{json}");
         assert!(json.contains("\"eqn1\": null"), "{json}");
         // The elastic-membership columns follow the same rule: the
@@ -428,6 +431,7 @@ mod tests {
             reconnects: 2,
             reparented: 1,
             wall_secs: 0.25,
+            merge_nanos: 5230,
             checksum: 0xdeadbeef,
         };
         let row = RoundRow::socket(&net, false, Some(0.1));
@@ -435,9 +439,10 @@ mod tests {
         assert_eq!(row.checksum, Some(0xdeadbeef));
         assert_eq!(row.reconnects, Some(2));
         assert_eq!(row.dp_sigma, Some(0.1));
+        // One level: this server's own fold.
+        assert_eq!(row.level_merge_nanos, Some(vec![5230]));
         // The socket side can never observe these.
         assert_eq!(row.accuracy, None);
-        assert_eq!(row.level_merge_nanos, None);
         assert_eq!(row.eqn1, None);
         assert_eq!(row.clipped_fraction, None);
         // A relay never holds the global model.

@@ -59,6 +59,13 @@ use fedsz_tensor::Tensor;
 /// summed exactly as multiples of `2^-80`.
 pub const FRAC_BITS: i32 = 80;
 
+/// The batched kernels' fast window over a term's biased exponent:
+/// `shift = (biased - 1075) + FRAC_BITS` lands in `[0, 74]`, so the
+/// quantized magnitude is the mantissa shifted left by `biased -
+/// FAST_LO`.
+pub(super) const FAST_LO: i32 = 1075 - FRAC_BITS;
+pub(super) const FAST_HI: i32 = FAST_LO + 74;
+
 /// Quantizes one `f64` term onto the `2^-80` grid (truncating toward
 /// zero), exactly — the shift arithmetic never rounds twice.
 ///
@@ -99,7 +106,11 @@ fn quantize(term: f64) -> i128 {
 /// Internally a signed 128-bit fixed-point integer at [`FRAC_BITS`]
 /// fractional bits; see the module docs for why this makes sharded
 /// aggregation bit-identical to flat aggregation.
+///
+/// `repr(transparent)`: a slice of accumulators is a slice of `i128`s,
+/// which is how the AVX2 kernel behind [`ExactAcc::add_slice`] loads it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(transparent)]
 pub struct ExactAcc(i128);
 
 impl ExactAcc {
@@ -168,15 +179,26 @@ impl ExactAcc {
     /// separate rounding step to diverge: the fast path computes the
     /// same `(frac | 2^52) << (e + FRAC_BITS)` the scalar path does.
     ///
+    /// On an x86-64 host with AVX2 the slice runs through a four-lane
+    /// kernel (`agg/simd.rs`) doing the same per-element arithmetic;
+    /// everywhere else, and as that kernel's test oracle, it runs the
+    /// portable loop.
+    ///
     /// # Panics
     ///
     /// Panics on slice length mismatch, and wherever [`ExactAcc::add`]
     /// panics (non-finite terms, magnitude `>= 2^47`, overflow).
     pub fn add_slice(accs: &mut [ExactAcc], values: &[f32], weight: f64) {
+        #[cfg(target_arch = "x86_64")]
+        if super::simd::add_slice(accs, values, weight) {
+            return;
+        }
+        Self::add_slice_portable(accs, values, weight);
+    }
+
+    /// The portable [`ExactAcc::add_slice`]: one element per step.
+    pub(super) fn add_slice_portable(accs: &mut [ExactAcc], values: &[f32], weight: f64) {
         assert_eq!(accs.len(), values.len(), "kernel slice length mismatch");
-        // shift = (biased - 1075) + FRAC_BITS must land in [0, 74].
-        const FAST_LO: i32 = 1075 - FRAC_BITS;
-        const FAST_HI: i32 = FAST_LO + 74;
         for (acc, &v) in accs.iter_mut().zip(values) {
             let term = weight * f64::from(v);
             let bits = term.to_bits();

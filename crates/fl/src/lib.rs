@@ -34,6 +34,12 @@
 //! See `ARCHITECTURE.md` at the repository root for the full layer
 //! walk-through and the wire-frame formats.
 //!
+//! Every fold goes through [`agg::ExactAcc::add_slice`], which on an
+//! x86-64 host with AVX2 runs a four-lane kernel (the private
+//! `agg::simd` module, this crate's only `unsafe`) and elsewhere the
+//! portable loop. The two compute the same integers, so no global
+//! model, checksum or golden depends on which one ran.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,7 +53,10 @@
 //! assert!(metrics[0].test_accuracy >= 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the crate stays safe Rust except the
+// AVX2 kernel in `agg/simd.rs`, which carries a module-scoped `allow`
+// and a safety argument per block (the pattern `net::poll` set).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agg;

@@ -213,6 +213,11 @@ pub struct NetRound {
     pub reparented: usize,
     /// Wall-clock duration of the round at this server.
     pub wall_secs: f64,
+    /// Wall nanoseconds this server spent folding the round's
+    /// contributions: every `PartialSum::accumulate` / `try_merge`,
+    /// plus the root's `finish`. Decode is excluded, which is how
+    /// [`FlatAggregator`](crate::agg::FlatAggregator) times its merge.
+    pub merge_nanos: u64,
     /// [`global_checksum`] of the post-round global model (0 for a
     /// relay, which never holds the global).
     pub checksum: u32,
@@ -1011,6 +1016,7 @@ impl NetServer {
             // evicted — never allowed near the merge asserts.
             partial.reset();
             let mut merged = 0usize;
+            let mut merge_time = Duration::ZERO;
             let relay_contributed: Vec<u32> = got
                 .keys()
                 .filter_map(|k| match k {
@@ -1038,7 +1044,10 @@ impl NetServer {
                     &mut psum_raw_frames,
                     &mut psum_compressed_frames,
                 ) {
-                    Ok(contributions) => merged += contributions,
+                    Ok((contributions, fold_time)) => {
+                        merged += contributions;
+                        merge_time += fold_time;
+                    }
                     Err(reason) => rt.protocol_evict(key, reason),
                 }
             }
@@ -1047,7 +1056,10 @@ impl NetServer {
                 (None, Some(global)) => {
                     // Root: an empty round keeps the previous global,
                     // exactly like the engine with zero contributions.
-                    if let Some(next) = partial.finish() {
+                    let t_finish = Instant::now();
+                    let next = partial.finish();
+                    merge_time += t_finish.elapsed();
+                    if let Some(next) = next {
                         *global = next;
                     }
                     global_checksum(global)
@@ -1111,6 +1123,7 @@ impl NetServer {
                 reconnects: rt.reconnects_now,
                 reparented: rt.reparented_now,
                 wall_secs: t0.elapsed().as_secs_f64(),
+                merge_nanos: merge_time.as_nanos() as u64,
                 checksum,
             });
             drop(round_span);
@@ -1156,9 +1169,10 @@ fn record_eviction(telemetry: &Telemetry, id: u64, round: u32, reason: &str) {
 /// Folds one child's upload into the round's partial sum: a worker
 /// update through the shared [`FoldStep`], a relay's partial-sum frame
 /// through the checked merge. Returns the client contributions folded
-/// in, or the reason the sender must be evicted — wrong frame kinds
-/// for this server's role, undecodable payloads, shape mismatches and
-/// non-finite/extreme values all evict exactly one child instead of
+/// in and the time the fold itself took (the decode before it
+/// excluded), or the reason the sender must be evicted — wrong frame
+/// kinds for this server's role, undecodable payloads, shape mismatches
+/// and non-finite/extreme values all evict exactly one child instead of
 /// panicking the whole server inside the merge machinery.
 fn fold_upload(
     upload: Upload,
@@ -1168,7 +1182,7 @@ fn fold_upload(
     partial: &mut PartialSum,
     psum_raw_frames: &mut usize,
     psum_compressed_frames: &mut usize,
-) -> Result<usize, String> {
+) -> Result<(usize, Duration), String> {
     match upload {
         // A sharded root that accepts a stray worker's single update in
         // a relay slot (operator pointed a worker at the root) would
@@ -1182,21 +1196,24 @@ fn fold_upload(
         }
         Upload::Update { payload, compressed } => {
             let dict = fold.decode(&payload, compressed, reference)?;
+            let t0 = Instant::now();
             partial.accumulate(&dict, 1.0);
-            Ok(1)
+            Ok((1, t0.elapsed()))
         }
         Upload::Partial { payload, compressed } => {
             let remote = fold.decode_partial(payload, compressed)?;
             let contributions = remote.contributions();
             // Checked merge: extreme accumulator bits in a frame must
             // evict the relay, not overflow-panic the server.
+            let t0 = Instant::now();
             partial.try_merge(remote).map_err(|e| format!("unmergeable psum frame: {e}"))?;
+            let fold_time = t0.elapsed();
             if compressed {
                 *psum_compressed_frames += 1;
             } else {
                 *psum_raw_frames += 1;
             }
-            Ok(contributions)
+            Ok((contributions, fold_time))
         }
     }
 }
@@ -1255,8 +1272,10 @@ mod tests {
         let step = FoldStep::new(&StagePolicy::Raw, dict(&[("a.weight", 4), ("b.weight", 2)]));
         let mut partial = PartialSum::new();
         let (mut raw, mut packed) = (0usize, 0usize);
-        let mut fold =
-            |upload| fold_upload(upload, false, &step, None, &mut partial, &mut raw, &mut packed);
+        let mut fold = |upload| {
+            fold_upload(upload, false, &step, None, &mut partial, &mut raw, &mut packed)
+                .map(|(n, _)| n)
+        };
         // Wrong shape, wrong entry count, garbage bytes: all evictions.
         let wrong_shape = dict(&[("a.weight", 3), ("b.weight", 2)]);
         let upload = Upload::Update { payload: wrong_shape.to_bytes(), compressed: false };
@@ -1319,7 +1338,7 @@ mod tests {
             &mut raw,
             &mut packed,
         );
-        assert_eq!(out, Ok(1));
+        assert_eq!(out.map(|(n, _)| n), Ok(1));
         let folded = partial.finish().expect("one contribution");
         assert_eq!(folded.get("a.weight").unwrap().data(), update.get("a.weight").unwrap().data());
     }
@@ -1332,7 +1351,7 @@ mod tests {
         let mut partial = PartialSum::new();
         let (mut raw, mut packed) = (0usize, 0usize);
         let mut fold = |upload, partial: &mut PartialSum| {
-            fold_upload(upload, true, &step, None, partial, &mut raw, &mut packed)
+            fold_upload(upload, true, &step, None, partial, &mut raw, &mut packed).map(|(n, _)| n)
         };
         let out = fold(
             Upload::Partial { payload: other.encode_exact(), compressed: false },
@@ -1397,6 +1416,7 @@ mod tests {
                 &mut raw,
                 &mut packed,
             )
+            .map(|(n, _)| n)
         };
         assert_eq!(fold(extreme.clone(), &mut partial), Ok(1), "one extreme frame still merges");
         let out = fold(extreme, &mut partial);

@@ -85,7 +85,12 @@ for want, got in zip(fl["rounds"], serve["rounds"]):
         f"FAIL: multi-process run diverged from the in-memory engine at round "
         f"{want['round']}: {got['checksum']} vs {want['checksum']}")
     assert got["lost"] == 0, f"FAIL: a worker was evicted at round {got['round']}"
+    # serve times its own fold: one level, never null.
+    nanos = got["level_merge_nanos"]
+    assert isinstance(nanos, list) and len(nanos) == 1 and nanos[0] > 0, (
+        f"FAIL: serve round {got['round']} level_merge_nanos {nanos!r}")
 assert serve["checksum"] == fl["checksum"], (serve["checksum"], fl["checksum"])
 print(f"parity ok: serve + 4 workers reproduced {fl['checksum']} bit for bit, "
-      f"round by round ({[r['checksum'] for r in fl['rounds']]})")
+      f"round by round ({[r['checksum'] for r in fl['rounds']]}); "
+      f"serve fold nanos {[r['level_merge_nanos'][0] for r in serve['rounds']]}")
 EOF
