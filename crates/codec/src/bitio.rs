@@ -29,7 +29,8 @@ pub struct BitWriter {
     bytes: Vec<u8>,
     /// Bits currently buffered in `acc`, 0..=63.
     nbits: u32,
-    /// The buffered bits, right-aligned; every bit above `nbits` is 0.
+    /// The buffered bits, right-aligned. Bits above `nbits` are stale
+    /// (already flushed, or never written) and shifted out unread.
     acc: u64,
 }
 
@@ -89,6 +90,30 @@ impl BitWriter {
             self.acc = value & ((1u64 << rest) - 1);
             self.nbits = rest;
         }
+    }
+
+    /// Appends each `(value, count)` of `codes` as
+    /// [`BitWriter::write_bits`] would, for `count <= 32` and no bit of
+    /// `value` above `count`: one shift and one or per code, and four
+    /// bytes out each time 32 bits are buffered. The bytes are those of
+    /// `write_bits`; only the steps differ.
+    pub(crate) fn write_codes(&mut self, codes: impl Iterator<Item = (u64, u32)>) {
+        // Fewer than 32 buffered bits leave room for a 32-bit code.
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            self.bytes.extend_from_slice(&((self.acc >> self.nbits) as u32).to_be_bytes());
+        }
+        let (mut acc, mut nbits) = (self.acc, self.nbits);
+        for (value, count) in codes {
+            debug_assert!(count <= 32 && value >> count == 0);
+            acc = acc << count | value;
+            nbits += count;
+            if nbits >= 32 {
+                nbits -= 32;
+                self.bytes.extend_from_slice(&((acc >> nbits) as u32).to_be_bytes());
+            }
+        }
+        (self.acc, self.nbits) = (acc, nbits);
     }
 
     /// Total number of bits written so far.

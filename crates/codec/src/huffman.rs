@@ -5,6 +5,38 @@
 //! `(length, symbol)` order), so only the code lengths need to be stored;
 //! the header uses a sparse `(symbol, length)` list which is compact for
 //! the very skewed alphabets produced by SZ quantization.
+//!
+//! # Table speed, same bytes
+//!
+//! A stream is fixed by the code lengths and the bit order of
+//! [`crate::bitio`] alone, so how many codes move per step never shows
+//! in it; every speed-up below is checked against the one-code-per-step
+//! coder it replaced (`#[cfg(test)] mod reference`), bytes, decoded
+//! symbols, reader positions and error variants alike.
+//!
+//! - **Decode.** The primary table is indexed by the next
+//!   `min(11, longest code)` stream bits. Each `u64` entry packs, from
+//!   the low bits up: 6 bits of total length, 6 bits of the first code's
+//!   length, 4 bits of symbol count, then up to three 16-bit symbols —
+//!   every code that ends inside the index bits, in stream order. At
+//!   REL 1e-2 SZ codes average about 2.3 bits, so one read resolves
+//!   about three. A count of 0 means the first code is longer than the
+//!   index (or matches nothing) and the canonical walk takes over. When
+//!   an entry's later codes would run past the symbols asked for or the
+//!   stream's real bits, only its first code is taken.
+//! - **When the multi-symbol table is built.** It is built from the
+//!   one-code table at three reads per entry, so its cost follows the
+//!   table size alone: a decode call builds it only when it asks for
+//!   `MULTI_PAYBACK` (4) symbols per entry or more, 8,192 under an
+//!   11-bit index. Smaller calls — a per-tensor stream of a small model,
+//!   the literal runs of the zstd-class codec — read the one-code table,
+//!   which has the same layout.
+//! - **Encode.** Block encoders join two codes (at most 32 bits while
+//!   the longest code is 16) per accumulator step and flush 32 bits at
+//!   a time into a buffer sized from the exact bit length.
+//! - **Count.** A block counts its symbols once, in four interleaved
+//!   lanes, so a run of one symbol is four independent chains of
+//!   increments.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::varint::{read_bytes, read_uvarint, write_uvarint};
@@ -16,78 +48,69 @@ use std::sync::OnceLock;
 pub const MAX_CODE_LEN: u8 = 24;
 
 /// Index width of the primary decode table: every code this short
-/// resolves in one read. 2^11 four-byte entries stay inside L1 next to
+/// resolves in one read. 2^11 eight-byte entries stay inside L1 next to
 /// the stream being decoded.
 const LOOKUP_BITS: u32 = 11;
+
+/// Most symbols one primary entry holds.
+const ENTRY_SYMBOLS: usize = 3;
+
+/// Primary-table reads one full window serves unchecked: five of at
+/// most `LOOKUP_BITS` bits fit the 57 stream bits a window holds.
+const FAST_ENTRIES: usize = 5;
+
+/// How many symbols a decode call must ask for, per entry of the
+/// primary table, before it builds the multi-symbol table. An entry
+/// costs three single-code reads to build (~4 ns), and a read that
+/// serves up to three symbols saves ~2 ns a symbol against one that
+/// serves one (2.5-bit codes, measured on a 2-core AVX2 host), so four
+/// symbols per entry pay the build back about twice.
+const MULTI_PAYBACK: usize = 4;
+
+/// Longest code that [`HuffmanTable::encode_iter`] joins in pairs: two
+/// of them fit the 32 bits one accumulator step takes.
+const PAIR_MAX_LEN: u32 = 16;
 
 /// Per-length arrays are indexed by code length, `1..=MAX_CODE_LEN`.
 type PerLength = [u32; MAX_CODE_LEN as usize + 1];
 
-/// Symbol frequencies over the span of symbols seen so far.
+/// Counter lanes of a `Histogram`.
+const LANES: usize = 4;
+
+/// Symbol frequencies over the span `[min, max]` of the symbols counted.
 ///
 /// SZ quantization codes cluster within a few hundred of the
 /// quantizer's radius (32 768), so counting them over `0..=max` would
 /// zero tens of thousands of counters per tensor that no symbol ever
-/// touches. The span grows on demand, which lets a producer count
-/// symbols as it emits them, before it knows their range.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
+/// touches.
+struct Histogram {
     /// The symbol `counts[0]` belongs to.
     base: usize,
     counts: Vec<u64>,
 }
 
 impl Histogram {
-    /// How far past a new extreme the span is widened, so a slowly
-    /// spreading stream does not reallocate per symbol.
-    const MARGIN: usize = 64;
-
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counts the symbols of `data`.
-    pub fn of(data: &[u16]) -> Self {
-        let Some(min) = data.iter().copied().min() else { return Self::default() };
-        let max = data.iter().copied().max().expect("data is not empty");
-        let base = usize::from(min);
-        let mut counts = vec![0u64; usize::from(max) - base + 1];
-        for &sym in data {
-            counts[usize::from(sym) - base] += 1;
+    /// Counts the symbols of `data`: its `i`-th symbol in lane `i % 4`
+    /// of its row, so a run of one symbol is four independent chains of
+    /// increments, not one chain through a counter with each increment
+    /// waiting on the store before it.
+    fn of(data: &[u16]) -> Self {
+        if data.is_empty() {
+            return Self { base: 0, counts: Vec::new() };
         }
-        Self { base, counts }
-    }
-
-    /// Counts one occurrence of `sym`.
-    #[inline]
-    pub fn add(&mut self, sym: u16) {
-        match self.counts.get_mut(usize::from(sym).wrapping_sub(self.base)) {
-            Some(count) => *count += 1,
-            None => self.widen_and_add(sym),
+        // One fold over plain values, which vectorizes.
+        let (lo, hi) = data.iter().fold((u16::MAX, 0), |(lo, hi), &sym| (lo.min(sym), hi.max(sym)));
+        let mut rows = vec![[0u64; LANES]; usize::from(hi - lo) + 1];
+        let mut quads = data.chunks_exact(LANES);
+        for quad in &mut quads {
+            for (lane, &sym) in quad.iter().enumerate() {
+                rows[usize::from(sym - lo)][lane] += 1;
+            }
         }
-    }
-
-    #[cold]
-    fn widen_and_add(&mut self, sym: u16) {
-        let sym = usize::from(sym);
-        let (lo, hi) = if self.counts.is_empty() {
-            (sym, sym + 1)
-        } else if sym < self.base {
-            (sym.saturating_sub(Self::MARGIN), self.base + self.counts.len())
-        } else {
-            (self.base, (sym + 1 + Self::MARGIN).min(usize::from(u16::MAX) + 1))
-        };
-        let mut counts = vec![0u64; hi - lo];
-        counts[self.base.max(lo) - lo..][..self.counts.len()].copy_from_slice(&self.counts);
-        counts[sym - lo] += 1;
-        *self = Self { base: lo, counts };
-    }
-
-    /// How often `sym` was counted.
-    #[cfg(test)]
-    fn count(&self, sym: u16) -> u64 {
-        self.counts.get(usize::from(sym).wrapping_sub(self.base)).copied().unwrap_or(0)
+        for (lane, &sym) in quads.remainder().iter().enumerate() {
+            rows[usize::from(sym - lo)][lane] += 1;
+        }
+        Self { base: usize::from(lo), counts: rows.iter().map(|row| row.iter().sum()).collect() }
     }
 }
 
@@ -123,18 +146,50 @@ pub struct HuffmanTable {
     first_sym: PerLength,
     /// Symbols sorted by `(length, symbol)`, i.e. by canonical code.
     sorted: Vec<u16>,
-    /// The primary decode table, built on first decode so that encoders
-    /// never pay for it.
-    lookup: OnceLock<Lookup>,
+    /// The one-code primary decode table, built on first decode so that
+    /// encoders never pay for it.
+    single: OnceLock<Lookup>,
+    /// The multi-symbol primary decode table, built on the first decode
+    /// call long enough to pay for it.
+    multi: OnceLock<Lookup>,
 }
 
-/// Primary decode table: indexed by the next `bits` stream bits, each
-/// entry is `symbol << 8 | length` of the code those bits start with,
-/// or 0 when that code is longer than `bits` (or no code matches).
+/// A primary decode table: indexed by the next `bits` stream bits, each
+/// entry holds the codes those bits start with (see the module docs).
 #[derive(Debug, Clone)]
 struct Lookup {
     bits: u32,
-    entries: Vec<u32>,
+    entries: Vec<u64>,
+}
+
+/// The entry of one code: `sym`, `len` bits long.
+#[inline]
+fn entry_of(sym: u16, len: u32) -> u64 {
+    u64::from(sym) << 16 | 1 << 12 | u64::from(len) << 6 | u64::from(len)
+}
+
+/// Total length of an entry's codes.
+#[inline]
+fn entry_len(entry: u64) -> u32 {
+    (entry & 0x3f) as u32
+}
+
+/// Length of an entry's first code.
+#[inline]
+fn entry_first_len(entry: u64) -> u32 {
+    (entry >> 6 & 0x3f) as u32
+}
+
+/// How many symbols an entry holds.
+#[inline]
+fn entry_count(entry: u64) -> usize {
+    (entry >> 12 & 0xf) as usize
+}
+
+/// An entry's `k`-th symbol.
+#[inline]
+fn entry_symbol(entry: u64, k: usize) -> u16 {
+    (entry >> (16 * (k + 1))) as u16
 }
 
 impl HuffmanTable {
@@ -197,13 +252,34 @@ impl HuffmanTable {
             next_code[len] += 1;
             next_slot[len] += 1;
         }
-        Self { base, packed, bl_count, first_code, first_sym, sorted, lookup: OnceLock::new() }
+        Self {
+            base,
+            packed,
+            bl_count,
+            first_code,
+            first_sym,
+            sorted,
+            single: OnceLock::new(),
+            multi: OnceLock::new(),
+        }
     }
 
     /// `code << 8 | length` of `sym`, 0 when it has no code.
     #[inline]
     fn packed(&self, sym: u16) -> u32 {
         self.packed.get(usize::from(sym).wrapping_sub(self.base)).copied().unwrap_or(0)
+    }
+
+    /// `(code, length)` of `sym`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sym` has no code in this table.
+    #[inline]
+    fn code(&self, sym: u16) -> (u64, u32) {
+        let packed = self.packed(sym);
+        assert!(packed != 0, "symbol {sym} has no Huffman code");
+        (u64::from(packed >> 8), packed & 0xff)
     }
 
     /// Code length in bits for `sym` (0 when the symbol has no code).
@@ -216,6 +292,11 @@ impl HuffmanTable {
         self.sorted.len()
     }
 
+    /// Length of the longest code (1 for an empty table).
+    fn longest(&self) -> u32 {
+        (1..=MAX_CODE_LEN as u32).rev().find(|&len| self.bl_count[len as usize] > 0).unwrap_or(1)
+    }
+
     /// Writes one symbol to `w`.
     ///
     /// # Panics
@@ -223,9 +304,8 @@ impl HuffmanTable {
     /// Panics if `sym` has no code in this table.
     #[inline]
     pub fn write_symbol(&self, sym: u16, w: &mut BitWriter) {
-        let packed = self.packed(sym);
-        assert!(packed != 0, "symbol {sym} has no Huffman code");
-        w.write_bits(u64::from(packed >> 8), packed & 0xff);
+        let (code, len) = self.code(sym);
+        w.write_bits(code, len);
     }
 
     /// Encodes an entire slice of symbols.
@@ -234,17 +314,39 @@ impl HuffmanTable {
     ///
     /// Panics if any symbol has no code in this table.
     pub fn encode_into(&self, data: &[u16], w: &mut BitWriter) {
-        for &sym in data {
-            self.write_symbol(sym, w);
-        }
+        self.encode_iter(data.iter().copied(), w);
     }
 
-    /// The primary decode table, built on first use.
-    fn lookup(&self) -> &Lookup {
-        self.lookup.get_or_init(|| {
-            let longest = (1..=MAX_CODE_LEN as usize).rev().find(|&len| self.bl_count[len] > 0);
-            let bits = (longest.unwrap_or(1) as u32).min(LOOKUP_BITS);
-            let mut entries = vec![0u32; 1 << bits];
+    /// Encodes every symbol `symbols` yields: the same bits as one
+    /// [`HuffmanTable::write_symbol`] each, in half the accumulator
+    /// steps while no code is longer than 16 bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any symbol has no code in this table.
+    pub fn encode_iter(&self, symbols: impl IntoIterator<Item = u16>, w: &mut BitWriter) {
+        let mut symbols = symbols.into_iter();
+        if self.longest() > PAIR_MAX_LEN {
+            w.write_codes(symbols.map(|sym| self.code(sym)));
+            return;
+        }
+        w.write_codes(std::iter::from_fn(|| {
+            let (code, len) = self.code(symbols.next()?);
+            Some(match symbols.next() {
+                Some(sym) => {
+                    let (next, next_len) = self.code(sym);
+                    (code << next_len | next, len + next_len)
+                }
+                None => (code, len),
+            })
+        }));
+    }
+
+    /// The one-code primary decode table, built on first use.
+    fn single(&self) -> &Lookup {
+        self.single.get_or_init(|| {
+            let bits = self.longest().min(LOOKUP_BITS);
+            let mut entries = vec![0u64; 1 << bits];
             for len in 1..=bits {
                 // A code of `len` bits owns every index it is a prefix
                 // of. Kraft holds, so `code < 2^len` and the run ends
@@ -253,19 +355,61 @@ impl HuffmanTable {
                 let first = self.first_sym[len as usize] as usize;
                 let symbols = &self.sorted[first..first + self.bl_count[len as usize] as usize];
                 for (code, &sym) in (self.first_code[len as usize] as usize..).zip(symbols) {
-                    entries[code * run..(code + 1) * run].fill(u32::from(sym) << 8 | len);
+                    entries[code * run..(code + 1) * run].fill(entry_of(sym, len));
                 }
             }
             Lookup { bits, entries }
         })
     }
 
-    /// Finds the code a left-aligned bit `window` starts with, as
-    /// `symbol << 8 | length`, or 0 when no code matches. Bits the
-    /// window pads with zeros take part like any others, so the caller
-    /// must check the length against the bits that are really there.
+    /// The multi-symbol primary decode table, built on first use from
+    /// the one-code table: an index's entry takes the code it starts
+    /// with, then the code the bits after it start with, as long as
+    /// each ends inside the index bits.
+    fn multi(&self) -> &Lookup {
+        self.multi.get_or_init(|| {
+            let single = self.single();
+            let (bits, mask) = (single.bits, (1usize << single.bits) - 1);
+            let entries = (0..single.entries.len())
+                .map(|index| {
+                    let mut entry = single.entries[index];
+                    for k in 1..ENTRY_SYMBOLS {
+                        // The bits after the entry's codes, zero-padded:
+                        // a code found there counts only if it ends
+                        // inside the index.
+                        let used = entry_len(entry);
+                        let next = single.entries[index << used & mask];
+                        if entry == 0 || next == 0 || used + entry_len(next) > bits {
+                            break;
+                        }
+                        entry += u64::from(entry_symbol(next, 0)) << (16 * (k + 1))
+                            | 1 << 12
+                            | u64::from(entry_len(next));
+                    }
+                    entry
+                })
+                .collect();
+            Lookup { bits, entries }
+        })
+    }
+
+    /// The primary table a decode call of `count` symbols reads.
+    fn lookup_for(&self, count: usize) -> &Lookup {
+        let single = self.single();
+        if count >= MULTI_PAYBACK << single.bits {
+            self.multi()
+        } else {
+            single
+        }
+    }
+
+    /// The entry of the code a left-aligned bit `window` starts with:
+    /// `lookup`'s, or the canonical walk's when the code is longer than
+    /// the table is wide; 0 when no code matches. Bits the window pads
+    /// with zeros take part like any others, so the caller must check
+    /// the length against the bits that are really there.
     #[inline]
-    fn resolve(&self, lookup: &Lookup, window: u64) -> u32 {
+    fn resolve(&self, lookup: &Lookup, window: u64) -> u64 {
         match lookup.entries[(window >> (64 - lookup.bits)) as usize] {
             0 => self.resolve_long(lookup.bits, window),
             entry => entry,
@@ -276,12 +420,12 @@ impl HuffmanTable {
     /// table is wide: the canonical walk (one range check per length),
     /// from the first length the table does not cover.
     #[inline(never)]
-    fn resolve_long(&self, covered: u32, window: u64) -> u32 {
+    fn resolve_long(&self, covered: u32, window: u64) -> u64 {
         for len in covered as usize + 1..=MAX_CODE_LEN as usize {
             let idx = ((window >> (64 - len)) as u32).wrapping_sub(self.first_code[len]);
             if idx < self.bl_count[len] {
                 let sym = self.sorted[(self.first_sym[len] + idx) as usize];
-                return u32::from(sym) << 8 | len as u32;
+                return entry_of(sym, len as u32);
             }
         }
         0
@@ -295,16 +439,17 @@ impl HuffmanTable {
     /// [`CodecError::Corrupt`] when the bits match no code.
     #[inline]
     pub fn read_symbol(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        match self.resolve(self.lookup(), r.window()) {
+        match self.resolve(self.single(), r.window()) {
             0 if r.remaining() < MAX_CODE_LEN as usize => Err(CodecError::UnexpectedEof),
             0 => Err(CodecError::Corrupt("invalid Huffman code")),
             // A code that needed padding bits to match was cut short.
-            entry => r.consume(entry & 0xff).map(|()| (entry >> 8) as u16),
+            entry => r.consume(entry_len(entry)).map(|()| entry_symbol(entry, 0)),
         }
     }
 
     /// Decodes exactly `count` symbols, handing each to `emit`. One
-    /// window load serves as many symbols as its bits cover.
+    /// window load serves as many symbols as its bits cover, and one
+    /// table read up to three.
     ///
     /// # Errors
     ///
@@ -316,31 +461,15 @@ impl HuffmanTable {
         count: usize,
         mut emit: impl FnMut(u16),
     ) -> Result<()> {
-        let lookup = self.lookup();
-        let mut left = count;
-        while left > 0 {
-            let (mut window, len) = (r.window(), r.window_len());
-            let mut used = 0u32;
-            while left > 0 {
-                let entry = self.resolve(lookup, window);
-                let code_len = entry & 0xff;
-                if entry == 0 || code_len > len - used {
-                    break;
+        self.decode_entries(self.lookup_for(count), r, count, |entry, n| {
+            emit(entry_symbol(entry, 0));
+            if n > 1 {
+                emit(entry_symbol(entry, 1));
+                if n > 2 {
+                    emit(entry_symbol(entry, 2));
                 }
-                emit((entry >> 8) as u16);
-                used += code_len;
-                window <<= code_len;
-                left -= 1;
             }
-            r.skip(used);
-            if used == 0 {
-                // Not even one symbol in a full window: truncated or
-                // corrupt, and `read_symbol` knows which.
-                emit(self.read_symbol(r)?);
-                left -= 1;
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Decodes exactly `count` symbols.
@@ -349,9 +478,84 @@ impl HuffmanTable {
     ///
     /// Propagates the errors of [`HuffmanTable::read_symbol`].
     pub fn decode_from(&self, r: &mut BitReader<'_>, count: usize) -> Result<Vec<u16>> {
-        let mut out = Vec::with_capacity(count);
-        self.decode_each(r, count, |sym| out.push(sym))?;
+        // Every entry stores all three of its slots and the next one
+        // overwrites those it did not use, so the output needs room for
+        // the last entry's spare two.
+        let mut out = vec![0u16; count + ENTRY_SYMBOLS - 1];
+        let mut at = 0;
+        self.decode_entries(self.lookup_for(count), r, count, |entry, n| {
+            let slots = &mut out[at..at + ENTRY_SYMBOLS];
+            slots[0] = entry_symbol(entry, 0);
+            slots[1] = entry_symbol(entry, 1);
+            slots[2] = entry_symbol(entry, 2);
+            at += n;
+        })?;
+        out.truncate(count);
         Ok(out)
+    }
+
+    /// The decode loop: hands `put` each entry read from `lookup` with
+    /// the number of its symbols taken, `count` symbols in all.
+    #[inline]
+    fn decode_entries(
+        &self,
+        lookup: &Lookup,
+        r: &mut BitReader<'_>,
+        count: usize,
+        mut put: impl FnMut(u64, usize),
+    ) -> Result<()> {
+        let mut left = count;
+        while left > 0 {
+            let (mut window, len) = (r.window(), r.window_len());
+            let mut used = 0u32;
+            // Checked once for five entries: each holds at most three
+            // symbols in at most `LOOKUP_BITS` bits, so while the window
+            // is full and enough symbols are left, every one is taken
+            // whole. A code longer than the index ends the run.
+            if len >= FAST_ENTRIES as u32 * LOOKUP_BITS && left >= FAST_ENTRIES * ENTRY_SYMBOLS {
+                let mut taken = 0;
+                while taken < FAST_ENTRIES {
+                    let entry = lookup.entries[(window >> (64 - lookup.bits)) as usize];
+                    if entry == 0 {
+                        break;
+                    }
+                    let (n, bits) = (entry_count(entry), entry_len(entry));
+                    put(entry, n);
+                    used += bits;
+                    window <<= bits;
+                    left -= n;
+                    taken += 1;
+                }
+                if taken == FAST_ENTRIES {
+                    r.skip(used);
+                    continue;
+                }
+            }
+            while left > 0 {
+                let entry = self.resolve(lookup, window);
+                let (mut n, mut bits) = (entry_count(entry), entry_len(entry));
+                if n > left || bits > len - used {
+                    // Only the first code: the others run past the
+                    // symbols asked for or the stream's real bits.
+                    (n, bits) = (1, entry_first_len(entry));
+                }
+                if entry == 0 || bits > len - used {
+                    break;
+                }
+                put(entry, n);
+                used += bits;
+                window <<= bits;
+                left -= n;
+            }
+            r.skip(used);
+            if used == 0 {
+                // Not even one symbol in a full window: truncated or
+                // corrupt, and `read_symbol` knows which.
+                put(u64::from(self.read_symbol(r)?) << 16, 1);
+                left -= 1;
+            }
+        }
+        Ok(())
     }
 
     /// Serializes the table as a sparse `(symbol delta, length)` list.
@@ -416,29 +620,20 @@ impl HuffmanTable {
 /// One-shot helper: Huffman-encode `data` into a self-contained block
 /// (header + symbol count + padded bitstream).
 pub fn encode_block(data: &[u16]) -> Vec<u8> {
-    encode_block_counted(data, &Histogram::of(data))
-}
-
-/// [`encode_block`] for a producer that counted `data`'s symbols while
-/// emitting them, which saves the block its own pass over `data`.
-///
-/// # Panics
-///
-/// Panics if `histogram` gives some symbol of `data` a zero count.
-pub fn encode_block_counted(data: &[u16], histogram: &Histogram) -> Vec<u8> {
-    let table = HuffmanTable::from_counts(histogram.base, &histogram.counts, 16);
+    let Histogram { base, counts } = Histogram::of(data);
+    let table = HuffmanTable::from_counts(base, &counts, 16);
     let bit_len: u64 =
-        table.packed.iter().zip(&histogram.counts).map(|(&p, &n)| u64::from(p & 0xff) * n).sum();
+        table.packed.iter().zip(&counts).map(|(&p, &n)| u64::from(p & 0xff) * n).sum();
     let byte_len = bit_len.div_ceil(8) as usize;
     let mut out = Vec::with_capacity(byte_len + 4 * table.coded_symbols() + 24);
     table.write_header(&mut out);
     write_uvarint(&mut out, data.len() as u64);
-    let mut w = BitWriter::with_capacity(byte_len + 8);
+    // The counts fix the stream's length before a bit of it is written,
+    // so it is coded straight into the block.
+    write_uvarint(&mut out, byte_len as u64);
+    let mut w = BitWriter::append_to(out);
     table.encode_into(data, &mut w);
-    let bits = w.into_bytes();
-    write_uvarint(&mut out, bits.len() as u64);
-    out.extend_from_slice(&bits);
-    out
+    w.into_bytes()
 }
 
 /// Decodes a block produced by [`encode_block`], advancing `pos`.
@@ -473,92 +668,306 @@ pub fn decode_block(buf: &[u8], pos: &mut usize) -> Result<Vec<u16>> {
 /// rebalance until the Kraft sum fits). The result is always decodable;
 /// it is optimal whenever no length exceeded `max_len`.
 fn build_lengths(freqs: &[u64], max_len: u8) -> Vec<u8> {
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        weight: u64,
-        // Tie-break on id for determinism.
-        id: u32,
-        kind: NodeKind,
-    }
-    #[derive(PartialEq, Eq)]
-    enum NodeKind {
-        Leaf(u16),
-        Internal(Box<Node>, Box<Node>),
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reversed: BinaryHeap is a max-heap, we need min-weight first.
-            other.weight.cmp(&self.weight).then(other.id.cmp(&self.id))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
+    let mut lengths = tree_depths(freqs);
+    limit_lengths(&mut lengths, max_len);
+    lengths
+}
 
+/// Each symbol's depth in an ordinary Huffman tree over `freqs` (0 for
+/// an unused symbol, at most [`MAX_CODE_LEN`]).
+fn tree_depths(freqs: &[u64]) -> Vec<u8> {
     let mut lengths = vec![0u8; freqs.len()];
-    let used: Vec<u16> = (0..freqs.len()).filter(|&s| freqs[s] > 0).map(|s| s as u16).collect();
+    let used: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
     match used.len() {
         0 => return lengths,
         1 => {
-            lengths[used[0] as usize] = 1;
+            lengths[used[0]] = 1;
             return lengths;
         }
         _ => {}
     }
-
-    let mut heap: BinaryHeap<Node> = used
-        .iter()
-        .map(|&s| Node { weight: freqs[s as usize], id: u32::from(s), kind: NodeKind::Leaf(s) })
-        .collect();
-    let mut next_id = freqs.len() as u32;
-    while heap.len() > 1 {
-        let a = heap.pop().expect("heap has >= 2 nodes");
-        let b = heap.pop().expect("heap has >= 2 nodes");
-        heap.push(Node {
-            weight: a.weight.saturating_add(b.weight),
-            id: next_id,
-            kind: NodeKind::Internal(Box::new(a), Box::new(b)),
-        });
-        next_id += 1;
-    }
-    let root = heap.pop().expect("tree root");
-
-    // Iterative depth-first walk to collect leaf depths.
-    let mut stack = vec![(&root, 0u32)];
-    while let Some((node, depth)) = stack.pop() {
-        match &node.kind {
-            NodeKind::Leaf(sym) => {
-                lengths[*sym as usize] = depth.max(1).min(u32::from(MAX_CODE_LEN)) as u8;
+    // The lightest two nodes merge first, ties broken on an id for
+    // determinism: a leaf's symbol, or `freqs.len()` plus the merge's
+    // index. Merged weights never decrease, so the merged nodes queue up
+    // in that order as they are made, and the next node is the lighter
+    // front of two sorted queues. Nodes are numbered leaves first, in
+    // sorted order, then one per merge, the root last.
+    let mut leaves: Vec<(u64, usize)> = used.iter().map(|&sym| (freqs[sym], sym)).collect();
+    leaves.sort_unstable();
+    let n = leaves.len();
+    let mut merged = vec![0u64; n - 1];
+    let mut parent = vec![0usize; 2 * n - 1];
+    let (mut next_leaf, mut next_merged) = (0, 0);
+    for k in 0..n - 1 {
+        let mut lighter = || {
+            // On equal weight the leaf's id is the smaller.
+            if next_leaf < n && (next_merged == k || leaves[next_leaf].0 <= merged[next_merged]) {
+                next_leaf += 1;
+                (leaves[next_leaf - 1].0, next_leaf - 1)
+            } else {
+                next_merged += 1;
+                (merged[next_merged - 1], n + next_merged - 1)
             }
-            NodeKind::Internal(a, b) => {
-                stack.push((a, depth + 1));
-                stack.push((b, depth + 1));
-            }
-        }
+        };
+        let ((a, a_node), (b, b_node)) = (lighter(), lighter());
+        (parent[a_node], parent[b_node]) = (n + k, n + k);
+        merged[k] = a.saturating_add(b);
     }
-
-    // Kraft fix-up for codes longer than max_len.
-    let cap = max_len;
-    for len in lengths.iter_mut() {
-        if *len > cap {
-            *len = cap;
-        }
+    // Every parent comes after its children, so one backward pass
+    // settles each depth from the root's.
+    let mut depth = vec![0u32; parent.len()];
+    for node in (0..parent.len() - 1).rev() {
+        depth[node] = depth[parent[node]] + 1;
     }
-    let kraft = |lengths: &[u8]| -> u64 {
-        lengths.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (cap - l)).sum()
-    };
-    let budget = 1u64 << cap;
-    while kraft(&lengths) > budget {
-        // Lengthen the shortest over-represented code that can still grow.
-        let sym = (0..lengths.len())
-            .filter(|&s| lengths[s] > 0 && lengths[s] < cap)
-            .max_by_key(|&s| lengths[s])
-            .expect("kraft overflow implies a shortenable code exists");
-        lengths[sym] += 1;
+    for (&(_, sym), &depth) in leaves.iter().zip(&depth) {
+        lengths[sym] = depth.max(1).min(u32::from(MAX_CODE_LEN)) as u8;
     }
     lengths
+}
+
+/// The Kraft fix-up: clamps every code to `cap` bits, then, while the
+/// Kraft sum overflows, lengthens the highest-index symbol among the
+/// longest codes still below the cap. The sum is kept incrementally and
+/// the candidates in one max-heap per length, so a repair costs
+/// `O(log n)` per lengthened code.
+fn limit_lengths(lengths: &mut [u8], cap: u8) {
+    for len in lengths.iter_mut() {
+        *len = (*len).min(cap);
+    }
+    let cap = usize::from(cap);
+    let budget = 1u64 << cap;
+    let mut kraft: u64 =
+        lengths.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (cap - usize::from(l))).sum();
+    if kraft <= budget {
+        return;
+    }
+    let mut below: Vec<BinaryHeap<usize>> = vec![BinaryHeap::new(); cap];
+    for (sym, &len) in lengths.iter().enumerate() {
+        if len > 0 && usize::from(len) < cap {
+            below[usize::from(len)].push(sym);
+        }
+    }
+    let mut longest = cap - 1;
+    while kraft > budget {
+        longest = (1..=longest)
+            .rev()
+            .find(|&len| !below[len].is_empty())
+            .expect("kraft overflow implies a shortenable code exists");
+        let sym = below[longest].pop().expect("a non-empty bucket");
+        lengths[sym] += 1;
+        kraft -= 1u64 << (cap - longest - 1);
+        if longest + 1 < cap {
+            longest += 1;
+            below[longest].push(sym);
+        }
+    }
+}
+
+/// The coder the table-speed one replaced, kept as its oracle: one code
+/// per table read and per accumulator step, one increment per counted
+/// code, a tree of boxed nodes, and the Kraft fix-up that rescanned the
+/// alphabet per code.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The single-symbol decoder: a primary table of `symbol << 8 |
+    /// length` entries, one code per read.
+    pub struct Decoder<'t> {
+        table: &'t HuffmanTable,
+        bits: u32,
+        entries: Vec<u32>,
+    }
+
+    impl<'t> Decoder<'t> {
+        pub fn new(table: &'t HuffmanTable) -> Self {
+            let bits = table.longest().min(LOOKUP_BITS);
+            let mut entries = vec![0u32; 1 << bits];
+            for len in 1..=bits {
+                let run = 1usize << (bits - len);
+                let first = table.first_sym[len as usize] as usize;
+                let symbols = &table.sorted[first..first + table.bl_count[len as usize] as usize];
+                for (code, &sym) in (table.first_code[len as usize] as usize..).zip(symbols) {
+                    entries[code * run..(code + 1) * run].fill(u32::from(sym) << 8 | len);
+                }
+            }
+            Self { table, bits, entries }
+        }
+
+        fn resolve(&self, window: u64) -> u32 {
+            match self.entries[(window >> (64 - self.bits)) as usize] {
+                0 => match self.table.resolve_long(self.bits, window) {
+                    0 => 0,
+                    entry => u32::from(entry_symbol(entry, 0)) << 8 | entry_len(entry),
+                },
+                entry => entry,
+            }
+        }
+
+        pub fn read_symbol(&self, r: &mut BitReader<'_>) -> Result<u16> {
+            match self.resolve(r.window()) {
+                0 if r.remaining() < MAX_CODE_LEN as usize => Err(CodecError::UnexpectedEof),
+                0 => Err(CodecError::Corrupt("invalid Huffman code")),
+                entry => r.consume(entry & 0xff).map(|()| (entry >> 8) as u16),
+            }
+        }
+
+        pub fn decode_each(
+            &self,
+            r: &mut BitReader<'_>,
+            count: usize,
+            mut emit: impl FnMut(u16),
+        ) -> Result<()> {
+            let mut left = count;
+            while left > 0 {
+                let (mut window, len) = (r.window(), r.window_len());
+                let mut used = 0u32;
+                while left > 0 {
+                    let entry = self.resolve(window);
+                    let code_len = entry & 0xff;
+                    if entry == 0 || code_len > len - used {
+                        break;
+                    }
+                    emit((entry >> 8) as u16);
+                    used += code_len;
+                    window <<= code_len;
+                    left -= 1;
+                }
+                r.skip(used);
+                if used == 0 {
+                    emit(self.read_symbol(r)?);
+                    left -= 1;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// One `write_bits` per symbol.
+    pub fn encode_into(table: &HuffmanTable, data: &[u16], w: &mut BitWriter) {
+        for &sym in data {
+            let packed = table.packed(sym);
+            assert!(packed != 0, "symbol {sym} has no Huffman code");
+            w.write_bits(u64::from(packed >> 8), packed & 0xff);
+        }
+    }
+
+    /// [`super::encode_block`] counting one code per increment into one
+    /// counter array, and encoding one code per step.
+    pub fn encode_block(data: &[u16]) -> Vec<u8> {
+        let (base, counts) = match (data.iter().copied().min(), data.iter().copied().max()) {
+            (Some(min), Some(max)) => {
+                let mut counts = vec![0u64; usize::from(max - min) + 1];
+                for &sym in data {
+                    counts[usize::from(sym - min)] += 1;
+                }
+                (usize::from(min), counts)
+            }
+            _ => (0, Vec::new()),
+        };
+        let table = HuffmanTable::from_counts(base, &counts, 16);
+        let mut out = Vec::new();
+        table.write_header(&mut out);
+        write_uvarint(&mut out, data.len() as u64);
+        let mut w = BitWriter::new();
+        encode_into(&table, data, &mut w);
+        let bits = w.into_bytes();
+        write_uvarint(&mut out, bits.len() as u64);
+        out.extend_from_slice(&bits);
+        out
+    }
+
+    /// [`super::tree_depths`] as it was: one boxed node per merge and a
+    /// walk down from the root.
+    pub fn tree_depths(freqs: &[u64]) -> Vec<u8> {
+        #[derive(PartialEq, Eq)]
+        struct Node {
+            weight: u64,
+            // Tie-break on id for determinism.
+            id: u32,
+            kind: NodeKind,
+        }
+        #[derive(PartialEq, Eq)]
+        enum NodeKind {
+            Leaf(u16),
+            Internal(Box<Node>, Box<Node>),
+        }
+        impl Ord for Node {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                // Reversed: BinaryHeap is a max-heap, we need min-weight first.
+                other.weight.cmp(&self.weight).then(other.id.cmp(&self.id))
+            }
+        }
+        impl PartialOrd for Node {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let mut lengths = vec![0u8; freqs.len()];
+        let used: Vec<u16> = (0..freqs.len()).filter(|&s| freqs[s] > 0).map(|s| s as u16).collect();
+        match used.len() {
+            0 => return lengths,
+            1 => {
+                lengths[used[0] as usize] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+
+        let mut heap: BinaryHeap<Node> = used
+            .iter()
+            .map(|&s| Node { weight: freqs[s as usize], id: u32::from(s), kind: NodeKind::Leaf(s) })
+            .collect();
+        let mut next_id = freqs.len() as u32;
+        while heap.len() > 1 {
+            let a = heap.pop().expect("heap has >= 2 nodes");
+            let b = heap.pop().expect("heap has >= 2 nodes");
+            heap.push(Node {
+                weight: a.weight.saturating_add(b.weight),
+                id: next_id,
+                kind: NodeKind::Internal(Box::new(a), Box::new(b)),
+            });
+            next_id += 1;
+        }
+        let root = heap.pop().expect("tree root");
+
+        // Iterative depth-first walk to collect leaf depths.
+        let mut stack = vec![(&root, 0u32)];
+        while let Some((node, depth)) = stack.pop() {
+            match &node.kind {
+                NodeKind::Leaf(sym) => {
+                    lengths[*sym as usize] = depth.max(1).min(u32::from(MAX_CODE_LEN)) as u8;
+                }
+                NodeKind::Internal(a, b) => {
+                    stack.push((a, depth + 1));
+                    stack.push((b, depth + 1));
+                }
+            }
+        }
+        lengths
+    }
+
+    /// The fix-up loop [`super::limit_lengths`] replaced: the Kraft sum
+    /// and the candidate scan redone for every lengthened code.
+    pub fn limit_lengths(lengths: &mut [u8], cap: u8) {
+        for len in lengths.iter_mut() {
+            if *len > cap {
+                *len = cap;
+            }
+        }
+        let kraft = |lengths: &[u8]| -> u64 {
+            lengths.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (cap - l)).sum()
+        };
+        let budget = 1u64 << cap;
+        while kraft(lengths) > budget {
+            let sym = (0..lengths.len())
+                .filter(|&s| lengths[s] > 0 && lengths[s] < cap)
+                .max_by_key(|&s| lengths[s])
+                .expect("kraft overflow implies a shortenable code exists");
+            lengths[sym] += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -847,7 +1256,7 @@ mod differential_tests {
         })
     }
 
-    fn header_of(pairs: &[(u16, u8)]) -> Vec<u8> {
+    pub(super) fn header_of(pairs: &[(u16, u8)]) -> Vec<u8> {
         let mut out = Vec::new();
         write_uvarint(&mut out, pairs.len() as u64);
         let mut prev = 0u64;
@@ -878,25 +1287,23 @@ mod differential_tests {
     }
 
     #[test]
-    fn histogram_grown_symbol_by_symbol_equals_the_counted_one() {
-        let data: Vec<u16> = (0..5000u32)
+    fn histogram_lanes_count_like_one_counter_per_symbol() {
+        let mut data: Vec<u16> = (0..5001u32)
             .map(|i| (32_768 + (i * 7919 % 401) as i32 - 200 * (i % 3) as i32) as u16)
             .collect();
-        let mut grown = Histogram::new();
-        for &sym in &data {
-            grown.add(sym);
+        // Runs of one symbol, and both ends of the symbol space.
+        data.extend([7u16; 9]);
+        data.extend([u16::MAX, 0, u16::MAX, 300]);
+        for len in [0, 1, 3, 4, 5, 4000, data.len()] {
+            let Histogram { base, counts } = Histogram::of(&data[data.len() - len..]);
+            let mut want = vec![0u64; usize::from(u16::MAX) + 1];
+            for &sym in &data[data.len() - len..] {
+                want[usize::from(sym)] += 1;
+            }
+            let first = want.iter().position(|&n| n > 0).unwrap_or(0);
+            let last = want.iter().rposition(|&n| n > 0).map_or(0, |last| last + 1);
+            assert_eq!((base, &counts[..]), (first, &want[first..last]), "last {len} symbols");
         }
-        let counted = Histogram::of(&data);
-        for sym in 0..=u16::MAX {
-            assert_eq!(grown.count(sym), counted.count(sym), "symbol {sym}");
-        }
-        assert_eq!(encode_block_counted(&data, &grown), encode_block(&data));
-        // Both ends of the symbol space, far apart.
-        let mut ends = Histogram::new();
-        for sym in [u16::MAX, 0, u16::MAX, 300] {
-            ends.add(sym);
-        }
-        assert_eq!((ends.count(0), ends.count(300), ends.count(u16::MAX)), (1, 1, 2));
     }
 
     /// A table over an observed span codes exactly like the table over
@@ -961,9 +1368,37 @@ mod differential_tests {
             let table = HuffmanTable::read_header(&header_of(&pairs), &mut 0).unwrap();
             // A zero gap repeats a symbol, which then counts once.
             prop_assert!(table.coded_symbols() <= pairs.len());
-            prop_assert!(table.lookup().entries.len() <= 1 << LOOKUP_BITS);
+            prop_assert!(table.multi().entries.len() <= 1 << LOOKUP_BITS);
             assert_decoders_agree(&table, &bytes, count)?;
         }
+    }
+
+    /// An SZ-like code stream of `n` symbols: two-sided geometric around
+    /// the radius, `spread` levels per halving of probability (3 gives
+    /// about 5 bits of entropy per symbol, 1 about 2.5).
+    pub(super) fn sz_like(n: usize, spread: u32) -> Vec<u16> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let magnitude =
+                    (state.trailing_zeros() * spread + (state >> 60) as u32 % spread) as i32;
+                (32_768 + if state >> 63 == 0 { magnitude } else { -magnitude }) as u16
+            })
+            .collect()
+    }
+
+    /// Best of five wall-clock runs of `run`, in seconds.
+    pub(super) fn best_of<T>(mut run: impl FnMut() -> T) -> f64 {
+        (0..5)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                std::hint::black_box(run());
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// The CI speed gate: machine-independent because it is a ratio of
@@ -972,41 +1407,17 @@ mod differential_tests {
     #[test]
     #[ignore = "timing: run in release mode"]
     fn lookup_decode_is_3x_the_bit_serial_reference() {
-        use std::time::Instant;
-        // An SZ-like code stream: two-sided geometric around the
-        // radius, about 5 bits of entropy per symbol.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u16> = (0..1_000_000)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let magnitude = (state.trailing_zeros() * 3 + (state >> 60) as u32 % 3) as i32;
-                (32_768 + if state >> 63 == 0 { magnitude } else { -magnitude }) as u16
-            })
-            .collect();
+        let data = sz_like(1_000_000, 3);
         let block = encode_block(&data);
         let mut pos = 0;
         let table = HuffmanTable::read_header(&block, &mut pos).unwrap();
         assert_eq!(read_uvarint(&block, &mut pos).unwrap(), data.len() as u64);
         let bits = read_bytes(&block, &mut pos).unwrap();
 
-        let best_of = |mut run: Box<dyn FnMut() -> Vec<u16>>| {
-            (0..5)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let out = std::hint::black_box(run());
-                    assert_eq!(out.len(), data.len());
-                    t0.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        let fast = best_of(Box::new(|| {
+        let fast = best_of(|| {
             table.decode_from(&mut BitReader::new(std::hint::black_box(bits)), data.len()).unwrap()
-        }));
-        let slow = best_of(Box::new(|| {
-            decode_reference(&table, std::hint::black_box(bits), data.len()).0
-        }));
+        });
+        let slow = best_of(|| decode_reference(&table, std::hint::black_box(bits), data.len()).0);
         assert_eq!(decode_bulk(&table, bits, data.len()), (data.clone(), None));
         let ratio = slow / fast;
         println!(
@@ -1015,5 +1426,311 @@ mod differential_tests {
             slow * 1e3
         );
         assert!(ratio >= 3.0, "lookup-table decode is only {ratio:.2}x the bit-serial reference");
+    }
+}
+
+/// The table-speed coder against the one-code-per-step coder it
+/// replaced (`mod reference`): same bytes, same symbols, same reader
+/// positions, same errors.
+#[cfg(test)]
+mod table_speed_tests {
+    use super::differential_tests::{best_of, header_of, sz_like};
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Decodes `calls` one after the other from one reader, each through
+    /// `decode`: the symbols, the error that ended it, and where the
+    /// reader stopped.
+    fn decode_in_calls(
+        bytes: &[u8],
+        calls: &[usize],
+        mut decode: impl FnMut(&mut BitReader<'_>, usize, &mut Vec<u16>) -> Result<()>,
+    ) -> (Vec<u16>, Option<CodecError>, usize) {
+        let mut r = BitReader::new(bytes);
+        let mut out = Vec::new();
+        for &count in calls {
+            if let Err(e) = decode(&mut r, count, &mut out) {
+                return (out, Some(e), r.remaining());
+            }
+        }
+        (out, None, r.remaining())
+    }
+
+    /// Every decoder of `table` against the reference on `bytes`, read
+    /// as the runs `calls`: `decode_each` and `decode_from` on whichever
+    /// table their count picks, and the loop on each table forced.
+    fn assert_matches_reference(
+        table: &HuffmanTable,
+        bytes: &[u8],
+        calls: &[usize],
+    ) -> std::result::Result<(), TestCaseError> {
+        let old = reference::Decoder::new(table);
+        let want =
+            decode_in_calls(bytes, calls, |r, n, out| old.decode_each(r, n, |s| out.push(s)));
+        let each =
+            decode_in_calls(bytes, calls, |r, n, out| table.decode_each(r, n, |s| out.push(s)));
+        prop_assert_eq!(&each, &want);
+        for lookup in [table.single(), table.multi()] {
+            let forced = decode_in_calls(bytes, calls, |r, n, out| {
+                table.decode_entries(lookup, r, n, |entry, k| {
+                    out.extend((0..k).map(|i| entry_symbol(entry, i)))
+                })
+            });
+            prop_assert_eq!(&forced, &want);
+        }
+        // `decode_from` emits nothing on an error, so compare it on
+        // success only, and its error variant otherwise.
+        let from = decode_in_calls(bytes, calls, |r, n, out| {
+            out.extend(table.decode_from(r, n)?);
+            Ok(())
+        });
+        prop_assert_eq!((&from.1, from.2), (&want.1, want.2));
+        if want.1.is_none() {
+            prop_assert_eq!(&from, &want);
+        }
+        Ok(())
+    }
+
+    /// Counts over `1..=700` symbols: flat, or two-sided geometric with
+    /// a random decay (as SZ codes are), with zeros sprinkled in.
+    fn counts() -> impl Strategy<Value = Vec<u64>> {
+        (1usize..=700, 0u32..4, any::<u64>()).prop_map(|(n, shape, seed)| {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mid = n / 2;
+            (0..n)
+                .map(|i| match shape {
+                    0 => 1 + next() % 4,
+                    _ if next() % 11 == 0 => 0,
+                    _ => {
+                        let distance = i.abs_diff(mid) as u32;
+                        (1u64 << 40 >> (distance * shape).min(40)) + next() % 3
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Up to 5,000 symbols drawn from `table`'s alphabet, mostly
+    /// weighted toward its short codes, and the runs to decode them in.
+    fn stream_of(table: &HuffmanTable, picks: &[u32], runs: &[usize]) -> (Vec<u16>, Vec<usize>) {
+        let short = &table.sorted[..table.sorted.len().min(8)];
+        let data: Vec<u16> = picks
+            .iter()
+            .map(|&p| match p % 4 {
+                0 => table.sorted[(p / 4) as usize % table.sorted.len()],
+                _ => short[(p / 4) as usize % short.len()],
+            })
+            .collect();
+        // Runs of the sizes asked for, the last one taking the rest.
+        let mut calls = Vec::new();
+        let mut left = data.len();
+        for &run in runs {
+            let run = run.min(left);
+            calls.push(run);
+            left -= run;
+        }
+        calls.push(left);
+        (data, calls)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(120))]
+
+        /// Honest, truncated and bit-flipped streams under tables of
+        /// every `max_len` from 1 to 16 and one of 24.
+        #[test]
+        fn table_speed_coder_matches_the_reference(
+            counts in counts(),
+            max_len in prop_oneof![1u8..=16, Just(MAX_CODE_LEN)],
+            picks in proptest::collection::vec(any::<u32>(), 0..5000),
+            runs in proptest::collection::vec(prop_oneof![0usize..4, 1usize..40, 100usize..3000], 0..6),
+            flips in proptest::collection::vec(any::<u32>(), 1..4),
+            cut in any::<u32>(),
+            lead in 0u32..64,
+        ) {
+            let used = counts.iter().filter(|&&c| c > 0).count();
+            prop_assume!(used > 0 && used <= 1 << max_len);
+            let table = HuffmanTable::from_frequencies(&counts, max_len);
+            let (data, calls) = stream_of(&table, &picks, &runs);
+
+            // After `lead` bits already buffered, as a frame builder
+            // leaves them.
+            let mut old = crate::bitio::reference::BitWriter::default();
+            let mut new = BitWriter::new();
+            old.write_bits(u64::MAX, lead);
+            new.write_bits(u64::MAX, lead);
+            for &sym in &data {
+                old.write_bits(u64::from(table.packed(sym) >> 8), table.packed(sym) & 0xff);
+            }
+            table.encode_into(&data, &mut new);
+            prop_assert_eq!(new.bit_len(), old.bit_len());
+            prop_assert_eq!(new.into_bytes(), old.into_bytes());
+            let mut w = BitWriter::new();
+            table.encode_iter(data.iter().copied(), &mut w);
+            let bytes = w.into_bytes();
+            let mut old = BitWriter::new();
+            reference::encode_into(&table, &data, &mut old);
+            prop_assert_eq!(&bytes, &old.into_bytes());
+            prop_assert_eq!(&reference::encode_block(&data), &encode_block(&data));
+
+            assert_matches_reference(&table, &bytes, &calls)?;
+            let cut = if bytes.is_empty() { 0 } else { cut as usize % bytes.len() };
+            assert_matches_reference(&table, &bytes[..cut], &calls)?;
+            let mut flipped = bytes.clone();
+            for &flip in &flips {
+                if !flipped.is_empty() {
+                    let at = flip as usize / 8 % flipped.len();
+                    flipped[at] ^= 1 << (flip % 8);
+                }
+            }
+            assert_matches_reference(&table, &flipped, &calls)?;
+        }
+
+        /// Forged, mostly incomplete tables over arbitrary bytes, read in
+        /// runs: the multi-symbol entries stop at the first code that
+        /// matches nothing, and the reference decides the error.
+        #[test]
+        fn forged_tables_decode_like_the_reference(
+            pairs in proptest::collection::vec((0u16..40, 1u8..=12), 0..40),
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            runs in proptest::collection::vec(0usize..60, 1..4),
+        ) {
+            let (mut sym, mut kraft, mut kept) = (0u32, 0u64, Vec::new());
+            for (gap, len) in pairs {
+                sym += u32::from(gap);
+                kraft += 1u64 << (MAX_CODE_LEN - len);
+                if kraft > 1u64 << MAX_CODE_LEN {
+                    break;
+                }
+                kept.push((sym as u16, len));
+            }
+            let table = HuffmanTable::read_header(&header_of(&kept), &mut 0).unwrap();
+            assert_matches_reference(&table, &bytes, &runs)?;
+        }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The incremental Kraft fix-up picks the code the rescanning
+        /// loop picked, every time: Laplacian counts with a tail of
+        /// singletons as wide as the cap allows.
+        #[test]
+        fn kraft_fix_up_matches_the_rescanning_loop(
+            center in 1u64..1 << 30,
+            decay in 1u32..6,
+            tail in 0usize..1500,
+            cap in 2u8..=16,
+            gaps in any::<u64>(),
+        ) {
+            let mut counts: Vec<u64> =
+                (0..64u32).map(|i| center >> (i.abs_diff(32) * decay).min(63)).collect();
+            counts.extend((0..tail).map(|i| u64::from((gaps >> (i % 64)) & 1 == 0)));
+            let used = counts.iter().filter(|&&c| c > 0).count();
+            prop_assume!(used >= 2 && used <= 1 << cap);
+            let mut new = tree_depths(&counts);
+            let mut old = reference::tree_depths(&counts);
+            prop_assert_eq!(&new, &old);
+            limit_lengths(&mut new, cap);
+            reference::limit_lengths(&mut old, cap);
+            prop_assert_eq!(new, old);
+        }
+    }
+
+    /// Laplacian counts over `n` symbols, halving every 64 levels, with a
+    /// tail of singletons: the shape SZ codes take at a tight bound, with
+    /// hundreds of codes just below a 16-bit cap and thousands above it.
+    fn wide_alphabet(n: usize) -> Vec<u64> {
+        (0..n).map(|i| (1u64 << 30 >> (i.abs_diff(n / 2) / 64).min(63)).max(1)).collect()
+    }
+
+    #[test]
+    fn wide_alphabets_get_the_rescanning_loops_lengths() {
+        for n in [2_000, 8_000] {
+            let mut new = tree_depths(&wide_alphabet(n));
+            let mut old = reference::tree_depths(&wide_alphabet(n));
+            assert_eq!(new, old, "{n} symbols");
+            limit_lengths(&mut new, 16);
+            reference::limit_lengths(&mut old, 16);
+            assert_eq!(new, old, "{n} symbols");
+        }
+    }
+
+    /// Timing gates, like `lookup_decode_is_3x_the_bit_serial_reference`:
+    /// ratios of two coders run back to back on one input, meaningful in
+    /// release mode only. The stream carries ~2.5 bits per symbol, where
+    /// three-symbol entries fill.
+    #[test]
+    #[ignore = "timing: run in release mode"]
+    fn multi_symbol_decode_is_1_6x_the_single_symbol_reference() {
+        let data = sz_like(1_000_000, 1);
+        let block = encode_block(&data);
+        let mut pos = 0;
+        let table = HuffmanTable::read_header(&block, &mut pos).unwrap();
+        read_uvarint(&block, &mut pos).unwrap();
+        let bits = read_bytes(&block, &mut pos).unwrap();
+        println!("{:.2} bits/symbol", bits.len() as f64 * 8.0 / data.len() as f64);
+        let old = reference::Decoder::new(&table);
+        let slow = best_of(|| {
+            let mut out = Vec::with_capacity(data.len());
+            old.decode_each(&mut BitReader::new(std::hint::black_box(bits)), data.len(), |s| {
+                out.push(s)
+            })
+            .unwrap();
+            out
+        });
+        let fast = best_of(|| {
+            table.decode_from(&mut BitReader::new(std::hint::black_box(bits)), data.len()).unwrap()
+        });
+        assert_eq!(table.decode_from(&mut BitReader::new(bits), data.len()).unwrap(), data);
+        let ratio = slow / fast;
+        println!(
+            "multi-symbol {:.2} ns/sym, single-symbol {:.2} ns/sym: {ratio:.2}x",
+            fast * 1e3,
+            slow * 1e3
+        );
+        assert!(ratio >= 1.6, "multi-symbol decode is only {ratio:.2}x the single-symbol one");
+    }
+
+    #[test]
+    #[ignore = "timing: run in release mode"]
+    fn block_encode_is_1_25x_the_per_symbol_reference() {
+        let data = sz_like(1_000_000, 1);
+        let slow = best_of(|| reference::encode_block(std::hint::black_box(&data)));
+        let fast = best_of(|| encode_block(std::hint::black_box(&data)));
+        assert_eq!(encode_block(&data), reference::encode_block(&data));
+        let ratio = slow / fast;
+        println!(
+            "paired encode {:.2} ns/sym, per-symbol {:.2} ns/sym: {ratio:.2}x",
+            fast * 1e3,
+            slow * 1e3
+        );
+        assert!(ratio >= 1.25, "block encode is only {ratio:.2}x the per-symbol one");
+    }
+
+    #[test]
+    #[ignore = "timing: run in release mode"]
+    fn table_build_is_20x_the_rescanning_fix_up() {
+        let counts = wide_alphabet(30_000);
+        let fast = best_of(|| HuffmanTable::from_frequencies(std::hint::black_box(&counts), 16));
+        let slow = best_of(|| {
+            let mut lengths = reference::tree_depths(std::hint::black_box(&counts));
+            reference::limit_lengths(&mut lengths, 16);
+            HuffmanTable::from_lengths(0, &lengths)
+        });
+        let ratio = slow / fast;
+        println!(
+            "table build {:.2} ms, with the rescanning fix-up {:.2} ms: {ratio:.1}x",
+            fast * 1e3,
+            slow * 1e3
+        );
+        assert!(ratio >= 20.0, "the 30,000-symbol table build is only {ratio:.1}x the old one");
     }
 }

@@ -105,7 +105,7 @@ impl Lossless for BloscLz {
             return Err(CodecError::Corrupt("zero shuffle element size"));
         }
         let mut pos = 1usize;
-        let mut out: Vec<u8> = Vec::with_capacity(raw_len);
+        let mut out = frame::output_buffer(raw_len, payload);
         while out.len() < raw_len {
             // Run lengths are untrusted: compare against the room left
             // (`out.len() < raw_len` here) rather than adding first.

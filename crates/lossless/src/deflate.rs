@@ -13,7 +13,7 @@ use crate::{Lossless, LosslessKind};
 use fedsz_codec::bitio::{BitReader, BitWriter};
 use fedsz_codec::checksum::{adler32, crc32};
 use fedsz_codec::huffman::HuffmanTable;
-use fedsz_codec::varint::{read_u32, read_uvarint, write_u32, write_uvarint};
+use fedsz_codec::varint::{read_bytes, read_u32, write_u32, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 
 /// End-of-block symbol in the literal/length alphabet.
@@ -132,10 +132,9 @@ fn inflate_payload(payload: &[u8], raw_len: usize) -> Result<Vec<u8>> {
     let mut pos = 0usize;
     let litlen = HuffmanTable::read_header(payload, &mut pos)?;
     let dist_table = HuffmanTable::read_header(payload, &mut pos)?;
-    let nbits = read_uvarint(payload, &mut pos)? as usize;
-    let bits = payload.get(pos..pos + nbits).ok_or(CodecError::UnexpectedEof)?;
+    let bits = read_bytes(payload, &mut pos)?;
     let mut r = BitReader::new(bits);
-    let mut out = Vec::with_capacity(raw_len);
+    let mut out = frame::output_buffer(raw_len, payload);
     loop {
         let sym = litlen.read_symbol(&mut r)?;
         match sym {

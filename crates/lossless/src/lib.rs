@@ -173,6 +173,19 @@ pub(crate) mod frame {
     /// Byte flag marking an entropy-coded payload.
     pub const COMPRESSED: u8 = 1;
 
+    /// Most output bytes a decoder reserves per payload byte before it
+    /// has decoded any.
+    const RESERVE_PER_BYTE: usize = 16;
+
+    /// The output buffer of a frame whose header claims `raw_len` bytes
+    /// from `payload`. The claim comes from a peer, so the reservation
+    /// is no more than the payload can plausibly back; an honest frame
+    /// that expands further (LZ output is unbounded in its input) grows
+    /// the buffer with the bytes it decodes.
+    pub fn output_buffer(raw_len: usize, payload: &[u8]) -> Vec<u8> {
+        Vec::with_capacity(raw_len.min(payload.len().saturating_mul(RESERVE_PER_BYTE)))
+    }
+
     /// Emits `flag || uvarint(len) || payload`, choosing STORED whenever
     /// the compressed candidate is no smaller than the input.
     pub fn pick(raw: &[u8], compressed: Vec<u8>) -> Vec<u8> {

@@ -315,10 +315,9 @@ fn encode_plane(
         return;
     }
     write_uvarint(out, stream_len as u64);
+    out.reserve(stream_len);
     let mut w = BitWriter::append_to(std::mem::take(out));
-    for byte in plane {
-        table.write_symbol(u16::from(byte), &mut w);
-    }
+    table.encode_iter(plane.map(u16::from), &mut w);
     *out = w.into_bytes();
 }
 

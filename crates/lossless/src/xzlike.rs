@@ -149,7 +149,7 @@ impl Lossless for XzLike {
         let (body, trailer) = payload.split_at(payload.len() - 4);
         let mut models = Models::new();
         let mut dec = RangeDecoder::new(body)?;
-        let mut out: Vec<u8> = Vec::with_capacity(raw_len);
+        let mut out = frame::output_buffer(raw_len, payload);
         while out.len() < raw_len {
             if dec.decode_bit(&mut models.is_match)? {
                 let slot = models.len_slot.decode(&mut dec)?;

@@ -184,7 +184,7 @@ impl Lossless for ZstdLike {
         let tail_len = read_uvarint(payload, &mut pos)? as usize;
         let bits = read_bytes(payload, &mut pos)?;
         let mut r = BitReader::new(bits);
-        let mut out = Vec::with_capacity(raw_len);
+        let mut out = frame::output_buffer(raw_len, payload);
 
         let read_value = |r: &mut BitReader<'_>, table: &HuffmanTable| -> Result<u32> {
             let slot = table.read_symbol(r)?;

@@ -46,7 +46,7 @@
 //! against `n`.
 
 use crate::{ErrorBound, LossyError, LossyKind};
-use fedsz_codec::huffman::{self, Histogram};
+use fedsz_codec::huffman;
 use fedsz_codec::quantizer::{Quantized, Quantizer};
 use fedsz_codec::stats::ValueRange;
 use fedsz_codec::varint::{
@@ -179,9 +179,6 @@ pub(crate) fn read_bound(stream: &[u8], pos: &mut usize) -> Result<f32> {
 pub(crate) struct Quantization {
     quantizer: Quantizer,
     codes: Vec<u16>,
-    /// Counted as the codes are produced, so the Huffman stage does not
-    /// walk them again.
-    histogram: Histogram,
     unpredictable: Vec<f32>,
     /// What the decoder will hold for the most recent element.
     pub(crate) last_recon: f32,
@@ -193,7 +190,6 @@ impl Quantization {
         Self {
             quantizer: Quantizer::new(eb),
             codes: Vec::with_capacity(n),
-            histogram: Histogram::new(),
             unpredictable: Vec::new(),
             last_recon: 0.0,
         }
@@ -210,7 +206,6 @@ impl Quantization {
             }
         };
         self.codes.push(code);
-        self.histogram.add(code);
         self.last_recon = recon;
         recon
     }
@@ -221,12 +216,7 @@ impl Quantization {
         let start = self.codes.len();
         self.codes.resize(start + values.len(), 0);
         match self.quantizer.quantize_batch(preds, values, &mut self.codes[start..]) {
-            Some(last) => {
-                self.last_recon = last;
-                for &code in &self.codes[start..] {
-                    self.histogram.add(code);
-                }
-            }
+            Some(last) => self.last_recon = last,
             // Some element is unpredictable, out of bound after
             // rounding, or on a rounding tie: redo the run one element
             // at a time.
@@ -243,8 +233,8 @@ impl Quantization {
     /// Huffman-coded codes and the raw values, through the zstd-class
     /// backend as SZ passes its own Huffman output through zstd.
     pub(crate) fn finish(self, sections: &[&[u8]], out: &mut Vec<u8>) {
-        let Self { codes, histogram, unpredictable, .. } = self;
-        let code_block = huffman::encode_block_counted(&codes, &histogram);
+        let Self { codes, unpredictable, .. } = self;
+        let code_block = huffman::encode_block(&codes);
         drop(codes);
         let side: usize = sections.iter().map(|section| section.len() + 10).sum();
         let mut inner = Vec::with_capacity(side + code_block.len() + 4 * unpredictable.len() + 10);

@@ -1,15 +1,16 @@
 //! Hostile-input tests of every decoder a peer's bytes can reach: the
 //! fold step's two (`FoldStep::decode` for worker uploads,
 //! `FoldStep::decode_partial` for relay partial-sum frames), the four
-//! EBLC families on their own, and `FedSz::decompress_with_config` —
-//! FSZ1 with no template, which is what a worker runs on its downlink
-//! and `fedsz decompress` on a file.
+//! EBLC families and the five lossless back-ends on their own, and
+//! `FedSz::decompress_with_config` — FSZ1 with no template, which is
+//! what a worker runs on its downlink and `fedsz decompress` on a file.
 //!
 //! Every byte of an upload may come from a peer, so for each payload
 //! kind — an `FSZ1` FedSZ stream, `FUC1` sparse and quantized delta
 //! streams, raw dict bytes, `PsumCodec` frames of the exact (stride 16)
 //! and the `f64` (stride 8) partial-sum image, a bare exact image, bare
-//! SZ3, SZx and ZFP streams, an `FSZ1` stream read without a template —
+//! SZ3, SZx and ZFP streams, bare blosc-lz, gzip, zlib, zstd and xz
+//! frames, an `FSZ1` stream read without a template —
 //! bit flips, truncations and forged length fields (with the CRC
 //! trailer recomputed, as an attacker would) must come back as `Err`,
 //! or as a dict or sum that still passed validation: never a panic, and
@@ -28,7 +29,7 @@ use fedsz_fl::agg::PartialSum;
 use fedsz_fl::codec::FamilyCodec;
 use fedsz_fl::step::FoldStep;
 use fedsz_fl::{FlConfig, StagePolicy};
-use fedsz_lossless::{Lossless, PsumCodec, ZstdLike};
+use fedsz_lossless::{Lossless, LosslessKind, PsumCodec, ZstdLike};
 use fedsz_net::Message;
 use fedsz_nn::StateDict;
 use fedsz_tensor::Tensor;
@@ -125,6 +126,10 @@ enum Route {
     /// FSZ1 header's lossy id selects, with no template to check the
     /// element count first.
     Lossy(LossyKind),
+    /// A bare lossless frame, through that back-end's `decompress`:
+    /// what an FSZ1 header's lossless id selects, before any template
+    /// can check the length the frame claims.
+    Lossless(LosslessKind),
     /// An FSZ1 stream through `FedSz::decompress_with_config`, which
     /// has no template: the worker's downlink, `fedsz decompress`.
     Templateless,
@@ -173,6 +178,17 @@ fn partial_of(template: &StateDict) -> PartialSum {
     sum
 }
 
+/// What the bare lossless kinds carry: the update's small tensors
+/// serialized, the bytes FedSZ's lossless stage codes. Its constant
+/// statistics make every back-end code a real token stream.
+fn lossless_blob(reference: &StateDict) -> Vec<u8> {
+    let mut blob = StateDict::new();
+    for (name, tensor) in update_of(reference).iter().filter(|(name, _)| *name != "conv.weight") {
+        blob.insert(name, tensor.clone());
+    }
+    blob.to_bytes()
+}
+
 fn kinds(reference: &StateDict) -> Vec<Kind> {
     let update = update_of(reference);
     let codec: FedSzConfig = FlConfig::tiny_model_compression();
@@ -196,6 +212,11 @@ fn kinds(reference: &StateDict) -> Vec<Kind> {
         let tensor = update.get("conv.weight").unwrap();
         let stream = family.codec().compress(tensor.data(), codec.error_bound).unwrap();
         kind(name, &StagePolicy::Raw, stream, Route::Lossy(family))
+    };
+    let blob = lossless_blob(reference);
+    let lossless = |name, backend: LosslessKind| {
+        let frame = backend.codec().compress(&blob);
+        kind(name, &StagePolicy::Raw, frame, Route::Lossless(backend))
     };
     vec![
         kind("FSZ1", &StagePolicy::Lossy(codec), fsz1.clone(), upload(true)),
@@ -235,6 +256,11 @@ fn kinds(reference: &StateDict) -> Vec<Kind> {
         bare("sz3", LossyKind::Sz3),
         bare("szx", LossyKind::Szx),
         bare("zfp", LossyKind::Zfp),
+        lossless("blosclz", LosslessKind::BloscLz),
+        lossless("gzip", LosslessKind::Gzip),
+        lossless("zlib", LosslessKind::Zlib),
+        lossless("zstd", LosslessKind::Zstd),
+        lossless("xz", LosslessKind::Xz),
         kind("FSZ1-no-template", &StagePolicy::Raw, fsz1, Route::Templateless),
     ]
 }
@@ -286,6 +312,9 @@ fn decode(kind: &Kind, payload: &[u8], reference: &StateDict, what: &str) -> Res
         }
         Route::Lossy(family) => {
             family.codec().decompress(payload).map_err(|e| e.to_string())?;
+        }
+        Route::Lossless(backend) => {
+            backend.codec().decompress(payload).map_err(|e| e.to_string())?;
         }
         Route::Templateless => {
             FedSz::decompress_with_config(payload).map_err(|e| e.to_string())?;
@@ -350,6 +379,13 @@ fn honest_payloads_decode() {
     let reference = template();
     for kind in kinds(&reference) {
         assert!(decode_is_total(&kind, &kind.payload, &reference, "the honest payload"));
+        // An honest frame decodes to its bytes, and is coded rather
+        // than stored, so the sweeps below reach its decoder.
+        if let Route::Lossless(backend) = kind.route {
+            assert_eq!(kind.payload[0], 1, "{}: stored", kind.name);
+            let decoded = backend.codec().decompress(&kind.payload).unwrap();
+            assert_eq!(decoded, lossless_blob(&reference), "{}", kind.name);
+        }
         // The sweeps below must reach every plane decoder.
         if matches!(kind.name, "psum-exact" | "psum-f64") {
             let modes = plane_modes(&kind.payload);
@@ -536,7 +572,7 @@ proptest! {
     /// and without the CRC recomputed.
     #[test]
     fn mutated_uploads_are_errors_not_crashes(
-        which in 0usize..12,
+        which in 0usize..17,
         mutation in 0usize..3,
         at in any::<u32>(),
         bit in 0u32..8,
