@@ -164,7 +164,7 @@ fn main() {
         (
             "auto",
             "auto {sz3, topk, q8}".into(),
-            StagePolicy::AutoFamily {
+            StagePolicy::Priced {
                 candidates: vec![
                     StagePolicy::Lossy(sz3),
                     StagePolicy::TopK { ratio: topk_ratio, error_feedback: false },

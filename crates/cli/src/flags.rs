@@ -115,7 +115,6 @@ pub const FLAGS: &[Flag] = &[
     flag("downlink", Value("raw, fedsz or auto"), RUN),
     flag("uplink", Value("an uplink codec"), RUN),
     flag("no-compress", Switch, RUN),
-    flag("adaptive", Switch, RUN),
     flag("dp-clip", Value("a number (the L2 clip bound)"), RUN),
     flag("dp-noise", Value("a number (the noise multiplier)"), RUN),
     flag("dp-mechanism", Value("gaussian or laplace"), RUN),
@@ -321,7 +320,7 @@ mod tests {
         let args = Args::parse(Command::Fl, &argv).unwrap();
         assert_eq!(args.parsed_or("clients", 4usize), Ok(8));
         assert_eq!(args.parsed_or("rounds", 5usize), Ok(5));
-        assert!(args.switch("weighted") && !args.switch("adaptive"));
+        assert!(args.switch("weighted") && !args.switch("no-compress"));
         assert_eq!(args.values("straggler"), ["0:4", "1:2"]);
         assert!(args.values("drop").is_empty());
         // Negative numbers are values, not flags.

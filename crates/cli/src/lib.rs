@@ -92,7 +92,7 @@ USAGE:
            [--arch alexnet|mobilenetv2|resnet]
            [--participation F] [--bandwidth MBPS] [--links MBPS,MBPS,...]
            [--latency MS] [--straggler ID:FACTOR]... [--drop ID:PROB]...
-           [--policy sync|buffered:K] [--adaptive] [--non-iid ALPHA]
+           [--policy sync|buffered:K] [--non-iid ALPHA]
            [--weighted] [--no-compress] [--seed N] [--train-per-class N]
            [--shards S] [--tree F1xF2x...] [--psum raw|lossless|auto]
            [--downlink raw|fedsz|auto] [--uplink CODEC] [--threads N]
@@ -101,7 +101,7 @@ USAGE:
   fedsz sweep <SPEC.toml|DIR> [--json [FILE]] [--threads N]
   fedsz serve [--config FILE] [--json] [--bind ADDR] [--clients N]
               [--rounds N] [--seed N] [--train-per-class N] [--arch ...]
-              [--non-iid ALPHA] [--no-compress] [--adaptive]
+              [--non-iid ALPHA] [--no-compress]
               [--downlink raw|fedsz] [--uplink CODEC] [--shards S]
               [--tree S] [--psum raw|lossless|auto]
               [--dp-clip F] [--dp-noise F]
@@ -112,7 +112,7 @@ USAGE:
               [--trace FILE] [--metrics-addr ADDR]
   fedsz worker --id K [--config FILE] [--connect ADDR] [--clients N]
                [--rounds N] [--seed N] [--train-per-class N] [--arch ...]
-               [--non-iid ALPHA] [--no-compress] [--adaptive]
+               [--non-iid ALPHA] [--no-compress]
                [--uplink CODEC] [--downlink raw|fedsz] [--shards S]
                [--tree S] [--psum raw|lossless|auto]
                [--dp-clip F] [--dp-noise F]
@@ -133,10 +133,11 @@ lossless compresses the inter-aggregator partial-sum frames with the
 byte-plane coder, --psum auto decides per edge with Eqn 1.
 --downlink fedsz FedSZ-encodes the broadcast once per round,
 --downlink auto applies Eqn 1 with a raw fallback. --uplink picks the
-upload codec family: raw, lossy, adaptive, topk:RATIO (Top-K delta
-sparsification, e.g. topk:0.01), q4/q8 (linear quantization; q4s/q8s
-stochastic), or auto (Eqn 1 prices lossy vs topk:0.01 vs q8 per link
-and picks the fastest, probing unmeasured families first). Appending
+upload codec family: raw, lossy, adaptive (Eqn 1 prices lossy against
+raw per link), topk:RATIO (Top-K delta sparsification, e.g.
+topk:0.01), q4/q8 (linear quantization; q4s/q8s stochastic), or auto
+(Eqn 1 prices lossy vs topk:0.01 vs q8 per link and picks the
+fastest, probing unmeasured families first). Appending
 +ef (topk:0.01+ef, q8+ef) adds per-client error feedback: mass the
 codec dropped re-enters the next round's delta. EF keeps state across
 rounds, so it is rejected with --policy buffered:K and by
@@ -181,9 +182,9 @@ forwards one PartialSum[Compressed] frame per round. Config flags that
 shape the bits (seed, data, arch, codec) must match across every
 process; both `fl` and `serve` print a `global checksum` line so
 parity is a diff away. A worker under a priced uplink policy
-(--uplink adaptive|auto; --adaptive is shorthand for the former)
-applies Eqn 1 to its own MEASURED send bandwidth and codec times
-instead of a simulated link profile, and reports that bandwidth.
+(--uplink adaptive|auto) applies Eqn 1 to its own MEASURED send
+bandwidth and codec times instead of a simulated link profile, and
+reports that bandwidth.
 
 Membership is elastic: `serve` runs a single-threaded poll(2) reactor
 (one event loop handles every session; --max-sessions caps them), so
@@ -460,9 +461,9 @@ fn parse_arch(name: &str) -> Option<TinyArch> {
 }
 
 /// Parses an `--uplink` codec spec into its [`StagePolicy`]: `raw`,
-/// `lossy`, `adaptive`, `topk:RATIO[+ef]`, `q4[s][+ef]`, `q8[s][+ef]`
-/// or `auto` (an [`StagePolicy::AutoFamily`] over lossy, `topk:0.01`
-/// and `q8`, priced per link with Eqn 1). `+ef` turns on per-client
+/// `lossy`, `adaptive` (a [`StagePolicy::Priced`] over lossy alone),
+/// `topk:RATIO[+ef]`, `q4[s][+ef]`, `q8[s][+ef]` or `auto` (priced
+/// over lossy, `topk:0.01` and `q8`). `+ef` turns on per-client
 /// error feedback — legal only in the simulator, and rejected with a
 /// typed plan error under buffered aggregation or socket workers.
 fn parse_uplink(spec: &str, compression: Option<FedSzConfig>) -> Result<StagePolicy, String> {
@@ -480,12 +481,12 @@ fn parse_uplink(spec: &str, compression: Option<FedSzConfig>) -> Result<StagePol
             "raw" => return Ok(StagePolicy::Raw),
             "lossy" | "fedsz" => return Ok(StagePolicy::Lossy(need_codec(base)?)),
             "adaptive" | "eqn1" => {
-                return Ok(StagePolicy::Adaptive {
-                    compressed: Box::new(StagePolicy::Lossy(need_codec(base)?)),
+                return Ok(StagePolicy::Priced {
+                    candidates: vec![StagePolicy::Lossy(need_codec(base)?)],
                 })
             }
             "auto" => {
-                // EF candidates are illegal under AutoFamily (a
+                // EF candidates are illegal under a priced policy (a
                 // residual has no meaning when the codec changes per
                 // round), so the default slate is EF-free.
                 let mut candidates = Vec::new();
@@ -498,7 +499,7 @@ fn parse_uplink(spec: &str, compression: Option<FedSzConfig>) -> Result<StagePol
                     stochastic: false,
                     error_feedback: false,
                 });
-                return Ok(StagePolicy::AutoFamily { candidates });
+                return Ok(StagePolicy::Priced { candidates });
             }
             _ => {}
         }
@@ -593,9 +594,7 @@ fn shared_fl_config(args: &Args) -> Result<FlConfig, String> {
         config.psum = match mode.to_ascii_lowercase().as_str() {
             "raw" => StagePolicy::Raw,
             "lossless" => StagePolicy::Lossless,
-            "auto" | "adaptive" => {
-                StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossless) }
-            }
+            "auto" | "adaptive" => StagePolicy::Priced { candidates: vec![StagePolicy::Lossless] },
             other => return Err(format!("unknown psum mode `{other}`; try raw, lossless, auto")),
         };
     }
@@ -608,22 +607,12 @@ fn shared_fl_config(args: &Args) -> Result<FlConfig, String> {
         config.downlink = match mode.to_ascii_lowercase().as_str() {
             "raw" => StagePolicy::Raw,
             "fedsz" => need_codec()?,
-            "auto" | "adaptive" => StagePolicy::Adaptive { compressed: Box::new(need_codec()?) },
+            "auto" | "adaptive" => StagePolicy::Priced { candidates: vec![need_codec()?] },
             other => return Err(format!("unknown downlink mode `{other}`; try raw, fedsz, auto")),
         };
     }
-    // `--adaptive` is shorthand for `--uplink adaptive`; naming a second
-    // policy next to it is contradictory.
-    match (args.value("uplink"), args.switch("adaptive")) {
-        (Some(spec), true) => {
-            return Err(format!(
-                "contradictory uplink flags: --adaptive is shorthand for --uplink adaptive, \
-                 but --uplink {spec} is also set; pick one"
-            ))
-        }
-        (Some(spec), false) => config.uplink = parse_uplink(spec, codec)?,
-        (None, true) => config.uplink = parse_uplink("adaptive", codec)?,
-        (None, false) => {}
+    if let Some(spec) = args.value("uplink") {
+        config.uplink = parse_uplink(spec, codec)?;
     }
     // The DP stage: --dp-clip is the switch (a clip bound is the one
     // part a DP deployment cannot omit); the other dp flags refine it
@@ -960,7 +949,7 @@ fn worker(args: &Args) -> Result<String, String> {
     let report = run_worker(config).map_err(|e| format!("worker {id} failed: {e}"))?;
     telemetry.flush();
     // The bandwidth Eqn 1 was priced with, whenever it priced.
-    let measured = if plan.config.uplink.is_adaptive() {
+    let measured = if plan.config.uplink.is_priced() {
         format!(", measured uplink {:.0} Mbps", report.measured_bps / 1e6)
     } else {
         String::new()
@@ -1179,16 +1168,6 @@ mod tests {
             assert_ne!(out.code, 0, "worker accepted {flag}");
         }
         assert_ne!(runv(&["serve", "--participation", "0.5", "--clients", "2"]).code, 0);
-        // --adaptive is shorthand for --uplink adaptive on every
-        // subcommand; a second uplink policy next to it used to be
-        // dropped silently and is now a contradiction.
-        for sub in [&["fl"][..], &["serve"], &["worker", "--id", "0"]] {
-            let mut args = sub.to_vec();
-            args.extend(["--clients", "2", "--adaptive", "--uplink", "topk:0.1"]);
-            let out = runv(&args);
-            assert_ne!(out.code, 0, "{sub:?} accepted --adaptive with --uplink");
-            assert!(out.report.contains("contradictory uplink flags"), "{}", out.report);
-        }
         // And a bad bind fails cleanly instead of hanging.
         assert_ne!(runv(&["serve", "--bind", "256.0.0.1:1", "--clients", "1"]).code, 0);
     }
@@ -1300,7 +1279,6 @@ mod tests {
         for (sugar, long_form) in [
             (&["--shards", "2"][..], &["--tree", "2"][..]),
             (&["--no-compress"], &["--uplink", "raw"]),
-            (&["--adaptive"], &["--uplink", "adaptive"]),
         ] {
             assert_eq!(checksum(sugar), checksum(long_form), "{sugar:?} vs {long_form:?}");
         }

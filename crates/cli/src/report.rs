@@ -332,7 +332,15 @@ mod tests {
                     checksum: None,
                     level_merge_nanos: Some(vec![810, 5230]),
                     eqn1: Some(vec![
-                        Eqn1Decision::unpriced(fedsz::timing::Eqn1Leg::Uplink, 0, true, 0.002),
+                        Eqn1Decision {
+                            leg: fedsz::timing::Eqn1Leg::Uplink,
+                            node: 0,
+                            compressed: true,
+                            family: "lossy",
+                            predicted_compressed_secs: None,
+                            predicted_raw_secs: None,
+                            measured_codec_secs: 0.002,
+                        },
                         Eqn1Decision {
                             leg: fedsz::timing::Eqn1Leg::Downlink,
                             node: 0,

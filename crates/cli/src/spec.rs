@@ -257,15 +257,9 @@ pub fn expand_config(args: &[String]) -> Result<Vec<String>, String> {
     // topology flag overrides the file's topology under either name —
     // otherwise `--shards 4` against a spec with `tree = "2x4"` would
     // hard-fail as a conflict the user cannot resolve from the CLI.
-    // `adaptive` (shorthand for `uplink = "adaptive"`) and `uplink`
-    // are likewise one setting the CLI rejects when doubled.
     let cli_sets_topology = args.iter().any(|a| a == "--shards" || a == "--tree");
-    let cli_sets_uplink = args.iter().any(|a| a == "--uplink" || a == "--adaptive");
     entries.retain(|(key, _)| {
         if cli_sets_topology && (key == "shards" || key == "tree") {
-            return false;
-        }
-        if cli_sets_uplink && (key == "uplink" || key == "adaptive") {
             return false;
         }
         !args.iter().any(|a| *a == format!("--{key}"))
@@ -408,7 +402,7 @@ mod tests {
             tree = "2x4"            # inline comment
             psum = lossless
             weighted = true
-            adaptive = false
+            no-compress = false
             participation = 0.5
             straggler = ["0:4", "1:2"]
         "#;
@@ -518,15 +512,6 @@ mod tests {
             .collect();
         let expanded = expand_config(&args).unwrap();
         assert_eq!(expanded, vec!["--tree", "2x2"]);
-        // Same for `adaptive` (shorthand for `uplink = "adaptive"`)
-        // against an explicit --uplink.
-        std::fs::write(&path, "adaptive = true\nrounds = 2\n").unwrap();
-        let args: Vec<String> = ["--uplink", "q8", "--config", path.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let expanded = expand_config(&args).unwrap();
-        assert_eq!(expanded, vec!["--uplink", "q8", "--rounds", "2"]);
         let _ = std::fs::remove_file(&path);
     }
 

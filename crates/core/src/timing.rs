@@ -181,22 +181,6 @@ pub struct Eqn1Decision {
     pub measured_codec_secs: f64,
 }
 
-impl Eqn1Decision {
-    /// A decision from a policy that never priced a plan (forced raw
-    /// or forced compressed): predictions are absent.
-    pub fn unpriced(leg: Eqn1Leg, node: u64, compressed: bool, measured_codec_secs: f64) -> Self {
-        Eqn1Decision {
-            leg,
-            node,
-            compressed,
-            family: if compressed { "lossy" } else { "raw" },
-            predicted_compressed_secs: None,
-            predicted_raw_secs: None,
-            measured_codec_secs,
-        }
-    }
-}
-
 /// One codec family as a candidate in a family-selection decision:
 /// its stable name plus the measured [`CostProfile`], when one exists.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -241,11 +225,17 @@ pub struct FamilySelection {
 ///
 /// Ties go to raw: a family must be *strictly* faster than sending
 /// uncompressed to win, same as [`TransferPlan::worthwhile`].
+///
+/// `plan` turns a candidate's profile into this payload's
+/// [`TransferPlan`] — [`CostProfile::plan`] of `raw_bytes`, scaled for
+/// the caller's setting (a straggler's slower compression, an encode
+/// amortized over a broadcast's fan-out).
 pub fn select_family(
     raw_bytes: usize,
     bandwidth_bps: Option<f64>,
     candidates: &[FamilyCandidate],
     probe_hint: usize,
+    plan: &dyn Fn(&CostProfile) -> TransferPlan,
 ) -> FamilySelection {
     if candidates.is_empty() {
         return FamilySelection {
@@ -284,7 +274,7 @@ pub fn select_family(
     let mut best: Option<(usize, f64)> = None;
     for (i, candidate) in candidates.iter().enumerate() {
         let profile = candidate.profile.expect("all candidates profiled above");
-        let secs = profile.plan(raw_bytes).compressed_time(bps);
+        let secs = plan(&profile).compressed_time(bps);
         if best.is_none_or(|(_, b)| secs < b) {
             best = Some((i, secs));
         }
@@ -376,15 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn unpriced_decisions_carry_no_predictions() {
-        let u = Eqn1Decision::unpriced(Eqn1Leg::Psum, 3, false, 0.0);
-        assert_eq!((u.predicted_compressed_secs, u.predicted_raw_secs), (None, None));
-        assert_eq!((u.family, u.leg.name()), ("raw", "psum"));
-        assert_eq!(Eqn1Decision::unpriced(Eqn1Leg::Uplink, 0, true, 0.0).family, "lossy");
-        assert_eq!((Eqn1Leg::Uplink.name(), Eqn1Leg::Downlink.name()), ("uplink", "downlink"));
-    }
-
-    #[test]
     fn cost_profile_blends_and_plans() {
         let first = CostProfile {
             compress_secs_per_byte: 2e-9,
@@ -416,6 +397,11 @@ mod tests {
         CostProfile { compress_secs_per_byte: 1e-6, decompress_secs_per_byte: 1e-6, ratio: 2.0 }
     }
 
+    /// The unscaled pricing: each profile's plan for `raw_bytes`.
+    fn plan_of(raw_bytes: usize) -> impl Fn(&CostProfile) -> TransferPlan {
+        move |p| p.plan(raw_bytes)
+    }
+
     #[test]
     fn select_family_probes_unprofiled_candidates_in_rotation() {
         let candidates = [
@@ -423,11 +409,11 @@ mod tests {
             FamilyCandidate { family: "topk", profile: None },
             FamilyCandidate { family: "q8", profile: None },
         ];
-        let s = select_family(1_000_000, Some(mbps(10.0)), &candidates, 0);
+        let s = select_family(1_000_000, Some(mbps(10.0)), &candidates, 0, &plan_of(1_000_000));
         assert!(s.probe);
         assert_eq!(s.choice, Some(1), "hint 0 rotates to the first unprofiled slot");
         assert_eq!(s.predicted_raw_secs, None);
-        let s = select_family(1_000_000, Some(mbps(10.0)), &candidates, 2);
+        let s = select_family(1_000_000, Some(mbps(10.0)), &candidates, 2, &plan_of(1_000_000));
         assert_eq!(s.choice, Some(2), "hint 2 lands on the other unprofiled slot");
     }
 
@@ -438,7 +424,7 @@ mod tests {
             FamilyCandidate { family: "fast", profile: Some(fast_family()) },
         ];
         // 10 Mbps, 10 MB payload: raw 8 s; fast family ~0.8 s + codec.
-        let s = select_family(10_000_000, Some(mbps(10.0)), &candidates, 0);
+        let s = select_family(10_000_000, Some(mbps(10.0)), &candidates, 0, &plan_of(10_000_000));
         assert!(!s.probe);
         assert_eq!(s.choice, Some(1));
         let raw = s.predicted_raw_secs.unwrap();
@@ -451,7 +437,7 @@ mod tests {
     fn select_family_falls_back_to_raw_on_fast_links() {
         // 100 Gbps: raw wins against a family that burns 1 us/byte.
         let candidates = [FamilyCandidate { family: "slow", profile: Some(slow_family()) }];
-        let s = select_family(10_000_000, Some(100e9), &candidates, 0);
+        let s = select_family(10_000_000, Some(100e9), &candidates, 0, &plan_of(10_000_000));
         assert!(!s.probe);
         assert_eq!(s.choice, None, "raw is faster than every candidate");
         // The losing family's prediction is still reported for audit.
@@ -460,11 +446,11 @@ mod tests {
 
     #[test]
     fn select_family_handles_empty_and_unpriced_inputs() {
-        let s = select_family(1_000, Some(mbps(1.0)), &[], 3);
+        let s = select_family(1_000, Some(mbps(1.0)), &[], 3, &plan_of(1_000));
         assert_eq!(s.choice, None);
         assert!(!s.probe);
         let candidates = [FamilyCandidate { family: "fast", profile: Some(fast_family()) }];
-        let s = select_family(1_000, None, &candidates, 5);
+        let s = select_family(1_000, None, &candidates, 5, &plan_of(1_000));
         assert!(s.probe, "no bandwidth sample means an unpriced probe");
         assert_eq!(s.choice, Some(0));
     }

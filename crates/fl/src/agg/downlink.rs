@@ -14,13 +14,15 @@
 //! (the downlink proptest pins this down).
 //!
 //! [`DownlinkMode::Adaptive`] applies the paper's Eqn 1 to the
-//! broadcast leg: using an EWMA profile of measured encode/decode costs
-//! it compares the compressed path (encode once + decode + compressed
-//! transfer) against raw transfer on the cohort's *bottleneck* link,
-//! and falls back to raw bytes whenever compression loses.
+//! broadcast leg through a one-candidate `step::PricedStage`: using an
+//! EWMA profile of measured encode/decode costs it compares the
+//! compressed path (encode once + decode + compressed transfer)
+//! against raw transfer on the cohort's *bottleneck* link, and falls
+//! back to raw bytes whenever compression loses.
 
 use crate::plan::{PlanError, StageLeg, StagePolicy};
-use fedsz::timing::CostProfile;
+use crate::step::{PricedStage, StageChoice};
+use fedsz::timing::Eqn1Leg;
 use fedsz::{FedSz, FedSzConfig, Result};
 use fedsz_nn::StateDict;
 use std::time::Instant;
@@ -51,13 +53,10 @@ pub struct DownlinkPayload {
     pub encode_secs: f64,
     /// In-memory size of the model being broadcast.
     pub raw_bytes: usize,
-    /// Eqn 1's predicted per-client cost of the compressed path when
-    /// this round's decision priced a real plan (`None` for forced
-    /// modes and unprofiled probe rounds).
-    pub predicted_compressed_secs: Option<f64>,
-    /// Eqn 1's predicted cost of shipping raw, paired with
-    /// `predicted_compressed_secs`.
-    pub predicted_raw_secs: Option<f64>,
+    /// This round's Eqn-1 choice, with the per-client predictions
+    /// when it priced a real plan (`None` for forced modes and
+    /// unprofiled probe rounds).
+    pub choice: StageChoice,
 }
 
 impl DownlinkPayload {
@@ -72,11 +71,10 @@ impl DownlinkPayload {
 /// The per-round broadcast encoder.
 #[derive(Debug, Clone)]
 pub struct Downlink {
-    mode: DownlinkMode,
     codec: Option<FedSz>,
-    /// EWMA cost profile of the broadcast codec (the same
-    /// [`CostProfile`] type the uplink and partial-sum stages use).
-    profile: Option<CostProfile>,
+    /// Eqn 1 over the one broadcast codec (the stage the uplink and
+    /// partial-sum legs use too).
+    stage: PricedStage,
 }
 
 impl Downlink {
@@ -91,7 +89,9 @@ impl Downlink {
             mode == DownlinkMode::Raw || codec.is_some(),
             "downlink compression requires a FedSZ configuration"
         );
-        Self { mode, codec: codec.map(FedSz::new), profile: None }
+        let families: &[_] = if mode == DownlinkMode::Raw { &[] } else { &["lossy"] };
+        let stage = PricedStage::new(Eqn1Leg::Downlink, families, mode == DownlinkMode::Adaptive);
+        Self { codec: codec.map(FedSz::new), stage }
     }
 
     /// Builds the stage from a validated plan-level [`StagePolicy`] —
@@ -100,60 +100,27 @@ impl Downlink {
     /// # Errors
     ///
     /// Returns a [`PlanError`] when the policy is illegal on the
-    /// broadcast leg (lossless, adaptive-over-raw, …), so even a
+    /// broadcast leg (lossless, a priced raw, …), so even a
     /// hand-built plan cannot smuggle one in.
     pub fn from_policy(policy: &StagePolicy) -> std::result::Result<Self, PlanError> {
         policy.validate_for(StageLeg::Downlink)?;
         let (mode, codec) = match policy {
             StagePolicy::Raw => (DownlinkMode::Raw, None),
             StagePolicy::Lossy(config) => (DownlinkMode::Compressed, Some(*config)),
-            StagePolicy::Adaptive { .. } => (DownlinkMode::Adaptive, policy.fedsz()),
+            StagePolicy::Priced { .. } => (DownlinkMode::Adaptive, policy.fedsz()),
             _ => unreachable!("rejected by validate_for"),
         };
         Ok(Self::new(mode, codec))
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> DownlinkMode {
-        self.mode
-    }
-
-    /// Eqn 1 on the broadcast leg: with a measured cost profile and a
-    /// known bottleneck bandwidth, compress iff encode + decode +
-    /// compressed transfer beats raw transfer *per cohort client*. The
-    /// model is encoded once for the whole fan-out, so the encode cost
-    /// is amortized over the cohort; decoding happens on every client.
-    /// Until a profile exists the first round compresses to measure
-    /// one.
-    /// Returns the verdict plus, when a plan was actually priced, the
-    /// predicted `(compressed_secs, raw_secs)` pair for the audit
-    /// trail.
-    fn decide(
-        &self,
-        raw: usize,
-        bottleneck_bps: Option<f64>,
-        cohort: usize,
-    ) -> (bool, Option<(f64, f64)>) {
-        match self.mode {
-            DownlinkMode::Raw => (false, None),
-            DownlinkMode::Compressed => (true, None),
-            DownlinkMode::Adaptive => {
-                let (Some(profile), Some(bw)) = (&self.profile, bottleneck_bps) else {
-                    return (true, None);
-                };
-                // One encode serves the whole cohort, so its cost
-                // amortizes over the fan-out; every client decodes.
-                let mut plan = profile.plan(raw);
-                plan.compress_secs /= cohort.max(1) as f64;
-                (plan.worthwhile(bw), Some((plan.compressed_time(bw), plan.uncompressed_time(bw))))
-            }
-        }
-    }
-
     /// Encodes one round's broadcast. `bottleneck_bps` is the slowest
     /// cohort downlink (drives the adaptive decision; `None` means no
     /// network model, which adaptive treats as "compress") and
-    /// `cohort` the number of clients the one encode fans out to.
+    /// `cohort` the number of clients the one encode fans out to: Eqn 1
+    /// weighs encode + decode + compressed transfer against raw
+    /// transfer *per cohort client*, so the encode cost is amortized
+    /// over the cohort while every client pays its own decode. Until a
+    /// profile exists the first round compresses to measure one.
     ///
     /// # Panics
     ///
@@ -186,32 +153,17 @@ impl Downlink {
         mut bytes: Vec<u8>,
     ) -> DownlinkPayload {
         let raw_bytes = global.byte_size();
-        let (compress, predicted) = self.decide(raw_bytes, bottleneck_bps, cohort);
-        let (predicted_compressed_secs, predicted_raw_secs) =
-            (predicted.map(|p| p.0), predicted.map(|p| p.1));
-        if compress {
+        let choice = self.stage.choose(raw_bytes, bottleneck_bps, 0, 1.0, cohort);
+        let compressed = choice.codec.is_some();
+        let t0 = Instant::now();
+        if compressed {
             let codec = self.codec.as_ref().expect("compressing mode implies a codec");
-            let t0 = Instant::now();
             codec.compress_into(global, &mut bytes).expect("finite global weights");
-            DownlinkPayload {
-                bytes,
-                compressed: true,
-                encode_secs: t0.elapsed().as_secs_f64(),
-                raw_bytes,
-                predicted_compressed_secs,
-                predicted_raw_secs,
-            }
         } else {
             global.to_bytes_into(&mut bytes);
-            DownlinkPayload {
-                bytes,
-                compressed: false,
-                encode_secs: 0.0,
-                raw_bytes,
-                predicted_compressed_secs,
-                predicted_raw_secs,
-            }
         }
+        let encode_secs = if compressed { t0.elapsed().as_secs_f64() } else { 0.0 };
+        DownlinkPayload { bytes, compressed, encode_secs, raw_bytes, choice }
     }
 
     /// Decodes a received broadcast (FedSZ stream or raw dict bytes).
@@ -231,16 +183,10 @@ impl Downlink {
     /// adaptive decision uses. No-op for raw rounds (nothing was
     /// measured).
     pub fn observe(&mut self, payload: &DownlinkPayload, decode_secs: f64) {
-        if !payload.compressed || payload.raw_bytes == 0 {
-            return;
+        if payload.compressed {
+            let (raw, shipped) = (payload.raw_bytes, payload.bytes.len());
+            self.stage.observe(0, raw, shipped, payload.encode_secs, Some(decode_secs));
         }
-        let raw = payload.raw_bytes as f64;
-        let sample = CostProfile {
-            compress_secs_per_byte: payload.encode_secs / raw,
-            decompress_secs_per_byte: decode_secs / raw,
-            ratio: payload.ratio().max(f64::MIN_POSITIVE),
-        };
-        self.profile = Some(CostProfile::blend(self.profile, sample));
     }
 }
 
@@ -290,22 +236,19 @@ mod tests {
         assert!(probe.compressed, "first round must probe");
         let back = downlink.decode(&probe.bytes, true).unwrap();
         assert_eq!(back.len(), model().len());
-        assert_eq!(probe.predicted_compressed_secs, None, "probe rounds price nothing");
+        assert_eq!(probe.choice.predicted, None, "probe rounds price nothing");
         downlink.observe(&probe, 1e-3);
         // Terabit downlink: transfer is free, codec time can never pay.
         let fast = downlink.encode(&model(), Some(1e12), 2);
         assert!(!fast.compressed, "terabit links should get raw broadcasts");
-        assert!(
-            fast.predicted_compressed_secs.unwrap() >= fast.predicted_raw_secs.unwrap(),
-            "raw verdict must match its own prediction"
-        );
+        let (compressed_secs, raw_secs) = fast.choice.predicted.unwrap();
+        assert!(compressed_secs >= raw_secs, "raw verdict must match its own prediction");
         // Kilobit downlink: transfer dominates, compression must win.
         let slow = downlink.encode(&model(), Some(1e3), 2);
         assert!(slow.compressed, "crawling links should get compressed broadcasts");
-        assert!(
-            slow.predicted_compressed_secs.unwrap() < slow.predicted_raw_secs.unwrap(),
-            "compressed verdict must match its own prediction"
-        );
+        let (compressed_secs, raw_secs) = slow.choice.predicted.unwrap();
+        assert!(compressed_secs < raw_secs, "compressed verdict must match its own prediction");
+        assert_eq!((slow.choice.family, fast.choice.family), ("lossy", "raw"));
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! plane of the `f64` elements) shrinks the frames losslessly.
 //!
 //! [`PsumForwarder`] is the per-edge policy. [`PsumMode::Adaptive`]
-//! replays the paper's Eqn 1 on the aggregator backbone: an EWMA
-//! [`CostProfile`] of measured encode/decode costs prices the
-//! compressed path against raw transfer on each edge's own uplink, and
-//! slow edges compress while fast ones send raw — the same decision
-//! the downlink stage makes for the broadcast leg, pointed at the
-//! aggregation path instead.
+//! replays the paper's Eqn 1 on the aggregator backbone through a
+//! one-candidate `step::PricedStage`: an EWMA profile of measured
+//! encode/decode costs prices the compressed path against raw transfer
+//! on each edge's own uplink, and slow edges compress while fast ones
+//! send raw — the same stage the downlink holds for the broadcast
+//! leg, pointed at the aggregation path instead.
 
 use crate::agg::shard::PartialSum;
 use crate::plan::{PlanError, StageLeg, StagePolicy};
-use fedsz::timing::CostProfile;
+use crate::step::{PricedStage, StageChoice};
+use fedsz::timing::Eqn1Leg;
 use fedsz_lossless::PsumCodec;
 use fedsz_net::Message;
 use std::time::Instant;
@@ -62,23 +63,26 @@ pub struct PsumFrame {
     pub shipped_payload_bytes: usize,
     /// Whether the frame rides [`Message::PartialSumCompressed`].
     pub compressed: bool,
-    /// Measured codec wall time for this frame (compress at the child
-    /// plus decompress at the parent; zero for raw frames).
-    pub codec_secs: f64,
-    /// The measured cost sample behind `codec_secs` (compressed frames
-    /// only). [`PsumForwarder::price`] leaves folding it into the EWMA
-    /// profile to the caller — via [`PsumForwarder::observe`] — so
-    /// independent frames can be priced in parallel and observed in a
-    /// deterministic order afterwards.
-    pub sample: Option<CostProfile>,
-    /// What Eqn 1 predicted the *compressed* path would cost end to
-    /// end (`t_C + t_D + S'·8/B_N`) when this frame was priced —
-    /// `None` unless an adaptive profile and an edge bandwidth priced
-    /// a real [`fedsz::timing::TransferPlan`].
-    pub predicted_compressed_secs: Option<f64>,
-    /// What Eqn 1 predicted the raw path would cost (`S·8/B_N`);
-    /// `None` on unpriced decisions, like `predicted_compressed_secs`.
-    pub predicted_raw_secs: Option<f64>,
+    /// Measured compress wall time at the child (zero for raw frames).
+    pub compress_secs: f64,
+    /// Decompress wall time at the parent: measured, or charged from
+    /// the profile once release builds stop verifying (zero for raw
+    /// frames).
+    pub decompress_secs: f64,
+    /// The Eqn-1 choice behind this frame, with the predicted
+    /// `(compressed, raw)` seconds when an adaptive profile and an
+    /// edge bandwidth priced a real plan. [`PsumForwarder::price`]
+    /// leaves folding the frame's costs into the profile to the caller
+    /// — via [`PsumForwarder::observe`] — so independent frames can be
+    /// priced in parallel and observed in a deterministic order.
+    pub choice: StageChoice,
+}
+
+impl PsumFrame {
+    /// Codec wall time this frame cost: compress plus decompress.
+    pub fn codec_secs(&self) -> f64 {
+        self.compress_secs + self.decompress_secs
+    }
 }
 
 /// Sizes the wire frame a partial sum would ride without building it:
@@ -122,17 +126,21 @@ pub struct PsumScratch {
 }
 
 /// The per-edge compress-or-not stage for partial-sum frames.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PsumForwarder {
     mode: PsumMode,
     codec: PsumCodec,
-    profile: Option<CostProfile>,
+    /// Eqn 1 over the one lossless codec; even a forced-lossless
+    /// stage folds every frame's costs into its profile.
+    stage: PricedStage,
 }
 
 impl PsumForwarder {
     /// Builds the forwarder in the given mode.
     pub fn new(mode: PsumMode) -> Self {
-        Self { mode, codec: PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE), profile: None }
+        let families: &[_] = if mode == PsumMode::Raw { &[] } else { &["lossless"] };
+        let stage = PricedStage::new(Eqn1Leg::Psum, families, mode == PsumMode::Adaptive);
+        Self { mode, codec: PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE), stage }
     }
 
     /// Builds the forwarder from a validated plan-level
@@ -148,7 +156,7 @@ impl PsumForwarder {
         let mode = match policy {
             StagePolicy::Raw => PsumMode::Raw,
             StagePolicy::Lossless => PsumMode::Lossless,
-            StagePolicy::Adaptive { .. } => PsumMode::Adaptive,
+            StagePolicy::Priced { .. } => PsumMode::Adaptive,
             _ => unreachable!("rejected by validate_for"),
         };
         Ok(Self::new(mode))
@@ -159,36 +167,15 @@ impl PsumForwarder {
         self.mode
     }
 
-    /// Eqn 1 on one edge: with a measured cost profile and the edge's
-    /// uplink bandwidth, compress iff encode + decode + compressed
-    /// transfer beats raw transfer. Until a profile exists (or without
-    /// a network model) the frame compresses, which measures one.
-    ///
-    /// Returns the verdict plus, when a plan was actually priced, the
-    /// predicted `(compressed_secs, raw_secs)` pair — the audit trail
-    /// the telemetry layer attaches to each frame.
-    fn decide(&self, raw: usize, bandwidth_bps: Option<f64>) -> (bool, Option<(f64, f64)>) {
-        match self.mode {
-            PsumMode::Raw => (false, None),
-            PsumMode::Lossless => (true, None),
-            PsumMode::Adaptive => match (&self.profile, bandwidth_bps) {
-                (Some(profile), Some(bw)) => {
-                    let plan = profile.plan(raw);
-                    (
-                        plan.worthwhile(bw),
-                        Some((plan.compressed_time(bw), plan.uncompressed_time(bw))),
-                    )
-                }
-                _ => (true, None),
-            },
-        }
-    }
-
     /// Encodes (and prices) the frame node `node` ships for `partial`,
-    /// measuring real codec costs. Takes `&self` so independent frames
-    /// can be priced on parallel workers; fold each frame's
-    /// [`PsumFrame::sample`] back with [`PsumForwarder::observe`] (in
-    /// a deterministic order) to advance the EWMA profile. The
+    /// measuring real codec costs. Eqn 1 on one edge: with a measured
+    /// cost profile and the edge's uplink bandwidth, an adaptive
+    /// forwarder compresses iff encode + decode + compressed transfer
+    /// beats raw transfer; until a profile exists (or without a network
+    /// model) the frame compresses, which measures one. Takes `&self`
+    /// so independent frames can be priced on parallel workers; fold
+    /// each frame back with [`PsumForwarder::observe`] (in a
+    /// deterministic order) to advance the EWMA profile. The
     /// in-process tree merges exact accumulators, so the decompressed
     /// bytes are only used to *verify* the codec round trip — a
     /// mismatch would break bit-parity and panics immediately.
@@ -239,66 +226,52 @@ impl PsumForwarder {
         let payload_bytes = scratch.payload.len();
         let clients = partial.contributions() as u32;
         let weight = partial.weight_total();
-        let (compress, predicted) = self.decide(payload_bytes, bandwidth_bps);
-        let (predicted_compressed_secs, predicted_raw_secs) =
-            (predicted.map(|p| p.0), predicted.map(|p| p.1));
-        if compress {
+        let choice = self.stage.choose(payload_bytes, bandwidth_bps, 0, 1.0, 1);
+        let compressed = choice.codec.is_some();
+        let (mut compress_secs, mut decompress_secs) = (0.0, 0.0);
+        if compressed {
             let t0 = Instant::now();
             self.codec.compress_into(&scratch.payload, &mut scratch.packed);
-            let compress_secs = t0.elapsed().as_secs_f64();
-            let shipped_payload_bytes = scratch.packed.len();
-            let decompress_secs = if cfg!(debug_assertions) || self.profile.is_none() {
-                let t1 = Instant::now();
-                let back = self
-                    .codec
-                    .decompress_within(&scratch.packed, payload_bytes)
-                    .expect("self-produced psum frame");
-                let secs = t1.elapsed().as_secs_f64();
-                assert_eq!(
-                    back, scratch.payload,
-                    "lossless psum codec must round-trip bit-exactly"
-                );
-                secs
-            } else {
-                self.profile.map_or(0.0, |p| p.decompress_secs_per_byte * payload_bytes as f64)
+            compress_secs = t0.elapsed().as_secs_f64();
+            decompress_secs = match self.stage.profile(0) {
+                Some(p) if !cfg!(debug_assertions) => {
+                    p.decompress_secs_per_byte * payload_bytes as f64
+                }
+                _ => {
+                    let t1 = Instant::now();
+                    let back = self
+                        .codec
+                        .decompress_within(&scratch.packed, payload_bytes)
+                        .expect("self-produced psum frame");
+                    let secs = t1.elapsed().as_secs_f64();
+                    assert_eq!(
+                        back, scratch.payload,
+                        "lossless psum codec must round-trip bit-exactly"
+                    );
+                    secs
+                }
             };
-            let sample = CostProfile {
-                compress_secs_per_byte: compress_secs / payload_bytes.max(1) as f64,
-                decompress_secs_per_byte: decompress_secs / payload_bytes.max(1) as f64,
-                ratio: payload_bytes as f64 / shipped_payload_bytes.max(1) as f64,
-            };
-            let wire_bytes = psum_wire_len(true, round, node, clients, weight, &mut scratch.packed);
-            PsumFrame {
-                wire_bytes,
-                payload_bytes,
-                shipped_payload_bytes,
-                compressed: true,
-                codec_secs: compress_secs + decompress_secs,
-                sample: Some(sample),
-                predicted_compressed_secs,
-                predicted_raw_secs,
-            }
-        } else {
-            let wire_bytes =
-                psum_wire_len(false, round, node, clients, weight, &mut scratch.payload);
-            PsumFrame {
-                wire_bytes,
-                payload_bytes,
-                shipped_payload_bytes: payload_bytes,
-                compressed: false,
-                codec_secs: 0.0,
-                sample: None,
-                predicted_compressed_secs,
-                predicted_raw_secs,
-            }
+        }
+        let shipped = if compressed { &mut scratch.packed } else { &mut scratch.payload };
+        let shipped_payload_bytes = shipped.len();
+        let wire_bytes = psum_wire_len(compressed, round, node, clients, weight, shipped);
+        PsumFrame {
+            wire_bytes,
+            payload_bytes,
+            shipped_payload_bytes,
+            compressed,
+            compress_secs,
+            decompress_secs,
+            choice,
         }
     }
 
     /// Folds one priced frame's measured costs into the EWMA profile
     /// (no-op for raw frames, which measured nothing).
     pub fn observe(&mut self, frame: &PsumFrame) {
-        if let Some(sample) = frame.sample {
-            self.profile = Some(CostProfile::blend(self.profile, sample));
+        if frame.compressed {
+            let (raw, shipped) = (frame.payload_bytes, frame.shipped_payload_bytes);
+            self.stage.observe(0, raw, shipped, frame.compress_secs, Some(frame.decompress_secs));
         }
     }
 
@@ -412,7 +385,7 @@ mod tests {
         let frame = fwd.frame(0, 3, &partial(256), Some(1e6));
         assert!(!frame.compressed);
         assert_eq!(frame.shipped_payload_bytes, frame.payload_bytes);
-        assert_eq!(frame.codec_secs, 0.0);
+        assert_eq!(frame.codec_secs(), 0.0);
         assert!(frame.wire_bytes > frame.payload_bytes, "framing must be accounted");
     }
 
@@ -423,7 +396,22 @@ mod tests {
         assert!(frame.compressed);
         let ratio = frame.payload_bytes as f64 / frame.shipped_payload_bytes as f64;
         assert!(ratio > 1.2, "psum ratio {ratio:.2} below the 1.2x floor");
-        assert!(frame.codec_secs > 0.0);
+        assert!(frame.codec_secs() > 0.0);
+    }
+
+    #[test]
+    fn forced_lossless_holds_a_profile_after_its_first_frame() {
+        // Release builds stop verify-decompressing once a profile
+        // exists, so a forced forwarder must fold its frames too.
+        let mut fwd = PsumForwarder::new(PsumMode::Lossless);
+        assert_eq!(fwd.stage.profile(0), None);
+        let first = fwd.frame(0, 0, &partial(4096), Some(1e12));
+        assert!(first.compressed, "forced lossless never ships raw");
+        assert_eq!(first.choice.predicted, None, "a forced stage prices nothing");
+        let profile = fwd.stage.profile(0).expect("the first frame seeds the profile");
+        let ratio = first.payload_bytes as f64 / first.shipped_payload_bytes as f64;
+        assert_eq!(profile.ratio, ratio);
+        assert!(fwd.frame(1, 0, &partial(4096), Some(1e12)).compressed);
     }
 
     #[test]
@@ -469,19 +457,19 @@ mod tests {
         let probe = fwd.frame(0, 0, &partial(4096), Some(1e12));
         assert!(probe.compressed, "first frame must probe the codec");
         // The probe ran before any profile existed: nothing was priced.
-        assert_eq!(probe.predicted_compressed_secs, None);
-        assert_eq!(probe.predicted_raw_secs, None);
+        assert_eq!(probe.choice.predicted, None);
         // Terabit backbone: codec time can never pay for itself.
         let fast = fwd.frame(1, 0, &partial(4096), Some(1e12));
         assert!(!fast.compressed, "terabit uplinks should ship raw frames");
         // A profiled decision keeps both sides of the inequality, and
         // the verdict must agree with them.
-        let (pc, pr) = (fast.predicted_compressed_secs.unwrap(), fast.predicted_raw_secs.unwrap());
+        let (pc, pr) = fast.choice.predicted.unwrap();
         assert!(pc >= pr, "raw verdict must mean the raw path priced cheaper");
         // Kilobit uplink: transfer dominates, compression must win.
         let slow = fwd.frame(2, 0, &partial(4096), Some(1e3));
         assert!(slow.compressed, "crawling uplinks should compress");
-        let (pc, pr) = (slow.predicted_compressed_secs.unwrap(), slow.predicted_raw_secs.unwrap());
+        let (pc, pr) = slow.choice.predicted.unwrap();
         assert!(pc < pr, "compressed verdict must mean the compressed path priced cheaper");
+        assert_eq!((slow.choice.family, fast.choice.family), ("lossless", "raw"));
     }
 }

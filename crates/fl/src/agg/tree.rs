@@ -29,7 +29,7 @@ use crate::agg::shard::PartialSum;
 use crate::link::LinkProfile;
 use crate::plan::{PlanError, StagePolicy};
 use crate::step::emit_eqn1;
-use fedsz::timing::{Eqn1Decision, Eqn1Leg};
+use fedsz::timing::Eqn1Decision;
 use fedsz_nn::StateDict;
 use fedsz_telemetry::{Telemetry, Value};
 use std::sync::Mutex;
@@ -442,15 +442,7 @@ impl ShardedTree {
                     continue;
                 };
                 self.forwarder.observe(&frame);
-                let decision = Eqn1Decision {
-                    leg: Eqn1Leg::Psum,
-                    node: node as u64,
-                    compressed: frame.compressed,
-                    family: if frame.compressed { "lossless" } else { "raw" },
-                    predicted_compressed_secs: frame.predicted_compressed_secs,
-                    predicted_raw_secs: frame.predicted_raw_secs,
-                    measured_codec_secs: frame.codec_secs,
-                };
+                let decision = frame.choice.decision(node, frame.codec_secs());
                 emit_eqn1(&self.telemetry, &decision);
                 eqn1.push(decision);
                 level_ingress_bytes[level - 1] += frame.wire_bytes;
@@ -460,7 +452,7 @@ impl ShardedTree {
                     self.uplink(level, node).map_or(0.0, |l| l.transfer_secs(frame.wire_bytes));
                 let parent = node / fanout;
                 parent_ready[parent] =
-                    parent_ready[parent].max(ready[node] + frame.codec_secs + transfer);
+                    parent_ready[parent].max(ready[node] + frame.codec_secs() + transfer);
                 // Ascending-node iteration gives the ascending-child
                 // merge order; exact accumulators make the grouping
                 // irrelevant to the bits anyway. Borrow-merging lets
@@ -557,6 +549,7 @@ impl Aggregator for ShardedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedsz::timing::Eqn1Leg;
     use fedsz_tensor::Tensor;
 
     /// One tier of `shards` edge aggregators, raw partial-sum frames.

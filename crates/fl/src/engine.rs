@@ -40,11 +40,9 @@
 use crate::agg::{AggOutcome, Aggregator, Contribution, Downlink, FlatAggregator, ShardedTree};
 use crate::link::{self, Departure, Topology};
 use crate::plan::RoundPlan;
-use crate::step::{
-    emit_dp_noise, emit_eqn1, uplink_decision, ClientStep, FoldStep, UplinkChoice, UplinkStage,
-};
+use crate::step::{emit_dp_noise, emit_eqn1, ClientStep, FoldStep, StageChoice, UplinkStage};
 use crate::{Client, FlConfig, RoundMetrics};
-use fedsz::timing::{Eqn1Decision, Eqn1Leg};
+use fedsz::timing::Eqn1Decision;
 use fedsz_nn::loss::top1_accuracy;
 use fedsz_nn::{Model, StateDict};
 use fedsz_telemetry::{Telemetry, Value};
@@ -80,7 +78,7 @@ struct StaleUpdate {
 /// what its client step produced.
 struct ClientOutcome {
     id: usize,
-    choice: UplinkChoice,
+    choice: StageChoice,
     step: ClientStep,
 }
 
@@ -343,15 +341,7 @@ impl RoundEngine {
         let downlink_secs = payload.encode_secs + decode_secs;
         // The downlink leg makes one Eqn-1 call per round (the payload
         // is shared by the whole cohort), recorded against node 0.
-        let downlink_decision = Eqn1Decision {
-            leg: Eqn1Leg::Downlink,
-            node: 0,
-            compressed: payload.compressed,
-            family: if payload.compressed { "lossy" } else { "raw" },
-            predicted_compressed_secs: payload.predicted_compressed_secs,
-            predicted_raw_secs: payload.predicted_raw_secs,
-            measured_codec_secs: downlink_secs,
-        };
+        let downlink_decision = payload.choice.decision(0, downlink_secs);
         emit_eqn1(&self.telemetry, &downlink_decision);
         eqn1.push(downlink_decision);
         self.downlink.observe(&payload, decode_secs);
@@ -417,7 +407,7 @@ impl RoundEngine {
             }
         }
         for outcome in &outcomes {
-            let decision = uplink_decision(outcome.id, outcome.choice, &outcome.step);
+            let decision = outcome.choice.decision(outcome.id, outcome.step.compress_secs);
             emit_eqn1(&self.telemetry, &decision);
             eqn1.push(decision);
         }
@@ -550,7 +540,7 @@ impl RoundEngine {
         // Refresh the Eqn 1 cost profiles from this round's
         // measurements, one fold per codec that carried an upload.
         for (codec, costs) in codec_costs.iter().enumerate() {
-            self.uplink.observe(
+            self.uplink.pricing.observe(
                 codec,
                 costs.raw_bytes,
                 costs.payload_bytes,
@@ -866,8 +856,8 @@ mod tests {
         let mut config = FlConfig::smoke_test();
         config.rounds = 3;
         config.links = Some(Topology::Dedicated(vec![LinkProfile::symmetric(1e12); 2]));
-        config.downlink = StagePolicy::Adaptive {
-            compressed: Box::new(StagePolicy::Lossy(FlConfig::tiny_model_compression())),
+        config.downlink = StagePolicy::Priced {
+            candidates: vec![StagePolicy::Lossy(FlConfig::tiny_model_compression())],
         };
         let metrics = RoundEngine::new(config).run();
         assert!(metrics[0].downlink_ratio > 1.2, "first round must probe the codec");

@@ -123,18 +123,19 @@ pub struct FlConfig {
     /// FedBuff-style buffered-asynchronous aggregation.
     pub aggregation: AggregationPolicy,
     /// Policy of the client → server upload leg: raw, FedSZ on every
-    /// upload ([`StagePolicy::Lossy`], the paper's setting), Eqn-1
-    /// adaptive compress-or-not, a codec family (Top-K, quantization,
-    /// optionally with error feedback) or auto family selection.
+    /// upload ([`StagePolicy::Lossy`], the paper's setting), a codec
+    /// family (Top-K, quantization, optionally with error feedback), or
+    /// Eqn 1 choosing per client among candidate codecs and raw
+    /// ([`StagePolicy::Priced`]).
     pub uplink: StagePolicy,
     /// Policy of the server → client broadcast leg: raw every round
     /// (the paper's setting), FedSZ-encoded once per round
-    /// ([`StagePolicy::Lossy`]), or Eqn-1 adaptive with a raw fallback.
+    /// ([`StagePolicy::Lossy`]), or Eqn 1 with a raw fallback.
     pub downlink: StagePolicy,
     /// Policy of the aggregator → aggregator partial-sum leg: raw
     /// `f64` frames, [`StagePolicy::Lossless`]
-    /// ([`fedsz_lossless::PsumCodec`]), or per-edge Eqn-1 adaptive over
-    /// it. Lossless by construction, so bit-parity is unaffected;
+    /// ([`fedsz_lossless::PsumCodec`]), or per-edge Eqn 1 over it.
+    /// Lossless by construction, so bit-parity is unaffected;
     /// non-raw policies need a [`FlConfig::tree`].
     pub psum: StagePolicy,
     /// Per-level fan-outs of the aggregation hierarchy, root downward

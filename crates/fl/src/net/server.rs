@@ -1092,11 +1092,11 @@ impl NetServer {
                             payload: std::mem::take(&mut image),
                         },
                         // A relay has no per-edge LinkProfile to price
-                        // Eqn 1 against, so Adaptive degrades to
+                        // Eqn 1 against, so a priced policy degrades to
                         // Lossless here (the conservative choice on an
                         // unknown uplink). Lossy psum policies cannot
                         // exist past plan().
-                        StagePolicy::Lossless | StagePolicy::Adaptive { .. } => {
+                        StagePolicy::Lossless | StagePolicy::Priced { .. } => {
                             psum_codec.compress_into(&image, &mut packed);
                             Message::PartialSumCompressed {
                                 round,

@@ -35,7 +35,7 @@
 //! [`FlConfig::make_client`]: crate::FlConfig::make_client
 
 use crate::net::invalid;
-use crate::step::{emit_dp_noise, emit_eqn1, uplink_decision, FoldStep, UplinkStage};
+use crate::step::{emit_dp_noise, emit_eqn1, FoldStep, UplinkStage};
 use crate::{Client, FlConfig, RoundPlan};
 use fedsz::FedSz;
 use fedsz_net::{Backoff, Message, NetError, Session};
@@ -361,14 +361,14 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
                 // profile and a bandwidth sample do (the probe rounds
                 // before that show `null` predictions in the trace,
                 // like the simulator's).
-                emit_eqn1(&config.telemetry, &uplink_decision(config.id, choice, &step));
+                emit_eqn1(&config.telemetry, &choice.decision(config.id, step.compress_secs));
                 if let Some(codec) = choice.codec {
                     // The decompression the server will pay is measured
                     // on a priced codec's first upload only — it is a
                     // stable per-byte cost, and re-measuring it would
                     // mean one redundant full decode of every later
                     // upload. The EWMA carries the sample forward.
-                    let decompress_secs = if stage.wants_decompress_sample(codec) {
+                    let decompress_secs = if stage.pricing.wants_decompress_sample(codec) {
                         let fold = fold.get_or_insert_with(|| {
                             FoldStep::new(&plan.config.uplink, dict.clone())
                         });
@@ -380,7 +380,7 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
                     } else {
                         None
                     };
-                    stage.observe(
+                    stage.pricing.observe(
                         codec,
                         step.raw_bytes,
                         step.payload.len(),

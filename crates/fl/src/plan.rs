@@ -37,12 +37,14 @@
 //! | `Raw` | ✓ | ✓ | ✓ |
 //! | `Lossy(FedSzConfig)` | ✓ | ✓ | ✗ (breaks bit-parity) |
 //! | `Lossless` | ✗ (no dict codec) | ✗ | ✓ |
-//! | `Adaptive { compressed }` | over `Lossy` | over `Lossy` | over `Lossless` |
 //! | `TopK { .. }` | ✓ (delta stream) | ✗ | ✗ |
 //! | `Quant { .. }` | ✓ (delta stream) | ✗ | ✗ |
-//! | `AutoFamily { .. }` | ✓ (Eqn 1 per family) | ✗ | ✗ |
+//! | `Priced { candidates }` | Eqn 1 over `Lossy`/`TopK`/`Quant` | Eqn 1 over one `Lossy` | Eqn 1 over one `Lossless` |
 //!
-//! The ✗ cells are *rejected by [`PlanError`]* — a lossy partial-sum
+//! A `Priced` candidate must be legal on its leg by the rows above
+//! (and carry no error feedback); the broadcast and partial-sum legs
+//! price exactly one against raw, the upload leg any number. The ✗
+//! cells are *rejected by [`PlanError`]* — a lossy partial-sum
 //! leg would silently break the tree's bit-parity guarantee with flat
 //! FedAvg, so it cannot be expressed past `plan()`. The executors
 //! ([`Downlink`](crate::agg::Downlink),
@@ -69,8 +71,8 @@
 //! Both are typed rejections, the same pattern as lossy psum.
 //! [`RoundPlan::validate_for_workers`] rejects the other simulator
 //! features the socket runtime has no mechanism for — weighted
-//! aggregation, partial participation, buffered aggregation, an
-//! adaptive downlink and trees deeper than one relay tier
+//! aggregation, partial participation, buffered aggregation, a
+//! priced downlink and trees deeper than one relay tier
 //! ([`PlanError::SimulatorOnly`]), plus shards without clients
 //! ([`PlanError::TooManyShards`]) — so a `ServeConfig` built in code
 //! cannot complete with a checksum that silently differs from the
@@ -116,14 +118,6 @@ pub enum StagePolicy {
     /// ([`fedsz_lossless::PsumCodec`]) — safe on the partial-sum leg,
     /// where bit-parity must survive the hop.
     Lossless,
-    /// The paper's Eqn 1, per link and per round: ship raw when the
-    /// link would move raw bytes faster than codec time plus the
-    /// compressed transfer, else fall through to `compressed`.
-    Adaptive {
-        /// The compressed alternative Eqn 1 prices against raw
-        /// transfer (must itself be `Lossy` or `Lossless`).
-        compressed: Box<StagePolicy>,
-    },
     /// Top-K sparsification of the update *delta* (uplink only): keep
     /// the `ceil(ratio * n)` largest-magnitude entries bit-exactly,
     /// zero the rest, ship an index+value stream.
@@ -146,14 +140,17 @@ pub enum StagePolicy {
         /// for [`StagePolicy::TopK`]).
         error_feedback: bool,
     },
-    /// Eqn 1 generalized from compress-or-not to *family selection*
-    /// (uplink only): price every candidate codec family through its
-    /// measured `CostProfile` and ship whichever predicts the fastest
-    /// end-to-end transfer — or raw when raw wins.
-    AutoFamily {
-        /// The concrete families to price against raw. Each must be
-        /// `Lossy`, `TopK`, or `Quant`, without error feedback (a
+    /// The paper's Eqn 1, per link and per payload: price every
+    /// candidate codec through its measured `CostProfile` and ship
+    /// whichever predicts the fastest end-to-end transfer — or raw
+    /// when raw is strictly faster. With one candidate this is the
+    /// paper's compress-or-not; on the upload leg it generalizes to
+    /// codec-family selection.
+    Priced {
+        /// The concrete codecs to price against raw, each legal on the
+        /// leg (see the module docs) and without error feedback (a
         /// residual has no meaning when the codec changes per round).
+        /// Exactly one on the broadcast and partial-sum legs.
         candidates: Vec<StagePolicy>,
     },
 }
@@ -190,7 +187,6 @@ impl StagePolicy {
             StagePolicy::Raw => "raw",
             StagePolicy::Lossy(_) => "lossy",
             StagePolicy::Lossless => "lossless",
-            StagePolicy::Adaptive { .. } => "adaptive",
             StagePolicy::TopK { error_feedback: false, .. } => "topk",
             StagePolicy::TopK { error_feedback: true, .. } => "topk+ef",
             StagePolicy::Quant { bits: 4, stochastic: false, error_feedback: false } => "q4",
@@ -201,20 +197,17 @@ impl StagePolicy {
             StagePolicy::Quant { stochastic: true, error_feedback: false, .. } => "q8s",
             StagePolicy::Quant { stochastic: false, error_feedback: true, .. } => "q8+ef",
             StagePolicy::Quant { stochastic: true, error_feedback: true, .. } => "q8s+ef",
-            StagePolicy::AutoFamily { .. } => "auto",
+            StagePolicy::Priced { .. } => "auto",
         }
     }
 
     /// The FedSZ configuration this policy may invoke (`None` for raw,
-    /// lossless, and the non-FedSZ codec families). An `AutoFamily`
-    /// set reports its `Lossy` candidate's config, if it has one.
+    /// lossless, and the non-FedSZ codec families). A `Priced` set
+    /// reports its `Lossy` candidate's config, if it has one.
     pub fn fedsz(&self) -> Option<FedSzConfig> {
         match self {
             StagePolicy::Lossy(config) => Some(*config),
-            StagePolicy::Adaptive { compressed } => compressed.fedsz(),
-            StagePolicy::AutoFamily { candidates } => {
-                candidates.iter().find_map(StagePolicy::fedsz)
-            }
+            StagePolicy::Priced { candidates } => candidates.iter().find_map(StagePolicy::fedsz),
             StagePolicy::Raw
             | StagePolicy::Lossless
             | StagePolicy::TopK { .. }
@@ -222,17 +215,16 @@ impl StagePolicy {
         }
     }
 
-    /// Whether this policy ever compresses (unconditionally or
-    /// adaptively).
+    /// Whether this policy ever compresses (unconditionally or when
+    /// priced).
     pub fn compresses(&self) -> bool {
         !matches!(self, StagePolicy::Raw)
     }
 
-    /// Whether the compress-or-not decision is made per link with
-    /// Eqn 1 ([`StagePolicy::AutoFamily`] is the family-selection
-    /// generalization of the same pricing loop).
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, StagePolicy::Adaptive { .. } | StagePolicy::AutoFamily { .. })
+    /// Whether the codec is chosen per link with Eqn 1
+    /// ([`StagePolicy::Priced`]) rather than forced.
+    pub fn is_priced(&self) -> bool {
+        matches!(self, StagePolicy::Priced { .. })
     }
 
     /// Whether this policy carries a per-client error-feedback
@@ -242,8 +234,7 @@ impl StagePolicy {
         match self {
             StagePolicy::TopK { error_feedback, .. }
             | StagePolicy::Quant { error_feedback, .. } => *error_feedback,
-            StagePolicy::Adaptive { compressed } => compressed.error_feedback(),
-            StagePolicy::AutoFamily { candidates } => {
+            StagePolicy::Priced { candidates } => {
                 candidates.iter().any(StagePolicy::error_feedback)
             }
             StagePolicy::Raw | StagePolicy::Lossy(_) | StagePolicy::Lossless => false,
@@ -252,8 +243,8 @@ impl StagePolicy {
 
     /// Checks that this policy is legal on `leg` (the module-level
     /// table): lossy policies would break bit-parity on the
-    /// partial-sum leg, the dict legs have no lossless codec, and
-    /// `Adaptive` must wrap an actual compressed policy.
+    /// partial-sum leg, the dict legs have no lossless codec, and a
+    /// `Priced` set must hold concrete codecs legal on the leg.
     ///
     /// # Errors
     ///
@@ -266,13 +257,6 @@ impl StagePolicy {
             (StagePolicy::Lossy(_), StageLeg::Psum) => Err(illegal()),
             (StagePolicy::Lossless, StageLeg::Psum) => Ok(()),
             (StagePolicy::Lossless, StageLeg::Uplink | StageLeg::Downlink) => Err(illegal()),
-            (StagePolicy::Adaptive { compressed }, leg) => match compressed.as_ref() {
-                // Adaptive stays the binary compress-or-not of the
-                // paper: the family codecs route through `AutoFamily`,
-                // which owns its own probe/price loop.
-                inner @ (StagePolicy::Lossy(_) | StagePolicy::Lossless) => inner.validate_for(leg),
-                _ => Err(illegal()),
-            },
             // The family codecs encode a *delta* against the broadcast
             // the client just received — a construction only the
             // upload leg has (the broadcast itself has no reference;
@@ -289,39 +273,27 @@ impl StagePolicy {
                 }
                 Ok(())
             }
-            (StagePolicy::AutoFamily { candidates }, StageLeg::Uplink) => {
+            (StagePolicy::TopK { .. } | StagePolicy::Quant { .. }, _) => Err(illegal()),
+            (StagePolicy::Priced { candidates }, leg) => {
+                let bad = |reason| Err(PlanError::BadPriced { leg, reason });
                 if candidates.is_empty() {
-                    return Err(PlanError::BadAutoFamily {
-                        reason: "needs at least one candidate family",
-                    });
+                    return bad("needs at least one candidate codec");
+                }
+                if leg != StageLeg::Uplink && candidates.len() > 1 {
+                    return bad("prices exactly one candidate against raw on this leg");
                 }
                 for candidate in candidates {
-                    match candidate {
-                        StagePolicy::Lossy(_)
-                        | StagePolicy::TopK { .. }
-                        | StagePolicy::Quant { .. } => candidate.validate_for(leg)?,
-                        _ => {
-                            return Err(PlanError::BadAutoFamily {
-                                reason: "candidates must be concrete codec families \
-                                         (lossy, topk, or quant)",
-                            })
-                        }
+                    if matches!(candidate, StagePolicy::Raw | StagePolicy::Priced { .. }) {
+                        return bad("candidates must be concrete codecs (raw is always priced)");
                     }
+                    candidate.validate_for(leg)?;
                     if candidate.error_feedback() {
-                        return Err(PlanError::BadAutoFamily {
-                            reason: "error-feedback candidates are not allowed (a residual \
-                                     has no meaning when the codec changes per round)",
-                        });
+                        return bad("error-feedback candidates are not allowed (a residual \
+                                    has no meaning when the codec changes per round)");
                     }
                 }
                 Ok(())
             }
-            (
-                StagePolicy::TopK { .. }
-                | StagePolicy::Quant { .. }
-                | StagePolicy::AutoFamily { .. },
-                StageLeg::Downlink | StageLeg::Psum,
-            ) => Err(illegal()),
         }
     }
 }
@@ -347,11 +319,16 @@ pub enum PlanError {
     BadNonIidAlpha(f64),
     /// `Buffered { target: 0 }` can never aggregate.
     ZeroBufferTarget,
-    /// A [`LinkProfile`] with out-of-range fields.
+    /// A [`LinkProfile`] with an out-of-range field.
     BadLinkProfile {
         /// The offending client id (leaf id for an edge link; 0 for
         /// the shared pipe).
         client: usize,
+        /// The first out-of-range field (`"bandwidth_bps"`,
+        /// `"latency_secs"`, `"drop_prob"` or `"compute_slowdown"`).
+        field: &'static str,
+        /// That field's value.
+        value: f64,
     },
     /// `tree` set to an empty fan-out list.
     EmptyTree,
@@ -407,9 +384,12 @@ pub enum PlanError {
         /// The configured code width.
         bits: u8,
     },
-    /// A [`StagePolicy::AutoFamily`] candidate set that cannot be
-    /// priced (empty, nested selectors, or error-feedback members).
-    BadAutoFamily {
+    /// A [`StagePolicy::Priced`] candidate set that cannot be priced
+    /// (empty, raw or nested members, error-feedback members, or more
+    /// than one candidate on a leg that prices one).
+    BadPriced {
+        /// The leg.
+        leg: StageLeg,
         /// What about the candidate set is wrong.
         reason: &'static str,
     },
@@ -429,7 +409,7 @@ pub enum PlanError {
     SimulatorOnly {
         /// The offending feature (`"weighted aggregation"`,
         /// `"partial participation"`, `"buffered aggregation"`,
-        /// `"an adaptive downlink"` or `"a multi-tier tree"`).
+        /// `"a priced downlink"` or `"a multi-tier tree"`).
         feature: &'static str,
     },
     /// More first-tier aggregators than clients. The simulator lays a
@@ -468,10 +448,11 @@ impl fmt::Display for PlanError {
             PlanError::ZeroBufferTarget => {
                 write!(f, "buffered aggregation target must be at least 1")
             }
-            PlanError::BadLinkProfile { client } => write!(
+            PlanError::BadLinkProfile { client, field, value } => write!(
                 f,
-                "link profile for client {client} is out of range (want positive finite \
-                 bandwidth, non-negative latency, drop probability in [0, 1], slowdown >= 1)"
+                "link profile for client {client} has {field} = {value}, out of range (want \
+                 positive finite bandwidth, non-negative latency, drop probability in [0, 1], \
+                 slowdown >= 1)"
             ),
             PlanError::EmptyTree => write!(f, "a tree needs at least one aggregator level"),
             PlanError::ZeroFanout { level } => {
@@ -507,8 +488,8 @@ impl fmt::Display for PlanError {
             PlanError::BadQuantBits { bits } => {
                 write!(f, "quantizer width must be 4 or 8 bits, got {bits}")
             }
-            PlanError::BadAutoFamily { reason } => {
-                write!(f, "auto family selection is misconfigured: {reason}")
+            PlanError::BadPriced { leg, reason } => {
+                write!(f, "the priced {} policy is misconfigured: {reason}", leg.name())
             }
             PlanError::StatefulUplinkBuffered => write!(
                 f,
@@ -596,7 +577,7 @@ impl RoundPlan {
     /// checksum that silently differs from the in-process run. It runs
     /// at most one tier of relays, one process per shard, so deeper
     /// trees and empty shards ([`RoundPlan::check_shards`]) cannot be
-    /// deployed; and it has no link model for an adaptive downlink to
+    /// deployed; and it has no link model for a priced downlink to
     /// price. `fedsz serve`/`worker` reject all of these here before
     /// any round runs.
     ///
@@ -618,7 +599,7 @@ impl RoundPlan {
                 matches!(config.aggregation, AggregationPolicy::Buffered { .. }),
                 "buffered aggregation",
             ),
-            (config.downlink.is_adaptive(), "an adaptive downlink"),
+            (config.downlink.is_priced(), "a priced downlink"),
             (self.tree.as_ref().is_some_and(|tree| tree.depth() > 2), "a multi-tier tree"),
         ];
         if let Some(&(_, feature)) = simulator_only.iter().find(|(set, _)| *set) {
@@ -656,14 +637,24 @@ impl RoundPlan {
     }
 }
 
-fn validate_link(profile: &LinkProfile) -> bool {
-    profile.bandwidth_bps.is_finite()
-        && profile.bandwidth_bps > 0.0
-        && profile.latency_secs.is_finite()
-        && profile.latency_secs >= 0.0
-        && (0.0..=1.0).contains(&profile.drop_prob)
-        && profile.compute_slowdown.is_finite()
-        && profile.compute_slowdown >= 1.0
+/// Checks `profile`'s ranges, naming the first out-of-range field in a
+/// [`PlanError::BadLinkProfile`] for `client`.
+fn validate_link(client: usize, profile: &LinkProfile) -> Result<(), PlanError> {
+    let p = profile;
+    let fields = [
+        ("bandwidth_bps", p.bandwidth_bps, p.bandwidth_bps.is_finite() && p.bandwidth_bps > 0.0),
+        ("latency_secs", p.latency_secs, p.latency_secs.is_finite() && p.latency_secs >= 0.0),
+        ("drop_prob", p.drop_prob, (0.0..=1.0).contains(&p.drop_prob)),
+        (
+            "compute_slowdown",
+            p.compute_slowdown,
+            p.compute_slowdown.is_finite() && p.compute_slowdown >= 1.0,
+        ),
+    ];
+    match fields.into_iter().find(|&(_, _, ok)| !ok) {
+        Some((field, value, _)) => Err(PlanError::BadLinkProfile { client, field, value }),
+        None => Ok(()),
+    }
 }
 
 /// Validates [`FlConfig::tree`] (at least one level, every fan-out
@@ -694,9 +685,7 @@ fn plan_topology(
     let last_miles = match &config.links {
         None => None,
         Some(Topology::Shared(pipe)) => {
-            if !validate_link(pipe) {
-                return Err(PlanError::BadLinkProfile { client: 0 });
-            }
+            validate_link(0, pipe)?;
             Some(vec![*pipe; config.clients])
         }
         Some(Topology::Dedicated(links)) => {
@@ -706,8 +695,8 @@ fn plan_topology(
                     clients: config.clients,
                 });
             }
-            if let Some(client) = links.iter().position(|l| !validate_link(l)) {
-                return Err(PlanError::BadLinkProfile { client });
+            for (client, link) in links.iter().enumerate() {
+                validate_link(client, link)?;
             }
             Some(links.clone())
         }
@@ -732,8 +721,8 @@ fn plan_topology(
                 leaves: plan.leaves(),
             });
         }
-        if let Some(client) = edges.iter().position(|l| !validate_link(l)) {
-            return Err(PlanError::BadLinkProfile { client });
+        for (leaf, link) in edges.iter().enumerate() {
+            validate_link(leaf, link)?;
         }
         *levels.last_mut().expect("depth >= 2") = edges.clone();
     }
@@ -895,13 +884,38 @@ mod tests {
             LinkProfile { drop_prob: 2.0, ..LinkProfile::default() },
             LinkProfile::default(),
         ]));
-        assert_eq!(config.plan().unwrap_err(), PlanError::BadLinkProfile { client: 1 });
+        assert_eq!(
+            config.plan().unwrap_err(),
+            PlanError::BadLinkProfile { client: 1, field: "drop_prob", value: 2.0 }
+        );
         config.links =
             Some(Topology::Shared(LinkProfile { bandwidth_bps: -1.0, ..LinkProfile::default() }));
-        assert_eq!(config.plan().unwrap_err(), PlanError::BadLinkProfile { client: 0 });
+        assert_eq!(
+            config.plan().unwrap_err(),
+            PlanError::BadLinkProfile { client: 0, field: "bandwidth_bps", value: -1.0 }
+        );
         // No network model at all is legal.
         config.links = None;
         assert!(config.plan().unwrap().topology.is_none());
+    }
+
+    #[test]
+    fn bad_link_profiles_name_the_field_and_value() {
+        let ok = LinkProfile::default();
+        for (profile, field, value) in [
+            (LinkProfile { bandwidth_bps: 0.0, ..ok }, "bandwidth_bps", 0.0),
+            (LinkProfile { latency_secs: -0.5, ..ok }, "latency_secs", -0.5),
+            (LinkProfile { drop_prob: 1.5, ..ok }, "drop_prob", 1.5),
+            (LinkProfile { compute_slowdown: 0.25, ..ok }, "compute_slowdown", 0.25),
+        ] {
+            let mut config = base();
+            config.clients = 3;
+            config.links = Some(Topology::Dedicated(vec![ok, ok, profile]));
+            let err = config.plan().unwrap_err();
+            assert_eq!(err, PlanError::BadLinkProfile { client: 2, field, value });
+            let message = err.to_string();
+            assert!(message.contains(&format!("client 2 has {field} = {value}")), "{message}");
+        }
     }
 
     #[test]
@@ -959,13 +973,17 @@ mod tests {
         assert!(StagePolicy::Lossless.validate_for(StageLeg::Psum).is_ok());
         assert!(StagePolicy::Lossless.validate_for(StageLeg::Uplink).is_err());
         assert!(StagePolicy::Lossless.validate_for(StageLeg::Downlink).is_err());
-        // Adaptive must wrap a real compressed policy and inherit its
-        // leg legality.
-        let adaptive_raw = StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Raw) };
-        assert!(adaptive_raw.validate_for(StageLeg::Uplink).is_err());
-        let adaptive_lossy = StagePolicy::Adaptive { compressed: Box::new(lossy.clone()) };
-        assert!(adaptive_lossy.validate_for(StageLeg::Uplink).is_ok());
-        assert!(adaptive_lossy.validate_for(StageLeg::Psum).is_err());
+        // A priced policy must price a real codec, and each candidate
+        // inherits its leg legality.
+        let priced_raw = StagePolicy::Priced { candidates: vec![StagePolicy::Raw] };
+        assert!(priced_raw.validate_for(StageLeg::Uplink).is_err());
+        let priced_lossy = StagePolicy::Priced { candidates: vec![lossy.clone()] };
+        assert!(priced_lossy.validate_for(StageLeg::Uplink).is_ok());
+        assert!(priced_lossy.validate_for(StageLeg::Downlink).is_ok());
+        assert!(priced_lossy.validate_for(StageLeg::Psum).is_err());
+        let priced_lossless = StagePolicy::Priced { candidates: vec![StagePolicy::Lossless] };
+        assert!(priced_lossless.validate_for(StageLeg::Psum).is_ok());
+        assert!(priced_lossless.validate_for(StageLeg::Uplink).is_err());
         for leg in [StageLeg::Uplink, StageLeg::Downlink, StageLeg::Psum] {
             assert!(StagePolicy::Raw.validate_for(leg).is_ok());
         }
@@ -1036,7 +1054,7 @@ mod tests {
 
     #[test]
     fn auto_family_candidates_are_constrained() {
-        let good = StagePolicy::AutoFamily {
+        let good = StagePolicy::Priced {
             candidates: vec![
                 StagePolicy::Lossy(FedSzConfig::default()),
                 StagePolicy::TopK { ratio: 0.01, error_feedback: false },
@@ -1044,40 +1062,40 @@ mod tests {
             ],
         };
         assert!(good.validate_for(StageLeg::Uplink).is_ok());
+        // The broadcast and partial-sum legs price exactly one codec,
+        // and only one legal there.
+        let bad_priced = |policy: &StagePolicy, leg| match policy.validate_for(leg) {
+            Err(PlanError::BadPriced { leg: l, .. }) => l == leg,
+            _ => false,
+        };
         for leg in [StageLeg::Downlink, StageLeg::Psum] {
-            assert_eq!(
-                good.validate_for(leg).unwrap_err(),
-                PlanError::IllegalStagePolicy { leg, policy: "auto" }
-            );
+            assert!(bad_priced(&good, leg), "{leg:?}");
         }
+        let topk_only = StagePolicy::Priced {
+            candidates: vec![StagePolicy::TopK { ratio: 0.01, error_feedback: false }],
+        };
+        assert_eq!(
+            topk_only.validate_for(StageLeg::Downlink).unwrap_err(),
+            PlanError::IllegalStagePolicy { leg: StageLeg::Downlink, policy: "topk" }
+        );
         // Empty candidate lists, non-codec candidates and EF candidates
         // are all typed misconfigurations.
-        let empty = StagePolicy::AutoFamily { candidates: Vec::new() };
-        assert!(matches!(
-            empty.validate_for(StageLeg::Uplink),
-            Err(PlanError::BadAutoFamily { .. })
-        ));
-        let raw_candidate = StagePolicy::AutoFamily { candidates: vec![StagePolicy::Raw] };
-        assert!(matches!(
-            raw_candidate.validate_for(StageLeg::Uplink),
-            Err(PlanError::BadAutoFamily { .. })
-        ));
-        let nested = StagePolicy::AutoFamily {
-            candidates: vec![StagePolicy::AutoFamily { candidates: Vec::new() }],
+        let empty = StagePolicy::Priced { candidates: Vec::new() };
+        assert!(bad_priced(&empty, StageLeg::Uplink));
+        let raw_candidate = StagePolicy::Priced { candidates: vec![StagePolicy::Raw] };
+        assert!(bad_priced(&raw_candidate, StageLeg::Psum));
+        let nested = StagePolicy::Priced {
+            candidates: vec![StagePolicy::Priced { candidates: Vec::new() }],
         };
-        assert!(matches!(
-            nested.validate_for(StageLeg::Uplink),
-            Err(PlanError::BadAutoFamily { .. })
-        ));
-        let ef_candidate = StagePolicy::AutoFamily {
+        assert!(bad_priced(&nested, StageLeg::Uplink));
+        let ef_candidate = StagePolicy::Priced {
             candidates: vec![StagePolicy::TopK { ratio: 0.1, error_feedback: true }],
         };
-        assert!(matches!(
-            ef_candidate.validate_for(StageLeg::Uplink),
-            Err(PlanError::BadAutoFamily { .. })
-        ));
+        assert!(bad_priced(&ef_candidate, StageLeg::Uplink));
+        let message = ef_candidate.validate_for(StageLeg::Uplink).unwrap_err().to_string();
+        assert!(message.contains("priced uplink policy"), "{message}");
         // A candidate with bad parameters fails its own validation.
-        let bad_param = StagePolicy::AutoFamily {
+        let bad_param = StagePolicy::Priced {
             candidates: vec![StagePolicy::TopK { ratio: 0.0, error_feedback: false }],
         };
         assert!(matches!(
@@ -1151,15 +1169,14 @@ mod tests {
         let err = config.plan().unwrap().validate_for_workers().unwrap_err();
         assert_eq!(err, PlanError::SimulatorOnly { feature: "buffered aggregation" });
         assert!(err.to_string().contains("simulator-only"), "{err}");
-        // No link model prices an adaptive broadcast, and one relay
-        // tier is all a deployment has.
+        // No link model prices a broadcast, and one relay tier is all
+        // a deployment has.
         let mut config = base();
-        config.downlink = StagePolicy::Adaptive {
-            compressed: Box::new(StagePolicy::Lossy(FedSzConfig::default())),
-        };
+        config.downlink =
+            StagePolicy::Priced { candidates: vec![StagePolicy::Lossy(FedSzConfig::default())] };
         assert_eq!(
             config.plan().unwrap().validate_for_workers().unwrap_err(),
-            PlanError::SimulatorOnly { feature: "an adaptive downlink" }
+            PlanError::SimulatorOnly { feature: "a priced downlink" }
         );
         let mut config = base();
         config.clients = 4;
@@ -1222,12 +1239,12 @@ mod tests {
             StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: true }.name(),
             "q8s+ef"
         );
-        assert_eq!(StagePolicy::AutoFamily { candidates: Vec::new() }.name(), "auto");
+        assert_eq!(StagePolicy::Priced { candidates: Vec::new() }.name(), "auto");
         // EF is visible through the accessor the plan gate uses.
         assert!(StagePolicy::TopK { ratio: 0.1, error_feedback: true }.error_feedback());
         assert!(!StagePolicy::Raw.error_feedback());
         assert!(
-            !StagePolicy::AutoFamily { candidates: Vec::new() }.error_feedback(),
+            !StagePolicy::Priced { candidates: Vec::new() }.error_feedback(),
             "auto never carries EF (candidates with EF are rejected)"
         );
     }

@@ -24,12 +24,21 @@
 //! `UplinkCodecKind` with its arm in `uplink_codecs_for`, the encode
 //! arm in `UplinkStage::client_step` and the decode arm in
 //! [`FoldStep::decode`] — no per-runtime edits.
+//!
+//! Eqn 1 itself is written once too, in `PricedStage`: the uplink
+//! prices its codec list with one, and the broadcast
+//! ([`Downlink`](crate::agg::Downlink)) and partial-sum
+//! ([`PsumForwarder`](crate::agg::PsumForwarder)) legs each hold a
+//! one-candidate stage. Every leg's choice, cost-profile fold and
+//! [`Eqn1Decision`] record come from there.
 
 use crate::agg::{template_matches, PartialSum};
 use crate::codec::{zero_residual, FamilyCodec};
 use crate::plan::{RoundPlan, StagePolicy};
 use crate::Client;
-use fedsz::timing::{select_family, CostProfile, Eqn1Decision, Eqn1Leg, FamilyCandidate};
+use fedsz::timing::{
+    select_family, CostProfile, Eqn1Decision, Eqn1Leg, FamilyCandidate, TransferPlan,
+};
 use fedsz::FedSz;
 use fedsz_dp::{DpOutcome, DpPolicy};
 use fedsz_lossless::PsumCodec;
@@ -48,8 +57,8 @@ pub(crate) enum UplinkCodecKind {
 
 /// Resolves a *validated* upload-leg [`StagePolicy`] to its codec
 /// list with reporting names: empty for `Raw`, one entry for
-/// `Lossy`/`Adaptive`/`TopK`/`Quant` (a forced or priced selection
-/// over a single candidate), one per candidate for `AutoFamily`.
+/// `Lossy`/`TopK`/`Quant` (a forced codec), one per candidate for
+/// `Priced`.
 fn uplink_codecs_for(uplink: &StagePolicy) -> Vec<(&'static str, UplinkCodecKind)> {
     let kind = |policy: &StagePolicy| match policy {
         StagePolicy::Lossy(cfg) => UplinkCodecKind::Fedsz(FedSz::new(*cfg)),
@@ -63,8 +72,7 @@ fn uplink_codecs_for(uplink: &StagePolicy) -> Vec<(&'static str, UplinkCodecKind
     };
     match uplink {
         StagePolicy::Raw | StagePolicy::Lossless => Vec::new(),
-        StagePolicy::Adaptive { compressed } => vec![(compressed.name(), kind(compressed))],
-        StagePolicy::AutoFamily { candidates } => {
+        StagePolicy::Priced { candidates } => {
             candidates.iter().map(|c| (c.name(), kind(c))).collect()
         }
         single => vec![(single.name(), kind(single))],
@@ -111,16 +119,152 @@ fn apply_dp(
     outcome
 }
 
-/// One client's resolved upload-leg decision for a round.
+/// The paper's Eqn 1 for one wire leg, written once: the leg's
+/// candidate codecs with their measured [`CostProfile`]s, the choice
+/// between them and raw ([`select_family`]), the EWMA fold of each
+/// measurement, and (through [`StageChoice::decision`]) the
+/// [`Eqn1Decision`] record.
+///
+/// The uplink holds one with a candidate per codec of its policy; the
+/// broadcast and partial-sum legs each hold one with a single
+/// candidate (`"lossy"`, `"lossless"`). A *forced* stage always ships
+/// its first candidate (raw when it has none) and prices nothing, but
+/// still folds what it measures: a forced-lossless partial-sum leg
+/// reads its profile to stop verify-decompressing frames.
+#[derive(Debug, Clone)]
+pub(crate) struct PricedStage {
+    leg: Eqn1Leg,
+    /// Candidate names and their profiles (`None` until measured).
+    candidates: Vec<FamilyCandidate>,
+    /// Whether Eqn 1 picks per payload rather than the plan forcing
+    /// the first candidate.
+    priced: bool,
+}
+
+impl PricedStage {
+    /// A stage on `leg` over the named candidates, none of them
+    /// profiled yet.
+    pub(crate) fn new(leg: Eqn1Leg, families: &[&'static str], priced: bool) -> Self {
+        let candidates =
+            families.iter().map(|&family| FamilyCandidate { family, profile: None }).collect();
+        Self { leg, candidates, priced }
+    }
+
+    /// Candidate `codec`'s measured cost profile, if it has one.
+    pub(crate) fn profile(&self, codec: usize) -> Option<CostProfile> {
+        self.candidates[codec].profile
+    }
+
+    /// Whether the next [`PricedStage::observe`] of `codec` needs a
+    /// measured decompression time: only a priced stage reads the
+    /// profile, and once `codec` has one its per-byte decompress cost
+    /// can be carried forward.
+    pub(crate) fn wants_decompress_sample(&self, codec: usize) -> bool {
+        self.priced && self.candidates[codec].profile.is_none()
+    }
+
+    /// The leg's choice for one payload of `raw_bytes`. A forced stage
+    /// ships its first candidate; a priced one runs [`select_family`]
+    /// against `bandwidth_bps` — probing unmeasured candidates from
+    /// `probe_hint` on, compressing while no bandwidth is known, and
+    /// going raw only when raw is predicted strictly faster.
+    ///
+    /// Compression runs on hardware `slowdown` times slower than the
+    /// one profiled (per byte, before planning), and one encode serves
+    /// `fanout` receivers (the planned compress seconds are divided by
+    /// it); decompression is priced as measured. `1.0` and `1` leave
+    /// the profile's arithmetic untouched.
+    pub(crate) fn choose(
+        &self,
+        raw_bytes: usize,
+        bandwidth_bps: Option<f64>,
+        probe_hint: usize,
+        slowdown: f64,
+        fanout: usize,
+    ) -> StageChoice {
+        let (codec, predicted) = if self.priced {
+            let plan = |p: &CostProfile| -> TransferPlan {
+                let scaled = CostProfile {
+                    compress_secs_per_byte: p.compress_secs_per_byte * slowdown,
+                    ..*p
+                };
+                let mut plan = scaled.plan(raw_bytes);
+                plan.compress_secs /= fanout.max(1) as f64;
+                plan
+            };
+            let sel = select_family(raw_bytes, bandwidth_bps, &self.candidates, probe_hint, &plan);
+            (sel.choice, sel.predicted_choice_secs.zip(sel.predicted_raw_secs))
+        } else {
+            ((!self.candidates.is_empty()).then_some(0), None)
+        };
+        let family = codec.map_or("raw", |i| self.candidates[i].family);
+        StageChoice { leg: self.leg, codec, family, predicted }
+    }
+
+    /// Folds one measurement of `codec` into its EWMA profile: the
+    /// `raw_bytes` it was given (one payload or a round's worth),
+    /// the `shipped_bytes` it produced, and the seconds it took.
+    /// `decompress_secs` of `None` keeps the previous per-byte
+    /// estimate (a sender that measured the receiver's cost once does
+    /// not re-measure it).
+    pub(crate) fn observe(
+        &mut self,
+        codec: usize,
+        raw_bytes: usize,
+        shipped_bytes: usize,
+        compress_secs: f64,
+        decompress_secs: Option<f64>,
+    ) {
+        if raw_bytes == 0 {
+            return;
+        }
+        let raw = raw_bytes as f64;
+        let prev = self.candidates[codec].profile;
+        self.candidates[codec].profile = Some(CostProfile::blend(
+            prev,
+            CostProfile {
+                compress_secs_per_byte: compress_secs / raw,
+                decompress_secs_per_byte: match decompress_secs {
+                    Some(secs) => secs / raw,
+                    None => prev.map_or(0.0, |p| p.decompress_secs_per_byte),
+                },
+                ratio: raw / shipped_bytes.max(1) as f64,
+            },
+        ));
+    }
+}
+
+/// One payload's resolved decision on one leg.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct UplinkChoice {
-    /// Index into the stage's codec list, or `None` to ship raw.
+pub struct StageChoice {
+    /// The leg that decided.
+    pub leg: Eqn1Leg,
+    /// Index into the stage's candidates, or `None` to ship raw.
     pub codec: Option<usize>,
     /// The codec-family name the decision record reports.
     pub family: &'static str,
     /// `(chosen, raw)` predicted end-to-end seconds when a pricing
     /// pass actually ran.
     pub predicted: Option<(f64, f64)>,
+}
+
+impl StageChoice {
+    /// The auditable record of this choice at `node` (client id,
+    /// tree node, or `0` for the broadcast), beside the `codec_secs`
+    /// actually paid (counted only when the payload shipped
+    /// compressed).
+    pub fn decision(&self, node: usize, codec_secs: f64) -> Eqn1Decision {
+        let compressed = self.codec.is_some();
+        Eqn1Decision {
+            leg: self.leg,
+            node: node as u64,
+            compressed,
+            family: self.family,
+            predicted_compressed_secs: self.predicted.map(|p| p.0),
+            predicted_raw_secs: self.predicted.map(|p| p.1),
+            measured_codec_secs: if compressed { codec_secs } else { 0.0 },
+        }
+    }
 }
 
 /// What one client produced for a round.
@@ -143,12 +287,11 @@ pub(crate) struct ClientStep {
 
 /// The client half of the upload pipeline, built once from the plan.
 pub(crate) struct UplinkStage {
-    codecs: Vec<(&'static str, UplinkCodecKind)>,
-    /// Per-codec measured cost profiles, aligned with `codecs`.
-    profiles: Vec<Option<CostProfile>>,
-    /// Whether the codec is chosen per link and round by Eqn 1
-    /// (`Adaptive`, `AutoFamily`) rather than forced by the plan.
-    priced: bool,
+    codecs: Vec<UplinkCodecKind>,
+    /// Eqn 1 over `codecs` (one candidate each): priced per link and
+    /// round under a `Priced` policy, forced to codec 0 otherwise.
+    /// Runtimes fold their measurements into it.
+    pub(crate) pricing: PricedStage,
     dp: Option<DpPolicy>,
     seed: u64,
     local_epochs: usize,
@@ -156,11 +299,11 @@ pub(crate) struct UplinkStage {
 
 impl UplinkStage {
     pub(crate) fn new(plan: &RoundPlan) -> Self {
-        let codecs = uplink_codecs_for(&plan.config.uplink);
+        let (names, codecs): (Vec<_>, Vec<_>) =
+            uplink_codecs_for(&plan.config.uplink).into_iter().unzip();
         Self {
-            profiles: vec![None; codecs.len()],
             codecs,
-            priced: plan.config.uplink.is_adaptive(),
+            pricing: PricedStage::new(Eqn1Leg::Uplink, &names, plan.config.uplink.is_priced()),
             dp: plan.config.dp,
             seed: plan.config.seed,
             local_epochs: plan.config.local_epochs,
@@ -172,12 +315,9 @@ impl UplinkStage {
         self.codecs.len()
     }
 
-    /// The upload-leg decision for one client and round. A forced
-    /// policy ships its one codec (or raw); a priced policy runs the
-    /// paper's Eqn 1 over every candidate with [`select_family`] —
-    /// probing unmeasured codecs in rotation, compressing while no
-    /// bandwidth estimate exists, and going raw only when raw is
-    /// predicted strictly faster than every codec.
+    /// The upload-leg decision for one client and round
+    /// ([`PricedStage::choose`]), with the probe rotated by round and
+    /// client so every codec gets measured.
     ///
     /// `bandwidth_bps` is whatever the runtime knows about this
     /// client's uplink (a simulated `LinkProfile`, a measured send
@@ -191,34 +331,9 @@ impl UplinkStage {
         raw_bytes: usize,
         bandwidth_bps: Option<f64>,
         compute_slowdown: f64,
-    ) -> UplinkChoice {
-        if !self.priced {
-            let codec = (!self.codecs.is_empty()).then_some(0);
-            return UplinkChoice { codec, family: self.family(codec), predicted: None };
-        }
-        let candidates: Vec<FamilyCandidate> = self
-            .codecs
-            .iter()
-            .zip(&self.profiles)
-            .map(|(&(family, _), profile)| FamilyCandidate {
-                family,
-                profile: profile.map(|p| CostProfile {
-                    compress_secs_per_byte: p.compress_secs_per_byte * compute_slowdown,
-                    ..p
-                }),
-            })
-            .collect();
+    ) -> StageChoice {
         let hint = round.wrapping_mul(self.codecs.len().max(1)).wrapping_add(client);
-        let sel = select_family(raw_bytes, bandwidth_bps, &candidates, hint);
-        UplinkChoice {
-            codec: sel.choice,
-            family: self.family(sel.choice),
-            predicted: sel.predicted_choice_secs.zip(sel.predicted_raw_secs),
-        }
-    }
-
-    fn family(&self, codec: Option<usize>) -> &'static str {
-        codec.map_or("raw", |i| self.codecs[i].0)
+        self.pricing.choose(raw_bytes, bandwidth_bps, hint, compute_slowdown, 1)
     }
 
     /// One client's whole round: load the broadcast, train the plan's
@@ -246,7 +361,7 @@ impl UplinkStage {
         client: &mut Client,
         reference: &StateDict,
         round: usize,
-        choice: UplinkChoice,
+        choice: StageChoice,
         residual: Option<&mut StateDict>,
     ) -> Result<ClientStep, NnError> {
         client.load_global(reference)?;
@@ -263,7 +378,7 @@ impl UplinkStage {
             self.dp.map(|policy| apply_dp(&mut update, reference, &policy, round, client.id()));
         let raw_bytes = update.byte_size();
         let t1 = Instant::now();
-        let payload = match choice.codec.map(|i| &self.codecs[i].1) {
+        let payload = match choice.codec.map(|i| &self.codecs[i]) {
             None => update.to_bytes(),
             Some(UplinkCodecKind::Fedsz(f)) => {
                 f.compress(&update).expect("finite weights").into_bytes()
@@ -288,64 +403,6 @@ impl UplinkStage {
             samples: client.samples(),
             dp,
         })
-    }
-
-    /// Whether the next [`UplinkStage::observe`] for `codec` needs a
-    /// measured decompression time: only a priced policy ever reads the
-    /// profile, and once a codec has one its per-byte decompress cost
-    /// is carried forward.
-    pub(crate) fn wants_decompress_sample(&self, codec: usize) -> bool {
-        self.priced && self.profiles[codec].is_none()
-    }
-
-    /// Folds measured costs of `codec` into its EWMA profile — what
-    /// the next [`UplinkStage::choose`] prices with. The byte and
-    /// second counts may cover one upload or a round's worth of them.
-    /// `decompress_secs` must cover this codec's streams only;
-    /// `None` keeps the previous per-byte estimate (a sender that
-    /// measured the receiver's cost once does not re-measure it).
-    pub(crate) fn observe(
-        &mut self,
-        codec: usize,
-        raw_bytes: usize,
-        payload_bytes: usize,
-        compress_secs: f64,
-        decompress_secs: Option<f64>,
-    ) {
-        if !self.priced || raw_bytes == 0 {
-            return;
-        }
-        let raw = raw_bytes as f64;
-        let prev = self.profiles[codec];
-        self.profiles[codec] = Some(CostProfile::blend(
-            prev,
-            CostProfile {
-                compress_secs_per_byte: compress_secs / raw,
-                decompress_secs_per_byte: match decompress_secs {
-                    Some(secs) => secs / raw,
-                    None => prev.map_or(0.0, |p| p.decompress_secs_per_byte),
-                },
-                ratio: raw / payload_bytes.max(1) as f64,
-            },
-        ));
-    }
-}
-
-/// The uplink Eqn-1 record of one client step: the measured codec
-/// seconds next to the prediction that picked the path.
-pub(crate) fn uplink_decision(
-    client: usize,
-    choice: UplinkChoice,
-    step: &ClientStep,
-) -> Eqn1Decision {
-    Eqn1Decision {
-        leg: Eqn1Leg::Uplink,
-        node: client as u64,
-        compressed: step.compressed,
-        family: choice.family,
-        predicted_compressed_secs: choice.predicted.map(|p| p.0),
-        predicted_raw_secs: choice.predicted.map(|p| p.1),
-        measured_codec_secs: if step.compressed { step.compress_secs } else { 0.0 },
     }
 }
 
@@ -523,7 +580,6 @@ mod tests {
     use super::*;
     use crate::net::global_checksum;
     use crate::{Experiment, FlConfig};
-    use fedsz::timing::TransferPlan;
     use fedsz_nn::Model;
 
     /// `(name, policy)` for every upload route the CLI can name.
@@ -535,11 +591,11 @@ mod tests {
         vec![
             ("raw", StagePolicy::Raw),
             ("lossy", lossy.clone()),
-            ("adaptive", StagePolicy::Adaptive { compressed: Box::new(lossy.clone()) }),
+            ("adaptive", StagePolicy::Priced { candidates: vec![lossy.clone()] }),
             ("topk", topk.clone()),
             ("q8", quant(8, false)),
             ("q4s", quant(4, true)),
-            ("auto", StagePolicy::AutoFamily { candidates: vec![lossy, topk, quant(8, false)] }),
+            ("auto", StagePolicy::Priced { candidates: vec![lossy, topk, quant(8, false)] }),
         ]
     }
 
@@ -584,7 +640,7 @@ mod tests {
                 assert_eq!(dict.len(), reference.len());
                 // Profile every codec so round 1 is priced, not probed.
                 for codec in 0..stage.codec_count() {
-                    stage.observe(codec, raw_bytes, raw_bytes / 4, 1e-3, Some(1e-3));
+                    stage.pricing.observe(codec, raw_bytes, raw_bytes / 4, 1e-3, Some(1e-3));
                 }
             }
         }
@@ -594,23 +650,23 @@ mod tests {
     fn unified_route_reproduces_the_pinned_lossy_checksums() {
         // `tests/plan.rs` pins the smoke config (FedSZ on every
         // upload) at 0x31c90905. `Lossy` is "forced codec 0" and
-        // `Adaptive{Lossy}` "priced selection over one candidate" of
+        // `Priced{[Lossy]}` "priced selection over one candidate" of
         // the same route; with no network model to price against, the
         // latter compresses every round too — so both spellings must
         // land on the golden.
         let codec = FlConfig::tiny_model_compression();
         let lossy = StagePolicy::Lossy(codec);
-        let adaptive = StagePolicy::Adaptive { compressed: Box::new(lossy.clone()) };
-        for (uplink, priced) in [(lossy, false), (adaptive, true)] {
+        let priced = StagePolicy::Priced { candidates: vec![lossy.clone()] };
+        for uplink in [lossy, priced] {
             let mut config = FlConfig::smoke_test();
             config.uplink = uplink.clone();
-            if priced {
+            if uplink.is_priced() {
                 config.links = None;
             }
             let mut exp = Experiment::new(config);
             let metrics = exp.run();
             assert_eq!(global_checksum(exp.global_state()), 0x31c9_0905, "{uplink:?}");
-            assert!(metrics.iter().all(|m| m.eqn1.iter().all(|d| d.family != "adaptive")));
+            assert!(metrics.iter().all(|m| m.eqn1.iter().all(|d| d.family != "auto")));
         }
     }
 
@@ -618,13 +674,13 @@ mod tests {
     fn pricing_one_candidate_is_eqn1_worthwhile() {
         let mut config = FlConfig::smoke_test();
         let lossy = StagePolicy::Lossy(FlConfig::tiny_model_compression());
-        config.uplink = StagePolicy::Adaptive { compressed: Box::new(lossy) };
+        config.uplink = StagePolicy::Priced { candidates: vec![lossy] };
         let mut stage = UplinkStage::new(&config.plan().unwrap());
         // Unprofiled, or no bandwidth estimate: compress (the probe).
         assert_eq!(stage.choose(0, 0, 1_000_000, Some(1e6), 1.0).codec, Some(0));
-        assert!(stage.wants_decompress_sample(0));
-        stage.observe(0, 1_000_000, 100_000, 0.2, Some(0.1));
-        assert!(!stage.wants_decompress_sample(0));
+        assert!(stage.pricing.wants_decompress_sample(0));
+        stage.pricing.observe(0, 1_000_000, 100_000, 0.2, Some(0.1));
+        assert!(!stage.pricing.wants_decompress_sample(0));
         assert_eq!(stage.choose(1, 0, 1_000_000, None, 1.0).codec, Some(0));
         // Profiled and priced: the verdict and both predictions are
         // `TransferPlan`'s, straggler slowdown on the compress side.
@@ -643,15 +699,101 @@ mod tests {
             assert_eq!(raw, plan.uncompressed_time(bps));
         }
         // A `None` decompress sample carries the estimate forward.
-        stage.observe(0, 1_000_000, 100_000, 0.2, None);
+        stage.pricing.observe(0, 1_000_000, 100_000, 0.2, None);
         let again = stage.choose(2, 0, 1_000_000, Some(1e6), 4.0);
         let (chosen, _) = again.predicted.unwrap();
         assert!((chosen - plan.compressed_time(1e6)).abs() < 1e-9 * chosen);
-        // Forced policies never price and never fold a profile.
+        // Forced policies fold what they measure but never price, so
+        // they never ask for a decompress sample.
         let mut forced = UplinkStage::new(&FlConfig::smoke_test().plan().unwrap());
-        forced.observe(0, 1_000_000, 100_000, 0.2, Some(0.1));
-        assert!(!forced.wants_decompress_sample(0));
+        forced.pricing.observe(0, 1_000_000, 100_000, 0.2, Some(0.1));
+        assert!(forced.pricing.profile(0).is_some());
+        assert!(!forced.pricing.wants_decompress_sample(0));
         let choice = forced.choose(5, 1, 1_000_000, Some(1e12), 1.0);
         assert_eq!((choice.codec, choice.family, choice.predicted), (Some(0), "lossy", None));
+    }
+
+    #[test]
+    fn unpriced_decisions_carry_no_predictions() {
+        let psum = PricedStage::new(Eqn1Leg::Psum, &["lossless"], false);
+        let d = psum.choose(1_000, Some(1e6), 0, 1.0, 1).decision(3, 0.5);
+        assert_eq!((d.predicted_compressed_secs, d.predicted_raw_secs), (None, None));
+        // A compressed psum frame is lossless, never "lossy".
+        assert_eq!((d.leg.name(), d.node, d.family, d.compressed), ("psum", 3, "lossless", true));
+        assert_eq!(d.measured_codec_secs, 0.5);
+        // A raw choice is charged no codec time.
+        let raw = PricedStage::new(Eqn1Leg::Downlink, &[], false);
+        let d = raw.choose(1_000, None, 0, 1.0, 4).decision(0, 0.5);
+        assert_eq!(
+            (d.leg.name(), d.family, d.compressed, d.measured_codec_secs),
+            ("downlink", "raw", false, 0.0)
+        );
+        assert_eq!(Eqn1Leg::Uplink.name(), "uplink");
+    }
+
+    /// The priced stage against the formulas the three legs used
+    /// before they shared it, bit for bit: the psum leg's plain
+    /// `TransferPlan::worthwhile`, the downlink's planned compress
+    /// seconds divided by the cohort, and the uplink's per-byte
+    /// compress cost scaled by the straggler slowdown. Ties go to raw;
+    /// an unprofiled stage or an unknown bandwidth compresses unpriced.
+    #[test]
+    fn the_priced_stage_reproduces_each_legs_old_formula() {
+        let profile = |c: f64, d: f64, ratio: f64| CostProfile {
+            compress_secs_per_byte: c,
+            decompress_secs_per_byte: d,
+            ratio,
+        };
+        let profiles = [
+            None,
+            Some(profile(2e-9, 1e-9, 4.0)),
+            Some(profile(3.7e-8, 1.1e-8, 9.3)),
+            Some(profile(1e-6, 1e-6, 2.0)),
+            // Free and incompressible: both paths cost exactly S·8/B.
+            Some(profile(0.0, 0.0, 1.0)),
+        ];
+        let sizes = [1usize, 4_096, 1_000_003, 92_000_000];
+        let bandwidths = [None, Some(1e3), Some(1e6), Some(9.7e7), Some(1e10), Some(1e13)];
+        // `(leg, cohort, slowdown)`: what each caller passes.
+        let mut cases = vec![(Eqn1Leg::Psum, 1, 1.0)];
+        cases.extend([1, 3, 7].map(|cohort| (Eqn1Leg::Downlink, cohort, 1.0)));
+        cases.extend([1.0, 2.5].map(|slowdown| (Eqn1Leg::Uplink, 1, slowdown)));
+        let mut ties = 0;
+        for &(leg, cohort, slowdown) in &cases {
+            for p in profiles {
+                for raw in sizes {
+                    for bw in bandwidths {
+                        let mut stage = PricedStage::new(leg, &["codec"], true);
+                        stage.candidates[0].profile = p;
+                        let got = stage.choose(raw, bw, 0, slowdown, cohort);
+                        let (Some(p), Some(bw)) = (p, bw) else {
+                            assert_eq!((got.codec, got.predicted), (Some(0), None));
+                            continue;
+                        };
+                        let plan = match leg {
+                            Eqn1Leg::Psum => p.plan(raw),
+                            Eqn1Leg::Downlink => {
+                                let mut plan = p.plan(raw);
+                                plan.compress_secs /= cohort as f64;
+                                plan
+                            }
+                            Eqn1Leg::Uplink => CostProfile {
+                                compress_secs_per_byte: p.compress_secs_per_byte * slowdown,
+                                ..p
+                            }
+                            .plan(raw),
+                        };
+                        let want = (plan.compressed_time(bw), plan.uncompressed_time(bw));
+                        ties += usize::from(want.0 == want.1);
+                        let context = format!("{leg:?} x{cohort} /{slowdown} {p:?} {raw} B {bw}");
+                        assert_eq!(got.codec.is_some(), plan.worthwhile(bw), "{context}");
+                        let (chosen, raw_secs) = got.predicted.expect("priced");
+                        assert_eq!(chosen.to_bits(), want.0.to_bits(), "{context}");
+                        assert_eq!(raw_secs.to_bits(), want.1.to_bits(), "{context}");
+                    }
+                }
+            }
+        }
+        assert!(ties > 0, "the table must hold an exact tie");
     }
 }

@@ -95,7 +95,7 @@ fn sharded_parity_holds_with_weighting_downlink_and_wire() {
     let mut flat = RoundEngine::new(config.clone());
     let mut sharded_config = config.clone();
     sharded_config.tree = Some(vec![3]);
-    sharded_config.psum = StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossless) };
+    sharded_config.psum = StagePolicy::Priced { candidates: vec![StagePolicy::Lossless] };
     let mut tree = RoundEngine::new(sharded_config);
     for round in 0..config.rounds {
         flat.run_round(round);

@@ -260,19 +260,19 @@ proptest! {
         uplink in prop_oneof![
             Just(StagePolicy::Raw),
             Just(lossy()),
-            Just(StagePolicy::Adaptive { compressed: Box::new(lossy()) }),
+            Just(StagePolicy::Priced { candidates: vec![lossy()] }),
             Just(StagePolicy::Lossless),
         ],
         psum in prop_oneof![
             Just(StagePolicy::Raw),
             Just(StagePolicy::Lossless),
-            Just(StagePolicy::Adaptive { compressed: Box::new(StagePolicy::Lossless) }),
+            Just(StagePolicy::Priced { candidates: vec![StagePolicy::Lossless] }),
             Just(lossy()),
         ],
         downlink in prop_oneof![
             Just(StagePolicy::Raw),
             Just(lossy()),
-            Just(StagePolicy::Adaptive { compressed: Box::new(lossy()) }),
+            Just(StagePolicy::Priced { candidates: vec![lossy()] }),
             Just(StagePolicy::TopK { ratio: 0.5, error_feedback: false }),
         ],
         links in prop_oneof![

@@ -143,7 +143,7 @@ fn adaptive_uplink_sends_raw_on_fast_links() {
     config.clients = 2;
     config.rounds = 3;
     config.links = Some(Topology::Dedicated(vec![LinkProfile::symmetric(1e12); 2]));
-    config.uplink = StagePolicy::Adaptive { compressed: Box::new(config.uplink) };
+    config.uplink = StagePolicy::Priced { candidates: vec![config.uplink] };
     let metrics = Experiment::new(config.clone()).run();
     assert!(metrics[0].ratio > 1.2, "probe round should compress");
     let last = metrics.last().unwrap();
