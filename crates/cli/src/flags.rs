@@ -1,12 +1,13 @@
-//! The one flag table of the run subcommands (`fl`, `serve`, `worker`)
-//! and the parser over it.
+//! The one flag table of the subcommands that take flags (`gen`,
+//! `compress`, and the run subcommands `fl`, `serve`, `worker`) and the
+//! parser over it.
 //!
 //! Every `--flag` those subcommands accept is one [`FLAGS`] row: its
 //! name, what follows it, and the subcommands it is legal on. The rows
 //! are the single source for what each subcommand parses, for the keys
-//! a `--config` run spec may set ([`crate::spec`]: every row but
-//! `config`), and for which flags `serve`/`worker` refuse as
-//! simulator-only.
+//! a `--config` run spec may set ([`crate::spec`]: every run
+//! subcommand's row but `config`), and for which flags `serve`/`worker`
+//! refuse as simulator-only.
 //!
 //! [`Args::parse`] only *parses*. An unknown flag, a flag of another
 //! subcommand, a missing value, a one-value flag given twice and a
@@ -28,11 +29,16 @@ pub enum Command {
     Serve,
     /// `fedsz worker`, one socket client.
     Worker,
+    /// `fedsz gen`, which writes a model state dict.
+    Gen,
+    /// `fedsz compress`, the FedSZ pipeline over a state-dict file.
+    Compress,
 }
 
 impl Command {
     /// Every subcommand, in usage order.
-    pub const ALL: [Command; 3] = [Command::Fl, Command::Serve, Command::Worker];
+    pub const ALL: [Command; 5] =
+        [Command::Gen, Command::Compress, Command::Fl, Command::Serve, Command::Worker];
 
     /// The subcommand's name on the command line.
     pub fn name(self) -> &'static str {
@@ -40,6 +46,8 @@ impl Command {
             Command::Fl => "fl",
             Command::Serve => "serve",
             Command::Worker => "worker",
+            Command::Gen => "gen",
+            Command::Compress => "compress",
         }
     }
 
@@ -52,6 +60,8 @@ const FL: u8 = 1 << Command::Fl as u8;
 const SERVE: u8 = 1 << Command::Serve as u8;
 const WORKER: u8 = 1 << Command::Worker as u8;
 const RUN: u8 = FL | SERVE | WORKER;
+const GEN: u8 = 1 << Command::Gen as u8;
+const COMPRESS: u8 = 1 << Command::Compress as u8;
 
 /// What follows a flag on the command line. The text names the value
 /// in parse errors, as in "--clients expects a client count".
@@ -81,6 +91,12 @@ impl Flag {
         self.commands & command.bit() != 0
     }
 
+    /// Whether a run subcommand (`fl`, `serve`, `worker`) accepts this
+    /// flag: the rows a run spec may set.
+    pub fn runs(&self) -> bool {
+        self.commands & RUN != 0
+    }
+
     fn expects(&self) -> &'static str {
         match self.arity {
             Arity::Switch => "no value",
@@ -95,17 +111,18 @@ const fn flag(name: &'static str, arity: Arity, commands: u8) -> Flag {
 
 use Arity::{Repeated, Switch, Value};
 
-/// Every flag of `fedsz fl`, `fedsz serve` and `fedsz worker`.
+/// Every flag of `fedsz gen`, `fedsz compress`, `fedsz fl`, `fedsz
+/// serve` and `fedsz worker`.
 ///
-/// The flags all three share shape the *bits* of the run (cohort, data,
-/// seeds, architecture, codec, topology, DP), so one run spec can drive
-/// a whole serve + worker fleet and its `fl` twin. `threads` and
-/// `trace` are shared too; they never change the bits.
+/// The flags all three run subcommands share shape the *bits* of the
+/// run (cohort, data, seeds, architecture, codec, topology, DP), so one
+/// run spec can drive a whole serve + worker fleet and its `fl` twin.
+/// `threads` and `trace` are shared too; they never change the bits.
 pub const FLAGS: &[Flag] = &[
     flag("config", Value("a run-spec file"), RUN),
     flag("clients", Value("a client count"), RUN),
     flag("rounds", Value("a round count"), RUN),
-    flag("seed", Value("an integer seed"), RUN),
+    flag("seed", Value("an integer seed"), RUN | GEN),
     flag("train-per-class", Value("a sample count"), RUN),
     flag("arch", Value("alexnet, mobilenetv2 or resnet"), RUN),
     flag("non-iid", Value("a Dirichlet alpha"), RUN),
@@ -146,6 +163,13 @@ pub const FLAGS: &[Flag] = &[
     flag("retries", Value("an attempt count"), WORKER),
     flag("drop-at-round", Value("a round index"), WORKER),
     flag("timeout", Value("seconds"), WORKER),
+    // The file subcommands.
+    flag("scale", Value("a fraction of the full model"), GEN),
+    flag("eb", Value("a number (relative bound)"), COMPRESS),
+    flag("abs", Value("a number (absolute bound)"), COMPRESS),
+    flag("lossy", Value("sz2, sz3, szx or zfp"), COMPRESS),
+    flag("lossless", Value("blosc-lz, zlib, gzip, zstd or xz"), COMPRESS),
+    flag("threshold", Value("an element count"), COMPRESS),
 ];
 
 /// The table row named `name` (without `--`).

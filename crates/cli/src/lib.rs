@@ -223,13 +223,13 @@ the stderr log level (default info).
 /// Executes a CLI invocation (argv without the program name).
 pub fn run(args: &[String]) -> Outcome {
     match args.first().map(String::as_str) {
-        Some("gen") => gen(&args[1..]),
-        Some("compress") => compress(&args[1..]),
+        Some("gen") => outcome(gen(&args[1..])),
+        Some("compress") => outcome(compress(&args[1..])),
         Some("decompress") => decompress(&args[1..]),
         Some("inspect") => inspect(&args[1..]),
-        Some("fl") => run_command(Command::Fl, &args[1..]),
-        Some("serve") => run_command(Command::Serve, &args[1..]),
-        Some("worker") => run_command(Command::Worker, &args[1..]),
+        Some("fl") => run_command(Command::Fl, &args[1..], fl),
+        Some("serve") => run_command(Command::Serve, &args[1..], serve),
+        Some("worker") => run_command(Command::Worker, &args[1..], worker),
         // `sweep` owns its spec handling: the spec file is the
         // positional argument and may carry a [matrix] table the flat
         // --config expansion rejects.
@@ -239,54 +239,48 @@ pub fn run(args: &[String]) -> Outcome {
     }
 }
 
-/// Runs `fl`, `serve` or `worker`: `--config FILE` expands to the
-/// file's equivalent flags, appended after the explicit ones so the
-/// command line wins, and the result is parsed against the flag table.
-fn run_command(command: Command, args: &[String]) -> Outcome {
-    let result = spec::expand_config(args).and_then(|expanded| {
-        let args = Args::parse(command, &expanded)?;
-        match command {
-            Command::Fl => fl(&args),
-            Command::Serve => serve(&args),
-            Command::Worker => worker(&args),
-        }
-    });
+fn outcome(result: Result<String, String>) -> Outcome {
     match result {
         Ok(report) => Outcome::ok(report),
         Err(e) => Outcome::fail(e),
     }
 }
 
-fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// Runs `fl`, `serve` or `worker`: `--config FILE` expands to the
+/// file's equivalent flags, appended after the explicit ones so the
+/// command line wins, and the result is parsed against the flag table.
+fn run_command(
+    command: Command,
+    args: &[String],
+    run: fn(&Args<'_>) -> Result<String, String>,
+) -> Outcome {
+    outcome(spec::expand_config(args).and_then(|expanded| run(&Args::parse(command, &expanded)?)))
 }
 
-fn gen(args: &[String]) -> Outcome {
-    let (Some(model), Some(out)) = (args.first(), args.get(1)) else {
-        return Outcome::fail(USAGE.to_string());
-    };
-    let Some(spec) = ModelSpec::by_name(model) else {
-        return Outcome::fail(format!(
-            "unknown model `{model}`; try alexnet, mobilenetv2, resnet50"
-        ));
-    };
-    let seed: u64 = match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(42),
-        Err(_) => return Outcome::fail("--seed expects an integer".into()),
-    };
-    let scale: f64 = match flag_value(args, "--scale").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(1.0),
-        Err(_) => return Outcome::fail("--scale expects a number".into()),
-    };
+/// Splits `args` into the two positional arguments of `gen` or
+/// `compress` and the flags after them, parsed against the table.
+fn two_paths(command: Command, args: &[String]) -> Result<(&str, &str, Args<'_>), String> {
+    match args {
+        [first, second, flags @ ..] if !first.starts_with("--") && !second.starts_with("--") => {
+            Ok((first, second, Args::parse(command, flags)?))
+        }
+        _ => Err(USAGE.to_string()),
+    }
+}
+
+fn gen(args: &[String]) -> Result<String, String> {
+    let (model, out, args) = two_paths(Command::Gen, args)?;
+    let spec = ModelSpec::by_name(model)
+        .ok_or_else(|| format!("unknown model `{model}`; try alexnet, mobilenetv2, resnet50"))?;
+    let seed: u64 = args.parsed_or("seed", 42)?;
+    let scale: f64 = args.parsed_or("scale", 1.0)?;
     if !(0.0..=1.0).contains(&scale) || scale == 0.0 {
-        return Outcome::fail("--scale must be in (0, 1]".into());
+        return Err("--scale must be in (0, 1]".into());
     }
     let dict =
         if scale < 1.0 { spec.instantiate_scaled(seed, scale) } else { spec.instantiate(seed) };
-    if let Err(e) = std::fs::write(out, dict.to_bytes()) {
-        return Outcome::fail(format!("cannot write {out}: {e}"));
-    }
-    Outcome::ok(format!(
+    std::fs::write(out, dict.to_bytes()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    Ok(format!(
         "wrote {} ({} tensors, {:.1} MB) to {out}",
         spec.name(),
         dict.len(),
@@ -315,58 +309,31 @@ fn parse_lossless(name: &str) -> Option<LosslessKind> {
     }
 }
 
-fn compress(args: &[String]) -> Outcome {
-    let (Some(input), Some(output)) = (args.first(), args.get(1)) else {
-        return Outcome::fail(USAGE.to_string());
-    };
+fn compress(args: &[String]) -> Result<String, String> {
+    let (input, output, args) = two_paths(Command::Compress, args)?;
     let mut config = FedSzConfig::default();
-    if let Some(eb) = flag_value(args, "--eb") {
-        match eb.parse::<f64>() {
-            Ok(v) => config.error_bound = ErrorBound::Relative(v),
-            Err(_) => return Outcome::fail("--eb expects a number (relative bound)".into()),
-        }
-    }
-    if let Some(eb) = flag_value(args, "--abs") {
-        match eb.parse::<f64>() {
-            Ok(v) => config.error_bound = ErrorBound::Absolute(v),
-            Err(_) => return Outcome::fail("--abs expects a number (absolute bound)".into()),
-        }
-    }
-    if let Some(name) = flag_value(args, "--lossy") {
-        match parse_lossy(name) {
-            Some(kind) => config.lossy = kind,
-            None => return Outcome::fail(format!("unknown lossy codec `{name}`")),
-        }
-    }
-    if let Some(name) = flag_value(args, "--lossless") {
-        match parse_lossless(name) {
-            Some(kind) => config.lossless = kind,
-            None => return Outcome::fail(format!("unknown lossless codec `{name}`")),
-        }
-    }
-    if let Some(t) = flag_value(args, "--threshold") {
-        match t.parse::<usize>() {
-            Ok(v) => config.threshold = v,
-            Err(_) => return Outcome::fail("--threshold expects an integer".into()),
-        }
-    }
-    let bytes = match std::fs::read(input) {
-        Ok(b) => b,
-        Err(e) => return Outcome::fail(format!("cannot read {input}: {e}")),
+    config.error_bound = match (args.parsed("eb")?, args.parsed("abs")?) {
+        (Some(_), Some(_)) => return Err("--eb and --abs both set the bound: give one".into()),
+        (Some(rel), None) => ErrorBound::Relative(rel),
+        (None, Some(abs)) => ErrorBound::Absolute(abs),
+        (None, None) => config.error_bound,
     };
-    let dict = match StateDict::from_bytes(&bytes) {
-        Ok(d) => d,
-        Err(e) => return Outcome::fail(format!("{input} is not a state dict: {e}")),
-    };
-    let packed = match FedSz::new(config).compress(&dict) {
-        Ok(p) => p,
-        Err(e) => return Outcome::fail(format!("compression failed: {e}")),
-    };
+    if let Some(name) = args.value("lossy") {
+        config.lossy = parse_lossy(name).ok_or_else(|| format!("unknown lossy codec `{name}`"))?;
+    }
+    if let Some(name) = args.value("lossless") {
+        config.lossless =
+            parse_lossless(name).ok_or_else(|| format!("unknown lossless codec `{name}`"))?;
+    }
+    config.threshold = args.parsed_or("threshold", config.threshold)?;
+    let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    let dict =
+        StateDict::from_bytes(&bytes).map_err(|e| format!("{input} is not a state dict: {e}"))?;
+    let packed =
+        FedSz::new(config).compress(&dict).map_err(|e| format!("compression failed: {e}"))?;
     let stats = *packed.stats();
-    if let Err(e) = std::fs::write(output, packed.bytes()) {
-        return Outcome::fail(format!("cannot write {output}: {e}"));
-    }
-    Outcome::ok(format!(
+    std::fs::write(output, packed.bytes()).map_err(|e| format!("cannot write {output}: {e}"))?;
+    Ok(format!(
         "{:.2} MB -> {:.2} MB (ratio {:.2}x, {} lossy / {} lossless tensors) -> {output}",
         stats.original_bytes as f64 / 1e6,
         stats.compressed_bytes as f64 / 1e6,
@@ -1408,5 +1375,44 @@ mod tests {
         assert_ne!(runv(&["compress", &fsd, "/tmp/a.fsz", "--lossless", "brotli"]).code, 0);
         assert_ne!(runv(&["compress", &fsd, "/tmp/a.fsz", "--eb", "abc"]).code, 0);
         cleanup(&[&fsd]);
+    }
+
+    /// `gen` and `compress` parse the flag table: a misspelt, repeated
+    /// or contradictory flag exits 2 instead of running with a default.
+    #[test]
+    fn file_subcommands_refuse_what_they_used_to_ignore() {
+        let (fsd, fsz) = (temp_path("strict.fsd"), temp_path("strict.fsz"));
+        for (argv, needle) in [
+            (&["gen", "mobilenetv2", &fsd, "--sede", "3"][..], "unknown flag --sede"),
+            (&["gen", "alexnet", &fsd, "--seed", "1", "--seed", "2"], "--seed given twice"),
+            (&["gen", "alexnet", &fsd, "--eb", "1e-3"], "--eb is a `fedsz compress` flag"),
+            (&["gen", "alexnet", &fsd, "--seed", "x"], "--seed expects an integer seed"),
+            (&["compress", &fsd, &fsz, "--ebb", "1e-4"], "unknown flag --ebb"),
+            (&["compress", &fsd, &fsz, "--eb", "1e-4", "--abs", "1e-1"], "give one"),
+            (&["compress", &fsd, &fsz, "--abs", "1e-4", "--abs", "1e-1"], "--abs given twice"),
+            (&["compress", &fsd, &fsz, "--seed", "1"], "not a `fedsz compress` one"),
+            (&["compress", &fsd, &fsz, "stray"], "unexpected argument `stray`"),
+            (&["compress", &fsd], "USAGE"),
+        ] {
+            let out = runv(argv);
+            assert_eq!(out.code, 2, "{argv:?}: {}", out.report);
+            assert!(
+                out.report.contains(needle),
+                "{argv:?} gave `{}`, wanted `{needle}`",
+                out.report
+            );
+        }
+        assert!(!Path::new(&fsd).exists() && !Path::new(&fsz).exists());
+
+        // The seed given is the seed used.
+        let other = temp_path("strict_other.fsd");
+        let gen = |path: &str, seed: &str| {
+            let out = runv(&["gen", "alexnet", path, "--scale", "0.005", "--seed", seed]);
+            assert_eq!(out.code, 0, "{}", out.report);
+            std::fs::read(path).unwrap()
+        };
+        assert_ne!(gen(&fsd, "3"), gen(&other, "42"));
+        assert_eq!(gen(&fsd, "42"), gen(&other, "42"));
+        cleanup(&[&fsd, &other]);
     }
 }

@@ -44,8 +44,8 @@ pub enum SpecValue {
     List(Vec<String>),
 }
 
-/// The flag a run-spec key names: every row of the flag table but
-/// `config` (a spec cannot include another spec). A key behaves exactly
+/// The flag a run-spec key names: every run subcommand's row of the
+/// flag table but `config` (a spec cannot include another spec). A key behaves exactly
 /// like its flag on the invoked subcommand — including `serve`/`worker`
 /// *rejecting* simulator-only keys (`bandwidth`, `weighted`,
 /// `participation`, …), since several of them shape the bits and
@@ -54,7 +54,7 @@ pub enum SpecValue {
 /// serve+worker fleet must therefore stick to the keys all three share
 /// (see `examples/configs/socket.toml`).
 fn spec_flag(key: &str) -> Option<&'static Flag> {
-    flags::lookup(key).filter(|flag| flag.name != "config")
+    flags::lookup(key).filter(|flag| flag.runs() && flag.name != "config")
 }
 
 /// The keys an array value is legal for: the repeatable flags.
@@ -436,9 +436,10 @@ mod tests {
 
     #[test]
     fn every_flag_but_config_is_a_spec_key() {
-        // The keys are the flag table's rows, so a socket knob a spec
-        // used to reject by omission parses like any other.
-        for flag in FLAGS.iter().filter(|f| f.name != "config") {
+        // The keys are the run subcommands' rows of the flag table, so
+        // a socket knob a spec used to reject by omission parses like
+        // any other, and `gen`/`compress`'s rows are no keys at all.
+        for flag in FLAGS.iter().filter(|f| f.runs() && f.name != "config") {
             let value = match flag.arity {
                 Arity::Switch => "true",
                 Arity::Value(_) | Arity::Repeated(_) => "1",
@@ -446,6 +447,10 @@ mod tests {
             let entries = parse_spec(&format!("{} = {value}", flag.name))
                 .unwrap_or_else(|e| panic!("--{} is not a spec key: {e}", flag.name));
             assert_eq!(spec_to_args(&entries)[0], format!("--{}", flag.name));
+        }
+        for key in ["scale", "eb", "abs", "lossy", "lossless", "threshold"] {
+            let err = parse_spec(&format!("{key} = 1")).unwrap_err();
+            assert!(err.contains("unknown key"), "{key}: {err}");
         }
     }
 

@@ -42,7 +42,7 @@
 use crate::flags::{Args, Command};
 use crate::report::{json_f64, json_string, RoundRow, RunReport};
 use crate::spec::{self, SpecValue};
-use crate::{flag_value, simulator_config, Outcome};
+use crate::{simulator_config, Outcome};
 use fedsz_fl::sweep::{
     cell_seed, pareto_front, run_cells, CellOutcome, MatrixAxis, ParetoPoint, SweepMatrix,
 };
@@ -218,6 +218,11 @@ fn sweep_json(
     let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
     out
+}
+
+/// The word after `key` in `args`, if `key` is there.
+fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
+    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
 /// Runs `fedsz sweep SPEC.toml|DIR [--json [FILE]] [--threads N]`.

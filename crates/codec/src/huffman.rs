@@ -33,12 +33,16 @@
 //!   which has the same layout.
 //! - **Encode.** Block encoders join two codes (at most 32 bits while
 //!   the longest code is 16) per accumulator step and flush 32 bits at
-//!   a time into a buffer sized from the exact bit length.
+//!   a time into a buffer sized from the exact bit length. The flush
+//!   stores every step and advances only when 32 bits are full, with no
+//!   branch: where the codes' lengths cross 32 bits follows no pattern a
+//!   branch predictor could learn.
 //! - **Count.** A block counts its symbols once, in four interleaved
 //!   lanes, so a run of one symbol is four independent chains of
 //!   increments.
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::simd::{self, Kernel};
 use crate::varint::{read_bytes, read_uvarint, write_uvarint};
 use crate::{CodecError, Result};
 use std::collections::BinaryHeap;
@@ -94,6 +98,7 @@ impl Histogram {
     /// of its row, so a run of one symbol is four independent chains of
     /// increments, not one chain through a counter with each increment
     /// waiting on the store before it.
+    #[inline(always)]
     fn of(data: &[u16]) -> Self {
         if data.is_empty() {
             return Self { base: 0, counts: Vec::new() };
@@ -313,8 +318,22 @@ impl HuffmanTable {
     /// # Panics
     ///
     /// Panics if any symbol has no code in this table.
+    #[inline]
     pub fn encode_into(&self, data: &[u16], w: &mut BitWriter) {
-        self.encode_iter(data.iter().copied(), w);
+        if self.longest() > PAIR_MAX_LEN {
+            w.write_codes(data.iter().map(|&sym| self.code(sym)));
+            return;
+        }
+        let (pairs, last) = data.as_chunks::<2>();
+        w.write_codes(pairs.iter().map(|&[sym, next]| self.pair(sym, next)));
+        w.write_codes(last.iter().map(|&sym| self.code(sym)));
+    }
+
+    /// The codes of `sym` and `next` joined, `sym`'s first.
+    #[inline]
+    fn pair(&self, sym: u16, next: u16) -> (u64, u32) {
+        let ((code, len), (next, next_len)) = (self.code(sym), self.code(next));
+        (code << next_len | next, len + next_len)
     }
 
     /// Encodes every symbol `symbols` yields: the same bits as one
@@ -324,6 +343,7 @@ impl HuffmanTable {
     /// # Panics
     ///
     /// Panics if any symbol has no code in this table.
+    #[inline]
     pub fn encode_iter(&self, symbols: impl IntoIterator<Item = u16>, w: &mut BitWriter) {
         let mut symbols = symbols.into_iter();
         if self.longest() > PAIR_MAX_LEN {
@@ -331,13 +351,10 @@ impl HuffmanTable {
             return;
         }
         w.write_codes(std::iter::from_fn(|| {
-            let (code, len) = self.code(symbols.next()?);
+            let sym = symbols.next()?;
             Some(match symbols.next() {
-                Some(sym) => {
-                    let (next, next_len) = self.code(sym);
-                    (code << next_len | next, len + next_len)
-                }
-                None => (code, len),
+                Some(next) => self.pair(sym, next),
+                None => self.code(sym),
             })
         }));
     }
@@ -620,20 +637,35 @@ impl HuffmanTable {
 /// One-shot helper: Huffman-encode `data` into a self-contained block
 /// (header + symbol count + padded bitstream).
 pub fn encode_block(data: &[u16]) -> Vec<u8> {
-    let Histogram { base, counts } = Histogram::of(data);
-    let table = HuffmanTable::from_counts(base, &counts, 16);
-    let bit_len: u64 =
-        table.packed.iter().zip(&counts).map(|(&p, &n)| u64::from(p & 0xff) * n).sum();
-    let byte_len = bit_len.div_ceil(8) as usize;
-    let mut out = Vec::with_capacity(byte_len + 4 * table.coded_symbols() + 24);
-    table.write_header(&mut out);
-    write_uvarint(&mut out, data.len() as u64);
-    // The counts fix the stream's length before a bit of it is written,
-    // so it is coded straight into the block.
-    write_uvarint(&mut out, byte_len as u64);
-    let mut w = BitWriter::append_to(out);
-    table.encode_into(data, &mut w);
-    w.into_bytes()
+    simd::dispatch(EncodeBlock(data))
+}
+
+/// [`encode_block`]'s count and code loops, compiled for the build
+/// target and for AVX2 ([`simd`]). Under AVX2 the count's min/max fold
+/// over `u16` is `vpminuw`/`vpmaxuw`, which SSE2 lacks.
+struct EncodeBlock<'a>(&'a [u16]);
+
+impl Kernel for EncodeBlock<'_> {
+    type Output = Vec<u8>;
+
+    #[inline(always)]
+    fn run(self) -> Vec<u8> {
+        let Self(data) = self;
+        let Histogram { base, counts } = Histogram::of(data);
+        let table = HuffmanTable::from_counts(base, &counts, 16);
+        let bit_len: u64 =
+            table.packed.iter().zip(&counts).map(|(&p, &n)| u64::from(p & 0xff) * n).sum();
+        let byte_len = bit_len.div_ceil(8) as usize;
+        let mut out = Vec::with_capacity(byte_len + 4 * table.coded_symbols() + 24);
+        table.write_header(&mut out);
+        write_uvarint(&mut out, data.len() as u64);
+        // The counts fix the stream's length before a bit of it is written,
+        // so it is coded straight into the block.
+        write_uvarint(&mut out, byte_len as u64);
+        let mut w = BitWriter::append_to(out);
+        table.encode_into(data, &mut w);
+        w.into_bytes()
+    }
 }
 
 /// Decodes a block produced by [`encode_block`], advancing `pos`.
@@ -1732,5 +1764,56 @@ mod table_speed_tests {
             slow * 1e3
         );
         assert!(ratio >= 20.0, "the 30,000-symbol table build is only {ratio:.1}x the old one");
+    }
+}
+
+/// [`encode_block`]'s AVX2 copy against its build-target copy.
+#[cfg(test)]
+mod simd_tests {
+    use super::differential_tests::sz_like;
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Both copies of the block encoder on `data`: `None` on a host
+    /// without AVX2, where there is nothing to compare.
+    fn both(data: &[u16]) -> Option<(Vec<u8>, Vec<u8>)> {
+        let avx2 = simd::avx2(EncodeBlock(data));
+        if avx2.is_none() {
+            println!("skipped: this host has no AVX2, so the portable copy is the only path");
+        }
+        Some((avx2?, EncodeBlock(data).run()))
+    }
+
+    #[test]
+    fn avx2_blocks_match_the_portable_copy() {
+        // Lengths around the four counting lanes and the vector widths,
+        // one symbol, the alphabet's ends, and a tree deeper than the
+        // 16-bit limit (the Kraft fix-up).
+        let skewed: Vec<u16> =
+            (0..40u32).flat_map(|k| std::iter::repeat_n(k as u16, 1 << (k % 20))).collect();
+        let mut cases: Vec<Vec<u16>> = (0..=33).map(|n| sz_like(n, 2)).collect();
+        cases.extend([
+            vec![7; 1000],
+            vec![0, u16::MAX, 0, u16::MAX, 1],
+            (0..=u16::MAX).collect(),
+            sz_like(1_000_003, 1),
+            sz_like(100_001, 3),
+            skewed,
+        ]);
+        for data in &cases {
+            let Some((avx2, portable)) = both(data) else { return };
+            assert_eq!(avx2, portable, "{} symbols", data.len());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn random_blocks_match_the_portable_copy(
+            data in proptest::collection::vec(prop_oneof![0u16..8, 32_700u16..32_840, any::<u16>()], 0..600),
+        ) {
+            if let Some((avx2, portable)) = both(&data) {
+                prop_assert_eq!(avx2, portable);
+            }
+        }
     }
 }

@@ -11,7 +11,9 @@
 //! * [`shuffle`] — the byte-shuffle filter used by Blosc,
 //! * [`checksum`] — CRC-32 (IEEE) and Adler-32,
 //! * [`varint`] — LEB128 variable-length integers and fixed-width helpers,
-//! * [`stats`] — summary statistics shared by compressors and analyses.
+//! * [`stats`] — summary statistics shared by compressors and analyses,
+//! * [`simd`] — the AVX2 seam: a hot loop compiled twice from one source
+//!   and picked at run time.
 //!
 //! # Examples
 //!
@@ -25,7 +27,12 @@
 //! assert_eq!(r.read_bits(4).unwrap(), 0b1011);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the crate is safe Rust except the one
+// call into the AVX2 copy of a kernel in `simd.rs`, which carries a
+// module-scoped `allow` and its safety argument. The crates that
+// dispatch their own kernels through it (`fedsz-lossy`, `fedsz-lossless`)
+// keep `forbid`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitio;
@@ -34,6 +41,8 @@ pub mod huffman;
 pub mod quantizer;
 pub mod range;
 pub mod shuffle;
+#[allow(unsafe_code)]
+pub mod simd;
 pub mod stats;
 pub mod varint;
 

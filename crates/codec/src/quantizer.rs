@@ -126,9 +126,13 @@ impl Quantizer {
     /// (where this routine's round-to-even would differ from
     /// `quantize`'s round-half-away), or the run is empty.
     ///
+    /// Always inlined, so that a caller's AVX2 copy ([`crate::simd`])
+    /// holds an AVX2 copy of this loop.
+    ///
     /// # Panics
     ///
     /// Panics if the three slices differ in length.
+    #[inline(always)]
     pub fn quantize_batch(&self, pred: &[f32], actual: &[f32], codes: &mut [u16]) -> Option<f32> {
         assert!(pred.len() == actual.len() && actual.len() == codes.len(), "length mismatch");
         // Adding and subtracting 1.5 * 2^52 rounds a double of magnitude

@@ -30,6 +30,9 @@
 //! assert_eq!(codec.decompress(&packed).unwrap(), data);
 //! ```
 
+// `forbid`, though hot loops here run AVX2 copies: they dispatch through
+// `fedsz_codec::simd`, whose one `unsafe` call is sound for any kernel
+// (its only precondition is the CPU feature it checks first).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

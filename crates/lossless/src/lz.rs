@@ -149,7 +149,7 @@ impl Chains {
         Self { head: vec![NONE; 1 << head_log], prev: vec![NONE; len], shift: HASH_LOG - head_log }
     }
 
-    #[inline]
+    #[inline(always)]
     fn insert(&mut self, data: &[u8], pos: usize) {
         if pos + 4 <= data.len() {
             let bucket = (hash4(data, pos) >> self.shift) as usize;
@@ -159,7 +159,7 @@ impl Chains {
     }
 
     /// Longest match at `pos`, returning `(len, dist)`.
-    #[inline]
+    #[inline(always)]
     fn best_match(&self, data: &[u8], pos: usize, params: &MatchParams) -> Option<(usize, usize)> {
         if pos + 4 > data.len() {
             return None;
@@ -214,6 +214,7 @@ fn push_literals(tokens: &mut Vec<Token>, start: usize, len: usize) {
 ///
 /// The concatenation of all tokens reproduces `data` exactly (verified by
 /// [`reconstruct`], which decoders mirror).
+#[inline(always)]
 pub fn tokenize(data: &[u8], params: &MatchParams) -> Vec<Token> {
     let mut tokens = Vec::new();
     // Chain positions are `u32`: an input they cannot index is parsed
@@ -227,6 +228,7 @@ pub fn tokenize(data: &[u8], params: &MatchParams) -> Vec<Token> {
 }
 
 /// Parses one segment, whose first byte is byte `base` of the input.
+#[inline(always)]
 fn tokenize_segment(
     data: &[u8],
     base: usize,

@@ -101,40 +101,49 @@ pub(crate) fn check_count(n: usize, group: usize, min_bits: usize, payload: &[u8
 
 /// Whether every element is finite, and the range they span, in one
 /// pass.
+#[inline(always)]
 pub(crate) fn scan(data: &[f32]) -> std::result::Result<ValueRange, LossyError> {
     // No early exit and eight independent lanes of plain `f32`
     // arithmetic, so the loop vectorizes instead of being one long
     // chain of dependent compares. `v * 0.0` is zero for a finite `v`
-    // and NaN otherwise, and a NaN sticks to its lane's sum. (Which of
-    // two equal extremes a lane keeps, +0.0 or -0.0 included, cannot
-    // change `max - min`.)
+    // and NaN otherwise, and a NaN sticks to its lane's sum. The
+    // extremes are a compare and a select, which is what `minps` and
+    // `maxps` do; `f32::min`/`max` also order a NaN, which `poison`
+    // already rejects. (Which of two equal extremes a lane keeps, +0.0
+    // or -0.0 included, cannot change `max - min`.)
     const LANES: usize = 8;
+    let lower = |min: f32, v: f32| if v < min { v } else { min };
+    let higher = |max: f32, v: f32| if v > max { v } else { max };
     let mut min = [f32::INFINITY; LANES];
     let mut max = [f32::NEG_INFINITY; LANES];
     let mut poison = [0.0f32; LANES];
-    let mut chunks = data.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        let lanes = min.iter_mut().zip(max.iter_mut()).zip(poison.iter_mut());
-        for (((min, max), poison), &v) in lanes.zip(chunk) {
-            *min = min.min(v);
-            *max = max.max(v);
-            *poison += v * 0.0;
+    let mut step = |chunk: &[f32; LANES]| {
+        for lane in 0..LANES {
+            min[lane] = lower(min[lane], chunk[lane]);
+            max[lane] = higher(max[lane], chunk[lane]);
+            poison[lane] += chunk[lane] * 0.0;
         }
-    }
-    for &v in chunks.remainder() {
-        min[0] = min[0].min(v);
-        max[0] = max[0].max(v);
-        poison[0] += v * 0.0;
+    };
+    let (chunks, rest) = data.as_chunks::<LANES>();
+    chunks.iter().for_each(&mut step);
+    if let Some(&first) = rest.first() {
+        // The tail as one more step, padded with copies of its first
+        // element: a repeat moves no extreme and no verdict on
+        // finiteness, and every lane stays one vector lane.
+        let mut tail = [first; LANES];
+        tail[..rest.len()].copy_from_slice(rest);
+        step(&tail);
     }
     if !poison.iter().all(|&p| p == 0.0) {
         return Err(LossyError::NonFiniteInput);
     }
-    let min = min.into_iter().fold(f32::INFINITY, f32::min);
-    let max = max.into_iter().fold(f32::NEG_INFINITY, f32::max);
+    let min = min.into_iter().fold(f32::INFINITY, lower);
+    let max = max.into_iter().fold(f32::NEG_INFINITY, higher);
     Ok(ValueRange { min, max })
 }
 
 /// Validates input for the SZ-family compressors and resolves the bound.
+#[inline(always)]
 pub(crate) fn resolve_bound(
     data: &[f32],
     bound: ErrorBound,
@@ -212,6 +221,7 @@ impl Quantization {
 
     /// Quantizes a run whose predictions are all known up front, none of
     /// them reading an earlier reconstruction.
+    #[inline(always)]
     pub(crate) fn push_run(&mut self, preds: &[f32], values: &[f32]) {
         let start = self.codes.len();
         self.codes.resize(start + values.len(), 0);
@@ -289,7 +299,7 @@ impl Container {
             return Err(CodecError::Corrupt("more unpredictable values than elements"));
         }
         let unpredictable = read_f32_vec(&inner, &mut at, count as usize)?;
-        // Settled once, so `values` cannot fail per element.
+        // Settled once, so a `Dequantizer` cannot fail per element.
         if codes.iter().filter(|&&code| code == Quantizer::UNPREDICTABLE).count()
             > unpredictable.len()
         {
@@ -303,15 +313,53 @@ impl Container {
         &self.inner[self.sections[k].clone()]
     }
 
-    /// The decoder's half of [`Quantization::push`]: maps each code, in
-    /// order, and its prediction to the reconstructed value.
-    pub(crate) fn values(&self, eb: f32) -> impl FnMut(f32, u16) -> f32 + '_ {
-        let quantizer = Quantizer::new(eb);
-        let mut raw = self.unpredictable.iter().copied();
-        move |pred, code| match code {
-            Quantizer::UNPREDICTABLE => raw.next().expect("raw values were counted in `read`"),
-            _ => quantizer.dequantize(pred, code),
+    /// The decoder's half of [`Quantization`]: maps each code, in order,
+    /// and its prediction to the reconstructed value.
+    pub(crate) fn values(&self, eb: f32) -> Dequantizer<'_> {
+        Dequantizer { quantizer: Quantizer::new(eb), raw: self.unpredictable.iter() }
+    }
+}
+
+/// Codes and their predictions back to values, an unpredictable code's
+/// from the container's raw values, in order.
+pub(crate) struct Dequantizer<'a> {
+    quantizer: Quantizer,
+    raw: std::slice::Iter<'a, f32>,
+}
+
+impl Dequantizer<'_> {
+    /// What [`Quantization::push`] made of one element.
+    #[inline(always)]
+    pub(crate) fn value(&mut self, pred: f32, code: u16) -> f32 {
+        match code {
+            Quantizer::UNPREDICTABLE => self.next_raw(),
+            _ => self.quantizer.dequantize(pred, code),
         }
+    }
+
+    /// What [`Quantization::push_run`] made of a run, into `out`:
+    /// `pred(i)` is the `i`-th element's prediction. Every code is
+    /// dequantized without a branch (an unpredictable one as code 1, to
+    /// a value that is then overwritten), so the loop vectorizes; the
+    /// raw values go into the unpredictable slots afterwards, in order.
+    #[inline(always)]
+    pub(crate) fn run(&mut self, pred: impl Fn(usize) -> f32, codes: &[u16], out: &mut [f32]) {
+        let mut lowest = u16::MAX;
+        for (i, (out, &code)) in out.iter_mut().zip(codes).enumerate() {
+            *out = self.quantizer.dequantize(pred(i), code.max(1));
+            lowest = lowest.min(code);
+        }
+        if lowest == Quantizer::UNPREDICTABLE {
+            for (out, _) in
+                out.iter_mut().zip(codes).filter(|(_, &code)| code == Quantizer::UNPREDICTABLE)
+            {
+                *out = self.next_raw();
+            }
+        }
+    }
+
+    fn next_raw(&mut self) -> f32 {
+        *self.raw.next().expect("raw values were counted in `read`")
     }
 }
 

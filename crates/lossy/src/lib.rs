@@ -21,6 +21,10 @@
 //! SZ2 and SZ3, the container of quantized residuals — is one private
 //! module (`src/frame.rs`); a codec's module doc lists its own fields.
 //!
+//! SZ2's encoder and decoder loops are compiled twice, for the build
+//! target and for AVX2, and picked at run time through
+//! [`fedsz_codec::simd`]; both copies write the same bytes.
+//!
 //! # Error-bound semantics
 //!
 //! [`ErrorBound::Relative`] follows SZ's *value-range relative* mode: the
@@ -45,6 +49,9 @@
 //! }
 //! ```
 
+// `forbid`, though hot loops here run AVX2 copies: they dispatch through
+// `fedsz_codec::simd`, whose one `unsafe` call is sound for any kernel
+// (its only precondition is the CPU feature it checks first).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -41,6 +41,7 @@ use crate::frame::{
 };
 use crate::{ErrorBound, ErrorBounded, LossyError, LossyKind};
 use fedsz_codec::bitio::{BitReader, BitWriter};
+use fedsz_codec::simd::{self, Kernel};
 use fedsz_codec::varint::{read_f32, read_uvarint, write_f32, write_f64, write_uvarint};
 use fedsz_codec::{CodecError, Result};
 
@@ -137,7 +138,7 @@ impl Default for Sz2 {
 /// `(i - 1) % LANES` and the accumulators are added in order: no chain
 /// of dependent additions longer than `len / LANES`, and one fixed
 /// summation order whatever the host vectorizes.
-#[inline]
+#[inline(always)]
 fn lane_sum(values: &[f32], before: f32, term: impl Fn(f64, f64, f64) -> f64) -> f64 {
     let Some((&first, rest)) = values.split_first() else {
         return 0.0;
@@ -162,6 +163,7 @@ fn lane_sum(values: &[f32], before: f32, term: impl Fn(f64, f64, f64) -> f64) ->
 }
 
 /// Least-squares line fit over `(0..len, values)`.
+#[inline(always)]
 fn fit_line(values: &[f32]) -> (f32, f32) {
     let n = values.len() as f64;
     if values.len() < 2 {
@@ -198,6 +200,7 @@ impl Sz2 {
     /// for the reconstruction. The two free predictors compare by
     /// `Σ|r|` alone; regression must beat the better of them by its
     /// [`regression_margin`].
+    #[inline(always)]
     fn choose_predictor(&self, chunk: &[f32], mean: f32, eb: f32, last_recon: f32) -> Predictor {
         if !self.hybrid {
             return Predictor::Lorenzo;
@@ -223,6 +226,7 @@ impl Sz2 {
 }
 
 /// The tensor's mean: the constant predictor.
+#[inline(always)]
 fn mean_of(data: &[f32]) -> f32 {
     if data.is_empty() {
         return 0.0;
@@ -240,25 +244,72 @@ impl ErrorBounded for Sz2 {
         data: &[f32],
         bound: ErrorBound,
     ) -> std::result::Result<Vec<u8>, LossyError> {
+        simd::dispatch(Encode { codec: self, data, bound }).map(Encoded::finish)
+    }
+
+    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>> {
+        match Stream::read(bytes)? {
+            Some(stream) => simd::dispatch(Decode(&stream)),
+            None => Ok(Vec::new()),
+        }
+    }
+}
+
+/// [`Sz2::compress`]'s own loops — the scan, the mean, and per block
+/// the predictor choice and the quantization — dispatched once per
+/// tensor ([`simd::dispatch`]). The container's Huffman and LZ stages
+/// dispatch their own ([`Encoded::finish`]).
+struct Encode<'a> {
+    codec: &'a Sz2,
+    data: &'a [f32],
+    bound: ErrorBound,
+}
+
+/// What [`Encode`] makes of a tensor.
+struct Encoded {
+    /// The stream up to its residual container.
+    out: Vec<u8>,
+    /// The container's codes and raw values, and its two sections:
+    /// `None` for an empty tensor, whose stream ends at its header.
+    container: Option<(Quantization, [Vec<u8>; 2])>,
+}
+
+impl Encoded {
+    /// The whole stream.
+    fn finish(self) -> Vec<u8> {
+        let Self { mut out, container } = self;
+        if let Some((quantized, [flags, coeffs])) = container {
+            quantized.finish(&[&flags, &coeffs], &mut out);
+        }
+        out
+    }
+}
+
+impl Kernel for Encode<'_> {
+    type Output = std::result::Result<Encoded, LossyError>;
+
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        let Self { codec, data, bound } = self;
         let eb = bound_as_f32(resolve_bound(data, bound)?);
         let mean = mean_of(data);
 
-        let mut out = write_header(self.kind(), data.len());
+        let mut out = write_header(LossyKind::Sz2, data.len());
         write_f64(&mut out, f64::from(eb));
-        write_uvarint(&mut out, self.block as u64);
+        write_uvarint(&mut out, codec.block as u64);
         write_f32(&mut out, mean);
         if data.is_empty() {
-            return Ok(out);
+            return Ok(Encoded { out, container: None });
         }
 
         let mut quantized = Quantization::new(eb, data.len());
-        let mut flags = BitWriter::with_capacity(data.len().div_ceil(self.block).div_ceil(4));
+        let mut flags = BitWriter::with_capacity(data.len().div_ceil(codec.block).div_ceil(4));
         let mut coeffs: Vec<u8> = Vec::new();
 
         let constant = [mean; BATCH];
         let mut line = [0.0f32; BATCH];
-        for chunk in data.chunks(self.block) {
-            let predictor = self.choose_predictor(chunk, mean, eb, quantized.last_recon);
+        for chunk in data.chunks(codec.block) {
+            let predictor = codec.choose_predictor(chunk, mean, eb, quantized.last_recon);
             let (flag, bits) = predictor.flag();
             flags.write_bits(flag, bits);
             match predictor {
@@ -285,17 +336,28 @@ impl ErrorBounded for Sz2 {
                 }
             }
         }
-        quantized.finish(&[&flags.into_bytes(), &coeffs], &mut out);
-        Ok(out)
+        Ok(Encoded { out, container: Some((quantized, [flags.into_bytes(), coeffs])) })
     }
+}
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>> {
-        let (n, mut pos) = read_header(bytes, self.kind())?;
+/// A non-empty stream's header fields and its residual container,
+/// read and checked.
+struct Stream {
+    eb: f32,
+    block: usize,
+    mean: f32,
+    container: Container,
+}
+
+impl Stream {
+    /// `None` for a stream of no elements.
+    fn read(bytes: &[u8]) -> Result<Option<Self>> {
+        let (n, mut pos) = read_header(bytes, LossyKind::Sz2)?;
         let eb = read_bound(bytes, &mut pos)?;
         let block = read_uvarint(bytes, &mut pos)? as usize;
         let mean = read_f32(bytes, &mut pos)?;
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(None);
         }
         if !mean.is_finite() {
             return Err(CodecError::Corrupt("non-finite mean in header"));
@@ -304,33 +366,47 @@ impl ErrorBounded for Sz2 {
             return Err(CodecError::Corrupt("invalid block size in header"));
         }
         let container = Container::read(bytes, &mut pos, n, 2)?;
-        let (flag_bytes, coeff_bytes) = (container.section(0), container.section(1));
         // Two bits per block at most.
-        if flag_bytes.len() > n.div_ceil(block).div_ceil(4) {
+        if container.section(0).len() > n.div_ceil(block).div_ceil(4) {
             return Err(CodecError::Corrupt("more block flags than blocks"));
         }
+        Ok(Some(Self { eb, block, mean, container }))
+    }
+}
 
-        let mut flags = BitReader::new(flag_bytes);
+/// [`Sz2::decompress`]'s reconstruction, dispatched once per tensor
+/// ([`simd::dispatch`]). A constant or regression block's predictions
+/// do not depend on each other, so it is dequantized without a branch
+/// ([`Dequantizer::run`]); a Lorenzo block is one chain.
+struct Decode<'a>(&'a Stream);
+
+impl Kernel for Decode<'_> {
+    type Output = Result<Vec<f32>>;
+
+    #[inline(always)]
+    fn run(self) -> Result<Vec<f32>> {
+        let Stream { eb, block, mean, ref container } = *self.0;
+        let coeff_bytes = container.section(1);
+        let mut flags = BitReader::new(container.section(0));
         let mut cpos = 0usize;
-        let mut value_of = container.values(eb);
-        let mut out = Vec::with_capacity(n);
-        for codes in container.codes.chunks(block) {
+        let mut values = container.values(eb);
+        let mut out = vec![0.0f32; container.codes.len()];
+        let mut last_recon = 0.0f32;
+        for (codes, out) in container.codes.chunks(block).zip(out.chunks_mut(block)) {
             // The prefix code of `Predictor::flag`.
             if !flags.read_bit()? {
-                out.extend(codes.iter().map(|&code| value_of(mean, code)));
+                values.run(|_| mean, codes, out);
             } else if !flags.read_bit()? {
-                let mut last_recon = out.last().copied().unwrap_or(0.0);
-                out.extend(codes.iter().map(|&code| {
-                    last_recon = value_of(last_recon, code);
-                    last_recon
-                }));
+                for (out, &code) in out.iter_mut().zip(codes) {
+                    last_recon = values.value(last_recon, code);
+                    *out = last_recon;
+                }
             } else {
                 let a = read_f32(coeff_bytes, &mut cpos)?;
                 let b = read_f32(coeff_bytes, &mut cpos)?;
-                out.extend(
-                    codes.iter().enumerate().map(|(i, &code)| value_of(a * i as f32 + b, code)),
-                );
+                values.run(|i| a * i as f32 + b, codes, out);
             }
+            last_recon = out[out.len() - 1];
         }
         Ok(out)
     }
@@ -731,5 +807,122 @@ mod tests {
         let (low, high) = restored.split_at(BLOCK * 4);
         assert!(low.iter().all(|&v| v == 1.5 || v == 0.5), "{:?}", &low[..8]);
         assert!(high.iter().all(|&v| v == 9.5 || v == 8.5), "{:?}", &high[..8]);
+    }
+
+    /// Both copies of the encoder, then of the decoder on what they
+    /// wrote, agree on `data`: the same stream or error, and the same
+    /// bits decoded. Returns the stream, or `None` on a host without
+    /// AVX2.
+    fn assert_copies_agree(codec: &Sz2, data: &[f32], bound: ErrorBound) -> Option<Vec<u8>> {
+        let encode = || Encode { codec, data, bound };
+        let Some(avx2) = simd::avx2(encode()) else {
+            println!("skipped: this host has no AVX2, so the portable copy is the only path");
+            return None;
+        };
+        let portable = encode().run().map(Encoded::finish);
+        assert_eq!(avx2.map(Encoded::finish), portable, "{} elements, {bound}", data.len());
+        let stream = portable.ok()?;
+        if let Some(read) = Stream::read(&stream).unwrap() {
+            let bits = |values: Vec<f32>| values.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            let portable = bits(Decode(&read).run().unwrap());
+            let avx2 = bits(simd::avx2(Decode(&read)).unwrap().unwrap());
+            assert_eq!(avx2, portable, "{} elements, {bound}", data.len());
+            assert_eq!(portable.len(), data.len());
+        }
+        Some(stream)
+    }
+
+    /// Whether `stream` keeps some value verbatim.
+    fn has_unpredictables(stream: &[u8]) -> bool {
+        let read = Stream::read(stream).unwrap().unwrap();
+        read.container.codes.contains(&Quantizer::UNPREDICTABLE)
+    }
+
+    #[test]
+    fn avx2_copies_match_the_portable_ones() {
+        let rel = ErrorBound::Relative(1e-2);
+        let trend: Vec<f32> = weight_like(BLOCK * 9 + 3, 11, 0.0)
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| {
+                let slope = if (i / BLOCK).is_multiple_of(2) { 0.02 } else { -0.013 };
+                0.1 * e + slope * i as f32
+            })
+            .collect();
+        let mut spiked = weight_like(5000, 7, 1e-5);
+        for i in (0..spiked.len()).step_by(97) {
+            spiked[i] = if i % 2 == 0 { 40.0 } else { -40.0 };
+        }
+        let ties: Vec<f32> =
+            [1.25f32, 0.75, 1.25, 0.75, 0.75, 1.25, 0.75, 1.25].repeat(BLOCK / 2 + 1);
+        let cases: [(&str, Sz2, &[f32], ErrorBound); 10] = [
+            ("short last block", Sz2::new(), &weight_like(BLOCK * 5 + 17, 1, 0.0), rel),
+            ("drift", Sz2::new(), &weight_like(20_000, 2, 1e-5), rel),
+            ("block longer than a batch", Sz2::with_block_size(200), &trend, rel),
+            ("block of 4", Sz2::with_block_size(4), &weight_like(1001, 3, 1e-5), rel),
+            ("lorenzo only", Sz2::new().lorenzo_only(), &weight_like(3000, 4, 1e-5), rel),
+            ("regression", Sz2::new(), &trend, ErrorBound::Absolute(1e-3)),
+            ("tight ABS bound", Sz2::new(), &spiked, ErrorBound::Absolute(1e-5)),
+            ("rounding ties", Sz2::new(), &ties, ErrorBound::Absolute(0.25)),
+            ("constant tensor", Sz2::new(), &[0.3; 1000], rel),
+            ("empty", Sz2::new(), &[], rel),
+        ];
+        for (name, codec, data, bound) in cases {
+            println!("{name}");
+            let Some(stream) = assert_copies_agree(&codec, data, bound) else { return };
+            match name {
+                "tight ABS bound" => assert!(has_unpredictables(&stream)),
+                "regression" => assert!(predictor_blocks(&stream)[2] > 0),
+                "drift" => assert!(predictor_blocks(&stream).iter().all(|&blocks| blocks > 0)),
+                _ => {}
+            }
+        }
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut data = weight_like(300, 5, 0.0);
+            data[201] = bad;
+            assert_copies_agree(&Sz2::new(), &data, rel);
+            let refused = Encode { codec: &Sz2::new(), data: &data, bound: rel }.run();
+            assert!(matches!(refused, Err(LossyError::NonFiniteInput)), "{bad}");
+        }
+    }
+
+    /// CI's `codec-smoke` job runs this in release mode; debug timings
+    /// mean nothing. A ratio of the two copies of SZ2's own loops, the
+    /// encoder's and the decoder's, on one 4 M-element weight-like
+    /// tensor at REL 1e-2. The container's Huffman and LZ stages run
+    /// the same code under both and are left out of the timing.
+    #[test]
+    #[ignore = "a timing ratio: run with --release -- --ignored"]
+    fn avx2_sz2_is_1_2x_the_portable_copy() {
+        let data = weight_like(4 << 20, 29, 0.0);
+        let (codec, bound) = (Sz2::new(), ErrorBound::Relative(1e-2));
+        let encode = || Encode { codec: &codec, data: &data, bound };
+        let Some(encoded) = simd::avx2(encode()) else {
+            println!("skipped: this host has no AVX2, so the portable copy is the only path");
+            return;
+        };
+        let stream = encoded.unwrap().finish();
+        let read = Stream::read(&stream).unwrap().unwrap();
+        let round_trip = |avx2: bool| {
+            let t0 = std::time::Instant::now();
+            if avx2 {
+                std::hint::black_box(simd::avx2(encode()).unwrap().unwrap());
+                std::hint::black_box(simd::avx2(Decode(&read)).unwrap().unwrap());
+            } else {
+                std::hint::black_box(encode().run().unwrap());
+                std::hint::black_box(Decode(&read).run().unwrap());
+            }
+            t0.elapsed().as_secs_f64()
+        };
+        let best = |avx2| (0..5).map(|_| round_trip(avx2)).fold(f64::INFINITY, f64::min);
+        let (portable, avx2) = (best(false), best(true));
+        let mbps = |secs: f64| (4 * data.len()) as f64 / secs / 1e6;
+        println!(
+            "AVX2 {:.0} MB/s, portable {:.0} MB/s: {:.2}x",
+            mbps(avx2),
+            mbps(portable),
+            portable / avx2
+        );
+        assert!(portable >= 1.2 * avx2, "AVX2 copy only {:.2}x the portable one", portable / avx2);
     }
 }

@@ -124,10 +124,10 @@ impl ErrorBounded for Sz3 {
             return Ok(Vec::new());
         }
         let container = Container::read(bytes, &mut pos, n, 0)?;
-        let mut value_of = container.values(eb);
+        let mut values = container.values(eb);
         let mut recon = vec![0.0f32; n];
         for (&code, (p, stride)) in container.codes.iter().zip(traversal(n)) {
-            recon[p] = value_of(predict(&recon, p, stride, n), code);
+            recon[p] = values.value(predict(&recon, p, stride, n), code);
         }
         Ok(recon)
     }
