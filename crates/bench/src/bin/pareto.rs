@@ -47,7 +47,7 @@ use fedsz::timing::Eqn1Leg;
 use fedsz::{ErrorBound, FedSzConfig, LossyKind};
 use fedsz_bench::Args;
 use fedsz_data::DatasetKind;
-use fedsz_fl::plan::StagePolicy;
+use fedsz_fl::plan::{StageLeg, StagePolicy};
 use fedsz_fl::{DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, RoundMetrics, Topology};
 use fedsz_nn::models::tiny::TinyArch;
 use std::collections::BTreeMap;
@@ -138,44 +138,27 @@ fn main() {
         error_bound: ErrorBound::Relative(1e-2),
         ..FedSzConfig::default()
     };
-    let sweeps: Vec<(&'static str, String, StagePolicy)> = vec![
-        ("raw", "raw".into(), StagePolicy::Raw),
-        ("sz3", "lossy (SZ3, REL 1e-2)".into(), StagePolicy::Lossy(sz3)),
-        (
-            "topk",
-            format!("topk:{topk_ratio}"),
-            StagePolicy::TopK { ratio: topk_ratio, error_feedback: false },
-        ),
-        (
-            "topk+ef",
-            format!("topk:{topk_ratio}+ef"),
-            StagePolicy::TopK { ratio: topk_ratio, error_feedback: true },
-        ),
-        (
-            "q8",
-            "q8".into(),
-            StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false },
-        ),
-        (
-            "q4s+ef",
-            "q4s+ef".into(),
-            StagePolicy::Quant { bits: 4, stochastic: true, error_feedback: true },
-        ),
-        (
-            "auto",
-            "auto {sz3, topk, q8}".into(),
-            StagePolicy::Priced {
-                candidates: vec![
-                    StagePolicy::Lossy(sz3),
-                    StagePolicy::TopK { ratio: topk_ratio, error_feedback: false },
-                    StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false },
-                ],
-            },
-        ),
-    ];
+    // Every row is a spelling of the stage-policy grammar; `auto`
+    // prices the swept Top-K ratio rather than the grammar's default
+    // slate.
+    let parse = |spec: &str| {
+        StagePolicy::parse(spec, StageLeg::Uplink, Some(sz3)).expect("a grammar spelling")
+    };
+    let topk = format!("topk:{topk_ratio}");
+    let slate = ["lossy", &topk, "q8"];
+    let mut sweeps: Vec<(String, StagePolicy)> =
+        ["raw", "lossy", &topk, &format!("{topk}+ef"), "q8", "q4s+ef"]
+            .map(|spec| (spec.to_string(), parse(spec)))
+            .into();
+    sweeps.push((
+        format!("auto {{{}}}", slate.join(", ")),
+        StagePolicy::Priced { candidates: slate.map(parse).into() },
+    ));
 
     let mut rows: Vec<Row> = Vec::new();
-    for (name, spec, uplink) in sweeps {
+    for (spec, uplink) in sweeps {
+        // The lossy row is the paper's SZ3 pipeline.
+        let name = if matches!(uplink, StagePolicy::Lossy(_)) { "sz3" } else { uplink.name() };
         let row = run_family(name, &spec, uplink, &sweep);
         eprintln!(
             "{name:>8}: best acc {:.3}, final acc {:.3}, {:.0} B/round uplink, \

@@ -1,9 +1,10 @@
 //! The one flag table of the subcommands that take flags (`gen`,
-//! `compress`, and the run subcommands `fl`, `serve`, `worker`) and the
-//! parser over it.
+//! `compress`, `sweep`, and the run subcommands `fl`, `serve`,
+//! `worker`) and the parser over it.
 //!
 //! Every `--flag` those subcommands accept is one [`FLAGS`] row: its
-//! name, what follows it, and the subcommands it is legal on. The rows
+//! name, what follows it, and the subcommands it is legal on (a name
+//! may have two rows when no subcommand takes both). The rows
 //! are the single source for what each subcommand parses, for the keys
 //! a `--config` run spec may set ([`crate::spec`]: every run
 //! subcommand's row but `config`), and for which flags `serve`/`worker`
@@ -33,12 +34,20 @@ pub enum Command {
     Gen,
     /// `fedsz compress`, the FedSZ pipeline over a state-dict file.
     Compress,
+    /// `fedsz sweep`, a grid of `fl` runs.
+    Sweep,
 }
 
 impl Command {
     /// Every subcommand, in usage order.
-    pub const ALL: [Command; 5] =
-        [Command::Gen, Command::Compress, Command::Fl, Command::Serve, Command::Worker];
+    pub const ALL: [Command; 6] = [
+        Command::Gen,
+        Command::Compress,
+        Command::Fl,
+        Command::Sweep,
+        Command::Serve,
+        Command::Worker,
+    ];
 
     /// The subcommand's name on the command line.
     pub fn name(self) -> &'static str {
@@ -48,6 +57,7 @@ impl Command {
             Command::Worker => "worker",
             Command::Gen => "gen",
             Command::Compress => "compress",
+            Command::Sweep => "sweep",
         }
     }
 
@@ -62,6 +72,7 @@ const WORKER: u8 = 1 << Command::Worker as u8;
 const RUN: u8 = FL | SERVE | WORKER;
 const GEN: u8 = 1 << Command::Gen as u8;
 const COMPRESS: u8 = 1 << Command::Compress as u8;
+const SWEEP: u8 = 1 << Command::Sweep as u8;
 
 /// What follows a flag on the command line. The text names the value
 /// in parse errors, as in "--clients expects a client count".
@@ -73,6 +84,9 @@ pub enum Arity {
     Value(&'static str),
     /// One value per occurrence; the flag may repeat.
     Repeated(&'static str),
+    /// A switch that may carry one value: the next word, unless it is
+    /// a flag.
+    Optional(&'static str),
 }
 
 /// One row of the flag table.
@@ -100,7 +114,7 @@ impl Flag {
     fn expects(&self) -> &'static str {
         match self.arity {
             Arity::Switch => "no value",
-            Arity::Value(what) | Arity::Repeated(what) => what,
+            Arity::Value(what) | Arity::Repeated(what) | Arity::Optional(what) => what,
         }
     }
 }
@@ -109,10 +123,10 @@ const fn flag(name: &'static str, arity: Arity, commands: u8) -> Flag {
     Flag { name, arity, commands }
 }
 
-use Arity::{Repeated, Switch, Value};
+use Arity::{Optional, Repeated, Switch, Value};
 
 /// Every flag of `fedsz gen`, `fedsz compress`, `fedsz fl`, `fedsz
-/// serve` and `fedsz worker`.
+/// sweep`, `fedsz serve` and `fedsz worker`.
 ///
 /// The flags all three run subcommands share shape the *bits* of the
 /// run (cohort, data, seeds, architecture, codec, topology, DP), so one
@@ -128,17 +142,18 @@ pub const FLAGS: &[Flag] = &[
     flag("non-iid", Value("a Dirichlet alpha"), RUN),
     flag("shards", Value("a shard count"), RUN),
     flag("tree", Value("per-level fan-outs like 4x8"), RUN),
-    flag("psum", Value("raw, lossless or auto"), RUN),
-    flag("downlink", Value("raw, fedsz or auto"), RUN),
-    flag("uplink", Value("an uplink codec"), RUN),
+    flag("psum", Value("a stage policy (raw, lossless, auto, ...)"), RUN),
+    flag("downlink", Value("a stage policy (raw, lossy, auto, ...)"), RUN),
+    flag("uplink", Value("a stage policy (raw, lossy, topk:R, q8, auto, ...)"), RUN),
     flag("no-compress", Switch, RUN),
     flag("dp-clip", Value("a number (the L2 clip bound)"), RUN),
     flag("dp-noise", Value("a number (the noise multiplier)"), RUN),
     flag("dp-mechanism", Value("gaussian or laplace"), RUN),
     flag("dp-seed", Value("an integer seed"), RUN),
-    flag("threads", Value("a worker-thread count"), RUN),
+    flag("threads", Value("a worker-thread count"), RUN | SWEEP),
     flag("trace", Value("a trace file path"), RUN),
     flag("json", Switch, FL | SERVE),
+    flag("json", Optional("a report file"), SWEEP),
     // The simulator's network and cohort model.
     flag("participation", Value("a fraction"), FL),
     flag("bandwidth", Value("a bandwidth in Mbps"), FL),
@@ -172,15 +187,14 @@ pub const FLAGS: &[Flag] = &[
     flag("threshold", Value("an element count"), COMPRESS),
 ];
 
-/// The table row named `name` (without `--`).
+/// The first table row named `name` (without `--`).
 pub fn lookup(name: &str) -> Option<&'static Flag> {
     FLAGS.iter().find(|flag| flag.name == name)
 }
 
-/// The row of a flag the code reads. Asking for a name the table does
-/// not have is a bug in this crate, not a user error.
-fn row(name: &str) -> &'static Flag {
-    lookup(name).unwrap_or_else(|| panic!("--{name} is not in the flag table"))
+/// The row `name` has on `command`, if `command` takes it.
+fn row_of(command: Command, name: &str) -> Option<&'static Flag> {
+    FLAGS.iter().find(|flag| flag.name == name && flag.accepted_by(command))
 }
 
 /// Why `command` refuses `flag`. Several simulator-only flags shape the
@@ -205,6 +219,7 @@ fn refusal(flag: &Flag, command: Command) -> String {
 /// A parsed command line: every flag given, with its values in order.
 #[derive(Debug)]
 pub struct Args<'a> {
+    command: Command,
     given: BTreeMap<&'static str, Vec<&'a str>>,
 }
 
@@ -218,45 +233,62 @@ impl<'a> Args<'a> {
     /// a positional argument.
     pub fn parse(command: Command, args: &'a [String]) -> Result<Self, String> {
         let mut given: BTreeMap<&'static str, Vec<&'a str>> = BTreeMap::new();
-        let mut words = args.iter();
+        let mut words = args.iter().peekable();
         while let Some(word) = words.next() {
             let Some(name) = word.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{word}` for `fedsz {}`", command.name()));
             };
-            let Some(flag) = lookup(name) else {
-                return Err(format!("unknown flag {word} (see `fedsz --help`)"));
+            let Some(flag) = row_of(command, name) else {
+                return Err(match lookup(name) {
+                    Some(flag) => refusal(flag, command),
+                    None => format!("unknown flag {word} (see `fedsz --help`)"),
+                });
             };
-            if !flag.accepted_by(command) {
-                return Err(refusal(flag, command));
-            }
             if given.contains_key(flag.name) && !matches!(flag.arity, Repeated(_)) {
                 return Err(format!("{word} given twice (it takes one value)"));
             }
             let values = given.entry(flag.name).or_default();
-            if flag.arity != Switch {
-                let value =
-                    words.next().ok_or_else(|| format!("{word} expects {}", flag.expects()))?;
-                values.push(value.as_str());
-            }
+            let value = match flag.arity {
+                Switch => None,
+                Optional(_) => words.next_if(|next| !next.starts_with("--")),
+                Value(_) | Repeated(_) => {
+                    Some(words.next().ok_or_else(|| format!("{word} expects {}", flag.expects()))?)
+                }
+            };
+            values.extend(value.map(String::as_str));
         }
-        Ok(Self { given })
+        Ok(Self { command, given })
     }
 
-    /// Whether the switch `name` was given.
+    /// The row of a flag the code reads. Asking for a name the
+    /// subcommand does not take is a bug in this crate, not a user
+    /// error.
+    fn row(&self, name: &str) -> &'static Flag {
+        row_of(self.command, name).unwrap_or_else(|| panic!("--{name} is not in the flag table"))
+    }
+
+    /// Whether the switch (or optional-value flag) `name` was given.
     pub fn switch(&self, name: &str) -> bool {
-        debug_assert_eq!(row(name).arity, Switch, "--{name} is not a switch");
+        debug_assert!(
+            matches!(self.row(name).arity, Switch | Optional(_)),
+            "--{name} is not a switch"
+        );
         self.given.contains_key(name)
     }
 
-    /// The value of the one-value flag `name`, if given.
+    /// The value of the one-value (or optional-value) flag `name`, if
+    /// given.
     pub fn value(&self, name: &str) -> Option<&'a str> {
-        debug_assert!(matches!(row(name).arity, Value(_)), "--{name} takes no single value");
-        self.given.get(name).map(|values| values[0])
+        debug_assert!(
+            matches!(self.row(name).arity, Value(_) | Optional(_)),
+            "--{name} takes no single value"
+        );
+        self.given.get(name).and_then(|values| values.first().copied())
     }
 
     /// Every value of the repeatable flag `name`, in order.
     pub fn values(&self, name: &str) -> &[&'a str] {
-        debug_assert!(matches!(row(name).arity, Repeated(_)), "--{name} does not repeat");
+        debug_assert!(matches!(self.row(name).arity, Repeated(_)), "--{name} does not repeat");
         self.given.get(name).map_or(&[], Vec::as_slice)
     }
 
@@ -268,7 +300,9 @@ impl<'a> Args<'a> {
     /// Returns a message naming the flag, what it expects and the value
     /// given, when the value does not parse.
     pub fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        self.value(name).map(|value| value.parse().map_err(|_| malformed(name, value))).transpose()
+        self.value(name)
+            .map(|value| value.parse().map_err(|_| self.malformed(name, value)))
+            .transpose()
     }
 
     /// [`Args::parsed`], falling back to `default` when `name` is absent.
@@ -289,12 +323,12 @@ impl<'a> Args<'a> {
     /// As [`Args::parsed`].
     pub fn secs_or(&self, name: &str, default_secs: f64) -> Result<Duration, String> {
         let secs = self.parsed_or(name, default_secs)?;
-        Duration::try_from_secs_f64(secs).map_err(|_| malformed(name, &secs.to_string()))
+        Duration::try_from_secs_f64(secs).map_err(|_| self.malformed(name, &secs.to_string()))
     }
-}
 
-fn malformed(name: &str, value: &str) -> String {
-    format!("--{name} expects {}, got `{value}`", row(name).expects())
+    fn malformed(&self, name: &str, value: &str) -> String {
+        format!("--{name} expects {}, got `{value}`", self.row(name).expects())
+    }
 }
 
 #[cfg(test)]
@@ -308,7 +342,8 @@ mod tests {
     #[test]
     fn names_are_unique_and_every_flag_belongs_somewhere() {
         for (i, flag) in FLAGS.iter().enumerate() {
-            assert!(FLAGS[..i].iter().all(|f| f.name != flag.name), "--{} twice", flag.name);
+            let clash = |f: &Flag| f.name == flag.name && f.commands & flag.commands != 0;
+            assert!(!FLAGS[..i].iter().any(clash), "--{} twice", flag.name);
             assert!(Command::ALL.iter().any(|c| flag.accepted_by(*c)), "--{} unused", flag.name);
         }
     }

@@ -47,7 +47,7 @@ use fedsz_data::DatasetKind;
 use fedsz_fl::net::{global_checksum, run_worker, NetServer, Role, ServeConfig, WorkerConfig};
 use fedsz_fl::{
     AggregationPolicy, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, PlanError,
-    StagePolicy, Topology, TreePlan,
+    StageLeg, StagePolicy, Topology, TreePlan,
 };
 use fedsz_net::MetricsServer;
 use fedsz_nn::models::specs::ModelSpec;
@@ -94,16 +94,16 @@ USAGE:
            [--latency MS] [--straggler ID:FACTOR]... [--drop ID:PROB]...
            [--policy sync|buffered:K] [--non-iid ALPHA]
            [--weighted] [--no-compress] [--seed N] [--train-per-class N]
-           [--shards S] [--tree F1xF2x...] [--psum raw|lossless|auto]
-           [--downlink raw|fedsz|auto] [--uplink CODEC] [--threads N]
+           [--shards S] [--tree F1xF2x...] [--uplink POLICY]
+           [--downlink POLICY] [--psum POLICY] [--threads N]
            [--dp-clip F] [--dp-noise F] [--dp-mechanism gaussian|laplace]
            [--dp-seed N] [--trace FILE]
   fedsz sweep <SPEC.toml|DIR> [--json [FILE]] [--threads N]
   fedsz serve [--config FILE] [--json] [--bind ADDR] [--clients N]
               [--rounds N] [--seed N] [--train-per-class N] [--arch ...]
               [--non-iid ALPHA] [--no-compress]
-              [--downlink raw|fedsz] [--uplink CODEC] [--shards S]
-              [--tree S] [--psum raw|lossless|auto]
+              [--uplink POLICY] [--downlink POLICY] [--shards S]
+              [--tree S] [--psum POLICY]
               [--dp-clip F] [--dp-noise F]
               [--dp-mechanism gaussian|laplace] [--dp-seed N]
               [--shard I --connect ADDR] [--accept-timeout SECS]
@@ -113,8 +113,8 @@ USAGE:
   fedsz worker --id K [--config FILE] [--connect ADDR] [--clients N]
                [--rounds N] [--seed N] [--train-per-class N] [--arch ...]
                [--non-iid ALPHA] [--no-compress]
-               [--uplink CODEC] [--downlink raw|fedsz] [--shards S]
-               [--tree S] [--psum raw|lossless|auto]
+               [--uplink POLICY] [--downlink POLICY] [--shards S]
+               [--tree S] [--psum POLICY]
                [--dp-clip F] [--dp-noise F]
                [--dp-mechanism gaussian|laplace] [--dp-seed N]
                [--fallback ADDR] [--retries N] [--drop-at-round R]
@@ -128,16 +128,20 @@ aggregates after the first K arrivals and applies stragglers stale.
 --shards S aggregates through a two-level tree of S edge aggregators
 (bit-identical to the flat server, but root ingress drops to S
 partial-sum frames); --tree 4x8 builds an arbitrary-depth hierarchy
-(4 mid-tier nodes over 32 leaves, still bit-identical); --psum
-lossless compresses the inter-aggregator partial-sum frames with the
-byte-plane coder, --psum auto decides per edge with Eqn 1.
---downlink fedsz FedSZ-encodes the broadcast once per round,
---downlink auto applies Eqn 1 with a raw fallback. --uplink picks the
-upload codec family: raw, lossy, adaptive (Eqn 1 prices lossy against
-raw per link), topk:RATIO (Top-K delta sparsification, e.g.
-topk:0.01), q4/q8 (linear quantization; q4s/q8s stochastic), or auto
-(Eqn 1 prices lossy vs topk:0.01 vs q8 per link and picks the
-fastest, probing unmeasured families first). Appending
+(4 mid-tier nodes over 32 leaves, still bit-identical).
+
+--uplink, --downlink and --psum (the upload, broadcast and
+inter-aggregator partial-sum legs) read one POLICY grammar: raw;
+lossy or fedsz (FedSZ; needs compression on); lossless (the
+byte-plane coder); topk:RATIO (Top-K delta sparsification, e.g.
+topk:0.01); q4/q8 (linear delta quantization; q4s/q8s stochastic);
+adaptive or eqn1 (Eqn 1 prices the leg's default codec against raw:
+lossy, or lossless on psum); auto (as adaptive, except the uplink
+prices lossy vs topk:0.01 vs q8 per link and picks the fastest,
+probing unmeasured families first). The plan decides what each leg
+accepts: lossy is illegal on psum (partial sums must stay bit-exact),
+lossless is psum-only, topk and q4/q8 are uplink-only. --downlink
+lossy FedSZ-encodes the broadcast once per round. Appending
 +ef (topk:0.01+ef, q8+ef) adds per-client error feedback: mass the
 codec dropped re-enters the next round's delta. EF keeps state across
 rounds, so it is rejected with --policy buffered:K and by
@@ -427,72 +431,6 @@ fn parse_arch(name: &str) -> Option<TinyArch> {
     }
 }
 
-/// Parses an `--uplink` codec spec into its [`StagePolicy`]: `raw`,
-/// `lossy`, `adaptive` (a [`StagePolicy::Priced`] over lossy alone),
-/// `topk:RATIO[+ef]`, `q4[s][+ef]`, `q8[s][+ef]` or `auto` (priced
-/// over lossy, `topk:0.01` and `q8`). `+ef` turns on per-client
-/// error feedback — legal only in the simulator, and rejected with a
-/// typed plan error under buffered aggregation or socket workers.
-fn parse_uplink(spec: &str, compression: Option<FedSzConfig>) -> Result<StagePolicy, String> {
-    let lower = spec.to_ascii_lowercase();
-    let (base, ef) = match lower.strip_suffix("+ef") {
-        Some(base) => (base, true),
-        None => (lower.as_str(), false),
-    };
-    let need_codec = |name: &str| {
-        compression
-            .ok_or_else(|| format!("--uplink {name} requires compression (drop --no-compress)"))
-    };
-    if !ef {
-        match base {
-            "raw" => return Ok(StagePolicy::Raw),
-            "lossy" | "fedsz" => return Ok(StagePolicy::Lossy(need_codec(base)?)),
-            "adaptive" | "eqn1" => {
-                return Ok(StagePolicy::Priced {
-                    candidates: vec![StagePolicy::Lossy(need_codec(base)?)],
-                })
-            }
-            "auto" => {
-                // EF candidates are illegal under a priced policy (a
-                // residual has no meaning when the codec changes per
-                // round), so the default slate is EF-free.
-                let mut candidates = Vec::new();
-                if let Some(cfg) = compression {
-                    candidates.push(StagePolicy::Lossy(cfg));
-                }
-                candidates.push(StagePolicy::TopK { ratio: 0.01, error_feedback: false });
-                candidates.push(StagePolicy::Quant {
-                    bits: 8,
-                    stochastic: false,
-                    error_feedback: false,
-                });
-                return Ok(StagePolicy::Priced { candidates });
-            }
-            _ => {}
-        }
-    }
-    if let Some(ratio) = base.strip_prefix("topk:") {
-        let ratio: f64 = ratio.parse().map_err(|_| {
-            format!("--uplink topk expects a keep ratio, e.g. topk:0.01, got `{spec}`")
-        })?;
-        return Ok(StagePolicy::TopK { ratio, error_feedback: ef });
-    }
-    let quant = match base {
-        "q4" => Some((4, false)),
-        "q4s" => Some((4, true)),
-        "q8" => Some((8, false)),
-        "q8s" => Some((8, true)),
-        _ => None,
-    };
-    if let Some((bits, stochastic)) = quant {
-        return Ok(StagePolicy::Quant { bits, stochastic, error_feedback: ef });
-    }
-    Err(format!(
-        "unknown uplink codec `{spec}`; try raw, lossy, adaptive, topk:RATIO[+ef], \
-         q4[s][+ef], q8[s][+ef], auto"
-    ))
-}
-
 /// Parses repeatable `ID:VALUE` flags into `(client, value)` pairs.
 fn parse_client_pairs(values: &[&str], flag: &str) -> Result<Vec<(usize, f64)>, String> {
     values
@@ -557,29 +495,16 @@ fn shared_fl_config(args: &Args) -> Result<FlConfig, String> {
         }
         (None, None) => None,
     };
-    if let Some(mode) = args.value("psum") {
-        config.psum = match mode.to_ascii_lowercase().as_str() {
-            "raw" => StagePolicy::Raw,
-            "lossless" => StagePolicy::Lossless,
-            "auto" | "adaptive" => StagePolicy::Priced { candidates: vec![StagePolicy::Lossless] },
-            other => return Err(format!("unknown psum mode `{other}`; try raw, lossless, auto")),
-        };
-    }
-    if let Some(mode) = args.value("downlink") {
-        let need_codec = || {
-            codec.map(StagePolicy::Lossy).ok_or_else(|| {
-                "--downlink fedsz/auto requires compression (drop --no-compress)".to_string()
-            })
-        };
-        config.downlink = match mode.to_ascii_lowercase().as_str() {
-            "raw" => StagePolicy::Raw,
-            "fedsz" => need_codec()?,
-            "auto" | "adaptive" => StagePolicy::Priced { candidates: vec![need_codec()?] },
-            other => return Err(format!("unknown downlink mode `{other}`; try raw, fedsz, auto")),
-        };
-    }
-    if let Some(spec) = args.value("uplink") {
-        config.uplink = parse_uplink(spec, codec)?;
+    // One grammar for the three legs (`StagePolicy::parse`); whether
+    // a policy is legal on its leg is the plan's question.
+    for (leg, policy) in [
+        (StageLeg::Uplink, &mut config.uplink),
+        (StageLeg::Downlink, &mut config.downlink),
+        (StageLeg::Psum, &mut config.psum),
+    ] {
+        if let Some(spec) = args.value(leg.name()) {
+            *policy = StagePolicy::parse(spec, leg, codec)?;
+        }
     }
     // The DP stage: --dp-clip is the switch (a clip bound is the one
     // part a DP deployment cannot omit); the other dp flags refine it
@@ -711,8 +636,13 @@ fn fl(args: &Args) -> Result<String, String> {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "fl: {clients} clients, {} rounds, {:?} on {topology}, {server}, policy {:?}, downlink {}, psum {}",
-        config.rounds, arch, config.aggregation, config.downlink.name(), config.psum.name()
+        "fl: {clients} clients, {} rounds, {:?} on {topology}, {server}, policy {:?}, uplink {}, downlink {}, psum {}",
+        config.rounds,
+        arch,
+        config.aggregation,
+        config.uplink.name(),
+        config.downlink.name(),
+        config.psum.name()
     );
     let _ = writeln!(
         report,
@@ -1328,7 +1258,8 @@ mod tests {
             let out = runv(&args);
             assert_ne!(out.code, 0, "--uplink {spec} must fail");
         }
-        // Parametrically wrong specs surface the plan's typed message.
+        // Parametrically wrong specs surface the codec constructor's
+        // message.
         let mut args = base.to_vec();
         args.extend(["--uplink", "topk:0"]);
         let out = runv(&args);
@@ -1340,6 +1271,35 @@ mod tests {
         let out = runv(&args);
         assert_ne!(out.code, 0);
         assert!(out.report.contains("requires compression"), "{}", out.report);
+    }
+
+    #[test]
+    fn every_leg_reads_the_one_grammar() {
+        let base = ["fl", "--clients", "2", "--rounds", "1", "--train-per-class", "2"];
+        let run_with = |extra: &[&str]| runv(&[&base[..], extra].concat());
+        // A spelling every leg parses reaches the plan's typed verdict
+        // on the legs it is illegal on.
+        for (extra, needle) in [
+            (&["--psum", "lossy"][..], "a lossy policy is illegal on the psum leg"),
+            (&["--downlink", "topk:0.1"], "a topk policy is illegal on the downlink leg"),
+            (&["--uplink", "lossless"], "a lossless policy is illegal on the uplink leg"),
+            (&["--psum", "q8"], "a q8 policy is illegal on the psum leg"),
+            (&["--downlink", "lossy", "--no-compress"], "downlink policy `lossy` requires"),
+            (&["--psum", "bogus"], "unknown psum codec `bogus`"),
+        ] {
+            let out = run_with(extra);
+            assert_eq!(out.code, 2, "{extra:?}: {}", out.report);
+            assert!(out.report.contains(needle), "{extra:?} gave `{}`", out.report);
+        }
+        // `lossy` and `fedsz` are one policy on the broadcast leg too,
+        // and the header names all three legs.
+        let lossy = run_with(&["--downlink", "lossy", "--uplink", "q8"]);
+        let fedsz = run_with(&["--downlink", "FedSZ", "--uplink", "q8"]);
+        assert_eq!(lossy.code, 0, "{}", lossy.report);
+        assert!(lossy.report.contains("uplink q8, downlink lossy, psum raw"), "{}", lossy.report);
+        let checksum =
+            |r: &str| r.lines().find(|l| l.starts_with("global checksum")).map(str::to_owned);
+        assert_eq!(checksum(&lossy.report), checksum(&fedsz.report));
     }
 
     #[test]

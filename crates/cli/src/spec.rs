@@ -442,7 +442,7 @@ mod tests {
         for flag in FLAGS.iter().filter(|f| f.runs() && f.name != "config") {
             let value = match flag.arity {
                 Arity::Switch => "true",
-                Arity::Value(_) | Arity::Repeated(_) => "1",
+                Arity::Value(_) | Arity::Repeated(_) | Arity::Optional(_) => "1",
             };
             let entries = parse_spec(&format!("{} = {value}", flag.name))
                 .unwrap_or_else(|e| panic!("--{} is not a spec key: {e}", flag.name));

@@ -220,11 +220,6 @@ fn sweep_json(
     out
 }
 
-/// The word after `key` in `args`, if `key` is there.
-fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
-
 /// Runs `fedsz sweep SPEC.toml|DIR [--json [FILE]] [--threads N]`.
 pub fn sweep(args: &[String]) -> Outcome {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")).map(String::as_str) else {
@@ -233,11 +228,14 @@ pub fn sweep(args: &[String]) -> Outcome {
                 .into(),
         );
     };
-    let flags = &args[1..];
-    let threads = match flag_value(flags, "--threads").map(str::parse::<usize>) {
-        None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        Some(Ok(n)) if n > 0 => n,
-        Some(_) => return Outcome::fail("--threads expects a positive worker-thread count".into()),
+    let flags = match Args::parse(Command::Sweep, &args[1..]) {
+        Ok(flags) => flags,
+        Err(e) => return Outcome::fail(e),
+    };
+    let threads = match flags.parsed::<usize>("threads") {
+        Ok(None) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        Ok(Some(n)) if n > 0 => n,
+        _ => return Outcome::fail("--threads expects a positive worker-thread count".into()),
     };
     let is_dir = Path::new(path).is_dir();
     let (axes, cell_args) = match if is_dir { cells_from_dir(path) } else { cells_from_file(path) }
@@ -276,9 +274,9 @@ pub fn sweep(args: &[String]) -> Outcome {
     let points: Vec<ParetoPoint> = outcomes.iter().map(pareto_point).collect();
     let front = pareto_front(&points);
 
-    if let Some(pos) = flags.iter().position(|a| a == "--json") {
+    if flags.switch("json") {
         let doc = sweep_json(&axes, &planned, &outcomes, &points, &front);
-        return match flags.get(pos + 1).filter(|a| !a.starts_with("--")) {
+        return match flags.value("json") {
             None => Outcome::ok(doc),
             Some(file) => match std::fs::write(file, &doc) {
                 Ok(()) => Outcome::ok(format!(

@@ -104,13 +104,12 @@ impl Downlink {
     /// hand-built plan cannot smuggle one in.
     pub fn from_policy(policy: &StagePolicy) -> std::result::Result<Self, PlanError> {
         policy.validate_for(StageLeg::Downlink)?;
-        let (mode, codec) = match policy {
-            StagePolicy::Raw => (DownlinkMode::Raw, None),
-            StagePolicy::Lossy(config) => (DownlinkMode::Compressed, Some(*config)),
-            StagePolicy::Priced { .. } => (DownlinkMode::Adaptive, policy.fedsz()),
-            _ => unreachable!("rejected by validate_for"),
+        let mode = match (policy.is_priced(), policy.compresses()) {
+            (true, _) => DownlinkMode::Adaptive,
+            (false, true) => DownlinkMode::Compressed,
+            (false, false) => DownlinkMode::Raw,
         };
-        Ok(Self::new(mode, codec))
+        Ok(Self::new(mode, policy.fedsz()))
     }
 
     /// Encodes one round's broadcast. `bottleneck_bps` is the slowest

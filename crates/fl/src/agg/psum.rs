@@ -153,13 +153,11 @@ impl PsumForwarder {
     /// bit-parity with flat FedAvg).
     pub fn from_policy(policy: &StagePolicy) -> Result<Self, PlanError> {
         policy.validate_for(StageLeg::Psum)?;
-        let mode = match policy {
-            StagePolicy::Raw => PsumMode::Raw,
-            StagePolicy::Lossless => PsumMode::Lossless,
-            StagePolicy::Priced { .. } => PsumMode::Adaptive,
-            _ => unreachable!("rejected by validate_for"),
-        };
-        Ok(Self::new(mode))
+        Ok(Self::new(match (policy.is_priced(), policy.compresses()) {
+            (true, _) => PsumMode::Adaptive,
+            (false, true) => PsumMode::Lossless,
+            (false, false) => PsumMode::Raw,
+        }))
     }
 
     /// The configured mode.

@@ -30,7 +30,7 @@
 
 use crate::agg::{Downlink, PartialSum};
 use crate::net::{global_checksum, invalid};
-use crate::plan::{RoundPlan, StagePolicy};
+use crate::plan::RoundPlan;
 use crate::step::FoldStep;
 use crate::FlConfig;
 use fedsz::FedSz;
@@ -1083,30 +1083,18 @@ impl NetServer {
                         Role::Relay { shard, .. } => *shard,
                         Role::Root => unreachable!("only relays have an upstream"),
                     };
-                    let message = match &plan.config.psum {
-                        StagePolicy::Raw => Message::PartialSum {
-                            round,
-                            shard,
-                            clients,
-                            weight,
-                            payload: std::mem::take(&mut image),
-                        },
-                        // A relay has no per-edge LinkProfile to price
-                        // Eqn 1 against, so a priced policy degrades to
-                        // Lossless here (the conservative choice on an
-                        // unknown uplink). Lossy psum policies cannot
-                        // exist past plan().
-                        StagePolicy::Lossless | StagePolicy::Priced { .. } => {
-                            psum_codec.compress_into(&image, &mut packed);
-                            Message::PartialSumCompressed {
-                                round,
-                                shard,
-                                clients,
-                                weight,
-                                payload: std::mem::take(&mut packed),
-                            }
-                        }
-                        _ => unreachable!("plan() rejects lossy and family psum policies"),
+                    // A relay has no per-edge LinkProfile to price
+                    // Eqn 1 against, so a priced policy degrades to
+                    // Lossless here (the conservative choice on an
+                    // unknown uplink); plan() admits no other codec
+                    // on this leg.
+                    let message = if plan.config.psum.compresses() {
+                        psum_codec.compress_into(&image, &mut packed);
+                        let payload = std::mem::take(&mut packed);
+                        Message::PartialSumCompressed { round, shard, clients, weight, payload }
+                    } else {
+                        let payload = std::mem::take(&mut image);
+                        Message::PartialSum { round, shard, clients, weight, payload }
                     };
                     upstream.send(&message)?;
                     match message {
@@ -1227,6 +1215,7 @@ fn fold_upload(
 mod tests {
     use super::*;
     use crate::codec::FamilyCodec;
+    use crate::plan::StagePolicy;
     use fedsz_codec::varint::{uvarint_len, write_uvarint};
     use fedsz_tensor::Tensor;
 
@@ -1338,7 +1327,7 @@ mod tests {
         update.get_mut("a.weight").unwrap().data_mut().copy_from_slice(&[2.0, 0.5, 1.0, 1.5]);
         let codec = FamilyCodec::top_k(1.0).unwrap();
         let payload = codec.encode_delta(&update, &template, None, 0).unwrap();
-        let topk = StagePolicy::TopK { ratio: 1.0, error_feedback: false };
+        let topk = StagePolicy::Family { codec, error_feedback: false };
         let step = FoldStep::new(&topk, template.clone());
         let mut partial = PartialSum::new();
         let (mut raw, mut packed) = (0usize, 0usize);

@@ -37,9 +37,8 @@
 //! | `Raw` | ✓ | ✓ | ✓ |
 //! | `Lossy(FedSzConfig)` | ✓ | ✓ | ✗ (breaks bit-parity) |
 //! | `Lossless` | ✗ (no dict codec) | ✗ | ✓ |
-//! | `TopK { .. }` | ✓ (delta stream) | ✗ | ✗ |
-//! | `Quant { .. }` | ✓ (delta stream) | ✗ | ✗ |
-//! | `Priced { candidates }` | Eqn 1 over `Lossy`/`TopK`/`Quant` | Eqn 1 over one `Lossy` | Eqn 1 over one `Lossless` |
+//! | `Family { codec, error_feedback }` | ✓ (delta stream) | ✗ | ✗ |
+//! | `Priced { candidates }` | Eqn 1 over `Lossy`/`Family` | Eqn 1 over one `Lossy` | Eqn 1 over one `Lossless` |
 //!
 //! A `Priced` candidate must be legal on its leg by the rows above
 //! (and carry no error feedback); the broadcast and partial-sum legs
@@ -52,9 +51,25 @@
 //! construction, so a plan whose `config` was edited after `plan()`
 //! cannot smuggle an illegal policy into a round either.
 //!
+//! # One grammar for every leg
+//!
+//! [`StagePolicy::parse`] reads the same spellings on every leg (the
+//! CLI's `--uplink`/`--downlink`/`--psum`, run-spec keys and sweep
+//! axes all go through it); whether the result is legal on the leg is
+//! still `plan()`'s question:
+//!
+//! | spelling | policy |
+//! |---|---|
+//! | `raw` | `Raw` |
+//! | `lossy`, `fedsz` | `Lossy(cfg)` (needs compression on) |
+//! | `lossless` | `Lossless` |
+//! | `topk:R[+ef]`, `q4[s][+ef]`, `q8[s][+ef]` | `Family { codec, error_feedback }` |
+//! | `adaptive`, `eqn1` | `Priced` over the leg's default codec (lossy; lossless on psum) |
+//! | `auto` | `Priced` over the leg's default slate (uplink: lossy if on, `topk:0.01`, `q8`) |
+//!
 //! # Error feedback makes the uplink stateful
 //!
-//! `TopK`/`Quant` with `error_feedback: true` keep a per-client
+//! A `Family` policy with `error_feedback: true` keeps a per-client
 //! residual dict: mass the codec dropped this round re-enters next
 //! round's delta (FedSparQ-style). That residual is *state the round
 //! loop must carry*, which two execution paths cannot do today:
@@ -94,10 +109,12 @@
 //! above, because the residual — not the noise — is the stateful part.
 
 use crate::agg::TreePlan;
+use crate::codec::FamilyCodec;
 use crate::engine::AggregationPolicy;
 use crate::link::{LinkProfile, Topology};
 use crate::FlConfig;
 use fedsz::FedSzConfig;
+use fedsz_lossy::sparse::SparsifyMode;
 use std::fmt;
 use std::ops::Range;
 
@@ -118,26 +135,15 @@ pub enum StagePolicy {
     /// ([`fedsz_lossless::PsumCodec`]) — safe on the partial-sum leg,
     /// where bit-parity must survive the hop.
     Lossless,
-    /// Top-K sparsification of the update *delta* (uplink only): keep
-    /// the `ceil(ratio * n)` largest-magnitude entries bit-exactly,
-    /// zero the rest, ship an index+value stream.
-    TopK {
-        /// Fraction of delta entries to keep, in `(0, 1]`.
-        ratio: f64,
+    /// A family codec over the update *delta* (uplink only): Top-K
+    /// sparsification or 4/8-bit quantization, whose parameters its
+    /// [`FamilyCodec`] constructor already validated.
+    Family {
+        /// The codec.
+        codec: FamilyCodec,
         /// Carry a per-client residual re-injecting dropped mass into
         /// the next round's delta. Makes the uplink *stateful* — see
         /// the module docs for the paths that must reject it.
-        error_feedback: bool,
-    },
-    /// Uniform 4/8-bit quantization of the update *delta* (uplink
-    /// only).
-    Quant {
-        /// Code width: 4 or 8 bits per entry.
-        bits: u8,
-        /// Stochastic (unbiased) rounding instead of round-to-nearest.
-        stochastic: bool,
-        /// Carry a per-client error-feedback residual (stateful, as
-        /// for [`StagePolicy::TopK`]).
         error_feedback: bool,
     },
     /// The paper's Eqn 1, per link and per payload: price every
@@ -178,6 +184,81 @@ impl StageLeg {
 }
 
 impl StagePolicy {
+    /// Parses one spelling of the policy grammar (the module docs'
+    /// table) for `leg`. `fedsz` is the configuration `lossy` and the
+    /// lossy defaults stand for, `None` when compression is off. Only
+    /// the spelling is checked here: whether the policy is legal on
+    /// `leg` is [`FlConfig::plan`]'s question.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the leg and the spelling when the
+    /// spelling is unknown, its family codec's constructor rejects a
+    /// parameter, or it needs FedSZ while `fedsz` is `None`.
+    pub fn parse(spec: &str, leg: StageLeg, fedsz: Option<FedSzConfig>) -> Result<Self, String> {
+        let leg_name = leg.name();
+        let lossy = || {
+            fedsz.map(StagePolicy::Lossy).ok_or_else(|| {
+                format!("the {leg_name} policy `{spec}` requires compression, which is off")
+            })
+        };
+        let default = || if leg == StageLeg::Psum { Ok(StagePolicy::Lossless) } else { lossy() };
+        let lower = spec.to_ascii_lowercase();
+        let candidates = match lower.as_str() {
+            "raw" => return Ok(StagePolicy::Raw),
+            "lossy" | "fedsz" => return lossy(),
+            "lossless" => return Ok(StagePolicy::Lossless),
+            // The uplink's slate is EF-free: a priced policy rejects
+            // error-feedback candidates.
+            "auto" if leg == StageLeg::Uplink => {
+                let mut slate: Vec<_> = fedsz.map(StagePolicy::Lossy).into_iter().collect();
+                for family in ["topk:0.01", "q8"] {
+                    slate.push(Self::parse_family(family, leg, family)?);
+                }
+                slate
+            }
+            "adaptive" | "eqn1" | "auto" => vec![default()?],
+            _ => return Self::parse_family(spec, leg, &lower),
+        };
+        Ok(StagePolicy::Priced { candidates })
+    }
+
+    /// The `topk:R[+ef]`, `q4[s][+ef]` and `q8[s][+ef]` arms of
+    /// [`StagePolicy::parse`], over the lower-cased spelling.
+    fn parse_family(spec: &str, leg: StageLeg, lower: &str) -> Result<Self, String> {
+        let (base, error_feedback) = match lower.strip_suffix("+ef") {
+            Some(base) => (base, true),
+            None => (lower, false),
+        };
+        let codec = match (base, base.strip_prefix("topk:").map(str::parse)) {
+            (_, Some(Ok(ratio))) => FamilyCodec::top_k(ratio),
+            ("q4", _) => FamilyCodec::quant(4, false),
+            ("q4s", _) => FamilyCodec::quant(4, true),
+            ("q8", _) => FamilyCodec::quant(8, false),
+            ("q8s", _) => FamilyCodec::quant(8, true),
+            _ => {
+                return Err(format!(
+                    "unknown {} codec `{spec}`; try raw, lossy, lossless, adaptive, auto, \
+                     topk:RATIO[+ef], q4[s][+ef] or q8[s][+ef]",
+                    leg.name()
+                ))
+            }
+        };
+        let codec = codec.map_err(|e| format!("{} codec `{spec}`: {e}", leg.name()))?;
+        Ok(StagePolicy::Family { codec, error_feedback })
+    }
+
+    /// The concrete codecs this policy may ship through: none for
+    /// `Raw`, the candidates of a `Priced` set, the policy itself
+    /// otherwise.
+    pub fn codecs(&self) -> &[StagePolicy] {
+        match self {
+            StagePolicy::Raw => &[],
+            StagePolicy::Priced { candidates } => candidates,
+            _ => std::slice::from_ref(self),
+        }
+    }
+
     /// Short human-readable policy name (for reports and the `family`
     /// key of `eqn1.decision` records). Quantizers encode their width
     /// and rounding in the name (`q8`, `q4s`); error-feedback variants
@@ -187,32 +268,32 @@ impl StagePolicy {
             StagePolicy::Raw => "raw",
             StagePolicy::Lossy(_) => "lossy",
             StagePolicy::Lossless => "lossless",
-            StagePolicy::TopK { error_feedback: false, .. } => "topk",
-            StagePolicy::TopK { error_feedback: true, .. } => "topk+ef",
-            StagePolicy::Quant { bits: 4, stochastic: false, error_feedback: false } => "q4",
-            StagePolicy::Quant { bits: 4, stochastic: true, error_feedback: false } => "q4s",
-            StagePolicy::Quant { bits: 4, stochastic: false, error_feedback: true } => "q4+ef",
-            StagePolicy::Quant { bits: 4, stochastic: true, error_feedback: true } => "q4s+ef",
-            StagePolicy::Quant { stochastic: false, error_feedback: false, .. } => "q8",
-            StagePolicy::Quant { stochastic: true, error_feedback: false, .. } => "q8s",
-            StagePolicy::Quant { stochastic: false, error_feedback: true, .. } => "q8+ef",
-            StagePolicy::Quant { stochastic: true, error_feedback: true, .. } => "q8s+ef",
+            StagePolicy::Family { codec, error_feedback } => {
+                let names = match codec {
+                    FamilyCodec::Sparse(s) if matches!(s.mode(), SparsifyMode::TopK { .. }) => {
+                        ["topk", "topk+ef"]
+                    }
+                    FamilyCodec::Sparse(_) => ["threshold", "threshold+ef"],
+                    FamilyCodec::Quant(q) => match (q.bits(), q.stochastic()) {
+                        (4, false) => ["q4", "q4+ef"],
+                        (4, true) => ["q4s", "q4s+ef"],
+                        (_, false) => ["q8", "q8+ef"],
+                        (_, true) => ["q8s", "q8s+ef"],
+                    },
+                };
+                names[usize::from(*error_feedback)]
+            }
             StagePolicy::Priced { .. } => "auto",
         }
     }
 
-    /// The FedSZ configuration this policy may invoke (`None` for raw,
-    /// lossless, and the non-FedSZ codec families). A `Priced` set
-    /// reports its `Lossy` candidate's config, if it has one.
+    /// The FedSZ configuration this policy may invoke: its own or its
+    /// `Lossy` candidate's, `None` when no codec of it is FedSZ.
     pub fn fedsz(&self) -> Option<FedSzConfig> {
-        match self {
+        self.codecs().iter().find_map(|codec| match codec {
             StagePolicy::Lossy(config) => Some(*config),
-            StagePolicy::Priced { candidates } => candidates.iter().find_map(StagePolicy::fedsz),
-            StagePolicy::Raw
-            | StagePolicy::Lossless
-            | StagePolicy::TopK { .. }
-            | StagePolicy::Quant { .. } => None,
-        }
+            _ => None,
+        })
     }
 
     /// Whether this policy ever compresses (unconditionally or when
@@ -231,14 +312,9 @@ impl StagePolicy {
     /// residual — state the executor must persist across rounds (see
     /// the module docs for the combinations that reject it).
     pub fn error_feedback(&self) -> bool {
-        match self {
-            StagePolicy::TopK { error_feedback, .. }
-            | StagePolicy::Quant { error_feedback, .. } => *error_feedback,
-            StagePolicy::Priced { candidates } => {
-                candidates.iter().any(StagePolicy::error_feedback)
-            }
-            StagePolicy::Raw | StagePolicy::Lossy(_) | StagePolicy::Lossless => false,
-        }
+        self.codecs()
+            .iter()
+            .any(|codec| matches!(codec, StagePolicy::Family { error_feedback: true, .. }))
     }
 
     /// Checks that this policy is legal on `leg` (the module-level
@@ -250,30 +326,15 @@ impl StagePolicy {
     ///
     /// Returns the [`PlanError`] naming the illegal combination.
     pub fn validate_for(&self, leg: StageLeg) -> Result<(), PlanError> {
-        let illegal = || PlanError::IllegalStagePolicy { leg, policy: self.name() };
         match (self, leg) {
-            (StagePolicy::Raw, _) => Ok(()),
-            (StagePolicy::Lossy(_), StageLeg::Uplink | StageLeg::Downlink) => Ok(()),
-            (StagePolicy::Lossy(_), StageLeg::Psum) => Err(illegal()),
-            (StagePolicy::Lossless, StageLeg::Psum) => Ok(()),
-            (StagePolicy::Lossless, StageLeg::Uplink | StageLeg::Downlink) => Err(illegal()),
+            (StagePolicy::Raw, _)
+            | (StagePolicy::Lossy(_), StageLeg::Uplink | StageLeg::Downlink)
+            | (StagePolicy::Lossless, StageLeg::Psum)
             // The family codecs encode a *delta* against the broadcast
             // the client just received — a construction only the
             // upload leg has (the broadcast itself has no reference;
             // partial sums must stay bit-exact).
-            (StagePolicy::TopK { ratio, .. }, StageLeg::Uplink) => {
-                if !(*ratio > 0.0 && *ratio <= 1.0) {
-                    return Err(PlanError::BadTopKRatio { ratio: *ratio });
-                }
-                Ok(())
-            }
-            (StagePolicy::Quant { bits, .. }, StageLeg::Uplink) => {
-                if *bits != 4 && *bits != 8 {
-                    return Err(PlanError::BadQuantBits { bits: *bits });
-                }
-                Ok(())
-            }
-            (StagePolicy::TopK { .. } | StagePolicy::Quant { .. }, _) => Err(illegal()),
+            | (StagePolicy::Family { .. }, StageLeg::Uplink) => Ok(()),
             (StagePolicy::Priced { candidates }, leg) => {
                 let bad = |reason| Err(PlanError::BadPriced { leg, reason });
                 if candidates.is_empty() {
@@ -294,6 +355,7 @@ impl StagePolicy {
                 }
                 Ok(())
             }
+            _ => Err(PlanError::IllegalStagePolicy { leg, policy: self.name() }),
         }
     }
 }
@@ -374,16 +436,6 @@ pub enum PlanError {
     /// never merge anything (leave it `None` to use the host's
     /// parallelism).
     ZeroWorkerThreads,
-    /// A [`StagePolicy::TopK`] ratio outside `(0, 1]`.
-    BadTopKRatio {
-        /// The configured keep fraction.
-        ratio: f64,
-    },
-    /// A [`StagePolicy::Quant`] width other than 4 or 8 bits.
-    BadQuantBits {
-        /// The configured code width.
-        bits: u8,
-    },
     /// A [`StagePolicy::Priced`] candidate set that cannot be priced
     /// (empty, raw or nested members, error-feedback members, or more
     /// than one candidate on a leg that prices one).
@@ -481,12 +533,6 @@ impl fmt::Display for PlanError {
             ),
             PlanError::ZeroWorkerThreads => {
                 write!(f, "worker_threads must be at least 1 (leave it unset for host parallelism)")
-            }
-            PlanError::BadTopKRatio { ratio } => {
-                write!(f, "Top-K keep ratio must be in (0, 1], got {ratio}")
-            }
-            PlanError::BadQuantBits { bits } => {
-                write!(f, "quantizer width must be 4 or 8 bits, got {bits}")
             }
             PlanError::BadPriced { leg, reason } => {
                 write!(f, "the priced {} policy is misconfigured: {reason}", leg.name())
@@ -812,6 +858,10 @@ mod tests {
         FlConfig::smoke_test()
     }
 
+    fn uplink(spec: &str) -> StagePolicy {
+        StagePolicy::parse(spec, StageLeg::Uplink, Some(FedSzConfig::default())).unwrap()
+    }
+
     #[test]
     fn smoke_config_plans_cleanly() {
         let plan = base().plan().expect("smoke config is valid");
@@ -1011,56 +1061,32 @@ mod tests {
 
     #[test]
     fn family_policies_are_uplink_only_with_validated_parameters() {
-        let topk = StagePolicy::TopK { ratio: 0.01, error_feedback: false };
-        assert!(topk.validate_for(StageLeg::Uplink).is_ok());
-        for leg in [StageLeg::Downlink, StageLeg::Psum] {
-            assert_eq!(
-                topk.validate_for(leg).unwrap_err(),
-                PlanError::IllegalStagePolicy { leg, policy: "topk" }
-            );
+        for (spec, name) in [("topk:0.01", "topk"), ("q8", "q8"), ("topk:1.0+ef", "topk+ef")] {
+            let family = uplink(spec);
+            assert!(family.validate_for(StageLeg::Uplink).is_ok());
+            for leg in [StageLeg::Downlink, StageLeg::Psum] {
+                assert_eq!(
+                    family.validate_for(leg).unwrap_err(),
+                    PlanError::IllegalStagePolicy { leg, policy: name }
+                );
+            }
         }
-        // The keep ratio must be a fraction: zero keeps nothing and
-        // anything above 1 (or NaN) is meaningless.
+        // The parameters are the codec constructors' to check, so an
+        // out-of-range family cannot be built, let alone planned: zero
+        // keeps nothing, anything above 1 (or NaN) is meaningless, and
+        // only 4- and 8-bit grids exist.
         for ratio in [0.0, -0.5, 1.5, f64::NAN] {
-            let bad = StagePolicy::TopK { ratio, error_feedback: false };
-            assert!(
-                matches!(bad.validate_for(StageLeg::Uplink), Err(PlanError::BadTopKRatio { .. })),
-                "ratio {ratio} must be rejected"
-            );
-        }
-        assert!(StagePolicy::TopK { ratio: 1.0, error_feedback: true }
-            .validate_for(StageLeg::Uplink)
-            .is_ok());
-
-        let quant = StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false };
-        assert!(quant.validate_for(StageLeg::Uplink).is_ok());
-        for leg in [StageLeg::Downlink, StageLeg::Psum] {
-            assert_eq!(
-                quant.validate_for(leg).unwrap_err(),
-                PlanError::IllegalStagePolicy { leg, policy: "q8" }
-            );
+            assert!(FamilyCodec::top_k(ratio).is_err(), "ratio {ratio} must be rejected");
         }
         for bits in [0, 1, 2, 16, 32] {
-            let bad = StagePolicy::Quant { bits, stochastic: false, error_feedback: false };
-            assert_eq!(
-                bad.validate_for(StageLeg::Uplink).unwrap_err(),
-                PlanError::BadQuantBits { bits }
-            );
+            assert!(FamilyCodec::quant(bits, false).is_err(), "{bits} bits must be rejected");
         }
-        assert!(StagePolicy::Quant { bits: 4, stochastic: true, error_feedback: true }
-            .validate_for(StageLeg::Uplink)
-            .is_ok());
     }
 
     #[test]
     fn auto_family_candidates_are_constrained() {
-        let good = StagePolicy::Priced {
-            candidates: vec![
-                StagePolicy::Lossy(FedSzConfig::default()),
-                StagePolicy::TopK { ratio: 0.01, error_feedback: false },
-                StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false },
-            ],
-        };
+        let good = uplink("auto");
+        assert_eq!(good.codecs().len(), 3);
         assert!(good.validate_for(StageLeg::Uplink).is_ok());
         // The broadcast and partial-sum legs price exactly one codec,
         // and only one legal there.
@@ -1071,9 +1097,7 @@ mod tests {
         for leg in [StageLeg::Downlink, StageLeg::Psum] {
             assert!(bad_priced(&good, leg), "{leg:?}");
         }
-        let topk_only = StagePolicy::Priced {
-            candidates: vec![StagePolicy::TopK { ratio: 0.01, error_feedback: false }],
-        };
+        let topk_only = StagePolicy::Priced { candidates: vec![uplink("topk:0.01")] };
         assert_eq!(
             topk_only.validate_for(StageLeg::Downlink).unwrap_err(),
             PlanError::IllegalStagePolicy { leg: StageLeg::Downlink, policy: "topk" }
@@ -1088,53 +1112,35 @@ mod tests {
             candidates: vec![StagePolicy::Priced { candidates: Vec::new() }],
         };
         assert!(bad_priced(&nested, StageLeg::Uplink));
-        let ef_candidate = StagePolicy::Priced {
-            candidates: vec![StagePolicy::TopK { ratio: 0.1, error_feedback: true }],
-        };
+        let ef_candidate = StagePolicy::Priced { candidates: vec![uplink("topk:0.1+ef")] };
         assert!(bad_priced(&ef_candidate, StageLeg::Uplink));
         let message = ef_candidate.validate_for(StageLeg::Uplink).unwrap_err().to_string();
         assert!(message.contains("priced uplink policy"), "{message}");
-        // A candidate with bad parameters fails its own validation.
-        let bad_param = StagePolicy::Priced {
-            candidates: vec![StagePolicy::TopK { ratio: 0.0, error_feedback: false }],
-        };
-        assert!(matches!(
-            bad_param.validate_for(StageLeg::Uplink),
-            Err(PlanError::BadTopKRatio { .. })
-        ));
     }
 
     #[test]
     fn stateful_uplink_combinations_are_typed_errors() {
         // A stateless family uplink is legal on every runtime.
         let mut config = base();
-        config.uplink = StagePolicy::TopK { ratio: 0.05, error_feedback: false };
+        config.uplink = uplink("topk:0.05");
         assert!(config.plan().unwrap().validate_for_workers().is_ok());
 
         // EF + buffered aggregation: the residual would fold against a
         // reference the client never trained on.
         let mut config = base();
-        config.uplink = StagePolicy::TopK { ratio: 0.05, error_feedback: true };
+        config.uplink = uplink("topk:0.05+ef");
         config.aggregation = AggregationPolicy::Buffered { target: 2 };
         assert_eq!(config.plan().unwrap_err(), PlanError::StatefulUplinkBuffered);
 
         // EF + socket workers: the residual dies with the process.
         let mut config = base();
-        config.uplink = StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: true };
+        config.uplink = uplink("q8s+ef");
         let plan = config.plan().expect("EF is legal in the simulator");
         assert_eq!(plan.validate_for_workers().unwrap_err(), PlanError::StatefulUplinkWorker);
-
-        // An invalid policy surfaces through plan(), same as every
-        // other field.
-        let mut config = base();
-        config.uplink = StagePolicy::Quant { bits: 3, stochastic: false, error_feedback: false };
-        assert_eq!(config.plan().unwrap_err(), PlanError::BadQuantBits { bits: 3 });
 
         // And the errors render actionable text.
         assert!(PlanError::StatefulUplinkBuffered.to_string().contains("error-feedback"));
         assert!(PlanError::StatefulUplinkWorker.to_string().contains("error-feedback"));
-        assert!(PlanError::BadTopKRatio { ratio: 0.0 }.to_string().contains("(0, 1]"));
-        assert!(PlanError::BadQuantBits { bits: 3 }.to_string().contains("4 or 8"));
     }
 
     #[test]
@@ -1221,32 +1227,175 @@ mod tests {
 
     #[test]
     fn policy_names_cover_every_family_variant() {
-        assert_eq!(StagePolicy::TopK { ratio: 0.1, error_feedback: false }.name(), "topk");
-        assert_eq!(StagePolicy::TopK { ratio: 0.1, error_feedback: true }.name(), "topk+ef");
+        for (spec, name) in [
+            ("topk:0.1", "topk"),
+            ("topk:0.1+ef", "topk+ef"),
+            ("q4", "q4"),
+            ("q4s", "q4s"),
+            ("q8+ef", "q8+ef"),
+            ("q8s+ef", "q8s+ef"),
+        ] {
+            assert_eq!(uplink(spec).name(), name);
+        }
+        let threshold =
+            FamilyCodec::Sparse(fedsz_lossy::sparse::Sparsifier::threshold(0.5).unwrap());
         assert_eq!(
-            StagePolicy::Quant { bits: 4, stochastic: false, error_feedback: false }.name(),
-            "q4"
-        );
-        assert_eq!(
-            StagePolicy::Quant { bits: 4, stochastic: true, error_feedback: false }.name(),
-            "q4s"
-        );
-        assert_eq!(
-            StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: true }.name(),
-            "q8+ef"
-        );
-        assert_eq!(
-            StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: true }.name(),
-            "q8s+ef"
+            StagePolicy::Family { codec: threshold, error_feedback: true }.name(),
+            "threshold+ef"
         );
         assert_eq!(StagePolicy::Priced { candidates: Vec::new() }.name(), "auto");
         // EF is visible through the accessor the plan gate uses.
-        assert!(StagePolicy::TopK { ratio: 0.1, error_feedback: true }.error_feedback());
+        assert!(uplink("topk:0.1+ef").error_feedback());
         assert!(!StagePolicy::Raw.error_feedback());
         assert!(
             !StagePolicy::Priced { candidates: Vec::new() }.error_feedback(),
             "auto never carries EF (candidates with EF are rejected)"
         );
+    }
+
+    /// What one spelling yields on one leg.
+    enum Want {
+        /// This exact policy, which `plan()` accepts on the leg.
+        Legal(StagePolicy),
+        /// A policy of this name, which `plan()` rejects on the leg.
+        Illegal(&'static str),
+        /// A parse error naming the leg and the spelling.
+        Unparsed,
+    }
+
+    /// The grammar table of the module docs, spelling by spelling on
+    /// each of the three legs. The `Legal` policies are the ones the
+    /// per-leg parsers that preceded the grammar produced (`--downlink
+    /// lossy`, `--psum lossy`, `--uplink lossless` and `--downlink
+    /// topk:R` were unknown spellings there; they now parse and reach
+    /// the plan's typed rejection).
+    #[test]
+    fn every_spelling_parses_alike_on_every_leg() {
+        use StageLeg::{Downlink, Psum, Uplink};
+        use Want::{Illegal, Legal, Unparsed};
+        let cfg = FedSzConfig::default();
+        let lossy = StagePolicy::Lossy(cfg);
+        let priced = |candidates| Legal(StagePolicy::Priced { candidates });
+        let family = |codec: Result<FamilyCodec, _>, error_feedback| StagePolicy::Family {
+            codec: codec.unwrap(),
+            error_feedback,
+        };
+        let uplink_only = |policy: StagePolicy| {
+            let name = policy.name();
+            [Legal(policy), Illegal(name), Illegal(name)]
+        };
+        let q =
+            |bits, stochastic, ef| uplink_only(family(FamilyCodec::quant(bits, stochastic), ef));
+        let topk = |ratio, ef| family(FamilyCodec::top_k(ratio), ef);
+        let each = |want: fn() -> Want| [want(), want(), want()];
+        let slate =
+            vec![lossy.clone(), topk(0.01, false), family(FamilyCodec::quant(8, false), false)];
+        let rows = vec![
+            ("raw", true, each(|| Legal(StagePolicy::Raw))),
+            ("lossy", true, [Legal(lossy.clone()), Legal(lossy.clone()), Illegal("lossy")]),
+            ("fedsz", true, [Legal(lossy.clone()), Legal(lossy.clone()), Illegal("lossy")]),
+            (
+                "lossless",
+                true,
+                [Illegal("lossless"), Illegal("lossless"), Legal(StagePolicy::Lossless)],
+            ),
+            ("topk:0.5", true, uplink_only(topk(0.5, false))),
+            ("topk:0.5+ef", true, uplink_only(topk(0.5, true))),
+            ("q4", true, q(4, false, false)),
+            ("q4s", true, q(4, true, false)),
+            ("q8", true, q(8, false, false)),
+            ("q8s", true, q(8, true, false)),
+            ("q4+ef", true, q(4, false, true)),
+            ("q4s+ef", true, q(4, true, true)),
+            ("q8+ef", true, q(8, false, true)),
+            ("q8s+ef", true, q(8, true, true)),
+            (
+                "adaptive",
+                true,
+                [
+                    priced(vec![lossy.clone()]),
+                    priced(vec![lossy.clone()]),
+                    priced(vec![StagePolicy::Lossless]),
+                ],
+            ),
+            (
+                "eqn1",
+                true,
+                [
+                    priced(vec![lossy.clone()]),
+                    priced(vec![lossy.clone()]),
+                    priced(vec![StagePolicy::Lossless]),
+                ],
+            ),
+            (
+                "auto",
+                true,
+                [priced(slate), priced(vec![lossy.clone()]), priced(vec![StagePolicy::Lossless])],
+            ),
+            // Spellings are case-insensitive.
+            ("TopK:0.5+EF", true, uplink_only(topk(0.5, true))),
+            ("Q4S", true, q(4, true, false)),
+            ("RAW", true, each(|| Legal(StagePolicy::Raw))),
+            // Out-of-range parameters fail in the codec constructors,
+            // unknown spellings in the grammar.
+            ("topk:0", true, each(|| Unparsed)),
+            ("topk:1.5", true, each(|| Unparsed)),
+            ("topk:nan", true, each(|| Unparsed)),
+            ("topk:", true, each(|| Unparsed)),
+            ("q16", true, each(|| Unparsed)),
+            ("q8+ef+ef", true, each(|| Unparsed)),
+            ("raw+ef", true, each(|| Unparsed)),
+            ("auto+ef", true, each(|| Unparsed)),
+            ("bogus", true, each(|| Unparsed)),
+            // With compression off, FedSZ spellings cannot parse, and
+            // the defaults that stand for FedSZ drop it.
+            ("lossy", false, each(|| Unparsed)),
+            ("adaptive", false, [Unparsed, Unparsed, priced(vec![StagePolicy::Lossless])]),
+            (
+                "auto",
+                false,
+                [
+                    priced(vec![topk(0.01, false), family(FamilyCodec::quant(8, false), false)]),
+                    Unparsed,
+                    priced(vec![StagePolicy::Lossless]),
+                ],
+            ),
+            ("q8", false, q(8, false, false)),
+        ];
+        for (spec, compression, wants) in rows {
+            for (leg, want) in [Uplink, Downlink, Psum].into_iter().zip(wants) {
+                let context = format!("`{spec}` on {leg:?}, compression {compression}");
+                let parsed = StagePolicy::parse(spec, leg, compression.then_some(cfg));
+                let planned = |policy: StagePolicy| {
+                    let mut config = base();
+                    config.tree = Some(vec![2]);
+                    *match leg {
+                        Uplink => &mut config.uplink,
+                        Downlink => &mut config.downlink,
+                        Psum => &mut config.psum,
+                    } = policy;
+                    config.plan().map(drop)
+                };
+                match want {
+                    Legal(policy) => {
+                        assert_eq!(parsed.as_ref(), Ok(&policy), "{context}");
+                        assert_eq!(planned(policy), Ok(()), "{context}");
+                    }
+                    Illegal(name) => {
+                        let err = planned(parsed.expect(&context)).unwrap_err();
+                        assert_eq!(
+                            err,
+                            PlanError::IllegalStagePolicy { leg, policy: name },
+                            "{context}"
+                        );
+                    }
+                    Unparsed => {
+                        let err = parsed.expect_err(&context);
+                        assert!(err.contains(leg.name()) && err.contains(spec), "{context}: {err}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

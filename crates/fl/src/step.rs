@@ -20,10 +20,10 @@
 //!   observe ── the one EWMA cost-profile fold
 //! ```
 //!
-//! A new uplink codec therefore lands in one place: a variant of
-//! `UplinkCodecKind` with its arm in `uplink_codecs_for`, the encode
-//! arm in `UplinkStage::client_step` and the decode arm in
-//! [`FoldStep::decode`] — no per-runtime edits.
+//! The client half ships through the plan's concrete uplink policies
+//! ([`StagePolicy::codecs`]) and the server half accepts what they can
+//! produce, so a new family codec lands as a [`FamilyCodec`] variant
+//! and its arm in [`StagePolicy::parse`] — no per-runtime edits.
 //!
 //! Eqn 1 itself is written once too, in `PricedStage`: the uplink
 //! prices its codec list with one, and the broadcast
@@ -45,39 +45,6 @@ use fedsz_lossless::PsumCodec;
 use fedsz_nn::{NnError, StateDict};
 use fedsz_telemetry::{Telemetry, Value};
 use std::time::Instant;
-
-/// One concrete codec an upload can be routed through.
-pub(crate) enum UplinkCodecKind {
-    /// FedSZ error-bounded compression of the absolute state dict
-    /// (an `FSZ1` stream).
-    Fedsz(FedSz),
-    /// A `FUC1` delta-stream family (Top-K or quantization).
-    Family(FamilyCodec),
-}
-
-/// Resolves a *validated* upload-leg [`StagePolicy`] to its codec
-/// list with reporting names: empty for `Raw`, one entry for
-/// `Lossy`/`TopK`/`Quant` (a forced codec), one per candidate for
-/// `Priced`.
-fn uplink_codecs_for(uplink: &StagePolicy) -> Vec<(&'static str, UplinkCodecKind)> {
-    let kind = |policy: &StagePolicy| match policy {
-        StagePolicy::Lossy(cfg) => UplinkCodecKind::Fedsz(FedSz::new(*cfg)),
-        StagePolicy::TopK { ratio, .. } => {
-            UplinkCodecKind::Family(FamilyCodec::top_k(*ratio).expect("plan validated the ratio"))
-        }
-        StagePolicy::Quant { bits, stochastic, .. } => UplinkCodecKind::Family(
-            FamilyCodec::quant(*bits, *stochastic).expect("plan validated the width"),
-        ),
-        _ => unreachable!("validate_for admits only concrete codec families here"),
-    };
-    match uplink {
-        StagePolicy::Raw | StagePolicy::Lossless => Vec::new(),
-        StagePolicy::Priced { candidates } => {
-            candidates.iter().map(|c| (c.name(), kind(c))).collect()
-        }
-        single => vec![(single.name(), kind(single))],
-    }
-}
 
 /// Derives the per-(round, client) dither seed for stochastic
 /// quantization from the run seed. Distinct inputs land in distinct
@@ -287,7 +254,8 @@ pub(crate) struct ClientStep {
 
 /// The client half of the upload pipeline, built once from the plan.
 pub(crate) struct UplinkStage {
-    codecs: Vec<UplinkCodecKind>,
+    /// The plan's concrete uplink policies ([`StagePolicy::codecs`]).
+    codecs: Vec<StagePolicy>,
     /// Eqn 1 over `codecs` (one candidate each): priced per link and
     /// round under a `Priced` policy, forced to codec 0 otherwise.
     /// Runtimes fold their measurements into it.
@@ -299,8 +267,8 @@ pub(crate) struct UplinkStage {
 
 impl UplinkStage {
     pub(crate) fn new(plan: &RoundPlan) -> Self {
-        let (names, codecs): (Vec<_>, Vec<_>) =
-            uplink_codecs_for(&plan.config.uplink).into_iter().unzip();
+        let codecs = plan.config.uplink.codecs().to_vec();
+        let names: Vec<_> = codecs.iter().map(StagePolicy::name).collect();
         Self {
             codecs,
             pricing: PricedStage::new(Eqn1Leg::Uplink, &names, plan.config.uplink.is_priced()),
@@ -380,10 +348,10 @@ impl UplinkStage {
         let t1 = Instant::now();
         let payload = match choice.codec.map(|i| &self.codecs[i]) {
             None => update.to_bytes(),
-            Some(UplinkCodecKind::Fedsz(f)) => {
-                f.compress(&update).expect("finite weights").into_bytes()
+            Some(StagePolicy::Lossy(config)) => {
+                FedSz::new(*config).compress(&update).expect("finite weights").into_bytes()
             }
-            Some(UplinkCodecKind::Family(codec)) => {
+            Some(StagePolicy::Family { codec, .. }) => {
                 let residual = residual.map(|r| {
                     if r.is_empty() {
                         *r = zero_residual(&update);
@@ -393,6 +361,7 @@ impl UplinkStage {
                 let dither = derive_dither_seed(self.seed, round, client.id());
                 codec.encode_delta(&update, reference, residual, dither).expect("finite weights")
             }
+            Some(other) => unreachable!("plan() admits no {} uplink", other.name()),
         };
         Ok(ClientStep {
             payload,
@@ -468,18 +437,12 @@ impl FoldStep {
     /// A fold step for uploads encoded under `uplink`, validated
     /// against `template` — the architecture's state dict, whose entry
     /// order and shapes every upload must reproduce.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `uplink` is not legal on the upload leg
-    /// ([`StagePolicy::validate_for`]).
     pub fn new(uplink: &StagePolicy, template: StateDict) -> Self {
-        let codecs = uplink_codecs_for(uplink);
-        let is_fedsz = |(_, kind): &(_, UplinkCodecKind)| matches!(kind, UplinkCodecKind::Fedsz(_));
+        let codecs = uplink.codecs();
         Self {
             template,
-            accepts_fedsz: codecs.iter().any(is_fedsz),
-            accepts_family: codecs.iter().any(|c| !is_fedsz(c)),
+            accepts_fedsz: codecs.iter().any(|c| matches!(c, StagePolicy::Lossy(_))),
+            accepts_family: codecs.iter().any(|c| matches!(c, StagePolicy::Family { .. })),
         }
     }
 
@@ -579,24 +542,16 @@ impl FoldStep {
 mod tests {
     use super::*;
     use crate::net::global_checksum;
+    use crate::plan::StageLeg;
     use crate::{Experiment, FlConfig};
     use fedsz_nn::Model;
 
-    /// `(name, policy)` for every upload route the CLI can name.
+    /// `(spelling, policy)` for every upload route the CLI can name.
     fn policies() -> Vec<(&'static str, StagePolicy)> {
-        let lossy = StagePolicy::Lossy(FlConfig::tiny_model_compression());
-        let topk = StagePolicy::TopK { ratio: 0.1, error_feedback: false };
-        let quant =
-            |bits, stochastic| StagePolicy::Quant { bits, stochastic, error_feedback: false };
-        vec![
-            ("raw", StagePolicy::Raw),
-            ("lossy", lossy.clone()),
-            ("adaptive", StagePolicy::Priced { candidates: vec![lossy.clone()] }),
-            ("topk", topk.clone()),
-            ("q8", quant(8, false)),
-            ("q4s", quant(4, true)),
-            ("auto", StagePolicy::Priced { candidates: vec![lossy, topk, quant(8, false)] }),
-        ]
+        let codec = Some(FlConfig::tiny_model_compression());
+        ["raw", "lossy", "adaptive", "topk:0.1", "q8", "q4s", "auto"]
+            .map(|spec| (spec, StagePolicy::parse(spec, StageLeg::Uplink, codec).unwrap()))
+            .into()
     }
 
     #[test]

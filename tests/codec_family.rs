@@ -208,7 +208,8 @@ proptest! {
 #[test]
 fn error_feedback_is_rejected_where_state_cannot_live() {
     let mut config = FlConfig::smoke_test();
-    config.uplink = StagePolicy::TopK { ratio: 0.1, error_feedback: true };
+    config.uplink =
+        StagePolicy::Family { codec: FamilyCodec::top_k(0.1).unwrap(), error_feedback: true };
     config.aggregation = AggregationPolicy::Buffered { target: 2 };
     assert_eq!(config.plan().unwrap_err(), PlanError::StatefulUplinkBuffered);
 

@@ -192,8 +192,10 @@ fn lossless_blob(reference: &StateDict) -> Vec<u8> {
 fn kinds(reference: &StateDict) -> Vec<Kind> {
     let update = update_of(reference);
     let codec: FedSzConfig = FlConfig::tiny_model_compression();
-    let topk = StagePolicy::TopK { ratio: 0.25, error_feedback: false };
-    let q8 = StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false };
+    let topk =
+        StagePolicy::Family { codec: FamilyCodec::top_k(0.25).unwrap(), error_feedback: false };
+    let q8 =
+        StagePolicy::Family { codec: FamilyCodec::quant(8, false).unwrap(), error_feedback: false };
     let sparse = FamilyCodec::top_k(0.25).unwrap().encode_delta(&update, reference, None, 0);
     let quant = FamilyCodec::quant(8, false).unwrap().encode_delta(&update, reference, None, 0);
     let kind_over = |template: &StateDict, name, policy: &StagePolicy, payload, route| Kind {
@@ -414,7 +416,8 @@ fn thirty_byte_sparse_frame_is_an_error_not_an_abort() {
     frame.extend(crc32(&frame).to_le_bytes());
     assert_eq!(frame.len(), 30);
 
-    let topk = StagePolicy::TopK { ratio: 0.5, error_feedback: false };
+    let topk =
+        StagePolicy::Family { codec: FamilyCodec::top_k(0.5).unwrap(), error_feedback: false };
     let kind = Kind {
         name: "FUC1-sparse",
         fold: FoldStep::new(&topk, reference.clone()),

@@ -10,7 +10,7 @@
 use fedsz_fl::net::{
     global_checksum, run_worker, NetServer, ServeConfig, WorkerConfig, WorkerReport,
 };
-use fedsz_fl::{Experiment, FlConfig, StagePolicy};
+use fedsz_fl::{Experiment, FlConfig, StageLeg, StagePolicy};
 use fedsz_net::{Message, NetError, Session};
 use std::thread;
 use std::time::Duration;
@@ -50,8 +50,8 @@ fn flat_socket_run_is_bit_identical_to_in_memory() {
     // part ways.
     let policies = [
         quick_config().uplink,
-        StagePolicy::TopK { ratio: 0.1, error_feedback: false },
-        StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false },
+        StagePolicy::parse("topk:0.1", StageLeg::Uplink, None).unwrap(),
+        StagePolicy::parse("q8s", StageLeg::Uplink, None).unwrap(),
     ];
     for uplink in policies {
         let mut config = quick_config();

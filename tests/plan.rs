@@ -17,7 +17,7 @@
 
 use fedsz_fl::engine::RoundEngine;
 use fedsz_fl::net::global_checksum;
-use fedsz_fl::plan::{PlanError, StagePolicy};
+use fedsz_fl::plan::{PlanError, StageLeg, StagePolicy};
 use fedsz_fl::{
     AggregationPolicy, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, Topology,
 };
@@ -26,6 +26,11 @@ use proptest::prelude::*;
 /// The smoke config's codec, as the policy of a compressing leg.
 fn lossy() -> StagePolicy {
     StagePolicy::Lossy(FlConfig::tiny_model_compression())
+}
+
+/// The uplink family codec `spec` names.
+fn family(spec: &str) -> StagePolicy {
+    StagePolicy::parse(spec, StageLeg::Uplink, None).unwrap()
 }
 
 fn checksum_of(config: FlConfig) -> u32 {
@@ -172,25 +177,16 @@ fn family_uplinks_leave_the_other_legs_bit_identical() {
         "uplink = Raw must reproduce the no-compression golden"
     );
 
-    let families: Vec<(&str, StagePolicy, u32)> = vec![
-        ("topk:0.5", StagePolicy::TopK { ratio: 0.5, error_feedback: false }, 0xd27ad43e),
-        ("topk:0.5+ef", StagePolicy::TopK { ratio: 0.5, error_feedback: true }, 0xd76a9829),
-        (
-            "q8",
-            StagePolicy::Quant { bits: 8, stochastic: false, error_feedback: false },
-            0x674ed809,
-        ),
-        (
-            "q8s",
-            StagePolicy::Quant { bits: 8, stochastic: true, error_feedback: false },
-            0x45305d4b,
-        ),
-        (
-            "q4",
-            StagePolicy::Quant { bits: 4, stochastic: false, error_feedback: false },
-            0xa7d3bbf3,
-        ),
-    ];
+    let families: Vec<(&str, StagePolicy, u32)> = [
+        ("topk:0.5", 0xd27ad43e),
+        ("topk:0.5+ef", 0xd76a9829),
+        ("q8", 0x674ed809),
+        ("q8s", 0x45305d4b),
+        ("q4", 0xa7d3bbf3),
+    ]
+    .into_iter()
+    .map(|(codec, want)| (codec, family(codec), want))
+    .collect();
     for (codec, uplink, want) in &families {
         let mut c = FlConfig::smoke_test();
         c.uplink = uplink.clone();
@@ -204,7 +200,7 @@ fn family_uplinks_leave_the_other_legs_bit_identical() {
 
     let mut composed = FlConfig::smoke_test();
     composed.downlink = lossy();
-    composed.uplink = StagePolicy::TopK { ratio: 0.5, error_feedback: false };
+    composed.uplink = family("topk:0.5");
     let got = checksum_of(composed);
     assert_eq!(
         got, 0xced4e840,
@@ -273,7 +269,7 @@ proptest! {
             Just(StagePolicy::Raw),
             Just(lossy()),
             Just(StagePolicy::Priced { candidates: vec![lossy()] }),
-            Just(StagePolicy::TopK { ratio: 0.5, error_feedback: false }),
+            Just(family("topk:0.5")),
         ],
         links in prop_oneof![
             Just(None),
@@ -408,7 +404,7 @@ fn dp_is_stateless_and_composes_everywhere() {
     // DP + error feedback still trips the EF rejections: the residual
     // is the stateful part, not the noise.
     config.aggregation = AggregationPolicy::Synchronous;
-    config.uplink = StagePolicy::TopK { ratio: 0.1, error_feedback: true };
+    config.uplink = family("topk:0.1+ef");
     let err = config.plan().unwrap().validate_for_workers().unwrap_err();
     assert_eq!(err, PlanError::StatefulUplinkWorker);
     config.aggregation = AggregationPolicy::Buffered { target: 1 };

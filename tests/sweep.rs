@@ -18,7 +18,7 @@
 //!
 //! Plus the paper's Section VII-D acceptance pin: a DP-noised cell
 //! compresses measurably worse than its noise-free twin under the
-//! FedSZ lossy uplink.
+//! FedSZ lossy uplink, and the strictness of `sweep`'s own flags.
 //!
 //! The CLI runs in-process through [`fedsz_cli::run`], so these tests
 //! need no subprocess or installed binary.
@@ -298,4 +298,39 @@ fn dp_noise_measurably_hurts_lossy_compression() {
         "a DP-noised update must compress worse under the lossy codec \
          (noise-free {quiet} bytes vs noised {noised} bytes)"
     );
+}
+
+/// `sweep` parses its flags through the flag table: a mistyped,
+/// repeated or foreign flag exits 2 before any cell runs, and `--json`
+/// prints the document, or writes it to the file that follows it.
+#[test]
+fn sweep_flags_are_parsed_not_guessed() {
+    let spec = write_spec(
+        "flags.toml",
+        "clients = 2\nrounds = 1\ntrain-per-class = 2\n\n[matrix]\nuplink = [\"q8\"]\n",
+    );
+    let file = fedsz_cli::temp_path("flags.json");
+    for (flags, needle) in [
+        (&["--thread", "1", "--jsn", file.as_str()][..], "unknown flag --thread"),
+        (&["--threads", "1", "--jsn", file.as_str()], "unknown flag --jsn"),
+        (&["--threads", "1", "--threads", "2"], "--threads given twice"),
+        (&["--json", "--json"], "--json given twice"),
+        (&["--threads", "two"], "--threads expects a positive worker-thread count"),
+        (&["--clients", "2"], "not a `fedsz sweep` one"),
+    ] {
+        let args: Vec<String> =
+            ["sweep", spec.as_str()].iter().chain(flags).map(|s| s.to_string()).collect();
+        let outcome = fedsz_cli::run(&args);
+        assert_eq!(outcome.code, 2, "{flags:?}: {}", outcome.report);
+        assert!(outcome.report.contains(needle), "{flags:?} gave `{}`", outcome.report);
+    }
+    assert!(!std::path::Path::new(&file).exists(), "a refused sweep wrote its report");
+
+    let printed = run_ok(&["sweep", &spec, "--json", "--threads", "1"]);
+    let wrote = run_ok(&["sweep", &spec, "--threads", "1", "--json", &file]);
+    let written = std::fs::read_to_string(&file).expect("--json FILE writes the report");
+    fedsz_cli::cleanup(&[&spec, &file]);
+    assert!(wrote.contains("wrote 1 cells"), "{wrote}");
+    let cells_only = |doc: &str| mask_timing(doc).split("\"pareto\"").next().unwrap().to_string();
+    assert_eq!(cells_only(&printed), cells_only(&written));
 }
