@@ -17,11 +17,11 @@
 //!   psum codec on, so the frames ship compressed,
 //! * the break-even arithmetic from `agg::shard`'s docs: with raw
 //!   `f32` uploads of `U` bytes and frames of `2·U/ratio` bytes, root
-//!   ingress shrinks by `fan-in · ratio / 2` — the bench asserts the
-//!   measured reduction tracks that closed form (so the "fan-in must
+//!   ingress shrinks by `fan-in · ratio / 2` — a gate holds the
+//!   measured reduction to that closed form (so the "fan-in must
 //!   exceed `2/ratio`" break-even claim stays an invariant, not a
 //!   footnote),
-//! * a bit-parity check: every tree's global model must equal the flat
+//! * a bit-parity gate: every tree's global model must equal the flat
 //!   reference byte for byte, lossless frames included.
 //!
 //! Client updates are synthesized (base model + deterministic
@@ -29,17 +29,16 @@
 //! throughput is the quantity under study, and training 10^6 clients
 //! would drown it.
 //!
-//! Output is JSON (one array of sweep points) for CI and plotting.
-//! Flags: `--clients 100,1000,10000` (sweep list; points at 10^5–10^6
+//! Flags (see [`USAGE`]): `--clients 100,1000,10000` (sweep list; points at 10^5–10^6
 //! are practical because of the streaming generator), `--shards N`
 //! (leaf aggregator count, default 16), `--depths 2,3,4` (tree depths
 //! to sweep), `--threads N` (merge worker pool width, default the
 //! host's available parallelism), `--psum lossless|raw` (frame codec,
 //! default lossless), `--scale F` (model-size fraction, default
-//! 0.001), `--seed N`, `--min-speedup F` (assert `merge_speedup >= F`
-//! on every point — the CI perf gate; omitted means no assertion),
-//! `--out PATH` (stable-schema JSON report the repo tracks across PRs,
-//! default `BENCH_agg_scale.json`; `-` disables the file), `--trace
+//! 0.001), `--seed N`, `--min-speedup F` (a gate on `merge_speedup >= F`
+//! at every point — the CI perf gate; omitted means no such gate),
+//! `--out PATH` (the report the repo tracks across PRs, default
+//! `BENCH_agg_scale.json`; `-` disables the file), `--trace
 //! FILE` (Chrome-trace JSONL of the sweep's `merge.level` spans and
 //! pool counters, same `fedsz.trace.v1` schema the CLI emits — open it
 //! in `about://tracing` to see where a slow point spends its merge
@@ -51,7 +50,7 @@
 //! reductions and the parity bit are hardware-independent.
 
 use fedsz::{FedSzConfig, LossyKind};
-use fedsz_bench::Args;
+use fedsz_bench::{row, Args, Report};
 use fedsz_fl::agg::{Downlink, DownlinkMode, PartialSum, PsumMode, ShardedTree, TreePlan};
 use fedsz_nn::models::specs::ModelSpec;
 use fedsz_nn::StateDict;
@@ -131,42 +130,39 @@ fn fanouts_for(leaves: usize, levels: usize) -> Vec<usize> {
     fanouts
 }
 
+const USAGE: &str = "agg_scale [--clients N,N] [--shards N] [--depths D,D] [--threads N] \
+                     [--psum MODE] [--scale F] [--seed N] [--min-speedup F] [--out PATH] \
+                     [--trace FILE]";
+const TIMING: &str = "flat_ms;tree_ms;merge_speedup";
+const COLUMNS: &str = "clients;depth;fanouts;params;worker_threads;peak_update_mem_bytes;flat_ms;\
+                       tree_ms;merge_speedup;flat_root_ingress_bytes;tree_root_ingress_bytes;\
+                       level_ingress_bytes;ingress_reduction;fan_in;psum_ratio;parity";
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(USAGE);
     let shards: usize = args.get("--shards", 16);
     let scale: f64 = args.get("--scale", 0.001);
     let seed: u64 = args.get("--seed", 7);
     let threads: usize =
         args.get("--threads", std::thread::available_parallelism().map_or(1, usize::from)).max(1);
     let min_speedup: Option<f64> =
-        args.has("--min-speedup").then(|| args.get("--min-speedup", 1.0));
-    let clients_list: Vec<usize> = args
-        .get("--clients", "100,1000,10000".to_string())
-        .split(',')
-        .map(|v| v.trim().parse().expect("--clients expects N,N,..."))
-        .collect();
-    let depths: Vec<usize> = args
-        .get("--depths", "2,3,4".to_string())
-        .split(',')
-        .map(|v| {
-            let d: usize = v.trim().parse().expect("--depths expects D,D,...");
-            assert!(d >= 2, "a tree is at least depth 2 (root + leaves)");
-            d
-        })
-        .collect();
-    let psum = match args.get("--psum", "lossless".to_string()).as_str() {
+        args.value("--min-speedup").map(|_| args.get("--min-speedup", 1.0));
+    let clients_list: Vec<usize> = args.list("--clients", "100,1000,10000");
+    let depths: Vec<usize> = args.list("--depths", "2,3,4");
+    if depths.iter().any(|&d| d < 2) {
+        args.reject("a tree is at least depth 2 (root + leaves)");
+    }
+    let psum = match args.value("--psum").unwrap_or("lossless") {
         "lossless" => PsumMode::Lossless,
         "raw" => PsumMode::Raw,
-        other => panic!("--psum expects lossless or raw, got `{other}`"),
+        other => args.reject(&format!("--psum expects lossless or raw, got `{other}`")),
     };
     // Tracing is observation only: the sweep's merges, parity checks
     // and reported numbers are identical with or without it.
-    let telemetry = if args.has("--trace") {
-        let path: String = args.get("--trace", String::new());
-        fedsz_telemetry::Telemetry::with_trace(std::path::Path::new(&path))
-            .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}"))
-    } else {
-        fedsz_telemetry::Telemetry::disabled()
+    let telemetry = match args.value("--trace") {
+        Some(path) => fedsz_telemetry::Telemetry::with_trace(std::path::Path::new(path))
+            .unwrap_or_else(|e| args.reject(&format!("cannot open trace file {path}: {e}"))),
+        None => fedsz_telemetry::Telemetry::disabled(),
     };
 
     let base = ModelSpec::alexnet().instantiate_scaled(seed, scale);
@@ -184,7 +180,18 @@ fn main() {
     );
     let payload = downlink.encode(&base, None, 1);
 
+    let mut r = Report::new("fedsz.agg_scale.v3", TIMING);
+    r.setting("shards", shards);
+    r.setting("threads", threads);
+    r.setting("psum_mode", psum.name());
+    r.setting("scale", scale);
+    r.setting("seed", seed);
+    let downlink = row![payload.raw_bytes, payload.bytes.len(), payload.ratio()];
+    r.grid("downlink", "", "raw_bytes;encoded_bytes;ratio", &[downlink]);
     let mut points = Vec::new();
+    // Per point: (bit parity, |measured / closed-form reduction - 1|,
+    // psum ratio, merge speed-up).
+    let mut checks: Vec<(bool, f64, f64, f64)> = Vec::new();
     for &clients in &clients_list {
         let weight_of = |client: usize| 1.0 + (client % 7) as f64;
 
@@ -232,17 +239,8 @@ fn main() {
             let merge_speedup = flat_ms / tree_ms.max(1e-9);
 
             let parity = outcome.global.to_bytes() == flat_global.to_bytes();
-            assert!(parity, "depth-{depth} tree diverged from flat at {clients} clients");
-            if let Some(floor) = min_speedup {
-                assert!(
-                    merge_speedup >= floor,
-                    "merge_speedup {merge_speedup:.2} below the --min-speedup {floor:.2} floor \
-                     at {clients} clients depth {depth} ({threads} threads)"
-                );
-            }
             let reduction = flat_ingress as f64 / outcome.root_ingress_bytes.max(1) as f64;
             let psum_ratio = outcome.psum_ratio();
-
             // The break-even claim from agg::shard's docs, measured
             // with the codec on: raw f32 uploads carry ~4 B/element,
             // frames ~8 B/element over the lossless ratio, so the
@@ -250,43 +248,19 @@ fn main() {
             // (headers and entry names smear it by a few percent).
             let fan_in = clients as f64 / root_children as f64;
             let predicted = fan_in * psum_ratio / 2.0;
-            assert!(
-                (reduction / predicted - 1.0).abs() < 0.2,
-                "reduction {reduction:.2}x strays from the fan-in·ratio/2 closed form \
-                 ({predicted:.2}x) at {clients} clients depth {depth}"
-            );
-            assert!(
-                psum != PsumMode::Lossless || psum_ratio > 1.2,
-                "lossless psum ratio {psum_ratio:.2} below the 1.2x floor"
-            );
+            checks.push((parity, (reduction / predicted - 1.0).abs(), psum_ratio, merge_speedup));
 
-            let level_ingress = outcome
-                .level_ingress_bytes
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
+            let fanouts = fanouts.iter().map(usize::to_string).collect::<Vec<_>>().join("x");
             eprintln!(
-                "{clients} clients / depth {depth} ({}): flat {flat_ms:.0} ms, tree {tree_ms:.0} ms, \
-                 ingress {flat_ingress} -> {} ({reduction:.1}x, psum {psum_ratio:.2}x)",
-                fanouts.iter().map(usize::to_string).collect::<Vec<_>>().join("x"),
+                "{clients} clients / depth {depth} ({fanouts}): flat {flat_ms:.0} ms, tree \
+                 {tree_ms:.0} ms, ingress {flat_ingress} -> {} ({reduction:.1}x, psum \
+                 {psum_ratio:.2}x)",
                 outcome.root_ingress_bytes
             );
-            points.push(format!(
-                concat!(
-                    "  {{\"clients\": {}, \"depth\": {}, \"fanouts\": \"{}\", \"params\": {}, ",
-                    "\"worker_threads\": {}, \"peak_update_mem_bytes\": {}, ",
-                    "\"flat_ms\": {:.1}, \"tree_ms\": {:.1}, \"merge_speedup\": {:.2}, ",
-                    "\"flat_root_ingress_bytes\": {}, \"tree_root_ingress_bytes\": {}, ",
-                    "\"level_ingress_bytes\": [{}], ",
-                    "\"ingress_reduction\": {:.2}, \"fan_in\": {:.1}, ",
-                    "\"psum_mode\": \"{}\", \"psum_ratio\": {:.3}, ",
-                    "\"downlink_ratio\": {:.2}, \"downlink_raw_bytes\": {}, ",
-                    "\"downlink_encoded_bytes\": {}, \"parity\": {}}}"
-                ),
+            points.push(row![
                 clients,
                 depth,
-                fanouts.iter().map(usize::to_string).collect::<Vec<_>>().join("x"),
+                fanouts,
                 params,
                 threads,
                 peak_update_mem_bytes,
@@ -295,29 +269,35 @@ fn main() {
                 merge_speedup,
                 flat_ingress,
                 outcome.root_ingress_bytes,
-                level_ingress,
+                outcome.level_ingress_bytes,
                 reduction,
                 fan_in,
-                psum.name(),
                 psum_ratio,
-                payload.ratio(),
-                payload.raw_bytes,
-                payload.bytes.len(),
                 parity,
-            ));
+            ]);
         }
     }
-    let body = points.join(",\n");
-    println!("[\n{body}\n]");
-    // The perf-trajectory file: same points, wrapped in a stable
-    // versioned schema so PR-over-PR diffs stay meaningful.
-    let out_path: String = args.get("--out", "BENCH_agg_scale.json".to_string());
-    if out_path != "-" {
-        let wrapped = format!(
-            "{{\n\"schema\": \"fedsz.agg_scale.v2\",\n\"schema_version\": 2,\n\"points\": [\n{body}\n]\n}}\n"
-        );
-        std::fs::write(&out_path, wrapped).expect("write --out report");
-        eprintln!("wrote {out_path}");
+    r.grid("points", "clients;depth", COLUMNS, &points);
+    let parity = checks.iter().filter(|c| c.0).count();
+    let detail = format!("{parity} of {} trees equal the flat global byte for byte", checks.len());
+    r.gate("parity", parity == checks.len(), &detail);
+    let worst = checks.iter().map(|c| c.1).fold(0.0, f64::max);
+    let detail = format!(
+        "root-ingress reduction within {:.1}% of fan-in x ratio / 2 (limit 20%)",
+        worst * 100.0
+    );
+    r.gate("ingress_tracks_closed_form", worst < 0.2, &detail);
+    if psum == PsumMode::Lossless {
+        let least = checks.iter().map(|c| c.2).fold(f64::MAX, f64::min);
+        let detail = format!("lossless psum ratio at least {least:.3} (floor 1.2)");
+        r.gate("psum_ratio_floor", least > 1.2, &detail);
+    }
+    if let Some(floor) = min_speedup {
+        let least = checks.iter().map(|c| c.3).fold(f64::MAX, f64::min);
+        let detail =
+            format!("merge_speedup at least {least:.2} on {threads} threads (floor {floor:.2})");
+        r.gate("merge_speedup_floor", least >= floor, &detail);
     }
     telemetry.flush();
+    std::process::exit(r.finish(&args.get("--out", "BENCH_agg_scale.json".to_string())));
 }

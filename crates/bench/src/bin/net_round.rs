@@ -5,32 +5,34 @@
 //! The simulator *prices* communication analytically; this bench
 //! measures what the real runtime costs — session setup, framing,
 //! kernel socket hops, the round barrier — and pins the bit-parity
-//! contract at the same time: every sweep point asserts the socket
-//! run's global checksum equals the in-memory engine's for the same
-//! config (the run aborts on divergence, so CI cannot silently ship a
-//! runtime that drifts).
+//! contract at the same time: a gate requires every sweep point's
+//! socket checksum to equal the in-memory engine's for the same config,
+//! so CI cannot silently ship a runtime that drifts.
 //!
 //! The server side is the single-threaded poll(2) reactor: one OS
 //! thread multiplexes every session, so each point also records
 //! `sessions`, `server_threads` (always 1 per serve process) and
-//! `sessions_per_thread` — the C10K ratio CI asserts stays above 1,
-//! and the tracked ≥100-worker point demonstrates at scale.
+//! `sessions_per_thread` — the C10K ratio a gate holds above 1, and
+//! the tracked ≥100-worker point demonstrates at scale.
 //!
-//! Flags: `--workers 2,4,100` (cohort sweep), `--rounds N` (default 2),
-//! `--shards S` (adds a relay tier: S relay servers between root and
-//! workers, forwarding lossless `PartialSumCompressed` frames),
-//! `--train-per-class N`, `--seed N`, `--out PATH` (stable-schema JSON
-//! report, default `BENCH_net_round.json`, `-` disables).
-//!
-//! Output: a JSON array of sweep points on stdout (matching the other
-//! bench bins), plus the schema-wrapped `--out` file the repo tracks
-//! across PRs.
+//! Flags (see [`USAGE`]): `--workers 2,4,100` (cohort sweep), `--rounds
+//! N` (default 2), `--shards S` (adds a relay tier: S relay servers
+//! between root and workers, forwarding lossless `PartialSumCompressed`
+//! frames), `--train-per-class N`, `--seed N`, `--out PATH` (default
+//! `BENCH_net_round.json`, `-` disables).
 
-use fedsz_bench::Args;
+use fedsz_bench::{row, Args, Report};
 use fedsz_fl::net::{global_checksum, run_worker, NetServer, ServeConfig, WorkerConfig};
 use fedsz_fl::{Experiment, FlConfig, StagePolicy};
 use std::thread;
 use std::time::{Duration, Instant};
+
+const USAGE: &str = "net_round [--workers N,N] [--rounds N] [--shards S] [--train-per-class N] \
+                     [--seed N] [--out PATH]";
+const TIMING: &str = "wall_secs;in_memory_secs;secs_per_round";
+const COLUMNS: &str = "workers;wall_secs;in_memory_secs;secs_per_round;root_upstream_bytes;\
+                       root_downstream_bytes;evicted;sessions;server_threads;sessions_per_thread;\
+                       checksum;in_memory_checksum";
 
 /// The bench's base configuration: the CLI smoke shape, parameterized.
 fn base_config(clients: usize, rounds: usize, train_per_class: usize, seed: u64) -> FlConfig {
@@ -46,8 +48,9 @@ fn base_config(clients: usize, rounds: usize, train_per_class: usize, seed: u64)
 
 /// One loopback deployment: root (+ optional relay tier) + workers,
 /// all threads, every hop a real TCP connection. Returns (checksum,
-/// total wall seconds, root upstream bytes, root downstream bytes).
-fn run_deployment(config: &FlConfig, shards: Option<usize>) -> (u32, f64, usize, usize) {
+/// total wall seconds, root upstream bytes, root downstream bytes,
+/// evicted sessions).
+fn run_deployment(config: &FlConfig, shards: Option<usize>) -> (u32, f64, usize, usize, usize) {
     let timeout = Duration::from_secs(120);
     let mut fl = config.clone();
     fl.tree = shards.map(|s| vec![s]);
@@ -96,26 +99,27 @@ fn run_deployment(config: &FlConfig, shards: Option<usize>) -> (u32, f64, usize,
         worker.join().expect("worker thread").expect("worker succeeds");
     }
     let wall = t0.elapsed().as_secs_f64();
-    assert_eq!(report.evicted, 0, "loopback deployment must not evict anyone");
     let up: usize = report.rounds.iter().map(|r| r.upstream_bytes).sum();
     let down: usize = report.rounds.iter().map(|r| r.downstream_bytes).sum();
-    (report.checksum, wall, up, down)
+    (report.checksum, wall, up, down, report.evicted)
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(USAGE);
     let rounds: usize = args.get("--rounds", 2);
     let train_per_class: usize = args.get("--train-per-class", 4);
     let seed: u64 = args.get("--seed", 9);
     let shards: usize = args.get("--shards", 0);
-    let out_path: String = args.get("--out", "BENCH_net_round.json".to_string());
-    let workers_list: Vec<usize> = args
-        .get("--workers", "2,4,100".to_string())
-        .split(',')
-        .map(|v| v.trim().parse().expect("--workers expects N,N,..."))
-        .collect();
+    let workers_list: Vec<usize> = args.list("--workers", "2,4,100");
 
+    let mut r = Report::new("fedsz.net_round.v3", TIMING);
+    r.setting("rounds", rounds);
+    r.setting("relays", shards);
+    r.setting("train_per_class", train_per_class);
+    r.setting("seed", seed);
     let mut points = Vec::new();
+    // Per point: (checksums agree, no evictions, sessions > threads).
+    let mut checks = Vec::new();
     for &clients in &workers_list {
         let config = base_config(clients, rounds, train_per_class, seed);
 
@@ -127,11 +131,7 @@ fn main() {
         let want = global_checksum(reference.global_state());
 
         let shard_plan = (shards > 0).then_some(shards);
-        let (checksum, wall, up, down) = run_deployment(&config, shard_plan);
-        assert_eq!(
-            checksum, want,
-            "socket runtime diverged from the in-memory engine at {clients} workers"
-        );
+        let (checksum, wall, up, down, evicted) = run_deployment(&config, shard_plan);
         // The root's session count: direct worker connections when
         // flat, one relay connection per shard when sharded. Either
         // way the reactor multiplexes them on exactly one OS thread —
@@ -141,40 +141,35 @@ fn main() {
         eprintln!(
             "{clients} workers{}: {rounds} rounds in {wall:.2} s (in-memory {mem_secs:.2} s), \
              root up {up} B / down {down} B, {sessions} sessions on {server_threads} thread, \
-             checksum 0x{checksum:08x} (parity ok)",
+             checksum 0x{checksum:08x} (in-memory 0x{want:08x})",
             if shards > 0 { format!(" via {shards} relays") } else { String::new() },
         );
-        points.push(format!(
-            concat!(
-                "  {{\"workers\": {}, \"rounds\": {}, \"relays\": {}, ",
-                "\"wall_secs\": {:.3}, \"in_memory_secs\": {:.3}, ",
-                "\"secs_per_round\": {:.3}, ",
-                "\"root_upstream_bytes\": {}, \"root_downstream_bytes\": {}, ",
-                "\"sessions\": {}, \"server_threads\": {}, ",
-                "\"sessions_per_thread\": {:.1}, ",
-                "\"checksum\": \"0x{:08x}\", \"parity\": true}}"
-            ),
+        checks.push((checksum == want, evicted == 0, sessions > server_threads));
+        points.push(row![
             clients,
-            rounds,
-            shards,
             wall,
             mem_secs,
             wall / rounds.max(1) as f64,
             up,
             down,
+            evicted,
             sessions,
             server_threads,
             sessions as f64 / server_threads as f64,
-            checksum,
-        ));
+            format!("0x{checksum:08x}"),
+            format!("0x{want:08x}"),
+        ]);
     }
-    let body = points.join(",\n");
-    println!("[\n{body}\n]");
-    if out_path != "-" {
-        let wrapped = format!(
-            "{{\n\"schema\": \"fedsz.net_round.v2\",\n\"schema_version\": 2,\n\"points\": [\n{body}\n]\n}}\n"
-        );
-        std::fs::write(&out_path, wrapped).expect("write --out report");
-        eprintln!("wrote {out_path}");
-    }
+    r.grid("points", "workers", COLUMNS, &points);
+    let count = |pass: fn(&(bool, bool, bool)) -> bool| checks.iter().filter(|c| pass(c)).count();
+    let n = checks.len();
+    let agree = count(|c| c.0);
+    let detail = format!("{agree} of {n} socket runs end on the in-memory engine's checksum");
+    r.gate("checksum_parity", agree == n, &detail);
+    let kept = count(|c| c.1);
+    r.gate("no_evictions", kept == n, &format!("{kept} of {n} loopback runs evict no session"));
+    let multiplexed = count(|c| c.2);
+    let detail = format!("{multiplexed} of {n} points hold more sessions than server threads");
+    r.gate("sessions_exceed_threads", multiplexed == n, &detail);
+    std::process::exit(r.finish(&args.get("--out", "BENCH_net_round.json".to_string())));
 }

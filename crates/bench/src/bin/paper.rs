@@ -20,19 +20,18 @@
 //! Each "shape check vs paper" is a gate computed from the numbers
 //! above it. Gates read deterministic columns only (ratios, accuracies,
 //! byte counts, virtual link seconds); timings are recorded, not gated.
-//! A failed gate exits non-zero — after the document is written, so a
-//! failing run can still be read.
+//! The three grids and every section's tables are the document's grids,
+//! and a failed gate exits 1 after it is written.
 //!
-//! Usage: `paper [--scale F | --full] [--rounds N] [--out PATH]
-//! [SECTION...]`. A full run writes `BENCH_paper.json` (`--out -`
+//! Usage: see [`USAGE`]. A full run writes `BENCH_paper.json` (`--out -`
 //! disables); a run filtered by section names writes only where `--out`
 //! points, and never to the tracked file.
 
 use fedsz::timing::{mbps, TransferPlan};
 use fedsz::{partition, ErrorBound, FedSz, FedSzConfig, LossyKind};
 use fedsz_bench::{
-    json_arr, json_obj, json_str, json_strs, lossless_partition_bytes, lossy_partition_values,
-    print_table, render_histogram, render_series, timed, transform_lossy_deltas, Args,
+    lossless_partition_bytes, lossy_partition_values, render_histogram, render_series, row, timed,
+    transform_lossy_deltas, Args, Report,
 };
 use fedsz_codec::stats::{value_range, Histogram};
 use fedsz_data::{mean_abs_diff, miranda_like_series, DatasetKind, SyntheticConfig};
@@ -64,7 +63,14 @@ const SECTIONS: [(&str, Section); 18] = [
     ("ablation_threshold", ablation_threshold),
     ("ablation_composition", ablation_composition),
 ];
+const USAGE: &str = "paper [--scale F | --full] [--rounds N] [--out PATH] [SECTION...]";
 const TRACKED: &str = "BENCH_paper.json";
+/// The grids' and tables' timing columns; `fig6` is timings throughout.
+const TIMING: &str = "compress_secs;decompress_secs;train_secs;validate_secs;t_C 1e-2 (s);\
+                      t_C 1e-3 (s);t_C 1e-4 (s);MB/s 1e-2;MB/s 1e-3;MB/s 1e-4;Runtime (s);\
+                      Throughput (MB/s);Decomp (s);fig6;FedSZ 1e-5;FedSZ 1e-4;FedSZ 1e-3;\
+                      FedSZ 1e-2;SZ2;SZ3;ZFP;Break-even (Mbps);FedSZ epoch (s);Plain epoch (s);\
+                      Time (s);MB/s";
 const CIFAR: DatasetKind = DatasetKind::Cifar10Like;
 /// `ModelSpec::all()` runs MobileNet-V2, ResNet50, AlexNet; these are
 /// the trainable stand-ins in that order, and AlexNet's index.
@@ -75,50 +81,6 @@ const REL_BOUNDS: [f64; 3] = [1e-2, 1e-3, 1e-4];
 /// The pipeline grid's bounds: Table V reads the first four, Fig 7 the
 /// last four.
 const PIPELINE_BOUNDS: [f64; 5] = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5];
-
-/// What a run accumulates: every section's printed tables (kept as
-/// JSON) and every gate's verdict.
-#[derive(Default)]
-struct Report {
-    wanted: Vec<String>,
-    /// The section now running: it prefixes the gates' names.
-    current: &'static str,
-    sections: Vec<(&'static str, Vec<String>)>,
-    gates: Vec<String>,
-    failed: usize,
-}
-
-impl Report {
-    fn wants(&self, sections: &[&str]) -> bool {
-        self.wanted.is_empty() || sections.iter().any(|s| self.wanted.iter().any(|w| w == s))
-    }
-
-    /// Prints a table and files it under the running section. Headers
-    /// and each row are one string, cells separated by `;`.
-    fn table(&mut self, title: &str, headers: &str, rows: &[String]) {
-        let split = |line: &str| line.split(';').map(String::from).collect::<Vec<_>>();
-        let rows: Vec<Vec<String>> = rows.iter().map(|row| split(row)).collect();
-        print_table(title, &headers.split(';').collect::<Vec<_>>(), &rows);
-        let table = json_obj(&[
-            ("title", json_str(title)),
-            ("headers", json_strs(&split(headers))),
-            ("rows", json_arr(rows.iter().map(|row| json_strs(row)))),
-        ]);
-        self.sections.last_mut().expect("a section is running").1.push(table);
-    }
-
-    /// Records one shape check over the numbers just printed.
-    fn gate(&mut self, name: &str, passed: bool, detail: &str) {
-        let name = format!("{}.{name}", self.current);
-        println!("gate {name}: {} — {detail}", if passed { "pass" } else { "FAIL" });
-        self.failed += usize::from(!passed);
-        self.gates.push(json_obj(&[
-            ("name", json_str(&name)),
-            ("passed", passed.to_string()),
-            ("detail", json_str(detail)),
-        ]));
-    }
-}
 
 /// What the sections read: the run's settings, the shared codec inputs
 /// and the three grids (a grid no selected section reads stays empty).
@@ -175,22 +137,23 @@ impl Cell {
         }
     }
 
-    fn json(&self) -> String {
-        let mut members = vec![
-            ("dataset", self.dataset.map_or("null".into(), |d| json_str(d.name()))),
-            ("model", json_str(self.model)),
-            ("codec", json_str(self.codec)),
-            ("rel_bound", self.eb.to_string()),
-            ("ratio", self.ratio().to_string()),
-            ("compressed_bytes", self.packed_bytes.to_string()),
-            ("compress_secs", self.compress_secs.to_string()),
-            ("decompress_secs", self.decompress_secs.to_string()),
-        ];
-        if let Some(err) = self.err_over_eb {
-            members.push(("err_over_eb", err.to_string()));
-            members.push(("bound_held", (err <= 1.0).to_string()));
-        }
-        json_obj(&members)
+    const KEY: &str = "dataset;model;codec;rel_bound";
+    const COLUMNS: &str = "dataset;model;codec;rel_bound;ratio;compressed_bytes;compress_secs;\
+                           decompress_secs;err_over_eb;bound_held";
+
+    fn row(&self) -> Vec<String> {
+        row![
+            self.dataset.map(DatasetKind::name),
+            self.model,
+            self.codec,
+            self.eb,
+            self.ratio(),
+            self.packed_bytes,
+            self.compress_secs,
+            self.decompress_secs,
+            self.err_over_eb,
+            self.err_over_eb.map(|err| err <= 1.0),
+        ]
     }
 }
 
@@ -273,18 +236,20 @@ impl Run {
         self.metrics.iter().map(f).sum::<f64>() / self.metrics.len().max(1) as f64
     }
 
-    fn json(&self) -> String {
-        let uplink = self.uplink.map_or("raw".into(), |(k, eb)| format!("{}@{eb:e}", k.name()));
-        json_obj(&[
-            ("dataset", json_str(self.dataset.name())),
-            ("arch", json_str(self.arch.name())),
-            ("uplink", json_str(&uplink)),
-            ("accuracy", json_arr(self.metrics.iter().map(|m| m.test_accuracy.to_string()))),
-            ("upstream_bytes_per_round", self.mean(|m| m.upstream_bytes as f64).to_string()),
-            ("train_secs", self.mean(|m| m.train_secs).to_string()),
-            ("validate_secs", self.mean(|m| m.validation_secs).to_string()),
-            ("compress_secs", self.mean(|m| m.compress_secs).to_string()),
-        ])
+    const COLUMNS: &str = "dataset;arch;uplink;accuracy;upstream_bytes_per_round;train_secs;\
+                           validate_secs;compress_secs";
+
+    fn row(&self) -> Vec<String> {
+        row![
+            self.dataset.name(),
+            self.arch.name(),
+            self.uplink.map_or("raw".into(), |(k, eb)| format!("{}@{eb:e}", k.name())),
+            self.metrics.iter().map(|m| m.test_accuracy).collect::<Vec<_>>(),
+            self.mean(|m| m.upstream_bytes as f64),
+            self.mean(|m| m.train_secs),
+            self.mean(|m| m.validation_secs),
+            self.mean(|m| m.compress_secs),
+        ]
     }
 }
 
@@ -760,14 +725,14 @@ fn ablation_shuffle(r: &mut Report, inp: &Inputs) {
     let weights: Vec<u8> =
         inp.models[ALEXNET].weights.iter().flat_map(|v| v.to_le_bytes()).collect();
     let mut rows = Vec::new();
-    let mut shuffle_wins = true;
+    let (mut shuffle_wins, mut round_trips) = (true, true);
     for (label, data) in [("metadata bytes", &inp.metadata), ("weight bytes", &weights)] {
         let mut ratios = Vec::new();
         for (variant, codec) in
             [("shuffle (4B)", BloscLz::new()), ("no shuffle", BloscLz::without_shuffle())]
         {
             let (packed, secs) = timed(|| codec.compress(data));
-            assert_eq!(&codec.decompress(&packed).unwrap(), data, "blosc-lz must round-trip");
+            round_trips &= codec.decompress(&packed).is_ok_and(|back| &back == data);
             let (ratio, mbps) =
                 (data.len() as f64 / packed.len() as f64, data.len() as f64 / 1e6 / secs);
             rows.push(format!("{label};{variant};{ratio:.3};{mbps:.1}"));
@@ -776,8 +741,10 @@ fn ablation_shuffle(r: &mut Report, inp: &Inputs) {
         shuffle_wins &= ratios[0] > ratios[1];
     }
     r.table("Ablation: blosc-lz byte shuffle", "Data;Variant;Ratio;MB/s", &rows);
-    let detail = "grouping exponent bytes into runs beats unshuffled LZ on metadata and on weights";
-    r.gate("shuffle_buys_the_ratio", shuffle_wins, detail);
+    let detail =
+        "grouping exponent bytes into runs beats unshuffled LZ on metadata and on weights \
+                  (both variants round-trip)";
+    r.gate("shuffle_buys_the_ratio", shuffle_wins && round_trips, detail);
 }
 
 fn ablation_threshold(r: &mut Report, inp: &Inputs) {
@@ -860,82 +827,58 @@ fn ablation_composition(r: &mut Report, _: &Inputs) {
 }
 
 fn main() {
-    let args = Args::parse();
-    let (scale, rounds) = (args.scale(0.05), args.get("--rounds", 10usize));
-    let mut wanted = Vec::new();
-    let mut raw = std::env::args().skip(1);
-    while let Some(arg) = raw.next() {
-        match arg.as_str() {
-            "--scale" | "--rounds" | "--out" => drop(raw.next()),
-            "--full" => {}
-            name if SECTIONS.iter().any(|(section, _)| *section == name) => wanted.push(arg),
-            other => {
-                let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
-                eprintln!("unknown argument `{other}`; sections: {}", names.join(" "));
-                std::process::exit(2);
-            }
-        }
+    let args = Args::parse(USAGE);
+    let scale = if args.has("--full") { 1.0 } else { args.get("--scale", 0.05) };
+    let rounds = args.get("--rounds", 10usize);
+    let names = SECTIONS.map(|(name, _)| name);
+    let wanted = &args.positional;
+    if let Some(bad) = wanted.iter().find(|w| !names.contains(&w.as_str())) {
+        args.reject(&format!("unknown section `{bad}`; sections: {}", names.join(" ")));
     }
+    let wants = |sections: &[&str]| {
+        wanted.is_empty() || sections.iter().any(|s| wanted.iter().any(|w| w == s))
+    };
     let out: String = args.get("--out", if wanted.is_empty() { TRACKED } else { "-" }.to_string());
     if !wanted.is_empty() && std::path::Path::new(&out).file_name().is_some_and(|f| f == TRACKED) {
-        eprintln!("a run filtered by section names must not overwrite {TRACKED}");
-        std::process::exit(2);
+        args.reject(&format!("a run filtered by section names must not overwrite {TRACKED}"));
     }
-    assert!(rounds > 0 && scale > 0.0 && scale <= 1.0, "--rounds must be > 0, --scale in (0, 1]");
+    if rounds == 0 || !(scale > 0.0 && scale <= 1.0) {
+        args.reject("--rounds must be > 0, --scale in (0, 1]");
+    }
     println!("FedSZ paper reproduction (scale = {scale}, rounds = {rounds})");
 
-    let mut r = Report { wanted, ..Report::default() };
     let mut inputs = Inputs { scale, rounds, ..Inputs::default() };
     for spec in ModelSpec::all() {
         let dict = spec.instantiate_scaled(42, scale);
         let weights = lossy_partition_values(&dict, 1000);
         inputs.models.push(Model { spec, dict, weights });
     }
-    if r.wants(&["table2", "ablation_shuffle"]) {
+    if wants(&["table2", "ablation_shuffle"]) {
         inputs.metadata = pooled_metadata();
     }
-    if r.wants(&["table1", "fig8"]) {
+    if wants(&["table1", "fig8"]) {
         inputs.lossy = lossy_grid(&inputs.models);
     }
-    if r.wants(&["table5", "fig7"]) {
+    if wants(&["table5", "fig7"]) {
         inputs.pipeline = pipeline_grid(scale);
     }
-    if r.wants(&["table1", "fig4", "fig5", "fig6"]) {
+    if wants(&["table1", "fig4", "fig5", "fig6"]) {
         inputs.training = training_grid(rounds);
     }
+    let mut r = Report::new("fedsz.paper.v2", TIMING);
+    r.setting("scale", scale);
+    r.setting("rounds", rounds);
+    r.setting("sections", names.into_iter().filter(|n| wants(&[n])).collect::<Vec<_>>());
+    let cells = |grid: &[Cell]| grid.iter().map(Cell::row).collect::<Vec<_>>();
+    r.grid("lossy_grid", Cell::KEY, Cell::COLUMNS, &cells(&inputs.lossy));
+    r.grid("pipeline_grid", Cell::KEY, Cell::COLUMNS, &cells(&inputs.pipeline));
+    let runs: Vec<_> = inputs.training.iter().map(Run::row).collect();
+    r.grid("training_grid", "dataset;arch;uplink", Run::COLUMNS, &runs);
     for (name, section) in SECTIONS {
-        if r.wants(&[name]) {
-            r.current = name;
-            r.sections.push((name, Vec::new()));
+        if wants(&[name]) {
+            r.scope(name);
             section(&mut r, &inputs);
         }
     }
-
-    // One record per line, so the tracked file diffs row by row.
-    let lines = |items: Vec<String>| format!("[\n  {}\n]", items.join(",\n  "));
-    let sections: Vec<String> = (r.sections.iter())
-        .map(|(name, tables)| format!("{}: {}", json_str(name), json_arr(tables.iter().cloned())))
-        .collect();
-    let document = [
-        ("schema", json_str("fedsz.paper.v1")),
-        ("schema_version", "1".to_string()),
-        ("scale", scale.to_string()),
-        ("rounds", rounds.to_string()),
-        ("gates_failed", r.failed.to_string()),
-        ("gates", lines(r.gates.clone())),
-        ("lossy_grid", lines(inputs.lossy.iter().map(Cell::json).collect())),
-        ("pipeline_grid", lines(inputs.pipeline.iter().map(Cell::json).collect())),
-        ("training_grid", lines(inputs.training.iter().map(Run::json).collect())),
-        ("sections", format!("{{\n  {}\n}}", sections.join(",\n  "))),
-    ]
-    .map(|(key, value)| format!("{}: {value}", json_str(key)))
-    .join(",\n");
-    if out != "-" {
-        std::fs::write(&out, format!("{{\n{document}\n}}\n")).expect("write --out report");
-        eprintln!("wrote {out}");
-    }
-    if r.failed > 0 {
-        eprintln!("{} gate(s) failed", r.failed);
-        std::process::exit(1);
-    }
+    std::process::exit(r.finish(&out));
 }

@@ -3,90 +3,283 @@
 //! `src/bin/` holds four binaries and CI runs each of them: `paper`
 //! (every table and figure of the FedSZ paper plus four ablations, as
 //! sections of one run that writes `BENCH_paper.json`), `agg_scale`,
-//! `net_round` and `pareto`. This module provides the tiny CLI parser,
-//! ASCII table/plot rendering, timing and JSON-rendering helpers they
-//! share.
+//! `net_round` and `pareto`. This module provides what they share: the
+//! argument parser ([`Args`]), the one document writer ([`Report`]),
+//! ASCII table/plot rendering and timing.
 //!
-//! `paper` accepts `--scale <f>` (fraction of each full-size model
-//! tensor used, default 0.05 — compression ratios are per-byte
-//! quantities, so a prefix sample is representative), `--full`
-//! (equivalent to `--scale 1.0`) and `--rounds <n>` for its training
-//! runs.
+//! Every bin writes its tracked `BENCH_*.json` through [`Report`]: the
+//! run's settings, row grids and gates. A grid names its key columns
+//! (how rows of two runs are matched) and its timing columns (values
+//! that come from a clock, directly or through an Eqn-1 decision);
+//! every other column is deterministic, and `scripts/bench_check.py`
+//! requires a fresh run to reproduce it in the tracked file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Minimal argument accessor over `std::env::args`.
+/// A bin's arguments, checked against its usage line.
+///
+/// The usage line is the spec: `[--key V]` takes a value, `[--flag]` is
+/// a switch, `|` separates alternatives inside one bracket, and a
+/// bracket that does not open with `--` (`[SECTION...]`) admits bare
+/// arguments. An unknown flag, a stray argument, a flag given twice or
+/// without its value exits 2 with the usage line.
 #[derive(Debug, Clone)]
 pub struct Args {
-    raw: Vec<String>,
+    usage: &'static str,
+    given: Vec<(String, Option<String>)>,
+    /// The bare arguments, in order.
+    pub positional: Vec<String>,
 }
 
 impl Args {
-    /// Captures the process arguments.
-    pub fn parse() -> Self {
-        Self { raw: std::env::args().skip(1).collect() }
+    /// Parses the process arguments against `usage`, exiting 2 on misuse.
+    pub fn parse(usage: &'static str) -> Self {
+        let empty = Self { usage, given: Vec::new(), positional: Vec::new() };
+        Self::from_vec(usage, std::env::args().skip(1).collect())
+            .unwrap_or_else(|e| empty.reject(&e))
     }
 
-    /// Builds from an explicit list (for tests).
-    pub fn from_vec(raw: Vec<String>) -> Self {
-        Self { raw }
+    /// Parses an explicit list against `usage`.
+    ///
+    /// # Errors
+    ///
+    /// Names the misuse: an unknown flag, a stray argument, a flag given
+    /// twice or without its value.
+    pub fn from_vec(usage: &'static str, raw: Vec<String>) -> Result<Self, String> {
+        let groups = || usage.split('[').skip(1).filter_map(|g| g.split(']').next());
+        let arity = |flag: &str| {
+            let mut alternatives = groups().flat_map(|g| g.split('|')).map(str::split_whitespace);
+            alternatives.find_map(|mut w| (w.next() == Some(flag)).then(|| w.next().is_some()))
+        };
+        let bare_ok = groups().any(|g| !g.trim_start().starts_with("--"));
+        let mut args = Self { usage, given: Vec::new(), positional: Vec::new() };
+        let mut raw = raw.into_iter();
+        while let Some(arg) = raw.next() {
+            match arity(&arg) {
+                Some(_) if args.has(&arg) => return Err(format!("{arg} given twice")),
+                Some(takes_value) => {
+                    let missing = || format!("{arg} requires a value");
+                    let value =
+                        if takes_value { Some(raw.next().ok_or_else(missing)?) } else { None };
+                    args.given.push((arg, value));
+                }
+                None if arg.starts_with("--") => return Err(format!("unknown flag `{arg}`")),
+                None if bare_ok => args.positional.push(arg),
+                None => return Err(format!("unexpected argument `{arg}`")),
+            }
+        }
+        Ok(args)
     }
 
-    /// Whether a bare flag is present.
+    /// Prints `why` and the usage line, and exits 2.
+    pub fn reject(&self, why: &str) -> ! {
+        eprintln!("{why}\nusage: {}", self.usage);
+        std::process::exit(2)
+    }
+
+    /// Whether a flag was given.
     pub fn has(&self, flag: &str) -> bool {
-        self.raw.iter().any(|a| a == flag)
+        self.given.iter().any(|(f, _)| f == flag)
     }
 
-    /// Value of `--key v`, parsed, or the default.
+    /// The raw value of `--key V`, if given.
+    pub fn value(&self, key: &str) -> Option<&str> {
+        self.given.iter().find(|(f, _)| f == key).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Value of `--key V`, parsed, or the default; a value that does not
+    /// parse exits 2.
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.value(key).map_or(default, |v| self.parsed(key, v))
+    }
+
+    /// Value of `--key A,B,...` (or `default`), each item parsed.
+    pub fn list<T: std::str::FromStr>(&self, key: &str, default: &str) -> Vec<T> {
+        self.value(key).unwrap_or(default).split(',').map(|v| self.parsed(key, v.trim())).collect()
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, key: &str, v: &str) -> T {
+        v.parse().unwrap_or_else(|_| self.reject(&format!("could not parse `{v}` for {key}")))
+    }
+}
+
+/// A value a report cell or setting holds, written as JSON.
+pub trait Value {
+    /// The value as a JSON literal.
+    fn json(&self) -> String;
+}
+
+macro_rules! values {
+    ($($t:ty: $v:ident => $json:expr),* $(,)?) => {$(
+        impl Value for $t {
+            fn json(&self) -> String {
+                let $v = self;
+                $json
+            }
+        }
+    )*};
+}
+
+values! {
+    bool: v => v.to_string(),
+    u64: v => v.to_string(),
+    usize: v => v.to_string(),
+    // A non-finite number has no JSON spelling.
+    f64: v => if v.is_finite() { v.to_string() } else { "null".into() },
+    &str: v => {
+        let mut out = String::new();
+        fedsz_telemetry::push_json_string(&mut out, v);
+        out
+    },
+    String: v => v.as_str().json(),
+}
+
+impl<T: Value> Value for Option<T> {
+    fn json(&self) -> String {
+        self.as_ref().map_or("null".into(), T::json)
+    }
+}
+
+impl<T: Value> Value for Vec<T> {
+    fn json(&self) -> String {
+        format!("[{}]", self.iter().map(T::json).collect::<Vec<_>>().join(", "))
+    }
+}
+
+impl<V: Value> Value for BTreeMap<&str, V> {
+    fn json(&self) -> String {
+        let members = self.iter().map(|(k, v)| format!("{}: {}", k.json(), v.json()));
+        format!("{{{}}}", members.collect::<Vec<_>>().join(", "))
+    }
+}
+
+/// One grid row: each argument rendered through [`Value`].
+#[macro_export]
+macro_rules! row {
+    ($($value:expr),* $(,)?) => {
+        vec![$($crate::Value::json(&$value)),*]
+    };
+}
+
+/// One bench run's document — its settings, row grids and gates —
+/// written as one JSON file by [`Report::finish`].
+///
+/// Column lists are one string, names separated by `;`.
+#[derive(Debug, Default)]
+pub struct Report {
+    schema: &'static str,
+    timing: Vec<&'static str>,
+    /// Prefixes gate names and names tables (`paper`'s sections).
+    scope: &'static str,
+    settings: Vec<String>,
+    grids: Vec<(String, String)>,
+    gates: Vec<String>,
+    failed: usize,
+}
+
+impl Report {
+    /// An empty report of `schema` (`fedsz.<bin>.v<N>`). `timing` names
+    /// the bin's timing columns once: a column is timing when the list
+    /// names it or its grid.
+    pub fn new(schema: &'static str, timing: &'static str) -> Self {
+        Self { schema, timing: timing.split(';').collect(), ..Self::default() }
+    }
+
+    /// Records one run setting.
+    pub fn setting(&mut self, key: &str, value: impl Value) {
+        self.settings.push(format!("{}: {}", key.json(), value.json()));
+    }
+
+    /// Prefixes later gates with `scope.` and names later tables after it.
+    pub fn scope(&mut self, scope: &'static str) {
+        self.scope = scope;
+    }
+
+    /// Records a grid: rows of [`row!`] cells under `columns`, matched
+    /// across runs by the `key` columns (by position when `key` is empty).
+    pub fn grid(&mut self, name: &str, key: &str, columns: &str, rows: &[Vec<String>]) {
+        let key: Vec<&str> = key.split(';').filter(|k| !k.is_empty()).collect();
+        let columns: Vec<&str> = columns.split(';').collect();
+        assert!(rows.iter().all(|row| row.len() == columns.len()), "grid `{name}`: ragged row");
+        let timed =
+            |c: &&str| !key.contains(c) && [*c, name].iter().any(|t| self.timing.contains(t));
+        let timing: Vec<&str> = columns.iter().copied().filter(timed).collect();
+        let rows: Vec<String> = rows.iter().map(|row| format!("  [{}]", row.join(", "))).collect();
+        let grid = format!(
+            "{{\"key\": {}, \"timing\": {}, \"columns\": {}, \"rows\": [\n{}\n]}}",
+            key.json(),
+            timing.json(),
+            columns.json(),
+            rows.join(",\n")
+        );
+        self.grids.push((name.to_string(), grid));
+    }
+
+    /// Prints a table and records it as a grid named after the scope
+    /// (`scope.2`, `scope.3` for later ones). Headers and each row are
+    /// one string, cells separated by `;`.
+    pub fn table(&mut self, title: &str, headers: &str, rows: &[String]) {
+        let cells: Vec<Vec<String>> =
+            rows.iter().map(|row| row.split(';').map(String::from).collect()).collect();
+        println!("\n=== {title} ===\n");
+        print!("{}", render_table(&headers.split(';').collect::<Vec<_>>(), &cells));
+        let earlier =
+            self.grids.iter().filter(|(name, _)| name.split('.').next() == Some(self.scope));
+        let name = match earlier.count() {
+            0 => self.scope.to_string(),
+            n => format!("{}.{}", self.scope, n + 1),
+        };
+        let rows: Vec<_> = cells.iter().map(|row| row.iter().map(|c| c.json()).collect()).collect();
+        self.grid(&name, "", headers, &rows);
+        // The title leads the table's grid object.
+        let grid = &mut self.grids.last_mut().expect("just recorded").1;
+        grid.insert_str(1, &format!("\"title\": {}, ", title.json()));
+    }
+
+    /// Records one gate's verdict over the numbers recorded before it.
+    pub fn gate(&mut self, name: &str, passed: bool, detail: &str) {
+        let name =
+            if self.scope.is_empty() { name.to_string() } else { format!("{}.{name}", self.scope) };
+        println!("gate {name}: {} — {detail}", if passed { "pass" } else { "FAIL" });
+        self.failed += usize::from(!passed);
+        let (name, detail) = (name.json(), detail.json());
+        self.gates
+            .push(format!("  {{\"name\": {name}, \"passed\": {passed}, \"detail\": {detail}}}"));
+    }
+
+    /// Writes the document to `out` (`-` writes nothing), then returns
+    /// the bin's exit status: 1 when a gate failed, else 0. The document
+    /// is written either way, so a failing run can still be read.
     ///
     /// # Panics
     ///
-    /// Panics with a clear message when the value does not parse.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.raw.iter().position(|a| a == key) {
-            Some(i) => {
-                let v = self.raw.get(i + 1).unwrap_or_else(|| panic!("{key} requires a value"));
-                v.parse().unwrap_or_else(|_| panic!("could not parse `{v}` for {key}"))
-            }
-            None => default,
+    /// Panics when `out` cannot be written.
+    pub fn finish(&self, out: &str) -> i32 {
+        let version = self.schema.rsplit_once(".v").map_or("null", |(_, v)| v);
+        let grids: Vec<String> =
+            self.grids.iter().map(|(name, g)| format!("{}: {g}", name.json())).collect();
+        let document = format!(
+            "{{\n\"schema\": {},\n\"schema_version\": {version},\n\"settings\": {{{}}},\n\
+             \"gates_failed\": {},\n\"gates\": [\n{}\n],\n\"grids\": {{\n{}\n}}\n}}\n",
+            self.schema.json(),
+            self.settings.join(", "),
+            self.failed,
+            self.gates.join(",\n"),
+            grids.join(",\n")
+        );
+        if out != "-" {
+            std::fs::write(out, document).unwrap_or_else(|e| panic!("write {out}: {e}"));
+            eprintln!("wrote {out}");
         }
-    }
-
-    /// The model-scale fraction (`--full` overrides `--scale`).
-    pub fn scale(&self, default: f64) -> f64 {
-        if self.has("--full") {
-            1.0
-        } else {
-            self.get("--scale", default)
+        if self.failed > 0 {
+            eprintln!("{} gate(s) failed", self.failed);
         }
+        i32::from(self.failed > 0)
     }
-}
-
-/// Renders a JSON string literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::new();
-    fedsz_telemetry::push_json_string(&mut out, s);
-    out
-}
-
-/// Renders a JSON array of already-rendered values.
-pub fn json_arr(items: impl IntoIterator<Item = String>) -> String {
-    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(", "))
-}
-
-/// Renders a JSON array of string literals.
-pub fn json_strs<S: AsRef<str>>(items: &[S]) -> String {
-    json_arr(items.iter().map(|s| json_str(s.as_ref())))
-}
-
-/// Renders a JSON object of already-rendered values.
-pub fn json_obj(members: &[(&str, String)]) -> String {
-    let members: Vec<String> =
-        members.iter().map(|(k, v)| format!("{}: {v}", json_str(k))).collect();
-    format!("{{{}}}", members.join(", "))
 }
 
 /// Times a closure, returning its value and elapsed seconds.
@@ -124,12 +317,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         line(&mut out, row);
     }
     out
-}
-
-/// Prints a table with a title banner.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===\n");
-    print!("{}", render_table(headers, rows));
 }
 
 /// Renders one `(x, y)` series as an ASCII bar chart (log-ish friendly:
@@ -273,26 +460,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn args_parse_values_and_flags() {
-        let args = Args::from_vec(vec![
-            "--scale".into(),
-            "0.25".into(),
-            "--rounds".into(),
-            "7".into(),
-            "--verbose".into(),
-        ]);
-        assert_eq!(args.get("--rounds", 10usize), 7);
-        assert!((args.scale(0.05) - 0.25).abs() < 1e-12);
-        assert!(args.has("--verbose"));
-        assert!(!args.has("--full"));
-        assert_eq!(args.get("--missing", 3usize), 3);
+    const USAGE: &str = "bin [--scale F | --full] [--rounds N] [--clients N,N] [--verbose]";
+
+    fn args(usage: &'static str, raw: &[&str]) -> Result<Args, String> {
+        Args::from_vec(usage, raw.iter().map(|a| a.to_string()).collect())
     }
 
     #[test]
-    fn full_overrides_scale() {
-        let args = Args::from_vec(vec!["--full".into(), "--scale".into(), "0.1".into()]);
-        assert_eq!(args.scale(0.05), 1.0);
+    fn args_parse_values_lists_and_switches() {
+        let args = args(USAGE, &["--scale", "0.25", "--rounds", "7", "--verbose"]).unwrap();
+        assert_eq!(args.get("--rounds", 10usize), 7);
+        assert_eq!(args.get("--scale", 0.05), 0.25);
+        assert!(args.has("--verbose") && !args.has("--full"));
+        assert_eq!(args.get("--clients", 3usize), 3);
+        assert_eq!(args.list::<usize>("--clients", "2, 4"), [2, 4]);
+        let args = self::args(USAGE, &["--full", "--clients", "10"]).unwrap();
+        assert!(args.has("--full") && args.value("--scale").is_none());
+        assert_eq!(args.list::<usize>("--clients", "2,4"), [10]);
+    }
+
+    #[test]
+    fn args_reject_what_the_usage_does_not_name() {
+        let err = |raw: &[&str]| args(USAGE, raw).unwrap_err();
+        assert_eq!(err(&["--client", "10"]), "unknown flag `--client`");
+        assert_eq!(err(&["table1"]), "unexpected argument `table1`");
+        assert_eq!(err(&["--rounds"]), "--rounds requires a value");
+        assert_eq!(err(&["--full", "--full"]), "--full given twice");
+        let sections = args("paper [--out PATH] [SECTION...]", &["fig4", "--out", "-", "fig5"]);
+        assert_eq!(sections.unwrap().positional, ["fig4", "fig5"]);
+    }
+
+    #[test]
+    fn a_failed_gate_still_writes_the_document_and_exits_1() {
+        let mut report = Report::new("fedsz.test.v3", "secs;priced");
+        report.setting("rounds", 2usize);
+        let rows = [row!["a", 1.5, 0.25, f64::NAN], row!["b", 2.0, 0.5, Some(true)]];
+        report.grid("points", "name", "name;ratio;secs;extra", &rows);
+        report.grid("priced", "name", "name;bytes", &[row!["auto", 7usize]]);
+        report.scope("fig4");
+        report.table("two", "Model;Acc", &["AlexNet;0.9".into()]);
+        report.table("two more", "Model;Acc", &["ResNet;0.8".into()]);
+        report.gate("holds", true, "fine");
+        report.gate("breaks", false, "forged");
+        let out = std::env::temp_dir().join(format!("fedsz_report_{}.json", std::process::id()));
+        assert_eq!(report.finish(out.to_str().unwrap()), 1);
+        let text = std::fs::read_to_string(&out).unwrap();
+        let _ = std::fs::remove_file(&out);
+        let doc = fedsz_telemetry::json::parse(&text).expect("valid JSON");
+        assert_eq!(doc.get("schema_version").and_then(|v| v.as_f64()), Some(3.0));
+        assert_eq!(doc.get("gates_failed").and_then(|v| v.as_f64()), Some(1.0));
+        let gates = doc.get("gates").and_then(|g| g.as_array()).unwrap();
+        let names: Vec<_> = gates.iter().filter_map(|g| g.get("name")?.as_str()).collect();
+        assert_eq!(names, ["fig4.holds", "fig4.breaks"]);
+        let grids = doc.get("grids").and_then(|g| g.as_object()).unwrap();
+        assert_eq!(grids.keys().collect::<Vec<_>>(), ["fig4", "fig4.2", "points", "priced"]);
+        let timing = |grid: &str| grids[grid].get("timing").unwrap().as_array().unwrap().len();
+        // Named columns, or a whole grid bar its key.
+        assert_eq!((timing("points"), timing("priced"), timing("fig4")), (1, 1, 0));
+        let rows = grids["points"].get("rows").and_then(|r| r.as_array()).unwrap();
+        assert!(rows[0].as_array().unwrap()[3].is_null(), "NaN is written as null");
+        assert_eq!(report.finish("-"), 1, "`-` writes nothing and still fails");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Drives the `paper` bin the way CI does, at smoke scale, and checks
-//! the `fedsz.paper.v1` document it writes with a real JSON parser.
+//! the `fedsz.paper.v2` document it writes with a real JSON parser.
 
 use fedsz_telemetry::json::{self, Json};
 use std::path::PathBuf;
@@ -54,6 +54,13 @@ fn text<'a>(value: &'a Json, key: &str) -> &'a str {
     value.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("`{key}` must be a string"))
 }
 
+/// A grid's rows as column-name → cell maps.
+fn rows(grid: &Json) -> Vec<std::collections::BTreeMap<&str, &Json>> {
+    let columns: Vec<&str> = array(grid, "columns").iter().filter_map(Json::as_str).collect();
+    let rows = array(grid, "rows").iter().map(|row| row.as_array().expect("a row is an array"));
+    rows.map(|row| columns.iter().copied().zip(row).collect()).collect()
+}
+
 // The full-size metadata pool and xz make this minutes long unoptimized.
 #[cfg_attr(debug_assertions, ignore = "run with --release, as CI does")]
 #[test]
@@ -64,26 +71,32 @@ fn smoke_run_writes_every_section_and_evaluates_every_gate() {
     // (one round trains nothing); anything else is a crash or misuse.
     assert!(matches!(code, Some(0 | 1)), "paper exited with {code:?}");
     let doc = load(&out);
-    assert_eq!(text(&doc, "schema"), "fedsz.paper.v1");
-    assert_eq!(doc.get("schema_version").and_then(Json::as_f64), Some(1.0));
-    assert_eq!(doc.get("scale").and_then(Json::as_f64), Some(0.002));
-    assert_eq!(doc.get("rounds").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(text(&doc, "schema"), "fedsz.paper.v2");
+    assert_eq!(doc.get("schema_version").and_then(Json::as_f64), Some(2.0));
+    let settings = doc.get("settings").expect("`settings` object");
+    assert_eq!(settings.get("scale").and_then(Json::as_f64), Some(0.002));
+    assert_eq!(settings.get("rounds").and_then(Json::as_f64), Some(1.0));
+    let ran: Vec<&str> = array(settings, "sections").iter().filter_map(Json::as_str).collect();
+    assert_eq!(ran, SECTIONS);
 
-    let sections = doc.get("sections").and_then(Json::as_object).expect("`sections` object");
-    assert_eq!(sections.keys().map(String::as_str).collect::<Vec<_>>(), {
-        let mut sorted = SECTIONS.to_vec();
-        sorted.sort_unstable();
-        sorted
-    });
-    for (name, tables) in sections {
-        let tables = tables.as_array().expect("a section is an array of tables");
-        // Figure 3 is three histograms, as in its parent bin.
-        assert_eq!(tables.is_empty(), name == "fig3", "{name}");
-        for table in tables {
-            let width = array(table, "headers").len();
-            let rows = array(table, "rows");
-            assert!(!text(table, "title").is_empty() && !rows.is_empty(), "{name}");
-            assert!(rows.iter().all(|r| r.as_array().is_some_and(|r| r.len() == width)), "{name}");
+    // The three grids, then every section's tables: `fig4` and `fig4.2`
+    // for a section's first two. Figure 3 is three histograms, as in
+    // its parent bin, so it has none.
+    let grids = doc.get("grids").and_then(Json::as_object).expect("`grids` object");
+    for name in SECTIONS {
+        assert_eq!(grids.contains_key(name), name != "fig3", "{name}");
+    }
+    for (name, grid) in grids {
+        let section = name.split('.').next().unwrap();
+        assert!(name.ends_with("_grid") || SECTIONS.contains(&section), "{name}");
+        let columns = array(grid, "columns");
+        for list in ["key", "timing"] {
+            assert!(array(grid, list).iter().all(|c| columns.contains(c)), "{name}: {list}");
+        }
+        let rows = array(grid, "rows");
+        assert!(rows.iter().all(|r| r.as_array().is_some_and(|r| r.len() == columns.len())));
+        if !name.ends_with("_grid") {
+            assert!(!text(grid, "title").is_empty() && !rows.is_empty(), "{name}");
         }
     }
 
@@ -123,18 +136,18 @@ fn smoke_run_writes_every_section_and_evaluates_every_gate() {
         assert_eq!(verdict(name), Some(true), "{name}");
     }
 
-    let lossy = array(&doc, "lossy_grid");
+    let lossy = rows(&grids["lossy_grid"]);
     assert_eq!(lossy.len(), 3 * 4 * 3, "models x codecs x bounds");
     for cell in lossy {
-        let err = cell.get("err_over_eb").and_then(Json::as_f64).expect("err_over_eb");
-        let held = cell.get("bound_held").and_then(Json::as_bool).expect("bound_held");
+        let err = cell["err_over_eb"].as_f64().expect("err_over_eb");
+        let held = cell["bound_held"].as_bool().expect("bound_held");
         assert_eq!(held, err <= 1.0);
-        assert!(held || text(cell, "codec") == "ZFP", "only ZFP may overshoot: {cell:?}");
+        assert!(held || cell["codec"].as_str() == Some("ZFP"), "only ZFP may overshoot: {cell:?}");
     }
-    assert_eq!(array(&doc, "pipeline_grid").len(), 3 * 3 * 5, "datasets x models x bounds");
-    let training = array(&doc, "training_grid");
+    assert_eq!(rows(&grids["pipeline_grid"]).len(), 3 * 3 * 5, "datasets x models x bounds");
+    let training = rows(&grids["training_grid"]);
     assert_eq!(training.len(), 3 * 15 + 6, "CIFAR-10 archs x uplinks, plus Fig 6's six");
-    assert!(training.iter().all(|run| array(run, "accuracy").len() == 1));
+    assert!(training.iter().all(|run| run["accuracy"].as_array().is_some_and(|a| a.len() == 1)));
 }
 
 #[test]
@@ -145,7 +158,11 @@ fn a_filtered_run_spares_the_tracked_file_and_rejects_unknown_names() {
     let out = scratch("filtered");
     assert_eq!(paper(&["--scale", "0.002", "table4", "--out", out.to_str().unwrap()]), Some(0));
     let doc = load(&out);
-    let sections = doc.get("sections").and_then(Json::as_object).expect("`sections` object");
-    assert_eq!(sections.keys().collect::<Vec<_>>(), ["table4"]);
-    assert!(array(&doc, "lossy_grid").is_empty(), "a grid no section reads is not measured");
+    let grids = doc.get("grids").and_then(Json::as_object).expect("`grids` object");
+    let names = ["lossy_grid", "pipeline_grid", "table4", "training_grid"];
+    assert_eq!(grids.keys().collect::<Vec<_>>(), names);
+    assert!(
+        array(&grids["lossy_grid"], "rows").is_empty(),
+        "a grid no section reads is not measured"
+    );
 }
