@@ -165,17 +165,13 @@ impl Downlink {
         DownlinkPayload { bytes, compressed, encode_secs, raw_bytes, choice }
     }
 
-    /// Decodes a received broadcast (FedSZ stream or raw dict bytes).
+    /// Decodes a received broadcast ([`decode_broadcast`]).
     ///
     /// # Errors
     ///
     /// Returns a codec error on malformed bytes.
     pub fn decode(&self, bytes: &[u8], compressed: bool) -> Result<StateDict> {
-        if compressed {
-            self.codec.as_ref().expect("compressed broadcast without codec").decompress(bytes)
-        } else {
-            StateDict::from_bytes(bytes)
-        }
+        decode_broadcast(bytes, compressed)
     }
 
     /// Folds one round's measured costs into the EWMA profile the
@@ -186,6 +182,23 @@ impl Downlink {
             let (raw, shipped) = (payload.raw_bytes, payload.bytes.len());
             self.stage.observe(0, raw, shipped, payload.encode_secs, Some(decode_secs));
         }
+    }
+}
+
+/// Decodes one round's broadcast bytes (FedSZ stream or raw dict
+/// bytes) — the one decode every receiver runs: the engine, a worker,
+/// and a root re-reading its own frame. The FedSZ stream embeds its
+/// codec configuration, so no local codec is needed (and none can
+/// drift from the sender's).
+///
+/// # Errors
+///
+/// Returns a codec error on malformed bytes.
+pub fn decode_broadcast(bytes: &[u8], compressed: bool) -> Result<StateDict> {
+    if compressed {
+        Ok(FedSz::decompress_with_config(bytes)?.0)
+    } else {
+        StateDict::from_bytes(bytes)
     }
 }
 

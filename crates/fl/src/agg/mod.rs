@@ -78,7 +78,7 @@ pub mod shard;
 mod simd;
 pub mod tree;
 
-pub use downlink::{Downlink, DownlinkMode, DownlinkPayload};
+pub use downlink::{decode_broadcast, Downlink, DownlinkMode, DownlinkPayload};
 pub use plan::TreePlan;
 pub use pool::WorkerPool;
 pub use psum::{PsumForwarder, PsumFrame, PsumMode, PsumScratch};

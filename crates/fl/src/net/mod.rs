@@ -92,6 +92,11 @@
 //!
 //! [`PartialSum::encode_exact`]: crate::agg::PartialSum::encode_exact
 
+// Root and relay share one round loop; a role split that needs an
+// unreachable arm belongs in `server::Parent` instead.
+#![deny(clippy::unreachable)]
+
+mod membership;
 pub mod server;
 pub mod worker;
 

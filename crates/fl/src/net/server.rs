@@ -1,39 +1,27 @@
 //! The reactor-based TCP server: `fedsz serve` as root or relay
 //! aggregator.
 //!
-//! One [`NetServer`] owns a listener and multiplexes **every** child
-//! session (workers, or downstream relays) through a single
-//! [`Reactor`] thread — nonblocking sockets, a `poll(2)` readiness
-//! loop, per-connection frame reassembly and write-backpressured
-//! outboxes. Each round the main loop queues one encode-once broadcast
-//! frame on every live session, then runs the round barrier by pumping
-//! reactor events until every awaited child has contributed or the
-//! deadline hits — evicting the silent, merging what arrived, and
-//! moving on.
+//! One [`NetServer`] multiplexes every child session (workers, or
+//! downstream relays) through a single [`Reactor`] thread. Root and
+//! relay share one round loop; the private `Parent` holds the two ends
+//! that differ: where a round's broadcast comes from (the root's
+//! global, or the relay's upstream) and where the folded round goes
+//! (into the global, or upstream as an exact partial-sum frame). Each
+//! round's broadcast is encoded once for every live session, and the
+//! barrier pumps the reactor until nobody is awaited or the deadline
+//! hits. Who is awaited, and who is evicted, is `membership.rs`'s rule.
 //!
-//! Membership is *elastic*: an evicted or disconnected worker may
-//! reconnect (its `Join` replaces the dead session) and re-enter at
-//! the next round barrier; within `reconnect_grace` of a disconnect
-//! the barrier even holds the current round open so a resumed session
-//! can resend its cached update. When a relay dies mid-tree, a sharded
-//! root opens that shard's client range for *adoption*: the orphaned
-//! workers re-parent directly to the root and the round completes
-//! degraded instead of hanging.
-//!
-//! Aggregation reuses the simulator's exact machinery: every worker
-//! update goes through the shared [`FoldStep`] (decode → validate
-//! against the architecture), then into a [`PartialSum`] in ascending
-//! child order; relay
-//! frames are [`PartialSum::decode_exact`]-ed and merged, and the
-//! fixed-point accumulator makes the result independent of process
-//! placement — the bit-parity the integration tests pin down.
+//! Worker updates go through the shared [`FoldStep`] into a
+//! [`PartialSum`] in ascending child order, relay frames are
+//! [`PartialSum::decode_exact`]-ed and merged: the fixed-point
+//! accumulator makes the result independent of process placement.
 
-use crate::agg::{Downlink, PartialSum};
+use crate::agg::{decode_broadcast, Downlink, PartialSum};
+use crate::net::membership::{ChildKey, Membership};
 use crate::net::{global_checksum, invalid};
 use crate::plan::RoundPlan;
 use crate::step::FoldStep;
 use crate::FlConfig;
-use fedsz::FedSz;
 use fedsz_lossless::PsumCodec;
 use fedsz_net::{Message, NetError, Reactor, ReactorEvent, Session, Token};
 use fedsz_nn::{Model, StateDict};
@@ -41,14 +29,8 @@ use fedsz_telemetry::{Telemetry, Value};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Longest one connection may sit in the handshake before it is
-/// dropped (kept well under any sane accept window so a stalled
-/// connection cannot starve the join barrier).
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// What this server is in the aggregation hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,7 +179,7 @@ impl ServeConfig {
 }
 
 /// One finished round as the server observed it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetRound {
     /// Round index.
     pub round: u32,
@@ -255,285 +237,91 @@ pub struct ServeReport {
     pub psum_compressed_frames: usize,
 }
 
-/// What a child sent back for one round.
+/// The round's contributions, by seat.
+type Uploads = BTreeMap<ChildKey, Upload>;
+
+/// What a child sent back for one round: a worker's (possibly
+/// FedSZ-compressed) update, or a relay's exact partial-sum image
+/// (possibly `PsumCodec`-packed).
 enum Upload {
-    /// A leaf worker's (possibly FedSZ-compressed) update.
     Update { payload: Vec<u8>, compressed: bool },
-    /// A relay's partial-sum frame (exact accumulator image, possibly
-    /// `PsumCodec`-compressed).
     Partial { payload: Vec<u8>, compressed: bool },
 }
 
-/// One child seat in the membership table. Relay and worker id spaces
-/// overlap (shard 0 and client 0 are distinct children), so the key
-/// carries the kind — the `Join.relay` flag on the wire resolves which
-/// seat a connection claims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum ChildKey {
-    /// A downstream relay, by shard index (sharded root only).
-    Relay(u32),
-    /// A leaf worker, by client id.
-    Worker(u64),
-}
-
-impl ChildKey {
-    fn id(self) -> u64 {
-        match self {
-            ChildKey::Relay(shard) => u64::from(shard),
-            ChildKey::Worker(id) => id,
-        }
-    }
-}
-
-/// Per-child membership state, persisting across connections: the seat
-/// survives a disconnect so a resumed session can rebind to it.
-#[derive(Debug, Default)]
-struct Slot {
-    /// The live reactor connection, when bound.
-    token: Option<Token>,
-    /// When the last connection died (grace windows key off this).
-    disconnected_at: Option<Instant>,
-    /// Why the last connection died, for the eviction record.
-    disconnect_reason: Option<String>,
-    /// Protocol violators and dead relays never rebind.
-    permanent: bool,
-    /// An eviction has been recorded for the current disconnection
-    /// episode — cleared on rebind, so one outage is one eviction row
-    /// however many rounds it spans.
-    episode_evicted: bool,
-    /// Whether any connection ever bound this seat (a never-joined
-    /// expected child is not evicted — it just never existed).
-    ever_bound: bool,
-}
-
-/// The reactor-driven server runtime: membership table, round barrier
-/// and elastic reconnect/re-parent bookkeeping around one [`Reactor`].
+/// The membership table and the round barrier around one [`Reactor`].
 struct Runtime<'a> {
     reactor: Reactor,
     config: &'a ServeConfig,
-    /// The worker range of each relay shard; non-empty exactly at a
-    /// sharded root (whose children are relays and whose adoption
-    /// windows map shards to client ranges).
-    shard_ranges: Vec<Range<usize>>,
-    slots: BTreeMap<ChildKey, Slot>,
-    by_token: BTreeMap<Token, ChildKey>,
-    /// Accepted connections that have not sent their Join yet, with
-    /// their handshake deadlines.
-    pending: Vec<(Token, Instant)>,
-    /// Shards whose relay died, with the death instant: their workers
-    /// may re-parent here, and the barrier holds one grace window for
-    /// them.
-    failed_shards: BTreeMap<u32, Instant>,
+    members: Membership,
     events: Vec<ReactorEvent>,
-    // --- current-round state ---
-    round: u32,
-    in_round: bool,
+    /// The round's encoded broadcast, while its barrier is open.
     frame: Option<Arc<Vec<u8>>>,
-    got: BTreeMap<ChildKey, Upload>,
-    up_bytes: usize,
-    down_bytes: usize,
-    evicted_now: usize,
-    reconnects_now: usize,
-    reparented_now: usize,
-    reconnects_total: usize,
-    reparented_total: usize,
-    evictions: Vec<(u64, u32, String)>,
+    got: Uploads,
+    /// The round being filled (joins and evictions before round 0
+    /// count in round 0).
+    row: NetRound,
 }
 
-impl<'a> Runtime<'a> {
-    fn new(
-        reactor: Reactor,
-        config: &'a ServeConfig,
-        shard_ranges: Vec<Range<usize>>,
-        expected: &[ChildKey],
-    ) -> Self {
-        let slots = expected.iter().map(|&key| (key, Slot::default())).collect();
-        Self {
-            reactor,
-            config,
-            shard_ranges,
-            slots,
-            by_token: BTreeMap::new(),
-            pending: Vec::new(),
-            failed_shards: BTreeMap::new(),
-            events: Vec::new(),
-            round: 0,
-            in_round: false,
-            frame: None,
-            got: BTreeMap::new(),
-            up_bytes: 0,
-            down_bytes: 0,
-            evicted_now: 0,
-            reconnects_now: 0,
-            reparented_now: 0,
-            reconnects_total: 0,
-            reparented_total: 0,
-            evictions: Vec::new(),
-        }
-    }
-
-    fn live_tokens(&self) -> Vec<Token> {
-        self.slots.values().filter(|s| !s.permanent).filter_map(|s| s.token).collect()
-    }
-
-    /// Whether a worker id falls inside a failed relay's shard — the
-    /// adoption rule. The window never closes (the relay is never
-    /// coming back); only the *barrier hold* for prospective adoptees
-    /// is grace-bounded.
-    fn adoptable(&self, id: u64) -> bool {
-        self.shard_of(id).is_some_and(|shard| self.failed_shards.contains_key(&shard))
-    }
-
-    /// The relay shard whose range holds worker `id` (`None` off a
-    /// sharded root, or for an id outside the cohort).
-    fn shard_of(&self, id: u64) -> Option<u32> {
-        let id = usize::try_from(id).ok()?;
-        self.shard_ranges.iter().position(|range| range.contains(&id)).map(|shard| shard as u32)
-    }
-
-    /// Whether a failed relay's shard still has a worker that has not
-    /// re-parented here.
-    fn orphan_missing(&self, shard: u32) -> bool {
-        self.shard_ranges[shard as usize]
-            .clone()
-            .any(|id| !self.slots.contains_key(&ChildKey::Worker(id as u64)))
-    }
-
+impl Runtime<'_> {
     /// One poll-and-dispatch tick, bounded by `timeout`.
     fn pump(&mut self, timeout: Duration) -> Result<(), NetError> {
         let mut events = std::mem::take(&mut self.events);
         let result = self.reactor.poll(timeout, &mut events);
-        if result.is_err() {
-            self.events = events;
-            return result;
-        }
-        for event in events.drain(..) {
+        for event in events.drain(..).filter(|_| result.is_ok()) {
+            let now = Instant::now();
             match event {
-                ReactorEvent::Accepted(token) => {
-                    self.pending.push((token, Instant::now() + HANDSHAKE_TIMEOUT));
-                }
+                ReactorEvent::Accepted(token) => self.members.accepted(token, now),
                 ReactorEvent::Frame(token, message) => self.handle_frame(token, message),
-                ReactorEvent::Closed(token, reason) => self.handle_closed(token, reason),
+                ReactorEvent::Closed(token, reason) => {
+                    self.members.closed(token, reason, now, &mut self.row)
+                }
             }
         }
         self.events = events;
-        Ok(())
+        result
     }
 
-    /// Drops pending connections that never produced their Join.
-    fn expire_handshakes(&mut self, now: Instant) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if now >= self.pending[i].1 {
-                let (token, _) = self.pending.swap_remove(i);
-                self.reactor.close(token);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// The handshake barrier: pumps the reactor until every expected
-    /// child has joined at least once or the accept deadline passes.
-    /// The listener keeps accepting afterwards — membership is
-    /// elastic, this phase only front-loads the common case.
-    fn accept_phase(&mut self) -> Result<(), NetError> {
-        let span = self
-            .config
-            .telemetry
-            .span_with("reactor.accept", &[("expected", Value::U64(self.slots.len() as u64))]);
-        let deadline = Instant::now() + self.config.accept_timeout;
+    /// Pumps until `done` or the instant `until`, waking whenever a
+    /// handshake window or a barrier hold ends.
+    fn pump_until(&mut self, until: Instant, done: impl Fn(&Self) -> bool) -> Result<(), NetError> {
         loop {
             let now = Instant::now();
-            self.expire_handshakes(now);
-            if now >= deadline || self.slots.values().all(|s| s.ever_bound) {
-                break;
+            let reactor = &mut self.reactor;
+            self.members.expire_handshakes(now, |token| reactor.close(token));
+            if now >= until || done(self) {
+                return Ok(());
             }
-            let mut wake = deadline;
-            for &(_, at) in &self.pending {
-                if at > now {
-                    wake = wake.min(at);
-                }
-            }
+            let wake = self.members.next_wake(&self.got, until, now);
             self.pump(wake.saturating_duration_since(now).max(Duration::from_millis(1)))?;
-        }
-        drop(span);
-        Ok(())
-    }
-
-    /// A connection's first frame was a Join: bind it to its seat, or
-    /// drop it. Rejected joins are closed *without* a Shutdown frame —
-    /// a retrying worker sees a dead socket and keeps retrying, while
-    /// Shutdown is reserved for real teardown.
-    fn handle_join(&mut self, token: Token, client_id: u64, relay: bool) {
-        let key =
-            if relay { ChildKey::Relay(client_id as u32) } else { ChildKey::Worker(client_id) };
-        let known = self.slots.contains_key(&key);
-        let adoption = !known && !relay && self.adoptable(client_id);
-        if (!known && !adoption) || (known && self.slots[&key].permanent) {
-            self.reactor.close(token);
-            return;
-        }
-        if adoption {
-            self.slots.insert(key, Slot::default());
-        }
-        let slot = self.slots.get_mut(&key).expect("seat exists or was just created");
-        // A rebind on an occupied seat wins: the old connection is a
-        // dead socket the reactor has not noticed yet (the reconnect
-        // race), and closing it here suppresses its obituary.
-        if let Some(old) = slot.token.take() {
-            self.by_token.remove(&old);
-            self.reactor.close(old);
-        }
-        let rejoin = slot.ever_bound;
-        slot.token = Some(token);
-        slot.ever_bound = true;
-        slot.disconnected_at = None;
-        slot.disconnect_reason = None;
-        slot.episode_evicted = false;
-        self.by_token.insert(token, key);
-        let telemetry = &self.config.telemetry;
-        let labels =
-            [("child", Value::U64(client_id)), ("round", Value::U64(u64::from(self.round)))];
-        if adoption {
-            telemetry.event("serve.reparent", &labels);
-            telemetry.add("fedsz_net_sessions_total", 1.0);
-            telemetry.add("fedsz_net_reparent_total", 1.0);
-            telemetry.add("fedsz_net_reconnects_total", 1.0);
-            self.reparented_now += 1;
-            self.reparented_total += 1;
-            self.reconnects_now += 1;
-            self.reconnects_total += 1;
-        } else if rejoin {
-            telemetry.event("serve.rejoin", &labels);
-            telemetry.add("fedsz_net_reconnects_total", 1.0);
-            self.reconnects_now += 1;
-            self.reconnects_total += 1;
-        } else {
-            telemetry.event("serve.connect", &[("child", Value::U64(client_id))]);
-            telemetry.add("fedsz_net_sessions_total", 1.0);
-        }
-        // A mid-round (re)join gets the current broadcast immediately,
-        // so a resumed session can resend its cached update (and an
-        // adopted orphan can train) before the barrier closes.
-        if self.in_round && !self.got.contains_key(&key) {
-            if let Some(frame) = &self.frame {
-                self.reactor.send(token, Arc::clone(frame));
-            }
         }
     }
 
     fn handle_frame(&mut self, token: Token, message: Message) {
-        if let Some(pos) = self.pending.iter().position(|&(t, _)| t == token) {
-            self.pending.swap_remove(pos);
-            match message {
-                Message::Join { client_id, relay, .. } => self.handle_join(token, client_id, relay),
-                // Anything else before the Join is not our protocol.
-                _ => self.reactor.close(token),
+        if self.members.take_pending(token) {
+            // A first frame that is no Join is not our protocol. A
+            // refused Join is closed without a Shutdown frame, so a
+            // retrying worker sees a dead socket and keeps retrying.
+            let joined = match message {
+                Message::Join { client_id, relay, .. } => {
+                    self.members.join(token, client_id, relay, &mut self.row)
+                }
+                _ => None,
+            };
+            let Some((key, replaced)) = joined else { return self.reactor.close(token) };
+            // A replaced connection is a dead socket the reactor has not
+            // noticed yet; closing it here suppresses its obituary.
+            if let Some(old) = replaced {
+                self.reactor.close(old);
+            }
+            // A mid-round (re)join gets the round's broadcast at once,
+            // so it can resend its cached update (or an adopted orphan
+            // train) before the barrier closes.
+            if let Some(frame) = self.frame.as_ref().filter(|_| !self.got.contains_key(&key)) {
+                self.reactor.send(token, Arc::clone(frame));
             }
             return;
         }
-        let Some(&key) = self.by_token.get(&token) else {
+        let Some(key) = self.members.key_of(token) else {
             return; // raced a close; nothing to attribute the frame to
         };
         let wire_in = message.encoded_len();
@@ -547,274 +335,193 @@ impl<'a> Runtime<'a> {
             Message::PartialSumCompressed { round, shard, payload, .. } => {
                 (u64::from(shard), round, Upload::Partial { payload, compressed: true })
             }
-            other => {
-                self.protocol_evict(key, format!("unexpected reply {other:?}"));
-                return;
-            }
+            other => return self.protocol_evict(key, format!("unexpected reply {other:?}")),
         };
-        if claimed != key.id() {
-            self.protocol_evict(
-                key,
-                format!("contribution claims id {claimed} on a session joined as {}", key.id()),
-            );
-            return;
+        let (id, round) = (key.id(), self.row.round);
+        if claimed != id {
+            let reason = format!("contribution claims id {claimed} on a session joined as {id}");
+            return self.protocol_evict(key, reason);
         }
-        if r > self.round {
-            self.protocol_evict(
-                key,
-                format!("contribution for future round {r} during round {}", self.round),
-            );
-            return;
+        if r > round {
+            let reason = format!("contribution for future round {r} during round {round}");
+            return self.protocol_evict(key, reason);
         }
-        // Stale rounds are resume resends whose original already
-        // merged (or missed its barrier); duplicates are the reconnect
-        // race resending into a seat that already contributed. Both
-        // are ignored, never evicted.
-        if r < self.round || !self.in_round || self.got.contains_key(&key) {
-            return;
-        }
-        self.up_bytes += wire_in;
-        self.down_bytes += self.frame.as_ref().map_or(0, |f| f.len());
-        self.got.insert(key, upload);
-    }
-
-    fn handle_closed(&mut self, token: Token, reason: String) {
-        if let Some(pos) = self.pending.iter().position(|&(t, _)| t == token) {
-            self.pending.swap_remove(pos);
-            return;
-        }
-        let Some(key) = self.by_token.remove(&token) else { return };
-        let Some(slot) = self.slots.get_mut(&key) else { return };
-        if slot.token != Some(token) {
-            return; // a replaced connection's obituary
-        }
-        slot.token = None;
-        slot.disconnected_at = Some(Instant::now());
-        slot.disconnect_reason = Some(reason.clone());
-        // A dead relay cannot resume its shard's mid-round state:
-        // evict it permanently and open the shard for adoption so its
-        // orphaned workers can re-parent here.
-        if let ChildKey::Relay(shard) = key {
-            slot.permanent = true;
-            if !slot.episode_evicted {
-                slot.episode_evicted = true;
-                record_eviction(&self.config.telemetry, key.id(), self.round, &reason);
-                self.evictions.push((key.id(), self.round, reason));
-                self.evicted_now += 1;
-            }
-            self.failed_shards.entry(shard).or_insert_with(Instant::now);
+        // Stale rounds are resume resends, duplicates the reconnect
+        // race resending into a seat that contributed: both ignored.
+        let Some(frame) = &self.frame else { return };
+        if r == round && !self.got.contains_key(&key) {
+            self.row.upstream_bytes += wire_in;
+            self.row.downstream_bytes += frame.len();
+            self.got.insert(key, upload);
         }
     }
 
-    /// Evicts a child for a protocol violation (bad frame, undecodable
-    /// upload): the seat is closed permanently — unlike a disconnect,
-    /// rejoining cannot cure bad bytes.
+    /// Bans a child for a protocol violation and drops what it sent.
     fn protocol_evict(&mut self, key: ChildKey, reason: String) {
-        let Some(slot) = self.slots.get_mut(&key) else { return };
-        if let Some(token) = slot.token.take() {
-            self.by_token.remove(&token);
+        if let Some(token) = self.members.ban(key, reason, Instant::now(), &mut self.row) {
             self.reactor.close(token);
-        }
-        slot.permanent = true;
-        if !slot.episode_evicted {
-            slot.episode_evicted = true;
-            record_eviction(&self.config.telemetry, key.id(), self.round, &reason);
-            self.evictions.push((key.id(), self.round, reason));
-            self.evicted_now += 1;
-        }
-        if let ChildKey::Relay(shard) = key {
-            self.failed_shards.entry(shard).or_insert_with(Instant::now);
         }
         self.got.remove(&key);
     }
 
-    /// Queues the round's broadcast on every live session and resets
-    /// the per-round collection state.
-    fn begin_round(&mut self, round: u32, frame: Arc<Vec<u8>>) {
-        self.round = round;
-        self.in_round = true;
-        self.got.clear();
-        self.up_bytes = 0;
-        self.down_bytes = 0;
-        let tokens = self.live_tokens();
+    /// Round `round`'s barrier: queues `frame` on every live session,
+    /// pumps until nobody is awaited or the deadline hits, settles the
+    /// membership and hands back the contributions.
+    fn run_barrier(&mut self, round: u32, frame: Arc<Vec<u8>>) -> Result<Uploads, NetError> {
+        self.row.round = round;
+        let tokens = self.members.live_tokens();
         self.reactor.broadcast(&tokens, &frame);
         self.frame = Some(frame);
-    }
-
-    /// Whether the barrier still has someone to wait for: a live
-    /// uncontributed seat, a disconnected seat inside its grace
-    /// window, or a freshly failed shard whose orphans may still
-    /// re-parent.
-    fn awaiting(&self, now: Instant) -> bool {
-        let grace = self.config.reconnect_grace;
-        for (key, slot) in &self.slots {
-            if slot.permanent || slot.episode_evicted || self.got.contains_key(key) {
-                continue;
-            }
-            match slot.token {
-                Some(_) => return true,
-                None => {
-                    if slot.ever_bound && slot.disconnected_at.is_some_and(|at| now < at + grace) {
-                        return true;
-                    }
-                }
-            }
-        }
-        self.failed_shards.iter().any(|(&shard, &died)| {
-            now < died + grace
-                && !self.got.contains_key(&ChildKey::Relay(shard))
-                && self.orphan_missing(shard)
-        })
-    }
-
-    /// The earliest instant after `now` at which waiting state can
-    /// change without socket activity.
-    fn next_wake(&self, deadline: Instant, now: Instant) -> Instant {
-        let grace = self.config.reconnect_grace;
-        let mut wake = deadline;
-        let mut consider = |at: Instant| {
-            if at > now && at < wake {
-                wake = at;
-            }
-        };
-        for &(_, at) in &self.pending {
-            consider(at);
-        }
-        for (key, slot) in &self.slots {
-            if slot.permanent || slot.episode_evicted || self.got.contains_key(key) {
-                continue;
-            }
-            if slot.token.is_none() {
-                if let Some(at) = slot.disconnected_at {
-                    consider(at + grace);
-                }
-            }
-        }
-        for &died in self.failed_shards.values() {
-            consider(died + grace);
-        }
-        wake
-    }
-
-    /// The round barrier: pumps the reactor until nobody is awaited or
-    /// the round deadline hits.
-    fn run_barrier(&mut self) -> Result<(), NetError> {
-        let live = self.live_tokens().len();
-        let span = self.config.telemetry.span_with(
-            "serve.barrier",
-            &[("round", Value::U64(u64::from(self.round))), ("live", Value::U64(live as u64))],
-        );
+        let labels =
+            [("round", Value::U64(u64::from(round))), ("live", Value::U64(tokens.len() as u64))];
+        let span = self.config.telemetry.span_with("serve.barrier", &labels);
         let deadline = Instant::now() + self.config.round_timeout;
-        loop {
-            let now = Instant::now();
-            self.expire_handshakes(now);
-            if now >= deadline || !self.awaiting(now) {
-                break;
-            }
-            let wake = self.next_wake(deadline, now);
-            self.pump(wake.saturating_duration_since(now).max(Duration::from_millis(1)))?;
-        }
+        self.pump_until(deadline, |rt| !rt.members.awaiting(&rt.got, Instant::now()))?;
         drop(span);
-        Ok(())
-    }
-
-    /// Settles the round after the barrier: evicts the silent and the
-    /// disconnected (once per outage), charges the frame-byte
-    /// counters, and hands back the round's contributions.
-    fn finish_barrier(&mut self) -> BTreeMap<ChildKey, Upload> {
-        let now = Instant::now();
-        let keys: Vec<ChildKey> = self.slots.keys().copied().collect();
-        for key in keys {
-            let slot = self.slots.get_mut(&key).expect("key came from the map");
-            if slot.permanent || slot.episode_evicted || self.got.contains_key(&key) {
-                continue;
-            }
-            let reason = match slot.token.take() {
-                Some(token) => {
-                    // Silent but connected: drop the session. The seat
-                    // stays rebindable — the child may reconnect and
-                    // re-enter at a later barrier.
-                    self.by_token.remove(&token);
-                    self.reactor.close(token);
-                    slot.disconnected_at = Some(now);
-                    "silent past the round deadline".to_string()
-                }
-                None => {
-                    if !slot.ever_bound {
-                        continue; // never joined: not a child, not an eviction
-                    }
-                    slot.disconnect_reason
-                        .clone()
-                        .unwrap_or_else(|| "silent past the round deadline".to_string())
-                }
-            };
-            slot.episode_evicted = true;
-            record_eviction(&self.config.telemetry, key.id(), self.round, &reason);
-            self.evictions.push((key.id(), self.round, reason));
-            self.evicted_now += 1;
+        let reactor = &mut self.reactor;
+        self.members.settle(&self.got, Instant::now(), &mut self.row, |token| reactor.close(token));
+        for (dir, bytes) in [("out", self.row.downstream_bytes), ("in", self.row.upstream_bytes)] {
+            let telemetry = &self.config.telemetry;
+            telemetry.add_labeled("fedsz_net_frame_bytes_total", "dir", dir, bytes as f64);
         }
-        self.config.telemetry.add_labeled(
-            "fedsz_net_frame_bytes_total",
-            "dir",
-            "out",
-            self.down_bytes as f64,
-        );
-        self.config.telemetry.add_labeled(
-            "fedsz_net_frame_bytes_total",
-            "dir",
-            "in",
-            self.up_bytes as f64,
-        );
-        self.in_round = false;
-        std::mem::take(&mut self.got)
-    }
-
-    /// Resets the per-round counters after the round row is recorded.
-    fn end_round(&mut self) {
-        self.evicted_now = 0;
-        self.reconnects_now = 0;
-        self.reparented_now = 0;
         self.frame = None;
+        Ok(std::mem::take(&mut self.got))
     }
 
-    /// Whether anyone is connected or could still legally return —
-    /// the session keeps running while this holds.
-    fn any_prospect(&self, now: Instant) -> bool {
-        let grace = self.config.reconnect_grace;
-        if self.slots.values().any(|s| !s.permanent && s.token.is_some()) {
-            return true;
-        }
-        if self.slots.values().any(|s| {
-            !s.permanent && s.ever_bound && s.disconnected_at.is_some_and(|at| now < at + grace)
-        }) {
-            return true;
-        }
-        self.failed_shards
-            .iter()
-            .any(|(&shard, &died)| now < died + grace && self.orphan_missing(shard))
-    }
-
-    /// Broadcasts Shutdown to every live session and pumps until the
-    /// outboxes drain (bounded), then closes everything.
+    /// Broadcasts Shutdown, pumps until the outboxes drain (at most 2 s;
+    /// a failed poll ends it early), then closes every session.
     fn teardown(&mut self) {
-        let tokens = self.live_tokens();
-        let span = self
-            .config
-            .telemetry
-            .span_with("reactor.flush", &[("sessions", Value::U64(tokens.len() as u64))]);
+        let tokens = self.members.live_tokens();
+        let sessions = [("sessions", Value::U64(tokens.len() as u64))];
+        let _span = self.config.telemetry.span_with("reactor.flush", &sessions);
         self.reactor.set_accepting(false);
-        let frame = Arc::new(Message::Shutdown.encode());
-        self.reactor.broadcast(&tokens, &frame);
+        self.reactor.broadcast(&tokens, &Arc::new(Message::Shutdown.encode()));
         let deadline = Instant::now() + Duration::from_secs(2);
-        while tokens.iter().any(|&t| !self.reactor.outbox_empty(t)) && Instant::now() < deadline {
-            if self.pump(Duration::from_millis(20)).is_err() {
-                break;
-            }
-        }
+        let _ = self.pump_until(deadline, |rt| tokens.iter().all(|&t| rt.reactor.outbox_empty(t)));
         for token in tokens {
             self.reactor.close(token);
         }
-        drop(span);
+    }
+}
+
+/// Where this server's rounds come from and where they go.
+enum Parent {
+    /// The root encodes each round's broadcast from its global model.
+    Root { global: StateDict, downlink: Downlink },
+    /// A relay follows its upstream session and ships each round's
+    /// exact partial-sum image back up it, from round-persistent
+    /// buffers lent to each message and reclaimed after the send.
+    Relay {
+        upstream: Session,
+        shard: u32,
+        psum: Option<PsumCodec>,
+        image: Vec<u8>,
+        packed: Vec<u8>,
+    },
+}
+
+impl Parent {
+    /// The root over `template` (the initial global, as the engine
+    /// builds it), or a relay joined upstream — before it accepts its
+    /// own children, so a deep deployment can start in any order.
+    fn new(config: &ServeConfig, plan: &RoundPlan, template: &StateDict) -> Result<Self, NetError> {
+        let Role::Relay { shard, upstream } = &config.role else {
+            let downlink = Downlink::from_policy(&plan.config.downlink).map_err(invalid)?;
+            return Ok(Parent::Root { global: template.clone(), downlink });
+        };
+        let mut upstream =
+            Session::connect(upstream, config.accept_timeout).map_err(NetError::Io)?;
+        upstream.send(&Message::Join { client_id: u64::from(*shard), round: 0, relay: true })?;
+        // With no LinkProfile to price Eqn 1 against, a priced policy
+        // degrades to Lossless (plan() admits no other codec here).
+        let psum = plan.config.psum.compresses();
+        let psum = psum.then(|| PsumCodec::with_stride(PartialSum::EXACT_STRIDE));
+        Ok(Parent::Relay { upstream, shard: *shard, psum, image: Vec::new(), packed: Vec::new() })
+    }
+
+    /// The next broadcast as `(round, bytes, compressed)`, `None` once
+    /// the session is over: the root encodes round `next` until
+    /// `fl.rounds` are done, a relay relays its upstream's.
+    fn broadcast(
+        &mut self,
+        next: u32,
+        config: &ServeConfig,
+        live: usize,
+    ) -> Result<Option<(u32, Vec<u8>, bool)>, NetError> {
+        match self {
+            Parent::Root { .. } if next as usize >= config.fl.rounds => Ok(None),
+            Parent::Root { global, downlink } => {
+                let payload = downlink.encode(global, None, live);
+                Ok(Some((next, payload.bytes, payload.compressed)))
+            }
+            Parent::Relay { upstream, .. } => {
+                let message = upstream.recv(Some(config.round_timeout))?;
+                if matches!(message, Message::Shutdown) {
+                    return Ok(None);
+                }
+                let broadcast = message.into_broadcast().map_err(|other| {
+                    NetError::Protocol(format!("relay expected a broadcast, got {other:?}"))
+                })?;
+                // The churn-test chaos knob: die abruptly, workers and
+                // upstream left to find the dead sockets.
+                let round = broadcast.0;
+                if config.fail_at_round.is_some_and(|fail| round >= fail) {
+                    let reason = format!("fault injection: relay terminated at round {round}");
+                    return Err(NetError::Protocol(reason));
+                }
+                Ok(Some(broadcast))
+            }
+        }
+    }
+
+    /// Closes round `round` over its folded `partial`, returning the
+    /// row's checksum. The root finishes into its global (an empty
+    /// round keeps the previous one, as in the engine; the finish is
+    /// merge time). A relay ships the exact image upward, empty ones
+    /// too so its parent never waits on it, and reports 0.
+    fn close(
+        &mut self,
+        round: u32,
+        partial: &PartialSum,
+        merge_time: &mut Duration,
+    ) -> Result<u32, NetError> {
+        match self {
+            Parent::Root { global, .. } => {
+                let t0 = Instant::now();
+                let next = partial.finish();
+                *merge_time += t0.elapsed();
+                if let Some(next) = next {
+                    *global = next;
+                }
+                Ok(global_checksum(global))
+            }
+            Parent::Relay { upstream, shard, psum, image, packed } => {
+                partial.encode_exact_into(image);
+                let (clients, weight) = (partial.contributions() as u32, partial.weight_total());
+                let shard = *shard;
+                let buffer = match psum {
+                    Some(codec) => {
+                        codec.compress_into(image, packed);
+                        packed
+                    }
+                    None => image,
+                };
+                let payload = std::mem::take(buffer);
+                let message = match psum {
+                    Some(_) => {
+                        Message::PartialSumCompressed { round, shard, clients, weight, payload }
+                    }
+                    None => Message::PartialSum { round, shard, clients, weight, payload },
+                };
+                upstream.send(&message)?;
+                if let Message::PartialSum { payload, .. }
+                | Message::PartialSumCompressed { payload, .. } = message
+                {
+                    *buffer = payload;
+                }
+                Ok(0)
+            }
+        }
     }
 }
 
@@ -866,8 +573,7 @@ impl NetServer {
     /// Panics on invariant violations in self-produced state (e.g. a
     /// merged aggregate with non-positive weight).
     pub fn run(self, config: ServeConfig) -> Result<ServeReport, NetError> {
-        // One validation pass up front: the rest of the session works
-        // off the plan.
+        // One validation pass: the rest of the session works off the plan.
         let plan = config.plan()?;
         // Pre-declare the lifecycle counters so a `/metrics` scrape
         // during the accept barrier already sees them at zero.
@@ -875,180 +581,71 @@ impl NetServer {
         config.telemetry.declare_counter("fedsz_net_evictions_total");
         config.telemetry.declare_counter("fedsz_net_reconnects_total");
         config.telemetry.declare_counter("fedsz_net_reparent_total");
-        let expected = ServeConfig::expected_children_of(&plan, &config.role);
-        // A relay announces itself upstream before accepting its own
-        // children, so a deep deployment can start in any order.
-        let mut upstream = match &config.role {
-            Role::Root => None,
-            Role::Relay { shard, upstream } => {
-                let mut session =
-                    Session::connect(upstream, config.accept_timeout).map_err(NetError::Io)?;
-                session.send(&Message::Join {
-                    client_id: u64::from(*shard),
-                    round: 0,
-                    relay: true,
-                })?;
-                Some(session)
-            }
-        };
+        // The shared fold step validates every contribution against the
+        // architecture's template, which is also the root's first global.
+        let fold = FoldStep::new(&plan.config.uplink, config.fl.build_model().state_dict());
+        let mut parent = Parent::new(&config, &plan, fold.template())?;
 
-        // A sharded root's children are relays speaking partial-sum
-        // frames; everyone else's children are workers speaking
-        // updates (the per-seat ChildKey encodes which).
-        let shard_ranges: Vec<Range<usize>> = match config.role {
-            Role::Root => (0..).map_while(|shard| plan.reparent_range(shard)).collect(),
-            Role::Relay { .. } => Vec::new(),
+        let mut rt = Runtime {
+            reactor: Reactor::new(self.listener, config.max_sessions).map_err(NetError::Io)?,
+            config: &config,
+            members: Membership::new(&config, &plan),
+            events: Vec::new(),
+            frame: None,
+            got: Uploads::new(),
+            row: NetRound::default(),
         };
-        let root_sharded = !shard_ranges.is_empty();
-        let expected_keys: Vec<ChildKey> = expected
-            .iter()
-            .map(|&id| if root_sharded { ChildKey::Relay(id as u32) } else { ChildKey::Worker(id) })
-            .collect();
-
-        let reactor = Reactor::new(self.listener, config.max_sessions).map_err(NetError::Io)?;
-        let mut rt = Runtime::new(reactor, &config, shard_ranges, &expected_keys);
-        rt.accept_phase()?;
-        if !rt.slots.values().any(|s| s.ever_bound) {
-            return Err(NetError::Protocol(
-                "no expected child joined before the accept deadline".into(),
-            ));
+        // The handshake barrier: every expected child joined once, or
+        // the accept deadline (joins stay open after it).
+        let expected = ServeConfig::expected_children_of(&plan, &config.role).len();
+        let expected = [("expected", Value::U64(expected as u64))];
+        let accept = config.telemetry.span_with("reactor.accept", &expected);
+        rt.pump_until(Instant::now() + config.accept_timeout, |rt| rt.members.all_joined())?;
+        drop(accept);
+        if !rt.members.any_joined() {
+            let reason = "no expected child joined before the accept deadline";
+            return Err(NetError::Protocol(reason.into()));
         }
 
-        // Root state. A relay never materializes the global — it
-        // forwards the broadcast bytes verbatim.
-        let downlink = Downlink::from_policy(&plan.config.downlink).map_err(invalid)?;
-        let psum_codec = PsumCodec::with_stride(PartialSum::EXACT_STRIDE);
-        // The shared fold step, over the architecture-derived shape
-        // template every child's contribution is validated against
-        // before it may touch the merge (whose asserts would otherwise
-        // panic the server on a misconfigured child). For the root the
-        // template doubles as the initial global model, exactly as the
-        // engine builds it.
-        let fold = FoldStep::new(&plan.config.uplink, config.fl.build_model().state_dict());
-        let mut global = match config.role {
-            Role::Root => Some(fold.template().clone()),
-            Role::Relay { .. } => None,
-        };
-
         let mut rounds = Vec::new();
-        let mut psum_raw_frames = 0usize;
-        let mut psum_compressed_frames = 0usize;
-        // Round-persistent merge state: the model-sized accumulator and
-        // the relay's wire buffers are allocated once and reset/refilled
-        // every round instead of reallocated.
+        let (mut psum_raw_frames, mut psum_compressed_frames) = (0usize, 0usize);
+        // The model-sized accumulator is allocated once, reset per round.
         let mut partial = PartialSum::new();
-        let mut image: Vec<u8> = Vec::new();
-        let mut packed: Vec<u8> = Vec::new();
-        let mut round = 0u32;
-        loop {
-            // Round source: the root drives `fl.rounds` rounds; a relay
-            // follows its upstream until Shutdown.
-            let (bytes, compressed) = match (&mut upstream, &global) {
-                (None, Some(global)) => {
-                    if round as usize >= config.fl.rounds {
-                        break;
-                    }
-                    let live = rt.live_tokens().len();
-                    let payload = downlink.encode(global, None, live);
-                    (payload.bytes, payload.compressed)
-                }
-                (Some(upstream), _) => match upstream.recv(Some(config.round_timeout))? {
-                    Message::GlobalModel { round: r, dict_bytes } => {
-                        round = r;
-                        (dict_bytes, false)
-                    }
-                    Message::EncodedGlobal { round: r, payload } => {
-                        round = r;
-                        (payload, true)
-                    }
-                    Message::Shutdown => break,
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "relay expected a broadcast, got {other:?}"
-                        )))
-                    }
-                },
-                (None, None) => unreachable!("a root always holds the global"),
-            };
-            if let Some(fail) = config.fail_at_round {
-                if upstream.is_some() && round >= fail {
-                    // The churn-test chaos knob: die abruptly, workers
-                    // and upstream left to find the dead sockets.
-                    return Err(NetError::Protocol(format!(
-                        "fault injection: relay terminated at round {round}"
-                    )));
-                }
-            }
-
+        let mut next = 0u32;
+        while let Some((round, bytes, compressed)) =
+            parent.broadcast(next, &config, rt.members.live_tokens().len())?
+        {
             // Family delta streams decode against the exact broadcast
-            // the workers received, so the server re-decodes its own
-            // frame bytes once per round — even under a lossy downlink
-            // both sides then hold bit-identical reference dicts.
-            let uplink_reference: Option<StateDict> = if fold.needs_reference() {
-                Some(if compressed {
-                    FedSz::decompress_with_config(&bytes)?.0
-                } else {
-                    StateDict::from_bytes(&bytes)?
-                })
-            } else {
-                None
-            };
-
-            // One encode serves the whole fan-out: every child receives
-            // byte-identical frames, queued as one shared `Arc` on each
-            // session's outbox instead of cloned per child.
-            let frame = Arc::new(
-                if compressed {
-                    Message::EncodedGlobal { round, payload: bytes }
-                } else {
-                    Message::GlobalModel { round, dict_bytes: bytes }
-                }
-                .encode(),
-            );
-
-            let round_span = config
-                .telemetry
-                .span_with("serve.round", &[("round", Value::U64(u64::from(round)))]);
+            // the workers received: re-decoding the frame's own bytes
+            // keeps both sides bit-identical under a lossy downlink.
+            let reference =
+                fold.needs_reference().then(|| decode_broadcast(&bytes, compressed)).transpose()?;
+            // One encode, shared by every session's outbox.
+            let frame = Arc::new(Message::broadcast(round, bytes, compressed).encode());
+            let labels = [("round", Value::U64(u64::from(round)))];
+            let round_span = config.telemetry.span_with("serve.round", &labels);
             let t0 = Instant::now();
-            rt.begin_round(round, frame);
-            rt.run_barrier()?;
-            let got = rt.finish_barrier();
+            let got = rt.run_barrier(round, frame)?;
 
-            // Merge in ascending child order (the exact accumulator
-            // makes grouping irrelevant to the bits; the fixed order
-            // keeps intermediate state reproducible too). A child whose
-            // contribution fails decoding or shape validation is
-            // evicted — never allowed near the merge asserts.
+            // Merge in ascending child order (the fixed order keeps even
+            // intermediate state reproducible). A contribution that fails
+            // decoding or validation evicts its sender.
             partial.reset();
-            let mut merged = 0usize;
-            let mut merge_time = Duration::ZERO;
-            let relay_contributed: Vec<u32> = got
-                .keys()
-                .filter_map(|k| match k {
-                    ChildKey::Relay(shard) => Some(*shard),
-                    ChildKey::Worker(_) => None,
-                })
-                .collect();
+            let (mut merged, mut merge_time) = (0usize, Duration::ZERO);
+            let reference = reference.as_ref();
+            let mut relays = Vec::new();
             for (key, upload) in got {
-                // A worker seat at a sharded root is an adopted orphan.
-                // If its old relay's partial sum for this round arrived
-                // before the relay died, the worker's resent update is
-                // already inside that sum — drop it here rather than
-                // count it twice.
-                if let ChildKey::Worker(id) = key {
-                    if rt.shard_of(id).is_some_and(|shard| relay_contributed.contains(&shard)) {
-                        continue;
-                    }
+                // Relay seats sort first. A worker at a sharded root is an
+                // adopted orphan, already inside its old relay's sum when
+                // that arrived before the relay died.
+                if let ChildKey::Relay(shard) = key {
+                    relays.push(shard);
+                } else if rt.members.shard_of(key.id()).is_some_and(|s| relays.contains(&s)) {
+                    continue;
                 }
-                match fold_upload(
-                    upload,
-                    matches!(key, ChildKey::Relay(_)),
-                    &fold,
-                    uplink_reference.as_ref(),
-                    &mut partial,
-                    &mut psum_raw_frames,
-                    &mut psum_compressed_frames,
-                ) {
+                let relay = matches!(key, ChildKey::Relay(_));
+                let (raw, packed) = (&mut psum_raw_frames, &mut psum_compressed_frames);
+                match fold_upload(upload, relay, &fold, reference, &mut partial, raw, packed) {
                     Ok((contributions, fold_time)) => {
                         merged += contributions;
                         merge_time += fold_time;
@@ -1057,106 +654,36 @@ impl NetServer {
                 }
             }
 
-            let checksum = match (&mut upstream, &mut global) {
-                (None, Some(global)) => {
-                    // Root: an empty round keeps the previous global,
-                    // exactly like the engine with zero contributions.
-                    let t_finish = Instant::now();
-                    let next = partial.finish();
-                    merge_time += t_finish.elapsed();
-                    if let Some(next) = next {
-                        *global = next;
-                    }
-                    global_checksum(global)
-                }
-                (Some(upstream), _) => {
-                    // Relay: ship the exact accumulator image upward
-                    // (empty partials included, so the parent's barrier
-                    // never waits on a silent relay). The image and the
-                    // compressed frame are built in round-persistent
-                    // buffers lent to the message and reclaimed after
-                    // the send.
-                    partial.encode_exact_into(&mut image);
-                    let clients = partial.contributions() as u32;
-                    let weight = partial.weight_total();
-                    let shard = match &config.role {
-                        Role::Relay { shard, .. } => *shard,
-                        Role::Root => unreachable!("only relays have an upstream"),
-                    };
-                    // A relay has no per-edge LinkProfile to price
-                    // Eqn 1 against, so a priced policy degrades to
-                    // Lossless here (the conservative choice on an
-                    // unknown uplink); plan() admits no other codec
-                    // on this leg.
-                    let message = if plan.config.psum.compresses() {
-                        psum_codec.compress_into(&image, &mut packed);
-                        let payload = std::mem::take(&mut packed);
-                        Message::PartialSumCompressed { round, shard, clients, weight, payload }
-                    } else {
-                        let payload = std::mem::take(&mut image);
-                        Message::PartialSum { round, shard, clients, weight, payload }
-                    };
-                    upstream.send(&message)?;
-                    match message {
-                        Message::PartialSum { payload, .. } => image = payload,
-                        Message::PartialSumCompressed { payload, .. } => packed = payload,
-                        _ => unreachable!("relay uplinks are partial-sum frames"),
-                    }
-                    0
-                }
-                (None, None) => unreachable!("a root always holds the global"),
-            };
-
-            rounds.push(NetRound {
-                round,
-                downstream_bytes: rt.down_bytes,
-                upstream_bytes: rt.up_bytes,
-                merged,
-                evicted: rt.evicted_now,
-                reconnects: rt.reconnects_now,
-                reparented: rt.reparented_now,
-                wall_secs: t0.elapsed().as_secs_f64(),
-                merge_nanos: merge_time.as_nanos() as u64,
-                checksum,
-            });
+            let checksum = parent.close(round, &partial, &mut merge_time)?;
+            let row = std::mem::replace(&mut rt.row, NetRound { round, ..NetRound::default() });
+            let wall_secs = t0.elapsed().as_secs_f64();
+            let merge_nanos = merge_time.as_nanos() as u64;
+            rounds.push(NetRound { merged, wall_secs, merge_nanos, checksum, ..row });
             drop(round_span);
-            rt.end_round();
-            round += 1;
-            if !rt.any_prospect(Instant::now()) {
+            next = round + 1;
+            if !rt.members.any_prospect(Instant::now()) {
                 break; // nobody left to serve, and nobody coming back
             }
         }
 
         rt.teardown();
-        let checksum = global.as_ref().map_or(0, global_checksum);
+        let global = match parent {
+            Parent::Root { global, .. } => Some(global),
+            Parent::Relay { .. } => None,
+        };
+        let members = rt.members;
         Ok(ServeReport {
             rounds,
+            checksum: global.as_ref().map_or(0, global_checksum),
             global,
-            checksum,
-            evicted: rt.evictions.len(),
-            evictions: std::mem::take(&mut rt.evictions),
-            reconnects: rt.reconnects_total,
-            reparented: rt.reparented_total,
+            evicted: members.evictions.len(),
+            evictions: members.evictions,
+            reconnects: members.reconnects,
+            reparented: members.reparented,
             psum_raw_frames,
             psum_compressed_frames,
         })
     }
-}
-
-/// One eviction, observable two ways: a `serve.evict` instant event
-/// (child id, round, reason — the event's `ts` is trace-relative, so
-/// the trace records *when* the child was dropped) and the
-/// `fedsz_net_evictions_total` counter a `/metrics` scrape sees.
-fn record_eviction(telemetry: &Telemetry, id: u64, round: u32, reason: &str) {
-    telemetry.event(
-        "serve.evict",
-        &[
-            ("child", Value::U64(id)),
-            ("round", Value::U64(u64::from(round))),
-            ("reason", Value::Str(reason)),
-        ],
-    );
-    telemetry.add("fedsz_net_evictions_total", 1.0);
 }
 
 /// Folds one child's upload into the round's partial sum: a worker

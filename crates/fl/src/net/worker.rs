@@ -34,10 +34,10 @@
 //!
 //! [`FlConfig::make_client`]: crate::FlConfig::make_client
 
+use crate::agg::decode_broadcast;
 use crate::net::invalid;
 use crate::step::{emit_dp_noise, emit_eqn1, FoldStep, UplinkStage};
 use crate::{Client, FlConfig, RoundPlan};
-use fedsz::FedSz;
 use fedsz_net::{Backoff, Message, NetError, Session};
 use fedsz_telemetry::{Telemetry, Value};
 use std::time::{Duration, Instant};
@@ -287,23 +287,13 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, NetError> {
                     on_fallback = false;
                 }
 
-                let (round, dict) = match message {
-                    Message::GlobalModel { round, dict_bytes } => {
-                        (round, fedsz_nn::StateDict::from_bytes(&dict_bytes)?)
-                    }
-                    // The FedSZ stream embeds its codec config, so
-                    // decoding needs no local configuration (and cannot
-                    // drift from the server's).
-                    Message::EncodedGlobal { round, payload } => {
-                        (round, FedSz::decompress_with_config(&payload)?.0)
-                    }
+                let (round, bytes, compressed) = match message {
                     Message::Shutdown => break 'session None,
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "worker expected a broadcast, got {other:?}"
-                        )))
-                    }
+                    other => other.into_broadcast().map_err(|other| {
+                        NetError::Protocol(format!("worker expected a broadcast, got {other:?}"))
+                    })?,
                 };
+                let dict = decode_broadcast(&bytes, compressed)?;
                 last_round = round;
 
                 if config.drop_session_at_round == Some(round) && !dropped_once {

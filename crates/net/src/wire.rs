@@ -217,6 +217,26 @@ pub fn frame_len(buf: &[u8]) -> Result<Option<usize>> {
 }
 
 impl Message {
+    /// A round's global-model broadcast: [`Message::EncodedGlobal`] for
+    /// a FedSZ stream, else [`Message::GlobalModel`].
+    pub fn broadcast(round: u32, bytes: Vec<u8>, compressed: bool) -> Message {
+        if compressed {
+            Message::EncodedGlobal { round, payload: bytes }
+        } else {
+            Message::GlobalModel { round, dict_bytes: bytes }
+        }
+    }
+
+    /// [`Message::broadcast`]'s inverse: `(round, bytes, compressed)`,
+    /// or `Err(self)` for a message that is no broadcast.
+    pub fn into_broadcast(self) -> std::result::Result<(u32, Vec<u8>, bool), Message> {
+        match self {
+            Message::GlobalModel { round, dict_bytes } => Ok((round, dict_bytes, false)),
+            Message::EncodedGlobal { round, payload } => Ok((round, payload, true)),
+            other => Err(other),
+        }
+    }
+
     fn tag(&self) -> u8 {
         match self {
             Message::Join { .. } => 1,
@@ -417,6 +437,23 @@ mod tests {
         for msg in sample_messages() {
             let frame = msg.encode();
             assert_eq!(Message::decode(&frame).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn broadcast_pair_round_trips_and_refuses_other_messages() {
+        for compressed in [false, true] {
+            let message = Message::broadcast(5, vec![1, 2, 3], compressed);
+            assert_eq!(matches!(message, Message::EncodedGlobal { .. }), compressed);
+            assert_eq!(message.into_broadcast(), Ok((5, vec![1, 2, 3], compressed)));
+        }
+        for other in sample_messages() {
+            let broadcast =
+                matches!(other, Message::GlobalModel { .. } | Message::EncodedGlobal { .. });
+            assert_eq!(other.clone().into_broadcast().is_ok(), broadcast, "{other:?}");
+            if !broadcast {
+                assert_eq!(other.clone().into_broadcast(), Err(other));
+            }
         }
     }
 

@@ -274,3 +274,26 @@ fn idle_connection_cannot_starve_the_handshake() {
         t0.elapsed()
     );
 }
+
+#[test]
+fn relay_join_past_u32_is_refused_not_wrapped_onto_a_shard() {
+    // A relay `Join` for id 2^32 names no shard. Truncated to a `u32` it
+    // would bind shard 0 and receive the round-0 broadcast; it must see
+    // its connection closed instead.
+    let mut config = quick_config();
+    config.tree = Some(vec![2]);
+
+    let server = NetServer::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let mut serve_config = ServeConfig::root(config);
+    serve_config.accept_timeout = Duration::from_secs(2);
+    let root = thread::spawn(move || server.run(serve_config));
+
+    let mut session = Session::connect(&addr, Duration::from_secs(10)).unwrap();
+    session.send(&Message::Join { client_id: 1 << 32, round: 0, relay: true }).unwrap();
+    if let Ok(reply) = session.recv(Some(Duration::from_secs(15))) {
+        panic!("the out-of-range relay was served a {}-byte frame", reply.encoded_len());
+    }
+    let err = root.join().expect("root thread").expect_err("no relay ever joined");
+    assert!(err.to_string().contains("no expected child joined"), "{err}");
+}
