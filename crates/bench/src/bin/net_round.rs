@@ -17,8 +17,8 @@
 //!
 //! Flags (see [`USAGE`]): `--workers 2,4,100` (cohort sweep), `--rounds
 //! N` (default 2), `--shards S` (adds a relay tier: S relay servers
-//! between root and workers, forwarding lossless `PartialSumCompressed`
-//! frames), `--train-per-class N`, `--seed N`, `--out PATH` (default
+//! between root and workers, forwarding losslessly compressed
+//! `PartialSum` frames), `--train-per-class N`, `--seed N`, `--out PATH` (default
 //! `BENCH_net_round.json`, `-` disables).
 
 use fedsz_bench::{row, Args, Report};

@@ -182,7 +182,7 @@ for every worker's Join, then drives rounds of framed broadcast →
 barrier → exact aggregation, evicting children that miss the round
 timeout. With --shards S the root expects S relay servers instead of
 workers; each relay runs `fedsz serve --shard I --connect ROOT` and
-forwards one PartialSum[Compressed] frame per round. Config flags that
+forwards one PartialSum frame per round. Config flags that
 shape the bits (seed, data, arch, codec) must match across every
 process; both `fl` and `serve` print a `global checksum` line so
 parity is a diff away. A worker under a priced uplink policy

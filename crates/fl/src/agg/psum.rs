@@ -61,7 +61,7 @@ pub struct PsumFrame {
     /// The payload size actually shipped (equals `payload_bytes` for
     /// raw frames).
     pub shipped_payload_bytes: usize,
-    /// Whether the frame rides [`Message::PartialSumCompressed`].
+    /// Whether the frame's [`Message::PartialSum`] payload is compressed.
     pub compressed: bool,
     /// Measured compress wall time at the child (zero for raw frames).
     pub compress_secs: f64,
@@ -83,35 +83,6 @@ impl PsumFrame {
     pub fn codec_secs(&self) -> f64 {
         self.compress_secs + self.decompress_secs
     }
-}
-
-/// Sizes the wire frame a partial sum would ride without building it:
-/// the payload is lent to a [`Message`] just long enough for
-/// [`Message::encoded_len`] and handed back, so the caller's scratch
-/// buffer survives.
-fn psum_wire_len(
-    compressed: bool,
-    round: usize,
-    node: usize,
-    clients: u32,
-    weight: f64,
-    payload: &mut Vec<u8>,
-) -> usize {
-    let round = round as u32;
-    let shard = node as u32;
-    let lent = std::mem::take(payload);
-    let msg = if compressed {
-        Message::PartialSumCompressed { round, shard, clients, weight, payload: lent }
-    } else {
-        Message::PartialSum { round, shard, clients, weight, payload: lent }
-    };
-    let len = msg.encoded_len();
-    match msg {
-        Message::PartialSum { payload: lent, .. }
-        | Message::PartialSumCompressed { payload: lent, .. } => *payload = lent,
-        _ => unreachable!("constructed above"),
-    }
-    len
 }
 
 /// Reusable per-worker buffers for frame pricing: the encoded payload
@@ -250,9 +221,16 @@ impl PsumForwarder {
                 }
             };
         }
+        // Sized, not built: the payload is lent to the message and
+        // handed back, so the scratch buffer survives.
         let shipped = if compressed { &mut scratch.packed } else { &mut scratch.payload };
         let shipped_payload_bytes = shipped.len();
-        let wire_bytes = psum_wire_len(compressed, round, node, clients, weight, shipped);
+        let (round, shard, payload) = (round as u32, node as u32, std::mem::take(shipped));
+        let message = Message::PartialSum { round, shard, clients, weight, payload, compressed };
+        let wire_bytes = message.encoded_len();
+        if let Message::PartialSum { payload, .. } = message {
+            *shipped = payload;
+        }
         PsumFrame {
             wire_bytes,
             payload_bytes,
@@ -419,12 +397,13 @@ mod tests {
         let mut scratch = PsumScratch::default();
         let frame = fwd.price_with(0, 1, &sum, None, &mut scratch);
         // The claimed wire size must equal a genuinely encoded frame.
-        let real = Message::PartialSumCompressed {
+        let real = Message::PartialSum {
             round: 0,
             shard: 1,
             clients: sum.contributions() as u32,
             weight: sum.weight_total(),
             payload: scratch.packed.clone(),
+            compressed: true,
         }
         .encode()
         .len();
@@ -443,6 +422,7 @@ mod tests {
             clients: sum.contributions() as u32,
             weight: sum.weight_total(),
             payload: sum.encode_payload(),
+            compressed: false,
         }
         .encode()
         .len();

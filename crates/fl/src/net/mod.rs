@@ -16,7 +16,7 @@
 //!   fedsz worker --id 2 ─┼──► fedsz serve (root) ─┘    flat FedAvg
 //!   fedsz worker --id 3 ─┘
 //!
-//!   fedsz worker --id 0..2 ──► fedsz serve --shard 0 ─┐ PartialSum[Compressed]
+//!   fedsz worker --id 0..2 ──► fedsz serve --shard 0 ─┐ PartialSum
 //!                                                     ├──► fedsz serve (root, --shards 2)
 //!   fedsz worker --id 2..4 ──► fedsz serve --shard 1 ─┘    exact psum merge
 //! ```
@@ -26,7 +26,7 @@
 //! edge aggregator ([`Role::Relay`]): a relay joins its parent like a
 //! client, fans the broadcast out to its own workers, merges their
 //! updates into a [`PartialSum`](crate::agg::PartialSum) and forwards
-//! one `PartialSum` / `PartialSumCompressed` frame upstream per round.
+//! one `PartialSum` frame (raw or compressed) upstream per round.
 //! [`run_worker`] is the leaf: it builds its
 //! [`Client`](crate::client::Client) through the same
 //! [`FlConfig::make_client`](crate::FlConfig::make_client) path the

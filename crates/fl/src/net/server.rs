@@ -329,11 +329,8 @@ impl Runtime<'_> {
             Message::Update { round, client_id, payload, compressed } => {
                 (client_id, round, Upload::Update { payload, compressed })
             }
-            Message::PartialSum { round, shard, payload, .. } => {
-                (u64::from(shard), round, Upload::Partial { payload, compressed: false })
-            }
-            Message::PartialSumCompressed { round, shard, payload, .. } => {
-                (u64::from(shard), round, Upload::Partial { payload, compressed: true })
+            Message::PartialSum { round, shard, payload, compressed, .. } => {
+                (u64::from(shard), round, Upload::Partial { payload, compressed })
             }
             other => return self.protocol_evict(key, format!("unexpected reply {other:?}")),
         };
@@ -506,17 +503,11 @@ impl Parent {
                     }
                     None => image,
                 };
-                let payload = std::mem::take(buffer);
-                let message = match psum {
-                    Some(_) => {
-                        Message::PartialSumCompressed { round, shard, clients, weight, payload }
-                    }
-                    None => Message::PartialSum { round, shard, clients, weight, payload },
-                };
+                let (payload, compressed) = (std::mem::take(buffer), psum.is_some());
+                let message =
+                    Message::PartialSum { round, shard, clients, weight, payload, compressed };
                 upstream.send(&message)?;
-                if let Message::PartialSum { payload, .. }
-                | Message::PartialSumCompressed { payload, .. } = message
-                {
+                if let Message::PartialSum { payload, .. } = message {
                     *buffer = payload;
                 }
                 Ok(0)

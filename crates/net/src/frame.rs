@@ -228,12 +228,13 @@ mod tests {
             Message::Join { client_id: 3, round: 0, relay: false },
             Message::GlobalModel { round: 0, dict_bytes: (0u8..=255).collect() },
             Message::Update { round: 0, client_id: 3, payload: vec![7; 1000], compressed: true },
-            Message::PartialSumCompressed {
+            Message::PartialSum {
                 round: 1,
                 shard: 2,
                 clients: 8,
                 weight: 8.0,
                 payload: vec![0xAB; 300],
+                compressed: true,
             },
             Message::Shutdown,
         ]

@@ -8,9 +8,9 @@
 //! * [`Message`] — the framed FMSG message format (magic + type tag +
 //!   fields + CRC-32 trailer). It lives here so the server, relay
 //!   and worker processes of the socket runtime encode/decode through
-//!   literally the same code. The per-tag field
-//!   table ([`frame_len`]) lives next to the encoder — one source of
-//!   truth for the framing rules documented in `ARCHITECTURE.md`.
+//!   literally the same code. One per-tag field table drives its
+//!   encoder, its decoder and [`frame_len`] — one source of truth for
+//!   the framing rules documented in `ARCHITECTURE.md`.
 //! * [`FrameReader`] / [`FrameWriter`] — framed message I/O over any
 //!   [`std::io::Read`] / [`std::io::Write`]. The reader buffers
 //!   partial reads (a TCP segment boundary can land anywhere, even
@@ -41,6 +41,9 @@
 // the one `poll(2)` FFI declaration in `poll.rs`, which carries a
 // module-scoped `allow` and a safety argument.
 #![deny(unsafe_code)]
+// Every decoder here faces socket bytes: a frame that breaks a rule is
+// an error, never an arm assumed away.
+#![deny(clippy::unreachable)]
 #![warn(missing_docs)]
 
 pub mod backoff;

@@ -17,14 +17,16 @@
 //! to find frame boundaries in a TCP byte stream without a separate
 //! length envelope.
 //!
-//! The per-tag field table lives in `layout`; `encode`, `decode` and
-//! [`frame_len`] all follow it. This module is the single home of the
-//! framing rules tabulated in `ARCHITECTURE.md` — every process of the
-//! multi-process socket runtime links here.
+//! The per-tag field table lives in `layout`: `encode` and `encoded_len`
+//! write and size a message's field values in its order, one checked
+//! reader walks it for `decode` and [`frame_len`], and a variant's own
+//! code only maps it to and from those values. This module is the
+//! single home of the framing rules tabulated in `ARCHITECTURE.md` —
+//! every process of the multi-process socket runtime links here.
 
 use fedsz_codec::checksum::crc32;
 use fedsz_codec::varint::{
-    read_f64, read_u32, read_uvarint, uvarint_len, write_f64, write_u32, write_uvarint,
+    read_f64, read_u32, read_uvarint, uvarint_len, write_bytes, write_f64, write_u32, write_uvarint,
 };
 use fedsz_codec::{CodecError, Result};
 
@@ -38,12 +40,12 @@ pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
 /// A protocol message.
 ///
-/// The engine-backed loopback session only exchanges
-/// [`Message::GlobalModel`]-family and [`Message::Update`] frames; the
-/// multi-process runtime (`fedsz serve` / `fedsz worker`) additionally
-/// uses [`Message::Join`] as its handshake, [`Message::Shutdown`] as
-/// its teardown, and relays [`Message::PartialSum`] /
-/// [`Message::PartialSumCompressed`] between aggregator tiers.
+/// The multi-process runtime (`fedsz serve` / `fedsz worker`) opens
+/// every connection with [`Message::Join`], broadcasts each round's
+/// model as [`Message::GlobalModel`] or [`Message::EncodedGlobal`],
+/// collects [`Message::Update`]s, relays [`Message::PartialSum`]s
+/// between aggregator tiers and ends the session with
+/// [`Message::Shutdown`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// A client (or an edge aggregator joining its parent) announces
@@ -92,7 +94,7 @@ pub enum Message {
         payload: Vec<u8>,
     },
     /// An edge aggregator forwards its shard's weighted partial sum to
-    /// its parent.
+    /// its parent: tag 6 raw, tag 7 compressed.
     PartialSum {
         /// Round index.
         round: u32,
@@ -103,26 +105,15 @@ pub enum Message {
         /// Total aggregation weight of the partial.
         weight: f64,
         /// `Σ w_i · x_i` per element (an `encode_payload` or
-        /// `encode_exact` image, per the runtime in use).
+        /// `encode_exact` image, per the runtime in use), or that
+        /// image's `PsumCodec` frame when `compressed`.
         payload: Vec<u8>,
-    },
-    /// [`Message::PartialSum`]'s losslessly-compressed twin: the same
-    /// metadata, but the payload is a `PsumCodec` frame (one entropy
-    /// code per byte plane of the image's elements, CRC-32 of the
-    /// image) that decompresses bit-exactly to the uncompressed
-    /// partial-sum image. The frame declares the image's length; a
-    /// receiver bounds it by its own template before allocating.
-    PartialSumCompressed {
-        /// Round index.
-        round: u32,
-        /// The forwarding node's index within its tree level.
-        shard: u32,
-        /// Contributions merged into this partial.
-        clients: u32,
-        /// Total aggregation weight of the partial.
-        weight: f64,
-        /// `PsumCodec`-compressed partial-sum image.
-        payload: Vec<u8>,
+        /// Whether `payload` is a `PsumCodec` frame (one entropy code
+        /// per byte plane of the image's elements, CRC-32 of the image)
+        /// that decompresses bit-exactly to the raw image. The frame
+        /// declares the image's length; a receiver bounds it by its own
+        /// template before allocating.
+        compressed: bool,
     },
 }
 
@@ -133,25 +124,115 @@ enum Field {
     UVarint,
     /// A little-endian `u32` (round indices).
     U32,
-    /// A single flag byte.
-    U8,
+    /// A flag byte: 0 or 1.
+    Flag,
     /// A little-endian `f64` (aggregation weights).
     F64,
     /// A varint length prefix followed by that many payload bytes.
     Payload,
 }
 
-/// The framing table: which fields follow each tag byte. `encode`,
-/// `decode` and [`frame_len`] all conform to this single table.
+/// The framing table: which fields follow each tag byte.
 const fn layout(tag: u8) -> Option<&'static [Field]> {
     match tag {
-        1 => Some(&[Field::UVarint, Field::U32, Field::U8]),
+        1 => Some(&[Field::UVarint, Field::U32, Field::Flag]),
         2 | 5 => Some(&[Field::U32, Field::Payload]),
-        3 => Some(&[Field::U32, Field::UVarint, Field::U8, Field::Payload]),
+        3 => Some(&[Field::U32, Field::UVarint, Field::Flag, Field::Payload]),
         4 => Some(&[]),
         6 | 7 => Some(&[Field::U32, Field::UVarint, Field::UVarint, Field::F64, Field::Payload]),
         _ => None,
     }
+}
+
+/// The most fields a layout lists (a unit test holds every tag to it).
+const MAX_FIELDS: usize = 5;
+
+/// One field's value: what `encode` writes and the field reader reads.
+#[derive(Debug, Clone, Copy)]
+enum Value<'a> {
+    UVarint(u64),
+    U32(u32),
+    Flag(bool),
+    F64(f64),
+    Payload(&'a [u8]),
+}
+
+impl Value<'_> {
+    /// The bytes [`Value::write`] appends.
+    fn encoded_len(self) -> usize {
+        match self {
+            Value::UVarint(v) => uvarint_len(v),
+            Value::U32(_) => 4,
+            Value::Flag(_) => 1,
+            Value::F64(_) => 8,
+            Value::Payload(bytes) => uvarint_len(bytes.len() as u64) + bytes.len(),
+        }
+    }
+
+    fn write(self, out: &mut Vec<u8>) {
+        match self {
+            Value::UVarint(v) => write_uvarint(out, v),
+            Value::U32(v) => write_u32(out, v),
+            Value::Flag(v) => out.push(u8::from(v)),
+            Value::F64(v) => write_f64(out, v),
+            Value::Payload(bytes) => write_bytes(out, bytes),
+        }
+    }
+
+    /// Reads a `field` at `*pos` and steps past it. A payload steps by
+    /// its declared length whether or not `buf` holds its bytes
+    /// (saturating, so a hostile length cannot wrap) and is the part
+    /// of them `buf` holds.
+    fn read<'a>(buf: &'a [u8], pos: &mut usize, field: Field) -> Result<Value<'a>> {
+        Ok(match field {
+            Field::UVarint => Value::UVarint(read_uvarint(buf, pos)?),
+            Field::U32 => Value::U32(read_u32(buf, pos)?),
+            Field::F64 => Value::F64(read_f64(buf, pos)?),
+            Field::Flag => {
+                let byte = *buf.get(*pos).ok_or(CodecError::UnexpectedEof)?;
+                *pos += 1;
+                match byte {
+                    0 | 1 => Value::Flag(byte == 1),
+                    _ => return Err(CodecError::Corrupt("flag byte is neither 0 nor 1")),
+                }
+            }
+            Field::Payload => {
+                let len = usize::try_from(read_uvarint(buf, pos)?).unwrap_or(usize::MAX);
+                let start = *pos;
+                *pos = start.saturating_add(len);
+                Value::Payload(&buf[start..buf.len().min(*pos)])
+            }
+        })
+    }
+}
+
+/// A frame body as [`read_body`] found it.
+struct Body<'a> {
+    tag: u8,
+    /// The first `count` hold the tag's field values, in `layout` order.
+    values: [Value<'a>; MAX_FIELDS],
+    count: usize,
+    /// Where the body ends: past the end of the buffer while the
+    /// trailing payload is still arriving.
+    end: usize,
+}
+
+/// The one checked field reader, shared by [`Message::decode`] and
+/// [`frame_len`]: reads the tag that follows the magic in `buf`, then
+/// walks its `layout`.
+fn read_body(buf: &[u8]) -> Result<Body<'_>> {
+    let tag = *buf.get(MAGIC.len()).ok_or(CodecError::UnexpectedEof)?;
+    let fields = layout(tag).ok_or(CodecError::Corrupt("unknown message tag"))?;
+    let mut body = Body {
+        tag,
+        values: [Value::Flag(false); MAX_FIELDS],
+        count: fields.len(),
+        end: MAGIC.len() + 1,
+    };
+    for (slot, &field) in body.values.iter_mut().zip(fields) {
+        *slot = Value::read(buf, &mut body.end, field)?;
+    }
+    Ok(body)
 }
 
 /// Computes the total byte length of the frame starting at `buf[0]`
@@ -165,8 +246,8 @@ const fn layout(tag: u8) -> Option<&'static [Field]> {
 /// # Errors
 ///
 /// Returns a [`CodecError`] for bad magic, an unknown tag, a malformed
-/// varint, or a frame whose claimed size exceeds [`MAX_FRAME_BYTES`] —
-/// all unrecoverable stream corruption.
+/// varint or flag byte, or a frame whose claimed size exceeds
+/// [`MAX_FRAME_BYTES`] — all unrecoverable stream corruption.
 pub fn frame_len(buf: &[u8]) -> Result<Option<usize>> {
     // Reject bad magic on however many bytes we have: a corrupt stream
     // fails on its first byte instead of stalling in "need more data".
@@ -174,42 +255,13 @@ pub fn frame_len(buf: &[u8]) -> Result<Option<usize>> {
     if buf[..probe] != MAGIC[..probe] {
         return Err(CodecError::Corrupt("bad message magic"));
     }
-    if buf.len() < MAGIC.len() + 1 {
-        return Ok(None);
-    }
-    let tag = buf[MAGIC.len()];
-    let Some(fields) = layout(tag) else {
-        return Err(CodecError::Corrupt("unknown message tag"));
+    let end = match read_body(buf) {
+        Ok(body) => body.end,
+        // The header itself is still arriving.
+        Err(CodecError::UnexpectedEof) => return Ok(None),
+        Err(e) => return Err(e),
     };
-    let mut pos = MAGIC.len() + 1;
-    for field in fields {
-        let stepped = match field {
-            Field::UVarint => read_uvarint(buf, &mut pos).map(|_| ()),
-            Field::U32 => read_u32(buf, &mut pos).map(|_| ()),
-            Field::F64 => read_f64(buf, &mut pos).map(|_| ()),
-            Field::U8 => {
-                if pos < buf.len() {
-                    pos += 1;
-                    Ok(())
-                } else {
-                    Err(CodecError::UnexpectedEof)
-                }
-            }
-            Field::Payload => read_uvarint(buf, &mut pos).map(|len| {
-                // The payload itself need not be buffered yet; its
-                // length is all the frame size needs. Saturate so a
-                // hostile length falls into the cap check below.
-                pos = pos.saturating_add(usize::try_from(len).unwrap_or(usize::MAX));
-            }),
-        };
-        match stepped {
-            Ok(()) => {}
-            // The header itself is still arriving.
-            Err(CodecError::UnexpectedEof) => return Ok(None),
-            Err(e) => return Err(e),
-        }
-    }
-    let total = pos.saturating_add(4); // CRC-32 trailer
+    let total = end.saturating_add(4); // CRC-32 trailer
     if total > MAX_FRAME_BYTES {
         return Err(CodecError::Corrupt("frame exceeds the size cap"));
     }
@@ -237,104 +289,101 @@ impl Message {
         }
     }
 
-    fn tag(&self) -> u8 {
+    /// Hands `f` the message's tag and field values, in `layout` order.
+    fn with_values<R>(&self, f: impl FnOnce(u8, &[Value<'_>]) -> R) -> R {
+        use Value::{Flag, Payload, UVarint, F64, U32};
         match self {
-            Message::Join { .. } => 1,
-            Message::GlobalModel { .. } => 2,
-            Message::Update { .. } => 3,
-            Message::Shutdown => 4,
-            Message::EncodedGlobal { .. } => 5,
-            Message::PartialSum { .. } => 6,
-            Message::PartialSumCompressed { .. } => 7,
+            Message::Join { client_id, round, relay } => {
+                f(1, &[UVarint(*client_id), U32(*round), Flag(*relay)])
+            }
+            Message::GlobalModel { round, dict_bytes } => f(2, &[U32(*round), Payload(dict_bytes)]),
+            Message::Update { round, client_id, payload, compressed } => {
+                f(3, &[U32(*round), UVarint(*client_id), Flag(*compressed), Payload(payload)])
+            }
+            Message::Shutdown => f(4, &[]),
+            Message::EncodedGlobal { round, payload } => f(5, &[U32(*round), Payload(payload)]),
+            Message::PartialSum { round, shard, clients, weight, payload, compressed } => f(
+                6 + u8::from(*compressed),
+                &[
+                    U32(*round),
+                    UVarint(u64::from(*shard)),
+                    UVarint(u64::from(*clients)),
+                    F64(*weight),
+                    Payload(payload),
+                ],
+            ),
         }
+    }
+
+    /// [`Message::with_values`]' inverse, for values read by `layout`.
+    fn from_values(tag: u8, values: &[Value<'_>]) -> Result<Message> {
+        use Value::{Flag, Payload, UVarint, F64, U32};
+        let narrow = |v, what| u32::try_from(v).map_err(|_| CodecError::Corrupt(what));
+        Ok(match (tag, values) {
+            (1, &[UVarint(client_id), U32(round), Flag(relay)]) => {
+                Message::Join { client_id, round, relay }
+            }
+            (2, &[U32(round), Payload(dict)]) => {
+                Message::GlobalModel { round, dict_bytes: dict.to_vec() }
+            }
+            (3, &[U32(round), UVarint(client_id), Flag(compressed), Payload(payload)]) => {
+                Message::Update { round, client_id, payload: payload.to_vec(), compressed }
+            }
+            (4, []) => Message::Shutdown,
+            (5, &[U32(round), Payload(payload)]) => {
+                Message::EncodedGlobal { round, payload: payload.to_vec() }
+            }
+            (
+                6 | 7,
+                &[U32(round), UVarint(shard), UVarint(clients), F64(weight), Payload(payload)],
+            ) => Message::PartialSum {
+                round,
+                shard: narrow(shard, "shard index overflow")?,
+                clients: narrow(clients, "client count overflow")?,
+                weight,
+                payload: payload.to_vec(),
+                compressed: tag == 7,
+            },
+            _ => return Err(CodecError::Corrupt("unknown message tag")),
+        })
     }
 
     /// Serializes the message into a framed byte vector.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(self.tag());
-        match self {
-            Message::Join { client_id, round, relay } => {
-                write_uvarint(&mut out, *client_id);
-                write_u32(&mut out, *round);
-                out.push(u8::from(*relay));
+        self.with_values(|tag, values| {
+            let mut out = Vec::with_capacity(self.encoded_len());
+            out.extend_from_slice(MAGIC);
+            out.push(tag);
+            for value in values {
+                value.write(&mut out);
             }
-            Message::GlobalModel { round, dict_bytes } => {
-                write_u32(&mut out, *round);
-                write_uvarint(&mut out, dict_bytes.len() as u64);
-                out.extend_from_slice(dict_bytes);
-            }
-            Message::Update { round, client_id, payload, compressed } => {
-                write_u32(&mut out, *round);
-                write_uvarint(&mut out, *client_id);
-                out.push(u8::from(*compressed));
-                write_uvarint(&mut out, payload.len() as u64);
-                out.extend_from_slice(payload);
-            }
-            Message::Shutdown => {}
-            Message::EncodedGlobal { round, payload } => {
-                write_u32(&mut out, *round);
-                write_uvarint(&mut out, payload.len() as u64);
-                out.extend_from_slice(payload);
-            }
-            Message::PartialSum { round, shard, clients, weight, payload }
-            | Message::PartialSumCompressed { round, shard, clients, weight, payload } => {
-                write_u32(&mut out, *round);
-                write_uvarint(&mut out, u64::from(*shard));
-                write_uvarint(&mut out, u64::from(*clients));
-                write_f64(&mut out, *weight);
-                write_uvarint(&mut out, payload.len() as u64);
-                out.extend_from_slice(payload);
-            }
-        }
-        let crc = crc32(&out);
-        write_u32(&mut out, crc);
-        out
+            let crc = crc32(&out);
+            write_u32(&mut out, crc);
+            out
+        })
     }
 
     /// The exact byte length [`Message::encode`] would produce, without
     /// materializing the frame — the accounting paths (partial-sum
     /// pricing, bench harnesses) charge for frames they never build.
-    /// Conformance with `encode` is unit-tested per variant.
     pub fn encoded_len(&self) -> usize {
-        let body = match self {
-            Message::Join { client_id, round: _, relay: _ } => uvarint_len(*client_id) + 4 + 1,
-            Message::GlobalModel { round: _, dict_bytes } => {
-                4 + uvarint_len(dict_bytes.len() as u64) + dict_bytes.len()
-            }
-            Message::Update { round: _, client_id, payload, compressed: _ } => {
-                4 + uvarint_len(*client_id) + 1 + uvarint_len(payload.len() as u64) + payload.len()
-            }
-            Message::Shutdown => 0,
-            Message::EncodedGlobal { round: _, payload } => {
-                4 + uvarint_len(payload.len() as u64) + payload.len()
-            }
-            Message::PartialSum { shard, clients, payload, .. }
-            | Message::PartialSumCompressed { shard, clients, payload, .. } => {
-                4 + uvarint_len(u64::from(*shard))
-                    + uvarint_len(u64::from(*clients))
-                    + 8
-                    + uvarint_len(payload.len() as u64)
-                    + payload.len()
-            }
-        };
-        MAGIC.len() + 1 + body + 4
+        self.with_values(|_, values| {
+            MAGIC.len() + 1 + values.iter().map(|v| v.encoded_len()).sum::<usize>() + 4
+        })
     }
 
     /// Parses a complete framed message.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] for truncation, bad magic, unknown tags
-    /// or checksum mismatches.
+    /// Returns a [`CodecError`] for truncation, bad magic, unknown tags,
+    /// flag bytes other than 0 and 1, or checksum mismatches.
     pub fn decode(bytes: &[u8]) -> Result<Message> {
         if bytes.len() < 9 {
             return Err(CodecError::UnexpectedEof);
         }
         let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let mut tpos = 0usize;
-        let stored = read_u32(trailer, &mut tpos)?;
+        let stored = read_u32(trailer, &mut 0)?;
         let computed = crc32(body);
         if stored != computed {
             return Err(CodecError::ChecksumMismatch { stored, computed });
@@ -342,64 +391,12 @@ impl Message {
         if &body[..4] != MAGIC {
             return Err(CodecError::Corrupt("bad message magic"));
         }
-        let tag = body[4];
-        let mut pos = 5usize;
-        let msg = match tag {
-            1 => {
-                let client_id = read_uvarint(body, &mut pos)?;
-                let round = read_u32(body, &mut pos)?;
-                let relay = *body.get(pos).ok_or(CodecError::UnexpectedEof)? == 1;
-                pos += 1;
-                Message::Join { client_id, round, relay }
-            }
-            2 => {
-                let round = read_u32(body, &mut pos)?;
-                let len = read_uvarint(body, &mut pos)? as usize;
-                let dict_bytes =
-                    body.get(pos..pos + len).ok_or(CodecError::UnexpectedEof)?.to_vec();
-                pos += len;
-                Message::GlobalModel { round, dict_bytes }
-            }
-            3 => {
-                let round = read_u32(body, &mut pos)?;
-                let client_id = read_uvarint(body, &mut pos)?;
-                let compressed = *body.get(pos).ok_or(CodecError::UnexpectedEof)? == 1;
-                pos += 1;
-                let len = read_uvarint(body, &mut pos)? as usize;
-                let payload = body.get(pos..pos + len).ok_or(CodecError::UnexpectedEof)?.to_vec();
-                pos += len;
-                Message::Update { round, client_id, payload, compressed }
-            }
-            4 => Message::Shutdown,
-            5 => {
-                let round = read_u32(body, &mut pos)?;
-                let len = read_uvarint(body, &mut pos)? as usize;
-                let payload = body.get(pos..pos + len).ok_or(CodecError::UnexpectedEof)?.to_vec();
-                pos += len;
-                Message::EncodedGlobal { round, payload }
-            }
-            6 | 7 => {
-                let round = read_u32(body, &mut pos)?;
-                let shard = u32::try_from(read_uvarint(body, &mut pos)?)
-                    .map_err(|_| CodecError::Corrupt("shard index overflow"))?;
-                let clients = u32::try_from(read_uvarint(body, &mut pos)?)
-                    .map_err(|_| CodecError::Corrupt("client count overflow"))?;
-                let weight = read_f64(body, &mut pos)?;
-                let len = read_uvarint(body, &mut pos)? as usize;
-                let payload = body.get(pos..pos + len).ok_or(CodecError::UnexpectedEof)?.to_vec();
-                pos += len;
-                if tag == 6 {
-                    Message::PartialSum { round, shard, clients, weight, payload }
-                } else {
-                    Message::PartialSumCompressed { round, shard, clients, weight, payload }
-                }
-            }
-            _ => return Err(CodecError::Corrupt("unknown message tag")),
-        };
-        if pos != body.len() {
-            return Err(CodecError::Corrupt("trailing bytes in message"));
+        // The CRC held: fields that overrun the body lie, not truncate.
+        let read = read_body(body)?;
+        if read.end != body.len() {
+            return Err(CodecError::Corrupt("message fields disagree with its length"));
         }
-        Ok(msg)
+        Message::from_values(read.tag, &read.values[..read.count])
     }
 }
 
@@ -421,15 +418,28 @@ mod tests {
                 clients: 61,
                 weight: 61.5,
                 payload: vec![1, 2, 3],
+                compressed: false,
             },
-            Message::PartialSumCompressed {
+            Message::PartialSum {
                 round: 9,
                 shard: 5,
                 clients: 200,
                 weight: 199.25,
                 payload: vec![0xF5, 9, 8, 7],
+                compressed: true,
             },
         ]
+    }
+
+    #[test]
+    fn every_layout_fits_the_reader_and_ends_in_its_payload() {
+        // A payload only last is what lets `frame_len` size a frame
+        // from its header.
+        for fields in (0..=u8::MAX).filter_map(layout) {
+            assert!(fields.len() <= MAX_FIELDS, "{fields:?}");
+            let payloads = fields.iter().filter(|&&f| f == Field::Payload).count();
+            assert!(payloads == usize::from(fields.last() == Some(&Field::Payload)), "{fields:?}");
+        }
     }
 
     #[test]
@@ -469,6 +479,7 @@ mod tests {
             clients: 1_000_000,
             weight: -0.0,
             payload: vec![3; 300],
+            compressed: false,
         };
         assert_eq!(wide.encoded_len(), wide.encode().len());
     }
@@ -543,6 +554,53 @@ mod tests {
         assert!(frame_len(b"FMSX").is_err());
         assert_eq!(frame_len(b"FM").unwrap(), None, "valid prefix still undecided");
         assert_eq!(frame_len(b"").unwrap(), None);
+    }
+
+    /// Re-seals an edited frame: replaces its trailer with the CRC-32
+    /// of everything before it.
+    fn resealed(mut frame: Vec<u8>) -> Vec<u8> {
+        frame.truncate(frame.len() - 4);
+        let crc = crc32(&frame);
+        write_u32(&mut frame, crc);
+        frame
+    }
+
+    #[test]
+    fn a_payload_length_past_the_body_is_an_error_not_a_panic() {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.push(3); // Update
+        write_u32(&mut out, 1);
+        write_uvarint(&mut out, 2);
+        out.push(1);
+        write_uvarint(&mut out, u64::MAX - 3);
+        out.extend_from_slice(&[0; 4]);
+        let frame = resealed(out);
+        assert!(
+            matches!(
+                Message::decode(&frame),
+                Err(CodecError::UnexpectedEof | CodecError::Corrupt(_))
+            ),
+            "{:?}",
+            Message::decode(&frame)
+        );
+        assert!(matches!(frame_len(&frame), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_flag_byte_other_than_0_or_1_is_corrupt() {
+        let join = Message::Join { client_id: 3, round: 1, relay: true }.encode();
+        let update =
+            Message::Update { round: 1, client_id: 3, payload: vec![5; 8], compressed: true }
+                .encode();
+        // Join's flag is its last body byte; Update's sits after the
+        // one-byte client id.
+        for (mut frame, at) in [(join.clone(), join.len() - 5), (update, 4 + 1 + 4 + 1)] {
+            assert_eq!(frame[at], 1);
+            frame[at] = 7;
+            let frame = resealed(frame);
+            assert!(matches!(Message::decode(&frame), Err(CodecError::Corrupt(_))), "{frame:?}");
+        }
     }
 
     #[test]

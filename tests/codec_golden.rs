@@ -29,12 +29,16 @@
 //! (The container ends in its own CRC-32, so the CRC of the whole is
 //! the same residue at any length; its length is what is pinned.)
 //!
+//! The FMSG frame is pinned the same way, one sample frame per tag, so
+//! a rewrite of the wire module cannot move a byte unnoticed either.
+//!
 //! The CRC here is a bit-at-a-time reference private to this file, so
 //! the goldens do not lean on the `checksum` module they help guard.
 
 use fedsz::FedSz;
 use fedsz_lossless::{LosslessKind, PsumCodec};
 use fedsz_lossy::{ErrorBound, ErrorBounded, LossyKind, Sz2};
+use fedsz_net::Message;
 use fedsz_nn::models::specs::ModelSpec;
 
 /// Bit-at-a-time IEEE CRC-32.
@@ -185,4 +189,79 @@ fn pinned_streams_still_round_trip() {
     }
     let (_, psum) = streams().into_iter().find(|(name, _)| *name == "psum").expect("pinned");
     assert_eq!(PsumCodec::new().decompress(&psum).unwrap().len(), 8 * data.len());
+}
+
+/// One FMSG frame per tag, 1 through 7: varints of more than one byte,
+/// both flag values and payloads from empty to past a two-byte length
+/// prefix.
+fn fmsg_samples() -> Vec<(u8, Message)> {
+    let bytes = |n: usize, seed: u8| (0..n).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+    vec![
+        (1, Message::Join { client_id: 300, round: 2, relay: true }),
+        (2, Message::GlobalModel { round: 7, dict_bytes: bytes(200, 1) }),
+        (
+            3,
+            Message::Update {
+                round: 3,
+                client_id: 1 << 40,
+                payload: bytes(20_000, 2),
+                compressed: true,
+            },
+        ),
+        (4, Message::Shutdown),
+        (5, Message::EncodedGlobal { round: u32::MAX, payload: Vec::new() }),
+        (
+            6,
+            Message::PartialSum {
+                round: 4,
+                shard: 70_000,
+                clients: 61,
+                weight: 61.5,
+                payload: bytes(129, 3),
+                compressed: false,
+            },
+        ),
+        (
+            7,
+            Message::PartialSum {
+                round: 9,
+                shard: 5,
+                clients: 200,
+                weight: -0.0,
+                payload: bytes(5, 4),
+                compressed: true,
+            },
+        ),
+    ]
+}
+
+/// `(tag, frame length, CRC-32 of the frame without its trailer)` for
+/// [`fmsg_samples`], as the commit before the FMSG field-table rewrite
+/// encoded them. (A frame ends in the CRC-32 of what precedes it, so the
+/// CRC of a whole frame is one residue at any content; the trailer
+/// follows from the bytes pinned here.)
+const FMSG_GOLDEN: &[(u8, usize, u32)] = &[
+    (1, 16, 0x5d29a86b),
+    (2, 215, 0x96008745),
+    (3, 20023, 0x13fb7467),
+    (4, 9, 0xae405726),
+    (5, 14, 0x6ce6dd42),
+    (6, 156, 0x30bc8387),
+    (7, 30, 0xca0e0ee2),
+];
+
+#[test]
+fn fmsg_frames_are_byte_identical_to_the_parent_commit() {
+    let got: Vec<(u8, usize, u32)> = fmsg_samples()
+        .iter()
+        .map(|(tag, m)| {
+            let frame = m.encode();
+            assert_eq!(frame[4], *tag, "{m:?}");
+            assert_eq!(Message::decode(&frame).as_ref(), Ok(m));
+            (*tag, frame.len(), crc32_reference(&frame[..frame.len() - 4]))
+        })
+        .collect();
+    let table: String =
+        got.iter().map(|(t, len, crc)| format!("    ({t}, {len}, 0x{crc:08x}),\n")).collect();
+    assert_eq!(got, FMSG_GOLDEN, "frames moved; this run produced:\n{table}");
 }

@@ -507,7 +507,7 @@ fn forged_element_counts_are_errors_not_aborts() {
 /// declared image length rewritten to 2^60. The shuffle + LZ codec
 /// passed that length to `Vec::with_capacity` — a SIGABRT at the root
 /// of a sharded run. It must be an `Err` on the codec alone and inside
-/// a `PartialSumCompressed` message with a valid frame CRC, which is
+/// a compressed `PartialSum` message with a valid frame CRC, which is
 /// how it reaches `fold_upload` from the network.
 #[test]
 fn forged_psum_length_is_an_error_not_an_abort() {
@@ -531,15 +531,16 @@ fn forged_psum_length_is_an_error_not_an_abort() {
 
     // Framed: the message survives the wire's own CRC check, and the
     // fold step refuses its payload.
-    let wire = Message::PartialSumCompressed {
+    let wire = Message::PartialSum {
         round: 0,
         shard: 1,
         clients: 2,
         weight: 3.0,
         payload: forged,
+        compressed: true,
     }
     .encode();
-    let Ok(Message::PartialSumCompressed { payload, .. }) = Message::decode(&wire) else {
+    let Ok(Message::PartialSum { payload, compressed: true, .. }) = Message::decode(&wire) else {
         panic!("a well-framed message must decode");
     };
     assert!(!decode_is_total(&kind, &payload, &reference, "the forged psum frame"));

@@ -3,6 +3,7 @@
 //! produces — must round-trip bit-exactly through `FrameReader`, and
 //! corruption anywhere must be rejected, never mis-decoded.
 
+use fedsz_codec::checksum::crc32;
 use fedsz_net::{frame_len, FrameReader, FrameWriter, Message, NetError};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -88,11 +89,38 @@ fn message() -> impl Strategy<Value = Message> {
                 clients,
                 weight,
                 payload,
+                compressed: false,
             })
             .boxed(),
         ((0u32..9000, 0u32..512), (0u32..100_000, 0.0f64..1e6), payload())
-            .prop_map(|((round, shard), (clients, weight), payload)| {
-                Message::PartialSumCompressed { round, shard, clients, weight, payload }
+            .prop_map(|((round, shard), (clients, weight), payload)| Message::PartialSum {
+                round,
+                shard,
+                clients,
+                weight,
+                payload,
+                compressed: true,
+            })
+            .boxed(),
+    ]
+}
+
+/// A tag byte and a body to seal under it: arbitrary bytes after a
+/// known or unknown tag, or a real message's body with one byte
+/// overwritten — a forged length, a flag byte that is neither 0 nor 1,
+/// an overflowing varint.
+fn hostile_body() -> impl Strategy<Value = (u8, Vec<u8>)> {
+    prop_oneof![
+        (prop_oneof![(0u8..9).boxed(), any::<u8>().boxed()], vec(any::<u8>(), 0..40)).boxed(),
+        (message(), any::<u64>(), any::<u8>())
+            .prop_map(|(message, at, byte)| {
+                let frame = message.encode();
+                let mut body = frame[5..frame.len() - 4].to_vec();
+                if !body.is_empty() {
+                    let at = (at % body.len() as u64) as usize;
+                    body[at] = byte;
+                }
+                (frame[4], body)
             })
             .boxed(),
     ]
@@ -255,6 +283,30 @@ proptest! {
             // Cut mid-frame: an explicit error.
             Err(NetError::Codec(_)) => prop_assert!(decoded < messages.len()),
             other => return Err(TestCaseError::Fail(format!("unexpected end: {other:?}"))),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn any_checksummed_body_decodes_or_errors_and_never_panics(
+        (tag, body) in hostile_body(),
+    ) {
+        // A hostile peer can seal any bytes with a valid CRC: decode
+        // must then be total, over every tag, known or not.
+        let mut frame = b"FMSG".to_vec();
+        frame.push(tag);
+        frame.extend_from_slice(&body);
+        let crc = crc32(&frame);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        let _ = frame_len(&frame);
+        if let Ok(message) = Message::decode(&frame) {
+            // Compared as frames: encoding is injective, and it tells
+            // NaN weights apart where `PartialEq` cannot.
+            let again = Message::decode(&message.encode());
+            prop_assert_eq!(again.map(|m| m.encode()), Ok(message.encode()));
         }
     }
 }

@@ -93,7 +93,7 @@ fn flat_socket_run_is_bit_identical_to_in_memory() {
 #[test]
 fn sharded_relay_run_ships_compressed_psums_and_keeps_parity() {
     // 4 clients through 2 relay processes, lossless partial-sum frames:
-    // the acceptance topology — PartialSumCompressed relayed over real
+    // the acceptance topology — compressed PartialSum frames relayed over real
     // sockets, still bit-identical to the flat in-memory run.
     let mut config = quick_config();
     config.clients = 4;
@@ -139,7 +139,7 @@ fn sharded_relay_run_ships_compressed_psums_and_keeps_parity() {
     assert_eq!(
         report.psum_compressed_frames,
         2 * config.rounds,
-        "every relay round must ship a PartialSumCompressed frame"
+        "every relay round must ship a compressed PartialSum frame"
     );
     assert_eq!(report.psum_raw_frames, 0);
     assert!(report.rounds.iter().all(|r| r.merged == config.clients));
