@@ -75,8 +75,8 @@ pub mod plan;
 pub mod pool;
 pub mod psum;
 pub mod shard;
-// The workspace's one `unsafe` outside `net::poll`: AVX2 loads and
-// stores, each under a `// SAFETY:` comment.
+// The fold's `unsafe`: AVX-512 and AVX2 loads and stores, each under
+// a `// SAFETY:` comment.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd;

@@ -85,11 +85,15 @@ impl PsumFrame {
     }
 }
 
-/// Reusable per-worker buffers for frame pricing: the encoded payload
-/// image and the compressed frame, which the codec fills in place
-/// ([`PsumCodec::compress_into`]). One scratch per pricing worker (not
-/// per frame) keeps steady-state rounds free of image-sized
-/// allocations.
+/// Per-worker buffers for frame pricing: the encoded payload image and
+/// the compressed frame, which the codec fills in place
+/// ([`PsumCodec::compress_into`]). One scratch serves every frame a
+/// worker prices within one tree level, so a level allocates one image
+/// pair per worker rather than per frame; [`ShardedTree`] builds fresh
+/// scratch for each level of each round (the allocator hands the freed
+/// buffers back, and pooling them measured no gain).
+///
+/// [`ShardedTree`]: super::ShardedTree
 #[derive(Debug, Clone, Default)]
 pub struct PsumScratch {
     payload: Vec<u8>,

@@ -108,7 +108,7 @@ fn quantize(term: f64) -> i128 {
 /// aggregation bit-identical to flat aggregation.
 ///
 /// `repr(transparent)`: a slice of accumulators is a slice of `i128`s,
-/// which is how the AVX2 kernel behind [`ExactAcc::add_slice`] loads it.
+/// which is how the wide kernels behind [`ExactAcc::add_slice`] load it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(transparent)]
 pub struct ExactAcc(i128);
@@ -179,10 +179,12 @@ impl ExactAcc {
     /// separate rounding step to diverge: the fast path computes the
     /// same `(frac | 2^52) << (e + FRAC_BITS)` the scalar path does.
     ///
-    /// On an x86-64 host with AVX2 the slice runs through a four-lane
-    /// kernel (`agg/simd.rs`) doing the same per-element arithmetic;
-    /// everywhere else, and as that kernel's test oracle, it runs the
-    /// portable loop.
+    /// On an x86-64 host the slice runs through the widest kernel in
+    /// `agg/simd.rs` that the CPU has, as `is_x86_feature_detected!`
+    /// reports it: eight lanes under AVX-512 F and DQ, else four under
+    /// AVX2. Each does the same per-element arithmetic, with nothing
+    /// reduced across lanes; everywhere else, and as those kernels'
+    /// test oracle, it runs the portable loop.
     ///
     /// # Panics
     ///
@@ -339,8 +341,8 @@ impl PartialSum {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive weights, on a missing entry, or on a
-    /// shape mismatch.
+    /// Panics on non-positive weights, on a missing or extra entry, or
+    /// on a shape mismatch.
     pub fn accumulate(&mut self, dict: &StateDict, weight: f64) {
         assert!(weight.is_finite() && weight > 0.0, "weights must be positive");
         // A recycled ([`PartialSum::reset`]) buffer whose zeroed entries
@@ -354,6 +356,9 @@ impl PartialSum {
                 })
                 .collect();
         }
+        // Names are unique on both sides, so equal counts and every
+        // entry found below mean the same set of names.
+        assert_eq!(dict.len(), self.entries.len(), "update entry count differs from the sum's");
         for (name, shape, accs) in &mut self.entries {
             let tensor = dict.get(name).unwrap_or_else(|| panic!("update missing entry `{name}`"));
             assert_eq!(tensor.shape(), &shape[..], "shape mismatch for `{name}`");
@@ -836,6 +841,16 @@ mod tests {
         let mut sum = PartialSum::new();
         sum.accumulate(&dict(&[1.0, 2.0]), 1.0);
         sum.accumulate(&dict(&[1.0]), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry count differs")]
+    fn extra_entries_rejected() {
+        let mut sum = PartialSum::new();
+        sum.accumulate(&dict(&[1.0, 2.0]), 1.0);
+        let mut extra = dict(&[1.0, 2.0]);
+        extra.insert("extra", Tensor::from_vec(vec![1], vec![3.0]));
+        sum.accumulate(&extra, 1.0);
     }
 
     #[test]

@@ -35,10 +35,10 @@
 //! walk-through and the wire-frame formats.
 //!
 //! Every fold goes through [`agg::ExactAcc::add_slice`], which on an
-//! x86-64 host with AVX2 runs a four-lane kernel (the private
-//! `agg::simd` module, this crate's only `unsafe`) and elsewhere the
-//! portable loop. The two compute the same integers, so no global
-//! model, checksum or golden depends on which one ran.
+//! x86-64 host runs an eight-lane AVX-512 or a four-lane AVX2 kernel
+//! (the private `agg::simd` module, this crate's only `unsafe`) and
+//! elsewhere the portable loop. All three compute the same integers,
+//! so no global model, checksum or golden depends on which one ran.
 //!
 //! # Examples
 //!
@@ -54,7 +54,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the crate stays safe Rust except the
-// AVX2 kernel in `agg/simd.rs`, which carries a module-scoped `allow`
+// wide kernels in `agg/simd.rs`, which carry a module-scoped `allow`
 // and a safety argument per block (the pattern `net::poll` set).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
