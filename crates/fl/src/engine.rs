@@ -108,7 +108,11 @@ pub struct RoundEngine {
     config: FlConfig,
     clients: Vec<Client>,
     global: StateDict,
-    eval_model: Box<dyn Model>,
+    /// One evaluation model per validation worker, kept across rounds:
+    /// as many as the plan's worker width, or test chunks if fewer. The
+    /// first is built with the engine (it gives the initial global);
+    /// each other one by its worker, at the first evaluation.
+    eval_models: Vec<Option<Box<dyn Model>>>,
     test_inputs: fedsz_tensor::Tensor,
     test_targets: Vec<usize>,
     topology: Option<Topology>,
@@ -175,12 +179,14 @@ impl RoundEngine {
             .enumerate()
             .map(|(id, shard)| config.make_client(id, shard))
             .collect();
-        // One model-construction rule everywhere (clients, this eval/
-        // global model, the fold step's template here and on the
-        // socket server) or checksums diverge.
-        let eval_model = Box::new(config.build_model());
-        let global = eval_model.state_dict();
         let (test_inputs, test_targets) = test.full_batch();
+        // One model-construction rule everywhere (clients, the eval/
+        // global models, the fold step's template here and on the
+        // socket server) or checksums diverge.
+        let eval_width = worker_threads.min(test_targets.len().div_ceil(EVAL_CHUNK)).max(1);
+        let mut eval_models: Vec<Option<Box<dyn Model>>> = Vec::new();
+        eval_models.resize_with(eval_width, || None);
+        let global = eval_models[0].insert(Box::new(config.build_model())).state_dict();
         let aggregator: Box<dyn Aggregator> = match tree {
             Some(tree) => {
                 // The lifted topology carries the aggregator tiers the
@@ -206,7 +212,7 @@ impl RoundEngine {
             config,
             clients,
             global,
-            eval_model,
+            eval_models,
             test_inputs,
             test_targets,
             topology,
@@ -682,33 +688,58 @@ impl RoundEngine {
     }
 
     /// Evaluates the current global model on the test split, in chunks
-    /// to bound peak memory.
+    /// of [`EVAL_CHUNK`] samples to bound peak memory. Chunk `c` runs on
+    /// eval model `c % width`, each model on its own thread, and the
+    /// chunks' `accuracy × len` are added in chunk order, so the result
+    /// does not depend on the width.
     pub fn evaluate(&mut self) -> f64 {
-        self.eval_model.load_state_dict(&self.global).expect("aggregated dict matches model");
         let n = self.test_targets.len();
         if n == 0 {
             return 0.0;
         }
-        let shape = self.test_inputs.shape().to_vec();
+        let (config, global) = (&self.config, &self.global);
+        let (inputs, targets) = (&self.test_inputs, &self.test_targets);
+        let shape = inputs.shape();
         let sample = shape[1] * shape[2] * shape[3];
-        let chunk = 64usize;
-        let mut correct_weighted = 0.0f64;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let data = self.test_inputs.data()[start * sample..end * sample].to_vec();
-            let batch = fedsz_tensor::Tensor::from_vec(
-                vec![end - start, shape[1], shape[2], shape[3]],
-                data,
-            );
-            let logits = self.eval_model.forward(batch, false);
-            let acc = top1_accuracy(&logits, &self.test_targets[start..end]);
-            correct_weighted += acc * (end - start) as f64;
-            start = end;
-        }
+        let chunks = n.div_ceil(EVAL_CHUNK);
+        let width = self.eval_models.len();
+        let per_worker: Vec<Vec<f64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .eval_models
+                .iter_mut()
+                .enumerate()
+                .map(|(worker, slot)| {
+                    scope.spawn(move || {
+                        let model = slot.get_or_insert_with(|| Box::new(config.build_model()));
+                        model.load_state_dict(global).expect("aggregated dict matches model");
+                        (worker..chunks)
+                            .step_by(width)
+                            .map(|c| {
+                                let span = c * EVAL_CHUNK..((c + 1) * EVAL_CHUNK).min(n);
+                                let batch = fedsz_tensor::Tensor::from_vec(
+                                    vec![span.len(), shape[1], shape[2], shape[3]],
+                                    inputs.data()[span.start * sample..span.end * sample].to_vec(),
+                                );
+                                let logits = model.forward(batch, false);
+                                top1_accuracy(&logits, &targets[span.clone()]) * span.len() as f64
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("evaluation thread panicked")).collect()
+        });
+        let correct_weighted =
+            (0..chunks).fold(0.0f64, |sum, c| sum + per_worker[c % width][c / width]);
         correct_weighted / n as f64
     }
 }
+
+/// Test samples per evaluation forward pass. Fixed: the accuracy is a
+/// sum of per-chunk `accuracy × len`, and `(c / l) · l` is not `c` in
+/// `f64` for some chunk lengths `l`, so another chunk size could move
+/// the last digit of a tracked accuracy.
+const EVAL_CHUNK: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -725,6 +756,35 @@ mod tests {
         assert_eq!(e.select_cohort(0), vec![0, 1]);
         assert_eq!(e.select_cohort(1), vec![2, 3]);
         assert_eq!(e.select_cohort(2), vec![0, 4]);
+    }
+
+    /// 170 test samples are three chunks, the last one short: one, two
+    /// and three eval workers all report the serial loop's accuracy,
+    /// bit for bit.
+    #[test]
+    fn evaluation_does_not_depend_on_the_worker_width() {
+        for threads in [1, 2, 3] {
+            let mut config = FlConfig::smoke_test();
+            config.data.test_per_class = 17;
+            config.worker_threads = Some(threads);
+            let mut e = RoundEngine::new(config);
+            assert_eq!(e.eval_models.len(), threads);
+            e.run_round(0);
+            let mut model = e.config.build_model();
+            model.load_state_dict(&e.global).unwrap();
+            let (n, sample) = (e.test_targets.len(), e.test_inputs.len() / e.test_targets.len());
+            let mut serial = 0.0f64;
+            for start in (0..n).step_by(EVAL_CHUNK) {
+                let end = (start + EVAL_CHUNK).min(n);
+                let mut shape = e.test_inputs.shape().to_vec();
+                shape[0] = end - start;
+                let data = e.test_inputs.data()[start * sample..end * sample].to_vec();
+                let logits = model.forward(fedsz_tensor::Tensor::from_vec(shape, data), false);
+                serial +=
+                    top1_accuracy(&logits, &e.test_targets[start..end]) * (end - start) as f64;
+            }
+            assert_eq!(e.evaluate().to_bits(), (serial / n as f64).to_bits(), "{threads} threads");
+        }
     }
 
     #[test]

@@ -33,6 +33,20 @@
 //! so the kernels agree with the reference bit for bit on every input,
 //! `-0.0` and infinities included: `x + 0.0 * w` is not `x` when `x`
 //! is `-0.0` or `w` is infinite.
+//!
+//! The zero-gradient skip branches on no data. Behind ReLU and max-pool
+//! most of `dy` is zero at random positions, and a branch on it
+//! mispredicts; instead each output row's nonzero positions are listed
+//! first ([`fedsz_tensor::nonzero_positions`]: every index is written,
+//! the cursor advances by `(g != 0.0) as usize`), and the axpys then
+//! run over that list, `ox` ascending. The max-pool's comparison is a
+//! select for the same reason.
+//!
+//! `dx` is optional: the network's first layer passes none
+//! ([`Layer::backward_params`](crate::layers::Layer::backward_params)),
+//! since nobody reads the gradient of the input batch, and skips the
+//! `dx` axpys and transposes. `dW` and `db` come out the same bits
+//! either way: the `dx` accumulator is a buffer of its own.
 
 use std::ops::Range;
 
@@ -166,8 +180,9 @@ fn transpose(src: &[f32], rows: usize, dst: &mut [f32]) {
     }
 }
 
-/// Accumulates `dwt += dW` and `db += db`, and writes `dx`, for the
-/// output gradient `dy` of a [`conv_forward`] call on `x`.
+/// Accumulates `dwt += dW` and `db += db`, and writes `dx` when asked
+/// for it, for the output gradient `dy` of a [`conv_forward`] call on
+/// `x`. `dW` and `db` do not depend on whether `dx` is computed.
 pub(crate) fn conv_backward(
     s: &ConvShape,
     x: &[f32],
@@ -175,7 +190,7 @@ pub(crate) fn conv_backward(
     dy: &[f32],
     dwt: &mut [f32],
     db: &mut [f32],
-    dx: &mut [f32],
+    mut dx: Option<&mut [f32]>,
 ) {
     if s.is_depthwise() {
         return depthwise_backward(s, x, wt, dy, dwt, db, dx);
@@ -193,7 +208,9 @@ pub(crate) fn conv_backward(
     }
     let cols = s.column_taps();
     let mut x_cl = vec![0.0f32; icg * in_plane];
-    let mut dx_cl = vec![0.0f32; icg * in_plane];
+    let with_dx = dx.is_some();
+    let mut dx_cl = vec![0.0f32; if with_dx { icg * in_plane } else { 0 }];
+    let mut live = Vec::with_capacity(s.ow);
     for ni in 0..s.n {
         for grp in 0..s.groups {
             let sample = (ni * s.c + grp * icg) * in_plane..(ni * s.c + (grp + 1) * icg) * in_plane;
@@ -203,10 +220,9 @@ pub(crate) fn conv_backward(
                 let g_plane = &dy[(ni * s.oc + oc) * out_plane..][..out_plane];
                 for (oy, g_row) in g_plane.chunks_exact(s.ow).enumerate() {
                     let (kys, iy0) = s.taps(oy, s.h);
-                    for (&g, (kxs, ix0)) in g_row.iter().zip(&cols) {
-                        if g == 0.0 {
-                            continue;
-                        }
+                    fedsz_tensor::nonzero_positions(g_row, &mut live);
+                    for &ox in &live {
+                        let (g, (kxs, ix0)) = (g_row[ox], &cols[ox]);
                         db[oc] += g;
                         let len = kxs.len() * icg;
                         for (ky, iy) in kys.clone().zip(iy0..) {
@@ -214,12 +230,16 @@ pub(crate) fn conv_backward(
                             let at_w = oc * taps + (ky * k + kxs.start) * icg;
                             let at_w = at_w..at_w + len;
                             axpy(&mut dw_cl[at_w.clone()], g, &x_cl[at_x.clone()]);
-                            axpy(&mut dx_cl[at_x], g, &wt_cl[at_w]);
+                            if with_dx {
+                                axpy(&mut dx_cl[at_x], g, &wt_cl[at_w]);
+                            }
                         }
                     }
                 }
             }
-            transpose(&dx_cl, in_plane, &mut dx[sample]);
+            if let Some(dx) = dx.as_deref_mut() {
+                transpose(&dx_cl, in_plane, &mut dx[sample]);
+            }
         }
     }
     for oc in 0..s.oc {
@@ -269,7 +289,7 @@ fn depthwise_backward(
     dy: &[f32],
     dwt: &mut [f32],
     db: &mut [f32],
-    dx: &mut [f32],
+    mut dx: Option<&mut [f32]>,
 ) {
     let (c, k) = (s.c, s.kernel);
     let (in_plane, out_plane) = (s.h * s.w, s.oh * s.ow);
@@ -279,10 +299,11 @@ fn depthwise_backward(
     transpose(dwt, c, &mut dw_cl);
     let cols = s.column_taps();
     let mut x_cl = vec![0.0f32; c * in_plane];
-    let mut dx_cl = vec![0.0f32; c * in_plane];
+    let with_dx = dx.is_some();
+    let mut dx_cl = vec![0.0f32; if with_dx { c * in_plane } else { 0 }];
     let mut dy_cl = vec![0.0f32; c * out_plane];
     let samples = x.chunks_exact(c * in_plane).zip(dy.chunks_exact(c * out_plane));
-    for ((x, dy), dx) in samples.zip(dx.chunks_exact_mut(c * in_plane)) {
+    for (ni, (x, dy)) in samples.enumerate() {
         transpose(x, c, &mut x_cl);
         transpose(dy, c, &mut dy_cl);
         dx_cl.fill(0.0);
@@ -300,15 +321,19 @@ fn depthwise_backward(
                         for ((d, &xv), &g) in pairs.zip(gs) {
                             *d = if g == 0.0 { *d } else { *d + g * xv };
                         }
-                        let pairs = dx_cl[at_x].iter_mut().zip(&w_cl[at_w]);
-                        for ((d, &wv), &g) in pairs.zip(gs) {
-                            *d = if g == 0.0 { *d } else { *d + g * wv };
+                        if with_dx {
+                            let pairs = dx_cl[at_x].iter_mut().zip(&w_cl[at_w]);
+                            for ((d, &wv), &g) in pairs.zip(gs) {
+                                *d = if g == 0.0 { *d } else { *d + g * wv };
+                            }
                         }
                     }
                 }
             }
         }
-        transpose(&dx_cl, in_plane, dx);
+        if let Some(dx) = dx.as_deref_mut() {
+            transpose(&dx_cl, in_plane, &mut dx[ni * c * in_plane..][..c * in_plane]);
+        }
     }
     transpose(&dw_cl, k * k, dwt);
 }
@@ -340,11 +365,11 @@ pub(crate) fn maxpool_forward(
                     (lower[2 * ox], top + w + 2 * ox),
                     (lower[2 * ox + 1], top + w + 2 * ox + 1),
                 ];
+                // A select, not a branch: which element wins is data.
                 for (v, i) in window {
-                    if v > best {
-                        best = v;
-                        best_i = i;
-                    }
+                    let wins = v > best;
+                    best = if wins { v } else { best };
+                    best_i = if wins { i } else { best_i };
                 }
                 out[at + ox] = best;
                 if let Some(arg) = arg.as_deref_mut() {
@@ -529,7 +554,8 @@ mod tests {
     /// from arbitrary values, signed zeros among them, as a step without
     /// `zero_grad` would leave them; with `infs > 0` some inputs and
     /// weights are infinite, which tells a skipped tap or gradient from
-    /// one multiplied by zero.
+    /// one multiplied by zero. Each pass also runs the backward that
+    /// writes no `dx`, whose `dW`/`db` must be the full backward's.
     fn assert_matches_reference(s: &ConvShape, seed: u64, infs: f64) -> Result<(), TestCaseError> {
         let rng = &mut seeded(seed);
         let taps = s.c / s.groups * s.kernel * s.kernel;
@@ -547,11 +573,15 @@ mod tests {
         for pass in 0..2 {
             let dy = samples(rng, out_len, 0.5, 0.0);
             let (mut dx, mut dx_want) = (vec![f32::NAN; x.len()], vec![f32::NAN; x.len()]);
-            conv_backward(s, &x, &wt, &dy, &mut dw, &mut db, &mut dx);
+            let (mut dw_only, mut db_only) = (dw.clone(), db.clone());
+            conv_backward(s, &x, &wt, &dy, &mut dw_only, &mut db_only, None);
+            conv_backward(s, &x, &wt, &dy, &mut dw, &mut db, Some(&mut dx));
             reference::conv_backward(s, &x, &wt, &dy, &mut dw_want, &mut db_want, &mut dx_want);
             prop_assert_eq!(bits(&dx), bits(&dx_want), "dx, pass {}, {:?}", pass, s);
             prop_assert_eq!(bits(&dw), bits(&dw_want), "dW, pass {}, {:?}", pass, s);
             prop_assert_eq!(bits(&db), bits(&db_want), "db, pass {}, {:?}", pass, s);
+            prop_assert_eq!(bits(&dw_only), bits(&dw), "no-dx dW, pass {}, {:?}", pass, s);
+            prop_assert_eq!(bits(&db_only), bits(&db), "no-dx db, pass {}, {:?}", pass, s);
         }
         Ok(())
     }
@@ -641,8 +671,10 @@ mod tests {
         }
         // (shape, share of zero output gradients, floor): the AlexNet
         // convolutions sit under ReLU + max-pool, which zero most of
-        // `dy`; the other two sit under batch norm, which zeroes none.
+        // `dy` (three in four behind conv1's pool, at random positions);
+        // the other two sit under batch norm, which zeroes none.
         let cases = [
+            ("alexnet conv1 3->16 @ 16x16", shape([16, 3, 16, 16], 16, [3, 1, 1, 1]), 0.75, 4.0),
             ("alexnet conv2 16->32 @ 8x8", shape([16, 16, 8, 8], 32, [3, 1, 1, 1]), 0.5, 2.0),
             ("depthwise 16 @ 16x16", shape([16, 16, 16, 16], 16, [3, 1, 1, 16]), 0.0, 1.0),
             ("stride-2 16->32 @ 16x16", shape([16, 16, 16, 16], 32, [3, 2, 1, 1]), 0.0, 1.0),
@@ -659,7 +691,7 @@ mod tests {
                 (vec![0.0; wt.len()], vec![0.0; s.oc], vec![0.0; x.len()]);
             let new = best_of(|| {
                 conv_forward(&s, &x, &wt, &bias, &mut out);
-                conv_backward(&s, &x, &wt, &dy, &mut dw, &mut db, &mut dx);
+                conv_backward(&s, &x, &wt, &dy, &mut dw, &mut db, Some(&mut dx));
                 std::hint::black_box((&out, &dw, &db, &dx));
             });
             let old = best_of(|| {

@@ -60,6 +60,19 @@ pub trait Layer: Send {
     /// Panics if called before a training-mode forward pass.
     fn backward(&mut self, grad: Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody
+    /// reads — the network's first layer: accumulates the parameter
+    /// gradients alone. A layer whose input gradient costs work of its
+    /// own overrides this to skip that work; the parameter gradients
+    /// must come out bit for bit as [`Layer::backward`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a training-mode forward pass.
+    fn backward_params(&mut self, grad: Tensor) {
+        self.backward(grad);
+    }
+
     /// Mutable access to this layer's parameters (empty by default).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
@@ -197,6 +210,26 @@ impl Conv2d {
             groups: self.groups,
         }
     }
+
+    /// Accumulates `dW` and `db` for `grad`, and writes `dx` when given
+    /// one.
+    fn accumulate_grads(&mut self, grad: &Tensor, dx: Option<&mut [f32]>) {
+        let (input, s) = self.cache.take().expect("backward before forward");
+        assert_eq!(grad.shape(), [s.n, s.oc, s.oh, s.ow], "gradient is not shaped like the output");
+        #[cfg(test)]
+        tests::CONV_BACKWARDS.with_borrow_mut(|log| {
+            log.push((self.weight.value.shape().to_vec(), dx.is_some()));
+        });
+        kernels::conv_backward(
+            &s,
+            input.data(),
+            self.weight.value.data(),
+            grad.data(),
+            self.weight.grad.data_mut(),
+            self.bias.grad.data_mut(),
+            dx,
+        );
+    }
 }
 
 impl Layer for Conv2d {
@@ -218,19 +251,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let (input, s) = self.cache.take().expect("backward before forward");
-        assert_eq!(grad.shape(), [s.n, s.oc, s.oh, s.ow], "gradient is not shaped like the output");
+        let s = self.cache.as_ref().expect("backward before forward").1;
         let mut dx = Tensor::zeros(vec![s.n, s.c, s.h, s.w]);
-        kernels::conv_backward(
-            &s,
-            input.data(),
-            self.weight.value.data(),
-            grad.data(),
-            self.weight.grad.data_mut(),
-            self.bias.grad.data_mut(),
-            dx.data_mut(),
-        );
+        self.accumulate_grads(&grad, Some(dx.data_mut()));
         dx
+    }
+
+    /// Skips `dx`: its axpys, its accumulator and its transposes.
+    fn backward_params(&mut self, grad: Tensor) {
+        self.accumulate_grads(&grad, None);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -479,17 +508,25 @@ impl Layer for ReLU {
         if train {
             self.mask = Some(input.data().iter().map(|&v| v > 0.0 && v < cap).collect());
         }
-        input.map(|v| v.clamp(0.0, cap))
+        let mut out = input;
+        out.map_inplace(|v| v.clamp(0.0, cap));
+        out
     }
 
     fn backward(&mut self, mut grad: Tensor) -> Tensor {
         let mask = self.mask.take().expect("backward before forward");
-        for (g, &pass) in grad.data_mut().iter_mut().zip(&mask) {
-            if !pass {
-                *g = 0.0;
-            }
-        }
+        gate(grad.data_mut(), &mask);
         grad
+    }
+}
+
+/// Zeroes (to `+0.0`) every gradient whose lane `pass` blocks and keeps
+/// the others bit for bit, `-0.0` included. A select, not a branch: the
+/// mask is the sign pattern of ReLU's input, and a branch on it
+/// mispredicts about every other element.
+fn gate(grad: &mut [f32], pass: &[bool]) {
+    for (g, &pass) in grad.iter_mut().zip(pass) {
+        *g = if pass { *g } else { 0.0 };
     }
 }
 
@@ -792,6 +829,14 @@ impl Layer for Sequential {
         self.children.iter_mut().rev().fold(grad, |g, layer| layer.backward(g))
     }
 
+    /// Only the first child's input gradient is dropped, so it alone
+    /// runs [`Layer::backward_params`].
+    fn backward_params(&mut self, grad: Tensor) {
+        if let Some((first, rest)) = self.children.split_first_mut() {
+            first.backward_params(rest.iter_mut().rev().fold(grad, |g, layer| layer.backward(g)));
+        }
+    }
+
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.children.iter_mut().flat_map(|l| l.params_mut()).collect()
     }
@@ -844,11 +889,7 @@ impl Layer for Residual {
 
     fn backward(&mut self, mut grad: Tensor) -> Tensor {
         let mask = self.relu_mask.take().expect("backward before forward");
-        for (g, &pass) in grad.data_mut().iter_mut().zip(&mask) {
-            if !pass {
-                *g = 0.0;
-            }
-        }
+        gate(grad.data_mut(), &mask);
         let d_main = self.main.backward(grad.clone());
         let d_skip = match &mut self.shortcut {
             Some(s) => s.backward(grad),
@@ -945,9 +986,83 @@ impl Layer for InvertedResidual {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fedsz_tensor::rng::seeded;
+    use proptest::prelude::*;
+    use rand::Rng;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every `Conv2d` backward this thread ran: its weight shape and
+        /// whether it computed `dx`.
+        pub(crate) static CONV_BACKWARDS: RefCell<Vec<(Vec<usize>, bool)>> =
+            const { RefCell::new(Vec::new()) };
+    }
+
+    /// The branching loop `gate` replaced, kept as the oracle.
+    fn gate_reference(grad: &[f32], pass: impl Iterator<Item = bool>) -> Vec<u32> {
+        let mut grad = grad.to_vec();
+        for (g, pass) in grad.iter_mut().zip(pass) {
+            if !pass {
+                *g = 0.0;
+            }
+        }
+        bits(&grad)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `len` values drawn from `palette`, a normal sample where it holds
+    /// `None`.
+    fn drawn(seed: u64, len: usize, palette: &[Option<f32>]) -> Vec<f32> {
+        let rng = &mut seeded(seed);
+        (0..len)
+            .map(|_| {
+                palette[rng.gen_range(0..palette.len())]
+                    .unwrap_or_else(|| fedsz_tensor::rng::normal(rng) * 8.0)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// NaN, both zeros, exactly 6, `+inf` and subnormals in, `-0.0`
+        /// among the gradients: a lane that passes keeps its gradient's
+        /// bits, `-0.0` too, and a blocked lane becomes `+0.0`, as the
+        /// branching loop left them.
+        #[test]
+        fn relu_and_residual_backward_match_the_branching_loop(
+            len in 1usize..300,
+            seed in any::<u64>(),
+        ) {
+            let tiny = f32::MIN_POSITIVE / 4.0;
+            let x = drawn(seed, len, &[
+                Some(f32::NAN), Some(0.0), Some(-0.0), Some(6.0), Some(f32::INFINITY),
+                Some(tiny), Some(-tiny), None, None,
+            ]);
+            let grad = drawn(seed ^ 1, len, &[Some(-0.0), Some(0.0), Some(tiny), None, None]);
+            let input = Tensor::from_vec(vec![1, len], x.clone());
+            for (mut relu, cap) in [(ReLU::new(), f32::INFINITY), (ReLU::relu6(), 6.0)] {
+                relu.forward(input.clone(), true);
+                let got = relu.backward(Tensor::from_vec(vec![1, len], grad.clone()));
+                let want = gate_reference(&grad, x.iter().map(|&v| v > 0.0 && v < cap));
+                prop_assert_eq!(bits(got.data()), want, "cap {}", cap);
+            }
+            // An empty main path and no shortcut: out = relu(x + x), and
+            // the input gradient is the gated gradient added to itself.
+            let mut block = Residual::new(Sequential::new(), None);
+            block.forward(input, true);
+            let got = block.backward(Tensor::from_vec(vec![1, len], grad.clone()));
+            let gated = gate_reference(&grad, x.iter().map(|&v| v + v > 0.0));
+            let want: Vec<u32> =
+                gated.iter().map(|&g| (f32::from_bits(g) + f32::from_bits(g)).to_bits()).collect();
+            prop_assert_eq!(bits(got.data()), want);
+        }
+    }
 
     /// Finite-difference check of a scalar loss `0.5 * sum(y^2)` through
     /// a layer, at a handful of probe positions.

@@ -166,8 +166,13 @@ impl Model for TinyModel {
         self.sections.iter_mut().fold(input, |x, (_, s)| s.forward(x, train))
     }
 
+    /// Nothing reads the gradient of the input batch, so the first
+    /// section ends in [`Layer::backward_params`]: its first layer
+    /// computes no `dx`.
     fn backward(&mut self, grad: Tensor) {
-        let _ = self.sections.iter_mut().rev().fold(grad, |g, (_, s)| s.backward(g));
+        if let Some(((_, first), rest)) = self.sections.split_first_mut() {
+            first.backward_params(rest.iter_mut().rev().fold(grad, |g, (_, s)| s.backward(g)));
+        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -262,6 +267,26 @@ mod tests {
                 loss = l;
             }
             assert!(loss < loss0, "{arch}: loss {loss0:.4} -> {loss:.4} did not decrease");
+        }
+    }
+
+    /// The input gradient is skipped where nobody reads it, and only
+    /// there: one backward pass runs one `Conv2d` backward without `dx`,
+    /// the last one, on `features.0`'s weights.
+    #[test]
+    fn only_features_0_skips_its_input_gradient() {
+        use crate::layers::tests::CONV_BACKWARDS;
+        for arch in TinyArch::all() {
+            let mut model = arch.build(1, 3, 16, 10);
+            let first = model.state_dict().get("features.0.weight").unwrap().shape().to_vec();
+            let x = rng::randn(&mut seeded(2), vec![2, 3, 16, 16], 1.0);
+            let logits = model.forward(x, true);
+            CONV_BACKWARDS.with_borrow_mut(Vec::clear);
+            model.backward(softmax_cross_entropy(&logits, &[0, 1]).1);
+            let log = CONV_BACKWARDS.take();
+            let (last, rest) = log.split_last().expect("a conv backward ran");
+            assert_eq!(last, &(first, false), "{arch}");
+            assert!(rest.iter().all(|(_, dx)| *dx), "{arch}: {rest:?}");
         }
     }
 
