@@ -1,11 +1,15 @@
-//! The AVX2 seam of the codec crates: a hot loop written once, compiled
-//! twice, and picked at run time.
+//! The workspace's AVX2 seam: a hot loop written once, compiled twice,
+//! and picked at run time. It lives in this crate, which depends on
+//! nothing, so that every crate can use it: the codecs (SZ2's encode and
+//! decode, Huffman block encode, ZstdLike compress) and training
+//! (`fedsz-nn`'s convolution forward, `fedsz-tensor`'s matmul).
 //!
 //! The workspace builds for baseline x86-64, whose SSE2 vectors hold two
-//! `f64`s; on a host with AVX2 the same loops could run four wide. A
-//! [`Kernel`]'s body is `#[inline(always)]`, so every kernel [`dispatch`]
-//! runs exists twice: once compiled for the build target, and once
-//! inlined into a `#[target_feature(enable = "avx2")]` wrapper. No
+//! `f64`s or four `f32`s; on a host with AVX2 the same loops could run
+//! twice as wide. A [`Kernel`]'s body is `#[inline(always)]`, so every
+//! kernel [`dispatch`] runs exists twice: once compiled for the build
+//! target, and once inlined into a `#[target_feature(enable = "avx2")]`
+//! wrapper. No
 //! intrinsic is written anywhere: the compiler widens the loops.
 //!
 //! # Same source, same bits
@@ -15,7 +19,8 @@
 //! contracts floating-point arithmetic. Both copies therefore compute
 //! every value with the same operations in the same order, and produce
 //! the same bytes by construction. The oracle tests of each kernel
-//! (`sz2.rs`, `huffman.rs`) run both copies on the same inputs and
+//! (`sz2.rs`, `huffman.rs`, `zstdlike.rs`, `fedsz-nn`'s `kernels.rs`,
+//! `fedsz-tensor`'s matmul) run both copies on the same inputs and
 //! compare, so a change that broke this would fail tier-1 on any AVX2
 //! host.
 //!

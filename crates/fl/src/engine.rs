@@ -688,7 +688,7 @@ impl RoundEngine {
     }
 
     /// Evaluates the current global model on the test split, in chunks
-    /// of [`EVAL_CHUNK`] samples to bound peak memory. Chunk `c` runs on
+    /// of `EVAL_CHUNK` (64) samples to bound peak memory. Chunk `c` runs on
     /// eval model `c % width`, each model on its own thread, and the
     /// chunks' `accuracy × len` are added in chunk order, so the result
     /// does not depend on the width.

@@ -14,9 +14,14 @@
 //! accumulators sit side by side and walks each one's terms in the
 //! reference order:
 //!
-//! * **forward** carries [`LANES`] output channels of one pixel in
-//!   registers (weights re-laid tap-major, channel-minor) and adds
-//!   their taps `(icg, ky, kx)` ascending, starting from the bias;
+//! * **forward** works on one output row of one [`LANES`]-channel tile
+//!   at a time: a row buffer of `ow` accumulator tiles starts at the
+//!   bias, and the taps `(icg, ky, kx)` are the *outer* loop. For one
+//!   tap, each output column in that tap's in-image range takes
+//!   `acc[ox][..] += x[iy][ox * stride + kx - pad] * w[tap][..]` (weights
+//!   re-laid tap-major, channel-minor). Every accumulator still adds its
+//!   taps ascending from the bias; the columns of one tap are
+//!   independent, so the adds overlap instead of waiting on each other;
 //! * **backward** re-lays the input, the weights and both gradients
 //!   channel-last, so that for one output gradient the `(kx, icg)`
 //!   elements of a kernel row are contiguous in all four: `dW` and `dx`
@@ -42,16 +47,35 @@
 //! run over that list, `ox` ascending. The max-pool's comparison is a
 //! select for the same reason.
 //!
+//! # Why the forward walks taps outermost
+//!
+//! The forward it replaced carried one pixel's tile through all of its
+//! taps: every tap was one `+=` on the same registers, a single chain
+//! of dependent adds per tile, so the loop ran at the add latency, not
+//! its throughput (3 GMAC/s on conv1). With the taps outermost, one
+//! tap's work is `ow` independent tiles. The tap's weight row is copied
+//! into a local `[f32; LANES]` first: borrowed from the packed weights,
+//! it could alias the row buffer as far as LLVM can tell, and the loop
+//! stayed scalar. The in-image column range of each `kx` is computed
+//! once per call ([`ConvShape::column_run`]), so the loop divides
+//! nothing. [`RowForward`] is compiled for the build target and for
+//! AVX2 and picked per call ([`fedsz_codec::simd`]); AVX2 holds a tile
+//! in two registers instead of four. The backward gained nothing from
+//! an AVX2 copy (0.95-1.07x on the AlexNet shapes, 0.83x depthwise), so
+//! it is compiled once, as is the depthwise forward (0.86-1.07x).
+//!
 //! `dx` is optional: the network's first layer passes none
 //! ([`Layer::backward_params`](crate::layers::Layer::backward_params)),
 //! since nobody reads the gradient of the input batch, and skips the
 //! `dx` axpys and transposes. `dW` and `db` come out the same bits
 //! either way: the `dx` accumulator is a buffer of its own.
 
+use fedsz_codec::simd::{self, Kernel};
 use std::ops::Range;
 
 /// Output channels one forward accumulator tile carries: four SSE
-/// registers, enough independent add chains to cover the add latency.
+/// registers or two AVX2 ones. The latency of the adds is covered by
+/// the row's independent tiles, not by the tile's width.
 const LANES: usize = 16;
 
 /// The geometry of one convolution call.
@@ -90,6 +114,18 @@ impl ConvShape {
         }
     }
 
+    /// The output columns whose kernel column `kx` lands inside the
+    /// image, and the input column of the first of them.
+    fn column_run(&self, kx: usize) -> (Range<usize>, usize) {
+        let lo = self.padding.saturating_sub(kx).div_ceil(self.stride);
+        let hi = (self.w + self.padding).saturating_sub(kx).div_ceil(self.stride).min(self.ow);
+        if lo < hi {
+            (lo..hi, lo * self.stride + kx - self.padding)
+        } else {
+            (0..0, 0)
+        }
+    }
+
     /// [`ConvShape::taps`] of every output column.
     fn column_taps(&self) -> Vec<(Range<usize>, usize)> {
         (0..self.ow).map(|ox| self.taps(ox, self.w)).collect()
@@ -107,30 +143,58 @@ impl ConvShape {
 /// `[oc, c/groups, k, k]`, `out` is `[n, oc, oh, ow]`.
 pub(crate) fn conv_forward(s: &ConvShape, x: &[f32], wt: &[f32], bias: &[f32], out: &mut [f32]) {
     if s.is_depthwise() {
-        return depthwise_forward(s, x, wt, bias, out);
+        depthwise_forward(s, x, wt, bias, out);
+    } else {
+        simd::dispatch(RowForward { s, x, wt, bias, out });
     }
+}
+
+/// The grouped forward, one output row of one [`LANES`]-channel tile at
+/// a time, taps outermost (see the module comment); compiled for the
+/// build target and for AVX2 ([`simd::dispatch`]). It is correct for a
+/// depthwise shape too, which the oracle tests use.
+struct RowForward<'a> {
+    s: &'a ConvShape,
+    x: &'a [f32],
+    wt: &'a [f32],
+    bias: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl Kernel for RowForward<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        row_forward(self.s, self.x, self.wt, self.bias, self.out);
+    }
+}
+
+/// [`RowForward`]'s loops.
+#[inline(always)]
+fn row_forward(s: &ConvShape, x: &[f32], wt: &[f32], bias: &[f32], out: &mut [f32]) {
     let (icg, ocg) = (s.c / s.groups, s.oc / s.groups);
     let k = s.kernel;
     let taps = icg * k * k;
     let tiles = ocg.div_ceil(LANES);
-    // packed[group][tile][tap][lane]: the LANES weights one input value
-    // meets are one contiguous row; lanes past `ocg` stay zero and are
-    // never stored.
-    let mut packed = vec![0.0f32; s.groups * tiles * taps * LANES];
+    // packed[group][tile][tap]: the LANES weights one input value meets;
+    // lanes past `ocg` stay zero and are never stored.
+    let mut packed = vec![[0.0f32; LANES]; s.groups * tiles * taps];
     for (oc, filter) in wt.chunks_exact(taps).enumerate() {
         let (grp, in_grp) = (oc / ocg, oc % ocg);
-        let base = ((grp * tiles + in_grp / LANES) * taps) * LANES + in_grp % LANES;
-        for (t, &v) in filter.iter().enumerate() {
-            packed[base + t * LANES] = v;
+        let tile = &mut packed[(grp * tiles + in_grp / LANES) * taps..][..taps];
+        for (row, &v) in tile.iter_mut().zip(filter) {
+            row[in_grp % LANES] = v;
         }
     }
-    let cols = s.column_taps();
+    let runs: Vec<_> = (0..k).map(|kx| s.column_run(kx)).collect();
     let (in_plane, out_plane) = (s.h * s.w, s.oh * s.ow);
+    let mut row = vec![[0.0f32; LANES]; s.ow];
     for ni in 0..s.n {
         for grp in 0..s.groups {
             let xg = &x[(ni * s.c + grp * icg) * in_plane..][..icg * in_plane];
             for tile in 0..tiles {
-                let wtile = &packed[(grp * tiles + tile) * taps * LANES..][..taps * LANES];
+                let wtile = &packed[(grp * tiles + tile) * taps..][..taps];
                 let oc0 = grp * ocg + tile * LANES;
                 let live = LANES.min(ocg - tile * LANES);
                 let mut start = [0.0f32; LANES];
@@ -138,25 +202,40 @@ pub(crate) fn conv_forward(s: &ConvShape, x: &[f32], wt: &[f32], bias: &[f32], o
                 let og = &mut out[(ni * s.oc + oc0) * out_plane..][..live * out_plane];
                 for oy in 0..s.oh {
                     let (kys, iy0) = s.taps(oy, s.h);
-                    for (ox, (kxs, ix0)) in cols.iter().enumerate() {
-                        let mut acc = start;
-                        for ic in 0..icg {
-                            for (ky, iy) in kys.clone().zip(iy0..) {
-                                let xrow = &xg[ic * in_plane + iy * s.w + ix0..][..kxs.len()];
-                                let wrow = &wtile[((ic * k + ky) * k + kxs.start) * LANES..];
-                                for (&xv, wl) in xrow.iter().zip(wrow.as_chunks::<LANES>().0) {
-                                    for (a, &wv) in acc.iter_mut().zip(wl) {
-                                        *a += xv * wv;
-                                    }
+                    row.fill(start);
+                    for (ic, wic) in wtile.chunks_exact(k * k).enumerate() {
+                        for (ky, iy) in kys.clone().zip(iy0..) {
+                            let xrow = &xg[ic * in_plane + iy * s.w..][..s.w];
+                            for ((oxs, ix0), wrow) in runs.iter().zip(&wic[ky * k..][..k]) {
+                                let (accs, xs) = (&mut row[oxs.clone()], &xrow[*ix0..]);
+                                if s.stride == 1 {
+                                    tap_row(accs, xs.iter(), *wrow);
+                                } else {
+                                    tap_row(accs, xs.iter().step_by(s.stride), *wrow);
                                 }
                             }
                         }
-                        for (l, &a) in acc[..live].iter().enumerate() {
-                            og[l * out_plane + oy * s.ow + ox] = a;
+                    }
+                    for (l, plane) in og.chunks_exact_mut(out_plane).enumerate() {
+                        for (o, acc) in plane[oy * s.ow..][..s.ow].iter_mut().zip(&row) {
+                            *o = acc[l];
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+/// `acc[..] += x * w[..]` for each accumulator and its input value. `w`
+/// is taken by value, not borrowed (see the module comment). Called
+/// with a plain slice walk at stride 1, which LLVM keeps tighter than a
+/// `step_by(1)`.
+#[inline(always)]
+fn tap_row<'a>(accs: &mut [[f32; LANES]], xs: impl Iterator<Item = &'a f32>, w: [f32; LANES]) {
+    for (acc, &xv) in accs.iter_mut().zip(xs) {
+        for (a, &wv) in acc.iter_mut().zip(&w) {
+            *a += xv * wv;
         }
     }
 }
@@ -549,6 +628,29 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The outputs of [`conv_forward`], of [`RowForward`]'s build-target
+    /// copy and, on a host with AVX2, of its AVX2 copy. On a depthwise
+    /// shape the first runs `depthwise_forward` and the row kernel runs
+    /// all the same.
+    fn forward_copies(
+        s: &ConvShape,
+        x: &[f32],
+        wt: &[f32],
+        bias: &[f32],
+    ) -> Vec<(&'static str, Vec<f32>)> {
+        let len = s.n * s.oc * s.oh * s.ow;
+        let mut outs = vec![vec![f32::NAN; len]; 3];
+        conv_forward(s, x, wt, bias, &mut outs[0]);
+        RowForward { s, x, wt, bias, out: &mut outs[1] }.run();
+        let mut names = vec!["conv_forward", "build-target row kernel"];
+        if simd::avx2(RowForward { s, x, wt, bias, out: &mut outs[2] }).is_some() {
+            names.push("avx2 row kernel");
+        } else {
+            println!("skipped the AVX2 row kernel: this host has no AVX2");
+        }
+        names.into_iter().zip(outs).collect()
+    }
+
     /// Runs a forward and two backward passes through both
     /// implementations and compares every output bit. `dW`/`db` start
     /// from arbitrary values, signed zeros among them, as a step without
@@ -563,10 +665,11 @@ mod tests {
         let wt = samples(rng, s.oc * taps, 0.1, infs);
         let bias = samples(rng, s.oc, 0.3, 0.0);
         let out_len = s.n * s.oc * s.oh * s.ow;
-        let (mut out, mut want) = (vec![0.0; out_len], vec![0.0; out_len]);
-        conv_forward(s, &x, &wt, &bias, &mut out);
+        let mut want = vec![0.0; out_len];
         reference::conv_forward(s, &x, &wt, &bias, &mut want);
-        prop_assert_eq!(bits(&out), bits(&want), "forward, {:?}", s);
+        for (copy, out) in forward_copies(s, &x, &wt, &bias) {
+            prop_assert_eq!(bits(&out), bits(&want), "{} forward, {:?}", copy, s);
+        }
 
         let (mut dw, mut db) = (samples(rng, wt.len(), 0.5, 0.0), samples(rng, s.oc, 0.5, 0.0));
         let (mut dw_want, mut db_want) = (dw.clone(), db.clone());
@@ -701,6 +804,51 @@ mod tests {
             });
             println!(
                 "{name}: kernels {:.2} ms, loop nest {:.2} ms: {:.1}x",
+                new * 1e3,
+                old * 1e3,
+                old / new
+            );
+            assert!(old >= floor * new, "{name}: only {:.2}x the loop nest", old / new);
+        }
+    }
+
+    /// [`row_conv_is_2x_the_loop_reference`] times forward and backward
+    /// together, so a backward gain could hide a forward regression:
+    /// this times the forward alone, the dispatched row kernel against
+    /// the loop nest, on tiny AlexNet's two convolutions at batch 16.
+    /// The two sides alternate within each of the 7 rounds, so a
+    /// speed phase of a shared host slows both.
+    #[test]
+    #[ignore = "a timing ratio: run with --release -- --ignored"]
+    fn row_forward_is_2x_the_loop_reference() {
+        // (shape, floor): about two thirds of the median ratio on a
+        // 2-core Xeon with AVX2, where conv1 read 27-42x (median 34x)
+        // and conv2 30-41x (37x); the per-pixel tile this kernel
+        // replaced read 9-15x on conv1 and 12-20x on conv2.
+        let cases = [
+            ("alexnet conv1 3->16 @ 16x16", shape([16, 3, 16, 16], 16, [3, 1, 1, 1]), 22.0),
+            ("alexnet conv2 16->32 @ 8x8", shape([16, 16, 8, 8], 32, [3, 1, 1, 1]), 24.0),
+        ];
+        for (name, s, floor) in cases {
+            let rng = &mut seeded(29);
+            let taps = s.c / s.groups * s.kernel * s.kernel;
+            let x = samples(rng, s.n * s.c * s.h * s.w, 0.5, 0.0);
+            let wt = samples(rng, s.oc * taps, 0.0, 0.0);
+            let bias = samples(rng, s.oc, 0.0, 0.0);
+            let mut out = vec![0.0; s.n * s.oc * s.oh * s.ow];
+            let (mut new, mut old) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..7 {
+                let t0 = Instant::now();
+                conv_forward(&s, &x, &wt, &bias, &mut out);
+                std::hint::black_box(&out);
+                new = new.min(t0.elapsed().as_secs_f64());
+                let t0 = Instant::now();
+                reference::conv_forward(&s, &x, &wt, &bias, &mut out);
+                std::hint::black_box(&out);
+                old = old.min(t0.elapsed().as_secs_f64());
+            }
+            println!(
+                "{name}: row kernel {:.3} ms, loop nest {:.2} ms: {:.1}x",
                 new * 1e3,
                 old * 1e3,
                 old / new

@@ -22,6 +22,7 @@
 
 pub mod rng;
 
+use fedsz_codec::simd::{self, Kernel};
 use std::fmt;
 
 /// A dense, row-major `f32` tensor.
@@ -257,7 +258,9 @@ impl Tensor {
     /// four at a time, `out = out + l0 * r0 + l1 * r1 + l2 * r2 + l3 * r3`
     /// evaluated left to right: each output element sees the same
     /// roundings in the same order as with one entry at a time, and its
-    /// row is loaded and stored a quarter as often.
+    /// row is loaded and stored a quarter as often. On a CPU with AVX2
+    /// the same loops run in their AVX2 copy, to the same bits
+    /// ([`simd::dispatch`]).
     ///
     /// # Panics
     ///
@@ -268,11 +271,62 @@ impl Tensor {
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
-        let rhs_row = |p: usize| &other.data[p * n..(p + 1) * n];
+        Self { shape: vec![m, n], data: simd::dispatch(MatMul { lhs: self, rhs: other }) }
+    }
+
+    /// Transpose of a 2D tensor.
+    ///
+    /// Copies one 16 x 16 block at a time, so that neither the reads nor
+    /// the writes stride across the whole matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the tensor is 2D.
+    pub fn transposed(&self) -> Self {
+        assert_eq!(self.shape.len(), 2, "transpose requires a 2D tensor");
+        let (m, n) = (self.shape[0], self.shape[1]);
+        let mut out = vec![0.0f32; m * n];
+        for i0 in (0..m).step_by(TILE) {
+            for j0 in (0..n).step_by(TILE) {
+                let cols = j0..n.min(j0 + TILE);
+                for i in i0..m.min(i0 + TILE) {
+                    let src = &self.data[i * n + cols.start..i * n + cols.end];
+                    for (j, &v) in cols.clone().zip(src) {
+                        out[j * m + i] = v;
+                    }
+                }
+            }
+        }
+        Self { shape: vec![n, m], data: out }
+    }
+
+    /// Serializes shape + data as little-endian bytes (4 bytes/element).
+    pub fn byte_size(&self) -> usize {
+        self.data.len() * 4
+    }
+}
+
+/// The side of the square blocks [`Tensor::transposed`] copies.
+const TILE: usize = 16;
+
+/// [`Tensor::matmul`]'s loops, compiled for the build target and for
+/// AVX2 ([`simd::dispatch`]).
+struct MatMul<'a> {
+    lhs: &'a Tensor,
+    rhs: &'a Tensor,
+}
+
+impl Kernel for MatMul<'_> {
+    type Output = Vec<f32>;
+
+    #[inline(always)]
+    fn run(self) -> Vec<f32> {
+        let (m, k, n) = (self.lhs.shape[0], self.lhs.shape[1], self.rhs.shape[1]);
+        let rhs_row = |p: usize| &self.rhs.data[p * n..(p + 1) * n];
         let mut out = vec![0.0f32; m * n];
         let mut live = Vec::with_capacity(k);
         for i in 0..m {
-            let lhs_row = &self.data[i * k..(i + 1) * k];
+            let lhs_row = &self.lhs.data[i * k..(i + 1) * k];
             let out_row = &mut out[i * n..(i + 1) * n];
             nonzero_positions(lhs_row, &mut live);
             let (quads, rest) = live.as_chunks::<4>();
@@ -290,29 +344,7 @@ impl Tensor {
                 }
             }
         }
-        Self { shape: vec![m, n], data: out }
-    }
-
-    /// Transpose of a 2D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the tensor is 2D.
-    pub fn transposed(&self) -> Self {
-        assert_eq!(self.shape.len(), 2, "transpose requires a 2D tensor");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Self { shape: vec![n, m], data: out }
-    }
-
-    /// Serializes shape + data as little-endian bytes (4 bytes/element).
-    pub fn byte_size(&self) -> usize {
-        self.data.len() * 4
+        out
     }
 }
 
@@ -340,11 +372,22 @@ fn element_count(shape: &[usize]) -> usize {
     shape.iter().copied().fold(1usize, |acc, d| acc.checked_mul(d).expect("shape overflows usize"))
 }
 
-/// The loop [`Tensor::matmul`] replaced, kept as the oracle: it must
-/// match this to the bit.
+/// The loops [`Tensor::matmul`] and [`Tensor::transposed`] replaced,
+/// kept as the oracles: they must match these to the bit.
 #[cfg(test)]
 mod reference {
     use super::Tensor;
+
+    pub(crate) fn transposed(t: &Tensor) -> Tensor {
+        let (m, n) = (t.shape[0], t.shape[1]);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                out[j * m + i] = t.data[i * n + j];
+            }
+        }
+        Tensor { shape: vec![n, m], data: out }
+    }
 
     pub(crate) fn matmul(lhs: &Tensor, rhs: &Tensor) -> Tensor {
         let (m, k, n) = (lhs.shape[0], lhs.shape[1], rhs.shape[1]);
@@ -414,7 +457,41 @@ mod tests {
                 [None, None, Some(f32::INFINITY), Some(f32::NEG_INFINITY), Some(-0.0), Some(0.0)];
             let lhs = drawn(rng, vec![m, k], &left);
             let rhs = drawn(rng, vec![k, n], &right);
-            prop_assert_eq!(bits(&lhs.matmul(&rhs)), bits(&reference::matmul(&lhs, &rhs)));
+            let want = bits(&reference::matmul(&lhs, &rhs));
+            let product = |data| Tensor::from_vec(vec![m, n], data);
+            prop_assert_eq!(bits(&product(MatMul { lhs: &lhs, rhs: &rhs }.run())), want.clone());
+            match simd::avx2(MatMul { lhs: &lhs, rhs: &rhs }) {
+                Some(data) => prop_assert_eq!(bits(&product(data)), want),
+                None => println!("skipped the AVX2 matmul: this host has no AVX2"),
+            }
+        }
+
+        /// The tiled copy against the double loop, on shapes with no
+        /// rows or columns, one of either, and sides below, at and past
+        /// whole tiles. Every bit moves, NaN payloads included.
+        #[test]
+        fn tiled_transpose_matches_the_double_loop(
+            (m, n) in prop_oneof![
+                Just((0usize, 7usize)),
+                Just((7, 0)),
+                Just((1, 40)),
+                Just((40, 1)),
+                Just((15, 17)),
+                Just((16, 16)),
+                Just((33, 65)),
+                (0usize..50, 0usize..50),
+            ],
+            seed in any::<u64>(),
+        ) {
+            let rng = &mut rng::seeded(seed);
+            let nan = f32::from_bits(0x7fc0_1234);
+            let palette =
+                [Some(nan), Some(-0.0), Some(f32::INFINITY), Some(f32::NEG_INFINITY), None];
+            let t = drawn(rng, vec![m, n], &palette);
+            let (tiled, want) = (t.transposed(), reference::transposed(&t));
+            prop_assert_eq!(tiled.shape(), want.shape());
+            let raw = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(raw(&tiled), raw(&want));
         }
     }
 
