@@ -161,7 +161,6 @@ pub const FLAGS: &[Flag] = &[
     flag("links", Value("MBPS,MBPS,..."), FL),
     flag("straggler", Repeated("ID:FACTOR"), FL),
     flag("drop", Repeated("ID:PROB"), FL),
-    flag("policy", Value("sync or buffered:K"), FL),
     flag("weighted", Switch, FL),
     // The socket runtime.
     flag("connect", Value("a host:port"), SERVE | WORKER),
@@ -198,7 +197,7 @@ fn row_of(command: Command, name: &str) -> Option<&'static Flag> {
 }
 
 /// Why `command` refuses `flag`. Several simulator-only flags shape the
-/// bits (`--weighted`, `--participation`, `--policy`, `--drop`), so a
+/// bits (`--weighted`, `--participation`, `--drop`), so a
 /// socket process that ignored one would print a checksum that can
 /// never match the `fl` run it claims to mirror.
 fn refusal(flag: &Flag, command: Command) -> String {

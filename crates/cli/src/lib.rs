@@ -8,8 +8,8 @@
 //! * `fedsz decompress <in.fsz> <out.fsd>` — reverse it,
 //! * `fedsz inspect <file>` — describe either format,
 //! * `fedsz fl` — run a *simulated* federated session on the round
-//!   engine, with per-client heterogeneous links, straggler/drop
-//!   injection and synchronous or buffered-asynchronous aggregation,
+//!   engine, with per-client heterogeneous links and straggler/drop
+//!   injection,
 //! * `fedsz serve` — run a *real* federated server: a blocking TCP
 //!   listener that aggregates worker processes' updates (or, with
 //!   `--shard`, an edge relay forwarding partial-sum frames upstream),
@@ -46,8 +46,8 @@ use fedsz::{ErrorBound, FedSz, FedSzConfig, LosslessKind, LossyKind};
 use fedsz_data::DatasetKind;
 use fedsz_fl::net::{global_checksum, run_worker, NetServer, Role, ServeConfig, WorkerConfig};
 use fedsz_fl::{
-    AggregationPolicy, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, PlanError,
-    StageLeg, StagePolicy, Topology, TreePlan,
+    DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, PlanError, StageLeg, StagePolicy,
+    Topology, TreePlan,
 };
 use fedsz_net::MetricsServer;
 use fedsz_nn::models::specs::ModelSpec;
@@ -92,10 +92,9 @@ USAGE:
            [--arch alexnet|mobilenetv2|resnet]
            [--participation F] [--bandwidth MBPS] [--links MBPS,MBPS,...]
            [--latency MS] [--straggler ID:FACTOR]... [--drop ID:PROB]...
-           [--policy sync|buffered:K] [--non-iid ALPHA]
-           [--weighted] [--no-compress] [--seed N] [--train-per-class N]
-           [--shards S] [--tree F1xF2x...] [--uplink POLICY]
-           [--downlink POLICY] [--psum POLICY] [--threads N]
+           [--non-iid ALPHA] [--weighted] [--no-compress] [--seed N]
+           [--train-per-class N] [--shards S] [--tree F1xF2x...]
+           [--uplink POLICY] [--downlink POLICY] [--psum POLICY] [--threads N]
            [--dp-clip F] [--dp-noise F] [--dp-mechanism gaussian|laplace]
            [--dp-seed N] [--trace FILE]
   fedsz sweep <SPEC.toml|DIR> [--json [FILE]] [--threads N]
@@ -123,8 +122,8 @@ USAGE:
 `fedsz fl` runs a federated session on the shared round engine. With
 --links each client gets its own simulated uplink (comm time comes from
 the virtual-time event queue, so fast links overlap instead of queueing
-on one pipe); --straggler slows a client's compute; --policy buffered:K
-aggregates after the first K arrivals and applies stragglers stale.
+on one pipe); --straggler slows a client's compute, and every round
+waits for the slowest delivered upload (synchronous FedAvg).
 --shards S aggregates through a two-level tree of S edge aggregators
 (bit-identical to the flat server, but root ingress drops to S
 partial-sum frames); --tree 4x8 builds an arbitrary-depth hierarchy
@@ -144,8 +143,7 @@ lossless is psum-only, topk and q4/q8 are uplink-only. --downlink
 lossy FedSZ-encodes the broadcast once per round. Appending
 +ef (topk:0.01+ef, q8+ef) adds per-client error feedback: mass the
 codec dropped re-enters the next round's delta. EF keeps state across
-rounds, so it is rejected with --policy buffered:K and by
-serve/worker. --threads N sets
+rounds, so serve/worker reject it. --threads N sets
 the tree's merge worker-pool width (default: host parallelism); it
 changes wall-clock only — any width produces identical bits.
 --dp-clip C turns on the differential-privacy stage: each client's
@@ -155,9 +153,8 @@ or laplace) BEFORE the uplink codec sees the update — so compression
 ratios, Eqn-1 decisions and accuracy all feel the noise, which is
 the trade-off the paper's Section VII-D is about. The noise stream
 is derived from (--dp-seed, round, client id) alone — stateless, so
-it is legal under buffered aggregation and on socket workers, and
-every runtime produces identical bits. --dp-seed defaults to --seed;
---dp-noise 0 means clip-only.
+it is legal on socket workers, and every runtime produces identical
+bits. --dp-seed defaults to --seed; --dp-noise 0 means clip-only.
 
 `fedsz sweep` executes a grid of `fl` scenarios from one spec file: a
 flat run spec plus a [matrix] table whose keys are run-spec keys and
@@ -540,23 +537,14 @@ fn shared_fl_config(args: &Args) -> Result<FlConfig, String> {
 }
 
 /// Assembles the full simulator configuration — the shared bit-shaping
-/// flags plus the simulator-only knobs (participation, links,
-/// stragglers, drops, aggregation policy) — and validates it through
+/// flags plus the simulator-only knobs (participation, weighting,
+/// links, stragglers, drops) — and validates it through
 /// the plan. `fl` and every `sweep` cell go through this one function,
 /// which is what makes a sweep cell exactly an `fl` run.
 fn simulator_config(args: &Args) -> Result<FlConfig, String> {
     let mut config = shared_fl_config(args)?;
     config.participation = args.parsed_or("participation", 1.0)?;
     config.weighted_aggregation = args.switch("weighted");
-    if let Some(policy) = args.value("policy") {
-        config.aggregation = match policy.to_ascii_lowercase().as_str() {
-            "sync" | "synchronous" => AggregationPolicy::Synchronous,
-            other => match other.strip_prefix("buffered:").map(str::parse::<usize>) {
-                Some(Ok(target)) => AggregationPolicy::Buffered { target },
-                _ => return Err(format!("unknown policy `{policy}`; try sync or buffered:K")),
-            },
-        };
-    }
 
     // The client link model. Profiles are built field by field so an
     // out-of-range value reaches the plan's check instead of a builder
@@ -636,17 +624,16 @@ fn fl(args: &Args) -> Result<String, String> {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "fl: {clients} clients, {} rounds, {:?} on {topology}, {server}, policy {:?}, uplink {}, downlink {}, psum {}",
+        "fl: {clients} clients, {} rounds, {:?} on {topology}, {server}, uplink {}, downlink {}, psum {}",
         config.rounds,
         arch,
-        config.aggregation,
         config.uplink.name(),
         config.downlink.name(),
         config.psum.name()
     );
     let _ = writeln!(
         report,
-        "round    acc%  train(s)  codec(s)  comm(s)  round(s)     upKB   downKB  ratio  agg  stale  drop"
+        "round    acc%  train(s)  codec(s)  comm(s)  round(s)     upKB   downKB  ratio  agg  drop"
     );
     let telemetry = telemetry_from_args(args, false)?;
     let mut experiment = Experiment::new(config).with_telemetry(telemetry.clone());
@@ -662,7 +649,7 @@ fn fl(args: &Args) -> Result<String, String> {
     for m in &metrics {
         let _ = writeln!(
             report,
-            "{:>5}  {:>5.1}  {:>8.3}  {:>8.3}  {:>7.3}  {:>8.3}  {:>7.1}  {:>7.1}  {:>5.2}  {:>3}  {:>5}  {:>4}",
+            "{:>5}  {:>5.1}  {:>8.3}  {:>8.3}  {:>7.3}  {:>8.3}  {:>7.1}  {:>7.1}  {:>5.2}  {:>3}  {:>4}",
             m.round + 1,
             m.test_accuracy * 100.0,
             m.train_secs,
@@ -673,7 +660,6 @@ fn fl(args: &Args) -> Result<String, String> {
             m.downstream_bytes as f64 / 1e3,
             m.ratio,
             m.aggregated_updates,
-            m.stale_updates,
             m.dropped_updates,
         );
     }
@@ -951,12 +937,9 @@ mod tests {
             "100,1",
             "--straggler",
             "1:4",
-            "--policy",
-            "buffered:1",
         ]);
         assert_eq!(out.code, 0, "{}", out.report);
         assert!(out.report.contains("per-client links"), "{}", out.report);
-        assert!(out.report.contains("Buffered"), "{}", out.report);
         assert!(out.report.contains("virtual session time"), "{}", out.report);
     }
 
@@ -990,8 +973,6 @@ mod tests {
         assert_ne!(runv(&["fl", "--participation", "1.5"]).code, 0);
         assert_ne!(runv(&["fl", "--links", "10", "--latency", "-3", "--clients", "1"]).code, 0);
         assert_ne!(runv(&["fl", "--arch", "vgg"]).code, 0);
-        assert_ne!(runv(&["fl", "--policy", "eventually"]).code, 0);
-        assert_ne!(runv(&["fl", "--policy", "buffered:0"]).code, 0);
         assert_ne!(runv(&["fl", "--links", "10,-3"]).code, 0);
         assert_ne!(runv(&["fl", "--straggler", "9:2", "--clients", "2"]).code, 0);
         assert_ne!(runv(&["fl", "--straggler", "0:0.5", "--clients", "2"]).code, 0);
@@ -1057,7 +1038,7 @@ mod tests {
         assert!(out.report.contains("shards <= clients"), "{}", out.report);
         // Bit-shaping simulator flags must be rejected, not silently
         // ignored with a checksum that can never match `fedsz fl`.
-        for flag in ["--weighted", "--policy", "--drop"] {
+        for flag in ["--weighted", "--drop"] {
             let out = runv(&["serve", flag, "x", "--clients", "2"]);
             assert_ne!(out.code, 0, "serve accepted {flag}");
             assert!(out.report.contains("simulator-only"), "{}", out.report);
@@ -1075,6 +1056,7 @@ mod tests {
         // run subcommand and through a run spec alike.
         for (args, needle) in [
             (&["fl", "--clinets", "8"][..], "unknown flag --clinets"),
+            (&["fl", "--policy", "sync"], "unknown flag --policy"),
             (&["worker", "--id", "0", "--id", "1"], "--id given twice"),
             (&["serve", "--id", "0"], "--id is a `fedsz worker` flag"),
             (&["fl", "8"], "unexpected argument `8`"),
@@ -1304,22 +1286,6 @@ mod tests {
 
     #[test]
     fn stateful_uplinks_are_rejected_where_state_cannot_live() {
-        // EF + buffered aggregation: typed plan error through `fl`.
-        let out = runv(&[
-            "fl",
-            "--clients",
-            "2",
-            "--rounds",
-            "1",
-            "--train-per-class",
-            "2",
-            "--uplink",
-            "topk:0.5+ef",
-            "--policy",
-            "buffered:1",
-        ]);
-        assert_ne!(out.code, 0);
-        assert!(out.report.contains("error-feedback"), "{}", out.report);
         // EF + a worker process: rejected before any socket work.
         let out = runv(&["worker", "--id", "0", "--clients", "2", "--uplink", "q8+ef"]);
         assert_ne!(out.code, 0);

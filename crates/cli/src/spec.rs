@@ -474,6 +474,8 @@ mod tests {
             ("clients = [2, 4]", "takes one value"),
             // A spec cannot pull in another spec.
             ("config = \"other.toml\"", "unknown key"),
+            // A removed knob is an error, not a silently ignored key.
+            ("policy = \"sync\"", "unknown key"),
         ] {
             let err = parse_spec(spec).unwrap_err();
             assert!(err.contains(needle), "spec {spec:?} gave `{err}`, wanted `{needle}`");

@@ -1,7 +1,7 @@
 //! The [`Aggregator`] trait and its flat and hierarchical backends.
 //!
 //! The round engine no longer averages uploads in an inline loop; it
-//! hands the decoded, policy-accepted contributions to an `Aggregator`:
+//! hands the decoded, delivered contributions to an `Aggregator`:
 //!
 //! * [`FlatAggregator`] — the paper's topology: every client reports
 //!   straight to the root, which merges in ascending client-id order.
@@ -35,17 +35,16 @@ use fedsz_telemetry::{Telemetry, Value};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// One policy-accepted, already-decoded update as aggregation input.
+/// One delivered, already-decoded update as aggregation input.
 #[derive(Debug, Clone)]
 pub struct Contribution {
     /// Client id (stable across rounds; routes the update to its shard).
     pub client: usize,
     /// The decoded update.
     pub dict: StateDict,
-    /// Aggregation weight (sample count, staleness-discounted, or 1).
+    /// Aggregation weight (sample count, or 1).
     pub weight: f64,
-    /// Wire bytes this update cost on its first hop (0 for stale
-    /// updates already held at the server).
+    /// Wire bytes this update cost on its first hop.
     pub wire_bytes: usize,
     /// Virtual time the update reached its first-hop aggregator.
     pub done_secs: f64,

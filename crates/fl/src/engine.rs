@@ -3,23 +3,23 @@
 //! [`RoundEngine`] — also named [`Experiment`](crate::Experiment) — is
 //! the in-process runtime of the paper's Fig. 1 round loop: it owns
 //! cohort selection, the virtual-time event queue over per-client
-//! [`LinkProfile`](crate::link::LinkProfile)s, aggregation under an
-//! [`AggregationPolicy`], and evaluation. Payloads never leave the
-//! process: a client's encoded upload is the very buffer the server
-//! decodes, and every byte count the round reports is a payload length
-//! (frames exist only where sockets do, in [`crate::net`]). The
-//! pipeline itself — what a client does with the broadcast and what the
-//! server does with an upload — is not written here: every client
-//! thread runs the shared [`crate::step`] client step and every upload
-//! is decoded by the shared [`FoldStep`], exactly as the socket
-//! runtime's worker and server do. The CLI and the bench bins build
-//! this type directly from an [`FlConfig`].
+//! [`LinkProfile`](crate::link::LinkProfile)s, aggregation and
+//! evaluation. Payloads never leave the process: a client's encoded
+//! upload is the very buffer the server decodes, and every byte count
+//! the round reports is a payload length (frames exist only where
+//! sockets do, in [`crate::net`]). The pipeline itself — what a client
+//! does with the broadcast and what the server does with an upload — is
+//! not written here: every client thread runs the shared
+//! [`crate::step`] client step and every upload is decoded by the
+//! shared [`FoldStep`], exactly as the socket runtime's worker and
+//! server do. The CLI and the bench bins build this type directly from
+//! an [`FlConfig`].
 //!
 //! # Layering
 //!
 //! ```text
 //! fedsz fl CLI / benchmark / bench bins    (callers)
-//!        └── RoundEngine = Experiment      (cohort, schedule, policy)
+//!        └── RoundEngine = Experiment      (cohort, schedule, fold)
 //!              ├── step::UplinkStage       (choose, client step, cost profiles)
 //!              ├── step::FoldStep          (decode + validate an upload)
 //!              ├── link::schedule          (virtual clock, per-client links)
@@ -28,16 +28,14 @@
 //!              └── fedsz::timing           (Eqn 1 compress-or-not advisor)
 //! ```
 //!
-//! # Aggregation policies
+//! # Rounds
 //!
-//! * [`AggregationPolicy::Synchronous`] — classic FedAvg: wait for every
-//!   cohort upload, average, advance the round.
-//! * [`AggregationPolicy::Buffered`] — FedBuff-style: aggregate as soon
-//!   as the first `target` uploads complete on the virtual clock;
-//!   stragglers' updates are buffered and folded into the *next* round's
-//!   average with a staleness-discounted weight.
+//! Every round is synchronous FedAvg, as in the paper: the server folds
+//! every delivered upload of the cohort, then advances. A straggler
+//! gates the round's virtual clock; a dropped upload is left out of the
+//! average.
 
-use crate::agg::{AggOutcome, Aggregator, Contribution, Downlink, FlatAggregator, ShardedTree};
+use crate::agg::{Aggregator, Contribution, Downlink, FlatAggregator, ShardedTree};
 use crate::link::{self, Departure, Topology};
 use crate::plan::RoundPlan;
 use crate::step::{emit_dp_noise, emit_eqn1, ClientStep, FoldStep, StageChoice, UplinkStage};
@@ -47,32 +45,6 @@ use fedsz_nn::loss::top1_accuracy;
 use fedsz_nn::{Model, StateDict};
 use fedsz_telemetry::{Telemetry, Value};
 use std::time::Instant;
-
-/// When the server aggregates a round's uploads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AggregationPolicy {
-    /// Wait for the whole cohort (classic FedAvg, the paper's setting).
-    #[default]
-    Synchronous,
-    /// Aggregate once `target` uploads have arrived on the virtual
-    /// clock; later arrivals are applied *stale* next round (FedBuff).
-    /// Stragglers from the final round remain buffered — inspect
-    /// [`RoundEngine::pending_updates`] to see what a longer session
-    /// would have folded in.
-    Buffered {
-        /// Uploads to wait for before aggregating (clamped to the
-        /// cohort size; at least 1).
-        target: usize,
-    },
-}
-
-/// A straggler update held over for the next aggregation.
-struct StaleUpdate {
-    client: usize,
-    dict: StateDict,
-    samples: usize,
-    round: usize,
-}
 
 /// One cohort client's round: the upload-leg decision made for it and
 /// what its client step produced.
@@ -90,16 +62,6 @@ struct CodecCosts {
     payload_bytes: usize,
     compress_secs: f64,
     decompress_secs: f64,
-}
-
-/// One decompressed upload as the server holds it.
-struct ServerUpdate {
-    id: usize,
-    dict: StateDict,
-    samples: usize,
-    /// Payload bytes the upload put on its link.
-    wire_bytes: usize,
-    dropped: bool,
 }
 
 /// The in-process federated round loop: one global model, sharded
@@ -122,7 +84,6 @@ pub struct RoundEngine {
     /// in last round's allocation (`Downlink::encode_reusing`), so the
     /// steady-state broadcast path allocates nothing.
     broadcast_buf: Vec<u8>,
-    pending: Vec<StaleUpdate>,
     /// The client half of the upload pipeline (codec list, Eqn-1
     /// selection, per-codec cost profiles, DP stage) — the same stage
     /// a socket worker runs.
@@ -219,7 +180,6 @@ impl RoundEngine {
             aggregator,
             downlink,
             broadcast_buf: Vec::new(),
-            pending: Vec::new(),
             uplink: uplink_stage,
             residuals,
             telemetry: Telemetry::disabled(),
@@ -254,18 +214,13 @@ impl RoundEngine {
         self.aggregator.name()
     }
 
-    /// Straggler updates currently buffered for the next round.
-    pub fn pending_updates(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Runs all configured rounds, returning per-round metrics.
     pub fn run(&mut self) -> Vec<RoundMetrics> {
         (0..self.config.rounds).map(|r| self.run_round(r)).collect()
     }
 
-    /// The deterministic rotating cohort for `round`, as a boolean mask
-    /// plus the ascending list of selected client ids.
+    /// The deterministic rotating cohort for `round`: the ascending
+    /// list of selected client ids.
     fn select_cohort(&self, round: usize) -> Vec<usize> {
         let total = self.clients.len();
         let cohort = ((self.config.participation.clamp(0.0, 1.0) * total as f64).ceil() as usize)
@@ -445,21 +400,17 @@ impl RoundEngine {
             .collect();
         let arrivals = match &self.topology {
             Some(topology) => link::schedule(&departures, topology),
-            None => {
-                // No network model: uploads "arrive" when computed.
-                let mut a: Vec<link::Arrival> = departures
-                    .iter()
-                    .map(|d| link::Arrival {
-                        client: d.client,
-                        ready_secs: d.ready_secs,
-                        done_secs: d.ready_secs,
-                        transfer_secs: 0.0,
-                        dropped: false,
-                    })
-                    .collect();
-                a.sort_by(|x, y| x.done_secs.total_cmp(&y.done_secs));
-                a
-            }
+            // No network model: uploads "arrive" when computed.
+            None => departures
+                .iter()
+                .map(|d| link::Arrival {
+                    client: d.client,
+                    ready_secs: d.ready_secs,
+                    done_secs: d.ready_secs,
+                    transfer_secs: 0.0,
+                    dropped: false,
+                })
+                .collect(),
         };
         let comm_secs = match &self.topology {
             Some(topology) => link::comm_secs(&arrivals, topology),
@@ -468,61 +419,63 @@ impl RoundEngine {
         drop(comm_span);
 
         let decode_span = self.telemetry.span("engine.decode");
-        // Server-side decode of everything that survived transit.
-        // Each codec's share of the time and bytes is tracked
+        // Server-side decode of everything that survived transit: each
+        // delivered upload becomes one contribution at its arrival
+        // time. Each codec's share of the time and bytes is tracked
         // separately so its Eqn 1 cost profile is not polluted by
         // raw-payload parse time; dropped uploads are excluded
         // throughout — they were never decompressed, so keeping their
         // bytes in the denominator would bias the per-byte decompress
         // cost downward.
-        let dropped_mask = {
-            let mut m = vec![false; self.clients.len()];
-            for a in arrivals.iter().filter(|a| a.dropped) {
-                m[a.client] = true;
-            }
-            m
-        };
-        let dropped_count = dropped_mask.iter().filter(|&&d| d).count();
+        let mut arrived_at: Vec<Option<f64>> = vec![None; self.clients.len()];
+        for a in arrivals.iter().filter(|a| !a.dropped) {
+            arrived_at[a.client] = Some(a.done_secs);
+        }
+        let dropped_count = arrivals.iter().filter(|a| a.dropped).count();
         let mut decompress_secs = 0.0f64;
         let mut codec_costs = vec![CodecCosts::default(); self.uplink.codec_count()];
-        let server_updates: Vec<ServerUpdate> = outcomes
+        let contributions: Vec<Contribution> = outcomes
             .iter()
-            .map(|o| {
-                let dropped = dropped_mask[o.id];
-                let dict = if dropped {
-                    StateDict::new()
-                } else {
-                    let t_dec = Instant::now();
-                    let dict = self
-                        .fold
-                        .decode(&o.step.payload, o.step.compressed, Some(shared_global))
-                        .expect("self-produced upload");
-                    let elapsed = t_dec.elapsed().as_secs_f64();
-                    decompress_secs += elapsed;
-                    if let Some(codec) = o.choice.codec {
-                        let costs = &mut codec_costs[codec];
-                        costs.raw_bytes += o.step.raw_bytes;
-                        costs.payload_bytes += o.step.payload.len();
-                        costs.compress_secs += o.step.compress_secs;
-                        costs.decompress_secs += elapsed;
-                    }
-                    dict
-                };
-                ServerUpdate {
-                    id: o.id,
-                    dict,
-                    samples: o.step.samples,
-                    wire_bytes: o.step.payload.len(),
-                    dropped,
+            .filter_map(|o| {
+                let done_secs = arrived_at[o.id]?;
+                let t_dec = Instant::now();
+                let dict = self
+                    .fold
+                    .decode(&o.step.payload, o.step.compressed, Some(shared_global))
+                    .expect("self-produced upload");
+                let elapsed = t_dec.elapsed().as_secs_f64();
+                decompress_secs += elapsed;
+                if let Some(codec) = o.choice.codec {
+                    let costs = &mut codec_costs[codec];
+                    costs.raw_bytes += o.step.raw_bytes;
+                    costs.payload_bytes += o.step.payload.len();
+                    costs.compress_secs += o.step.compress_secs;
+                    costs.decompress_secs += elapsed;
                 }
+                let weight = if self.config.weighted_aggregation {
+                    o.step.samples.max(1) as f64
+                } else {
+                    1.0
+                };
+                Some(Contribution {
+                    client: o.id,
+                    dict,
+                    weight,
+                    wire_bytes: o.step.payload.len(),
+                    done_secs,
+                })
             })
             .collect();
         drop(decode_span);
 
-        // Aggregation under the configured policy and backend.
         let merge_span =
             self.telemetry.span_with("engine.merge", &[("round", Value::U64(round as u64))]);
-        let (outcome, stale_updates) = self.aggregate(round, server_updates, &arrivals);
+        let outcome = self.aggregator.aggregate(round, contributions).map(|mut o| {
+            // The merged model moves into the engine; the outcome keeps
+            // only the accounting fields.
+            self.global = std::mem::take(&mut o.global);
+            o
+        });
         drop(merge_span);
         let (aggregated_updates, round_secs, root_ingress_bytes, psum_ratio) = match &outcome {
             Some(o) => (o.merged, o.root_done_secs, o.root_ingress_bytes, o.psum_ratio()),
@@ -587,7 +540,6 @@ impl RoundEngine {
             downlink_secs,
             psum_ratio,
             aggregated_updates,
-            stale_updates,
             dropped_updates: dropped_count,
             level_merge_nanos,
             eqn1,
@@ -597,94 +549,6 @@ impl RoundEngine {
         };
         drop(round_span);
         metrics
-    }
-
-    /// Applies the aggregation policy and backend, returning the
-    /// backend's outcome (`None` when nothing aggregated) and the
-    /// number of stale straggler updates applied.
-    fn aggregate(
-        &mut self,
-        round: usize,
-        server_updates: Vec<ServerUpdate>,
-        arrivals: &[link::Arrival],
-    ) -> (Option<AggOutcome>, usize) {
-        // Which delivered uploads the policy waits for.
-        let delivered: Vec<&link::Arrival> = arrivals.iter().filter(|a| !a.dropped).collect();
-        let accepted: &[&link::Arrival] = match self.config.aggregation {
-            AggregationPolicy::Synchronous => &delivered[..],
-            AggregationPolicy::Buffered { target } => {
-                let k = target.clamp(1, delivered.len().max(1)).min(delivered.len());
-                &delivered[..k]
-            }
-        };
-        // O(1) membership and arrival-time lookups per client (these
-        // loops are per-client; a `Vec::contains` scan here would make
-        // the round quadratic).
-        let mut accepted_mask = vec![false; self.clients.len()];
-        let mut done_secs = vec![0.0f64; self.clients.len()];
-        for a in accepted {
-            accepted_mask[a.client] = true;
-            done_secs[a.client] = a.done_secs;
-        }
-
-        let mut contributions: Vec<Contribution> = Vec::new();
-        let mut stragglers: Vec<StaleUpdate> = Vec::new();
-        for update in server_updates {
-            if update.dropped {
-                continue;
-            }
-            if accepted_mask[update.id] {
-                let w = if self.config.weighted_aggregation {
-                    update.samples.max(1) as f64
-                } else {
-                    1.0
-                };
-                contributions.push(Contribution {
-                    client: update.id,
-                    dict: update.dict,
-                    weight: w,
-                    wire_bytes: update.wire_bytes,
-                    done_secs: done_secs[update.id],
-                });
-            } else {
-                stragglers.push(StaleUpdate {
-                    client: update.id,
-                    dict: update.dict,
-                    samples: update.samples,
-                    round,
-                });
-            }
-        }
-        // Fold in stragglers buffered from earlier rounds, discounted by
-        // staleness (an update from `age` rounds ago moved a model that
-        // has since advanced `age` times). They already reached the
-        // server, so they cost no fresh wire bytes and don't gate the
-        // round clock.
-        let stale_applied = self.pending.len();
-        let mut stale: Vec<StaleUpdate> = std::mem::take(&mut self.pending);
-        stale.sort_by_key(|s| (s.round, s.client));
-        for s in stale {
-            let age = round.saturating_sub(s.round) as f64;
-            let base = if self.config.weighted_aggregation { s.samples.max(1) as f64 } else { 1.0 };
-            contributions.push(Contribution {
-                client: s.client,
-                dict: s.dict,
-                weight: base / (1.0 + age),
-                wire_bytes: 0,
-                done_secs: 0.0,
-            });
-        }
-        self.pending = stragglers;
-
-        match self.aggregator.aggregate(round, contributions) {
-            Some(mut outcome) => {
-                // The merged model moves into the engine; the returned
-                // outcome keeps only the accounting fields.
-                self.global = std::mem::replace(&mut outcome.global, StateDict::new());
-                (Some(outcome), stale_applied)
-            }
-            None => (None, stale_applied),
-        }
     }
 
     /// Evaluates the current global model on the test split, in chunks
@@ -795,27 +659,6 @@ mod tests {
         assert_ne!(a, e.transit_coin(3, 0));
         let mean: f64 = (0..1000).map(|c| e.transit_coin(0, c)).sum::<f64>() / 1000.0;
         assert!((0.4..0.6).contains(&mean), "coin mean {mean:.3} not uniform-ish");
-    }
-
-    #[test]
-    fn buffered_policy_buffers_stragglers() {
-        let mut config = FlConfig::smoke_test();
-        config.clients = 3;
-        config.rounds = 2;
-        // Client 2 is a heavy straggler on a slow link.
-        config.links = Some(Topology::Dedicated(vec![
-            LinkProfile::symmetric(100e6),
-            LinkProfile::symmetric(100e6),
-            LinkProfile::symmetric(1e6).with_slowdown(50.0),
-        ]));
-        config.aggregation = AggregationPolicy::Buffered { target: 2 };
-        let mut e = RoundEngine::new(config);
-        let m0 = e.run_round(0);
-        assert_eq!(m0.aggregated_updates, 2, "buffered round must take exactly K uploads");
-        assert_eq!(e.pending_updates(), 1, "the straggler should be buffered");
-        let m1 = e.run_round(1);
-        assert_eq!(m1.stale_updates, 1, "the stale update must be applied next round");
-        assert_eq!(m1.aggregated_updates, 3, "2 fresh + 1 stale");
     }
 
     #[test]

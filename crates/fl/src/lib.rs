@@ -23,10 +23,8 @@
 //! [`engine::RoundEngine`]; the CLI, the bench bins and the
 //! benchmark all build it from an [`FlConfig`], which selects a link
 //! [`link::Topology`] (one shared pipe, per-client heterogeneous
-//! links, or an aggregation tree of any depth), an
-//! [`engine::AggregationPolicy`] (synchronous FedAvg or FedBuff-style
-//! buffered-asynchronous aggregation), an [`agg::Aggregator`] backend
-//! (flat server or an [`agg::ShardedTree`] hierarchy with
+//! links, or an aggregation tree of any depth), an [`agg::Aggregator`]
+//! backend (flat server or an [`agg::ShardedTree`] hierarchy with
 //! bit-identical results at any depth, optionally forwarding
 //! losslessly-compressed partial-sum frames) and an [`agg::Downlink`]
 //! stage (raw, FedSZ-encoded, or Eqn-1 adaptive broadcasts).
@@ -71,7 +69,7 @@ pub mod sweep;
 
 pub use agg::TreePlan;
 pub use client::Client;
-pub use engine::{AggregationPolicy, RoundEngine};
+pub use engine::RoundEngine;
 pub use fedsz_dp::{DpMechanism, DpPolicy};
 pub use link::{LinkProfile, Topology};
 pub use plan::{PlanError, RoundPlan, StageLeg, StagePolicy};
@@ -119,9 +117,6 @@ pub struct FlConfig {
     /// [`Topology::Tree`] (every client keeps its own last mile); a
     /// pre-lifted `Tree` here is rejected.
     pub links: Option<Topology>,
-    /// When the server aggregates: classic synchronous FedAvg or
-    /// FedBuff-style buffered-asynchronous aggregation.
-    pub aggregation: AggregationPolicy,
     /// Policy of the client → server upload leg: raw, FedSZ on every
     /// upload ([`StagePolicy::Lossy`], the paper's setting), a codec
     /// family (Top-K, quantization, optionally with error feedback), or
@@ -193,7 +188,6 @@ impl FlConfig {
             weighted_aggregation: false,
             participation: 1.0,
             links: Some(Topology::Shared(LinkProfile::symmetric(10e6))),
-            aggregation: AggregationPolicy::Synchronous,
             uplink: StagePolicy::Lossy(Self::tiny_model_compression()),
             downlink: StagePolicy::Raw,
             psum: StagePolicy::Raw,
@@ -342,10 +336,9 @@ pub struct RoundMetrics {
     /// Measured downlink codec wall time this round (one encode + one
     /// decode; zero for raw broadcasts).
     pub downlink_secs: f64,
-    /// Updates folded into this round's average (fresh + stale).
+    /// Updates folded into this round's average: every delivered
+    /// upload of the cohort.
     pub aggregated_updates: usize,
-    /// Stale straggler updates applied this round (buffered policy).
-    pub stale_updates: usize,
     /// Uploads lost in transit this round.
     pub dropped_updates: usize,
     /// Wall nanoseconds spent merging into each tree level, root

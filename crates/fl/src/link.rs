@@ -17,9 +17,8 @@
 //! [`schedule`] is the virtual clock: it turns "client `i` finished
 //! computing at `t_i` with `b_i` bytes to send" departure events into
 //! server-side [`Arrival`]s, ordering them on a simulated timeline
-//! without ever sleeping. The round engine aggregates from this queue —
-//! synchronously (wait for everyone) or in FedBuff style (aggregate
-//! after the first `K` arrivals).
+//! without ever sleeping. The round engine aggregates from this queue
+//! synchronously: the round ends at the last delivered arrival.
 //!
 //! This module is the repo's one timing model: the legacy
 //! `SimulatedNetwork` type computed the same `latency + bytes·8/bw`

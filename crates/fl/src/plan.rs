@@ -72,22 +72,17 @@
 //! A `Family` policy with `error_feedback: true` keeps a per-client
 //! residual dict: mass the codec dropped this round re-enters next
 //! round's delta (FedSparQ-style). That residual is *state the round
-//! loop must carry*, which two execution paths cannot do today:
+//! loop must carry*, which socket workers cannot do today: a worker may
+//! disconnect and resume with a fresh process, silently dropping the
+//! residual and the conserved mass with it —
+//! [`RoundPlan::validate_for_workers`] returns
+//! [`PlanError::StatefulUplinkWorker`], a typed rejection in the same
+//! pattern as lossy psum.
 //!
-//! * **Buffered aggregation** applies updates asynchronously across
-//!   round boundaries, so a client's residual would be folded against
-//!   a reference model it never trained on —
-//!   [`PlanError::StatefulUplinkBuffered`].
-//! * **Socket workers** may disconnect and resume with a fresh
-//!   process, silently dropping the residual and the conserved mass
-//!   with it — [`RoundPlan::validate_for_workers`] returns
-//!   [`PlanError::StatefulUplinkWorker`].
-//!
-//! Both are typed rejections, the same pattern as lossy psum.
 //! [`RoundPlan::validate_for_workers`] rejects the other simulator
 //! features the socket runtime has no mechanism for — weighted
-//! aggregation, partial participation, buffered aggregation, a
-//! priced downlink and trees deeper than one relay tier
+//! aggregation, partial participation, a priced downlink and trees
+//! deeper than one relay tier
 //! ([`PlanError::SimulatorOnly`]), plus shards without clients
 //! ([`PlanError::TooManyShards`]) — so a `ServeConfig` built in code
 //! cannot complete with a checksum that silently differs from the
@@ -102,15 +97,14 @@
 //! *before* the uplink codec runs. Unlike error feedback, the stage
 //! keeps no per-client state between rounds — the noise stream is
 //! derived from `(dp.seed, round, client)` alone — so it is legal with
-//! every uplink family, under buffered aggregation, and on socket
-//! workers. `plan()` rejects only malformed parameters
-//! ([`PlanError::BadDpClipNorm`], [`PlanError::BadDpNoiseMultiplier`]);
-//! DP combined with `+ef` still trips the error-feedback rejections
-//! above, because the residual — not the noise — is the stateful part.
+//! every uplink family and on socket workers. `plan()` rejects only
+//! malformed parameters ([`PlanError::BadDpClipNorm`],
+//! [`PlanError::BadDpNoiseMultiplier`]); DP combined with `+ef` still
+//! trips the error-feedback rejection above, because the residual — not
+//! the noise — is the stateful part.
 
 use crate::agg::TreePlan;
 use crate::codec::FamilyCodec;
-use crate::engine::AggregationPolicy;
 use crate::link::{LinkProfile, Topology};
 use crate::FlConfig;
 use fedsz::FedSzConfig;
@@ -379,8 +373,6 @@ pub enum PlanError {
     BadParticipation(f64),
     /// Dirichlet alpha not finite and positive.
     BadNonIidAlpha(f64),
-    /// `Buffered { target: 0 }` can never aggregate.
-    ZeroBufferTarget,
     /// A [`LinkProfile`] with an out-of-range field.
     BadLinkProfile {
         /// The offending client id (leaf id for an edge link; 0 for
@@ -445,11 +437,6 @@ pub enum PlanError {
         /// What about the candidate set is wrong.
         reason: &'static str,
     },
-    /// An error-feedback uplink combined with buffered aggregation:
-    /// buffered updates apply across round boundaries, so the residual
-    /// would be folded against a reference model the client never
-    /// trained on.
-    StatefulUplinkBuffered,
     /// An error-feedback uplink on the socket runtime: a worker that
     /// reconnects resumes with a fresh process and silently drops its
     /// residual, breaking mass conservation.
@@ -460,8 +447,8 @@ pub enum PlanError {
     /// at most one tier of relays, with no link model to price.
     SimulatorOnly {
         /// The offending feature (`"weighted aggregation"`,
-        /// `"partial participation"`, `"buffered aggregation"`,
-        /// `"a priced downlink"` or `"a multi-tier tree"`).
+        /// `"partial participation"`, `"a priced downlink"` or
+        /// `"a multi-tier tree"`).
         feature: &'static str,
     },
     /// More first-tier aggregators than clients. The simulator lays a
@@ -496,9 +483,6 @@ impl fmt::Display for PlanError {
             }
             PlanError::BadNonIidAlpha(a) => {
                 write!(f, "non-IID Dirichlet alpha must be finite and positive, got {a}")
-            }
-            PlanError::ZeroBufferTarget => {
-                write!(f, "buffered aggregation target must be at least 1")
             }
             PlanError::BadLinkProfile { client, field, value } => write!(
                 f,
@@ -537,12 +521,6 @@ impl fmt::Display for PlanError {
             PlanError::BadPriced { leg, reason } => {
                 write!(f, "the priced {} policy is misconfigured: {reason}", leg.name())
             }
-            PlanError::StatefulUplinkBuffered => write!(
-                f,
-                "error-feedback uplinks are stateful and cannot combine with buffered \
-                 aggregation (the residual would be applied against a stale reference); \
-                 use synchronous aggregation or drop `+ef`"
-            ),
             PlanError::StatefulUplinkWorker => write!(
                 f,
                 "error-feedback uplinks are stateful and cannot run on socket workers \
@@ -618,14 +596,13 @@ impl RoundPlan {
     /// [`FlConfig::plan`]. An error-feedback uplink cannot survive a
     /// worker reconnect (the residual dies with the process). The
     /// server folds every live worker's update with weight 1 at a
-    /// synchronous barrier, so weighted aggregation, partial
-    /// participation and buffered aggregation would complete with a
-    /// checksum that silently differs from the in-process run. It runs
-    /// at most one tier of relays, one process per shard, so deeper
-    /// trees and empty shards ([`RoundPlan::check_shards`]) cannot be
-    /// deployed; and it has no link model for a priced downlink to
-    /// price. `fedsz serve`/`worker` reject all of these here before
-    /// any round runs.
+    /// synchronous barrier, so weighted aggregation and partial
+    /// participation would complete with a checksum that silently
+    /// differs from the in-process run. It runs at most one tier of
+    /// relays, one process per shard, so deeper trees and empty shards
+    /// ([`RoundPlan::check_shards`]) cannot be deployed; and it has no
+    /// link model for a priced downlink to price. `fedsz serve`/`worker`
+    /// reject all of these here before any round runs.
     ///
     /// # Errors
     ///
@@ -641,10 +618,6 @@ impl RoundPlan {
         let simulator_only = [
             (config.weighted_aggregation, "weighted aggregation"),
             (config.participation < 1.0, "partial participation"),
-            (
-                matches!(config.aggregation, AggregationPolicy::Buffered { .. }),
-                "buffered aggregation",
-            ),
             (config.downlink.is_priced(), "a priced downlink"),
             (self.tree.as_ref().is_some_and(|tree| tree.depth() > 2), "a multi-tier tree"),
         ];
@@ -777,18 +750,11 @@ fn plan_topology(
 }
 
 /// Validates the three per-leg [`StagePolicy`]s against the legality
-/// table and the combinations that make them stateful.
+/// table, and a compressing psum policy against the tree it needs.
 fn validate_stages(config: &FlConfig) -> Result<(), PlanError> {
     config.uplink.validate_for(StageLeg::Uplink)?;
     config.downlink.validate_for(StageLeg::Downlink)?;
     config.psum.validate_for(StageLeg::Psum)?;
-    // Error feedback is round-loop state; buffered aggregation crosses
-    // round boundaries. See the module docs.
-    if config.uplink.error_feedback()
-        && matches!(config.aggregation, AggregationPolicy::Buffered { .. })
-    {
-        return Err(PlanError::StatefulUplinkBuffered);
-    }
     if config.psum.compresses() && config.tree.is_none() {
         return Err(PlanError::PsumWithoutTree);
     }
@@ -826,9 +792,6 @@ impl FlConfig {
             if !(alpha.is_finite() && alpha > 0.0) {
                 return Err(PlanError::BadNonIidAlpha(alpha));
             }
-        }
-        if let AggregationPolicy::Buffered { target: 0 } = self.aggregation {
-            return Err(PlanError::ZeroBufferTarget);
         }
         let worker_threads = match self.worker_threads {
             Some(0) => return Err(PlanError::ZeroWorkerThreads),
@@ -912,10 +875,6 @@ mod tests {
         let mut config = base();
         config.non_iid_alpha = Some(-1.0);
         assert_eq!(config.plan().unwrap_err(), PlanError::BadNonIidAlpha(-1.0));
-
-        let mut config = base();
-        config.aggregation = AggregationPolicy::Buffered { target: 0 };
-        assert_eq!(config.plan().unwrap_err(), PlanError::ZeroBufferTarget);
     }
 
     #[test]
@@ -1125,21 +1084,13 @@ mod tests {
         config.uplink = uplink("topk:0.05");
         assert!(config.plan().unwrap().validate_for_workers().is_ok());
 
-        // EF + buffered aggregation: the residual would fold against a
-        // reference the client never trained on.
-        let mut config = base();
-        config.uplink = uplink("topk:0.05+ef");
-        config.aggregation = AggregationPolicy::Buffered { target: 2 };
-        assert_eq!(config.plan().unwrap_err(), PlanError::StatefulUplinkBuffered);
-
         // EF + socket workers: the residual dies with the process.
         let mut config = base();
         config.uplink = uplink("q8s+ef");
         let plan = config.plan().expect("EF is legal in the simulator");
         assert_eq!(plan.validate_for_workers().unwrap_err(), PlanError::StatefulUplinkWorker);
 
-        // And the errors render actionable text.
-        assert!(PlanError::StatefulUplinkBuffered.to_string().contains("error-feedback"));
+        // And the error renders actionable text.
         assert!(PlanError::StatefulUplinkWorker.to_string().contains("error-feedback"));
     }
 
@@ -1157,10 +1108,9 @@ mod tests {
         // `fold_upload` folds every update with weight 1.
         let mut config = base();
         config.weighted_aggregation = true;
-        assert_eq!(
-            config.plan().unwrap().validate_for_workers().unwrap_err(),
-            PlanError::SimulatorOnly { feature: "weighted aggregation" }
-        );
+        let err = config.plan().unwrap().validate_for_workers().unwrap_err();
+        assert_eq!(err, PlanError::SimulatorOnly { feature: "weighted aggregation" });
+        assert!(err.to_string().contains("simulator-only"), "{err}");
         // The barrier waits for every live worker, not a cohort.
         let mut config = base();
         config.clients = 4;
@@ -1169,12 +1119,6 @@ mod tests {
             config.plan().unwrap().validate_for_workers().unwrap_err(),
             PlanError::SimulatorOnly { feature: "partial participation" }
         );
-        // And it is synchronous: nothing buffers a straggler's update.
-        let mut config = base();
-        config.aggregation = AggregationPolicy::Buffered { target: 1 };
-        let err = config.plan().unwrap().validate_for_workers().unwrap_err();
-        assert_eq!(err, PlanError::SimulatorOnly { feature: "buffered aggregation" });
-        assert!(err.to_string().contains("simulator-only"), "{err}");
         // No link model prices a broadcast, and one relay tier is all
         // a deployment has.
         let mut config = base();

@@ -18,7 +18,7 @@
 //! errors) rides along as example tests.
 
 use fedsz_fl::codec::FamilyCodec;
-use fedsz_fl::{AggregationPolicy, FlConfig, PlanError, StagePolicy};
+use fedsz_fl::{FlConfig, PlanError, StagePolicy};
 use fedsz_lossy::quant::Quantizer;
 use fedsz_lossy::sparse::Sparsifier;
 use fedsz_nn::StateDict;
@@ -201,19 +201,13 @@ proptest! {
     }
 }
 
-/// EF is typed-rejected where its per-client state cannot live:
-/// buffered aggregation (the residual would fold against a model the
-/// client never trained on) and socket workers (a reconnect silently
-/// drops the residual).
+/// EF is typed-rejected where its per-client state cannot live: on
+/// socket workers, a reconnect silently drops the residual.
 #[test]
 fn error_feedback_is_rejected_where_state_cannot_live() {
     let mut config = FlConfig::smoke_test();
     config.uplink =
         StagePolicy::Family { codec: FamilyCodec::top_k(0.1).unwrap(), error_feedback: true };
-    config.aggregation = AggregationPolicy::Buffered { target: 2 };
-    assert_eq!(config.plan().unwrap_err(), PlanError::StatefulUplinkBuffered);
-
-    config.aggregation = AggregationPolicy::Synchronous;
     let plan = config.plan().expect("EF + synchronous simulation is legal");
     assert_eq!(plan.validate_for_workers().unwrap_err(), PlanError::StatefulUplinkWorker);
 }

@@ -18,9 +18,7 @@
 use fedsz_fl::engine::RoundEngine;
 use fedsz_fl::net::global_checksum;
 use fedsz_fl::plan::{PlanError, StageLeg, StagePolicy};
-use fedsz_fl::{
-    AggregationPolicy, DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, Topology,
-};
+use fedsz_fl::{DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, Topology};
 use proptest::prelude::*;
 
 /// The smoke config's codec, as the policy of a compressing leg.
@@ -40,9 +38,8 @@ fn checksum_of(config: FlConfig) -> u32 {
 }
 
 /// Checksums captured from the pre-redesign engine (same seed, same
-/// shim RNG, synchronous deterministic configurations only — adaptive
-/// and buffered modes key on measured wall time and are exempt from
-/// bit-parity by design). Every config but `plain` uploads through SZ2,
+/// shim RNG, deterministic configurations only — adaptive modes key
+/// on measured wall time and are exempt from bit-parity by design). Every config but `plain` uploads through SZ2,
 /// so those were captured again when its stream went to version 2 (PR
 /// 23: different bytes decode to different weights inside the same
 /// bound); `plain`, which runs no codec, did not move. CHANGES.md lists
@@ -363,8 +360,8 @@ proptest! {
 /// The DP stage's plan-time legality: bad policies fail with typed
 /// errors before anything runs, and because the stage is stateless
 /// (noise is a pure function of `(seed, round, client)`), a legal
-/// policy composes with every runtime and aggregation policy — only
-/// error feedback's residual remains stateful.
+/// policy composes with every runtime — only error feedback's residual
+/// remains stateful.
 #[test]
 fn dp_policies_validate_at_plan_time() {
     let policy = |clip: f64, noise: f64| DpPolicy {
@@ -396,19 +393,13 @@ fn dp_is_stateless_and_composes_everywhere() {
         mechanism: DpMechanism::Laplace,
         seed: 7,
     });
-    // Legal on socket workers (a reconnect loses no DP state)...
+    // Legal on socket workers (a reconnect loses no DP state).
     config.plan().unwrap().validate_for_workers().unwrap();
-    // ...and under buffered aggregation (no cross-round residual).
-    config.aggregation = AggregationPolicy::Buffered { target: 1 };
-    config.plan().unwrap();
-    // DP + error feedback still trips the EF rejections: the residual
+    // DP + error feedback still trips the EF rejection: the residual
     // is the stateful part, not the noise.
-    config.aggregation = AggregationPolicy::Synchronous;
     config.uplink = family("topk:0.1+ef");
     let err = config.plan().unwrap().validate_for_workers().unwrap_err();
     assert_eq!(err, PlanError::StatefulUplinkWorker);
-    config.aggregation = AggregationPolicy::Buffered { target: 1 };
-    assert_eq!(config.plan().unwrap_err(), PlanError::StatefulUplinkBuffered);
 }
 
 /// Seeded DP noise is a deterministic part of the bits: the same

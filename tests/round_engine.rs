@@ -1,8 +1,8 @@
 //! Integration tests for the in-process round engine: upstream byte
-//! accounting, heterogeneous-link virtual-time accounting, and
-//! buffered-asynchronous aggregation.
+//! accounting, heterogeneous-link virtual-time accounting, and the
+//! synchronous barrier.
 
-use fedsz_fl::{AggregationPolicy, Experiment, FlConfig, LinkProfile, StagePolicy, Topology};
+use fedsz_fl::{Experiment, FlConfig, LinkProfile, StagePolicy, Topology};
 
 fn quick_config() -> FlConfig {
     let mut config = FlConfig::smoke_test();
@@ -69,70 +69,35 @@ fn heterogeneous_links_do_not_serialize_on_one_pipe() {
 
 #[test]
 fn slow_links_dominate_round_time_in_heterogeneous_cohorts() {
-    let mut config = quick_config();
-    config.clients = 2;
-    config.rounds = 1;
-    config.links = Some(Topology::Dedicated(vec![
-        LinkProfile::symmetric(100e6),
-        LinkProfile::symmetric(0.5e6), // ~200x slower uplink
-    ]));
-    let metrics = Experiment::new(config).run_round(0);
-    // comm time on dedicated links == the slowest single transfer.
-    let payload_bits = metrics.update_bytes * 8.0;
-    let slow_transfer = payload_bits / 0.5e6;
-    assert!(
-        (metrics.comm_secs - slow_transfer).abs() / slow_transfer < 0.1,
-        "comm {:.4}s should track the slow link's {:.4}s",
-        metrics.comm_secs,
-        slow_transfer
-    );
-}
-
-#[test]
-fn buffered_async_policy_converges_on_the_smoke_config() {
-    let mut config = quick_config();
-    config.clients = 4;
-    config.rounds = 6;
-    // One straggler on a slow link; aggregate after 3 of 4 arrivals.
-    config.links = Some(Topology::Dedicated(vec![
-        LinkProfile::symmetric(50e6),
-        LinkProfile::symmetric(50e6),
-        LinkProfile::symmetric(50e6),
-        LinkProfile::symmetric(1e6).with_slowdown(20.0),
-    ]));
-    config.aggregation = AggregationPolicy::Buffered { target: 3 };
-    let metrics = Experiment::new(config).run();
-    let best = metrics.iter().map(|m| m.test_accuracy).fold(0.0f64, f64::max);
-    assert!(best > 0.15, "buffered-async run stuck at {best:.3}");
-    // Stale straggler updates must actually flow into later rounds.
-    let stale_total: usize = metrics.iter().map(|m| m.stale_updates).sum();
-    assert!(stale_total > 0, "straggler updates never applied");
-    // The straggler must not gate round completion time.
-    let sync_round = metrics[0].round_secs;
-    assert!(sync_round.is_finite() && sync_round > 0.0);
-}
-
-#[test]
-fn buffered_rounds_complete_faster_than_synchronous_with_stragglers() {
-    let mut config = quick_config();
-    config.clients = 3;
-    config.rounds = 1;
-    let links = vec![
-        LinkProfile::symmetric(50e6),
-        LinkProfile::symmetric(50e6),
-        LinkProfile::symmetric(50e6).with_slowdown(100.0),
-    ];
-    config.links = Some(Topology::Dedicated(links));
-    config.aggregation = AggregationPolicy::Synchronous;
-    let sync = Experiment::new(config.clone()).run_round(0);
-    config.aggregation = AggregationPolicy::Buffered { target: 2 };
-    let buffered = Experiment::new(config).run_round(0);
-    assert!(
-        buffered.round_secs < sync.round_secs / 2.0,
-        "buffered {:.3}s should beat synchronous {:.3}s by skipping the straggler",
-        buffered.round_secs,
-        sync.round_secs
-    );
+    // The second input makes every client a 100x compute straggler.
+    for slowdown in [1.0, 100.0] {
+        let mut config = quick_config();
+        config.clients = 2;
+        config.rounds = 1;
+        config.links = Some(Topology::Dedicated(vec![
+            LinkProfile::symmetric(100e6).with_slowdown(slowdown),
+            LinkProfile::symmetric(0.5e6).with_slowdown(slowdown), // ~200x slower uplink
+        ]));
+        let metrics = Experiment::new(config).run_round(0);
+        // comm time on dedicated links == the slowest single transfer.
+        let payload_bits = metrics.update_bytes * 8.0;
+        let slow_transfer = payload_bits / 0.5e6;
+        assert!(
+            (metrics.comm_secs - slow_transfer).abs() / slow_transfer < 0.1,
+            "comm {:.4}s should track the slow link's {:.4}s",
+            metrics.comm_secs,
+            slow_transfer
+        );
+        // The round is a barrier: it ends after the last client's
+        // straggler-scaled ready time, which is at least the cohort's
+        // mean (the downlink is raw, so there is no broadcast decode).
+        let mean_ready = slowdown * (metrics.train_secs + metrics.compress_secs);
+        assert!(
+            metrics.round_secs >= mean_ready,
+            "slowdown {slowdown}: round {:.3}s ended before the mean ready time {mean_ready:.3}s",
+            metrics.round_secs
+        );
+    }
 }
 
 #[test]
