@@ -171,48 +171,20 @@ impl CompressedUpdate {
 #[derive(Debug, Clone)]
 pub struct FedSz {
     config: FedSzConfig,
-    /// Per-tensor bound overrides: the first entry whose pattern is a
-    /// substring of the tensor name wins.
-    overrides: Vec<(String, ErrorBound)>,
 }
 
 impl FedSz {
     /// Creates a pipeline with the given configuration.
     pub fn new(config: FedSzConfig) -> Self {
-        Self { config, overrides: Vec::new() }
+        Self { config }
     }
 
-    /// Adds per-layer error-bound overrides — the hyperparameter knob
-    /// the paper's future-work section proposes for mitigating accuracy
-    /// loss on sensitive layers. A tensor whose name contains a
-    /// pattern uses that bound instead of the configured one; the first
-    /// matching pattern wins. Decoding needs no matching configuration
-    /// because every lossy stream embeds its own absolute bound.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fedsz::{ErrorBound, FedSz, FedSzConfig};
-    ///
-    /// let fedsz = FedSz::new(FedSzConfig::default())
-    ///     .with_bound_overrides(vec![
-    ///         // Keep the classifier head nearly lossless.
-    ///         ("classifier".to_string(), ErrorBound::Relative(1e-5)),
-    ///     ]);
-    /// # let _ = fedsz;
-    /// ```
-    pub fn with_bound_overrides(mut self, overrides: Vec<(String, ErrorBound)>) -> Self {
-        self.overrides = overrides;
-        self
-    }
-
-    /// The bound that applies to a tensor name under the overrides.
-    pub fn bound_for(&self, name: &str) -> ErrorBound {
-        self.overrides
-            .iter()
-            .find(|(pattern, _)| name.contains(pattern.as_str()))
-            .map(|&(_, bound)| bound)
-            .unwrap_or(self.config.error_bound)
+    /// The bound a lossy tensor is compressed under: the configured
+    /// [`FedSzConfig::error_bound`], whatever the tensor's name. Every
+    /// stream uses one bound; per-tensor callers (the `benchmark/`
+    /// probes) ask here.
+    pub fn bound_for(&self, _name: &str) -> ErrorBound {
+        self.config.error_bound
     }
 
     /// The active configuration.
@@ -274,7 +246,7 @@ impl FedSz {
                 stats.lossy_elements += tensor.len();
                 stats.lossy_tensors += 1;
                 // Algorithm 1 line 3: flatten, then lossy-compress.
-                lossy_streams.push(lossy_codec.compress(tensor.data(), self.bound_for(name))?);
+                lossy_streams.push(lossy_codec.compress(tensor.data(), self.config.error_bound)?);
             } else {
                 stats.lossless_elements += tensor.len();
                 stats.lossless_tensors += 1;
@@ -672,53 +644,6 @@ mod tests {
         dict.insert("layer.weight", Tensor::from_vec(vec![2000], data));
         let err = FedSz::default().compress(&dict).unwrap_err();
         assert_eq!(err, LossyError::NonFiniteInput);
-    }
-}
-
-#[cfg(test)]
-mod override_tests {
-    use super::*;
-    use fedsz_codec::stats::{max_abs_error, value_range};
-    use fedsz_nn::models::specs::ModelSpec;
-
-    #[test]
-    fn overrides_tighten_selected_layers() {
-        let dict = ModelSpec::alexnet().instantiate_scaled(8, 0.005);
-        let fedsz = FedSz::new(FedSzConfig::default())
-            .with_bound_overrides(vec![("classifier.6".to_string(), ErrorBound::Relative(1e-6))]);
-        let packed = fedsz.compress(&dict).unwrap();
-        let restored = fedsz.decompress(packed.bytes()).unwrap();
-        let check = |name: &str, rel: f64| {
-            let orig = dict.get(name).unwrap();
-            let span = f64::from(value_range(orig.data()).unwrap().span());
-            f64::from(max_abs_error(orig.data(), restored.get(name).unwrap().data()))
-                <= rel * span * (1.0 + 1e-5)
-        };
-        // The overridden head satisfies the much tighter bound...
-        assert!(check("classifier.6.weight", 1e-6));
-        // ...while other layers only need the default.
-        assert!(check("features.0.weight", 1e-2));
-    }
-
-    #[test]
-    fn first_matching_override_wins() {
-        let fedsz = FedSz::new(FedSzConfig::default()).with_bound_overrides(vec![
-            ("classifier".to_string(), ErrorBound::Relative(1e-5)),
-            ("classifier.6".to_string(), ErrorBound::Relative(1e-1)),
-        ]);
-        assert_eq!(fedsz.bound_for("classifier.6.weight"), ErrorBound::Relative(1e-5));
-        assert_eq!(fedsz.bound_for("features.0.weight"), ErrorBound::Relative(1e-2));
-    }
-
-    #[test]
-    fn overridden_streams_decode_without_the_overrides() {
-        let dict = ModelSpec::mobilenet_v2().instantiate_scaled(8, 0.01);
-        let sender = FedSz::new(FedSzConfig::default())
-            .with_bound_overrides(vec![("features.18".to_string(), ErrorBound::Relative(1e-5))]);
-        let packed = sender.compress(&dict).unwrap();
-        // A vanilla receiver decodes fine: streams are self-describing.
-        let receiver = FedSz::default();
-        assert_eq!(receiver.decompress(packed.bytes()).unwrap().len(), dict.len());
     }
 }
 

@@ -71,7 +71,7 @@ pub struct PsumFrame {
     pub decompress_secs: f64,
     /// The Eqn-1 choice behind this frame, with the predicted
     /// `(compressed, raw)` seconds when an adaptive profile and an
-    /// edge bandwidth priced a real plan. [`PsumForwarder::price`]
+    /// edge bandwidth priced a real plan. [`PsumForwarder::price_with`]
     /// leaves folding the frame's costs into the profile to the caller
     /// — via [`PsumForwarder::observe`] — so independent frames can be
     /// priced in parallel and observed in a deterministic order.
@@ -103,7 +103,6 @@ pub struct PsumScratch {
 /// The per-edge compress-or-not stage for partial-sum frames.
 #[derive(Debug, Clone)]
 pub struct PsumForwarder {
-    mode: PsumMode,
     codec: PsumCodec,
     /// Eqn 1 over the one lossless codec; even a forced-lossless
     /// stage folds every frame's costs into its profile.
@@ -115,7 +114,7 @@ impl PsumForwarder {
     pub fn new(mode: PsumMode) -> Self {
         let families: &[_] = if mode == PsumMode::Raw { &[] } else { &["lossless"] };
         let stage = PricedStage::new(Eqn1Leg::Psum, families, mode == PsumMode::Adaptive);
-        Self { mode, codec: PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE), stage }
+        Self { codec: PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE), stage }
     }
 
     /// Builds the forwarder from a validated plan-level
@@ -135,11 +134,6 @@ impl PsumForwarder {
         }))
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> PsumMode {
-        self.mode
-    }
-
     /// Encodes (and prices) the frame node `node` ships for `partial`,
     /// measuring real codec costs. Eqn 1 on one edge: with a measured
     /// cost profile and the edge's uplink bandwidth, an adaptive
@@ -148,34 +142,18 @@ impl PsumForwarder {
     /// model) the frame compresses, which measures one. Takes `&self`
     /// so independent frames can be priced on parallel workers; fold
     /// each frame back with [`PsumForwarder::observe`] (in a
-    /// deterministic order) to advance the EWMA profile. The
-    /// in-process tree merges exact accumulators, so the decompressed
-    /// bytes are only used to *verify* the codec round trip — a
-    /// mismatch would break bit-parity and panics immediately.
+    /// deterministic order) to advance the EWMA profile.
     ///
-    /// # Panics
+    /// The payload image and compressed frame are built in the
+    /// caller-owned `scratch`, and the wire size comes from
+    /// [`Message::encoded_len`], so no frame is materialized just to be
+    /// measured. A verified round trip lets the frame declare no more
+    /// than the image it was built from.
     ///
-    /// Panics if the lossless codec fails to reproduce its input (a
-    /// codec bug, never data-dependent).
-    pub fn price(
-        &self,
-        round: usize,
-        node: usize,
-        partial: &PartialSum,
-        bandwidth_bps: Option<f64>,
-    ) -> PsumFrame {
-        self.price_with(round, node, partial, bandwidth_bps, &mut PsumScratch::default())
-    }
-
-    /// [`PsumForwarder::price`] with caller-owned scratch buffers, the
-    /// steady-state form: the payload image and compressed frame are
-    /// built in `scratch` instead of freshly-allocated vectors, and the
-    /// wire size comes from [`Message::encoded_len`] so no frame is
-    /// materialized just to be measured. A verified round trip lets the
-    /// frame declare no more than the image it was built from.
-    ///
-    /// The codec round trip is *verified* on every frame in debug
-    /// builds (the bit-parity guarantee the test suite pins) but only
+    /// The in-process tree merges exact accumulators, so the
+    /// decompressed bytes only *verify* the codec round trip: on every
+    /// frame in debug builds (the bit-parity guarantee the test suite
+    /// pins) but only
     /// until a cost profile exists in release builds: the parent-side
     /// decompress is work an in-process tree never otherwise does, and
     /// re-checking a deterministic codec per frame was a large slice of
@@ -254,20 +232,6 @@ impl PsumForwarder {
             self.stage.observe(0, raw, shipped, frame.compress_secs, Some(frame.decompress_secs));
         }
     }
-
-    /// Prices a frame and immediately observes its costs — the
-    /// convenience path when frames are produced one at a time.
-    pub fn frame(
-        &mut self,
-        round: usize,
-        node: usize,
-        partial: &PartialSum,
-        bandwidth_bps: Option<f64>,
-    ) -> PsumFrame {
-        let frame = self.price(round, node, partial, bandwidth_bps);
-        self.observe(&frame);
-        frame
-    }
 }
 
 #[cfg(test)]
@@ -278,6 +242,19 @@ mod tests {
     use fedsz_lossless::{Lossless, ZstdLike};
     use fedsz_nn::{Model, StateDict};
     use fedsz_tensor::Tensor;
+
+    /// Prices one frame on fresh scratch and observes its costs, as the
+    /// tree does for each frame in node order.
+    fn observed_frame(
+        fwd: &mut PsumForwarder,
+        round: usize,
+        n: usize,
+        bandwidth: Option<f64>,
+    ) -> PsumFrame {
+        let frame = fwd.price_with(round, 0, &partial(n), bandwidth, &mut PsumScratch::default());
+        fwd.observe(&frame);
+        frame
+    }
 
     fn partial(n: usize) -> PartialSum {
         let mut dict = StateDict::new();
@@ -362,7 +339,7 @@ mod tests {
     #[test]
     fn raw_mode_ships_plain_frames() {
         let mut fwd = PsumForwarder::new(PsumMode::Raw);
-        let frame = fwd.frame(0, 3, &partial(256), Some(1e6));
+        let frame = observed_frame(&mut fwd, 0, 256, Some(1e6));
         assert!(!frame.compressed);
         assert_eq!(frame.shipped_payload_bytes, frame.payload_bytes);
         assert_eq!(frame.codec_secs(), 0.0);
@@ -372,7 +349,7 @@ mod tests {
     #[test]
     fn lossless_mode_shrinks_frames() {
         let mut fwd = PsumForwarder::new(PsumMode::Lossless);
-        let frame = fwd.frame(0, 0, &partial(4096), None);
+        let frame = observed_frame(&mut fwd, 0, 4096, None);
         assert!(frame.compressed);
         let ratio = frame.payload_bytes as f64 / frame.shipped_payload_bytes as f64;
         assert!(ratio > 1.2, "psum ratio {ratio:.2} below the 1.2x floor");
@@ -385,13 +362,13 @@ mod tests {
         // exists, so a forced forwarder must fold its frames too.
         let mut fwd = PsumForwarder::new(PsumMode::Lossless);
         assert_eq!(fwd.stage.profile(0), None);
-        let first = fwd.frame(0, 0, &partial(4096), Some(1e12));
+        let first = observed_frame(&mut fwd, 0, 4096, Some(1e12));
         assert!(first.compressed, "forced lossless never ships raw");
         assert_eq!(first.choice.predicted, None, "a forced stage prices nothing");
         let profile = fwd.stage.profile(0).expect("the first frame seeds the profile");
         let ratio = first.payload_bytes as f64 / first.shipped_payload_bytes as f64;
         assert_eq!(profile.ratio, ratio);
-        assert!(fwd.frame(1, 0, &partial(4096), Some(1e12)).compressed);
+        assert!(observed_frame(&mut fwd, 1, 4096, Some(1e12)).compressed);
     }
 
     #[test]
@@ -436,19 +413,19 @@ mod tests {
     #[test]
     fn adaptive_probes_then_respects_the_edge_bandwidth() {
         let mut fwd = PsumForwarder::new(PsumMode::Adaptive);
-        let probe = fwd.frame(0, 0, &partial(4096), Some(1e12));
+        let probe = observed_frame(&mut fwd, 0, 4096, Some(1e12));
         assert!(probe.compressed, "first frame must probe the codec");
         // The probe ran before any profile existed: nothing was priced.
         assert_eq!(probe.choice.predicted, None);
         // Terabit backbone: codec time can never pay for itself.
-        let fast = fwd.frame(1, 0, &partial(4096), Some(1e12));
+        let fast = observed_frame(&mut fwd, 1, 4096, Some(1e12));
         assert!(!fast.compressed, "terabit uplinks should ship raw frames");
         // A profiled decision keeps both sides of the inequality, and
         // the verdict must agree with them.
         let (pc, pr) = fast.choice.predicted.unwrap();
         assert!(pc >= pr, "raw verdict must mean the raw path priced cheaper");
         // Kilobit uplink: transfer dominates, compression must win.
-        let slow = fwd.frame(2, 0, &partial(4096), Some(1e3));
+        let slow = observed_frame(&mut fwd, 2, 4096, Some(1e3));
         assert!(slow.compressed, "crawling uplinks should compress");
         let (pc, pr) = slow.choice.predicted.unwrap();
         assert!(pc < pr, "compressed verdict must mean the compressed path priced cheaper");

@@ -264,9 +264,6 @@ impl ExactAcc {
     }
 }
 
-/// One decoded partial-sum frame entry: `(name, shape, f64 sums)`.
-pub type DecodedPartialEntry = (String, Vec<usize>, Vec<f64>);
-
 /// One image entry's header: `(name, shape, element count)`.
 type EntryHeader = (String, Vec<usize>, usize);
 
@@ -368,29 +365,12 @@ impl PartialSum {
         self.contributions += 1;
     }
 
-    /// Merges another partial sum exactly. Either side may be empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics when both sides are non-empty and disagree on entry names
-    /// or shapes.
-    pub fn merge(&mut self, other: PartialSum) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() && !self.layout_matches(&other) {
-            *self = other;
-            return;
-        }
-        self.merge_from(&other);
-    }
-
-    /// Borrowing [`PartialSum::merge`]: folds `other` in without taking
-    /// ownership, so tree levels can recycle child buffers instead of
-    /// moving them. An empty `self` whose recycled (zeroed) entries
-    /// already match `other`'s layout merges in place — adding into
-    /// zeros reproduces `other`'s bits exactly — while a layout
-    /// mismatch rebuilds the entries by cloning.
+    /// Merges another partial sum exactly, without taking ownership, so
+    /// tree levels can recycle child buffers instead of moving them.
+    /// Either side may be empty. An empty `self` whose recycled
+    /// (zeroed) entries already match `other`'s layout merges in place
+    /// — adding into zeros reproduces `other`'s bits exactly — while a
+    /// layout mismatch rebuilds the entries by cloning.
     ///
     /// # Panics
     ///
@@ -474,12 +454,12 @@ impl PartialSum {
         )
     }
 
-    /// Non-panicking [`PartialSum::merge`] for remote input: verifies
-    /// entry agreement and checks every accumulator addition, leaving
-    /// `self` untouched on failure so the caller can evict the sender
-    /// and keep aggregating. (The in-process tree keeps the asserting
-    /// `merge` — its inputs are self-produced, so a violation there is
-    /// a bug, not a bad peer.)
+    /// Non-panicking merge for remote input, taking `other` by value:
+    /// verifies entry agreement and checks every accumulator addition,
+    /// leaving `self` untouched on failure so the caller can evict the
+    /// sender and keep aggregating. (The in-process tree keeps the
+    /// asserting [`PartialSum::merge_from`] — its inputs are
+    /// self-produced, so a violation there is a bug, not a bad peer.)
     ///
     /// # Errors
     ///
@@ -524,7 +504,8 @@ impl PartialSum {
     /// `f64`-rounded accumulator values back to back. (The in-process
     /// tree merges the exact accumulators instead — shipping rounded
     /// sums would re-introduce shard-dependent rounding — but this is
-    /// the byte image the wire accounting charges for.)
+    /// the byte image the wire accounting charges for, and no runtime
+    /// decodes it.)
     ///
     /// Headers first, sums after: the sums then form one packed array
     /// in which byte `k` of every sum sits at one offset modulo
@@ -573,14 +554,10 @@ impl PartialSum {
     /// shape, element count)` per entry plus the element count of them
     /// all. Header-claimed sizes bound allocations *before* anything
     /// reserves for them: the entries must fit the remaining input at
-    /// `stride` bytes per element, so a corrupt image fails with a
-    /// `CodecError`, not with a terabyte `with_capacity` aborting in
-    /// the allocator.
-    fn read_headers(
-        bytes: &[u8],
-        pos: &mut usize,
-        stride: usize,
-    ) -> Result<(Vec<EntryHeader>, usize)> {
+    /// [`PartialSum::EXACT_STRIDE`] bytes per element, so a corrupt
+    /// image fails with a `CodecError`, not with a terabyte
+    /// `with_capacity` aborting in the allocator.
+    fn read_headers(bytes: &[u8], pos: &mut usize) -> Result<(Vec<EntryHeader>, usize)> {
         let count = read_uvarint(bytes, pos)? as usize;
         if count > bytes.len().saturating_sub(*pos) {
             return Err(CodecError::Corrupt("entry count larger than remaining input"));
@@ -593,38 +570,16 @@ impl PartialSum {
             total = total.checked_add(elems).ok_or(CodecError::Corrupt("shape overflow"))?;
             headers.push((name, shape, elems));
         }
-        if total > bytes.len().saturating_sub(*pos) / stride {
+        if total > bytes.len().saturating_sub(*pos) / Self::EXACT_STRIDE {
             return Err(CodecError::Corrupt("tensors larger than remaining input"));
         }
         Ok((headers, total))
     }
 
-    /// Parses an [`PartialSum::encode_payload`] image back into `(name,
-    /// shape, sums)` triples — the far side of the partial-sum frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncated or malformed input.
-    pub fn decode_payload(bytes: &[u8]) -> Result<Vec<DecodedPartialEntry>> {
-        let mut pos = 0usize;
-        let (headers, total) = Self::read_headers(bytes, &mut pos, Self::PAYLOAD_STRIDE)?;
-        let arrays = &bytes[pos..];
-        if arrays.len() != total * Self::PAYLOAD_STRIDE {
-            return Err(CodecError::Corrupt("trailing bytes in partial-sum payload"));
-        }
-        let mut sums = arrays.chunks_exact(Self::PAYLOAD_STRIDE).map(|raw| {
-            f64::from_bits(u64::from_le_bytes(raw.try_into().expect("a whole element")))
-        });
-        Ok(headers
-            .into_iter()
-            .map(|(name, shape, elems)| (name, shape, sums.by_ref().take(elems).collect()))
-            .collect())
-    }
-
     /// Serializes the *exact* accumulator state — the 128-bit
     /// fixed-point integers themselves, not their `f64` roundings — so
-    /// a partial sum can cross a process boundary and be merged on the
-    /// far side with the same bits an in-process merge produces: the
+    /// a partial sum can cross a process boundary and be merged by the
+    /// receiver with the same bits an in-process merge produces: the
     /// entry headers, every entry's accumulators back to back (one
     /// packed array, as in [`PartialSum::encode_payload`]), the weight
     /// accumulator and the contribution count.
@@ -696,7 +651,7 @@ impl PartialSum {
     /// (size claims are validated before any allocation).
     pub fn decode_exact(bytes: &[u8]) -> Result<PartialSum> {
         let mut pos = 0usize;
-        let (headers, total) = Self::read_headers(bytes, &mut pos, Self::EXACT_STRIDE)?;
+        let (headers, total) = Self::read_headers(bytes, &mut pos)?;
         let (arrays, trailer) = bytes[pos..].split_at(total * Self::EXACT_STRIDE);
         let acc_of = |raw: &[u8]| {
             ExactAcc::from_bits(i128::from_le_bytes(raw.try_into().expect("a whole element")))
@@ -817,7 +772,7 @@ mod tests {
                 for c in plan.leaf_range(s) {
                     partial.accumulate(&dicts[c], 1.0 + c as f64);
                 }
-                root.merge(partial);
+                root.merge_from(&partial);
             }
             assert_eq!(
                 root.finish().unwrap().to_bytes(),
@@ -831,7 +786,7 @@ mod tests {
     fn empty_partial_sum_finishes_to_none() {
         assert!(PartialSum::new().finish().is_none());
         let mut sum = PartialSum::new();
-        sum.merge(PartialSum::new());
+        sum.merge_from(&PartialSum::new());
         assert!(sum.is_empty());
     }
 
@@ -860,14 +815,14 @@ mod tests {
         // allocator.
         let mut huge_count = Vec::new();
         write_uvarint(&mut huge_count, u64::MAX >> 1);
-        assert!(PartialSum::decode_payload(&huge_count).is_err());
+        assert!(PartialSum::decode_exact(&huge_count).is_err());
         // Same for a single entry claiming a terabyte-scale dimension.
         let mut giant_dim = Vec::new();
         write_uvarint(&mut giant_dim, 1);
         write_str(&mut giant_dim, "w.weight");
         write_uvarint(&mut giant_dim, 1);
         write_uvarint(&mut giant_dim, 1 << 40);
-        assert!(PartialSum::decode_payload(&giant_dim).is_err());
+        assert!(PartialSum::decode_exact(&giant_dim).is_err());
     }
 
     #[test]
@@ -889,7 +844,7 @@ mod tests {
             }
         }
         let mut remote = PartialSum::decode_exact(&left.encode_exact()).unwrap();
-        remote.merge(PartialSum::decode_exact(&right.encode_exact()).unwrap());
+        remote.try_merge(PartialSum::decode_exact(&right.encode_exact()).unwrap()).unwrap();
         assert_eq!(remote.contributions(), local.contributions());
         assert_eq!(remote.weight_total().to_bits(), local.weight_total().to_bits());
         assert_eq!(
@@ -912,15 +867,19 @@ mod tests {
 
     #[test]
     fn payload_round_trips() {
+        // The priced image is the exact image's headers followed by the
+        // `f64`-rounded sums, one packed little-endian array.
         let mut sum = PartialSum::new();
         sum.accumulate(&dict(&[0.25, -3.5, 11.0]), 2.0);
         let payload = sum.encode_payload();
-        let entries = PartialSum::decode_payload(&payload).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].0, "w.weight");
-        assert_eq!(entries[0].1, vec![3]);
-        assert_eq!(entries[0].2, vec![0.5, -7.0, 22.0]);
-        assert!(PartialSum::decode_payload(&payload[..payload.len() - 1]).is_err());
+        let exact = sum.encode_exact();
+        let headers = payload.len() - 3 * PartialSum::PAYLOAD_STRIDE;
+        assert_eq!(payload[..headers], exact[..headers]);
+        let sums: Vec<f64> = payload[headers..]
+            .chunks_exact(PartialSum::PAYLOAD_STRIDE)
+            .map(|raw| f64::from_le_bytes(raw.try_into().unwrap()))
+            .collect();
+        assert_eq!(sums, vec![0.5, -7.0, 22.0]);
     }
 
     #[test]
@@ -1034,7 +993,7 @@ mod tests {
         b.accumulate(&dict(&[-0.5, 0.25, 7.0]), 2.5);
 
         let mut moved = a.clone();
-        moved.merge(b.clone());
+        moved.try_merge(b.clone()).unwrap();
 
         // Borrow-merge through a recycled, layout-matching buffer.
         let mut pooled = a.clone();

@@ -103,9 +103,6 @@ impl AggOutcome {
 
 /// Merges a round's accepted contributions into the next global model.
 pub trait Aggregator {
-    /// Short human-readable backend name (for reports).
-    fn name(&self) -> &'static str;
-
     /// Distinct first-hop destinations a broadcast to `cohort` fans out
     /// from the root: the cohort itself (flat) or the root's active
     /// children (tree — the lower levels fan the copy onward).
@@ -126,10 +123,6 @@ pub trait Aggregator {
 pub struct FlatAggregator;
 
 impl Aggregator for FlatAggregator {
-    fn name(&self) -> &'static str {
-        "flat"
-    }
-
     fn fanout(&self, cohort: &[usize]) -> usize {
         cohort.len()
     }
@@ -236,6 +229,15 @@ impl ShardedTree {
     /// Panics when `levels` is present but does not provide exactly one
     /// profile per non-root node, level by level.
     pub fn new(plan: TreePlan, levels: Option<Vec<Vec<LinkProfile>>>, psum: PsumMode) -> Self {
+        Self::with_forwarder(plan, levels, PsumForwarder::new(psum))
+    }
+
+    /// [`ShardedTree::new`] around a ready-built forwarder.
+    fn with_forwarder(
+        plan: TreePlan,
+        levels: Option<Vec<Vec<LinkProfile>>>,
+        forwarder: PsumForwarder,
+    ) -> Self {
         if let Some(levels) = &levels {
             assert_eq!(
                 levels.len(),
@@ -258,7 +260,7 @@ impl ShardedTree {
         Self {
             plan,
             levels,
-            forwarder: PsumForwarder::new(psum),
+            forwarder,
             threads: WorkerPool::host_wide().threads(),
             buffers: BufferPool::default(),
             telemetry: Telemetry::disabled(),
@@ -272,11 +274,6 @@ impl ShardedTree {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// The configured worker width.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Attaches a telemetry handle: every aggregation then opens one
@@ -312,12 +309,7 @@ impl ShardedTree {
         levels: Option<Vec<Vec<LinkProfile>>>,
         psum: &StagePolicy,
     ) -> Result<Self, PlanError> {
-        Ok(Self::new(plan, levels, PsumForwarder::from_policy(psum)?.mode()))
-    }
-
-    /// The tree plan in force.
-    pub fn plan(&self) -> &TreePlan {
-        &self.plan
+        Ok(Self::with_forwarder(plan, levels, PsumForwarder::from_policy(psum)?))
     }
 
     /// The uplink of node `node` at tree level `level` (`None` without
@@ -327,34 +319,14 @@ impl ShardedTree {
     }
 
     /// Streams synthesized updates through the tree without holding the
-    /// whole cohort in memory: each leaf worker calls `make` for the
-    /// clients it owns (ascending) and folds the result straight into
-    /// its partial sum, so peak memory is one update per *worker*, not
-    /// `N`. Convenience wrapper over
-    /// [`ShardedTree::aggregate_streamed_with`] for generators that
-    /// build a fresh dict per client; generators that can overwrite a
-    /// scratch dict in place should use the `_with` form directly and
-    /// skip the per-client allocation too.
-    pub fn aggregate_streamed<F>(&mut self, round: usize, make: &F) -> Option<AggOutcome>
-    where
-        F: Fn(usize) -> (StateDict, f64) + Sync,
-    {
-        self.aggregate_streamed_with(
-            round,
-            || None,
-            |client, slot: &mut Option<StateDict>| {
-                let (dict, weight) = make(client);
-                (&*slot.insert(dict), weight)
-            },
-        )
-    }
-
-    /// The zero-allocation streaming form: `init` builds one scratch
-    /// value per worker thread, `fill` overwrites it for each client
-    /// and lends out the update to fold in. A pool of
-    /// [`ShardedTree::threads`] workers drains the leaves, so the
-    /// cohort's memory high-water mark is `threads` scratch values plus
-    /// the tree's partial sums — independent of the client count.
+    /// whole cohort in memory: `init` builds one scratch value per
+    /// worker thread, and each leaf worker calls `fill` for the clients
+    /// it owns (ascending), which overwrites the scratch and lends out
+    /// the update to fold straight into the leaf's partial sum. A pool
+    /// of [`ShardedTree::with_threads`] workers drains the leaves, so
+    /// the cohort's memory high-water mark is one scratch value per
+    /// worker plus the tree's partial sums — independent of the client
+    /// count.
     pub fn aggregate_streamed_with<S, I, F>(
         &mut self,
         round: usize,
@@ -484,10 +456,6 @@ impl ShardedTree {
 }
 
 impl Aggregator for ShardedTree {
-    fn name(&self) -> &'static str {
-        "sharded-tree"
-    }
-
     fn fanout(&self, cohort: &[usize]) -> usize {
         // The root sends one broadcast copy per *active child*; that
         // child's subtree fans it out from there.
@@ -726,7 +694,16 @@ mod tests {
         let materialized = tree.aggregate(0, contribs).unwrap();
         let mut streamed_tree =
             ShardedTree::new(TreePlan::new(10, vec![3, 2]), None, PsumMode::Raw);
-        let streamed = streamed_tree.aggregate_streamed(0, &make).unwrap();
+        let streamed = streamed_tree
+            .aggregate_streamed_with(
+                0,
+                || None,
+                |client, slot: &mut Option<StateDict>| {
+                    let (dict, weight) = make(client);
+                    (&*slot.insert(dict), weight)
+                },
+            )
+            .unwrap();
         assert_eq!(streamed.global.to_bytes(), materialized.global.to_bytes());
         assert_eq!(streamed.merged, 10);
     }

@@ -3,17 +3,16 @@
 //! [`RoundEngine`] — also named [`Experiment`](crate::Experiment) — is
 //! the in-process runtime of the paper's Fig. 1 round loop: it owns
 //! cohort selection, the virtual-time event queue over per-client
-//! [`LinkProfile`](crate::link::LinkProfile)s, aggregation and
-//! evaluation. Payloads never leave the process: a client's encoded
-//! upload is the very buffer the server decodes, and every byte count
-//! the round reports is a payload length (frames exist only where
-//! sockets do, in [`crate::net`]). The pipeline itself — what a client
-//! does with the broadcast and what the server does with an upload — is
-//! not written here: every client thread runs the shared
-//! [`crate::step`] client step and every upload is decoded by the
-//! shared [`FoldStep`], exactly as the socket runtime's worker and
-//! server do. The CLI and the bench bins build this type directly from
-//! an [`FlConfig`].
+//! [`LinkProfile`]s, aggregation and evaluation. Payloads never leave
+//! the process: a client's encoded upload is the very buffer the
+//! server decodes, and every byte count the round reports is a payload
+//! length (frames exist only where sockets do, in [`crate::net`]). The
+//! pipeline itself — what a client does with the broadcast and what the
+//! server does with an upload — is not written here: every client
+//! thread runs the shared [`crate::step`] client step and every upload
+//! is decoded by the shared [`FoldStep`], exactly as the socket
+//! runtime's worker and server do. The CLI and the bench bins build
+//! this type directly from an [`FlConfig`].
 //!
 //! # Layering
 //!
@@ -36,8 +35,8 @@
 //! average.
 
 use crate::agg::{Aggregator, Contribution, Downlink, FlatAggregator, ShardedTree};
-use crate::link::{self, Departure, Topology};
-use crate::plan::RoundPlan;
+use crate::link::{self, Departure, LinkProfile, Topology};
+use crate::plan::{RoundPlan, DEFAULT_EDGE_BPS};
 use crate::step::{emit_dp_noise, emit_eqn1, ClientStep, FoldStep, StageChoice, UplinkStage};
 use crate::{Client, FlConfig, RoundMetrics};
 use fedsz::timing::Eqn1Decision;
@@ -150,12 +149,13 @@ impl RoundEngine {
         let global = eval_models[0].insert(Box::new(config.build_model())).state_dict();
         let aggregator: Box<dyn Aggregator> = match tree {
             Some(tree) => {
-                // The lifted topology carries the aggregator tiers the
-                // tree prices its partial-sum forwards on.
-                let tiers = match &topology {
-                    Some(Topology::Tree { levels, .. }) => Some(levels.clone()),
-                    _ => None,
-                };
+                // With a link model, every non-root aggregator forwards
+                // its partial sums over the backbone.
+                let tiers = topology.as_ref().map(|_| {
+                    (1..tree.depth())
+                        .map(|l| vec![LinkProfile::symmetric(DEFAULT_EDGE_BPS); tree.nodes_at(l)])
+                        .collect()
+                });
                 Box::new(
                     ShardedTree::from_policy(tree, tiers, &config.psum)
                         .expect("plan validated the psum policy")
@@ -207,11 +207,6 @@ impl RoundEngine {
     /// Current global state dictionary.
     pub fn global_state(&self) -> &StateDict {
         &self.global
-    }
-
-    /// The aggregation backend in use (`"flat"` or `"sharded-tree"`).
-    pub fn aggregator_name(&self) -> &'static str {
-        self.aggregator.name()
     }
 
     /// Runs all configured rounds, returning per-round metrics.
@@ -608,8 +603,8 @@ const EVAL_CHUNK: usize = 64;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkProfile;
     use crate::plan::{PlanError, StagePolicy};
+    use fedsz::timing::Eqn1Leg;
 
     #[test]
     fn cohort_mask_matches_rotating_selection() {
@@ -694,14 +689,12 @@ mod tests {
         config.rounds = 1;
         let mut flat = RoundEngine::new(config.clone());
         let flat_m = flat.run_round(0);
-        assert_eq!(flat.aggregator_name(), "flat");
         assert_eq!(flat_m.root_ingress_bytes, flat_m.upstream_bytes);
         assert_eq!(flat_m.root_egress_bytes, flat_m.downstream_bytes);
 
         config.tree = Some(vec![4]);
         let mut sharded = RoundEngine::new(config);
         let m = sharded.run_round(0);
-        assert_eq!(sharded.aggregator_name(), "sharded-tree");
         // The root receives 4 partial-sum frames instead of 8 uploads,
         // and sends 4 broadcast copies (the edges fan out) instead of 8.
         assert!(m.root_ingress_bytes > 0);
@@ -721,7 +714,6 @@ mod tests {
         config.psum = StagePolicy::Lossless;
         let mut deep = RoundEngine::new(config);
         let m = deep.run_round(0);
-        assert_eq!(deep.aggregator_name(), "sharded-tree");
         // The root has 2 children, so it sends 2 broadcast copies for
         // the 8-client cohort.
         assert_eq!(m.root_egress_bytes * 4, m.downstream_bytes);
@@ -780,13 +772,34 @@ mod tests {
         let _ = RoundEngine::from_plan(plan);
     }
 
+    /// The engine hands the tree its backbone tiers exactly when a link
+    /// model exists: only then can a priced psum leg predict a raw
+    /// transfer time.
     #[test]
-    #[should_panic(expected = "one edge link per shard")]
-    fn mismatched_edge_link_count_rejected() {
+    fn psum_decisions_are_priced_only_with_a_link_model() {
         let mut config = FlConfig::smoke_test();
         config.clients = 4;
+        config.rounds = 3;
         config.tree = Some(vec![2]);
-        config.edge_links = Some(vec![LinkProfile::default()]);
-        let _ = RoundEngine::new(config);
+        config.psum = StagePolicy::Priced { candidates: vec![StagePolicy::Lossless] };
+        let psum_decisions = |config: FlConfig| -> Vec<Vec<Eqn1Decision>> {
+            let rounds = RoundEngine::new(config).run().into_iter();
+            rounds
+                .map(|m| m.eqn1.into_iter().filter(|d| d.leg == Eqn1Leg::Psum).collect())
+                .collect()
+        };
+        let linked = psum_decisions(config.clone());
+        // Round 1 probes the codec; from round 2 on a profile exists.
+        for (round, decisions) in linked.iter().enumerate().skip(1) {
+            assert!(!decisions.is_empty(), "round {round} shipped no psum frames");
+            assert!(
+                decisions.iter().all(|d| d.predicted_raw_secs.is_some()),
+                "round {round}: {decisions:?}"
+            );
+        }
+        config.links = None;
+        let unlinked = psum_decisions(config);
+        assert!(unlinked.iter().flatten().count() > 0);
+        assert!(unlinked.iter().flatten().all(|d| d.predicted_raw_secs.is_none()));
     }
 }

@@ -113,9 +113,9 @@ pub struct FlConfig {
     /// server link), [`Topology::Dedicated`] one profile per client
     /// (bandwidth, latency, drop probability, straggler slowdown).
     /// `None` skips the network model entirely. With a
-    /// [`FlConfig::tree`], [`FlConfig::plan`] lifts either form to
-    /// [`Topology::Tree`] (every client keeps its own last mile); a
-    /// pre-lifted `Tree` here is rejected.
+    /// [`FlConfig::tree`], [`FlConfig::plan`] gives every client its
+    /// own last mile: a shared pipe becomes one dedicated copy per
+    /// client.
     pub links: Option<Topology>,
     /// Policy of the client → server upload leg: raw, FedSZ on every
     /// upload ([`StagePolicy::Lossy`], the paper's setting), a codec
@@ -138,14 +138,11 @@ pub struct FlConfig {
     /// nodes, each merging 8 leaf aggregators; a two-level tree of `S`
     /// edge aggregators is `Some(vec![S])`). `None` keeps the paper's
     /// flat server. Bit-parity with the flat server holds at any depth
-    /// and fan-out; surplus leaves own empty client ranges.
+    /// and fan-out; surplus leaves own empty client ranges. With a link
+    /// model, every non-root aggregator forwards over a
+    /// [`DEFAULT_EDGE_BPS`](plan::DEFAULT_EDGE_BPS) backbone link
+    /// (aggregators live in well-provisioned tiers, unlike clients).
     pub tree: Option<Vec<usize>>,
-    /// Per-leaf uplink profiles for the aggregation tree, one per leaf
-    /// aggregator. `None` gives every non-root aggregator a 1 Gbps
-    /// backbone link (aggregators live in well-provisioned tiers,
-    /// unlike clients); when set, the *inner* levels still default to
-    /// the backbone.
-    pub edge_links: Option<Vec<LinkProfile>>,
     /// Worker width for the aggregation hot path (leaf merges and
     /// partial-sum frame pricing run on a pool this wide). `None`
     /// resolves to the host's available parallelism at plan time.
@@ -192,7 +189,6 @@ impl FlConfig {
             downlink: StagePolicy::Raw,
             psum: StagePolicy::Raw,
             tree: None,
-            edge_links: None,
             worker_threads: None,
             dp: None,
         }

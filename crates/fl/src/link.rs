@@ -7,12 +7,11 @@
 //! optional drop probability and a compute-slowdown factor for
 //! stragglers), and [`Topology`] states how those paths compose: a
 //! single [`Topology::Shared`] pipe that serializes every upload (the
-//! paper's setting), [`Topology::Dedicated`] per-client links that
-//! overlap in time, or a [`Topology::Tree`] of any depth whose clients
-//! talk to leaf aggregators over their own last miles while every
-//! non-root aggregator forwards partial sums to its parent over its
-//! own uplink (the [`agg`](crate::agg) subsystem prices those
-//! inter-aggregator hops level by level).
+//! paper's setting) or [`Topology::Dedicated`] per-client links that
+//! overlap in time. Under an aggregation tree every client keeps its
+//! own last mile to its leaf aggregator, so the plan hands the tree
+//! dedicated links; the [`agg`](crate::agg) subsystem prices the
+//! inter-aggregator hops above them level by level.
 //!
 //! [`schedule`] is the virtual clock: it turns "client `i` finished
 //! computing at `t_i` with `b_i` bytes to send" departure events into
@@ -103,37 +102,18 @@ pub enum Topology {
     Shared(LinkProfile),
     /// One independent link per client: uploads overlap in virtual time.
     Dedicated(Vec<LinkProfile>),
-    /// An aggregation tree of any depth: each client has its own last
-    /// mile to its leaf aggregator (so client transfers overlap, as
-    /// with dedicated links), and each non-root aggregator forwards
-    /// one partial-sum frame to its parent over its own uplink. The
-    /// [`ShardedTree`](crate::agg::ShardedTree) aggregator prices
-    /// those inter-aggregator hops level by level; this variant
-    /// carries the profiles.
-    Tree {
-        /// One last-mile profile per client.
-        clients: Vec<LinkProfile>,
-        /// One uplink tier per non-root aggregator level, root
-        /// downward: `levels[l]` holds one profile per node at tree
-        /// level `l + 1` (the last tier is the leaf aggregators'). A
-        /// two-level `--shards S` tree has a single tier of `S` edge
-        /// profiles.
-        levels: Vec<Vec<LinkProfile>>,
-    },
 }
 
 impl Topology {
-    /// The link a given client transmits over (its last mile, for a
-    /// tree).
+    /// The link a given client transmits over.
     ///
     /// # Panics
     ///
-    /// Panics when a dedicated or tree topology has no profile for
-    /// `client`.
+    /// Panics when a dedicated topology has no profile for `client`.
     pub fn link(&self, client: usize) -> &LinkProfile {
         match self {
             Topology::Shared(link) => link,
-            Topology::Dedicated(links) | Topology::Tree { clients: links, .. } => {
+            Topology::Dedicated(links) => {
                 links.get(client).unwrap_or_else(|| panic!("no link profile for client {client}"))
             }
         }
@@ -172,16 +152,13 @@ pub struct Arrival {
 /// Runs the virtual-time event queue: orders departures on the simulated
 /// clock and computes when each upload completes at the server.
 ///
-/// Returns arrivals sorted by completion time (drops last). On a
-/// [`Topology::Shared`] pipe an upload must wait for the pipe to free up
-/// (`start = max(ready, previous done)`); dedicated links never queue.
+/// On a [`Topology::Shared`] pipe an upload must wait for the pipe to
+/// free up (`start = max(ready, previous done)`); dedicated links never
+/// queue.
 pub fn schedule(departures: &[Departure], topology: &Topology) -> Vec<Arrival> {
     let mut arrivals: Vec<Arrival> = Vec::with_capacity(departures.len());
     match topology {
-        // Tree clients own their last miles, so the client→edge hop
-        // behaves like dedicated links; the edge→root hop is priced by
-        // the aggregator on top of these arrival times.
-        Topology::Dedicated(_) | Topology::Tree { .. } => {
+        Topology::Dedicated(_) => {
             for d in departures {
                 let transfer = topology.link(d.client).transfer_secs(d.bytes);
                 arrivals.push(Arrival {
@@ -229,22 +206,18 @@ pub fn schedule(departures: &[Departure], topology: &Topology) -> Vec<Arrival> {
             }
         }
     }
-    arrivals.sort_by(|a, b| a.done_secs.total_cmp(&b.done_secs).then(a.client.cmp(&b.client)));
     arrivals
 }
 
 /// Time the network is busy with the round's uploads: the serialized sum
 /// on a shared pipe, the slowest single transfer when links overlap
-/// (dedicated links, or a tree's client→edge hop — the tree's
-/// edge→root forwards are accounted in the round-completion time, not
-/// here).
+/// (a tree's edge→root forwards are accounted in the round-completion
+/// time, not here).
 pub fn comm_secs(arrivals: &[Arrival], topology: &Topology) -> f64 {
     let delivered = arrivals.iter().filter(|a| !a.dropped);
     match topology {
         Topology::Shared(_) => delivered.map(|a| a.transfer_secs).sum(),
-        Topology::Dedicated(_) | Topology::Tree { .. } => {
-            delivered.map(|a| a.transfer_secs).fold(0.0, f64::max)
-        }
+        Topology::Dedicated(_) => delivered.map(|a| a.transfer_secs).fold(0.0, f64::max),
     }
 }
 
@@ -254,6 +227,11 @@ mod tests {
 
     fn departures(n: usize, bytes: usize) -> Vec<Departure> {
         (0..n).map(|client| Departure { client, ready_secs: 0.0, bytes, dropped: false }).collect()
+    }
+
+    /// The arrival of `client`'s upload.
+    fn arrival(arrivals: &[Arrival], client: usize) -> &Arrival {
+        arrivals.iter().find(|a| a.client == client).expect("every departure arrives")
     }
 
     #[test]
@@ -283,8 +261,8 @@ mod tests {
             LinkProfile::symmetric(100e6), // fast
         ]);
         let arrivals = schedule(&departures(2, 125_000), &topo);
-        assert_eq!(arrivals[0].client, 1, "fast link should arrive first");
-        assert!(arrivals[0].done_secs < arrivals[1].done_secs / 10.0);
+        let (slow, fast) = (arrival(&arrivals, 0), arrival(&arrivals, 1));
+        assert!(fast.done_secs < slow.done_secs / 10.0, "fast link should arrive first");
     }
 
     #[test]
@@ -297,9 +275,8 @@ mod tests {
         let arrivals = schedule(&deps, &topo);
         // Client 1 is ready first and transmits first; client 0's upload
         // starts at its ready time (pipe already free).
-        assert_eq!(arrivals[0].client, 1);
-        assert!((arrivals[0].done_secs - 1.0).abs() < 1e-9);
-        assert!((arrivals[1].done_secs - 11.0).abs() < 1e-9);
+        assert!((arrival(&arrivals, 1).done_secs - 1.0).abs() < 1e-9);
+        assert!((arrival(&arrivals, 0).done_secs - 11.0).abs() < 1e-9);
     }
 
     #[test]
@@ -310,9 +287,9 @@ mod tests {
             Departure { client: 1, ready_secs: 0.0, bytes: 1_000_000, dropped: false },
         ];
         let arrivals = schedule(&deps, &topo);
-        assert_eq!(arrivals[0].client, 1);
-        assert!((arrivals[0].done_secs - 1.0).abs() < 1e-9, "drop must not hold the pipe");
-        assert!(arrivals[1].done_secs.is_infinite() && arrivals[1].dropped);
+        let (lost, kept) = (arrival(&arrivals, 0), arrival(&arrivals, 1));
+        assert!((kept.done_secs - 1.0).abs() < 1e-9, "drop must not hold the pipe");
+        assert!(lost.done_secs.is_infinite() && lost.dropped);
         assert!((comm_secs(&arrivals, &topo) - 1.0).abs() < 1e-9);
     }
 
@@ -338,18 +315,6 @@ mod tests {
     #[should_panic(expected = "drop probability must be in [0, 1]")]
     fn bad_drop_prob_rejected() {
         let _ = LinkProfile::symmetric(1e6).with_drop_prob(1.5);
-    }
-
-    #[test]
-    fn tree_clients_overlap_like_dedicated_links() {
-        let topo = Topology::Tree {
-            clients: vec![LinkProfile::symmetric(8e6); 4],
-            levels: vec![vec![LinkProfile::symmetric(1e9); 2]],
-        };
-        let arrivals = schedule(&departures(4, 1_000_000), &topo);
-        assert!(arrivals.iter().all(|a| (a.done_secs - 1.0).abs() < 1e-9));
-        assert!((comm_secs(&arrivals, &topo) - 1.0).abs() < 1e-9);
-        assert_eq!(topo.link(3).bandwidth_bps, 8e6);
     }
 
     #[test]

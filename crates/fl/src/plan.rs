@@ -12,8 +12,8 @@
 //!                            │
 //!                            ├── config:         the validated FlConfig, verbatim
 //!                            ├── tree:           Option<TreePlan>   (config.tree over the cohort)
-//!                            ├── topology:       Option<Topology>   (config.links, lifted to Tree
-//!                            │                   with per-level aggregator uplinks: edge_links + backbone)
+//!                            ├── topology:       Option<Topology>   (config.links; under a tree,
+//!                            │                   a shared pipe becomes one last mile per client)
 //!                            └── worker_threads: resolved pool width
 //! ```
 //!
@@ -21,8 +21,7 @@
 //! clamp or a mid-round panic: participation outside `(0, 1]`,
 //! non-positive learning rates, zero batch sizes or round counts,
 //! empty or zero fan-outs, link lists that do not match the cohort,
-//! edge-link lists that do not match the leaf count, and stage
-//! policies on legs they are illegal on. The engine
+//! and stage policies on legs they are illegal on. The engine
 //! ([`RoundEngine`](crate::engine::RoundEngine)) and the socket runtime
 //! ([`crate::net`]) consume the plan.
 //!
@@ -112,8 +111,9 @@ use fedsz_lossy::sparse::SparsifyMode;
 use std::fmt;
 use std::ops::Range;
 
-/// Default edge-aggregator uplink: edges sit in well-provisioned tiers
-/// (1 Gbps), unlike last-mile clients.
+/// The aggregator backbone: every non-root aggregator of a tree
+/// forwards its partial sums over a link this fast (1 Gbps), since
+/// aggregators sit in well-provisioned tiers, unlike last-mile clients.
 pub const DEFAULT_EDGE_BPS: f64 = 1e9;
 
 /// What one compression leg of the round does. See the module docs for
@@ -375,8 +375,7 @@ pub enum PlanError {
     BadNonIidAlpha(f64),
     /// A [`LinkProfile`] with an out-of-range field.
     BadLinkProfile {
-        /// The offending client id (leaf id for an edge link; 0 for
-        /// the shared pipe).
+        /// The offending client id (0 for the shared pipe).
         client: usize,
         /// The first out-of-range field (`"bandwidth_bps"`,
         /// `"latency_secs"`, `"drop_prob"` or `"compute_slowdown"`).
@@ -400,19 +399,6 @@ pub enum PlanError {
         /// Cohort size.
         clients: usize,
     },
-    /// `edge_links` does not provide exactly one profile per leaf
-    /// aggregator.
-    EdgeLinkCountMismatch {
-        /// Profiles provided.
-        links: usize,
-        /// Leaf aggregators in the tree.
-        leaves: usize,
-    },
-    /// Aggregator-tier links with no tree to attach them to:
-    /// `edge_links` without a `tree`, or a pre-lifted
-    /// [`Topology::Tree`] in `links` (tiers are configured through
-    /// `tree` + `edge_links`; the plan does the lifting).
-    EdgeLinksWithoutTree,
     /// A non-raw `psum` policy without an aggregation tree — there are
     /// no partial-sum frames to compress.
     PsumWithoutTree,
@@ -498,15 +484,6 @@ impl fmt::Display for PlanError {
             PlanError::LinkCountMismatch { links, clients } => {
                 write!(f, "need one link profile per client ({links} links for {clients} clients)")
             }
-            PlanError::EdgeLinkCountMismatch { links, leaves } => write!(
-                f,
-                "need one edge link per shard ({links} links for {leaves} leaf aggregators)"
-            ),
-            PlanError::EdgeLinksWithoutTree => write!(
-                f,
-                "aggregator links need an aggregation tree: set `tree` and pass the leaf \
-                 tier as `edge_links` (not a pre-lifted tree topology in `links`)"
-            ),
             PlanError::PsumWithoutTree => {
                 write!(f, "a non-raw psum policy needs an aggregation tree (set tree)")
             }
@@ -568,13 +545,10 @@ pub struct RoundPlan {
     /// [`FlConfig::tree`] laid over the cohort (`None` = the paper's
     /// flat server).
     pub tree: Option<TreePlan>,
-    /// [`FlConfig::links`], lifted to [`Topology::Tree`] when the plan
-    /// has a tree: every client then keeps its own last mile to its
-    /// leaf aggregator, and `levels[l - 1]` holds one uplink profile
-    /// per node at tree level `l` for pricing partial-sum forwards
-    /// ([`FlConfig::edge_links`] on the leaf tier, the
-    /// [`DEFAULT_EDGE_BPS`] backbone everywhere else). `None` = no
-    /// network model.
+    /// [`FlConfig::links`], validated. Under a tree every client keeps
+    /// its own last mile to its leaf aggregator, so a shared pipe
+    /// becomes [`Topology::Dedicated`] with one copy per client. `None`
+    /// = no network model.
     pub topology: Option<Topology>,
     /// Resolved worker width for the aggregation hot path:
     /// [`FlConfig::worker_threads`] when set, otherwise the host's
@@ -692,20 +666,18 @@ fn plan_tree(config: &FlConfig) -> Result<Option<TreePlan>, PlanError> {
     Ok(Some(TreePlan::new(config.clients, fanouts.clone())))
 }
 
-/// Validates `links`/`edge_links` and derives the engine's topology
-/// (lifted to [`Topology::Tree`], per-level aggregator uplinks
-/// included, under a tree).
-fn plan_topology(
-    config: &FlConfig,
-    tree: Option<&TreePlan>,
-) -> Result<Option<Topology>, PlanError> {
-    // Tree mode gives every client its own last mile to its leaf
-    // aggregator; a shared pipe becomes one identical last mile each.
-    let last_miles = match &config.links {
-        None => None,
+/// Validates `links` and derives the engine's topology: under a tree
+/// every client keeps its own last mile to its leaf aggregator, so a
+/// shared pipe becomes one identical dedicated link each.
+fn plan_topology(config: &FlConfig) -> Result<Option<Topology>, PlanError> {
+    match &config.links {
+        None => Ok(None),
         Some(Topology::Shared(pipe)) => {
             validate_link(0, pipe)?;
-            Some(vec![*pipe; config.clients])
+            Ok(Some(match config.tree {
+                Some(_) => Topology::Dedicated(vec![*pipe; config.clients]),
+                None => Topology::Shared(*pipe),
+            }))
         }
         Some(Topology::Dedicated(links)) => {
             if links.len() != config.clients {
@@ -717,36 +689,9 @@ fn plan_topology(
             for (client, link) in links.iter().enumerate() {
                 validate_link(client, link)?;
             }
-            Some(links.clone())
+            Ok(config.links.clone())
         }
-        Some(Topology::Tree { .. }) => return Err(PlanError::EdgeLinksWithoutTree),
-    };
-    let Some(plan) = tree else {
-        if config.edge_links.is_some() {
-            return Err(PlanError::EdgeLinksWithoutTree);
-        }
-        return Ok(config.links.clone());
-    };
-    // Per-level aggregator uplinks: explicit `edge_links` profiles
-    // apply to the leaf tier; inner tiers always sit on the
-    // well-provisioned backbone.
-    let mut levels: Vec<Vec<LinkProfile>> = (1..plan.depth())
-        .map(|l| vec![LinkProfile::symmetric(DEFAULT_EDGE_BPS); plan.nodes_at(l)])
-        .collect();
-    if let Some(edges) = &config.edge_links {
-        if edges.len() != plan.leaves() {
-            return Err(PlanError::EdgeLinkCountMismatch {
-                links: edges.len(),
-                leaves: plan.leaves(),
-            });
-        }
-        for (leaf, link) in edges.iter().enumerate() {
-            validate_link(leaf, link)?;
-        }
-        *levels.last_mut().expect("depth >= 2") = edges.clone();
     }
-    // Aggregator forwards are only priced when a network model exists.
-    Ok(last_miles.map(|clients| Topology::Tree { clients, levels }))
 }
 
 /// Validates the three per-leg [`StagePolicy`]s against the legality
@@ -763,7 +708,7 @@ fn validate_stages(config: &FlConfig) -> Result<(), PlanError> {
 
 impl FlConfig {
     /// Validates this configuration and derives its [`RoundPlan`]: the
-    /// [`TreePlan`] over the cohort, the lifted [`Topology`] and the
+    /// [`TreePlan`] over the cohort, the client [`Topology`] and the
     /// resolved worker width.
     ///
     /// # Errors
@@ -807,7 +752,7 @@ impl FlConfig {
             }
         }
         let tree = plan_tree(self)?;
-        let topology = plan_topology(self, tree.as_ref())?;
+        let topology = plan_topology(self)?;
         validate_stages(self)?;
         Ok(RoundPlan { config: self.clone(), tree, topology, worker_threads })
     }
@@ -925,33 +870,6 @@ mod tests {
             let message = err.to_string();
             assert!(message.contains(&format!("client 2 has {field} = {value}")), "{message}");
         }
-    }
-
-    #[test]
-    fn edge_links_must_match_the_leaves_and_need_a_tree() {
-        let mut config = base();
-        config.clients = 4;
-        config.edge_links = Some(vec![LinkProfile::default(); 2]);
-        assert_eq!(config.plan().unwrap_err(), PlanError::EdgeLinksWithoutTree);
-        config.tree = Some(vec![3]);
-        assert_eq!(
-            config.plan().unwrap_err(),
-            PlanError::EdgeLinkCountMismatch { links: 2, leaves: 3 }
-        );
-        config.edge_links = Some(vec![LinkProfile::default(); 3]);
-        let plan = config.plan().expect("matching edge links are valid");
-        // The shared pipe is lifted to one last mile per client, with
-        // the edge links as the tree's only tier.
-        match &plan.topology {
-            Some(Topology::Tree { clients, levels }) => {
-                assert_eq!(clients.len(), 4);
-                assert_eq!(levels, &[vec![LinkProfile::default(); 3]]);
-            }
-            other => panic!("expected a lifted tree topology, got {other:?}"),
-        }
-        // Lifting is the plan's job: a pre-lifted topology is refused.
-        config.links = plan.topology;
-        assert_eq!(config.plan().unwrap_err(), PlanError::EdgeLinksWithoutTree);
     }
 
     #[test]

@@ -170,12 +170,6 @@ proptest! {
         let frame = codec.compress(&payload);
         let restored = codec.decompress(&frame).unwrap();
         prop_assert_eq!(&restored, &payload, "frame must round-trip bit-exactly");
-        // And the restored image still parses as the far side would
-        // parse it, down to the exact f64 sums.
-        let entries = PartialSum::decode_payload(&restored).unwrap();
-        prop_assert_eq!(entries.len(), 1);
-        let direct = PartialSum::decode_payload(&payload).unwrap();
-        prop_assert_eq!(entries, direct);
     }
 
     /// The downlink contract: a broadcast round-trip respects the

@@ -120,7 +120,7 @@ enum Route {
     /// `FoldStep::decode_partial` — what the socket root runs.
     PsumExact { compressed: bool },
     /// A compressed `f64` image of this many bytes, through the codec
-    /// and `PartialSum::decode_payload` — the simulator's self-check.
+    /// — the simulator's self-check.
     PsumF64 { image_len: usize },
     /// A bare EBLC stream, through that family's `decompress`: what an
     /// FSZ1 header's lossy id selects, with no template to check the
@@ -307,10 +307,9 @@ fn decode(kind: &Kind, payload: &[u8], reference: &StateDict, what: &str) -> Res
             assert!(sum.is_empty() || sum.shape_matches(template), "{}: {what}", kind.name);
         }
         Route::PsumF64 { image_len } => {
-            let image = PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE)
+            PsumCodec::with_stride(PartialSum::PAYLOAD_STRIDE)
                 .decompress_within(payload, image_len)
                 .map_err(|e| e.to_string())?;
-            PartialSum::decode_payload(&image).map_err(|e| e.to_string())?;
         }
         Route::Lossy(family) => {
             family.codec().decompress(payload).map_err(|e| e.to_string())?;

@@ -104,7 +104,6 @@ fn plan_based_engine_reproduces_pre_redesign_checksums() {
         let mut c = base();
         c.clients = 6;
         c.tree = Some(vec![3]);
-        c.edge_links = Some(vec![LinkProfile::symmetric(1e9); 3]);
         c.psum = StagePolicy::Lossless;
         c.downlink = lossy();
         configs.push(("edges-all-stages", c, 0x0d062213));
@@ -307,14 +306,19 @@ proptest! {
             }
             Ok(plan) => {
                 // The plan derives, it does not rewrite: the tree is
-                // the configured one, and the topology is lifted
-                // exactly when both a tree and a link model exist.
+                // the configured one, and under a tree with links every
+                // client holds its own dedicated last mile.
                 prop_assert_eq!(
                     plan.tree.as_ref().map(|t| t.fanouts().to_vec()),
                     config.tree.clone()
                 );
-                let lifted = matches!(plan.topology, Some(Topology::Tree { .. }));
-                prop_assert_eq!(lifted, config.tree.is_some() && config.links.is_some());
+                if config.tree.is_some() && config.links.is_some() {
+                    let per_client = matches!(
+                        &plan.topology,
+                        Some(Topology::Dedicated(links)) if links.len() == clients
+                    );
+                    prop_assert!(per_client, "tree topology {:?}", plan.topology);
+                }
                 // And the plan actually runs: one full round, no panic.
                 let mut engine = RoundEngine::from_plan(plan);
                 let metrics = engine.run_round(0);

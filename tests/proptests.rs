@@ -227,16 +227,18 @@ proptest! {
             (dict, 1.0 + (client % 5) as f64)
         };
 
-        let serial_global = ShardedTree::new(TreePlan::new(clients, vec![2, 2]), None, PsumMode::Raw)
-            .with_threads(1)
-            .aggregate_streamed(0, &make)
-            .expect("non-empty cohort")
-            .global;
-        let pooled_global = ShardedTree::new(TreePlan::new(clients, vec![2, 2]), None, PsumMode::Raw)
-            .with_threads(threads)
-            .aggregate_streamed(0, &make)
-            .expect("non-empty cohort")
-            .global;
+        let streamed_global = |threads: usize| {
+            ShardedTree::new(TreePlan::new(clients, vec![2, 2]), None, PsumMode::Raw)
+                .with_threads(threads)
+                .aggregate_streamed_with(0, || None, |client, slot: &mut Option<StateDict>| {
+                    let (dict, weight) = make(client);
+                    (&*slot.insert(dict), weight)
+                })
+                .expect("non-empty cohort")
+                .global
+        };
+        let serial_global = streamed_global(1);
+        let pooled_global = streamed_global(threads);
         prop_assert_eq!(
             pooled_global.to_bytes(), serial_global.to_bytes(),
             "aggregation bits depend on the worker-pool width {}", threads
