@@ -1072,6 +1072,7 @@ mod tests {
         for (args, needle) in [
             (&["fl", "--bandwidth", "0"][..], "link profile for client 0"),
             (&["fl", "--threads", "0"], "worker_threads must be at least 1"),
+            (&["fl", "--train-per-class", "0"], "data.train_per_class must be at least 1"),
             (&["fl", "--tree", "2x0"], "fan-out at level 1"),
             (&["serve", "--max-sessions", "0"], "max_sessions must be at least 1"),
             (&["serve", "--accept-timeout", "0"], "accept_timeout must be positive"),

@@ -19,7 +19,7 @@
 use crate::agg::{decode_broadcast, Downlink, PartialSum};
 use crate::net::membership::{ChildKey, Membership};
 use crate::net::{global_checksum, invalid};
-use crate::plan::RoundPlan;
+use crate::plan::{check_ranges, RoundPlan, AT_LEAST_ONE, POSITIVE};
 use crate::step::FoldStep;
 use crate::FlConfig;
 use fedsz_lossless::PsumCodec;
@@ -121,17 +121,13 @@ impl ServeConfig {
     pub fn plan(&self) -> Result<RoundPlan, NetError> {
         let plan = self.fl.plan().map_err(invalid)?;
         plan.validate_for_workers().map_err(invalid)?;
-        let durations = [
-            ("accept_timeout", self.accept_timeout),
-            ("round_timeout", self.round_timeout),
-            ("reconnect_grace", self.reconnect_grace),
-        ];
-        if let Some((name, _)) = durations.iter().find(|(_, d)| d.is_zero()) {
-            return Err(invalid(format!("{name} must be positive")));
-        }
-        if self.max_sessions == 0 {
-            return Err(invalid("max_sessions must be at least 1"));
-        }
+        check_ranges(&[
+            ("accept_timeout", self.accept_timeout.as_secs_f64(), POSITIVE),
+            ("round_timeout", self.round_timeout.as_secs_f64(), POSITIVE),
+            ("reconnect_grace", self.reconnect_grace.as_secs_f64(), POSITIVE),
+            ("max_sessions", self.max_sessions as f64, AT_LEAST_ONE),
+        ])
+        .map_err(invalid)?;
         match &self.role {
             Role::Root if self.fail_at_round.is_some() => Err(invalid(
                 "fail_at_round is the relay fault-injection knob; a root has no upstream to fail",

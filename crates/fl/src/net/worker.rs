@@ -36,6 +36,7 @@
 
 use crate::agg::decode_broadcast;
 use crate::net::invalid;
+use crate::plan::{check_ranges, POSITIVE};
 use crate::step::{emit_dp_noise, emit_eqn1, FoldStep, UplinkStage};
 use crate::{Client, FlConfig, RoundPlan};
 use fedsz_net::{Backoff, Message, NetError, Session};
@@ -112,9 +113,7 @@ impl WorkerConfig {
                 self.id, plan.config.clients
             )));
         }
-        if self.timeout.is_zero() {
-            return Err(invalid("timeout must be positive"));
-        }
+        check_ranges(&[("timeout", self.timeout.as_secs_f64(), POSITIVE)]).map_err(invalid)?;
         Ok(plan)
     }
 }

@@ -18,12 +18,14 @@
 //! ```
 //!
 //! Every malformed value is a [`PlanError`] at build time, never a
-//! clamp or a mid-round panic: participation outside `(0, 1]`,
-//! non-positive learning rates, zero batch sizes or round counts,
-//! empty or zero fan-outs, link lists that do not match the cohort,
-//! and stage policies on legs they are illegal on. The engine
-//! ([`RoundEngine`](crate::engine::RoundEngine)) and the socket runtime
-//! ([`crate::net`]) consume the plan.
+//! clamp or a mid-round panic. Each scalar field is a row of one range
+//! table, reported by one rule: [`PlanError::OutOfRange`] names the
+//! field, its range and its value (`participation must be in (0, 1],
+//! got 1.5`). The other variants say what a row cannot: a zero
+//! fan-out's level, a link profile's client, a link list that does not
+//! match the cohort, a stage policy on a leg it is illegal on. The
+//! engine ([`RoundEngine`](crate::engine::RoundEngine)) and the socket
+//! runtime ([`crate::net`]) consume the plan.
 //!
 //! # One policy type for every compression leg
 //!
@@ -39,9 +41,10 @@
 //! | `Family { codec, error_feedback }` | ✓ (delta stream) | ✗ | ✗ |
 //! | `Priced { candidates }` | Eqn 1 over `Lossy`/`Family` | Eqn 1 over one `Lossy` | Eqn 1 over one `Lossless` |
 //!
-//! A `Priced` candidate must be legal on its leg by the rows above
-//! (and carry no error feedback); the broadcast and partial-sum legs
-//! price exactly one against raw, the upload leg any number. The ✗
+//! A `Priced` candidate must be legal on its leg by the rows above and
+//! carry no error feedback (a residual has no meaning when the codec
+//! changes per round); the broadcast and partial-sum legs price exactly
+//! one against raw, the upload leg any number. The ✗
 //! cells are *rejected by [`PlanError`]* — a lossy partial-sum
 //! leg would silently break the tree's bit-parity guarantee with flat
 //! FedAvg, so it cannot be expressed past `plan()`. The executors
@@ -66,41 +69,17 @@
 //! | `adaptive`, `eqn1` | `Priced` over the leg's default codec (lossy; lossless on psum) |
 //! | `auto` | `Priced` over the leg's default slate (uplink: lossy if on, `topk:0.01`, `q8`) |
 //!
-//! # Error feedback makes the uplink stateful
+//! # What the socket runtime adds
 //!
-//! A `Family` policy with `error_feedback: true` keeps a per-client
-//! residual dict: mass the codec dropped this round re-enters next
-//! round's delta (FedSparQ-style). That residual is *state the round
-//! loop must carry*, which socket workers cannot do today: a worker may
-//! disconnect and resume with a fresh process, silently dropping the
-//! residual and the conserved mass with it —
-//! [`RoundPlan::validate_for_workers`] returns
-//! [`PlanError::StatefulUplinkWorker`], a typed rejection in the same
-//! pattern as lossy psum.
-//!
-//! [`RoundPlan::validate_for_workers`] rejects the other simulator
-//! features the socket runtime has no mechanism for — weighted
-//! aggregation, partial participation, a priced downlink and trees
-//! deeper than one relay tier
-//! ([`PlanError::SimulatorOnly`]), plus shards without clients
-//! ([`PlanError::TooManyShards`]) — so a `ServeConfig` built in code
-//! cannot complete with a checksum that silently differs from the
-//! in-process run of the same configuration. These are the socket
-//! runtime's only rules on [`FlConfig`]; `ServeConfig::plan` and
-//! `WorkerConfig::plan` add the checks on their own fields.
-//!
-//! # The DP stage is stateless, so it composes everywhere
-//!
-//! [`FlConfig::dp`] (a [`fedsz_dp::DpPolicy`], validated here) clips
-//! each client's update delta and adds seeded Gaussian/Laplace noise
-//! *before* the uplink codec runs. Unlike error feedback, the stage
-//! keeps no per-client state between rounds — the noise stream is
-//! derived from `(dp.seed, round, client)` alone — so it is legal with
-//! every uplink family and on socket workers. `plan()` rejects only
-//! malformed parameters ([`PlanError::BadDpClipNorm`],
-//! [`PlanError::BadDpNoiseMultiplier`]); DP combined with `+ef` still
-//! trips the error-feedback rejection above, because the residual — not
-//! the noise — is the stateful part.
+//! [`RoundPlan::validate_for_workers`] rejects what `fedsz serve` and
+//! `fedsz worker` have no mechanism for, so a run built in code cannot
+//! end with a checksum that silently differs from the in-process run:
+//! an error-feedback uplink (a reconnecting worker's fresh process
+//! drops its residual), weighted aggregation, partial participation, a
+//! priced downlink, trees deeper than one relay tier and shards without
+//! clients. The DP stage ([`FlConfig::dp`]) keeps no state — its noise
+//! is a function of `(dp.seed, round, client)` — so it composes with
+//! every uplink and both runtimes.
 
 use crate::agg::TreePlan;
 use crate::codec::FamilyCodec;
@@ -115,6 +94,16 @@ use std::ops::Range;
 /// forwards its partial sums over a link this fast (1 Gbps), since
 /// aggregators sit in well-provisioned tiers, unlike last-mile clients.
 pub const DEFAULT_EDGE_BPS: f64 = 1e9;
+
+/// The quantizer spellings, `([plain, with error feedback], bits,
+/// stochastic)`: the one table [`StagePolicy::parse`] reads and
+/// [`StagePolicy::name`] writes.
+const QUANTIZERS: [([&str; 2], u8, bool); 4] = [
+    (["q4", "q4+ef"], 4, false),
+    (["q4s", "q4s+ef"], 4, true),
+    (["q8", "q8+ef"], 8, false),
+    (["q8s", "q8s+ef"], 8, true),
+];
 
 /// What one compression leg of the round does. See the module docs for
 /// the legality table; [`StagePolicy::validate_for`] enforces it.
@@ -136,8 +125,7 @@ pub enum StagePolicy {
         /// The codec.
         codec: FamilyCodec,
         /// Carry a per-client residual re-injecting dropped mass into
-        /// the next round's delta. Makes the uplink *stateful* — see
-        /// the module docs for the paths that must reject it.
+        /// the next round's delta (a stateful uplink).
         error_feedback: bool,
     },
     /// The paper's Eqn 1, per link and per payload: price every
@@ -147,10 +135,8 @@ pub enum StagePolicy {
     /// paper's compress-or-not; on the upload leg it generalizes to
     /// codec-family selection.
     Priced {
-        /// The concrete codecs to price against raw, each legal on the
-        /// leg (see the module docs) and without error feedback (a
-        /// residual has no meaning when the codec changes per round).
-        /// Exactly one on the broadcast and partial-sum legs.
+        /// The concrete codecs to price against raw (see the module
+        /// docs for which are legal on each leg).
         candidates: Vec<StagePolicy>,
     },
 }
@@ -180,9 +166,7 @@ impl StageLeg {
 impl StagePolicy {
     /// Parses one spelling of the policy grammar (the module docs'
     /// table) for `leg`. `fedsz` is the configuration `lossy` and the
-    /// lossy defaults stand for, `None` when compression is off. Only
-    /// the spelling is checked here: whether the policy is legal on
-    /// `leg` is [`FlConfig::plan`]'s question.
+    /// lossy defaults stand for, `None` when compression is off.
     ///
     /// # Errors
     ///
@@ -224,12 +208,10 @@ impl StagePolicy {
             Some(base) => (base, true),
             None => (lower, false),
         };
-        let codec = match (base, base.strip_prefix("topk:").map(str::parse)) {
-            (_, Some(Ok(ratio))) => FamilyCodec::top_k(ratio),
-            ("q4", _) => FamilyCodec::quant(4, false),
-            ("q4s", _) => FamilyCodec::quant(4, true),
-            ("q8", _) => FamilyCodec::quant(8, false),
-            ("q8s", _) => FamilyCodec::quant(8, true),
+        let quantizer = QUANTIZERS.iter().find(|(names, ..)| names[0] == base);
+        let codec = match (base.strip_prefix("topk:").map(str::parse), quantizer) {
+            (Some(Ok(ratio)), _) => FamilyCodec::top_k(ratio),
+            (_, Some(&(_, bits, stochastic))) => FamilyCodec::quant(bits, stochastic),
             _ => {
                 return Err(format!(
                     "unknown {} codec `{spec}`; try raw, lossy, lossless, adaptive, auto, \
@@ -254,9 +236,7 @@ impl StagePolicy {
     }
 
     /// Short human-readable policy name (for reports and the `family`
-    /// key of `eqn1.decision` records). Quantizers encode their width
-    /// and rounding in the name (`q8`, `q4s`); error-feedback variants
-    /// append `+ef`.
+    /// key of `eqn1.decision` records), `+ef` with error feedback.
     pub fn name(&self) -> &'static str {
         match self {
             StagePolicy::Raw => "raw",
@@ -268,12 +248,14 @@ impl StagePolicy {
                         ["topk", "topk+ef"]
                     }
                     FamilyCodec::Sparse(_) => ["threshold", "threshold+ef"],
-                    FamilyCodec::Quant(q) => match (q.bits(), q.stochastic()) {
-                        (4, false) => ["q4", "q4+ef"],
-                        (4, true) => ["q4s", "q4s+ef"],
-                        (_, false) => ["q8", "q8+ef"],
-                        (_, true) => ["q8s", "q8s+ef"],
-                    },
+                    FamilyCodec::Quant(q) => {
+                        let grid = (q.bits(), q.stochastic());
+                        QUANTIZERS
+                            .iter()
+                            .find(|&&(_, bits, stochastic)| (bits, stochastic) == grid)
+                            .expect("FamilyCodec::quant builds only the tabled grids")
+                            .0
+                    }
                 };
                 names[usize::from(*error_feedback)]
             }
@@ -303,18 +285,15 @@ impl StagePolicy {
     }
 
     /// Whether this policy carries a per-client error-feedback
-    /// residual — state the executor must persist across rounds (see
-    /// the module docs for the combinations that reject it).
+    /// residual, state the executor must persist across rounds.
     pub fn error_feedback(&self) -> bool {
         self.codecs()
             .iter()
             .any(|codec| matches!(codec, StagePolicy::Family { error_feedback: true, .. }))
     }
 
-    /// Checks that this policy is legal on `leg` (the module-level
-    /// table): lossy policies would break bit-parity on the
-    /// partial-sum leg, the dict legs have no lossless codec, and a
-    /// `Priced` set must hold concrete codecs legal on the leg.
+    /// Checks that this policy is legal on `leg` (the module docs'
+    /// table).
     ///
     /// # Errors
     ///
@@ -354,25 +333,20 @@ impl StagePolicy {
     }
 }
 
-/// Why an [`FlConfig`] cannot be turned into a [`RoundPlan`].
-///
-/// Every variant names the offending field and the legal range, so a
-/// config file typo surfaces as an actionable message at build time
-/// instead of a clamp, a silent preference, or a mid-round panic.
+/// Why an [`FlConfig`] cannot be turned into a [`RoundPlan`]; each
+/// variant names the offending field and its legal range.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// `clients == 0`.
-    NoClients,
-    /// `rounds == 0`.
-    NoRounds,
-    /// `batch_size == 0`.
-    ZeroBatch,
-    /// Learning rate not finite and positive.
-    BadLearningRate(f32),
-    /// Participation outside `(0, 1]`.
-    BadParticipation(f64),
-    /// Dirichlet alpha not finite and positive.
-    BadNonIidAlpha(f64),
+    /// A scalar field outside its legal range (see [`FlConfig::plan`]
+    /// for the table of rows).
+    OutOfRange {
+        /// The field (`"clients"`, `"lr"`, `"dp.clip_norm"`, ...).
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The legal range, as the message words it (`"in (0, 1]"`).
+        want: &'static str,
+    },
     /// A [`LinkProfile`] with an out-of-range field.
     BadLinkProfile {
         /// The offending client id (0 for the shared pipe).
@@ -383,8 +357,6 @@ pub enum PlanError {
         /// That field's value.
         value: f64,
     },
-    /// `tree` set to an empty fan-out list.
-    EmptyTree,
     /// A tree fan-out of zero at the given level.
     ZeroFanout {
         /// The offending level (0 = the root's own fan-out).
@@ -410,10 +382,6 @@ pub enum PlanError {
         /// The policy's name.
         policy: &'static str,
     },
-    /// `worker_threads` explicitly set to zero — a width-0 pool can
-    /// never merge anything (leave it `None` to use the host's
-    /// parallelism).
-    ZeroWorkerThreads,
     /// A [`StagePolicy::Priced`] candidate set that cannot be priced
     /// (empty, raw or nested members, error-feedback members, or more
     /// than one candidate on a leg that prices one).
@@ -423,52 +391,28 @@ pub enum PlanError {
         /// What about the candidate set is wrong.
         reason: &'static str,
     },
-    /// An error-feedback uplink on the socket runtime: a worker that
-    /// reconnects resumes with a fresh process and silently drops its
-    /// residual, breaking mass conservation.
+    /// An error-feedback uplink on the socket runtime.
     StatefulUplinkWorker,
-    /// A simulator-only feature on the socket runtime, which has no
-    /// mechanism for it: `fedsz serve`/`worker` fold every live
-    /// worker's update with weight 1 at a synchronous barrier, through
-    /// at most one tier of relays, with no link model to price.
+    /// A simulator-only feature on the socket runtime.
     SimulatorOnly {
-        /// The offending feature (`"weighted aggregation"`,
-        /// `"partial participation"`, `"a priced downlink"` or
-        /// `"a multi-tier tree"`).
+        /// The feature (`"weighted aggregation"`, ...).
         feature: &'static str,
     },
-    /// More first-tier aggregators than clients. The simulator lays a
-    /// `tree` over the cohort as given (surplus leaves own empty
-    /// ranges), but a socket shard is a relay process that would wait
-    /// for workers that cannot exist, and `--shards S` promises S
-    /// working edges.
+    /// More first-tier aggregators than clients: a socket shard is a
+    /// relay process that would wait for workers that cannot exist.
     TooManyShards {
         /// First-tier aggregators in the tree.
         shards: usize,
         /// Cohort size.
         clients: usize,
     },
-    /// A DP clip norm that is not a positive finite number.
-    BadDpClipNorm(f64),
-    /// A DP noise multiplier that is negative or non-finite (`0` is
-    /// legal: clip-only).
-    BadDpNoiseMultiplier(f64),
 }
 
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::NoClients => write!(f, "need at least one client"),
-            PlanError::NoRounds => write!(f, "rounds must be positive (got 0)"),
-            PlanError::ZeroBatch => write!(f, "batch_size must be positive (got 0)"),
-            PlanError::BadLearningRate(lr) => {
-                write!(f, "learning rate must be finite and positive, got {lr}")
-            }
-            PlanError::BadParticipation(p) => {
-                write!(f, "participation must be in (0, 1], got {p}")
-            }
-            PlanError::BadNonIidAlpha(a) => {
-                write!(f, "non-IID Dirichlet alpha must be finite and positive, got {a}")
+            PlanError::OutOfRange { field, value, want } => {
+                write!(f, "{field} must be {want}, got {value}")
             }
             PlanError::BadLinkProfile { client, field, value } => write!(
                 f,
@@ -476,7 +420,6 @@ impl fmt::Display for PlanError {
                  positive finite bandwidth, non-negative latency, drop probability in [0, 1], \
                  slowdown >= 1)"
             ),
-            PlanError::EmptyTree => write!(f, "a tree needs at least one aggregator level"),
             PlanError::ZeroFanout { level } => {
                 write!(f, "tree fan-out at level {level} must be positive")
             }
@@ -492,9 +435,6 @@ impl fmt::Display for PlanError {
                 "a {policy} policy is illegal on the {} leg (see the StagePolicy table)",
                 leg.name()
             ),
-            PlanError::ZeroWorkerThreads => {
-                write!(f, "worker_threads must be at least 1 (leave it unset for host parallelism)")
-            }
             PlanError::BadPriced { leg, reason } => {
                 write!(f, "the priced {} policy is misconfigured: {reason}", leg.name())
             }
@@ -514,13 +454,6 @@ impl fmt::Display for PlanError {
                 f,
                 "need shards <= clients, got {shards} shards for {clients} clients (an empty \
                  shard has no client to aggregate)"
-            ),
-            PlanError::BadDpClipNorm(c) => {
-                write!(f, "DP clip norm must be finite and positive, got {c}")
-            }
-            PlanError::BadDpNoiseMultiplier(m) => write!(
-                f,
-                "DP noise multiplier must be finite and non-negative (0 = clip only), got {m}"
             ),
         }
     }
@@ -545,16 +478,11 @@ pub struct RoundPlan {
     /// [`FlConfig::tree`] laid over the cohort (`None` = the paper's
     /// flat server).
     pub tree: Option<TreePlan>,
-    /// [`FlConfig::links`], validated. Under a tree every client keeps
-    /// its own last mile to its leaf aggregator, so a shared pipe
-    /// becomes [`Topology::Dedicated`] with one copy per client. `None`
-    /// = no network model.
+    /// [`FlConfig::links`], validated; under a tree a shared pipe
+    /// becomes one dedicated copy per client. `None` = no network model.
     pub topology: Option<Topology>,
-    /// Resolved worker width for the aggregation hot path:
-    /// [`FlConfig::worker_threads`] when set, otherwise the host's
-    /// available parallelism at plan time. Always at least 1. Width is
-    /// execution speed, not semantics — the global model's bits are
-    /// identical at every value.
+    /// [`FlConfig::worker_threads`], or the host's available
+    /// parallelism at plan time when unset. Always at least 1.
     pub worker_threads: usize,
 }
 
@@ -566,24 +494,13 @@ impl RoundPlan {
         self.tree.as_ref().map(|tree| tree.nodes_at(1))
     }
 
-    /// Checks the extra constraints the socket runtime adds on top of
-    /// [`FlConfig::plan`]. An error-feedback uplink cannot survive a
-    /// worker reconnect (the residual dies with the process). The
-    /// server folds every live worker's update with weight 1 at a
-    /// synchronous barrier, so weighted aggregation and partial
-    /// participation would complete with a checksum that silently
-    /// differs from the in-process run. It runs at most one tier of
-    /// relays, one process per shard, so deeper trees and empty shards
-    /// ([`RoundPlan::check_shards`]) cannot be deployed; and it has no
-    /// link model for a priced downlink to price. `fedsz serve`/`worker`
-    /// reject all of these here before any round runs.
+    /// Checks what the socket runtime adds on top of [`FlConfig::plan`]
+    /// (see the module docs), before any round runs.
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError::StatefulUplinkWorker`] for an
-    /// error-feedback uplink, [`PlanError::SimulatorOnly`] for the
-    /// features the socket runtime cannot honour and
-    /// [`PlanError::TooManyShards`] for empty shards.
+    /// Returns [`PlanError::StatefulUplinkWorker`],
+    /// [`PlanError::SimulatorOnly`] or [`PlanError::TooManyShards`].
     pub fn validate_for_workers(&self) -> Result<(), PlanError> {
         let config = &self.config;
         if config.uplink.error_feedback() {
@@ -601,13 +518,12 @@ impl RoundPlan {
         self.check_shards()
     }
 
-    /// Checks that every first-tier aggregator owns at least one
-    /// client. A flat plan always passes.
+    /// Checks that every first-tier aggregator owns at least one client
+    /// (a flat plan always passes).
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError::TooManyShards`] when the tree's first tier
-    /// is wider than the cohort.
+    /// Returns [`PlanError::TooManyShards`] otherwise.
     pub fn check_shards(&self) -> Result<(), PlanError> {
         match self.shard_count() {
             Some(shards) if shards > self.config.clients => {
@@ -630,33 +546,41 @@ impl RoundPlan {
     }
 }
 
-/// Checks `profile`'s ranges, naming the first out-of-range field in a
-/// [`PlanError::BadLinkProfile`] for `client`.
-fn validate_link(client: usize, profile: &LinkProfile) -> Result<(), PlanError> {
-    let p = profile;
-    let fields = [
-        ("bandwidth_bps", p.bandwidth_bps, p.bandwidth_bps.is_finite() && p.bandwidth_bps > 0.0),
-        ("latency_secs", p.latency_secs, p.latency_secs.is_finite() && p.latency_secs >= 0.0),
-        ("drop_prob", p.drop_prob, (0.0..=1.0).contains(&p.drop_prob)),
-        (
-            "compute_slowdown",
-            p.compute_slowdown,
-            p.compute_slowdown.is_finite() && p.compute_slowdown >= 1.0,
-        ),
-    ];
-    match fields.into_iter().find(|&(_, _, ok)| !ok) {
-        Some((field, value, _)) => Err(PlanError::BadLinkProfile { client, field, value }),
+/// A legal range: how [`PlanError::OutOfRange`] words it, and its test.
+pub(crate) type Rule = (&'static str, fn(f64) -> bool);
+pub(crate) const AT_LEAST_ONE: Rule = ("at least 1", |v| v >= 1.0 && v.is_finite());
+pub(crate) const POSITIVE: Rule = ("positive and finite", |v| v > 0.0 && v.is_finite());
+const NON_NEGATIVE: Rule = ("non-negative and finite", |v| v >= 0.0 && v.is_finite());
+
+/// Checks `(field, value, rule)` rows in order, naming the first value
+/// outside its rule's range.
+pub(crate) fn check_ranges(rows: &[(&'static str, f64, Rule)]) -> Result<(), PlanError> {
+    match rows.iter().find(|&&(_, value, (_, ok))| !ok(value)) {
+        Some(&(field, value, (want, _))) => Err(PlanError::OutOfRange { field, value, want }),
         None => Ok(()),
     }
 }
 
-/// Validates [`FlConfig::tree`] (at least one level, every fan-out
-/// positive, leaf count representable) and lays it over the cohort.
+/// Checks `profile`'s ranges, naming the first out-of-range field in a
+/// [`PlanError::BadLinkProfile`] for `client`.
+fn validate_link(client: usize, profile: &LinkProfile) -> Result<(), PlanError> {
+    match check_ranges(&[
+        ("bandwidth_bps", profile.bandwidth_bps, POSITIVE),
+        ("latency_secs", profile.latency_secs, NON_NEGATIVE),
+        ("drop_prob", profile.drop_prob, ("in [0, 1]", |v| (0.0..=1.0).contains(&v))),
+        ("compute_slowdown", profile.compute_slowdown, AT_LEAST_ONE),
+    ]) {
+        Err(PlanError::OutOfRange { field, value, .. }) => {
+            Err(PlanError::BadLinkProfile { client, field, value })
+        }
+        checked => checked,
+    }
+}
+
+/// Validates [`FlConfig::tree`] (every fan-out positive, leaf count
+/// representable) and lays it over the cohort.
 fn plan_tree(config: &FlConfig) -> Result<Option<TreePlan>, PlanError> {
     let Some(fanouts) = &config.tree else { return Ok(None) };
-    if fanouts.is_empty() {
-        return Err(PlanError::EmptyTree);
-    }
     if let Some(level) = fanouts.iter().position(|&f| f == 0) {
         return Err(PlanError::ZeroFanout { level });
     }
@@ -666,9 +590,7 @@ fn plan_tree(config: &FlConfig) -> Result<Option<TreePlan>, PlanError> {
     Ok(Some(TreePlan::new(config.clients, fanouts.clone())))
 }
 
-/// Validates `links` and derives the engine's topology: under a tree
-/// every client keeps its own last mile to its leaf aggregator, so a
-/// shared pipe becomes one identical dedicated link each.
+/// Validates `links` and derives [`RoundPlan::topology`] from them.
 fn plan_topology(config: &FlConfig) -> Result<Option<Topology>, PlanError> {
     match &config.links {
         None => Ok(None),
@@ -679,13 +601,10 @@ fn plan_topology(config: &FlConfig) -> Result<Option<Topology>, PlanError> {
                 None => Topology::Shared(*pipe),
             }))
         }
+        Some(Topology::Dedicated(links)) if links.len() != config.clients => {
+            Err(PlanError::LinkCountMismatch { links: links.len(), clients: config.clients })
+        }
         Some(Topology::Dedicated(links)) => {
-            if links.len() != config.clients {
-                return Err(PlanError::LinkCountMismatch {
-                    links: links.len(),
-                    clients: config.clients,
-                });
-            }
             for (client, link) in links.iter().enumerate() {
                 validate_link(client, link)?;
             }
@@ -694,66 +613,45 @@ fn plan_topology(config: &FlConfig) -> Result<Option<Topology>, PlanError> {
     }
 }
 
-/// Validates the three per-leg [`StagePolicy`]s against the legality
-/// table, and a compressing psum policy against the tree it needs.
-fn validate_stages(config: &FlConfig) -> Result<(), PlanError> {
-    config.uplink.validate_for(StageLeg::Uplink)?;
-    config.downlink.validate_for(StageLeg::Downlink)?;
-    config.psum.validate_for(StageLeg::Psum)?;
-    if config.psum.compresses() && config.tree.is_none() {
-        return Err(PlanError::PsumWithoutTree);
-    }
-    Ok(())
-}
-
 impl FlConfig {
     /// Validates this configuration and derives its [`RoundPlan`]: the
     /// [`TreePlan`] over the cohort, the client [`Topology`] and the
-    /// resolved worker width.
+    /// resolved worker width. Every scalar field is a row of one range
+    /// table: counts must be at least 1, `lr`, `non_iid_alpha` and
+    /// `dp.clip_norm` positive, `participation` in `(0, 1]` and
+    /// `dp.noise_multiplier` non-negative (0 is clip-only).
     ///
     /// # Errors
     ///
     /// Returns the first [`PlanError`] found.
     pub fn plan(&self) -> Result<RoundPlan, PlanError> {
-        if self.clients == 0 {
-            return Err(PlanError::NoClients);
-        }
-        if self.rounds == 0 {
-            return Err(PlanError::NoRounds);
-        }
-        if self.batch_size == 0 {
-            return Err(PlanError::ZeroBatch);
-        }
-        if !(self.lr.is_finite() && self.lr > 0.0) {
-            return Err(PlanError::BadLearningRate(self.lr));
-        }
-        if !(self.participation.is_finite()
-            && self.participation > 0.0
-            && self.participation <= 1.0)
-        {
-            return Err(PlanError::BadParticipation(self.participation));
-        }
-        if let Some(alpha) = self.non_iid_alpha {
-            if !(alpha.is_finite() && alpha > 0.0) {
-                return Err(PlanError::BadNonIidAlpha(alpha));
-            }
-        }
-        let worker_threads = match self.worker_threads {
-            Some(0) => return Err(PlanError::ZeroWorkerThreads),
-            Some(threads) => threads,
-            None => std::thread::available_parallelism().map_or(1, usize::from),
-        };
-        if let Some(dp) = &self.dp {
-            if !(dp.clip_norm.is_finite() && dp.clip_norm > 0.0) {
-                return Err(PlanError::BadDpClipNorm(dp.clip_norm));
-            }
-            if !(dp.noise_multiplier.is_finite() && dp.noise_multiplier >= 0.0) {
-                return Err(PlanError::BadDpNoiseMultiplier(dp.noise_multiplier));
-            }
-        }
+        // An unset optional field stands in with a legal value.
+        let dp = self.dp.as_ref();
+        check_ranges(&[
+            ("clients", self.clients as f64, AT_LEAST_ONE),
+            ("rounds", self.rounds as f64, AT_LEAST_ONE),
+            ("local_epochs", self.local_epochs as f64, AT_LEAST_ONE),
+            ("batch_size", self.batch_size as f64, AT_LEAST_ONE),
+            ("data.train_per_class", self.data.train_per_class as f64, AT_LEAST_ONE),
+            ("lr", f64::from(self.lr), POSITIVE),
+            ("participation", self.participation, ("in (0, 1]", |p| p > 0.0 && p <= 1.0)),
+            ("non_iid_alpha", self.non_iid_alpha.unwrap_or(1.0), POSITIVE),
+            ("worker_threads", self.worker_threads.unwrap_or(1) as f64, AT_LEAST_ONE),
+            ("dp.clip_norm", dp.map_or(1.0, |dp| dp.clip_norm), POSITIVE),
+            ("dp.noise_multiplier", dp.map_or(0.0, |dp| dp.noise_multiplier), NON_NEGATIVE),
+            ("tree levels", self.tree.as_ref().map_or(1, Vec::len) as f64, AT_LEAST_ONE),
+        ])?;
+        let worker_threads = self
+            .worker_threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
         let tree = plan_tree(self)?;
         let topology = plan_topology(self)?;
-        validate_stages(self)?;
+        self.uplink.validate_for(StageLeg::Uplink)?;
+        self.downlink.validate_for(StageLeg::Downlink)?;
+        self.psum.validate_for(StageLeg::Psum)?;
+        if self.psum.compresses() && tree.is_none() {
+            return Err(PlanError::PsumWithoutTree);
+        }
         Ok(RoundPlan { config: self.clone(), tree, topology, worker_threads })
     }
 }
@@ -779,47 +677,68 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_zero_is_rejected_and_none_resolves_to_the_host() {
+    fn worker_threads_none_resolves_to_the_host() {
         let mut config = base();
-        config.worker_threads = Some(0);
-        assert_eq!(config.plan().unwrap_err(), PlanError::ZeroWorkerThreads);
         config.worker_threads = Some(3);
         assert_eq!(config.plan().unwrap().worker_threads, 3);
         config.worker_threads = None;
         assert!(config.plan().unwrap().worker_threads >= 1);
     }
 
+    fn dp(clip_norm: f64, noise_multiplier: f64) -> Option<fedsz_dp::DpPolicy> {
+        let mechanism = fedsz_dp::DpMechanism::Gaussian;
+        Some(fedsz_dp::DpPolicy { clip_norm, noise_multiplier, mechanism, seed: 7 })
+    }
+
+    /// Every row of `plan()`'s range table, as `(field, setter, the
+    /// illegal value at the range's edge, the nearest legal value,
+    /// whether the field is a float)`: the edge is rejected naming the
+    /// field, so are NaN and infinity on a float, and the legal value
+    /// plans.
     #[test]
-    fn training_fields_are_validated() {
+    fn every_range_row_rejects_its_edge_and_plans_the_nearest_legal_value() {
+        type Set = fn(&mut FlConfig, f64);
+        let tiny = f64::MIN_POSITIVE;
+        let rows: [(&str, Set, f64, f64, bool); 13] = [
+            ("clients", |c, v| c.clients = v as usize, 0.0, 1.0, false),
+            ("rounds", |c, v| c.rounds = v as usize, 0.0, 1.0, false),
+            ("local_epochs", |c, v| c.local_epochs = v as usize, 0.0, 1.0, false),
+            ("batch_size", |c, v| c.batch_size = v as usize, 0.0, 1.0, false),
+            ("data.train_per_class", |c, v| c.data.train_per_class = v as usize, 0.0, 1.0, false),
+            ("lr", |c, v| c.lr = v as f32, 0.0, f64::from(f32::MIN_POSITIVE), true),
+            ("participation", |c, v| c.participation = v, 0.0, tiny, true),
+            ("participation", |c, v| c.participation = v, 1.0 + f64::EPSILON, 1.0, true),
+            ("non_iid_alpha", |c, v| c.non_iid_alpha = Some(v), 0.0, tiny, true),
+            ("worker_threads", |c, v| c.worker_threads = Some(v as usize), 0.0, 1.0, false),
+            ("dp.clip_norm", |c, v| c.dp = dp(v, 0.5), 0.0, tiny, true),
+            // Clip-only (noise multiplier 0) is a legal policy.
+            ("dp.noise_multiplier", |c, v| c.dp = dp(1.0, v), -tiny, 0.0, true),
+            ("tree levels", |c, v| c.tree = Some(vec![1; v as usize]), 0.0, 1.0, false),
+        ];
+        for (field, set, edge, legal, float) in rows {
+            let planned = |value| {
+                let mut config = base();
+                set(&mut config, value);
+                config.plan().map(drop)
+            };
+            let rejected = |value: f64| match planned(value) {
+                Err(PlanError::OutOfRange { field: f, value: v, .. }) => {
+                    f == field && (v == value || value.is_nan() && v.is_nan())
+                }
+                _ => false,
+            };
+            assert!(rejected(edge), "{field} = {edge} must be out of range");
+            if float {
+                for value in [f64::NAN, f64::INFINITY] {
+                    assert!(rejected(value), "{field} = {value} must be out of range");
+                }
+            }
+            assert_eq!(planned(legal), Ok(()), "{field} = {legal} must plan");
+        }
         let mut config = base();
-        config.participation = 0.0;
-        assert_eq!(config.plan().unwrap_err(), PlanError::BadParticipation(0.0));
-        config.participation = 1.5;
-        assert_eq!(config.plan().unwrap_err(), PlanError::BadParticipation(1.5));
-        config.participation = f64::NAN;
-        assert!(matches!(config.plan().unwrap_err(), PlanError::BadParticipation(_)));
-
-        let mut config = base();
-        config.lr = 0.0;
-        assert_eq!(config.plan().unwrap_err(), PlanError::BadLearningRate(0.0));
-        config.lr = -0.1;
-        assert!(matches!(config.plan().unwrap_err(), PlanError::BadLearningRate(_)));
-
-        let mut config = base();
-        config.batch_size = 0;
-        assert_eq!(config.plan().unwrap_err(), PlanError::ZeroBatch);
-
-        let mut config = base();
-        config.rounds = 0;
-        assert_eq!(config.plan().unwrap_err(), PlanError::NoRounds);
-
-        let mut config = base();
-        config.clients = 0;
-        assert_eq!(config.plan().unwrap_err(), PlanError::NoClients);
-
-        let mut config = base();
-        config.non_iid_alpha = Some(-1.0);
-        assert_eq!(config.plan().unwrap_err(), PlanError::BadNonIidAlpha(-1.0));
+        config.data.train_per_class = 0;
+        let message = config.plan().unwrap_err().to_string();
+        assert_eq!(message, "data.train_per_class must be at least 1, got 0");
     }
 
     #[test]
@@ -931,7 +850,8 @@ mod tests {
         config.tree = Some(vec![2, 0]);
         assert_eq!(config.plan().unwrap_err(), PlanError::ZeroFanout { level: 1 });
         config.tree = Some(Vec::new());
-        assert_eq!(config.plan().unwrap_err(), PlanError::EmptyTree);
+        let err = config.plan().unwrap_err();
+        assert!(matches!(err, PlanError::OutOfRange { field: "tree levels", .. }), "{err}");
         config.tree = Some(vec![usize::MAX, 2]);
         assert_eq!(config.plan().unwrap_err(), PlanError::LeafOverflow);
     }

@@ -25,8 +25,8 @@
 //!   session over nonblocking sockets through a `poll(2)` readiness
 //!   loop, with per-connection inbound frame reassembly (the same
 //!   [`FrameReader`]), outbound write-backpressure queues, and an
-//!   encode-once broadcast fan-out. [`DeadlineWheel`] keys the round
-//!   and barrier timeouts of whoever drives the loop.
+//!   encode-once broadcast fan-out; whoever drives the loop keeps its
+//!   own round and barrier timers.
 //! * [`Backoff`] — bounded exponential retry schedule with seeded
 //!   jitter, used by workers reconnecting after an eviction or a
 //!   relay failure (the seed keeps a restarted cohort from stampeding
@@ -57,7 +57,7 @@ pub mod wire;
 pub use backoff::Backoff;
 pub use frame::{FrameReader, FrameWriter};
 pub use metrics::MetricsServer;
-pub use reactor::{DeadlineWheel, Reactor, ReactorEvent, Token};
+pub use reactor::{Reactor, ReactorEvent, Token};
 pub use session::Session;
 pub use wire::{frame_len, Message, MAX_FRAME_BYTES};
 

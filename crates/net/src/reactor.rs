@@ -27,9 +27,9 @@
 //!   outbox is non-empty — that is the write-backpressure rule: a
 //!   slow reader costs queue memory on its own connection, never a
 //!   blocked server thread.
-//! * **Liveness** belongs to the caller via [`DeadlineWheel`]: the
-//!   reactor itself never times anything out, it just bounds each
-//!   [`Reactor::poll`] by the caller's next deadline.
+//! * **Liveness** belongs to the caller: the reactor itself never
+//!   times anything out, it just bounds each [`Reactor::poll`] by the
+//!   caller's next deadline.
 //!
 //! The reactor is protocol-agnostic (any FMSG conversation);
 //! `fedsz-fl`'s `NetServer` builds the round barrier, elastic
@@ -39,11 +39,11 @@ use crate::frame::FrameReader;
 use crate::poll::PollSet;
 use crate::wire::Message;
 use crate::NetError;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Handle to one reactor connection.
 ///
@@ -286,7 +286,7 @@ impl Reactor {
     /// Runs one readiness tick: blocks up to `timeout` for socket
     /// activity, then appends everything observed to `events`
     /// (cleared first). Returning with no events simply means the
-    /// deadline hit first — the caller checks its [`DeadlineWheel`].
+    /// deadline hit first — the caller checks its own timers.
     ///
     /// # Errors
     ///
@@ -408,73 +408,12 @@ impl Reactor {
     }
 }
 
-/// Caller-owned timers for the reactor loop: round barriers,
-/// handshake deadlines, reconnect grace windows.
-///
-/// A min-heap of `(Instant, id)` with lazy cancellation — `cancel`
-/// marks the id and `pop_expired`/`next_deadline` skip marked
-/// entries, so arming and cancelling are both `O(log n)` without heap
-/// surgery.
-#[derive(Debug, Default)]
-pub struct DeadlineWheel {
-    heap: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    cancelled: BTreeSet<u64>,
-    next_id: u64,
-}
-
-impl DeadlineWheel {
-    /// An empty wheel.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Arms a timer for `at`, returning its id.
-    pub fn arm(&mut self, at: Instant) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.heap.push(std::cmp::Reverse((at, id)));
-        id
-    }
-
-    /// Cancels a timer; expired or unknown ids are ignored.
-    pub fn cancel(&mut self, id: u64) {
-        self.cancelled.insert(id);
-    }
-
-    /// The earliest armed, uncancelled deadline (compacting cancelled
-    /// heads on the way).
-    pub fn next_deadline(&mut self) -> Option<Instant> {
-        while let Some(std::cmp::Reverse((at, id))) = self.heap.peek().copied() {
-            if self.cancelled.remove(&id) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(at);
-        }
-        None
-    }
-
-    /// Pops every timer due at or before `now` into `expired`
-    /// (cleared first), in firing order.
-    pub fn pop_expired(&mut self, now: Instant, expired: &mut Vec<u64>) {
-        expired.clear();
-        while let Some(std::cmp::Reverse((at, id))) = self.heap.peek().copied() {
-            if at > now {
-                break;
-            }
-            self.heap.pop();
-            if !self.cancelled.remove(&id) {
-                expired.push(id);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Session;
     use std::thread;
+    use std::time::Instant;
 
     fn reactor(max_sessions: usize) -> Reactor {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -645,24 +584,5 @@ mod tests {
         assert_ne!(stale, fresh);
         assert!(!reactor.send(stale, Arc::new(Message::Shutdown.encode())));
         assert!(reactor.send(fresh, Arc::new(Message::Shutdown.encode())));
-    }
-
-    #[test]
-    fn deadline_wheel_fires_in_order_and_honors_cancel() {
-        let mut wheel = DeadlineWheel::new();
-        let t0 = Instant::now();
-        let late = wheel.arm(t0 + Duration::from_secs(60));
-        let early = wheel.arm(t0 + Duration::from_millis(1));
-        let mid = wheel.arm(t0 + Duration::from_millis(2));
-        assert_eq!(wheel.next_deadline(), Some(t0 + Duration::from_millis(1)));
-        wheel.cancel(mid);
-        let mut expired = Vec::new();
-        wheel.pop_expired(t0 + Duration::from_secs(1), &mut expired);
-        assert_eq!(expired, vec![early], "cancelled timer must not fire");
-        assert_eq!(wheel.next_deadline(), Some(t0 + Duration::from_secs(60)));
-        wheel.cancel(late);
-        assert_eq!(wheel.next_deadline(), None);
-        wheel.pop_expired(t0 + Duration::from_secs(120), &mut expired);
-        assert!(expired.is_empty());
     }
 }

@@ -38,21 +38,6 @@ impl Sgd {
         Self { lr, momentum, weight_decay, velocity: Vec::new() }
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Replaces the learning rate (for schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update to `params`. The slice must present parameters
     /// in a stable order across calls (momentum buffers are positional).
     pub fn step(&mut self, params: &mut [&mut Param]) {

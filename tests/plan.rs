@@ -361,30 +361,19 @@ proptest! {
     }
 }
 
-/// The DP stage's plan-time legality: bad policies fail with typed
-/// errors before anything runs, and because the stage is stateless
-/// (noise is a pure function of `(seed, round, client)`), a legal
-/// policy composes with every runtime — only error feedback's residual
-/// remains stateful.
+/// The DP stage's plan-time legality: each parameter's range is a row
+/// of `plan()`'s range table, which the plan module's unit tests walk
+/// row by row; here, the edge of the noise range is a legal policy.
 #[test]
 fn dp_policies_validate_at_plan_time() {
-    let policy = |clip: f64, noise: f64| DpPolicy {
-        clip_norm: clip,
-        noise_multiplier: noise,
+    let mut config = tiny_base();
+    // Clip-only (noise multiplier 0) is a legal policy.
+    config.dp = Some(DpPolicy {
+        clip_norm: 1.0,
+        noise_multiplier: 0.0,
         mechanism: DpMechanism::Gaussian,
         seed: 7,
-    };
-    let mut config = tiny_base();
-    config.dp = Some(policy(0.0, 0.5));
-    assert_eq!(config.plan().unwrap_err(), PlanError::BadDpClipNorm(0.0));
-    config.dp = Some(policy(f64::NAN, 0.5));
-    assert!(matches!(config.plan().unwrap_err(), PlanError::BadDpClipNorm(_)));
-    config.dp = Some(policy(1.0, -0.5));
-    assert_eq!(config.plan().unwrap_err(), PlanError::BadDpNoiseMultiplier(-0.5));
-    config.dp = Some(policy(1.0, f64::INFINITY));
-    assert!(matches!(config.plan().unwrap_err(), PlanError::BadDpNoiseMultiplier(_)));
-    // Clip-only (noise multiplier 0) is a legal policy.
-    config.dp = Some(policy(1.0, 0.0));
+    });
     assert!(config.plan().is_ok());
 }
 
