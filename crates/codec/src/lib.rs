@@ -9,7 +9,8 @@
 //! * [`quantizer`] — the linear-scale error-bounded quantizer used by the
 //!   SZ family of compressors,
 //! * [`shuffle`] — the byte-shuffle filter used by Blosc,
-//! * [`checksum`] — CRC-32 (IEEE) and Adler-32,
+//! * [`checksum`] — CRC-32 (IEEE; a carry-less-multiply fold where the
+//!   CPU has one, slicing-by-8 elsewhere) and Adler-32,
 //! * [`varint`] — LEB128 variable-length integers and fixed-width helpers,
 //! * [`stats`] — summary statistics shared by compressors and analyses,
 //! * [`simd`] — the AVX2 seam: a hot loop compiled twice from one source
@@ -27,15 +28,17 @@
 //! assert_eq!(r.read_bits(4).unwrap(), 0b1011);
 //! ```
 
-// `deny` rather than `forbid`: the crate is safe Rust except the one
-// call into the AVX2 copy of a kernel in `simd.rs`, which carries a
-// module-scoped `allow` and its safety argument. The crates that
-// dispatch their own kernels through it (`fedsz-lossy`, `fedsz-lossless`)
-// keep `forbid`.
+// `deny` rather than `forbid`: the crate is safe Rust except two calls
+// into `#[target_feature]` code — the AVX2 copy of a kernel in
+// `simd.rs` and the PCLMULQDQ CRC-32 fold in `checksum.rs` — each in a
+// module with a scoped `allow` and its safety argument. The crates that
+// dispatch their own kernels through `simd` (`fedsz-lossy`,
+// `fedsz-lossless`) keep `forbid`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitio;
+#[allow(unsafe_code)]
 pub mod checksum;
 pub mod huffman;
 pub mod quantizer;

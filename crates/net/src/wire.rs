@@ -484,18 +484,25 @@ mod tests {
         assert_eq!(wide.encoded_len(), wide.encode().len());
     }
 
+    /// A flipped byte in the first or last 64, or at every 7th between,
+    /// is refused: in a short frame, and in one long enough that its CRC
+    /// takes the folding kernel.
     #[test]
     fn corrupt_frames_rejected() {
-        let frame =
-            Message::Update { round: 1, client_id: 2, payload: vec![5; 64], compressed: false }
-                .encode();
-        // Bit flip anywhere must be caught by the CRC.
-        for idx in [0usize, 5, 20, frame.len() - 1] {
-            let mut bad = frame.clone();
-            bad[idx] ^= 0x10;
-            assert!(Message::decode(&bad).is_err(), "flip at {idx} accepted");
+        let long: Vec<u8> =
+            (0..4500u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        for payload in [vec![5; 64], long] {
+            let mut frame =
+                Message::Update { round: 1, client_id: 2, payload, compressed: false }.encode();
+            let len = frame.len();
+            for idx in (0..len).filter(|&i| i < 64 || i >= len - 64 || i % 7 == 0) {
+                frame[idx] = !frame[idx];
+                assert!(Message::decode(&frame).is_err(), "flip at {idx} of {len} accepted");
+                frame[idx] = !frame[idx];
+            }
+            assert!(Message::decode(&frame).is_ok());
+            assert!(Message::decode(&frame[..6]).is_err());
         }
-        assert!(Message::decode(&frame[..6]).is_err());
         assert!(Message::decode(&[]).is_err());
     }
 

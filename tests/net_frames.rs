@@ -3,8 +3,11 @@
 //! produces — must round-trip bit-exactly through `FrameReader`, and
 //! corruption anywhere must be rejected, never mis-decoded.
 
+use fedsz::FedSz;
 use fedsz_codec::checksum::crc32;
 use fedsz_net::{frame_len, FrameReader, FrameWriter, Message, NetError};
+use fedsz_nn::models::tiny::TinyArch;
+use fedsz_nn::Model;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::io::Read;
@@ -309,4 +312,38 @@ proptest! {
             prop_assert_eq!(again.map(|m| m.encode()), Ok(message.encode()));
         }
     }
+}
+
+/// The bytes a flip test corrupts in a buffer of `len`: the first and
+/// last 64 and every 7th between.
+fn flip_sites(len: usize) -> impl Iterator<Item = usize> {
+    (0..len).filter(move |&i| i < 64 || i >= len.saturating_sub(64) || i % 7 == 0)
+}
+
+/// A worker's real upload, tiny AlexNet's FedSZ stream (kilobytes, so
+/// every CRC over it takes the folding kernel): one flipped byte, in
+/// the stream or anywhere in the FMSG frame carrying it, is refused by
+/// the layer whose CRC covers it.
+#[test]
+fn a_flipped_byte_in_a_real_update_is_refused() {
+    let model = TinyArch::AlexNet.build(5, 3, 16, 10).state_dict();
+    let codec = FedSz::default();
+    let mut stream = codec.compress(&model).expect("compresses").into_bytes();
+    assert!(stream.len() >= 4096, "a {}-byte stream", stream.len());
+    for idx in flip_sites(stream.len()) {
+        stream[idx] = !stream[idx];
+        assert!(codec.decompress(&stream).is_err(), "stream flip at {idx} accepted");
+        stream[idx] = !stream[idx];
+    }
+    let mut frame =
+        Message::Update { round: 1, client_id: 3, payload: stream, compressed: true }.encode();
+    for idx in flip_sites(frame.len()) {
+        frame[idx] = !frame[idx];
+        assert!(Message::decode(&frame).is_err(), "frame flip at {idx} accepted");
+        frame[idx] = !frame[idx];
+    }
+    let Ok(Message::Update { payload, .. }) = Message::decode(&frame) else {
+        panic!("the unflipped frame does not decode");
+    };
+    assert!(codec.decompress(&payload).is_ok());
 }
