@@ -103,43 +103,63 @@ pub(crate) fn check_count(n: usize, group: usize, min_bits: usize, payload: &[u8
 /// pass.
 #[inline(always)]
 pub(crate) fn scan(data: &[f32]) -> std::result::Result<ValueRange, LossyError> {
-    // No early exit and eight independent lanes of plain `f32`
-    // arithmetic, so the loop vectorizes instead of being one long
-    // chain of dependent compares. `v * 0.0` is zero for a finite `v`
-    // and NaN otherwise, and a NaN sticks to its lane's sum. The
-    // extremes are a compare and a select, which is what `minps` and
-    // `maxps` do; `f32::min`/`max` also order a NaN, which `poison`
-    // already rejects. (Which of two equal extremes a lane keeps, +0.0
-    // or -0.0 included, cannot change `max - min`.)
-    const LANES: usize = 8;
-    let lower = |min: f32, v: f32| if v < min { v } else { min };
-    let higher = |max: f32, v: f32| if v > max { v } else { max };
-    let mut min = [f32::INFINITY; LANES];
-    let mut max = [f32::NEG_INFINITY; LANES];
-    let mut poison = [0.0f32; LANES];
-    let mut step = |chunk: &[f32; LANES]| {
-        for lane in 0..LANES {
-            min[lane] = lower(min[lane], chunk[lane]);
-            max[lane] = higher(max[lane], chunk[lane]);
-            poison[lane] += chunk[lane] * 0.0;
-        }
+    let (chunks, rest) = data.as_chunks::<SCAN_LANES>();
+    let mut lanes = ScanLanes {
+        min: [f32::INFINITY; SCAN_LANES],
+        max: [f32::NEG_INFINITY; SCAN_LANES],
+        poison: [0.0; SCAN_LANES],
     };
-    let (chunks, rest) = data.as_chunks::<LANES>();
-    chunks.iter().for_each(&mut step);
+    lanes.fold(chunks);
     if let Some(&first) = rest.first() {
-        // The tail as one more step, padded with copies of its first
+        // The tail as one more chunk, padded with copies of its first
         // element: a repeat moves no extreme and no verdict on
         // finiteness, and every lane stays one vector lane.
-        let mut tail = [first; LANES];
+        let mut tail = [first; SCAN_LANES];
         tail[..rest.len()].copy_from_slice(rest);
-        step(&tail);
+        lanes.fold(&[tail]);
     }
-    if !poison.iter().all(|&p| p == 0.0) {
+    let ScanLanes { min, max, poison } = lanes;
+    if poison.iter().any(|&p| p != 0.0) {
         return Err(LossyError::NonFiniteInput);
     }
-    let min = min.into_iter().fold(f32::INFINITY, lower);
-    let max = max.into_iter().fold(f32::NEG_INFINITY, higher);
+    let min = min.into_iter().fold(f32::INFINITY, |min, v| if v < min { v } else { min });
+    let max = max.into_iter().fold(f32::NEG_INFINITY, |max, v| if v > max { v } else { max });
     Ok(ValueRange { min, max })
+}
+
+/// The independent lanes of [`scan`].
+const SCAN_LANES: usize = 8;
+
+/// [`scan`]'s running extremes and finiteness sums, one per lane.
+struct ScanLanes {
+    min: [f32; SCAN_LANES],
+    max: [f32; SCAN_LANES],
+    poison: [f32; SCAN_LANES],
+}
+
+impl ScanLanes {
+    /// Folds `chunks` into the lanes. No early exit and eight
+    /// independent lanes of plain `f32` arithmetic in one loop over
+    /// local arrays, so the loop vectorizes instead of being one long
+    /// chain of dependent compares. `v * 0.0` is zero for a finite `v`
+    /// and NaN otherwise, and a NaN sticks to its lane's sum. The
+    /// extremes are a compare and a select, which is what `minps` and
+    /// `maxps` do; `f32::min`/`max` also order a NaN, which `poison`
+    /// already rejects. (Which of two equal extremes a lane keeps, +0.0
+    /// or -0.0 included, cannot change `max - min`.)
+    #[inline(always)]
+    fn fold(&mut self, chunks: &[[f32; SCAN_LANES]]) {
+        let (mut min, mut max, mut poison) = (self.min, self.max, self.poison);
+        for chunk in chunks {
+            for lane in 0..SCAN_LANES {
+                let v = chunk[lane];
+                min[lane] = if v < min[lane] { v } else { min[lane] };
+                max[lane] = if v > max[lane] { v } else { max[lane] };
+                poison[lane] += v * 0.0;
+            }
+        }
+        (self.min, self.max, self.poison) = (min, max, poison);
+    }
 }
 
 /// Validates input for the SZ-family compressors and resolves the bound.
@@ -390,6 +410,51 @@ pub(crate) fn with_forged_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`scan`] against the one-lane fold it must equal: the same
+    /// extremes (as values: which zero a lane keeps is free) and the
+    /// same verdict on finiteness, for every tail length 0..=17 after
+    /// zero, one and two full chunks, over signed zeros, equal extremes
+    /// and a NaN or an infinity at every position.
+    #[test]
+    fn scan_matches_the_naive_fold() {
+        fn naive(data: &[f32]) -> Option<(f32, f32)> {
+            if !data.iter().all(|v| v.is_finite()) {
+                return None;
+            }
+            let min = data.iter().fold(f32::INFINITY, |min, &v| if v < min { v } else { min });
+            let max = data.iter().fold(f32::NEG_INFINITY, |max, &v| if v > max { v } else { max });
+            Some((min, max))
+        }
+        let palette = [0.0, -0.0, 1.5, -1.5, 1.5, -1.5, 3.0e-39, -7.25];
+        let poisons = [f32::NAN, f32::from_bits(0x7fc0_1234), f32::INFINITY, f32::NEG_INFINITY];
+        let mut state = 0x9e37_79b9u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state as usize
+        };
+        for len in (0..=17).flat_map(|tail| [tail, SCAN_LANES + tail, 2 * SCAN_LANES + tail]) {
+            for _ in 0..8 {
+                let mut data: Vec<f32> =
+                    (0..len).map(|_| palette[next() % palette.len()]).collect();
+                let mut cases = vec![data.clone()];
+                for at in 0..len {
+                    data[at] = poisons[next() % poisons.len()];
+                    cases.push(data.clone());
+                    data[at] = palette[next() % palette.len()];
+                }
+                for case in cases {
+                    let got = scan(&case).map(|r| (r.min, r.max)).ok();
+                    assert_eq!(got, naive(&case), "{case:?}");
+                    if got.is_none() {
+                        assert_eq!(scan(&case), Err(LossyError::NonFiniteInput), "{case:?}");
+                    }
+                }
+            }
+        }
+    }
 
     /// Smooth data with a spike every 41st element, so a tight bound
     /// leaves some values unpredictable.

@@ -1,7 +1,7 @@
 //! Slice kernels behind [`Conv2d`](crate::layers::Conv2d) and
 //! [`MaxPool2d`](crate::layers::MaxPool2d).
 //!
-//! # The invariant: lanes run across channels, never across a reduction
+//! # The invariant: lanes run across independent sums, never across a reduction
 //!
 //! Every golden in `tests/plan.rs` is a checksum of trained weights, so
 //! these kernels must hand every output element, every `dW`/`db`
@@ -22,30 +22,45 @@
 //!   re-laid tap-major, channel-minor). Every accumulator still adds its
 //!   taps ascending from the bias; the columns of one tap are
 //!   independent, so the adds overlap instead of waiting on each other;
-//! * **backward** re-lays the input, the weights and both gradients
-//!   channel-last, so that for one output gradient the `(kx, icg)`
-//!   elements of a kernel row are contiguous in all four: `dW` and `dx`
-//!   each take one `+= g * row` per kernel row, output positions
-//!   `(ni, oc, oy, ox)` ascending. For a given `dx` element that is
-//!   `ky`, `kx` *descending* — the order the reference produces;
+//! * **backward** runs its lanes across the taps of one filter. Per
+//!   sample and group it builds one *tap row* per output pixel: the
+//!   pixel's `icg * k * k` input values in `(ky, kx, ic)` order, padded
+//!   to whole [`TAP_LANES`] — the row every output channel's `dW`
+//!   update for that pixel reads. Each output channel then keeps one
+//!   `dW` accumulator the width of a row and walks its plane's nonzero
+//!   output gradients, `(oy, ox)` ascending, with one
+//!   `acc[t] += g * row[t]` per tap, at most [`TAP_BLOCK`] taps (nine
+//!   AVX2 registers) at a time; a wider filter is walked once per
+//!   block. Every `dW` element takes its terms in `(ni, oy, ox)` order,
+//!   and `db` rides along the first block's walk. `dx` stays one
+//!   `+= g * w[ky][..]` per kernel row and nonzero gradient, channels
+//!   last, output positions `(ni, oc, oy, ox)` ascending: for a given
+//!   `dx` element that is `ky`, `kx` *descending* — the order the
+//!   reference produces;
 //! * a **depthwise** shape has one channel per group on both sides,
 //!   so its lanes run across the groups, everything channel-last.
 //!
-//! A tap that falls outside the image is *skipped* — the tap ranges
-//! are clipped per output row and column — and a zero output gradient
-//! is skipped too (a depthwise lane keeps its old value), exactly as
-//! the reference skips them. Nothing is multiplied by a padding zero,
-//! so the kernels agree with the reference bit for bit on every input,
-//! `-0.0` and infinities included: `x + 0.0 * w` is not `x` when `x`
-//! is `-0.0` or `w` is infinite.
+//! A tap that falls outside the image is *skipped*, and a zero output
+//! gradient is skipped too (a depthwise lane keeps its old value),
+//! exactly as the reference skips them. The forward clips its tap ranges
+//! per output row and column. The backward reads its inputs from a
+//! copy of the image inside a zero border of `padding`, so that every
+//! kernel row of every pixel is one run of `k * icg` values; a tap row's
+//! lane for an out-of-image tap is taken by a *select* on a per-pixel
+//! lane mask, never added, and an out-of-image `dx` tap lands in a
+//! border that is never read back. Nothing is multiplied by a padding
+//! zero, so the kernels agree with the reference bit for bit on every
+//! input, `-0.0` and infinities included: `x + 0.0 * w` is not `x` when
+//! `x` is `-0.0` or `w` is infinite. (Where a NaN lands is pinned too;
+//! its payload after an add of two NaNs is not, as Rust leaves it
+//! unspecified.)
 //!
 //! The zero-gradient skip branches on no data. Behind ReLU and max-pool
 //! most of `dy` is zero at random positions, and a branch on it
-//! mispredicts; instead each output row's nonzero positions are listed
-//! first ([`fedsz_tensor::nonzero_positions`]: every index is written,
-//! the cursor advances by `(g != 0.0) as usize`), and the axpys then
-//! run over that list, `ox` ascending. The max-pool's comparison is a
-//! select for the same reason.
+//! mispredicts; instead each plane's nonzero gradients are listed first
+//! (every position is written, the cursor advances by
+//! `(g != 0.0) as usize`), and the walks and axpys then run over that
+//! list. The max-pool's comparison is a select for the same reason.
 //!
 //! # Why the forward walks taps outermost
 //!
@@ -60,9 +75,26 @@
 //! once per call ([`ConvShape::column_run`]), so the loop divides
 //! nothing. [`RowForward`] is compiled for the build target and for
 //! AVX2 and picked per call ([`fedsz_codec::simd`]); AVX2 holds a tile
-//! in two registers instead of four. The backward gained nothing from
-//! an AVX2 copy (0.95-1.07x on the AlexNet shapes, 0.83x depthwise), so
-//! it is compiled once, as is the depthwise forward (0.86-1.07x).
+//! in two registers instead of four. The depthwise forward and backward
+//! gained nothing from an AVX2 copy (0.86-1.07x, 0.83x) and are compiled
+//! once.
+//!
+//! # Why the backward walks tap rows
+//!
+//! The backward it replaced took three `k * icg`-float axpys per
+//! nonzero output gradient, one per kernel row, into a channel-last
+//! `dW`: on conv1 that is three 9-float loops with their range and
+//! slice work for 27 multiply-adds, so the time went to per-nonzero
+//! overhead, not arithmetic, and an AVX2 copy gained nothing
+//! (0.95-1.07x). A tap row is one fixed-width vector walk per nonzero
+//! gradient, with the accumulators held in registers across the
+//! plane; [`TapRowBackward`] is compiled for the build target and for
+//! AVX2, and AVX2 halves the vectors of a row: on tiny AlexNet's conv1
+//! (no `dx`) the call runs 1.9-2.6x the old loop, and the build
+//! target's copy takes about 1.3x the AVX2 copy's time. The
+//! per-pixel offsets are computed once per call ([`tap_pixels`]) and
+//! every scratch buffer once per call, sized by the shape, not the
+//! batch, so the walk divides nothing and allocates nothing.
 //!
 //! `dx` is optional: the network's first layer passes none
 //! ([`Layer::backward_params`](crate::layers::Layer::backward_params)),
@@ -129,6 +161,19 @@ impl ConvShape {
     /// [`ConvShape::taps`] of every output column.
     fn column_taps(&self) -> Vec<(Range<usize>, usize)> {
         (0..self.ow).map(|ox| self.taps(ox, self.w)).collect()
+    }
+
+    /// The image rows of a channel-last `[h + 2p][w + 2p][channels]`
+    /// buffer, inside its border of `padding`.
+    fn interior_rows<'a>(
+        &self,
+        padded: &'a mut [f32],
+        channels: usize,
+    ) -> impl Iterator<Item = &'a mut [f32]> {
+        let wp = self.w + 2 * self.padding;
+        let first = (self.padding * wp + self.padding) * channels;
+        let width = self.w * channels;
+        padded[first..].chunks_mut(wp * channels).map(move |row| &mut row[..width]).take(self.h)
     }
 
     /// One filter per channel: with a single input and output channel
@@ -269,61 +314,353 @@ pub(crate) fn conv_backward(
     dy: &[f32],
     dwt: &mut [f32],
     db: &mut [f32],
-    mut dx: Option<&mut [f32]>,
+    dx: Option<&mut [f32]>,
 ) {
     if s.is_depthwise() {
-        return depthwise_backward(s, x, wt, dy, dwt, db, dx);
+        depthwise_backward(s, x, wt, dy, dwt, db, dx);
+    } else {
+        simd::dispatch(TapRowBackward { s, x, wt, dy, dwt, db, dx });
     }
+}
+
+/// What a tap row is padded to, and copied in: one AVX2 register of
+/// `f32`s.
+const TAP_LANES: usize = 8;
+
+/// The most taps one `dW` accumulator block carries through a plane's
+/// nonzero output gradients: nine AVX2 registers, which leaves room for
+/// the row and mask loads (the build target's SSE copy spills some). A
+/// wider filter is cut into the fewest, most even blocks.
+const TAP_BLOCK: usize = 72;
+
+/// The grouped backward (see the module comment): `dW` from tap rows,
+/// `dx` by one axpy per kernel row and nonzero output gradient;
+/// compiled for the build target and for AVX2 ([`simd::dispatch`]).
+struct TapRowBackward<'a> {
+    s: &'a ConvShape,
+    x: &'a [f32],
+    wt: &'a [f32],
+    dy: &'a [f32],
+    dwt: &'a mut [f32],
+    db: &'a mut [f32],
+    dx: Option<&'a mut [f32]>,
+}
+
+impl Kernel for TapRowBackward<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        tap_row_backward(self.s, self.x, self.wt, self.dy, self.dwt, self.db, self.dx);
+    }
+}
+
+/// [`TapRowBackward`]'s loops.
+#[inline(always)]
+fn tap_row_backward(
+    s: &ConvShape,
+    x: &[f32],
+    wt: &[f32],
+    dy: &[f32],
+    dwt: &mut [f32],
+    db: &mut [f32],
+    mut dx: Option<&mut [f32]>,
+) {
     let (icg, ocg) = (s.c / s.groups, s.oc / s.groups);
     let k = s.kernel;
     let (taps, in_plane, out_plane) = (icg * k * k, s.h * s.w, s.oh * s.ow);
-    // Filters as [oc][ky][kx][icg]; a group's pixels as [iy][ix][icg].
-    let mut wt_cl = vec![0.0f32; wt.len()];
-    let mut dw_cl = vec![0.0f32; wt.len()];
-    for oc in 0..s.oc {
-        let span = oc * taps..(oc + 1) * taps;
-        transpose(&wt[span.clone()], icg, &mut wt_cl[span.clone()]);
-        transpose(&dwt[span.clone()], icg, &mut dw_cl[span]);
-    }
-    let cols = s.column_taps();
-    let mut x_cl = vec![0.0f32; icg * in_plane];
+    let width = taps.next_multiple_of(TAP_LANES);
+    // The fewest walks of at most `TAP_BLOCK` taps, as even as whole
+    // `TAP_LANES` allow.
+    let block = width.div_ceil(width.div_ceil(TAP_BLOCK)).next_multiple_of(TAP_LANES);
+    // Filters as [oc][ky][kx][icg]; `dW` the same, each filter padded to
+    // `width`; a group's pixels as [iy][ix][icg].
     let with_dx = dx.is_some();
-    let mut dx_cl = vec![0.0f32; if with_dx { icg * in_plane } else { 0 }];
-    let mut live = Vec::with_capacity(s.ow);
+    let mut wt_cl = vec![0.0f32; if with_dx { wt.len() } else { 0 }];
+    for (w, w_cl) in wt.chunks_exact(taps).zip(wt_cl.chunks_exact_mut(taps)) {
+        transpose(w, icg, w_cl);
+    }
+    let mut dw_rows = vec![0.0f32; s.oc * width];
+    for (dw, dw_row) in dwt.chunks_exact(taps).zip(dw_rows.chunks_exact_mut(width)) {
+        transpose(dw, icg, &mut dw_row[..taps]);
+    }
+    let (hp, wp) = (s.h + 2 * s.padding, s.w + 2 * s.padding);
+    let run = k * icg;
+    let (pixels, masks) = tap_pixels(s, width);
+    // A group's pixels as [iy][ix][icg] inside a zero border of
+    // `padding`, so that every kernel row of every output pixel is one
+    // run of `k * icg` values, and `dx` in the same layout. One tap row
+    // per output pixel, [oy][ox][ky][kx][icg], its kernel rows copied
+    // eight lanes at a time: a copy that runs past its run is overwritten
+    // by the next one; the last lands in the padding lanes or the next
+    // pixel's row, or past the end in `TAP_LANES` of slack. What an
+    // out-of-image tap holds does not matter: its mask lane keeps the
+    // accumulator from adding it.
+    let mut x_pad = vec![0.0f32; hp * wp * icg + TAP_LANES];
+    let mut dx_pad = vec![0.0f32; if with_dx { hp * wp * icg } else { 0 }];
+    let mut rows = vec![0.0f32; out_plane * width + TAP_LANES];
+    let mut cl = vec![0.0f32; icg * in_plane];
+    let mut live = vec![Nonzero { g: 0.0, pixel: 0 }; out_plane];
     for ni in 0..s.n {
         for grp in 0..s.groups {
             let sample = (ni * s.c + grp * icg) * in_plane..(ni * s.c + (grp + 1) * icg) * in_plane;
-            transpose(&x[sample.clone()], icg, &mut x_cl);
-            dx_cl.fill(0.0);
+            transpose(&x[sample.clone()], icg, &mut cl);
+            for (pad_row, row) in s.interior_rows(&mut x_pad, icg).zip(cl.chunks_exact(s.w * icg)) {
+                pad_row.copy_from_slice(row);
+            }
+            for pixel in &pixels {
+                for ky in 0..k {
+                    let to = pixel.row + ky * run;
+                    copy_lanes(
+                        &mut rows[to..to + run.next_multiple_of(TAP_LANES)],
+                        &x_pad[pixel.window + ky * wp * icg..],
+                    );
+                }
+            }
+            dx_pad.fill(0.0);
+            let view = TapView { rows: &rows, masks: &masks, pixels: &pixels };
             for oc in grp * ocg..(grp + 1) * ocg {
-                let g_plane = &dy[(ni * s.oc + oc) * out_plane..][..out_plane];
-                for (oy, g_row) in g_plane.chunks_exact(s.ow).enumerate() {
-                    let (kys, iy0) = s.taps(oy, s.h);
-                    fedsz_tensor::nonzero_positions(g_row, &mut live);
-                    for &ox in &live {
-                        let (g, (kxs, ix0)) = (g_row[ox], &cols[ox]);
-                        db[oc] += g;
-                        let len = kxs.len() * icg;
-                        for (ky, iy) in kys.clone().zip(iy0..) {
-                            let at_x = (iy * s.w + ix0) * icg..(iy * s.w + ix0) * icg + len;
-                            let at_w = oc * taps + (ky * k + kxs.start) * icg;
-                            let at_w = at_w..at_w + len;
-                            axpy(&mut dw_cl[at_w.clone()], g, &x_cl[at_x.clone()]);
-                            if with_dx {
-                                axpy(&mut dx_cl[at_x], g, &wt_cl[at_w]);
-                            }
-                        }
+                let live = nonzeros(&dy[(ni * s.oc + oc) * out_plane..][..out_plane], &mut live);
+                // `db` rides along the first block's walk.
+                let mut bias = db[oc];
+                let filter = dw_rows[oc * width..][..width].chunks_mut(block);
+                for (b, acc) in filter.enumerate() {
+                    if b == 0 {
+                        view.walk(0, acc, live, |g| bias += g);
+                    } else {
+                        view.walk(b * block, acc, live, |_| {});
                     }
+                }
+                db[oc] = bias;
+                if !with_dx {
+                    continue;
+                }
+                let walk = DxWalk {
+                    live,
+                    pixels: &pixels,
+                    filter: &wt_cl[oc * taps..][..taps],
+                    k,
+                    run,
+                    row: wp * icg,
+                };
+                match run {
+                    48 => walk.run::<48>(&mut dx_pad),
+                    96 => walk.run::<96>(&mut dx_pad),
+                    _ => walk.run::<0>(&mut dx_pad),
                 }
             }
             if let Some(dx) = dx.as_deref_mut() {
-                transpose(&dx_cl, in_plane, &mut dx[sample]);
+                for (row, pad_row) in
+                    cl.chunks_exact_mut(s.w * icg).zip(s.interior_rows(&mut dx_pad, icg))
+                {
+                    row.copy_from_slice(pad_row);
+                }
+                transpose(&cl, in_plane, &mut dx[sample]);
             }
         }
     }
-    for oc in 0..s.oc {
-        let span = oc * taps..(oc + 1) * taps;
-        transpose(&dw_cl[span.clone()], k * k, &mut dwt[span]);
+    for (dw_row, dw) in dw_rows.chunks_exact(width).zip(dwt.chunks_exact_mut(taps)) {
+        transpose(&dw_row[..taps], k * k, dw);
+    }
+}
+
+/// One output channel's `dx` update, in the padded layout: output
+/// positions ascending, one axpy per kernel row, so each `dx` element
+/// takes `ky`, `kx` descending. An out-of-image tap lands in the border,
+/// which is never read back.
+struct DxWalk<'a> {
+    live: &'a [Nonzero],
+    pixels: &'a [TapPixel],
+    /// The channel's filter as [ky][kx][icg].
+    filter: &'a [f32],
+    k: usize,
+    /// Values in one kernel row, `k * icg`.
+    run: usize,
+    /// Values in one row of the padded image.
+    row: usize,
+}
+
+impl DxWalk<'_> {
+    /// The walk with kernel rows of `N` values, a length the compiler
+    /// unrolls into whole registers; `N = 0` takes `run` at run time.
+    #[inline(always)]
+    fn run<const N: usize>(&self, dx_pad: &mut [f32]) {
+        let run = if N == 0 { self.run } else { N };
+        for &Nonzero { g, pixel } in self.live {
+            let window = self.pixels[pixel as usize].window;
+            for ky in 0..self.k {
+                let (d, w) =
+                    (&mut dx_pad[window + ky * self.row..][..run], &self.filter[ky * run..][..run]);
+                if N == 0 {
+                    axpy(d, g, w);
+                } else {
+                    let (d, w): (&mut [f32; N], &[f32; N]) =
+                        (d.try_into().unwrap(), w.try_into().unwrap());
+                    for (d, &w) in d.iter_mut().zip(w) {
+                        *d += g * w;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `dst.copy_from_slice(&src[..dst.len()])` for a `dst` of whole
+/// [`TAP_LANES`] chunks, one fixed-size chunk at a time: the copies are
+/// a few lanes long, too short to pay for a call to `memcpy`.
+#[inline(always)]
+fn copy_lanes(dst: &mut [f32], src: &[f32]) {
+    let src = &src[..dst.len()];
+    for (d, s) in dst.as_chunks_mut::<TAP_LANES>().0.iter_mut().zip(src.as_chunks().0) {
+        *d = *s;
+    }
+}
+
+/// Where an output pixel's tap row, its lane mask and its kernel window
+/// start.
+#[derive(Clone, Copy)]
+struct TapPixel {
+    /// Into the tap rows.
+    row: usize,
+    /// Into the masks.
+    mask: usize,
+    /// The window's first value in the padded image (and padded `dx`).
+    window: usize,
+}
+
+/// Every output pixel's [`TapPixel`], `(oy, ox)` ascending, and the lane
+/// masks: one row of `width` lanes per distinct pair of in-image `ky` and
+/// `kx` ranges, `!0` where a tap lands in the image and `0` elsewhere (the
+/// padding past the taps too).
+fn tap_pixels(s: &ConvShape, width: usize) -> (Vec<TapPixel>, Vec<i32>) {
+    let icg = s.c / s.groups;
+    let k = s.kernel;
+    let wp = s.w + 2 * s.padding;
+    let classes = |ranges: Vec<Range<usize>>| {
+        let mut distinct: Vec<Range<usize>> = Vec::new();
+        let of = ranges
+            .into_iter()
+            .map(|r| match distinct.iter().position(|d| *d == r) {
+                Some(i) => i,
+                None => {
+                    distinct.push(r);
+                    distinct.len() - 1
+                }
+            })
+            .collect::<Vec<_>>();
+        (distinct, of)
+    };
+    let (ky_ranges, ky_of) = classes((0..s.oh).map(|oy| s.taps(oy, s.h).0).collect());
+    let (kx_ranges, kx_of) = classes((0..s.ow).map(|ox| s.taps(ox, s.w).0).collect());
+    let mut masks = vec![0i32; ky_ranges.len() * kx_ranges.len() * width];
+    let mut pairs = masks.chunks_exact_mut(width);
+    for kys in &ky_ranges {
+        for kxs in &kx_ranges {
+            let mask = pairs.next().unwrap();
+            for ky in kys.clone() {
+                mask[(ky * k + kxs.start) * icg..(ky * k + kxs.end) * icg].fill(-1);
+            }
+        }
+    }
+    let mut pixels = Vec::with_capacity(s.oh * s.ow);
+    for (oy, &r) in ky_of.iter().enumerate() {
+        for (ox, &c) in kx_of.iter().enumerate() {
+            pixels.push(TapPixel {
+                row: pixels.len() * width,
+                mask: (r * kx_ranges.len() + c) * width,
+                window: (oy * wp + ox) * s.stride * icg,
+            });
+        }
+    }
+    (pixels, masks)
+}
+
+/// A nonzero output gradient and its pixel, an index into the
+/// [`TapPixel`]s.
+#[derive(Clone, Copy)]
+struct Nonzero {
+    g: f32,
+    pixel: u32,
+}
+
+/// The nonzero values of `plane`, ascending, in `live[..]` (which holds
+/// one entry per value). Branch-free: every value is written, and the
+/// cursor advances by `(g != 0.0) as usize`, so zeros at random
+/// positions cost no mispredicted branch.
+#[inline(always)]
+fn nonzeros<'a>(plane: &[f32], live: &'a mut [Nonzero]) -> &'a [Nonzero] {
+    let mut len = 0;
+    let (chunks, rest) = plane.as_chunks::<TAP_LANES>();
+    for (c, chunk) in chunks.iter().enumerate() {
+        // One bounds check per chunk: the cursor within it stays below
+        // `TAP_LANES`, which the mask tells the compiler.
+        let out: &mut [Nonzero; TAP_LANES] = (&mut live[len..len + TAP_LANES]).try_into().unwrap();
+        let mut n = 0;
+        for (j, &g) in chunk.iter().enumerate() {
+            out[n & (TAP_LANES - 1)] = Nonzero { g, pixel: (c * TAP_LANES + j) as u32 };
+            n += usize::from(g != 0.0);
+        }
+        len += n;
+    }
+    for (j, &g) in rest.iter().enumerate() {
+        live[len] = Nonzero { g, pixel: (chunks.len() * TAP_LANES + j) as u32 };
+        len += usize::from(g != 0.0);
+    }
+    &live[..len]
+}
+
+/// Every output pixel's tap row and mask.
+struct TapView<'a> {
+    rows: &'a [f32],
+    masks: &'a [i32],
+    pixels: &'a [TapPixel],
+}
+
+impl TapView<'_> {
+    /// [`TapView::accumulate`] on a block of any width [`tap_row_backward`]
+    /// cuts: [`TAP_BLOCK`] or a multiple of [`TAP_LANES`] below it.
+    #[inline(always)]
+    fn walk(&self, at: usize, acc: &mut [f32], live: &[Nonzero], also: impl FnMut(f32)) {
+        match acc.len() {
+            TAP_BLOCK => self.accumulate::<TAP_BLOCK>(at, acc.try_into().unwrap(), live, also),
+            64 => self.accumulate::<64>(at, acc.try_into().unwrap(), live, also),
+            56 => self.accumulate::<56>(at, acc.try_into().unwrap(), live, also),
+            48 => self.accumulate::<48>(at, acc.try_into().unwrap(), live, also),
+            40 => self.accumulate::<40>(at, acc.try_into().unwrap(), live, also),
+            32 => self.accumulate::<32>(at, acc.try_into().unwrap(), live, also),
+            24 => self.accumulate::<24>(at, acc.try_into().unwrap(), live, also),
+            16 => self.accumulate::<16>(at, acc.try_into().unwrap(), live, also),
+            _ => self.accumulate::<8>(at, acc.try_into().unwrap(), live, also),
+        }
+    }
+
+    /// `acc[t] += g * row[t]` for each nonzero output gradient `g` in
+    /// `live` (ascending), where the pixel's tap `at + t` lies in the
+    /// image; the accumulators stay in registers across the walk. A tap
+    /// outside the image is a select, not an add of `g * 0.0`, which
+    /// would turn a `-0.0` accumulator into `+0.0` and an infinite `g`
+    /// into NaN. The multiply and the add stay two roundings: the
+    /// dispatch seam never enables FMA.
+    #[inline(always)]
+    fn accumulate<const B: usize>(
+        &self,
+        at: usize,
+        acc: &mut [f32; B],
+        live: &[Nonzero],
+        mut also: impl FnMut(f32),
+    ) {
+        let mut a = *acc;
+        for &Nonzero { g, pixel } in live {
+            also(g);
+            let TapPixel { row, mask, .. } = self.pixels[pixel as usize];
+            let row: &[f32; B] = self.rows[row + at..][..B].try_into().unwrap();
+            let mask: &[i32; B] = self.masks[mask + at..][..B].try_into().unwrap();
+            for t in 0..B {
+                let sum = a[t] + g * row[t];
+                a[t] = if mask[t] < 0 { sum } else { a[t] };
+            }
+        }
+        *acc = a;
     }
 }
 
@@ -612,20 +949,29 @@ mod tests {
     }
 
     /// Normal samples, of which a share `zeros` are exact `0.0` or `-0.0`
-    /// and a share `infs` infinite.
-    fn samples(rng: &mut StdRng, len: usize, zeros: f64, infs: f64) -> Vec<f32> {
+    /// and a share `specials` are `+inf`, `-inf` or a NaN with a random
+    /// sign and payload.
+    fn samples(rng: &mut StdRng, len: usize, zeros: f64, specials: f64) -> Vec<f32> {
         (0..len)
             .map(|_| match rng.gen::<f64>() {
                 p if p < zeros / 2.0 => 0.0,
                 p if p < zeros => -0.0,
-                p if p < zeros + infs => f32::INFINITY,
+                p if p < zeros + specials / 3.0 => f32::INFINITY,
+                p if p < zeros + specials * 2.0 / 3.0 => f32::NEG_INFINITY,
+                p if p < zeros + specials => f32::from_bits(
+                    rng.gen_range(0..2u32) << 31 | 0x7f80_0000 | rng.gen_range(1..1 << 23),
+                ),
                 _ => normal(rng),
             })
             .collect()
     }
 
+    /// The raw bits of `values`, except that every NaN reads as one: an
+    /// add of two NaNs keeps one operand's payload, and which one the
+    /// compiler may pick by swapping the operands (Rust leaves NaN
+    /// payloads unspecified), so only where a NaN lands is pinned.
     fn bits(values: &[f32]) -> Vec<u32> {
-        values.iter().map(|v| v.to_bits()).collect()
+        values.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
     }
 
     /// The outputs of [`conv_forward`], of [`RowForward`]'s build-target
@@ -651,18 +997,73 @@ mod tests {
         names.into_iter().zip(outs).collect()
     }
 
-    /// Runs a forward and two backward passes through both
-    /// implementations and compares every output bit. `dW`/`db` start
-    /// from arbitrary values, signed zeros among them, as a step without
-    /// `zero_grad` would leave them; with `infs > 0` some inputs and
-    /// weights are infinite, which tells a skipped tap or gradient from
-    /// one multiplied by zero. Each pass also runs the backward that
-    /// writes no `dx`, whose `dW`/`db` must be the full backward's.
-    fn assert_matches_reference(s: &ConvShape, seed: u64, infs: f64) -> Result<(), TestCaseError> {
+    /// What one copy of the backward wrote.
+    struct Grads {
+        copy: String,
+        dw: Vec<f32>,
+        db: Vec<f32>,
+        dx: Option<Vec<f32>>,
+    }
+
+    /// The gradients of [`conv_backward`], of [`TapRowBackward`]'s
+    /// build-target copy and, on a host with AVX2, of its AVX2 copy, each
+    /// with and without `dx`, from `dW`/`db` starting at `dw`/`db`. On a
+    /// depthwise shape the first runs `depthwise_backward` and the
+    /// tap-row kernel runs all the same.
+    fn backward_copies(
+        s: &ConvShape,
+        (x, wt, dy): (&[f32], &[f32], &[f32]),
+        dw: &[f32],
+        db: &[f32],
+    ) -> Vec<Grads> {
+        let mut copies = Vec::new();
+        for with_dx in [true, false] {
+            for copy in ["conv_backward", "build-target tap-row kernel", "avx2 tap-row kernel"] {
+                let mut grads = Grads {
+                    copy: format!("{copy}{}", if with_dx { "" } else { " without dx" }),
+                    dw: dw.to_vec(),
+                    db: db.to_vec(),
+                    dx: with_dx.then(|| vec![f32::NAN; x.len()]),
+                };
+                let (dwt, db, dx) = (&mut grads.dw[..], &mut grads.db[..], grads.dx.as_deref_mut());
+                let ran = match copy {
+                    "conv_backward" => {
+                        conv_backward(s, x, wt, dy, dwt, db, dx);
+                        true
+                    }
+                    "build-target tap-row kernel" => {
+                        TapRowBackward { s, x, wt, dy, dwt, db, dx }.run();
+                        true
+                    }
+                    _ => simd::avx2(TapRowBackward { s, x, wt, dy, dwt, db, dx }).is_some(),
+                };
+                if ran {
+                    copies.push(grads);
+                } else if with_dx {
+                    println!("skipped the AVX2 tap-row kernel: this host has no AVX2");
+                }
+            }
+        }
+        copies
+    }
+
+    /// Runs a forward and two backward passes through every copy of the
+    /// kernels and the loop nests and compares every output bit. `dW`/`db`
+    /// start at `-0.0`, then from arbitrary values, signed zeros among
+    /// them, as a step without `zero_grad` would leave them; with
+    /// `specials > 0` some inputs, weights and output gradients are
+    /// infinite or NaN, which tells a skipped tap or gradient from one
+    /// multiplied by zero. Each pass also runs the backwards that write no
+    /// `dx`, whose `dW`/`db` must be the full backward's.
+    fn assert_matches_reference(
+        s: &ConvShape,
+        seed: u64,
+        specials: f64,
+    ) -> Result<(), TestCaseError> {
         let rng = &mut seeded(seed);
         let taps = s.c / s.groups * s.kernel * s.kernel;
-        let x = samples(rng, s.n * s.c * s.h * s.w, 0.3, infs);
-        let wt = samples(rng, s.oc * taps, 0.1, infs);
+        let x = samples(rng, s.n * s.c * s.h * s.w, 0.3, specials);
+        let wt = samples(rng, s.oc * taps, 0.1, specials);
         let bias = samples(rng, s.oc, 0.3, 0.0);
         let out_len = s.n * s.oc * s.oh * s.ow;
         let mut want = vec![0.0; out_len];
@@ -671,20 +1072,29 @@ mod tests {
             prop_assert_eq!(bits(&out), bits(&want), "{} forward, {:?}", copy, s);
         }
 
-        let (mut dw, mut db) = (samples(rng, wt.len(), 0.5, 0.0), samples(rng, s.oc, 0.5, 0.0));
-        let (mut dw_want, mut db_want) = (dw.clone(), db.clone());
         for pass in 0..2 {
-            let dy = samples(rng, out_len, 0.5, 0.0);
-            let (mut dx, mut dx_want) = (vec![f32::NAN; x.len()], vec![f32::NAN; x.len()]);
-            let (mut dw_only, mut db_only) = (dw.clone(), db.clone());
-            conv_backward(s, &x, &wt, &dy, &mut dw_only, &mut db_only, None);
-            conv_backward(s, &x, &wt, &dy, &mut dw, &mut db, Some(&mut dx));
+            let (dw, db) = match pass {
+                0 => (vec![-0.0; wt.len()], vec![-0.0; s.oc]),
+                _ => (samples(rng, wt.len(), 0.5, 0.0), samples(rng, s.oc, 0.5, 0.0)),
+            };
+            let dy = samples(rng, out_len, 0.5, specials);
+            let (mut dw_want, mut db_want, mut dx_want) =
+                (dw.clone(), db.clone(), vec![0.0; x.len()]);
             reference::conv_backward(s, &x, &wt, &dy, &mut dw_want, &mut db_want, &mut dx_want);
-            prop_assert_eq!(bits(&dx), bits(&dx_want), "dx, pass {}, {:?}", pass, s);
-            prop_assert_eq!(bits(&dw), bits(&dw_want), "dW, pass {}, {:?}", pass, s);
-            prop_assert_eq!(bits(&db), bits(&db_want), "db, pass {}, {:?}", pass, s);
-            prop_assert_eq!(bits(&dw_only), bits(&dw), "no-dx dW, pass {}, {:?}", pass, s);
-            prop_assert_eq!(bits(&db_only), bits(&db), "no-dx db, pass {}, {:?}", pass, s);
+            for Grads { copy, dw, db, dx } in backward_copies(s, (&x, &wt, &dy), &dw, &db) {
+                prop_assert_eq!(bits(&dw), bits(&dw_want), "{} dW, pass {}, {:?}", copy, pass, s);
+                prop_assert_eq!(bits(&db), bits(&db_want), "{} db, pass {}, {:?}", copy, pass, s);
+                if let Some(dx) = dx {
+                    prop_assert_eq!(
+                        bits(&dx),
+                        bits(&dx_want),
+                        "{} dx, pass {}, {:?}",
+                        copy,
+                        pass,
+                        s
+                    );
+                }
+            }
         }
         Ok(())
     }
@@ -703,7 +1113,7 @@ mod tests {
             grouping in 0usize..3,
             (icg, ocg) in (1usize..4, prop_oneof![1usize..4, Just(17usize), Just(33usize)]),
             (n, dh, dw) in (1usize..4, 0usize..6, 0usize..6),
-            infs in prop_oneof![Just(0.0), Just(0.0), Just(0.0), Just(0.05)],
+            specials in prop_oneof![Just(0.0), Just(0.0), Just(0.0), Just(0.05)],
             seed in any::<u64>(),
         ) {
             let (c, groups) = match grouping {
@@ -717,7 +1127,7 @@ mod tests {
                 groups * ocg,
                 [kernel, stride, padding, groups],
             );
-            assert_matches_reference(&s, seed, infs)?;
+            assert_matches_reference(&s, seed, specials)?;
         }
 
         /// Ties, signed zeros, `-inf`-only and NaN windows, odd sides.
@@ -743,7 +1153,11 @@ mod tests {
         }
     }
 
-    /// The shapes the tracked models run, at full size.
+    /// The shapes the tracked models run, at full size, and the edges
+    /// of the tap-row backward: a stride-2 1x1 kernel over two groups,
+    /// padding 0 and padding 2 around a 3x3 kernel on odd sides. Each
+    /// runs clean and with infinities and NaN payloads in `x`, the
+    /// weights and `dy`.
     #[test]
     fn model_shapes_match_the_loop_nest() {
         let shapes = [
@@ -752,9 +1166,14 @@ mod tests {
             shape([2, 16, 16, 16], 16, [3, 2, 1, 16]), // MobileNetV2 depthwise
             shape([2, 24, 4, 4], 64, [1, 1, 0, 1]),    // MobileNetV2 head
             shape([2, 16, 16, 16], 32, [1, 2, 0, 1]),  // ResNet shortcut
+            shape([2, 6, 7, 9], 10, [1, 2, 0, 2]),
+            shape([2, 5, 9, 7], 6, [3, 1, 0, 1]),
+            shape([2, 5, 7, 11], 6, [3, 1, 2, 1]),
         ];
         for (i, s) in shapes.iter().enumerate() {
-            assert_matches_reference(s, i as u64, 0.0).unwrap_or_else(|e| panic!("{e:?}"));
+            for specials in [0.0, 0.05] {
+                assert_matches_reference(s, i as u64, specials).unwrap_or_else(|e| panic!("{e:?}"));
+            }
         }
     }
 
@@ -849,6 +1268,68 @@ mod tests {
             }
             println!(
                 "{name}: row kernel {:.3} ms, loop nest {:.2} ms: {:.1}x",
+                new * 1e3,
+                old * 1e3,
+                old / new
+            );
+            assert!(old >= floor * new, "{name}: only {:.2}x the loop nest", old / new);
+        }
+    }
+
+    /// The backward alone, the AVX2 copy of the tap-row kernel against
+    /// the loop nest, sides alternated within each of 7 rounds as in
+    /// [`row_forward_is_2x_the_loop_reference`], best of 7. conv1 runs
+    /// without `dx`, as the network's first layer does (the loop nest
+    /// always computes it: its time is a yardstick, not a like-for-like).
+    /// A host without AVX2 skips the gate.
+    #[test]
+    #[ignore = "a timing ratio: run with --release -- --ignored"]
+    fn backward_is_2x_the_loop_reference() {
+        // (shape, share of zero output gradients, dx, floor). The per-
+        // nonzero axpys this kernel replaced read conv1 2.8-3.2x (median
+        // 3.1x), conv2 6.2-6.9x and stride-2 6.2-7.4x on a 2-core Xeon
+        // with AVX2; the tap rows read 7.2-9.9x, 7.2-9.0x and 6.8-10.0x.
+        // conv1's floor is twice the old median; the other two are the
+        // old kernel's lowest reading, so neither may get slower.
+        let cases = [
+            (
+                "alexnet conv1 3->16 @ 16x16",
+                shape([16, 3, 16, 16], 16, [3, 1, 1, 1]),
+                0.75,
+                false,
+                6.2,
+            ),
+            ("alexnet conv2 16->32 @ 8x8", shape([16, 16, 8, 8], 32, [3, 1, 1, 1]), 0.5, true, 6.2),
+            ("stride-2 16->32 @ 16x16", shape([16, 16, 16, 16], 32, [3, 2, 1, 1]), 0.0, true, 6.2),
+        ];
+        for (name, s, zeros, with_dx, floor) in cases {
+            let rng = &mut seeded(31);
+            let taps = s.c / s.groups * s.kernel * s.kernel;
+            let x = samples(rng, s.n * s.c * s.h * s.w, 0.5, 0.0);
+            let wt = samples(rng, s.oc * taps, 0.0, 0.0);
+            let dy = samples(rng, s.n * s.oc * s.oh * s.ow, zeros, 0.0);
+            let (x, wt, dy) = (&x[..], &wt[..], &dy[..]);
+            let (mut dwt, mut db, mut dx) =
+                (vec![0.0; wt.len()], vec![0.0; s.oc], vec![0.0; x.len()]);
+            let (mut new, mut old) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..7 {
+                let t0 = Instant::now();
+                let dx_out = with_dx.then_some(&mut dx[..]);
+                let kernel =
+                    TapRowBackward { s: &s, x, wt, dy, dwt: &mut dwt, db: &mut db, dx: dx_out };
+                if simd::avx2(kernel).is_none() {
+                    println!("skipped: this host has no AVX2, so the gate's floors do not apply");
+                    return;
+                }
+                std::hint::black_box((&dwt, &db, &dx));
+                new = new.min(t0.elapsed().as_secs_f64());
+                let t0 = Instant::now();
+                reference::conv_backward(&s, x, wt, dy, &mut dwt, &mut db, &mut dx);
+                std::hint::black_box((&dwt, &db, &dx));
+                old = old.min(t0.elapsed().as_secs_f64());
+            }
+            println!(
+                "{name}: tap-row backward {:.3} ms, loop nest {:.2} ms: {:.1}x",
                 new * 1e3,
                 old * 1e3,
                 old / new
