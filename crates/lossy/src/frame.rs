@@ -103,22 +103,18 @@ pub(crate) fn check_count(n: usize, group: usize, min_bits: usize, payload: &[u8
 /// pass.
 #[inline(always)]
 pub(crate) fn scan(data: &[f32]) -> std::result::Result<ValueRange, LossyError> {
-    let (chunks, rest) = data.as_chunks::<SCAN_LANES>();
-    let mut lanes = ScanLanes {
-        min: [f32::INFINITY; SCAN_LANES],
-        max: [f32::NEG_INFINITY; SCAN_LANES],
-        poison: [0.0; SCAN_LANES],
-    };
-    lanes.fold(chunks);
+    let (chunks, rest) = data.as_chunks::<LANES>();
+    let mut lanes =
+        fold(([f32::INFINITY; LANES], [f32::NEG_INFINITY; LANES], [0.0; LANES]), chunks);
     if let Some(&first) = rest.first() {
         // The tail as one more chunk, padded with copies of its first
         // element: a repeat moves no extreme and no verdict on
         // finiteness, and every lane stays one vector lane.
-        let mut tail = [first; SCAN_LANES];
+        let mut tail = [first; LANES];
         tail[..rest.len()].copy_from_slice(rest);
-        lanes.fold(&[tail]);
+        lanes = fold(lanes, &[tail]);
     }
-    let ScanLanes { min, max, poison } = lanes;
+    let (min, max, poison) = lanes;
     if poison.iter().any(|&p| p != 0.0) {
         return Err(LossyError::NonFiniteInput);
     }
@@ -128,38 +124,32 @@ pub(crate) fn scan(data: &[f32]) -> std::result::Result<ValueRange, LossyError> 
 }
 
 /// The independent lanes of [`scan`].
-const SCAN_LANES: usize = 8;
+const LANES: usize = 8;
 
-/// [`scan`]'s running extremes and finiteness sums, one per lane.
-struct ScanLanes {
-    min: [f32; SCAN_LANES],
-    max: [f32; SCAN_LANES],
-    poison: [f32; SCAN_LANES],
-}
-
-impl ScanLanes {
-    /// Folds `chunks` into the lanes. No early exit and eight
-    /// independent lanes of plain `f32` arithmetic in one loop over
-    /// local arrays, so the loop vectorizes instead of being one long
-    /// chain of dependent compares. `v * 0.0` is zero for a finite `v`
-    /// and NaN otherwise, and a NaN sticks to its lane's sum. The
-    /// extremes are a compare and a select, which is what `minps` and
-    /// `maxps` do; `f32::min`/`max` also order a NaN, which `poison`
-    /// already rejects. (Which of two equal extremes a lane keeps, +0.0
-    /// or -0.0 included, cannot change `max - min`.)
-    #[inline(always)]
-    fn fold(&mut self, chunks: &[[f32; SCAN_LANES]]) {
-        let (mut min, mut max, mut poison) = (self.min, self.max, self.poison);
-        for chunk in chunks {
-            for lane in 0..SCAN_LANES {
-                let v = chunk[lane];
-                min[lane] = if v < min[lane] { v } else { min[lane] };
-                max[lane] = if v > max[lane] { v } else { max[lane] };
-                poison[lane] += v * 0.0;
-            }
+/// Folds `chunks` into [`scan`]'s running minima, maxima and
+/// finiteness sums, one per lane. No early exit and eight independent
+/// lanes of plain `f32` arithmetic in one loop over local arrays, so
+/// the loop vectorizes instead of being one long chain of dependent
+/// compares. `v * 0.0` is zero for a finite `v` and NaN otherwise, and a
+/// NaN sticks to its lane's sum. The extremes are a compare and a
+/// select, which is what `minps` and `maxps` do; `f32::min`/`max` also
+/// order a NaN, which `poison` already rejects. (Which of two equal
+/// extremes a lane keeps, +0.0 or -0.0 included, cannot change
+/// `max - min`.)
+#[inline(always)]
+fn fold(
+    (mut min, mut max, mut poison): ([f32; LANES], [f32; LANES], [f32; LANES]),
+    chunks: &[[f32; LANES]],
+) -> ([f32; LANES], [f32; LANES], [f32; LANES]) {
+    for chunk in chunks {
+        for lane in 0..LANES {
+            let v = chunk[lane];
+            min[lane] = if v < min[lane] { v } else { min[lane] };
+            max[lane] = if v > max[lane] { v } else { max[lane] };
+            poison[lane] += v * 0.0;
         }
-        (self.min, self.max, self.poison) = (min, max, poison);
     }
+    (min, max, poison)
 }
 
 /// Validates input for the SZ-family compressors and resolves the bound.
@@ -435,7 +425,7 @@ mod tests {
             state ^= state << 5;
             state as usize
         };
-        for len in (0..=17).flat_map(|tail| [tail, SCAN_LANES + tail, 2 * SCAN_LANES + tail]) {
+        for len in (0..=17).flat_map(|tail| [tail, LANES + tail, 2 * LANES + tail]) {
             for _ in 0..8 {
                 let mut data: Vec<f32> =
                     (0..len).map(|_| palette[next() % palette.len()]).collect();

@@ -57,10 +57,11 @@
 //!
 //! The zero-gradient skip branches on no data. Behind ReLU and max-pool
 //! most of `dy` is zero at random positions, and a branch on it
-//! mispredicts; instead each plane's nonzero gradients are listed first
-//! (every position is written, the cursor advances by
-//! `(g != 0.0) as usize`), and the walks and axpys then run over that
-//! list. The max-pool's comparison is a select for the same reason.
+//! mispredicts; instead each plane's nonzero gradients are listed first,
+//! each with its pixel, by [`fedsz_tensor::nonzero_positions`], the
+//! lister `Tensor::matmul` uses (every entry is written, the cursor
+//! advances by `(g != 0.0) as usize`), and the walks and axpys then run
+//! over that list. The max-pool's comparison is a select for the same reason.
 //!
 //! # Why the forward walks taps outermost
 //!
@@ -89,10 +90,13 @@
 //! (0.95-1.07x). A tap row is one fixed-width vector walk per nonzero
 //! gradient, with the accumulators held in registers across the
 //! plane; [`TapRowBackward`] is compiled for the build target and for
-//! AVX2, and AVX2 halves the vectors of a row: on tiny AlexNet's conv1
-//! (no `dx`) the call runs 1.9-2.6x the old loop, and the build
-//! target's copy takes about 1.3x the AVX2 copy's time. The
-//! per-pixel offsets are computed once per call ([`tap_pixels`]) and
+//! AVX2, and AVX2 halves the vectors of a row: against the old loop the
+//! AVX2 copy runs tiny AlexNet's conv1 (no `dx`) 2.2-2.7x, its conv2
+//! 1.5-1.6x and a stride-2 3x3 1.4-1.8x. The build target's copy, all a
+//! host without AVX2 runs, is 1.7-2.0x on conv1 but 0.8-0.9x on conv2
+//! and stride 2 and 0.65-0.85x on ResNet's 3x3s: SSE2 has no blend, so
+//! each masked lane costs three logic ops, and a [`TAP_BLOCK`] of
+//! accumulators spills from sixteen SSE registers. The per-pixel offsets are computed once per call ([`tap_pixels`]) and
 //! every scratch buffer once per call, sized by the shape, not the
 //! batch, so the walk divides nothing and allocates nothing.
 //!
@@ -103,6 +107,7 @@
 //! either way: the `dx` accumulator is a buffer of its own.
 
 use fedsz_codec::simd::{self, Kernel};
+use fedsz_tensor::nonzero_positions;
 use std::ops::Range;
 
 /// Output channels one forward accumulator tile carries: four SSE
@@ -400,7 +405,7 @@ fn tap_row_backward(
     let mut dx_pad = vec![0.0f32; if with_dx { hp * wp * icg } else { 0 }];
     let mut rows = vec![0.0f32; out_plane * width + TAP_LANES];
     let mut cl = vec![0.0f32; icg * in_plane];
-    let mut live = vec![Nonzero { g: 0.0, pixel: 0 }; out_plane];
+    let mut entries = vec![(0, 0.0); out_plane];
     for ni in 0..s.n {
         for grp in 0..s.groups {
             let sample = (ni * s.c + grp * icg) * in_plane..(ni * s.c + (grp + 1) * icg) * in_plane;
@@ -420,7 +425,8 @@ fn tap_row_backward(
             dx_pad.fill(0.0);
             let view = TapView { rows: &rows, masks: &masks, pixels: &pixels };
             for oc in grp * ocg..(grp + 1) * ocg {
-                let live = nonzeros(&dy[(ni * s.oc + oc) * out_plane..][..out_plane], &mut live);
+                let plane = &dy[(ni * s.oc + oc) * out_plane..][..out_plane];
+                let live = nonzero_positions(plane, &mut entries);
                 // `db` rides along the first block's walk.
                 let mut bias = db[oc];
                 let filter = dw_rows[oc * width..][..width].chunks_mut(block);
@@ -445,7 +451,6 @@ fn tap_row_backward(
                 };
                 match run {
                     48 => walk.run::<48>(&mut dx_pad),
-                    96 => walk.run::<96>(&mut dx_pad),
                     _ => walk.run::<0>(&mut dx_pad),
                 }
             }
@@ -469,7 +474,8 @@ fn tap_row_backward(
 /// takes `ky`, `kx` descending. An out-of-image tap lands in the border,
 /// which is never read back.
 struct DxWalk<'a> {
-    live: &'a [Nonzero],
+    /// The channel's nonzero output gradients and their pixels.
+    live: &'a [(u32, f32)],
     pixels: &'a [TapPixel],
     /// The channel's filter as [ky][kx][icg].
     filter: &'a [f32],
@@ -486,7 +492,7 @@ impl DxWalk<'_> {
     #[inline(always)]
     fn run<const N: usize>(&self, dx_pad: &mut [f32]) {
         let run = if N == 0 { self.run } else { N };
-        for &Nonzero { g, pixel } in self.live {
+        for &(pixel, g) in self.live {
             let window = self.pixels[pixel as usize].window;
             for ky in 0..self.k {
                 let (d, w) =
@@ -575,40 +581,6 @@ fn tap_pixels(s: &ConvShape, width: usize) -> (Vec<TapPixel>, Vec<i32>) {
     (pixels, masks)
 }
 
-/// A nonzero output gradient and its pixel, an index into the
-/// [`TapPixel`]s.
-#[derive(Clone, Copy)]
-struct Nonzero {
-    g: f32,
-    pixel: u32,
-}
-
-/// The nonzero values of `plane`, ascending, in `live[..]` (which holds
-/// one entry per value). Branch-free: every value is written, and the
-/// cursor advances by `(g != 0.0) as usize`, so zeros at random
-/// positions cost no mispredicted branch.
-#[inline(always)]
-fn nonzeros<'a>(plane: &[f32], live: &'a mut [Nonzero]) -> &'a [Nonzero] {
-    let mut len = 0;
-    let (chunks, rest) = plane.as_chunks::<TAP_LANES>();
-    for (c, chunk) in chunks.iter().enumerate() {
-        // One bounds check per chunk: the cursor within it stays below
-        // `TAP_LANES`, which the mask tells the compiler.
-        let out: &mut [Nonzero; TAP_LANES] = (&mut live[len..len + TAP_LANES]).try_into().unwrap();
-        let mut n = 0;
-        for (j, &g) in chunk.iter().enumerate() {
-            out[n & (TAP_LANES - 1)] = Nonzero { g, pixel: (c * TAP_LANES + j) as u32 };
-            n += usize::from(g != 0.0);
-        }
-        len += n;
-    }
-    for (j, &g) in rest.iter().enumerate() {
-        live[len] = Nonzero { g, pixel: (chunks.len() * TAP_LANES + j) as u32 };
-        len += usize::from(g != 0.0);
-    }
-    &live[..len]
-}
-
 /// Every output pixel's tap row and mask.
 struct TapView<'a> {
     rows: &'a [f32],
@@ -620,7 +592,7 @@ impl TapView<'_> {
     /// [`TapView::accumulate`] on a block of any width [`tap_row_backward`]
     /// cuts: [`TAP_BLOCK`] or a multiple of [`TAP_LANES`] below it.
     #[inline(always)]
-    fn walk(&self, at: usize, acc: &mut [f32], live: &[Nonzero], also: impl FnMut(f32)) {
+    fn walk(&self, at: usize, acc: &mut [f32], live: &[(u32, f32)], also: impl FnMut(f32)) {
         match acc.len() {
             TAP_BLOCK => self.accumulate::<TAP_BLOCK>(at, acc.try_into().unwrap(), live, also),
             64 => self.accumulate::<64>(at, acc.try_into().unwrap(), live, also),
@@ -635,8 +607,9 @@ impl TapView<'_> {
     }
 
     /// `acc[t] += g * row[t]` for each nonzero output gradient `g` in
-    /// `live` (ascending), where the pixel's tap `at + t` lies in the
-    /// image; the accumulators stay in registers across the walk. A tap
+    /// `live` (pixels ascending), where the pixel's tap `at + t` lies in
+    /// the image; the accumulators stay in
+    /// registers across the walk. A tap
     /// outside the image is a select, not an add of `g * 0.0`, which
     /// would turn a `-0.0` accumulator into `+0.0` and an infinite `g`
     /// into NaN. The multiply and the add stay two roundings: the
@@ -646,11 +619,11 @@ impl TapView<'_> {
         &self,
         at: usize,
         acc: &mut [f32; B],
-        live: &[Nonzero],
+        live: &[(u32, f32)],
         mut also: impl FnMut(f32),
     ) {
         let mut a = *acc;
-        for &Nonzero { g, pixel } in live {
+        for &(pixel, g) in live {
             also(g);
             let TapPixel { row, mask, .. } = self.pixels[pixel as usize];
             let row: &[f32; B] = self.rows[row + at..][..B].try_into().unwrap();
@@ -1288,9 +1261,10 @@ mod tests {
         // (shape, share of zero output gradients, dx, floor). The per-
         // nonzero axpys this kernel replaced read conv1 2.8-3.2x (median
         // 3.1x), conv2 6.2-6.9x and stride-2 6.2-7.4x on a 2-core Xeon
-        // with AVX2; the tap rows read 7.2-9.9x, 7.2-9.0x and 6.8-10.0x.
-        // conv1's floor is twice the old median; the other two are the
-        // old kernel's lowest reading, so neither may get slower.
+        // with AVX2; the tap rows read 7.6-8.8x, 9.7-10.3x and 8.7-10.4x
+        // there (10 runs). conv1's floor is twice the old median; the
+        // other two are the old kernel's lowest reading, so neither may
+        // get slower.
         let cases = [
             (
                 "alexnet conv1 3->16 @ 16x16",

@@ -322,23 +322,21 @@ impl Kernel for MatMul<'_> {
     #[inline(always)]
     fn run(self) -> Vec<f32> {
         let (m, k, n) = (self.lhs.shape[0], self.lhs.shape[1], self.rhs.shape[1]);
-        let rhs_row = |p: usize| &self.rhs.data[p * n..(p + 1) * n];
+        let rhs_row = |p: u32| &self.rhs.data[p as usize * n..][..n];
         let mut out = vec![0.0f32; m * n];
-        let mut live = Vec::with_capacity(k);
+        let mut entries = vec![(0, 0.0); k];
         for i in 0..m {
             let lhs_row = &self.lhs.data[i * k..(i + 1) * k];
             let out_row = &mut out[i * n..(i + 1) * n];
-            nonzero_positions(lhs_row, &mut live);
+            let live = nonzero_positions(lhs_row, &mut entries);
             let (quads, rest) = live.as_chunks::<4>();
-            for &[p0, p1, p2, p3] in quads {
-                let (l0, l1, l2, l3) = (lhs_row[p0], lhs_row[p1], lhs_row[p2], lhs_row[p3]);
+            for &[(p0, l0), (p1, l1), (p2, l2), (p3, l3)] in quads {
                 let rows = rhs_row(p0).iter().zip(rhs_row(p1)).zip(rhs_row(p2)).zip(rhs_row(p3));
                 for (o, (((&r0, &r1), &r2), &r3)) in out_row.iter_mut().zip(rows) {
                     *o = *o + l0 * r0 + l1 * r1 + l2 * r2 + l3 * r3;
                 }
             }
-            for &p in rest {
-                let l = lhs_row[p];
+            for &(p, l) in rest {
                 for (o, &r) in out_row.iter_mut().zip(rhs_row(p)) {
                     *o += l * r;
                 }
@@ -348,23 +346,41 @@ impl Kernel for MatMul<'_> {
     }
 }
 
-/// Replaces `positions` with the indices of `values`' entries that are
-/// not equal to zero, ascending. `+0.0` and `-0.0` are left out, NaN is
-/// kept: the entries `if v == 0.0 { continue }` would not skip.
+/// The position and value of each of `values`' entries that is not
+/// equal to zero, ascending, written to the front of `entries` and
+/// returned. `+0.0` and `-0.0` are left out, NaN is kept: the entries
+/// `if v == 0.0 { continue }` would not skip. Panics if `entries` is
+/// shorter than `values`, or `values` longer than a `u32` indexes.
 ///
-/// Branch-free: every index is written, and the write position advances
+/// Branch-free: every entry is written, and the write position advances
 /// by `(v != 0.0) as usize`, so a row whose zeros fall at random (ReLU's
 /// output, its gradient behind a max-pool) costs no mispredicted branch.
-/// The caller then runs its unchanged per-entry work over the list.
-pub fn nonzero_positions(values: &[f32], positions: &mut Vec<usize>) {
-    positions.clear();
-    positions.resize(values.len(), 0);
+/// The writes go eight at a time into a fixed window, so the cursor is
+/// bounds-checked once per eight values. The caller then runs its
+/// unchanged per-entry work over the list, each value beside its
+/// position instead of a load behind it.
+pub fn nonzero_positions<'a>(values: &[f32], entries: &'a mut [(u32, f32)]) -> &'a [(u32, f32)] {
+    const CHUNK: usize = 8;
+    assert!(u32::try_from(values.len()).is_ok(), "more values than a u32 indexes");
+    let entries = &mut entries[..values.len()];
     let mut len = 0;
-    for (i, &v) in values.iter().enumerate() {
-        positions[len] = i;
+    let (chunks, rest) = values.as_chunks::<CHUNK>();
+    for (c, chunk) in chunks.iter().enumerate() {
+        // The cursor within a chunk stays below `CHUNK`, which the mask
+        // tells the compiler.
+        let out: &mut [(u32, f32); CHUNK] = (&mut entries[len..len + CHUNK]).try_into().unwrap();
+        let mut n = 0;
+        for (j, &v) in chunk.iter().enumerate() {
+            out[n & (CHUNK - 1)] = ((c * CHUNK + j) as u32, v);
+            n += usize::from(v != 0.0);
+        }
+        len += n;
+    }
+    for (i, &v) in rest.iter().enumerate() {
+        entries[len] = ((chunks.len() * CHUNK + i) as u32, v);
         len += usize::from(v != 0.0);
     }
-    positions.truncate(len);
+    &entries[..len]
 }
 
 /// Product of the dims, panicking on overflow.
@@ -498,13 +514,24 @@ mod tests {
     #[test]
     fn nonzero_positions_lists_what_the_branch_kept() {
         let values = [0.0, 1.0, -0.0, f32::NAN, -2.0, 0.0, f32::MIN_POSITIVE / 2.0];
-        let mut positions = vec![99; 20];
-        nonzero_positions(&values, &mut positions);
-        assert_eq!(positions, [1, 3, 4, 6]);
-        nonzero_positions(&[0.0; 3], &mut positions);
-        assert!(positions.is_empty());
-        nonzero_positions(&[], &mut positions);
-        assert!(positions.is_empty());
+        let mut entries = vec![(99, 9.0); 20];
+        let kept = nonzero_positions(&values, &mut entries);
+        let bits = |entries: &[(u32, f32)]| {
+            entries.iter().map(|&(p, v)| (p, v.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(kept), bits(&[1, 3, 4, 6].map(|p| (p, values[p as usize]))));
+        assert!(nonzero_positions(&[0.0; 3], &mut entries).is_empty());
+        assert!(nonzero_positions(&[], &mut entries).is_empty());
+        // Every length across the eight-value windows, against the branch.
+        let pattern = [1.5, 0.0, -0.0, f32::NAN, 0.0, 0.0, -3.0, f32::INFINITY, 0.0];
+        for len in 0..=20 {
+            let values: Vec<f32> = (0..len).map(|i| pattern[i * 5 % pattern.len()]).collect();
+            let want: Vec<(u32, f32)> = (0..len as u32)
+                .filter(|&p| values[p as usize] != 0.0)
+                .map(|p| (p, values[p as usize]))
+                .collect();
+            assert_eq!(bits(nonzero_positions(&values, &mut entries)), bits(&want), "{len}");
+        }
     }
 
     /// CI's `codec-smoke` job runs this in release mode; debug timings
