@@ -103,7 +103,7 @@ pub mod worker;
 pub use server::{NetRound, NetServer, Role, ServeConfig, ServeReport};
 pub use worker::{run_worker, WorkerConfig, WorkerReport};
 
-use fedsz_codec::checksum::crc32;
+use fedsz_codec::checksum::Crc32;
 use fedsz_net::NetError;
 use fedsz_nn::StateDict;
 
@@ -116,15 +116,35 @@ fn invalid(reason: impl std::fmt::Display) -> NetError {
 /// The stable fingerprint of a global model, printed by `fedsz fl`,
 /// `fedsz serve` and the benches so independent runs can assert bit
 /// parity without shipping the model around: a CRC-32 of the
-/// serialized state dict.
+/// serialized state dict, fed piece by piece
+/// ([`StateDict::visit_bytes`]) rather than from a model-sized copy.
 pub fn global_checksum(global: &StateDict) -> u32 {
-    crc32(&global.to_bytes())
+    let mut crc = Crc32::new();
+    global.visit_bytes(|piece| crc.update(piece));
+    crc.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedsz_tensor::Tensor;
+
+    #[test]
+    fn checksum_is_the_crc_of_the_serialized_dict() {
+        use fedsz_codec::checksum::crc32;
+        let entries: [(&str, usize); 3] = [("a.weight", 1025), ("a.bias", 0), ("b", 3)];
+        for count in 0..=3 {
+            for empty_first in [false, true] {
+                let mut dict = StateDict::new();
+                for (i, &(name, len)) in entries[..count].iter().enumerate() {
+                    let len = if empty_first && i == 0 { 0 } else { len };
+                    let values = (0..len).map(|j| (j as f32 * 0.37).cos()).collect();
+                    dict.insert(name, Tensor::from_vec(vec![len], values));
+                }
+                assert_eq!(global_checksum(&dict), crc32(&dict.to_bytes()), "{count} entries");
+            }
+        }
+    }
 
     #[test]
     fn checksum_is_stable_and_sensitive() {

@@ -727,43 +727,94 @@ fn depthwise_backward(
     transpose(&dw_cl, k * k, dwt);
 }
 
-/// 2x2 / stride-2 max pooling over `planes` images of `h x w`; `arg`
-/// receives each maximum's flat index into `x`. A window with no
-/// element above `-inf` yields `-inf` from index 0, as the reference
-/// does.
+/// The slot of a window with no element above `-inf`: the reference
+/// gives it flat index 0, so its gradient goes to `dx[0]`.
+const NO_MAX: u8 = 4;
+
+/// 2x2 / stride-2 max pooling over `planes` images of `h x w`; `slot`
+/// receives where in its window each maximum sits, `2 * dy + dx`. A
+/// window with no element above `-inf` yields `-inf` and [`NO_MAX`],
+/// as the reference does.
+///
+/// One byte per output rather than a flat `usize` index: pool1's
+/// indices at batch 16 were 128 KiB, allocated and zero-filled on every
+/// training call. [`maxpool_backward`] rebuilds each index from its
+/// slot. Each row walks its windows as column pairs zipped with its
+/// outputs, with no index arithmetic or bounds check per window, and
+/// the eval loop does not test for a slot per window: on pool1 both
+/// run in under half the time of the indexed loop they replaced.
 pub(crate) fn maxpool_forward(
     planes: usize,
     h: usize,
     w: usize,
     x: &[f32],
     out: &mut [f32],
-    mut arg: Option<&mut [usize]>,
+    mut slot: Option<&mut [u8]>,
 ) {
     let (oh, ow) = (h / 2, w / 2);
     for p in 0..planes {
         for oy in 0..oh {
             let top = (p * h + 2 * oy) * w;
-            let (upper, lower) = (&x[top..top + w], &x[top + w..top + 2 * w]);
+            let (upper, _) = x[top..top + 2 * ow].as_chunks::<2>();
+            let (lower, _) = x[top + w..top + w + 2 * ow].as_chunks::<2>();
+            let windows = upper.iter().zip(lower).map(|(u, l)| [u[0], u[1], l[0], l[1]]);
             let at = (p * oh + oy) * ow;
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_i = 0usize;
-                let window = [
-                    (upper[2 * ox], top + 2 * ox),
-                    (upper[2 * ox + 1], top + 2 * ox + 1),
-                    (lower[2 * ox], top + w + 2 * ox),
-                    (lower[2 * ox + 1], top + w + 2 * ox + 1),
-                ];
-                // A select, not a branch: which element wins is data.
-                for (v, i) in window {
-                    let wins = v > best;
-                    best = if wins { v } else { best };
-                    best_i = if wins { i } else { best_i };
+            let out = &mut out[at..at + ow];
+            // Selects, not branches: which element wins is data.
+            match slot.as_deref_mut() {
+                None => {
+                    for (out, window) in out.iter_mut().zip(windows) {
+                        let mut best = f32::NEG_INFINITY;
+                        for v in window {
+                            best = if v > best { v } else { best };
+                        }
+                        *out = best;
+                    }
                 }
-                out[at + ox] = best;
-                if let Some(arg) = arg.as_deref_mut() {
-                    arg[at + ox] = best_i;
+                Some(slot) => {
+                    for ((out, slot), window) in
+                        out.iter_mut().zip(&mut slot[at..at + ow]).zip(windows)
+                    {
+                        let (mut best, mut best_slot) = (f32::NEG_INFINITY, NO_MAX);
+                        for (v, s) in window.into_iter().zip(0..) {
+                            let wins = v > best;
+                            best = if wins { v } else { best };
+                            best_slot = if wins { s } else { best_slot };
+                        }
+                        *out = best;
+                        *slot = best_slot;
+                    }
                 }
+            }
+        }
+    }
+}
+
+/// The backward of [`maxpool_forward`]: each output's gradient added
+/// into the `dx` element its `slot` names, outputs in ascending order.
+/// The windows do not overlap, so every `dx` element takes at most one
+/// add, into whatever `dx` held (zeros, for a layer).
+pub(crate) fn maxpool_backward(
+    planes: usize,
+    h: usize,
+    w: usize,
+    slot: &[u8],
+    grad: &[f32],
+    dx: &mut [f32],
+) {
+    let (oh, ow) = (h / 2, w / 2);
+    for p in 0..planes {
+        for oy in 0..oh {
+            let top = (p * h + 2 * oy) * w;
+            let at = (p * oh + oy) * ow;
+            for (ox, (&s, &g)) in slot[at..at + ow].iter().zip(&grad[at..at + ow]).enumerate() {
+                let s = usize::from(s);
+                let i = if s == usize::from(NO_MAX) {
+                    0
+                } else {
+                    top + (s >> 1) * w + 2 * ox + (s & 1)
+                };
+                dx[i] += g;
             }
         }
     }
@@ -1114,15 +1165,25 @@ mod tests {
             let x: Vec<f32> =
                 (0..n * c * h * w).map(|_| palette[rng.gen_range(0..palette.len())]).collect();
             let len = n * c * (h / 2) * (w / 2);
-            let (mut out, mut arg) = (vec![0.0; len], vec![usize::MAX; len]);
-            let (mut want, mut want_arg) = (out.clone(), arg.clone());
-            maxpool_forward(n * c, h, w, &x, &mut out, Some(&mut arg));
+            let (mut out, mut slot) = (vec![0.0; len], vec![u8::MAX; len]);
+            let (mut want, mut want_arg) = (out.clone(), vec![usize::MAX; len]);
+            maxpool_forward(n * c, h, w, &x, &mut out, Some(&mut slot));
             reference::maxpool_forward(n, c, h, w, &x, &mut want, &mut want_arg);
             prop_assert_eq!(bits(&out), bits(&want));
-            prop_assert_eq!(arg, want_arg);
             let mut eval = vec![0.0; len];
             maxpool_forward(n * c, h, w, &x, &mut eval, None);
             prop_assert_eq!(bits(&eval), bits(&want));
+            // Each slot must name the reference's argmax: a distinct
+            // gradient per output lands where the reference's index
+            // puts it, and nowhere else.
+            let grad: Vec<f32> = (0..len).map(|i| 1.0 + i as f32).collect();
+            let mut dx = vec![0.0; x.len()];
+            maxpool_backward(n * c, h, w, &slot, &grad, &mut dx);
+            let mut want_dx = vec![0.0; x.len()];
+            for (&i, &g) in want_arg.iter().zip(&grad) {
+                want_dx[i] += g;
+            }
+            prop_assert_eq!(bits(&dx), bits(&want_dx));
         }
     }
 

@@ -532,7 +532,7 @@ fn gate(grad: &mut [f32], pass: &[bool]) {
 
 /// 2x2 max pooling with stride 2.
 pub struct MaxPool2d {
-    cache: Option<(Vec<usize>, [usize; 4])>,
+    cache: Option<(Vec<u8>, [usize; 4])>,
 }
 
 impl MaxPool2d {
@@ -553,22 +553,19 @@ impl Layer for MaxPool2d {
         let s = input.shape();
         let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
         let mut out = Tensor::zeros(vec![n, c, h / 2, w / 2]);
-        // Only `backward` reads the argmax indices.
-        let mut arg = train.then(|| vec![0usize; out.len()]);
-        kernels::maxpool_forward(n * c, h, w, input.data(), out.data_mut(), arg.as_deref_mut());
-        if let Some(arg) = arg {
-            self.cache = Some((arg, [n, c, h, w]));
+        // Only `backward` reads where each maximum sat.
+        let mut slot = train.then(|| vec![0u8; out.len()]);
+        kernels::maxpool_forward(n * c, h, w, input.data(), out.data_mut(), slot.as_deref_mut());
+        if let Some(slot) = slot {
+            self.cache = Some((slot, [n, c, h, w]));
         }
         out
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let (arg, [n, c, h, w]) = self.cache.take().expect("backward before forward");
+        let (slot, [n, c, h, w]) = self.cache.take().expect("backward before forward");
         let mut dx = Tensor::zeros(vec![n, c, h, w]);
-        let dxd = dx.data_mut();
-        for (oi, &src) in arg.iter().enumerate() {
-            dxd[src] += grad.data()[oi];
-        }
+        kernels::maxpool_backward(n * c, h, w, &slot, grad.data(), dx.data_mut());
         dx
     }
 }

@@ -114,13 +114,38 @@ impl StateDict {
     pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.reserve(self.byte_size() + 64);
-        out.extend_from_slice(MAGIC);
-        write_uvarint(out, self.entries.len() as u64);
+        self.write_image(out, usize::MAX, |_| {});
+    }
+
+    /// Feeds `sink` the [`StateDict::to_bytes`] image in order, in
+    /// pieces of about 4 KiB, without building it whole: what a
+    /// checksum of the image needs. Every piece passes through one
+    /// reused buffer.
+    pub fn visit_bytes(&self, mut sink: impl FnMut(&[u8])) {
+        const PIECE: usize = 1024;
+        let mut buf = Vec::with_capacity(4 * PIECE + 64);
+        self.write_image(&mut buf, PIECE, |buf| {
+            sink(buf);
+            buf.clear();
+        });
+    }
+
+    /// Appends the `FSD1` image to `buf`, handing `buf` to `flush`
+    /// after every run of at most `piece` tensor values and once at the
+    /// end: the one definition of the format, for the whole image and
+    /// for its pieces.
+    fn write_image(&self, buf: &mut Vec<u8>, piece: usize, mut flush: impl FnMut(&mut Vec<u8>)) {
+        buf.extend_from_slice(MAGIC);
+        write_uvarint(buf, self.entries.len() as u64);
         for (name, tensor) in &self.entries {
-            write_str(out, name);
-            write_shape(out, tensor.shape());
-            write_f32_slice(out, tensor.data());
+            write_str(buf, name);
+            write_shape(buf, tensor.shape());
+            for values in tensor.data().chunks(piece) {
+                write_f32_slice(buf, values);
+                flush(buf);
+            }
         }
+        flush(buf);
     }
 
     /// Parses the `FSD1` binary format.
@@ -163,6 +188,24 @@ impl FromIterator<(String, Tensor)> for StateDict {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn visited_pieces_are_the_serialized_image() {
+        let mut dicts = vec![StateDict::new(), sample()];
+        for lens in [[0, 1, 1023], [1024, 0, 1025], [3, 4097, 0]] {
+            let mut sd = StateDict::new();
+            for (i, len) in lens.into_iter().enumerate() {
+                let values = (0..len).map(|j| (j as f32).sin() - i as f32).collect();
+                sd.insert(format!("entry.{i}"), Tensor::from_vec(vec![len], values));
+            }
+            dicts.push(sd);
+        }
+        for sd in dicts {
+            let mut image = Vec::new();
+            sd.visit_bytes(|piece| image.extend_from_slice(piece));
+            assert_eq!(image, sd.to_bytes(), "{} entries", sd.len());
+        }
+    }
 
     fn sample() -> StateDict {
         let mut sd = StateDict::new();
