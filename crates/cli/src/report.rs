@@ -45,7 +45,7 @@
 //! v2 added the observability columns: `level_merge_nanos` (wall
 //! nanoseconds merging into each tree level, root first; the
 //! simulator fills one element per level, `serve` one element — its
-//! own fold, accumulate / try_merge plus the root's finish, decode
+//! own fold, accumulate / merge_from plus the root's finish, decode
 //! excluded as in the simulator's flat merge) and `eqn1` (every
 //! Eqn-1 compression decision the round made — leg, node, chosen
 //! path, the predicted costs of both paths when the decision was

@@ -71,11 +71,6 @@ impl LaplaceFit {
         }
     }
 
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        (-((x - self.location).abs() / self.scale)).exp() / (2.0 * self.scale)
-    }
-
     /// The ε differential-privacy parameter this noise *would* provide
     /// for a query of the given L1 `sensitivity` under the Laplace
     /// mechanism (`ε = sensitivity / b`). The paper is careful to note

@@ -87,4 +87,4 @@ pub use plan::TreePlan;
 pub use pool::WorkerPool;
 pub use psum::{PsumForwarder, PsumFrame, PsumMode, PsumScratch};
 pub use shard::{template_matches, ExactAcc, PartialSum};
-pub use tree::{AggOutcome, Aggregator, Contribution, FlatAggregator, ShardedTree};
+pub use tree::{aggregate_flat, AggOutcome, Contribution, ShardedTree};

@@ -170,19 +170,9 @@ impl ExactAcc {
         self.0 = self.0.checked_add(quantize(term)).expect("partial-sum overflow");
     }
 
-    /// Merges another accumulator exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics on overflow.
-    pub fn merge(&mut self, other: ExactAcc) {
-        self.0 = self.0.checked_add(other.0).expect("partial-sum overflow");
-    }
-
-    /// Non-panicking [`ExactAcc::merge`]: `None` on overflow. The
-    /// remote-ingress path uses this so a hostile frame with extreme
-    /// accumulator bits evicts its sender instead of aborting the
-    /// server.
+    /// Merges another accumulator exactly: `None` on overflow, so a
+    /// hostile frame with extreme accumulator bits evicts its sender
+    /// instead of aborting the server.
     pub fn checked_merge(self, other: ExactAcc) -> Option<ExactAcc> {
         self.0.checked_add(other.0).map(ExactAcc)
     }
@@ -298,23 +288,20 @@ impl ExactAcc {
         }
     }
 
-    /// Merges `src[i]` into `dst[i]` across a contiguous slice — the
-    /// batched form of [`ExactAcc::merge`], shared by the in-process
-    /// tree levels and the remote relay's exact-frame ingestion.
+    /// Merges `src[i]` into `dst[i]` across a contiguous slice: the
+    /// asserting form of [`ExactAcc::try_merge_slice`].
     ///
     /// # Panics
     ///
     /// Panics on slice length mismatch or accumulator overflow.
     pub fn merge_slice(dst: &mut [ExactAcc], src: &[ExactAcc]) {
-        assert_eq!(dst.len(), src.len(), "kernel slice length mismatch");
-        for (d, &s) in dst.iter_mut().zip(src) {
-            d.0 = d.0.checked_add(s.0).expect("partial-sum overflow");
-        }
+        assert!(Self::try_merge_slice(dst, src), "partial-sum overflow");
     }
 
-    /// Checked [`ExactAcc::merge_slice`]: adds `src` into `dst`
-    /// element-wise, and on the first overflow rolls the committed
-    /// prefix back to its exact prior bits and returns `false`.
+    /// Merges `src[i]` into `dst[i]` across a contiguous slice — the
+    /// batched form of [`ExactAcc::checked_merge`] behind
+    /// [`PartialSum::merge_from`] — and on the first overflow rolls the
+    /// committed prefix back to its exact prior bits and returns `false`.
     /// (`i128` addition forms a group, so subtracting what was added
     /// restores every element bit-for-bit — no validation scratch
     /// buffer needed.)
@@ -336,7 +323,7 @@ impl ExactAcc {
         true
     }
 
-    /// Exact inverse of a committed [`ExactAcc::merge_slice`] prefix.
+    /// Exact inverse of a committed [`ExactAcc::try_merge_slice`] prefix.
     fn unmerge_slice(dst: &mut [ExactAcc], src: &[ExactAcc]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             d.0 = d.0.wrapping_sub(s.0);
@@ -396,7 +383,7 @@ type EntryHeader = (String, Vec<usize>, usize);
 /// Order-sensitive `(name, shape)` agreement between an architecture
 /// template and any entry sequence — the one definition every remote
 /// ingress validator uses (decoded update dicts and partial-sum frames
-/// alike), guarding the merge asserts.
+/// alike), guarding the fold's asserts.
 pub fn template_matches<'a>(
     template: &StateDict,
     count: usize,
@@ -492,49 +479,52 @@ impl PartialSum {
     }
 
     /// Merges another partial sum exactly, without taking ownership, so
-    /// tree levels can recycle child buffers instead of moving them.
-    /// Either side may be empty. An empty `self` whose recycled
-    /// (zeroed) entries already match `other`'s layout merges in place
-    /// — adding into zeros reproduces `other`'s bits exactly — while a
-    /// layout mismatch rebuilds the entries by cloning.
+    /// tree levels can recycle child buffers and the server merges what
+    /// it decoded. Either side may be empty. An empty `self` whose
+    /// recycled (zeroed) entries already match `other`'s layout merges
+    /// in place — adding into zeros reproduces `other`'s bits exactly —
+    /// and any other empty `self` becomes a clone of `other`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when both sides hold contributions and disagree on entry
-    /// names or shapes, or on accumulator overflow.
-    pub fn merge_from(&mut self, other: &PartialSum) {
+    /// Returns why `other` cannot be merged: both sides hold
+    /// contributions and disagree on entry names, order or shapes, or
+    /// an accumulator would overflow. `self` is then bit for bit what it
+    /// was: an overflow rolls the committed prefix back (see
+    /// [`ExactAcc::try_merge_slice`]), with no scratch copy of the
+    /// model. Remote ingress evicts the sender; the in-process tree,
+    /// whose inputs are its own, treats an error as a bug.
+    pub fn merge_from(&mut self, other: &PartialSum) -> std::result::Result<(), &'static str> {
         if other.is_empty() {
-            return;
+            return Ok(());
         }
-        if self.is_empty() && !self.layout_matches(other) {
-            self.entries.clear();
-            self.entries.extend(other.entries.iter().cloned());
-            self.weight = other.weight;
-            self.contributions = other.contributions;
-            return;
-        }
-        assert_eq!(self.entries.len(), other.entries.len(), "partial sums disagree on entries");
-        for ((name, shape, accs), (oname, oshape, oaccs)) in
-            self.entries.iter_mut().zip(&other.entries)
-        {
-            assert_eq!(name, oname, "partial sums disagree on entry order");
-            assert_eq!(shape, oshape, "shape mismatch for `{name}`");
-            ExactAcc::merge_slice(accs, oaccs);
-        }
-        self.weight.merge(other.weight);
-        self.contributions += other.contributions;
-    }
-
-    /// Whether `self` and `other` agree on entry names, order, shapes
-    /// and element counts — the reuse test for pooled buffers,
-    /// independent of how many contributions either side holds.
-    pub fn layout_matches(&self, other: &PartialSum) -> bool {
-        self.entries.len() == other.entries.len()
+        let same_layout = self.entries.len() == other.entries.len()
             && self.entries.iter().zip(&other.entries).all(
                 |((name, shape, accs), (oname, oshape, oaccs))| {
                     name == oname && shape == oshape && accs.len() == oaccs.len()
                 },
-            )
+            );
+        if !same_layout {
+            if !self.is_empty() {
+                return Err("partial sums disagree on entry names, order or shapes");
+            }
+            self.entries.clone_from(&other.entries);
+            self.weight = other.weight;
+            self.contributions = other.contributions;
+            return Ok(());
+        }
+        let weight = self.weight.checked_merge(other.weight).ok_or("weight overflow")?;
+        for e in 0..self.entries.len() {
+            if !ExactAcc::try_merge_slice(&mut self.entries[e].2, &other.entries[e].2) {
+                for (done, (_, _, oaccs)) in self.entries[..e].iter_mut().zip(&other.entries) {
+                    ExactAcc::unmerge_slice(&mut done.2, oaccs);
+                }
+                return Err("partial-sum overflow");
+            }
+        }
+        self.weight = weight;
+        self.contributions += other.contributions;
+        Ok(())
     }
 
     /// Clears the sum for reuse while keeping every allocation: entry
@@ -573,59 +563,13 @@ impl PartialSum {
     /// entry names, same order, same shapes. Remote aggregators
     /// validate frames against the architecture-derived template
     /// *before* merging, so a misconfigured (or hostile) child gets
-    /// evicted instead of tripping the merge asserts and killing the
-    /// server.
+    /// evicted before any of its sums is read.
     pub fn shape_matches(&self, template: &StateDict) -> bool {
         template_matches(
             template,
             self.entries.len(),
             self.entries.iter().map(|(name, shape, _)| (name.as_str(), &shape[..])),
         )
-    }
-
-    /// Non-panicking merge for remote input, taking `other` by value:
-    /// verifies entry agreement and checks every accumulator addition,
-    /// leaving `self` untouched on failure so the caller can evict the
-    /// sender and keep aggregating. (The in-process tree keeps the
-    /// asserting [`PartialSum::merge_from`] — its inputs are
-    /// self-produced, so a violation there is a bug, not a bad peer.)
-    ///
-    /// # Errors
-    ///
-    /// Returns the reason the frame is unusable (entry mismatch or
-    /// accumulator overflow).
-    pub fn try_merge(&mut self, other: PartialSum) -> std::result::Result<(), &'static str> {
-        if other.is_empty() {
-            return Ok(());
-        }
-        if self.is_empty() {
-            *self = other;
-            return Ok(());
-        }
-        if self.entries.len() != other.entries.len() {
-            return Err("partial sums disagree on entries");
-        }
-        for ((name, shape, _), (oname, oshape, _)) in self.entries.iter().zip(&other.entries) {
-            if name != oname || shape != oshape {
-                return Err("partial sums disagree on entry order or shapes");
-            }
-        }
-        let weight = self.weight.checked_merge(other.weight).ok_or("weight overflow")?;
-        // Commit in place; on overflow, roll the committed prefix back
-        // bit-exactly (see [`ExactAcc::try_merge_slice`]) so a failed
-        // merge leaves `self` untouched without the old
-        // validate-then-commit pass's full-model scratch allocation.
-        for e in 0..self.entries.len() {
-            if !ExactAcc::try_merge_slice(&mut self.entries[e].2, &other.entries[e].2) {
-                for (done, (_, _, oaccs)) in self.entries[..e].iter_mut().zip(&other.entries) {
-                    ExactAcc::unmerge_slice(&mut done.2, oaccs);
-                }
-                return Err("partial-sum overflow");
-            }
-        }
-        self.weight = weight;
-        self.contributions += other.contributions;
-        Ok(())
     }
 
     /// Serializes the sums as the payload an edge would ship to the
@@ -1075,7 +1019,7 @@ mod tests {
             for &t in &terms[split..] {
                 right.add(t);
             }
-            left.merge(right);
+            left = left.checked_merge(right).unwrap();
             assert_eq!(left, flat, "split at {split} changed the sum");
         }
     }
@@ -1107,7 +1051,7 @@ mod tests {
                 for c in plan.leaf_range(s) {
                     partial.accumulate(&dicts[c], 1.0 + c as f64);
                 }
-                root.merge_from(&partial);
+                root.merge_from(&partial).unwrap();
             }
             assert_eq!(
                 root.finish().unwrap().to_bytes(),
@@ -1121,7 +1065,7 @@ mod tests {
     fn empty_partial_sum_finishes_to_none() {
         assert!(PartialSum::new().finish().is_none());
         let mut sum = PartialSum::new();
-        sum.merge_from(&PartialSum::new());
+        sum.merge_from(&PartialSum::new()).unwrap();
         assert!(sum.is_empty());
     }
 
@@ -1179,7 +1123,7 @@ mod tests {
             }
         }
         let mut remote = PartialSum::decode_exact(&left.encode_exact()).unwrap();
-        remote.try_merge(PartialSum::decode_exact(&right.encode_exact()).unwrap()).unwrap();
+        remote.merge_from(&PartialSum::decode_exact(&right.encode_exact()).unwrap()).unwrap();
         assert_eq!(remote.contributions(), local.contributions());
         assert_eq!(remote.weight_total().to_bits(), local.weight_total().to_bits());
         assert_eq!(
@@ -1297,6 +1241,27 @@ mod tests {
         assert_eq!(dst[0].to_bits(), 8);
     }
 
+    /// The checked merge of a remote frame: an overflow leaves the
+    /// target untouched, and a sane frame still merges afterwards.
+    #[test]
+    fn try_merge_overflow_leaves_self_untouched() {
+        let mut near_max = PartialSum::new();
+        near_max.accumulate(&dict(&[1.0, 2.0, 3.0]), 1.0);
+        // Push a mid-entry accumulator to the ceiling so the in-place
+        // commit overflows after a prefix has already landed.
+        near_max.entries[0].2[1] = ExactAcc::from_bits(i128::MAX - 1);
+        let before = near_max.encode_exact();
+
+        let mut hostile = PartialSum::new();
+        hostile.accumulate(&dict(&[4.0, 5.0, 6.0]), 1.0);
+        assert!(near_max.merge_from(&hostile).is_err());
+        assert_eq!(near_max.encode_exact(), before, "failed merge must not corrupt the partial");
+
+        // A sane frame still merges afterwards.
+        hostile.entries[0].2[1] = ExactAcc::from_bits(0);
+        assert!(near_max.merge_from(&hostile).is_ok());
+    }
+
     #[test]
     fn reset_recycles_the_buffer_without_moving_bits() {
         let mut pooled = PartialSum::new();
@@ -1320,47 +1285,84 @@ mod tests {
         assert_eq!(pooled.finish().unwrap().get("b.bias").unwrap().data(), &[1.0, -1.0]);
     }
 
-    #[test]
-    fn merge_from_into_recycled_buffer_matches_moving_merge() {
-        let mut a = PartialSum::new();
-        a.accumulate(&dict(&[1.0, 2.0, 3.0]), 1.5);
-        let mut b = PartialSum::new();
-        b.accumulate(&dict(&[-0.5, 0.25, 7.0]), 2.5);
-
-        let mut moved = a.clone();
-        moved.try_merge(b.clone()).unwrap();
-
-        // Borrow-merge through a recycled, layout-matching buffer.
-        let mut pooled = a.clone();
-        pooled.reset();
-        pooled.merge_from(&a);
-        pooled.merge_from(&b);
-        assert_eq!(pooled.contributions(), moved.contributions());
-        assert_eq!(pooled.finish().unwrap().to_bytes(), moved.finish().unwrap().to_bytes());
-
-        // Borrow-merge into a fresh (layout-less) buffer clones.
-        let mut fresh = PartialSum::new();
-        fresh.merge_from(&a);
-        fresh.merge_from(&b);
-        assert_eq!(fresh.finish().unwrap().to_bytes(), moved.finish().unwrap().to_bytes());
+    /// A two-entry dict: `a`, then `b`.
+    fn pair(a: &[f32], b: &[f32]) -> StateDict {
+        let mut out = StateDict::new();
+        out.insert("a", Tensor::from_vec(vec![a.len()], a.to_vec()));
+        out.insert("b", Tensor::from_vec(vec![b.len()], b.to_vec()));
+        out
     }
 
     #[test]
-    fn try_merge_overflow_leaves_self_untouched() {
-        let mut near_max = PartialSum::new();
-        near_max.accumulate(&dict(&[1.0, 2.0, 3.0]), 1.0);
-        // Push a mid-entry accumulator to the ceiling so the in-place
-        // commit overflows after a prefix has already landed.
-        near_max.entries[0].2[1] = ExactAcc::from_bits(i128::MAX - 1);
-        let before = near_max.encode_exact();
+    fn merge_from_gives_the_same_bits_into_every_kind_of_target() {
+        let (da, db) = (pair(&[1.0, 2.0], &[3.0]), pair(&[-0.5, 0.25], &[7.0]));
+        let (mut a, mut b) = (PartialSum::new(), PartialSum::new());
+        a.accumulate(&da, 1.5);
+        b.accumulate(&db, 2.5);
+        let mut want = PartialSum::new();
+        want.accumulate(&da, 1.5);
+        want.accumulate(&db, 2.5);
+        let want = want.encode_exact();
+        // Recycled with the same layout (merged in place), fresh, and
+        // recycled with another layout (both rebuilt by cloning).
+        let mut recycled = a.clone();
+        recycled.reset();
+        let mut stale = PartialSum::new();
+        stale.accumulate(&pair(&[9.0], &[9.0, 9.0]), 1.0);
+        stale.reset();
+        for (kind, mut target) in
+            [("recycled", recycled), ("fresh", PartialSum::new()), ("stale", stale)]
+        {
+            target.merge_from(&PartialSum::new()).unwrap();
+            assert!(target.is_empty(), "an empty other is a no-op on a {kind} target");
+            target.merge_from(&a).unwrap();
+            target.merge_from(&b).unwrap();
+            assert_eq!(target.encode_exact(), want, "{kind} target");
+        }
+    }
 
-        let mut hostile = PartialSum::new();
-        hostile.accumulate(&dict(&[4.0, 5.0, 6.0]), 1.0);
-        assert!(near_max.try_merge(hostile.clone()).is_err());
-        assert_eq!(near_max.encode_exact(), before, "failed merge must not corrupt the partial");
+    #[test]
+    fn merge_from_overflow_leaves_the_target_bit_identical() {
+        let mut target = PartialSum::new();
+        target.accumulate(&pair(&[1.0, 2.0, 3.0], &[4.0, 5.0]), 1.0);
+        let mut other = PartialSum::new();
+        other.accumulate(&pair(&[1.0; 3], &[1.0; 2]), 1.0);
+        // The weight, then the k-th accumulator at the ceiling: every
+        // accumulator before k has landed when k overflows.
+        for at in [None, Some((0, 0)), Some((0, 2)), Some((1, 0)), Some((1, 1))] {
+            let mut near_max = target.clone();
+            match at {
+                None => near_max.weight = ExactAcc::from_bits(i128::MAX),
+                Some((e, k)) => near_max.entries[e].2[k] = ExactAcc::from_bits(i128::MAX - 1),
+            }
+            let before = near_max.encode_exact();
+            assert!(near_max.merge_from(&other).is_err(), "{at:?} must overflow");
+            assert_eq!(near_max.encode_exact(), before, "the overflow at {at:?} moved a bit");
+        }
+        target.merge_from(&other).unwrap();
+        assert_eq!(target.contributions(), 2, "a sane sum still merges");
+    }
 
-        // A sane frame still merges afterwards.
-        hostile.entries[0].2[1] = ExactAcc::from_bits(0);
-        assert!(near_max.try_merge(hostile).is_ok());
+    #[test]
+    #[should_panic(expected = "partial-sum overflow")]
+    fn merge_slice_asserts_on_overflow() {
+        let mut dst = [ExactAcc::from_bits(7), ExactAcc::from_bits(i128::MAX)];
+        ExactAcc::merge_slice(&mut dst, &[ExactAcc::from_bits(1); 2]);
+    }
+
+    #[test]
+    fn merge_from_refuses_a_layout_mismatch() {
+        let mut target = PartialSum::new();
+        target.accumulate(&pair(&[1.0, 2.0], &[3.0, 4.0]), 1.0);
+        let before = target.encode_exact();
+        let mut reordered = StateDict::new();
+        reordered.insert("b", Tensor::from_vec(vec![2], vec![1.0, 2.0]));
+        reordered.insert("a", Tensor::from_vec(vec![2], vec![3.0, 4.0]));
+        for d in [reordered, pair(&[1.0], &[2.0, 3.0, 4.0]), dict(&[1.0, 2.0, 3.0, 4.0])] {
+            let mut other = PartialSum::new();
+            other.accumulate(&d, 1.0);
+            assert!(target.merge_from(&other).is_err());
+            assert_eq!(target.encode_exact(), before);
+        }
     }
 }

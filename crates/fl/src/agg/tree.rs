@@ -1,9 +1,9 @@
-//! The [`Aggregator`] trait and its flat and hierarchical backends.
+//! The flat and hierarchical folds of a round's contributions.
 //!
-//! The round engine no longer averages uploads in an inline loop; it
-//! hands the decoded, delivered contributions to an `Aggregator`:
+//! The round engine hands the decoded, delivered contributions to one
+//! of two folds:
 //!
-//! * [`FlatAggregator`] — the paper's topology: every client reports
+//! * [`aggregate_flat`] — the paper's topology: every client reports
 //!   straight to the root, which merges in ascending client-id order.
 //!   Root ingress is every upload's wire bytes.
 //! * [`ShardedTree`] — an arbitrary-depth aggregation hierarchy: a
@@ -75,12 +75,9 @@ pub struct AggOutcome {
     /// arrival (flat), or the slowest leaf-to-root chain of merge +
     /// codec + forward hops (tree).
     pub root_done_secs: f64,
-    /// Measured wall-clock spent merging (leaf workers run in
-    /// parallel, so this tracks the slowest chain, not the sum).
-    pub merge_secs: f64,
     /// Measured wall nanoseconds merging *into* each level, root
     /// first: `[depth - 1]` is the leaf accumulation pass, `[0]` the
-    /// final fold into the root. The flat backend reports its single
+    /// final fold into the root. [`aggregate_flat`] reports its single
     /// merge as a one-element vector.
     pub level_merge_nanos: Vec<u64>,
     /// The partial-sum leg's Eqn-1 decisions this round, one per
@@ -101,63 +98,29 @@ impl AggOutcome {
     }
 }
 
-/// Merges a round's accepted contributions into the next global model.
-pub trait Aggregator {
-    /// Distinct first-hop destinations a broadcast to `cohort` fans out
-    /// from the root: the cohort itself (flat) or the root's active
-    /// children (tree — the lower levels fan the copy onward).
-    fn fanout(&self, cohort: &[usize]) -> usize;
-
-    /// Merges one round's contributions; `None` when there are none
-    /// (the global model then stays put).
-    fn aggregate(&mut self, round: usize, contributions: Vec<Contribution>) -> Option<AggOutcome>;
-
-    /// Attaches a telemetry handle for per-level spans and pool
-    /// counters. The default is a no-op: backends without internal
-    /// structure worth tracing (the flat server) ignore it.
-    fn set_telemetry(&mut self, _telemetry: Telemetry) {}
-}
-
-/// Every client reports straight to the root (classic FedAvg).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlatAggregator;
-
-impl Aggregator for FlatAggregator {
-    fn fanout(&self, cohort: &[usize]) -> usize {
-        cohort.len()
+/// Every client reports straight to the root (classic FedAvg), which
+/// merges in ascending client-id order; `None` when there are no
+/// contributions (the global model then stays put).
+pub fn aggregate_flat(mut contributions: Vec<Contribution>) -> Option<AggOutcome> {
+    contributions.sort_by_key(|c| c.client);
+    let t0 = Instant::now();
+    let mut sum = PartialSum::new();
+    for c in &contributions {
+        sum.accumulate(&c.dict, c.weight);
     }
-
-    fn aggregate(
-        &mut self,
-        _round: usize,
-        mut contributions: Vec<Contribution>,
-    ) -> Option<AggOutcome> {
-        if contributions.is_empty() {
-            return None;
-        }
-        contributions.sort_by_key(|c| c.client);
-        let root_ingress_bytes = contributions.iter().map(|c| c.wire_bytes).sum();
-        let root_done_secs = contributions.iter().map(|c| c.done_secs).fold(0.0, f64::max);
-        let t0 = Instant::now();
-        let mut sum = PartialSum::new();
-        for c in &contributions {
-            sum.accumulate(&c.dict, c.weight);
-        }
-        let global = sum.finish().expect("non-empty contributions");
-        let merge_secs = t0.elapsed().as_secs_f64();
-        Some(AggOutcome {
-            global,
-            merged: contributions.len(),
-            root_ingress_bytes,
-            level_ingress_bytes: Vec::new(),
-            psum_payload_bytes: 0,
-            psum_wire_bytes: 0,
-            root_done_secs,
-            merge_secs,
-            level_merge_nanos: vec![(merge_secs * 1e9) as u64],
-            eqn1: Vec::new(),
-        })
-    }
+    let global = sum.finish()?;
+    let level_merge_nanos = vec![t0.elapsed().as_nanos() as u64];
+    Some(AggOutcome {
+        global,
+        merged: contributions.len(),
+        root_ingress_bytes: contributions.iter().map(|c| c.wire_bytes).sum(),
+        level_ingress_bytes: Vec::new(),
+        psum_payload_bytes: 0,
+        psum_wire_bytes: 0,
+        root_done_secs: contributions.iter().map(|c| c.done_secs).fold(0.0, f64::max),
+        level_merge_nanos,
+        eqn1: Vec::new(),
+    })
 }
 
 /// A free list of recycled [`PartialSum`] buffers. Steady-state rounds
@@ -318,6 +281,55 @@ impl ShardedTree {
         self.levels.as_ref().map(|tiers| &tiers[level - 1][node])
     }
 
+    /// Distinct first-hop destinations a broadcast to `cohort` fans out
+    /// from the root: one copy per *active child* of the root; that
+    /// child's subtree fans it out from there.
+    pub fn fanout(&self, cohort: &[usize]) -> usize {
+        let stride: usize = self.plan.fanouts()[1..].iter().product();
+        let mut seen = vec![false; self.plan.fanouts()[0]];
+        for &client in cohort {
+            seen[self.plan.leaf_of(client) / stride] = true;
+        }
+        seen.iter().filter(|&&s| s).count()
+    }
+
+    /// Merges one round's contributions; `None` when there are none
+    /// (the global model then stays put). A leaf is "ready" once its
+    /// slowest accepted member arrived and its fold completed.
+    pub fn aggregate(
+        &mut self,
+        round: usize,
+        contributions: Vec<Contribution>,
+    ) -> Option<AggOutcome> {
+        if contributions.is_empty() {
+            return None;
+        }
+        let mut per_leaf: Vec<Vec<Contribution>> =
+            (0..self.plan.leaves()).map(|_| Vec::new()).collect();
+        for c in contributions {
+            per_leaf[self.plan.leaf_of(c.client)].push(c);
+        }
+        for cohort in &mut per_leaf {
+            cohort.sort_by_key(|c| c.client);
+        }
+        let (leaves, leaf_merge_nanos) = self.fold_leaves(
+            || (),
+            |leaf, _, sum| {
+                for c in &per_leaf[leaf] {
+                    sum.accumulate(&c.dict, c.weight);
+                }
+            },
+        );
+        let (partials, ready) = leaves
+            .into_iter()
+            .zip(&per_leaf)
+            .map(|((sum, fold_secs), cohort)| {
+                (sum, cohort.iter().map(|c| c.done_secs).fold(0.0, f64::max) + fold_secs)
+            })
+            .unzip();
+        self.reduce(round, partials, ready, leaf_merge_nanos)
+    }
+
     /// Streams synthesized updates through the tree without holding the
     /// whole cohort in memory: `init` builds one scratch value per
     /// worker thread, and each leaf worker calls `fill` for the clients
@@ -337,28 +349,44 @@ impl ShardedTree {
         I: Fn() -> S + Sync,
         F: for<'a> Fn(usize, &'a mut S) -> (&'a StateDict, f64) + Sync,
     {
-        let plan = self.plan.clone();
-        let t0 = Instant::now();
-        let pool = self.pool();
-        let buffers = &self.buffers;
-        let leaf_span = self.telemetry.span_with(
-            "merge.level",
-            &[
-                ("level", Value::U64(plan.depth() as u64 - 1)),
-                ("nodes", Value::U64(plan.leaves() as u64)),
-            ],
-        );
-        let partials: Vec<PartialSum> = pool.run_with(plan.leaves(), init, |leaf, scratch| {
-            let mut sum = buffers.take();
-            for client in plan.leaf_range(leaf) {
+        let (leaves, leaf_merge_nanos) = self.fold_leaves(init, |leaf, scratch, sum| {
+            for client in self.plan.leaf_range(leaf) {
                 let (dict, weight) = fill(client, scratch);
                 sum.accumulate(dict, weight);
             }
-            sum
+        });
+        let partials = leaves.into_iter().map(|(sum, _)| sum).collect();
+        self.reduce(round, partials, vec![0.0; self.plan.leaves()], leaf_merge_nanos)
+    }
+
+    /// The leaf level behind both entry points: every leaf runs
+    /// `fold(leaf, scratch, sum)` into a pooled buffer on a worker, with
+    /// one `init` scratch per worker, inside the leaf level's
+    /// `merge.level` span. Returns each leaf's sum with its own fold
+    /// wall seconds, and the level's wall nanoseconds.
+    fn fold_leaves<S>(
+        &self,
+        init: impl Fn() -> S + Sync,
+        fold: impl Fn(usize, &mut S, &mut PartialSum) + Sync,
+    ) -> (Vec<(PartialSum, f64)>, u64) {
+        let t0 = Instant::now();
+        let pool = self.pool();
+        let leaf_span = self.telemetry.span_with(
+            "merge.level",
+            &[
+                ("level", Value::U64(self.plan.depth() as u64 - 1)),
+                ("nodes", Value::U64(self.plan.leaves() as u64)),
+            ],
+        );
+        let leaves = pool.run_with(self.plan.leaves(), init, |leaf, scratch| {
+            let t_leaf = Instant::now();
+            let mut sum = self.buffers.take();
+            fold(leaf, scratch, &mut sum);
+            (sum, t_leaf.elapsed().as_secs_f64())
         });
         let leaf_merge_nanos = t0.elapsed().as_nanos() as u64;
         drop(leaf_span);
-        self.reduce(round, partials, vec![0.0; plan.leaves()], t0, leaf_merge_nanos)
+        (leaves, leaf_merge_nanos)
     }
 
     /// Climbs the hierarchy: starting from the leaf partials, each
@@ -372,7 +400,6 @@ impl ShardedTree {
         round: usize,
         mut partials: Vec<PartialSum>,
         mut ready: Vec<f64>,
-        t0: Instant,
         leaf_merge_nanos: u64,
     ) -> Option<AggOutcome> {
         let depth = self.plan.depth();
@@ -428,7 +455,7 @@ impl ShardedTree {
                 // merge order; exact accumulators make the grouping
                 // irrelevant to the bits anyway. Borrow-merging lets
                 // the consumed child return to the buffer pool.
-                parent_partials[parent].merge_from(&partial);
+                parent_partials[parent].merge_from(&partial).expect("self-produced partial sums");
                 self.buffers.put(partial);
             }
             partials = parent_partials;
@@ -448,68 +475,9 @@ impl ShardedTree {
             psum_payload_bytes,
             psum_wire_bytes,
             root_done_secs: ready[0],
-            merge_secs: t0.elapsed().as_secs_f64(),
             level_merge_nanos,
             eqn1,
         })
-    }
-}
-
-impl Aggregator for ShardedTree {
-    fn fanout(&self, cohort: &[usize]) -> usize {
-        // The root sends one broadcast copy per *active child*; that
-        // child's subtree fans it out from there.
-        let stride: usize = self.plan.fanouts()[1..].iter().product();
-        let mut seen = vec![false; self.plan.fanouts()[0]];
-        for &client in cohort {
-            seen[self.plan.leaf_of(client) / stride] = true;
-        }
-        seen.iter().filter(|&&s| s).count()
-    }
-
-    fn aggregate(&mut self, round: usize, contributions: Vec<Contribution>) -> Option<AggOutcome> {
-        if contributions.is_empty() {
-            return None;
-        }
-        let plan = self.plan.clone();
-        let mut per_leaf: Vec<Vec<Contribution>> = (0..plan.leaves()).map(|_| Vec::new()).collect();
-        for c in contributions {
-            per_leaf[plan.leaf_of(c.client)].push(c);
-        }
-        for cohort in &mut per_leaf {
-            cohort.sort_by_key(|c| c.client);
-        }
-        let t0 = Instant::now();
-        // Each leaf merges its cohort in ascending client-id order on a
-        // pooled worker; the leaf is "ready" once its slowest accepted
-        // member arrived and the merge itself completed.
-        let pool = self.pool();
-        let buffers = &self.buffers;
-        let leaf_span = self.telemetry.span_with(
-            "merge.level",
-            &[
-                ("level", Value::U64(plan.depth() as u64 - 1)),
-                ("nodes", Value::U64(plan.leaves() as u64)),
-            ],
-        );
-        let merged_leaves: Vec<(PartialSum, f64)> = pool.run(per_leaf.len(), |leaf| {
-            let cohort = &per_leaf[leaf];
-            let ready = cohort.iter().map(|c| c.done_secs).fold(0.0, f64::max);
-            let t_leaf = Instant::now();
-            let mut sum = buffers.take();
-            for c in cohort {
-                sum.accumulate(&c.dict, c.weight);
-            }
-            (sum, ready + t_leaf.elapsed().as_secs_f64())
-        });
-        let leaf_merge_nanos = t0.elapsed().as_nanos() as u64;
-        drop(leaf_span);
-        let (partials, ready): (Vec<_>, Vec<_>) = merged_leaves.into_iter().unzip();
-        self.reduce(round, partials, ready, t0, leaf_merge_nanos)
-    }
-
-    fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 }
 
@@ -538,7 +506,7 @@ mod tests {
     fn flat_and_tree_agree_bitwise() {
         let contribs: Vec<Contribution> =
             (0..11).map(|c| contribution(c, (c as f32).sin(), c as f64)).collect();
-        let flat = FlatAggregator.aggregate(0, contribs.clone()).unwrap().global.to_bytes();
+        let flat = aggregate_flat(contribs.clone()).unwrap().global.to_bytes();
         for shards in [1usize, 2, 3, 7, 11] {
             let mut tree = two_level(11, shards, None);
             let out = tree.aggregate(0, contribs.clone()).unwrap();
@@ -551,7 +519,7 @@ mod tests {
     fn deep_trees_agree_bitwise_for_any_fanouts() {
         let contribs: Vec<Contribution> =
             (0..23).map(|c| contribution(c, (c as f32).cos(), c as f64)).collect();
-        let flat = FlatAggregator.aggregate(0, contribs.clone()).unwrap().global.to_bytes();
+        let flat = aggregate_flat(contribs.clone()).unwrap().global.to_bytes();
         for fanouts in [vec![2, 3], vec![3, 2, 2], vec![5, 5], vec![2, 2, 2, 2]] {
             for psum in [PsumMode::Raw, PsumMode::Lossless] {
                 let mut tree = ShardedTree::new(TreePlan::new(23, fanouts.clone()), None, psum);
@@ -571,7 +539,7 @@ mod tests {
     #[test]
     fn tree_root_ingress_is_frames_not_uploads() {
         let contribs: Vec<Contribution> = (0..8).map(|c| contribution(c, 1.0, 0.0)).collect();
-        let flat = FlatAggregator.aggregate(0, contribs.clone()).unwrap();
+        let flat = aggregate_flat(contribs.clone()).unwrap();
         assert_eq!(flat.root_ingress_bytes, 800, "flat ingress sums upload wire bytes");
         assert!(flat.level_ingress_bytes.is_empty(), "flat has no inter-aggregator hops");
         let mut tree = two_level(8, 4, None);
@@ -670,7 +638,6 @@ mod tests {
         assert_eq!(tree.fanout(&[0, 1]), 1, "same shard");
         assert_eq!(tree.fanout(&[0, 7]), 2);
         assert_eq!(tree.fanout(&[0, 2, 4, 6]), 4);
-        assert_eq!(FlatAggregator.fanout(&[0, 2, 4]), 3);
         // Depth 3: the root has 2 children regardless of 8 leaves.
         let deep = ShardedTree::new(TreePlan::new(16, vec![2, 4]), None, PsumMode::Raw);
         assert_eq!(deep.fanout(&(0..16).collect::<Vec<_>>()), 2);
@@ -684,28 +651,37 @@ mod tests {
             dict.insert("w.weight", Tensor::filled(vec![3], client as f32 * 0.1));
             (dict, 1.0 + client as f64)
         };
-        let contribs: Vec<Contribution> = (0..10)
-            .map(|c| {
+        // A cohort with gaps over 10 clients and 6 leaves ([0, 1], [2,
+        // 3], [4, 5], [6, 7], [8], [9]): leaves 2 and 4 get nothing.
+        let cohort = [0, 1, 3, 6, 9];
+        let contribs: Vec<Contribution> = cohort
+            .iter()
+            .map(|&c| {
                 let (dict, weight) = make(c);
                 Contribution { client: c, dict, weight, wire_bytes: 0, done_secs: 0.0 }
             })
             .collect();
+        let flat = aggregate_flat(contribs.clone()).unwrap().global.to_bytes();
         let mut tree = ShardedTree::new(TreePlan::new(10, vec![3, 2]), None, PsumMode::Raw);
         let materialized = tree.aggregate(0, contribs).unwrap();
-        let mut streamed_tree =
-            ShardedTree::new(TreePlan::new(10, vec![3, 2]), None, PsumMode::Raw);
+        assert_eq!(materialized.global.to_bytes(), flat);
+        assert_eq!(materialized.merged, cohort.len());
+        // The same five updates streamed as clients 0..5 over the same
+        // six leaves: one leaf owns no client.
+        let mut streamed_tree = ShardedTree::new(TreePlan::new(5, vec![3, 2]), None, PsumMode::Raw);
         let streamed = streamed_tree
             .aggregate_streamed_with(
                 0,
                 || None,
                 |client, slot: &mut Option<StateDict>| {
-                    let (dict, weight) = make(client);
+                    let (dict, weight) = make(cohort[client]);
                     (&*slot.insert(dict), weight)
                 },
             )
             .unwrap();
-        assert_eq!(streamed.global.to_bytes(), materialized.global.to_bytes());
-        assert_eq!(streamed.merged, 10);
+        assert_eq!(streamed.global.to_bytes(), flat);
+        assert_eq!(streamed.merged, cohort.len());
+        assert_eq!(streamed.level_merge_nanos.len(), materialized.level_merge_nanos.len());
     }
 
     #[test]
@@ -723,8 +699,8 @@ mod tests {
             out.eqn1.iter().all(|d| d.measured_codec_secs > 0.0),
             "lossless frames pay real codec time"
         );
-        // The flat backend: one merge, no frames.
-        let flat = FlatAggregator.aggregate(0, contribs).unwrap();
+        // The flat fold: one merge, no frames.
+        let flat = aggregate_flat(contribs).unwrap();
         assert_eq!(flat.level_merge_nanos.len(), 1);
         assert!(flat.eqn1.is_empty());
     }
@@ -762,7 +738,7 @@ mod tests {
 
     #[test]
     fn empty_contributions_yield_none() {
-        assert!(FlatAggregator.aggregate(0, Vec::new()).is_none());
+        assert!(aggregate_flat(Vec::new()).is_none());
         let mut tree = two_level(4, 2, None);
         assert!(tree.aggregate(0, Vec::new()).is_none());
     }

@@ -22,7 +22,8 @@
 //!              ├── step::UplinkStage       (choose, client step, cost profiles)
 //!              ├── step::FoldStep          (decode + validate an upload)
 //!              ├── link::schedule          (virtual clock, per-client links)
-//!              ├── agg::Aggregator         (flat | sharded tree, exact merge)
+//!              ├── agg::aggregate_flat     (flat fold, exact merge)
+//!              ├── agg::ShardedTree        (tree fold, exact merge)
 //!              ├── agg::Downlink           (broadcast codec, Eqn 1 fallback)
 //!              └── fedsz::timing           (Eqn 1 compress-or-not advisor)
 //! ```
@@ -34,7 +35,7 @@
 //! gates the round's virtual clock; a dropped upload is left out of the
 //! average.
 
-use crate::agg::{Aggregator, Contribution, Downlink, FlatAggregator, ShardedTree};
+use crate::agg::{aggregate_flat, Contribution, Downlink, ShardedTree};
 use crate::link::{self, Departure, LinkProfile, Topology};
 use crate::plan::{RoundPlan, DEFAULT_EDGE_BPS};
 use crate::step::{emit_dp_noise, emit_eqn1, ClientStep, FoldStep, StageChoice, UplinkStage};
@@ -77,7 +78,8 @@ pub struct RoundEngine {
     test_inputs: fedsz_tensor::Tensor,
     test_targets: Vec<usize>,
     topology: Option<Topology>,
-    aggregator: Box<dyn Aggregator>,
+    /// The aggregation tree; without one, rounds fold flat.
+    tree: Option<ShardedTree>,
     downlink: Downlink,
     /// Recycled broadcast buffer: each round's encoded global is built
     /// in last round's allocation (`Downlink::encode_reusing`), so the
@@ -147,23 +149,18 @@ impl RoundEngine {
         let mut eval_models: Vec<Option<Box<dyn Model>>> = Vec::new();
         eval_models.resize_with(eval_width, || None);
         let global = eval_models[0].insert(Box::new(config.build_model())).state_dict();
-        let aggregator: Box<dyn Aggregator> = match tree {
-            Some(tree) => {
-                // With a link model, every non-root aggregator forwards
-                // its partial sums over the backbone.
-                let tiers = topology.as_ref().map(|_| {
-                    (1..tree.depth())
-                        .map(|l| vec![LinkProfile::symmetric(DEFAULT_EDGE_BPS); tree.nodes_at(l)])
-                        .collect()
-                });
-                Box::new(
-                    ShardedTree::from_policy(tree, tiers, &config.psum)
-                        .expect("plan validated the psum policy")
-                        .with_threads(worker_threads),
-                )
-            }
-            None => Box::new(FlatAggregator),
-        };
+        let tree = tree.map(|tree| {
+            // With a link model, every non-root aggregator forwards its
+            // partial sums over the backbone.
+            let tiers = topology.as_ref().map(|_| {
+                (1..tree.depth())
+                    .map(|l| vec![LinkProfile::symmetric(DEFAULT_EDGE_BPS); tree.nodes_at(l)])
+                    .collect()
+            });
+            ShardedTree::from_policy(tree, tiers, &config.psum)
+                .expect("plan validated the psum policy")
+                .with_threads(worker_threads)
+        });
         let downlink =
             Downlink::from_policy(&config.downlink).expect("plan validated the downlink");
         let residuals = vec![StateDict::new(); clients.len()];
@@ -177,7 +174,7 @@ impl RoundEngine {
             test_inputs,
             test_targets,
             topology,
-            aggregator,
+            tree,
             downlink,
             broadcast_buf: Vec::new(),
             uplink: uplink_stage,
@@ -190,11 +187,10 @@ impl RoundEngine {
     /// (`engine.round` and the broadcast/train/comm/decode/merge/
     /// validate phases), emits one `eqn1.decision` event per priced
     /// compression decision, and threads the handle into the
-    /// aggregation backend for per-level merge spans and pool
-    /// counters.
+    /// aggregation tree for per-level merge spans and pool counters.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.aggregator.set_telemetry(telemetry.clone());
+        self.tree = self.tree.map(|tree| tree.with_telemetry(telemetry.clone()));
         self.telemetry = telemetry;
         self
     }
@@ -281,7 +277,8 @@ impl RoundEngine {
         // shard and the edges fan out; flat servers send one per
         // client.
         let downstream_bytes = selected.len() * payload.bytes.len();
-        let root_egress_bytes = self.aggregator.fanout(&selected) * payload.bytes.len();
+        let fanout = self.tree.as_ref().map_or(selected.len(), |tree| tree.fanout(&selected));
+        let root_egress_bytes = fanout * payload.bytes.len();
         // One decode stands in for every client's (they all see
         // identical bytes); the virtual clock still charges each
         // client its own straggler-scaled share below.
@@ -465,7 +462,11 @@ impl RoundEngine {
 
         let merge_span =
             self.telemetry.span_with("engine.merge", &[("round", Value::U64(round as u64))]);
-        let outcome = self.aggregator.aggregate(round, contributions).map(|mut o| {
+        let outcome = match &mut self.tree {
+            Some(tree) => tree.aggregate(round, contributions),
+            None => aggregate_flat(contributions),
+        };
+        let outcome = outcome.map(|mut o| {
             // The merged model moves into the engine; the outcome keeps
             // only the accounting fields.
             self.global = std::mem::take(&mut o.global);

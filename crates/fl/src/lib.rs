@@ -23,8 +23,8 @@
 //! [`engine::RoundEngine`]; the CLI, the bench bins and the
 //! benchmark all build it from an [`FlConfig`], which selects a link
 //! [`link::Topology`] (one shared pipe, per-client heterogeneous
-//! links, or an aggregation tree of any depth), an [`agg::Aggregator`]
-//! backend (flat server or an [`agg::ShardedTree`] hierarchy with
+//! links, or an aggregation tree of any depth), a fold (the flat
+//! [`agg::aggregate_flat`] or an [`agg::ShardedTree`] hierarchy with
 //! bit-identical results at any depth, optionally forwarding
 //! losslessly-compressed partial-sum frames) and an [`agg::Downlink`]
 //! stage (raw, FedSZ-encoded, or Eqn-1 adaptive broadcasts).

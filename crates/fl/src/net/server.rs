@@ -198,9 +198,9 @@ pub struct NetRound {
     /// Wall-clock duration of the round at this server.
     pub wall_secs: f64,
     /// Wall nanoseconds this server spent folding the round's
-    /// contributions: every `PartialSum::accumulate` / `try_merge`,
+    /// contributions: every `PartialSum::accumulate` / `merge_from`,
     /// plus the root's `finish`. Decode is excluded, which is how
-    /// [`FlatAggregator`](crate::agg::FlatAggregator) times its merge.
+    /// [`aggregate_flat`](crate::agg::aggregate_flat) times its merge.
     pub merge_nanos: u64,
     /// [`global_checksum`] of the post-round global model (0 for a
     /// relay, which never holds the global).
@@ -713,7 +713,7 @@ fn fold_upload(
             // Checked merge: extreme accumulator bits in a frame must
             // evict the relay, not overflow-panic the server.
             let t0 = Instant::now();
-            partial.try_merge(remote).map_err(|e| format!("unmergeable psum frame: {e}"))?;
+            partial.merge_from(&remote).map_err(|e| format!("unmergeable psum frame: {e}"))?;
             let fold_time = t0.elapsed();
             if compressed {
                 *psum_compressed_frames += 1;
@@ -921,7 +921,7 @@ mod tests {
     #[test]
     fn overflowing_psum_frames_are_rejected_not_panicked() {
         // Two frames whose accumulator bits are near i128::MAX merge to
-        // an overflow; try_merge must refuse the second frame and leave
+        // an overflow; merge_from must refuse the second frame and leave
         // the first intact.
         let step = FoldStep::new(&StagePolicy::Raw, dict(&[("a.weight", 1)]));
         let extreme = {

@@ -509,7 +509,7 @@ impl FoldStep {
     /// or not — and validates it against the template. A compressed
     /// frame may declare an image no longer than the template's own
     /// ([`PartialSum::max_exact_image_len`]); the merge stays with the
-    /// caller, checked ([`PartialSum::try_merge`]).
+    /// caller, checked ([`PartialSum::merge_from`]).
     ///
     /// # Errors
     ///

@@ -727,14 +727,10 @@ fn depthwise_backward(
     transpose(&dw_cl, k * k, dwt);
 }
 
-/// The slot of a window with no element above `-inf`: the reference
-/// gives it flat index 0, so its gradient goes to `dx[0]`.
-const NO_MAX: u8 = 4;
-
 /// 2x2 / stride-2 max pooling over `planes` images of `h x w`; `slot`
 /// receives where in its window each maximum sits, `2 * dy + dx`. A
-/// window with no element above `-inf` yields `-inf` and [`NO_MAX`],
-/// as the reference does.
+/// window with no element above `-inf` yields `-inf` and slot 0, its
+/// own first element, as the reference does.
 ///
 /// One byte per output rather than a flat `usize` index: pool1's
 /// indices at batch 16 were 128 KiB, allocated and zero-filled on every
@@ -775,7 +771,7 @@ pub(crate) fn maxpool_forward(
                     for ((out, slot), window) in
                         out.iter_mut().zip(&mut slot[at..at + ow]).zip(windows)
                     {
-                        let (mut best, mut best_slot) = (f32::NEG_INFINITY, NO_MAX);
+                        let (mut best, mut best_slot) = (f32::NEG_INFINITY, 0);
                         for (v, s) in window.into_iter().zip(0..) {
                             let wins = v > best;
                             best = if wins { v } else { best };
@@ -809,12 +805,7 @@ pub(crate) fn maxpool_backward(
             let at = (p * oh + oy) * ow;
             for (ox, (&s, &g)) in slot[at..at + ow].iter().zip(&grad[at..at + ow]).enumerate() {
                 let s = usize::from(s);
-                let i = if s == usize::from(NO_MAX) {
-                    0
-                } else {
-                    top + (s >> 1) * w + 2 * ox + (s & 1)
-                };
-                dx[i] += g;
+                dx[top + (s >> 1) * w + 2 * ox + (s & 1)] += g;
             }
         }
     }
@@ -934,7 +925,7 @@ pub(crate) mod reference {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_i = 0usize;
+                        let mut best_i = idx4(ni, ci, oy * 2, ox * 2, c, h, w);
                         for dy in 0..2 {
                             for dxp in 0..2 {
                                 let i = idx4(ni, ci, oy * 2 + dy, ox * 2 + dxp, c, h, w);
@@ -1185,6 +1176,22 @@ mod tests {
             }
             prop_assert_eq!(bits(&dx), bits(&want_dx));
         }
+    }
+
+    /// A window with nothing above `-inf` sends its gradient to its own
+    /// first element, never into another sample.
+    #[test]
+    fn maxpool_without_a_maximum_keeps_its_gradient_in_its_window() {
+        // Two samples of one 2x2 plane; sample 1 is all NaN.
+        let x = [1.0, 4.0, 2.0, 3.0, f32::NAN, f32::NAN, f32::NAN, f32::NAN];
+        let (mut out, mut slot) = ([0.0; 2], [u8::MAX; 2]);
+        maxpool_forward(2, 2, 2, &x, &mut out, Some(&mut slot));
+        let (mut want, mut want_arg) = ([0.0; 2], [usize::MAX; 2]);
+        reference::maxpool_forward(2, 1, 2, 2, &x, &mut want, &mut want_arg);
+        assert_eq!(want_arg, [1, 4], "the reference's argmax");
+        let mut dx = [0.0; 8];
+        maxpool_backward(2, 2, 2, &slot, &[10.0, 20.0], &mut dx);
+        assert_eq!(dx, [0.0, 10.0, 0.0, 0.0, 20.0, 0.0, 0.0, 0.0]);
     }
 
     /// The shapes the tracked models run, at full size, and the edges

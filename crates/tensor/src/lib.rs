@@ -109,11 +109,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a reshaped copy sharing no storage.
     ///
     /// # Panics
