@@ -2,7 +2,8 @@
 //! and picked at run time. It lives in this crate, which depends on
 //! nothing, so that every crate can use it: the codecs (SZ2's encode and
 //! decode, Huffman block encode, ZstdLike compress) and training
-//! (`fedsz-nn`'s convolution forward, `fedsz-tensor`'s matmul).
+//! (`fedsz-nn`'s convolution forward and backward, `fedsz-tensor`'s
+//! matmuls).
 //!
 //! The workspace builds for baseline x86-64, whose SSE2 vectors hold two
 //! `f64`s or four `f32`s; on a host with AVX2 the same loops could run
@@ -20,7 +21,7 @@
 //! every value with the same operations in the same order, and produce
 //! the same bytes by construction. The oracle tests of each kernel
 //! (`sz2.rs`, `huffman.rs`, `zstdlike.rs`, `fedsz-nn`'s `kernels.rs`,
-//! `fedsz-tensor`'s matmul) run both copies on the same inputs and
+//! `fedsz-tensor`'s matmuls) run both copies on the same inputs and
 //! compare, so a change that broke this would fail tier-1 on any AVX2
 //! host.
 //!

@@ -211,9 +211,9 @@ impl Conv2d {
         }
     }
 
-    /// Accumulates `dW` and `db` for `grad`, and writes `dx` when given
-    /// one.
-    fn accumulate_grads(&mut self, grad: &Tensor, dx: Option<&mut [f32]>) {
+    /// Accumulates `dW` and `db` for `grad`, and appends `dx` to an
+    /// empty buffer when given one.
+    fn accumulate_grads(&mut self, grad: &Tensor, dx: Option<&mut Vec<f32>>) {
         let (input, s) = self.cache.take().expect("backward before forward");
         assert_eq!(grad.shape(), [s.n, s.oc, s.oh, s.ow], "gradient is not shaped like the output");
         #[cfg(test)]
@@ -252,9 +252,9 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
         let s = self.cache.as_ref().expect("backward before forward").1;
-        let mut dx = Tensor::zeros(vec![s.n, s.c, s.h, s.w]);
-        self.accumulate_grads(&grad, Some(dx.data_mut()));
-        dx
+        let mut dx = Vec::with_capacity(s.n * s.c * s.h * s.w);
+        self.accumulate_grads(&grad, Some(&mut dx));
+        Tensor::from_vec(vec![s.n, s.c, s.h, s.w], dx)
     }
 
     /// Skips `dx`: its axpys, its accumulator and its transposes.
@@ -503,13 +503,21 @@ impl Default for ReLU {
 }
 
 impl Layer for ReLU {
+    /// One pass in training: each element's mask bit is taken from the
+    /// input just before it is clamped in place.
     fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
         let cap = self.cap.unwrap_or(f32::INFINITY);
-        if train {
-            self.mask = Some(input.data().iter().map(|&v| v > 0.0 && v < cap).collect());
-        }
         let mut out = input;
-        out.map_inplace(|v| v.clamp(0.0, cap));
+        if train {
+            let mut mask = vec![false; out.len()];
+            for (v, pass) in out.data_mut().iter_mut().zip(&mut mask) {
+                *pass = *v > 0.0 && *v < cap;
+                *v = v.clamp(0.0, cap);
+            }
+            self.mask = Some(mask);
+        } else {
+            out.map_inplace(|v| v.clamp(0.0, cap));
+        }
         out
     }
 
@@ -740,8 +748,7 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
-        let wt = self.weight.value.transposed();
-        let mut out = input.matmul(&wt);
+        let mut out = input.matmul_transposed(&self.weight.value);
         let b = self.bias.value.data();
         for row in out.data_mut().chunks_exact_mut(b.len().max(1)) {
             for (v, &bv) in row.iter_mut().zip(b) {
@@ -1167,6 +1174,35 @@ pub(crate) mod tests {
         assert_eq!(y.data(), &[0.0, 3.0, 6.0]);
         let dx = relu.backward(Tensor::ones(vec![1, 3]));
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0]);
+    }
+
+    /// The forward's output against `clamp(0, cap)` and its mask
+    /// against `0 < v < cap`, bit for bit, in training and in eval,
+    /// `-0.0`, NaN payloads and the caps included.
+    #[test]
+    fn relu_forward_matches_the_mask_then_clamp() {
+        let values = [
+            -1.0,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE / 8.0,
+            3.0,
+            6.0,
+            f32::from_bits(0x40c0_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0xffc0_0042),
+        ];
+        for (mut relu, cap) in [(ReLU::new(), f32::INFINITY), (ReLU::relu6(), 6.0)] {
+            let want: Vec<u32> = values.iter().map(|v| v.clamp(0.0, cap).to_bits()).collect();
+            let mask: Vec<bool> = values.iter().map(|&v| v > 0.0 && v < cap).collect();
+            let x = Tensor::from_vec(vec![1, values.len()], values.to_vec());
+            let raw = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(raw(&relu.forward(x.clone(), false)), want, "eval, cap {cap}");
+            assert_eq!(raw(&relu.forward(x, true)), want, "training, cap {cap}");
+            assert_eq!(relu.mask.as_deref(), Some(&mask[..]), "cap {cap}");
+        }
     }
 
     #[test]

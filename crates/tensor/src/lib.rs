@@ -269,6 +269,31 @@ impl Tensor {
         Self { shape: vec![m, n], data: simd::dispatch(MatMul { lhs: self, rhs: other }) }
     }
 
+    /// `self.matmul(&rhs.transposed())` without the transpose:
+    /// `[m, k] x [n, k]^T -> [m, n]`, to the same bits.
+    ///
+    /// A `Linear` layer's forward, whose weights are `[out, in]`:
+    /// transposing them cost more than the product itself. Lanes run
+    /// across 16 rows of `self`, each lane one output's sum, and the `k`
+    /// terms go in ascending order as in [`Tensor::matmul`]. A zero
+    /// entry of `self` cannot be skipped by one lane alone; its lane
+    /// adds a zero instead, which leaves the sum as the skip would: the
+    /// sum starts at `+0.0` and so is never `-0.0`. Where `0 * w` is
+    /// not a zero (`w` infinite or NaN), the lane selects `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both tensors are 2D with the same number of
+    /// columns.
+    pub fn matmul_transposed(&self, rhs: &Tensor) -> Self {
+        assert_eq!(self.shape.len(), 2, "matmul lhs must be 2D");
+        assert_eq!(rhs.shape.len(), 2, "matmul rhs must be 2D");
+        let (m, k) = (self.shape[0], self.shape[1]);
+        let (n, k2) = (rhs.shape[0], rhs.shape[1]);
+        assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
+        Self { shape: vec![m, n], data: simd::dispatch(MatMulT { lhs: self, rhs }) }
+    }
+
     /// Transpose of a 2D tensor.
     ///
     /// Copies one 16 x 16 block at a time, so that neither the reads nor
@@ -339,6 +364,113 @@ impl Kernel for MatMul<'_> {
         }
         out
     }
+}
+
+/// Rows of the left operand one lane group of
+/// [`Tensor::matmul_transposed`] carries: two AVX2 registers.
+const ROWS: usize = 16;
+
+/// Right-hand rows (outputs per left row) one block of
+/// [`Tensor::matmul_transposed`] carries: twelve registers of sums, with
+/// room left for the left column and a product.
+const FEATURES: usize = 6;
+
+/// [`Tensor::matmul_transposed`]'s loops, compiled for the build target
+/// and for AVX2 ([`simd::dispatch`]).
+struct MatMulT<'a> {
+    lhs: &'a Tensor,
+    rhs: &'a Tensor,
+}
+
+impl Kernel for MatMulT<'_> {
+    type Output = Vec<f32>;
+
+    #[inline(always)]
+    fn run(self) -> Vec<f32> {
+        let (k, n) = (self.lhs.shape[1], self.rhs.shape[0]);
+        let mut out = vec![0.0f32; self.lhs.shape[0] * n];
+        // One group of ROWS left rows, column by column; rows past `m`
+        // stay zero and are never stored. With `k == 0` there is no
+        // group, and every output stays `+0.0`.
+        let mut cols = vec![[0.0f32; ROWS]; k];
+        for (group, rows) in self.lhs.data.chunks(ROWS * k.max(1)).enumerate() {
+            let live = rows.len() / k;
+            for (r, row) in rows.chunks_exact(k).enumerate() {
+                for (col, &v) in cols.iter_mut().zip(row) {
+                    col[r] = v;
+                }
+            }
+            for col in &mut cols {
+                col[live..].fill(0.0);
+            }
+            let out = &mut out[group * ROWS * n..][..live * n];
+            for (block, weights) in self.rhs.data.chunks(FEATURES * k).enumerate() {
+                let first = block * FEATURES;
+                let features = FEATURES.min(n - first);
+                let sums = match features {
+                    1 => dot_rows::<1>(&cols, weights),
+                    2 => dot_rows::<2>(&cols, weights),
+                    3 => dot_rows::<3>(&cols, weights),
+                    4 => dot_rows::<4>(&cols, weights),
+                    5 => dot_rows::<5>(&cols, weights),
+                    _ => dot_rows::<FEATURES>(&cols, weights),
+                };
+                for (r, out) in out.chunks_exact_mut(n).enumerate() {
+                    for (o, sum) in out[first..first + features].iter_mut().zip(&sums) {
+                        *o = sum[r];
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The sums of `J` right rows (`weights`, `J * k` values) against each
+/// lane's left row (`cols[p]` holds the lanes' entries `p`), padded to
+/// [`FEATURES`] sums of which the first `J` count.
+///
+/// A lane whose left entry is zero must come out as if the term were
+/// skipped. With every weight finite its product is `±0.0`, which
+/// leaves the sum as it was: the sum is never `-0.0`. A block with an
+/// infinite or NaN weight, where `0 * inf` would be NaN, selects `+0.0`
+/// for those lanes instead, at the cost of one more operation per
+/// product.
+#[inline(always)]
+fn dot_rows<const J: usize>(cols: &[[f32; ROWS]], weights: &[f32]) -> [[f32; ROWS]; FEATURES] {
+    let k = cols.len();
+    let mut rows: [&[f32]; J] = [&[]; J];
+    for (j, row) in rows.iter_mut().enumerate() {
+        *row = &weights[j * k..][..k];
+    }
+    let finite = weights[..J * k].iter().fold(true, |all, w| all & w.is_finite());
+    let sums = if finite {
+        dot_rows_with::<J, false>(cols, rows)
+    } else {
+        dot_rows_with::<J, true>(cols, rows)
+    };
+    let mut padded = [[0.0f32; ROWS]; FEATURES];
+    padded[..J].copy_from_slice(&sums);
+    padded
+}
+
+/// [`dot_rows`]' loop, with or without the select, returning its sums
+/// by value so that LLVM keeps them in registers.
+#[inline(always)]
+fn dot_rows_with<const J: usize, const SELECT: bool>(
+    cols: &[[f32; ROWS]],
+    rows: [&[f32]; J],
+) -> [[f32; ROWS]; J] {
+    let mut sums = [[0.0f32; ROWS]; J];
+    for (p, col) in cols.iter().enumerate() {
+        for (sum, row) in sums.iter_mut().zip(&rows) {
+            let w = row[p];
+            for (s, &x) in sum.iter_mut().zip(col) {
+                *s += if !SELECT || x != 0.0 { x * w } else { 0.0 };
+            }
+        }
+    }
+    sums
 }
 
 /// The position and value of each of `values`' entries that is not
@@ -474,6 +606,41 @@ mod tests {
             match simd::avx2(MatMul { lhs: &lhs, rhs: &rhs }) {
                 Some(data) => prop_assert_eq!(bits(&product(data)), want),
                 None => println!("skipped the AVX2 matmul: this host has no AVX2"),
+            }
+        }
+
+        /// The transpose-free product against the branching loop on the
+        /// transposed right side, both copies, on the palettes of
+        /// `matmul_matches_the_branching_loop_bit_for_bit` (a zero left
+        /// entry whose lane added `0 * inf` would read NaN) and on a
+        /// finite right side, which takes the loop without the select.
+        /// Row counts on both sides of a lane group, right sides on both
+        /// sides of a block, subnormal products among the finite ones.
+        #[test]
+        fn matmul_transposed_matches_the_branching_loop_bit_for_bit(
+            m in prop_oneof![1usize..4, 15usize..34],
+            n in prop_oneof![1usize..4, 5usize..14],
+            k in prop_oneof![0usize..9, 190usize..260],
+            finite in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let rng = &mut rng::seeded(seed);
+            let subnormal = f32::MIN_POSITIVE / 8.0;
+            let left = [Some(0.0), Some(-0.0), Some(0.0), Some(f32::NAN), Some(subnormal), None];
+            let right = if finite {
+                [None, None, Some(subnormal), Some(-subnormal), Some(-0.0), Some(0.0)]
+            } else {
+                [None, None, Some(f32::INFINITY), Some(f32::NEG_INFINITY), Some(-0.0), Some(0.0)]
+            };
+            let lhs = drawn(rng, vec![m, k], &left);
+            let rhs = drawn(rng, vec![n, k], &right);
+            let want = bits(&reference::matmul(&lhs, &reference::transposed(&rhs)));
+            prop_assert_eq!(bits(&lhs.matmul_transposed(&rhs)), want.clone());
+            let product = |data| Tensor::from_vec(vec![m, n], data);
+            prop_assert_eq!(bits(&product(MatMulT { lhs: &lhs, rhs: &rhs }.run())), want.clone());
+            match simd::avx2(MatMulT { lhs: &lhs, rhs: &rhs }) {
+                Some(data) => prop_assert_eq!(bits(&product(data)), want),
+                None => println!("skipped the AVX2 transposed matmul: this host has no AVX2"),
             }
         }
 
