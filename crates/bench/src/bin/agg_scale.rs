@@ -30,9 +30,10 @@
 //! would drown it.
 //!
 //! Flags (see [`USAGE`]): `--clients 100,1000,10000` (sweep list; points at 10^5–10^6
-//! are practical because of the streaming generator), `--shards N`
-//! (leaf aggregator count, default 16), `--depths 2,3,4` (tree depths
-//! to sweep), `--threads N` (merge worker pool width, default the
+//! are practical because of the streaming generator), `--leaves N`
+//! (leaf aggregator count, the report's `shards` setting, default 16),
+//! `--depths 2,3,4` (tree depths to sweep), `--threads N` (merge
+//! worker pool width, default the
 //! host's available parallelism), `--psum lossless|raw` (frame codec,
 //! default lossless), `--scale F` (model-size fraction, default
 //! 0.001), `--seed N`, `--min-speedup F` (a gate on `merge_speedup >= F`
@@ -130,7 +131,7 @@ fn fanouts_for(leaves: usize, levels: usize) -> Vec<usize> {
     fanouts
 }
 
-const USAGE: &str = "agg_scale [--clients N,N] [--shards N] [--depths D,D] [--threads N] \
+const USAGE: &str = "agg_scale [--clients N,N] [--leaves N] [--depths D,D] [--threads N] \
                      [--psum MODE] [--scale F] [--seed N] [--min-speedup F] [--out PATH] \
                      [--trace FILE]";
 const TIMING: &str = "flat_ms;tree_ms;merge_speedup";
@@ -140,7 +141,7 @@ const COLUMNS: &str = "clients;depth;fanouts;params;worker_threads;peak_update_m
 
 fn main() {
     let args = Args::parse(USAGE);
-    let shards: usize = args.get("--shards", 16);
+    let shards: usize = args.get("--leaves", 16);
     let scale: f64 = args.get("--scale", 0.001);
     let seed: u64 = args.get("--seed", 7);
     let threads: usize =

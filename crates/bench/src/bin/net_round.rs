@@ -16,7 +16,7 @@
 //! the tracked ≥100-worker point demonstrates at scale.
 //!
 //! Flags (see [`USAGE`]): `--workers 2,4,100` (cohort sweep), `--rounds
-//! N` (default 2), `--shards S` (adds a relay tier: S relay servers
+//! N` (default 2), `--relays S` (adds a relay tier: S relay servers
 //! between root and workers, forwarding losslessly compressed
 //! `PartialSum` frames), `--train-per-class N`, `--seed N`, `--out PATH` (default
 //! `BENCH_net_round.json`, `-` disables).
@@ -27,7 +27,7 @@ use fedsz_fl::{Experiment, FlConfig, StagePolicy};
 use std::thread;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "net_round [--workers N,N] [--rounds N] [--shards S] [--train-per-class N] \
+const USAGE: &str = "net_round [--workers N,N] [--rounds N] [--relays S] [--train-per-class N] \
                      [--seed N] [--out PATH]";
 const TIMING: &str = "wall_secs;in_memory_secs;secs_per_round";
 const COLUMNS: &str = "workers;wall_secs;in_memory_secs;secs_per_round;root_upstream_bytes;\
@@ -109,7 +109,7 @@ fn main() {
     let rounds: usize = args.get("--rounds", 2);
     let train_per_class: usize = args.get("--train-per-class", 4);
     let seed: u64 = args.get("--seed", 9);
-    let shards: usize = args.get("--shards", 0);
+    let shards: usize = args.get("--relays", 0);
     let workers_list: Vec<usize> = args.list("--workers", "2,4,100");
 
     let mut r = Report::new("fedsz.net_round.v3", TIMING);

@@ -158,7 +158,7 @@ fn main() {
     // prices the swept Top-K ratio rather than the grammar's default
     // slate.
     let parse = |spec: &str| {
-        StagePolicy::parse(spec, StageLeg::Uplink, Some(sz3))
+        StagePolicy::parse(spec, StageLeg::Uplink, sz3)
             .unwrap_or_else(|e| args.reject(&format!("`{spec}`: {e}")))
     };
     let topk = format!("topk:{topk_ratio}");

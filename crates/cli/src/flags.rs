@@ -140,12 +140,10 @@ pub const FLAGS: &[Flag] = &[
     flag("train-per-class", Value("a sample count"), RUN),
     flag("arch", Value("alexnet, mobilenetv2 or resnet"), RUN),
     flag("non-iid", Value("a Dirichlet alpha"), RUN),
-    flag("shards", Value("a shard count"), RUN),
     flag("tree", Value("per-level fan-outs like 4x8"), RUN),
     flag("psum", Value("a stage policy (raw, lossless, auto, ...)"), RUN),
     flag("downlink", Value("a stage policy (raw, lossy, auto, ...)"), RUN),
     flag("uplink", Value("a stage policy (raw, lossy, topk:R, q8, auto, ...)"), RUN),
-    flag("no-compress", Switch, RUN),
     flag("dp-clip", Value("a number (the L2 clip bound)"), RUN),
     flag("dp-noise", Value("a number (the noise multiplier)"), RUN),
     flag("dp-mechanism", Value("gaussian or laplace"), RUN),
@@ -378,7 +376,7 @@ mod tests {
         let args = Args::parse(Command::Fl, &argv).unwrap();
         assert_eq!(args.parsed_or("clients", 4usize), Ok(8));
         assert_eq!(args.parsed_or("rounds", 5usize), Ok(5));
-        assert!(args.switch("weighted") && !args.switch("no-compress"));
+        assert!(args.switch("weighted") && !args.switch("json"));
         assert_eq!(args.values("straggler"), ["0:4", "1:2"]);
         assert!(args.values("drop").is_empty());
         // Negative numbers are values, not flags.

@@ -27,7 +27,7 @@
 //! only parses: every range is checked once, by [`FlConfig::plan`]
 //! and, for the socket runtime, `ServeConfig::plan` or
 //! `WorkerConfig::plan`, before anything runs — so a bad spec fails
-//! with a [`PlanError`] message instead of a
+//! with a [`PlanError`](fedsz_fl::PlanError) message instead of a
 //! clamp or a mid-round panic. `fl` and `serve` additionally emit one
 //! shared machine-readable schema with `--json` ([`report`]).
 //!
@@ -46,8 +46,8 @@ use fedsz::{ErrorBound, FedSz, FedSzConfig, LosslessKind, LossyKind};
 use fedsz_data::DatasetKind;
 use fedsz_fl::net::{global_checksum, run_worker, NetServer, Role, ServeConfig, WorkerConfig};
 use fedsz_fl::{
-    DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, PlanError, StageLeg, StagePolicy,
-    Topology, TreePlan,
+    DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, StageLeg, StagePolicy, Topology,
+    TreePlan,
 };
 use fedsz_net::MetricsServer;
 use fedsz_nn::models::specs::ModelSpec;
@@ -92,16 +92,15 @@ USAGE:
            [--arch alexnet|mobilenetv2|resnet]
            [--participation F] [--bandwidth MBPS] [--links MBPS,MBPS,...]
            [--latency MS] [--straggler ID:FACTOR]... [--drop ID:PROB]...
-           [--non-iid ALPHA] [--weighted] [--no-compress] [--seed N]
-           [--train-per-class N] [--shards S] [--tree F1xF2x...]
+           [--non-iid ALPHA] [--weighted] [--seed N]
+           [--train-per-class N] [--tree F1xF2x...]
            [--uplink POLICY] [--downlink POLICY] [--psum POLICY] [--threads N]
            [--dp-clip F] [--dp-noise F] [--dp-mechanism gaussian|laplace]
            [--dp-seed N] [--trace FILE]
-  fedsz sweep <SPEC.toml|DIR> [--json [FILE]] [--threads N]
+  fedsz sweep <SPEC.toml> [--json [FILE]] [--threads N]
   fedsz serve [--config FILE] [--json] [--bind ADDR] [--clients N]
               [--rounds N] [--seed N] [--train-per-class N] [--arch ...]
-              [--non-iid ALPHA] [--no-compress]
-              [--uplink POLICY] [--downlink POLICY] [--shards S]
+              [--non-iid ALPHA] [--uplink POLICY] [--downlink POLICY]
               [--tree S] [--psum POLICY]
               [--dp-clip F] [--dp-noise F]
               [--dp-mechanism gaussian|laplace] [--dp-seed N]
@@ -111,8 +110,7 @@ USAGE:
               [--trace FILE] [--metrics-addr ADDR]
   fedsz worker --id K [--config FILE] [--connect ADDR] [--clients N]
                [--rounds N] [--seed N] [--train-per-class N] [--arch ...]
-               [--non-iid ALPHA] [--no-compress]
-               [--uplink POLICY] [--downlink POLICY] [--shards S]
+               [--non-iid ALPHA] [--uplink POLICY] [--downlink POLICY]
                [--tree S] [--psum POLICY]
                [--dp-clip F] [--dp-noise F]
                [--dp-mechanism gaussian|laplace] [--dp-seed N]
@@ -124,14 +122,14 @@ USAGE:
 the virtual-time event queue, so fast links overlap instead of queueing
 on one pipe); --straggler slows a client's compute, and every round
 waits for the slowest delivered upload (synchronous FedAvg).
---shards S aggregates through a two-level tree of S edge aggregators
+--tree S aggregates through a two-level tree of S edge aggregators
 (bit-identical to the flat server, but root ingress drops to S
 partial-sum frames); --tree 4x8 builds an arbitrary-depth hierarchy
 (4 mid-tier nodes over 32 leaves, still bit-identical).
 
 --uplink, --downlink and --psum (the upload, broadcast and
 inter-aggregator partial-sum legs) read one POLICY grammar: raw;
-lossy or fedsz (FedSZ; needs compression on); lossless (the
+lossy or fedsz (FedSZ); lossless (the
 byte-plane coder); topk:RATIO (Top-K delta sparsification, e.g.
 topk:0.01); q4/q8 (linear delta quantization; q4s/q8s stochastic);
 adaptive or eqn1 (Eqn 1 prices the leg's default codec against raw:
@@ -162,22 +160,20 @@ whose values are arrays (dp-noise = [0.0, 0.5], uplink =
 [\"topk:0.01\", \"q8\"]). Axes expand cross-product style in
 declaration order with the last axis varying fastest; every expanded
 cell's plan is validated before any cell runs (a bad cell fails the
-whole sweep up front, naming the cell); each cell derives its seed
-from the base seed and its cell index — cell 0 keeps the base seed
-exactly, so a one-cell sweep is bit-identical to the equivalent
-`fedsz fl` run. Cells execute across a worker pool (--threads N,
+whole sweep up front, naming the cell); every cell runs on the
+spec's seed (replicates are a seed = [...] axis), so each cell is
+bit-identical to the `fedsz fl --config` run of its coordinates.
+Cells execute across a worker pool (--threads N,
 default host parallelism) and the merged fedsz.sweep_report.v1
 document (--json [FILE]; stdout without FILE) embeds every cell's
 coordinates, seed and full run_report.v2 rows, plus the Pareto front
-over final accuracy / total uplink bytes / virtual time. Passing a
-directory instead of a file sweeps every *.toml inside it, one cell
-per spec.
+over final accuracy / total uplink bytes / virtual time.
 
 `fedsz serve` + `fedsz worker` run the SAME round across real
 processes over TCP: `serve` listens (default 127.0.0.1:7070), waits
 for every worker's Join, then drives rounds of framed broadcast →
 barrier → exact aggregation, evicting children that miss the round
-timeout. With --shards S the root expects S relay servers instead of
+timeout. With --tree S the root expects S relay servers instead of
 workers; each relay runs `fedsz serve --shard I --connect ROOT` and
 forwards one PartialSum frame per round. Config flags that
 shape the bits (seed, data, arch, codec) must match across every
@@ -471,27 +467,10 @@ fn shared_fl_config(args: &Args) -> Result<FlConfig, String> {
     // Execution width, not semantics: any width produces identical
     // bits, so multi-process peers need not agree on it.
     config.worker_threads = args.parsed("threads")?;
-    // The FedSZ codec every compressing flag below wraps; `None` under
-    // --no-compress, which also makes raw the default upload policy.
-    let codec = if args.switch("no-compress") {
-        config.uplink = StagePolicy::Raw;
-        None
-    } else {
-        Some(FlConfig::tiny_model_compression())
-    };
-    // --shards S is the two-level spelling of --tree S.
-    config.tree = match (args.value("shards"), args.value("tree")) {
-        (Some(_), Some(_)) => {
-            return Err("contradictory topology flags: --shards and --tree both set; \
-                        pick one (--tree S is the two-level equivalent of --shards S)"
-                .into())
-        }
-        (Some(_), None) => args.parsed("shards")?.map(|shards| vec![shards]),
-        (None, Some(spec)) => {
-            Some(TreePlan::parse_fanouts(spec).map_err(|e| format!("--tree: {e}"))?)
-        }
-        (None, None) => None,
-    };
+    config.tree = args
+        .value("tree")
+        .map(|spec| TreePlan::parse_fanouts(spec).map_err(|e| format!("--tree: {e}")))
+        .transpose()?;
     // One grammar for the three legs (`StagePolicy::parse`); whether
     // a policy is legal on its leg is the plan's question.
     for (leg, policy) in [
@@ -500,7 +479,7 @@ fn shared_fl_config(args: &Args) -> Result<FlConfig, String> {
         (StageLeg::Psum, &mut config.psum),
     ] {
         if let Some(spec) = args.value(leg.name()) {
-            *policy = StagePolicy::parse(spec, leg, codec)?;
+            *policy = StagePolicy::parse(spec, leg, FlConfig::tiny_model_compression())?;
         }
     }
     // The DP stage: --dp-clip is the switch (a clip bound is the one
@@ -588,13 +567,7 @@ fn simulator_config(args: &Args) -> Result<FlConfig, String> {
     // One validation pass over the assembled configuration: every
     // range (cohort, links, participation, stage policies, DP) is the
     // plan's to check.
-    let invalid = |e: PlanError| format!("invalid configuration: {e}");
-    let plan = config.plan().map_err(invalid)?;
-    // `--shards S` promises S edges that each aggregate someone; an
-    // explicit `--tree` may out-leaf the cohort.
-    if args.value("shards").is_some() {
-        plan.check_shards().map_err(invalid)?;
-    }
+    config.plan().map_err(|e| format!("invalid configuration: {e}"))?;
     Ok(config)
 }
 
@@ -979,25 +952,13 @@ mod tests {
         assert_ne!(runv(&["fl", "--drop", "0:1.5", "--clients", "2"]).code, 0);
         assert_ne!(runv(&["fl", "--drop", "zero", "--clients", "2"]).code, 0);
         assert_ne!(runv(&["fl", "--non-iid", "-1"]).code, 0);
-        assert_ne!(runv(&["fl", "--shards", "0"]).code, 0);
-        assert_ne!(runv(&["fl", "--shards", "two"]).code, 0);
+        assert_ne!(runv(&["fl", "--tree", "0"]).code, 0);
+        assert_ne!(runv(&["fl", "--tree", "two"]).code, 0);
         assert_ne!(runv(&["fl", "--tree", "4x0"]).code, 0);
         assert_ne!(runv(&["fl", "--tree", "4xtwo"]).code, 0);
-        assert_ne!(runv(&["fl", "--psum", "gzip", "--shards", "2"]).code, 0);
+        assert_ne!(runv(&["fl", "--psum", "gzip", "--tree", "2"]).code, 0);
         assert_ne!(runv(&["fl", "--psum", "lossless"]).code, 0, "--psum needs a tree");
         assert_ne!(runv(&["fl", "--downlink", "gzip"]).code, 0);
-        assert_ne!(runv(&["fl", "--downlink", "fedsz", "--no-compress"]).code, 0);
-    }
-
-    #[test]
-    fn contradictory_topology_flags_rejected() {
-        // --shards is sugar for a one-level --tree: naming both is an
-        // error, on every subcommand sharing the parser.
-        for cmd in ["fl", "serve", "worker"] {
-            let out = runv(&[cmd, "--shards", "2", "--tree", "2x2", "--clients", "4"]);
-            assert_ne!(out.code, 0, "{cmd} accepted --shards with --tree");
-            assert!(out.report.contains("contradictory"), "{}", out.report);
-        }
     }
 
     #[test]
@@ -1021,12 +982,12 @@ mod tests {
         assert_ne!(runv(&["worker", "--id", "0", "--timeout", "-5"]).code, 0);
         // Serve: relay mode needs the tree shape and an upstream.
         assert_ne!(runv(&["serve", "--shard", "0", "--clients", "4"]).code, 0);
-        assert_ne!(runv(&["serve", "--shard", "0", "--shards", "2", "--clients", "4"]).code, 0);
-        assert_ne!(runv(&["serve", "--shard", "x", "--connect", "h:1", "--shards", "2"]).code, 0);
+        assert_ne!(runv(&["serve", "--shard", "0", "--tree", "2", "--clients", "4"]).code, 0);
+        assert_ne!(runv(&["serve", "--shard", "x", "--connect", "h:1", "--tree", "2"]).code, 0);
         // A relay shard index outside the plan is a CLI error, not a
         // later panic.
         let out =
-            runv(&["serve", "--shard", "7", "--connect", "h:1", "--shards", "2", "--clients", "4"]);
+            runv(&["serve", "--shard", "7", "--connect", "h:1", "--tree", "2", "--clients", "4"]);
         assert_ne!(out.code, 0);
         assert!(out.report.contains("outside the 2-shard plan"), "{}", out.report);
         // Deep trees and adaptive downlink are simulator-only, and a
@@ -1118,7 +1079,7 @@ mod tests {
             "1",
             "--train-per-class",
             "2",
-            "--shards",
+            "--tree",
             "2",
             "--downlink",
             "fedsz",
@@ -1147,21 +1108,6 @@ mod tests {
         assert_ne!(out.code, 0);
         assert!(out.report.contains("unknown key"), "{}", out.report);
         assert_ne!(runv(&["fl", "--config", "/nonexistent.toml"]).code, 0);
-        // Each sugar flag parses into the same field as its long form:
-        // same config, same run, same bits.
-        std::fs::write(&path, "clients = 2\nrounds = 1\ntrain-per-class = 2\nseed = 5\n").unwrap();
-        let checksum = |extra: &[&str]| {
-            let out = runv(&[&["fl", "--config", &path], extra].concat());
-            assert_eq!(out.code, 0, "{extra:?}: {}", out.report);
-            let line = out.report.lines().find(|l| l.starts_with("global checksum"));
-            line.unwrap_or_else(|| panic!("{extra:?} printed no checksum")).to_owned()
-        };
-        for (sugar, long_form) in [
-            (&["--shards", "2"][..], &["--tree", "2"][..]),
-            (&["--no-compress"], &["--uplink", "raw"]),
-        ] {
-            assert_eq!(checksum(sugar), checksum(long_form), "{sugar:?} vs {long_form:?}");
-        }
         cleanup(&[&path]);
     }
 
@@ -1191,17 +1137,19 @@ mod tests {
 
     #[test]
     fn invalid_plans_fail_with_actionable_messages() {
-        // An out-of-range --shards count fails with the range in the
-        // message, on every subcommand sharing the parser.
-        let out = runv(&["fl", "--clients", "2", "--shards", "9"]);
-        assert_ne!(out.code, 0);
-        assert!(out.report.contains("9 shards for 2 clients"), "{}", out.report);
-        let out = runv(&["serve", "--clients", "2", "--shards", "9"]);
-        assert_ne!(out.code, 0);
-        assert!(out.report.contains("invalid configuration"), "{}", out.report);
-        let out = runv(&["worker", "--id", "0", "--clients", "2", "--shards", "9"]);
-        assert_ne!(out.code, 0);
-        assert!(out.report.contains("invalid configuration"), "{}", out.report);
+        // The simulator lays surplus leaves over the cohort, so a tree
+        // wider than the cohort plans. Every shard of the socket runtime
+        // is a relay process, so there it fails with both counts named.
+        let tree = ["--clients", "2", "--tree", "9"];
+        let argv = tree.map(String::from);
+        let args = Args::parse(Command::Fl, &argv).unwrap();
+        assert_eq!(simulator_config(&args).map(|c| c.tree), Ok(Some(vec![9])));
+        for command in [&["serve"][..], &["worker", "--id", "0"]] {
+            let out = runv(&[command, &tree].concat());
+            assert_eq!(out.code, 2, "{command:?}: {}", out.report);
+            assert!(out.report.contains("invalid configuration"), "{}", out.report);
+            assert!(out.report.contains("9 shards for 2 clients"), "{}", out.report);
+        }
     }
 
     #[test]
@@ -1248,12 +1196,6 @@ mod tests {
         let out = runv(&args);
         assert_ne!(out.code, 0);
         assert!(out.report.contains("(0, 1]"), "{}", out.report);
-        // Codec-dependent specs need the codec.
-        let mut args = base.to_vec();
-        args.extend(["--uplink", "lossy", "--no-compress"]);
-        let out = runv(&args);
-        assert_ne!(out.code, 0);
-        assert!(out.report.contains("requires compression"), "{}", out.report);
     }
 
     #[test]
@@ -1267,7 +1209,6 @@ mod tests {
             (&["--downlink", "topk:0.1"], "a topk policy is illegal on the downlink leg"),
             (&["--uplink", "lossless"], "a lossless policy is illegal on the uplink leg"),
             (&["--psum", "q8"], "a q8 policy is illegal on the psum leg"),
-            (&["--downlink", "lossy", "--no-compress"], "downlink policy `lossy` requires"),
             (&["--psum", "bogus"], "unknown psum codec `bogus`"),
         ] {
             let out = run_with(extra);

@@ -252,18 +252,7 @@ pub fn expand_config(args: &[String]) -> Result<Vec<String>, String> {
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut entries = parse_spec(&text).map_err(|e| format!("{path}: {e}"))?;
-    // `shards` and `tree` are two spellings of one logical topology
-    // setting (the plan layer rejects them together), so an explicit
-    // topology flag overrides the file's topology under either name —
-    // otherwise `--shards 4` against a spec with `tree = "2x4"` would
-    // hard-fail as a conflict the user cannot resolve from the CLI.
-    let cli_sets_topology = args.iter().any(|a| a == "--shards" || a == "--tree");
-    entries.retain(|(key, _)| {
-        if cli_sets_topology && (key == "shards" || key == "tree") {
-            return false;
-        }
-        !args.iter().any(|a| *a == format!("--{key}"))
-    });
+    entries.retain(|(key, _)| !args.iter().any(|a| *a == format!("--{key}")));
     let mut expanded: Vec<String> = Vec::with_capacity(args.len() + entries.len() * 2);
     expanded.extend_from_slice(&args[..pos]);
     expanded.extend_from_slice(&args[pos + 2..]);
@@ -402,7 +391,7 @@ mod tests {
             tree = "2x4"            # inline comment
             psum = lossless
             weighted = true
-            no-compress = false
+            json = false
             participation = 0.5
             straggler = ["0:4", "1:2"]
         "#;
@@ -495,30 +484,6 @@ mod tests {
         let expanded = expand_config(&args).unwrap();
         // The CLI set --rounds, so the file's rounds entry is dropped.
         assert_eq!(expanded, vec!["--rounds", "1", "--clients", "8"]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn cli_flags_override_either_file_spelling_of_one_setting() {
-        // `shards` and `tree` are one logical setting: an explicit
-        // --shards must displace a file's `tree` (and vice versa)
-        // instead of colliding into a contradictory-topology error.
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("fedsz-spec-topo-{}.toml", std::process::id()));
-        std::fs::write(&path, "tree = \"2x4\"\nrounds = 2\n").unwrap();
-        let args: Vec<String> = ["--shards", "4", "--config", path.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let expanded = expand_config(&args).unwrap();
-        assert_eq!(expanded, vec!["--shards", "4", "--rounds", "2"]);
-        std::fs::write(&path, "shards = 2\n").unwrap();
-        let args: Vec<String> = ["--tree", "2x2", "--config", path.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let expanded = expand_config(&args).unwrap();
-        assert_eq!(expanded, vec!["--tree", "2x2"]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -18,17 +18,13 @@
 //! order, last axis fastest), every expanded cell's configuration is
 //! validated **before any cell runs** (a bad cell fails the whole
 //! sweep with one error naming the cell — no partial sweeps), and the
-//! cells then execute across a worker pool. Each cell's config is
-//! assembled by the *same* `simulator_config` path `fedsz fl` uses,
-//! with its seed derived from the base seed and the cell index
-//! ([`cell_seed`]; cell 0 keeps the base seed exactly, so a one-cell
-//! sweep reproduces the plain `fl` run bit for bit). Sweeping `seed`
-//! as an axis takes over seeding entirely — no derivation then.
-//!
-//! `fedsz sweep DIR` instead treats every `*.toml` inside `DIR`
-//! (sorted by name) as one cell of a single `spec` axis; those specs
-//! must be flat (a `[matrix]` spec runs directly, not from a
-//! directory).
+//! cells then execute across a worker pool. Cell `i` is exactly
+//! `fedsz fl --config BASE --AXIS VALUE…` over its coordinates: its
+//! flags are its coordinates followed by the flat section's, parsed by
+//! the *same* `simulator_config` path `fedsz fl` uses, on the spec's
+//! seed (default 42). Cells that differ in one axis therefore compare
+//! that axis on the same data and initial model; replicates are a
+//! `seed = [...]` axis.
 //!
 //! The merged output (`--json [FILE]`) is one `fedsz.sweep_report.v1`
 //! document: top-level `schema`/`schema_version`/`cell_count`, the
@@ -41,14 +37,11 @@
 
 use crate::flags::{Args, Command};
 use crate::report::{json_f64, json_string, RoundRow, RunReport};
-use crate::spec::{self, SpecValue};
+use crate::spec;
 use crate::{simulator_config, Outcome};
-use fedsz_fl::sweep::{
-    cell_seed, pareto_front, run_cells, CellOutcome, MatrixAxis, ParetoPoint, SweepMatrix,
-};
+use fedsz_fl::sweep::{pareto_front, run_cells, CellOutcome, MatrixAxis, ParetoPoint, SweepMatrix};
 use fedsz_fl::FlConfig;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// The schema tag every sweep report carries.
 pub const SWEEP_REPORT_SCHEMA: &str = "fedsz.sweep_report.v1";
@@ -56,92 +49,32 @@ pub const SWEEP_REPORT_SCHEMA: &str = "fedsz.sweep_report.v1";
 /// The schema version every sweep report carries.
 pub const SWEEP_SCHEMA_VERSION: u32 = 1;
 
-/// One fully planned (not yet executed) cell.
-struct PlannedCell {
-    index: usize,
-    coords: Vec<(String, String)>,
-    config: FlConfig,
-}
-
-/// The axes (key + values, declaration order) and per-cell flag
-/// vectors an expansion produces.
-type ExpandedCells = (Vec<(String, Vec<String>)>, Vec<Vec<String>>);
-
-/// Expands a `[matrix]` spec file into per-cell flag vectors plus the
-/// axes for the report header.
-fn cells_from_file(path: &str) -> Result<ExpandedCells, String> {
+/// Reads a sweep spec and plans every cell of its matrix, returning
+/// the cells' configurations in cell order. The first cell that fails
+/// to parse or plan fails the whole sweep, named by its index and
+/// coordinates.
+fn plan_cells(path: &str) -> Result<(SweepMatrix, Vec<FlConfig>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let sweep = spec::parse_sweep_spec(&text).map_err(|e| format!("{path}: {e}"))?;
-    let axes: Vec<MatrixAxis> = sweep
-        .axes
-        .iter()
-        .map(|(key, values)| MatrixAxis { key: key.clone(), values: values.clone() })
-        .collect();
+    let axes = sweep.axes.into_iter().map(|(key, values)| MatrixAxis { key, values }).collect();
     let matrix = SweepMatrix::new(axes).map_err(|e| format!("{path}: {e}"))?;
-    // An explicit `seed` axis takes over seeding; otherwise every cell
-    // derives its own from the spec's base seed (default 42) and its
-    // index, so neighbouring cells never share RNG streams. A flag may
-    // be given once, so the derived seed replaces the base entry.
-    let seed_swept = sweep.axes.iter().any(|(key, _)| key == "seed");
-    let (seed_entry, base): (Vec<_>, Vec<_>) =
-        sweep.base.iter().cloned().partition(|(key, _)| key == "seed");
-    let base_seed: u64 = match seed_entry.first() {
-        Some((_, SpecValue::Scalar(s))) => {
-            s.parse().map_err(|_| format!("{path}: bad seed `{s}`"))?
-        }
-        _ => 42,
-    };
-    let base_args = spec::spec_to_args(&base);
-    let mut cells = Vec::with_capacity(matrix.cell_count());
-    for cell in matrix.cells() {
-        let mut args: Vec<String> = Vec::new();
-        for (key, value) in &cell.coords {
-            args.push(format!("--{key}"));
-            args.push(value.clone());
-        }
-        if !seed_swept {
-            args.push("--seed".into());
-            args.push(cell_seed(base_seed, cell.index).to_string());
-        }
-        args.extend(base_args.iter().cloned());
-        cells.push(args);
-    }
-    Ok((sweep.axes, cells))
-}
-
-/// Treats every `*.toml` in a directory as one cell of a `spec` axis.
-fn cells_from_dir(path: &str) -> Result<ExpandedCells, String> {
-    let entries = std::fs::read_dir(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut files: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .filter_map(|p| p.to_str().map(str::to_string))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("{path}: no .toml run specs to sweep"));
-    }
-    let mut names = Vec::with_capacity(files.len());
-    let mut cells = Vec::with_capacity(files.len());
-    for file in &files {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        let sweep = spec::parse_sweep_spec(&text).map_err(|e| format!("{file}: {e}"))?;
-        if !sweep.axes.is_empty() {
-            return Err(format!(
-                "{file}: directory sweeps take flat specs; run a [matrix] spec directly \
-                 (fedsz sweep {file})"
-            ));
-        }
-        let name = Path::new(file)
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or(file.as_str())
-            .to_string();
-        names.push(name);
-        cells.push(spec::spec_to_args(&sweep.base));
-    }
-    Ok((vec![("spec".to_string(), names)], cells))
+    let base_args = spec::spec_to_args(&sweep.base);
+    let configs = matrix
+        .cells()
+        .iter()
+        .map(|cell| {
+            let args: Vec<String> = cell
+                .coords
+                .iter()
+                .flat_map(|(key, value)| [format!("--{key}"), value.clone()])
+                .chain(base_args.iter().cloned())
+                .collect();
+            Args::parse(Command::Fl, &args)
+                .and_then(|args| simulator_config(&args))
+                .map_err(|e| format!("cell {} ({}): {e}", cell.index, coords_label(&cell.coords)))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((matrix, configs))
 }
 
 fn coords_label(coords: &[(String, String)]) -> String {
@@ -159,8 +92,8 @@ fn pareto_point(outcome: &CellOutcome) -> ParetoPoint {
 
 /// Renders the merged `fedsz.sweep_report.v1` document.
 fn sweep_json(
-    axes: &[(String, Vec<String>)],
-    planned: &[PlannedCell],
+    matrix: &SweepMatrix,
+    configs: &[FlConfig],
     outcomes: &[CellOutcome],
     points: &[ParetoPoint],
     front: &[usize],
@@ -169,16 +102,17 @@ fn sweep_json(
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": {},", json_string(SWEEP_REPORT_SCHEMA));
     let _ = writeln!(out, "  \"schema_version\": {SWEEP_SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"cell_count\": {},", planned.len());
+    let _ = writeln!(out, "  \"cell_count\": {},", configs.len());
     let _ = writeln!(out, "  \"axes\": [");
-    for (i, (key, values)) in axes.iter().enumerate() {
-        let body = values.iter().map(|v| json_string(v)).collect::<Vec<_>>().join(", ");
-        let _ = write!(out, "    {{\"key\": {}, \"values\": [{body}]}}", json_string(key));
+    let axes = matrix.axes();
+    for (i, axis) in axes.iter().enumerate() {
+        let body = axis.values.iter().map(|v| json_string(v)).collect::<Vec<_>>().join(", ");
+        let _ = write!(out, "    {{\"key\": {}, \"values\": [{body}]}}", json_string(&axis.key));
         let _ = writeln!(out, "{}", if i + 1 < axes.len() { "," } else { "" });
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"cells\": [");
-    for (cell, outcome) in planned.iter().zip(outcomes) {
+    for ((cell, config), outcome) in matrix.cells().iter().zip(configs).zip(outcomes) {
         let coords = cell
             .coords
             .iter()
@@ -186,21 +120,21 @@ fn sweep_json(
             .collect::<Vec<_>>()
             .join(", ");
         // The embedded document is built by the exact code `fedsz fl
-        // --json` runs, so a one-cell sweep's report diffs clean
-        // against the plain run's.
+        // --json` runs, so each cell's report diffs clean against the
+        // plain run of its coordinates.
         let report = RunReport {
             command: "fl",
-            clients: cell.config.clients,
+            clients: config.clients,
             rounds: outcome.metrics.iter().map(RoundRow::simulator).collect(),
             checksum: Some(outcome.checksum),
         };
         let _ = writeln!(
             out,
             "    {{\"index\": {}, \"seed\": {}, \"coords\": {{{coords}}}, \"report\":",
-            cell.index, cell.config.seed
+            cell.index, config.seed
         );
         let _ = write!(out, "{}", report.to_json().trim_end());
-        let _ = writeln!(out, "}}{}", if cell.index + 1 < planned.len() { "," } else { "" });
+        let _ = writeln!(out, "}}{}", if cell.index + 1 < configs.len() { "," } else { "" });
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"pareto\": [");
@@ -220,12 +154,11 @@ fn sweep_json(
     out
 }
 
-/// Runs `fedsz sweep SPEC.toml|DIR [--json [FILE]] [--threads N]`.
+/// Runs `fedsz sweep SPEC.toml [--json [FILE]] [--threads N]`.
 pub fn sweep(args: &[String]) -> Outcome {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")).map(String::as_str) else {
         return Outcome::fail(
-            "sweep requires a spec: fedsz sweep <SPEC.toml|DIR> [--json [FILE]] [--threads N]"
-                .into(),
+            "sweep requires a spec: fedsz sweep <SPEC.toml> [--json [FILE]] [--threads N]".into(),
         );
     };
     let flags = match Args::parse(Command::Sweep, &args[1..]) {
@@ -237,51 +170,26 @@ pub fn sweep(args: &[String]) -> Outcome {
         Ok(Some(n)) if n > 0 => n,
         _ => return Outcome::fail("--threads expects a positive worker-thread count".into()),
     };
-    let is_dir = Path::new(path).is_dir();
-    let (axes, cell_args) = match if is_dir { cells_from_dir(path) } else { cells_from_file(path) }
-    {
-        Ok(expanded) => expanded,
+    // Plan the WHOLE grid before running any of it: one bad cell fails
+    // the sweep up front, naming the cell, so a sweep either starts
+    // completely or not at all.
+    let (matrix, configs) = match plan_cells(path) {
+        Ok(planned) => planned,
         Err(e) => return Outcome::fail(e),
     };
 
-    // Validate the WHOLE grid before running any of it: one bad cell
-    // fails the sweep up front, naming the cell, so a sweep either
-    // starts completely or not at all.
-    let matrix = match SweepMatrix::new(
-        axes.iter()
-            .map(|(key, values)| MatrixAxis { key: key.clone(), values: values.clone() })
-            .collect(),
-    ) {
-        Ok(matrix) => matrix,
-        Err(e) => return Outcome::fail(e),
-    };
-    let mut planned = Vec::with_capacity(cell_args.len());
-    for (index, args) in cell_args.iter().enumerate() {
-        let coords = matrix.coords(index);
-        match Args::parse(Command::Fl, args).and_then(|args| simulator_config(&args)) {
-            Ok(config) => planned.push(PlannedCell { index, coords, config }),
-            Err(e) => {
-                return Outcome::fail(format!(
-                    "cell {index} ({}): {e}",
-                    coords_label(&matrix.coords(index))
-                ))
-            }
-        }
-    }
-
-    let configs: Vec<FlConfig> = planned.iter().map(|c| c.config.clone()).collect();
     let outcomes = run_cells(&configs, threads);
     let points: Vec<ParetoPoint> = outcomes.iter().map(pareto_point).collect();
     let front = pareto_front(&points);
 
     if flags.switch("json") {
-        let doc = sweep_json(&axes, &planned, &outcomes, &points, &front);
+        let doc = sweep_json(&matrix, &configs, &outcomes, &points, &front);
         return match flags.value("json") {
             None => Outcome::ok(doc),
             Some(file) => match std::fs::write(file, &doc) {
                 Ok(()) => Outcome::ok(format!(
                     "wrote {} cells ({SWEEP_REPORT_SCHEMA}) to {file}\n",
-                    planned.len()
+                    configs.len()
                 )),
                 Err(e) => Outcome::fail(format!("cannot write {file}: {e}")),
             },
@@ -293,22 +201,21 @@ pub fn sweep(args: &[String]) -> Outcome {
     let _ = writeln!(
         out,
         "sweep: {} cells over {} axes, {} worker threads",
-        planned.len(),
-        axes.len(),
+        configs.len(),
+        matrix.axes().len(),
         threads
     );
     let _ = writeln!(out, " cell                  seed    acc%     upKB  virt(s)  coords");
-    for (cell, outcome) in planned.iter().zip(&outcomes) {
-        let p = pareto_point(outcome);
+    for ((cell, config), point) in matrix.cells().iter().zip(&configs).zip(&points) {
         let star = if front.contains(&cell.index) { "*" } else { " " };
         let _ = writeln!(
             out,
             "{star}{:>4}  {:>20}  {:>5.1}  {:>7.1}  {:>7.3}  {}",
             cell.index,
-            cell.config.seed,
-            p.accuracy * 100.0,
-            p.bytes / 1e3,
-            p.secs,
+            config.seed,
+            point.accuracy * 100.0,
+            point.bytes / 1e3,
+            point.secs,
             coords_label(&cell.coords),
         );
     }

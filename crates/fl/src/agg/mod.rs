@@ -31,7 +31,7 @@
 //!
 //! **Shape.** [`TreePlan`] describes an arbitrary-depth hierarchy as a
 //! list of per-level fan-outs (`--tree 4x8x32`); the two-level
-//! `--shards S` tree is the one-entry case `[S]`. Clients partition
+//! `--tree S` is the one-entry case `[S]`. Clients partition
 //! contiguously and balanced across the *leaf* aggregators, and every
 //! internal node owns the union of its children's ranges.
 //!

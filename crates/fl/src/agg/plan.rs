@@ -30,7 +30,7 @@ use std::ops::Range;
 ///
 /// `fanouts[l]` is the number of children under each node at level `l`
 /// (level 0 is the root); clients hang off the last level's nodes (the
-/// *leaf aggregators*). A two-level `--shards S` tree is
+/// *leaf aggregators*). A two-level `--tree S` is
 /// `TreePlan::new(clients, vec![S])`.
 ///
 /// Leaf ranges are balanced to within one client. A plan with more
@@ -89,7 +89,7 @@ impl TreePlan {
         &self.fanouts
     }
 
-    /// Tree depth counting the root: a `--shards S` tree has depth 2.
+    /// Tree depth counting the root: a `--tree S` tree has depth 2.
     pub fn depth(&self) -> usize {
         self.fanouts.len() + 1
     }
@@ -196,7 +196,7 @@ mod tests {
             (7, vec![2, 2, 2]), // more leaves than clients
             (1000, vec![4, 4, 4]),
             (5, vec![9]),
-            // One tier of edge aggregators (`--shards S`).
+            // One tier of edge aggregators (`--tree S`).
             (10, vec![3]),
             (16, vec![16]),
             (100, vec![7]),

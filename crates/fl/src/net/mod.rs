@@ -17,7 +17,7 @@
 //!   fedsz worker --id 3 ─┘
 //!
 //!   fedsz worker --id 0..2 ──► fedsz serve --shard 0 ─┐ PartialSum
-//!                                                     ├──► fedsz serve (root, --shards 2)
+//!                                                     ├──► fedsz serve (root, --tree 2)
 //!   fedsz worker --id 2..4 ──► fedsz serve --shard 1 ─┘    exact psum merge
 //! ```
 //!

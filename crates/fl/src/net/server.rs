@@ -142,22 +142,10 @@ impl ServeConfig {
         }
     }
 
-    /// The client ids this server expects as direct children: the
-    /// whole cohort (flat root), one id per relay shard (sharded
-    /// root), or the relay's contiguous worker range.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration fails [`ServeConfig::plan`]
-    /// validation. Fallible callers should validate via
-    /// [`ServeConfig::plan`] first (the CLI does).
-    pub fn expected_children(&self) -> Vec<u64> {
-        let plan = self.plan().unwrap_or_else(|e| panic!("{e}"));
-        Self::expected_children_of(&plan, &self.role)
-    }
-
-    /// [`ServeConfig::expected_children`] over a plan
-    /// [`ServeConfig::plan`] already validated for `role`.
+    /// The client ids a server in `role` expects as direct children:
+    /// the whole cohort (flat root), one id per relay shard (sharded
+    /// root), or the relay's contiguous worker range. `plan` is the
+    /// one [`ServeConfig::plan`] validated for `role`.
     ///
     /// # Panics
     ///
@@ -755,12 +743,15 @@ mod tests {
         assert!(err.to_string().contains("shards <= clients"), "{err}");
         // The full-width count remains legal.
         fl.tree = Some(vec![4]);
-        assert_eq!(ServeConfig::root(fl.clone()).expected_children(), vec![0, 1, 2, 3]);
+        let children = |config: ServeConfig| {
+            ServeConfig::expected_children_of(&config.plan().unwrap(), &config.role)
+        };
+        assert_eq!(children(ServeConfig::root(fl.clone())), vec![0, 1, 2, 3]);
         // A relay role the plan's tree cannot place is refused the same
         // way (`NetServer::run` starts with this call), not panicked
         // on: an out-of-range shard, or any shard of a flat plan.
         let relay = |fl: &FlConfig, shard| ServeConfig::relay(fl.clone(), shard, "h:1".into());
-        assert_eq!(relay(&fl, 3).expected_children(), vec![3]);
+        assert_eq!(children(relay(&fl, 3)), vec![3]);
         let err = relay(&fl, 4).plan().unwrap_err();
         assert!(matches!(err, NetError::Config(_)), "{err}");
         assert!(err.to_string().contains("outside the 4-shard plan"), "{err}");

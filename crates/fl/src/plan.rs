@@ -63,11 +63,11 @@
 //! | spelling | policy |
 //! |---|---|
 //! | `raw` | `Raw` |
-//! | `lossy`, `fedsz` | `Lossy(cfg)` (needs compression on) |
+//! | `lossy`, `fedsz` | `Lossy(cfg)` |
 //! | `lossless` | `Lossless` |
 //! | `topk:R[+ef]`, `q4[s][+ef]`, `q8[s][+ef]` | `Family { codec, error_feedback }` |
 //! | `adaptive`, `eqn1` | `Priced` over the leg's default codec (lossy; lossless on psum) |
-//! | `auto` | `Priced` over the leg's default slate (uplink: lossy if on, `topk:0.01`, `q8`) |
+//! | `auto` | `Priced` over the leg's default slate (uplink: lossy, `topk:0.01`, `q8`) |
 //!
 //! # What the socket runtime adds
 //!
@@ -166,36 +166,31 @@ impl StageLeg {
 impl StagePolicy {
     /// Parses one spelling of the policy grammar (the module docs'
     /// table) for `leg`. `fedsz` is the configuration `lossy` and the
-    /// lossy defaults stand for, `None` when compression is off.
+    /// lossy defaults stand for.
     ///
     /// # Errors
     ///
     /// Returns a message naming the leg and the spelling when the
-    /// spelling is unknown, its family codec's constructor rejects a
-    /// parameter, or it needs FedSZ while `fedsz` is `None`.
-    pub fn parse(spec: &str, leg: StageLeg, fedsz: Option<FedSzConfig>) -> Result<Self, String> {
-        let leg_name = leg.name();
-        let lossy = || {
-            fedsz.map(StagePolicy::Lossy).ok_or_else(|| {
-                format!("the {leg_name} policy `{spec}` requires compression, which is off")
-            })
-        };
-        let default = || if leg == StageLeg::Psum { Ok(StagePolicy::Lossless) } else { lossy() };
+    /// spelling is unknown or its family codec's constructor rejects a
+    /// parameter.
+    pub fn parse(spec: &str, leg: StageLeg, fedsz: FedSzConfig) -> Result<Self, String> {
+        let lossy = StagePolicy::Lossy(fedsz);
         let lower = spec.to_ascii_lowercase();
         let candidates = match lower.as_str() {
             "raw" => return Ok(StagePolicy::Raw),
-            "lossy" | "fedsz" => return lossy(),
+            "lossy" | "fedsz" => return Ok(lossy),
             "lossless" => return Ok(StagePolicy::Lossless),
             // The uplink's slate is EF-free: a priced policy rejects
             // error-feedback candidates.
             "auto" if leg == StageLeg::Uplink => {
-                let mut slate: Vec<_> = fedsz.map(StagePolicy::Lossy).into_iter().collect();
+                let mut slate = vec![lossy];
                 for family in ["topk:0.01", "q8"] {
                     slate.push(Self::parse_family(family, leg, family)?);
                 }
                 slate
             }
-            "adaptive" | "eqn1" | "auto" => vec![default()?],
+            "adaptive" | "eqn1" | "auto" if leg == StageLeg::Psum => vec![StagePolicy::Lossless],
+            "adaptive" | "eqn1" | "auto" => vec![lossy],
             _ => return Self::parse_family(spec, leg, &lower),
         };
         Ok(StagePolicy::Priced { candidates })
@@ -515,19 +510,10 @@ impl RoundPlan {
         if let Some(&(_, feature)) = simulator_only.iter().find(|(set, _)| *set) {
             return Err(PlanError::SimulatorOnly { feature });
         }
-        self.check_shards()
-    }
-
-    /// Checks that every first-tier aggregator owns at least one client
-    /// (a flat plan always passes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::TooManyShards`] otherwise.
-    pub fn check_shards(&self) -> Result<(), PlanError> {
+        // Every shard is a relay process, so each must own a client.
         match self.shard_count() {
-            Some(shards) if shards > self.config.clients => {
-                Err(PlanError::TooManyShards { shards, clients: self.config.clients })
+            Some(shards) if shards > config.clients => {
+                Err(PlanError::TooManyShards { shards, clients: config.clients })
             }
             _ => Ok(()),
         }
@@ -665,7 +651,7 @@ mod tests {
     }
 
     fn uplink(spec: &str) -> StagePolicy {
-        StagePolicy::parse(spec, StageLeg::Uplink, Some(FedSzConfig::default())).unwrap()
+        StagePolicy::parse(spec, StageLeg::Uplink, FedSzConfig::default()).unwrap()
     }
 
     #[test]
@@ -978,7 +964,6 @@ mod tests {
         config.tree = Some(vec![5]);
         let plan = config.plan().expect("the simulator lays surplus leaves over the cohort");
         let err = PlanError::TooManyShards { shards: 5, clients: 4 };
-        assert_eq!(plan.check_shards().unwrap_err(), err);
         assert_eq!(plan.validate_for_workers().unwrap_err(), err);
         assert!(err.to_string().contains("5 shards for 4 clients"), "{err}");
         config.tree = Some(vec![4]);
@@ -1073,27 +1058,22 @@ mod tests {
         let slate =
             vec![lossy.clone(), topk(0.01, false), family(FamilyCodec::quant(8, false), false)];
         let rows = vec![
-            ("raw", true, each(|| Legal(StagePolicy::Raw))),
-            ("lossy", true, [Legal(lossy.clone()), Legal(lossy.clone()), Illegal("lossy")]),
-            ("fedsz", true, [Legal(lossy.clone()), Legal(lossy.clone()), Illegal("lossy")]),
-            (
-                "lossless",
-                true,
-                [Illegal("lossless"), Illegal("lossless"), Legal(StagePolicy::Lossless)],
-            ),
-            ("topk:0.5", true, uplink_only(topk(0.5, false))),
-            ("topk:0.5+ef", true, uplink_only(topk(0.5, true))),
-            ("q4", true, q(4, false, false)),
-            ("q4s", true, q(4, true, false)),
-            ("q8", true, q(8, false, false)),
-            ("q8s", true, q(8, true, false)),
-            ("q4+ef", true, q(4, false, true)),
-            ("q4s+ef", true, q(4, true, true)),
-            ("q8+ef", true, q(8, false, true)),
-            ("q8s+ef", true, q(8, true, true)),
+            ("raw", each(|| Legal(StagePolicy::Raw))),
+            ("lossy", [Legal(lossy.clone()), Legal(lossy.clone()), Illegal("lossy")]),
+            ("fedsz", [Legal(lossy.clone()), Legal(lossy.clone()), Illegal("lossy")]),
+            ("lossless", [Illegal("lossless"), Illegal("lossless"), Legal(StagePolicy::Lossless)]),
+            ("topk:0.5", uplink_only(topk(0.5, false))),
+            ("topk:0.5+ef", uplink_only(topk(0.5, true))),
+            ("q4", q(4, false, false)),
+            ("q4s", q(4, true, false)),
+            ("q8", q(8, false, false)),
+            ("q8s", q(8, true, false)),
+            ("q4+ef", q(4, false, true)),
+            ("q4s+ef", q(4, true, true)),
+            ("q8+ef", q(8, false, true)),
+            ("q8s+ef", q(8, true, true)),
             (
                 "adaptive",
-                true,
                 [
                     priced(vec![lossy.clone()]),
                     priced(vec![lossy.clone()]),
@@ -1102,7 +1082,6 @@ mod tests {
             ),
             (
                 "eqn1",
-                true,
                 [
                     priced(vec![lossy.clone()]),
                     priced(vec![lossy.clone()]),
@@ -1111,43 +1090,28 @@ mod tests {
             ),
             (
                 "auto",
-                true,
                 [priced(slate), priced(vec![lossy.clone()]), priced(vec![StagePolicy::Lossless])],
             ),
             // Spellings are case-insensitive.
-            ("TopK:0.5+EF", true, uplink_only(topk(0.5, true))),
-            ("Q4S", true, q(4, true, false)),
-            ("RAW", true, each(|| Legal(StagePolicy::Raw))),
+            ("TopK:0.5+EF", uplink_only(topk(0.5, true))),
+            ("Q4S", q(4, true, false)),
+            ("RAW", each(|| Legal(StagePolicy::Raw))),
             // Out-of-range parameters fail in the codec constructors,
             // unknown spellings in the grammar.
-            ("topk:0", true, each(|| Unparsed)),
-            ("topk:1.5", true, each(|| Unparsed)),
-            ("topk:nan", true, each(|| Unparsed)),
-            ("topk:", true, each(|| Unparsed)),
-            ("q16", true, each(|| Unparsed)),
-            ("q8+ef+ef", true, each(|| Unparsed)),
-            ("raw+ef", true, each(|| Unparsed)),
-            ("auto+ef", true, each(|| Unparsed)),
-            ("bogus", true, each(|| Unparsed)),
-            // With compression off, FedSZ spellings cannot parse, and
-            // the defaults that stand for FedSZ drop it.
-            ("lossy", false, each(|| Unparsed)),
-            ("adaptive", false, [Unparsed, Unparsed, priced(vec![StagePolicy::Lossless])]),
-            (
-                "auto",
-                false,
-                [
-                    priced(vec![topk(0.01, false), family(FamilyCodec::quant(8, false), false)]),
-                    Unparsed,
-                    priced(vec![StagePolicy::Lossless]),
-                ],
-            ),
-            ("q8", false, q(8, false, false)),
+            ("topk:0", each(|| Unparsed)),
+            ("topk:1.5", each(|| Unparsed)),
+            ("topk:nan", each(|| Unparsed)),
+            ("topk:", each(|| Unparsed)),
+            ("q16", each(|| Unparsed)),
+            ("q8+ef+ef", each(|| Unparsed)),
+            ("raw+ef", each(|| Unparsed)),
+            ("auto+ef", each(|| Unparsed)),
+            ("bogus", each(|| Unparsed)),
         ];
-        for (spec, compression, wants) in rows {
+        for (spec, wants) in rows {
             for (leg, want) in [Uplink, Downlink, Psum].into_iter().zip(wants) {
-                let context = format!("`{spec}` on {leg:?}, compression {compression}");
-                let parsed = StagePolicy::parse(spec, leg, compression.then_some(cfg));
+                let context = format!("`{spec}` on {leg:?}");
+                let parsed = StagePolicy::parse(spec, leg, cfg);
                 let planned = |policy: StagePolicy| {
                     let mut config = base();
                     config.tree = Some(vec![2]);

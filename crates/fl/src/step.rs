@@ -548,7 +548,7 @@ mod tests {
 
     /// `(spelling, policy)` for every upload route the CLI can name.
     fn policies() -> Vec<(&'static str, StagePolicy)> {
-        let codec = Some(FlConfig::tiny_model_compression());
+        let codec = FlConfig::tiny_model_compression();
         ["raw", "lossy", "adaptive", "topk:0.1", "q8", "q4s", "auto"]
             .map(|spec| (spec, StagePolicy::parse(spec, StageLeg::Uplink, codec).unwrap()))
             .into()

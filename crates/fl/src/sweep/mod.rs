@@ -1,5 +1,5 @@
-//! The scenario-matrix sweep driver: cross-product expansion, per-cell
-//! seeds, the thread-pool executor, and the Pareto summary.
+//! The scenario-matrix sweep driver: cross-product expansion, the
+//! thread-pool executor, and the Pareto summary.
 //!
 //! One federated run answers one question; the evaluation questions the
 //! ROADMAP cares about — does DP noise change the compression
@@ -22,11 +22,11 @@
 //! part of the report contract — cell indices are stable across runs
 //! and machines.
 //!
-//! **Per-cell seeds.** [`cell_seed`] derives each cell's base seed from
-//! the sweep seed and the cell's linear index via a golden-ratio mixer.
-//! Cell 0 (and therefore every matrix-less, single-cell sweep) keeps
-//! the base seed *exactly*, which is what makes a 1-cell sweep
-//! bit-identical to the equivalent `fedsz fl` run by construction.
+//! **Seeds.** A cell's coordinates are all that set it apart: every
+//! cell runs on the spec's seed, so cells that differ in a codec
+//! compare that codec on the same data and initial model, and a cell
+//! is bit for bit the `fedsz fl` run of its coordinates. Replicates are
+//! a `seed` axis like any other.
 //!
 //! **Execution.** [`run_cells`] drains the expanded configurations
 //! across a [`WorkerPool`] — the same bounded
@@ -122,14 +122,6 @@ impl SweepMatrix {
             .map(|index| SweepCell { index, coords: self.coords(index) })
             .collect()
     }
-}
-
-/// Derives cell `index`'s base seed from the sweep's seed: a
-/// golden-ratio stride keeps neighbouring cells' RNG streams far
-/// apart, and cell 0 keeps `base` exactly — so a single-cell sweep
-/// reproduces the plain `fedsz fl` run bit for bit.
-pub fn cell_seed(base: u64, index: usize) -> u64 {
-    base.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// One executed cell: its linear index and the per-round metrics the
@@ -253,24 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_zero_keeps_the_base_seed_exactly() {
-        for base in [0u64, 7, 42, u64::MAX] {
-            assert_eq!(cell_seed(base, 0), base);
-        }
-    }
-
-    #[test]
-    fn cell_seeds_differ_and_are_deterministic() {
-        let seeds: Vec<u64> = (0..32).map(|i| cell_seed(42, i)).collect();
-        let again: Vec<u64> = (0..32).map(|i| cell_seed(42, i)).collect();
-        assert_eq!(seeds, again);
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len(), "cell seeds must not collide");
-    }
-
-    #[test]
     fn executor_returns_cells_in_order_at_any_width() {
         let mut config = FlConfig::smoke_test();
         config.rounds = 1;
@@ -280,7 +254,7 @@ mod tests {
         let configs: Vec<FlConfig> = (0..3)
             .map(|i| {
                 let mut c = config.clone();
-                c.seed = cell_seed(7, i);
+                c.seed = 7 + i as u64;
                 c.data.seed = c.seed;
                 c
             })

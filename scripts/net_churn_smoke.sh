@@ -21,7 +21,7 @@ R0PORT=$((PORT + 2))
 R1PORT=$((PORT + 3))
 # Five rounds keep the server busy well past both faults, so the
 # metrics scrape has a wide window to observe the counters live.
-FLAGS=(--clients 4 --shards 2 --rounds 5 --train-per-class 4 --seed 9)
+FLAGS=(--clients 4 --tree 2 --rounds 5 --train-per-class 4 --seed 9)
 WORKDIR=$(mktemp -d)
 trap 'rm -rf "$WORKDIR"' EXIT
 

@@ -172,7 +172,6 @@ fn readme_fl_flags_match_the_cli_usage() {
         "--rounds",
         "--links",
         "--straggler",
-        "--shards",
         "--downlink",
         "--tree",
         "--psum",

@@ -48,10 +48,11 @@ fn flat_socket_run_is_bit_identical_to_in_memory() {
     // `lossy`), a `FUC1` sparse stream, and the stochastic quantizer —
     // whose dither seed must agree across processes or the checksums
     // part ways.
+    let codec = FlConfig::tiny_model_compression();
     let policies = [
         quick_config().uplink,
-        StagePolicy::parse("topk:0.1", StageLeg::Uplink, None).unwrap(),
-        StagePolicy::parse("q8s", StageLeg::Uplink, None).unwrap(),
+        StagePolicy::parse("topk:0.1", StageLeg::Uplink, codec).unwrap(),
+        StagePolicy::parse("q8s", StageLeg::Uplink, codec).unwrap(),
     ];
     for uplink in policies {
         let mut config = quick_config();

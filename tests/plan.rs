@@ -28,7 +28,7 @@ fn lossy() -> StagePolicy {
 
 /// The uplink family codec `spec` names.
 fn family(spec: &str) -> StagePolicy {
-    StagePolicy::parse(spec, StageLeg::Uplink, None).unwrap()
+    StagePolicy::parse(spec, StageLeg::Uplink, FlConfig::tiny_model_compression()).unwrap()
 }
 
 fn checksum_of(config: FlConfig) -> u32 {
@@ -152,7 +152,7 @@ fn layer_arithmetic_off_the_alexnet_path_is_pinned() {
 
 /// The new uplink codec families perturb only the uplink leg.
 ///
-/// Three pins. (1) `uplink = Raw` reproduces the no-compression golden
+/// Three pins. (1) `uplink = Raw` reproduces the raw-uplink golden
 /// bit for bit. (2) Each family's smoke-config checksum is
 /// pinned as its own golden (every family, stochastic dither included,
 /// is fully deterministic under a fixed seed), plus one downlink
@@ -167,11 +167,7 @@ fn layer_arithmetic_off_the_alexnet_path_is_pinned() {
 fn family_uplinks_leave_the_other_legs_bit_identical() {
     let mut raw = FlConfig::smoke_test();
     raw.uplink = StagePolicy::Raw;
-    assert_eq!(
-        checksum_of(raw),
-        0x7ab2a739,
-        "uplink = Raw must reproduce the no-compression golden"
-    );
+    assert_eq!(checksum_of(raw), 0x7ab2a739, "uplink = Raw must reproduce the raw-uplink golden");
 
     let families: Vec<(&str, StagePolicy, u32)> = [
         ("topk:0.5", 0xd27ad43e),

@@ -3,16 +3,18 @@
 //! Five contracts pinned here:
 //!
 //! 1. **Expansion** — a `[matrix]` spec expands cross-product style in
-//!    declaration order with the last axis fastest, and every cell's
-//!    seed derives from the base seed and the cell index.
+//!    declaration order with the last axis fastest, and every cell
+//!    runs on the spec's seed unless `seed` is itself an axis.
 //! 2. **Schema** — the merged document is one `fedsz.sweep_report.v1`
 //!    that a real JSON parser accepts, with `axes`, per-cell `coords`,
 //!    and one complete embedded `fedsz.run_report.v2` per cell.
 //! 3. **Determinism** — two runs of the same sweep agree bit for bit
 //!    outside the measured wall-clock fields (and the Pareto front,
 //!    which ranks on wall time).
-//! 4. **Parity** — a one-cell sweep embeds the byte-identical report
-//!    `fedsz fl --config … --json` prints for the same spec.
+//! 4. **Parity** — every cell embeds the byte-identical report
+//!    `fedsz fl --config BASE --AXIS VALUE… --json` prints for its
+//!    coordinates, so cells that differ only in a repeated axis value
+//!    are one run.
 //! 5. **Up-front validation** — one bad cell fails the whole sweep
 //!    before anything runs, naming the cell.
 //!
@@ -23,7 +25,6 @@
 //! The CLI runs in-process through [`fedsz_cli::run`], so these tests
 //! need no subprocess or installed binary.
 
-use fedsz_fl::sweep::cell_seed;
 use fedsz_telemetry::json::{self, Json};
 
 /// Runs `fedsz <args>` in-process, asserting success.
@@ -82,7 +83,7 @@ fn mask_timing(doc: &str) -> String {
 }
 
 #[test]
-fn matrix_expansion_is_row_major_with_derived_seeds() {
+fn matrix_expansion_is_row_major_on_the_base_seed() {
     let spec = write_spec("expansion.toml", MATRIX_SPEC);
     let report = run_ok(&["sweep", &spec, "--json"]);
     fedsz_cli::cleanup(&[&spec]);
@@ -116,15 +117,41 @@ fn matrix_expansion_is_row_major_with_derived_seeds() {
         let coords = cell.get("coords").expect("coords object");
         assert_eq!(coords.get("dp-noise").and_then(Json::as_str), Some(*noise), "cell {i}");
         assert_eq!(coords.get("uplink").and_then(Json::as_str), Some(*uplink), "cell {i}");
-        // Each cell's seed derives from the base seed and its index —
-        // cell 0 keeps the base seed exactly.
-        assert_eq!(
-            cell.get("seed").and_then(Json::as_f64),
-            Some(cell_seed(42, i) as f64),
-            "cell {i} seed must be cell_seed(base, index)"
-        );
+        // `seed` is no axis here, so every cell runs on the base seed.
+        assert_eq!(cell.get("seed").and_then(Json::as_f64), Some(42.0), "cell {i} seed");
     }
-    assert_eq!(cell_seed(42, 0), 42, "cell 0 keeps the base seed");
+}
+
+/// The `(seed, checksum)` each cell of a sweep over `spec` reports.
+fn seeds_and_checksums(tag: &str, spec: &str) -> Vec<(f64, String)> {
+    let spec = write_spec(tag, spec);
+    let report = run_ok(&["sweep", &spec, "--json"]);
+    fedsz_cli::cleanup(&[&spec]);
+    let doc = json::parse(&report).expect("sweep report parses");
+    let cells = doc.get("cells").and_then(Json::as_array).expect("cells array");
+    cells
+        .iter()
+        .map(|cell| {
+            let seed = cell.get("seed").and_then(Json::as_f64).expect("seed");
+            let checksum = cell.get("report").and_then(|r| r.get("checksum")?.as_str());
+            (seed, checksum.expect("checksum").to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn a_repeated_axis_value_is_the_same_run_and_a_seed_axis_replicates() {
+    // Two cells whose coordinates are equal are one `fedsz fl` run:
+    // same seed, same global model bits.
+    let base = "clients = 2\nrounds = 1\ntrain-per-class = 2\n\n[matrix]\n";
+    let cells = seeds_and_checksums("repeat.toml", &format!("{base}uplink = [\"raw\", \"raw\"]\n"));
+    assert_eq!(cells.len(), 2);
+    assert_eq!(cells[0].0, 42.0, "the default seed");
+    assert_eq!(cells[0], cells[1], "cells that differ only in a repeated value");
+    // Replicates are a seed axis: each cell runs on its own seed.
+    let cells = seeds_and_checksums("seeds.toml", &format!("{base}seed = [1, 2]\n"));
+    assert_eq!(cells.iter().map(|c| c.0).collect::<Vec<_>>(), [1.0, 2.0]);
+    assert_ne!(cells[0].1, cells[1].1, "two seeds, one checksum");
 }
 
 #[test]
@@ -199,38 +226,43 @@ fn sweeps_are_deterministic_outside_wall_clock() {
 
 #[test]
 fn a_one_cell_sweep_embeds_the_plain_fl_report_bit_for_bit() {
-    let spec = write_spec(
-        "parity.toml",
-        "clients = 2\nrounds = 1\nseed = 42\ntrain-per-class = 2\ndp-clip = 0.5\n\
-         dp-noise = 0.5\nuplink = \"q8\"\n",
+    let flat = "clients = 2\nrounds = 1\nseed = 42\ntrain-per-class = 2\ndp-clip = 0.5\n\
+                dp-noise = 0.5\n";
+    let base = write_spec("parity_base.toml", flat);
+    // (sweep spec, cell index, the `fedsz fl` flags of that cell): a
+    // flat spec is the degenerate one-cell sweep, and cell 1 of a
+    // two-cell matrix is the base spec plus its coordinate.
+    let one_cell = write_spec("parity.toml", &format!("{flat}uplink = \"q8\"\n"));
+    let two_cells = write_spec(
+        "parity_matrix.toml",
+        &format!("{flat}\n[matrix]\nuplink = [\"raw\", \"q8\"]\n"),
     );
-    let sweep = run_ok(&["sweep", &spec, "--json"]);
-    let plain = run_ok(&["fl", "--config", &spec, "--json"]);
-    fedsz_cli::cleanup(&[&spec]);
-    // The flat spec is a degenerate one-cell sweep whose cell keeps
-    // the base seed, so the embedded report must be the exact document
-    // the plain run prints — only measured timings may differ.
-    let sweep_doc = mask_timing(&sweep);
-    let plain_doc = mask_timing(&plain);
-    assert!(
-        sweep_doc.contains(plain_doc.trim_end()),
-        "one-cell sweep must embed the plain `fedsz fl --json` report bit for bit\n\
-         --- sweep ---\n{sweep_doc}\n--- fl ---\n{plain_doc}"
-    );
-    // And the model fingerprints agree exactly — no masking needed.
-    let plain_parsed = json::parse(&plain).expect("plain report parses");
-    let plain_sum = plain_parsed
-        .get("checksum")
-        .and_then(Json::as_str)
-        .expect("plain report carries a checksum")
-        .to_string();
-    let sweep_parsed = json::parse(&sweep).expect("sweep parses");
-    let embedded = sweep_parsed
-        .get("cells")
-        .and_then(Json::as_array)
-        .and_then(|cells| cells[0].get("report").and_then(|r| r.get("checksum")?.as_str()))
-        .expect("embedded report carries a checksum");
-    assert_eq!(embedded, plain_sum, "the global model bits must match");
+    for (spec, index, fl) in [
+        (&one_cell, 0, vec!["--config", one_cell.as_str()]),
+        (&two_cells, 1, vec!["--config", base.as_str(), "--uplink", "q8"]),
+    ] {
+        let sweep = run_ok(&["sweep", spec, "--json"]);
+        let plain = run_ok(&[&["fl"][..], &fl, &["--json"]].concat());
+        // The embedded report must be the exact document the plain run
+        // prints — only measured timings may differ.
+        let sweep_parsed = json::parse(&sweep).expect("sweep parses");
+        let cells = sweep_parsed.get("cells").and_then(Json::as_array).expect("cells array");
+        let sweep_doc = mask_timing(&sweep);
+        let cell_doc = sweep_doc.split("{\"index\": ").nth(index + 1).expect("the cell's entry");
+        let plain_doc = mask_timing(&plain);
+        assert!(
+            cell_doc.contains(plain_doc.trim_end()),
+            "cell {index} of {spec} must embed `fedsz fl {fl:?} --json` bit for bit\n\
+             --- sweep ---\n{sweep_doc}\n--- fl ---\n{plain_doc}"
+        );
+        // And the model fingerprints agree exactly — no masking needed.
+        let plain_parsed = json::parse(&plain).expect("plain report parses");
+        let plain_sum = plain_parsed.get("checksum").and_then(Json::as_str);
+        let embedded = cells[index].get("report").and_then(|r| r.get("checksum")?.as_str());
+        assert!(plain_sum.is_some(), "plain report carries a checksum");
+        assert_eq!(embedded, plain_sum, "cell {index} of {spec}: the global model bits");
+    }
+    fedsz_cli::cleanup(&[&base, &one_cell, &two_cells]);
 }
 
 #[test]
@@ -253,8 +285,8 @@ fn one_bad_cell_fails_the_whole_sweep_up_front() {
 
 #[test]
 fn a_malformed_base_seed_fails_instead_of_defaulting() {
-    // The base seed feeds every cell's derived seed; a typo in it must
-    // not quietly sweep from the default seed instead.
+    // The base seed is every cell's seed; a typo in it must not
+    // quietly sweep from the default seed instead.
     let spec = write_spec(
         "bad_seed.toml",
         "clients = 2\nrounds = 1\ntrain-per-class = 2\nseed = \"4two\"\n\n[matrix]\n\
@@ -264,12 +296,16 @@ fn a_malformed_base_seed_fails_instead_of_defaulting() {
     let outcome = fedsz_cli::run(&args);
     fedsz_cli::cleanup(&[&spec]);
     assert_ne!(outcome.code, 0, "a sweep with a malformed seed must not start");
-    assert!(outcome.report.contains("bad seed `4two`"), "{}", outcome.report);
+    assert!(
+        outcome.report.contains("--seed expects an integer seed, got `4two`"),
+        "{}",
+        outcome.report
+    );
 }
 
 /// The Section VII-D acceptance pin: DP noise is incompressible, so
 /// the noised cell's lossy uplink ships measurably more bytes than
-/// its noise-free twin — same spec, same seed derivation, one axis.
+/// its noise-free twin — same spec, same seed, one axis.
 #[test]
 fn dp_noise_measurably_hurts_lossy_compression() {
     // The effect needs a model big enough that the noise floor beats
