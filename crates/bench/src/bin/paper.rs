@@ -11,11 +11,12 @@
 //! * **pipeline** — the whole FedSZ pipeline × model × dataset seed ×
 //!   REL 1e-1..1e-5 (Table V, Fig 7; the threshold ablation sweeps the
 //!   same CIFAR-10 dicts).
-//! * **training** — one `Experiment` run of `--rounds` rounds per tiny
-//!   arch × {raw, codec@bound} on CIFAR-10 (Table I's accuracy columns,
-//!   Figs 4 and 5; round `r` of a run is the last round of an `r`-round
-//!   run, so one run serves every horizon), plus SZ2@1e-2 on the other
-//!   two datasets for Fig 6's stage seconds.
+//! * **training** — one `fedsz_fl::sweep::run_cells` grid of
+//!   `--rounds`-round runs per tiny arch × {raw, codec@bound} on
+//!   CIFAR-10 (Table I's accuracy columns, Figs 4 and 5; round `r` of a
+//!   run is the last round of an `r`-round run, so one run serves every
+//!   horizon), plus SZ2@1e-2 on the other two datasets for Fig 6's stage
+//!   seconds. Fig 9's client counts are a second, one-round grid.
 //!
 //! Each "shape check vs paper" is a gate computed from the numbers
 //! above it. Gates read deterministic columns only (ratios, accuracies,
@@ -36,7 +37,8 @@ use fedsz_bench::{
 use fedsz_codec::stats::{value_range, Histogram};
 use fedsz_data::{mean_abs_diff, miranda_like_series, DatasetKind, SyntheticConfig};
 use fedsz_dp::{analyze_noise, compression_errors};
-use fedsz_fl::{Experiment, FlConfig, RoundMetrics, StagePolicy};
+use fedsz_fl::sweep::{run_cells, CellOutcome};
+use fedsz_fl::{Experiment, FlConfig, StagePolicy};
 use fedsz_lossless::{BloscLz, Lossless, LosslessKind};
 use fedsz_lossy::{quant::Quantizer, sparse::Sparsifier, ErrorBounded, Sz2};
 use fedsz_nn::models::{specs::ModelSpec, tiny::TinyArch};
@@ -94,7 +96,7 @@ struct Inputs {
     metadata: Vec<u8>,
     lossy: Vec<Cell>,
     pipeline: Vec<Cell>,
-    training: Vec<Run>,
+    training: Vec<(Coords, CellOutcome)>,
 }
 
 struct Model {
@@ -218,43 +220,27 @@ fn pipeline_grid(scale: f64) -> Vec<Cell> {
 type Uplink = Option<(LossyKind, f64)>;
 const SZ2_1E2: Uplink = Some((LossyKind::Sz2, 1e-2));
 
-/// One training-grid run: `paper_default` with one uplink.
-struct Run {
-    dataset: DatasetKind,
-    arch: TinyArch,
-    uplink: Uplink,
-    metrics: Vec<RoundMetrics>,
+/// A training-grid run's coordinates: `paper_default` on a dataset and
+/// an arch, with one uplink.
+type Coords = (DatasetKind, TinyArch, Uplink);
+const TRAINING_COLUMNS: &str =
+    "dataset;arch;uplink;accuracy;upstream_bytes_per_round;train_secs;validate_secs;compress_secs";
+
+fn training_row(((dataset, arch, uplink), run): &(Coords, CellOutcome)) -> Vec<String> {
+    row![
+        dataset.name(),
+        arch.name(),
+        uplink.map_or("raw".into(), |(k, eb)| format!("{}@{eb:e}", k.name())),
+        run.metrics.iter().map(|m| m.test_accuracy).collect::<Vec<_>>(),
+        run.mean(|m| m.upstream_bytes as f64),
+        run.mean(|m| m.train_secs),
+        run.mean(|m| m.validation_secs),
+        run.mean(|m| m.compress_secs),
+    ]
 }
 
-impl Run {
-    /// Final-round accuracy, in percent.
-    fn accuracy(&self) -> f64 {
-        self.metrics.last().map_or(0.0, |m| m.test_accuracy * 100.0)
-    }
-
-    fn mean(&self, f: impl Fn(&RoundMetrics) -> f64) -> f64 {
-        self.metrics.iter().map(f).sum::<f64>() / self.metrics.len().max(1) as f64
-    }
-
-    const COLUMNS: &str = "dataset;arch;uplink;accuracy;upstream_bytes_per_round;train_secs;\
-                           validate_secs;compress_secs";
-
-    fn row(&self) -> Vec<String> {
-        row![
-            self.dataset.name(),
-            self.arch.name(),
-            self.uplink.map_or("raw".into(), |(k, eb)| format!("{}@{eb:e}", k.name())),
-            self.metrics.iter().map(|m| m.test_accuracy).collect::<Vec<_>>(),
-            self.mean(|m| m.upstream_bytes as f64),
-            self.mean(|m| m.train_secs),
-            self.mean(|m| m.validation_secs),
-            self.mean(|m| m.compress_secs),
-        ]
-    }
-}
-
-fn training_grid(rounds: usize) -> Vec<Run> {
-    let mut runs = Vec::new();
+fn training_grid(rounds: usize) -> Vec<(Coords, CellOutcome)> {
+    let (mut coords, mut configs) = (Vec::new(), Vec::new());
     for dataset in DatasetKind::all() {
         // Only Fig 6 reads the other two datasets: timings, at the
         // paper's default uplink, over two rounds (Caltech101's 101
@@ -274,17 +260,19 @@ fn training_grid(rounds: usize) -> Vec<Run> {
                     let codec = FedSzConfig { lossy, ..FlConfig::tiny_model_compression() };
                     StagePolicy::Lossy(codec.with_error_bound(ErrorBound::Relative(eb)))
                 });
-                eprintln!("training {arch} on {dataset}, uplink {uplink:?}");
-                runs.push(Run { dataset, arch, uplink, metrics: Experiment::new(config).run() });
+                coords.push((dataset, arch, uplink));
+                configs.push(config);
             }
         }
     }
-    runs
+    eprintln!("training {} runs", configs.len());
+    // One cell at a time: Fig 6 reads each run's stage seconds.
+    coords.into_iter().zip(run_cells(&configs, 1)).collect()
 }
 
-fn find_run(runs: &[Run], dataset: DatasetKind, arch: TinyArch, uplink: Uplink) -> &Run {
-    (runs.iter().find(|r| r.dataset == dataset && r.arch == arch && r.uplink == uplink))
-        .expect("the training grid holds every run a section reads")
+fn find_run(runs: &[(Coords, CellOutcome)], coords: Coords) -> &CellOutcome {
+    let run = runs.iter().find(|(c, _)| *c == coords);
+    &run.expect("the training grid holds every run a section reads").1
 }
 
 fn table1(r: &mut Report, inp: &Inputs) {
@@ -300,8 +288,8 @@ fn table1(r: &mut Report, inp: &Inputs) {
         );
         row.extend(cells.iter().map(|c| format!("{:.3}", c.ratio())));
         row.extend(cells.iter().map(|c| {
-            let run = find_run(&inp.training, CIFAR, ARCHS[i / 4], Some((kind, c.eb)));
-            format!("{:.2}", run.accuracy())
+            let run = find_run(&inp.training, (CIFAR, ARCHS[i / 4], Some((kind, c.eb))));
+            format!("{:.2}", run.final_accuracy() * 100.0)
         }));
         rows.push(row.join(";"));
     }
@@ -328,8 +316,9 @@ fn table1(r: &mut Report, inp: &Inputs) {
         let detail = format!("worst max|x-x'|/eb over models and bounds = {worst:.4}");
         if kind == LossyKind::Zfp {
             // ZFP maps a REL bound to a fixed precision, which bounds
-            // nothing (ROADMAP item 1a): each grid cell carries its
-            // `bound_held`, and this becomes a gate when that item lands.
+            // nothing (ROADMAP item 2, one definition of the bound):
+            // each grid cell carries its `bound_held`, and this becomes
+            // a gate when that item lands.
             println!("ZFP, recorded and not gated: {detail}");
         } else {
             r.gate(&format!("bound_held.{}", kind.name()), worst <= 1.0, &detail);
@@ -506,13 +495,13 @@ fn fig4(r: &mut Report, inp: &Inputs) {
         .join(";");
     let mut worst_gap = 0.0f64;
     for arch in TinyArch::all() {
-        let raw = find_run(&inp.training, CIFAR, arch, None);
+        let raw = find_run(&inp.training, (CIFAR, arch, None));
         let mut rows = Vec::new();
         // The figure's legend order: uncompressed, SZ2, SZ3, ZFP, SZx.
         for kind in [None, Some(0), Some(1), Some(3), Some(2)] {
             let kind = kind.map(|k: usize| LossyKind::all()[k]);
-            let run = find_run(&inp.training, CIFAR, arch, kind.map(|k| (k, 1e-2)));
-            worst_gap = worst_gap.max(raw.accuracy() - run.accuracy());
+            let run = find_run(&inp.training, (CIFAR, arch, kind.map(|k| (k, 1e-2))));
+            worst_gap = worst_gap.max(raw.final_accuracy() * 100.0 - run.final_accuracy() * 100.0);
             let label = kind.map_or("Uncompressed".to_string(), |k| format!("FedSZ-{}", k.name()));
             let curve = run.metrics.iter().map(|m| format!("{:.1}", m.test_accuracy * 100.0));
             rows.push(std::iter::once(label).chain(curve).collect::<Vec<_>>().join(";"));
@@ -530,9 +519,10 @@ fn fig5(r: &mut Report, inp: &Inputs) {
     let mut rows = Vec::new();
     let (mut tight_gap, mut loose_drop) = (0.0f64, f64::MAX);
     for arch in TinyArch::all() {
-        let accuracy = |uplink| find_run(&inp.training, CIFAR, arch, uplink).accuracy();
-        let baseline = accuracy(None);
-        let at = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1].map(|eb| accuracy(Some((LossyKind::Sz2, eb))));
+        let percent =
+            |uplink| find_run(&inp.training, (CIFAR, arch, uplink)).final_accuracy() * 100.0;
+        let baseline = percent(None);
+        let at = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1].map(|eb| percent(Some((LossyKind::Sz2, eb))));
         tight_gap = at[..3].iter().fold(tight_gap, |gap, &acc| gap.max(baseline - acc));
         loose_drop = loose_drop.min(baseline - at[4]);
         let cells = std::iter::once(baseline).chain(at).map(|acc| format!("{acc:.1}"));
@@ -552,7 +542,7 @@ fn fig6(r: &mut Report, inp: &Inputs) {
     let mut shares = Vec::new();
     for dataset in DatasetKind::all() {
         for arch in TinyArch::all() {
-            let run = find_run(&inp.training, dataset, arch, SZ2_1E2);
+            let run = find_run(&inp.training, (dataset, arch, SZ2_1E2));
             let train = run.mean(|m| m.train_secs);
             let compress = run.mean(|m| m.compress_secs);
             let validate = run.mean(|m| m.validation_secs);
@@ -616,18 +606,22 @@ fn fig8(r: &mut Report, inp: &Inputs) {
 }
 
 fn fig9(r: &mut Report, _: &Inputs) {
+    const CLIENTS: [usize; 4] = [2, 4, 8, 16];
+    // The paper's setting — one client per worker, all uploading over
+    // one shared 10 Mbps pipe, FedSZ at REL 1e-2 — is `paper_default`
+    // itself; each client count runs it, then its raw-uplink twin.
+    let base = FlConfig { rounds: 1, ..FlConfig::paper_default(TinyArch::MobileNetV2, CIFAR) };
+    let uplinks = [base.uplink.clone(), StagePolicy::Raw];
+    let configs: Vec<FlConfig> = (CLIENTS.iter())
+        .flat_map(|&clients| {
+            uplinks.clone().map(|uplink| FlConfig { clients, uplink, ..base.clone() })
+        })
+        .collect();
+    let runs = run_cells(&configs, 1);
     let mut rows = Vec::new();
     let mut comm = Vec::new();
-    for clients in [2usize, 4, 8, 16] {
-        // The paper's setting — one client per worker, all uploading
-        // over one shared 10 Mbps pipe, FedSZ at REL 1e-2 — is
-        // `paper_default` itself.
-        let mut config = FlConfig::paper_default(TinyArch::MobileNetV2, CIFAR);
-        config.clients = clients;
-        config.rounds = 1;
-        let fedsz = Experiment::new(config.clone()).run().remove(0);
-        config.uplink = StagePolicy::Raw;
-        let plain = Experiment::new(config).run().remove(0);
+    for (clients, pair) in CLIENTS.iter().zip(runs.chunks(2)) {
+        let (fedsz, plain) = (&pair[0].metrics[0], &pair[1].metrics[0]);
         let (fedsz_comm, plain_comm) = (fedsz.comm_secs, plain.comm_secs);
         rows.push(format!(
             "{clients};{:.2};{:.2};{fedsz_comm:.2};{plain_comm:.2}",
@@ -872,8 +866,8 @@ fn main() {
     let cells = |grid: &[Cell]| grid.iter().map(Cell::row).collect::<Vec<_>>();
     r.grid("lossy_grid", Cell::KEY, Cell::COLUMNS, &cells(&inputs.lossy));
     r.grid("pipeline_grid", Cell::KEY, Cell::COLUMNS, &cells(&inputs.pipeline));
-    let runs: Vec<_> = inputs.training.iter().map(Run::row).collect();
-    r.grid("training_grid", "dataset;arch;uplink", Run::COLUMNS, &runs);
+    let runs: Vec<_> = inputs.training.iter().map(training_row).collect();
+    r.grid("training_grid", "dataset;arch;uplink", TRAINING_COLUMNS, &runs);
     for (name, section) in SECTIONS {
         if wants(&[name]) {
             r.scope(name);

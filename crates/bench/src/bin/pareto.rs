@@ -32,18 +32,20 @@
 //! 9% of raw bytes after sparse-index overhead) and `--out PATH`
 //! (default `BENCH_pareto.json`; `-` disables the file).
 //!
-//! The six fixed families form the `families` grid, and `on_frontier`
-//! marks a row no other fixed family beats on both uplink bytes and
-//! best accuracy. `auto`'s choices follow measured codec times, so its
-//! row is the `priced` grid, timings throughout, placed against the
-//! same six.
+//! The seven families are one [`run_cells`] grid, run a cell at a time
+//! (`auto` reads clocks). The six fixed families form the `families`
+//! grid; `on_frontier` marks a row [`pareto_front`] keeps among them on
+//! uplink bytes ↓ and best accuracy ↑. `auto`'s choices follow measured
+//! codec times, so its row is the `priced` grid, timings throughout,
+//! placed against the same six.
 
 use fedsz::timing::Eqn1Leg;
 use fedsz::{ErrorBound, FedSzConfig, LossyKind};
 use fedsz_bench::{row, Args, Report};
 use fedsz_data::DatasetKind;
 use fedsz_fl::plan::{StageLeg, StagePolicy};
-use fedsz_fl::{Experiment, FlConfig, LinkProfile, RoundMetrics, Topology};
+use fedsz_fl::sweep::{pareto_front, run_cells, CellOutcome, ParetoPoint};
+use fedsz_fl::{FlConfig, LinkProfile, Topology};
 use fedsz_nn::models::tiny::TinyArch;
 use std::collections::BTreeMap;
 
@@ -54,98 +56,36 @@ const COLUMNS: &str = "family;spec;final_accuracy;best_accuracy;diverged;uplink_
                        bytes_vs_raw;round_secs_mean;compress_secs_mean;eqn1_uplink_decisions;\
                        on_frontier";
 
-/// One family's sweep outcome.
-struct Row {
-    name: &'static str,
-    spec: String,
-    final_accuracy: f64,
-    best_accuracy: f64,
-    uplink_bytes_per_round: f64,
-    round_secs_mean: f64,
-    compress_secs_mean: f64,
-    decision_families: BTreeMap<&'static str, usize>,
+fn uplink_bytes(run: &CellOutcome) -> f64 {
+    run.mean(|m| m.upstream_bytes as f64)
 }
 
-impl Row {
-    /// Whether some row of `rows` beats this one on one axis without
-    /// losing on the other.
-    fn dominated_in(&self, rows: &[Row]) -> bool {
-        rows.iter().any(|other| {
-            other.uplink_bytes_per_round <= self.uplink_bytes_per_round
-                && other.best_accuracy >= self.best_accuracy
-                && (other.uplink_bytes_per_round < self.uplink_bytes_per_round
-                    || other.best_accuracy > self.best_accuracy)
-        })
-    }
-
-    fn cells(&self, raw_bytes: f64, fixed: &[Row]) -> Vec<String> {
-        row![
-            self.name,
-            self.spec,
-            self.final_accuracy,
-            self.best_accuracy,
-            self.final_accuracy < self.best_accuracy - 0.05,
-            self.uplink_bytes_per_round,
-            self.uplink_bytes_per_round / raw_bytes.max(1.0),
-            self.round_secs_mean,
-            self.compress_secs_mean,
-            self.decision_families,
-            !self.dominated_in(fixed),
-        ]
-    }
+/// A family's frontier point. `round_secs` is a timing column, so the
+/// seconds are held equal and the front is deterministic.
+fn point(run: &CellOutcome) -> ParetoPoint {
+    ParetoPoint { accuracy: run.best_accuracy(), bytes: uplink_bytes(run), secs: 0.0 }
 }
 
-fn run_family(name: &'static str, spec: &str, uplink: StagePolicy, args: &SweepArgs) -> Row {
-    let mut config = FlConfig::paper_default(TinyArch::AlexNet, DatasetKind::Cifar10Like);
-    config.rounds = args.rounds;
-    config.clients = args.clients;
-    config.seed = args.seed;
-    config.data.seed = args.seed;
-    config.data.train_per_class = args.train_per_class;
-    config.data.test_per_class = (args.train_per_class / 2).max(2);
-    config.links = Some(Topology::Shared(LinkProfile::symmetric(args.bandwidth)));
-    config.uplink = uplink;
-
-    let metrics: Vec<RoundMetrics> = Experiment::new(config).run();
-    let rounds = metrics.len().max(1) as f64;
-    let mut decision_families: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for m in &metrics {
-        for d in &m.eqn1 {
-            if d.leg == Eqn1Leg::Uplink {
-                *decision_families.entry(d.family).or_insert(0) += 1;
-            }
-        }
+/// How often each family won the Eqn-1 uplink decision.
+fn decisions(run: &CellOutcome) -> BTreeMap<&'static str, usize> {
+    let mut families = BTreeMap::new();
+    for d in run.metrics.iter().flat_map(|m| &m.eqn1).filter(|d| d.leg == Eqn1Leg::Uplink) {
+        *families.entry(d.family).or_insert(0) += 1;
     }
-    Row {
-        name,
-        spec: spec.to_string(),
-        final_accuracy: metrics.last().map_or(0.0, |m| m.test_accuracy),
-        best_accuracy: metrics.iter().map(|m| m.test_accuracy).fold(0.0f64, f64::max),
-        uplink_bytes_per_round: metrics.iter().map(|m| m.upstream_bytes as f64).sum::<f64>()
-            / rounds,
-        round_secs_mean: metrics.iter().map(|m| m.round_secs).sum::<f64>() / rounds,
-        compress_secs_mean: metrics.iter().map(|m| m.compress_secs).sum::<f64>() / rounds,
-        decision_families,
-    }
-}
-
-struct SweepArgs {
-    rounds: usize,
-    clients: usize,
-    train_per_class: usize,
-    seed: u64,
-    bandwidth: f64,
+    families
 }
 
 fn main() {
     let args = Args::parse(USAGE);
-    let sweep = SweepArgs {
-        rounds: args.get("--rounds", 20),
-        clients: args.get("--clients", 4),
-        train_per_class: args.get("--train-per-class", 20),
-        seed: args.get("--seed", 42),
-        bandwidth: args.get("--bandwidth", 10e6),
-    };
+    let mut base = FlConfig::paper_default(TinyArch::AlexNet, DatasetKind::Cifar10Like);
+    base.rounds = args.get("--rounds", 20);
+    base.clients = args.get("--clients", 4);
+    base.data.train_per_class = args.get("--train-per-class", 20);
+    base.data.test_per_class = (base.data.train_per_class / 2).max(2);
+    base.seed = args.get("--seed", 42);
+    base.data.seed = base.seed;
+    let bandwidth: f64 = args.get("--bandwidth", 10e6);
+    base.links = Some(Topology::Shared(LinkProfile::symmetric(bandwidth)));
     let topk_ratio: f64 = args.get("--topk", 0.07);
 
     let sz3 = FedSzConfig {
@@ -163,47 +103,74 @@ fn main() {
     };
     let topk = format!("topk:{topk_ratio}");
     let slate = ["lossy", &topk, "q8"];
-    let mut sweeps: Vec<(String, StagePolicy)> =
+    let mut families: Vec<(String, StagePolicy)> =
         ["raw", "lossy", &topk, &format!("{topk}+ef"), "q8", "q4s+ef"]
             .map(|spec| (spec.to_string(), parse(spec)))
             .into();
-    sweeps.push((
+    families.push((
         format!("auto {{{}}}", slate.join(", ")),
         StagePolicy::Priced { candidates: slate.map(parse).into() },
     ));
-
-    let mut rows: Vec<Row> = Vec::new();
-    for (spec, uplink) in sweeps {
-        // The lossy row is the paper's SZ3 pipeline.
-        let name = if matches!(uplink, StagePolicy::Lossy(_)) { "sz3" } else { uplink.name() };
-        let row = run_family(name, &spec, uplink, &sweep);
+    let configs: Vec<FlConfig> = families
+        .iter()
+        .map(|(_, uplink)| FlConfig { uplink: uplink.clone(), ..base.clone() })
+        .collect();
+    let runs = run_cells(&configs, 1);
+    // The lossy row is the paper's SZ3 pipeline.
+    let name = |i: usize| match &families[i].1 {
+        StagePolicy::Lossy(_) => "sz3",
+        uplink => uplink.name(),
+    };
+    for (i, run) in runs.iter().enumerate() {
         eprintln!(
-            "{name:>8}: best acc {:.3}, final acc {:.3}, {:.0} B/round uplink, \
-             round {:.3}s",
-            row.best_accuracy, row.final_accuracy, row.uplink_bytes_per_round, row.round_secs_mean
+            "{:>8}: best acc {:.3}, final acc {:.3}, {:.0} B/round uplink, round {:.3}s",
+            name(i),
+            run.best_accuracy(),
+            run.final_accuracy(),
+            uplink_bytes(run),
+            run.mean(|m| m.round_secs)
         );
-        rows.push(row);
     }
-    let auto = rows.pop().expect("auto is swept");
 
     let mut r = Report::new("fedsz.pareto.v2", TIMING);
-    r.setting("rounds", sweep.rounds);
-    r.setting("clients", sweep.clients);
-    r.setting("train_per_class", sweep.train_per_class);
-    r.setting("seed", sweep.seed);
-    r.setting("bandwidth_bps", sweep.bandwidth);
+    r.setting("rounds", base.rounds);
+    r.setting("clients", base.clients);
+    r.setting("train_per_class", base.data.train_per_class);
+    r.setting("seed", base.seed);
+    r.setting("bandwidth_bps", bandwidth);
     r.setting("topk", topk_ratio);
-    let raw = &rows[0];
-    let cells: Vec<_> =
-        rows.iter().map(|row| row.cells(raw.uplink_bytes_per_round, &rows)).collect();
-    r.grid("families", "family", COLUMNS, &cells);
-    r.grid("priced", "family", COLUMNS, &[auto.cells(raw.uplink_bytes_per_round, &rows)]);
+    // The fixed six are judged among themselves; `auto` (the last
+    // cell) against the six.
+    let auto = runs.len() - 1;
+    let points: Vec<ParetoPoint> = runs.iter().map(point).collect();
+    let front = pareto_front(&points[..auto]);
+    let raw_bytes = uplink_bytes(&runs[0]);
+    let cells = |i: usize, on_frontier: bool| {
+        let run = &runs[i];
+        row![
+            name(i),
+            families[i].0,
+            run.final_accuracy(),
+            run.best_accuracy(),
+            run.final_accuracy() < run.best_accuracy() - 0.05,
+            uplink_bytes(run),
+            uplink_bytes(run) / raw_bytes.max(1.0),
+            run.mean(|m| m.round_secs),
+            run.mean(|m| m.compress_secs),
+            decisions(run),
+            on_frontier,
+        ]
+    };
+    let rows: Vec<_> = (0..auto).map(|i| cells(i, front.contains(&i))).collect();
+    r.grid("families", "family", COLUMNS, &rows);
+    r.grid("priced", "family", COLUMNS, &[cells(auto, pareto_front(&points).contains(&auto))]);
 
-    let topk_ef = rows.iter().find(|r| r.name == "topk+ef").expect("topk+ef is swept");
-    let acc_gap = raw.best_accuracy - topk_ef.best_accuracy;
+    let topk_ef = (0..auto).find(|&i| name(i) == "topk+ef").expect("topk+ef is swept");
+    let (raw, topk_ef) = (&runs[0], &runs[topk_ef]);
+    let acc_gap = raw.best_accuracy() - topk_ef.best_accuracy();
     let detail = format!("topk+ef best accuracy {acc_gap:.4} below raw (limit 0.01)");
     r.gate("topk_ef_holds_raw_accuracy", acc_gap <= 0.01, &detail);
-    let bytes_fraction = topk_ef.uplink_bytes_per_round / raw.uplink_bytes_per_round.max(1.0);
+    let bytes_fraction = uplink_bytes(topk_ef) / raw_bytes.max(1.0);
     let detail =
         format!("topk+ef ships {:.1}% of raw's uplink bytes (limit 10%)", bytes_fraction * 100.0);
     r.gate("topk_ef_ships_a_tenth_of_raw", bytes_fraction <= 0.10, &detail);

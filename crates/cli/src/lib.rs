@@ -45,9 +45,10 @@ pub mod sweep;
 use fedsz::{ErrorBound, FedSz, FedSzConfig, LosslessKind, LossyKind};
 use fedsz_data::DatasetKind;
 use fedsz_fl::net::{global_checksum, run_worker, NetServer, Role, ServeConfig, WorkerConfig};
+use fedsz_fl::sweep::CellOutcome;
 use fedsz_fl::{
-    DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, StageLeg, StagePolicy, Topology,
-    TreePlan,
+    DpMechanism, DpPolicy, Experiment, FlConfig, LinkProfile, RoundMetrics, StageLeg, StagePolicy,
+    Topology, TreePlan,
 };
 use fedsz_net::MetricsServer;
 use fedsz_nn::models::specs::ModelSpec;
@@ -213,7 +214,8 @@ engine stage spans, per-level merge spans and eqn1.decision events;
 it never changes the bits — a traced run prints the same global
 checksum as an untraced one. `serve --metrics-addr ADDR` additionally
 exposes a Prometheus text endpoint (session, eviction and frame-byte
-counters) for the life of the process. FEDSZ_LOG=debug|info|warn sets
+counters) for the life of the process, which lingers one second past
+its last round for a final scrape. FEDSZ_LOG=debug|info|warn sets
 the stderr log level (default info).
 ";
 
@@ -636,26 +638,23 @@ fn fl(args: &Args) -> Result<String, String> {
             m.dropped_updates,
         );
     }
-    let total_comm: f64 = metrics.iter().map(|m| m.comm_secs).sum();
-    let total_round: f64 = metrics.iter().map(|m| m.round_secs).sum();
+    let run = CellOutcome { index: 0, metrics, checksum };
     let _ = writeln!(
         report,
-        "total simulated comm {total_comm:.3}s, virtual session time {total_round:.3}s"
+        "total simulated comm {:.3}s, virtual session time {:.3}s",
+        run.total(|m| m.comm_secs),
+        run.total(|m| m.round_secs)
     );
-    let total_down: usize = metrics.iter().map(|m| m.downstream_bytes).sum();
-    let total_up: usize = metrics.iter().map(|m| m.upstream_bytes).sum();
-    let root_in: usize = metrics.iter().map(|m| m.root_ingress_bytes).sum();
-    let root_out: usize = metrics.iter().map(|m| m.root_egress_bytes).sum();
-    let n = metrics.len().max(1) as f64;
-    let downlink_ratio: f64 = metrics.iter().map(|m| m.downlink_ratio).sum::<f64>() / n;
-    let psum_ratio: f64 = metrics.iter().map(|m| m.psum_ratio).sum::<f64>() / n;
+    let kb = |bytes: fn(&RoundMetrics) -> usize| run.total(|m| bytes(m) as f64) / 1e3;
     let _ = writeln!(
         report,
-        "bytes: up {:.1} KB, down {:.1} KB (downlink ratio {downlink_ratio:.2}x); root ingress {:.1} KB (psum ratio {psum_ratio:.2}x), egress {:.1} KB",
-        total_up as f64 / 1e3,
-        total_down as f64 / 1e3,
-        root_in as f64 / 1e3,
-        root_out as f64 / 1e3,
+        "bytes: up {:.1} KB, down {:.1} KB (downlink ratio {:.2}x); root ingress {:.1} KB (psum ratio {:.2}x), egress {:.1} KB",
+        kb(|m| m.upstream_bytes),
+        kb(|m| m.downstream_bytes),
+        run.mean(|m| m.downlink_ratio),
+        kb(|m| m.root_ingress_bytes),
+        run.mean(|m| m.psum_ratio),
+        kb(|m| m.root_egress_bytes),
     );
     // The bit-parity fingerprint a loopback `serve` + `worker` run of
     // the same config must reproduce.
@@ -676,6 +675,11 @@ fn telemetry_from_args(args: &Args, require_registry: bool) -> Result<Telemetry,
         None => Ok(Telemetry::disabled()),
     }
 }
+
+/// How long `serve --metrics-addr` keeps `/metrics` up after its last
+/// round, so a scrape loop sees counters bumped late in the run (an
+/// orphan adopted tens of ms before the end) at their final values.
+const METRICS_GRACE: std::time::Duration = std::time::Duration::from_secs(1);
 
 fn serve(args: &Args) -> Result<String, String> {
     let fl = shared_fl_config(args)?;
@@ -706,9 +710,8 @@ fn serve(args: &Args) -> Result<String, String> {
     serve_config.telemetry = telemetry.clone();
     let bind = args.value("bind").unwrap_or("127.0.0.1:7070");
     let server = NetServer::bind(bind).map_err(|e| format!("cannot bind {bind}: {e}"))?;
-    // The scrape endpoint outlives the round loop (the accept thread
-    // is detached), so late scrapes after the last round still see
-    // final counter values.
+    // The scrape endpoint's accept thread is detached: it serves until
+    // the process exits, which is METRICS_GRACE after the last round.
     let metrics_server = metrics_addr
         .map(|addr| {
             MetricsServer::bind(addr, telemetry.clone())
@@ -728,6 +731,9 @@ fn serve(args: &Args) -> Result<String, String> {
     let clients = plan.config.clients;
     let report = server.run(serve_config).map_err(|e| format!("serve failed: {e}"))?;
     telemetry.flush();
+    if metrics_server.is_some() {
+        std::thread::sleep(METRICS_GRACE);
+    }
     if args.switch("json") {
         // RoundRow::socket owns the fills-vs-nulls column contract;
         // dp_sigma comes from the shared plan (the noise itself is

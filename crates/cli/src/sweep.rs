@@ -84,9 +84,9 @@ fn coords_label(coords: &[(String, String)]) -> String {
 /// One cell's Pareto objectives from its executed metrics.
 fn pareto_point(outcome: &CellOutcome) -> ParetoPoint {
     ParetoPoint {
-        accuracy: outcome.metrics.last().map_or(0.0, |m| m.test_accuracy),
-        bytes: outcome.metrics.iter().map(|m| m.upstream_bytes).sum::<usize>() as f64,
-        secs: outcome.metrics.iter().map(|m| m.round_secs).sum(),
+        accuracy: outcome.final_accuracy(),
+        bytes: outcome.total(|m| m.upstream_bytes as f64),
+        secs: outcome.total(|m| m.round_secs),
     }
 }
 

@@ -1,5 +1,5 @@
-//! The scenario-matrix sweep driver: cross-product expansion, the
-//! thread-pool executor, and the Pareto summary.
+//! The one grid executor: cross-product expansion, execution, per-cell
+//! reductions and the Pareto summary.
 //!
 //! One federated run answers one question; the evaluation questions the
 //! ROADMAP cares about — does DP noise change the compression
@@ -28,18 +28,18 @@
 //! is bit for bit the `fedsz fl` run of its coordinates. Replicates are
 //! a `seed` axis like any other.
 //!
-//! **Execution.** [`run_cells`] drains the expanded configurations
-//! across a [`WorkerPool`] — the same bounded
-//! fork-join helper the aggregation hot path uses — and returns
-//! per-cell metrics in cell order regardless of which worker ran what.
-//! Every cell must already hold a validated plan: the CLI front-end
-//! validates the *whole* grid before any cell executes, so a sweep
-//! either starts completely or not at all (no partial sweeps).
+//! **Execution.** [`run_cells`] is the one place a grid of [`FlConfig`]s
+//! runs: `fedsz sweep` fans its cells across a [`WorkerPool`], and the
+//! `paper` and `pareto` bench bins run theirs one at a time (their
+//! timing columns read clocks). Outcomes come back in cell order. Every
+//! cell must already hold a validated plan: the CLI front-end validates
+//! the *whole* grid before any cell executes (no partial sweeps).
 //!
-//! **Summary.** [`pareto_front`] reduces the grid to its non-dominated
-//! cells over (final accuracy ↑, total uplink bytes ↓, total virtual
-//! seconds ↓) — the three axes the paper's evaluation trades against
-//! each other.
+//! **Summary.** A [`CellOutcome`] reduces its rounds to final and best
+//! accuracy and a metric's total or per-round mean; [`pareto_front`]
+//! keeps the non-dominated cells over (accuracy ↑, uplink bytes ↓,
+//! seconds ↓), the axes the paper's evaluation trades against each
+//! other. A caller ranking on two axes holds the third equal.
 
 use crate::agg::WorkerPool;
 use crate::net::global_checksum;
@@ -137,6 +137,29 @@ pub struct CellOutcome {
     /// checksum `fedsz fl` prints, so a one-cell sweep can be diffed
     /// against the plain run.
     pub checksum: u32,
+}
+
+impl CellOutcome {
+    /// Final-round test accuracy; 0.0 for a run with no rounds.
+    pub fn final_accuracy(&self) -> f64 {
+        self.metrics.last().map_or(0.0, |m| m.test_accuracy)
+    }
+
+    /// Best test accuracy over the rounds; 0.0 for a run with no rounds.
+    pub fn best_accuracy(&self) -> f64 {
+        self.metrics.iter().map(|m| m.test_accuracy).fold(0.0, f64::max)
+    }
+
+    /// A per-round metric summed over the rounds.
+    pub fn total(&self, metric: impl Fn(&RoundMetrics) -> f64) -> f64 {
+        self.metrics.iter().map(metric).sum()
+    }
+
+    /// A per-round metric's mean over the rounds; 0.0 for a run with no
+    /// rounds.
+    pub fn mean(&self, metric: impl Fn(&RoundMetrics) -> f64) -> f64 {
+        self.total(metric) / self.metrics.len().max(1) as f64
+    }
 }
 
 /// Executes every cell configuration across a [`WorkerPool`] of
@@ -244,21 +267,17 @@ mod tests {
         }
     }
 
+    fn tiny(seed: u64) -> FlConfig {
+        let mut config = FlConfig::smoke_test();
+        (config.rounds, config.seed, config.data.seed) = (1, seed, seed);
+        (config.data.train_per_class, config.data.test_per_class) = (2, 1);
+        config.worker_threads = Some(1);
+        config
+    }
+
     #[test]
     fn executor_returns_cells_in_order_at_any_width() {
-        let mut config = FlConfig::smoke_test();
-        config.rounds = 1;
-        config.data.train_per_class = 2;
-        config.data.test_per_class = 1;
-        config.worker_threads = Some(1);
-        let configs: Vec<FlConfig> = (0..3)
-            .map(|i| {
-                let mut c = config.clone();
-                c.seed = 7 + i as u64;
-                c.data.seed = c.seed;
-                c
-            })
-            .collect();
+        let configs: Vec<FlConfig> = (7..10).map(tiny).collect();
         let serial = run_cells(&configs, 1);
         let parallel = run_cells(&configs, 3);
         assert_eq!(serial.len(), 3);
@@ -268,6 +287,40 @@ mod tests {
             assert_eq!(s.metrics[0].upstream_bytes, p.metrics[0].upstream_bytes);
             assert_eq!(s.checksum, p.checksum, "pool width must not change the bits");
         }
+    }
+
+    #[test]
+    fn cell_reductions_read_final_best_total_and_mean() {
+        // Hand-set (accuracy, upstream bytes, round seconds) on a real round.
+        let round = run_cells(&[tiny(7)], 1).remove(0).metrics.remove(0);
+        let metrics = [(0.5, 100, 1.0), (0.9, 300, 2.0), (0.7, 200, 4.5)].map(|(acc, up, secs)| {
+            let mut m = round.clone();
+            (m.test_accuracy, m.upstream_bytes, m.round_secs) = (acc, up, secs);
+            m
+        });
+        let run = CellOutcome { index: 0, metrics: metrics.into(), checksum: 0 };
+        assert_eq!((run.final_accuracy(), run.best_accuracy()), (0.7, 0.9));
+        let bytes = |m: &RoundMetrics| m.upstream_bytes as f64;
+        assert_eq!((run.total(bytes), run.mean(bytes)), (600.0, 200.0));
+        assert_eq!((run.total(|m| m.round_secs), run.mean(|m| m.round_secs)), (7.5, 2.5));
+        let empty = CellOutcome { metrics: Vec::new(), ..run };
+        let reduced = [empty.final_accuracy(), empty.best_accuracy(), empty.total(bytes)];
+        assert_eq!((reduced, empty.mean(bytes)), ([0.0; 3], 0.0));
+    }
+
+    #[test]
+    fn with_seconds_held_equal_the_front_is_the_bytes_accuracy_frontier() {
+        let at = |accuracy, bytes| ParetoPoint { accuracy, bytes, secs: 0.0 };
+        // raw (most bytes, best accuracy), a codec trading accuracy for
+        // bytes, one beaten on both axes, one tied on bytes and worse.
+        let fixed = [at(0.98, 500.0), at(0.90, 100.0), at(0.85, 300.0), at(0.80, 100.0)];
+        assert_eq!(pareto_front(&fixed), vec![0, 1]);
+        // A candidate appended to the fixed set (`pareto`'s `auto`) is on
+        // the front exactly when no fixed point dominates it.
+        let survives = |candidate| pareto_front(&[&fixed[..], &[candidate]].concat()).contains(&4);
+        assert!(survives(at(0.95, 200.0)), "between raw and the codec");
+        assert!(!survives(at(0.90, 150.0)), "the codec: fewer bytes at equal accuracy");
+        assert!(!survives(at(0.97, 500.0)), "raw: more accuracy at equal bytes");
     }
 
     #[test]

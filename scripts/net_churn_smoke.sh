@@ -19,8 +19,11 @@ PORT=${PORT:-7463}
 MPORT=$((PORT + 1))
 R0PORT=$((PORT + 2))
 R1PORT=$((PORT + 3))
-# Five rounds keep the server busy well past both faults, so the
-# metrics scrape has a wide window to observe the counters live.
+# Both faults land by round 3 of five. The whole run can take a
+# quarter of a second, and the orphans' adoption bumps the churn
+# counters tens of ms before the last round ends; the root keeps
+# /metrics up for a one-second grace after it, so the scrape loop below
+# still sees them before the process exits.
 FLAGS=(--clients 4 --tree 2 --rounds 5 --train-per-class 4 --seed 9)
 WORKDIR=$(mktemp -d)
 trap 'rm -rf "$WORKDIR"' EXIT
