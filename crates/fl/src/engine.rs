@@ -547,58 +547,68 @@ impl RoundEngine {
         metrics
     }
 
-    /// Evaluates the current global model on the test split, in chunks
-    /// of `EVAL_CHUNK` (64) samples to bound peak memory. Chunk `c` runs on
-    /// eval model `c % width`, each model on its own thread, and the
-    /// chunks' `accuracy × len` are added in chunk order, so the result
-    /// does not depend on the width.
+    /// Evaluates the current global model on the test split. Each eval
+    /// model, on its own thread, forwards one contiguous share of the
+    /// samples (as even as the width allows), in batches of at most
+    /// `EVAL_CHUNK` (64) to bound peak memory. A sample's logits do not
+    /// depend on its batch-mates (evaluation runs no batch statistics,
+    /// and every kernel's sums run within one sample), so the logits are
+    /// those of any other split. The accuracy is then folded per
+    /// `EVAL_CHUNK` samples, `accuracy × len` in chunk order, and does not
+    /// depend on the width.
     pub fn evaluate(&mut self) -> f64 {
         let n = self.test_targets.len();
         if n == 0 {
             return 0.0;
         }
         let (config, global) = (&self.config, &self.global);
-        let (inputs, targets) = (&self.test_inputs, &self.test_targets);
+        let inputs = &self.test_inputs;
         let shape = inputs.shape();
         let sample = shape[1] * shape[2] * shape[3];
-        let chunks = n.div_ceil(EVAL_CHUNK);
         let width = self.eval_models.len();
-        let per_worker: Vec<Vec<f64>> = std::thread::scope(|scope| {
+        let shares: Vec<Vec<f32>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .eval_models
                 .iter_mut()
                 .enumerate()
                 .map(|(worker, slot)| {
+                    let share = worker * n / width..(worker + 1) * n / width;
                     scope.spawn(move || {
                         let model = slot.get_or_insert_with(|| Box::new(config.build_model()));
                         model.load_state_dict(global).expect("aggregated dict matches model");
-                        (worker..chunks)
-                            .step_by(width)
-                            .map(|c| {
-                                let span = c * EVAL_CHUNK..((c + 1) * EVAL_CHUNK).min(n);
-                                let batch = fedsz_tensor::Tensor::from_vec(
-                                    vec![span.len(), shape[1], shape[2], shape[3]],
-                                    inputs.data()[span.start * sample..span.end * sample].to_vec(),
-                                );
-                                let logits = model.forward(batch, false);
-                                top1_accuracy(&logits, &targets[span.clone()]) * span.len() as f64
-                            })
-                            .collect()
+                        let mut logits = Vec::new();
+                        for start in share.clone().step_by(EVAL_CHUNK) {
+                            let span = start..(start + EVAL_CHUNK).min(share.end);
+                            let batch = fedsz_tensor::Tensor::from_vec(
+                                vec![span.len(), shape[1], shape[2], shape[3]],
+                                inputs.data()[span.start * sample..span.end * sample].to_vec(),
+                            );
+                            logits.extend_from_slice(model.forward(batch, false).data());
+                        }
+                        logits
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("evaluation thread panicked")).collect()
         });
-        let correct_weighted =
-            (0..chunks).fold(0.0f64, |sum, c| sum + per_worker[c % width][c / width]);
+        let logits = shares.concat();
+        let classes = logits.len() / n;
+        let correct_weighted = (0..n).step_by(EVAL_CHUNK).fold(0.0f64, |sum, start| {
+            let span = start..(start + EVAL_CHUNK).min(n);
+            let chunk = fedsz_tensor::Tensor::from_vec(
+                vec![span.len(), classes],
+                logits[span.start * classes..span.end * classes].to_vec(),
+            );
+            sum + top1_accuracy(&chunk, &self.test_targets[span.clone()]) * span.len() as f64
+        });
         correct_weighted / n as f64
     }
 }
 
-/// Test samples per evaluation forward pass. Fixed: the accuracy is a
-/// sum of per-chunk `accuracy × len`, and `(c / l) · l` is not `c` in
-/// `f64` for some chunk lengths `l`, so another chunk size could move
-/// the last digit of a tracked accuracy.
+/// Test samples per evaluation forward pass at most, and per accuracy
+/// chunk. Fixed: the accuracy is a sum of per-chunk `accuracy × len`,
+/// and `(c / l) · l` is not `c` in `f64` for some chunk lengths `l`, so
+/// another chunk size could move the last digit of a tracked accuracy.
 const EVAL_CHUNK: usize = 64;
 
 #[cfg(test)]
@@ -630,20 +640,53 @@ mod tests {
             let mut e = RoundEngine::new(config);
             assert_eq!(e.eval_models.len(), threads);
             e.run_round(0);
-            let mut model = e.config.build_model();
-            model.load_state_dict(&e.global).unwrap();
-            let (n, sample) = (e.test_targets.len(), e.test_inputs.len() / e.test_targets.len());
-            let mut serial = 0.0f64;
-            for start in (0..n).step_by(EVAL_CHUNK) {
-                let end = (start + EVAL_CHUNK).min(n);
-                let mut shape = e.test_inputs.shape().to_vec();
-                shape[0] = end - start;
-                let data = e.test_inputs.data()[start * sample..end * sample].to_vec();
-                let logits = model.forward(fedsz_tensor::Tensor::from_vec(shape, data), false);
-                serial +=
-                    top1_accuracy(&logits, &e.test_targets[start..end]) * (end - start) as f64;
+            assert_eq!(e.evaluate().to_bits(), serial_accuracy(&e).to_bits(), "{threads} threads");
+        }
+    }
+
+    /// The serial loop [`RoundEngine::evaluate`] must reproduce: one
+    /// model, one forward per `EVAL_CHUNK` samples, `accuracy × len`
+    /// summed in chunk order.
+    fn serial_accuracy(e: &RoundEngine) -> f64 {
+        let mut model = e.config.build_model();
+        model.load_state_dict(&e.global).unwrap();
+        let (n, sample) = (e.test_targets.len(), e.test_inputs.len() / e.test_targets.len());
+        let mut serial = 0.0f64;
+        for start in (0..n).step_by(EVAL_CHUNK) {
+            let end = (start + EVAL_CHUNK).min(n);
+            let mut shape = e.test_inputs.shape().to_vec();
+            shape[0] = end - start;
+            let data = e.test_inputs.data()[start * sample..end * sample].to_vec();
+            let logits = model.forward(fedsz_tensor::Tensor::from_vec(shape, data), false);
+            serial += top1_accuracy(&logits, &e.test_targets[start..end]) * (end - start) as f64;
+        }
+        serial / n as f64
+    }
+
+    /// Each eval model forwards an even share of the samples, but the
+    /// accuracy is still folded per 64 samples in order: at widths 1, 2
+    /// and 3, on test splits below, at and past one and two chunks
+    /// (shares of one sample, and empty ones, at `n = 1`), the result is
+    /// the serial loop's, bit for bit.
+    #[test]
+    fn balanced_evaluation_matches_the_serial_chunks_at_every_width() {
+        let mut config = FlConfig::smoke_test();
+        config.data.test_per_class = 13;
+        let mut e = RoundEngine::new(config);
+        e.run_round(0);
+        let (inputs, targets) = (e.test_inputs.clone(), e.test_targets.clone());
+        let sample = inputs.len() / targets.len();
+        for n in [1, 63, 64, 65, 100, 129] {
+            let mut shape = inputs.shape().to_vec();
+            shape[0] = n;
+            e.test_inputs =
+                fedsz_tensor::Tensor::from_vec(shape, inputs.data()[..n * sample].to_vec());
+            e.test_targets = targets[..n].to_vec();
+            let serial = serial_accuracy(&e);
+            for width in [1, 2, 3] {
+                e.eval_models = (0..width).map(|_| None).collect();
+                assert_eq!(e.evaluate().to_bits(), serial.to_bits(), "n = {n}, width {width}");
             }
-            assert_eq!(e.evaluate().to_bits(), (serial / n as f64).to_bits(), "{threads} threads");
         }
     }
 

@@ -26,16 +26,18 @@
 //!   pixel's `icg * k * k` input values in `(ky, kx, ic)` order, padded
 //!   to whole [`TAP_LANES`] — the row every output channel's `dW`
 //!   update for that pixel reads. Each output channel then keeps one
-//!   `dW` accumulator the width of a row and walks its plane's nonzero
-//!   output gradients, `(oy, ox)` ascending, with one
+//!   `dW` accumulator the width of a row in registers and walks its
+//!   plane's nonzero output gradients, `(oy, ox)` ascending, with one
 //!   `acc[t] += g * row[t]` per tap, at most [`TAP_BLOCK`] taps (nine
 //!   AVX2 registers) at a time; a wider filter is walked once per
 //!   block. Every `dW` element takes its terms in `(ni, oy, ox)` order,
-//!   and `db` rides along the first block's walk. `dx` stays one
-//!   `+= g * w[ky][..]` per kernel row and nonzero gradient, channels
-//!   last, output positions `(ni, oc, oy, ox)` ascending: for a given
-//!   `dx` element that is `ky`, `kx` *descending* — the order the
-//!   reference produces;
+//!   and `db` rides along the first block's walk. `dx` is one pass over
+//!   the same gradients per one or two kernel rows, `ky` descending, with
+//!   those rows of the filter in registers: one `+= g * w[ky][..]` per
+//!   kernel row and nonzero gradient, channels last, output positions
+//!   `(ni, oc, oy, ox)` ascending within a pass. For a given `dx`
+//!   element that is `ky`, `kx` *descending* — the order the reference
+//!   produces;
 //! * a **depthwise** shape has one channel per group on both sides,
 //!   so its lanes run across the groups, everything channel-last.
 //!
@@ -43,25 +45,29 @@
 //! gradient is skipped too (a depthwise lane keeps its old value),
 //! exactly as the reference skips them. The forward walks each output
 //! pixel's list of in-image taps, one list per distinct pair of in-image
-//! `ky` and `kx` ranges. The backward reads its inputs from a
-//! copy of the image inside a zero border of `padding`, so that every
-//! kernel row of every pixel is one run of `k * icg` values; a tap row's
-//! lane for an out-of-image tap is taken by a *select* on a per-pixel
-//! lane mask, never added, and an out-of-image `dx` tap lands in a
-//! border that is never read back. Nothing is multiplied by a padding
-//! zero, so the kernels agree with the reference bit for bit on every
-//! input, `-0.0` and infinities included: `x + 0.0 * w` is not `x` when
-//! `x` is `-0.0` or `w` is infinite. (Where a NaN lands is pinned too;
-//! its payload after an add of two NaNs is not, as Rust leaves it
+//! `ky` and `kx` ranges. The backward reads its inputs from a copy of the
+//! image inside a zero border of `padding`, so that every kernel row of
+//! every pixel is one run of `k * icg` values, and a tap row's lane for
+//! an out-of-image tap holds `+0.0`. Adding that lane's `g * 0.0` is the
+//! skip for every accumulator but `-0.0`, and only while `g` is finite;
+//! so the walks add every lane only when no `dW` starts at `-0.0` and
+//! every `g` is finite, as in training, and otherwise take each lane by
+//! a *select* on a per-pixel lane mask ([`TapView::accumulate`]). An
+//! out-of-image `dx` tap lands in a border that is never read back. So
+//! the kernels agree with the reference bit for bit on every input,
+//! `-0.0` and infinities included, although `x + 0.0 * w` is not `x`
+//! when `x` is `-0.0` or `w` is infinite. (Where a NaN lands is pinned
+//! too; its payload after an add of two NaNs is not, as Rust leaves it
 //! unspecified.)
 //!
 //! The zero-gradient skip branches on no data. Behind ReLU and max-pool
 //! most of `dy` is zero at random positions, and a branch on it
-//! mispredicts; instead each plane's nonzero gradients are listed first,
-//! each with its pixel, by [`fedsz_tensor::nonzero_positions`], the
-//! lister `Tensor::matmul` uses (every entry is written, the cursor
-//! advances by `(g != 0.0) as usize`), and the walks and axpys then run
-//! over that list. The max-pool's comparison is a select for the same reason.
+//! mispredicts; instead each plane's nonzero gradients are listed first
+//! by [`fedsz_tensor::nonzero_positions`], the lister `Tensor::matmul`
+//! uses (eight flags at a time pick a row of kept positions from a
+//! table), and the walks and axpys then run over that list, loading each
+//! gradient at its position. The max-pool's comparison is a select for
+//! the same reason.
 //!
 //! # Why the forward keeps a block of columns in registers
 //!
@@ -92,25 +98,46 @@
 //! depthwise forward and backward gained nothing from an AVX2 copy
 //! (0.86-1.07x, 0.83x) and are compiled once.
 //!
-//! # Why the backward walks tap rows
+//! # Why the backward walks tap rows, and what it does around the walks
 //!
-//! The backward it replaced took three `k * icg`-float axpys per
+//! The backward before tap rows took three `k * icg`-float axpys per
 //! nonzero output gradient, one per kernel row, into a channel-last
 //! `dW`: on conv1 that is three 9-float loops with their range and
 //! slice work for 27 multiply-adds, so the time went to per-nonzero
 //! overhead, not arithmetic, and an AVX2 copy gained nothing
 //! (0.95-1.07x). A tap row is one fixed-width vector walk per nonzero
-//! gradient, with the accumulators held in registers across the
-//! plane; [`TapRowBackward`] is compiled for the build target and for
-//! AVX2, and AVX2 halves the vectors of a row: against the old loop the
-//! AVX2 copy runs tiny AlexNet's conv1 (no `dx`) 2.2-2.7x, its conv2
-//! 1.5-1.6x and a stride-2 3x3 1.4-1.8x. The build target's copy, all a
-//! host without AVX2 runs, is 1.7-2.0x on conv1 but 0.8-0.9x on conv2
-//! and stride 2 and 0.65-0.85x on ResNet's 3x3s: SSE2 has no blend, so
-//! each masked lane costs three logic ops, and a [`TAP_BLOCK`] of
-//! accumulators spills from sixteen SSE registers. The per-pixel offsets are computed once per call ([`tap_pixels`]) and
-//! every scratch buffer once per call, sized by the shape, not the
-//! batch, so the walk divides nothing and allocates nothing.
+//! gradient, with the accumulators held in registers across the plane.
+//! What the first tap-row kernel still spent went around its walks:
+//!
+//! * a select on every lane of every step, interior pixels included,
+//!   on the accumulator's dependency chain: the walks now add every lane
+//!   whenever that is exact (see above);
+//! * the plane listing, a store per value: now a table row per eight;
+//! * the tap rows' copies, sliced and bounds-checked per chunk, and the
+//!   transposes into and out of the channel-last image through
+//!   `step_by`: now copies of a chunk count fixed at compile time, and
+//!   the loop order that suits the channel count;
+//! * conv2's `dx`, three read-modify-write axpys per gradient that each
+//!   reloaded a kernel row of the filter: now passes of two rows held in
+//!   registers;
+//! * work buffers a heap `Vec` aligns to 16 bytes only, so that half of
+//!   the whole-register loads and stores straddled two cache lines
+//!   ([`LineAligned`]).
+//!
+//! Measured per call at batch 16 on a 2-core Xeon with AVX2, in one
+//! harness that alternates the two builds (medians of 10 runs of each
+//! run's 10th percentile), against that kernel: tiny AlexNet's conv1
+//! (no `dx`) 0.177 -> 0.096 ms (1.8x) and its conv2 0.258 -> 0.164 ms
+//! (1.6x). [`TapRowBackward`]
+//! is compiled for the build target and for AVX2 and picked per call
+//! ([`fedsz_codec::simd`]). The build target's copy, all a host without
+//! AVX2 runs, measured with the dispatch held to it on both sides, is
+//! 1.46x its predecessor on conv1, 1.5x on conv2, 1.45x on a stride-2
+//! 3x3 and 1.4x on ResNet's 3x3 (that predecessor was 0.65-0.9x the
+//! axpy kernel on the last three). The per-pixel offsets are computed
+//! once per call ([`tap_pixels`]) and every scratch buffer once per
+//! call, sized by the shape, not the batch, so the walk divides nothing
+//! and allocates nothing.
 //!
 //! `dx` is optional: the network's first layer passes none
 //! ([`Layer::backward_params`](crate::layers::Layer::backward_params)),
@@ -180,6 +207,60 @@ impl ConvShape {
         let first = (self.padding * wp + self.padding) * channels;
         let width = self.w * channels;
         padded[first..].chunks_mut(wp * channels).map(move |row| &mut row[..width]).take(self.h)
+    }
+
+    /// Writes one group's channel-first `[channels][h][w]` planes into
+    /// the image rows of a channel-last padded buffer (see
+    /// [`ConvShape::interior_rows`]). A few channels go a plane at a
+    /// time; from eight on, a pixel at a time, each of its channels read
+    /// from its plane (on tiny AlexNet at batch 16 each order is
+    /// 1.7-2.2x the other where it is picked).
+    fn pad_channel_last(&self, planes: &[f32], channels: usize, padded: &mut [f32]) {
+        let in_plane = self.h * self.w;
+        if channels < 8 {
+            for (channel, plane) in planes.chunks_exact(in_plane).enumerate() {
+                let rows = self.interior_rows(padded, channels).zip(plane.chunks_exact(self.w));
+                for (row, src) in rows {
+                    for (pixel, &v) in row.chunks_exact_mut(channels).zip(src) {
+                        pixel[channel] = v;
+                    }
+                }
+            }
+            return;
+        }
+        for (iy, row) in self.interior_rows(padded, channels).enumerate() {
+            for (ix, pixel) in row.chunks_exact_mut(channels).enumerate() {
+                for (v, plane) in pixel.iter_mut().zip(planes.chunks_exact(in_plane)) {
+                    *v = plane[iy * self.w + ix];
+                }
+            }
+        }
+    }
+
+    /// Appends the image rows of a channel-last padded buffer to `dst`
+    /// channel-first, `[channels][h][w]`: the order a `[n, c, h, w]`
+    /// tensor holds them in. As in [`ConvShape::pad_channel_last`], a few
+    /// channels go a plane at a time and from eight on a pixel at a time.
+    fn extend_from_padded(&self, dst: &mut Vec<f32>, padded: &mut [f32], channels: usize) {
+        let in_plane = self.h * self.w;
+        if channels < 8 {
+            for channel in 0..channels {
+                for row in self.interior_rows(padded, channels) {
+                    dst.extend(row.chunks_exact(channels).map(|pixel| pixel[channel]));
+                }
+            }
+            return;
+        }
+        let start = dst.len();
+        dst.resize(start + channels * in_plane, 0.0);
+        let planes = &mut dst[start..];
+        for (iy, row) in self.interior_rows(padded, channels).enumerate() {
+            for (ix, pixel) in row.chunks_exact(channels).enumerate() {
+                for (&v, plane) in pixel.iter().zip(planes.chunks_exact_mut(in_plane)) {
+                    plane[iy * self.w + ix] = v;
+                }
+            }
+        }
     }
 
     /// One filter per channel: with a single input and output channel
@@ -548,8 +629,8 @@ fn transpose(src: &[f32], rows: usize, dst: &mut [f32]) {
 /// Accumulates `dwt += dW` and `db += db`, and appends `dx` to an empty
 /// buffer when given one, for the output gradient `dy` of a
 /// [`conv_forward`] call on `x`. `dW` and `db` do not depend on whether
-/// `dx` is computed. `dx` is written once, in order, so that it needs
-/// no zeroed buffer to land in.
+/// `dx` is computed. `dx` is appended a sample at a time, so that the
+/// caller needs no zeroed buffer for it.
 pub(crate) fn conv_backward(
     s: &ConvShape,
     x: &[f32],
@@ -572,9 +653,44 @@ const TAP_LANES: usize = 8;
 
 /// The most taps one `dW` accumulator block carries through a plane's
 /// nonzero output gradients: nine AVX2 registers, which leaves room for
-/// the row and mask loads (the build target's SSE copy spills some). A
-/// wider filter is cut into the fewest, most even blocks.
+/// the row loads (the build target's SSE copy spills some). A wider
+/// filter is cut into the fewest, most even blocks.
 const TAP_BLOCK: usize = 72;
+
+/// A zeroed buffer whose first `f32` starts a 64-byte cache line: the
+/// backward's whole-register loads and stores then never straddle two
+/// lines, which a heap `Vec<f32>` (16-byte aligned) makes half of them
+/// do. Measured on conv2 of tiny AlexNet at batch 16 on a 2-core Xeon,
+/// aligning its three work buffers took 11 % off the backward.
+struct LineAligned {
+    buf: Vec<f32>,
+    start: usize,
+    len: usize,
+}
+
+impl LineAligned {
+    fn zeroed(len: usize) -> Self {
+        let buf = vec![0.0f32; len + 15];
+        // An offset past 15 floats cannot happen for a 4-aligned
+        // pointer; should it, the buffer is merely unaligned.
+        let start = Some(buf.as_ptr().align_offset(64)).filter(|&at| at < 16).unwrap_or(0);
+        Self { buf, start, len }
+    }
+}
+
+impl std::ops::Deref for LineAligned {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl std::ops::DerefMut for LineAligned {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+}
 
 /// The grouped backward (see the module comment): `dW` from tap rows,
 /// `dx` by one axpy per kernel row and nonzero output gradient;
@@ -616,6 +732,12 @@ fn tap_row_backward(
     // The fewest walks of at most `TAP_BLOCK` taps, as even as whole
     // `TAP_LANES` allow.
     let block = width.div_ceil(width.div_ceil(TAP_BLOCK)).next_multiple_of(TAP_LANES);
+    // Whether the walks must select their in-image lanes (see
+    // `TapView::accumulate`): only if some accumulator starts at `-0.0`
+    // or some output gradient is infinite or NaN.
+    let negative_zero = (-0.0f32).to_bits();
+    let masked = dwt.iter().fold(false, |any, v| any | (v.to_bits() == negative_zero))
+        || !dy.iter().fold(true, |all, g| all & g.is_finite());
     // Filters as [oc][ky][kx][icg]; `dW` the same, each filter padded to
     // `width`; a group's pixels as [iy][ix][icg].
     let with_dx = dx.is_some();
@@ -632,47 +754,31 @@ fn tap_row_backward(
     let (pixels, masks) = tap_pixels(s, width);
     // A group's pixels as [iy][ix][icg] inside a zero border of
     // `padding`, so that every kernel row of every output pixel is one
-    // run of `k * icg` values, and `dx` in the same layout. One tap row
-    // per output pixel, [oy][ox][ky][kx][icg], its kernel rows copied
-    // eight lanes at a time: a copy that runs past its run is overwritten
-    // by the next one; the last lands in the padding lanes or the next
-    // pixel's row, or past the end in `TAP_LANES` of slack. What an
-    // out-of-image tap holds does not matter: its mask lane keeps the
-    // accumulator from adding it.
-    let mut x_pad = vec![0.0f32; hp * wp * icg + TAP_LANES];
-    let mut dx_pad = vec![0.0f32; if with_dx { hp * wp * icg } else { 0 }];
-    let mut rows = vec![0.0f32; out_plane * width + TAP_LANES];
-    let mut cl = vec![0.0f32; icg * in_plane];
-    let mut entries = vec![(0, 0.0); out_plane];
+    // run of `k * icg` values, and `dx` in the same layout; `TAP_LANES`
+    // of slack past the end for the tap rows' whole-chunk copies.
+    let mut x_pad = LineAligned::zeroed(hp * wp * icg + TAP_LANES);
+    let mut dx_pad = LineAligned::zeroed(if with_dx { hp * wp * icg } else { 0 });
+    let mut rows = LineAligned::zeroed(out_plane * width + TAP_LANES);
+    let mut positions = vec![0; out_plane];
+    let tap_rows = TapRows { pixels: &pixels, k, run, line: wp * icg, taps, width };
     for ni in 0..s.n {
         for grp in 0..s.groups {
             let sample = (ni * s.c + grp * icg) * in_plane..(ni * s.c + (grp + 1) * icg) * in_plane;
-            transpose(&x[sample], icg, &mut cl);
-            for (pad_row, row) in s.interior_rows(&mut x_pad, icg).zip(cl.chunks_exact(s.w * icg)) {
-                pad_row.copy_from_slice(row);
-            }
-            for pixel in &pixels {
-                for ky in 0..k {
-                    let to = pixel.row + ky * run;
-                    copy_lanes(
-                        &mut rows[to..to + run.next_multiple_of(TAP_LANES)],
-                        &x_pad[pixel.window + ky * wp * icg..],
-                    );
-                }
-            }
+            s.pad_channel_last(&x[sample], icg, &mut x_pad);
+            tap_rows.build(&x_pad, &mut rows);
             dx_pad.fill(0.0);
-            let view = TapView { rows: &rows, masks: &masks, pixels: &pixels };
+            let view = TapView { rows: &rows, width, masks: &masks, pixels: &pixels };
             for oc in grp * ocg..(grp + 1) * ocg {
                 let plane = &dy[(ni * s.oc + oc) * out_plane..][..out_plane];
-                let live = nonzero_positions(plane, &mut entries);
+                let live = Live { plane, positions: nonzero_positions(plane, &mut positions) };
                 // `db` rides along the first block's walk.
                 let mut bias = db[oc];
                 let filter = dw_rows[oc * width..][..width].chunks_mut(block);
                 for (b, acc) in filter.enumerate() {
                     if b == 0 {
-                        view.walk(0, acc, live, |g| bias += g);
+                        view.walk(masked, 0, acc, &live, |g| bias += g);
                     } else {
-                        view.walk(b * block, acc, live, |_| {});
+                        view.walk(masked, b * block, acc, &live, |_| {});
                     }
                 }
                 db[oc] = bias;
@@ -680,7 +786,7 @@ fn tap_row_backward(
                     continue;
                 }
                 let walk = DxWalk {
-                    live,
+                    live: &live,
                     pixels: &pixels,
                     filter: &wt_cl[oc * taps..][..taps],
                     k,
@@ -693,12 +799,7 @@ fn tap_row_backward(
                 }
             }
             if let Some(dx) = dx.as_deref_mut() {
-                for (row, pad_row) in
-                    cl.chunks_exact_mut(s.w * icg).zip(s.interior_rows(&mut dx_pad, icg))
-                {
-                    row.copy_from_slice(pad_row);
-                }
-                extend_channel_first(dx, &cl, icg);
+                s.extend_from_padded(dx, &mut dx_pad, icg);
             }
         }
     }
@@ -707,13 +808,34 @@ fn tap_row_backward(
     }
 }
 
-/// One output channel's `dx` update, in the padded layout: output
-/// positions ascending, one axpy per kernel row, so each `dx` element
-/// takes `ky`, `kx` descending. An out-of-image tap lands in the border,
+/// One output channel's plane of a sample's output gradient, and the
+/// positions of its nonzero entries.
+struct Live<'a> {
+    plane: &'a [f32],
+    positions: &'a [u32],
+}
+
+impl Live<'_> {
+    /// Each nonzero gradient with its pixel, pixels ascending.
+    #[inline(always)]
+    fn iter(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
+        self.positions.iter().map(|&p| (p as usize, self.plane[p as usize]))
+    }
+}
+
+/// One output channel's `dx` update, in the padded layout: passes over
+/// the channel's nonzero output gradients, output positions ascending,
+/// each pass adding one or two kernel rows (`ky` descending across the
+/// passes) per gradient, one axpy each, with those rows of the filter
+/// held in registers. Each gradient adds into a `dx` element through at
+/// most one `(ky, kx)`, and the pixels that do so through a larger `ky`
+/// sit in earlier output rows, so every `dx` element takes its terms
+/// output positions ascending, as the reference does (for one element,
+/// `ky`, `kx` descending). An out-of-image tap lands in the border,
 /// which is never read back.
 struct DxWalk<'a> {
-    /// The channel's nonzero output gradients and their pixels.
-    live: &'a [(u32, f32)],
+    /// The channel's nonzero output gradients.
+    live: &'a Live<'a>,
     pixels: &'a [TapPixel],
     /// The channel's filter as [ky][kx][icg].
     filter: &'a [f32],
@@ -726,46 +848,57 @@ struct DxWalk<'a> {
 
 impl DxWalk<'_> {
     /// The walk with kernel rows of `N` values, a length the compiler
-    /// unrolls into whole registers; `N = 0` takes `run` at run time.
+    /// unrolls into whole registers, which hold two kernel rows through
+    /// each pass; `N = 0` takes `run` at run time, a row per pass.
     #[inline(always)]
     fn run<const N: usize>(&self, dx_pad: &mut [f32]) {
+        let mut ky = self.k;
+        while ky > 0 {
+            if N != 0 && ky >= 2 {
+                self.two_rows::<N>(ky - 1, dx_pad);
+                ky -= 2;
+            } else {
+                self.one_row::<N>(ky - 1, dx_pad);
+                ky -= 1;
+            }
+        }
+    }
+
+    /// The pass of kernel row `ky`.
+    #[inline(always)]
+    fn one_row<const N: usize>(&self, ky: usize, dx_pad: &mut [f32]) {
         let run = if N == 0 { self.run } else { N };
-        for &(pixel, g) in self.live {
-            let window = self.pixels[pixel as usize].window;
-            for ky in 0..self.k {
-                let (d, w) =
-                    (&mut dx_pad[window + ky * self.row..][..run], &self.filter[ky * run..][..run]);
-                if N == 0 {
-                    axpy(d, g, w);
-                } else {
-                    let (d, w): (&mut [f32; N], &[f32; N]) =
-                        (d.try_into().unwrap(), w.try_into().unwrap());
-                    for (d, &w) in d.iter_mut().zip(w) {
-                        *d += g * w;
-                    }
+        let w = &self.filter[ky * run..][..run];
+        for (pixel, g) in self.live.iter() {
+            let at = self.pixels[pixel].window + ky * self.row;
+            axpy(&mut dx_pad[at..at + run], g, w);
+        }
+    }
+
+    /// The pass of kernel rows `ky` and `ky - 1`: for one pixel they land
+    /// in different `dx` rows, and each `dx` element still takes its
+    /// terms pixels ascending.
+    #[inline(always)]
+    fn two_rows<const N: usize>(&self, ky: usize, dx_pad: &mut [f32]) {
+        let upper: [f32; N] = self.filter[ky * N..][..N].try_into().unwrap();
+        let lower: [f32; N] = self.filter[(ky - 1) * N..][..N].try_into().unwrap();
+        for (pixel, g) in self.live.iter() {
+            let window = self.pixels[pixel].window;
+            for (ky, w) in [(ky, &upper), (ky - 1, &lower)] {
+                let at = window + ky * self.row;
+                let d: &mut [f32; N] = (&mut dx_pad[at..at + N]).try_into().unwrap();
+                for (d, &w) in d.iter_mut().zip(w) {
+                    *d += g * w;
                 }
             }
         }
     }
 }
 
-/// `dst.copy_from_slice(&src[..dst.len()])` for a `dst` of whole
-/// [`TAP_LANES`] chunks, one fixed-size chunk at a time: the copies are
-/// a few lanes long, too short to pay for a call to `memcpy`.
-#[inline(always)]
-fn copy_lanes(dst: &mut [f32], src: &[f32]) {
-    let src = &src[..dst.len()];
-    for (d, s) in dst.as_chunks_mut::<TAP_LANES>().0.iter_mut().zip(src.as_chunks().0) {
-        *d = *s;
-    }
-}
-
-/// Where an output pixel's tap row, its lane mask and its kernel window
-/// start.
+/// Where an output pixel's lane mask and kernel window start. Its tap
+/// row starts at `pixel * width`.
 #[derive(Clone, Copy)]
 struct TapPixel {
-    /// Into the tap rows.
-    row: usize,
     /// Into the masks.
     mask: usize,
     /// The window's first value in the padded image (and padded `dx`).
@@ -796,7 +929,6 @@ fn tap_pixels(s: &ConvShape, width: usize) -> (Vec<TapPixel>, Vec<i32>) {
     for (oy, &r) in ky_of.iter().enumerate() {
         for (ox, &c) in kx_of.iter().enumerate() {
             pixels.push(TapPixel {
-                row: pixels.len() * width,
                 mask: (r * kx_ranges.len() + c) * width,
                 window: (oy * wp + ox) * s.stride * icg,
             });
@@ -805,56 +937,157 @@ fn tap_pixels(s: &ConvShape, width: usize) -> (Vec<TapPixel>, Vec<i32>) {
     (pixels, masks)
 }
 
+/// How a sample's tap rows are cut from its padded image: one row of
+/// `width` lanes per output pixel, [oy][ox][ky][kx][icg], its kernel rows
+/// copied whole [`TAP_LANES`] chunks at a time. A chunk that runs past its
+/// kernel row is overwritten by the next one, or by the chunk of zeros
+/// written over the padding lanes past `taps`; what runs past the row
+/// lands in the next pixel's row, which is built after it, or in the
+/// slack past the end. A tap outside the image comes from the zero
+/// border, so every lane that is not one of the pixel's in-image taps
+/// holds `+0.0`.
+struct TapRows<'a> {
+    pixels: &'a [TapPixel],
+    k: usize,
+    /// Values in one kernel row, `k * icg`.
+    run: usize,
+    /// Values in one row of the padded image.
+    line: usize,
+    taps: usize,
+    width: usize,
+}
+
+impl TapRows<'_> {
+    /// Writes every pixel's tap row into `rows` from `x_pad`.
+    #[inline(always)]
+    fn build(&self, x_pad: &[f32], rows: &mut [f32]) {
+        match self.run.div_ceil(TAP_LANES) {
+            1 => self.build_in::<1>(x_pad, rows),
+            2 => self.build_in::<2>(x_pad, rows),
+            3 => self.build_in::<3>(x_pad, rows),
+            4 => self.build_in::<4>(x_pad, rows),
+            6 => self.build_in::<6>(x_pad, rows),
+            _ => self.build_in::<0>(x_pad, rows),
+        }
+    }
+
+    /// [`TapRows::build`] with `C` chunks per kernel row, a count the
+    /// compiler unrolls; `C = 0` counts them at run time.
+    #[inline(always)]
+    fn build_in<const C: usize>(&self, x_pad: &[f32], rows: &mut [f32]) {
+        let chunks = if C == 0 { self.run.div_ceil(TAP_LANES) } else { C };
+        let lanes = chunks * TAP_LANES;
+        // What one pixel's copies read and write: the last kernel row's
+        // chunks, or the zero chunk over the padding lanes, end last.
+        let read = (self.k - 1) * self.line + lanes;
+        let written = ((self.k - 1) * self.run + lanes).max(self.taps + TAP_LANES);
+        for (p, pixel) in self.pixels.iter().enumerate() {
+            let (src, row) =
+                (&x_pad[pixel.window..][..read], &mut rows[p * self.width..][..written]);
+            for ky in 0..self.k {
+                let (src, _) = src[ky * self.line..][..lanes].as_chunks::<TAP_LANES>();
+                let (dst, _) = row[ky * self.run..][..lanes].as_chunks_mut::<TAP_LANES>();
+                for (d, s) in dst.iter_mut().zip(src).take(chunks) {
+                    *d = *s;
+                }
+            }
+            if self.taps < self.width {
+                row[self.taps..self.taps + TAP_LANES].fill(0.0);
+            }
+        }
+    }
+}
+
 /// Every output pixel's tap row and mask.
 struct TapView<'a> {
     rows: &'a [f32],
+    width: usize,
     masks: &'a [i32],
     pixels: &'a [TapPixel],
 }
 
 impl TapView<'_> {
-    /// [`TapView::accumulate`] on a block of any width [`tap_row_backward`]
-    /// cuts: [`TAP_BLOCK`] or a multiple of [`TAP_LANES`] below it.
+    /// [`TapView::accumulate`], with the lane select or without, on a
+    /// block of any width [`tap_row_backward`] cuts: [`TAP_BLOCK`] or a
+    /// multiple of [`TAP_LANES`] below it.
     #[inline(always)]
-    fn walk(&self, at: usize, acc: &mut [f32], live: &[(u32, f32)], also: impl FnMut(f32)) {
+    fn walk(
+        &self,
+        masked: bool,
+        at: usize,
+        acc: &mut [f32],
+        live: &Live<'_>,
+        also: impl FnMut(f32),
+    ) {
+        if masked {
+            self.walk_as::<true>(at, acc, live, also);
+        } else {
+            self.walk_as::<false>(at, acc, live, also);
+        }
+    }
+
+    /// [`TapView::walk`] for one setting of the select.
+    #[inline(always)]
+    fn walk_as<const MASKED: bool>(
+        &self,
+        at: usize,
+        acc: &mut [f32],
+        live: &Live<'_>,
+        also: impl FnMut(f32),
+    ) {
         match acc.len() {
-            TAP_BLOCK => self.accumulate::<TAP_BLOCK>(at, acc.try_into().unwrap(), live, also),
-            64 => self.accumulate::<64>(at, acc.try_into().unwrap(), live, also),
-            56 => self.accumulate::<56>(at, acc.try_into().unwrap(), live, also),
-            48 => self.accumulate::<48>(at, acc.try_into().unwrap(), live, also),
-            40 => self.accumulate::<40>(at, acc.try_into().unwrap(), live, also),
-            32 => self.accumulate::<32>(at, acc.try_into().unwrap(), live, also),
-            24 => self.accumulate::<24>(at, acc.try_into().unwrap(), live, also),
-            16 => self.accumulate::<16>(at, acc.try_into().unwrap(), live, also),
-            _ => self.accumulate::<8>(at, acc.try_into().unwrap(), live, also),
+            TAP_BLOCK => {
+                self.accumulate::<TAP_BLOCK, MASKED>(at, acc.try_into().unwrap(), live, also)
+            }
+            64 => self.accumulate::<64, MASKED>(at, acc.try_into().unwrap(), live, also),
+            56 => self.accumulate::<56, MASKED>(at, acc.try_into().unwrap(), live, also),
+            48 => self.accumulate::<48, MASKED>(at, acc.try_into().unwrap(), live, also),
+            40 => self.accumulate::<40, MASKED>(at, acc.try_into().unwrap(), live, also),
+            32 => self.accumulate::<32, MASKED>(at, acc.try_into().unwrap(), live, also),
+            24 => self.accumulate::<24, MASKED>(at, acc.try_into().unwrap(), live, also),
+            16 => self.accumulate::<16, MASKED>(at, acc.try_into().unwrap(), live, also),
+            _ => self.accumulate::<8, MASKED>(at, acc.try_into().unwrap(), live, also),
         }
     }
 
     /// `acc[t] += g * row[t]` for each nonzero output gradient `g` in
     /// `live` (pixels ascending), where the pixel's tap `at + t` lies in
-    /// the image; the accumulators stay in
-    /// registers across the walk. A tap
-    /// outside the image is a select, not an add of `g * 0.0`, which
-    /// would turn a `-0.0` accumulator into `+0.0` and an infinite `g`
-    /// into NaN. The multiply and the add stay two roundings: the
-    /// dispatch seam never enables FMA.
+    /// the image; the accumulators stay in registers across the walk.
+    ///
+    /// A lane outside the image holds `+0.0` ([`TapRows`]), so while `g`
+    /// is finite its product is a signed zero, and adding a signed zero
+    /// leaves every accumulator but `-0.0` as it is. An accumulator that
+    /// does not start at `-0.0` never becomes `-0.0` (a sum is `-0.0`
+    /// only when both terms are), so unless some accumulator starts at
+    /// `-0.0` or some `g` is infinite or NaN the walk adds every lane, as
+    /// if the out-of-image taps were skipped. Otherwise (`MASKED`) a tap
+    /// outside the image is a select on the pixel's lane mask, not an
+    /// add: `g * 0.0` would turn a `-0.0` accumulator into `+0.0` and an
+    /// infinite `g` into NaN. The multiply and the add stay two
+    /// roundings: the dispatch seam never enables FMA.
     #[inline(always)]
-    fn accumulate<const B: usize>(
+    fn accumulate<const B: usize, const MASKED: bool>(
         &self,
         at: usize,
         acc: &mut [f32; B],
-        live: &[(u32, f32)],
+        live: &Live<'_>,
         mut also: impl FnMut(f32),
     ) {
         let mut a = *acc;
-        for &(pixel, g) in live {
+        for (pixel, g) in live.iter() {
             also(g);
-            let TapPixel { row, mask, .. } = self.pixels[pixel as usize];
-            let row: &[f32; B] = self.rows[row + at..][..B].try_into().unwrap();
-            let mask: &[i32; B] = self.masks[mask + at..][..B].try_into().unwrap();
-            for t in 0..B {
-                let sum = a[t] + g * row[t];
-                a[t] = if mask[t] < 0 { sum } else { a[t] };
+            let row: &[f32; B] = self.rows[pixel * self.width + at..][..B].try_into().unwrap();
+            if MASKED {
+                let mask = self.pixels[pixel].mask;
+                let mask: &[i32; B] = self.masks[mask + at..][..B].try_into().unwrap();
+                for t in 0..B {
+                    let sum = a[t] + g * row[t];
+                    a[t] = if mask[t] < 0 { sum } else { a[t] };
+                }
+            } else {
+                for t in 0..B {
+                    a[t] += g * row[t];
+                }
             }
         }
         *acc = a;
@@ -1474,6 +1707,147 @@ mod tests {
         }
     }
 
+    /// Where the backward's `dW`/`db` accumulators start.
+    #[derive(Debug, Clone, Copy)]
+    enum Start {
+        /// `+0.0`, as `zero_grad` leaves them: with a finite `dy` the
+        /// walks add their out-of-image lanes instead of selecting.
+        Zero,
+        /// `-0.0`, which the lane select must keep.
+        NegativeZero,
+        /// Normal values, a third of them signed zeros.
+        Drawn,
+    }
+
+    /// One backward of every copy against the loop nest, as in
+    /// [`assert_matches_reference`], from accumulators at `start`, on an
+    /// output gradient a share `zeros` of which is zero and, with
+    /// `specials > 0`, on inputs, weights and (`specials_in_dy`) output
+    /// gradients with infinities and NaNs among them.
+    fn assert_backward_matches(
+        s: &ConvShape,
+        seed: u64,
+        start: Start,
+        zeros: f64,
+        (specials, specials_in_dy): (f64, bool),
+    ) -> Result<(), TestCaseError> {
+        let rng = &mut seeded(seed);
+        let taps = s.c / s.groups * s.kernel * s.kernel;
+        let x = samples(rng, s.n * s.c * s.h * s.w, 0.3, specials);
+        let wt = samples(rng, s.oc * taps, 0.1, specials);
+        let dy_specials = if specials_in_dy { specials } else { 0.0 };
+        let dy = samples(rng, s.n * s.oc * s.oh * s.ow, zeros, dy_specials);
+        let (dw, db) = match start {
+            Start::Zero => (vec![0.0; wt.len()], vec![0.0; s.oc]),
+            Start::NegativeZero => (vec![-0.0; wt.len()], vec![-0.0; s.oc]),
+            Start::Drawn => (samples(rng, wt.len(), 0.3, 0.0), samples(rng, s.oc, 0.3, 0.0)),
+        };
+        let (mut dw_want, mut db_want, mut dx_want) = (dw.clone(), db.clone(), vec![0.0; x.len()]);
+        reference::conv_backward(s, &x, &wt, &dy, &mut dw_want, &mut db_want, &mut dx_want);
+        for Grads { copy, dw, db, dx } in backward_copies(s, (&x, &wt, &dy), &dw, &db) {
+            let case = format!("{copy}, {start:?}, {zeros} zero, {specials} special, {s:?}");
+            prop_assert_eq!(bits(&dw), bits(&dw_want), "dW: {}", case);
+            prop_assert_eq!(bits(&db), bits(&db_want), "db: {}", case);
+            if let Some(dx) = dx {
+                prop_assert_eq!(bits(&dx), bits(&dx_want), "dx: {}", case);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The backward as training runs it: accumulators from `+0.0` and
+        /// a finite output gradient, so the walks add every lane, on the
+        /// shapes of `conv_kernels_match_the_loop_nest_bit_for_bit` and
+        /// with infinities and NaNs in the inputs and weights.
+        #[test]
+        fn unselected_backward_matches_the_loop_nest_bit_for_bit(
+            kernel in prop_oneof![Just(1usize), Just(3usize), Just(5usize)],
+            stride in 1usize..4,
+            padding in 0usize..4,
+            grouping in 0usize..3,
+            (icg, ocg) in (1usize..4, prop_oneof![1usize..4, Just(17usize)]),
+            (n, dh, dw) in (1usize..3, 0usize..6, prop_oneof![0usize..6, 6usize..20]),
+            zeros in prop_oneof![Just(0.0), Just(0.5), Just(0.75), Just(1.0)],
+            specials in prop_oneof![Just(0.0), Just(0.05)],
+            seed in any::<u64>(),
+        ) {
+            let (c, groups) = match grouping {
+                0 => (icg, 1),
+                1 => (2 * icg, 2),
+                _ => (icg, icg),
+            };
+            let smallest = kernel.saturating_sub(2 * padding).max(1);
+            let s = shape(
+                [n, c, smallest + dh, smallest + dw],
+                groups * ocg,
+                [kernel, stride, padding, groups],
+            );
+            assert_backward_matches(&s, seed, Start::Zero, zeros, (specials, false))?;
+        }
+    }
+
+    /// The backward's edges, on both copies with `dx` and without: strides
+    /// 1 to 3, padding 0 to 2, kernels 1, 3 and 5, one group and two;
+    /// filters of 9, 72 and 81 taps (one `TAP_LANES` chunk with padding
+    /// lanes, exactly one `TAP_BLOCK`, two blocks), 50 and 75 at kernel 5,
+    /// and 144 (kernel rows of 48, which `dx` walks two at a time); output
+    /// planes of 7 to 9 and 63 to 65 pixels (the
+    /// lister's chunk and group edges) and rows 1 to 19 wide. Output
+    /// gradients all zero, all nonzero and three in four zero; the
+    /// accumulators from `+0.0`, `-0.0` and drawn values; clean and with
+    /// infinities and NaN payloads in `x`, the weights and (from `-0.0`
+    /// and drawn starts) `dy`, so that a lane multiplied by a padding
+    /// zero, an added zero gradient or a term out of order would show.
+    #[test]
+    fn backward_matches_the_loop_nest_across_its_edges() {
+        // (kernel, stride, padding, input channels per group)
+        let filters = [
+            (3, 1, 1, 1),
+            (3, 2, 1, 8),
+            (3, 1, 0, 9),
+            (1, 1, 0, 9),
+            (1, 3, 0, 8),
+            (5, 1, 2, 2),
+            (5, 2, 1, 3),
+            (3, 3, 2, 1),
+            (3, 1, 1, 16),
+            (3, 2, 0, 16),
+        ];
+        // (oh, ow): planes of 7, 8, 9, 63, 64 and 65 pixels, rows of 1
+        // and 19.
+        let planes = [(1, 7), (1, 8), (1, 9), (7, 9), (8, 8), (5, 13), (3, 1), (2, 19)];
+        let mut seed = 0;
+        for (kernel, stride, padding, icg) in filters {
+            for (i, &(oh, ow)) in planes.iter().enumerate() {
+                let side =
+                    |o: usize| ((o - 1) * stride + kernel).saturating_sub(2 * padding).max(1);
+                let groups = 1 + i % 2;
+                let s = shape(
+                    [1, groups * icg, side(oh), side(ow)],
+                    groups * 2,
+                    [kernel, stride, padding, groups],
+                );
+                if (s.oh, s.ow) != (oh, ow) {
+                    continue;
+                }
+                for zeros in [1.0, 0.0, 0.75] {
+                    for start in [Start::Zero, Start::NegativeZero, Start::Drawn] {
+                        for specials in [0.0, 0.05] {
+                            seed += 1;
+                            let in_dy = !matches!(start, Start::Zero);
+                            assert_backward_matches(&s, seed, start, zeros, (specials, in_dy))
+                                .unwrap_or_else(|e| panic!("{e:?}"));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seed > 700, "only {seed} cases ran");
+    }
+
     /// CI's `codec-smoke` job runs this in release mode; debug timings
     /// mean nothing. A ratio of two kernels run back to back on one
     /// input, not a wall-clock floor a shared runner cannot keep.
@@ -1575,33 +1949,65 @@ mod tests {
         }
     }
 
+    /// `old / new` for each of `rotations` rotations, sorted. Both sides
+    /// run in every rotation, so a speed phase of a shared host slows
+    /// both, and odd rotations run the old side first, so a warm-up or
+    /// clock step lands on each side as often. A gate takes the median
+    /// and prints the spread: one slow rotation neither passes nor
+    /// fails it.
+    fn rotation_ratios(rotations: usize, mut new: impl FnMut(), mut old: impl FnMut()) -> Vec<f64> {
+        let time = |run: &mut dyn FnMut()| {
+            let t0 = Instant::now();
+            run();
+            t0.elapsed().as_secs_f64()
+        };
+        let mut ratios: Vec<f64> = (0..rotations)
+            .map(|r| {
+                if r % 2 == 0 {
+                    let new = time(&mut new);
+                    time(&mut old) / new
+                } else {
+                    let old = time(&mut old);
+                    old / time(&mut new)
+                }
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios
+    }
+
     /// The backward alone, the AVX2 copy of the tap-row kernel against
-    /// the loop nest, sides alternated within each of 7 rounds as in
-    /// [`block_forward_is_2x_the_loop_reference`], best of 7. conv1 runs
-    /// without `dx`, as the network's first layer does (the loop nest
-    /// always computes it: its time is a yardstick, not a like-for-like).
-    /// A host without AVX2 skips the gate.
+    /// the loop nest: the median ratio of 11 rotations that alternate
+    /// which side runs first
+    /// ([`rotation_ratios`]), with its spread printed. conv1 runs without
+    /// `dx`, as the network's first layer does (the loop nest always
+    /// computes it: its time is a yardstick, not a like-for-like). A host
+    /// without AVX2 skips the gate.
     #[test]
     #[ignore = "a timing ratio: run with --release -- --ignored"]
     fn backward_is_2x_the_loop_reference() {
-        // (shape, share of zero output gradients, dx, floor). The per-
-        // nonzero axpys this kernel replaced read conv1 2.8-3.2x (median
-        // 3.1x), conv2 6.2-6.9x and stride-2 6.2-7.4x on a 2-core Xeon
-        // with AVX2; the tap rows read 7.6-8.8x, 9.7-10.3x and 8.7-10.4x
-        // there (10 runs). conv1's floor is twice the old median; the
-        // other two are the old kernel's lowest reading, so neither may
-        // get slower.
+        // (shape, share of zero output gradients, dx, floor). Over 10
+        // runs on a 2-core Xeon with AVX2 the medians read conv1
+        // 10.1-14.3x (median 11.9x), conv2 14.2-16.7x (15.5x) and
+        // stride-2 13.5-16.7x (15.1x); each floor is at most two thirds
+        // of its median. The tap rows this kernel rebuilt read 7.6-8.8x,
+        // 9.7-10.3x and 8.7-10.4x there (best of 7), and the per-nonzero
+        // axpys before them 3.1x, 6.2-6.9x and 6.2-7.4x.
         let cases = [
             (
                 "alexnet conv1 3->16 @ 16x16",
                 shape([16, 3, 16, 16], 16, [3, 1, 1, 1]),
                 0.75,
                 false,
-                6.2,
+                7.5,
             ),
-            ("alexnet conv2 16->32 @ 8x8", shape([16, 16, 8, 8], 32, [3, 1, 1, 1]), 0.5, true, 6.2),
-            ("stride-2 16->32 @ 16x16", shape([16, 16, 16, 16], 32, [3, 2, 1, 1]), 0.0, true, 6.2),
+            ("alexnet conv2 16->32 @ 8x8", shape([16, 16, 8, 8], 32, [3, 1, 1, 1]), 0.5, true, 9.0),
+            ("stride-2 16->32 @ 16x16", shape([16, 16, 16, 16], 32, [3, 2, 1, 1]), 0.0, true, 8.5),
         ];
+        if simd::avx2(Noop).is_none() {
+            println!("skipped: this host has no AVX2, so the gate's floors do not apply");
+            return;
+        }
         for (name, s, zeros, with_dx, floor) in cases {
             let rng = &mut seeded(31);
             let taps = s.c / s.groups * s.kernel * s.kernel;
@@ -1609,33 +2015,40 @@ mod tests {
             let wt = samples(rng, s.oc * taps, 0.0, 0.0);
             let dy = samples(rng, s.n * s.oc * s.oh * s.ow, zeros, 0.0);
             let (x, wt, dy) = (&x[..], &wt[..], &dy[..]);
-            let (mut dwt, mut db, mut dx) =
+            let (mut dwt, mut db) = (vec![0.0; wt.len()], vec![0.0; s.oc]);
+            let (mut ref_dwt, mut ref_db, mut ref_dx) =
                 (vec![0.0; wt.len()], vec![0.0; s.oc], vec![0.0; x.len()]);
-            let (mut new, mut old) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..7 {
-                let t0 = Instant::now();
-                let mut dx_new = Vec::with_capacity(if with_dx { x.len() } else { 0 });
-                let dx_out = with_dx.then_some(&mut dx_new);
-                let kernel =
-                    TapRowBackward { s: &s, x, wt, dy, dwt: &mut dwt, db: &mut db, dx: dx_out };
-                if simd::avx2(kernel).is_none() {
-                    println!("skipped: this host has no AVX2, so the gate's floors do not apply");
-                    return;
-                }
-                std::hint::black_box((&dwt, &db, &dx_new));
-                new = new.min(t0.elapsed().as_secs_f64());
-                let t0 = Instant::now();
-                reference::conv_backward(&s, x, wt, dy, &mut dwt, &mut db, &mut dx);
-                std::hint::black_box((&dwt, &db, &dx));
-                old = old.min(t0.elapsed().as_secs_f64());
-            }
-            println!(
-                "{name}: tap-row backward {:.3} ms, loop nest {:.2} ms: {:.1}x",
-                new * 1e3,
-                old * 1e3,
-                old / new
+            let ratios = rotation_ratios(
+                11,
+                || {
+                    let mut dx = Vec::with_capacity(if with_dx { x.len() } else { 0 });
+                    let (dwt, db, dx_out) = (&mut dwt, &mut db, with_dx.then_some(&mut dx));
+                    simd::avx2(TapRowBackward { s: &s, x, wt, dy, dwt, db, dx: dx_out });
+                    std::hint::black_box((&dwt, &db, &dx));
+                },
+                || {
+                    reference::conv_backward(&s, x, wt, dy, &mut ref_dwt, &mut ref_db, &mut ref_dx);
+                    std::hint::black_box((&ref_dwt, &ref_db, &ref_dx));
+                },
             );
-            assert!(old >= floor * new, "{name}: only {:.2}x the loop nest", old / new);
+            let median = ratios[ratios.len() / 2];
+            println!(
+                "{name}: backward {median:.1}x the loop nest (median of {} rotations, {:.1}-{:.1}x)",
+                ratios.len(),
+                ratios[0],
+                ratios[ratios.len() - 1],
+            );
+            assert!(median >= floor, "{name}: only {median:.2}x the loop nest, floor {floor}x");
         }
+    }
+
+    /// A kernel that does nothing: asks the dispatch seam whether this
+    /// host runs AVX2 copies.
+    struct Noop;
+
+    impl Kernel for Noop {
+        type Output = ();
+
+        fn run(self) {}
     }
 }

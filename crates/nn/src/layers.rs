@@ -763,14 +763,12 @@ impl Layer for Linear {
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
         let input = self.cache.take().expect("backward before forward");
-        // dW = dy^T x ; db = column sums of dy ; dx = dy W.
-        let dw = grad.transposed().matmul(&input);
-        self.weight.grad.axpy(1.0, &dw);
-        let of = self.bias.value.len();
-        {
-            let gb = self.bias.grad.data_mut();
-            for (i, &g) in grad.data().iter().enumerate() {
-                gb[i % of] += g;
+        // dW += dy^T x ; db += column sums of dy ; dx = dy W.
+        self.weight.grad.add_transposed_matmul(&grad, &input);
+        let gb = self.bias.grad.data_mut();
+        for row in grad.data().chunks_exact(gb.len().max(1)) {
+            for (b, &g) in gb.iter_mut().zip(row) {
+                *b += g;
             }
         }
         grad.matmul(&self.weight.value)
@@ -1154,6 +1152,80 @@ pub(crate) mod tests {
         let mut lin = Linear::new(&mut rng, 6, 4);
         let x = fedsz_tensor::rng::randn(&mut rng, vec![3, 6], 1.0);
         grad_check(&mut lin, x, &[0, 5, 11, 17]);
+    }
+
+    /// `Linear`'s backward against the products it replaced, written out
+    /// as branching loops: `dW += dy^T x` (each sum from `+0.0`, a zero
+    /// `dy` entry skipped, then added into the gradient), `db` the column
+    /// sums of `dy` in batch order, and `dx = dy W` (zero `dy` entries
+    /// skipped). Batches on both sides of 16, outputs and inputs across
+    /// the products' column blocks, a batch row of zero gradients, signed
+    /// zeros in the accumulated gradients, and infinities among the
+    /// inputs and weights, where an added zero term would read NaN.
+    #[test]
+    fn linear_backward_matches_the_branching_products() {
+        let inf = f32::INFINITY;
+        let nan_free = |values: &[f32]| -> Vec<u32> {
+            values
+                .iter()
+                .map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() })
+                .collect()
+        };
+        for (batch, inputs, outputs) in
+            [(1, 5, 3), (15, 70, 9), (16, 64, 17), (17, 130, 4), (33, 9, 65)]
+        {
+            let seed = (batch * 1000 + inputs) as u64;
+            let mut lin = Linear::new(&mut seeded(seed), inputs, outputs);
+            let w = drawn(seed + 1, outputs * inputs, &[Some(inf), Some(-0.0), None, None, None]);
+            lin.weight.value = Tensor::from_vec(vec![outputs, inputs], w.clone());
+            let dw0 = drawn(seed + 2, outputs * inputs, &[Some(0.0), Some(-0.0), None]);
+            lin.weight.grad = Tensor::from_vec(vec![outputs, inputs], dw0.clone());
+            let db0 = drawn(seed + 3, outputs, &[Some(0.0), Some(-0.0), None]);
+            lin.bias.grad = Tensor::from_vec(vec![outputs], db0.clone());
+            let x = drawn(seed + 4, batch * inputs, &[Some(0.0), Some(-inf), None, None]);
+            let mut dy = drawn(seed + 5, batch * outputs, &[Some(0.0), Some(-0.0), None]);
+            dy[batch / 2 * outputs..][..outputs].fill(0.0);
+            lin.forward(Tensor::from_vec(vec![batch, inputs], x.clone()), true);
+            let dx = lin.backward(Tensor::from_vec(vec![batch, outputs], dy.clone()));
+
+            let (mut dw, mut db, mut dx_want) = (dw0, db0, vec![0.0f32; batch * inputs]);
+            for o in 0..outputs {
+                let mut sums = vec![0.0f32; inputs];
+                for b in 0..batch {
+                    let g = dy[b * outputs + o];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for (sum, &v) in sums.iter_mut().zip(&x[b * inputs..][..inputs]) {
+                        *sum += g * v;
+                    }
+                }
+                for (d, sum) in dw[o * inputs..][..inputs].iter_mut().zip(sums) {
+                    *d += 1.0 * sum;
+                }
+            }
+            for row in dy.chunks_exact(outputs) {
+                for (d, &g) in db.iter_mut().zip(row) {
+                    *d += g;
+                }
+            }
+            for b in 0..batch {
+                for o in 0..outputs {
+                    let g = dy[b * outputs + o];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let out = &mut dx_want[b * inputs..][..inputs];
+                    for (d, &v) in out.iter_mut().zip(&w[o * inputs..][..inputs]) {
+                        *d += g * v;
+                    }
+                }
+            }
+            let case = format!("batch {batch}, {inputs} -> {outputs}");
+            assert_eq!(nan_free(lin.weight.grad.data()), nan_free(&dw), "dW, {case}");
+            assert_eq!(bits(lin.bias.grad.data()), bits(&db), "db, {case}");
+            assert_eq!(nan_free(dx.data()), nan_free(&dx_want), "dx, {case}");
+        }
     }
 
     #[test]
