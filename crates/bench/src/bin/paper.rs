@@ -31,8 +31,8 @@
 use fedsz::timing::{mbps, TransferPlan};
 use fedsz::{partition, ErrorBound, FedSz, FedSzConfig, LossyKind};
 use fedsz_bench::{
-    lossless_partition_bytes, lossy_partition_values, render_histogram, render_series, row, timed,
-    transform_lossy_deltas, Args, Report,
+    lossless_partition_bytes, lossy_partition_values, pays_off_on_the_delta, render_histogram,
+    render_series, row, timed, transform_lossy_deltas, Args, Report,
 };
 use fedsz_codec::stats::{value_range, Histogram};
 use fedsz_data::{mean_abs_diff, miranda_like_series, DatasetKind, SyntheticConfig};
@@ -817,7 +817,8 @@ fn ablation_composition(r: &mut Report, _: &Inputs) {
     let detail = "transforms alone shrink nothing; FedSZ on top lands within 10% of plain FedSZ";
     r.gate("fedsz_composes_cleanly", composes, detail);
     let detail = "top-k deltas halve plain FedSZ and q4s deltas beat it: near-constant deltas";
-    r.gate("pays_off_on_the_delta", 2.0 * bytes(2) < bytes(4) && bytes(3) < bytes(4), detail);
+    let pays = pays_off_on_the_delta(sizes[2].1, sizes[3].1, sizes[4].1);
+    r.gate("pays_off_on_the_delta", pays, detail);
 }
 
 fn main() {

@@ -92,41 +92,54 @@ impl BitWriter {
         }
     }
 
-    /// Appends each `(value, count)` of `codes` as
-    /// [`BitWriter::write_bits`] would, for `count <= 32` and no bit of
-    /// `value` above `count`: one shift and one or per code. The bytes
-    /// are those of `write_bits`; only the steps differ.
+    /// Appends each `[(a, a_len), (b, b_len)]` of `codes`, `a` first, as
+    /// two [`BitWriter::write_bits`] would, for lengths of at most 32
+    /// and no bit of a value above its length (`(0, 0)` writes
+    /// nothing). The two join into one accumulator step when they fit
+    /// 32 bits together and take one step each otherwise. The bytes are
+    /// those of `write_bits`; only the steps differ.
     #[inline(always)]
-    pub(crate) fn write_codes(&mut self, mut codes: impl Iterator<Item = (u64, u32)>) {
-        // Codes go out through a stack buffer, `BATCH` at a time. Each
-        // step stores the top 32 buffered bits whether or not 32 are
-        // buffered, and moves past them only when they are: no branch
-        // depends on the code lengths, whose sum crosses 32 bits at no
-        // pattern a predictor could learn.
+    pub(crate) fn write_codes(&mut self, mut codes: impl Iterator<Item = [(u64, u32); 2]>) {
+        // Steps go out through a stack buffer, `BATCH` items at a time.
+        // Each step stores the top 32 buffered bits whether or not 32
+        // are buffered, and moves past them only when they are: no
+        // branch depends on where the codes' lengths cross 32 bits,
+        // which follows no pattern a predictor could learn. Whether two
+        // codes fit one step is a branch, but one that SZ codes of a
+        // few bits each almost never take.
         const BATCH: usize = 64;
-        // Fewer than 32 buffered bits leave room for a 32-bit code.
+        // Fewer than 32 buffered bits leave room for a 32-bit step.
         if self.nbits >= 32 {
             self.nbits -= 32;
             self.bytes.extend_from_slice(&((self.acc >> self.nbits) as u32).to_be_bytes());
         }
         let (mut acc, mut nbits) = (self.acc, self.nbits);
-        let mut buf = [0u8; 4 * BATCH];
+        // Two steps per item at most, of up to four bytes each.
+        let mut buf = [0u8; 8 * BATCH];
         loop {
-            let mut at = 0;
-            let mut batch = codes.by_ref().take(BATCH).peekable();
-            if batch.peek().is_none() {
-                break;
-            }
-            for (value, count) in batch {
-                debug_assert!(count <= 32 && value >> count == 0);
-                acc = acc << count | value;
-                nbits += count;
-                let full = nbits >= 32;
-                nbits -= 32 * u32::from(full);
-                buf[at..at + 4].copy_from_slice(&((acc >> nbits) as u32).to_be_bytes());
-                at += 4 * usize::from(full);
+            let (mut at, mut items) = (0, 0);
+            for [(a, a_len), (b, b_len)] in codes.by_ref().take(BATCH) {
+                items += 1;
+                debug_assert!(a_len <= 32 && a >> a_len == 0 && b_len <= 32 && b >> b_len == 0);
+                let mut step = |value: u64, count: u32| {
+                    acc = acc << count | value;
+                    nbits += count;
+                    let full = nbits >= 32;
+                    nbits -= 32 * u32::from(full);
+                    buf[at..at + 4].copy_from_slice(&((acc >> nbits) as u32).to_be_bytes());
+                    at += 4 * usize::from(full);
+                };
+                if a_len + b_len <= 32 {
+                    step(a << b_len | b, a_len + b_len);
+                } else {
+                    step(a, a_len);
+                    step(b, b_len);
+                }
             }
             self.bytes.extend_from_slice(&buf[..at]);
+            if items < BATCH {
+                break;
+            }
         }
         (self.acc, self.nbits) = (acc, nbits);
     }
@@ -496,14 +509,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// Runs of codes of up to 32 bits — several stack batches long,
-        /// after an arbitrary number of bits already buffered — come
-        /// out as one `write_bits` each would write them.
+        /// Runs of code pairs of up to 32 bits each — joined or not,
+        /// several stack batches long, after an arbitrary number of bits
+        /// already buffered — come out as one `write_bits` per code
+        /// would write them.
         #[test]
         fn code_runs_match_the_bit_serial_reference(
             lead in (any::<u64>(), 0u32..=64),
             runs in proptest::collection::vec(
-                proptest::collection::vec((any::<u64>(), 1u32..=32), 0..200),
+                proptest::collection::vec(
+                    ((any::<u64>(), prop_oneof![0u32..=32, 0u32..=3]), (any::<u64>(), 0u32..=32)),
+                    0..200,
+                ),
                 1..4,
             ),
         ) {
@@ -511,10 +528,12 @@ mod tests {
             let mut slow = reference::BitWriter::default();
             fast.write_bits(lead.0, lead.1);
             slow.write_bits(lead.0, lead.1);
+            // The top `count` bits of a random word: no bit above it.
+            let masked = |(value, count): (u64, u32)| ((value >> 1) >> (63 - count), count);
             for run in &runs {
-                let masked = run.iter().map(|&(value, count)| (value >> (64 - count), count));
-                fast.write_codes(masked.clone());
-                for (value, count) in masked {
+                let pairs = run.iter().map(|&(a, b)| [masked(a), masked(b)]);
+                fast.write_codes(pairs.clone());
+                for (value, count) in pairs.flatten() {
                     slow.write_bits(value, count);
                 }
                 prop_assert_eq!(fast.bit_len(), slow.bit_len());

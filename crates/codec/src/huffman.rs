@@ -30,22 +30,37 @@
 //!   `MULTI_PAYBACK` (4) symbols per entry or more, 8,192 under an
 //!   11-bit index. Smaller calls — a per-tensor stream of a small model,
 //!   the literal runs of the zstd-class codec — read the one-code table,
-//!   which has the same layout.
-//! - **Encode.** Block encoders join two codes (at most 32 bits while
-//!   the longest code is 16) per accumulator step and flush 32 bits at
-//!   a time into a buffer sized from the exact bit length. The flush
-//!   stores every step and advances only when 32 bits are full, with no
-//!   branch: where the codes' lengths cross 32 bits follows no pattern a
-//!   branch predictor could learn.
-//! - **Count.** A block counts its symbols once, in four interleaved
-//!   lanes, so a run of one symbol is four independent chains of
-//!   increments.
+//!   which has the same layout. A block's symbols can be decoded in
+//!   runs ([`Block::runs`]) on the table the whole block would read, so
+//!   a caller maps each run while it is in cache and never holds them
+//!   all. Wider entries were measured and not kept: six 8-bit offsets
+//!   from the alphabet's first symbol, or seven symbols in 16 bytes,
+//!   decoded no faster than three 16-bit symbols.
+//! - **Encode.** One slice encoder joins four codes per item while the
+//!   longest code is 16 bits and the shortest at most four: two pairs,
+//!   one accumulator step when the four fit 32 bits and two steps
+//!   otherwise — a branch that SZ codes, about two bits each, almost
+//!   never take. Where the shortest code is longer (the zstd-class
+//!   codec's ~8-bit literals), four codes cross 32 bits about half the
+//!   time, so the branch would miss half the time: there an item is one
+//!   pair. Over 16 bits, one code. The writer flushes 32 bits at a time
+//!   into a buffer sized from the exact bit length; the flush stores
+//!   every step and advances only when 32 bits are full, with no branch:
+//!   where the codes' lengths cross 32 bits follows no pattern a branch
+//!   predictor could learn.
+//! - **Count.** [`Counts`] counts symbols in four interleaved lanes, so
+//!   a run of one symbol is four independent chains of increments, over
+//!   rows that grow to the symbols seen. A producer counts its symbols
+//!   as it makes them, while they are in cache, and hands the counts to
+//!   [`encode_counted`]; [`encode_block`] counts first, then codes the
+//!   same way.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::simd::{self, Kernel};
 use crate::varint::{read_bytes, read_uvarint, write_uvarint};
 use crate::{CodecError, Result};
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Maximum code length supported by the canonical tables.
@@ -71,51 +86,121 @@ const FAST_ENTRIES: usize = 5;
 /// symbols per entry pay the build back about twice.
 const MULTI_PAYBACK: usize = 4;
 
-/// Longest code that [`HuffmanTable::encode_iter`] joins in pairs: two
-/// of them fit the 32 bits one accumulator step takes.
+/// Longest code the encoders join: two of them fit the 32 bits one
+/// accumulator step takes, and two such pairs take one step whenever
+/// they fit it too.
 const PAIR_MAX_LEN: u32 = 16;
+
+/// Shortest code length at which the encoders still join four codes:
+/// four codes of at least five bits cross 32 too often for the branch
+/// that splits them to be predicted.
+const QUAD_MAX_SHORTEST: u32 = 4;
 
 /// Per-length arrays are indexed by code length, `1..=MAX_CODE_LEN`.
 type PerLength = [u32; MAX_CODE_LEN as usize + 1];
 
-/// Counter lanes of a `Histogram`.
+/// Counter lanes of [`Counts`].
 const LANES: usize = 4;
 
-/// Symbol frequencies over the span `[min, max]` of the symbols counted.
+/// Rows a [`Counts`] adds at least when a symbol falls outside its span.
+const MIN_GROWTH: usize = 64;
+
+/// Symbol frequencies, counted as the symbols are made.
 ///
-/// SZ quantization codes cluster within a few hundred of the
-/// quantizer's radius (32 768), so counting them over `0..=max` would
-/// zero tens of thousands of counters per tensor that no symbol ever
-/// touches.
-struct Histogram {
-    /// The symbol `counts[0]` belongs to.
+/// Each symbol has one row of four lane counters, and a run's `i`-th
+/// symbol goes to lane `i % 4` ([`Counts::add_slice`]): a run of one
+/// symbol is four independent chains of increments, not one chain
+/// through a counter with each increment waiting on the store before
+/// it. The rows span only the symbols seen, grown (at least doubling)
+/// when one falls outside: SZ quantization codes cluster within a few
+/// hundred of the quantizer's radius (32 768), so rows for `0..=max`
+/// would zero tens of thousands of counters per tensor that no symbol
+/// ever touches, and no pass over the symbols finds their span first.
+///
+/// A producer that counts its symbols as it makes them, while they are
+/// still in cache, hands the counts to [`encode_counted`]: the code loop
+/// is then the only pass that reads them back.
+///
+/// # Examples
+///
+/// ```
+/// use fedsz_codec::huffman::{self, Counts};
+///
+/// let symbols = [32_768u16, 32_769, 32_768, 0, 32_767];
+/// let mut counts = Counts::new();
+/// for run in symbols.chunks(2) {
+///     counts.add_slice(run);
+/// }
+/// let mut block = Vec::new();
+/// huffman::encode_counted(&symbols, counts, &mut block);
+/// assert_eq!(block, huffman::encode_block(&symbols));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Counts {
+    /// The symbol `rows[0]` counts.
     base: usize,
-    counts: Vec<u64>,
+    rows: Vec<[u64; LANES]>,
 }
 
-impl Histogram {
-    /// Counts the symbols of `data`: its `i`-th symbol in lane `i % 4`
-    /// of its row, so a run of one symbol is four independent chains of
-    /// increments, not one chain through a counter with each increment
-    /// waiting on the store before it.
+impl Counts {
+    /// No symbols counted.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The counts of `data`.
+    pub fn of(data: &[u16]) -> Self {
+        let mut counts = Self::new();
+        counts.add_slice(data);
+        counts
+    }
+
+    /// Counts one `sym` in lane `lane % 4`.
     #[inline(always)]
-    fn of(data: &[u16]) -> Self {
-        if data.is_empty() {
-            return Self { base: 0, counts: Vec::new() };
+    fn add(&mut self, lane: usize, sym: u16) {
+        match self.rows.get_mut(usize::from(sym).wrapping_sub(self.base)) {
+            Some(row) => row[lane % LANES] += 1,
+            None => self.add_outside(lane, sym),
         }
-        // One fold over plain values, which vectorizes.
-        let (lo, hi) = data.iter().fold((u16::MAX, 0), |(lo, hi), &sym| (lo.min(sym), hi.max(sym)));
-        let mut rows = vec![[0u64; LANES]; usize::from(hi - lo) + 1];
-        let mut quads = data.chunks_exact(LANES);
-        for quad in &mut quads {
+    }
+
+    /// Counts every symbol of `data`, its `i`-th in lane `i % 4`.
+    #[inline(always)]
+    pub fn add_slice(&mut self, data: &[u16]) {
+        let (quads, rest) = data.as_chunks::<LANES>();
+        for quad in quads {
             for (lane, &sym) in quad.iter().enumerate() {
-                rows[usize::from(sym - lo)][lane] += 1;
+                self.add(lane, sym);
             }
         }
-        for (lane, &sym) in quads.remainder().iter().enumerate() {
-            rows[usize::from(sym - lo)][lane] += 1;
+        for (lane, &sym) in rest.iter().enumerate() {
+            self.add(lane, sym);
         }
-        Self { base: usize::from(lo), counts: rows.iter().map(|row| row.iter().sum()).collect() }
+    }
+
+    /// [`Counts::add`] for a symbol outside the rows: grows them to
+    /// cover it first.
+    #[cold]
+    #[inline(never)]
+    fn add_outside(&mut self, lane: usize, sym: u16) {
+        let (sym, end) = (usize::from(sym), self.base + self.rows.len());
+        let (empty, growth) = (self.rows.is_empty(), self.rows.len().max(MIN_GROWTH));
+        let lo = if empty || sym < self.base { sym.saturating_sub(growth) } else { self.base };
+        let hi = if empty || sym >= end { (sym + 1 + growth).min(1 << 16) } else { end };
+        let mut rows = vec![[0; LANES]; hi - lo];
+        rows[self.base.max(lo) - lo..][..self.rows.len()].copy_from_slice(&self.rows);
+        (self.base, self.rows) = (lo, rows);
+        self.rows[sym - lo][lane % LANES] += 1;
+    }
+
+    /// The frequencies over the span `[min, max]` of the symbols
+    /// counted: the symbol `counts[0]` belongs to, and the counts.
+    fn spanned(&self) -> (usize, Vec<u64>) {
+        let used = |row: &[u64; LANES]| row.iter().any(|&n| n > 0);
+        let first = self.rows.iter().position(used).unwrap_or(0);
+        let last = self.rows.iter().rposition(used).map_or(first, |last| last + 1);
+        let counts = self.rows[first..last].iter().map(|row| row.iter().sum()).collect();
+        (self.base + first, counts)
     }
 }
 
@@ -197,6 +282,12 @@ fn entry_symbol(entry: u64, k: usize) -> u16 {
     (entry >> (16 * (k + 1))) as u16
 }
 
+/// Two `(code, length)`s as one, `first`'s bits first.
+#[inline(always)]
+fn join((first, first_len): (u64, u32), (next, next_len): (u64, u32)) -> (u64, u32) {
+    (first << next_len | next, first_len + next_len)
+}
+
 impl HuffmanTable {
     /// Builds a table from raw symbol frequencies.
     ///
@@ -214,7 +305,7 @@ impl HuffmanTable {
 
     /// Counts the symbols in `data` and builds a table for them.
     pub fn from_symbols(data: &[u16], max_len: u8) -> Self {
-        let Histogram { base, counts } = Histogram::of(data);
+        let (base, counts) = Counts::of(data).spanned();
         Self::from_counts(base, &counts, max_len)
     }
 
@@ -313,48 +404,97 @@ impl HuffmanTable {
         w.write_bits(code, len);
     }
 
-    /// Encodes an entire slice of symbols.
+    /// Encodes an entire slice of symbols: the same bits as one
+    /// [`HuffmanTable::write_symbol`] each, in a quarter of the
+    /// accumulator steps while no code is longer than 16 bits.
     ///
     /// # Panics
     ///
     /// Panics if any symbol has no code in this table.
     #[inline]
     pub fn encode_into(&self, data: &[u16], w: &mut BitWriter) {
-        if self.longest() > PAIR_MAX_LEN {
-            w.write_codes(data.iter().map(|&sym| self.code(sym)));
-            return;
+        self.encode_slice(data, |&sym| sym, w);
+    }
+
+    /// [`HuffmanTable::encode_into`] for byte symbols.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any byte has no code in this table.
+    #[inline]
+    pub fn encode_bytes(&self, data: &[u8], w: &mut BitWriter) {
+        self.encode_slice(data, |&byte| u16::from(byte), w);
+    }
+
+    /// How many codes the encoders join into one item: four (two pairs,
+    /// joined into one accumulator step whenever they fit 32 bits) while
+    /// the longest code is 16 bits and the shortest at most
+    /// [`QUAD_MAX_SHORTEST`]; two while four would cross 32 bits about
+    /// as often as not, where the branch that splits them would miss
+    /// half the time; one while a pair may not fit a step.
+    fn codes_per_item(&self) -> usize {
+        let shortest = (1..=MAX_CODE_LEN as u32).find(|&len| self.bl_count[len as usize] > 0);
+        match self.longest() {
+            longest if longest > PAIR_MAX_LEN => 1,
+            _ if shortest.unwrap_or(1) > QUAD_MAX_SHORTEST => 2,
+            _ => 4,
         }
-        let (pairs, last) = data.as_chunks::<2>();
-        w.write_codes(pairs.iter().map(|&[sym, next]| self.pair(sym, next)));
-        w.write_codes(last.iter().map(|&sym| self.code(sym)));
+    }
+
+    /// The one slice encoder, [`HuffmanTable::codes_per_item`] codes
+    /// per item.
+    #[inline(always)]
+    fn encode_slice<T>(&self, data: &[T], sym: impl Fn(&T) -> u16, w: &mut BitWriter) {
+        let rest =
+            match self.codes_per_item() {
+                1 => data,
+                2 => {
+                    let (pairs, rest) = data.as_chunks::<2>();
+                    w.write_codes(pairs.iter().map(|[a, b]| [self.pair(sym(a), sym(b)), (0, 0)]));
+                    rest
+                }
+                _ => {
+                    let (quads, rest) = data.as_chunks::<4>();
+                    w.write_codes(quads.iter().map(|[a, b, c, d]| {
+                        [self.pair(sym(a), sym(b)), self.pair(sym(c), sym(d))]
+                    }));
+                    rest
+                }
+            };
+        w.write_codes(rest.iter().map(|s| [self.code(sym(s)), (0, 0)]));
     }
 
     /// The codes of `sym` and `next` joined, `sym`'s first.
     #[inline]
     fn pair(&self, sym: u16, next: u16) -> (u64, u32) {
-        let ((code, len), (next, next_len)) = (self.code(sym), self.code(next));
-        (code << next_len | next, len + next_len)
+        join(self.code(sym), self.code(next))
     }
 
-    /// Encodes every symbol `symbols` yields: the same bits as one
-    /// [`HuffmanTable::write_symbol`] each, in half the accumulator
-    /// steps while no code is longer than 16 bits.
+    /// Encodes every symbol `symbols` yields: the same bits as
+    /// [`HuffmanTable::encode_into`] on them collected, in the same
+    /// items of four, two or one codes.
     ///
     /// # Panics
     ///
     /// Panics if any symbol has no code in this table.
     #[inline]
     pub fn encode_iter(&self, symbols: impl IntoIterator<Item = u16>, w: &mut BitWriter) {
-        let mut symbols = symbols.into_iter();
-        if self.longest() > PAIR_MAX_LEN {
-            w.write_codes(symbols.map(|sym| self.code(sym)));
-            return;
-        }
+        let per_item = self.codes_per_item();
+        let mut symbols = symbols.into_iter().fuse();
+        // Past the last symbol, `(0, 0)` writes nothing.
+        let mut code = move || symbols.next().map_or((0, 0), |sym| self.code(sym));
         w.write_codes(std::iter::from_fn(|| {
-            let sym = symbols.next()?;
-            Some(match symbols.next() {
-                Some(next) => self.pair(sym, next),
-                None => self.code(sym),
+            let first = code();
+            if first.1 == 0 {
+                return None;
+            }
+            Some(match per_item {
+                1 => [first, (0, 0)],
+                2 => [join(first, code()), (0, 0)],
+                _ => {
+                    let (second, third, fourth) = (code(), code(), code());
+                    [join(first, second), join(third, fourth)]
+                }
             })
         }));
     }
@@ -494,21 +634,29 @@ impl HuffmanTable {
     /// # Errors
     ///
     /// Propagates the errors of [`HuffmanTable::read_symbol`].
+    #[inline(always)]
     pub fn decode_from(&self, r: &mut BitReader<'_>, count: usize) -> Result<Vec<u16>> {
-        // Every entry stores all three of its slots and the next one
-        // overwrites those it did not use, so the output needs room for
-        // the last entry's spare two.
         let mut out = vec![0u16; count + ENTRY_SYMBOLS - 1];
+        self.decode_slots(self.lookup_for(count), r, &mut out)?;
+        out.truncate(count);
+        Ok(out)
+    }
+
+    /// Decodes `out.len() - 2` symbols into `out` from `lookup`. Every
+    /// entry stores all three of its slots and the next one overwrites
+    /// those it did not use, so `out` holds room for the last entry's
+    /// spare two.
+    #[inline(always)]
+    fn decode_slots(&self, lookup: &Lookup, r: &mut BitReader<'_>, out: &mut [u16]) -> Result<()> {
         let mut at = 0;
-        self.decode_entries(self.lookup_for(count), r, count, |entry, n| {
+        let count = out.len() - (ENTRY_SYMBOLS - 1);
+        self.decode_entries(lookup, r, count, |entry, n| {
             let slots = &mut out[at..at + ENTRY_SYMBOLS];
             slots[0] = entry_symbol(entry, 0);
             slots[1] = entry_symbol(entry, 1);
             slots[2] = entry_symbol(entry, 2);
             at += n;
-        })?;
-        out.truncate(count);
-        Ok(out)
+        })
     }
 
     /// The decode loop: hands `put` each entry read from `lookup` with
@@ -635,36 +783,58 @@ impl HuffmanTable {
 }
 
 /// One-shot helper: Huffman-encode `data` into a self-contained block
-/// (header + symbol count + padded bitstream).
+/// (header + symbol count + padded bitstream). Counts `data`, then
+/// codes it as [`encode_counted`] does.
 pub fn encode_block(data: &[u16]) -> Vec<u8> {
-    simd::dispatch(EncodeBlock(data))
+    let mut out = Vec::new();
+    encode_counted(data, Counts::of(data), &mut out);
+    out
 }
 
-/// [`encode_block`]'s count and code loops, compiled for the build
-/// target and for AVX2 ([`simd`]). Under AVX2 the count's min/max fold
-/// over `u16` is `vpminuw`/`vpmaxuw`, which SSE2 lacks.
-struct EncodeBlock<'a>(&'a [u16]);
+/// Appends to `out` the [`encode_block`] of `data`, whose symbols a
+/// producer already counted into `counts` as it made them: the symbols
+/// are read once, by the code loop.
+///
+/// # Panics
+///
+/// Panics if `counts` are not the counts of `data`, unless they differ
+/// only in ways that move neither a code nor the stream's length.
+pub fn encode_counted(data: &[u16], counts: Counts, out: &mut Vec<u8>) {
+    *out = simd::dispatch(EncodeBlock { data, counts, out: std::mem::take(out) });
+}
+
+/// [`encode_counted`]'s table build and code loop, compiled for the
+/// build target and for AVX2 ([`simd`]).
+struct EncodeBlock<'a> {
+    data: &'a [u16],
+    counts: Counts,
+    out: Vec<u8>,
+}
 
 impl Kernel for EncodeBlock<'_> {
     type Output = Vec<u8>;
 
     #[inline(always)]
     fn run(self) -> Vec<u8> {
-        let Self(data) = self;
-        let Histogram { base, counts } = Histogram::of(data);
+        let Self { data, counts, mut out } = self;
+        let (base, counts) = counts.spanned();
+        assert_eq!(counts.iter().sum::<u64>(), data.len() as u64, "counts of other symbols");
         let table = HuffmanTable::from_counts(base, &counts, 16);
         let bit_len: u64 =
             table.packed.iter().zip(&counts).map(|(&p, &n)| u64::from(p & 0xff) * n).sum();
         let byte_len = bit_len.div_ceil(8) as usize;
-        let mut out = Vec::with_capacity(byte_len + 4 * table.coded_symbols() + 24);
+        out.reserve(byte_len + 4 * table.coded_symbols() + 24);
         table.write_header(&mut out);
         write_uvarint(&mut out, data.len() as u64);
         // The counts fix the stream's length before a bit of it is written,
         // so it is coded straight into the block.
         write_uvarint(&mut out, byte_len as u64);
+        let end = out.len() + byte_len;
         let mut w = BitWriter::append_to(out);
         table.encode_into(data, &mut w);
-        w.into_bytes()
+        let out = w.into_bytes();
+        assert_eq!(out.len(), end, "counts of other symbols");
+        out
     }
 }
 
@@ -674,23 +844,122 @@ impl Kernel for EncodeBlock<'_> {
 ///
 /// Returns a [`CodecError`] for truncated or malformed blocks.
 pub fn decode_block(buf: &[u8], pos: &mut usize) -> Result<Vec<u16>> {
+    read_block(buf, pos)?.decode(buf)
+}
+
+/// Reads the header of a block produced by [`encode_block`], advancing
+/// `pos` past the whole block, and checks what can be checked before a
+/// symbol is decoded: a decoder then learns the symbol count and which
+/// symbols can occur before it sizes or runs anything by them.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] for a truncated or malformed header, a
+/// count the bitstream cannot back, or a nonempty block with an empty
+/// table.
+pub fn read_block(buf: &[u8], pos: &mut usize) -> Result<Block> {
     let table = HuffmanTable::read_header(buf, pos)?;
     let count = read_uvarint(buf, pos)?;
-    let bits = read_bytes(buf, pos)?;
+    let len = read_bytes(buf, pos)?.len();
     // Every symbol costs at least one bit, so the bitstream bounds the
     // count before it sizes the output.
-    if count > bits.len() as u64 * 8 {
+    if count > len as u64 * 8 {
         return Err(CodecError::UnexpectedEof);
     }
-    let count = count as usize;
-    if count == 0 {
-        return Ok(Vec::new());
-    }
-    if table.coded_symbols() == 0 {
+    if count > 0 && table.coded_symbols() == 0 {
         return Err(CodecError::Corrupt("nonempty block with empty Huffman table"));
     }
-    let mut r = BitReader::new(bits);
-    table.decode_from(&mut r, count)
+    Ok(Block { table, count: count as usize, bits: *pos - len..*pos })
+}
+
+/// A block [`read_block`] read, not yet decoded.
+#[derive(Debug)]
+pub struct Block {
+    table: HuffmanTable,
+    count: usize,
+    /// The bitstream's place in the buffer the block was read from.
+    bits: Range<usize>,
+}
+
+impl Block {
+    /// How many symbols the block holds.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Whether `sym` has a code, that is, can occur in the block.
+    pub fn codes(&self, sym: u16) -> bool {
+        self.table.code_len(sym) > 0
+    }
+
+    /// Every symbol of the block, read from `buf`, the buffer it was
+    /// read from.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] for a truncated or corrupt bitstream.
+    pub fn decode(&self, buf: &[u8]) -> Result<Vec<u16>> {
+        let bits = &buf[self.bits.clone()];
+        simd::dispatch(DecodeBlock { table: &self.table, bits, count: self.count })
+    }
+
+    /// A decoder of the block's symbols in runs, from `buf`, the buffer
+    /// it was read from: the whole block's decode loop, without a
+    /// buffer of all its symbols. The primary table is the one
+    /// [`Block::decode`] reads.
+    pub fn runs<'a>(&'a self, buf: &'a [u8]) -> Runs<'a> {
+        Runs {
+            table: &self.table,
+            lookup: self.table.lookup_for(self.count),
+            r: BitReader::new(&buf[self.bits.clone()]),
+            left: self.count,
+            run: Vec::new(),
+        }
+    }
+}
+
+/// A block's symbols in runs ([`Block::runs`]).
+#[derive(Debug)]
+pub struct Runs<'a> {
+    table: &'a HuffmanTable,
+    lookup: &'a Lookup,
+    r: BitReader<'a>,
+    left: usize,
+    /// The last run, and room for the spare slots its last entry stores.
+    run: Vec<u16>,
+}
+
+impl Runs<'_> {
+    /// The next `n` symbols, or all that are left if fewer.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] for a truncated or corrupt bitstream.
+    #[inline(always)]
+    pub fn next(&mut self, n: usize) -> Result<&[u16]> {
+        let n = n.min(self.left);
+        self.run.resize(n + ENTRY_SYMBOLS - 1, 0);
+        self.table.decode_slots(self.lookup, &mut self.r, &mut self.run)?;
+        self.left -= n;
+        Ok(&self.run[..n])
+    }
+}
+
+/// [`Block::decode`]'s decode loop, compiled for the build target and
+/// for AVX2 ([`simd`]).
+struct DecodeBlock<'a> {
+    table: &'a HuffmanTable,
+    bits: &'a [u8],
+    count: usize,
+}
+
+impl Kernel for DecodeBlock<'_> {
+    type Output = Result<Vec<u16>>;
+
+    #[inline(always)]
+    fn run(self) -> Result<Vec<u16>> {
+        self.table.decode_from(&mut BitReader::new(self.bits), self.count)
+    }
 }
 
 /// Computes length-limited code lengths from frequencies.
@@ -1327,7 +1596,7 @@ mod differential_tests {
         data.extend([7u16; 9]);
         data.extend([u16::MAX, 0, u16::MAX, 300]);
         for len in [0, 1, 3, 4, 5, 4000, data.len()] {
-            let Histogram { base, counts } = Histogram::of(&data[data.len() - len..]);
+            let (base, counts) = Counts::of(&data[data.len() - len..]).spanned();
             let mut want = vec![0u64; usize::from(u16::MAX) + 1];
             for &sym in &data[data.len() - len..] {
                 want[usize::from(sym)] += 1;
@@ -1422,20 +1691,72 @@ mod differential_tests {
             .collect()
     }
 
-    /// Best of five wall-clock runs of `run`, in seconds.
-    pub(super) fn best_of<T>(mut run: impl FnMut() -> T) -> f64 {
-        (0..5)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                std::hint::black_box(run());
-                t0.elapsed().as_secs_f64()
+    /// `old / new` for each of `rotations` rotations, sorted, and the
+    /// two sides' median times in seconds. Both sides run in every
+    /// rotation, so a speed phase of a shared host slows both, and odd
+    /// rotations run the old side first, so a warm-up or clock step lands
+    /// on each side as often.
+    pub(super) fn rotation_ratios<A, B>(
+        rotations: usize,
+        mut new: impl FnMut() -> A,
+        mut old: impl FnMut() -> B,
+    ) -> (Vec<f64>, f64, f64) {
+        fn time<T>(run: &mut impl FnMut() -> T) -> f64 {
+            let t0 = std::time::Instant::now();
+            std::hint::black_box(run());
+            t0.elapsed().as_secs_f64()
+        }
+        let mut times: Vec<(f64, f64)> = (0..rotations)
+            .map(|r| {
+                if r % 2 == 0 {
+                    let new = time(&mut new);
+                    (new, time(&mut old))
+                } else {
+                    let old = time(&mut old);
+                    (time(&mut new), old)
+                }
             })
-            .fold(f64::INFINITY, f64::min)
+            .collect();
+        let mut ratios: Vec<f64> = times.iter().map(|&(new, old)| old / new).collect();
+        ratios.sort_by(f64::total_cmp);
+        let median = |times: &mut Vec<f64>| {
+            times.sort_by(f64::total_cmp);
+            times[times.len() / 2]
+        };
+        let (mut news, mut olds): (Vec<f64>, Vec<f64>) = times.drain(..).unzip();
+        (ratios, median(&mut news), median(&mut olds))
+    }
+
+    /// A speed gate over [`rotation_ratios`]: the median ratio of 11
+    /// rotations must reach `floor`. One slow rotation neither passes
+    /// nor fails it; the spread is printed. `per` scales the median
+    /// times for the printout (symbols per run, or 1 for a whole run).
+    pub(super) fn gate<A, B>(
+        name: &str,
+        floor: f64,
+        (per, unit): (f64, &str),
+        new: impl FnMut() -> A,
+        old: impl FnMut() -> B,
+    ) {
+        let (ratios, new, old) = rotation_ratios(11, new, old);
+        let median = ratios[ratios.len() / 2];
+        println!(
+            "{name}: {:.2} {unit} against {:.2}, {median:.2}x (median of {} rotations, \
+             {:.2}-{:.2}x; floor {floor}x)",
+            new / per,
+            old / per,
+            ratios.len(),
+            ratios[0],
+            ratios[ratios.len() - 1],
+        );
+        assert!(median >= floor, "{name}: only {median:.2}x, floor {floor}x");
     }
 
     /// The CI speed gate: machine-independent because it is a ratio of
-    /// two decoders run back to back on the same stream. Meaningful in
-    /// release mode only (`cargo test --release -p fedsz-codec -- --ignored`).
+    /// two decoders run back to back on the same stream, the median of
+    /// 11 rotations ([`gate`]). Meaningful in release mode only (`cargo
+    /// test --release -p fedsz-codec -- --ignored`). Over 10 runs the
+    /// median read 6.55-9.53x (median 8.30x): the 3x floor stays.
     #[test]
     #[ignore = "timing: run in release mode"]
     fn lookup_decode_is_3x_the_bit_serial_reference() {
@@ -1445,19 +1766,17 @@ mod differential_tests {
         let table = HuffmanTable::read_header(&block, &mut pos).unwrap();
         assert_eq!(read_uvarint(&block, &mut pos).unwrap(), data.len() as u64);
         let bits = read_bytes(&block, &mut pos).unwrap();
-
-        let fast = best_of(|| {
-            table.decode_from(&mut BitReader::new(std::hint::black_box(bits)), data.len()).unwrap()
-        });
-        let slow = best_of(|| decode_reference(&table, std::hint::black_box(bits), data.len()).0);
         assert_eq!(decode_bulk(&table, bits, data.len()), (data.clone(), None));
-        let ratio = slow / fast;
-        println!(
-            "lookup {:.1} ns/sym, bit-serial {:.1} ns/sym: {ratio:.1}x",
-            fast * 1e3,
-            slow * 1e3
+        gate(
+            "lookup decode against the bit-serial walk",
+            3.0,
+            (data.len() as f64 * 1e-9, "ns/symbol"),
+            || {
+                let mut r = BitReader::new(std::hint::black_box(bits));
+                table.decode_from(&mut r, data.len()).unwrap()
+            },
+            || decode_reference(&table, std::hint::black_box(bits), data.len()).0,
         );
-        assert!(ratio >= 3.0, "lookup-table decode is only {ratio:.2}x the bit-serial reference");
     }
 }
 
@@ -1466,7 +1785,7 @@ mod differential_tests {
 /// positions, same errors.
 #[cfg(test)]
 mod table_speed_tests {
-    use super::differential_tests::{best_of, header_of, sz_like};
+    use super::differential_tests::{gate, header_of, sz_like};
     use super::*;
     use proptest::prelude::*;
 
@@ -1509,6 +1828,18 @@ mod table_speed_tests {
                 })
             });
             prop_assert_eq!(&forced, &want);
+            // The slot decoder, as a block's runs use it: what an error
+            // leaves in the slots is unspecified, so compare on success.
+            let slots = decode_in_calls(bytes, calls, |r, n, out| {
+                let mut slots = vec![0; n + ENTRY_SYMBOLS - 1];
+                let decoded = table.decode_slots(lookup, r, &mut slots);
+                out.extend(&slots[..n]);
+                decoded
+            });
+            prop_assert_eq!((&slots.1, slots.2), (&want.1, want.2));
+            if want.1.is_none() {
+                prop_assert_eq!(&slots, &want);
+            }
         }
         // `decode_from` emits nothing on an error, so compare it on
         // success only, and its error variant otherwise.
@@ -1676,6 +2007,104 @@ mod table_speed_tests {
         }
     }
 
+    /// Tables whose longest code is each length from 1 to 16, and two
+    /// longer; uniform ones whose shortest code is over four bits (two
+    /// codes per item) — every way [`HuffmanTable::codes_per_item`]
+    /// goes — each with every tail of zero to three codes past the last
+    /// full item, after zero to 63 bits already buffered: the slice,
+    /// byte and iterator encoders write one `write_bits` per code's
+    /// bytes.
+    #[test]
+    fn four_code_encoder_matches_the_per_code_reference() {
+        // Fibonacci counts over `longest + 1` symbols: a tree exactly
+        // `longest` deep, with a 1-bit shortest code.
+        let fibonacci = |longest: u32| -> Vec<u64> {
+            let (mut a, mut b) = (1u64, 1u64);
+            (0..=longest)
+                .map(|_| {
+                    (a, b) = (b, a + b);
+                    a
+                })
+                .collect()
+        };
+        let mut tables: Vec<(HuffmanTable, usize)> = (1..=16)
+            .chain([20, u32::from(MAX_CODE_LEN)])
+            .map(|longest| {
+                let table = HuffmanTable::from_frequencies(&fibonacci(longest), MAX_CODE_LEN);
+                assert_eq!(table.longest(), longest);
+                (table, if longest > PAIR_MAX_LEN { 1 } else { 4 })
+            })
+            .collect();
+        for symbols in [32, 48, 256] {
+            tables.push((HuffmanTable::from_frequencies(&vec![1; symbols], 16), 2));
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for (table, per_item) in &tables {
+            assert_eq!(table.codes_per_item(), *per_item, "longest {}", table.longest());
+            let alphabet = &table.sorted;
+            for len in (0..8).chain(1000..1004) {
+                let data: Vec<u16> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        // Mostly the shortest codes, as SZ streams are.
+                        let pick = if state.is_multiple_of(4) { state >> 8 } else { state % 3 };
+                        alphabet[pick as usize % alphabet.len()]
+                    })
+                    .collect();
+                let lead = (state % 64) as u32;
+                let mut want = crate::bitio::reference::BitWriter::default();
+                want.write_bits(state, lead);
+                for &sym in &data {
+                    let (code, bits) = table.code(sym);
+                    want.write_bits(code, bits);
+                }
+                let want = want.into_bytes();
+                let with_lead = |encode: &dyn Fn(&mut BitWriter)| {
+                    let mut w = BitWriter::new();
+                    w.write_bits(state, lead);
+                    encode(&mut w);
+                    w.into_bytes()
+                };
+                let what = format!("longest {}, {len} symbols", table.longest());
+                assert_eq!(with_lead(&|w| table.encode_into(&data, w)), want, "{what}");
+                assert_eq!(
+                    with_lead(&|w| table.encode_iter(data.iter().copied(), w)),
+                    want,
+                    "{what}"
+                );
+                if data.iter().all(|&sym| sym < 256) {
+                    let bytes: Vec<u8> = data.iter().map(|&sym| sym as u8).collect();
+                    assert_eq!(with_lead(&|w| table.encode_bytes(&bytes, w)), want, "{what}");
+                }
+            }
+        }
+    }
+
+    /// Blocks over an alphabet wider than 256 symbols — an unpredictable
+    /// code 0 beside codes near 32 768 — with every tail of zero to three
+    /// codes: the counted four-code block encoder writes the per-code
+    /// reference's bytes.
+    #[test]
+    fn wide_span_blocks_match_the_per_code_reference() {
+        let mut data = sz_like(4000, 1);
+        for at in (0..data.len()).step_by(97) {
+            data[at] = 0;
+        }
+        for len in (3990..=4000).chain(0..9) {
+            let data = &data[..len];
+            assert_eq!(encode_block(data), reference::encode_block(data), "{len} symbols");
+            let mut counted = Vec::new();
+            let mut counts = Counts::new();
+            for run in data.chunks(7) {
+                counts.add_slice(run);
+            }
+            encode_counted(data, counts, &mut counted);
+            assert_eq!(counted, reference::encode_block(data), "{len} symbols, counted in runs");
+        }
+    }
+
     /// Laplacian counts over `n` symbols, halving every 64 levels, with a
     /// tail of singletons: the shape SZ codes take at a tight bound, with
     /// hundreds of codes just below a 16-bit cap and thousands above it.
@@ -1696,9 +2125,11 @@ mod table_speed_tests {
     }
 
     /// Timing gates, like `lookup_decode_is_3x_the_bit_serial_reference`:
-    /// ratios of two coders run back to back on one input, meaningful in
-    /// release mode only. The stream carries ~2.5 bits per symbol, where
-    /// three-symbol entries fill.
+    /// ratios of two coders run back to back on one input, the median of
+    /// 11 rotations, meaningful in release mode only. The stream carries
+    /// ~2.5 bits per symbol, where three-symbol entries fill. Over 10
+    /// runs the median read 2.01-2.56x (median 2.42x): the 1.6x floor
+    /// stays.
     #[test]
     #[ignore = "timing: run in release mode"]
     fn multi_symbol_decode_is_1_6x_the_single_symbol_reference() {
@@ -1709,61 +2140,58 @@ mod table_speed_tests {
         read_uvarint(&block, &mut pos).unwrap();
         let bits = read_bytes(&block, &mut pos).unwrap();
         println!("{:.2} bits/symbol", bits.len() as f64 * 8.0 / data.len() as f64);
-        let old = reference::Decoder::new(&table);
-        let slow = best_of(|| {
-            let mut out = Vec::with_capacity(data.len());
-            old.decode_each(&mut BitReader::new(std::hint::black_box(bits)), data.len(), |s| {
-                out.push(s)
-            })
-            .unwrap();
-            out
-        });
-        let fast = best_of(|| {
-            table.decode_from(&mut BitReader::new(std::hint::black_box(bits)), data.len()).unwrap()
-        });
         assert_eq!(table.decode_from(&mut BitReader::new(bits), data.len()).unwrap(), data);
-        let ratio = slow / fast;
-        println!(
-            "multi-symbol {:.2} ns/sym, single-symbol {:.2} ns/sym: {ratio:.2}x",
-            fast * 1e3,
-            slow * 1e3
+        let old = reference::Decoder::new(&table);
+        gate(
+            "multi-symbol decode against the single-symbol one",
+            1.6,
+            (data.len() as f64 * 1e-9, "ns/symbol"),
+            || table.decode_from(&mut BitReader::new(std::hint::black_box(bits)), data.len()),
+            || {
+                let mut out = Vec::with_capacity(data.len());
+                let mut r = BitReader::new(std::hint::black_box(bits));
+                old.decode_each(&mut r, data.len(), |s| out.push(s)).unwrap();
+                out
+            },
         );
-        assert!(ratio >= 1.6, "multi-symbol decode is only {ratio:.2}x the single-symbol one");
     }
 
+    /// The block encoder, its count included, against one count and one
+    /// accumulator step per symbol. Over 10 runs on a 2-core Xeon with
+    /// AVX2 the median read 1.85-2.40x (median 2.29x); the floor, raised
+    /// from 1.25x, is two thirds of that. The paired encoder before it
+    /// read ~1.4x, best of five.
     #[test]
     #[ignore = "timing: run in release mode"]
     fn block_encode_is_1_25x_the_per_symbol_reference() {
         let data = sz_like(1_000_000, 1);
-        let slow = best_of(|| reference::encode_block(std::hint::black_box(&data)));
-        let fast = best_of(|| encode_block(std::hint::black_box(&data)));
         assert_eq!(encode_block(&data), reference::encode_block(&data));
-        let ratio = slow / fast;
-        println!(
-            "paired encode {:.2} ns/sym, per-symbol {:.2} ns/sym: {ratio:.2}x",
-            fast * 1e3,
-            slow * 1e3
+        gate(
+            "four-code block encode against the per-symbol one",
+            1.5,
+            (data.len() as f64 * 1e-9, "ns/symbol"),
+            || encode_block(std::hint::black_box(&data)),
+            || reference::encode_block(std::hint::black_box(&data)),
         );
-        assert!(ratio >= 1.25, "block encode is only {ratio:.2}x the per-symbol one");
     }
 
+    /// Over 10 runs the median read 117-146x (median 133x): the 20x
+    /// floor stays.
     #[test]
     #[ignore = "timing: run in release mode"]
     fn table_build_is_20x_the_rescanning_fix_up() {
         let counts = wide_alphabet(30_000);
-        let fast = best_of(|| HuffmanTable::from_frequencies(std::hint::black_box(&counts), 16));
-        let slow = best_of(|| {
-            let mut lengths = reference::tree_depths(std::hint::black_box(&counts));
-            reference::limit_lengths(&mut lengths, 16);
-            HuffmanTable::from_lengths(0, &lengths)
-        });
-        let ratio = slow / fast;
-        println!(
-            "table build {:.2} ms, with the rescanning fix-up {:.2} ms: {ratio:.1}x",
-            fast * 1e3,
-            slow * 1e3
+        gate(
+            "30,000-symbol table build against the rescanning fix-up",
+            20.0,
+            (1e-3, "ms"),
+            || HuffmanTable::from_frequencies(std::hint::black_box(&counts), 16),
+            || {
+                let mut lengths = reference::tree_depths(std::hint::black_box(&counts));
+                reference::limit_lengths(&mut lengths, 16);
+                HuffmanTable::from_lengths(0, &lengths)
+            },
         );
-        assert!(ratio >= 20.0, "the 30,000-symbol table build is only {ratio:.1}x the old one");
     }
 }
 
@@ -1777,11 +2205,12 @@ mod simd_tests {
     /// Both copies of the block encoder on `data`: `None` on a host
     /// without AVX2, where there is nothing to compare.
     fn both(data: &[u16]) -> Option<(Vec<u8>, Vec<u8>)> {
-        let avx2 = simd::avx2(EncodeBlock(data));
+        let kernel = || EncodeBlock { data, counts: Counts::of(data), out: Vec::new() };
+        let avx2 = simd::avx2(kernel());
         if avx2.is_none() {
             println!("skipped: this host has no AVX2, so the portable copy is the only path");
         }
-        Some((avx2?, EncodeBlock(data).run()))
+        Some((avx2?, kernel().run()))
     }
 
     #[test]
@@ -1803,6 +2232,33 @@ mod simd_tests {
         for data in &cases {
             let Some((avx2, portable)) = both(data) else { return };
             assert_eq!(avx2, portable, "{} symbols", data.len());
+        }
+    }
+
+    /// Both copies of [`DecodeBlock`] on a block of each shape, whole and
+    /// cut short.
+    #[test]
+    fn avx2_block_decodes_match_the_portable_copy() {
+        for data in
+            [sz_like(100_003, 1), sz_like(50_000, 3), (0..=u16::MAX).collect(), vec![7; 300]]
+        {
+            let block = encode_block(&data);
+            let mut pos = 0;
+            let read = read_block(&block, &mut pos).unwrap();
+            for cut in [read.bits.end, read.bits.end - 1, read.bits.start + 3] {
+                let kernel = || DecodeBlock {
+                    table: &read.table,
+                    bits: &block[read.bits.start..cut],
+                    count: read.count,
+                };
+                let Some(avx2) = simd::avx2(kernel()) else {
+                    println!(
+                        "skipped: this host has no AVX2, so the portable copy is the only path"
+                    );
+                    return;
+                };
+                assert_eq!(avx2, kernel().run(), "{} symbols, cut at {cut}", data.len());
+            }
         }
     }
 

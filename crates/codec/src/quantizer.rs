@@ -122,9 +122,11 @@ impl Quantizer {
     /// reconstruction of the last element. Returns `None`, leaving
     /// `codes` unspecified, when the run cannot be served that way and
     /// the caller must redo it element by element: some element is
-    /// unpredictable, some residual sits exactly on a rounding tie
-    /// (where this routine's round-to-even would differ from
-    /// `quantize`'s round-half-away), or the run is empty.
+    /// unpredictable, some residual sits on a rounding tie (where this
+    /// routine's round-to-even would differ from `quantize`'s
+    /// round-half-away) or within 2^-50 of one or of the radius,
+    /// relative to itself (where its reciprocal scaling could differ from
+    /// `quantize`'s division), or the run is empty.
     ///
     /// Always inlined, so that a caller's AVX2 copy ([`crate::simd`])
     /// holds an AVX2 copy of this loop.
@@ -141,19 +143,27 @@ impl Quantizer {
         // An integer `k` in `0..2^16` added to 2^52 lands in the low
         // mantissa bits, where `to_bits` reads it back.
         const LOW_BITS: f64 = 4_503_599_627_370_496.0;
+        // A residual is scaled by the reciprocal of the bin width, not
+        // divided by it: the product is within 2^-51 of the quotient
+        // `quantize` rounds, relative to either, so the two round to the
+        // same bin unless `x` lies within that of a half or of the
+        // radius, and such a run is redone element by element.
+        const GUARD: f64 = 1.0 / (1u64 << 50) as f64;
         let (eb, width, radius) =
             (f64::from(self.eb), f64::from(self.eb) * 2.0, f64::from(self.radius));
+        let scale = 1.0 / width;
         let mut servable = true;
         let mut last = None;
         for ((&pred, &actual), code) in pred.iter().zip(actual).zip(codes.iter_mut()) {
             let (pred, actual) = (f64::from(pred), f64::from(actual));
-            let x = (actual - pred) / width;
+            let x = (actual - pred) * scale;
             // Out-of-range `x` (NaN included) rounds to garbage here and
             // is caught by the range test below.
             let q = ((x + ROUND) - ROUND).copysign(x);
             let reconstructed = (pred + q * width) as f32;
-            servable &= (x - q).abs() != 0.5
-                && x.abs() < radius
+            let slack = x.abs() * GUARD;
+            servable &= (x - q).abs() + slack < 0.5
+                && x.abs() + slack < radius
                 && q.abs() < radius
                 && (f64::from(reconstructed) - actual).abs() <= eb;
             *code = (q + (radius + LOW_BITS)).to_bits() as u16;

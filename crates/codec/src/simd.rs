@@ -1,7 +1,7 @@
 //! The workspace's AVX2 seam: a hot loop written once, compiled twice,
 //! and picked at run time. It lives in this crate, which depends on
 //! nothing, so that every crate can use it: the codecs (SZ2's encode and
-//! decode, Huffman block encode, ZstdLike compress) and training
+//! decode, Huffman block encode and decode, ZstdLike compress) and training
 //! (`fedsz-nn`'s convolution forward and backward, `fedsz-tensor`'s
 //! matmuls).
 //!
@@ -9,14 +9,18 @@
 //! `f64`s or four `f32`s; on a host with AVX2 the same loops could run
 //! twice as wide. A [`Kernel`]'s body is `#[inline(always)]`, so every
 //! kernel [`dispatch`] runs exists twice: once compiled for the build
-//! target, and once inlined into a `#[target_feature(enable = "avx2")]`
-//! wrapper. No
-//! intrinsic is written anywhere: the compiler widens the loops.
+//! target, and once inlined into a `#[target_feature(enable =
+//! "avx2,bmi2")]` wrapper. BMI2 rides along because every AVX2 CPU has
+//! it: its shifts by a variable count are one instruction each, where
+//! the build target's take three, and the Huffman loops shift by code
+//! lengths. No intrinsic is written anywhere: the compiler widens the
+//! loops.
 //!
 //! # Same source, same bits
 //!
-//! The wrapper enables `avx2` only — never `fma`, so no multiply and add
-//! are fused into one rounding — and Rust neither reassociates nor
+//! The wrapper enables `avx2` and the integer-only `bmi2` — never `fma`,
+//! so no multiply and add are fused into one rounding — and Rust neither
+//! reassociates nor
 //! contracts floating-point arithmetic. Both copies therefore compute
 //! every value with the same operations in the same order, and produce
 //! the same bytes by construction. The oracle tests of each kernel
@@ -34,7 +38,8 @@
 //! enough that the compiler inlines them anyway).
 //!
 //! The one `unsafe` is the call into the wrapper, whose only
-//! precondition — that the CPU has AVX2 — is checked just before it. A
+//! precondition — that the CPU has AVX2 and BMI2 — is checked just
+//! before it. A
 //! crate that dispatches its own kernels through [`dispatch`] needs no
 //! `unsafe` of its own.
 
@@ -53,39 +58,45 @@ pub trait Kernel {
     fn run(self) -> Self::Output;
 }
 
-/// Runs `kernel`'s AVX2 copy when the CPU has AVX2, its build-target
-/// copy otherwise. The two return the same value.
+/// Runs `kernel`'s AVX2 copy when the CPU has AVX2 (and BMI2), its
+/// build-target copy otherwise. The two return the same value.
 #[inline]
 pub fn dispatch<K: Kernel>(kernel: K) -> K::Output {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected just above, which is the only
-        // precondition of calling a `#[target_feature(enable = "avx2")]`
-        // function.
+    if has_avx2() {
+        // SAFETY: AVX2 and BMI2 were detected just above, which is the
+        // only precondition of calling a `#[target_feature(enable =
+        // "avx2,bmi2")]` function.
         return unsafe { avx2_copy(kernel) };
     }
     kernel.run()
 }
 
-/// `kernel`'s AVX2 copy, or `None` on a CPU without AVX2: what the
-/// oracle tests and speed gates hold against [`Kernel::run`].
+/// `kernel`'s AVX2 copy, or `None` on a CPU without AVX2 and BMI2: what
+/// the oracle tests and speed gates hold against [`Kernel::run`].
 pub fn avx2<K: Kernel>(kernel: K) -> Option<K::Output> {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx2() {
         return Some(dispatch(kernel));
     }
     drop(kernel);
     None
 }
 
+/// Whether the CPU runs the AVX2 copies: AVX2 and BMI2 both.
+#[cfg(target_arch = "x86_64")]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("bmi2")
+}
+
 /// [`Kernel::run`], inlined under AVX2 code generation.
 ///
 /// # Safety
 ///
-/// The running CPU must support AVX2; that is the only reason a call
-/// from code without the feature enabled is `unsafe`.
+/// The running CPU must support AVX2 and BMI2; that is the only reason
+/// a call from code without the features enabled is `unsafe`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,bmi2")]
 fn avx2_copy<K: Kernel>(kernel: K) -> K::Output {
     kernel.run()
 }

@@ -192,16 +192,30 @@ pub(crate) mod frame {
     /// Emits `flag || uvarint(len) || payload`, choosing STORED whenever
     /// the compressed candidate is no smaller than the input.
     pub fn pick(raw: &[u8], compressed: Vec<u8>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(compressed.len().min(raw.len()) + 9);
         if compressed.len() >= raw.len() {
-            out.push(STORED);
-            write_uvarint(&mut out, raw.len() as u64);
-            out.extend_from_slice(raw);
-        } else {
-            out.push(COMPRESSED);
-            write_uvarint(&mut out, raw.len() as u64);
-            out.extend_from_slice(&compressed);
+            return stored(raw);
         }
+        let mut out = compressed_head(raw.len(), compressed.len());
+        out.extend_from_slice(&compressed);
+        out
+    }
+
+    /// The STORED frame of `raw`.
+    pub fn stored(raw: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(raw.len() + 11);
+        out.push(STORED);
+        write_uvarint(&mut out, raw.len() as u64);
+        out.extend_from_slice(raw);
+        out
+    }
+
+    /// A compressed frame of `raw_len` bytes up to its payload, with
+    /// room for a payload of `payload_len` bytes: a codec that knows
+    /// its payload's length before it codes one writes it straight in.
+    pub fn compressed_head(raw_len: usize, payload_len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(payload_len + 11);
+        out.push(COMPRESSED);
+        write_uvarint(&mut out, raw_len as u64);
         out
     }
 

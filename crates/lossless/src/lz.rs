@@ -146,7 +146,11 @@ impl Chains {
 
     fn new(len: usize, head_log: u32) -> Self {
         assert!(len <= MAX_SEGMENT && head_log <= HASH_LOG);
-        Self { head: vec![NONE; 1 << head_log], prev: vec![NONE; len], shift: HASH_LOG - head_log }
+        // A position's `prev` is written when it is inserted, before a
+        // walk can reach it, and walks reach inserted positions only: so
+        // `prev` starts as zeros, which the allocator hands out without
+        // writing them.
+        Self { head: vec![NONE; 1 << head_log], prev: vec![0; len], shift: HASH_LOG - head_log }
     }
 
     #[inline(always)]

@@ -138,8 +138,9 @@ impl Lossless for ZstdLike {
 /// [`ZstdLike`]'s encoder — the match search, the counts and the
 /// sequence coding — dispatched once per buffer ([`simd::dispatch`]).
 /// The AVX2 copy parses the SZ containers' Huffman output about a third
-/// faster, for the same bytes. Literal runs go through the Huffman
-/// table's paired encoder, two codes per step.
+/// faster, for the same bytes. The counts fix the payload's length
+/// before a bit is coded ([`Plan`]), so a frame that would end STORED
+/// is stored without coding its sequences or taking its CRC.
 struct Compress<'a>(&'a [u8]);
 
 impl Kernel for Compress<'_> {
@@ -148,13 +149,40 @@ impl Kernel for Compress<'_> {
     #[inline(always)]
     fn run(self) -> Vec<u8> {
         let Self(data) = self;
+        let plan = Plan::new(data);
+        if plan.payload_len() >= data.len() {
+            frame::stored(data)
+        } else {
+            plan.write()
+        }
+    }
+}
+
+/// A buffer parsed into sequences and counted: everything a compressed
+/// frame holds but its bitstream and CRC.
+struct Plan<'a> {
+    data: &'a [u8],
+    sequences: Vec<Sequence>,
+    /// Trailing literals: start and length.
+    tail: (usize, u32),
+    /// Literal, literal-length, match-length and offset tables.
+    tables: [HuffmanTable; 4],
+    /// The payload up to its bitstream: the four table headers, the
+    /// sequence count, the tail length and the bitstream's length.
+    head: Vec<u8>,
+    /// The bitstream's length in bytes.
+    stream_len: usize,
+}
+
+impl<'a> Plan<'a> {
+    #[inline(always)]
+    fn new(data: &'a [u8]) -> Self {
         let tokens = tokenize(data, &MatchParams::large_window());
 
         // Regroup the token stream into zstd-style sequences plus a tail
         // of trailing literals.
         let mut sequences = Vec::new();
         let mut pending: Option<(usize, u32)> = None;
-        let mut tail: Option<(usize, u32)> = None;
         for token in &tokens {
             match *token {
                 Token::Literals { start, len } => pending = Some((start, len as u32)),
@@ -169,72 +197,96 @@ impl Kernel for Compress<'_> {
                 }
             }
         }
-        if let Some((start, len)) = pending {
-            tail = Some((start, len));
-        }
+        let tail = pending.unwrap_or((0, 0));
 
-        // Frequencies for the four entropy streams.
-        let mut lit_freq = vec![0u64; 256];
-        let mut ll_freq = vec![0u64; 48];
-        let mut ml_freq = vec![0u64; 48];
-        let mut of_freq = vec![0u64; 48];
+        // Frequencies for the four entropy streams, literals in four
+        // lanes (a run of one byte is four independent chains of
+        // increments), and the slots' extra bits.
+        let mut lit_lanes = [[0u64; 4]; 256];
         let mut count_lits = |start: usize, len: u32| {
-            for &b in &data[start..start + len as usize] {
-                lit_freq[b as usize] += 1;
+            let (quads, rest) = data[start..start + len as usize].as_chunks::<4>();
+            for quad in quads {
+                for (lane, &byte) in quad.iter().enumerate() {
+                    lit_lanes[usize::from(byte)][lane] += 1;
+                }
+            }
+            for (lane, &byte) in rest.iter().enumerate() {
+                lit_lanes[usize::from(byte)][lane] += 1;
+            }
+        };
+        let mut ll_freq = [0u64; 48];
+        let mut ml_freq = [0u64; 48];
+        let mut of_freq = [0u64; 48];
+        let mut extra_bits = 0u64;
+        for seq in &sequences {
+            count_lits(seq.lit_start, seq.lit_len);
+            for (freq, value) in [
+                (&mut ll_freq, seq.lit_len),
+                (&mut ml_freq, seq.match_len),
+                (&mut of_freq, seq.offset),
+            ] {
+                let (slot, bits, _) = slot_of(value);
+                freq[usize::from(slot)] += 1;
+                extra_bits += u64::from(bits);
+            }
+        }
+        count_lits(tail.0, tail.1);
+        let lit_freq = lit_lanes.map(|lanes| lanes.iter().sum());
+
+        let freqs = [&lit_freq[..], &ll_freq, &ml_freq, &of_freq];
+        let tables = freqs.map(|freq| HuffmanTable::from_frequencies(freq, 15));
+        let coded: u64 = tables
+            .iter()
+            .zip(freqs)
+            .flat_map(|(table, freq)| {
+                (0u16..).zip(freq).map(|(sym, &n)| n * u64::from(table.code_len(sym)))
+            })
+            .sum();
+        let stream_len = (coded + extra_bits).div_ceil(8) as usize;
+        let mut head = Vec::new();
+        for table in &tables {
+            table.write_header(&mut head);
+        }
+        write_uvarint(&mut head, sequences.len() as u64);
+        write_uvarint(&mut head, u64::from(tail.1));
+        write_uvarint(&mut head, stream_len as u64);
+        Self { data, sequences, tail, tables, head, stream_len }
+    }
+
+    /// The compressed frame's payload length: the head, the bitstream
+    /// and the CRC.
+    fn payload_len(&self) -> usize {
+        self.head.len() + self.stream_len + 4
+    }
+
+    /// The compressed frame, whatever its length.
+    #[inline(always)]
+    fn write(self) -> Vec<u8> {
+        let Self { data, sequences, tail, tables, head, stream_len } = self;
+        let [lit_table, ll_table, ml_table, of_table] = &tables;
+        let payload_len = head.len() + stream_len + 4;
+        let mut out = frame::compressed_head(data.len(), payload_len);
+        out.extend_from_slice(&head);
+        let end = out.len() + stream_len;
+        let mut w = BitWriter::append_to(out);
+        let value = |table: &HuffmanTable, v: u32, w: &mut BitWriter| {
+            let (slot, bits, extra) = slot_of(v);
+            table.write_symbol(slot, w);
+            if bits > 0 {
+                w.write_bits(u64::from(extra), u32::from(bits));
             }
         };
         for seq in &sequences {
-            count_lits(seq.lit_start, seq.lit_len);
-            ll_freq[slot_of(seq.lit_len).0 as usize] += 1;
-            ml_freq[slot_of(seq.match_len).0 as usize] += 1;
-            of_freq[slot_of(seq.offset).0 as usize] += 1;
+            value(ll_table, seq.lit_len, &mut w);
+            lit_table.encode_bytes(&data[seq.lit_start..][..seq.lit_len as usize], &mut w);
+            value(ml_table, seq.match_len, &mut w);
+            value(of_table, seq.offset, &mut w);
         }
-        if let Some((start, len)) = tail {
-            count_lits(start, len);
-        }
-
-        let lit_table = HuffmanTable::from_frequencies(&lit_freq, 15);
-        let ll_table = HuffmanTable::from_frequencies(&ll_freq, 15);
-        let ml_table = HuffmanTable::from_frequencies(&ml_freq, 15);
-        let of_table = HuffmanTable::from_frequencies(&of_freq, 15);
-
-        let mut payload = Vec::with_capacity(data.len() / 2 + 64);
-        lit_table.write_header(&mut payload);
-        ll_table.write_header(&mut payload);
-        ml_table.write_header(&mut payload);
-        of_table.write_header(&mut payload);
-        write_uvarint(&mut payload, sequences.len() as u64);
-        write_uvarint(&mut payload, tail.map(|(_, l)| u64::from(l)).unwrap_or(0));
-
-        let mut w = BitWriter::with_capacity(data.len() / 2);
-        for seq in &sequences {
-            let (ll_slot, ll_bits, ll_extra) = slot_of(seq.lit_len);
-            ll_table.write_symbol(ll_slot, &mut w);
-            if ll_bits > 0 {
-                w.write_bits(u64::from(ll_extra), u32::from(ll_bits));
-            }
-            let literals = &data[seq.lit_start..seq.lit_start + seq.lit_len as usize];
-            lit_table.encode_iter(literals.iter().map(|&b| u16::from(b)), &mut w);
-            let (ml_slot, ml_bits, ml_extra) = slot_of(seq.match_len);
-            ml_table.write_symbol(ml_slot, &mut w);
-            if ml_bits > 0 {
-                w.write_bits(u64::from(ml_extra), u32::from(ml_bits));
-            }
-            let (of_slot, of_bits, of_extra) = slot_of(seq.offset);
-            of_table.write_symbol(of_slot, &mut w);
-            if of_bits > 0 {
-                w.write_bits(u64::from(of_extra), u32::from(of_bits));
-            }
-        }
-        if let Some((start, len)) = tail {
-            let literals = &data[start..start + len as usize];
-            lit_table.encode_iter(literals.iter().map(|&b| u16::from(b)), &mut w);
-        }
-        let bits = w.into_bytes();
-        write_uvarint(&mut payload, bits.len() as u64);
-        payload.extend_from_slice(&bits);
-        write_u32(&mut payload, crc32(data));
-        frame::pick(data, payload)
+        lit_table.encode_bytes(&data[tail.0..][..tail.1 as usize], &mut w);
+        let mut out = w.into_bytes();
+        assert_eq!(out.len(), end, "the counts fix the bitstream's length");
+        write_u32(&mut out, crc32(data));
+        out
     }
 }
 
@@ -320,5 +372,70 @@ mod tests {
             };
             assert_eq!(avx2, Compress(data).run(), "{} bytes", data.len());
         }
+    }
+
+    /// What the planner predicts for `data`'s payload against what it
+    /// writes when made to write it, and the frame `compress` picks
+    /// against the one [`frame::pick`] makes of the written payload.
+    fn assert_prediction_holds(data: &[u8]) -> std::result::Result<usize, TestCaseError> {
+        let plan = Plan::new(data);
+        let predicted = plan.payload_len();
+        let written = plan.write();
+        let (stored, raw_len, payload) = frame::open(&written).unwrap();
+        prop_assert!(!stored);
+        prop_assert_eq!(raw_len, data.len());
+        prop_assert_eq!(payload.len(), predicted, "{} bytes", data.len());
+        let picked = frame::pick(data, payload.to_vec());
+        prop_assert_eq!(&Compress(data).run(), &picked, "{} bytes", data.len());
+        prop_assert_eq!(ZstdLike::new().decompress(&picked).unwrap(), data);
+        Ok(predicted)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The inputs of the workspace's lossless proptests (arbitrary
+        /// bytes), and runs of a few symbols that compress.
+        #[test]
+        fn predicted_payload_is_the_written_one(
+            data in prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..4096),
+                proptest::collection::vec(prop_oneof![Just(0u8), Just(7), 250u8..=255], 0..4096),
+            ],
+        ) {
+            assert_prediction_holds(&data)?;
+        }
+    }
+
+    /// Frames at the STORED boundary: payloads predicted one byte
+    /// shorter than the input (compressed), exactly as long and one byte
+    /// longer (both stored), found by growing a buffer of 7-bit symbols
+    /// after a compressible head.
+    #[test]
+    fn frames_at_the_stored_boundary_follow_the_prediction() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut data: Vec<u8> = b"boundary ".repeat(24);
+        let mut found = [false; 3];
+        while data.len() < 20_000 && found != [true; 3] {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            data.push((state >> 57) as u8);
+            let predicted = assert_prediction_holds(&data).unwrap();
+            let Some(k) = (predicted + 1).checked_sub(data.len()).filter(|&k| k < 3) else {
+                continue;
+            };
+            found[k] = true;
+            let (stored, _, _) = frame::open(&Compress(&data).run()).unwrap();
+            assert_eq!(
+                stored,
+                predicted >= data.len(),
+                "{} bytes, payload {predicted}",
+                data.len()
+            );
+        }
+        assert_eq!(found, [true; 3], "no payload within a byte of its input");
     }
 }

@@ -46,7 +46,7 @@
 //! against `n`.
 
 use crate::{ErrorBound, LossyError, LossyKind};
-use fedsz_codec::huffman;
+use fedsz_codec::huffman::{self, Counts};
 use fedsz_codec::quantizer::{Quantized, Quantizer};
 use fedsz_codec::stats::ValueRange;
 use fedsz_codec::varint::{
@@ -194,10 +194,24 @@ pub(crate) fn read_bound(stream: &[u8], pos: &mut usize) -> Result<f32> {
     Ok(eb)
 }
 
+/// Codes [`Quantization`] lets pile up before it counts them: 8 KB,
+/// still in cache when they are counted.
+const COUNT_RUN: usize = 4096;
+
 /// The quantizer's output as an encoder accumulates it.
+///
+/// The Huffman counts are taken as the codes are made: every
+/// [`COUNT_RUN`] codes, from cache, so the Huffman stage never makes a
+/// second pass over the codes to count them. Not inside the quantizer's
+/// loop, which a scattered increment would stop from vectorizing, and
+/// not right behind each batch, where the counts' loads wait on the
+/// batch's vector stores (measured slower than both).
 pub(crate) struct Quantization {
     quantizer: Quantizer,
     codes: Vec<u16>,
+    /// The Huffman counts of `codes[..counted]`.
+    counts: Counts,
+    counted: usize,
     unpredictable: Vec<f32>,
     /// What the decoder will hold for the most recent element.
     pub(crate) last_recon: f32,
@@ -209,14 +223,27 @@ impl Quantization {
         Self {
             quantizer: Quantizer::new(eb),
             codes: Vec::with_capacity(n),
+            counts: Counts::new(),
+            counted: 0,
             unpredictable: Vec::new(),
             last_recon: 0.0,
+        }
+    }
+
+    /// Counts the codes made since the last count, once they are
+    /// [`COUNT_RUN`] or more.
+    #[inline(always)]
+    fn count_behind(&mut self) {
+        if self.codes.len() - self.counted >= COUNT_RUN {
+            self.counts.add_slice(&self.codes[self.counted..]);
+            self.counted = self.codes.len();
         }
     }
 
     /// Quantizes one element against `pred`; returns its reconstruction.
     #[inline]
     pub(crate) fn push(&mut self, pred: f32, value: f32) -> f32 {
+        self.count_behind();
         let (code, recon) = match self.quantizer.quantize(pred, value) {
             Quantized::Code { code, reconstructed } => (code, reconstructed),
             Quantized::Unpredictable(raw) => {
@@ -233,6 +260,7 @@ impl Quantization {
     /// them reading an earlier reconstruction.
     #[inline(always)]
     pub(crate) fn push_run(&mut self, preds: &[f32], values: &[f32]) {
+        self.count_behind();
         let start = self.codes.len();
         self.codes.resize(start + values.len(), 0);
         match self.quantizer.quantize_batch(preds, values, &mut self.codes[start..]) {
@@ -253,19 +281,24 @@ impl Quantization {
     /// Huffman-coded codes and the raw values, through the zstd-class
     /// backend as SZ passes its own Huffman output through zstd.
     pub(crate) fn finish(self, sections: &[&[u8]], out: &mut Vec<u8>) {
-        let Self { codes, unpredictable, .. } = self;
-        let code_block = huffman::encode_block(&codes);
-        drop(codes);
+        write_bytes(out, &ZstdLike::new().compress(&self.inner(sections)));
+    }
+
+    /// The container's bytes before the backend: the codes, coded with
+    /// the counts taken as they were made.
+    pub(crate) fn inner(self, sections: &[&[u8]]) -> Vec<u8> {
+        let Self { codes, mut counts, counted, unpredictable, .. } = self;
+        counts.add_slice(&codes[counted..]);
         let side: usize = sections.iter().map(|section| section.len() + 10).sum();
-        let mut inner = Vec::with_capacity(side + code_block.len() + 4 * unpredictable.len() + 10);
+        let mut inner = Vec::with_capacity(side + 4 * unpredictable.len() + 10);
         for section in sections {
             write_bytes(&mut inner, section);
         }
-        inner.extend_from_slice(&code_block);
-        drop(code_block);
+        huffman::encode_counted(&codes, counts, &mut inner);
+        drop(codes);
         write_uvarint(&mut inner, unpredictable.len() as u64);
         write_f32_slice(&mut inner, &unpredictable);
-        write_bytes(out, &ZstdLike::new().compress(&inner));
+        inner
     }
 }
 
@@ -273,9 +306,21 @@ impl Quantization {
 pub(crate) struct Container {
     inner: Vec<u8>,
     sections: Vec<Range<usize>>,
-    /// One code per element, in the encoder's visiting order.
-    pub(crate) codes: Vec<u16>,
+    codes: Codes,
     unpredictable: Vec<f32>,
+}
+
+/// A container's codes, one per element, in the encoder's visiting
+/// order.
+enum Codes {
+    /// Decoded in [`Container::read`]: the Huffman table codes the
+    /// unpredictable code, and the raw values must be counted against
+    /// its occurrences before a decoder maps any code.
+    Decoded(Vec<u16>),
+    /// Still coded: no code can be unpredictable, so a decoder decodes
+    /// them in runs as it maps them ([`Container::code_runs`]), and no
+    /// buffer ever holds them all.
+    Coded(Box<huffman::Block>),
 }
 
 impl Container {
@@ -298,8 +343,8 @@ impl Container {
             let len = read_bytes(&inner, &mut at)?.len();
             ranges.push(at - len..at);
         }
-        let codes = huffman::decode_block(&inner, &mut at)?;
-        if codes.len() != n {
+        let block = huffman::read_block(&inner, &mut at)?;
+        if block.count() != n {
             return Err(CodecError::Corrupt("code count mismatch"));
         }
         // At most one raw value per element: the count sizes a buffer,
@@ -309,12 +354,18 @@ impl Container {
             return Err(CodecError::Corrupt("more unpredictable values than elements"));
         }
         let unpredictable = read_f32_vec(&inner, &mut at, count as usize)?;
-        // Settled once, so a `Dequantizer` cannot fail per element.
-        if codes.iter().filter(|&&code| code == Quantizer::UNPREDICTABLE).count()
-            > unpredictable.len()
-        {
-            return Err(CodecError::Corrupt("missing unpredictable value"));
-        }
+        // Settled here, so a `Dequantizer` cannot fail per element.
+        let codes = if block.codes(Quantizer::UNPREDICTABLE) {
+            let codes = block.decode(&inner)?;
+            if codes.iter().filter(|&&code| code == Quantizer::UNPREDICTABLE).count()
+                > unpredictable.len()
+            {
+                return Err(CodecError::Corrupt("missing unpredictable value"));
+            }
+            Codes::Decoded(codes)
+        } else {
+            Codes::Coded(Box::new(block))
+        };
         Ok(Self { inner, sections: ranges, codes, unpredictable })
     }
 
@@ -323,10 +374,40 @@ impl Container {
         &self.inner[self.sections[k].clone()]
     }
 
+    /// The codes, in runs: all `n` of them, each exactly once.
+    pub(crate) fn code_runs(&self) -> CodeRuns<'_> {
+        match &self.codes {
+            Codes::Decoded(codes) => CodeRuns::Decoded(codes),
+            Codes::Coded(block) => CodeRuns::Coded(block.runs(&self.inner)),
+        }
+    }
+
     /// The decoder's half of [`Quantization`]: maps each code, in order,
     /// and its prediction to the reconstructed value.
     pub(crate) fn values(&self, eb: f32) -> Dequantizer<'_> {
         Dequantizer { quantizer: Quantizer::new(eb), raw: self.unpredictable.iter() }
+    }
+}
+
+/// [`Container::code_runs`].
+pub(crate) enum CodeRuns<'a> {
+    /// The codes not yet handed out.
+    Decoded(&'a [u16]),
+    Coded(huffman::Runs<'a>),
+}
+
+impl CodeRuns<'_> {
+    /// The next `n` codes, or all that are left if fewer.
+    #[inline(always)]
+    pub(crate) fn next(&mut self, n: usize) -> Result<&[u16]> {
+        match self {
+            Self::Decoded(rest) => {
+                let (run, after) = rest.split_at(n.min(rest.len()));
+                *rest = after;
+                Ok(run)
+            }
+            Self::Coded(runs) => runs.next(n),
+        }
     }
 }
 
@@ -347,21 +428,23 @@ impl Dequantizer<'_> {
         }
     }
 
-    /// What [`Quantization::push_run`] made of a run, into `out`:
+    /// What [`Quantization::push_run`] made of a run, appended to `out`:
     /// `pred(i)` is the `i`-th element's prediction. Every code is
     /// dequantized without a branch (an unpredictable one as code 1, to
     /// a value that is then overwritten), so the loop vectorizes; the
     /// raw values go into the unpredictable slots afterwards, in order.
     #[inline(always)]
-    pub(crate) fn run(&mut self, pred: impl Fn(usize) -> f32, codes: &[u16], out: &mut [f32]) {
-        let mut lowest = u16::MAX;
-        for (i, (out, &code)) in out.iter_mut().zip(codes).enumerate() {
-            *out = self.quantizer.dequantize(pred(i), code.max(1));
-            lowest = lowest.min(code);
-        }
-        if lowest == Quantizer::UNPREDICTABLE {
-            for (out, _) in
-                out.iter_mut().zip(codes).filter(|(_, &code)| code == Quantizer::UNPREDICTABLE)
+    pub(crate) fn run(&mut self, pred: impl Fn(usize) -> f32, codes: &[u16], out: &mut Vec<f32>) {
+        let start = out.len();
+        let quantizer = self.quantizer;
+        out.extend(
+            codes.iter().enumerate().map(|(i, &code)| quantizer.dequantize(pred(i), code.max(1))),
+        );
+        if codes.contains(&Quantizer::UNPREDICTABLE) {
+            for (out, _) in out[start..]
+                .iter_mut()
+                .zip(codes)
+                .filter(|(_, &code)| code == Quantizer::UNPREDICTABLE)
             {
                 *out = self.next_raw();
             }
@@ -391,7 +474,7 @@ pub(crate) fn with_forged_inner(
     for _ in 0..sections {
         read_bytes(&inner, &mut count_at).unwrap();
     }
-    huffman::decode_block(&inner, &mut count_at).unwrap();
+    huffman::read_block(&inner, &mut count_at).unwrap();
     forge(&mut inner, count_at);
     write_bytes(&mut stream, &ZstdLike::new().compress(&inner));
     stream

@@ -133,44 +133,115 @@ impl Default for Sz2 {
     }
 }
 
-/// `Σ term(i, values[i], values[i - 1])`, with `before` standing in for
-/// the element ahead of the first. Element `i` goes to accumulator
-/// `(i - 1) % LANES` and the accumulators are added in order: no chain
-/// of dependent additions longer than `len / LANES`, and one fixed
-/// summation order whatever the host vectorizes.
+/// Four `f64` lanes, what one AVX2 vector holds: the unit the lane sums
+/// compute their terms in, so that each term is one vector operation.
+/// Its operations are written out lane by lane in always-inlined
+/// functions, which a debug build inlines too: no closure or iterator
+/// per lane.
+type Quad = [f64; 4];
+
+/// Four values from `values`, widened.
 #[inline(always)]
-fn lane_sum(values: &[f32], before: f32, term: impl Fn(f64, f64, f64) -> f64) -> f64 {
+fn quad_of(values: &[f32]) -> Quad {
+    [values[0].into(), values[1].into(), values[2].into(), values[3].into()]
+}
+
+/// `x` in every lane.
+#[inline(always)]
+fn splat(x: f64) -> Quad {
+    [x; 4]
+}
+
+/// `a + b`, lane by lane.
+#[inline(always)]
+fn add(a: Quad, b: Quad) -> Quad {
+    [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
+}
+
+/// `a * b`, lane by lane.
+#[inline(always)]
+fn mul(a: Quad, b: Quad) -> Quad {
+    [a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]]
+}
+
+/// `|a - b|`, lane by lane.
+#[inline(always)]
+fn abs_sub(a: Quad, b: Quad) -> Quad {
+    [(a[0] - b[0]).abs(), (a[1] - b[1]).abs(), (a[2] - b[2]).abs(), (a[3] - b[3]).abs()]
+}
+
+/// `Σ term(i, values[i], values[i - 1])` for each of `K` terms, in one
+/// pass, with `before` standing in for the element ahead of the first.
+/// `terms(i, v, p)` maps four elements' indices, values and
+/// predecessors to each term's four values. Element `i` goes to
+/// accumulator `(i - 1) % LANES` of each sum, and a sum's accumulators
+/// are added in order: no chain of dependent additions longer than
+/// `len / LANES`, and one fixed summation order whatever the host
+/// vectorizes. Each sum keeps its own accumulators, so a sum's bits do
+/// not depend on which others share its pass, and the pass widens each
+/// value to `f64` once for all of them.
+#[inline(always)]
+fn lane_sums<const K: usize>(
+    values: &[f32],
+    before: f32,
+    terms: impl Fn(Quad, Quad, Quad) -> [Quad; K],
+) -> [f64; K] {
     let Some((&first, rest)) = values.split_first() else {
-        return 0.0;
+        return [0.0; K];
     };
     let prev = &values[..rest.len()];
-    let mut acc = [0.0f64; LANES];
-    acc[0] = term(0.0, first.into(), before.into());
-    let mut index: [f64; LANES] = std::array::from_fn(|lane| (lane + 1) as f64);
-    let whole = rest.len() - rest.len() % LANES;
-    for (values, prev) in rest[..whole].chunks_exact(LANES).zip(prev[..whole].chunks_exact(LANES)) {
-        for (((acc, index), &v), &p) in acc.iter_mut().zip(&mut index).zip(values).zip(prev) {
-            *acc += term(*index, v.into(), p.into());
-            *index += LANES as f64;
+    // Lanes `4h..4h + 4` of each sum's accumulators are `acc[k][h]`.
+    let mut acc = [[[0.0f64; 4]; 2]; K];
+    let head = terms([0.0; 4], [first.into(), 0.0, 0.0, 0.0], [before.into(), 0.0, 0.0, 0.0]);
+    for k in 0..K {
+        acc[k][0][0] = head[k][0];
+    }
+    let mut index: [Quad; 2] = [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]];
+    let (chunks, tail) = rest.as_chunks::<LANES>();
+    for (values, prev) in chunks.iter().zip(prev.chunks_exact(LANES)) {
+        for h in 0..2 {
+            let t = terms(index[h], quad_of(&values[4 * h..]), quad_of(&prev[4 * h..]));
+            for k in 0..K {
+                acc[k][h] = add(acc[k][h], t[k]);
+            }
+            index[h] = add(index[h], splat(LANES as f64));
         }
     }
-    for (((acc, &index), &v), &p) in
-        acc.iter_mut().zip(&index).zip(&rest[whole..]).zip(&prev[whole..])
-    {
-        *acc += term(index, v.into(), p.into());
+    // The last `tail.len()` elements, into the first lanes.
+    let prev = &prev[chunks.len() * LANES..];
+    let padded = |values: &[f32]| {
+        let mut lanes = [0.0f32; LANES];
+        lanes[..values.len()].copy_from_slice(values);
+        lanes
+    };
+    let (v, p) = (padded(tail), padded(prev));
+    for h in 0..2 {
+        let t = terms(index[h], quad_of(&v[4 * h..]), quad_of(&p[4 * h..]));
+        let lanes = tail.len().saturating_sub(4 * h).min(4);
+        for k in 0..K {
+            for l in 0..lanes {
+                acc[k][h][l] += t[k][l];
+            }
+        }
     }
-    acc.iter().sum()
+    acc.map(|acc| acc.as_flattened().iter().sum())
 }
 
 /// Least-squares line fit over `(0..len, values)`.
-#[inline(always)]
+#[cfg(test)]
 fn fit_line(values: &[f32]) -> (f32, f32) {
+    let [sum, weighted] = lane_sums(values, 0.0, |i, v, _| [v, mul(i, v)]);
+    line_of(values, sum, weighted)
+}
+
+/// The least-squares line over `(0..len, values)` from `Σ values[i]`
+/// and `Σ i·values[i]`.
+#[inline(always)]
+fn line_of(values: &[f32], sum: f64, weighted: f64) -> (f32, f32) {
     let n = values.len() as f64;
     if values.len() < 2 {
         return (0.0, values.first().copied().unwrap_or(0.0));
     }
-    let sum = lane_sum(values, 0.0, |_, v, _| v);
-    let weighted = lane_sum(values, 0.0, |i, v, _| i * v);
     let mean_x = (n - 1.0) / 2.0;
     // Σ(i − mean_x)² over 0..n, in closed form.
     let sxx = n * (n * n - 1.0) / 12.0;
@@ -206,11 +277,14 @@ impl Sz2 {
             return Predictor::Lorenzo;
         }
         let mu = f64::from(mean);
-        let constant = lane_sum(chunk, 0.0, |_, v, _| (v - mu).abs());
-        let lorenzo = lane_sum(chunk, last_recon, |_, v, prev| (v - prev).abs());
-        let (a, b) = fit_line(chunk);
-        let (slope, offset) = (f64::from(a), f64::from(b));
-        let regression = lane_sum(chunk, 0.0, |i, v, _| (v - (slope * i + offset)).abs());
+        // The two free predictors' sums and the line fit's, in one pass.
+        let [constant, lorenzo, sum, weighted] = lane_sums(chunk, last_recon, |i, v, prev| {
+            [abs_sub(v, splat(mu)), abs_sub(v, prev), v, mul(i, v)]
+        });
+        let (a, b) = line_of(chunk, sum, weighted);
+        let (slope, offset) = (splat(a.into()), splat(b.into()));
+        let [regression] =
+            lane_sums(chunk, 0.0, |i, v, _| [abs_sub(v, add(mul(slope, i), offset))]);
 
         let floor = chunk.len() as f64 * f64::from(eb);
         let margin =
@@ -231,7 +305,8 @@ fn mean_of(data: &[f32]) -> f32 {
     if data.is_empty() {
         return 0.0;
     }
-    (lane_sum(data, 0.0, |_, v, _| v) / data.len() as f64) as f32
+    let [sum] = lane_sums(data, 0.0, |_, v, _| [v]);
+    (sum / data.len() as f64) as f32
 }
 
 impl ErrorBounded for Sz2 {
@@ -256,9 +331,10 @@ impl ErrorBounded for Sz2 {
 }
 
 /// [`Sz2::compress`]'s own loops — the scan, the mean, and per block
-/// the predictor choice and the quantization — dispatched once per
-/// tensor ([`simd::dispatch`]). The container's Huffman and LZ stages
-/// dispatch their own ([`Encoded::finish`]).
+/// the predictor choice, the quantization and the Huffman counts —
+/// dispatched once per tensor ([`simd::dispatch`]). The container's
+/// Huffman code loop and LZ stage dispatch their own
+/// ([`Encoded::finish`]).
 struct Encode<'a> {
     codec: &'a Sz2,
     data: &'a [f32],
@@ -346,6 +422,7 @@ struct Stream {
     eb: f32,
     block: usize,
     mean: f32,
+    n: usize,
     container: Container,
 }
 
@@ -370,14 +447,20 @@ impl Stream {
         if container.section(0).len() > n.div_ceil(block).div_ceil(4) {
             return Err(CodecError::Corrupt("more block flags than blocks"));
         }
-        Ok(Some(Self { eb, block, mean, container }))
+        Ok(Some(Self { eb, block, mean, n, container }))
     }
 }
 
+/// Codes a decoder maps per run of blocks: its share of the Huffman
+/// decode stays in L1 while the blocks are mapped.
+const RUN: usize = 4096;
+
 /// [`Sz2::decompress`]'s reconstruction, dispatched once per tensor
-/// ([`simd::dispatch`]). A constant or regression block's predictions
-/// do not depend on each other, so it is dequantized without a branch
-/// ([`Dequantizer::run`]); a Lorenzo block is one chain.
+/// ([`simd::dispatch`]). The codes arrive in runs of whole blocks
+/// ([`Container::code_runs`]), each decoded just before it is mapped. A
+/// constant or regression block's predictions do not depend on each
+/// other, so it is dequantized without a branch ([`Dequantizer::run`]);
+/// a Lorenzo block is one chain.
 struct Decode<'a>(&'a Stream);
 
 impl Kernel for Decode<'_> {
@@ -385,28 +468,32 @@ impl Kernel for Decode<'_> {
 
     #[inline(always)]
     fn run(self) -> Result<Vec<f32>> {
-        let Stream { eb, block, mean, ref container } = *self.0;
+        let Stream { eb, block, mean, n, ref container } = *self.0;
         let coeff_bytes = container.section(1);
         let mut flags = BitReader::new(container.section(0));
         let mut cpos = 0usize;
         let mut values = container.values(eb);
-        let mut out = vec![0.0f32; container.codes.len()];
+        let mut runs = container.code_runs();
+        let mut out = Vec::with_capacity(n);
         let mut last_recon = 0.0f32;
-        for (codes, out) in container.codes.chunks(block).zip(out.chunks_mut(block)) {
-            // The prefix code of `Predictor::flag`.
-            if !flags.read_bit()? {
-                values.run(|_| mean, codes, out);
-            } else if !flags.read_bit()? {
-                for (out, &code) in out.iter_mut().zip(codes) {
-                    last_recon = values.value(last_recon, code);
-                    *out = last_recon;
+        let run = block * (RUN / block).max(1);
+        for _ in 0..n.div_ceil(run) {
+            for codes in runs.next(run)?.chunks(block) {
+                // The prefix code of `Predictor::flag`.
+                if !flags.read_bit()? {
+                    values.run(|_| mean, codes, &mut out);
+                } else if !flags.read_bit()? {
+                    for &code in codes {
+                        last_recon = values.value(last_recon, code);
+                        out.push(last_recon);
+                    }
+                } else {
+                    let a = read_f32(coeff_bytes, &mut cpos)?;
+                    let b = read_f32(coeff_bytes, &mut cpos)?;
+                    values.run(|i| a * i as f32 + b, codes, &mut out);
                 }
-            } else {
-                let a = read_f32(coeff_bytes, &mut cpos)?;
-                let b = read_f32(coeff_bytes, &mut cpos)?;
-                values.run(|i| a * i as f32 + b, codes, out);
+                last_recon = out[out.len() - 1];
             }
-            last_recon = out[out.len() - 1];
         }
         Ok(out)
     }
@@ -835,7 +922,7 @@ mod tests {
     /// Whether `stream` keeps some value verbatim.
     fn has_unpredictables(stream: &[u8]) -> bool {
         let read = Stream::read(stream).unwrap().unwrap();
-        read.container.codes.contains(&Quantizer::UNPREDICTABLE)
+        read.container.code_runs().next(read.n).unwrap().contains(&Quantizer::UNPREDICTABLE)
     }
 
     #[test]
@@ -889,8 +976,10 @@ mod tests {
     /// CI's `codec-smoke` job runs this in release mode; debug timings
     /// mean nothing. A ratio of the two copies of SZ2's own loops, the
     /// encoder's and the decoder's, on one 4 M-element weight-like
-    /// tensor at REL 1e-2. The container's Huffman and LZ stages run
-    /// the same code under both and are left out of the timing.
+    /// tensor at REL 1e-2. The decoder's kernel holds the Huffman decode
+    /// of its codes, which it maps run by run, so that is timed; the
+    /// encoder's Huffman and LZ stages and the decoder's LZ stage
+    /// dispatch their own and are left out.
     #[test]
     #[ignore = "a timing ratio: run with --release -- --ignored"]
     fn avx2_sz2_is_1_2x_the_portable_copy() {
@@ -924,5 +1013,180 @@ mod tests {
             portable / avx2
         );
         assert!(portable >= 1.2 * avx2, "AVX2 copy only {:.2}x the portable one", portable / avx2);
+    }
+
+    /// A lane sum as it was before the sums shared a pass and were
+    /// computed four lanes at a time: one accumulator array, one term
+    /// per element. The oracle of [`lane_sums`], which must give each
+    /// sum its bits.
+    fn lane_sum_reference(values: &[f32], before: f32, term: impl Fn(f64, f64, f64) -> f64) -> f64 {
+        let Some((&first, rest)) = values.split_first() else {
+            return 0.0;
+        };
+        let prev = &values[..rest.len()];
+        let mut acc = [0.0f64; LANES];
+        acc[0] = term(0.0, first.into(), before.into());
+        let mut index: [f64; LANES] = std::array::from_fn(|lane| (lane + 1) as f64);
+        let whole = rest.len() - rest.len() % LANES;
+        for (values, prev) in
+            rest[..whole].chunks_exact(LANES).zip(prev[..whole].chunks_exact(LANES))
+        {
+            for (((acc, index), &v), &p) in acc.iter_mut().zip(&mut index).zip(values).zip(prev) {
+                *acc += term(*index, v.into(), p.into());
+                *index += LANES as f64;
+            }
+        }
+        for (((acc, &index), &v), &p) in
+            acc.iter_mut().zip(&index).zip(&rest[whole..]).zip(&prev[whole..])
+        {
+            *acc += term(index, v.into(), p.into());
+        }
+        acc.iter().sum()
+    }
+
+    /// Every length across the lane and chunk edges, signed zeros, and
+    /// values whose sums round differently in another order.
+    #[test]
+    fn lane_sums_match_the_one_term_reference_bit_for_bit() {
+        let mut state = 0x9E37_79B9u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let palette = [0.0f32, -0.0, 1e-7, -3.5, 1e7, 0.1, -0.3, 2.5e-3];
+        for len in (0..=40).chain([127, 128, 129, 1000]) {
+            for round in 0..6 {
+                let values: Vec<f32> = (0..len)
+                    .map(|_| match round {
+                        0 => -0.0,
+                        1 => palette[next() as usize % palette.len()],
+                        _ => (next() as f32 / u32::MAX as f32 - 0.5) * 10f32.powi(round - 3),
+                    })
+                    .collect();
+                let before = palette[round as usize];
+                let (mu, slope, offset) = (0.25f64, -1e-3f64, 0.125f64);
+                let got = lane_sums(&values, before, |i, v, p| {
+                    let line = add(mul(splat(slope), i), splat(offset));
+                    [abs_sub(v, splat(mu)), abs_sub(v, p), v, mul(i, v), abs_sub(v, line)]
+                });
+                let terms: [&dyn Fn(f64, f64, f64) -> f64; 5] = [
+                    &|_, v, _| (v - mu).abs(),
+                    &|_, v, p| (v - p).abs(),
+                    &|_, v, _| v,
+                    &|i, v, _| i * v,
+                    &|i, v, _| (v - (slope * i + offset)).abs(),
+                ];
+                for (k, term) in terms.iter().enumerate() {
+                    let want = lane_sum_reference(&values, before, term);
+                    assert_eq!(
+                        got[k].to_bits(),
+                        want.to_bits(),
+                        "len {len}, round {round}, sum {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A weight-like model of 4 Mi elements: nine layers of 16 Ki to 2 Mi
+    /// elements, Laplace-distributed with a scale per layer, as trained
+    /// weights are.
+    fn laplace_layers() -> Vec<Vec<f32>> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let sizes = [16, 16, 32, 64, 128, 256, 512, 1024, 2048].map(|k| k << 10);
+        (0u32..)
+            .zip(sizes)
+            .map(|(layer, n)| {
+                let scale = 0.02 / f64::from(1 + layer % 4);
+                (0..n)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let u = ((state >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+                        let sign = if state & 1 == 0 { 1.0 } else { -1.0 };
+                        (sign * -scale * u.ln()) as f32
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The per-stage split of SZ2 on [`laplace_layers`] at REL 1e-2:
+    /// milliseconds per stage summed over the layers, each the median of
+    /// 5 runs, and how many backend frames end STORED. A measurement to
+    /// rerun, not a gate: `cargo test --release -p fedsz-lossy --lib --
+    /// --ignored --nocapture sz2_stage_split`.
+    #[test]
+    #[ignore = "a measurement: run with --release -- --ignored --nocapture"]
+    fn sz2_stage_split() {
+        /// The scan and the mean alone, as [`Encode`] runs them.
+        struct ScanMean<'a>(&'a [f32]);
+        impl Kernel for ScanMean<'_> {
+            type Output = (f64, f32);
+            #[inline(always)]
+            fn run(self) -> (f64, f32) {
+                (resolve_bound(self.0, ErrorBound::Relative(1e-2)).unwrap(), mean_of(self.0))
+            }
+        }
+        /// The median of five runs of `run`, in ms, and what the last made.
+        fn median_ms<T>(mut run: impl FnMut() -> (f64, T)) -> (f64, T) {
+            let mut runs: Vec<(f64, T)> = (0..5).map(|_| run()).collect();
+            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            runs.swap_remove(2)
+        }
+        fn timed<T>(mut run: impl FnMut() -> T) -> impl FnMut() -> (f64, T) {
+            move || {
+                let t0 = std::time::Instant::now();
+                let out = std::hint::black_box(run());
+                (t0.elapsed().as_secs_f64() * 1e3, out)
+            }
+        }
+        let (codec, bound) = (Sz2::new(), ErrorBound::Relative(1e-2));
+        let names = [
+            "scan + mean",
+            "predictor choice + quantize + count",
+            "Huffman block encode",
+            "backend compress",
+            "backend decompress",
+            "Huffman decode + dequantize",
+        ];
+        let mut ms = [0.0f64; 6];
+        let (mut stored, mut frames, mut elements, mut wire) = (0, 0, 0, 0);
+        for data in laplace_layers() {
+            let encode = || Encode { codec: &codec, data: &data, bound };
+            let (scan, _) = median_ms(timed(|| simd::dispatch(ScanMean(&data))));
+            let (quantize, _) = median_ms(timed(|| simd::dispatch(encode()).unwrap()));
+            // The container's Huffman stage alone: each run quantizes
+            // anew, untimed, since `inner` consumes what it codes.
+            let (huffman, inner) = median_ms(|| {
+                let Encoded { container, .. } = simd::dispatch(encode()).unwrap();
+                let (quantized, [flags, coeffs]) = container.unwrap();
+                let t0 = std::time::Instant::now();
+                let inner = quantized.inner(&[&flags, &coeffs]);
+                (t0.elapsed().as_secs_f64() * 1e3, inner)
+            });
+            let (backend, packed) = median_ms(timed(|| ZstdLike::new().compress(&inner)));
+            let (unpack, _) = median_ms(timed(|| ZstdLike::new().decompress(&packed).unwrap()));
+            let stream = codec.compress(&data, bound).unwrap();
+            let (decompress, _) = median_ms(timed(|| codec.decompress(&stream).unwrap()));
+            let times = [scan, quantize - scan, huffman, backend, unpack, decompress - unpack];
+            for (total, t) in ms.iter_mut().zip(times) {
+                *total += t;
+            }
+            frames += 1;
+            stored += usize::from(packed[0] == 0);
+            elements += data.len();
+            wire += stream.len();
+        }
+        println!("SZ2 at REL 1e-2, {elements} Laplace elements in {frames} layers, {wire} B:");
+        for (name, t) in names.iter().zip(ms) {
+            println!("  {name:<36} {t:7.2} ms");
+        }
+        let (compress, decompress) = (ms[..4].iter().sum::<f64>(), ms[4..].iter().sum::<f64>());
+        println!("  compress {compress:.2} ms, decompress {decompress:.2} ms");
+        println!("  {stored} of {frames} backend frames stored");
     }
 }

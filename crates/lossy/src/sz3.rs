@@ -126,7 +126,8 @@ impl ErrorBounded for Sz3 {
         let container = Container::read(bytes, &mut pos, n, 0)?;
         let mut values = container.values(eb);
         let mut recon = vec![0.0f32; n];
-        for (&code, (p, stride)) in container.codes.iter().zip(traversal(n)) {
+        let mut codes = container.code_runs();
+        for (&code, (p, stride)) in codes.next(n)?.iter().zip(traversal(n)) {
             recon[p] = values.value(predict(&recon, p, stride, n), code);
         }
         Ok(recon)
