@@ -1691,72 +1691,11 @@ mod differential_tests {
             .collect()
     }
 
-    /// `old / new` for each of `rotations` rotations, sorted, and the
-    /// two sides' median times in seconds. Both sides run in every
-    /// rotation, so a speed phase of a shared host slows both, and odd
-    /// rotations run the old side first, so a warm-up or clock step lands
-    /// on each side as often.
-    pub(super) fn rotation_ratios<A, B>(
-        rotations: usize,
-        mut new: impl FnMut() -> A,
-        mut old: impl FnMut() -> B,
-    ) -> (Vec<f64>, f64, f64) {
-        fn time<T>(run: &mut impl FnMut() -> T) -> f64 {
-            let t0 = std::time::Instant::now();
-            std::hint::black_box(run());
-            t0.elapsed().as_secs_f64()
-        }
-        let mut times: Vec<(f64, f64)> = (0..rotations)
-            .map(|r| {
-                if r % 2 == 0 {
-                    let new = time(&mut new);
-                    (new, time(&mut old))
-                } else {
-                    let old = time(&mut old);
-                    (time(&mut new), old)
-                }
-            })
-            .collect();
-        let mut ratios: Vec<f64> = times.iter().map(|&(new, old)| old / new).collect();
-        ratios.sort_by(f64::total_cmp);
-        let median = |times: &mut Vec<f64>| {
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
-        let (mut news, mut olds): (Vec<f64>, Vec<f64>) = times.drain(..).unzip();
-        (ratios, median(&mut news), median(&mut olds))
-    }
-
-    /// A speed gate over [`rotation_ratios`]: the median ratio of 11
-    /// rotations must reach `floor`. One slow rotation neither passes
-    /// nor fails it; the spread is printed. `per` scales the median
-    /// times for the printout (symbols per run, or 1 for a whole run).
-    pub(super) fn gate<A, B>(
-        name: &str,
-        floor: f64,
-        (per, unit): (f64, &str),
-        new: impl FnMut() -> A,
-        old: impl FnMut() -> B,
-    ) {
-        let (ratios, new, old) = rotation_ratios(11, new, old);
-        let median = ratios[ratios.len() / 2];
-        println!(
-            "{name}: {:.2} {unit} against {:.2}, {median:.2}x (median of {} rotations, \
-             {:.2}-{:.2}x; floor {floor}x)",
-            new / per,
-            old / per,
-            ratios.len(),
-            ratios[0],
-            ratios[ratios.len() - 1],
-        );
-        assert!(median >= floor, "{name}: only {median:.2}x, floor {floor}x");
-    }
-
     /// The CI speed gate: machine-independent because it is a ratio of
-    /// two decoders run back to back on the same stream, the median of
-    /// 11 rotations ([`gate`]). Meaningful in release mode only (`cargo
-    /// test --release -p fedsz-codec -- --ignored`). Over 10 runs the
-    /// median read 6.55-9.53x (median 8.30x): the 3x floor stays.
+    /// two decoders run back to back on the same stream
+    /// ([`crate::speed::gate`]). Meaningful in release mode only (`cargo
+    /// test --release -p fedsz-codec -- --ignored`). Over 10 runs on a
+    /// 2-core Xeon the median read 7.96-9.57x (median 8.13x); floor 3x.
     #[test]
     #[ignore = "timing: run in release mode"]
     fn lookup_decode_is_3x_the_bit_serial_reference() {
@@ -1767,10 +1706,9 @@ mod differential_tests {
         assert_eq!(read_uvarint(&block, &mut pos).unwrap(), data.len() as u64);
         let bits = read_bytes(&block, &mut pos).unwrap();
         assert_eq!(decode_bulk(&table, bits, data.len()), (data.clone(), None));
-        gate(
+        crate::speed::gate(
             "lookup decode against the bit-serial walk",
             3.0,
-            (data.len() as f64 * 1e-9, "ns/symbol"),
             || {
                 let mut r = BitReader::new(std::hint::black_box(bits));
                 table.decode_from(&mut r, data.len()).unwrap()
@@ -1785,8 +1723,9 @@ mod differential_tests {
 /// positions, same errors.
 #[cfg(test)]
 mod table_speed_tests {
-    use super::differential_tests::{gate, header_of, sz_like};
+    use super::differential_tests::{header_of, sz_like};
     use super::*;
+    use crate::speed::gate;
     use proptest::prelude::*;
 
     /// Decodes `calls` one after the other from one reader, each through
@@ -2125,11 +2064,10 @@ mod table_speed_tests {
     }
 
     /// Timing gates, like `lookup_decode_is_3x_the_bit_serial_reference`:
-    /// ratios of two coders run back to back on one input, the median of
-    /// 11 rotations, meaningful in release mode only. The stream carries
-    /// ~2.5 bits per symbol, where three-symbol entries fill. Over 10
-    /// runs the median read 2.01-2.56x (median 2.42x): the 1.6x floor
-    /// stays.
+    /// ratios of two coders run back to back on one input, meaningful in
+    /// release mode only. The stream carries ~2.5 bits per symbol, where
+    /// three-symbol entries fill. Over 10 runs the median read
+    /// 2.32-2.50x (median 2.46x); floor 1.6x.
     #[test]
     #[ignore = "timing: run in release mode"]
     fn multi_symbol_decode_is_1_6x_the_single_symbol_reference() {
@@ -2145,7 +2083,6 @@ mod table_speed_tests {
         gate(
             "multi-symbol decode against the single-symbol one",
             1.6,
-            (data.len() as f64 * 1e-9, "ns/symbol"),
             || table.decode_from(&mut BitReader::new(std::hint::black_box(bits)), data.len()),
             || {
                 let mut out = Vec::with_capacity(data.len());
@@ -2157,10 +2094,9 @@ mod table_speed_tests {
     }
 
     /// The block encoder, its count included, against one count and one
-    /// accumulator step per symbol. Over 10 runs on a 2-core Xeon with
-    /// AVX2 the median read 1.85-2.40x (median 2.29x); the floor, raised
-    /// from 1.25x, is two thirds of that. The paired encoder before it
-    /// read ~1.4x, best of five.
+    /// accumulator step per symbol. Over 10 runs the median read
+    /// 1.96-2.42x (median 2.38x); floor 1.5x. The paired encoder before
+    /// it read ~1.4x, best of five.
     #[test]
     #[ignore = "timing: run in release mode"]
     fn block_encode_is_1_25x_the_per_symbol_reference() {
@@ -2169,14 +2105,12 @@ mod table_speed_tests {
         gate(
             "four-code block encode against the per-symbol one",
             1.5,
-            (data.len() as f64 * 1e-9, "ns/symbol"),
             || encode_block(std::hint::black_box(&data)),
             || reference::encode_block(std::hint::black_box(&data)),
         );
     }
 
-    /// Over 10 runs the median read 117-146x (median 133x): the 20x
-    /// floor stays.
+    /// Over 10 runs the median read 110-144x (median 132x); floor 20x.
     #[test]
     #[ignore = "timing: run in release mode"]
     fn table_build_is_20x_the_rescanning_fix_up() {
@@ -2184,7 +2118,6 @@ mod table_speed_tests {
         gate(
             "30,000-symbol table build against the rescanning fix-up",
             20.0,
-            (1e-3, "ms"),
             || HuffmanTable::from_frequencies(std::hint::black_box(&counts), 16),
             || {
                 let mut lengths = reference::tree_depths(std::hint::black_box(&counts));

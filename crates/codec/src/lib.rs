@@ -14,7 +14,8 @@
 //! * [`varint`] — LEB128 variable-length integers and fixed-width helpers,
 //! * [`stats`] — summary statistics shared by compressors and analyses,
 //! * [`simd`] — the AVX2 seam: a hot loop compiled twice from one source
-//!   and picked at run time.
+//!   and picked at run time,
+//! * [`speed`] — the one A/B rule every speed gate's test is held by.
 //!
 //! # Examples
 //!
@@ -46,6 +47,7 @@ pub mod range;
 pub mod shuffle;
 #[allow(unsafe_code)]
 pub mod simd;
+pub mod speed;
 pub mod stats;
 pub mod varint;
 

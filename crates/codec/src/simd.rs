@@ -75,18 +75,17 @@ pub fn dispatch<K: Kernel>(kernel: K) -> K::Output {
 /// `kernel`'s AVX2 copy, or `None` on a CPU without AVX2 and BMI2: what
 /// the oracle tests and speed gates hold against [`Kernel::run`].
 pub fn avx2<K: Kernel>(kernel: K) -> Option<K::Output> {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        return Some(dispatch(kernel));
-    }
-    drop(kernel);
-    None
+    has_avx2().then(|| dispatch(kernel))
 }
 
-/// Whether the CPU runs the AVX2 copies: AVX2 and BMI2 both.
-#[cfg(target_arch = "x86_64")]
-fn has_avx2() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("bmi2")
+/// Whether the CPU runs the AVX2 copies: AVX2 and BMI2 both. Always
+/// `false` off x86_64.
+pub fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("bmi2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// [`Kernel::run`], inlined under AVX2 code generation.

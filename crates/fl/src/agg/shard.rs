@@ -755,7 +755,6 @@ mod tests {
     use fedsz_codec::simd::Kernel;
     use fedsz_tensor::rng::{normal, seeded};
     use proptest::prelude::*;
-    use std::time::Instant;
 
     /// What the readout replaced: the `i128` cast, then the grid scale.
     fn cast(x: i128) -> f64 {
@@ -912,50 +911,29 @@ mod tests {
         out
     }
 
-    /// CI's `codec-smoke` job runs this in release mode; debug timings
-    /// mean nothing. `finish` on one leaf sum of 128 tiny-AlexNet-sized
-    /// updates (72,042 elements), against the cast loop it replaced,
-    /// sides alternated, best of 5 rounds of 20 calls each. Measured
-    /// 4.0–4.8x.
+    /// `finish` on one leaf sum of 128 tiny-AlexNet-sized updates
+    /// (72,042 elements), against the cast loop it replaced
+    /// ([`fedsz_codec::speed::gate`]); release mode only. Over 10 runs on
+    /// a 2-core Xeon the median read 4.25-4.64x (median 4.29x); floor
+    /// 2.5x.
     #[test]
     #[ignore = "a timing ratio: run with --release -- --ignored"]
     fn split_readout_finish_is_2_5x_the_cast_loop() {
-        const ELEMS: usize = 72_042;
         let rng = &mut seeded(25);
         let updates: Vec<StateDict> = (0..8)
-            .map(|_| dict(&(0..ELEMS).map(|_| 0.05 * normal(rng)).collect::<Vec<_>>()))
+            .map(|_| dict(&(0..72_042).map(|_| 0.05 * normal(rng)).collect::<Vec<_>>()))
             .collect();
         let mut sum = PartialSum::new();
         for client in 0..128 {
             sum.accumulate(&updates[client % updates.len()], 1.0 + (client % 7) as f64);
         }
         assert_eq!(sum.finish().unwrap().to_bytes(), cast_finish(&sum).to_bytes());
-        let time = |f: &dyn Fn() -> StateDict, best: &mut f64| {
-            let t0 = Instant::now();
-            for _ in 0..20 {
-                std::hint::black_box(f());
-            }
-            *best = best.min(t0.elapsed().as_secs_f64());
-        };
-        let (mut split, mut cast) = (f64::INFINITY, f64::INFINITY);
-        let (split_finish, cast_loop) = (|| sum.finish().unwrap(), || cast_finish(&sum));
-        for round in 0..5 {
-            if round % 2 == 0 {
-                time(&split_finish, &mut split);
-                time(&cast_loop, &mut cast);
-            } else {
-                time(&cast_loop, &mut cast);
-                time(&split_finish, &mut split);
-            }
-        }
-        let melems = |secs: f64| (20 * ELEMS) as f64 / secs / 1e6;
-        let ratio = cast / split;
-        println!(
-            "split readout {:.0} Melem/s, cast loop {:.0} Melem/s: {ratio:.2}x",
-            melems(split),
-            melems(cast)
+        fedsz_codec::speed::gate(
+            "PartialSum::finish, split readout against the cast loop",
+            2.5,
+            || sum.finish().unwrap(),
+            || cast_finish(&sum),
         );
-        assert!(ratio >= 2.5, "the split readout's finish is only {ratio:.2}x the cast loop");
     }
 
     fn dict(values: &[f32]) -> StateDict {

@@ -979,40 +979,31 @@ mod tests {
     /// tensor at REL 1e-2. The decoder's kernel holds the Huffman decode
     /// of its codes, which it maps run by run, so that is timed; the
     /// encoder's Huffman and LZ stages and the decoder's LZ stage
-    /// dispatch their own and are left out.
+    /// dispatch their own and are left out. Over 10 runs on a 2-core
+    /// Xeon the median read 1.33-1.46x (median 1.35x); floor 1.2x.
     #[test]
     #[ignore = "a timing ratio: run with --release -- --ignored"]
     fn avx2_sz2_is_1_2x_the_portable_copy() {
+        if !simd::has_avx2() {
+            println!("skipped: this host has no AVX2, so the portable copy is the only path");
+            return;
+        }
         let data = weight_like(4 << 20, 29, 0.0);
         let (codec, bound) = (Sz2::new(), ErrorBound::Relative(1e-2));
         let encode = || Encode { codec: &codec, data: &data, bound };
-        let Some(encoded) = simd::avx2(encode()) else {
-            println!("skipped: this host has no AVX2, so the portable copy is the only path");
-            return;
-        };
-        let stream = encoded.unwrap().finish();
+        let stream = simd::avx2(encode()).unwrap().unwrap().finish();
         let read = Stream::read(&stream).unwrap().unwrap();
-        let round_trip = |avx2: bool| {
-            let t0 = std::time::Instant::now();
-            if avx2 {
-                std::hint::black_box(simd::avx2(encode()).unwrap().unwrap());
-                std::hint::black_box(simd::avx2(Decode(&read)).unwrap().unwrap());
-            } else {
-                std::hint::black_box(encode().run().unwrap());
-                std::hint::black_box(Decode(&read).run().unwrap());
-            }
-            t0.elapsed().as_secs_f64()
-        };
-        let best = |avx2| (0..5).map(|_| round_trip(avx2)).fold(f64::INFINITY, f64::min);
-        let (portable, avx2) = (best(false), best(true));
-        let mbps = |secs: f64| (4 * data.len()) as f64 / secs / 1e6;
-        println!(
-            "AVX2 {:.0} MB/s, portable {:.0} MB/s: {:.2}x",
-            mbps(avx2),
-            mbps(portable),
-            portable / avx2
+        fedsz_codec::speed::gate(
+            "SZ2 encode + decode loops, AVX2 copy against the portable one",
+            1.2,
+            || {
+                (
+                    simd::avx2(encode()).unwrap().unwrap(),
+                    simd::avx2(Decode(&read)).unwrap().unwrap(),
+                )
+            },
+            || (encode().run().unwrap(), Decode(&read).run().unwrap()),
         );
-        assert!(portable >= 1.2 * avx2, "AVX2 copy only {:.2}x the portable one", portable / avx2);
     }
 
     /// A lane sum as it was before the sums shared a pass and were
@@ -1122,6 +1113,7 @@ mod tests {
     #[test]
     #[ignore = "a measurement: run with --release -- --ignored --nocapture"]
     fn sz2_stage_split() {
+        let _host = fedsz_codec::speed::exclusive();
         /// The scan and the mean alone, as [`Encode`] runs them.
         struct ScanMean<'a>(&'a [f32]);
         impl Kernel for ScanMean<'_> {
